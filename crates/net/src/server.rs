@@ -8,18 +8,21 @@
 //!                 frames in (mpsc)  ◄─────────┤  frame reassembly + decode
 //!                      │                      ▲
 //!                      ▼                      │ outbox (Mutex<VecDeque> + eventfd waker)
-//!            core thread: Notifier + WAL ─────┘ per-destination payloads,
-//!            append-before-broadcast            coalesced into compound frames
+//!            core thread: NotifierCore ───────┘ per-destination payloads,
+//!            (validate → log → compact)         coalesced into compound frames
 //! ```
 //!
 //! The I/O tier never touches editor state and the core never touches a
 //! socket: workers own reads, reassembly, decode, and writes; the single
-//! core thread owns the `Notifier` and its WAL, preserving the exact
-//! integration semantics (and total order) the simulator validates. TCP
+//! core thread drives the same [`NotifierCore`] the simulator node does
+//! (notifier + WAL behind one validate → log → compact entry point per
+//! message kind), preserving the exact integration semantics (and total
+//! order) the simulator validates. TCP
 //! supplies the reliable-FIFO channel the paper assumes, so the sim's
 //! go-back-N layer stays home; what crosses over is the framing
 //! discipline — fnv1a32-checksummed frames, compound coalescing on the
-//! write path, WAL append **before** broadcast.
+//! write path, and a broadcast that can only be built from an outcome
+//! whose record the core has already logged.
 //!
 //! A connection binds to its site with a hello frame: a `ClientAck`
 //! carrying the site id and the client's ack frontier (`received: 0` for
@@ -40,12 +43,13 @@ use crate::admin::{spawn_admin, AdminHandle, AdminShared, AliveGuard, Tier, RING
 use crate::conn::{Conn, ConnError};
 use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
+use cvc_reduce::core::NotifierCore;
 use cvc_reduce::msg::{compound_header, ClientAckMsg, ClientOpMsg, EditorMsg, Payload};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::NO_SITE;
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::trace::dump_event_line;
-use cvc_reduce::wal::{Wal, WalRecord};
+use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use cvc_sim::wire::{WireDecode, WireEncode, WireError, WireSize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -67,8 +71,6 @@ pub struct ServerConfig {
     pub n_clients: usize,
     /// Shard worker threads. 0 = one per available core.
     pub workers: usize,
-    /// WAL compaction cadence (records between checkpoint probes).
-    pub wal_compact_every: u64,
     /// Acknowledge every integrated op to its origin (`ServerAck`) — what
     /// `cvc-load` measures RTT against.
     pub send_acks: bool,
@@ -98,7 +100,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             n_clients: 16,
             workers: 0,
-            wal_compact_every: 4096,
             send_acks: true,
             capture_integrations: false,
             compound_max: 32,
@@ -751,13 +752,15 @@ fn worker_inner(
     Ok(())
 }
 
-/// The editor brain: single-threaded `Notifier` + WAL, fed decoded
-/// messages, emitting per-destination payloads to worker outboxes.
+/// The epoll tier's driver over [`NotifierCore`]: single-threaded, fed
+/// decoded messages, emitting per-destination payloads to worker outboxes.
+/// It owns routing, parking, eviction and ring publishing; every
+/// integration goes through the core's two entry points.
 struct Core<'a> {
     cfg: &'a ServerConfig,
     workers: &'a [Arc<WorkerShared>],
-    notifier: Notifier,
-    wal: Wal,
+    /// The notifier and its WAL (auto-GC on, no standby on this tier).
+    durable: NotifierCore,
     /// (worker, conn) → bound site.
     bound: HashMap<(usize, u64), SiteId>,
     /// client index → (worker, conn) route.
@@ -867,19 +870,12 @@ impl<'a> Core<'a> {
         let key = (worker, conn);
         if let Some(&site) = self.bound.get(&key) {
             if site != a.origin {
-                self.notifier.quarantine(a.origin);
+                self.durable.quarantine(a.origin);
                 self.evict(worker, conn);
-                return;
-            }
-            // Validate before persisting: recovery replays WAL acks
-            // through this same fallible path, so a rejected ack must
-            // never land in the log.
-            if self.notifier.try_on_client_ack(a).is_err() {
-                self.notifier.quarantine(site);
+            } else if self.durable.integrate_ack(a).is_err() {
+                self.durable.quarantine(site);
                 self.evict(worker, conn);
-                return;
             }
-            self.wal.append(&WalRecord::Ack(a));
             return;
         }
         // Hello: bind the connection to its site.
@@ -895,12 +891,11 @@ impl<'a> Core<'a> {
         // for a fresh client, its stream position on a reconnect. Apply
         // it like any other ack so the notifier's history-buffer GC sees
         // the frontier; an overrun claim is hostile and refuses the bind.
-        if self.notifier.try_on_client_ack(a).is_err() {
-            self.notifier.quarantine(a.origin);
+        if self.durable.integrate_ack(a).is_err() {
+            self.durable.quarantine(a.origin);
             self.evict(worker, conn);
             return;
         }
-        self.wal.append(&WalRecord::Ack(a));
         self.bound.insert(key, a.origin);
         if let Some(r) = self.routes.get_mut(idx) {
             *r = Some(key);
@@ -920,14 +915,15 @@ impl<'a> Core<'a> {
             return;
         };
         if site != op.origin {
-            self.notifier.quarantine(op.origin);
+            self.durable.quarantine(op.origin);
             self.evict(worker, conn);
             return;
         }
-        // Durability before visibility: the WAL record lands before any
-        // broadcast leaves — the discipline the crash chaos suite pins.
-        self.wal.append(&WalRecord::Op(op.clone()));
-        match self.notifier.try_on_client_op_outcome(op.clone()) {
+        let seq = op.stamp.get(2);
+        let captured = self.cfg.capture_integrations.then(|| op.clone());
+        // Durability before visibility: an outcome only comes back once
+        // its record is in the log, and a rejected op never gets there.
+        match self.durable.integrate_op(op) {
             Ok(outcome) => {
                 self.ops_integrated += 1;
                 if self.tracing() {
@@ -935,13 +931,10 @@ impl<'a> Core<'a> {
                     // proves the op was generated and sent; synthesize
                     // those lines so attached tailers get full
                     // lifecycles. Timestamps collapse to arrival time.
-                    let seq = op.stamp.get(2);
                     self.synth_line(site, "generate", site.0, seq);
                     self.synth_line(site, "send", site.0, seq);
                 }
-                if self.cfg.capture_integrations {
-                    self.integration_log.push(op);
-                }
+                self.integration_log.extend(captured);
                 let frame = outcome.frame();
                 for &(dest, stamp) in &outcome.stamps {
                     self.send_to_site(dest, frame.payload_for(stamp));
@@ -952,13 +945,12 @@ impl<'a> Core<'a> {
                     msg.encode(&mut bytes);
                     self.send_to_site(dest, Payload::from_vec(bytes));
                 }
-                self.wal.maybe_compact(&self.notifier);
             }
             Err(_) => {
                 // The notifier already counted the violation; hostile
                 // sites are quarantined and their connection evicted,
                 // the sim's policy verbatim.
-                self.notifier.quarantine(site);
+                self.durable.quarantine(site);
                 self.evict(worker, conn);
             }
         }
@@ -1017,7 +1009,7 @@ impl<'a> Core<'a> {
             // `T[1]` carried by its own ops both land in `acked_by`.
             // `op_site = NO_SITE` + the stream position is exactly the
             // tailer's broadcast join key.
-            let frontier = self.notifier.acked_by().to_vec();
+            let frontier = self.durable.notifier().acked_by().to_vec();
             for (idx, &acked) in frontier.iter().take(self.cfg.n_clients).enumerate() {
                 while self.ack_published[idx] < acked {
                     self.ack_published[idx] += 1;
@@ -1025,7 +1017,8 @@ impl<'a> Core<'a> {
                     self.synth_line(SiteId(idx as u32 + 1), "execute", NO_SITE, pos);
                 }
             }
-            let (events, lost) = self.notifier.recorder().events_since(self.recorder_cursor);
+            let recorder = self.durable.notifier().recorder();
+            let (events, lost) = recorder.events_since(self.recorder_cursor);
             let mut text = std::mem::take(&mut self.synth);
             if lost > 0 {
                 // Ring overwrite outran the publish cadence: surface the
@@ -1055,8 +1048,9 @@ impl<'a> Core<'a> {
     /// Refresh the live registry image from the notifier, the I/O-tier
     /// atomics, the WAL, and the core's own gauges.
     fn refresh_registry(&mut self) {
-        let counters = self.notifier.metrics().counter_fields();
-        let high_waters = self.notifier.metrics().high_water_fields();
+        let metrics = self.durable.notifier().metrics();
+        let counters = metrics.counter_fields();
+        let high_waters = metrics.high_water_fields();
         let live = &mut self.live;
         for (field, v) in counters {
             // Absolute set, not add: the source is already cumulative.
@@ -1105,11 +1099,13 @@ impl<'a> Core<'a> {
         live.set_counter("core.ops_integrated", self.ops_integrated);
         live.set_counter("core.dropped_broadcasts", self.dropped_broadcasts);
         live.set_gauge("core.parked_bytes", self.parked_bytes as f64);
-        live.set_counter("wal.appends", self.wal.appends());
-        live.set_counter("wal.bytes_appended", self.wal.bytes_appended());
-        live.set_counter("wal.compactions", self.wal.compactions());
-        live.set_gauge("wal.live_bytes", self.wal.live_bytes() as f64);
-        live.set_gauge("wal.amplification", self.wal.amplification());
+        if let Some(wal) = self.durable.wal() {
+            live.set_counter("wal.appends", wal.appends());
+            live.set_counter("wal.bytes_appended", wal.bytes_appended());
+            live.set_counter("wal.compactions", wal.compactions());
+            live.set_gauge("wal.live_bytes", wal.live_bytes() as f64);
+            live.set_gauge("wal.amplification", wal.amplification());
+        }
         live.set_gauge("net.uptime_us", self.now_us as f64);
     }
 }
@@ -1127,6 +1123,10 @@ fn core_loop(
     let started = Instant::now();
     let mut notifier = Notifier::new(cfg.n_clients, "");
     notifier.set_send_acks(cfg.send_acks);
+    // Folded-in GC, as the simulator's sessions default to: the history
+    // buffer stays at the in-flight window, which is also what lets the
+    // log ever reach a checkpointable state and compact.
+    notifier.set_auto_gc(true);
     if cfg.trace_rings && admin.is_some() {
         notifier.set_flight_recorder_capacity(cfg.trace_ring_capacity.max(1024));
         notifier.set_flight_recorder(true);
@@ -1135,8 +1135,7 @@ fn core_loop(
     let mut core = Core {
         cfg,
         workers,
-        notifier,
-        wal: Wal::new(cfg.wal_compact_every.max(1)),
+        durable: NotifierCore::new(notifier, Some(Wal::new(DEFAULT_COMPACT_EVERY)), None),
         bound: HashMap::new(),
         routes: vec![None; cfg.n_clients],
         parked: vec![VecDeque::new(); cfg.n_clients],
@@ -1175,7 +1174,7 @@ fn core_loop(
         };
         if let Some(first) = first {
             core.now_us = started.elapsed().as_micros() as u64;
-            core.notifier.set_now(core.now_us);
+            core.durable.set_now(core.now_us);
             let mut batch = vec![first];
             while batch.len() < 512 {
                 match rx.try_recv() {
@@ -1241,10 +1240,12 @@ fn core_loop(
 
     let frames_out = stats.frames_out.load(Ordering::Relaxed);
     let msgs_out = stats.msgs_out.load(Ordering::Relaxed);
-    let m = core.notifier.metrics();
+    let notifier = core.durable.notifier();
+    let m = notifier.metrics();
+    let wal = core.durable.wal();
     ServerReport {
-        doc: core.notifier.doc(),
-        doc_checksum: core.notifier.doc_checksum(),
+        doc: notifier.doc(),
+        doc_checksum: notifier.doc_checksum(),
         ops_integrated: core.ops_integrated,
         protocol_errors: m.protocol_errors,
         frame_errors: stats.frame_errors.load(Ordering::Relaxed),
@@ -1268,9 +1269,9 @@ fn core_loop(
             .map(|w| w.outbox_high_water.load(Ordering::Relaxed))
             .collect(),
         dropped_broadcasts: core.dropped_broadcasts,
-        wal_appends: core.wal.appends(),
-        wal_amplification: core.wal.amplification(),
-        wal_bytes: core.wal.bytes().to_vec(),
+        wal_appends: wal.map_or(0, Wal::appends),
+        wal_amplification: wal.map_or(0.0, Wal::amplification),
+        wal_bytes: wal.map_or_else(Vec::new, |w| w.bytes().to_vec()),
         hb_high_water: m.hb_high_water,
         integration_log: core.integration_log,
     }

@@ -1,12 +1,15 @@
 //! End-to-end checks for the TCP tier: torn-read reassembly equivalence,
-//! a live server ↔ sim-twin differential, hostile-peer eviction,
-//! reconnect rebinding, and connection churn over recycled slab slots.
+//! a live server ↔ sim-twin differential, hostile-peer eviction (framing
+//! garbage, and a bound peer's protocol violation that must stay out of
+//! the log), reconnect rebinding, connection churn over recycled slab
+//! slots, and a long session whose history buffer and log stay bounded.
 
 use cvc_core::site::SiteId;
+use cvc_core::state_vector::CompressedStamp;
 use cvc_net::frame::{write_frame, FrameReader};
 use cvc_net::{replay_twin, run_load, EditorServer, LoadConfig, ServerConfig};
-use cvc_reduce::client::Client;
-use cvc_reduce::msg::{ClientAckMsg, EditorMsg};
+use cvc_reduce::client::{Client, ACK_INTERVAL};
+use cvc_reduce::msg::{ClientAckMsg, EditorMsg, ServerOpMsg};
 use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -22,6 +25,8 @@ use std::time::Duration;
 struct TestPeer {
     stream: TcpStream,
     reader: FrameReader,
+    /// Sub-messages of a compound frame not yet handed out.
+    unpacked: std::collections::VecDeque<EditorMsg>,
 }
 
 impl TestPeer {
@@ -33,7 +38,18 @@ impl TestPeer {
         TestPeer {
             stream,
             reader: FrameReader::new(),
+            unpacked: std::collections::VecDeque::new(),
         }
+    }
+
+    /// Connect and bind to `site` with a fresh-client hello.
+    fn bind(addr: &str, site: SiteId) -> TestPeer {
+        let mut peer = TestPeer::connect(addr);
+        peer.send(&EditorMsg::ClientAck(ClientAckMsg {
+            origin: site,
+            received: 0,
+        }));
+        peer
     }
 
     fn send(&mut self, msg: &EditorMsg) {
@@ -44,19 +60,55 @@ impl TestPeer {
         self.stream.write_all(&frame).expect("write frame");
     }
 
-    /// Block until the next editor message arrives.
+    /// Block until the next editor message arrives (compound frames are
+    /// unpacked, so no sub-message is ever lost between calls).
     fn recv(&mut self) -> EditorMsg {
         let mut chunk = [0u8; 4096];
         loop {
+            if let Some(m) = self.unpacked.pop_front() {
+                return m;
+            }
             if let Some(p) = self.reader.next_frame().expect("valid frame") {
                 let mut slice: &[u8] = &p;
-                return EditorMsg::decode(&mut slice).expect("decodable frame");
+                match EditorMsg::decode(&mut slice).expect("decodable frame") {
+                    EditorMsg::Compound(ms) => self.unpacked.extend(ms),
+                    m => return m,
+                }
+                continue;
             }
             let n = self.stream.read(&mut chunk).expect("read");
             assert!(n > 0, "server closed the connection unexpectedly");
             self.reader.extend(&chunk[..n]);
         }
     }
+
+    /// Block until the next broadcast arrives, skipping origin acks.
+    fn recv_server_op(&mut self) -> ServerOpMsg {
+        loop {
+            match self.recv() {
+                EditorMsg::ServerOp(m) => return m,
+                EditorMsg::ServerAck(_) => {}
+                other => panic!("unexpected downstream message: {other:?}"),
+            }
+        }
+    }
+
+    /// Block until the server closes this connection (an eviction).
+    fn wait_closed(mut self) {
+        let mut chunk = [0u8; 4096];
+        // A reset counts as closed: the server may drop unread bytes.
+        while matches!(self.stream.read(&mut chunk), Ok(n) if n > 0) {}
+    }
+}
+
+/// Returns once the (single) worker has read everything the test wrote
+/// before this call: a throwaway connection's out-of-range hello is read
+/// no earlier than bytes already sitting in other sockets, and its
+/// eviction closes it only after the worker finished that pass — so by
+/// then the earlier messages are in the core's FIFO queue, ahead of any
+/// later shutdown.
+fn barrier(addr: &str) {
+    TestPeer::bind(addr, SiteId::from_client_index(1 << 20)).wait_closed();
 }
 
 /// Reassemble `stream` delivered in the given chunk sizes.
@@ -246,16 +298,8 @@ fn reconnect_rebinds_with_real_ack_frontier() {
     let mut editor1 = Client::new(site1, "");
     let mut replica2 = Client::new(site2, "");
 
-    let mut peer1 = TestPeer::connect(&addr);
-    peer1.send(&EditorMsg::ClientAck(ClientAckMsg {
-        origin: site1,
-        received: 0,
-    }));
-    let mut peer2 = TestPeer::connect(&addr);
-    peer2.send(&EditorMsg::ClientAck(ClientAckMsg {
-        origin: site2,
-        received: 0,
-    }));
+    let mut peer1 = TestPeer::bind(&addr, site1);
+    let mut peer2 = TestPeer::bind(&addr, site2);
 
     // Op 1 reaches site 2's first connection.
     peer1.send(&EditorMsg::ClientOp(editor1.insert(0, "a")));
@@ -287,8 +331,9 @@ fn reconnect_rebinds_with_real_ack_frontier() {
     assert_eq!(report.io_errors, 0);
     assert_eq!(report.doc, replica2.doc());
 
-    // The WAL carries the hello frontiers too: recovery must replay them
-    // (and everything else) back to the live document.
+    // The hello frontiers went through the same validate-then-log path as
+    // every other ack: recovery must replay the log back to the live
+    // document.
     let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
     let (recovered, _) = recovery.restore(2, "").expect("WAL restores");
     assert_eq!(recovered.doc_checksum(), report.doc_checksum);
@@ -296,20 +341,128 @@ fn reconnect_rebinds_with_real_ack_frontier() {
 
 /// Pump `peer` until `count` server ops have been applied to `replica`.
 fn apply_server_ops(peer: &mut TestPeer, replica: &mut Client, count: usize) {
-    let mut applied = 0;
-    let mut queue = std::collections::VecDeque::new();
-    while applied < count {
-        let msg = queue.pop_front().unwrap_or_else(|| peer.recv());
-        match msg {
-            EditorMsg::ServerOp(m) => {
-                replica.try_on_server_op(m).expect("server op applies");
-                applied += 1;
+    for _ in 0..count {
+        let m = peer.recv_server_op();
+        replica.try_on_server_op(m).expect("server op applies");
+    }
+}
+
+/// ROADMAP 3(a): a bound peer's protocol violation is evicted *and stays
+/// out of the write-ahead log* — recovery replays the log through the
+/// same validation, so one logged hostile op would poison every restart.
+#[test]
+fn hostile_op_from_a_bound_peer_never_reaches_the_log() {
+    let n = 3;
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: n,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let sites: Vec<SiteId> = (0..n).map(SiteId::from_client_index).collect();
+    let mut replicas: Vec<Client> = sites.iter().map(|&s| Client::new(s, "")).collect();
+    let mut peers: Vec<TestPeer> = sites.iter().map(|&s| TestPeer::bind(&addr, s)).collect();
+
+    // One honest op from the soon-to-be-hostile site reaches both others.
+    let honest = replicas[0].insert(0, "a");
+    peers[0].send(&EditorMsg::ClientOp(honest.clone()));
+    for j in 1..n {
+        apply_server_ops(&mut peers[j], &mut replicas[j], 1);
+    }
+
+    // Then a FIFO gap: T[2] jumps from 1 to 3. The server must close the
+    // stream and quarantine the site.
+    let mut gap = replicas[0].insert(1, "z");
+    gap.stamp = CompressedStamp::new(gap.stamp.get(1), 3);
+    peers[0].send(&EditorMsg::ClientOp(gap));
+    peers.remove(0).wait_closed();
+
+    // The honest peers keep editing around the hole and converge.
+    let next = replicas[1].insert(1, "b");
+    peers[0].send(&EditorMsg::ClientOp(next));
+    apply_server_ops(&mut peers[1], &mut replicas[2], 1);
+    assert_eq!(replicas[1].doc(), "ab");
+    assert_eq!(replicas[2].doc(), "ab");
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 2);
+    assert_eq!(report.protocol_errors, 1, "exactly the gap is rejected");
+    assert!(report.evicted >= 1, "the hostile connection is shed");
+    assert_eq!(report.doc, "ab");
+
+    let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
+    let (recovered, _) = recovery
+        .restore(n, "")
+        .expect("a rejected op must not be in the log");
+    assert_eq!(recovered.doc_checksum(), report.doc_checksum);
+}
+
+/// ROADMAP 1(a): the TCP server's state is bounded by the in-flight
+/// window, not by the session. Four lockstep writers (one op in flight,
+/// acks exactly as `Client::take_pending_ack` dictates, one final ack
+/// each) run 2 000 ops; the notifier's history buffer must stay within
+/// the ack-lag window and the log must have compacted to a snapshot.
+#[test]
+fn long_session_keeps_history_and_log_bounded() {
+    const OPS: usize = 2_000;
+    let n = 4;
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: n,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let sites: Vec<SiteId> = (0..n).map(SiteId::from_client_index).collect();
+    let mut replicas: Vec<Client> = sites.iter().map(|&s| Client::new(s, "")).collect();
+    let mut peers: Vec<TestPeer> = sites.iter().map(|&s| TestPeer::bind(&addr, s)).collect();
+
+    for k in 0..OPS {
+        let origin = k % n;
+        let op = replicas[origin].insert(k / 2, "x");
+        peers[origin].send(&EditorMsg::ClientOp(op));
+        for j in (0..n).filter(|&j| j != origin) {
+            apply_server_ops(&mut peers[j], &mut replicas[j], 1);
+            replicas[j].gc();
+            if let Some(ack) = replicas[j].take_pending_ack() {
+                peers[j].send(&EditorMsg::ClientAck(ack));
             }
-            EditorMsg::Compound(ms) => queue.extend(ms),
-            EditorMsg::ServerAck(_) => {}
-            other => panic!("unexpected downstream message: {other:?}"),
         }
     }
+    for (peer, replica) in peers.iter_mut().zip(&replicas) {
+        peer.send(&EditorMsg::ClientAck(ClientAckMsg {
+            origin: replica.site(),
+            received: replica.state_vector().received(),
+        }));
+    }
+    barrier(&addr);
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, OPS as u64);
+    assert_eq!(report.protocol_errors, 0);
+    for replica in &replicas {
+        assert_eq!(replica.doc(), report.doc);
+    }
+
+    // The window, as `tests/gc_bound.rs` derives it for the sim: an entry
+    // dies once every other client acked past it, and a client's ack lags
+    // by at most ACK_INTERVAL executions (sooner when its own next op
+    // carries T[1]); one op is in flight. 2x for slack.
+    let bound = 2 * (ACK_INTERVAL + n as u64 + 1);
+    assert!(
+        report.hb_high_water <= bound,
+        "history buffer grew with the session: high water {} > window {bound} over {OPS} ops",
+        report.hb_high_water
+    );
+
+    let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
+    assert!(
+        recovery.snapshot.is_some(),
+        "a fully acknowledged {OPS}-op session must have compacted at least once"
+    );
+    let (recovered, _) = recovery.restore(n, "").expect("WAL restores");
+    assert_eq!(recovered.doc_checksum(), report.doc_checksum);
 }
 
 /// Heavy connect/disconnect churn forces the workers to recycle slab

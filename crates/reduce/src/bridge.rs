@@ -147,6 +147,16 @@ impl Bridge {
         self.pending.len()
     }
 
+    /// The document length a peer operation carrying `acked` must be based
+    /// on: the base of the first of our ops the peer had not yet seen, or
+    /// `None` when it had seen them all (its base is then the endpoint's
+    /// current document). Lets the owner reject a wrongly-based payload
+    /// *before* integration moves any counter.
+    pub fn peer_base_len(&self, acked: u64) -> Option<usize> {
+        let seen = (acked + 1).saturating_sub(self.first_pending_seq) as usize;
+        self.pending.get(seen).map(|op| op.base_len())
+    }
+
     /// Record a locally generated operation about to be sent to the peer.
     /// Returns its sequence number (1-based; the peer's `acked` compares
     /// against these).

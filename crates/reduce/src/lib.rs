@@ -22,10 +22,12 @@
 //! * [`relay`] — multi-notifier federation: `K` sharded stars bridged by
 //!   a mesh-replica relay tier over a checksummed go-back-N bus, stepped
 //!   in parallel and verified against the Definition-1 oracle.
-//! * [`wal`] / [`standby`] — notifier durability: a checksummed
-//!   write-ahead log of the notifier's input stream with compacted
-//!   snapshots, and a warm standby that tails it and can be promoted when
-//!   the primary crashes (clients resync via the 2-element-clock cursor).
+//! * [`core`] / [`wal`] / [`standby`] — notifier durability: the one
+//!   validate → log → mirror → compact wiring both the simulator node and
+//!   the TCP server drive, over a checksummed write-ahead log of the
+//!   notifier's input stream with compacted snapshots and a warm standby
+//!   that tails it and can be promoted when the primary crashes (clients
+//!   resync via the 2-element-clock cursor).
 //! * [`verify`] — every engine concurrency verdict compared against a
 //!   ground-truth Definition-1 oracle over randomized interleavings.
 //!
@@ -48,6 +50,7 @@ pub mod audit;
 pub mod bridge;
 pub mod client;
 pub mod composing;
+pub mod core;
 pub mod error;
 pub mod mesh;
 pub mod metrics;
@@ -68,6 +71,7 @@ pub mod workload;
 pub use audit::{audit_streams, AuditReport, AuditViolation, AuditViolationKind};
 pub use client::Client;
 pub use composing::ComposingClient;
+pub use core::NotifierCore;
 pub use error::ProtocolError;
 pub use mesh::MeshSite;
 pub use metrics::SiteMetrics;

@@ -63,7 +63,7 @@ use cvc_core::site::SiteId;
 use cvc_core::state_vector::{CompressedStamp, NotifierStateVector};
 use cvc_core::vector::VectorClock;
 use cvc_ot::buffer::TextBuffer;
-use cvc_ot::seq::SeqOp;
+use cvc_ot::seq::{SeqError, SeqOp};
 use cvc_sim::wire::WireSize;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -386,6 +386,11 @@ impl Notifier {
     /// explicit [`Notifier::gc`] calls.
     pub fn set_auto_gc(&mut self, on: bool) {
         self.auto_trim = on;
+    }
+
+    /// Whether garbage collection is folded into integration.
+    pub fn auto_gc(&self) -> bool {
+        self.auto_trim
     }
 
     /// Admit a new client mid-session (beyond-paper extension; the web
@@ -828,6 +833,20 @@ impl Notifier {
                 sent: sent_to_x,
                 acked: msg.stamp.get(1),
             });
+        }
+        // A payload based on the wrong document length can only fail — in
+        // the bridge's first transform, or at execution after the bridge
+        // already counted it. Refuse it here, while the promise that a
+        // rejected input leaves the notifier untouched is still cheap to
+        // keep: recovery replays the log on the strength of that promise.
+        let base = self.bridges[xi]
+            .peer_base_len(msg.stamp.get(1))
+            .unwrap_or_else(|| self.doc.len());
+        if msg.op.base_len() != base {
+            return Err(ProtocolError::BadOperation(SeqError::BaseLengthMismatch {
+                expected: msg.op.base_len(),
+                got: base,
+            }));
         }
 
         self.acked_by[xi] = self.acked_by[xi].max(msg.stamp.get(1));

@@ -30,6 +30,7 @@
 //! the run against a ground-truth oracle.
 
 use crate::client::Client;
+use crate::core::NotifierCore;
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
@@ -41,7 +42,7 @@ use crate::recorder::{EventKind, FlightEvent};
 use crate::relay::RelayState;
 use crate::session::{ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport};
 use crate::standby::Standby;
-use crate::wal::{AckFrontierRecord, Wal, WalRecord, DEFAULT_COMPACT_EVERY};
+use crate::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use crate::workload::{EditIntent, ScheduledEdit};
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
@@ -421,13 +422,6 @@ const MAX_BATCH_MSGS: usize = 16;
 /// …or this many payload bytes, whichever comes first (seed value, same
 /// adaptive clamp as [`MAX_BATCH_MSGS`]).
 const MAX_BATCH_BYTES: usize = 1024;
-
-/// Append one packed [`WalRecord::AckFrontier`] per this many client-ack
-/// WAL records the frontier replaces. Per-ack records between frontiers
-/// are elided entirely — the frontier carries the full `acked_by` vector,
-/// so recovery replays at most one stale window of ack progress (which
-/// only makes the recovered notifier retain *more* history, never less).
-pub(crate) const ACK_FRONTIER_EVERY: u64 = 16;
 
 /// Reliability state for one direction-pair of a channel: outgoing
 /// sequencing/retransmission plus incoming dedup/resequencing.
@@ -1017,20 +1011,31 @@ pub enum ClientEvent {
 pub struct SessionTrace {
     /// Notifier integrations, in arrival order.
     pub notifier: Vec<NotifierStep>,
+    /// Bare acks the notifier integrated, each with the number of
+    /// `notifier` steps that preceded it — with `notifier`, the complete
+    /// input stream of site 0.
+    pub notifier_acks: Vec<(usize, ClientAckMsg)>,
+    /// The notifier's final write-ahead-log image (empty unless
+    /// [`SessionConfig::standby`]).
+    pub wal_image: Vec<u8>,
     /// Per-client event logs (index 0 = site 1).
     pub clients: Vec<Vec<ClientEvent>>,
 }
 
+/// The simulator's driver over [`NotifierCore`]: it owns what is
+/// genuinely the transport's — links, fencing, the crash plan, the relay
+/// mirror, the trace — and reaches the editor state only through the
+/// core's two integration entry points and its named mutators.
 pub(crate) struct RobustNotifier {
-    pub(crate) inner: Box<Notifier>,
+    /// The notifier and its durability pipeline (WAL + warm standby in
+    /// standby sessions): an outcome to broadcast only ever comes out of
+    /// here, already logged and mirrored.
+    pub(crate) core: NotifierCore,
     /// One link per client; index = client index, peer node = index + 1.
     pub(crate) links: Vec<ReliableLink>,
     pub(crate) trace: Option<Vec<NotifierStep>>,
-    /// Durability pipeline (standby sessions): every integrated op/ack is
-    /// appended here *before* any broadcast reaches the wire.
-    pub(crate) wal: Option<Wal>,
-    /// Warm standby fed record-by-record; consumed at promotion.
-    pub(crate) standby: Option<Box<Standby>>,
+    /// Traced sessions: integrated bare acks, keyed by `trace` position.
+    trace_acks: Vec<(usize, ClientAckMsg)>,
     /// Seeded crash plan; taken when it fires.
     crash: Option<NotifierCrash>,
     /// Client operations integrated so far (the crash plan's clock).
@@ -1054,29 +1059,60 @@ pub(crate) struct RobustNotifier {
     promoted_replay: Option<(u64, u64)>,
     /// Seed for the promoted incarnation's fresh links.
     link_seed: u64,
-    /// Recorder settings to re-apply on the promoted notifier.
-    flight_recorder: bool,
-    recorder_capacity: usize,
     /// Cross-shard federation state ([`crate::relay`]): the shard's mesh
     /// mirror, the virtual relay client's counters, and the outbox of
     /// frames awaiting the driver's next barrier exchange. `None` for
     /// ordinary (single-notifier) sessions, whose behaviour is untouched.
     pub(crate) relay: Option<Box<RelayState>>,
-    /// Client acks integrated since the WAL opened; drives the
-    /// [`ACK_FRONTIER_EVERY`] coalescing cadence.
-    acks_integrated: u64,
-    /// The `acked_by` vector as of the last appended frontier record;
-    /// each new frontier carries only the entries that advanced past
-    /// this. Starts empty (treated as all-zero), so the first frontier
-    /// simply names every client that has acked at all.
-    frontier_flushed: Vec<u64>,
 }
 
 impl RobustNotifier {
+    /// The notifier node for a session of `slots` client channels: the
+    /// configured notifier wrapped — in standby sessions with its log and
+    /// warm shadow — in a [`NotifierCore`], plus one fresh link per
+    /// channel. Unfenced and unfederated; a shard adds both afterwards.
+    fn new(cfg: &SessionConfig, slots: usize, traced: bool) -> Self {
+        let mut notifier = Notifier::new(slots, &cfg.initial_doc);
+        notifier.set_scan_mode(cfg.notifier_scan);
+        notifier.set_auto_gc(cfg.auto_gc);
+        notifier.set_flight_recorder_capacity(cfg.notifier_ring_capacity(slots));
+        notifier.set_flight_recorder(cfg.flight_recorder);
+        let standby = cfg.standby.then(|| {
+            let mut sb = Standby::new(slots, &cfg.initial_doc, cfg.notifier_scan);
+            sb.set_auto_gc(cfg.auto_gc);
+            sb
+        });
+        let wal = cfg.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY));
+        RobustNotifier {
+            core: NotifierCore::new(notifier, wal, standby),
+            links: (0..slots)
+                .map(|i| {
+                    let mut l = ReliableLink::new(cfg.net_seed.wrapping_add(i as u64));
+                    l.batching = cfg.compound_frames;
+                    l.flush_delay = SimDuration::from_micros(cfg.compound_flush_ticks);
+                    l
+                })
+                .collect(),
+            trace: traced.then(Vec::new),
+            trace_acks: Vec::new(),
+            crash: cfg.crash,
+            ops_integrated: 0,
+            retired_links: Vec::new(),
+            fenced: Vec::new(),
+            fenced_drops: 0,
+            crash_at: None,
+            unfenced_at: Vec::new(),
+            promoted_replay: None,
+            link_seed: cfg.net_seed,
+            relay: None,
+        }
+    }
+
     /// Build the full-state fallback frame for a client whose replay
     /// prefix was garbage-collected.
     fn full_resync_frame(&self, site: SiteId, epoch: u32) -> ReliableMsg {
-        let (doc, sent_to_site, received_from_site) = self.inner.resync_snapshot_for(site);
+        let (doc, sent_to_site, received_from_site) =
+            self.core.notifier().resync_snapshot_for(site);
         ReliableMsg {
             epoch,
             kind: ReliableKind::ResyncFull {
@@ -1084,53 +1120,6 @@ impl RobustNotifier {
                 received_from_site,
                 doc,
             },
-        }
-    }
-
-    /// Durably record one *integrated* client ack. Acks are part of the
-    /// durable input stream — they drive GC and the acked-by cursors, so
-    /// a standby that missed them would diverge — but per-ack records
-    /// dominated the log byte-for-byte (E20 measured 22.6× write
-    /// amplification at N=256). Instead of one record per ack, every
-    /// [`ACK_FRONTIER_EVERY`]-th integrated ack appends one packed
-    /// [`WalRecord::AckFrontier`] carrying the acked-by entries that
-    /// *changed* since the previous frontier; the records in between are
-    /// elided. The delta shape matters: a window of W acks touches at
-    /// most W entries, so each record is O(W) bytes regardless of session
-    /// width — logging the whole vector would be O(N) per window and
-    /// overtake the per-ack baseline it replaced once N outgrows the
-    /// window. Recovery then replays ack progress at most one frontier
-    /// window stale, which only makes the recovered notifier retain
-    /// *more* history — never serve less. Compaction still gets its look
-    /// on every ack, so the checkpoint cadence
-    /// ([`Notifier::checkpoint_ready`]) is unchanged.
-    fn wal_ack(&mut self) {
-        if self.wal.is_none() {
-            return;
-        }
-        self.acks_integrated += 1;
-        if self.acks_integrated.is_multiple_of(ACK_FRONTIER_EVERY) {
-            let acked = self.inner.acked_by();
-            let entries: Vec<(u32, u64)> = acked
-                .iter()
-                .enumerate()
-                .filter(|&(i, &a)| a > self.frontier_flushed.get(i).copied().unwrap_or(0))
-                .map(|(i, &a)| (i as u32, a))
-                .collect();
-            if !entries.is_empty() {
-                self.frontier_flushed = acked.to_vec();
-                let rec = WalRecord::AckFrontier(AckFrontierRecord { entries });
-                let wal = self.wal.as_mut().expect("checked above");
-                wal.append(&rec);
-                if let Some(sb) = &mut self.standby {
-                    if let Err(e) = sb.observe(&rec) {
-                        eprintln!("standby rejected ack frontier: {e}");
-                    }
-                }
-            }
-        }
-        if let Some(wal) = &mut self.wal {
-            wal.maybe_compact(&self.inner);
         }
     }
 
@@ -1166,7 +1155,7 @@ impl RobustNotifier {
         }
         debug_assert_eq!(
             rel.mesh.doc(),
-            self.inner.doc(),
+            self.core.notifier().doc(),
             "relay mesh mirror diverged from the shard document"
         );
     }
@@ -1257,8 +1246,8 @@ impl RobustNotifier {
             // concurrency and the transformed-at-the-mesh op applies
             // verbatim — the cross-shard transformation happened in the
             // mesh tier, the star tier just executes.
-            let t1 = self.inner.state_vector().compress_for(vs).get(1);
-            self.inner.note_lifecycle(
+            let t1 = self.core.notifier().state_vector().compress_for(vs).get(1);
+            self.core.note_lifecycle(
                 FlightEvent::new(EventKind::Relay)
                     .with_op(vs.0, t2)
                     .with_ab(origin_shard as u64, hop)
@@ -1283,15 +1272,15 @@ impl RobustNotifier {
     pub(crate) fn relay_keepalive(&mut self) {
         let Some(rel) = &self.relay else { return };
         let vs = rel.virtual_site;
-        let sent = self.inner.state_vector().compress_for(vs).get(1);
-        let have = self.inner.acked_by()[vs.client_index()];
-        if sent > have {
-            match self.inner.try_on_client_ack(ClientAckMsg {
+        let notifier = self.core.notifier();
+        let sent = notifier.state_vector().compress_for(vs).get(1);
+        if sent > notifier.acked_by()[vs.client_index()] {
+            let ack = ClientAckMsg {
                 origin: vs,
                 received: sent,
-            }) {
-                Ok(()) => self.wal_ack(),
-                Err(e) => eprintln!("relay keepalive rejected: {e}"),
+            };
+            if let Err(e) = self.core.integrate_ack(ack) {
+                eprintln!("relay keepalive rejected: {e}");
             }
         }
     }
@@ -1326,8 +1315,12 @@ impl RobustNotifier {
     fn integrate(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, c: ClientOpMsg) {
         let origin = c.origin;
         let traced_msg = self.trace.is_some().then(|| c.clone());
-        let wal_msg = self.wal.is_some().then(|| c.clone());
-        match self.inner.try_on_client_op_outcome(c) {
+        // Write-ahead ordering lives in the core: by the time an outcome
+        // comes back its record is durable and mirrored to the warm
+        // standby, so nothing below can broadcast an unlogged op. A crash
+        // before the append is indistinguishable from the op never
+        // arriving — the origin re-sends it after resync.
+        match self.core.integrate_op(c) {
             Ok(out) => {
                 self.ops_integrated += 1;
                 if let (Some(tr), Some(msg)) = (&mut self.trace, traced_msg) {
@@ -1336,22 +1329,6 @@ impl RobustNotifier {
                         verdicts: out.full_verdicts(),
                         broadcasts: out.broadcast_msgs(),
                     });
-                }
-                // Write-ahead ordering: the record is durable (and
-                // mirrored to the warm standby) before any broadcast
-                // reaches the wire. A crash before this append is
-                // indistinguishable from the op never arriving — the
-                // origin re-sends it after resync.
-                if let (Some(wal), Some(msg)) = (&mut self.wal, wal_msg) {
-                    let rec = WalRecord::Op(msg);
-                    wal.append(&rec);
-                    if let Some(sb) = &mut self.standby {
-                        if let Err(e) = sb.observe(&rec) {
-                            // A poisoned standby refuses promotion later;
-                            // surface the divergence when it happens.
-                            eprintln!("standby rejected op from {origin}: {e}");
-                        }
-                    }
                 }
                 let crashing = self.crash.is_some_and(|cr| cr.at_op == self.ops_integrated);
                 // Encode once: the destination-independent body of the
@@ -1405,8 +1382,8 @@ impl RobustNotifier {
                 // dump the flight recorder, quarantine the offender, and
                 // keep serving everyone else.
                 eprintln!("notifier rejected op from {origin}: {e}");
-                eprintln!("{}", self.inner.dump_recorder());
-                self.inner.quarantine(origin);
+                eprintln!("{}", self.core.notifier().dump_recorder());
+                self.core.quarantine(origin);
             }
         }
     }
@@ -1419,10 +1396,6 @@ impl RobustNotifier {
     /// invariant the chaos suite checks.
     fn crash_and_promote(&mut self, ctx: &mut Ctx<'_, ReliableMsg>) {
         let crash = self.crash.take().expect("crash plan present");
-        let standby = self
-            .standby
-            .take()
-            .expect("a crash plan requires the standby");
         self.crash_at = Some(ctx.now);
         let n = self.links.len();
         // Retire the dead primary's links. The promoted incarnation
@@ -1444,29 +1417,27 @@ impl RobustNotifier {
             })
             .collect();
         self.retired_links = std::mem::replace(&mut self.links, fresh);
-        let replay = (standby.replayed_ops(), standby.replayed_acks());
         // A poisoned standby means the WAL and the primary disagreed —
-        // refusing to serve divergent state beats silent corruption.
-        let mut promoted = standby.promote().expect("standby poisoned at promotion");
-        // Carry the black box across: the promoted notifier inherits the
-        // dead primary's recorded history (original timestamps preserved)
-        // and marks the lifecycle transition.
-        promoted.set_flight_recorder_capacity(self.recorder_capacity);
-        promoted.set_flight_recorder(self.flight_recorder);
-        promoted.set_now(ctx.now.as_micros());
-        promoted.absorb_recorder_events(&self.inner.recorder().events());
-        promoted.note_lifecycle(
+        // refusing to serve divergent state beats silent corruption. The
+        // promoted notifier inherits the dead primary's black box; mark
+        // the lifecycle transition on it.
+        let replay = self
+            .core
+            .promote()
+            .expect("a crash plan requires the standby")
+            .expect("standby poisoned at promotion");
+        self.core.set_now(ctx.now.as_micros());
+        self.core.note_lifecycle(
             FlightEvent::new(EventKind::Crash)
                 .with_ab(self.ops_integrated, crash.point.index())
                 .with_detail(crash.point.name()),
         );
-        promoted.note_lifecycle(
+        self.core.note_lifecycle(
             FlightEvent::new(EventKind::Promote)
                 .with_ab(replay.0, n as u64)
                 .with_detail("standby-promoted"),
         );
         self.promoted_replay = Some(replay);
-        *self.inner = promoted;
         self.fenced = vec![true; n];
         self.unfenced_at = vec![None; n];
     }
@@ -1514,13 +1485,16 @@ impl RobustNotifier {
                     for m in msgs {
                         match m {
                             EditorMsg::ClientOp(c) => self.integrate(ctx, c),
-                            EditorMsg::ClientAck(a) => match self.inner.try_on_client_ack(a) {
-                                Ok(()) => self.wal_ack(),
+                            EditorMsg::ClientAck(a) => match self.core.integrate_ack(a) {
+                                Ok(()) => {
+                                    if let Some(tr) = &self.trace {
+                                        self.trace_acks.push((tr.len(), a));
+                                    }
+                                }
                                 Err(e) => {
-                                    let site = SiteId(xi as u32 + 1);
                                     eprintln!("notifier rejected ack on channel {xi}: {e}");
-                                    eprintln!("{}", self.inner.dump_recorder());
-                                    self.inner.quarantine(site);
+                                    eprintln!("{}", self.core.notifier().dump_recorder());
+                                    self.core.quarantine(SiteId(xi as u32 + 1));
                                 }
                             },
                             // Server-to-client frames arriving upstream are
@@ -1554,11 +1528,11 @@ impl RobustNotifier {
                 // unknown site, or claiming impossible counters (a client
                 // cannot have generated less than the notifier integrated)
                 // is hostile — drop it and keep serving.
-                if x.is_notifier() || x.client_index() != xi || !self.inner.is_active(x) {
+                if x.is_notifier() || x.client_index() != xi || !self.core.notifier().is_active(x) {
                     self.links[xi].hostile_drops += 1;
                     return;
                 }
-                let Ok(integrated) = self.inner.state_vector().received_from(x) else {
+                let Ok(integrated) = self.core.notifier().state_vector().received_from(x) else {
                     self.links[xi].hostile_drops += 1;
                     return;
                 };
@@ -1571,7 +1545,7 @@ impl RobustNotifier {
                     // superseded by the replay below) and serve the resync.
                     self.links[xi].reset(msg.epoch);
                     self.links[xi].resyncs += 1;
-                    match self.inner.replay_for(x, received) {
+                    match self.core.notifier().replay_for(x, received) {
                         Ok(replay) => {
                             self.links[xi].resync_replayed += replay.len() as u64;
                             ctx.send(
@@ -1622,7 +1596,7 @@ impl RobustNotifier {
                     // answer idempotently; the data retransmission timer
                     // already covers the replayed frames. A trimmed replay
                     // re-serves the (unsequenced) snapshot frame.
-                    let kind = match self.inner.replay_for(x, received) {
+                    let kind = match self.core.notifier().replay_for(x, received) {
                         Ok(_) => ReliableMsg {
                             epoch: msg.epoch,
                             kind: ReliableKind::ResyncResponse {
@@ -1652,7 +1626,7 @@ impl RobustNotifier {
         }
         let xi = (tag - RETX_TAG) as usize;
         if let Some((frames, rto_us)) = self.links[xi].on_retx_timer(ctx, xi + 1, tag) {
-            self.inner
+            self.core
                 .note_retx_stall(SiteId(xi as u32 + 1), frames, rto_us);
         }
     }
@@ -1994,7 +1968,7 @@ impl Node<ReliableMsg> for RobustNode {
         // delegating, so events recorded inside carry sim time.
         match self {
             RobustNode::Notifier(n) => {
-                n.inner.set_now(ctx.now.as_micros());
+                n.core.set_now(ctx.now.as_micros());
                 n.on_message(ctx, from, msg)
             }
             RobustNode::Client(c) => {
@@ -2007,7 +1981,7 @@ impl Node<ReliableMsg> for RobustNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, tag: u64) {
         match self {
             RobustNode::Notifier(n) => {
-                n.inner.set_now(ctx.now.as_micros());
+                n.core.set_now(ctx.now.as_micros());
                 n.on_timer(ctx, tag)
             }
             RobustNode::Client(c) => {
@@ -2045,26 +2019,15 @@ pub(crate) struct ShardSim {
     pub(crate) last_edit_us: u64,
 }
 
-/// Build one federation shard: a star/CVC session whose notifier carries
-/// `n_local + 1` client slots — the extra, permanently fenced slot is the
-/// *virtual relay client* through which peer-shard operations enter this
-/// star (see [`crate::relay`] for the federation model).
-/// `cfg.workload.n_sites` is the number of real clients on this shard.
-pub(crate) fn build_shard_sim(
+/// The simulated star both session shapes run on: the (possibly faulty)
+/// network, `notifier` at node 0, one scripted client per workload site
+/// at nodes `1..`, and every scripted edit scheduled. Also returns the
+/// virtual time of the last scripted edit (µs).
+fn build_star(
     cfg: &SessionConfig,
-    shard: u32,
-    n_shards: u32,
+    notifier: RobustNotifier,
     traced: bool,
-) -> ShardSim {
-    assert!(n_shards >= 1 && shard < n_shards, "shard id in range");
-    assert!(
-        cfg.crash.is_none(),
-        "federation shards do not run crash plans (per-shard failover is a \
-         separate concern; see DESIGN §16)"
-    );
-    let n_local = cfg.workload.n_sites;
-    assert!(n_local >= 1, "a shard hosts at least one client");
-    let slots = n_local + 1; // + the virtual relay client
+) -> (Simulator<ReliableMsg, RobustNode>, u64) {
     let scripts = cfg.workload.generate();
     let mut sim: Simulator<ReliableMsg, RobustNode> = Simulator::new(cfg.latency, cfg.net_seed);
     sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
@@ -2073,6 +2036,8 @@ pub(crate) fn build_shard_sim(
         sim.set_default_fault_plan(plan);
     }
     if plan.corrupt > 0.0 {
+        // In-flight corruption flips one payload bit; the frame checksum
+        // catches it on arrival.
         sim.set_corruptor(|msg: &mut ReliableMsg, rng: &mut SmallRng| {
             if let ReliableKind::Data { payload, .. } = &mut msg.kind {
                 if !payload.is_empty() {
@@ -2082,54 +2047,7 @@ pub(crate) fn build_shard_sim(
             }
         });
     }
-
-    let mut notifier = Notifier::new(slots, &cfg.initial_doc);
-    notifier.set_scan_mode(cfg.notifier_scan);
-    notifier.set_auto_gc(cfg.auto_gc);
-    notifier.set_flight_recorder_capacity(cfg.notifier_ring_capacity(slots));
-    notifier.set_flight_recorder(cfg.flight_recorder);
-    // The virtual slot is fenced from birth: its broadcasts are silently
-    // skipped (the mesh relay carries them instead) and no node exists at
-    // its address.
-    let mut fenced = vec![false; slots];
-    fenced[n_local] = true;
-    sim.add_node(RobustNode::Notifier(Box::new(RobustNotifier {
-        inner: Box::new(notifier),
-        links: (0..slots)
-            .map(|i| {
-                let mut l = ReliableLink::new(cfg.net_seed.wrapping_add(i as u64));
-                l.batching = cfg.compound_frames;
-                l.flush_delay = SimDuration::from_micros(cfg.compound_flush_ticks);
-                l
-            })
-            .collect(),
-        trace: traced.then(Vec::new),
-        wal: cfg.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY)),
-        standby: cfg.standby.then(|| {
-            let mut sb = Standby::new(slots, &cfg.initial_doc, cfg.notifier_scan);
-            sb.set_auto_gc(cfg.auto_gc);
-            Box::new(sb)
-        }),
-        crash: None,
-        ops_integrated: 0,
-        retired_links: Vec::new(),
-        fenced,
-        fenced_drops: 0,
-        crash_at: None,
-        unfenced_at: Vec::new(),
-        promoted_replay: None,
-        link_seed: cfg.net_seed,
-        flight_recorder: cfg.flight_recorder,
-        recorder_capacity: cfg.notifier_ring_capacity(slots),
-        relay: Some(Box::new(RelayState::new(
-            shard,
-            n_shards,
-            n_local,
-            &cfg.initial_doc,
-        ))),
-        acks_integrated: 0,
-        frontier_flushed: Vec::new(),
-    })));
+    sim.add_node(RobustNode::Notifier(Box::new(notifier)));
     for (i, script) in scripts.iter().enumerate() {
         let mut client = Client::new(SiteId(i as u32 + 1), &cfg.initial_doc);
         client.set_share_caret(cfg.share_carets);
@@ -2153,8 +2071,6 @@ pub(crate) fn build_shard_sim(
             resync_retries: 0,
             trace: traced.then(Vec::new),
         })));
-    }
-    for (i, script) in scripts.iter().enumerate() {
         for (k, edit) in script.iter().enumerate() {
             sim.schedule_timer(1 + i, edit.at, k as u64);
         }
@@ -2164,6 +2080,42 @@ pub(crate) fn build_shard_sim(
         .flat_map(|s| s.iter().map(|e| e.at.as_micros()))
         .max()
         .unwrap_or(0);
+    (sim, last_edit_us)
+}
+
+/// Build one federation shard: a star/CVC session whose notifier carries
+/// `n_local + 1` client slots — the extra, permanently fenced slot is the
+/// *virtual relay client* through which peer-shard operations enter this
+/// star (see [`crate::relay`] for the federation model).
+/// `cfg.workload.n_sites` is the number of real clients on this shard.
+pub(crate) fn build_shard_sim(
+    cfg: &SessionConfig,
+    shard: u32,
+    n_shards: u32,
+    traced: bool,
+) -> ShardSim {
+    assert!(n_shards >= 1 && shard < n_shards, "shard id in range");
+    assert!(
+        cfg.crash.is_none(),
+        "federation shards do not run crash plans (per-shard failover is a \
+         separate concern; see DESIGN §16)"
+    );
+    let n_local = cfg.workload.n_sites;
+    assert!(n_local >= 1, "a shard hosts at least one client");
+    let slots = n_local + 1; // + the virtual relay client
+    let mut notifier = RobustNotifier::new(cfg, slots, traced);
+    // The virtual slot is fenced from birth: its broadcasts are silently
+    // skipped (the mesh relay carries them instead) and no node exists at
+    // its address.
+    notifier.fenced = vec![false; slots];
+    notifier.fenced[n_local] = true;
+    notifier.relay = Some(Box::new(RelayState::new(
+        shard,
+        n_shards,
+        n_local,
+        &cfg.initial_doc,
+    )));
+    let (sim, last_edit_us) = build_star(cfg, notifier, traced);
     ShardSim {
         sim,
         n_local,
@@ -2194,94 +2146,8 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
     }
     let n = cfg.workload.n_sites;
     assert!(n >= 2, "sessions need at least two clients");
-    let scripts = cfg.workload.generate();
-    let mut sim: Simulator<ReliableMsg, RobustNode> = Simulator::new(cfg.latency, cfg.net_seed);
-    sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
+    let (mut sim, last_edit) = build_star(cfg, RobustNotifier::new(cfg, n, traced), traced);
     sim.record_deliveries(cfg.record_deliveries);
-    let plan = cfg.fault_plan.unwrap_or(FaultPlan::NONE);
-    if !plan.is_none() {
-        sim.set_default_fault_plan(plan);
-    }
-    if plan.corrupt > 0.0 {
-        // In-flight corruption flips one payload bit; the frame checksum
-        // catches it on arrival.
-        sim.set_corruptor(|msg: &mut ReliableMsg, rng: &mut SmallRng| {
-            if let ReliableKind::Data { payload, .. } = &mut msg.kind {
-                if !payload.is_empty() {
-                    let i = rng.gen_range(0..payload.len());
-                    payload.flip_bit(i, rng.gen_range(0..8u8));
-                }
-            }
-        });
-    }
-
-    let mut notifier = Notifier::new(n, &cfg.initial_doc);
-    notifier.set_scan_mode(cfg.notifier_scan);
-    notifier.set_auto_gc(cfg.auto_gc);
-    notifier.set_flight_recorder_capacity(cfg.notifier_ring_capacity(n));
-    notifier.set_flight_recorder(cfg.flight_recorder);
-    sim.add_node(RobustNode::Notifier(Box::new(RobustNotifier {
-        inner: Box::new(notifier),
-        links: (0..n)
-            .map(|i| {
-                let mut l = ReliableLink::new(cfg.net_seed.wrapping_add(i as u64));
-                l.batching = cfg.compound_frames;
-                l.flush_delay = SimDuration::from_micros(cfg.compound_flush_ticks);
-                l
-            })
-            .collect(),
-        trace: traced.then(Vec::new),
-        wal: cfg.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY)),
-        standby: cfg.standby.then(|| {
-            let mut sb = Standby::new(n, &cfg.initial_doc, cfg.notifier_scan);
-            sb.set_auto_gc(cfg.auto_gc);
-            Box::new(sb)
-        }),
-        crash: cfg.crash,
-        ops_integrated: 0,
-        retired_links: Vec::new(),
-        fenced: Vec::new(),
-        fenced_drops: 0,
-        crash_at: None,
-        unfenced_at: Vec::new(),
-        promoted_replay: None,
-        link_seed: cfg.net_seed,
-        flight_recorder: cfg.flight_recorder,
-        recorder_capacity: cfg.notifier_ring_capacity(n),
-        relay: None,
-        acks_integrated: 0,
-        frontier_flushed: Vec::new(),
-    })));
-    for (i, script) in scripts.iter().enumerate() {
-        let mut client = Client::new(SiteId(i as u32 + 1), &cfg.initial_doc);
-        client.set_share_caret(cfg.share_carets);
-        client.set_flight_recorder_capacity(cfg.flight_recorder_capacity);
-        client.set_flight_recorder(cfg.flight_recorder);
-        sim.add_node(RobustNode::Client(Box::new(RobustClient {
-            inner: Box::new(client),
-            link: {
-                let mut l =
-                    ReliableLink::new(cfg.net_seed.wrapping_mul(1001).wrapping_add(i as u64));
-                l.batching = cfg.compound_frames;
-                l.flush_delay = SimDuration::from_micros(cfg.compound_flush_ticks);
-                l
-            },
-            script: script.clone(),
-            state: ConnState::Connected,
-            resync_rto: SimDuration::from_micros(BASE_RTO_US),
-            auto_gc: cfg.auto_gc,
-            standby_mode: cfg.standby,
-            stall_rounds: 0,
-            resync_retries: 0,
-            trace: traced.then(Vec::new),
-        })));
-    }
-
-    for (i, script) in scripts.iter().enumerate() {
-        for (k, edit) in script.iter().enumerate() {
-            sim.schedule_timer(1 + i, edit.at, k as u64);
-        }
-    }
     for spec in &cfg.disconnects {
         assert!(spec.client < n, "disconnect spec for unknown client");
         assert!(spec.down.as_micros() > 0, "zero-length outage");
@@ -2293,11 +2159,6 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
         // bounded — the simulator must quiesce, so nodes cannot re-arm
         // their own heartbeat forever. The horizon covers the scripted
         // workload plus worst-case detection and resync.
-        let last_edit = scripts
-            .iter()
-            .flat_map(|s| s.iter().map(|e| e.at.as_micros()))
-            .max()
-            .unwrap_or(0);
         let mut t = PROBE_INTERVAL_US;
         while t <= last_edit + PROBE_MARGIN_US {
             for i in 0..n {
@@ -2363,7 +2224,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
     for node in sim.nodes_mut() {
         match node {
             RobustNode::Notifier(rn) => {
-                let mut m = *rn.inner.metrics();
+                let mut m = *rn.core.notifier().metrics();
                 // The dead primary's retired links legitimately ended with
                 // frames in flight — that is the crash under test.
                 for l in &rn.retired_links {
@@ -2377,16 +2238,18 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                     l.fold_into(&mut m);
                 }
                 centre_metrics = Some(m);
-                final_docs.push(rn.inner.doc().to_owned());
-                max_history = max_history.max(rn.inner.history().len());
+                final_docs.push(rn.core.notifier().doc());
+                max_history = max_history.max(rn.core.notifier().history().len());
                 if let (Some(tr), Some(steps)) = (&mut trace, rn.trace.take()) {
                     tr.notifier = steps;
+                    tr.notifier_acks = std::mem::take(&mut rn.trace_acks);
+                    tr.wal_image = rn.core.wal().map_or_else(Vec::new, |w| w.bytes().to_vec());
                 }
                 if cfg.flight_recorder {
-                    flight_traces.push((SiteId(0), rn.inner.recorder().events()));
+                    flight_traces.push((SiteId(0), rn.core.notifier().recorder().events()));
                 }
                 if let Some(crash_at) = rn.crash_at {
-                    let wal = rn.wal.as_ref().expect("a crash implies the WAL");
+                    let wal = rn.core.wal().expect("a crash implies the WAL");
                     let recovered_at = rn
                         .unfenced_at
                         .iter()

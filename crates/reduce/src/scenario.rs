@@ -22,11 +22,12 @@
 //! `O3 = Insert["z",4]` generated at site 2 on "A12B".
 
 use crate::client::Client;
+use crate::core::NotifierCore;
 use crate::msg::{ClientOpMsg, ServerOpMsg};
 use crate::notifier::{Notifier, ScanMode};
 use crate::recorder::FlightEvent;
 use crate::standby::Standby;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::Wal;
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::buffer::TextBuffer;
@@ -385,7 +386,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 }
 
 /// Step-by-step transcript of the durability and failover model: the
-/// write-ahead ordering (log, mirror, execute, *then* send), a primary
+/// write-ahead ordering (validate, log, mirror, *then* send), a primary
 /// crash mid-broadcast, warm-standby promotion from the mirrored log,
 /// and per-client resync driven by nothing but the 2-element clock's
 /// `received` cursor. The paper's own scenario (Figures 2/3) supplies
@@ -421,27 +422,25 @@ pub struct FailoverTranscript {
 pub fn failover_walkthrough() -> FailoverTranscript {
     let mut narration = Vec::new();
 
-    let mut wal = Wal::new(0);
-    let mut standby = Standby::new(3, INITIAL_DOC, ScanMode::SuffixBounded);
-    let mut primary = Notifier::new(3, INITIAL_DOC);
+    let mut primary = NotifierCore::new(
+        Notifier::new(3, INITIAL_DOC),
+        Some(Wal::new(0)),
+        Some(Standby::new(3, INITIAL_DOC, ScanMode::SuffixBounded)),
+    );
     let mut c1 = Client::new(SiteId(1), INITIAL_DOC);
     let mut c2 = Client::new(SiteId(2), INITIAL_DOC);
     let mut c3 = Client::new(SiteId(3), INITIAL_DOC);
 
-    // The write-ahead ordering every integration follows: append to the
-    // log, let the standby tail the appended record, and only then
-    // execute and broadcast. A crash between any two of these steps
-    // loses broadcasts — never logged history.
-    fn ingest(
-        primary: &mut Notifier,
-        wal: &mut Wal,
-        standby: &mut Standby,
-        msg: ClientOpMsg,
-    ) -> Vec<(SiteId, ServerOpMsg)> {
-        let rec = WalRecord::Op(msg.clone());
-        wal.append(&rec);
-        standby.observe(&rec).expect("mirrored log replays cleanly");
-        primary.on_client_op(msg).broadcasts
+    // The write-ahead ordering every integration follows, enforced by
+    // the durable core: validate, append to the log, let the standby tail
+    // the appended record, and only then hand back what to broadcast. A
+    // crash after any of these steps loses broadcasts — never logged
+    // history.
+    fn ingest(primary: &mut NotifierCore, msg: ClientOpMsg) -> Vec<(SiteId, ServerOpMsg)> {
+        let outcome = primary.integrate_op(msg);
+        outcome
+            .expect("the scenario's ops are valid")
+            .broadcast_msgs()
     }
 
     // --- Healthy operation: O2 and O1, logged then broadcast. ---
@@ -450,7 +449,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
         "site 2 generates O2 = Delete[3,2] stamped {}; primary logs it (WAL record 1), standby tails it, then broadcasts",
         o2.stamp
     ));
-    for (dest, m) in ingest(&mut primary, &mut wal, &mut standby, o2) {
+    for (dest, m) in ingest(&mut primary, o2) {
         match dest.0 {
             1 => drop(c1.on_server_op(m)),
             3 => drop(c3.on_server_op(m)),
@@ -462,7 +461,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
         "site 1 generates O1 = Insert[\"12\",1] stamped {}; logged (record 2), mirrored, broadcast",
         o1.stamp
     ));
-    for (dest, m) in ingest(&mut primary, &mut wal, &mut standby, o1) {
+    for (dest, m) in ingest(&mut primary, o1) {
         match dest.0 {
             2 => drop(c2.on_server_op(m)),
             3 => drop(c3.on_server_op(m)),
@@ -474,9 +473,9 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     // mid-broadcast — site 1's copy is on the wire, site 2's dies with
     // the process. ---
     let o4 = c3.insert(2, "xy");
-    let broadcasts = ingest(&mut primary, &mut wal, &mut standby, o4);
-    let doc_at_crash = primary.doc();
-    let wal_records_at_crash = wal.appends();
+    let broadcasts = ingest(&mut primary, o4);
+    let doc_at_crash = primary.notifier().doc();
+    let wal_records_at_crash = primary.wal().map_or(0, Wal::appends);
     narration.push(format!(
         "site 3 generates O4 = Insert[\"xy\",2]; logged (record 3), mirrored, executed — then the primary CRASHES mid-broadcast on {:?}",
         doc_at_crash
@@ -488,13 +487,15 @@ pub fn failover_walkthrough() -> FailoverTranscript {
         }
         // dest 2: lost with the primary.
     }
-    drop(primary);
 
     // --- Promotion: the standby has replayed exactly the logged
     // history, so its replica equals the dead primary's. ---
-    let standby_replay_ops = standby.replayed_ops();
-    let mut promoted = standby.promote().expect("the mirrored log was clean");
-    let doc_at_promotion = promoted.doc();
+    let (standby_replay_ops, _) = primary
+        .promote()
+        .expect("the walkthrough runs a standby")
+        .expect("the mirrored log was clean");
+    let mut promoted = primary;
+    let doc_at_promotion = promoted.notifier().doc();
     narration.push(format!(
         "standby promoted after replaying {} logged ops; its document {:?} is byte-identical to the dead primary's",
         standby_replay_ops, doc_at_promotion
@@ -507,6 +508,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     for (site, client) in [(1u32, &mut c1), (2, &mut c2), (3, &mut c3)] {
         let received = client.state_vector().received();
         let replay = promoted
+            .notifier()
             .replay_for(SiteId(site), received)
             .expect("nothing was trimmed");
         narration.push(format!(
@@ -520,16 +522,14 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     }
 
     // --- Post-recovery health: one more edit flows through the promoted
-    // primary (which starts a log of its own) and reaches everyone. ---
-    let mut wal2 = Wal::new(0);
+    // primary (which keeps extending the same log) and reaches everyone. ---
     let o3 = c2.insert(4, "z");
     narration.push(
         "site 2 generates O3 = Insert[\"z\",4] against the recovered state; \
          the promoted primary logs and broadcasts it"
             .into(),
     );
-    wal2.append(&WalRecord::Op(o3.clone()));
-    for (dest, m) in promoted.on_client_op(o3).broadcasts {
+    for (dest, m) in ingest(&mut promoted, o3) {
         match dest.0 {
             1 => drop(c1.on_server_op(m)),
             3 => drop(c3.on_server_op(m)),
@@ -537,7 +537,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
         }
     }
 
-    let final_docs = vec![promoted.doc(), c1.doc(), c2.doc(), c3.doc()];
+    let final_docs = vec![promoted.notifier().doc(), c1.doc(), c2.doc(), c3.doc()];
     let converged = final_docs.windows(2).all(|w| w[0] == w[1]);
     narration.push(format!(
         "all four replicas read {:?}: converged across the crash",

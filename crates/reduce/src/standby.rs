@@ -4,10 +4,10 @@
 //! primary's WAL records as they are appended (in the simulator the log is
 //! mirrored synchronously; over a real deployment the same byte stream
 //! would ride a channel — the [`crate::wal`] record format is the
-//! contract, not the transport). Every record goes through the notifier's
-//! own fallible `try_on_*` integration, so by the write-ahead ordering the
-//! standby's state is always *ahead of or equal to* every client's view of
-//! the primary.
+//! contract, not the transport). Every record goes through
+//! [`crate::core::apply`] — the same step function the primary and log
+//! recovery run — so by the write-ahead ordering the standby's state is
+//! always *ahead of or equal to* every client's view of the primary.
 //!
 //! On promotion the reliability layer swaps the standby's notifier in for
 //! the dead primary's and fences every channel (see
@@ -34,9 +34,6 @@ pub struct Standby {
     notifier: Notifier,
     replayed_ops: u64,
     replayed_acks: u64,
-    /// Mirrored primary setting, re-applied after a snapshot record
-    /// replaces the shadow notifier wholesale.
-    auto_gc: bool,
     /// First record that failed to integrate, if any. A poisoned standby
     /// means the log and the primary's state disagree — promotion must
     /// not proceed silently.
@@ -49,11 +46,14 @@ impl Standby {
     pub fn new(n_clients: usize, initial: &str, scan_mode: ScanMode) -> Self {
         let mut notifier = Notifier::new(n_clients, initial);
         notifier.set_scan_mode(scan_mode);
+        Standby::shadowing(notifier)
+    }
+
+    fn shadowing(notifier: Notifier) -> Self {
         Standby {
             notifier,
             replayed_ops: 0,
             replayed_acks: 0,
-            auto_gc: false,
             poisoned: None,
         }
     }
@@ -70,13 +70,7 @@ impl Standby {
     /// Build a standby from an already-scanned [`WalRecovery`].
     pub fn from_recovery(recovery: &WalRecovery, n_clients: usize, initial: &str) -> Standby {
         let mut standby = match &recovery.snapshot {
-            Some(s) => Standby {
-                notifier: s.restore(),
-                replayed_ops: 0,
-                replayed_acks: 0,
-                auto_gc: false,
-                poisoned: None,
-            },
+            Some(s) => Standby::shadowing(s.restore()),
             None => Standby::new(n_clients, initial, ScanMode::SuffixBounded),
         };
         for rec in &recovery.tail {
@@ -93,62 +87,26 @@ impl Standby {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        let res = match rec {
-            WalRecord::Op(m) => self.notifier.try_on_client_op(m.clone()).map(|_| ()),
-            WalRecord::Ack(m) => self.notifier.try_on_client_ack(*m),
-            WalRecord::AckFrontier(f) => self.observe_frontier(f),
-            WalRecord::Snapshot(s) => {
-                self.notifier = s.restore();
-                self.notifier.set_auto_gc(self.auto_gc);
+        match crate::core::apply(&mut self.notifier, rec) {
+            Ok(_) => {
+                match rec {
+                    WalRecord::Op(_) => self.replayed_ops += 1,
+                    WalRecord::Ack(_) | WalRecord::AckFrontier(_) => self.replayed_acks += 1,
+                    WalRecord::Snapshot(_) => {}
+                }
                 Ok(())
             }
-        };
-        match &res {
-            Ok(()) => match rec {
-                WalRecord::Op(_) => self.replayed_ops += 1,
-                WalRecord::Ack(_) | WalRecord::AckFrontier(_) => self.replayed_acks += 1,
-                WalRecord::Snapshot(_) => {}
-            },
-            Err(e) => self.poisoned = Some(e.clone()),
-        }
-        res
-    }
-
-    /// Apply a packed ack frontier: advance each named client's watermark
-    /// to the recorded count. Entries at or below the current watermark
-    /// are no-ops (counts are cumulative and monotone), so replaying a
-    /// frontier after the per-ack records it coalesced — or after a newer
-    /// one — is harmless. An entry naming a client outside the session is
-    /// the one genuinely impossible shape and poisons like any divergent
-    /// record.
-    fn observe_frontier(&mut self, f: &crate::wal::AckFrontierRecord) -> Result<(), ProtocolError> {
-        for &(idx, target) in &f.entries {
-            let i = idx as usize;
-            let site = cvc_core::site::SiteId::from_client_index(i);
-            if i >= self.notifier.n_clients() {
-                return Err(ProtocolError::UnknownSite {
-                    site,
-                    n_clients: self.notifier.n_clients(),
-                });
-            }
-            if !self.notifier.is_active(site) {
-                continue;
-            }
-            let have = self.notifier.acked_by().get(i).copied().unwrap_or(0);
-            if target > have {
-                self.notifier.try_on_client_ack(crate::msg::ClientAckMsg {
-                    origin: site,
-                    received: target,
-                })?;
+            Err(e) => {
+                self.poisoned = Some(e.clone());
+                Err(e)
             }
         }
-        Ok(())
     }
 
     /// Mirror the primary's auto-GC setting so the shadow history buffer
-    /// trims on the same schedule. Survives snapshot-record restores.
+    /// trims on the same schedule. Survives snapshot-record restores
+    /// ([`crate::core::apply`] carries it across).
     pub fn set_auto_gc(&mut self, on: bool) {
-        self.auto_gc = on;
         self.notifier.set_auto_gc(on);
     }
 

@@ -85,7 +85,7 @@ pub enum WalRecord {
     /// *changed* since the previous frontier, coalescing a window of
     /// per-client [`WalRecord::Ack`] records. Cuts the WAL's ack-driven
     /// write amplification from one framed record per incoming ack to one
-    /// delta record per [`crate::reliable::ACK_FRONTIER_EVERY`] acks —
+    /// delta record per [`crate::core::ACK_FRONTIER_EVERY`] acks —
     /// and because a window of W acks can touch at most W entries, the
     /// record is O(W) regardless of session width (a full-vector frontier
     /// would be O(N) every window, i.e. *quadratic* log bytes per op at
@@ -352,7 +352,7 @@ pub struct WalRecovery {
 impl WalRecovery {
     /// Rebuild a notifier from this recovery: restore the snapshot (or
     /// start fresh with `n_clients` and `initial` when there is none) and
-    /// replay the tail through the fallible integration paths. Returns the
+    /// fold [`crate::core::apply`] over the tail. Returns the
     /// notifier and the number of tail records replayed. A tail record the
     /// notifier rejects is a genuine log/state mismatch and surfaces as
     /// the notifier's own typed error.
@@ -365,39 +365,10 @@ impl WalRecovery {
             Some(s) => s.restore(),
             None => Notifier::new(n_clients, initial),
         };
-        let mut replayed = 0;
         for rec in &self.tail {
-            match rec {
-                WalRecord::Op(m) => {
-                    notifier.try_on_client_op(m.clone())?;
-                }
-                WalRecord::Ack(m) => notifier.try_on_client_ack(*m)?,
-                WalRecord::AckFrontier(f) => {
-                    // Advance the named clients' watermarks to the packed
-                    // frontier; entries at or below the current watermark
-                    // are no-ops (counts are cumulative and monotone), so
-                    // replaying a frontier after per-ack records — or a
-                    // newer frontier — is harmless. An entry naming a
-                    // client outside the session is a genuine log/state
-                    // mismatch and surfaces as the notifier's typed error.
-                    for &(idx, target) in &f.entries {
-                        let i = idx as usize;
-                        let site = cvc_core::site::SiteId::from_client_index(i);
-                        match notifier.acked_by().get(i).copied() {
-                            Some(have) if target <= have => {}
-                            Some(_) if !notifier.is_active(site) => {}
-                            _ => notifier.try_on_client_ack(crate::msg::ClientAckMsg {
-                                origin: site,
-                                received: target,
-                            })?,
-                        }
-                    }
-                }
-                WalRecord::Snapshot(s) => notifier = s.restore(),
-            }
-            replayed += 1;
+            crate::core::apply(&mut notifier, rec)?;
         }
-        Ok((notifier, replayed))
+        Ok((notifier, self.tail.len() as u64))
     }
 }
 
