@@ -1,10 +1,12 @@
-//! E16 companion bench: the three layers the allocation-free path crosses.
+//! E16 companion bench: the layers an executed op crosses.
 //!
 //! * **core** — 2-element stamp construction and the formula-(7) check,
 //!   the integers every message carries;
 //! * **ot** — applying an operation to a `String` document (rebuilds the
 //!   string) vs the gap-buffer `TextBuffer` (moves the gap), at growing
-//!   document sizes;
+//!   document sizes, once into a fresh buffer and with two carets taking
+//!   turns (every apply a far gap move); and an executed op riding a full
+//!   undo stack, as a dual transform per entry vs `rebase_all_over`;
 //! * **reduce** — notifier integration with ack-driven GC holding the
 //!   history at the in-flight window vs the unbounded buffer;
 //! * **checksum** — the reliable layer's frame checksum: byte-at-a-time
@@ -18,7 +20,7 @@ use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::pos::PosOp;
 use cvc_ot::seq::SeqOp;
-use cvc_reduce::client::ACK_INTERVAL;
+use cvc_reduce::client::{ACK_INTERVAL, MAX_UNDO_DEPTH};
 use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::reliable::{fnv1a32, frame_checksum};
@@ -63,6 +65,92 @@ fn bench_document_layer(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
+    }
+    // Two users typing a third of the document apart: every apply first
+    // carries the gap across that third. The case above never moves the
+    // gap back, so it cannot see what a move costs.
+    for doc_len in [4_096usize, 65_536] {
+        let (near, far) = (doc_len / 3, 2 * doc_len / 3);
+        let round = [
+            SeqOp::from_pos(&PosOp::insert(near, "y"), doc_len),
+            SeqOp::from_pos(&PosOp::insert(far, "z"), doc_len + 1),
+            SeqOp::from_pos(&PosOp::delete(near, "y"), doc_len + 2),
+            SeqOp::from_pos(&PosOp::delete(far - 1, "z"), doc_len + 1),
+        ];
+        let mut buf = TextBuffer::from_str(&"x".repeat(doc_len));
+        g.bench_with_input(
+            BenchmarkId::new("gap_buffer_alternating_carets_x4", doc_len),
+            &doc_len,
+            |b, _| {
+                b.iter(|| {
+                    for op in &round {
+                        op.apply_to_buffer(&mut buf).expect("applies");
+                    }
+                    std::hint::black_box(buf.len())
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
+/// What every executed op costs a replica with a full undo stack: 100
+/// inverses (of inserts and of deletes, alternating, spread over the
+/// document) ride an insert and then its deletion, which returns them to
+/// the frame they started in. `transform_pair` is the dual transform per
+/// entry with one result thrown away; `rebase_over` is the sweep `Client`
+/// runs.
+fn bench_undo_stack_sweep(c: &mut Criterion) {
+    let mut g = c.benchmark_group("undo_stack_sweep");
+    for (payload_len, doc_len) in [(1usize, 4_096usize), (512, 65_536)] {
+        let payload = "p".repeat(payload_len);
+        let stack: Vec<SeqOp> = (0..MAX_UNDO_DEPTH)
+            .map(|k| {
+                let pos = k * (doc_len - payload_len) / MAX_UNDO_DEPTH;
+                let mut inv = SeqOp::new();
+                inv.retain(pos);
+                if k % 2 == 0 {
+                    inv.delete(payload_len).retain(doc_len - pos - payload_len);
+                } else {
+                    inv.insert(&payload).retain(doc_len - pos);
+                }
+                inv
+            })
+            .collect();
+        // Between two entries' sites, so each of the 2 × 100 results is a
+        // shifted copy of the entry — the shape of typing elsewhere.
+        let at = doc_len / 2 + payload_len + 1;
+        let ride = [
+            SeqOp::from_pos(&PosOp::insert(at, &payload), doc_len),
+            SeqOp::from_pos(&PosOp::delete(at, &payload), doc_len + payload_len),
+        ];
+        let mut riding = stack.clone();
+        g.bench_with_input(
+            BenchmarkId::new("transform_pair_x2", payload_len),
+            &payload_len,
+            |b, _| {
+                b.iter(|| {
+                    for op in &ride {
+                        for inv in &mut riding {
+                            *inv = SeqOp::transform(inv, op).expect("same frame").0;
+                        }
+                    }
+                })
+            },
+        );
+        assert_eq!(riding, stack);
+        g.bench_with_input(
+            BenchmarkId::new("rebase_over_x2", payload_len),
+            &payload_len,
+            |b, _| {
+                b.iter(|| {
+                    for op in &ride {
+                        SeqOp::rebase_all_over(&mut riding, op).expect("same frame");
+                    }
+                })
+            },
+        );
+        assert_eq!(riding, stack);
     }
     g.finish();
 }
@@ -167,6 +255,7 @@ criterion_group!(
     benches,
     bench_stamp_layer,
     bench_document_layer,
+    bench_undo_stack_sweep,
     bench_notifier_layer,
     bench_checksum_layer
 );

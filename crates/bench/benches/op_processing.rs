@@ -14,7 +14,7 @@ use cvc_core::timestamp::OriginAtClient;
 use cvc_core::vector::VectorClock;
 use cvc_ot::pos::PosOp;
 use cvc_ot::seq::SeqOp;
-use cvc_reduce::client::Client;
+use cvc_reduce::client::{Client, MAX_UNDO_DEPTH};
 use cvc_reduce::msg::{ClientOpMsg, ServerOpMsg};
 use cvc_reduce::notifier::Notifier;
 
@@ -94,28 +94,45 @@ fn bench_notifier_integration(c: &mut Criterion) {
 
 fn bench_client_integration(c: &mut Criterion) {
     let mut g = c.benchmark_group("client_on_server_op");
-    for pending in [0usize, 4, 16, 64] {
-        // Client typed `pending` chars the server hasn't seen.
-        let mut client = Client::new(SiteId(1), &"x".repeat(64));
-        for k in 0..pending {
-            client.insert(32 + k, "p");
-        }
-        let msg = ServerOpMsg {
-            stamp: CompressedStamp::new(1, 0),
-            op: SeqOp::from_pos(&PosOp::insert(5, "s"), 64),
-            cursor: None,
-        };
-        g.bench_with_input(
-            BenchmarkId::new("pending_local_ops", pending),
-            &pending,
-            |b, _| {
+    // A reader's stacks are empty; a writer's hold up to MAX_UNDO_DEPTH
+    // inverses that ride every executed op. `pending` alone cannot tell the
+    // two apart, so each pending count runs at both depths.
+    for (label, acked_first) in [
+        ("pending_local_ops", 0usize),
+        ("pending_local_ops_full_undo_stack", MAX_UNDO_DEPTH),
+    ] {
+        for pending in [0usize, 4, 16, 64] {
+            let mut client = Client::new(SiteId(1), &"x".repeat(64));
+            // Typed and acknowledged: on the undo stack, not pending.
+            for k in 0..acked_first {
+                client.insert(k % 64, "u");
+            }
+            let received = u64::from(acked_first > 0);
+            if received > 0 {
+                client.on_server_op(ServerOpMsg {
+                    stamp: CompressedStamp::new(received, acked_first as u64),
+                    op: SeqOp::identity(64 + acked_first),
+                    cursor: None,
+                });
+                client.gc();
+            }
+            // Client typed `pending` chars the server hasn't seen.
+            for k in 0..pending {
+                client.insert(32 + k, "p");
+            }
+            let msg = ServerOpMsg {
+                stamp: CompressedStamp::new(received + 1, acked_first as u64),
+                op: SeqOp::from_pos(&PosOp::insert(5, "s"), 64 + acked_first),
+                cursor: None,
+            };
+            g.bench_with_input(BenchmarkId::new(label, pending), &pending, |b, _| {
                 b.iter_batched(
                     || (client.clone(), msg.clone()),
                     |(mut client, msg)| std::hint::black_box(client.on_server_op(msg)),
                     BatchSize::SmallInput,
                 )
-            },
-        );
+            });
+        }
     }
     g.finish();
 }

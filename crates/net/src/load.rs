@@ -156,6 +156,9 @@ impl LoadClient {
                     self.dead = true;
                     return;
                 }
+                // As `session.rs` and the benchmark harness do: without it
+                // the replica scans and holds its whole history.
+                self.client.gc();
                 if let Some(ack) = self.client.take_pending_ack() {
                     self.queue_msg(&EditorMsg::ClientAck(ack));
                 }

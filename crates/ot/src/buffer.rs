@@ -73,27 +73,24 @@ impl TextBuffer {
         }
     }
 
-    /// Move the gap so it starts at `pos`.
+    /// Move the gap so it starts at `pos`: the characters between the old
+    /// and the new gap start cross the gap in one `memmove`.
     fn move_gap(&mut self, pos: usize) {
         debug_assert!(pos <= self.len());
         let gap_len = self.gap_end - self.gap_start;
-        if gap_len == 0 {
-            self.gap_start = pos;
-            self.gap_end = pos;
-            return;
+        if pos < self.gap_start {
+            self.store.copy_within(pos..self.gap_start, pos + gap_len);
+        } else {
+            self.store
+                .copy_within(self.gap_end..pos + gap_len, self.gap_start);
         }
-        while self.gap_start > pos {
-            // Shift one char from before the gap to after it.
-            self.gap_start -= 1;
-            self.gap_end -= 1;
-            self.store[self.gap_end] = self.store[self.gap_start];
-        }
-        while self.gap_start < pos {
-            // Shift one char from after the gap to before it.
-            self.store[self.gap_start] = self.store[self.gap_end];
-            self.gap_start += 1;
-            self.gap_end += 1;
-        }
+        self.gap_start = pos;
+        self.gap_end = pos + gap_len;
+    }
+
+    /// The content as its two contiguous runs: before and after the gap.
+    fn halves(&self) -> (&[char], &[char]) {
+        (&self.store[..self.gap_start], &self.store[self.gap_end..])
     }
 
     /// Ensure the gap can hold at least `need` more characters.
@@ -201,7 +198,11 @@ impl TextBuffer {
     /// The `count` characters starting at `pos`, without removing them.
     pub fn slice(&self, pos: usize, count: usize) -> String {
         assert!(pos + count <= self.len());
-        (pos..pos + count).map(|i| self.char_at(i)).collect()
+        let (pre, post) = self.halves();
+        let (end, cut) = (pos + count, pre.len());
+        let before_gap = &pre[pos.min(cut)..end.min(cut)];
+        let after_gap = &post[pos.max(cut) - cut..end.max(cut) - cut];
+        before_gap.iter().chain(after_gap).collect()
     }
 
     /// FNV-1a hash of the content — cheap convergence fingerprint for
@@ -217,14 +218,8 @@ impl TextBuffer {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        self.store[..self.gap_start]
-            .iter()
-            .copied()
-            .for_each(&mut eat);
-        self.store[self.gap_end..]
-            .iter()
-            .copied()
-            .for_each(&mut eat);
+        let (pre, post) = self.halves();
+        pre.iter().chain(post).copied().for_each(&mut eat);
         h
     }
 }
@@ -237,13 +232,8 @@ impl Default for TextBuffer {
 
 impl fmt::Display for TextBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for c in &self.store[..self.gap_start] {
-            write!(f, "{c}")?;
-        }
-        for c in &self.store[self.gap_end..] {
-            write!(f, "{c}")?;
-        }
-        Ok(())
+        let (pre, post) = self.halves();
+        pre.iter().chain(post).try_for_each(|c| write!(f, "{c}"))
     }
 }
 
@@ -255,7 +245,8 @@ impl fmt::Debug for TextBuffer {
 
 impl PartialEq for TextBuffer {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && (0..self.len()).all(|i| self.char_at(i) == other.char_at(i))
+        let (a, b) = (self.halves(), other.halves());
+        self.len() == other.len() && a.0.iter().chain(a.1).eq(b.0.iter().chain(b.1))
     }
 }
 

@@ -25,12 +25,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// The gap buffer agrees with a plain String reference under any edit
-    /// script.
+    /// script — from empty, and on a document long enough (multi-byte
+    /// scalars included) that successive edits are far jumps of the gap in
+    /// both directions.
     #[test]
-    fn gap_buffer_matches_reference(script in proptest::collection::vec(arb_edit(), 0..60)) {
-        let mut buf = TextBuffer::new();
-        let mut reference: Vec<char> = Vec::new();
+    fn gap_buffer_matches_reference(
+        long in any::<bool>(),
+        script in proptest::collection::vec(arb_edit(), 0..60),
+    ) {
+        let seed: String = "aé←λz".chars().cycle().take(if long { 4_100 } else { 0 }).collect();
+        let mut buf = TextBuffer::from_str(&seed);
+        let mut reference: Vec<char> = seed.chars().collect();
         for e in script {
+            let (Edit::Insert(probe, _) | Edit::Delete(probe, _)) = e;
             match e {
                 Edit::Insert(p, s) => {
                     let pos = p % (reference.len() + 1);
@@ -51,8 +58,24 @@ proptest! {
                 }
             }
             let expect: String = reference.iter().collect();
-            prop_assert_eq!(buf.to_string(), expect);
+            prop_assert_eq!(&buf.to_string(), &expect);
             prop_assert_eq!(buf.len(), reference.len());
+            // Reads that may straddle the gap, wherever the edit left it.
+            let from = probe / 7 % (reference.len() + 1);
+            let count = probe / 11 % (reference.len() - from + 1);
+            let window: String = reference[from..from + count].iter().collect();
+            prop_assert_eq!(buf.slice(from, count), window);
+            let fnv1a = expect.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            prop_assert_eq!(buf.checksum(), fnv1a);
+            // Equality is of content, whatever the two gap positions.
+            let mut twin = TextBuffer::from_str(&expect);
+            prop_assert!(buf == twin);
+            twin.insert_str(from, "q");
+            prop_assert!(buf != twin);
+            twin.delete_range(from, 1);
+            prop_assert!(buf == twin);
         }
     }
 

@@ -29,7 +29,7 @@ use cvc_core::timestamp::OriginAtClient;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::cursor::{transform_cursor, Bias};
 use cvc_ot::pos::PosOp;
-use cvc_ot::seq::SeqOp;
+use cvc_ot::seq::{SeqError, SeqOp};
 use std::collections::{HashMap, VecDeque};
 
 /// Undo depth retained per client: each local operation keeps its
@@ -282,10 +282,8 @@ impl Client {
             stamp.get(2),
             "bridge sequence must equal SV_i[2] (paper Section 3.3)"
         );
-        for inv in self.undo_stack.iter_mut().chain(&mut self.redo_stack) {
-            let (i2, _) = SeqOp::transform(inv, &op).expect("stack rides local ops");
-            *inv = i2;
-        }
+        SeqOp::rebase_all_over(self.undo_stack.iter_mut().chain(&mut self.redo_stack), &op)
+            .expect("stack rides local ops");
         match kind {
             UndoKind::Fresh | UndoKind::Redo => self.undo_stack.push_back(inverse),
             UndoKind::Undo => self.redo_stack.push_back(inverse),
@@ -523,6 +521,21 @@ impl Client {
                 acked: msg.stamp.get(2),
             });
         }
+        // A payload on the wrong base can only fail — in the bridge's first
+        // transform, after it dropped the acknowledged prefix, or at
+        // execution, after it counted the op. Refuse it here, where the
+        // promise that a rejected message leaves the replica untouched is
+        // cheap to keep; past this check nothing below can fail.
+        let base = self
+            .bridge
+            .peer_base_len(msg.stamp.get(2))
+            .unwrap_or_else(|| self.doc.len());
+        if msg.op.base_len() != base {
+            return Err(ProtocolError::BadOperation(SeqError::BaseLengthMismatch {
+                expected: msg.op.base_len(),
+                got: base,
+            }));
+        }
         // Paper concurrency check (formula (5)) over the whole HB.
         let mut checked = Vec::with_capacity(self.hb.len());
         let mut concurrent_local = 0usize;
@@ -590,11 +603,11 @@ impl Client {
             .op
             .apply_to_buffer(&mut self.doc)
             .map_err(ProtocolError::BadOperation)?;
-        for inv in self.undo_stack.iter_mut().chain(&mut self.redo_stack) {
-            let (i2, _) =
-                SeqOp::transform(inv, &integrated.op).map_err(ProtocolError::BadOperation)?;
-            *inv = i2;
-        }
+        SeqOp::rebase_all_over(
+            self.undo_stack.iter_mut().chain(&mut self.redo_stack),
+            &integrated.op,
+        )
+        .map_err(ProtocolError::BadOperation)?;
         // Rule 2: executing a notifier op bumps SV_i[1].
         self.sv.record_from_notifier();
         self.acked_local = self.acked_local.max(msg.stamp.get(2));
@@ -822,6 +835,43 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A server op the client rejects — here for a payload on the wrong
+    /// base — leaves it exactly as it was but for the violation counter:
+    /// not counted by the bridge, and the acknowledged pending prefix not
+    /// dropped on its say-so.
+    #[test]
+    fn rejected_server_op_leaves_the_client_untouched() {
+        let image =
+            |c: &Client| format!("{c:?}").replace("protocol_errors: 1", "protocol_errors: 0");
+        for pending in [0usize, 2] {
+            let mut c = Client::new(SiteId(1), "abcd");
+            for k in 0..pending {
+                c.insert(k, "p");
+            }
+            let mut twin = c.clone();
+            // The notifier has seen the first pending op, if there is one.
+            let acked = (pending as u64).min(1);
+            let base = 4 + acked as usize;
+            let server_op = |op| ServerOpMsg {
+                stamp: CompressedStamp::new(1, acked),
+                op,
+                cursor: None,
+            };
+            let before = image(&c);
+            let err = c
+                .try_on_server_op(server_op(SeqOp::identity(base + 3)))
+                .unwrap_err();
+            assert!(matches!(err, ProtocolError::BadOperation(_)), "{err:?}");
+            assert_eq!(c.metrics().protocol_errors, 1);
+            assert_eq!(image(&c), before, "{pending} pending");
+            // The stream continues as if the bad message had never come.
+            let right = SeqOp::from_pos(&PosOp::insert(0, "s"), base);
+            c.try_on_server_op(server_op(right.clone())).expect("valid");
+            twin.try_on_server_op(server_op(right)).expect("valid");
+            assert_eq!(image(&c), image(&twin), "{pending} pending");
+        }
     }
 
     #[test]
