@@ -169,23 +169,27 @@ fn notifier_with_traffic(n_clients: usize, ops: usize, acked: bool) -> Notifier 
         // Sequential traffic: each op has seen every prior broadcast.
         let x = origin.0 as usize;
         own[x] += 1;
-        let out = notifier.on_client_op(ClientOpMsg {
-            origin,
-            stamp: CompressedStamp::new(seen[x], own[x]),
-            op,
-            cursor: None,
-        });
-        for (dest, _) in out.broadcasts {
+        let out = notifier
+            .try_on_client_op_outcome(ClientOpMsg {
+                origin,
+                stamp: CompressedStamp::new(seen[x], own[x]),
+                op,
+                cursor: None,
+            })
+            .expect("valid client op");
+        for (dest, _) in out.broadcast_msgs() {
             seen[dest.0 as usize] += 1;
         }
         if acked && k % ACK_INTERVAL as usize == 0 {
             // Every client confirms what it has received so far, so the
             // trim watermark follows the traffic.
             for (s, &received) in seen.iter().enumerate().skip(1) {
-                notifier.on_client_ack(ClientAckMsg {
-                    origin: SiteId(s as u32),
-                    received,
-                });
+                notifier
+                    .try_on_client_ack(ClientAckMsg {
+                        origin: SiteId(s as u32),
+                        received,
+                    })
+                    .expect("valid client ack");
             }
         }
     }
@@ -211,7 +215,13 @@ fn bench_notifier_layer(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new(label, ops), &ops, |b, _| {
                 b.iter_batched(
                     || (base.clone(), msg.clone()),
-                    |(mut notifier, msg)| std::hint::black_box(notifier.on_client_op(msg)),
+                    |(mut notifier, msg)| {
+                        std::hint::black_box(
+                            notifier
+                                .try_on_client_op_outcome(msg)
+                                .expect("valid client op"),
+                        )
+                    },
                     BatchSize::SmallInput,
                 )
             });

@@ -58,12 +58,14 @@ fn notifier_with_history(n_clients: usize, hb: usize) -> Notifier {
             .iter()
             .filter(|e| e.origin == origin)
             .count() as u64;
-        notifier.on_client_op(ClientOpMsg {
-            origin,
-            stamp: CompressedStamp::new(seen, own + 1),
-            op,
-            cursor: None,
-        });
+        notifier
+            .try_on_client_op_outcome(ClientOpMsg {
+                origin,
+                stamp: CompressedStamp::new(seen, own + 1),
+                op,
+                cursor: None,
+            })
+            .expect("valid client op");
     }
     notifier
 }
@@ -84,7 +86,13 @@ fn bench_notifier_integration(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("all_concurrent_hb", hb), &hb, |b, _| {
             b.iter_batched(
                 || (base.clone(), msg.clone()),
-                |(mut notifier, msg)| std::hint::black_box(notifier.on_client_op(msg)),
+                |(mut notifier, msg)| {
+                    std::hint::black_box(
+                        notifier
+                            .try_on_client_op_outcome(msg)
+                            .expect("valid client op"),
+                    )
+                },
                 BatchSize::SmallInput,
             )
         });
@@ -109,11 +117,13 @@ fn bench_client_integration(c: &mut Criterion) {
             }
             let received = u64::from(acked_first > 0);
             if received > 0 {
-                client.on_server_op(ServerOpMsg {
-                    stamp: CompressedStamp::new(received, acked_first as u64),
-                    op: SeqOp::identity(64 + acked_first),
-                    cursor: None,
-                });
+                client
+                    .try_on_server_op(ServerOpMsg {
+                        stamp: CompressedStamp::new(received, acked_first as u64),
+                        op: SeqOp::identity(64 + acked_first),
+                        cursor: None,
+                    })
+                    .expect("valid server op");
                 client.gc();
             }
             // Client typed `pending` chars the server hasn't seen.
@@ -128,7 +138,9 @@ fn bench_client_integration(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new(label, pending), &pending, |b, _| {
                 b.iter_batched(
                     || (client.clone(), msg.clone()),
-                    |(mut client, msg)| std::hint::black_box(client.on_server_op(msg)),
+                    |(mut client, msg)| {
+                        std::hint::black_box(client.try_on_server_op(msg).expect("valid server op"))
+                    },
                     BatchSize::SmallInput,
                 )
             });

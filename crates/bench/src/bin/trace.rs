@@ -352,8 +352,7 @@ fn cmd_attach(o: &Opts) -> Result<(), String> {
         .file
         .as_deref()
         .ok_or("attach needs a HOST:PORT argument")?;
-    let mut client = AdminClient::connect(addr, std::time::Duration::from_secs(5))
-        .map_err(|e| format!("{addr}: {e}"))?;
+    let client = AdminClient::new(addr, std::time::Duration::from_secs(5));
     let mut tailer = if o.n_given {
         TraceTailer::with_clients(1..=o.n as u32)
     } else {
@@ -366,8 +365,11 @@ fn cmd_attach(o: &Opts) -> Result<(), String> {
     let mut idle_ms = 0u64;
     let mut evicted = 0u64;
     loop {
-        let payload = match client.request(&format!("rings {offset}")) {
-            Ok(p) => p,
+        let payload = match client.get(&format!("/rings?offset={offset}")) {
+            Ok((200, body)) => body,
+            Ok((code, _)) => return Err(format!("{addr}: /rings answered HTTP {code}")),
+            // Nothing was ever read: a wrong address, not a lost stream.
+            Err(e) if offset == 0 && idle_ms == 0 => return Err(format!("{addr}: {e}")),
             Err(e) => {
                 // The server went away mid-stream (shutdown past its
                 // drain window, or a crash): close out with what we have.

@@ -2794,7 +2794,8 @@ struct ScrapeStats {
 }
 
 /// One measured load pass. `admin` attaches the admin plane and a
-/// scraper thread driving `delta`/`prom`/`ready` for the whole run.
+/// scraper thread driving `/metrics.json?since=`, `/metrics` and `/readyz`
+/// for the whole run.
 /// Returns (per-executed-op µs, run-was-clean, twin-ok, elapsed secs).
 fn e23_pass(
     n: usize,
@@ -2826,15 +2827,12 @@ fn e23_pass(
         let stop = stop.clone();
         let stats = stats.clone();
         std::thread::spawn(move || {
-            let Ok(mut client) = AdminClient::connect(&addr, Duration::from_secs(2)) else {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            };
+            let client = AdminClient::new(&addr, Duration::from_secs(2));
             let mut cursor = 0u64;
             let mut iter = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                match client.request_text(&format!("delta {cursor}")) {
-                    Ok(t) if t.starts_with('{') => {
+                match client.get_text(&format!("/metrics.json?since={cursor}")) {
+                    Ok((200, t)) if t.starts_with('{') => {
                         if let Some(s) = json_u64_field(&t, "seq") {
                             cursor = s;
                         }
@@ -2849,16 +2847,16 @@ fn e23_pass(
                 // (~2.5/s, still ~40× a production Prometheus cadence);
                 // delta + ready carry the per-iteration scrape.
                 if iter.is_multiple_of(10) {
-                    match client.request_text("prom") {
-                        Ok(t) if t.contains("cvc_admin_ready") => {}
+                    match client.get_text("/metrics") {
+                        Ok((200, t)) if t.contains("cvc_admin_ready") => {}
                         _ => {
                             stats.errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
                 iter += 1;
-                match client.request_text("ready") {
-                    Ok(t) if t == "ready" => {
+                match client.get("/readyz") {
+                    Ok((200, _)) => {
                         stats.ready_ok.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok(_) => {}
@@ -2904,7 +2902,7 @@ fn e23_pass(
 }
 
 /// The attach-fidelity cell: a `--trace` server under load with an
-/// in-process tailer streaming `rings` chunks like `cvc-trace attach`.
+/// in-process tailer streaming `/rings` chunks like `cvc-trace attach`.
 fn e23_attach_cell(n: usize, ops: u64) -> AttachCell {
     use cvc_net::{parse_rings_response, replay_twin, run_load, AdminClient, EditorServer};
     use cvc_net::{LoadConfig, ServerConfig};
@@ -2932,14 +2930,12 @@ fn e23_attach_cell(n: usize, ops: u64) -> AttachCell {
     let tailer_thread = std::thread::spawn(move || {
         let mut tailer = TraceTailer::with_clients(1..=n as u32);
         let mut parse_errors = 0u64;
-        let Ok(mut client) = AdminClient::connect(&admin_addr, Duration::from_secs(2)) else {
-            return (tailer.finish(), 1);
-        };
+        let client = AdminClient::new(&admin_addr, Duration::from_secs(2));
         let mut offset = 0u64;
         let mut carry = String::new();
         let deadline = Instant::now() + Duration::from_secs(60);
         // Server past its drain window => request errors end the stream.
-        while let Ok(payload) = client.request(&format!("rings {offset}")) {
+        while let Ok((200, payload)) = client.get(&format!("/rings?offset={offset}")) {
             let Some((_, next, eof, body)) = parse_rings_response(&payload) else {
                 parse_errors += 1;
                 break;
@@ -3011,7 +3007,7 @@ fn e23_attach_cell(n: usize, ops: u64) -> AttachCell {
     }
 }
 
-/// Kill the core thread on a live server and watch the `ready` probe
+/// Kill the core thread on a live server and watch the `/readyz` probe
 /// flip while the admin plane stays answerable.
 fn e23_readiness_flip() -> bool {
     use cvc_net::{AdminClient, EditorServer, ServerConfig};
@@ -3025,17 +3021,15 @@ fn e23_readiness_flip() -> bool {
     })
     .expect("bind loopback server");
     let addr = server.admin_addr().expect("admin plane on").to_string();
-    let Ok(mut client) = AdminClient::connect(&addr, Duration::from_secs(2)) else {
-        return false;
-    };
-    if client.request_text("ready").ok().as_deref() != Some("ready") {
+    let client = AdminClient::new(&addr, Duration::from_secs(2));
+    if !matches!(client.get("/readyz"), Ok((200, _))) {
         return false;
     }
     server.halt_core();
     let mut flipped = false;
     for _ in 0..200 {
-        match client.request_text("ready") {
-            Ok(t) if t.starts_with("unready core thread dead") => {
+        match client.get_text("/readyz") {
+            Ok((503, t)) if t.contains("core thread dead") => {
                 flipped = true;
                 break;
             }
@@ -3043,7 +3037,6 @@ fn e23_readiness_flip() -> bool {
             Err(_) => break,
         }
     }
-    drop(client);
     server.shutdown();
     flipped
 }

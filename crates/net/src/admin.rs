@@ -3,20 +3,21 @@
 //!
 //! ## Protocol
 //!
-//! The admin port speaks two dialects, sniffed from the first bytes of
-//! each connection:
+//! HTTP/1.0, `GET` only, one request per connection — enough for `curl`,
+//! a kubelet probe, `cvc-trace attach` and the E23 scraper, no HTTP
+//! library:
 //!
-//! - **Framed** (the editor's own length+checksum codec): each frame
-//!   carries one whitespace-separated text command, each response is one
-//!   frame. Commands: `snapshot` (full registry JSON), `delta CURSOR`
-//!   (registry changes since a snapshot sequence — O(changed), not
-//!   O(registry)), `prom` (Prometheus text), `health`, `ready`, and
-//!   `rings OFFSET` (a chunk of the append-only ring-dump log starting
-//!   at byte `OFFSET`). This is what `cvc-trace attach` and the E23
-//!   scraper speak.
-//! - **HTTP/1.0** (`GET` only, one request per connection): `/metrics`
-//!   (Prometheus), `/metrics.json` (snapshot), `/healthz`, `/readyz` —
-//!   enough for `curl` and a kubelet probe, no HTTP library.
+//! - `/metrics` — Prometheus text exposition of the registry.
+//! - `/metrics.json` — full registry snapshot; `/metrics.json?since=C` —
+//!   registry changes since snapshot sequence `C` (O(changed), not
+//!   O(registry); a cursor outside the retained window, or ahead of the
+//!   server, gets a `full` resync).
+//! - `/healthz`, `/readyz` — liveness and readiness probes (200 / 503).
+//! - `/rings?offset=N` — a chunk of the append-only ring-dump log
+//!   starting at byte `N`: a `RINGS <start> <next> <eof>` header line
+//!   ([`parse_rings_response`]) followed by whole dump lines.
+//!
+//! Bytes that are not an HTTP request head cost only their connection.
 //!
 //! ## Isolation
 //!
@@ -31,8 +32,6 @@
 //! unchanged since the previous probe` — the third clause turns the
 //! "silently degraded" counter into a probe-visible signal.
 
-use crate::conn::Conn;
-use crate::frame::{write_frame, FrameReader};
 use crate::poll::{Interest, PollEvent, Poller, Waker};
 use crate::server::{lock, IoStats};
 use cvc_reduce::registry::DeltaTracker;
@@ -44,8 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Largest ring-dump chunk per `rings` response; leaves header room
-/// under the codec's 1 MiB frame cap.
+/// Largest ring-dump chunk per `/rings` response.
 const RINGS_CHUNK: usize = 700 * 1024;
 
 /// After the server stops, the admin thread keeps serving this long so
@@ -155,6 +153,10 @@ pub(crate) struct RingLog {
     base: u64,
     cap: usize,
     eof: bool,
+    /// A reader has pulled at least one chunk.
+    tailed: bool,
+    /// A reader has been served the final byte with the eof flag up.
+    eof_served: bool,
 }
 
 impl RingLog {
@@ -164,6 +166,8 @@ impl RingLog {
             base: 0,
             cap: cap.max(4096),
             eof: false,
+            tailed: false,
+            eof_served: false,
         }
     }
 
@@ -205,7 +209,7 @@ impl RingLog {
     /// Returns `(served_start, bytes, eof)`; `served_start > offset`
     /// means the reader fell behind and lines were evicted unseen. The
     /// eof flag is only raised once the reader has seen the final byte.
-    pub(crate) fn read_from(&self, offset: u64, max: usize) -> (u64, Vec<u8>, bool) {
+    pub(crate) fn read_from(&mut self, offset: u64, max: usize) -> (u64, Vec<u8>, bool) {
         let idx = (offset.saturating_sub(self.base) as usize).min(self.buf.len());
         let start = self.base + idx as u64;
         let avail = &self.buf[idx..];
@@ -217,8 +221,18 @@ impl RingLog {
                 .rposition(|&b| b == b'\n')
                 .map_or(0, |p| p + 1)
         };
-        let served_to_end = idx + take == self.buf.len();
-        (start, avail[..take].to_vec(), self.eof && served_to_end)
+        let eof = self.eof && idx + take == self.buf.len();
+        let chunk = avail[..take].to_vec();
+        self.tailed = true;
+        self.eof_served |= eof;
+        (start, chunk, eof)
+    }
+
+    /// A tailer is following this log and has not yet been told it ended:
+    /// each poll is a connection of its own, so after shutdown the admin
+    /// thread lingers for the one that fetches the final chunk.
+    fn tailer_waiting(&self) -> bool {
+        self.tailed && !self.eof_served
     }
 }
 
@@ -260,44 +274,12 @@ pub(crate) fn spawn_admin(
     })
 }
 
-/// Per-connection protocol state. A fresh connection sits in `Sniff`
-/// until its first bytes disambiguate HTTP from the frame codec.
-enum AdminConn {
-    Sniff(TcpStream),
-    Framed(Conn),
-    Http(HttpExchange),
-}
-
 /// One-shot HTTP/1.0 exchange: read head, write response, close.
 struct HttpExchange {
     stream: TcpStream,
     inb: Vec<u8>,
     out: Vec<u8>,
     sent: usize,
-}
-
-enum Sniffed {
-    Http,
-    Framed,
-    Undecided,
-}
-
-/// Decide a connection's dialect from its first peeked bytes. Anything
-/// that isn't an HTTP method prefix is the frame codec (a frame whose
-/// length field happens to spell "GET " would exceed the frame cap and
-/// die cleanly on that path anyway).
-fn classify(probe: &[u8]) -> Sniffed {
-    const METHODS: [&[u8; 4]; 4] = [b"GET ", b"HEAD", b"POST", b"PUT "];
-    for m in METHODS {
-        if probe.len() >= 4 {
-            if &probe[..4] == m {
-                return Sniffed::Http;
-            }
-        } else if m.starts_with(probe) {
-            return Sniffed::Undecided;
-        }
-    }
-    Sniffed::Framed
 }
 
 fn admin_loop(
@@ -311,19 +293,20 @@ fn admin_loop(
     poller.register(waker.fd(), 0, Interest::READ)?;
     poller.register(listener.as_raw_fd(), 1, Interest::READ)?;
     // Slab of connections; epoll token = slot + 2.
-    let mut conns: Vec<Option<AdminConn>> = Vec::new();
+    let mut conns: Vec<Option<HttpExchange>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<PollEvent> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
         if stop.load(Ordering::SeqCst) {
-            // Linger briefly after shutdown so attached tailers can pull
-            // the final, eof-marked ring chunk; leave as soon as every
-            // peer has disconnected.
+            // Linger briefly after shutdown so an attached tailer can pull
+            // the final, eof-marked ring chunk; leave as soon as it has
+            // and every exchange in progress is done.
             let deadline = *drain_deadline
                 .get_or_insert_with(|| Instant::now() + Duration::from_millis(ADMIN_DRAIN_MS));
-            if Instant::now() >= deadline || conns.iter().all(Option::is_none) {
+            let idle = conns.iter().all(Option::is_none) && !lock(&shared.rings).tailer_waiting();
+            if Instant::now() >= deadline || idle {
                 return Ok(());
             }
         }
@@ -336,10 +319,10 @@ fn admin_loop(
                 1 => accept_admin(listener, &poller, &mut conns, &mut free),
                 t => {
                     let slot = (t - 2) as usize;
-                    let Some(state) = conns.get_mut(slot).and_then(Option::take) else {
+                    let Some(ex) = conns.get_mut(slot).and_then(Option::take) else {
                         continue;
                     };
-                    match drive_conn(state, &poller, t, ev, shared, stats) {
+                    match step_http(ex, &poller, t, ev, shared, stats) {
                         Some(next) => conns[slot] = Some(next),
                         None => free.push(slot),
                     }
@@ -352,7 +335,7 @@ fn admin_loop(
 fn accept_admin(
     listener: &TcpListener,
     poller: &Poller,
-    conns: &mut Vec<Option<AdminConn>>,
+    conns: &mut Vec<Option<HttpExchange>>,
     free: &mut Vec<usize>,
 ) {
     loop {
@@ -370,7 +353,12 @@ fn accept_admin(
                     .register(stream.as_raw_fd(), token, Interest::READ)
                     .is_ok()
                 {
-                    conns[slot] = Some(AdminConn::Sniff(stream));
+                    conns[slot] = Some(HttpExchange {
+                        stream,
+                        inb: Vec::new(),
+                        out: Vec::new(),
+                        sent: 0,
+                    });
                 } else {
                     free.push(slot);
                 }
@@ -382,121 +370,9 @@ fn accept_admin(
     }
 }
 
-/// Advance one connection through one readiness event. Returns the next
-/// state, or `None` when the connection is finished (the fd is
+/// Advance one exchange through one readiness event. Returns it back
+/// while unfinished, or `None` when the connection is done (the fd is
 /// deregistered before the stream drops).
-fn drive_conn(
-    state: AdminConn,
-    poller: &Poller,
-    token: u64,
-    ev: &PollEvent,
-    shared: &AdminShared,
-    stats: &IoStats,
-) -> Option<AdminConn> {
-    match state {
-        AdminConn::Sniff(stream) => step_sniff(stream, poller, token, ev, shared, stats),
-        AdminConn::Framed(conn) => step_framed(conn, poller, token, ev, shared, stats),
-        AdminConn::Http(ex) => step_http(ex, poller, token, ev, shared, stats),
-    }
-}
-
-fn step_sniff(
-    stream: TcpStream,
-    poller: &Poller,
-    token: u64,
-    ev: &PollEvent,
-    shared: &AdminShared,
-    stats: &IoStats,
-) -> Option<AdminConn> {
-    if !(ev.readable || ev.hangup) {
-        return Some(AdminConn::Sniff(stream));
-    }
-    let fd = stream.as_raw_fd();
-    let mut probe = [0u8; 8];
-    let n = match stream.peek(&mut probe) {
-        Ok(0) => {
-            let _ = poller.deregister(fd);
-            return None;
-        }
-        Ok(n) => n,
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-            if ev.hangup {
-                let _ = poller.deregister(fd);
-                return None;
-            }
-            return Some(AdminConn::Sniff(stream));
-        }
-        Err(_) => {
-            let _ = poller.deregister(fd);
-            return None;
-        }
-    };
-    match classify(&probe[..n]) {
-        Sniffed::Undecided => Some(AdminConn::Sniff(stream)),
-        Sniffed::Http => {
-            let ex = HttpExchange {
-                stream,
-                inb: Vec::new(),
-                out: Vec::new(),
-                sent: 0,
-            };
-            // The sniffed bytes were only peeked: fall straight into the
-            // HTTP read path to consume them.
-            step_http(ex, poller, token, ev, shared, stats)
-        }
-        Sniffed::Framed => match Conn::new(stream) {
-            Ok(conn) => step_framed(conn, poller, token, ev, shared, stats),
-            Err(_) => {
-                // The stream (and fd) died inside Conn::new; the close
-                // already dropped its epoll registration.
-                let _ = poller.deregister(fd);
-                None
-            }
-        },
-    }
-}
-
-fn step_framed(
-    mut conn: Conn,
-    poller: &Poller,
-    token: u64,
-    ev: &PollEvent,
-    shared: &AdminShared,
-    stats: &IoStats,
-) -> Option<AdminConn> {
-    let mut dead = false;
-    if ev.readable || ev.hangup {
-        let mut payloads = Vec::new();
-        let res = conn.on_readable(&mut payloads);
-        for p in &payloads {
-            let resp = handle_command(p, shared, stats);
-            if conn.queue_frame(&[&resp]).is_err() {
-                dead = true;
-                break;
-            }
-        }
-        if res.is_err() {
-            dead = true;
-        }
-    }
-    if !dead && (ev.writable || conn.wants_write()) {
-        dead = conn.flush().is_err();
-    }
-    if !dead {
-        let interest = if conn.wants_write() {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
-        dead = poller.modify(conn.fd(), token, interest).is_err();
-    }
-    if dead {
-        let _ = poller.deregister(conn.fd());
-        return None;
-    }
-    Some(AdminConn::Framed(conn))
-}
-
 fn step_http(
     mut ex: HttpExchange,
     poller: &Poller,
@@ -504,7 +380,7 @@ fn step_http(
     ev: &PollEvent,
     shared: &AdminShared,
     stats: &IoStats,
-) -> Option<AdminConn> {
+) -> Option<HttpExchange> {
     let fd = ex.stream.as_raw_fd();
     if ex.out.is_empty() && (ev.readable || ev.hangup) {
         let mut chunk = [0u8; 4096];
@@ -565,35 +441,11 @@ fn step_http(
             return None;
         }
     }
-    Some(AdminConn::Http(ex))
+    Some(ex)
 }
 
 fn headers_complete(inb: &[u8]) -> bool {
     inb.windows(4).any(|w| w == b"\r\n\r\n") || inb.windows(2).any(|w| w == b"\n\n")
-}
-
-/// Dispatch one framed text command to its response payload.
-fn handle_command(cmd: &[u8], shared: &AdminShared, stats: &IoStats) -> Vec<u8> {
-    let text = String::from_utf8_lossy(cmd);
-    let mut parts = text.split_whitespace();
-    match (parts.next(), parts.next()) {
-        (Some("snapshot"), None) => snapshot_json(shared).into_bytes(),
-        (Some("delta"), Some(cursor)) => match cursor.parse::<u64>() {
-            Ok(c) => lock(&shared.deltas).delta_since(c).to_json().into_bytes(),
-            Err(_) => b"err bad cursor".to_vec(),
-        },
-        (Some("prom"), None) => prometheus_text(shared).into_bytes(),
-        (Some("health"), None) => format!("ok uptime_us={}", shared.uptime_us()).into_bytes(),
-        (Some("ready"), None) => match readiness(shared, stats) {
-            Ok(()) => b"ready".to_vec(),
-            Err(why) => format!("unready {why}").into_bytes(),
-        },
-        (Some("rings"), Some(off)) => match off.parse::<u64>() {
-            Ok(o) => rings_chunk(shared, o),
-            Err(_) => b"err bad offset".to_vec(),
-        },
-        _ => b"err unknown command".to_vec(),
-    }
 }
 
 fn snapshot_json(shared: &AdminShared) -> String {
@@ -633,9 +485,9 @@ fn rings_chunk(shared: &AdminShared, offset: u64) -> Vec<u8> {
     out
 }
 
-/// Parse a `rings` response: a `RINGS <start> <next> <eof>` header line
-/// followed by raw ring-dump text. `start > requested offset` means the
-/// server evicted lines the reader never saw.
+/// Parse a `/rings` response body: a `RINGS <start> <next> <eof>` header
+/// line followed by raw ring-dump text. `start > requested offset` means
+/// the server evicted lines the reader never saw.
 pub fn parse_rings_response(payload: &[u8]) -> Option<(u64, u64, bool, &[u8])> {
     let nl = payload.iter().position(|&b| b == b'\n')?;
     let header = std::str::from_utf8(&payload[..nl]).ok()?;
@@ -649,28 +501,33 @@ pub fn parse_rings_response(payload: &[u8]) -> Option<(u64, u64, bool, &[u8])> {
     Some((start, next, eof, &payload[nl + 1..]))
 }
 
-/// Blocking admin-port client: one framed text command out, one framed
-/// response back. `cvc-trace attach` and the E23 scraper speak through
+/// Blocking admin-port client: one HTTP/1.0 `GET` per call, each on its
+/// own connection. `cvc-trace attach` and the E23 scraper speak through
 /// this; being a remote-facing tool surface it never panics.
 pub struct AdminClient {
-    stream: TcpStream,
-    reader: FrameReader,
+    addr: String,
+    timeout: Duration,
 }
 
 impl AdminClient {
-    /// Connect with `timeout` applied to connect, reads, and writes.
-    pub fn connect(addr: &str, timeout: Duration) -> io::Result<AdminClient> {
+    /// A client for the admin port at `addr`; `timeout` applies to each
+    /// request's connect, reads, and writes.
+    pub fn new(addr: &str, timeout: Duration) -> AdminClient {
+        AdminClient {
+            addr: addr.to_string(),
+            timeout,
+        }
+    }
+
+    fn open(&self) -> io::Result<TcpStream> {
         let mut last = io::Error::new(io::ErrorKind::AddrNotAvailable, "no address resolved");
-        for a in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&a, timeout) {
+        for a in self.addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&a, self.timeout) {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(timeout))?;
-                    stream.set_write_timeout(Some(timeout))?;
-                    return Ok(AdminClient {
-                        stream,
-                        reader: FrameReader::new(),
-                    });
+                    stream.set_read_timeout(Some(self.timeout))?;
+                    stream.set_write_timeout(Some(self.timeout))?;
+                    return Ok(stream);
                 }
                 Err(e) => last = e,
             }
@@ -678,78 +535,115 @@ impl AdminClient {
         Err(last)
     }
 
-    /// Send one command and wait for its single response frame.
-    pub fn request(&mut self, cmd: &str) -> io::Result<Vec<u8>> {
-        let mut buf = Vec::with_capacity(cmd.len() + 16);
-        write_frame(&mut buf, &[cmd.as_bytes()]);
-        self.stream.write_all(&buf)?;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some(payload) = self.reader.next_frame().map_err(io::Error::other)? {
-                return Ok(payload);
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "admin peer closed",
-                ));
-            }
-            self.reader.extend(&chunk[..n]);
+    /// `GET path`: the response's status code and body. A response cut
+    /// short of its `Content-Length` is an error, never a partial body.
+    pub fn get(&self, path: &str) -> io::Result<(u16, Vec<u8>)> {
+        let mut stream = self.open()?;
+        stream.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())?;
+        let mut resp = Vec::new();
+        stream.read_to_end(&mut resp)?;
+        let malformed = || io::Error::new(io::ErrorKind::InvalidData, "malformed admin response");
+        let head_end = resp
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .ok_or_else(malformed)?;
+        let head = std::str::from_utf8(&resp[..head_end]).map_err(|_| malformed())?;
+        let status: u16 = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|code| code.parse().ok())
+            .ok_or_else(malformed)?;
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(malformed)?;
+        let body = resp.split_off(head_end + 4);
+        if body.len() != length {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "admin response cut short",
+            ));
         }
+        Ok((status, body))
     }
 
-    /// Convenience: request + UTF-8 decode (lossy).
-    pub fn request_text(&mut self, cmd: &str) -> io::Result<String> {
-        Ok(String::from_utf8_lossy(&self.request(cmd)?).into_owned())
+    /// Convenience: [`AdminClient::get`] + UTF-8 decode (lossy).
+    pub fn get_text(&self, path: &str) -> io::Result<(u16, String)> {
+        let (status, body) = self.get(path)?;
+        Ok((status, String::from_utf8_lossy(&body).into_owned()))
     }
+}
+
+/// The `u64` value of a single-parameter query string `key=value`:
+/// `Ok(None)` for an empty query, `Err` for anything else malformed.
+fn query_u64(query: &str, key: &str) -> Result<Option<u64>, ()> {
+    if query.is_empty() {
+        return Ok(None);
+    }
+    let value = query.strip_prefix(key).and_then(|q| q.strip_prefix('='));
+    value.and_then(|v| v.parse().ok()).map(Some).ok_or(())
 }
 
 fn http_response(line: &str, shared: &AdminShared, stats: &IoStats) -> Vec<u8> {
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("/");
+    let target = parts.next().unwrap_or("/");
     if method != "GET" {
         return http_package(
             405,
             "Method Not Allowed",
             "text/plain",
-            "only GET is served\n",
+            b"only GET is served\n",
         );
     }
+    let ok = |ctype, body: &[u8]| http_package(200, "OK", ctype, body);
+    let bad_query = |why: &str| http_package(400, "Bad Request", "text/plain", why.as_bytes());
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     match path {
-        "/metrics" => http_package(
-            200,
-            "OK",
+        "/metrics" => ok(
             "text/plain; version=0.0.4",
-            &prometheus_text(shared),
+            prometheus_text(shared).as_bytes(),
         ),
-        "/metrics.json" => http_package(200, "OK", "application/json", &snapshot_json(shared)),
-        "/healthz" => http_package(200, "OK", "text/plain", "ok\n"),
+        "/metrics.json" => match query_u64(query, "since") {
+            Ok(None) => ok("application/json", snapshot_json(shared).as_bytes()),
+            Ok(Some(cursor)) => {
+                let delta = lock(&shared.deltas).delta_since(cursor);
+                ok("application/json", delta.to_json().as_bytes())
+            }
+            Err(()) => bad_query("bad cursor: use ?since=<snapshot seq>\n"),
+        },
+        "/rings" => match query_u64(query, "offset") {
+            Ok(offset) => ok("text/plain", &rings_chunk(shared, offset.unwrap_or(0))),
+            Err(()) => bad_query("bad offset: use ?offset=<log byte offset>\n"),
+        },
+        "/healthz" => ok("text/plain", b"ok\n"),
         "/readyz" => match readiness(shared, stats) {
-            Ok(()) => http_package(200, "OK", "text/plain", "ready\n"),
+            Ok(()) => ok("text/plain", b"ready\n"),
             Err(why) => http_package(
                 503,
                 "Service Unavailable",
                 "text/plain",
-                &format!("unready: {why}\n"),
+                format!("unready: {why}\n").as_bytes(),
             ),
         },
         _ => http_package(
             404,
             "Not Found",
             "text/plain",
-            "try /metrics, /metrics.json, /healthz, /readyz\n",
+            b"try /metrics, /metrics.json[?since=], /rings[?offset=], /healthz, /readyz\n",
         ),
     }
 }
 
-fn http_package(code: u16, reason: &str, ctype: &str, body: &str) -> Vec<u8> {
-    format!(
-        "HTTP/1.0 {code} {reason}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+fn http_package(code: u16, reason: &str, ctype: &str, body: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "HTTP/1.0 {code} {reason}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )
-    .into_bytes()
+    .into_bytes();
+    out.extend_from_slice(body);
+    out
 }
 
 #[cfg(test)]
@@ -810,15 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_separates_http_from_frames() {
-        assert!(matches!(classify(b"GET /met"), Sniffed::Http));
-        assert!(matches!(classify(b"POST"), Sniffed::Http));
-        assert!(matches!(classify(b"GE"), Sniffed::Undecided));
-        assert!(matches!(classify(b"\x10\x00\x00\x00"), Sniffed::Framed));
-        assert!(matches!(classify(b"GETX"), Sniffed::Framed));
-    }
-
-    #[test]
     fn rings_response_round_trips_through_the_parser() {
         let shared = AdminShared::new(4096);
         lock(&shared.rings).append("1 0 5 Generate 1 1 0 0 0 0 0 - - 0\n");
@@ -876,6 +761,28 @@ mod tests {
     }
 
     #[test]
+    fn query_parameters_are_one_checked_integer() {
+        assert_eq!(query_u64("", "offset"), Ok(None));
+        assert_eq!(query_u64("offset=0", "offset"), Ok(Some(0)));
+        assert_eq!(
+            query_u64("since=18446744073709551615", "since"),
+            Ok(Some(u64::MAX))
+        );
+        for bad in [
+            "offset",
+            "offset=",
+            "offset=-1",
+            "offset=1x",
+            "offset=18446744073709551616",
+            "offsets=1",
+            "since=1",
+            "offset=1&offset=2",
+        ] {
+            assert_eq!(query_u64(bad, "offset"), Err(()), "{bad}");
+        }
+    }
+
+    #[test]
     fn prometheus_text_carries_the_admin_gauges() {
         let shared = AdminShared::new(4096);
         let text = prometheus_text(&shared);
@@ -898,45 +805,107 @@ mod tests {
         }
     }
 
-    #[test]
-    fn live_server_answers_both_dialects() {
-        let handle = admin_server();
+    fn admin_client(handle: &crate::server::ServerHandle) -> AdminClient {
         let addr = match handle.admin_addr() {
             Some(a) => a.to_string(),
             None => panic!("admin plane must bind"),
         };
-        let mut c = match AdminClient::connect(&addr, Duration::from_secs(5)) {
-            Ok(c) => c,
-            Err(e) => panic!("connect: {e}"),
-        };
-        // Framed dialect: every command answers on the same connection.
-        let health = c.request_text("health").unwrap_or_default();
-        assert!(health.starts_with("ok uptime_us="), "{health}");
-        assert_eq!(c.request_text("ready").unwrap_or_default(), "ready");
-        let snap = c.request_text("snapshot").unwrap_or_default();
+        AdminClient::new(&addr, Duration::from_secs(5))
+    }
+
+    fn get(c: &AdminClient, path: &str) -> (u16, String) {
+        match c.get_text(path) {
+            Ok(r) => r,
+            Err(e) => panic!("GET {path}: {e}"),
+        }
+    }
+
+    #[test]
+    fn live_server_answers_every_resource_over_http() {
+        let handle = admin_server();
+        let c = admin_client(&handle);
+
+        let (code, health) = get(&c, "/healthz");
+        assert_eq!((code, health.as_str()), (200, "ok\n"));
+        assert_eq!(get(&c, "/readyz"), (200, "ready\n".to_string()));
+        let (code, prom) = get(&c, "/metrics");
+        assert_eq!(code, 200);
+        assert!(prom.contains("cvc_admin_ready 1"), "{prom}");
+        let (code, snap) = get(&c, "/metrics.json");
+        assert_eq!(code, 200);
         assert!(snap.starts_with("{\"seq\":"), "{snap}");
         assert!(snap.contains("\"registry\":{"), "{snap}");
-        let delta = c.request_text("delta 0").unwrap_or_default();
-        assert!(delta.starts_with("{\"seq\":"), "{delta}");
-        let prom = c.request_text("prom").unwrap_or_default();
-        assert!(prom.contains("cvc_admin_ready 1"), "{prom}");
-        let rings = c.request("rings 0").unwrap_or_default();
-        assert!(parse_rings_response(&rings).is_some());
-        let err = c.request_text("bogus").unwrap_or_default();
-        assert!(err.starts_with("err "), "{err}");
+        assert_eq!(get(&c, "/nope").0, 404);
 
-        // HTTP dialect: a raw GET on the same port, sniffed per-connection.
-        let mut s = match TcpStream::connect(&addr) {
-            Ok(s) => s,
-            Err(e) => panic!("http connect: {e}"),
+        // Deltas: wait for the core's first publish, then a cursor at the
+        // current sequence gets an empty increment, an older one the
+        // changes since, and one ahead of the server a full resync.
+        let mut seq = 0;
+        for _ in 0..100 {
+            let (_, full) = get(&c, "/metrics.json?since=0");
+            seq = full
+                .strip_prefix("{\"seq\":")
+                .and_then(|t| t.split(',').next())
+                .and_then(|n| n.parse::<u64>().ok())
+                .unwrap_or(0);
+            if seq > 0 {
+                assert!(full.contains("\"net.uptime_us\""), "{full}");
+                break;
+            }
+            thread::sleep(Duration::from_millis(20));
+        }
+        assert!(seq > 0, "the core must have published a registry");
+        let (code, ahead) = get(&c, &format!("/metrics.json?since={}", seq + 1_000));
+        assert_eq!(code, 200);
+        assert!(ahead.contains("\"full\":true"), "{ahead}");
+        assert!(ahead.contains("\"net.uptime_us\""), "{ahead}");
+        let (_, level) = get(&c, &format!("/metrics.json?since={seq}"));
+        // Uptime moves on every publish, so `level` is empty or tiny — but
+        // never a full resync.
+        assert!(level.contains("\"full\":false"), "{level}");
+        assert_eq!(get(&c, "/metrics.json?since=abc").0, 400);
+        assert_eq!(get(&c, "/metrics.json?cursor=1").0, 400);
+
+        // Rings: the retained range from any offset, clamped; bad → 400.
+        let (code, body) = match c.get("/rings?offset=0") {
+            Ok(r) => r,
+            Err(e) => panic!("GET /rings: {e}"),
         };
-        let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-        let _ = s.write_all(b"GET /healthz HTTP/1.0\r\n\r\n");
-        let mut resp = String::new();
-        let _ = s.read_to_string(&mut resp);
-        assert!(resp.starts_with("HTTP/1.0 200 OK\r\n"), "{resp}");
-        assert!(resp.ends_with("ok\n"), "{resp}");
+        assert_eq!(code, 200);
+        let Some((start, next, eof, text)) = parse_rings_response(&body) else {
+            panic!("rings header must parse");
+        };
+        assert_eq!((start, eof), (0, false));
+        assert_eq!(next as usize, text.len());
+        let (_, past) = get(&c, &format!("/rings?offset={}", next + 1_000_000));
+        assert_eq!(
+            past,
+            format!("RINGS {next} {next} 0\n"),
+            "clamped to the end"
+        );
+        assert_eq!(get(&c, "/rings").1, get(&c, "/rings?offset=0").1);
+        assert_eq!(get(&c, "/rings?offset=-1").0, 400);
+        assert_eq!(get(&c, "/rings?offset=").0, 400);
 
+        // Hostile bytes cost only their connection: one peer floods past
+        // the head cap and is dropped, one stalls mid-garbage and is left
+        // to rot; the next GET is served regardless.
+        let addr = c.addr.clone();
+        let (mut flood, mut stall) = match (TcpStream::connect(&addr), TcpStream::connect(&addr)) {
+            (Ok(a), Ok(b)) => (a, b),
+            _ => panic!("garbage peers connect"),
+        };
+        let _ = stall.write_all(&[0x10, 0x00, 0xEE, 0xFF]);
+        let _ = flood.write_all(&vec![0xEE; MAX_HTTP_HEAD + 1]);
+        let _ = flood.set_read_timeout(Some(Duration::from_secs(5)));
+        let mut sink = Vec::new();
+        // Closed (EOF) or reset — never a response, never a hang.
+        let _ = flood.read_to_end(&mut sink);
+        assert!(sink.is_empty(), "garbage must not be answered");
+        assert_eq!(get(&c, "/healthz").0, 200);
+        drop(stall);
+
+        // After shutdown the log's tail is eof-marked for a tailer.
         let report = handle.shutdown();
         assert_eq!(report.io_errors, 0);
     }
@@ -944,27 +913,18 @@ mod tests {
     #[test]
     fn killing_the_core_flips_readiness() {
         let handle = admin_server();
-        let addr = match handle.admin_addr() {
-            Some(a) => a.to_string(),
-            None => panic!("admin plane must bind"),
-        };
-        let mut c = match AdminClient::connect(&addr, Duration::from_secs(5)) {
-            Ok(c) => c,
-            Err(e) => panic!("connect: {e}"),
-        };
-        assert_eq!(c.request_text("ready").unwrap_or_default(), "ready");
+        let c = admin_client(&handle);
+        assert_eq!(get(&c, "/readyz").0, 200);
         handle.halt_core();
         let mut flipped = false;
         for _ in 0..100 {
-            let r = c.request_text("ready").unwrap_or_default();
-            if r == "unready core thread dead" {
+            if get(&c, "/readyz") == (503, "unready: core thread dead\n".to_string()) {
                 flipped = true;
                 break;
             }
             thread::sleep(Duration::from_millis(20));
         }
         assert!(flipped, "readiness must flip once the core thread dies");
-        drop(c);
         let _ = handle.shutdown();
     }
 }

@@ -20,7 +20,7 @@
 //! never truncate it into a plausible value).
 
 use cvc_reduce::reliable::frame_checksum;
-use cvc_sim::wire::{put_varint, varint_len};
+use cvc_sim::wire::{self, put_varint, varint_len};
 
 /// Hard cap on one frame's payload bytes. A single editor message is tens
 /// of bytes and a maximal compound batch a few KiB; a megabyte of headroom
@@ -82,28 +82,10 @@ pub fn write_frame(out: &mut Vec<u8>, chunks: &[&[u8]]) {
     }
 }
 
-/// Parse one varint from `bytes`. `Ok(Some((value, consumed)))` on a
-/// complete varint, `Ok(None)` when the input ends mid-varint (torn —
-/// wait for more bytes), `Err` on any 10-byte encoding that cannot
-/// represent a u64 (no valid value — fatal).
+/// [`cvc_sim::wire::try_varint`] with this layer's error: a header varint
+/// no u64 can hold is fatal for the stream.
 fn try_varint(bytes: &[u8]) -> Result<Option<(u64, usize)>, FrameError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        // The 10th byte holds only u64 bit 63: a set continuation bit or
-        // any payload bit above the lowest is overlong — rejecting it
-        // here (rather than letting the shift discard high bits) matches
-        // the wire codec's `Overlong` policy.
-        if shift == 63 && b > 0x01 {
-            return Err(FrameError::TornVarint);
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(Some((v, i + 1)));
-        }
-        shift += 7;
-    }
-    Ok(None)
+    wire::try_varint(bytes).map_err(|_| FrameError::TornVarint)
 }
 
 /// Incremental frame reassembly over a byte stream.

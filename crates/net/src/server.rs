@@ -29,8 +29,10 @@
 //! a fresh client; a reconnecting site resumes with its real count, which
 //! is validated and applied like any other ack). Every later frame must
 //! agree with that binding; disagreement, protocol violations, or
-//! unparseable framing evict the connection (and quarantine the site for
-//! protocol violations, mirroring the sim's hostile-site policy).
+//! unparseable framing shed the connection, and a protocol violation also
+//! evicts the *bound* site — never the origin a frame merely claimed —
+//! mirroring the sim's hostile-site policy. A hello that fails costs only
+//! its connection: nobody is bound to it yet.
 //!
 //! Workers address connections by a **generation-tagged id** (slab slot
 //! in the low 32 bits, a per-slot generation in the high 32). Slots are
@@ -46,13 +48,12 @@ use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
 use cvc_reduce::msg::{compound_header, ClientAckMsg, ClientOpMsg, EditorMsg, Payload};
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::recorder::NO_SITE;
+use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::trace::dump_event_line;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use cvc_sim::wire::{WireDecode, WireEncode, WireError, WireSize};
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -77,16 +78,12 @@ pub struct ServerConfig {
     /// Record every accepted `ClientOpMsg` in arrival order, for the
     /// sim-twin differential oracle. Costs memory; off for soak runs.
     pub capture_integrations: bool,
-    /// Most sub-messages one compound frame may carry on the write path.
-    pub compound_max: usize,
     /// Where the admin plane listens (`None` disables it). Port 0 picks
     /// an ephemeral port, resolvable via [`ServerHandle::admin_addr`].
     pub admin_addr: Option<String>,
     /// Stream flight-recorder ring dumps on the admin port (`cvc-trace
     /// attach`). Requires `admin_addr`; costs one bounded text log.
     pub trace_rings: bool,
-    /// Notifier flight-recorder ring capacity when `trace_rings` is on.
-    pub trace_ring_capacity: usize,
     /// Ring-dump log retention in bytes (`cvc-serve --trace-log-mb`).
     /// Dump volume is O(ops × clients) deliver lines plus O(ops × |HB|)
     /// transform lines, so large sessions need more than the default
@@ -102,17 +99,21 @@ impl Default for ServerConfig {
             workers: 0,
             send_acks: true,
             capture_integrations: false,
-            compound_max: 32,
             admin_addr: None,
             trace_rings: false,
-            // Sized for a full 512-message core batch at burst-level
-            // transform fan-out; the per-batch drain empties it between
-            // batches, so this bounds single-batch loss, not total load.
-            trace_ring_capacity: 1 << 18,
             ring_log_cap: RING_LOG_CAP,
         }
     }
 }
+
+/// Most sub-messages one compound frame may carry on the write path.
+const COMPOUND_MAX: usize = 32;
+
+/// Notifier flight-recorder ring capacity when `trace_rings` is on. Sized
+/// for a full 512-message core batch at burst-level transform fan-out; the
+/// per-batch drain empties it between batches, so this bounds single-batch
+/// loss, not total load.
+const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 /// Shared I/O-tier counters (workers increment, the report and the
 /// admin plane snapshot).
@@ -136,7 +137,7 @@ pub(crate) struct IoStats {
 }
 
 /// Everything the server learned, returned at shutdown.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerReport {
     /// The notifier's final document.
     pub doc: String,
@@ -330,30 +331,7 @@ impl ServerHandle {
             Some(Ok(r)) => r,
             // The core thread never panics by construction; an empty
             // report here means it was killed externally.
-            _ => ServerReport {
-                doc: String::new(),
-                doc_checksum: 0,
-                ops_integrated: 0,
-                protocol_errors: 0,
-                frame_errors: 0,
-                io_errors: 0,
-                accepted: 0,
-                frames_in: 0,
-                msgs_in: 0,
-                frames_out: 0,
-                msgs_out: 0,
-                compound_frames_out: 0,
-                msgs_per_frame: None,
-                active_connections: 0,
-                evicted: 0,
-                outbox_high_water: Vec::new(),
-                dropped_broadcasts: 0,
-                wal_appends: 0,
-                wal_amplification: 0.0,
-                wal_bytes: Vec::new(),
-                hb_high_water: 0,
-                integration_log: Vec::new(),
-            },
+            _ => ServerReport::default(),
         }
     }
 }
@@ -415,11 +393,10 @@ impl EditorServer {
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
             let tx = core_tx.clone();
-            let compound_max = cfg.compound_max.max(1);
             worker_threads.push(
                 thread::Builder::new()
                     .name(format!("cvc-worker-{wi}"))
-                    .spawn(move || worker_loop(wi, &shared, &stats, &stop, &tx, compound_max))?,
+                    .spawn(move || worker_loop(wi, &shared, &stats, &stop, &tx))?,
             );
         }
 
@@ -527,9 +504,8 @@ fn worker_loop(
     stats: &IoStats,
     stop: &AtomicBool,
     tx: &mpsc::Sender<CoreMsg>,
-    compound_max: usize,
 ) {
-    if worker_inner(wi, shared, stats, stop, tx, compound_max).is_err() {
+    if worker_inner(wi, shared, stats, stop, tx).is_err() {
         // This shard's connections are orphaned; surface the degradation.
         stats.io_errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -541,7 +517,6 @@ fn worker_inner(
     stats: &IoStats,
     stop: &AtomicBool,
     tx: &mpsc::Sender<CoreMsg>,
-    compound_max: usize,
 ) -> io::Result<()> {
     let poller = Poller::new()?;
     poller.register(shared.waker.fd(), 0, Interest::READ)?;
@@ -693,7 +668,7 @@ fn worker_inner(
                 continue;
             };
             let mut failed = false;
-            for group in batch.chunks(compound_max) {
+            for group in batch.chunks(COMPOUND_MAX) {
                 let res = if group.len() == 1 {
                     let [head, body] = group[0].chunks();
                     conn.queue_frame(&[head, body])
@@ -754,8 +729,8 @@ fn worker_inner(
 
 /// The epoll tier's driver over [`NotifierCore`]: single-threaded, fed
 /// decoded messages, emitting per-destination payloads to worker outboxes.
-/// It owns routing, parking, eviction and ring publishing; every
-/// integration goes through the core's two entry points.
+/// It owns routing, parking, connection shedding and ring publishing;
+/// every input — op, ack, eviction — goes through the core's three doors.
 struct Core<'a> {
     cfg: &'a ServerConfig,
     workers: &'a [Arc<WorkerShared>],
@@ -866,40 +841,37 @@ impl<'a> Core<'a> {
         }
     }
 
+    /// A bound peer broke the protocol: evict the *bound* site — never
+    /// the origin its frame claimed, or one peer could get another
+    /// evicted — and shed the connection.
+    fn evict_site(&mut self, site: SiteId, worker: usize, conn: u64) {
+        let _ = self.durable.integrate_eviction(site);
+        self.evict(worker, conn);
+    }
+
     fn on_client_ack(&mut self, worker: usize, conn: u64, a: ClientAckMsg) {
         let key = (worker, conn);
         if let Some(&site) = self.bound.get(&key) {
-            if site != a.origin {
-                self.durable.quarantine(a.origin);
-                self.evict(worker, conn);
-            } else if self.durable.integrate_ack(a).is_err() {
-                self.durable.quarantine(site);
-                self.evict(worker, conn);
+            if self.durable.integrate_ack(site, a).is_err() {
+                self.evict_site(site, worker, conn);
             }
             return;
         }
-        // Hello: bind the connection to its site.
-        let idx = a.origin.client_index();
-        let valid = !a.origin.is_notifier()
-            && idx < self.cfg.n_clients
-            && self.routes.get(idx).is_some_and(Option::is_none);
-        if !valid {
-            self.evict(worker, conn);
-            return;
-        }
-        // The hello's `received` is the client's real ack frontier — 0
-        // for a fresh client, its stream position on a reconnect. Apply
-        // it like any other ack so the notifier's history-buffer GC sees
-        // the frontier; an overrun claim is hostile and refuses the bind.
-        if self.durable.integrate_ack(a).is_err() {
-            self.durable.quarantine(a.origin);
-            self.evict(worker, conn);
-            return;
-        }
+        // Hello: bind the connection to its site. The hello's `received`
+        // is the client's real ack frontier — 0 for a fresh client, its
+        // stream position on a reconnect — applied like any other ack so
+        // the notifier's history-buffer GC sees it. A stranger's claim
+        // that fails (unknown or taken id, evicted site, overrun) costs
+        // only this connection: nobody is bound to it yet.
+        let free = (!a.origin.is_notifier())
+            .then(|| a.origin.client_index())
+            .filter(|&idx| self.routes.get(idx).is_some_and(Option::is_none));
+        let idx = match free {
+            Some(idx) if self.durable.integrate_ack(a.origin, a).is_ok() => idx,
+            _ => return self.evict(worker, conn),
+        };
         self.bound.insert(key, a.origin);
-        if let Some(r) = self.routes.get_mut(idx) {
-            *r = Some(key);
-        }
+        self.routes[idx] = Some(key);
         // Flush everything integrated while this site was still
         // connecting — its stream must begin at op 1.
         while let Some(payload) = self.parked[idx].pop_front() {
@@ -914,16 +886,11 @@ impl<'a> Core<'a> {
             self.evict(worker, conn);
             return;
         };
-        if site != op.origin {
-            self.durable.quarantine(op.origin);
-            self.evict(worker, conn);
-            return;
-        }
         let seq = op.stamp.get(2);
         let captured = self.cfg.capture_integrations.then(|| op.clone());
         // Durability before visibility: an outcome only comes back once
         // its record is in the log, and a rejected op never gets there.
-        match self.durable.integrate_op(op) {
+        match self.durable.integrate_op(site, op) {
             Ok(outcome) => {
                 self.ops_integrated += 1;
                 if self.tracing() {
@@ -931,8 +898,8 @@ impl<'a> Core<'a> {
                     // proves the op was generated and sent; synthesize
                     // those lines so attached tailers get full
                     // lifecycles. Timestamps collapse to arrival time.
-                    self.synth_line(site, "generate", site.0, seq);
-                    self.synth_line(site, "send", site.0, seq);
+                    self.synth_line(site, EventKind::Generate, site.0, seq);
+                    self.synth_line(site, EventKind::Send, site.0, seq);
                 }
                 self.integration_log.extend(captured);
                 let frame = outcome.frame();
@@ -946,13 +913,9 @@ impl<'a> Core<'a> {
                     self.send_to_site(dest, Payload::from_vec(bytes));
                 }
             }
-            Err(_) => {
-                // The notifier already counted the violation; hostile
-                // sites are quarantined and their connection evicted,
-                // the sim's policy verbatim.
-                self.durable.quarantine(site);
-                self.evict(worker, conn);
-            }
+            // The violation is counted where it was detected; the sim's
+            // policy verbatim.
+            Err(_) => self.evict_site(site, worker, conn),
         }
     }
 
@@ -970,17 +933,14 @@ impl<'a> Core<'a> {
         self.cfg.trace_rings && self.admin.is_some()
     }
 
-    /// Append one synthesized client-side dump line (same 14-field
-    /// format as [`dump_event_line`]; unused fields zeroed).
-    fn synth_line(&mut self, site: SiteId, kind: &str, op_site: u32, op_seq: u64) {
+    /// Append one synthesized client-side dump line.
+    fn synth_line(&mut self, site: SiteId, kind: EventKind, op_site: u32, op_seq: u64) {
         let idx = site.client_index();
-        let seq = self.synth_seq[idx];
+        let mut ev = FlightEvent::new(kind).with_op(op_site, op_seq);
+        ev.seq = self.synth_seq[idx];
+        ev.recorded_at = self.now_us;
         self.synth_seq[idx] += 1;
-        let _ = writeln!(
-            self.synth,
-            "{} {seq} {} {kind} {op_site} {op_seq} 0 0 0 0 0 - - 0",
-            site.0, self.now_us
-        );
+        dump_event_line(&mut self.synth, site, &ev);
     }
 
     /// The publish hook: push fresh ring-dump lines and a registry delta
@@ -1014,7 +974,7 @@ impl<'a> Core<'a> {
                 while self.ack_published[idx] < acked {
                     self.ack_published[idx] += 1;
                     let pos = self.ack_published[idx];
-                    self.synth_line(SiteId(idx as u32 + 1), "execute", NO_SITE, pos);
+                    self.synth_line(SiteId(idx as u32 + 1), EventKind::Execute, NO_SITE, pos);
                 }
             }
             let recorder = self.durable.notifier().recorder();
@@ -1025,11 +985,11 @@ impl<'a> Core<'a> {
                 // gap the way a wrapped ring dump would, so downstream
                 // assembly marks affected traces truncated instead of
                 // silently reporting them incomplete.
-                let _ = writeln!(
-                    text,
-                    "0 0 {} ring-truncated {NO_SITE} 0 0 0 {lost} 0 0 ring-wrapped - 0",
-                    self.now_us
-                );
+                let mut gap = FlightEvent::new(EventKind::RingTruncated)
+                    .with_ab(lost, 0)
+                    .with_detail("ring-wrapped");
+                gap.recorded_at = self.now_us;
+                dump_event_line(&mut text, NOTIFIER, &gap);
             }
             for ev in &events {
                 dump_event_line(&mut text, NOTIFIER, ev);
@@ -1128,7 +1088,7 @@ fn core_loop(
     // log ever reach a checkpointable state and compact.
     notifier.set_auto_gc(true);
     if cfg.trace_rings && admin.is_some() {
-        notifier.set_flight_recorder_capacity(cfg.trace_ring_capacity.max(1024));
+        notifier.set_flight_recorder_capacity(TRACE_RING_CAPACITY);
         notifier.set_flight_recorder(true);
     }
     let has_admin = admin.is_some();

@@ -1,7 +1,8 @@
 //! End-to-end checks for the TCP tier: torn-read reassembly equivalence,
 //! a live server ↔ sim-twin differential, hostile-peer eviction (framing
-//! garbage, and a bound peer's protocol violation that must stay out of
-//! the log), reconnect rebinding, connection churn over recycled slab
+//! garbage, a bound peer's protocol violation that must stay out of the
+//! log, and a forged origin that must cost the sender, not the site it
+//! names), reconnect rebinding, connection churn over recycled slab
 //! slots, and a long session whose history buffer and log stay bounded.
 
 use cvc_core::site::SiteId;
@@ -396,6 +397,64 @@ fn hostile_op_from_a_bound_peer_never_reaches_the_log() {
         .restore(n, "")
         .expect("a rejected op must not be in the log");
     assert_eq!(recovered.doc_checksum(), report.doc_checksum);
+    // The eviction, unlike the op that caused it, is in the log.
+    assert!(
+        !recovered.is_active(sites[0]),
+        "offender back after restart"
+    );
+    assert!(recovered.is_active(sites[1]) && recovered.is_active(sites[2]));
+}
+
+/// The channel says who sent a frame; the envelope is only a claim. Site
+/// 1's connection forging `origin: site 2` gets site 1 evicted — logged,
+/// so recovery agrees — while site 2 stays a member whose next op reaches
+/// site 3. (Evicting the claimed origin let any peer remove any other.)
+/// Strangers' hellos, whatever they claim, cost only their connection.
+#[test]
+fn forged_origin_evicts_the_sender_not_the_named_site() {
+    let n = 3;
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: n,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let sites: Vec<SiteId> = (0..n).map(SiteId::from_client_index).collect();
+    let mut replicas: Vec<Client> = sites.iter().map(|&s| Client::new(s, "")).collect();
+    let mut peers: Vec<TestPeer> = sites.iter().map(|&s| TestPeer::bind(&addr, s)).collect();
+
+    // Unbound strangers claiming the notifier's id and a bound site's id.
+    TestPeer::bind(&addr, SiteId(0)).wait_closed();
+    TestPeer::bind(&addr, sites[1]).wait_closed();
+
+    // Site 1's connection sends what would be site 2's valid first op.
+    let mut forger = peers.remove(0);
+    let as_site2 = Client::new(sites[1], "").insert(0, "F");
+    forger.send(&EditorMsg::ClientOp(as_site2));
+    forger.wait_closed();
+
+    // The victim never noticed: its honest op integrates and reaches
+    // site 3 (and is not broadcast to the evicted site 1).
+    let honest = replicas[1].insert(0, "v");
+    peers[0].send(&EditorMsg::ClientOp(honest));
+    apply_server_ops(&mut peers[1], &mut replicas[2], 1);
+    assert_eq!(replicas[2].doc(), "v");
+
+    // The offender cannot rebind.
+    TestPeer::bind(&addr, sites[0]).wait_closed();
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 1);
+    assert_eq!(report.doc, "v");
+    assert_eq!(report.io_errors, 0, "no hello may take the core down");
+    assert_eq!(report.dropped_broadcasts, 0);
+
+    let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
+    let (recovered, _) = recovery.restore(n, "").expect("WAL restores");
+    assert_eq!(recovered.doc_checksum(), report.doc_checksum);
+    assert!(!recovered.is_active(sites[0]), "the sender is out");
+    assert!(recovered.is_active(sites[1]) && recovered.is_active(sites[2]));
 }
 
 /// ROADMAP 1(a): the TCP server's state is bounded by the in-flight

@@ -665,7 +665,6 @@ mod tests {
 
     /// End-to-end wraparound regression: overflow a real recorder ring and
     /// check the audit sees (and reports) the synthesised marker.
-    #[cfg(feature = "flight-recorder")]
     #[test]
     fn overflowed_recorder_ring_audits_as_truncated() {
         use crate::recorder::FlightRecorder;

@@ -112,8 +112,7 @@ impl Client {
         }
     }
 
-    /// Enable or disable the flight recorder (disabled by default; a
-    /// compile-time no-op unless the `flight-recorder` feature is on).
+    /// Enable or disable the flight recorder (disabled by default).
     pub fn set_flight_recorder(&mut self, on: bool) {
         self.recorder.set_enabled(on);
     }
@@ -453,18 +452,8 @@ impl Client {
             .collect()
     }
 
-    /// Integrate an operation propagated from the notifier.
-    ///
-    /// # Panics
-    /// Panics on protocol violations; use [`Client::try_on_server_op`]
-    /// to handle them.
-    pub fn on_server_op(&mut self, msg: ServerOpMsg) -> ClientIntegration {
-        self.try_on_server_op(msg)
-            .expect("server operation violated the protocol")
-    }
-
-    /// Fallible integration: detects broken FIFO assumptions before they
-    /// can corrupt the replica.
+    /// Integrate an operation propagated from the notifier, detecting
+    /// broken FIFO assumptions before they can corrupt the replica.
     ///
     /// The compressed stamps make the checks cheap: a server op must carry
     /// `T[1]` exactly one past the operations received so far (the
@@ -741,11 +730,13 @@ mod tests {
         let mut c = Client::new(SiteId(3), "ABCDE");
         // Fig. 3: O2' arrives at site 3 (empty HB) stamped [1,0].
         let op = SeqOp::from_pos(&PosOp::delete(2, "CDE"), 5);
-        let outcome = c.on_server_op(ServerOpMsg {
-            stamp: CompressedStamp::new(1, 0),
-            op: op.clone(),
-            cursor: None,
-        });
+        let outcome = c
+            .try_on_server_op(ServerOpMsg {
+                stamp: CompressedStamp::new(1, 0),
+                op: op.clone(),
+                cursor: None,
+            })
+            .expect("valid server op");
         assert_eq!(outcome.executed, op);
         assert!(outcome.checked.is_empty());
         assert_eq!(c.doc(), "AB");
@@ -762,11 +753,12 @@ mod tests {
         assert_eq!(m.stamp.as_pair(), (0, 1));
         assert_eq!(c.doc(), "A12BCDE");
         let o2 = SeqOp::from_pos(&PosOp::delete(2, "CDE"), 5);
-        c.on_server_op(ServerOpMsg {
+        c.try_on_server_op(ServerOpMsg {
             stamp: CompressedStamp::new(1, 0),
             op: o2,
             cursor: None,
-        });
+        })
+        .expect("valid server op");
         assert_eq!(c.doc(), "A12B", "intention-preserved result");
         assert_eq!(c.metrics().transforms, 1);
         assert_eq!(c.metrics().concurrent_verdicts, 1);
@@ -881,11 +873,12 @@ mod tests {
         c.insert(0, "y"); // local #2
                           // Server op acking local #1.
                           // Its frame: the 3 initial chars plus the acked local #1.
-        c.on_server_op(ServerOpMsg {
+        c.try_on_server_op(ServerOpMsg {
             stamp: CompressedStamp::new(1, 1),
             op: SeqOp::identity(4),
             cursor: None,
-        });
+        })
+        .expect("valid server op");
         assert_eq!(c.history().len(), 3);
         let collected = c.gc();
         // The server entry and local #1 die; local #2 survives.
@@ -893,11 +886,12 @@ mod tests {
         assert_eq!(c.history().len(), 1);
         assert_eq!(c.history()[0].stamp.as_pair(), (0, 2));
         // Integration still works after collection.
-        c.on_server_op(ServerOpMsg {
+        c.try_on_server_op(ServerOpMsg {
             stamp: CompressedStamp::new(2, 2),
             op: SeqOp::identity(5),
             cursor: None,
-        });
+        })
+        .expect("valid server op");
         assert_eq!(c.gc(), 2);
         assert_eq!(c.history().len(), 0);
     }
@@ -948,11 +942,12 @@ mod tests {
         c.insert(1, "XY"); // -> "aXYbc"
                            // A remote op lands after ours: server inserts "!" at the end.
                            // Its frame includes our acked op (T[2] = 1).
-        c.on_server_op(ServerOpMsg {
+        c.try_on_server_op(ServerOpMsg {
             stamp: CompressedStamp::new(1, 1),
             op: SeqOp::from_pos(&PosOp::insert(5, "!"), 5),
             cursor: None,
-        });
+        })
+        .expect("valid server op");
         assert_eq!(c.doc(), "aXYbc!");
         // Undo must remove exactly "XY", leaving the remote "!" alone.
         c.undo_last_local().expect("undo");
@@ -966,11 +961,12 @@ mod tests {
                           // A remote op deletes our Z (concurrent server op that, once
                           // transformed, removes it): simulate via a server op whose frame
                           // has seen our op (acked) and deletes position 2.
-        c.on_server_op(ServerOpMsg {
+        c.try_on_server_op(ServerOpMsg {
             stamp: CompressedStamp::new(1, 1),
             op: SeqOp::from_pos(&PosOp::delete(2, "Z"), 5),
             cursor: None,
-        });
+        })
+        .expect("valid server op");
         assert_eq!(c.doc(), "abcd");
         // Undoing the insert has no surviving effect.
         assert!(c.undo_last_local().is_none());
@@ -1015,10 +1011,12 @@ mod tests {
         let msg = bob.insert(11, "!!");
         assert_eq!(bob.caret(), 13);
         assert_eq!(msg.cursor, Some(13));
-        let out = notifier.on_client_op(msg);
-        let (_, smsg) = out.broadcasts.into_iter().next().unwrap();
+        let out = notifier
+            .try_on_client_op_outcome(msg)
+            .expect("valid client op");
+        let (_, smsg) = out.broadcast_msgs().into_iter().next().unwrap();
         assert_eq!(smsg.cursor, Some((2, 13)));
-        alice.on_server_op(smsg);
+        alice.try_on_server_op(smsg).expect("valid server op");
         // Alice now sees bob's caret.
         let carets: Vec<(u32, usize)> = alice.remote_carets().collect();
         assert_eq!(carets, vec![(2, 13)]);
@@ -1043,25 +1041,29 @@ mod tests {
         let from_bob = bob.insert(3, "Z"); // caret 4
         let from_alice = alice.insert(0, "XX"); // concurrent, caret 2
                                                 // Alice's op reaches the notifier first.
-        let out_a = notifier.on_client_op(from_alice);
-        let out_b = notifier.on_client_op(from_bob);
+        let out_a = notifier
+            .try_on_client_op_outcome(from_alice)
+            .expect("valid client op");
+        let out_b = notifier
+            .try_on_client_op_outcome(from_bob)
+            .expect("valid client op");
         // Bob's caret, transformed through alice's concurrent op at the
         // notifier: 4 + 2 = 6.
         let to_alice = out_b
-            .broadcasts
+            .broadcast_msgs()
             .iter()
             .find(|(d, _)| *d == SiteId(1))
             .unwrap()
             .1
             .clone();
         assert_eq!(to_alice.cursor, Some((2, 6)));
-        alice.on_server_op(to_alice);
+        alice.try_on_server_op(to_alice).expect("valid server op");
         assert_eq!(alice.remote_carets().collect::<Vec<_>>(), vec![(2, 6)]);
         // And bob learns alice's caret (transported unchanged; bob's own
         // pending op was acked inside the notifier's stamp? no — bob's op
         // was concurrent, so alice's caret transforms through it at bob).
-        let to_bob = out_a.broadcasts.into_iter().next().unwrap().1;
-        bob.on_server_op(to_bob);
+        let to_bob = out_a.broadcast_msgs().into_iter().next().unwrap().1;
+        bob.try_on_server_op(to_bob).expect("valid server op");
         assert_eq!(bob.doc(), "XXabcZ");
         assert_eq!(bob.remote_carets().collect::<Vec<_>>(), vec![(1, 2)]);
     }
@@ -1071,11 +1073,12 @@ mod tests {
         let mut c = Client::new(SiteId(1), "");
         assert!(c.take_pending_ack().is_none(), "nothing received yet");
         for k in 0..ACK_INTERVAL {
-            c.on_server_op(ServerOpMsg {
+            c.try_on_server_op(ServerOpMsg {
                 stamp: CompressedStamp::new(k + 1, 0),
                 op: SeqOp::from_pos(&PosOp::insert(0, "x"), k as usize),
                 cursor: None,
-            });
+            })
+            .expect("valid server op");
         }
         let ack = c.take_pending_ack().expect("interval reached");
         assert_eq!(ack.origin, SiteId(1));
@@ -1094,11 +1097,12 @@ mod tests {
     fn local_edits_piggyback_the_ack() {
         let mut c = Client::new(SiteId(1), "");
         for k in 0..ACK_INTERVAL {
-            c.on_server_op(ServerOpMsg {
+            c.try_on_server_op(ServerOpMsg {
                 stamp: CompressedStamp::new(k + 1, 0),
                 op: SeqOp::from_pos(&PosOp::insert(0, "x"), k as usize),
                 cursor: None,
-            });
+            })
+            .expect("valid server op");
         }
         // The edit's T[1] carries the acknowledgement; no bare ack owed.
         let m = c.insert(0, "y");
@@ -1117,11 +1121,12 @@ mod tests {
         assert!(c.history().is_empty());
         assert!(c.undo_last_local().is_none(), "undo chain abandoned");
         // The server stream continues seamlessly from the snapshot.
-        c.on_server_op(ServerOpMsg {
+        c.try_on_server_op(ServerOpMsg {
             stamp: CompressedStamp::new(11, 4),
             op: SeqOp::from_pos(&PosOp::insert(0, "!"), 9),
             cursor: None,
-        });
+        })
+        .expect("valid server op");
         assert_eq!(c.doc(), "!fresh doc");
         // New local operations resume from the notifier's integrated count.
         let m = c.insert(0, "a");

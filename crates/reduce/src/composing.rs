@@ -268,15 +268,19 @@ mod tests {
             op: SeqOp::from_pos(&PosOp::delete(2, "CDE"), 5),
             cursor: None,
         };
-        let out2 = notifier.on_client_op(from2);
+        let out2 = notifier
+            .try_on_client_op_outcome(from2)
+            .expect("valid client op");
 
         // Notifier then receives c1's first op (concurrent with site 2's).
-        let out1 = notifier.on_client_op(m1);
-        assert_eq!(out1.broadcasts.len(), 1); // to site 2
+        let out1 = notifier
+            .try_on_client_op_outcome(m1)
+            .expect("valid client op");
+        assert_eq!(out1.broadcast_msgs().len(), 1); // to site 2
 
         // c1 receives site 2's transformed op; this does NOT ack op 1
         // (T[2] = 0 at propagation time), so the buffer stays.
-        let (dest, smsg) = out2.broadcasts.into_iter().next().expect("to site 1");
+        let (dest, smsg) = out2.broadcast_msgs().into_iter().next().expect("to site 1");
         assert_eq!(dest, SiteId(1));
         let (_, next) = c1.on_server_op(smsg).expect("integrates");
         assert!(next.is_none());
@@ -286,9 +290,11 @@ mod tests {
         let next = c1
             .on_server_ack(ServerAckMsg { acked: 1 })
             .expect("buffer flushes");
-        let out3 = notifier.on_client_op(next);
+        let out3 = notifier
+            .try_on_client_op_outcome(next)
+            .expect("valid client op");
         assert_eq!(notifier.doc(), "A12B");
-        assert_eq!(out3.broadcasts.len(), 1);
+        assert_eq!(out3.broadcast_msgs().len(), 1);
     }
 
     #[test]
@@ -299,7 +305,9 @@ mod tests {
 
         let m1 = c1.insert(0, "a").expect("sent");
         assert!(c1.insert(1, "b").is_none()); // buffered
-        let _ = notifier.on_client_op(m1);
+        let _ = notifier
+            .try_on_client_op_outcome(m1)
+            .expect("valid client op");
 
         // Site 2 sends an op AFTER receiving c1's (so its broadcast back to
         // c1 carries T[2] = 1 — an implicit ack).
@@ -309,12 +317,16 @@ mod tests {
             op: SeqOp::from_pos(&PosOp::insert(3, "z"), 3),
             cursor: None,
         };
-        let out = notifier.on_client_op(from2);
-        let (_, smsg) = out.broadcasts.into_iter().next().expect("to c1");
+        let out = notifier
+            .try_on_client_op_outcome(from2)
+            .expect("valid client op");
+        let (_, smsg) = out.broadcast_msgs().into_iter().next().expect("to c1");
         let (_, next) = c1.on_server_op(smsg).expect("integrates");
         let next = next.expect("implicit ack flushes the buffer");
         assert_eq!(next.stamp.as_pair(), (1, 2));
-        let _ = notifier.on_client_op(next);
+        let _ = notifier
+            .try_on_client_op_outcome(next)
+            .expect("valid client op");
         assert_eq!(notifier.doc(), "abxyz");
         assert_eq!(c1.doc(), "abxyz");
     }
@@ -369,15 +381,19 @@ mod tests {
         let mut c1 = ComposingClient::new(SiteId(1), initial);
         let m1 = c1.insert(0, "a").expect("sent");
         assert!(c1.insert(1, "b").is_none());
-        let _ = notifier.on_client_op(m1);
+        let _ = notifier
+            .try_on_client_op_outcome(m1)
+            .expect("valid client op");
         let from2 = crate::msg::ClientOpMsg {
             origin: SiteId(2),
             stamp: cvc_core::state_vector::CompressedStamp::new(1, 1),
             op: SeqOp::from_pos(&PosOp::insert(3, "z"), 3),
             cursor: None,
         };
-        let out = notifier.on_client_op(from2);
-        let (_, smsg) = out.broadcasts.into_iter().next().expect("to c1");
+        let out = notifier
+            .try_on_client_op_outcome(from2)
+            .expect("valid client op");
+        let (_, smsg) = out.broadcast_msgs().into_iter().next().expect("to c1");
         // Implicit ack flushes the buffer as op 2.
         let (_, next) = c1.on_server_op(smsg).expect("integrates");
         let m2 = next.expect("implicit ack flushes");
@@ -387,7 +403,9 @@ mod tests {
         assert!(c1.on_server_ack(ServerAckMsg { acked: 1 }).is_none());
         assert!(c1.has_outstanding());
         // Session still completes normally.
-        let _ = notifier.on_client_op(m2);
+        let _ = notifier
+            .try_on_client_op_outcome(m2)
+            .expect("valid client op");
         assert_eq!(notifier.doc(), "abxyz");
         assert_eq!(c1.doc(), "abxyz");
     }

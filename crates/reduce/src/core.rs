@@ -2,16 +2,18 @@
 //!
 //! The paper's correctness argument rests on a single sequential site 0
 //! that executes, transforms and re-broadcasts. [`NotifierCore`] is that
-//! site made durable, as a pure function of its input stream: it owns the
+//! site made durable, as a pure fold over its input stream: it owns the
 //! [`Notifier`], the optional write-ahead log, the optional warm standby
-//! and the ack-frontier cursor, and exposes exactly one fallible entry
-//! point per inbound message kind. Each entry point runs the same four
+//! and the ack-frontier cursor, and exposes exactly one fallible door per
+//! input kind — an operation ([`NotifierCore::integrate_op`]), a bare
+//! acknowledgement ([`NotifierCore::integrate_ack`]) and an eviction
+//! ([`NotifierCore::integrate_eviction`]). Each door runs the same four
 //! steps in the same order —
 //!
-//! 1. **validate**: integrate into the live notifier through its fallible
-//!    path; a rejected input returns here, so it can never reach the log
-//!    (recovery replays the log through the same path and would trip over
-//!    it);
+//! 1. **validate**: check the sender against the envelope, then integrate
+//!    into the live notifier through its fallible path; a rejected input
+//!    returns here, so it can never reach the log (recovery replays the
+//!    log through the same path and would trip over it);
 //! 2. **log**: append the record to the WAL;
 //! 3. **mirror**: feed the same record to the warm standby;
 //! 4. **compact**: give the log its look at a checkpoint —
@@ -23,18 +25,20 @@
 //! No clock, socket, simulator context, thread or `eprintln!` appears
 //! here. The simulator node (`reliable.rs`) and the epoll core thread
 //! (`cvc-net`'s `server.rs`) are thin drivers: they own transport state
-//! (links, fencing, crash plans, routes, parked payloads), decide what to
-//! do with a rejection (log it, quarantine, evict), and reach the wrapped
-//! notifier read-only plus a handful of named non-integrating mutators.
-//! **Nothing outside this module calls [`Wal::append`] or one of the
-//! notifier's `try_on_client_*` integration entry points** on a notifier
-//! that has a log or a shadow (engines holding a bare, non-durable
-//! [`Notifier`] — plain sessions, the TCP twin, the verifier — still do).
+//! (links, fencing, crash plans, routes, parked payloads), say which
+//! channel an input arrived on, decide what a rejection costs the sender
+//! (an eviction is the third door, not a side effect), and reach the
+//! wrapped notifier read-only. **Nothing outside this module calls
+//! [`Wal::append`], one of the notifier's `try_on_client_*` entry points or
+//! [`Notifier::quarantine`]** on a notifier that has a log or a shadow
+//! (engines holding a bare, non-durable [`Notifier`] — plain sessions,
+//! the TCP twin, the verifier — still do).
 //!
 //! Underneath sits [`apply`]: the one function that replays a
 //! [`WalRecord`] into a notifier. The live path, [`Standby::observe`] and
 //! [`crate::wal::WalRecovery::restore`] all call it, so the step function
-//! a model checker would explore is the step function both servers run.
+//! a model checker would explore is the step function both servers run —
+//! and primary, standby and recovery agree on membership as well as text.
 
 use crate::error::ProtocolError;
 use crate::msg::{ClientAckMsg, ClientOpMsg};
@@ -71,9 +75,10 @@ pub fn apply(
             // so is one for a client that has since left. An entry naming
             // a client outside the session is the one impossible shape:
             // it falls through to the notifier, whose `UnknownSite`
-            // verdict fails the replay like any divergent record.
+            // verdict fails the replay like any divergent record (index
+            // `u32::MAX` has no site id; saturating keeps it outside).
             for &(idx, received) in &f.entries {
-                let origin = SiteId::from_client_index(idx as usize);
+                let origin = SiteId(idx.saturating_add(1));
                 let settled = notifier
                     .acked_by()
                     .get(idx as usize)
@@ -83,6 +88,7 @@ pub fn apply(
                 }
             }
         }
+        WalRecord::Evict(site) => notifier.quarantine(*site)?,
         WalRecord::Snapshot(s) => {
             // A checkpoint replaces the replica wholesale; the GC schedule
             // is a setting of the replica, not of the log, and carries over.
@@ -127,12 +133,17 @@ impl NotifierCore {
         }
     }
 
-    /// Integrate one client operation. `Ok` means the operation executed
-    /// *and* its record is durable and mirrored; the outcome carries the
-    /// per-destination broadcasts. `Err` means the notifier rejected it
-    /// and nothing was logged — what to do with the sender is the
-    /// driver's policy ([`NotifierCore::quarantine`]).
-    pub fn integrate_op(&mut self, msg: ClientOpMsg) -> Result<NotifierOutcome, ProtocolError> {
+    /// Integrate one client operation that arrived on `from`'s channel.
+    /// `Ok` means the operation executed *and* its record is durable and
+    /// mirrored; the outcome carries the per-destination broadcasts. `Err`
+    /// means it was rejected and nothing was logged — what that costs the
+    /// sender is the driver's policy ([`NotifierCore::integrate_eviction`]).
+    pub fn integrate_op(
+        &mut self,
+        from: SiteId,
+        msg: ClientOpMsg,
+    ) -> Result<NotifierOutcome, ProtocolError> {
+        ProtocolError::check_sender(from, msg.origin)?;
         let rec = WalRecord::Op(msg);
         let Some(outcome) = apply(&mut self.notifier, &rec)? else {
             unreachable!("an op record always yields its outcome");
@@ -142,7 +153,8 @@ impl NotifierCore {
         Ok(outcome)
     }
 
-    /// Integrate one bare client acknowledgement. Acks are part of the
+    /// Integrate one bare client acknowledgement that arrived on `from`'s
+    /// channel. Acks are part of the
     /// durable input stream — they drive GC and the `acked_by` cursors, so
     /// a standby that missed them would diverge — but per-ack records
     /// dominated the log byte-for-byte (E20 measured 22.6× write
@@ -155,7 +167,8 @@ impl NotifierCore {
     /// whole vector would be O(N) per window and overtake the per-ack
     /// baseline once N outgrows the window. Compaction still gets its
     /// look on every ack, so the checkpoint cadence is unchanged.
-    pub fn integrate_ack(&mut self, msg: ClientAckMsg) -> Result<(), ProtocolError> {
+    pub fn integrate_ack(&mut self, from: SiteId, msg: ClientAckMsg) -> Result<(), ProtocolError> {
+        ProtocolError::check_sender(from, msg.origin)?;
         apply(&mut self.notifier, &WalRecord::Ack(msg))?;
         if self.wal.is_none() {
             return Ok(());
@@ -174,6 +187,21 @@ impl NotifierCore {
                 self.log(&WalRecord::AckFrontier(AckFrontierRecord { entries }));
             }
         }
+        self.compact();
+        Ok(())
+    }
+
+    /// Evict `site` from the session — the third input kind. Drivers pass
+    /// the identity of the *channel* a violation arrived on, never the
+    /// origin a message claimed. Membership gates broadcasts, GC and
+    /// compaction, so an eviction is logged and mirrored like any other
+    /// input. `Err` means `site` was not an active member: nothing changed
+    /// and nothing was logged (a second violation on an evicted site's
+    /// channel is routine; drivers ignore it).
+    pub fn integrate_eviction(&mut self, site: SiteId) -> Result<(), ProtocolError> {
+        let rec = WalRecord::Evict(site);
+        apply(&mut self.notifier, &rec)?;
+        self.log(&rec);
         self.compact();
         Ok(())
     }
@@ -210,12 +238,6 @@ impl NotifierCore {
     /// The warm standby, until promotion consumes it.
     pub fn standby(&self) -> Option<&Standby> {
         self.standby.as_ref()
-    }
-
-    /// Evict `site` after a protocol violation
-    /// (see [`Notifier::quarantine`]).
-    pub fn quarantine(&mut self, site: SiteId) {
-        self.notifier.quarantine(site);
     }
 
     /// Advance the flight recorder's clock (see [`Notifier::set_now`]).
@@ -274,6 +296,11 @@ mod tests {
         }
     }
 
+    /// Deliver `msg` on its origin's own channel, as an honest driver does.
+    fn send(core: &mut NotifierCore, msg: ClientOpMsg) -> Result<NotifierOutcome, ProtocolError> {
+        core.integrate_op(msg.origin, msg)
+    }
+
     fn durable(n: usize, initial: &str) -> NotifierCore {
         NotifierCore::new(
             Notifier::new(n, initial),
@@ -285,21 +312,20 @@ mod tests {
     #[test]
     fn rejected_input_never_reaches_the_log() {
         let mut core = durable(2, "");
-        core.integrate_op(op(1, 0, 1, 0, "a", 0)).expect("valid op");
+        send(&mut core, op(1, 0, 1, 0, "a", 0)).expect("valid op");
         let appends = core.wal().expect("durable").appends();
         // FIFO gap, wrong base length, unknown site, overrunning ack.
-        assert!(core.integrate_op(op(1, 0, 3, 0, "x", 1)).is_err());
-        assert!(core.integrate_op(op(1, 0, 2, 9, "x", 9)).is_err());
-        assert!(core.integrate_op(op(7, 0, 1, 0, "x", 1)).is_err());
+        assert!(send(&mut core, op(1, 0, 3, 0, "x", 1)).is_err());
+        assert!(send(&mut core, op(1, 0, 2, 9, "x", 9)).is_err());
+        assert!(send(&mut core, op(7, 0, 1, 0, "x", 1)).is_err());
         let overrun = ClientAckMsg {
             origin: SiteId(2),
             received: 5,
         };
-        assert!(core.integrate_ack(overrun).is_err());
+        assert!(core.integrate_ack(overrun.origin, overrun).is_err());
         assert_eq!(core.wal().expect("durable").appends(), appends);
         // The same sender's next honest op still integrates and replays.
-        core.integrate_op(op(1, 0, 2, 1, "b", 1))
-            .expect("retransmission with the right base");
+        send(&mut core, op(1, 0, 2, 1, "b", 1)).expect("retransmission with the right base");
         let cold = Standby::from_log(core.wal().expect("durable").bytes(), 2, "").expect("scan");
         assert!(cold.poisoned().is_none());
         assert_eq!(cold.notifier().doc(), "ab");
@@ -309,17 +335,17 @@ mod tests {
     #[test]
     fn acks_coalesce_into_delta_frontiers() {
         let mut core = durable(3, "");
-        core.integrate_op(op(1, 0, 1, 0, "a", 0)).expect("op");
+        send(&mut core, op(1, 0, 1, 0, "a", 0)).expect("op");
         let after_op = core.wal().expect("durable").appends();
         let ack = ClientAckMsg {
             origin: SiteId(2),
             received: 1,
         };
         for _ in 1..ACK_FRONTIER_EVERY {
-            core.integrate_ack(ack).expect("ack");
+            core.integrate_ack(ack.origin, ack).expect("ack");
         }
         assert_eq!(core.wal().expect("durable").appends(), after_op);
-        core.integrate_ack(ack).expect("ack");
+        core.integrate_ack(ack.origin, ack).expect("ack");
         assert_eq!(core.wal().expect("durable").appends(), after_op + 1);
         let rec = Wal::recover(core.wal().expect("durable").bytes()).expect("scan");
         assert_eq!(
@@ -330,7 +356,7 @@ mod tests {
         );
         // Nothing moved since: the next window appends no frontier.
         for _ in 0..ACK_FRONTIER_EVERY {
-            core.integrate_ack(ack).expect("ack");
+            core.integrate_ack(ack.origin, ack).expect("ack");
         }
         assert_eq!(core.wal().expect("durable").appends(), after_op + 1);
     }
@@ -338,30 +364,88 @@ mod tests {
     #[test]
     fn frontier_entries_for_settled_or_departed_clients_are_no_ops() {
         let mut n = Notifier::new(2, "");
-        n.try_on_client_op(op(1, 0, 1, 0, "a", 0)).expect("op");
+        n.try_on_client_op_outcome(op(1, 0, 1, 0, "a", 0))
+            .expect("op");
         let frontier = |entries| WalRecord::AckFrontier(AckFrontierRecord { entries });
         apply(&mut n, &frontier(vec![(1, 1)])).expect("advance");
         assert_eq!(n.acked_by(), &[0, 1]);
         apply(&mut n, &frontier(vec![(1, 0)])).expect("stale entry");
-        n.quarantine(SiteId(2));
+        n.quarantine(SiteId(2)).expect("a member");
         apply(&mut n, &frontier(vec![(1, 9)])).expect("departed client");
         assert_eq!(n.acked_by(), &[0, 1]);
         // Outside the session, or past what was sent: typed errors.
-        let unknown = apply(&mut n, &frontier(vec![(5, 1)])).expect_err("unknown site");
-        assert!(matches!(unknown, ProtocolError::UnknownSite { .. }));
+        for outside in [5, u32::MAX] {
+            let unknown = apply(&mut n, &frontier(vec![(outside, 1)])).expect_err("unknown site");
+            assert!(matches!(unknown, ProtocolError::UnknownSite { .. }));
+        }
         let overrun = apply(&mut n, &frontier(vec![(0, 3)])).expect_err("overrun");
         assert!(matches!(overrun, ProtocolError::AckOverrun { .. }));
+    }
+
+    /// Eviction is an input like any other: after site 3 is evicted and
+    /// sites 1 and 2 exchange 12 fully acknowledged ops, the live notifier
+    /// has trimmed everything and can checkpoint — and so can every
+    /// replica rebuilt from the log. (Unlogged, recovery kept site 3
+    /// active: 12 entries pinned for good, never checkpoint-ready again.)
+    #[test]
+    fn eviction_is_replayed_so_recovery_agrees_on_membership() {
+        let mut core = durable(3, "");
+        assert!(
+            core.integrate_eviction(SiteId(7)).is_err(),
+            "never a member"
+        );
+        assert_eq!(core.wal().expect("durable").appends(), 0);
+        core.integrate_eviction(SiteId(3)).expect("a member");
+        assert!(core.integrate_eviction(SiteId(3)).is_err(), "already out");
+        assert_eq!(core.wal().expect("durable").appends(), 1, "logged once");
+        // Sites 1 and 2 alternate, each op stamped as having seen all of
+        // the other's so far.
+        for i in 0..12u64 {
+            let (site, seen) = (1 + (i % 2) as u32, i.div_ceil(2));
+            let len = i as usize;
+            send(&mut core, op(site, seen, i / 2 + 1, len, "x", len)).expect("op");
+        }
+        // Site 1 still owes an ack for site 2's last op; repeat it until
+        // the coalesced frontier record is cut.
+        let ack = ClientAckMsg {
+            origin: SiteId(1),
+            received: 6,
+        };
+        for _ in 0..ACK_FRONTIER_EVERY {
+            core.integrate_ack(ack.origin, ack).expect("ack");
+        }
+        let mut live = core.notifier().clone();
+        live.gc();
+        assert_eq!(live.history().len(), 0);
+        assert!(live.checkpoint_ready() && !live.is_active(SiteId(3)));
+
+        let bytes = core.wal().expect("durable").bytes();
+        let cold = Standby::from_log(bytes, 3, "").expect("scan");
+        let restored = Wal::recover(bytes).expect("scan").restore(3, "");
+        let warm = core.standby().expect("warm").notifier().clone();
+        for (name, replica) in [
+            ("cold standby", cold.promote().expect("unpoisoned")),
+            ("log restore", restored.expect("replays").0),
+            ("warm standby", warm),
+        ] {
+            let mut replica = replica;
+            replica.gc();
+            assert!(!replica.is_active(SiteId(3)), "{name}: site 3 active");
+            assert_eq!(replica.history().len(), 0, "{name}: history pinned");
+            assert!(replica.checkpoint_ready(), "{name}: cannot checkpoint");
+            assert_eq!(replica.doc(), live.doc(), "{name}");
+        }
     }
 
     #[test]
     fn promotion_swaps_in_the_shadow_and_keeps_logging() {
         let mut core = durable(2, "seed");
-        core.integrate_op(op(1, 0, 1, 4, "x", 4)).expect("op");
+        send(&mut core, op(1, 0, 1, 4, "x", 4)).expect("op");
         let before = core.notifier().doc_checksum();
         assert_eq!(core.promote(), Some(Ok((1, 0))));
         assert!(core.standby().is_none() && core.promote().is_none());
         assert_eq!(core.notifier().doc_checksum(), before);
-        core.integrate_op(op(2, 1, 1, 5, "y", 5)).expect("op");
+        send(&mut core, op(2, 1, 1, 5, "y", 5)).expect("op");
         let cold = Standby::from_log(core.wal().expect("durable").bytes(), 2, "seed").expect("ok");
         assert_eq!(cold.notifier().doc(), core.notifier().doc());
     }

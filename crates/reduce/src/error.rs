@@ -51,6 +51,15 @@ pub enum ProtocolError {
     },
     /// The operation could not be transformed/applied (corrupt payload).
     BadOperation(SeqError),
+    /// A message named an origin other than the site bound to the channel
+    /// it arrived on. The channel says who sent it; the envelope is a
+    /// claim, and acting on it would let one peer get another evicted.
+    ForgedOrigin {
+        /// The site bound to the channel.
+        sender: SiteId,
+        /// The origin the message claimed.
+        claimed: SiteId,
+    },
     /// A reconnect replay asked for operations that were already
     /// garbage-collected out of the notifier's history buffer. This cannot
     /// happen for a client that merely disconnected (its frozen `acked_by`
@@ -79,19 +88,19 @@ impl ProtocolError {
             ProtocolError::UnknownSite { .. } => "unknown-site",
             ProtocolError::DepartedSite { .. } => "departed-site",
             ProtocolError::BadOperation(_) => "bad-operation",
+            ProtocolError::ForgedOrigin { .. } => "forged-origin",
             ProtocolError::ReplayTrimmed { .. } => "replay-trimmed",
         }
     }
 
-    /// The site the violation is attributed to, when the variant names one.
-    pub fn offending_site(&self) -> Option<SiteId> {
-        match self {
-            ProtocolError::FifoViolation { site, .. }
-            | ProtocolError::AckOverrun { site, .. }
-            | ProtocolError::UnknownSite { site, .. }
-            | ProtocolError::DepartedSite { site }
-            | ProtocolError::ReplayTrimmed { site, .. } => Some(*site),
-            ProtocolError::BadOperation(_) => None,
+    /// The sender check every driver runs before a message reaches the
+    /// notifier: `claimed` (the envelope's origin) must be the site bound
+    /// to the channel the message arrived on.
+    pub fn check_sender(sender: SiteId, claimed: SiteId) -> Result<(), ProtocolError> {
+        if claimed == sender {
+            Ok(())
+        } else {
+            Err(ProtocolError::ForgedOrigin { sender, claimed })
         }
     }
 }
@@ -118,6 +127,9 @@ impl fmt::Display for ProtocolError {
                 write!(f, "{site} already left the session")
             }
             ProtocolError::BadOperation(e) => write!(f, "bad operation payload: {e}"),
+            ProtocolError::ForgedOrigin { sender, claimed } => {
+                write!(f, "{sender}'s channel carried a message claiming {claimed}")
+            }
             ProtocolError::ReplayTrimmed {
                 site,
                 needed_from,

@@ -237,12 +237,7 @@ impl Notifier {
     /// the reference mode's full snapshots cannot represent.
     pub fn from_checkpoint(doc: &str, cursors: &[CheckpointCursor]) -> Self {
         let n = cursors.len();
-        let mut sv = NotifierStateVector::new(n);
-        for (i, c) in cursors.iter().enumerate() {
-            for _ in 0..c.received {
-                sv.record_receive(SiteId(i as u32 + 1));
-            }
-        }
+        let sv = NotifierStateVector::from_counts(cursors.iter().map(|c| c.received).collect());
         let total = sv.total();
         Notifier {
             sv,
@@ -294,8 +289,7 @@ impl Notifier {
                 .all(|i| !self.active[i] || self.acked_by[i] == self.bridges[i].my_count())
     }
 
-    /// Turn the flight recorder on or off (off by default; recording also
-    /// requires the `flight-recorder` cargo feature).
+    /// Turn the flight recorder on or off (off by default).
     pub fn set_flight_recorder(&mut self, on: bool) {
         self.recorder.set_enabled(on);
     }
@@ -427,15 +421,32 @@ impl Notifier {
         self.active[site.client_index()] = false;
     }
 
-    /// Evict `site` after a protocol violation. Unlike
-    /// [`Notifier::remove_client`] this tolerates ids that were never
-    /// members (hostile frames can claim any origin) and is idempotent —
-    /// the session layer calls it on every [`ProtocolError`] so one
-    /// misbehaving client cannot take the notifier down with it.
-    pub fn quarantine(&mut self, site: SiteId) {
-        if !site.is_notifier() && site.client_index() < self.n_clients() {
-            self.active[site.client_index()] = false;
+    /// Evict `site` after a protocol violation: no further broadcasts go
+    /// to it and everything arriving from it is rejected. `Err` — with
+    /// nothing changed — when `site` is not an active member: a never-
+    /// member id, or a second violation from a site already out, which
+    /// callers that only need the site gone ignore. On a notifier with a
+    /// log or a shadow this is reached only through [`crate::core::apply`]
+    /// (see [`crate::core::NotifierCore::integrate_eviction`]), so that
+    /// recovery and the standby agree on membership.
+    pub fn quarantine(&mut self, site: SiteId) -> Result<(), ProtocolError> {
+        let xi = self.active_index(site)?;
+        self.active[xi] = false;
+        Ok(())
+    }
+
+    /// `site`'s client index, provided it is an active member.
+    fn active_index(&self, site: SiteId) -> Result<usize, ProtocolError> {
+        if site.is_notifier() || site.client_index() >= self.n_clients() {
+            return Err(ProtocolError::UnknownSite {
+                site,
+                n_clients: self.n_clients(),
+            });
         }
+        if !self.active[site.client_index()] {
+            return Err(ProtocolError::DepartedSite { site });
+        }
+        Ok(site.client_index())
     }
 
     /// Whether `site` is currently a member.
@@ -618,14 +629,9 @@ impl Notifier {
     /// entry (and drop its bridge's acknowledged pending prefix) exactly as
     /// an operation stamp would, without executing anything. This is what
     /// lets a *quiet* client keep the notifier's history buffer
-    /// collectable; see [`crate::client::Client::take_pending_ack`].
-    pub fn on_client_ack(&mut self, msg: ClientAckMsg) {
-        self.try_on_client_ack(msg)
-            .expect("client ack violated the protocol");
-    }
-
-    /// Fallible twin of [`Notifier::on_client_ack`]. On error the
-    /// violation is counted and recorded; the notifier state is untouched.
+    /// collectable; see [`crate::client::Client::take_pending_ack`]. On
+    /// error the violation is counted and recorded; the notifier state is
+    /// untouched.
     pub fn try_on_client_ack(&mut self, msg: ClientAckMsg) -> Result<(), ProtocolError> {
         let (origin, received) = (msg.origin, msg.received);
         let res = self.integrate_client_ack(msg);
@@ -645,16 +651,7 @@ impl Notifier {
 
     fn integrate_client_ack(&mut self, msg: ClientAckMsg) -> Result<(), ProtocolError> {
         let x = msg.origin;
-        if x.is_notifier() || x.client_index() >= self.n_clients() {
-            return Err(ProtocolError::UnknownSite {
-                site: x,
-                n_clients: self.n_clients(),
-            });
-        }
-        let xi = x.client_index();
-        if !self.active[xi] {
-            return Err(ProtocolError::DepartedSite { site: x });
-        }
+        let xi = self.active_index(x)?;
         let sent_to_x = self.bridges[xi].my_count();
         if msg.received > sent_to_x {
             return Err(ProtocolError::AckOverrun {
@@ -700,7 +697,7 @@ impl Notifier {
     /// integration and this explicit call is a (still correct) no-op.
     ///
     /// Note: collection renumbers [`Notifier::history`] indices; callers
-    /// correlating [`NotifierIntegration`] verdicts with entries must not
+    /// correlating [`NotifierOutcome`] verdicts with entries must not
     /// collect between integration and inspection.
     pub fn gc(&mut self) -> usize {
         self.trim_dead_prefix()
@@ -752,32 +749,18 @@ impl Notifier {
         dead
     }
 
-    /// Integrate an arriving client operation; the result carries the
-    /// broadcast messages, one per destination client (everyone except the
-    /// origin).
-    pub fn on_client_op(&mut self, msg: ClientOpMsg) -> NotifierIntegration {
-        self.try_on_client_op(msg)
-            .expect("client operation violated the protocol")
-    }
-
-    /// Fallible integration: validates the origin, the per-channel FIFO
-    /// counter (`T[2]` must be exactly one past the operations received
-    /// from that client), and the acknowledgement bound (`T[1]` cannot
-    /// exceed the operations sent to that client). On error the violation
-    /// is counted and recorded; the notifier state is untouched.
-    pub fn try_on_client_op(
-        &mut self,
-        msg: ClientOpMsg,
-    ) -> Result<NotifierIntegration, ProtocolError> {
-        self.try_on_client_op_outcome(msg)
-            .map(NotifierOutcome::into_integration)
-    }
-
-    /// As [`Notifier::try_on_client_op`], but returning the broadcast in
-    /// unserialized shared form (`Arc`'d op + per-destination stamps) so
-    /// the reliability layer can encode the destination-independent body
-    /// exactly once ([`NotifierOutcome::frame`]) instead of materializing
-    /// and encoding `N−1` independent [`ServerOpMsg`]s.
+    /// Integrate an arriving client operation: validates the origin, the
+    /// per-channel FIFO counter (`T[2]` must be exactly one past the
+    /// operations received from that client), and the acknowledgement
+    /// bound (`T[1]` cannot exceed the operations sent to that client). On
+    /// error the violation is counted and recorded; the notifier state is
+    /// untouched.
+    ///
+    /// The outcome carries the broadcast in unserialized shared form
+    /// (`Arc`'d op + per-destination stamps): the reliability layer
+    /// encodes the destination-independent body exactly once
+    /// ([`NotifierOutcome::frame`]); plain sessions materialize one
+    /// [`ServerOpMsg`] per destination ([`NotifierOutcome::broadcast_msgs`]).
     pub fn try_on_client_op_outcome(
         &mut self,
         msg: ClientOpMsg,
@@ -808,16 +791,7 @@ impl Notifier {
 
     fn integrate_client_op(&mut self, msg: ClientOpMsg) -> Result<NotifierOutcome, ProtocolError> {
         let x = msg.origin;
-        if x.is_notifier() || x.client_index() >= self.n_clients() {
-            return Err(ProtocolError::UnknownSite {
-                site: x,
-                n_clients: self.n_clients(),
-            });
-        }
-        let xi = x.client_index();
-        if !self.active[xi] {
-            return Err(ProtocolError::DepartedSite { site: x });
-        }
+        let xi = self.active_index(x)?;
         let expected = self.sv.received_from(x).expect("origin validated above") + 1;
         if msg.stamp.get(2) != expected {
             return Err(ProtocolError::FifoViolation {
@@ -1071,9 +1045,13 @@ impl Notifier {
 
 /// Outcome of integrating one client operation, in shared (unserialized)
 /// form: one refcounted executed op plus the per-destination compressed
-/// stamps. [`NotifierOutcome::into_integration`] materializes the classic
-/// per-destination [`ServerOpMsg`] list; [`NotifierOutcome::frame`]
-/// serializes the destination-independent body exactly once.
+/// stamps.
+///
+/// Formula-(7) verdicts are stored in suffix form: entries before
+/// [`NotifierOutcome::first_checked`] sit below the origin's watermark and
+/// are non-concurrent by construction, so only the tail is materialised.
+/// Indices refer to [`Notifier::history`] *before* the new operation was
+/// appended (and before any folded-in GC of this call).
 #[derive(Debug, Clone)]
 pub struct NotifierOutcome {
     /// The executed (transformed) form `O'`, shared with every
@@ -1082,7 +1060,8 @@ pub struct NotifierOutcome {
     /// Telepointer (authoring site, caret), identical for every
     /// destination.
     pub cursor: Option<(u32, u64)>,
-    /// Index of the first history entry `checked` covers.
+    /// Index of the first history entry `checked` covers; every earlier
+    /// entry's verdict is `false`.
     pub first_checked: usize,
     /// Formula (7) verdicts for entries `first_checked..`.
     pub checked: Vec<bool>,
@@ -1117,49 +1096,6 @@ impl NotifierOutcome {
             .collect()
     }
 
-    /// All formula-(7) verdicts, materialized full-length.
-    pub fn full_verdicts(&self) -> Vec<bool> {
-        let mut v = vec![false; self.first_checked];
-        v.extend_from_slice(&self.checked);
-        v
-    }
-
-    /// Convert into the classic materialized [`NotifierIntegration`].
-    pub fn into_integration(self) -> NotifierIntegration {
-        let broadcasts = self.broadcast_msgs();
-        NotifierIntegration {
-            executed: (*self.executed).clone(),
-            first_checked: self.first_checked,
-            checked: self.checked,
-            broadcasts,
-            ack: self.ack,
-        }
-    }
-}
-
-/// Outcome of integrating one client operation at the notifier.
-///
-/// Formula-(7) verdicts are stored in suffix form: entries before
-/// [`NotifierIntegration::first_checked`] sit below the origin's watermark
-/// and are non-concurrent by construction, so only the tail is
-/// materialised. Indices refer to [`Notifier::history`] *before* the new
-/// operation was appended (and before any folded-in GC of this call).
-#[derive(Debug, Clone)]
-pub struct NotifierIntegration {
-    /// The executed (transformed) form `O'`.
-    pub executed: SeqOp,
-    /// Index of the first history entry `checked` covers; every earlier
-    /// entry's verdict is `false`.
-    pub first_checked: usize,
-    /// Formula (7) verdicts for entries `first_checked..`.
-    pub checked: Vec<bool>,
-    /// Per-destination re-broadcast messages.
-    pub broadcasts: Vec<(SiteId, ServerOpMsg)>,
-    /// Acknowledgement to the origin (only when acks are enabled).
-    pub ack: Option<(SiteId, ServerAckMsg)>,
-}
-
-impl NotifierIntegration {
     /// Number of history entries the check covered (the buffer length at
     /// arrival).
     pub fn hb_len(&self) -> usize {
@@ -1171,8 +1107,8 @@ impl NotifierIntegration {
         k >= self.first_checked && self.checked[k - self.first_checked]
     }
 
-    /// All verdicts, materialised full-length (the pre-suffix form of this
-    /// API): `full_verdicts()[k]` is formula (7) for history entry `k`.
+    /// All verdicts, materialised full-length: `full_verdicts()[k]` is
+    /// formula (7) for history entry `k`.
     pub fn full_verdicts(&self) -> Vec<bool> {
         let mut v = vec![false; self.first_checked];
         v.extend_from_slice(&self.checked);
@@ -1205,7 +1141,10 @@ mod tests {
         let mut n = Notifier::new(3, "ABCDE");
         // Fig. 3: O2 = Delete[3,2] from site 2, stamped [0,1].
         let o2 = SeqOp::from_pos(&PosOp::delete(2, "CDE"), 5);
-        let out = n.on_client_op(client_msg(2, (0, 1), o2)).broadcasts;
+        let out = n
+            .try_on_client_op_outcome(client_msg(2, (0, 1), o2))
+            .expect("valid client op")
+            .broadcast_msgs();
         assert_eq!(n.doc(), "AB");
         assert_eq!(n.state_vector().to_string(), "[0,1,0]");
         // Propagated to sites 1 and 3 with stamp [1,0] each.
@@ -1222,11 +1161,15 @@ mod tests {
     fn concurrent_op_is_transformed_at_the_notifier() {
         let mut n = Notifier::new(3, "ABCDE");
         let o2 = SeqOp::from_pos(&PosOp::delete(2, "CDE"), 5);
-        n.on_client_op(client_msg(2, (0, 1), o2));
+        n.try_on_client_op_outcome(client_msg(2, (0, 1), o2))
+            .expect("valid client op");
         // Fig. 3: O1 = Insert["12",1] from site 1 stamped [0,1] — concurrent
         // with O2'.
         let o1 = SeqOp::from_pos(&PosOp::insert(1, "12"), 5);
-        let out = n.on_client_op(client_msg(1, (0, 1), o1)).broadcasts;
+        let out = n
+            .try_on_client_op_outcome(client_msg(1, (0, 1), o1))
+            .expect("valid client op")
+            .broadcast_msgs();
         assert_eq!(n.doc(), "A12B");
         assert_eq!(n.metrics().transforms, 1);
         assert_eq!(n.metrics().concurrent_verdicts, 1);
@@ -1240,12 +1183,18 @@ mod tests {
     fn causally_dependent_op_is_not_transformed() {
         let mut n = Notifier::new(2, "ab");
         let first = SeqOp::from_pos(&PosOp::insert(2, "c"), 2);
-        let out = n.on_client_op(client_msg(1, (0, 1), first)).broadcasts;
+        let out = n
+            .try_on_client_op_outcome(client_msg(1, (0, 1), first))
+            .expect("valid client op")
+            .broadcast_msgs();
         assert_eq!(out.len(), 1);
         // Site 2 receives it ([1,0]) and replies with a dependent op
         // stamped [1,1].
         let dependent = SeqOp::from_pos(&PosOp::insert(3, "d"), 3);
-        let out = n.on_client_op(client_msg(2, (1, 1), dependent)).broadcasts;
+        let out = n
+            .try_on_client_op_outcome(client_msg(2, (1, 1), dependent))
+            .expect("valid client op")
+            .broadcast_msgs();
         assert_eq!(n.doc(), "abcd");
         assert_eq!(n.metrics().transforms, 0);
         assert_eq!(out[0].0, SiteId(1));
@@ -1257,17 +1206,20 @@ mod tests {
         let mut n = Notifier::new(3, "abc");
         // Op from site 1; broadcast to 2 and 3 (their stream position 1).
         let op = SeqOp::from_pos(&PosOp::insert(3, "d"), 3);
-        n.on_client_op(client_msg(1, (0, 1), op));
+        n.try_on_client_op_outcome(client_msg(1, (0, 1), op))
+            .expect("valid client op");
         assert_eq!(n.history().len(), 1);
         // Nothing acked yet: entry must stay.
         assert_eq!(n.gc(), 0);
         // Site 2 acks receiving 1 broadcast by sending its own op.
         let op2 = SeqOp::from_pos(&PosOp::insert(4, "e"), 4);
-        n.on_client_op(client_msg(2, (1, 1), op2));
+        n.try_on_client_op_outcome(client_msg(2, (1, 1), op2))
+            .expect("valid client op");
         assert_eq!(n.gc(), 0, "site 3 still has not acked");
         // Site 3 acks both broadcasts.
         let op3 = SeqOp::from_pos(&PosOp::insert(5, "f"), 5);
-        n.on_client_op(client_msg(3, (2, 1), op3));
+        n.try_on_client_op_outcome(client_msg(3, (2, 1), op3))
+            .expect("valid client op");
         // Entry 1 (origin site 1): site 2 acked ≥1, site 3 acked ≥2 → dead.
         // Entry 2 (origin site 2): site 1 acked 0 < 1 → alive.
         // Entry 3 (origin site 3): site 1 acked 0 < its position → alive.
@@ -1276,8 +1228,10 @@ mod tests {
         assert_eq!(n.history_trimmed(), 1);
         // And the session continues to work after collection.
         let op1b = SeqOp::from_pos(&PosOp::insert(0, "g"), 6);
-        let out = n.on_client_op(client_msg(1, (2, 2), op1b));
-        assert_eq!(out.broadcasts.len(), 2);
+        let out = n
+            .try_on_client_op_outcome(client_msg(1, (2, 2), op1b))
+            .expect("valid client op");
+        assert_eq!(out.broadcast_msgs().len(), 2);
         assert_eq!(n.doc(), "gabcdef");
     }
 
@@ -1288,33 +1242,38 @@ mod tests {
     fn auto_gc_trims_inside_integration() {
         let mut n = Notifier::new(3, "abc");
         n.set_auto_gc(true);
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 1),
             SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
-        ));
-        n.on_client_op(client_msg(
+        ))
+        .expect("valid client op");
+        n.try_on_client_op_outcome(client_msg(
             2,
             (1, 1),
             SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
-        ));
+        ))
+        .expect("valid client op");
         assert_eq!(n.history().len(), 2, "nothing collectable yet");
         // Site 3's ack of both broadcasts kills entry 1 during integration.
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             3,
             (2, 1),
             SeqOp::from_pos(&PosOp::insert(5, "f"), 5),
-        ));
+        ))
+        .expect("valid client op");
         assert_eq!(n.history().len(), 2);
         assert_eq!(n.history_trimmed(), 1);
         assert_eq!(n.gc(), 0, "explicit gc() is a no-op under auto mode");
         // The session continues to work, exactly as with explicit gc().
-        let out = n.on_client_op(client_msg(
-            1,
-            (2, 2),
-            SeqOp::from_pos(&PosOp::insert(0, "g"), 6),
-        ));
-        assert_eq!(out.broadcasts.len(), 2);
+        let out = n
+            .try_on_client_op_outcome(client_msg(
+                1,
+                (2, 2),
+                SeqOp::from_pos(&PosOp::insert(0, "g"), 6),
+            ))
+            .expect("valid client op");
+        assert_eq!(out.broadcast_msgs().len(), 2);
         assert_eq!(n.doc(), "gabcdef");
     }
 
@@ -1332,12 +1291,22 @@ mod tests {
         let mut slow = Notifier::new(3, "ABCDE");
         slow.set_scan_mode(ScanMode::FullScanReference);
         for msg in script {
-            let a = fast.on_client_op(msg.clone());
-            let b = slow.on_client_op(msg);
+            let a = fast
+                .try_on_client_op_outcome(msg.clone())
+                .expect("valid client op");
+            let b = slow.try_on_client_op_outcome(msg).expect("valid client op");
             assert_eq!(a.full_verdicts(), b.full_verdicts());
             assert_eq!(a.concurrent_count(), b.concurrent_count());
-            let sa: Vec<_> = a.broadcasts.iter().map(|(d, m)| (d.0, m.stamp)).collect();
-            let sb: Vec<_> = b.broadcasts.iter().map(|(d, m)| (d.0, m.stamp)).collect();
+            let sa: Vec<_> = a
+                .broadcast_msgs()
+                .iter()
+                .map(|(d, m)| (d.0, m.stamp))
+                .collect();
+            let sb: Vec<_> = b
+                .broadcast_msgs()
+                .iter()
+                .map(|(d, m)| (d.0, m.stamp))
+                .collect();
             assert_eq!(sa, sb);
         }
         assert_eq!(fast.doc(), slow.doc());
@@ -1361,11 +1330,13 @@ mod tests {
             // Site 1 sends an op having seen every broadcast so far: the
             // un-acked window is empty at each arrival.
             let op = SeqOp::from_pos(&PosOp::insert(doc_len, "a"), doc_len);
-            n.on_client_op(client_msg(1, (seen, k + 1), op));
+            n.try_on_client_op_outcome(client_msg(1, (seen, k + 1), op))
+                .expect("valid client op");
             doc_len += 1;
             // Site 2 interleaves an op acking everything it was sent.
             let op = SeqOp::from_pos(&PosOp::insert(0, "b"), doc_len);
-            n.on_client_op(client_msg(2, (k + 1, k + 1), op));
+            n.try_on_client_op_outcome(client_msg(2, (k + 1, k + 1), op))
+                .expect("valid client op");
             doc_len += 1;
             seen = n.acked_by()[0].max(seen) + 1; // site 1 will have seen site 2's op
         }
@@ -1387,16 +1358,18 @@ mod tests {
     fn late_join_gets_snapshot_and_fresh_counters() {
         let mut n = Notifier::new(2, "ab");
         // Two ops happen before the join.
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 1),
             SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
-        ));
-        n.on_client_op(client_msg(
+        ))
+        .expect("valid client op");
+        n.try_on_client_op_outcome(client_msg(
             2,
             (1, 1),
             SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
-        ));
+        ))
+        .expect("valid client op");
         let (site, snapshot) = n.add_client();
         assert_eq!(site, SiteId(3));
         assert_eq!(snapshot, "abcd");
@@ -1405,11 +1378,13 @@ mod tests {
 
         // The newcomer's first op is stamped [0,1] — counters start at the
         // join point.
-        let out = n.on_client_op(client_msg(
-            3,
-            (0, 1),
-            SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
-        ));
+        let out = n
+            .try_on_client_op_outcome(client_msg(
+                3,
+                (0, 1),
+                SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
+            ))
+            .expect("valid client op");
         // Snapshot-era entries are NOT concurrent with it.
         assert_eq!(out.full_verdicts(), vec![false, false]);
         assert_eq!(n.doc(), "abcde");
@@ -1420,7 +1395,7 @@ mod tests {
         assert_eq!(n.hb_snapshot(2).entries(), &[1, 1, 1]);
         // Broadcasts to the founders use un-shifted stamps...
         let stamps: Vec<(u32, (u64, u64))> = out
-            .broadcasts
+            .broadcast_msgs()
             .iter()
             .map(|(d, m)| (d.0, m.stamp.as_pair()))
             .collect();
@@ -1429,17 +1404,19 @@ mod tests {
         // an op from site 1 (which has seen 1 broadcast + generated 1 op).
         // Site 1's replica at this point: "ab" + its "c" + broadcast "d"
         // (it has NOT yet seen the newcomer's "e").
-        let out = n.on_client_op(client_msg(
-            1,
-            (1, 2),
-            SeqOp::from_pos(&PosOp::insert(4, "f"), 4),
-        ));
+        let out = n
+            .try_on_client_op_outcome(client_msg(
+                1,
+                (1, 2),
+                SeqOp::from_pos(&PosOp::insert(4, "f"), 4),
+            ))
+            .expect("valid client op");
         let to_newcomer = out
-            .broadcasts
+            .stamps
             .iter()
             .find(|(d, _)| *d == SiteId(3))
             .expect("newcomer gets broadcasts");
-        assert_eq!(to_newcomer.1.stamp.as_pair(), (1, 1));
+        assert_eq!(to_newcomer.1.as_pair(), (1, 1));
     }
 
     #[test]
@@ -1448,16 +1425,19 @@ mod tests {
         let (site3, snapshot) = n.add_client();
         assert_eq!(snapshot, "ab");
         // Site 1 and the newcomer generate concurrently.
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 1),
             SeqOp::from_pos(&PosOp::insert(0, "x"), 2),
-        ));
-        let out = n.on_client_op(client_msg(
-            site3.0,
-            (0, 1),
-            SeqOp::from_pos(&PosOp::insert(2, "y"), 2),
-        ));
+        ))
+        .expect("valid client op");
+        let out = n
+            .try_on_client_op_outcome(client_msg(
+                site3.0,
+                (0, 1),
+                SeqOp::from_pos(&PosOp::insert(2, "y"), 2),
+            ))
+            .expect("valid client op");
         assert_eq!(
             out.full_verdicts(),
             vec![true],
@@ -1474,19 +1454,21 @@ mod tests {
         assert_eq!(n.active_clients(), 2);
         // Ops from the departed site bounce.
         let err = n
-            .try_on_client_op(client_msg(2, (0, 1), SeqOp::identity(2)))
+            .try_on_client_op_outcome(client_msg(2, (0, 1), SeqOp::identity(2)))
             .unwrap_err();
         assert!(matches!(
             err,
             crate::error::ProtocolError::DepartedSite { .. }
         ));
         // Broadcasts skip it.
-        let out = n.on_client_op(client_msg(
-            1,
-            (0, 1),
-            SeqOp::from_pos(&PosOp::insert(0, "x"), 2),
-        ));
-        let dests: Vec<u32> = out.broadcasts.iter().map(|(d, _)| d.0).collect();
+        let out = n
+            .try_on_client_op_outcome(client_msg(
+                1,
+                (0, 1),
+                SeqOp::from_pos(&PosOp::insert(0, "x"), 2),
+            ))
+            .expect("valid client op");
+        let dests: Vec<u32> = out.broadcast_msgs().iter().map(|(d, _)| d.0).collect();
         assert_eq!(dests, vec![3]);
     }
 
@@ -1494,13 +1476,15 @@ mod tests {
     fn gc_ignores_departed_clients() {
         let mut n = Notifier::new(3, "ab");
         let op = SeqOp::from_pos(&PosOp::insert(2, "c"), 2);
-        n.on_client_op(client_msg(1, (0, 1), op));
+        n.try_on_client_op_outcome(client_msg(1, (0, 1), op))
+            .expect("valid client op");
         // Site 3 never acks — but it leaves, so the entry only waits for
         // site 2.
         n.remove_client(SiteId(3));
         assert_eq!(n.gc(), 0, "site 2 has not acked yet");
         let op2 = SeqOp::from_pos(&PosOp::insert(3, "d"), 3);
-        n.on_client_op(client_msg(2, (1, 1), op2));
+        n.try_on_client_op_outcome(client_msg(2, (1, 1), op2))
+            .expect("valid client op");
         assert_eq!(n.gc(), 1, "entry 1 is acked by every remaining client");
     }
 
@@ -1510,37 +1494,45 @@ mod tests {
     fn replay_reconstructs_unreceived_broadcast_suffix() {
         let mut n = Notifier::new(3, "ab");
         let mut to_site1: Vec<ServerOpMsg> = Vec::new();
-        let push_to_1 = |out: NotifierIntegration, to_site1: &mut Vec<ServerOpMsg>| {
-            for (d, m) in out.broadcasts {
+        let push_to_1 = |out: NotifierOutcome, to_site1: &mut Vec<ServerOpMsg>| {
+            for (d, m) in out.broadcast_msgs() {
                 if d == SiteId(1) {
                     to_site1.push(m);
                 }
             }
         };
-        let o = n.on_client_op(client_msg(
-            2,
-            (0, 1),
-            SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
-        ));
+        let o = n
+            .try_on_client_op_outcome(client_msg(
+                2,
+                (0, 1),
+                SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
+            ))
+            .expect("valid client op");
         push_to_1(o, &mut to_site1);
         // Site 1 itself interleaves (its entry is never replayed to it).
-        let o = n.on_client_op(client_msg(
-            1,
-            (1, 1),
-            SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
-        ));
+        let o = n
+            .try_on_client_op_outcome(client_msg(
+                1,
+                (1, 1),
+                SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
+            ))
+            .expect("valid client op");
         push_to_1(o, &mut to_site1);
-        let o = n.on_client_op(client_msg(
-            3,
-            (0, 1),
-            SeqOp::from_pos(&PosOp::insert(0, "x"), 2),
-        ));
+        let o = n
+            .try_on_client_op_outcome(client_msg(
+                3,
+                (0, 1),
+                SeqOp::from_pos(&PosOp::insert(0, "x"), 2),
+            ))
+            .expect("valid client op");
         push_to_1(o, &mut to_site1);
-        let o = n.on_client_op(client_msg(
-            2,
-            (2, 2),
-            SeqOp::from_pos(&PosOp::insert(5, "e"), 5),
-        ));
+        let o = n
+            .try_on_client_op_outcome(client_msg(
+                2,
+                (2, 2),
+                SeqOp::from_pos(&PosOp::insert(5, "e"), 5),
+            ))
+            .expect("valid client op");
         push_to_1(o, &mut to_site1);
         assert_eq!(to_site1.len(), 3, "three non-site-1 ops were broadcast");
 
@@ -1563,19 +1555,21 @@ mod tests {
     #[test]
     fn replay_respects_join_offsets_and_gc() {
         let mut n = Notifier::new(2, "ab");
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 1),
             SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
-        ));
+        ))
+        .expect("valid client op");
         let (site3, snap) = n.add_client();
         assert_eq!(snap, "abc");
         // Post-join op from site 2 → broadcast position 1 to the newcomer.
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             2,
             (1, 1),
             SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
-        ));
+        ))
+        .expect("valid client op");
         let replay = n.replay_for(site3, 0).expect("suffix intact");
         assert_eq!(replay.len(), 1, "pre-join entries are not in the stream");
         assert_eq!(replay[0].stamp.as_pair(), (1, 0));
@@ -1598,32 +1592,37 @@ mod tests {
         let mut n = Notifier::new(2, "ab");
         n.set_auto_gc(true);
         // Site 1 types twice; site 2 stays quiet.
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 1),
             SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
-        ));
-        n.on_client_op(client_msg(
+        ))
+        .expect("valid client op");
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 2),
             SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
-        ));
+        ))
+        .expect("valid client op");
         assert_eq!(n.history().len(), 2, "quiet site 2 blocks collection");
         // Site 2 acks both broadcasts without generating anything.
-        n.on_client_ack(ClientAckMsg {
+        n.try_on_client_ack(ClientAckMsg {
             origin: SiteId(2),
             received: 2,
-        });
+        })
+        .expect("valid client ack");
         assert_eq!(n.acked_by()[1], 2);
         assert_eq!(n.history().len(), 0, "ack alone unblocked the trim");
         assert_eq!(n.history_trimmed(), 2);
         // The session continues normally afterwards.
-        let out = n.on_client_op(client_msg(
-            2,
-            (2, 1),
-            SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
-        ));
-        assert_eq!(out.broadcasts.len(), 1);
+        let out = n
+            .try_on_client_op_outcome(client_msg(
+                2,
+                (2, 1),
+                SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
+            ))
+            .expect("valid client op");
+        assert_eq!(out.broadcast_msgs().len(), 1);
         assert_eq!(n.doc(), "abcde");
     }
 
@@ -1665,16 +1664,18 @@ mod tests {
     fn replay_into_trimmed_prefix_is_a_typed_error() {
         let mut n = Notifier::new(2, "ab");
         n.set_auto_gc(true);
-        n.on_client_op(client_msg(
+        n.try_on_client_op_outcome(client_msg(
             1,
             (0, 1),
             SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
-        ));
+        ))
+        .expect("valid client op");
         // Site 2 acks the broadcast; the entry is trimmed.
-        n.on_client_ack(ClientAckMsg {
+        n.try_on_client_ack(ClientAckMsg {
             origin: SiteId(2),
             received: 1,
-        });
+        })
+        .expect("valid client ack");
         assert_eq!(n.history_trimmed(), 1);
         // Honest resync (received = 1): nothing to replay, fine.
         assert!(n.replay_for(SiteId(2), 1).unwrap().is_empty());
@@ -1694,7 +1695,7 @@ mod tests {
     fn unknown_origin_is_rejected() {
         let mut n = Notifier::new(2, "");
         let err = n
-            .try_on_client_op(client_msg(7, (0, 1), SeqOp::identity(0)))
+            .try_on_client_op_outcome(client_msg(7, (0, 1), SeqOp::identity(0)))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1708,7 +1709,7 @@ mod tests {
         // First op from site 1 must carry T[2] = 1; a gap (T[2] = 2) means
         // a message was lost or reordered.
         let err = n
-            .try_on_client_op(client_msg(1, (0, 2), SeqOp::identity(2)))
+            .try_on_client_op_outcome(client_msg(1, (0, 2), SeqOp::identity(2)))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1725,7 +1726,7 @@ mod tests {
         let mut n = Notifier::new(2, "ab");
         // Site 1 claims to have received 3 server ops; none were sent.
         let err = n
-            .try_on_client_op(client_msg(1, (3, 1), SeqOp::identity(2)))
+            .try_on_client_op_outcome(client_msg(1, (3, 1), SeqOp::identity(2)))
             .unwrap_err();
         assert!(matches!(
             err,

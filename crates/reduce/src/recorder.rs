@@ -14,9 +14,7 @@
 //! Cost discipline (the recorder rides the notifier's hot path):
 //!
 //! * recording is a single `Copy` store into a ring — **no allocation**;
-//! * every hook site is guarded by [`FlightRecorder::is_enabled`], which
-//!   folds to a compile-time `false` when the `flight-recorder` cargo
-//!   feature is off, letting the optimiser delete the hooks entirely;
+//! * every hook site is guarded by [`FlightRecorder::is_enabled`];
 //! * the ring itself is only allocated on first enable, so disabled
 //!   recorders cost one `bool` check per hook and ~64 bytes of state.
 //!
@@ -311,11 +309,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Whether hooks should record. Folds to `false` at compile time when
-    /// the `flight-recorder` feature is off — guard every hook with this.
+    /// Whether hooks should record — guard every hook with this.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        cfg!(feature = "flight-recorder") && self.enabled
+        self.enabled
     }
 
     /// Enable or disable recording. The ring is allocated on first enable.
@@ -476,7 +473,7 @@ impl FlightRecorder {
     }
 }
 
-#[cfg(all(test, feature = "flight-recorder"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

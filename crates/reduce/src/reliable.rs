@@ -31,6 +31,7 @@
 
 use crate::client::Client;
 use crate::core::NotifierCore;
+use crate::error::ProtocolError;
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
@@ -1255,6 +1256,7 @@ impl RobustNotifier {
             );
             self.integrate(
                 ctx,
+                vs,
                 ClientOpMsg {
                     origin: vs,
                     stamp: CompressedStamp::new(t1, t2),
@@ -1279,7 +1281,7 @@ impl RobustNotifier {
                 origin: vs,
                 received: sent,
             };
-            if let Err(e) = self.core.integrate_ack(ack) {
+            if let Err(e) = self.core.integrate_ack(vs, ack) {
                 eprintln!("relay keepalive rejected: {e}");
             }
         }
@@ -1312,15 +1314,16 @@ impl RobustNotifier {
             .unwrap_or(0)
     }
 
-    fn integrate(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, c: ClientOpMsg) {
-        let origin = c.origin;
+    /// Integrate an op that arrived on `from`'s channel (the virtual relay
+    /// client's injections arrive on its own).
+    fn integrate(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, from: SiteId, c: ClientOpMsg) {
         let traced_msg = self.trace.is_some().then(|| c.clone());
         // Write-ahead ordering lives in the core: by the time an outcome
         // comes back its record is durable and mirrored to the warm
         // standby, so nothing below can broadcast an unlogged op. A crash
         // before the append is indistinguishable from the op never
         // arriving — the origin re-sends it after resync.
-        match self.core.integrate_op(c) {
+        match self.core.integrate_op(from, c) {
             Ok(out) => {
                 self.ops_integrated += 1;
                 if let (Some(tr), Some(msg)) = (&mut self.trace, traced_msg) {
@@ -1351,7 +1354,7 @@ impl RobustNotifier {
                 // own injections — those *came from* the mesh, so
                 // re-relaying them would echo forever.
                 let mirror = match &self.relay {
-                    Some(rel) => origin != rel.virtual_site,
+                    Some(rel) => from != rel.virtual_site,
                     None => false,
                 };
                 if mirror {
@@ -1376,16 +1379,18 @@ impl RobustNotifier {
                     self.crash_and_promote(ctx);
                 }
             }
-            Err(e) => {
-                // A frame that survived the reliable channel but violates
-                // the editor protocol is hostile input, not line noise:
-                // dump the flight recorder, quarantine the offender, and
-                // keep serving everyone else.
-                eprintln!("notifier rejected op from {origin}: {e}");
-                eprintln!("{}", self.core.notifier().dump_recorder());
-                self.core.quarantine(origin);
-            }
+            Err(e) => self.evict(from, &e),
         }
+    }
+
+    /// A frame that survived the reliable channel but violates the editor
+    /// protocol is hostile input, not line noise: dump the flight
+    /// recorder, evict the site whose channel carried it — whatever origin
+    /// the frame claimed — and keep serving everyone else.
+    fn evict(&mut self, sender: SiteId, e: &ProtocolError) {
+        eprintln!("notifier rejected input from {sender}: {e}");
+        eprintln!("{}", self.core.notifier().dump_recorder());
+        let _ = self.core.integrate_eviction(sender);
     }
 
     /// The seeded crash point was reached: the primary dies mid-stride
@@ -1445,6 +1450,7 @@ impl RobustNotifier {
     fn on_message(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, from: NodeId, msg: ReliableMsg) {
         assert!(from >= 1, "notifier is node 0; peers are clients");
         let xi = from - 1;
+        let sender = SiteId(from as u32);
         let fenced = self.fenced.get(xi).copied().unwrap_or(false);
         match msg.kind {
             ReliableKind::Data {
@@ -1484,18 +1490,14 @@ impl RobustNotifier {
                     };
                     for m in msgs {
                         match m {
-                            EditorMsg::ClientOp(c) => self.integrate(ctx, c),
-                            EditorMsg::ClientAck(a) => match self.core.integrate_ack(a) {
+                            EditorMsg::ClientOp(c) => self.integrate(ctx, sender, c),
+                            EditorMsg::ClientAck(a) => match self.core.integrate_ack(sender, a) {
                                 Ok(()) => {
                                     if let Some(tr) = &self.trace {
                                         self.trace_acks.push((tr.len(), a));
                                     }
                                 }
-                                Err(e) => {
-                                    eprintln!("notifier rejected ack on channel {xi}: {e}");
-                                    eprintln!("{}", self.core.notifier().dump_recorder());
-                                    self.core.quarantine(SiteId(xi as u32 + 1));
-                                }
+                                Err(e) => self.evict(sender, &e),
                             },
                             // Server-to-client frames arriving upstream are
                             // nonsense; drop rather than crash.
@@ -2748,8 +2750,11 @@ mod tests {
         let mut c1 = Client::new(SiteId(1), "seed");
         c1.set_share_caret(false);
         let m = c1.local_edit(SeqOp::from_pos(&PosOp::insert(0, "x"), 4));
-        n.on_client_op(m.clone());
-        let err = n.try_on_client_op(m).expect_err("duplicate must be caught");
+        n.try_on_client_op_outcome(m.clone())
+            .expect("valid client op");
+        let err = n
+            .try_on_client_op_outcome(m)
+            .expect_err("duplicate must be caught");
         assert!(
             matches!(err, ProtocolError::FifoViolation { got: 1, .. }),
             "{err:?}"
@@ -2757,7 +2762,9 @@ mod tests {
         // A dropped (skipped) op is equally visible as a gap.
         let _skipped = c1.local_edit(SeqOp::from_pos(&PosOp::insert(1, "y"), 5));
         let m3 = c1.local_edit(SeqOp::from_pos(&PosOp::insert(2, "z"), 6));
-        let err = n.try_on_client_op(m3).expect_err("gap must be caught");
+        let err = n
+            .try_on_client_op_outcome(m3)
+            .expect_err("gap must be caught");
         assert!(
             matches!(
                 err,
@@ -2769,6 +2776,41 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// A frame that survives the reliable channel says who sent it by the
+    /// channel it arrived on. Site 1's link carrying what would be site
+    /// 2's valid first op gets site 1 evicted — through the log — and
+    /// leaves site 2 a member and the document untouched.
+    #[test]
+    fn forged_origin_on_a_reliable_channel_evicts_the_sender() {
+        let mut cfg = robust_cfg(3, 5);
+        cfg.workload.ops_per_site = 0;
+        cfg.standby = true;
+        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let forged = Client::new(SiteId(2), &cfg.initial_doc).insert(0, "F");
+        let payload = encode_editor(&EditorMsg::ClientOp(forged));
+        let frame = ReliableMsg {
+            epoch: 0,
+            kind: ReliableKind::Data {
+                seq: 1,
+                ack: 0,
+                checksum: payload_checksum(&payload),
+                payload,
+            },
+        };
+        sim.inject_send(1, 0, frame);
+        sim.run();
+        let RobustNode::Notifier(node) = sim.node(0) else {
+            unreachable!("node 0 is the notifier");
+        };
+        let live = node.core.notifier();
+        assert!(!live.is_active(SiteId(1)), "the sender is out");
+        assert!(live.is_active(SiteId(2)) && live.is_active(SiteId(3)));
+        assert_eq!(live.doc(), cfg.initial_doc);
+        let wal = node.core.wal().expect("standby sessions log");
+        let cold = Standby::from_log(wal.bytes(), 3, &cfg.initial_doc).expect("scan");
+        assert!(!cold.notifier().is_active(SiteId(1)), "and stays out");
     }
 
     #[test]

@@ -133,8 +133,7 @@ pub struct Fig3Transcript {
     /// Per-site flight-recorder traces (sites 0–3, oldest event first).
     /// The observability acceptance surface: these rings must reproduce
     /// every Section 5 number above and replay cleanly through
-    /// [`crate::audit::audit_streams`]. Empty when the `flight-recorder`
-    /// cargo feature is off.
+    /// [`crate::audit::audit_streams`].
     pub flight_traces: Vec<(SiteId, Vec<FlightEvent>)>,
 }
 
@@ -177,7 +176,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     let gen_o1 = o1_msg.stamp;
 
     // --- O2 reaches site 0 first. ---
-    let out = notifier.on_client_op(o2_msg);
+    let out = notifier
+        .try_on_client_op_outcome(o2_msg)
+        .expect("valid client op");
     let buffered_o2p = notifier.hb_snapshot(0).entries().to_vec();
     narration.push(format!(
         "site 0 executes O2 as-is (O2'); SV_0 = {}; buffers with {:?}",
@@ -186,7 +187,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
     let mut o2p_to_1: Option<ServerOpMsg> = None;
     let mut o2p_to_3: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcasts {
+    for (dest, m) in out.broadcast_msgs() {
         narration.push(format!(
             "site 0 propagates O2' to site {} stamped {}",
             dest.0, m.stamp
@@ -200,7 +201,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     }
 
     // --- O2' arrives at site 1 (HB_1 = [O1]). ---
-    let outcome = c1.on_server_op(o2p_to_1.expect("broadcast to site 1"));
+    let outcome = c1
+        .try_on_server_op(o2p_to_1.expect("broadcast to site 1"))
+        .expect("valid server op");
     verdicts.push(("site 1", "O2'", "O1", outcome.checked[0]));
     let o2p_at_site1 = outcome
         .executed
@@ -216,7 +219,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
 
     // --- O2' arrives at site 3 (empty HB). ---
-    let outcome = c3.on_server_op(o2p_to_3.expect("broadcast to site 3"));
+    let outcome = c3
+        .try_on_server_op(o2p_to_3.expect("broadcast to site 3"))
+        .expect("valid server op");
     assert!(outcome.checked.is_empty());
     narration.push(format!("site 3 executes O2' as-is; doc: {:?}", c3.doc()));
 
@@ -230,7 +235,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
 
     // --- O1 arrives at site 0 (HB_0 = [O2']). ---
-    let out = notifier.on_client_op(o1_msg);
+    let out = notifier
+        .try_on_client_op_outcome(o1_msg)
+        .expect("valid client op");
     verdicts.push(("site 0", "O1", "O2'", out.verdict(0)));
     let buffered_o1p = notifier.hb_snapshot(1).entries().to_vec();
     narration.push(format!(
@@ -241,7 +248,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
     let mut o1p_to_2: Option<ServerOpMsg> = None;
     let mut o1p_to_3: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcasts {
+    for (dest, m) in out.broadcast_msgs() {
         narration.push(format!(
             "site 0 propagates O1' to site {} stamped {}",
             dest.0, m.stamp
@@ -255,7 +262,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     }
 
     // --- O1' arrives at site 2 (HB_2 = [O2]). ---
-    let outcome = c2.on_server_op(o1p_to_2.expect("to site 2"));
+    let outcome = c2
+        .try_on_server_op(o1p_to_2.expect("to site 2"))
+        .expect("valid server op");
     verdicts.push(("site 2", "O1'", "O2", outcome.checked[0]));
     narration.push(format!("site 2 executes O1' as-is; doc: {:?}", c2.doc()));
 
@@ -269,7 +278,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
 
     // --- O1' arrives at site 3 (HB_3 = [O2', O4]). ---
-    let outcome = c3.on_server_op(o1p_to_3.expect("to site 3"));
+    let outcome = c3
+        .try_on_server_op(o1p_to_3.expect("to site 3"))
+        .expect("valid server op");
     verdicts.push(("site 3", "O1'", "O2'", outcome.checked[0]));
     verdicts.push(("site 3", "O1'", "O4", outcome.checked[1]));
     narration.push(format!(
@@ -278,7 +289,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
 
     // --- O4 arrives at site 0 (HB_0 = [O2', O1']). ---
-    let out = notifier.on_client_op(o4_msg);
+    let out = notifier
+        .try_on_client_op_outcome(o4_msg)
+        .expect("valid client op");
     verdicts.push(("site 0", "O4", "O2'", out.verdict(0)));
     verdicts.push(("site 0", "O4", "O1'", out.verdict(1)));
     let buffered_o4p = notifier.hb_snapshot(2).entries().to_vec();
@@ -290,7 +303,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
     let mut o4p_to_1: Option<ServerOpMsg> = None;
     let mut o4p_to_2: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcasts {
+    for (dest, m) in out.broadcast_msgs() {
         narration.push(format!(
             "site 0 propagates O4' to site {} stamped {}",
             dest.0, m.stamp
@@ -304,13 +317,17 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     }
 
     // --- O4' arrives at site 1 (HB_1 = [O1, O2']). ---
-    let outcome = c1.on_server_op(o4p_to_1.expect("to site 1"));
+    let outcome = c1
+        .try_on_server_op(o4p_to_1.expect("to site 1"))
+        .expect("valid server op");
     verdicts.push(("site 1", "O4'", "O1", outcome.checked[0]));
     verdicts.push(("site 1", "O4'", "O2'", outcome.checked[1]));
     narration.push(format!("site 1 executes O4' as-is; doc: {:?}", c1.doc()));
 
     // --- O4' arrives at site 2 (HB_2 = [O2, O1', O3]). ---
-    let outcome = c2.on_server_op(o4p_to_2.expect("to site 2"));
+    let outcome = c2
+        .try_on_server_op(o4p_to_2.expect("to site 2"))
+        .expect("valid server op");
     verdicts.push(("site 2", "O4'", "O2", outcome.checked[0]));
     verdicts.push(("site 2", "O4'", "O1'", outcome.checked[1]));
     verdicts.push(("site 2", "O4'", "O3", outcome.checked[2]));
@@ -320,7 +337,9 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
 
     // --- O3 arrives at site 0 (HB_0 = [O2', O1', O4']). ---
-    let out = notifier.on_client_op(o3_msg);
+    let out = notifier
+        .try_on_client_op_outcome(o3_msg)
+        .expect("valid client op");
     verdicts.push(("site 0", "O3", "O2'", out.verdict(0)));
     verdicts.push(("site 0", "O3", "O1'", out.verdict(1)));
     verdicts.push(("site 0", "O3", "O4'", out.verdict(2)));
@@ -333,7 +352,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     ));
     let mut o3p_to_1: Option<ServerOpMsg> = None;
     let mut o3p_to_3: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcasts {
+    for (dest, m) in out.broadcast_msgs() {
         narration.push(format!(
             "site 0 propagates O3' to site {} stamped {}",
             dest.0, m.stamp
@@ -347,12 +366,16 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     }
 
     // --- O3' arrives at sites 1 and 3. ---
-    let outcome = c1.on_server_op(o3p_to_1.expect("to site 1"));
+    let outcome = c1
+        .try_on_server_op(o3p_to_1.expect("to site 1"))
+        .expect("valid server op");
     verdicts.push(("site 1", "O3'", "O1", outcome.checked[0]));
     verdicts.push(("site 1", "O3'", "O2'", outcome.checked[1]));
     verdicts.push(("site 1", "O3'", "O4'", outcome.checked[2]));
     narration.push(format!("site 1 executes O3' as-is; doc: {:?}", c1.doc()));
-    let outcome = c3.on_server_op(o3p_to_3.expect("to site 3"));
+    let outcome = c3
+        .try_on_server_op(o3p_to_3.expect("to site 3"))
+        .expect("valid server op");
     verdicts.push(("site 3", "O3'", "O2'", outcome.checked[0]));
     verdicts.push(("site 3", "O3'", "O4", outcome.checked[1]));
     verdicts.push(("site 3", "O3'", "O1'", outcome.checked[2]));
@@ -437,7 +460,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     // crash after any of these steps loses broadcasts — never logged
     // history.
     fn ingest(primary: &mut NotifierCore, msg: ClientOpMsg) -> Vec<(SiteId, ServerOpMsg)> {
-        let outcome = primary.integrate_op(msg);
+        let outcome = primary.integrate_op(msg.origin, msg);
         outcome
             .expect("the scenario's ops are valid")
             .broadcast_msgs()
@@ -451,8 +474,8 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     ));
     for (dest, m) in ingest(&mut primary, o2) {
         match dest.0 {
-            1 => drop(c1.on_server_op(m)),
-            3 => drop(c3.on_server_op(m)),
+            1 => drop(c1.try_on_server_op(m).expect("valid server op")),
+            3 => drop(c3.try_on_server_op(m).expect("valid server op")),
             _ => unreachable!(),
         }
     }
@@ -463,8 +486,8 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     ));
     for (dest, m) in ingest(&mut primary, o1) {
         match dest.0 {
-            2 => drop(c2.on_server_op(m)),
-            3 => drop(c3.on_server_op(m)),
+            2 => drop(c2.try_on_server_op(m).expect("valid server op")),
+            3 => drop(c3.try_on_server_op(m).expect("valid server op")),
             _ => unreachable!(),
         }
     }
@@ -482,7 +505,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     ));
     for (dest, m) in broadcasts {
         if dest.0 == 1 {
-            drop(c1.on_server_op(m));
+            drop(c1.try_on_server_op(m).expect("valid server op"));
             narration.push("O4' to site 1 had left the host; site 2's copy is lost".into());
         }
         // dest 2: lost with the primary.
@@ -517,7 +540,7 @@ pub fn failover_walkthrough() -> FailoverTranscript {
         ));
         replays.push((site, replay.len()));
         for m in replay {
-            drop(client.on_server_op(m));
+            drop(client.try_on_server_op(m).expect("valid server op"));
         }
     }
 
@@ -531,8 +554,8 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     );
     for (dest, m) in ingest(&mut promoted, o3) {
         match dest.0 {
-            1 => drop(c1.on_server_op(m)),
-            3 => drop(c3.on_server_op(m)),
+            1 => drop(c1.try_on_server_op(m).expect("valid server op")),
+            3 => drop(c3.try_on_server_op(m).expect("valid server op")),
             _ => unreachable!(),
         }
     }
@@ -655,7 +678,6 @@ mod tests {
     /// of the Section 5 walkthrough: generation stamps, per-destination
     /// propagation stamps, the buffered formula-(2) vectors, and all 21
     /// concurrency verdicts.
-    #[cfg(feature = "flight-recorder")]
     #[test]
     fn fig3_flight_recorder_reproduces_the_papers_numbers() {
         use crate::recorder::EventKind;
@@ -728,7 +750,6 @@ mod tests {
 
     /// The audit replayer re-runs the live Fig. 3 rings through the
     /// ground-truth oracle: every verdict agrees with Definition 1.
-    #[cfg(feature = "flight-recorder")]
     #[test]
     fn fig3_flight_traces_audit_clean_against_the_oracle() {
         let t = fig3_walkthrough();

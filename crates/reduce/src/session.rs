@@ -19,6 +19,7 @@
 
 use crate::client::Client;
 use crate::composing::ComposingClient;
+use crate::error::ProtocolError;
 use crate::mesh::MeshSite;
 use crate::metrics::SiteMetrics;
 use crate::msg::EditorMsg;
@@ -97,7 +98,8 @@ pub struct SessionConfig {
     /// Fault plan applied to every channel (`None` = the paper's reliable
     /// FIFO network). Faulty plans normally require [`SessionConfig::
     /// reliable`]; without it, protocol-level FIFO checks will (by
-    /// design) detect the violated transport assumption and panic.
+    /// design) detect the violated transport assumption: each rejected
+    /// message is counted in the site's `protocol_errors` and dropped.
     pub fault_plan: Option<FaultPlan>,
     /// Run the star/CVC deployment over the ack/retransmit reliability
     /// layer (`crate::reliable`), which restores FIFO semantics on top of
@@ -327,6 +329,14 @@ impl SessionNode {
     }
 }
 
+/// Hostile or corrupted input must never take the session down: dump the
+/// evidence, quarantine the sender, keep serving the surviving clients.
+fn evict(n: &mut Notifier, sender: SiteId, e: &ProtocolError) {
+    eprintln!("notifier rejected input from {sender}: {e}");
+    eprintln!("{}", n.dump_recorder());
+    let _ = n.quarantine(sender);
+}
+
 impl Node<EditorMsg> for SessionNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, EditorMsg>, from: NodeId, msg: EditorMsg) {
         // Stamp the virtual clock onto the site's flight recorder before
@@ -340,32 +350,27 @@ impl Node<EditorMsg> for SessionNode {
             (SessionNode::Notifier(n), EditorMsg::ClientOp(m)) => {
                 // GC (when enabled) is folded into the integration itself
                 // via `Notifier::set_auto_gc` — no explicit pass here.
-                let origin = m.origin;
-                match n.try_on_client_op(m) {
+                let sender = SiteId(from as u32);
+                match ProtocolError::check_sender(sender, m.origin)
+                    .and_then(|()| n.try_on_client_op_outcome(m))
+                {
                     Ok(outcome) => {
-                        for (dest, smsg) in outcome.broadcasts {
+                        for (dest, smsg) in outcome.broadcast_msgs() {
                             ctx.send(dest.0 as usize, EditorMsg::ServerOp(smsg));
                         }
                         if let Some((dest, ack)) = outcome.ack {
                             ctx.send(dest.0 as usize, EditorMsg::ServerAck(ack));
                         }
                     }
-                    Err(e) => {
-                        // Hostile or corrupted input must never take the
-                        // session down: dump the evidence, quarantine the
-                        // offender, keep serving the surviving clients.
-                        eprintln!("notifier rejected op from {origin}: {e}");
-                        eprintln!("{}", n.dump_recorder());
-                        n.quarantine(origin);
-                    }
+                    Err(e) => evict(n, sender, &e),
                 }
             }
             (SessionNode::Notifier(n), EditorMsg::ClientAck(a)) => {
-                let origin = a.origin;
-                if let Err(e) = n.try_on_client_ack(a) {
-                    eprintln!("notifier rejected ack from {origin}: {e}");
-                    eprintln!("{}", n.dump_recorder());
-                    n.quarantine(origin);
+                let sender = SiteId(from as u32);
+                if let Err(e) = ProtocolError::check_sender(sender, a.origin)
+                    .and_then(|()| n.try_on_client_ack(a))
+                {
+                    evict(n, sender, &e);
                 }
             }
             (
@@ -374,7 +379,14 @@ impl Node<EditorMsg> for SessionNode {
                 },
                 EditorMsg::ServerOp(m),
             ) => {
-                client.on_server_op(m);
+                if let Err(e) = client.try_on_server_op(m) {
+                    // The replica counted the violation and is untouched;
+                    // drop the message (a duplicate is harmless, a gap
+                    // shows up as a diverged report, never as a panic).
+                    eprintln!("{} rejected server op: {e}", client.site());
+                    eprintln!("{}", client.dump_recorder());
+                    return;
+                }
                 if *auto_gc {
                     client.gc();
                 }
@@ -388,11 +400,10 @@ impl Node<EditorMsg> for SessionNode {
                 // Streaming clients ignore acknowledgements.
             }
             (SessionNode::ComposingClient { client, .. }, EditorMsg::ServerOp(m)) => {
-                let (_, next) = client
-                    .on_server_op(m)
-                    .expect("server operation violated the protocol");
-                if let Some(up) = next {
-                    ctx.send(0, EditorMsg::ClientOp(up));
+                match client.on_server_op(m) {
+                    Ok((_, Some(up))) => ctx.send(0, EditorMsg::ClientOp(up)),
+                    Ok((_, None)) => {}
+                    Err(e) => eprintln!("composing client rejected server op: {e}"),
                 }
             }
             (SessionNode::ComposingClient { client, .. }, EditorMsg::ServerAck(m)) => {
@@ -553,9 +564,9 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
     sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
     sim.record_deliveries(cfg.record_deliveries);
     if let Some(plan) = cfg.fault_plan {
-        // Without the reliability layer the protocol checks will detect
-        // the broken FIFO assumption (and panic) — that detection is
-        // itself under test in the chaos suite.
+        // Without the reliability layer the protocol checks detect the
+        // broken FIFO assumption and count it; that detection is itself
+        // under test in the chaos suite.
         sim.set_default_fault_plan(plan);
     }
 
@@ -883,6 +894,49 @@ mod tests {
         let (ab, bb) = (a.total_metrics().bytes_sent, b.total_metrics().bytes_sent);
         assert!(bb > ab, "presence adds bytes: {bb} vs {ab}");
         assert!(bb < ab + a.total_metrics().messages_sent * 4);
+    }
+
+    /// Without the reliability layer a duplicating network breaks the
+    /// FIFO assumption; every replica detects that through its fallible
+    /// entry point and the session still ends in a report.
+    #[test]
+    fn duplicating_links_yield_counted_errors_not_a_panic() {
+        let mut cfg = SessionConfig::small(Deployment::StarCvc, 3, 5);
+        cfg.fault_plan = Some(FaultPlan {
+            duplicate: 0.3,
+            ..FaultPlan::NONE
+        });
+        let r = run_session(&cfg);
+        assert!(r.fault_stats.duplicated > 0, "the plan must have fired");
+        let at_clients: u64 = r.client_metrics.iter().map(|m| m.protocol_errors).sum();
+        assert!(at_clients > 0, "clients count the duplicates they refuse");
+        let centre = r.centre_metrics.expect("star has a centre");
+        assert!(centre.protocol_errors > 0, "and so does the notifier");
+    }
+
+    /// On the plain tier too the channel, not the envelope, names the
+    /// sender: node 1 delivering what would be site 2's valid first op
+    /// gets site 1 quarantined and leaves site 2 a member.
+    #[test]
+    fn forged_origin_quarantines_the_channel_it_arrived_on() {
+        let mut sim: Simulator<EditorMsg, SessionNode> = Simulator::new(LatencyModel::lan(), 1);
+        sim.add_node(SessionNode::Notifier(Box::new(Notifier::new(3, "ab"))));
+        for i in 1..=3 {
+            sim.add_node(SessionNode::Client {
+                client: Box::new(Client::new(SiteId(i), "ab")),
+                script: Vec::new(),
+                auto_gc: true,
+            });
+        }
+        let forged = Client::new(SiteId(2), "ab").insert(0, "F");
+        sim.inject_send(1, 0, EditorMsg::ClientOp(forged));
+        sim.run();
+        let SessionNode::Notifier(n) = sim.node(0) else {
+            unreachable!("node 0 is the notifier");
+        };
+        assert!(!n.is_active(SiteId(1)), "the sender is out");
+        assert!(n.is_active(SiteId(2)) && n.is_active(SiteId(3)));
+        assert_eq!(n.doc(), "ab");
     }
 
     #[test]

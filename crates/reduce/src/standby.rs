@@ -92,7 +92,7 @@ impl Standby {
                 match rec {
                     WalRecord::Op(_) => self.replayed_ops += 1,
                     WalRecord::Ack(_) | WalRecord::AckFrontier(_) => self.replayed_acks += 1,
-                    WalRecord::Snapshot(_) => {}
+                    WalRecord::Evict(_) | WalRecord::Snapshot(_) => {}
                 }
                 Ok(())
             }
@@ -174,7 +174,9 @@ mod tests {
             let rec = WalRecord::Op(m.clone());
             wal.append(&rec);
             standby.observe(&rec).expect("standby integrates");
-            primary.try_on_client_op(m).expect("primary integrates");
+            primary
+                .try_on_client_op_outcome(m)
+                .expect("primary integrates");
         }
         assert_eq!(standby.replayed_ops(), 3);
         assert_eq!(standby.notifier().doc(), primary.doc());

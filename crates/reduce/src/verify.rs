@@ -147,7 +147,9 @@ pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
                 // Deliver client i's op to the notifier.
                 let (msg, op_ref) = up[i].pop_front().expect("nonempty");
                 let origin = SiteId(i as u32 + 1);
-                let outcome = notifier.on_client_op(msg);
+                let outcome = notifier
+                    .try_on_client_op_outcome(msg)
+                    .expect("valid client op");
                 // `full_verdicts` materialises the below-watermark prefix
                 // too, so the oracle audits every pair, not just the
                 // suffix the bounded scan actually touched.
@@ -176,14 +178,14 @@ pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
                 let prime =
                     oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
                 hb_refs_notifier.push((prime, op_ref, origin));
-                for (dest, smsg) in outcome.broadcasts {
+                for (dest, smsg) in outcome.broadcast_msgs() {
                     down[dest.client_index()].push_back((smsg, prime));
                 }
             }
             2 => {
                 // Deliver a server op to client i.
                 let (msg, prime_ref) = down[i].pop_front().expect("nonempty");
-                let outcome = clients[i].on_server_op(msg);
+                let outcome = clients[i].try_on_server_op(msg).expect("valid server op");
                 for (k, &verdict) in outcome.checked.iter().enumerate() {
                     let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
                     report.record(verdict, truth, || {
@@ -279,7 +281,7 @@ pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyRepo
                 let (msg, op_ref) = up[i].pop_front().expect("nonempty");
                 let origin = SiteId(i as u32 + 1);
                 let outcome = notifier
-                    .try_on_client_op(msg)
+                    .try_on_client_op_outcome(msg)
                     .expect("active client ops are valid");
                 for (k, verdict) in outcome.full_verdicts().into_iter().enumerate() {
                     let (prime_ref, orig_ref, entry_origin) = hb_refs_notifier[k];
@@ -301,7 +303,7 @@ pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyRepo
                 let prime =
                     oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
                 hb_refs_notifier.push((prime, op_ref, origin));
-                for (dest, smsg) in outcome.broadcasts {
+                for (dest, smsg) in outcome.broadcast_msgs() {
                     down[dest.client_index()].push_back((smsg, prime));
                 }
             }

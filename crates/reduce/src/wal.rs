@@ -23,7 +23,8 @@
 //!   bare [`ClientAckMsg`]s advance. Omitting them from the log would let
 //!   a replayed standby's GC state drift from the primary's — harmless for
 //!   the document, fatal for bit-identical audits. So both record kinds
-//!   are logged, in arrival order.
+//!   are logged, in arrival order — and so is an eviction, the third
+//!   input kind, because membership gates the same GC.
 //!
 //! **Compaction.** The log would otherwise grow without bound. When every
 //! active client has acknowledged its entire broadcast stream (and the
@@ -66,6 +67,9 @@ const WAL_TAG_SNAPSHOT: u8 = 32;
 /// lives outside the editor tag space.
 const WAL_TAG_ACK_FRONTIER: u8 = 33;
 
+/// Record tag for [`WalRecord::Evict`], outside the editor tag space.
+const WAL_TAG_EVICT: u8 = 34;
+
 /// Default ops between compaction attempts (see [`Wal::new`]).
 pub const DEFAULT_COMPACT_EVERY: u64 = 256;
 
@@ -75,7 +79,7 @@ pub const DEFAULT_COMPACT_EVERY: u64 = 256;
 pub enum WalRecord {
     /// A client operation the notifier executed, in its original upstream
     /// form (origin, 2-integer stamp, operation, caret). Replaying it
-    /// through [`Notifier::try_on_client_op`] re-derives the executed op,
+    /// through [`Notifier::try_on_client_op_outcome`] re-derives the executed op,
     /// the broadcast stamps, and every watermark delta deterministically.
     Op(ClientOpMsg),
     /// A bare acknowledgement the notifier integrated (GC watermark
@@ -94,6 +98,11 @@ pub enum WalRecord {
     /// which is safe — a standby behind on acks only *retains more*
     /// history, and clients re-ack on their next edit.
     AckFrontier(AckFrontierRecord),
+    /// A site the notifier evicted after a protocol violation. Membership
+    /// decides who is broadcast to and whose acks gate GC and compaction,
+    /// so a replay that missed an eviction would keep the site's frozen
+    /// watermark pinning both forever.
+    Evict(SiteId),
     /// A compacted checkpoint: document plus per-client stream cursors.
     /// Supersedes every earlier record.
     Snapshot(WalSnapshot),
@@ -152,6 +161,7 @@ impl WireSize for WalRecord {
                         .map(|&(i, a)| varint_len(u64::from(i)) + varint_len(a))
                         .sum::<usize>()
             }
+            WalRecord::Evict(site) => 1 + varint_len(u64::from(site.0)),
             WalRecord::Snapshot(s) => {
                 1 + string_len(&s.doc)
                     + varint_len(s.clients.len() as u64)
@@ -183,6 +193,10 @@ impl WireEncode for WalRecord {
                     put_varint(buf, u64::from(i));
                     put_varint(buf, a);
                 }
+            }
+            WalRecord::Evict(site) => {
+                buf.put_u8(WAL_TAG_EVICT);
+                put_varint(buf, u64::from(site.0));
             }
             WalRecord::Snapshot(s) => {
                 buf.put_u8(WAL_TAG_SNAPSHOT);
@@ -230,6 +244,10 @@ impl WireDecode for WalRecord {
                     entries.push((idx, get_varint(buf)?));
                 }
                 Ok(WalRecord::AckFrontier(AckFrontierRecord { entries }))
+            }
+            WAL_TAG_EVICT => {
+                let site = u32::try_from(get_varint(buf)?).map_err(|_| WireError::Overlong)?;
+                Ok(WalRecord::Evict(SiteId(site)))
             }
             WAL_TAG_SNAPSHOT => {
                 let doc = get_string(buf)?;
@@ -501,8 +519,8 @@ impl Wal {
         while !rest.is_empty() {
             let offset = bytes.len() - rest.len();
             let mut probe = rest;
-            let header: Result<(usize, u64), WireError> = (|| {
-                let len = get_varint(&mut probe)? as usize;
+            let header: Result<(u64, u64), WireError> = (|| {
+                let len = get_varint(&mut probe)?;
                 let sum = get_varint(&mut probe)?;
                 Ok((len, sum))
             })();
@@ -514,13 +532,12 @@ impl Wal {
                     return Ok(out);
                 }
             };
-            if probe.len() < len {
+            if (probe.len() as u64) < len {
                 // The final record's bytes ran out: torn tail.
                 out.torn_bytes = rest.len();
                 return Ok(out);
             }
-            let frame = &probe[..len];
-            let after = &probe[len..];
+            let (frame, after) = probe.split_at(len as usize);
             if u64::from(fnv1a32(frame)) != sum {
                 if after.is_empty() {
                     // A failed checksum on the *final* record is
@@ -608,6 +625,7 @@ mod tests {
         for rec in [
             op_record(1, 0, 1, 2, "xy"),
             ack_record(3, 129),
+            WalRecord::Evict(SiteId(300)),
             WalRecord::Snapshot(sample_snapshot()),
         ] {
             let mut buf = Vec::new();
@@ -736,7 +754,7 @@ mod tests {
             cursor: None,
         };
         wal.append(&WalRecord::Op(msg.clone()));
-        notifier.try_on_client_op(msg).expect("integrate");
+        notifier.try_on_client_op_outcome(msg).expect("integrate");
         // Client 2 has not acked the broadcast: not checkpoint-ready.
         assert!(!wal.maybe_compact(&notifier));
         let ack = ClientAckMsg {
@@ -777,7 +795,7 @@ mod tests {
                 cursor: None,
             };
             wal.append(&WalRecord::Op(msg.clone()));
-            notifier.try_on_client_op(msg).expect("integrate");
+            notifier.try_on_client_op_outcome(msg).expect("integrate");
         }
         let rec = Wal::recover(wal.bytes()).expect("recover");
         let (restored, replayed) = rec.restore(2, "seed").expect("restore");
@@ -786,6 +804,25 @@ mod tests {
         assert_eq!(restored.doc_checksum(), notifier.doc_checksum());
         assert_eq!(restored.checkpoint_cursors(), notifier.checkpoint_cursors());
         assert_eq!(restored.acked_by(), notifier.acked_by());
+    }
+
+    /// Restoring costs the width of the session, not the counters a
+    /// snapshot carries: a cursor reading 2^40 is read back, not counted to.
+    #[test]
+    fn restore_does_not_loop_on_decoded_counters() {
+        let mut snap = sample_snapshot();
+        snap.clients[0].received = 1 << 40;
+        snap.clients[1].received = 7;
+        let mut wal = Wal::new(0);
+        wal.append(&WalRecord::Snapshot(snap.clone()));
+        let rec = Wal::recover(wal.bytes()).expect("recover");
+        let (restored, _) = rec.restore(2, "").expect("restore");
+        let sv = restored.state_vector();
+        assert_eq!(sv.received_from(SiteId(1)), Ok(1 << 40));
+        assert_eq!(sv.received_from(SiteId(2)), Ok(7));
+        assert_eq!(sv.total(), (1 << 40) + 7);
+        assert_eq!(restored.history_trimmed(), sv.total());
+        assert_eq!(restored.checkpoint_cursors(), snap.clients);
     }
 
     #[test]
@@ -800,7 +837,7 @@ mod tests {
             op: SeqOp::from_pos(&PosOp::insert(0, "ab"), 0),
             cursor: None,
         };
-        a.try_on_client_op(m1).expect("op");
+        a.try_on_client_op_outcome(m1).expect("op");
         let ack = ClientAckMsg {
             origin: SiteId(2),
             received: 1,

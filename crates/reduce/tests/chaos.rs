@@ -100,7 +100,9 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                             "client {} executed a message the notifier never sent it",
                             i + 1
                         );
-                        let outcome = clients[i].on_server_op(expected);
+                        let outcome = clients[i]
+                            .try_on_server_op(expected)
+                            .expect("valid server op");
                         assert_eq!(
                             &outcome.checked, checked,
                             "live formula-(5) verdicts differ from the fault-free twin"
@@ -138,7 +140,9 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                 queued, step.msg,
                 "notifier integrated an op out of per-channel order"
             );
-            let outcome = notifier.on_client_op(queued);
+            let outcome = notifier
+                .try_on_client_op_outcome(queued)
+                .expect("valid client op");
             let verdicts = outcome.full_verdicts();
             assert_eq!(
                 verdicts, step.verdicts,
@@ -165,10 +169,11 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                 oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
             hb_refs_notifier.push((prime, op_ref, origin));
             assert_eq!(
-                outcome.broadcasts, step.broadcasts,
+                outcome.broadcast_msgs(),
+                step.broadcasts,
                 "twin notifier broadcast a different stream"
             );
-            for (dest, smsg) in outcome.broadcasts {
+            for (dest, smsg) in outcome.broadcast_msgs() {
                 down[dest.client_index()].push_back((smsg, prime));
             }
             ns += 1;
@@ -327,7 +332,6 @@ proptest! {
 /// retransmits delay stages but never split or orphan a trace.
 /// (Quarantined offenders marking their traces truncated-not-dangling is
 /// covered by `trace::tests::quarantined_origin_marks_traces_truncated`.)
-#[cfg(feature = "flight-recorder")]
 mod traced_chaos {
     use super::*;
     use cvc_reduce::trace::TraceAssembler;
@@ -470,9 +474,13 @@ fn stale_backup_falls_back_to_full_state_resync() {
 
     // One acknowledged edit so the backup is meaningfully stale.
     let m = c1.insert(0, "a");
-    for (dest, sm) in notifier.on_client_op(m).broadcasts {
+    for (dest, sm) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         assert_eq!(dest, SiteId(2));
-        c2.on_server_op(sm);
+        c2.try_on_server_op(sm).expect("valid server op");
     }
     let backup = c1.clone(); // received = 0: predates all of c2's traffic
 
@@ -480,11 +488,15 @@ fn stale_backup_falls_back_to_full_state_resync() {
     // the collector trims the broadcast prefix the backup would need.
     for _ in 0..20 {
         let m = c2.insert(0, "x");
-        for (dest, sm) in notifier.on_client_op(m).broadcasts {
+        for (dest, sm) in notifier
+            .try_on_client_op_outcome(m)
+            .expect("valid client op")
+            .broadcast_msgs()
+        {
             assert_eq!(dest, SiteId(1));
-            c1.on_server_op(sm);
+            c1.try_on_server_op(sm).expect("valid server op");
             if let Some(a) = c1.take_pending_ack() {
-                notifier.on_client_ack(a);
+                notifier.try_on_client_ack(a).expect("valid client ack");
             }
         }
     }
@@ -505,12 +517,20 @@ fn stale_backup_falls_back_to_full_state_resync() {
 
     // The session continues seamlessly in both directions.
     let m = c2.insert(0, "y");
-    for (_, sm) in notifier.on_client_op(m).broadcasts {
-        restored.on_server_op(sm);
+    for (_, sm) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
+        restored.try_on_server_op(sm).expect("valid server op");
     }
     let m = restored.insert(0, "z");
-    for (_, sm) in notifier.on_client_op(m).broadcasts {
-        c2.on_server_op(sm);
+    for (_, sm) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
+        c2.try_on_server_op(sm).expect("valid server op");
     }
     assert_eq!(restored.doc(), notifier.doc());
     assert_eq!(c2.doc(), notifier.doc());
@@ -527,16 +547,16 @@ fn pump_honest(
     evicted: Option<SiteId>,
 ) {
     let out = notifier
-        .try_on_client_op(msg)
+        .try_on_client_op_outcome(msg)
         .expect("honest edits must keep integrating after an eviction");
-    for (dest, sm) in out.broadcasts {
+    for (dest, sm) in out.broadcast_msgs() {
         if let Some(bad) = evicted {
             assert_ne!(dest, bad, "broadcast targeted the quarantined site");
         }
         // Sites outside `survivors` (the hostile one, pre-eviction) are
         // legitimate broadcast targets that simply never respond.
         if let Some(c) = survivors.iter_mut().find(|c| c.site() == dest) {
-            c.on_server_op(sm);
+            c.try_on_server_op(sm).expect("valid server op");
         }
     }
 }
@@ -583,13 +603,13 @@ proptest! {
             cursor: None,
         };
         let err = notifier
-            .try_on_client_op(hostile)
+            .try_on_client_op_outcome(hostile)
             .expect_err("a first-contact stamp with counter >= 2 must be rejected");
         prop_assert!(
             matches!(err, ProtocolError::FifoViolation { site, .. } if site == SiteId(3)),
             "expected FifoViolation from site 3, got {err:?}"
         );
-        notifier.quarantine(SiteId(3));
+        notifier.quarantine(SiteId(3)).expect("site 3 was a member");
 
         // The evicted site's next frame — even a well-formed one — bounces.
         let again = ClientOpMsg {
@@ -599,7 +619,7 @@ proptest! {
             cursor: None,
         };
         let err = notifier
-            .try_on_client_op(again)
+            .try_on_client_op_outcome(again)
             .expect_err("a quarantined site must stay rejected");
         prop_assert!(
             matches!(err, ProtocolError::DepartedSite { site } if site == SiteId(3)),
@@ -643,9 +663,9 @@ impl Node<EditorMsg> for TolerantNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, EditorMsg>, _from: NodeId, msg: EditorMsg) {
         match (self, msg) {
             (TolerantNode::Notifier { inner, errors }, EditorMsg::ClientOp(m)) => {
-                match inner.try_on_client_op(m) {
+                match inner.try_on_client_op_outcome(m) {
                     Ok(out) => {
-                        for (dest, smsg) in out.broadcasts {
+                        for (dest, smsg) in out.broadcast_msgs() {
                             ctx.send(dest.0 as usize, EditorMsg::ServerOp(smsg));
                         }
                     }

@@ -3,13 +3,16 @@
 //!
 //! 1. **Property**: random scripts of honest edits, deliveries and acks
 //!    interleaved with hostile inputs (duplicate, FIFO gap, wrong base
-//!    length, unknown site, overrunning ack) are fed to a durable core.
-//!    After *every* step the log image alone must rebuild the live
-//!    notifier: a cold standby recovered from it is unpoisoned and
-//!    promotes to the same document and state vector, with an ack
-//!    frontier at or below the live one and at most one
-//!    [`ACK_FRONTIER_EVERY`] window behind it. A rejected input appends
-//!    nothing.
+//!    length, unknown site, forged origin, overrunning ack) and evictions
+//!    (of a site that just misbehaved, or of an honest one; before and
+//!    after compactions) are fed to a durable core. After *every* step
+//!    the log image alone must rebuild the live notifier: a cold standby
+//!    recovered from it is unpoisoned and promotes to the same document,
+//!    state vector and membership, with an ack frontier at or below the
+//!    live one and at most one [`ACK_FRONTIER_EVERY`] window behind it —
+//!    and, whenever the frontier is level, the same collectable history
+//!    and the same answer to "can this checkpoint?". A rejected input
+//!    appends nothing.
 //! 2. **Differential**: the simulator's node is a thin driver — the input
 //!    stream a traced standby session captured at its notifier, replayed
 //!    through a bare core, yields a byte-identical log image.
@@ -47,6 +50,9 @@ struct World {
     /// Live `acked_by` after each successfully integrated bare ack
     /// (index 0: before any).
     ack_history: Vec<Vec<u64>>,
+    /// Sites the driver evicted; whatever their channel still carries
+    /// must bounce.
+    evicted: Vec<bool>,
 }
 
 impl World {
@@ -64,6 +70,7 @@ impl World {
             down: vec![VecDeque::new(); n],
             last_integrated: vec![None; n],
             ack_history: vec![vec![0; n]],
+            evicted: vec![false; n],
         }
     }
 
@@ -71,12 +78,13 @@ impl World {
         self.core.wal().expect("the core under test is durable")
     }
 
-    /// Feed one upstream message to the core, as a driver would.
-    fn integrate(&mut self, msg: EditorMsg) -> Result<(), cvc_reduce::ProtocolError> {
+    /// Feed one upstream message that arrived on `from`'s channel to the
+    /// core, as a driver would.
+    fn integrate(&mut self, from: SiteId, msg: EditorMsg) -> Result<(), cvc_reduce::ProtocolError> {
         match msg {
             EditorMsg::ClientOp(op) => {
                 let origin = op.origin;
-                let outcome = self.core.integrate_op(op.clone())?;
+                let outcome = self.core.integrate_op(from, op.clone())?;
                 if let Some(slot) = self.last_integrated.get_mut(origin.client_index()) {
                     *slot = Some(op);
                 }
@@ -85,7 +93,7 @@ impl World {
                 }
             }
             EditorMsg::ClientAck(ack) => {
-                self.core.integrate_ack(ack)?;
+                self.core.integrate_ack(from, ack)?;
                 self.ack_history
                     .push(self.core.notifier().acked_by().to_vec());
             }
@@ -109,11 +117,39 @@ impl World {
         }
     }
 
+    /// Evict client `i` through the core's third door, as a driver does
+    /// after a violation on its channel. Keeps two members in the session.
+    fn evict(&mut self, i: usize) {
+        if self.evicted[i] || self.evicted.iter().filter(|&&e| !e).count() <= 2 {
+            return;
+        }
+        let appends = self.wal().appends();
+        let compactions = self.wal().compactions();
+        let site = SiteId::from_client_index(i);
+        self.core
+            .integrate_eviction(site)
+            .expect("an active member");
+        self.evicted[i] = true;
+        self.up[i].clear();
+        self.down[i].clear();
+        // One record — or, when the evicted site was all that held a
+        // checkpoint back, the snapshot that replaced the log.
+        assert!(self.wal().appends() > appends, "eviction must be logged");
+        assert!(self.wal().appends() - appends <= 1 + self.wal().compactions() - compactions);
+        assert!(
+            self.core.integrate_eviction(site).is_err(),
+            "a second eviction is a no-op"
+        );
+    }
+
     /// One seeded step.
     fn step(&mut self, rng: &mut SmallRng) {
         let n = self.clients.len();
         let i = rng.gen_range(0..n);
         let site = SiteId::from_client_index(i);
+        if self.evicted[i] {
+            return self.hostile(rng, i);
+        }
         match rng.gen_range(0..10u32) {
             0..=2 => {
                 let len = self.clients[i].doc_len();
@@ -126,7 +162,7 @@ impl World {
             }
             3..=4 => {
                 if let Some(m) = self.up[i].pop_front() {
-                    self.integrate(m).expect("honest input integrates");
+                    self.integrate(site, m).expect("honest input integrates");
                 }
             }
             5..=7 => self.deliver_down(i),
@@ -139,7 +175,16 @@ impl World {
                     received,
                 }));
             }
-            _ => self.hostile(rng, i),
+            _ => {
+                self.hostile(rng, i);
+                // Sometimes the driver evicts the offender, sometimes a
+                // bystander (an honest site caught by a timeout, say).
+                match rng.gen_range(0..6u32) {
+                    0 => self.evict(i),
+                    1 => self.evict(rng.gen_range(0..n)),
+                    _ => {}
+                }
+            }
         }
     }
 
@@ -164,7 +209,7 @@ impl World {
                 cursor: None,
             })
         };
-        let msg = match rng.gen_range(0..5u32) {
+        let msg = match rng.gen_range(0..6u32) {
             0 => match &self.last_integrated[i] {
                 Some(dup) => EditorMsg::ClientOp(dup.clone()),
                 None => forged(site, next_seq + 1, doc_len),
@@ -174,6 +219,20 @@ impl World {
             3 => {
                 let outsider = [SiteId(0), SiteId(n as u32 + 1 + rng.gen_range(0..4u32))];
                 forged(outsider[rng.gen_range(0..2usize)], 1, doc_len)
+            }
+            4 => {
+                // A neighbour's well-formed next op, or an ack in its
+                // name, on this channel.
+                let victim = SiteId::from_client_index((i + 1) % n);
+                let received = notifier.state_vector().received_from(victim);
+                if rng.gen_range(0..2u32) == 0 {
+                    forged(victim, received.expect("known site") + 1, doc_len)
+                } else {
+                    EditorMsg::ClientAck(ClientAckMsg {
+                        origin: victim,
+                        received: 0,
+                    })
+                }
             }
             _ => {
                 let sent = notifier.state_vector().compress_for(site).get(1);
@@ -185,7 +244,7 @@ impl World {
         };
         let appends = self.wal().appends();
         let live = (notifier.doc_checksum(), notifier.state_vector().clone());
-        let verdict = self.integrate(msg.clone());
+        let verdict = self.integrate(site, msg.clone());
         assert!(verdict.is_err(), "hostile input accepted: {msg:?}");
         assert_eq!(
             self.wal().appends(),
@@ -210,9 +269,22 @@ impl World {
             "log poisons replay: {:?}",
             cold.poisoned()
         );
-        let rebuilt = cold.promote().expect("unpoisoned standby promotes");
+        let mut rebuilt = cold.promote().expect("unpoisoned standby promotes");
         assert_eq!(rebuilt.doc_checksum(), live.doc_checksum());
         assert_eq!(rebuilt.state_vector(), live.state_vector());
+        let warm = self.core.standby().expect("warm standby");
+        assert!(warm.poisoned().is_none());
+        assert_eq!(warm.notifier().doc_checksum(), live.doc_checksum());
+        // Membership is part of the state: who is broadcast to, whose
+        // acks gate collection.
+        let mut level = true;
+        for i in 0..n {
+            let site = SiteId::from_client_index(i);
+            assert_eq!(live.is_active(site), !self.evicted[i]);
+            assert_eq!(rebuilt.is_active(site), live.is_active(site), "{site}");
+            assert_eq!(warm.notifier().is_active(site), live.is_active(site));
+            level &= self.evicted[i] || rebuilt.acked_by()[i] == live.acked_by()[i];
+        }
         // The replayed ack frontier never runs ahead of the live one, and
         // trails it by less than one frontier window of bare acks.
         let acks = self.ack_history.len() - 1;
@@ -223,25 +295,39 @@ impl World {
             .zip(live.acked_by())
             .zip(window_ago);
         for (i, ((&got, &now), &then)) in frontiers.enumerate() {
+            if self.evicted[i] {
+                continue;
+            }
             assert!(got <= now, "client {i}: replayed ack {got} ahead of {now}");
             assert!(
                 got >= then,
                 "client {i}: replayed ack {got} more than a window behind (had {then} then)"
             );
         }
-        let warm = self.core.standby().expect("warm standby");
-        assert!(warm.poisoned().is_none());
-        assert_eq!(warm.notifier().doc_checksum(), live.doc_checksum());
+        // What is collectable follows from membership and the frontier: a
+        // replica behind on acks retains more, never less, and one level
+        // with the live frontier collects — and checkpoints — alike.
+        let mut live = live.clone();
+        live.gc();
+        rebuilt.gc();
+        assert!(rebuilt.history().len() >= live.history().len());
+        if level {
+            assert_eq!(rebuilt.history().len(), live.history().len());
+            assert_eq!(rebuilt.checkpoint_ready(), live.checkpoint_ready());
+        }
     }
 
     /// Drain every queue, then ack everything, so the session quiesces.
     fn quiesce(&mut self) {
-        let n = self.clients.len();
+        let members: Vec<usize> = (0..self.clients.len())
+            .filter(|&i| !self.evicted[i])
+            .collect();
         loop {
             let mut moved = false;
-            for i in 0..n {
+            for &i in &members {
+                let site = SiteId::from_client_index(i);
                 while let Some(m) = self.up[i].pop_front() {
-                    self.integrate(m).expect("honest input integrates");
+                    self.integrate(site, m).expect("honest input integrates");
                     moved = true;
                 }
                 while !self.down[i].is_empty() {
@@ -253,12 +339,13 @@ impl World {
                 break;
             }
         }
-        for i in 0..n {
+        for &i in &members {
+            let site = SiteId::from_client_index(i);
             let ack = ClientAckMsg {
-                origin: SiteId::from_client_index(i),
+                origin: site,
                 received: self.clients[i].state_vector().received(),
             };
-            self.integrate(EditorMsg::ClientAck(ack))
+            self.integrate(site, EditorMsg::ClientAck(ack))
                 .expect("final ack");
         }
     }
@@ -276,14 +363,18 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut world = World::new(n, compact_every);
-        for _ in 0..steps {
-            world.step(&mut rng);
+        // Two halves with a quiescent point between them, so the second
+        // half's inputs — evictions included — land on a compacted log.
+        for _ in 0..2 {
+            for _ in 0..steps / 2 {
+                world.step(&mut rng);
+                world.check_log_rebuilds_live();
+            }
+            world.quiesce();
             world.check_log_rebuilds_live();
         }
-        world.quiesce();
-        world.check_log_rebuilds_live();
         let doc = world.core.notifier().doc();
-        for c in &world.clients {
+        for (c, _) in world.clients.iter().zip(&world.evicted).filter(|(_, &out)| !out) {
             prop_assert_eq!(c.doc(), doc.as_str(), "replica diverged (seed {})", seed);
         }
         // Fully acknowledged and past the cadence: the log has compacted.
@@ -321,13 +412,15 @@ fn traced_session_replayed_through_a_bare_core_yields_the_same_log() {
         let mut acks = trace.notifier_acks.iter().peekable();
         for (k, step) in trace.notifier.iter().enumerate() {
             while let Some((_, ack)) = acks.next_if(|(before, _)| *before <= k) {
-                core.integrate_ack(*ack).expect("captured ack replays");
+                core.integrate_ack(ack.origin, *ack)
+                    .expect("captured ack replays");
             }
-            core.integrate_op(step.msg.clone())
+            core.integrate_op(step.msg.origin, step.msg.clone())
                 .expect("captured op replays");
         }
         for (_, ack) in acks {
-            core.integrate_ack(*ack).expect("captured ack replays");
+            core.integrate_ack(ack.origin, *ack)
+                .expect("captured ack replays");
         }
         assert_eq!(core.notifier().doc(), report.final_doc);
         assert_eq!(

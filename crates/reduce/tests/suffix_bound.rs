@@ -112,9 +112,11 @@ fn drive(
                     .collect();
                 let trimmed_before = a.history_trimmed() as usize;
                 let out_a = a
-                    .try_on_client_op(msg.clone())
+                    .try_on_client_op_outcome(msg.clone())
                     .expect("valid op stream for A");
-                let out_b = b.try_on_client_op(msg).expect("valid op stream for B");
+                let out_b = b
+                    .try_on_client_op_outcome(msg)
+                    .expect("valid op stream for B");
                 let got_a = out_a.full_verdicts();
                 prop_assert_eq!(
                     &got_a,
@@ -134,17 +136,17 @@ fn drive(
                 prop_assert_eq!(&got_b[trimmed_before..], &got_a[..]);
                 prop_assert_eq!(a.doc(), b.doc());
                 let stamps_a: Vec<_> = out_a
-                    .broadcasts
+                    .broadcast_msgs()
                     .iter()
                     .map(|(d, m)| (d.0, m.stamp))
                     .collect();
                 let stamps_b: Vec<_> = out_b
-                    .broadcasts
+                    .broadcast_msgs()
                     .iter()
                     .map(|(d, m)| (d.0, m.stamp))
                     .collect();
                 prop_assert_eq!(stamps_a, stamps_b);
-                for (dest, smsg) in out_a.broadcasts {
+                for (dest, smsg) in out_a.broadcast_msgs() {
                     down[dest.client_index()].push_back(smsg);
                 }
             }

@@ -127,7 +127,12 @@ impl World {
         let Some(msg) = self.up[who].pop_front() else {
             return;
         };
-        for (dest, m) in self.notifier.on_client_op(msg).broadcasts {
+        for (dest, m) in self
+            .notifier
+            .try_on_client_op_outcome(msg)
+            .expect("valid client op")
+            .broadcast_msgs()
+        {
             self.down[dest.client_index()].push_back(m);
         }
     }
@@ -136,7 +141,10 @@ impl World {
         let Some(msg) = self.down[who].pop_front() else {
             return;
         };
-        let executed = self.clients[who].on_server_op(msg).executed;
+        let executed = self.clients[who]
+            .try_on_server_op(msg)
+            .expect("valid server op")
+            .executed;
         self.clients[who].gc();
         if who == 0 {
             self.shadow.ride(&executed);

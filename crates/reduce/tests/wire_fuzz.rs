@@ -322,7 +322,8 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
         .prop_map(|(doc, clients)| WalRecord::Snapshot(WalSnapshot { doc, clients }));
     let frontier = proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8)
         .prop_map(|entries| WalRecord::AckFrontier(cvc_reduce::wal::AckFrontierRecord { entries }));
-    prop_oneof![op, ack, frontier, snapshot]
+    let evict = any::<u32>().prop_map(|site| WalRecord::Evict(SiteId(site)));
+    prop_oneof![op, ack, frontier, evict, snapshot]
 }
 
 /// Run the full hostile-input battery against one message's encoding.
@@ -374,7 +375,7 @@ where
 fn route_like_the_session_layer(notifier: &mut Notifier, client: &mut Client, msg: EditorMsg) {
     match msg {
         EditorMsg::ClientOp(m) => {
-            let _ = notifier.try_on_client_op(m);
+            let _ = notifier.try_on_client_op_outcome(m);
         }
         EditorMsg::ClientAck(m) => {
             let _ = notifier.try_on_client_ack(m);

@@ -81,24 +81,41 @@ pub fn put_varint<B: BufMut>(buf: &mut B, mut v: u64) {
     }
 }
 
-/// Read a LEB128 varint.
-pub fn get_varint<B: Buf>(buf: &mut B) -> Result<u64, WireError> {
+/// The one LEB128 decoder: pull bytes from `next` until the continuation
+/// bit clears. `Ok(None)` means the input ended mid-varint. The 10th byte
+/// holds only u64 bit 63, so a set continuation bit or any payload bit
+/// above the lowest there is [`WireError::Overlong`] — letting the shift
+/// discard the high bits would decode `[0x80×9, 0x02]` as 0.
+#[inline]
+fn decode_varint(mut next: impl FnMut() -> Option<u8>) -> Result<Option<u64>, WireError> {
     let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
+    for shift in (0..64).step_by(7) {
+        let Some(byte) = next() else {
+            return Ok(None);
+        };
+        if shift == 63 && byte > 0x01 {
+            break;
         }
-        if shift >= 70 {
-            return Err(WireError::Overlong);
-        }
-        let byte = buf.get_u8();
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
-            return Ok(v);
+            return Ok(Some(v));
         }
-        shift += 7;
     }
+    Err(WireError::Overlong)
+}
+
+/// Read a LEB128 varint.
+pub fn get_varint<B: Buf>(buf: &mut B) -> Result<u64, WireError> {
+    decode_varint(|| buf.has_remaining().then(|| buf.get_u8()))?.ok_or(WireError::Truncated)
+}
+
+/// Parse one varint from the front of `bytes` without consuming them:
+/// `Ok(Some((value, consumed)))` on a complete varint, `Ok(None)` when the
+/// input ends mid-varint (torn — a stream reader waits for more bytes).
+pub fn try_varint(bytes: &[u8]) -> Result<Option<(u64, usize)>, WireError> {
+    let mut rest = bytes.iter();
+    let v = decode_varint(|| rest.next().copied())?;
+    Ok(v.map(|v| (v, bytes.len() - rest.as_slice().len())))
 }
 
 /// Upper bound on any single span, position, or repeat count accepted off
@@ -211,6 +228,20 @@ mod tests {
         let overlong = [0xffu8; 11];
         let mut o = &overlong[..];
         assert_eq!(get_varint(&mut o), Err(WireError::Overlong));
+        // Nine continuation bytes then a terminator with bits above u64
+        // bit 63: the encoding ends, but no u64 holds the value.
+        for tenth in [0x02u8, 0x40, 0x7f] {
+            let mut bytes = [0x80u8; 10];
+            bytes[9] = tenth;
+            assert_eq!(get_varint(&mut &bytes[..]), Err(WireError::Overlong));
+            assert_eq!(try_varint(&bytes), Err(WireError::Overlong));
+        }
+        // u64::MAX is the one legitimate shape with the tenth byte set.
+        let mut max = Vec::new();
+        put_varint(&mut max, u64::MAX);
+        assert_eq!(get_varint(&mut &max[..]), Ok(u64::MAX));
+        assert_eq!(try_varint(&max), Ok(Some((u64::MAX, 10))));
+        assert_eq!(try_varint(&max[..9]), Ok(None), "torn, not an error");
     }
 
     #[test]

@@ -22,9 +22,13 @@ fn main() {
 
     // Some editing happens before anyone else shows up.
     let m = alice.insert(11, " println!(\"hi\"); ");
-    for (dest, s) in notifier.on_client_op(m).broadcasts {
+    for (dest, s) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         assert_eq!(dest, SiteId(2));
-        bob.on_server_op(s);
+        bob.try_on_server_op(s).expect("valid server op");
     }
     println!("alice adds a body: {:?}", notifier.doc());
 
@@ -42,24 +46,32 @@ fn main() {
         from_carol.stamp
     );
 
-    for (dest, s) in notifier.on_client_op(from_carol).broadcasts {
+    for (dest, s) in notifier
+        .try_on_client_op_outcome(from_carol)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         match dest.0 {
             1 => {
-                alice.on_server_op(s);
+                alice.try_on_server_op(s).expect("valid server op");
             }
             2 => {
-                bob.on_server_op(s);
+                bob.try_on_server_op(s).expect("valid server op");
             }
             _ => unreachable!(),
         }
     }
-    for (dest, s) in notifier.on_client_op(from_bob).broadcasts {
+    for (dest, s) in notifier
+        .try_on_client_op_outcome(from_bob)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         match dest.0 {
             1 => {
-                alice.on_server_op(s);
+                alice.try_on_server_op(s).expect("valid server op");
             }
             3 => {
-                carol.on_server_op(s);
+                carol.try_on_server_op(s).expect("valid server op");
             }
             _ => unreachable!(),
         }
@@ -77,12 +89,14 @@ fn main() {
     // Bob leaves; the session shrinks but keeps working.
     notifier.remove_client(SiteId(2));
     let m = alice.insert(0, "#![allow(fun)]\n");
-    let out = notifier.on_client_op(m);
-    let dests: Vec<u32> = out.broadcasts.iter().map(|(d, _)| d.0).collect();
+    let out = notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op");
+    let dests: Vec<u32> = out.broadcast_msgs().iter().map(|(d, _)| d.0).collect();
     println!("\nbob leaves; alice's next op is broadcast only to sites {dests:?}");
-    for (dest, s) in out.broadcasts {
+    for (dest, s) in out.broadcast_msgs() {
         assert_eq!(dest, carol_site);
-        carol.on_server_op(s);
+        carol.try_on_server_op(s).expect("valid server op");
     }
     assert_eq!(alice.doc(), carol.doc());
     println!("alice and carol stay convergent: {:?}", carol.doc());

@@ -38,27 +38,35 @@ fn main() {
 
     // Bob's op reaches the notifier first; it executes, re-stamps per
     // destination, and re-broadcasts the *transformed* form.
-    for (dest, msg) in notifier.on_client_op(from_bob).broadcasts {
+    for (dest, msg) in notifier
+        .try_on_client_op_outcome(from_bob)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         println!("notifier → site {}: op stamped {}", dest.0, msg.stamp);
         match dest.0 {
             1 => {
-                alice.on_server_op(msg);
+                alice.try_on_server_op(msg).expect("valid server op");
             }
             3 => {
-                carol.on_server_op(msg);
+                carol.try_on_server_op(msg).expect("valid server op");
             }
             _ => unreachable!(),
         }
     }
     // Then Alice's — concurrent with Bob's, so the notifier transforms it.
-    for (dest, msg) in notifier.on_client_op(from_alice).broadcasts {
+    for (dest, msg) in notifier
+        .try_on_client_op_outcome(from_alice)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         println!("notifier → site {}: op stamped {}", dest.0, msg.stamp);
         match dest.0 {
             2 => {
-                bob.on_server_op(msg);
+                bob.try_on_server_op(msg).expect("valid server op");
             }
             3 => {
-                carol.on_server_op(msg);
+                carol.try_on_server_op(msg).expect("valid server op");
             }
             _ => unreachable!(),
         }

@@ -45,16 +45,24 @@ fn main() {
     println!("('|' is the local caret, ⟨n⟩ is site n's telepointer)\n");
     println!("bob types \" pad\" at the end:");
     let m = bob.insert(11, " pad");
-    for (_, s) in notifier.on_client_op(m).broadcasts {
-        alice.on_server_op(s);
+    for (_, s) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
+        alice.try_on_server_op(s).expect("valid server op");
     }
     render("alice:", &alice);
     render("bob:", &bob);
 
     println!("\nalice types \"my \" at the start — bob's pointer must shift:");
     let m = alice.insert(0, "my ");
-    for (_, s) in notifier.on_client_op(m).broadcasts {
-        bob.on_server_op(s);
+    for (_, s) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
+        bob.try_on_server_op(s).expect("valid server op");
     }
     render("alice:", &alice);
     render("bob:", &bob);

@@ -20,25 +20,29 @@ fn session_with_two_broadcasts() -> (Notifier, Client, Vec<ServerOpMsg>) {
     let mut notifier = Notifier::new(3, "abc");
     let client1 = Client::new(SiteId(1), "abc");
     let mut for_site1 = Vec::new();
-    let out = notifier.on_client_op(ClientOpMsg {
-        origin: SiteId(2),
-        stamp: CompressedStamp::new(0, 1),
-        op: SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
-        cursor: None,
-    });
+    let out = notifier
+        .try_on_client_op_outcome(ClientOpMsg {
+            origin: SiteId(2),
+            stamp: CompressedStamp::new(0, 1),
+            op: SeqOp::from_pos(&PosOp::insert(3, "d"), 3),
+            cursor: None,
+        })
+        .expect("valid client op");
     for_site1.extend(
-        out.broadcasts
+        out.broadcast_msgs()
             .into_iter()
             .filter_map(|(d, m)| (d == SiteId(1)).then_some(m)),
     );
-    let out = notifier.on_client_op(ClientOpMsg {
-        origin: SiteId(3),
-        stamp: CompressedStamp::new(1, 1),
-        op: SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
-        cursor: None,
-    });
+    let out = notifier
+        .try_on_client_op_outcome(ClientOpMsg {
+            origin: SiteId(3),
+            stamp: CompressedStamp::new(1, 1),
+            op: SeqOp::from_pos(&PosOp::insert(4, "e"), 4),
+            cursor: None,
+        })
+        .expect("valid client op");
     for_site1.extend(
-        out.broadcasts
+        out.broadcast_msgs()
             .into_iter()
             .filter_map(|(d, m)| (d == SiteId(1)).then_some(m)),
     );
@@ -92,7 +96,7 @@ fn dropped_client_message_is_detected_at_the_notifier() {
     let second = client.insert(0, "y");
     // First message lost in transit; second arrives.
     drop(first);
-    let err = notifier.try_on_client_op(second).unwrap_err();
+    let err = notifier.try_on_client_op_outcome(second).unwrap_err();
     assert!(matches!(
         err,
         ProtocolError::FifoViolation {
@@ -109,8 +113,10 @@ fn replayed_client_message_is_detected() {
     let mut notifier = Notifier::new(2, "abc");
     let mut client = Client::new(SiteId(1), "abc");
     let msg = client.insert(3, "!");
-    notifier.try_on_client_op(msg.clone()).expect("first copy");
-    let err = notifier.try_on_client_op(msg).unwrap_err();
+    notifier
+        .try_on_client_op_outcome(msg.clone())
+        .expect("first copy");
+    let err = notifier.try_on_client_op_outcome(msg).unwrap_err();
     assert!(matches!(
         err,
         ProtocolError::FifoViolation {
@@ -127,7 +133,7 @@ fn corrupt_operation_payload_is_detected() {
     let mut notifier = Notifier::new(2, "abc");
     // Valid stamps, but the operation consumes the wrong base length.
     let err = notifier
-        .try_on_client_op(ClientOpMsg {
+        .try_on_client_op_outcome(ClientOpMsg {
             origin: SiteId(1),
             stamp: CompressedStamp::new(0, 1),
             op: SeqOp::from_pos(&PosOp::insert(9, "x"), 9),
@@ -140,7 +146,7 @@ fn corrupt_operation_payload_is_detected() {
     // corrupt one consumed the sequence number)… unless the sender
     // retransmits with the same sequence — which works, because the
     // failed integration did not advance any counter.
-    let ok = notifier.try_on_client_op(ClientOpMsg {
+    let ok = notifier.try_on_client_op_outcome(ClientOpMsg {
         origin: SiteId(1),
         stamp: CompressedStamp::new(0, 1),
         op: SeqOp::from_pos(&PosOp::insert(3, "x"), 3),
@@ -154,7 +160,7 @@ fn corrupt_operation_payload_is_detected() {
 fn forged_acknowledgement_is_detected() {
     let mut notifier = Notifier::new(2, "ab");
     let err = notifier
-        .try_on_client_op(ClientOpMsg {
+        .try_on_client_op_outcome(ClientOpMsg {
             origin: SiteId(2),
             stamp: CompressedStamp::new(7, 1), // claims 7 broadcasts seen
             op: SeqOp::identity(2),
@@ -176,7 +182,7 @@ fn message_from_outside_the_session_is_detected() {
     let mut notifier = Notifier::new(2, "ab");
     for bad in [SiteId(0), SiteId(3), SiteId(99)] {
         let err = notifier
-            .try_on_client_op(ClientOpMsg {
+            .try_on_client_op_outcome(ClientOpMsg {
                 origin: bad,
                 stamp: CompressedStamp::new(0, 1),
                 op: SeqOp::identity(2),
@@ -201,24 +207,30 @@ fn broken_client_recovers_by_rejoining() {
 
     // Healthy traffic first.
     let m = c1.insert(5, "!");
-    for (d, s) in notifier.on_client_op(m).broadcasts {
+    for (d, s) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         assert_eq!(d, SiteId(2));
-        c2.on_server_op(s);
+        c2.try_on_server_op(s).expect("valid server op");
     }
 
     // c2's downstream breaks: a message is lost, the next one trips the
     // FIFO check.
     let m = c1.insert(6, "?");
     let (d, lost_then_next) = notifier
-        .on_client_op(m)
-        .broadcasts
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
         .into_iter()
         .next()
         .unwrap();
     assert_eq!(d, SiteId(2));
     // Simulate the loss of an earlier message by corrupting the expected
     // counter: deliver the same message twice (replay ⇒ FIFO violation).
-    c2.on_server_op(lost_then_next.clone());
+    c2.try_on_server_op(lost_then_next.clone())
+        .expect("valid server op");
     let err = c2.try_on_server_op(lost_then_next).unwrap_err();
     assert!(matches!(err, ProtocolError::FifoViolation { .. }));
 
@@ -231,14 +243,22 @@ fn broken_client_recovers_by_rejoining() {
 
     // The session continues: both remaining members converge.
     let m = c2b.insert(0, ">> ");
-    for (d, s) in notifier.on_client_op(m).broadcasts {
+    for (d, s) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         assert_eq!(d, SiteId(1));
-        c1.on_server_op(s);
+        c1.try_on_server_op(s).expect("valid server op");
     }
     let m = c1.insert(0, "# ");
-    for (d, s) in notifier.on_client_op(m).broadcasts {
+    for (d, s) in notifier
+        .try_on_client_op_outcome(m)
+        .expect("valid client op")
+        .broadcast_msgs()
+    {
         assert_eq!(d, new_site);
-        c2b.on_server_op(s);
+        c2b.try_on_server_op(s).expect("valid server op");
     }
     assert_eq!(c1.doc(), c2b.doc());
     assert_eq!(c1.doc(), notifier.doc());
@@ -251,7 +271,7 @@ fn departed_client_messages_are_detected() {
     let mut client2 = Client::new(SiteId(2), "ab");
     let msg = client2.insert(0, "z");
     notifier.remove_client(SiteId(2));
-    let err = notifier.try_on_client_op(msg).unwrap_err();
+    let err = notifier.try_on_client_op_outcome(msg).unwrap_err();
     assert!(matches!(
         err,
         ProtocolError::DepartedSite { site: SiteId(2) }
