@@ -3,145 +3,126 @@
 //! ```text
 //! repro all               # run every experiment (parallel workers)
 //! repro all --threads 4   # cap the worker pool
-//! repro e3                # one experiment (e1..e23)
-//! repro list              # what exists
+//! repro e3                # one experiment; `e16-smoke` for its CI-sized sweep
+//! repro list              # what exists (the registry in `experiments.rs`)
+//! repro check [FILE…]     # gate committed artefacts (default: all of them)
 //! ```
 //!
-//! `all` fans the timing-insensitive experiments out across a scoped
-//! worker pool (default: the machine's parallelism, override with
-//! `--threads N` or `REPRO_THREADS=N`), then runs the wall-clock
-//! experiments (e7, e14, e16, e17, e18, e19, e21, e22, e23) sequentially. Output
-//! is always in e1..e23 order and, being seeded virtual-time, bit-identical
-//! at any worker count (E22 and E23 alone measure real sockets, so their
-//! timing columns vary run to run; their gates do not).
+//! `all` fans the virtual-time experiments out across a scoped worker
+//! pool (default: the machine's parallelism, override with `--threads N`
+//! or `REPRO_THREADS=N`), then runs the wall-clock ones (`repro list`
+//! marks them) sequentially. Output is always in registry order and, for
+//! the virtual-time experiments, bit-identical at any worker count.
 //!
-//! Exit status: 0 when every experiment's internal verification holds;
-//! 1 when any experiment reports a `FAILED:` line; 2 on usage errors.
+//! An experiment that writes an artefact writes it to its committed name
+//! in the working directory, or to `$BENCH_PRn_OUT` when that is set —
+//! point it elsewhere for a run that is not meant to re-baseline.
+//!
+//! `check` applies each experiment's gate to its committed artefact and,
+//! for the virtual-time ones (`BENCH_PR2.json`, `BENCH_PR7.json`),
+//! regenerates it and demands the same bytes.
+//!
+//! Exit status: 0 when every gate holds; 1 when any experiment or check
+//! reports a `FAILED:` line; 2 on usage errors.
 
-use cvc_bench::experiments;
+use cvc_bench::experiments::{self, Experiment, EXPERIMENTS};
+use cvc_bench::report::Report;
+
+fn usage(msg: String) -> ! {
+    eprintln!("{msg}; try `repro list`");
+    std::process::exit(2)
+}
+
+/// Where `artifact` goes: `BENCH_PR3.json` → `$BENCH_PR3_OUT`, else itself.
+fn out_path(artifact: &str) -> String {
+    let var = format!("{}_OUT", artifact.trim_end_matches(".json"));
+    std::env::var(var).unwrap_or_else(|_| artifact.to_string())
+}
+
+/// One experiment's section of stdout; writes its artefact on the way.
+fn emit(e: &Experiment, report: &Report) -> String {
+    let mut out = report.render();
+    if let Some(artifact) = e.artifact {
+        let path = out_path(artifact);
+        out.push_str(&match std::fs::write(&path, report.to_json()) {
+            Ok(()) => format!("\nmachine-readable report: {path}\n"),
+            Err(err) => format!("\n(could not write {path}: {err})\n"),
+        });
+    }
+    out
+}
+
+/// `repro check`: one verdict per file; the findings go to stderr with the
+/// exit status.
+fn check(files: &[String]) -> Vec<String> {
+    let committed = EXPERIMENTS.iter().filter_map(|e| e.artifact);
+    let files: Vec<String> = match files {
+        [] => committed.map(str::to_string).collect(),
+        _ => files.to_vec(),
+    };
+    let mut failed = Vec::new();
+    for file in &files {
+        let findings = match std::fs::read_to_string(file) {
+            Ok(text) => experiments::check_artifact(file, &text, true),
+            Err(e) => vec![format!("{file}: {e}")],
+        };
+        println!(
+            "{file}: {}",
+            if findings.is_empty() { "ok" } else { "FAILED" }
+        );
+        failed.extend(findings);
+    }
+    failed
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads: Option<usize> = None;
-    let mut selected: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                let v = it.next().unwrap_or_default();
-                match v.parse::<usize>() {
-                    Ok(t) if t > 0 => threads = Some(t),
-                    _ => {
-                        eprintln!("--threads needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
+    let mut threads: Option<usize> = std::env::var("REPRO_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&t| t > 0);
+    let mut words: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--threads" {
+            let v = args.next().unwrap_or_default();
+            match v.parse::<usize>() {
+                Ok(t) if t > 0 => threads = Some(t),
+                _ => usage(format!("--threads needs a positive integer, got {v:?}")),
             }
-            other if selected.is_none() => selected = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument {other:?}; try `repro list`");
-                std::process::exit(2);
-            }
+        } else {
+            words.push(a);
         }
     }
-    let arg = selected.unwrap_or_else(|| "all".into());
-    let out = match arg.as_str() {
-        "all" => {
-            experiments::run_all_with_threads(threads.unwrap_or_else(experiments::default_threads))
-        }
-        "e1" => experiments::e1_topology(),
-        "e2" => experiments::e2_fig2(),
-        "e3" => experiments::e3_fig3(),
-        "e4" => experiments::e4_timestamp_size(),
-        "e5" => experiments::e5_storage(),
-        "e6" => experiments::e6_session_overhead(),
-        "e7" => experiments::e7_throughput(),
-        "e8" => experiments::e8_oracle(),
-        "e9" => experiments::e9_ablation(),
-        "e10" => experiments::e10_latency(),
-        "e11" => experiments::e11_membership(),
-        "e12" => experiments::e12_composing(),
-        "e13" => experiments::e13_bandwidth(),
-        "e14" => experiments::e14_throughput(),
-        "e15" => experiments::e15_robustness(),
-        "e16" => experiments::e16_scaling(),
-        "e16-smoke" => experiments::e16_scaling_smoke(),
-        "e17" => experiments::e17_recorder_overhead(),
-        "e17-smoke" => experiments::e17_recorder_overhead_smoke(),
-        "e18" => experiments::e18_convergence_tracing(),
-        "e18-smoke" => experiments::e18_convergence_tracing_smoke(),
-        "e19" => experiments::e19_throughput(),
-        "e19-smoke" => experiments::e19_throughput_smoke(),
-        "e20" => experiments::e20_failover(),
-        "e20-smoke" => experiments::e20_failover_smoke(),
-        "e21" => experiments::e21_federation(),
-        "e21-smoke" => experiments::e21_federation_smoke(),
-        "e22" => experiments::e22_loopback(),
-        "e22-smoke" => experiments::e22_loopback_smoke(),
-        "e23" => experiments::e23_observability(),
-        "e23-smoke" => experiments::e23_observability_smoke(),
-        "failover" => {
-            let t = cvc_reduce::scenario::failover_walkthrough();
-            let mut s = String::from("durability & failover walkthrough\n\n");
-            for line in &t.narration {
-                s.push_str(line);
-                s.push('\n');
-            }
-            if !t.converged {
-                s.push_str("FAILED: the walkthrough did not converge\n");
-            }
-            s
-        }
-        "list" => "e1  topology message mapping (Fig. 1)\n\
-             e2  divergence & intention violation (Fig. 2)\n\
-             e3  compressed clock walkthrough (Fig. 3)\n\
-             e4  timestamp size vs N\n\
-             e5  clock storage per site\n\
-             e6  whole-session wire cost\n\
-             e7  processing throughput\n\
-             e8  verdicts vs causality oracle\n\
-             e9  ablation: stamps without OT\n\
-             e10 delivery latency: the star's extra hop\n\
-             e11 dynamic membership (extension)\n\
-             e12 composing clients (extension)\n\
-             e13 bandwidth-limited links (extension)\n\
-             e14 notifier hot-path throughput (suffix vs full scan)\n\
-             e15 unreliable-transport survival (reliability layer)\n\
-             e16 per-op cost curve with ack-driven GC (N to 1024)\n\
-             e16-smoke  small e16 sweep for the CI bench gate\n\
-             e17 flight-recorder overhead vs the E16 baseline\n\
-             e17-smoke  small e17 run for the CI bench gate\n\
-             e18 convergence-latency attribution (traced loss x N sweep)\n\
-             e18-smoke  small e18 run for the CI bench gate\n\
-             e19 encode-once broadcast + compound-frame goodput (N to 4096)\n\
-             e19-smoke  small e19 run for the CI bench gate\n\
-             e20 notifier durability and warm-standby failover (crash sweep)\n\
-             e20-smoke  small e20 run for the CI bench gate\n\
-             e21 multi-notifier federation throughput (K to 8, N to 1024)\n\
-             e21-smoke  small e21 run for the CI bench gate\n\
-             e22 loopback saturation sweep over real TCP (N to 4096)\n\
-             e22-smoke  small e22 run for the CI bench gate\n\
-             e23 live observability plane: scrape overhead, attach, probes\n\
-             e23-smoke  small e23 run for the CI bench gate\n\
-             failover  step-by-step WAL/promotion/resync walkthrough"
-            .to_string(),
-        other => {
-            eprintln!("unknown experiment {other:?}; try `repro list`");
-            std::process::exit(2);
+    let command = words.first().map_or("all", String::as_str);
+    if let (true, Some(extra)) = (command != "check", words.get(1)) {
+        usage(format!("unexpected argument {extra:?}"));
+    }
+    let failed: Vec<String> = match command {
+        "list" => return print!("{}", experiments::list()),
+        "check" => check(&words[1..]),
+        _ => {
+            let reports = if command == "all" {
+                experiments::run_all(threads.unwrap_or_else(experiments::cores))
+            } else {
+                let Some((e, smoke)) = experiments::lookup(command) else {
+                    usage(format!("unknown experiment {command:?}"));
+                };
+                let baseline = e.artifact.filter(|_| smoke);
+                if let Some(missing) = baseline.filter(|a| !std::path::Path::new(a).exists()) {
+                    eprintln!("repro: no committed {missing} here: not compared against it");
+                }
+                vec![(e, experiments::run_gated(e, smoke))]
+            };
+            let sections: Vec<String> = reports.iter().map(|(e, r)| emit(e, r)).collect();
+            println!("{}", sections.join("\n\n"));
+            reports.into_iter().flat_map(|(_, r)| r.failed).collect()
         }
     };
-    println!("{out}");
-    // Every experiment marks a failed internal verification with a
-    // `FAILED:` line; surface that as a non-zero exit for CI.
-    let failures: Vec<&str> = out
-        .lines()
-        .filter(|l| l.trim_start().starts_with("FAILED"))
-        .collect();
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("{f}");
+    if !failed.is_empty() {
+        for f in &failed {
+            eprintln!("FAILED: {f}");
         }
-        eprintln!("repro: {} verification failure(s)", failures.len());
+        eprintln!("repro: {} verification failure(s)", failed.len());
         std::process::exit(1);
     }
 }

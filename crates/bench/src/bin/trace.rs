@@ -460,3 +460,32 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cvc_bench::report::Json;
+
+    /// What `trace fig3 --chrome` writes is a Chrome `trace_event`
+    /// document: well-formed JSON whose spans are complete ("X") events
+    /// named after the lifecycle stages.
+    #[test]
+    fn fig3_chrome_export_is_a_trace_event_document() {
+        let set = TraceAssembler::assemble(&fig3_walkthrough().flight_traces);
+        let doc = Json::parse(&set.to_chrome_json()).expect("well-formed JSON");
+        let events = doc.get("traceEvents").items();
+        assert!(!events.is_empty(), "no spans in the chrome export");
+        let stages = [
+            "enqueue",
+            "upstream",
+            "notifier-transform",
+            "broadcast",
+            "deliver",
+            "execute",
+        ];
+        for ev in events {
+            assert!(ev.text("ph") == "X" && ev.num("dur") >= 0.0, "{ev:?}");
+            assert!(stages.contains(&ev.text("name")), "{ev:?}");
+        }
+    }
+}

@@ -83,25 +83,6 @@ pub enum ScanMode {
     FullScanReference,
 }
 
-impl ScanMode {
-    /// Pick the faster scan for a session of `n_clients`.
-    ///
-    /// PR 1's E14 measured the suffix scan *losing* to the full scan at
-    /// n = 4 (53.3k vs 63.0k ops/s): with the whole history resident, the
-    /// watermark bookkeeping cost more than the scan it saved. With
-    /// ack-driven GC on (the default since E16) the buffer itself stays at
-    /// the in-flight window and the suffix scan's bookkeeping is repaid at
-    /// every size — E16 records suffix ≥ full-scan throughput from n = 4
-    /// up — while the reference mode still pays an `N`-element snapshot
-    /// clone per buffered entry. The crossover is therefore gone and this
-    /// returns [`ScanMode::SuffixBounded`] for every `n`; it stays in the
-    /// API as the documented decision point (see EXPERIMENTS.md E16).
-    pub fn auto_for(n_clients: usize) -> ScanMode {
-        let _ = n_clients;
-        ScanMode::SuffixBounded
-    }
-}
-
 /// One executed operation in the notifier's history buffer.
 ///
 /// Stores O(1) counters instead of the paper's full snapshot: formula (7)
