@@ -3,7 +3,7 @@
 //! Stitches per-site flight-recorder rings into per-operation lifecycle
 //! traces (generate → send → notifier transform → broadcast → deliver →
 //! execute) and prints the slowest ones with a per-stage latency
-//! breakdown. Four modes:
+//! breakdown. Five modes:
 //!
 //! ```text
 //! cvc-trace fig3                         # the paper's Fig. 3 walkthrough
@@ -13,17 +13,17 @@
 //! cvc-trace attach HOST:PORT [--follow]  # live server (admin port)
 //! ```
 //!
-//! `tail` is the incremental twin of `read`: it consumes a (possibly
-//! still growing) ring dump line by line and prints each op's trace the
-//! moment its lifecycle closes, so a live run streams convergence
-//! traces instead of waiting for the session to end. `--n N` pins the
-//! live client set (otherwise membership is learned from the stream and
-//! emission is conservative); `--follow` keeps polling for appended
-//! lines until the file goes quiet for `--idle` seconds.
+//! `tail` consumes a (possibly still growing) ring dump line by line and
+//! prints each op's trace the moment its lifecycle closes, so a live run
+//! streams convergence traces instead of waiting for the session to end.
+//! `--n N` pins the live client set (otherwise membership is learned from
+//! the stream and emission is conservative); `--follow` keeps polling for
+//! appended lines until the file goes quiet for `--idle` seconds. `read`
+//! is `tail` without `--follow`.
 //!
 //! `attach` is `tail` over the wire: it connects to a `cvc-serve
 //! --admin-addr … --trace` admin port and pulls the server's streaming
-//! ring dump (`rings` frames) instead of a file, assembling the same
+//! ring dump (`GET /rings?offset=N`) instead of a file, assembling the same
 //! lifecycle traces from a live process. The stream ends when the
 //! server eof-marks the log at shutdown, the connection drops, or the
 //! `--idle` window passes without growth.
@@ -41,7 +41,7 @@ use cvc_reduce::recorder::FlightEvent;
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::scenario::fig3_walkthrough;
 use cvc_reduce::session::{run_session, Deployment, SessionConfig};
-use cvc_reduce::trace::{dump_rings, parse_rings, TraceAssembler, TraceSet};
+use cvc_reduce::trace::{dump_rings, parse_ring_line, TraceAssembler, TraceSet, TraceTailer};
 use cvc_sim::prelude::FaultPlan;
 use std::process::ExitCode;
 
@@ -52,7 +52,7 @@ USAGE:
   trace fig3 [--slowest K] [--chrome PATH] [--otlp PATH] [--dump PATH]
   trace run  [--n N] [--ops K] [--loss PCT] [--seed S]
              [--slowest K] [--chrome PATH] [--otlp PATH] [--dump PATH]
-  trace read FILE [--slowest K] [--chrome PATH] [--otlp PATH]
+  trace read FILE [--n N] [--slowest K] [--chrome PATH] [--otlp PATH]
   trace tail FILE [--n N] [--follow] [--idle SECS]
              [--slowest K] [--chrome PATH] [--otlp PATH]
   trace attach HOST:PORT [--n N] [--follow] [--idle SECS]
@@ -176,11 +176,8 @@ fn print_set(set: &TraceSet, slowest: usize) {
     }
 }
 
-fn write_artifacts(
-    set: &TraceSet,
-    traces: &[(SiteId, Vec<FlightEvent>)],
-    o: &Opts,
-) -> Result<(), String> {
+/// The one artefact writer: `--chrome` / `--otlp`, for every mode.
+fn write_artifacts(set: &TraceSet, o: &Opts) -> Result<(), String> {
     if let Some(path) = &o.chrome {
         std::fs::write(path, set.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("\nchrome trace written to {path} (open in chrome://tracing)");
@@ -189,8 +186,13 @@ fn write_artifacts(
         std::fs::write(path, set.to_otlp_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("OTLP/JSON trace written to {path} (ExportTraceServiceRequest)");
     }
+    Ok(())
+}
+
+/// `--dump`, for the two modes that hold whole rings (`fig3`, `run`).
+fn write_dump(rings: &[(SiteId, Vec<FlightEvent>)], o: &Opts) -> Result<(), String> {
     if let Some(path) = &o.dump {
-        std::fs::write(path, dump_rings(traces)).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, dump_rings(rings)).map_err(|e| format!("{path}: {e}"))?;
         println!("ring dump written to {path} (re-read with `trace read {path}`)");
     }
     Ok(())
@@ -213,7 +215,8 @@ fn cmd_fig3(o: &Opts) -> Result<(), String> {
         ),
         Err(v) => return Err(format!("causality oracle replay FAILED: {v}")),
     }
-    write_artifacts(&set, &t.flight_traces, o)
+    write_artifacts(&set, o)?;
+    write_dump(&t.flight_traces, o)
 }
 
 fn cmd_run(o: &Opts) -> Result<(), String> {
@@ -253,26 +256,76 @@ fn cmd_run(o: &Opts) -> Result<(), String> {
     );
     let set = TraceAssembler::assemble(&r.flight_traces);
     print_set(&set, o.slowest);
-    write_artifacts(&set, &r.flight_traces, o)
+    write_artifacts(&set, o)?;
+    write_dump(&r.flight_traces, o)
 }
 
 /// Poll cadence while `--follow` waits for the dump to grow.
 const TAIL_POLL_MS: u64 = 200;
 
+/// The one line-feeder: ring-dump text in — from a file, a growing file
+/// or the admin port, in whatever chunks it arrives — events into the
+/// tailer, closed traces printed as they close.
+struct Feed {
+    tailer: TraceTailer,
+    /// A torn final line waits here for its newline — exactly the
+    /// reassembly discipline of the wire.
+    carry: String,
+    line_no: usize,
+    streamed: usize,
+}
+
+impl Feed {
+    fn new(o: &Opts) -> Feed {
+        Feed {
+            tailer: if o.n_given {
+                TraceTailer::with_clients(1..=o.n as u32)
+            } else {
+                TraceTailer::new()
+            },
+            carry: String::new(),
+            line_no: 0,
+            streamed: 0,
+        }
+    }
+
+    fn push(&mut self, chunk: &str) -> Result<(), String> {
+        self.carry.push_str(chunk);
+        while let Some(nl) = self.carry.find('\n') {
+            let line: String = self.carry.drain(..=nl).collect();
+            self.line_no += 1;
+            if let Some((site, ev)) =
+                parse_ring_line(&line).map_err(|e| format!("line {}: {e}", self.line_no))?
+            {
+                self.tailer.push(site, &ev);
+            }
+        }
+        for t in self.tailer.drain_complete() {
+            self.streamed += 1;
+            print!("{}", t.render());
+        }
+        Ok(())
+    }
+
+    /// Report torn input, close the tailer, print the set, write artifacts.
+    fn finish(self, o: &Opts) -> Result<(), String> {
+        if !self.carry.trim().is_empty() {
+            println!("(ignored torn trailing line without newline)");
+        }
+        let set = self.tailer.finish();
+        let (streamed, open) = (self.streamed, set.traces.len() - self.streamed);
+        println!("\nstreamed {streamed} complete trace(s); {open} still open at end of stream");
+        print_set(&set, o.slowest);
+        write_artifacts(&set, o)
+    }
+}
+
 fn cmd_tail(o: &Opts) -> Result<(), String> {
-    use cvc_reduce::trace::{parse_ring_line, TraceTailer};
     use std::io::{Read, Seek, SeekFrom};
 
-    let path = o.file.as_deref().ok_or("tail needs a FILE argument")?;
-    let mut tailer = if o.n_given {
-        TraceTailer::with_clients(1..=o.n as u32)
-    } else {
-        TraceTailer::new()
-    };
+    let path = o.file.as_deref().ok_or("read/tail need a FILE argument")?;
+    let mut feed = Feed::new(o);
     let mut pos = 0u64;
-    let mut carry = String::new();
-    let mut line_no = 0usize;
-    let mut streamed = 0usize;
     let mut idle_ms = 0u64;
     loop {
         let mut fh = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -289,22 +342,7 @@ fn cmd_tail(o: &Opts) -> Result<(), String> {
                 .read_to_string(&mut chunk)
                 .map_err(|e| format!("{path}: {e}"))?;
             pos = len;
-            carry.push_str(&chunk);
-            // Feed only whole lines; a torn final line waits for its
-            // newline — exactly the reassembly discipline of the wire.
-            while let Some(nl) = carry.find('\n') {
-                let line: String = carry.drain(..=nl).collect();
-                line_no += 1;
-                if let Some((site, ev)) =
-                    parse_ring_line(&line).map_err(|e| format!("line {line_no}: {e}"))?
-                {
-                    tailer.push(site, &ev);
-                }
-            }
-            for t in tailer.drain_complete() {
-                streamed += 1;
-                print!("{}", t.render());
-            }
+            feed.push(&chunk)?;
         } else if !o.follow {
             break;
         } else {
@@ -315,53 +353,19 @@ fn cmd_tail(o: &Opts) -> Result<(), String> {
             std::thread::sleep(std::time::Duration::from_millis(TAIL_POLL_MS));
         }
     }
-    finish_stream(tailer, streamed, &carry, o)
-}
-
-/// Shared epilogue for the streaming modes (`tail`/`attach`): report
-/// torn input, close the tailer, print the set, write artifacts.
-fn finish_stream(
-    tailer: cvc_reduce::trace::TraceTailer,
-    streamed: usize,
-    carry: &str,
-    o: &Opts,
-) -> Result<(), String> {
-    if !carry.trim().is_empty() {
-        println!("(ignored torn trailing line without newline)");
-    }
-    let set = tailer.finish();
-    let open = set.traces.len() - streamed;
-    println!("\nstreamed {streamed} complete trace(s); {open} still open at end of stream");
-    print_set(&set, o.slowest);
-    if let Some(p) = &o.chrome {
-        std::fs::write(p, set.to_chrome_json()).map_err(|e| format!("{p}: {e}"))?;
-        println!("\nchrome trace written to {p} (open in chrome://tracing)");
-    }
-    if let Some(p) = &o.otlp {
-        std::fs::write(p, set.to_otlp_json()).map_err(|e| format!("{p}: {e}"))?;
-        println!("OTLP/JSON trace written to {p} (ExportTraceServiceRequest)");
-    }
-    Ok(())
+    feed.finish(o)
 }
 
 fn cmd_attach(o: &Opts) -> Result<(), String> {
     use cvc_net::{parse_rings_response, AdminClient};
-    use cvc_reduce::trace::{parse_ring_line, TraceTailer};
 
     let addr = o
         .file
         .as_deref()
         .ok_or("attach needs a HOST:PORT argument")?;
     let client = AdminClient::new(addr, std::time::Duration::from_secs(5));
-    let mut tailer = if o.n_given {
-        TraceTailer::with_clients(1..=o.n as u32)
-    } else {
-        TraceTailer::new()
-    };
+    let mut feed = Feed::new(o);
     let mut offset = 0u64;
-    let mut carry = String::new();
-    let mut line_no = 0usize;
-    let mut streamed = 0usize;
     let mut idle_ms = 0u64;
     let mut evicted = 0u64;
     loop {
@@ -387,23 +391,9 @@ fn cmd_attach(o: &Opts) -> Result<(), String> {
         offset = next;
         if !body.is_empty() {
             idle_ms = 0;
-            carry.push_str(&String::from_utf8_lossy(body));
-            // Feed only whole lines; a torn final line waits for its
-            // newline (the server serves whole lines, so this is belt
-            // and braces against a lossy UTF-8 boundary).
-            while let Some(nl) = carry.find('\n') {
-                let line: String = carry.drain(..=nl).collect();
-                line_no += 1;
-                if let Some((site, ev)) =
-                    parse_ring_line(&line).map_err(|e| format!("line {line_no}: {e}"))?
-                {
-                    tailer.push(site, &ev);
-                }
-            }
-            for t in tailer.drain_complete() {
-                streamed += 1;
-                print!("{}", t.render());
-            }
+            // The server serves whole lines; the feeder's carry is belt
+            // and braces against a lossy UTF-8 boundary.
+            feed.push(&String::from_utf8_lossy(body))?;
             if eof {
                 break;
             }
@@ -421,17 +411,22 @@ fn cmd_attach(o: &Opts) -> Result<(), String> {
     if evicted > 0 {
         println!("({evicted} byte(s) of ring dump evicted server-side before they were read)");
     }
-    finish_stream(tailer, streamed, &carry, o)
+    feed.finish(o)
 }
 
-fn cmd_read(o: &Opts) -> Result<(), String> {
-    let path = o.file.as_deref().ok_or("read needs a FILE argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let traces = parse_rings(&text)?;
-    println!("{path}: {} ring(s)\n", traces.len());
-    let set = TraceAssembler::assemble(&traces);
-    print_set(&set, o.slowest);
-    write_artifacts(&set, &traces, o)
+fn run_mode(mode: &str, o: Opts) -> Result<(), String> {
+    match mode {
+        "fig3" => cmd_fig3(&o),
+        "run" => cmd_run(&o),
+        "read" => cmd_tail(&Opts { follow: false, ..o }),
+        "tail" => cmd_tail(&o),
+        "attach" => cmd_attach(&o),
+        "--help" | "-h" | "help" => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown mode {other:?}\n{USAGE}")),
+    }
 }
 
 fn main() -> ExitCode {
@@ -440,19 +435,7 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let run = parse_opts(&args[1..]).and_then(|o| match mode {
-        "fig3" => cmd_fig3(&o),
-        "run" => cmd_run(&o),
-        "read" => cmd_read(&o),
-        "tail" => cmd_tail(&o),
-        "attach" => cmd_attach(&o),
-        "--help" | "-h" | "help" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown mode {other:?}\n{USAGE}")),
-    });
-    match run {
+    match parse_opts(&args[1..]).and_then(|o| run_mode(mode, o)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cvc-trace: {e}");
@@ -487,5 +470,45 @@ mod tests {
             assert!(ev.text("ph") == "X" && ev.num("dur") >= 0.0, "{ev:?}");
             assert!(stages.contains(&ev.text("name")), "{ev:?}");
         }
+    }
+
+    /// `read` is `tail` without `--follow`: over one `--dump` file both
+    /// modes assemble the same set (the printed summary is a function of
+    /// it) and write the exports whole-ring assembly writes — stall
+    /// attribution included, so the dump is of a lossy run.
+    #[test]
+    fn read_and_tail_of_one_dump_write_the_same_exports() {
+        let dir = std::env::temp_dir().join(format!("cvc-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let run = Opts {
+            n: 4,
+            loss: 0.2,
+            dump: Some(path("rings.txt")),
+            chrome: Some(path("run.chrome")),
+            otlp: Some(path("run.otlp")),
+            ..Opts::default_opts()
+        };
+        run_mode("run", run).expect("traced run");
+        for mode in ["read", "tail"] {
+            let o = Opts {
+                file: Some(path("rings.txt")),
+                chrome: Some(path(&format!("{mode}.chrome"))),
+                otlp: Some(path(&format!("{mode}.otlp"))),
+                ..Opts::default_opts()
+            };
+            run_mode(mode, o).expect(mode);
+        }
+        let bytes = |name: &str| std::fs::read(path(name)).expect(name);
+        for export in ["chrome", "otlp"] {
+            let whole = bytes(&format!("run.{export}"));
+            assert_eq!(bytes(&format!("read.{export}")), whole, "read {export}");
+            assert_eq!(bytes(&format!("tail.{export}")), whole, "tail {export}");
+        }
+        assert!(
+            String::from_utf8_lossy(&bytes("tail.otlp")).contains("cvc.retx_stalls"),
+            "a tailed lossy run must carry stall attribution"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -162,11 +162,6 @@ impl Conn {
     pub fn pending_out(&self) -> usize {
         self.out.len() - self.out_start
     }
-
-    /// Bytes buffered on the read side awaiting a complete frame.
-    pub fn buffered_in(&self) -> usize {
-        self.reader.buffered()
-    }
 }
 
 #[cfg(test)]

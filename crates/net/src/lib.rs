@@ -9,8 +9,9 @@
 //! * [`poll`] — a thin FFI wrapper over `epoll(7)` plus an `eventfd(2)`
 //!   waker for cross-thread nudges. Rust's std already links the platform
 //!   libc, so the three syscall entry points are declared directly.
-//! * [`frame`] — the TCP stream framing `[len][fnv1a32][EditorMsg bytes]`
-//!   (the WAL record discipline applied to the socket), and the
+//! * [`frame`] — the TCP stream framing `[len][checksum][EditorMsg bytes]`
+//!   (the WAL record discipline applied to the socket; the checksum is
+//!   the reliable layer's word-wise `frame_checksum`), and the
 //!   incremental [`frame::FrameReader`] that reassembles frames from
 //!   arbitrary read fragments: partial frames, torn varints, and hostile
 //!   length claims are all first-class inputs, not edge cases.

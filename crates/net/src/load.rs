@@ -18,9 +18,8 @@
 use crate::conn::Conn;
 use cvc_core::site::SiteId;
 use cvc_reduce::client::Client;
-use cvc_reduce::msg::{ClientAckMsg, EditorMsg};
+use cvc_reduce::msg::{decode_payload, ClientAckMsg, EditorMsg, Payload};
 use cvc_reduce::registry::MetricsRegistry;
-use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -126,9 +125,8 @@ struct LoadClient {
 
 impl LoadClient {
     fn queue_msg(&mut self, msg: &EditorMsg) -> bool {
-        let mut bytes = Vec::with_capacity(msg.wire_bytes());
-        msg.encode(&mut bytes);
-        if self.conn.queue_frame(&[&bytes]).is_err() || self.conn.flush().is_err() {
+        let frame = Payload::encode(msg);
+        if self.conn.queue_frame(&frame.chunks()).is_err() || self.conn.flush().is_err() {
             self.dead = true;
             return false;
         }
@@ -170,11 +168,6 @@ impl LoadClient {
                         rtt_us.push(now.duration_since(sent_at).as_micros() as u64);
                     }
                     self.acked += 1;
-                }
-            }
-            EditorMsg::Compound(ms) => {
-                for m in ms {
-                    self.on_msg(m, rtt_us);
                 }
             }
             // Anything else downstream is a server bug; count it fatal.
@@ -268,6 +261,7 @@ fn shard_loop(
     let mut conn_errors = 0u64;
     let mut events: Vec<PollEvent> = Vec::new();
     let mut payloads: Vec<Vec<u8>> = Vec::new();
+    let mut msgs: Vec<EditorMsg> = Vec::new();
 
     loop {
         let now = Instant::now();
@@ -335,13 +329,12 @@ fn shard_loop(
                 payloads.clear();
                 let res = lc.conn.on_readable(&mut payloads);
                 for p in &payloads {
-                    let mut slice: &[u8] = p;
-                    match EditorMsg::decode(&mut slice) {
-                        Ok(m) => lc.on_msg(m, &mut rtt_us),
-                        Err(_) => {
-                            lc.dead = true;
-                            break;
-                        }
+                    if decode_payload([p, &[]], &mut msgs).is_err() {
+                        lc.dead = true;
+                        break;
+                    }
+                    for m in msgs.drain(..) {
+                        lc.on_msg(m, &mut rtt_us);
                     }
                 }
                 if res.is_err() {

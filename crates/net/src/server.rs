@@ -20,14 +20,18 @@
 //! order) the simulator validates. TCP
 //! supplies the reliable-FIFO channel the paper assumes, so the sim's
 //! go-back-N layer stays home; what crosses over is the framing
-//! discipline — fnv1a32-checksummed frames, compound coalescing on the
+//! discipline — checksummed frames (the reliable layer's word-wise
+//! `frame_checksum`), compound coalescing on the
 //! write path, and a broadcast that can only be built from an outcome
 //! whose record the core has already logged.
 //!
 //! A connection binds to its site with a hello frame: a `ClientAck`
 //! carrying the site id and the client's ack frontier (`received: 0` for
 //! a fresh client; a reconnecting site resumes with its real count, which
-//! is validated and applied like any other ack). Every later frame must
+//! is validated and applied like any other ack) and is answered with the
+//! suffix of its broadcast stream it has not received, rebuilt from the
+//! notifier's history buffer — the one structure a lagging site is caught
+//! up from, on this tier as in the simulator. Every later frame must
 //! agree with that binding; disagreement, protocol violations, or
 //! unparseable framing shed the connection, and a protocol violation also
 //! evicts the *bound* site — never the origin a frame merely claimed —
@@ -46,13 +50,15 @@ use crate::conn::{Conn, ConnError};
 use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
-use cvc_reduce::msg::{compound_header, ClientAckMsg, ClientOpMsg, EditorMsg, Payload};
+use cvc_reduce::msg::{
+    compound_header, decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
+};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::trace::dump_event_line;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
-use cvc_sim::wire::{WireDecode, WireEncode, WireError, WireSize};
+use cvc_sim::wire::WireError;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -174,7 +180,9 @@ pub struct ServerReport {
     pub evicted: u64,
     /// Per-worker peak queued write commands (outbox depth high-water).
     pub outbox_high_water: Vec<u64>,
-    /// Broadcasts dropped because the destination had no live connection.
+    /// Rebinds shed because the broadcasts they asked for were already
+    /// collected from the history buffer (a hello claiming a frontier
+    /// below the site's own earlier ack).
     pub dropped_broadcasts: u64,
     /// WAL records appended.
     pub wal_appends: u64,
@@ -187,11 +195,6 @@ pub struct ServerReport {
     /// Accepted client ops in integration order (when capture was on).
     pub integration_log: Vec<ClientOpMsg>,
 }
-
-/// Most broadcasts parked for a not-yet-connected site before the rest
-/// overflow (counted as drops). A late joiner past this window needs a
-/// snapshot sync, not a replay.
-const MAX_PARKED_PER_SITE: usize = 1 << 16;
 
 /// Pack a worker-local connection identity: the slab slot in the low
 /// 32 bits, a per-slot generation in the high 32. The generation bumps on
@@ -482,18 +485,11 @@ fn accept_inner(
     Ok(())
 }
 
-/// Decode every reassembled payload into exactly one editor message.
+/// Decode every reassembled payload into its editor messages.
 fn decode_frames(payloads: &[Vec<u8>]) -> Result<Vec<EditorMsg>, WireError> {
     let mut msgs = Vec::with_capacity(payloads.len());
     for p in payloads {
-        let mut slice: &[u8] = p;
-        let m = EditorMsg::decode(&mut slice)?;
-        if let Some(&junk) = slice.first() {
-            // Trailing bytes after a complete message: the frame length
-            // lied about the message — a desync or an attack.
-            return Err(WireError::BadTag(junk));
-        }
-        msgs.push(m);
+        decode_payload([p, &[]], &mut msgs)?;
     }
     Ok(msgs)
 }
@@ -729,8 +725,9 @@ fn worker_inner(
 
 /// The epoll tier's driver over [`NotifierCore`]: single-threaded, fed
 /// decoded messages, emitting per-destination payloads to worker outboxes.
-/// It owns routing, parking, connection shedding and ring publishing;
-/// every input — op, ack, eviction — goes through the core's three doors.
+/// It owns routing, connection shedding and ring publishing; every input
+/// — op, ack, eviction — goes through the core's three doors, and a
+/// (re)binding site is caught up from the notifier's history buffer.
 struct Core<'a> {
     cfg: &'a ServerConfig,
     workers: &'a [Arc<WorkerShared>],
@@ -740,12 +737,6 @@ struct Core<'a> {
     bound: HashMap<(usize, u64), SiteId>,
     /// client index → (worker, conn) route.
     routes: Vec<Option<(usize, u64)>>,
-    /// Broadcasts for sites that have not bound (yet): the notifier
-    /// integrates as soon as any client speaks, but a destination's
-    /// connection may still be in the accept queue. Its stream must start
-    /// at op 1 regardless, so payloads park here and flush, in order, the
-    /// moment the hello lands.
-    parked: Vec<VecDeque<Payload>>,
     /// Workers touched in the current drain (woken once at the end).
     touched: Vec<bool>,
     dropped_broadcasts: u64,
@@ -769,14 +760,6 @@ struct Core<'a> {
     /// Per-client acked stream position already emitted as synthetic
     /// Execute lines; the live frontier is the notifier's `acked_by`.
     ack_published: Vec<u64>,
-    /// Bytes currently parked for not-yet-connected sites.
-    parked_bytes: u64,
-}
-
-/// Payload wire size (both chunks), for the parked-bytes gauge.
-fn payload_len(p: &Payload) -> u64 {
-    let [head, body] = p.chunks();
-    (head.len() + body.len()) as u64
 }
 
 impl<'a> Core<'a> {
@@ -792,20 +775,13 @@ impl<'a> Core<'a> {
         self.touched[worker] = true;
     }
 
+    /// Queue `payload` on `site`'s connection. An unbound site gets
+    /// nothing here: the notifier integrates as soon as any client speaks,
+    /// and whatever a site misses — still in the accept queue, or behind a
+    /// dead socket — its hello replays from the history buffer.
     fn send_to_site(&mut self, site: SiteId, payload: Payload) {
-        let idx = site.client_index();
-        let route = self.routes.get(idx).copied().flatten();
-        match route {
-            Some((worker, conn)) => self.push(worker, OutCmd::Frame { conn, payload }),
-            None => {
-                let parked = &mut self.parked[idx];
-                if parked.len() < MAX_PARKED_PER_SITE {
-                    self.parked_bytes += payload_len(&payload);
-                    parked.push_back(payload);
-                } else {
-                    self.dropped_broadcasts += 1;
-                }
-            }
+        if let Some((worker, conn)) = self.routes.get(site.client_index()).copied().flatten() {
+            self.push(worker, OutCmd::Frame { conn, payload });
         }
     }
 
@@ -824,20 +800,15 @@ impl<'a> Core<'a> {
         match msg {
             EditorMsg::ClientAck(a) => self.on_client_ack(worker, conn, a),
             EditorMsg::ClientOp(op) => self.on_client_op(worker, conn, op),
-            EditorMsg::Compound(ms) => {
-                for m in ms {
-                    // Nesting is impossible (the codec rejects it), so
-                    // this recursion is depth-1.
-                    self.on_msg(worker, conn, m);
-                }
-            }
             // Downstream-only and federation frame types arriving on a
-            // client edge are hostile input: evict the connection.
+            // client edge are hostile input: evict the connection. (The
+            // decoder hands compounds over already flattened.)
             EditorMsg::ServerOp(_)
             | EditorMsg::ServerAck(_)
             | EditorMsg::MeshOp(_)
             | EditorMsg::RelayOp(_)
-            | EditorMsg::RelayAck(_) => self.evict(worker, conn),
+            | EditorMsg::RelayAck(_)
+            | EditorMsg::Compound(_) => self.evict(worker, conn),
         }
     }
 
@@ -863,20 +834,36 @@ impl<'a> Core<'a> {
         // the notifier's history-buffer GC sees it. A stranger's claim
         // that fails (unknown or taken id, evicted site, overrun) costs
         // only this connection: nobody is bound to it yet.
-        let free = (!a.origin.is_notifier())
-            .then(|| a.origin.client_index())
+        let site = a.origin;
+        let free = (!site.is_notifier())
+            .then(|| site.client_index())
             .filter(|&idx| self.routes.get(idx).is_some_and(Option::is_none));
         let idx = match free {
-            Some(idx) if self.durable.integrate_ack(a.origin, a).is_ok() => idx,
+            Some(idx) if self.durable.integrate_ack(site, a).is_ok() => idx,
             _ => return self.evict(worker, conn),
         };
-        self.bound.insert(key, a.origin);
+        // The same frontier is the cursor into the history buffer: the
+        // stream to `site` resumes right after it, with the stamps the
+        // original broadcasts carried — whether the site never saw them
+        // because it was still connecting or because its last socket died
+        // with them in flight. A frontier below the site's own earlier ack
+        // asks for a collected prefix; that replica needs a snapshot, not
+        // this stream, so the connection is shed and counted.
+        let notifier = self.durable.notifier();
+        let Ok(replay) = notifier.replay_for(site, a.received) else {
+            self.dropped_broadcasts += 1;
+            return self.evict(worker, conn);
+        };
+        let acked = notifier.state_vector().received_from(site).unwrap_or(0);
+        self.bound.insert(key, site);
         self.routes[idx] = Some(key);
-        // Flush everything integrated while this site was still
-        // connecting — its stream must begin at op 1.
-        while let Some(payload) = self.parked[idx].pop_front() {
-            self.parked_bytes = self.parked_bytes.saturating_sub(payload_len(&payload));
-            self.push(worker, OutCmd::Frame { conn, payload });
+        for op in replay {
+            self.send_to_site(site, Payload::encode(&EditorMsg::ServerOp(op)));
+        }
+        // One cumulative ack covers every `ServerAck` the site missed.
+        if self.cfg.send_acks && acked > 0 {
+            let ack = EditorMsg::ServerAck(ServerAckMsg { acked });
+            self.send_to_site(site, Payload::encode(&ack));
         }
     }
 
@@ -907,10 +894,7 @@ impl<'a> Core<'a> {
                     self.send_to_site(dest, frame.payload_for(stamp));
                 }
                 if let Some((dest, ack)) = outcome.ack {
-                    let msg = EditorMsg::ServerAck(ack);
-                    let mut bytes = Vec::with_capacity(msg.wire_bytes());
-                    msg.encode(&mut bytes);
-                    self.send_to_site(dest, Payload::from_vec(bytes));
+                    self.send_to_site(dest, Payload::encode(&EditorMsg::ServerAck(ack)));
                 }
             }
             // The violation is counted where it was detected; the sim's
@@ -1058,7 +1042,6 @@ impl<'a> Core<'a> {
         live.set_gauge("net.active_connections", active_total as f64);
         live.set_counter("core.ops_integrated", self.ops_integrated);
         live.set_counter("core.dropped_broadcasts", self.dropped_broadcasts);
-        live.set_gauge("core.parked_bytes", self.parked_bytes as f64);
         if let Some(wal) = self.durable.wal() {
             live.set_counter("wal.appends", wal.appends());
             live.set_counter("wal.bytes_appended", wal.bytes_appended());
@@ -1098,7 +1081,6 @@ fn core_loop(
         durable: NotifierCore::new(notifier, Some(Wal::new(DEFAULT_COMPACT_EVERY)), None),
         bound: HashMap::new(),
         routes: vec![None; cfg.n_clients],
-        parked: vec![VecDeque::new(); cfg.n_clients],
         touched: vec![false; workers.len()],
         dropped_broadcasts: 0,
         integration_log: Vec::new(),
@@ -1111,7 +1093,6 @@ fn core_loop(
         synth: String::new(),
         synth_seq: vec![0; cfg.n_clients],
         ack_published: vec![0; cfg.n_clients],
-        parked_bytes: 0,
     };
 
     // Block for the first message, then drain greedily so a burst is

@@ -2,8 +2,10 @@
 //! a live server ↔ sim-twin differential, hostile-peer eviction (framing
 //! garbage, a bound peer's protocol violation that must stay out of the
 //! log, and a forged origin that must cost the sender, not the site it
-//! names), reconnect rebinding, connection churn over recycled slab
-//! slots, and a long session whose history buffer and log stay bounded.
+//! names), reconnect rebinding (a rebind is a replay from the history
+//! buffer; one below a collected prefix is shed), connection churn over
+//! recycled slab slots, and a long session whose history buffer and log
+//! stay bounded.
 
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
@@ -283,7 +285,7 @@ fn hostile_peer_is_evicted_not_fatal() {
 
 /// A reconnecting site rebinds with its *real* ack frontier in the hello,
 /// and receives exactly the ops integrated while it was away — no replay
-/// of what it already acknowledged, no loss of the parked tail.
+/// of what it already acknowledged, no loss of the tail it missed.
 #[test]
 fn reconnect_rebinds_with_real_ack_frontier() {
     let server = EditorServer::spawn(ServerConfig {
@@ -308,7 +310,8 @@ fn reconnect_rebinds_with_real_ack_frontier() {
     assert_eq!(replica2.doc(), "a");
 
     // Site 2 drops. Wait for the server to process the disconnect (route
-    // cleared) before site 1 keeps editing, so op 2 parks for the rebind.
+    // cleared): a hello that overtakes its own site's close is refused as
+    // "site taken" — newest-wins is a policy this tier does not have.
     drop(peer2);
     std::thread::sleep(Duration::from_millis(300));
     peer1.send(&EditorMsg::ClientOp(editor1.insert(1, "b")));
@@ -320,7 +323,7 @@ fn reconnect_rebinds_with_real_ack_frontier() {
         received: replica2.state_vector().received(),
     }));
     apply_server_ops(&mut peer2, &mut replica2, 1);
-    assert_eq!(replica2.doc(), "ab", "exactly the parked tail arrives");
+    assert_eq!(replica2.doc(), "ab", "exactly the missed tail arrives");
 
     let report = server.shutdown();
     assert_eq!(report.ops_integrated, 2);
@@ -335,6 +338,101 @@ fn reconnect_rebinds_with_real_ack_frontier() {
     // The hello frontiers went through the same validate-then-log path as
     // every other ack: recovery must replay the log back to the live
     // document.
+    let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
+    let (recovered, _) = recovery.restore(2, "").expect("WAL restores");
+    assert_eq!(recovered.doc_checksum(), report.doc_checksum);
+}
+
+/// The history buffer is the one structure a lagging site is caught up
+/// from: a broadcast already written to a socket that then died is still
+/// in it (the site never acknowledged it), so the rebind replays it. The
+/// parked-payload queue this replaces only ever held what was *not* yet
+/// written, and lost the rest.
+#[test]
+fn rebind_replays_what_the_dead_socket_swallowed() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let site1 = SiteId::from_client_index(0);
+    let site2 = SiteId::from_client_index(1);
+    let mut editor1 = Client::new(site1, "");
+    let mut replica2 = Client::new(site2, "");
+
+    let mut peer1 = TestPeer::bind(&addr, site1);
+    let peer2 = TestPeer::bind(&addr, site2);
+    barrier(&addr);
+
+    // Op 1 is integrated and written to both sockets: the worker queues
+    // site 2's broadcast ahead of site 1's ack.
+    peer1.send(&EditorMsg::ClientOp(editor1.insert(0, "a")));
+    assert!(matches!(peer1.recv(), EditorMsg::ServerAck(a) if a.acked == 1));
+
+    // Site 2 dies without reading it, and comes back with its honest
+    // frontier once the server has seen the close.
+    drop(peer2);
+    barrier(&addr);
+    let mut peer2 = TestPeer::bind(&addr, site2);
+    apply_server_ops(&mut peer2, &mut replica2, 1);
+    assert_eq!(replica2.doc(), "a", "op 1 must be replayed");
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 1);
+    assert_eq!(report.protocol_errors, 0);
+    assert_eq!(report.dropped_broadcasts, 0);
+    assert_eq!(report.doc, replica2.doc());
+}
+
+/// A hello claiming a frontier below the site's own earlier ack asks for
+/// broadcasts the history buffer has already collected (a replica restored
+/// from a stale backup). Serving the live tail on top of that replica
+/// would diverge silently; the connection is shed and counted instead —
+/// not a protocol error, and nobody else notices.
+#[test]
+fn rebind_below_a_trimmed_prefix_is_shed_and_counted() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let site1 = SiteId::from_client_index(0);
+    let site2 = SiteId::from_client_index(1);
+    let mut editor1 = Client::new(site1, "");
+    let mut replica2 = Client::new(site2, "");
+
+    let mut peer1 = TestPeer::bind(&addr, site1);
+    let mut peer2 = TestPeer::bind(&addr, site2);
+
+    // Site 2 receives and acknowledges op 1; with two clients that is the
+    // last ack the entry was waiting for, so the notifier trims it.
+    peer1.send(&EditorMsg::ClientOp(editor1.insert(0, "a")));
+    apply_server_ops(&mut peer2, &mut replica2, 1);
+    peer2.send(&EditorMsg::ClientAck(ClientAckMsg {
+        origin: site2,
+        received: 1,
+    }));
+    drop(peer2);
+    barrier(&addr);
+
+    // The stale rebind costs its connection and nothing else.
+    TestPeer::bind(&addr, site2).wait_closed();
+    peer1.send(&EditorMsg::ClientOp(editor1.insert(1, "b")));
+    let acks: Vec<EditorMsg> = (0..2).map(|_| peer1.recv()).collect();
+    assert!(
+        matches!(acks[1], EditorMsg::ServerAck(a) if a.acked == 2),
+        "site 1 keeps editing: {acks:?}"
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.dropped_broadcasts, 1, "the shed rebind is counted");
+    assert_eq!(report.protocol_errors, 0, "a stale frontier is not hostile");
+    assert_eq!(report.ops_integrated, 2);
+    assert_eq!(report.doc, "ab");
     let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
     let (recovered, _) = recovery.restore(2, "").expect("WAL restores");
     assert_eq!(recovered.doc_checksum(), report.doc_checksum);

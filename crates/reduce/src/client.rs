@@ -192,11 +192,6 @@ impl Client {
         self.caret
     }
 
-    /// Move this user's caret (bounded by the document length).
-    pub fn set_caret(&mut self, pos: usize) {
-        self.caret = pos.min(self.doc_len());
-    }
-
     /// Enable/disable telepointer presence on outgoing operations
     /// (enabled by default; costs ~2 bytes per message). The byte-exact
     /// overhead experiments turn it off to measure the paper's bare

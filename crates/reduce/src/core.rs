@@ -25,7 +25,7 @@
 //! No clock, socket, simulator context, thread or `eprintln!` appears
 //! here. The simulator node (`reliable.rs`) and the epoll core thread
 //! (`cvc-net`'s `server.rs`) are thin drivers: they own transport state
-//! (links, fencing, crash plans, routes, parked payloads), say which
+//! (links, fencing, crash plans, routes), say which
 //! channel an input arrived on, decide what a rejection costs the sender
 //! (an eviction is the third door, not a side effect), and reach the
 //! wrapped notifier read-only. **Nothing outside this module calls

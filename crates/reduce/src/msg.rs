@@ -36,7 +36,7 @@ const TAG_SERVER_OP: u8 = 2;
 const TAG_MESH_OP: u8 = 3;
 const TAG_SERVER_ACK: u8 = 4;
 pub(crate) const TAG_CLIENT_ACK: u8 = 5;
-pub(crate) const TAG_COMPOUND: u8 = 6;
+const TAG_COMPOUND: u8 = 6;
 pub(crate) const TAG_RELAY_OP: u8 = 7;
 pub(crate) const TAG_RELAY_ACK: u8 = 8;
 
@@ -219,6 +219,14 @@ impl Payload {
         }
     }
 
+    /// `msg` encoded — what every driver puts on its wire for one editor
+    /// message (empty head).
+    pub fn encode(msg: &EditorMsg) -> Self {
+        let mut bytes = Vec::with_capacity(msg.wire_bytes());
+        msg.encode(&mut bytes);
+        Payload::from_vec(bytes)
+    }
+
     /// A payload with an owned per-destination `head` and a shared `body`.
     pub fn from_parts(head: Vec<u8>, body: Arc<[u8]>) -> Self {
         Payload { head, body }
@@ -321,10 +329,10 @@ impl ServerOpFrame {
 
 /// Header bytes of a compound frame wrapping `count` sub-messages:
 /// `[TAG_COMPOUND][count varint]`, to be followed by each sub-message's
-/// full encoding. This is how transports outside this crate (the TCP
-/// server's socket write path) coalesce several queued editor messages
-/// into one frame — the same wire shape the reliability layer's flush
-/// path produces, so `EditorMsg::decode` reads both identically.
+/// full encoding. This is how every transport — the reliability layer's
+/// flush path, the TCP server's socket write path — coalesces several
+/// queued editor messages into one frame, so [`decode_payload`] reads
+/// both identically.
 pub fn compound_header(count: usize) -> Vec<u8> {
     let mut h = Vec::with_capacity(1 + varint_len(count as u64));
     h.push(TAG_COMPOUND);
@@ -700,6 +708,34 @@ impl WireDecode for EditorMsg {
     }
 }
 
+/// Turn one received payload — its [`Payload::chunks`], or `[bytes, &[]]`
+/// off a socket — into the editor messages it carries, appended to `out`
+/// in order. The rule every driver shares: the payload is exactly one
+/// message with no bytes after it, a compound contributes its
+/// sub-messages (never itself), and a nested compound is refused. On
+/// `Err` nothing was appended.
+pub fn decode_payload(chunks: [&[u8]; 2], out: &mut Vec<EditorMsg>) -> Result<(), WireError> {
+    fn one<B: Buf>(mut buf: B, out: &mut Vec<EditorMsg>) -> Result<(), WireError> {
+        let msg = EditorMsg::decode(&mut buf)?;
+        if buf.has_remaining() {
+            // The frame length lied about the message: a desync or an
+            // attack, on any transport.
+            return Err(WireError::BadTag(buf.get_u8()));
+        }
+        match msg {
+            EditorMsg::Compound(ms) => out.extend(ms),
+            m => out.push(m),
+        }
+        Ok(())
+    }
+    match chunks {
+        // One run (a socket read, a split-free payload): a plain slice
+        // cursor, no per-byte chain branch.
+        [only, []] | [[], only] => one(only, out),
+        [head, body] => one(head.chain(body), out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,6 +979,85 @@ mod tests {
         // A hostile count beyond the buffer is truncation, not allocation.
         let mut huge: &[u8] = &[6, 0xff, 0xff, 0xff, 0x7f];
         assert_eq!(EditorMsg::decode(&mut huge), Err(WireError::Truncated));
+    }
+
+    fn three_messages() -> Vec<EditorMsg> {
+        vec![
+            EditorMsg::ServerOp(ServerOpMsg {
+                stamp: CompressedStamp::new(3, 1),
+                op: sample_seq_op(),
+                cursor: Some((2, 5)),
+            }),
+            EditorMsg::ServerAck(ServerAckMsg { acked: 9 }),
+            EditorMsg::ClientAck(ClientAckMsg {
+                origin: SiteId(4),
+                received: 2,
+            }),
+        ]
+    }
+
+    #[test]
+    fn decode_payload_takes_exactly_one_message() {
+        let msg = three_messages().remove(0);
+        let mut bytes = Payload::encode(&msg).to_vec();
+        let mut out = Vec::new();
+        decode_payload([&bytes, &[]], &mut out).expect("one whole message");
+        assert_eq!(out, vec![msg.clone()]);
+        // Appended, not replaced; and a refused payload appends nothing.
+        bytes.push(0x2a);
+        assert_eq!(
+            decode_payload([&bytes, &[]], &mut out),
+            Err(WireError::BadTag(0x2a)),
+            "a byte past the message is refused"
+        );
+        assert_eq!(
+            decode_payload([&[], &[]], &mut out),
+            Err(WireError::Truncated),
+            "an empty payload is not a message"
+        );
+        assert_eq!(out, vec![msg]);
+    }
+
+    #[test]
+    fn decode_payload_flattens_a_compound_in_order_and_refuses_nesting() {
+        let subs = three_messages();
+        let compound = Payload::encode(&EditorMsg::Compound(subs.clone()));
+        let mut out = Vec::new();
+        decode_payload(compound.chunks(), &mut out).expect("compound of three");
+        assert_eq!(out, subs, "the sub-messages, never the compound");
+        // Header-built (the transports' way) reads the same.
+        let mut built = compound_header(subs.len());
+        for m in &subs {
+            m.encode(&mut built);
+        }
+        assert_eq!(built, compound.to_vec());
+        // A compound inside a compound is a bad tag, not a recursion.
+        let mut nested = compound_header(1);
+        nested.extend(compound.to_vec());
+        out.clear();
+        assert_eq!(
+            decode_payload([&nested, &[]], &mut out),
+            Err(WireError::BadTag(TAG_COMPOUND))
+        );
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn decode_payload_reads_across_the_chunk_split_at_every_boundary() {
+        let subs = three_messages();
+        let bytes = Payload::encode(&EditorMsg::Compound(subs.clone())).to_vec();
+        for cut in 0..=bytes.len() {
+            let (head, body) = bytes.split_at(cut);
+            let mut out = Vec::new();
+            decode_payload([head, body], &mut out).expect("any split decodes");
+            assert_eq!(out, subs, "split at {cut}");
+            let mut junk = body.to_vec();
+            junk.push(0);
+            assert!(
+                decode_payload([head, &junk], &mut out).is_err(),
+                "trailing byte at split {cut}"
+            );
+        }
     }
 
     #[test]

@@ -549,14 +549,15 @@ impl Notifier {
     /// needed prefix may then be gone and the typed
     /// [`ProtocolError::ReplayTrimmed`] tells the transport layer to fall
     /// back to a full-state resync instead of silently diverging. Cursor
-    /// presence is not replayed (it is ephemeral UI state).
+    /// presence is not replayed (it is ephemeral UI state). A `site` that
+    /// is not an active member is the typed error every other door
+    /// returns for it — the request names a remote peer.
     pub fn replay_for(
         &self,
         site: SiteId,
         received: u64,
     ) -> Result<Vec<ServerOpMsg>, ProtocolError> {
-        assert!(self.is_active(site), "replay for inactive {site}");
-        let xi = site.client_index();
+        let xi = self.active_index(site)?;
         let offset = self.join_offsets[xi];
         // Ops from `site` itself among the stream so far (they are never
         // broadcast back to their origin).
@@ -595,15 +596,16 @@ impl Notifier {
     /// [`ProtocolError::ReplayTrimmed`]: the current document plus both
     /// stream counters for `site` — `(doc, sent_to_site,
     /// received_from_site)`, fed straight into
-    /// [`crate::client::Client::adopt_snapshot`].
-    pub fn resync_snapshot_for(&self, site: SiteId) -> (String, u64, u64) {
-        assert!(self.is_active(site), "snapshot for inactive {site}");
-        let xi = site.client_index();
-        (
+    /// [`crate::client::Client::adopt_snapshot`]. Like
+    /// [`Notifier::replay_for`], `Err` for a site that is not an active
+    /// member: the request names a remote peer.
+    pub fn resync_snapshot_for(&self, site: SiteId) -> Result<(String, u64, u64), ProtocolError> {
+        let xi = self.active_index(site)?;
+        Ok((
             self.doc.to_string(),
             self.bridges[xi].my_count(),
             self.bridges[xi].their_count(),
-        )
+        ))
     }
 
     /// Integrate a bare [`ClientAckMsg`]: advance the sender's `acked_by`

@@ -46,7 +46,7 @@
 
 use crate::audit::audit_streams;
 use crate::mesh::MeshSite;
-use crate::msg::{EditorMsg, MeshOpMsg, RelayAckMsg, RelayOpMsg};
+use crate::msg::{decode_payload, EditorMsg, MeshOpMsg, Payload, RelayAckMsg, RelayOpMsg};
 use crate::recorder::{EventKind, FlightEvent};
 use crate::reliable::{build_shard_sim, fnv1a32, RobustNotifier, ShardSim};
 use crate::session::{ClientMode, Deployment, SessionConfig};
@@ -55,7 +55,7 @@ use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
 use cvc_sim::latency::LatencyModel;
 use cvc_sim::time::SimTime;
-use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
+use cvc_sim::wire::{WireEncode, WireSize};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -377,30 +377,18 @@ impl RelayBus {
                 self.stats.corrupt_drops += 1;
                 continue;
             }
-            let mut slice: &[u8] = &bytes;
-            let mut ops = Vec::new();
-            let intact = match EditorMsg::decode(&mut slice) {
-                Ok(EditorMsg::RelayOp(m)) if slice.is_empty() => {
-                    ops.push(m);
-                    true
-                }
-                Ok(EditorMsg::Compound(ms)) if slice.is_empty() => {
-                    let subs = ms.len();
-                    ops.extend(ms.into_iter().filter_map(|m| match m {
-                        EditorMsg::RelayOp(x) => Some(x),
-                        _ => None,
-                    }));
-                    // A compound smuggling any non-relay sub-message is
-                    // line noise: drop the whole physical frame.
-                    ops.len() == subs
-                }
-                // A frame that decodes to anything else (or leaves trailing
-                // bytes) is line noise the checksum missed — same fate.
-                _ => false,
-            };
+            // A frame that does not decode, or carries (or smuggles in a
+            // compound) anything but relay ops, is line noise the checksum
+            // missed: drop the whole physical frame.
+            let mut msgs = Vec::new();
+            let intact = decode_payload([&bytes, &[]], &mut msgs).is_ok()
+                && msgs.iter().all(|m| matches!(m, EditorMsg::RelayOp(_)));
             if intact {
-                self.stats.deliveries += ops.len() as u64;
-                out.append(&mut ops);
+                self.stats.deliveries += msgs.len() as u64;
+                out.extend(msgs.into_iter().filter_map(|m| match m {
+                    EditorMsg::RelayOp(x) => Some(x),
+                    _ => None,
+                }));
             } else {
                 self.stats.corrupt_drops += 1;
             }
@@ -416,11 +404,12 @@ impl RelayBus {
     /// already-integrated prefix as duplicate drops. The ack itself
     /// rides the wire format, so the backward path is typed too.
     pub fn accept_ack(&mut self, dest: usize, ack: &RelayAckMsg) {
-        let msg = EditorMsg::RelayAck(*ack);
-        let mut bytes = Vec::with_capacity(msg.wire_bytes());
-        msg.encode(&mut bytes);
-        let mut slice: &[u8] = &bytes;
-        let Ok(EditorMsg::RelayAck(back)) = EditorMsg::decode(&mut slice) else {
+        let wire = Payload::encode(&EditorMsg::RelayAck(*ack));
+        let mut msgs = Vec::new();
+        if decode_payload(wire.chunks(), &mut msgs).is_err() {
+            return;
+        }
+        let [EditorMsg::RelayAck(back)] = &msgs[..] else {
             return;
         };
         self.stats.acks += 1;

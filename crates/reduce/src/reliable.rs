@@ -18,9 +18,10 @@
 //!   *epoch*, presents its 2-element state vector in a
 //!   [`ReliableMsg::ResyncRequest`], and the notifier replays the
 //!   missing broadcast suffix from its history buffer
-//!   ([`Notifier::replay_for`]) while the client re-sends its unacked
-//!   local operations ([`Client::unacked_local_since`]). Frames from a
-//!   stale epoch are discarded on both sides.
+//!   ([`crate::notifier::Notifier::replay_for`]) while the client
+//!   re-sends its unacked local operations
+//!   ([`Client::unacked_local_since`]). Frames from a stale epoch are
+//!   discarded on both sides.
 //!
 //! [`run_robust_session`] wires the whole thing onto the simulator and
 //! returns the same [`SessionReport`] as a plain session, with the
@@ -35,16 +36,15 @@ use crate::error::ProtocolError;
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
-    ClientAckMsg, ClientOpMsg, EditorMsg, Payload, RelayOpMsg, ServerOpMsg,
-    TAG_COMPOUND as EDITOR_TAG_COMPOUND,
+    compound_header, decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, RelayOpMsg,
+    ServerOpMsg,
 };
-use crate::notifier::Notifier;
 use crate::recorder::{EventKind, FlightEvent};
 use crate::relay::RelayState;
 use crate::session::{ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport};
 use crate::standby::Standby;
 use crate::wal::{Wal, DEFAULT_COMPACT_EVERY};
-use crate::workload::{EditIntent, ScheduledEdit};
+use crate::workload::ScheduledEdit;
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
@@ -410,12 +410,6 @@ impl WireDecode for ReliableMsg {
     }
 }
 
-fn encode_editor(msg: &EditorMsg) -> Payload {
-    let mut buf = Vec::with_capacity(msg.wire_bytes());
-    msg.encode(&mut buf);
-    Payload::from_vec(buf)
-}
-
 /// Flush a pending batch once it reaches this many editor messages…
 /// (seed value — [`ReliableLink::retune`] adapts the live threshold to
 /// the measured RTT × op-rate, clamped to `[seed/2, seed*4]`).
@@ -706,11 +700,9 @@ impl ReliableLink {
             self.send_payload(ctx, peer, retx_tag, p);
             return;
         }
-        // [TAG_COMPOUND, count] ++ concatenated sub-frames: byte-identical
-        // to encoding `EditorMsg::Compound` of the decoded messages.
-        let mut head = Vec::with_capacity(1 + varint_len(self.pending_out.len() as u64));
-        head.push(EDITOR_TAG_COMPOUND);
-        put_varint(&mut head, self.pending_out.len() as u64);
+        // Compound header ++ concatenated sub-frames: byte-identical to
+        // encoding `EditorMsg::Compound` of the decoded messages.
+        let head = compound_header(self.pending_out.len());
         let mut body = Vec::with_capacity(self.pending_out.iter().map(Payload::len).sum());
         for p in self.pending_out.drain(..) {
             p.write_to(&mut body);
@@ -1073,11 +1065,7 @@ impl RobustNotifier {
     /// warm shadow — in a [`NotifierCore`], plus one fresh link per
     /// channel. Unfenced and unfederated; a shard adds both afterwards.
     fn new(cfg: &SessionConfig, slots: usize, traced: bool) -> Self {
-        let mut notifier = Notifier::new(slots, &cfg.initial_doc);
-        notifier.set_scan_mode(cfg.notifier_scan);
-        notifier.set_auto_gc(cfg.auto_gc);
-        notifier.set_flight_recorder_capacity(cfg.notifier_ring_capacity(slots));
-        notifier.set_flight_recorder(cfg.flight_recorder);
+        let notifier = cfg.notifier(slots);
         let standby = cfg.standby.then(|| {
             let mut sb = Standby::new(slots, &cfg.initial_doc, cfg.notifier_scan);
             sb.set_auto_gc(cfg.auto_gc);
@@ -1112,8 +1100,11 @@ impl RobustNotifier {
     /// Build the full-state fallback frame for a client whose replay
     /// prefix was garbage-collected.
     fn full_resync_frame(&self, site: SiteId, epoch: u32) -> ReliableMsg {
-        let (doc, sent_to_site, received_from_site) =
-            self.core.notifier().resync_snapshot_for(site);
+        let (doc, sent_to_site, received_from_site) = self
+            .core
+            .notifier()
+            .resync_snapshot_for(site)
+            .expect("the request's site was checked active");
         ReliableMsg {
             epoch,
             kind: ReliableKind::ResyncFull {
@@ -1473,22 +1464,18 @@ impl RobustNotifier {
                     return; // stale epoch
                 }
                 let ready = self.links[xi].on_data(ctx, from, seq, ack, checksum, payload);
+                let mut msgs = Vec::new();
                 for p in ready {
                     // Checksum-valid but undecodable means a hostile or
                     // buggy peer, not transport corruption: drop the frame
                     // and keep serving.
-                    let [head, body] = p.chunks();
-                    let Ok(decoded) = EditorMsg::decode(&mut head.chain(body)) else {
+                    if decode_payload(p.chunks(), &mut msgs).is_err() {
                         self.links[xi].hostile_drops += 1;
                         continue;
-                    };
-                    // A compound frame is several queued messages under one
-                    // header; unpack and process in queue order.
-                    let msgs = match decoded {
-                        EditorMsg::Compound(ms) => ms,
-                        m => vec![m],
-                    };
-                    for m in msgs {
+                    }
+                    // A compound frame arrives as its queued messages, in
+                    // queue order.
+                    for m in msgs.drain(..) {
                         match m {
                             EditorMsg::ClientOp(c) => self.integrate(ctx, sender, c),
                             EditorMsg::ClientAck(a) => match self.core.integrate_ack(sender, a) {
@@ -1560,7 +1547,7 @@ impl RobustNotifier {
                                 },
                             );
                             for sm in replay {
-                                let payload = encode_editor(&EditorMsg::ServerOp(sm));
+                                let payload = Payload::encode(&EditorMsg::ServerOp(sm));
                                 self.links[xi].queue_payload(
                                     ctx,
                                     from,
@@ -1662,7 +1649,7 @@ impl RobustClient {
     }
 
     fn send_up(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, c: &ClientOpMsg) {
-        let payload = encode_editor(&EditorMsg::ClientOp(c.clone()));
+        let payload = Payload::encode(&EditorMsg::ClientOp(c.clone()));
         self.link.queue_payload(ctx, 0, RETX_TAG, payload);
     }
 
@@ -1714,21 +1701,17 @@ impl RobustClient {
                 // is alive: reset the crash detector.
                 self.stall_rounds = 0;
                 let ready = self.link.on_data(ctx, 0, seq, ack, checksum, payload);
+                let mut msgs = Vec::new();
                 for p in ready {
                     // Checksum-valid but undecodable: hostile or buggy
                     // notifier — drop the frame and keep editing.
-                    let [head, body] = p.chunks();
-                    let Ok(decoded) = EditorMsg::decode(&mut head.chain(body)) else {
+                    if decode_payload(p.chunks(), &mut msgs).is_err() {
                         self.link.hostile_drops += 1;
                         continue;
-                    };
-                    // A compound frame is several queued messages under one
-                    // header; unpack and execute in queue order.
-                    let msgs = match decoded {
-                        EditorMsg::Compound(ms) => ms,
-                        m => vec![m],
-                    };
-                    for m in msgs {
+                    }
+                    // A compound frame arrives as its queued messages, in
+                    // queue order.
+                    for m in msgs.drain(..) {
                         match m {
                             EditorMsg::ServerOp(m) => {
                                 match self.inner.try_on_server_op(m.clone()) {
@@ -1776,7 +1759,7 @@ impl RobustClient {
                 // sequenced behind the re-sent ops.
                 if self.state == ConnState::Connected {
                     if let Some(a) = self.inner.take_pending_ack() {
-                        let payload = encode_editor(&EditorMsg::ClientAck(a));
+                        let payload = Payload::encode(&EditorMsg::ClientAck(a));
                         self.link.queue_payload(ctx, 0, RETX_TAG, payload);
                     }
                 }
@@ -1867,7 +1850,7 @@ impl RobustClient {
                         origin: self.inner.site(),
                         received: self.inner.state_vector().received(),
                     };
-                    let payload = encode_editor(&EditorMsg::ClientAck(a));
+                    let payload = Payload::encode(&EditorMsg::ClientAck(a));
                     self.link.queue_payload(ctx, 0, RETX_TAG, payload);
                 }
             }
@@ -1897,24 +1880,7 @@ impl RobustClient {
                 // the wire only while connected — otherwise the resync
                 // re-send (driven by the notifier's integrated count)
                 // covers it, and sending now would double-transmit.
-                let edit = self.script[k as usize].clone();
-                let len = self.inner.doc_len();
-                let built = match &edit.intent {
-                    EditIntent::InsertChar { ch, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        Some(self.inner.insert(pos, &ch.to_string()))
-                    }
-                    EditIntent::InsertText { text, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        Some(self.inner.insert(pos, text))
-                    }
-                    EditIntent::DeleteChar { .. } => edit
-                        .intent
-                        .position(len)
-                        .map(|pos| self.inner.delete(pos, 1)),
-                    EditIntent::Undo => self.inner.undo_last_local(),
-                };
-                if let Some(c) = built {
+                if let Some(c) = self.script[k as usize].intent.apply_to(&mut self.inner) {
                     if let Some(tr) = &mut self.trace {
                         tr.push(ClientEvent::Local(c.clone()));
                     }
@@ -2051,12 +2017,8 @@ fn build_star(
     }
     sim.add_node(RobustNode::Notifier(Box::new(notifier)));
     for (i, script) in scripts.iter().enumerate() {
-        let mut client = Client::new(SiteId(i as u32 + 1), &cfg.initial_doc);
-        client.set_share_caret(cfg.share_carets);
-        client.set_flight_recorder_capacity(cfg.flight_recorder_capacity);
-        client.set_flight_recorder(cfg.flight_recorder);
         sim.add_node(RobustNode::Client(Box::new(RobustClient {
-            inner: Box::new(client),
+            inner: Box::new(cfg.client(SiteId(i as u32 + 1))),
             link: {
                 let mut l =
                     ReliableLink::new(cfg.net_seed.wrapping_mul(1001).wrapping_add(i as u64));
@@ -2334,6 +2296,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::notifier::Notifier;
     use cvc_core::state_vector::CompressedStamp;
     use cvc_ot::pos::PosOp;
     use cvc_ot::seq::SeqOp;
@@ -2789,16 +2752,7 @@ mod tests {
         cfg.standby = true;
         let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
         let forged = Client::new(SiteId(2), &cfg.initial_doc).insert(0, "F");
-        let payload = encode_editor(&EditorMsg::ClientOp(forged));
-        let frame = ReliableMsg {
-            epoch: 0,
-            kind: ReliableKind::Data {
-                seq: 1,
-                ack: 0,
-                checksum: payload_checksum(&payload),
-                payload,
-            },
-        };
+        let frame = data_frame(Payload::encode(&EditorMsg::ClientOp(forged)));
         sim.inject_send(1, 0, frame);
         sim.run();
         let RobustNode::Notifier(node) = sim.node(0) else {
@@ -2811,6 +2765,78 @@ mod tests {
         let wal = node.core.wal().expect("standby sessions log");
         let cold = Standby::from_log(wal.bytes(), 3, &cfg.initial_doc).expect("scan");
         assert!(!cold.notifier().is_active(SiteId(1)), "and stays out");
+    }
+
+    /// `payload` as the first checksum-valid `Data` frame of a channel.
+    fn data_frame(payload: Payload) -> ReliableMsg {
+        ReliableMsg {
+            epoch: 0,
+            kind: ReliableKind::Data {
+                seq: 1,
+                ack: 0,
+                checksum: payload_checksum(&payload),
+                payload,
+            },
+        }
+    }
+
+    /// `msg` encoded, then one byte the message does not account for.
+    fn with_trailing_junk(msg: &EditorMsg) -> Payload {
+        let mut bytes = Payload::encode(msg).to_vec();
+        bytes.push(0x2a);
+        Payload::from_vec(bytes)
+    }
+
+    /// The twin and the socket agree on what a payload is: a valid
+    /// `ClientOp` followed by one junk byte kills a TCP connection in the
+    /// worker's decode, so the simulator's notifier must refuse it too —
+    /// counted hostile, nothing integrated — not read the op and ignore
+    /// the remainder.
+    #[test]
+    fn client_op_with_a_trailing_byte_is_hostile_at_the_notifier() {
+        let mut cfg = robust_cfg(3, 5);
+        cfg.workload.ops_per_site = 0;
+        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let op = Client::new(SiteId(1), &cfg.initial_doc).insert(0, "J");
+        sim.inject_send(
+            1,
+            0,
+            data_frame(with_trailing_junk(&EditorMsg::ClientOp(op))),
+        );
+        sim.run();
+        let RobustNode::Notifier(node) = sim.node(0) else {
+            unreachable!("node 0 is the notifier");
+        };
+        assert_eq!(node.links[0].hostile_drops, 1);
+        assert_eq!(node.ops_integrated, 0);
+        assert_eq!(node.core.notifier().doc(), cfg.initial_doc);
+    }
+
+    /// The client-side mirror: a `ServerOp` with a trailing byte is
+    /// dropped whole and the replica stays where it was.
+    #[test]
+    fn server_op_with_a_trailing_byte_is_hostile_at_the_client() {
+        let mut cfg = robust_cfg(3, 5);
+        cfg.workload.ops_per_site = 0;
+        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let len = cfg.initial_doc.chars().count();
+        let op = ServerOpMsg {
+            stamp: CompressedStamp::new(1, 0),
+            op: SeqOp::from_pos(&PosOp::insert(0, "J"), len),
+            cursor: None,
+        };
+        sim.inject_send(
+            0,
+            1,
+            data_frame(with_trailing_junk(&EditorMsg::ServerOp(op))),
+        );
+        sim.run();
+        let RobustNode::Client(node) = sim.node(1) else {
+            unreachable!("node 1 is a client");
+        };
+        assert_eq!(node.link.hostile_drops, 1);
+        assert_eq!(node.inner.doc(), cfg.initial_doc);
+        assert_eq!(node.inner.state_vector().received(), 0);
     }
 
     #[test]

@@ -179,6 +179,26 @@ impl SessionConfig {
         }
     }
 
+    /// The star/CVC notifier this session runs, for `slots` client sites:
+    /// scan mode, folded-in GC and flight recorder as configured.
+    pub(crate) fn notifier(&self, slots: usize) -> Notifier {
+        let mut notifier = Notifier::new(slots, &self.initial_doc);
+        notifier.set_scan_mode(self.notifier_scan);
+        notifier.set_auto_gc(self.auto_gc);
+        notifier.set_flight_recorder_capacity(self.notifier_ring_capacity(slots));
+        notifier.set_flight_recorder(self.flight_recorder);
+        notifier
+    }
+
+    /// The streaming star/CVC client replica at `site`.
+    pub(crate) fn client(&self, site: SiteId) -> Client {
+        let mut client = Client::new(site, &self.initial_doc);
+        client.set_share_caret(self.share_carets);
+        client.set_flight_recorder_capacity(self.flight_recorder_capacity);
+        client.set_flight_recorder(self.flight_recorder);
+        client
+    }
+
     /// The notifier's ring capacity: the explicit override when set,
     /// otherwise `N×` the per-client capacity (its stream carries the
     /// broadcast fan-out).
@@ -448,30 +468,8 @@ impl Node<EditorMsg> for SessionNode {
         match self {
             SessionNode::Client { client, script, .. } => {
                 client.set_now(ctx.now.as_micros());
-                let edit = script[tag as usize].clone();
-                let len = client.doc_len();
-                match &edit.intent {
-                    EditIntent::InsertChar { ch, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        let msg = client.insert(pos, &ch.to_string());
-                        ctx.send(0, EditorMsg::ClientOp(msg));
-                    }
-                    EditIntent::InsertText { text, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        let msg = client.insert(pos, text);
-                        ctx.send(0, EditorMsg::ClientOp(msg));
-                    }
-                    EditIntent::DeleteChar { .. } => {
-                        if let Some(pos) = edit.intent.position(len) {
-                            let msg = client.delete(pos, 1);
-                            ctx.send(0, EditorMsg::ClientOp(msg));
-                        }
-                    }
-                    EditIntent::Undo => {
-                        if let Some(msg) = client.undo_last_local() {
-                            ctx.send(0, EditorMsg::ClientOp(msg));
-                        }
-                    }
+                if let Some(msg) = script[tag as usize].intent.apply_to(client) {
+                    ctx.send(0, EditorMsg::ClientOp(msg));
                 }
             }
             SessionNode::MeshSite {
@@ -573,28 +571,18 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
     // Build nodes per deployment.
     match cfg.deployment {
         Deployment::StarCvc => {
-            let mut notifier = Notifier::new(n, &cfg.initial_doc);
-            notifier.set_scan_mode(cfg.notifier_scan);
-            notifier.set_auto_gc(cfg.auto_gc);
-            notifier.set_flight_recorder_capacity(cfg.notifier_ring_capacity(n));
-            notifier.set_flight_recorder(cfg.flight_recorder);
+            let mut notifier = cfg.notifier(n);
             if cfg.client_mode == ClientMode::Composing {
                 notifier.set_send_acks(true);
             }
             sim.add_node(SessionNode::Notifier(Box::new(notifier)));
             for (i, script) in scripts.iter().enumerate() {
                 match cfg.client_mode {
-                    ClientMode::Streaming => {
-                        let mut client = Client::new(SiteId(i as u32 + 1), &cfg.initial_doc);
-                        client.set_share_caret(cfg.share_carets);
-                        client.set_flight_recorder_capacity(cfg.flight_recorder_capacity);
-                        client.set_flight_recorder(cfg.flight_recorder);
-                        sim.add_node(SessionNode::Client {
-                            client: Box::new(client),
-                            script: script.clone(),
-                            auto_gc: cfg.auto_gc,
-                        })
-                    }
+                    ClientMode::Streaming => sim.add_node(SessionNode::Client {
+                        client: Box::new(cfg.client(SiteId(i as u32 + 1))),
+                        script: script.clone(),
+                        auto_gc: cfg.auto_gc,
+                    }),
                     ClientMode::Composing => sim.add_node(SessionNode::ComposingClient {
                         client: Box::new(ComposingClient::new(
                             SiteId(i as u32 + 1),

@@ -11,6 +11,8 @@
 //! document length is when they fire; the site materialises an intent into
 //! a concrete operation against its current replica at fire time.
 
+use crate::client::Client;
+use crate::msg::ClientOpMsg;
 use cvc_sim::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +63,20 @@ impl EditIntent {
                 }
             }
             EditIntent::Undo => None,
+        }
+    }
+
+    /// Materialise this intent against a star/CVC replica as it stands
+    /// now: the local edit is executed and the message to propagate comes
+    /// back. `None` when nothing applies (deleting from an empty
+    /// document, nothing left to undo).
+    pub fn apply_to(&self, client: &mut Client) -> Option<ClientOpMsg> {
+        let pos = self.position(client.doc_len());
+        match self {
+            EditIntent::InsertChar { ch, .. } => Some(client.insert(pos?, &ch.to_string())),
+            EditIntent::InsertText { text, .. } => Some(client.insert(pos?, text)),
+            EditIntent::DeleteChar { .. } => Some(client.delete(pos?, 1)),
+            EditIntent::Undo => client.undo_last_local(),
         }
     }
 }

@@ -510,7 +510,9 @@ fn stale_backup_falls_back_to_full_state_resync() {
     );
 
     // Full-state fallback: adopt the notifier's snapshot wholesale.
-    let (doc, sent, recvd) = notifier.resync_snapshot_for(SiteId(1));
+    let (doc, sent, recvd) = notifier
+        .resync_snapshot_for(SiteId(1))
+        .expect("site 1 is a member");
     let mut restored = backup;
     restored.adopt_snapshot(&doc, sent, recvd);
     assert_eq!(restored.doc(), notifier.doc());

@@ -155,7 +155,10 @@ impl World {
     /// whatever was in flight either way is covered by, or abandoned for,
     /// the snapshot, and both stacks start over.
     fn adopt(&mut self) {
-        let (doc, sent, received) = self.notifier.resync_snapshot_for(SUBJECT);
+        let (doc, sent, received) = self
+            .notifier
+            .resync_snapshot_for(SUBJECT)
+            .expect("the subject is a member");
         self.clients[0].adopt_snapshot(&doc, sent, received);
         self.up[0].clear();
         self.down[0].clear();

@@ -229,11 +229,6 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
         }
     }
 
-    /// Set the store-and-forward rate of one directed channel.
-    pub fn set_channel_bandwidth(&mut self, from: NodeId, to: NodeId, bytes_per_sec: Option<u64>) {
-        self.channel_entry(from, to).bandwidth_bytes_per_sec = bytes_per_sec;
-    }
-
     /// Attach a [`FaultPlan`] to the directed channel `from → to`.
     pub fn set_fault_plan(&mut self, from: NodeId, to: NodeId, plan: FaultPlan) {
         self.fault_plans.insert((from, to), plan);
