@@ -9,8 +9,6 @@
 //!   detection).
 //! * [`vector`] — full vector clocks in the Fidge/Mattern style; the
 //!   `N`-element scheme the paper compresses.
-//! * [`matrix`] — matrix clocks, the heavier classical cousin (each site
-//!   tracks every other site's vector).
 //! * [`fz`] — Fowler–Zwaenepoel direct-dependency tracking: one integer
 //!   per message online, full vectors reconstructable only offline (the
 //!   trace-analysis family the paper's introduction rules out for
@@ -61,7 +59,6 @@ pub mod error;
 pub mod formulas;
 pub mod fz;
 pub mod lamport;
-pub mod matrix;
 pub mod oracle;
 pub mod site;
 pub mod sk;

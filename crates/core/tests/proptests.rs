@@ -4,7 +4,6 @@ use cvc_core::formulas::{
     formula4_client_general, formula5_client, formula6_notifier_general, formula7_notifier,
 };
 use cvc_core::lamport::LamportClock;
-use cvc_core::matrix::MatrixClock;
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_core::state_vector::{ClientStateVector, NotifierStateVector};
@@ -169,33 +168,6 @@ proptest! {
                 formula6_notifier_general(ta, x, &t_ob, y),
                 formula7_notifier(ta, x, &t_ob, y)
             );
-        }
-    }
-
-    /// Matrix clock invariant: a site's own row dominates every other row
-    /// (you can't know that someone knows something you don't).
-    #[test]
-    fn matrix_own_row_dominates(
-        script in proptest::collection::vec((0usize..4, 0usize..4), 1..40),
-    ) {
-        let n = 4;
-        let mut procs: Vec<MatrixClock> = (0..n).map(|i| MatrixClock::new(i, n)).collect();
-        for (s, d) in script {
-            if s == d {
-                continue;
-            }
-            let payload = procs[s].tick();
-            procs[d].observe(s, &payload).unwrap();
-        }
-        for p in &procs {
-            let own = p.own_row().clone();
-            for i in 0..n {
-                prop_assert!(p.row(i).dominated_by(&own).unwrap());
-            }
-            // min_known never exceeds own knowledge.
-            for k in 0..n {
-                prop_assert!(p.min_known(k) <= own.get(k));
-            }
         }
     }
 }

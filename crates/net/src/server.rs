@@ -36,7 +36,9 @@
 //! unparseable framing shed the connection, and a protocol violation also
 //! evicts the *bound* site — never the origin a frame merely claimed —
 //! mirroring the sim's hostile-site policy. A hello that fails costs only
-//! its connection: nobody is bound to it yet.
+//! its connection: nobody is bound to it yet. Those rules and the binding
+//! table are [`Hub`]'s, shared with the simulator; this module turns what
+//! the hub queues into worker commands and sheds what it refuses.
 //!
 //! Workers address connections by a **generation-tagged id** (slab slot
 //! in the low 32 bits, a per-slot generation in the high 32). Slots are
@@ -50,15 +52,13 @@ use crate::conn::{Conn, ConnError};
 use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
-use cvc_reduce::msg::{
-    compound_header, decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
-};
+use cvc_reduce::hub::{Hub, Step};
+use cvc_reduce::msg::{compound_header, decode_payload, ClientOpMsg, EditorMsg, Payload};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::trace::dump_event_line;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
-use cvc_sim::wire::WireError;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -485,15 +485,6 @@ fn accept_inner(
     Ok(())
 }
 
-/// Decode every reassembled payload into its editor messages.
-fn decode_frames(payloads: &[Vec<u8>]) -> Result<Vec<EditorMsg>, WireError> {
-    let mut msgs = Vec::with_capacity(payloads.len());
-    for p in payloads {
-        decode_payload([p, &[]], &mut msgs)?;
-    }
-    Ok(msgs)
-}
-
 fn worker_loop(
     wi: usize,
     shared: &WorkerShared,
@@ -568,8 +559,12 @@ fn worker_inner(
                     stats
                         .frames_in
                         .fetch_add(payloads.len() as u64, Ordering::Relaxed);
-                    match decode_frames(&payloads) {
-                        Ok(msgs) => {
+                    let mut msgs = Vec::with_capacity(payloads.len());
+                    match payloads
+                        .iter()
+                        .try_for_each(|p| decode_payload([p, &[]], &mut msgs))
+                    {
+                        Ok(()) => {
                             stats
                                 .msgs_in
                                 .fetch_add(msgs.len() as u64, Ordering::Relaxed);
@@ -723,25 +718,27 @@ fn worker_inner(
     Ok(())
 }
 
-/// The epoll tier's driver over [`NotifierCore`]: single-threaded, fed
-/// decoded messages, emitting per-destination payloads to worker outboxes.
-/// It owns routing, connection shedding and ring publishing; every input
-/// — op, ack, eviction — goes through the core's three doors, and a
-/// (re)binding site is caught up from the notifier's history buffer.
+/// A connection as the core addresses it: `(worker, generation-tagged
+/// conn id)`.
+type ConnKey = (usize, u64);
+
+/// The epoll tier's driver over a [`Hub`]: single-threaded, fed decoded
+/// messages, emitting per-destination payloads to worker outboxes. The hub
+/// owns who is bound to which site and every rule about it; the core
+/// keeps only what is the transport's — shedding connections, counters,
+/// capture and ring publishing.
 struct Core<'a> {
     cfg: &'a ServerConfig,
     workers: &'a [Arc<WorkerShared>],
-    /// The notifier and its WAL (auto-GC on, no standby on this tier).
-    durable: NotifierCore,
-    /// (worker, conn) → bound site.
-    bound: HashMap<(usize, u64), SiteId>,
-    /// client index → (worker, conn) route.
-    routes: Vec<Option<(usize, u64)>>,
+    /// The notifier, its WAL (auto-GC on, no standby on this tier) and
+    /// the binding of connections to sites.
+    hub: Hub<ConnKey>,
+    /// The hub's sends for the message in hand (a reused buffer).
+    sends: Vec<(ConnKey, Payload)>,
     /// Workers touched in the current drain (woken once at the end).
     touched: Vec<bool>,
     dropped_broadcasts: u64,
     integration_log: Vec<ClientOpMsg>,
-    ops_integrated: u64,
     stats: &'a IoStats,
     /// The observability plane, when configured. The core only ever
     /// *pushes* here on its publish cadence; scrapes read the copies.
@@ -775,112 +772,21 @@ impl<'a> Core<'a> {
         self.touched[worker] = true;
     }
 
-    /// Queue `payload` on `site`'s connection. An unbound site gets
-    /// nothing here: the notifier integrates as soon as any client speaks,
-    /// and whatever a site misses — still in the accept queue, or behind a
-    /// dead socket — its hello replays from the history buffer.
-    fn send_to_site(&mut self, site: SiteId, payload: Payload) {
-        if let Some((worker, conn)) = self.routes.get(site.client_index()).copied().flatten() {
-            self.push(worker, OutCmd::Frame { conn, payload });
-        }
-    }
-
-    fn evict(&mut self, worker: usize, conn: u64) {
-        if let Some(site) = self.bound.remove(&(worker, conn)) {
-            if let Some(r) = self.routes.get_mut(site.client_index()) {
-                *r = None;
-            }
-        }
-        self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-        self.push(worker, OutCmd::Close { conn });
-    }
-
-    /// Handle one decoded message from a (worker, conn) stream.
-    fn on_msg(&mut self, worker: usize, conn: u64, msg: EditorMsg) {
-        match msg {
-            EditorMsg::ClientAck(a) => self.on_client_ack(worker, conn, a),
-            EditorMsg::ClientOp(op) => self.on_client_op(worker, conn, op),
-            // Downstream-only and federation frame types arriving on a
-            // client edge are hostile input: evict the connection. (The
-            // decoder hands compounds over already flattened.)
-            EditorMsg::ServerOp(_)
-            | EditorMsg::ServerAck(_)
-            | EditorMsg::MeshOp(_)
-            | EditorMsg::RelayOp(_)
-            | EditorMsg::RelayAck(_)
-            | EditorMsg::Compound(_) => self.evict(worker, conn),
-        }
-    }
-
-    /// A bound peer broke the protocol: evict the *bound* site — never
-    /// the origin its frame claimed, or one peer could get another
-    /// evicted — and shed the connection.
-    fn evict_site(&mut self, site: SiteId, worker: usize, conn: u64) {
-        let _ = self.durable.integrate_eviction(site);
-        self.evict(worker, conn);
-    }
-
-    fn on_client_ack(&mut self, worker: usize, conn: u64, a: ClientAckMsg) {
-        let key = (worker, conn);
-        if let Some(&site) = self.bound.get(&key) {
-            if self.durable.integrate_ack(site, a).is_err() {
-                self.evict_site(site, worker, conn);
-            }
-            return;
-        }
-        // Hello: bind the connection to its site. The hello's `received`
-        // is the client's real ack frontier — 0 for a fresh client, its
-        // stream position on a reconnect — applied like any other ack so
-        // the notifier's history-buffer GC sees it. A stranger's claim
-        // that fails (unknown or taken id, evicted site, overrun) costs
-        // only this connection: nobody is bound to it yet.
-        let site = a.origin;
-        let free = (!site.is_notifier())
-            .then(|| site.client_index())
-            .filter(|&idx| self.routes.get(idx).is_some_and(Option::is_none));
-        let idx = match free {
-            Some(idx) if self.durable.integrate_ack(site, a).is_ok() => idx,
-            _ => return self.evict(worker, conn),
+    /// Handle one decoded message from a connection: the hub steps, its
+    /// sends become write commands, and a refused hello or input, a
+    /// trimmed rebind, or an evicted site sheds the connection.
+    fn on_msg(&mut self, key: ConnKey, msg: EditorMsg) {
+        let (seq, captured) = match &msg {
+            EditorMsg::ClientOp(op) => (
+                op.stamp.get(2),
+                self.cfg.capture_integrations.then(|| op.clone()),
+            ),
+            _ => (0, None),
         };
-        // The same frontier is the cursor into the history buffer: the
-        // stream to `site` resumes right after it, with the stamps the
-        // original broadcasts carried — whether the site never saw them
-        // because it was still connecting or because its last socket died
-        // with them in flight. A frontier below the site's own earlier ack
-        // asks for a collected prefix; that replica needs a snapshot, not
-        // this stream, so the connection is shed and counted.
-        let notifier = self.durable.notifier();
-        let Ok(replay) = notifier.replay_for(site, a.received) else {
-            self.dropped_broadcasts += 1;
-            return self.evict(worker, conn);
-        };
-        let acked = notifier.state_vector().received_from(site).unwrap_or(0);
-        self.bound.insert(key, site);
-        self.routes[idx] = Some(key);
-        for op in replay {
-            self.send_to_site(site, Payload::encode(&EditorMsg::ServerOp(op)));
-        }
-        // One cumulative ack covers every `ServerAck` the site missed.
-        if self.cfg.send_acks && acked > 0 {
-            let ack = EditorMsg::ServerAck(ServerAckMsg { acked });
-            self.send_to_site(site, Payload::encode(&ack));
-        }
-    }
-
-    fn on_client_op(&mut self, worker: usize, conn: u64, op: ClientOpMsg) {
-        let Some(&site) = self.bound.get(&(worker, conn)) else {
-            // An op before the hello: the peer skipped the handshake.
-            self.evict(worker, conn);
-            return;
-        };
-        let seq = op.stamp.get(2);
-        let captured = self.cfg.capture_integrations.then(|| op.clone());
-        // Durability before visibility: an outcome only comes back once
-        // its record is in the log, and a rejected op never gets there.
-        match self.durable.integrate_op(site, op) {
-            Ok(outcome) => {
-                self.ops_integrated += 1;
-                if self.tracing() {
+        let mut sends = std::mem::take(&mut self.sends);
+        match self.hub.on_msg(key, msg, &mut sends) {
+            Step::Op(_) => {
+                if let Some(site) = self.tracing().then(|| self.hub.site_of(key)).flatten() {
                     // The server sees no client rings, but integration
                     // proves the op was generated and sent; synthesize
                     // those lines so attached tailers get full
@@ -889,18 +795,25 @@ impl<'a> Core<'a> {
                     self.synth_line(site, EventKind::Send, site.0, seq);
                 }
                 self.integration_log.extend(captured);
-                let frame = outcome.frame();
-                for &(dest, stamp) in &outcome.stamps {
-                    self.send_to_site(dest, frame.payload_for(stamp));
-                }
-                if let Some((dest, ack)) = outcome.ack {
-                    self.send_to_site(dest, Payload::encode(&EditorMsg::ServerAck(ack)));
-                }
             }
-            // The violation is counted where it was detected; the sim's
-            // policy verbatim.
-            Err(_) => self.evict_site(site, worker, conn),
+            Step::Ack(_) | Step::Bound(_) => {}
+            // Refused input, a trimmed rebind or an evicted site: the
+            // connection speaks for nobody from here on. A trimmed rebind
+            // (a stale backup's frontier) needs a snapshot this tier cannot
+            // send yet, so it is also counted.
+            shed => {
+                if let Step::Trimmed(_) = shed {
+                    self.dropped_broadcasts += 1;
+                }
+                self.hub.unbind(key);
+                self.stats.evicted.fetch_add(1, Ordering::Relaxed);
+                self.push(key.0, OutCmd::Close { conn: key.1 });
+            }
         }
+        for ((worker, conn), payload) in sends.drain(..) {
+            self.push(worker, OutCmd::Frame { conn, payload });
+        }
+        self.sends = sends;
     }
 
     fn wake_touched(&mut self) {
@@ -953,7 +866,7 @@ impl<'a> Core<'a> {
             // `T[1]` carried by its own ops both land in `acked_by`.
             // `op_site = NO_SITE` + the stream position is exactly the
             // tailer's broadcast join key.
-            let frontier = self.durable.notifier().acked_by().to_vec();
+            let frontier = self.hub.notifier().acked_by().to_vec();
             for (idx, &acked) in frontier.iter().take(self.cfg.n_clients).enumerate() {
                 while self.ack_published[idx] < acked {
                     self.ack_published[idx] += 1;
@@ -961,7 +874,7 @@ impl<'a> Core<'a> {
                     self.synth_line(SiteId(idx as u32 + 1), EventKind::Execute, NO_SITE, pos);
                 }
             }
-            let recorder = self.durable.notifier().recorder();
+            let recorder = self.hub.notifier().recorder();
             let (events, lost) = recorder.events_since(self.recorder_cursor);
             let mut text = std::mem::take(&mut self.synth);
             if lost > 0 {
@@ -992,7 +905,8 @@ impl<'a> Core<'a> {
     /// Refresh the live registry image from the notifier, the I/O-tier
     /// atomics, the WAL, and the core's own gauges.
     fn refresh_registry(&mut self) {
-        let metrics = self.durable.notifier().metrics();
+        let metrics = self.hub.notifier().metrics();
+        let ops_integrated = metrics.ops_executed_remote;
         let counters = metrics.counter_fields();
         let high_waters = metrics.high_water_fields();
         let live = &mut self.live;
@@ -1026,23 +940,20 @@ impl<'a> Core<'a> {
             let active = w.active_conns.load(Ordering::Relaxed);
             active_total += active;
             live.set_gauge(&format!("net.worker{wi}.active_conns"), active as f64);
-            live.set_gauge(
-                &format!("net.worker{wi}.outbox_depth"),
-                w.outbox_depth.load(Ordering::Relaxed) as f64,
-            );
-            live.set_gauge(
-                &format!("net.worker{wi}.outbox_high_water"),
-                w.outbox_high_water.load(Ordering::Relaxed) as f64,
-            );
-            live.set_gauge(
-                &format!("net.worker{wi}.pending_out_high_water"),
-                w.pending_out_high_water.load(Ordering::Relaxed) as f64,
-            );
+            let gauges = [
+                ("outbox_depth", &w.outbox_depth),
+                ("outbox_high_water", &w.outbox_high_water),
+                ("pending_out_high_water", &w.pending_out_high_water),
+            ];
+            for (name, v) in gauges {
+                let v = v.load(Ordering::Relaxed) as f64;
+                live.set_gauge(&format!("net.worker{wi}.{name}"), v);
+            }
         }
         live.set_gauge("net.active_connections", active_total as f64);
-        live.set_counter("core.ops_integrated", self.ops_integrated);
+        live.set_counter("core.ops_integrated", ops_integrated);
         live.set_counter("core.dropped_broadcasts", self.dropped_broadcasts);
-        if let Some(wal) = self.durable.wal() {
+        if let Some(wal) = self.hub.core().wal() {
             live.set_counter("wal.appends", wal.appends());
             live.set_counter("wal.bytes_appended", wal.bytes_appended());
             live.set_counter("wal.compactions", wal.compactions());
@@ -1075,16 +986,15 @@ fn core_loop(
         notifier.set_flight_recorder(true);
     }
     let has_admin = admin.is_some();
+    let wal = Some(Wal::new(DEFAULT_COMPACT_EVERY));
     let mut core = Core {
         cfg,
         workers,
-        durable: NotifierCore::new(notifier, Some(Wal::new(DEFAULT_COMPACT_EVERY)), None),
-        bound: HashMap::new(),
-        routes: vec![None; cfg.n_clients],
+        hub: Hub::new(NotifierCore::new(notifier, wal, None)),
+        sends: Vec::new(),
         touched: vec![false; workers.len()],
         dropped_broadcasts: 0,
         integration_log: Vec::new(),
-        ops_integrated: 0,
         stats,
         admin,
         now_us: 0,
@@ -1115,7 +1025,7 @@ fn core_loop(
         };
         if let Some(first) = first {
             core.now_us = started.elapsed().as_micros() as u64;
-            core.durable.set_now(core.now_us);
+            core.hub.core_mut().set_now(core.now_us);
             let mut batch = vec![first];
             while batch.len() < 512 {
                 match rx.try_recv() {
@@ -1129,7 +1039,7 @@ fn core_loop(
                     CoreMsg::Frames { worker, conn, msgs } => {
                         stats.core_queue.fetch_sub(1, Ordering::Relaxed);
                         for msg in msgs {
-                            core.on_msg(worker, conn, msg);
+                            core.on_msg((worker, conn), msg);
                             // Mid-batch ring drain: transform recording
                             // is O(|HB|) per op, and one socket read can
                             // decode thousands of ops into a single
@@ -1148,11 +1058,7 @@ fn core_loop(
                     }
                     CoreMsg::Disconnected { worker, conn } => {
                         stats.core_queue.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(site) = core.bound.remove(&(worker, conn)) {
-                            if let Some(r) = core.routes.get_mut(site.client_index()) {
-                                *r = None;
-                            }
-                        }
+                        core.hub.unbind((worker, conn));
                     }
                     CoreMsg::Shutdown => {
                         // The final publish eof-marks the ring log so an
@@ -1181,13 +1087,13 @@ fn core_loop(
 
     let frames_out = stats.frames_out.load(Ordering::Relaxed);
     let msgs_out = stats.msgs_out.load(Ordering::Relaxed);
-    let notifier = core.durable.notifier();
+    let notifier = core.hub.notifier();
     let m = notifier.metrics();
-    let wal = core.durable.wal();
+    let wal = core.hub.core().wal();
     ServerReport {
         doc: notifier.doc(),
         doc_checksum: notifier.doc_checksum(),
-        ops_integrated: core.ops_integrated,
+        ops_integrated: m.ops_executed_remote,
         protocol_errors: m.protocol_errors,
         frame_errors: stats.frame_errors.load(Ordering::Relaxed),
         io_errors: stats.io_errors.load(Ordering::Relaxed),

@@ -309,11 +309,13 @@ fn reconnect_rebinds_with_real_ack_frontier() {
     apply_server_ops(&mut peer2, &mut replica2, 1);
     assert_eq!(replica2.doc(), "a");
 
-    // Site 2 drops. Wait for the server to process the disconnect (route
-    // cleared): a hello that overtakes its own site's close is refused as
-    // "site taken" — newest-wins is a policy this tier does not have.
+    // Site 2 drops. Wait for the server to process the disconnect (site
+    // unbound): a hello that overtakes its own site's close is refused as
+    // "site taken" — newest-wins is a policy this tier does not have (the
+    // rule and that race are pinned without sockets in `cvc-reduce`'s
+    // `tests/hub.rs`, `hello_before_the_old_close_is_refused_then_binds`).
     drop(peer2);
-    std::thread::sleep(Duration::from_millis(300));
+    barrier(&addr);
     peer1.send(&EditorMsg::ClientOp(editor1.insert(1, "b")));
 
     // Reconnect with the true frontier: one broadcast already received.
@@ -446,7 +448,7 @@ fn apply_server_ops(peer: &mut TestPeer, replica: &mut Client, count: usize) {
     }
 }
 
-/// ROADMAP 3(a): a bound peer's protocol violation is evicted *and stays
+/// DESIGN §17: a bound peer's protocol violation is evicted *and stays
 /// out of the write-ahead log* — recovery replays the log through the
 /// same validation, so one logged hostile op would poison every restart.
 #[test]
@@ -555,7 +557,7 @@ fn forged_origin_evicts_the_sender_not_the_named_site() {
     assert!(recovered.is_active(sites[1]) && recovered.is_active(sites[2]));
 }
 
-/// ROADMAP 1(a): the TCP server's state is bounded by the in-flight
+/// DESIGN §15/§17: the TCP server's state is bounded by the in-flight
 /// window, not by the session. Four lockstep writers (one op in flight,
 /// acks exactly as `Client::take_pending_ack` dictates, one final ack
 /// each) run 2 000 ops; the notifier's history buffer must stay within

@@ -23,16 +23,15 @@
 //! append-before-broadcast is a property of the types, not of a comment.
 //!
 //! No clock, socket, simulator context, thread or `eprintln!` appears
-//! here. The simulator node (`reliable.rs`) and the epoll core thread
-//! (`cvc-net`'s `server.rs`) are thin drivers: they own transport state
-//! (links, fencing, crash plans, routes), say which
-//! channel an input arrived on, decide what a rejection costs the sender
-//! (an eviction is the third door, not a side effect), and reach the
-//! wrapped notifier read-only. **Nothing outside this module calls
-//! [`Wal::append`], one of the notifier's `try_on_client_*` entry points or
-//! [`Notifier::quarantine`]** on a notifier that has a log or a shadow
-//! (engines holding a bare, non-durable [`Notifier`] — plain sessions,
-//! the TCP twin, the verifier — still do).
+//! here. Which channel speaks for which site is [`crate::hub::Hub`]'s
+//! table beside this core; the simulator node (`reliable.rs`) and the
+//! epoll core thread (`cvc-net`'s `server.rs`) drive a hub and own only
+//! transport state (links, epochs, crash plans, connection ids), and the
+//! plain session node drives a core without a log. **Nothing outside this
+//! module calls [`Wal::append`], one of the notifier's `try_on_client_*`
+//! entry points or [`Notifier::quarantine`]** on a notifier that has a log
+//! or a shadow (engines holding a bare, non-durable [`Notifier`] — the TCP
+//! twin, the verifier — still do).
 //!
 //! Underneath sits [`apply`]: the one function that replays a
 //! [`WalRecord`] into a notifier. The live path, [`Standby::observe`] and

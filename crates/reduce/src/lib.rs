@@ -28,6 +28,8 @@
 //!   notifier's input stream with compacted snapshots and a warm standby
 //!   that tails it and can be promoted when the primary crashes (clients
 //!   resync via the 2-element-clock cursor).
+//! * [`hub`] — who is bound to which site: the one binding table, hello,
+//!   catch-up and eviction rules both notifier drivers share.
 //! * [`verify`] — every engine concurrency verdict compared against a
 //!   ground-truth Definition-1 oracle over randomized interleavings.
 //!
@@ -52,6 +54,7 @@ pub mod client;
 pub mod composing;
 pub mod core;
 pub mod error;
+pub mod hub;
 pub mod mesh;
 pub mod metrics;
 pub mod msg;

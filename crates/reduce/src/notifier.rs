@@ -339,6 +339,11 @@ impl Notifier {
         self.send_acks = on;
     }
 
+    /// Whether each integrated op is acknowledged to its origin.
+    pub fn sends_acks(&self) -> bool {
+        self.send_acks
+    }
+
     /// Select how the history buffer is scanned. Must be called before any
     /// operation is integrated (the reference mode needs snapshots stored
     /// from the first entry on).
@@ -391,22 +396,13 @@ impl Notifier {
         (site, self.doc.to_string())
     }
 
-    /// Remove a client from the session: no further broadcasts go to it
-    /// and operations arriving from it are rejected. Its counters remain
-    /// (site ids are never reused).
-    pub fn remove_client(&mut self, site: SiteId) {
-        assert!(
-            !site.is_notifier() && site.client_index() < self.n_clients(),
-            "cannot remove unknown {site}"
-        );
-        self.active[site.client_index()] = false;
-    }
-
-    /// Evict `site` after a protocol violation: no further broadcasts go
-    /// to it and everything arriving from it is rejected. `Err` — with
-    /// nothing changed — when `site` is not an active member: a never-
-    /// member id, or a second violation from a site already out, which
-    /// callers that only need the site gone ignore. On a notifier with a
+    /// Remove `site` from the session — a graceful leave or an eviction
+    /// after a protocol violation: no further broadcasts go to it and
+    /// everything arriving from it is rejected. Its counters remain (site
+    /// ids are never reused). `Err` — with nothing changed — when `site` is
+    /// not an active member: a never-member id, or a second violation from
+    /// a site already out, which callers that only need the site gone
+    /// ignore. On a notifier with a
     /// log or a shadow this is reached only through [`crate::core::apply`]
     /// (see [`crate::core::NotifierCore::integrate_eviction`]), so that
     /// recovery and the standby agree on membership.
@@ -1432,7 +1428,7 @@ mod tests {
     #[test]
     fn departed_clients_are_rejected_and_skipped() {
         let mut n = Notifier::new(3, "ab");
-        n.remove_client(SiteId(2));
+        n.quarantine(SiteId(2)).expect("a member");
         assert!(!n.is_active(SiteId(2)));
         assert_eq!(n.active_clients(), 2);
         // Ops from the departed site bounce.
@@ -1463,7 +1459,7 @@ mod tests {
             .expect("valid client op");
         // Site 3 never acks — but it leaves, so the entry only waits for
         // site 2.
-        n.remove_client(SiteId(3));
+        n.quarantine(SiteId(3)).expect("a member");
         assert_eq!(n.gc(), 0, "site 2 has not acked yet");
         let op2 = SeqOp::from_pos(&PosOp::insert(3, "d"), 3);
         n.try_on_client_op_outcome(client_msg(2, (1, 1), op2))
@@ -1630,7 +1626,7 @@ mod tests {
                 ..
             })
         ));
-        n.remove_client(SiteId(2));
+        n.quarantine(SiteId(2)).expect("a member");
         assert!(matches!(
             n.try_on_client_ack(ClientAckMsg {
                 origin: SiteId(2),

@@ -853,15 +853,15 @@ pub fn run_federation(cfg: &FederationConfig) -> FederationReport {
         relay_frames_total += rel.relayed_out;
         // Local ops = everything integrated that was not a relay injection.
         local_ops_total += rn.ops_integrated - rel.virtual_seq;
-        docs.push(rn.core.notifier().doc());
+        docs.push(rn.hub.notifier().doc());
         docs.push(rel.mesh.doc());
         docs.extend(client_docs);
-        if let Some(wal) = rn.core.wal() {
+        if let Some(wal) = rn.hub.core().wal() {
             rep.wal_appends = wal.appends();
             rep.wal_bytes = wal.bytes_appended();
             rep.wal_amplification = wal.amplification();
         }
-        if let Some(sb) = rn.core.standby() {
+        if let Some(sb) = rn.hub.core().standby() {
             assert!(
                 sb.poisoned().is_none(),
                 "shard {s} standby poisoned: {:?}",
@@ -870,7 +870,7 @@ pub fn run_federation(cfg: &FederationConfig) -> FederationReport {
             docs.push(sb.notifier().doc().to_owned());
         }
         if cfg.flight_recorder {
-            let notifier_ring = rn.core.notifier().recorder().events();
+            let notifier_ring = rn.hub.notifier().recorder().events();
             let virtual_stream = synthesize_virtual_stream(&notifier_ring, rel.virtual_site);
             let mut assembly = vec![(SiteId(0), notifier_ring)];
             assembly.extend(rings.iter().cloned());
@@ -1105,7 +1105,7 @@ mod tests {
         // nothing else — no panic, no document edit, no mesh state.
         let cfg = FederationConfig::small(2, 2, 3);
         let mut sh = crate::reliable::build_shard_sim(&cfg.shard_session(0), 0, 2, false);
-        let before = notifier(&mut sh).core.notifier().doc();
+        let before = notifier(&mut sh).hub.notifier().doc();
         let hostile = [0u32, 2, 7, u32::MAX];
         for os in hostile {
             let frame = test_frame(os, 1);
@@ -1121,10 +1121,6 @@ mod tests {
             "hostile frames must not count as relayed"
         );
         assert!(rel.integration_log.is_empty(), "nothing may reach the mesh");
-        assert_eq!(
-            n.core.notifier().doc(),
-            before,
-            "document must be untouched"
-        );
+        assert_eq!(n.hub.notifier().doc(), before, "document must be untouched");
     }
 }

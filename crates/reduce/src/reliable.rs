@@ -18,7 +18,7 @@
 //!   *epoch*, presents its 2-element state vector in a
 //!   [`ReliableMsg::ResyncRequest`], and the notifier replays the
 //!   missing broadcast suffix from its history buffer
-//!   ([`crate::notifier::Notifier::replay_for`]) while the client
+//!   ([`crate::hub::Hub::catch_up`]) while the client
 //!   re-sends its unacked local operations
 //!   ([`Client::unacked_local_since`]). Frames from a stale epoch are
 //!   discarded on both sides.
@@ -32,7 +32,7 @@
 
 use crate::client::Client;
 use crate::core::NotifierCore;
-use crate::error::ProtocolError;
+use crate::hub::{CatchUp, Hub, Step};
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
@@ -962,6 +962,17 @@ const PROBE_INTERVAL_US: u64 = 500_000;
 /// pre-scheduled (bounded) so the simulator still quiesces.
 const PROBE_MARGIN_US: u64 = 20_000_000;
 
+impl SessionConfig {
+    /// A fresh link (seeded by `seed`) with this session's compound-frame
+    /// settings.
+    fn link(&self, seed: u64) -> ReliableLink {
+        let mut link = ReliableLink::new(seed);
+        link.batching = self.compound_frames;
+        link.flush_delay = SimDuration::from_micros(self.compound_flush_ticks);
+        link
+    }
+}
+
 /// Connection state of a robust client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
@@ -1015,15 +1026,15 @@ pub struct SessionTrace {
     pub clients: Vec<Vec<ClientEvent>>,
 }
 
-/// The simulator's driver over [`NotifierCore`]: it owns what is
-/// genuinely the transport's — links, fencing, the crash plan, the relay
-/// mirror, the trace — and reaches the editor state only through the
-/// core's two integration entry points and its named mutators.
+/// The simulator's driver over a [`Hub`] whose channel ids are node ids:
+/// it owns what is genuinely the transport's — links, epochs, the crash
+/// plan, the relay mirror, the trace. A fenced channel is an unbound one.
 pub(crate) struct RobustNotifier {
-    /// The notifier and its durability pipeline (WAL + warm standby in
-    /// standby sessions): an outcome to broadcast only ever comes out of
-    /// here, already logged and mirrored.
-    pub(crate) core: NotifierCore,
+    /// The notifier, its durability pipeline (WAL + warm standby in
+    /// standby sessions) and who is bound to which client channel: an
+    /// outcome to broadcast only ever comes out of here, already logged
+    /// and mirrored, with its sends queued for the bound channels.
+    pub(crate) hub: Hub<NodeId>,
     /// One link per client; index = client index, peer node = index + 1.
     pub(crate) links: Vec<ReliableLink>,
     pub(crate) trace: Option<Vec<NotifierStep>>,
@@ -1037,11 +1048,9 @@ pub(crate) struct RobustNotifier {
     /// windows and parked batches died with the process, but their
     /// counters and latency logs still belong to the session.
     retired_links: Vec<ReliableLink>,
-    /// Post-promotion per-channel fencing: while fenced, every data/ack
-    /// frame is discarded regardless of epoch (zombie traffic), and only
-    /// a resync request with a *bumped* epoch is served.
-    fenced: Vec<bool>,
-    /// Zombie frames the fencing rules discarded.
+    /// Zombie frames discarded on unbound (fenced) channels: after the
+    /// crash every data/ack frame is dropped regardless of epoch, and only
+    /// a resync request with a *bumped* epoch is served and rebinds.
     fenced_drops: u64,
     /// When the primary died (set once).
     crash_at: Option<SimTime>,
@@ -1063,7 +1072,8 @@ impl RobustNotifier {
     /// The notifier node for a session of `slots` client channels: the
     /// configured notifier wrapped — in standby sessions with its log and
     /// warm shadow — in a [`NotifierCore`], plus one fresh link per
-    /// channel. Unfenced and unfederated; a shard adds both afterwards.
+    /// channel. Nothing bound and unfederated; the star binds its clients
+    /// and a shard adds the relay afterwards.
     fn new(cfg: &SessionConfig, slots: usize, traced: bool) -> Self {
         let notifier = cfg.notifier(slots);
         let standby = cfg.standby.then(|| {
@@ -1073,21 +1083,15 @@ impl RobustNotifier {
         });
         let wal = cfg.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY));
         RobustNotifier {
-            core: NotifierCore::new(notifier, wal, standby),
+            hub: Hub::new(NotifierCore::new(notifier, wal, standby)),
             links: (0..slots)
-                .map(|i| {
-                    let mut l = ReliableLink::new(cfg.net_seed.wrapping_add(i as u64));
-                    l.batching = cfg.compound_frames;
-                    l.flush_delay = SimDuration::from_micros(cfg.compound_flush_ticks);
-                    l
-                })
+                .map(|i| cfg.link(cfg.net_seed.wrapping_add(i as u64)))
                 .collect(),
             trace: traced.then(Vec::new),
             trace_acks: Vec::new(),
             crash: cfg.crash,
             ops_integrated: 0,
             retired_links: Vec::new(),
-            fenced: Vec::new(),
             fenced_drops: 0,
             crash_at: None,
             unfenced_at: Vec::new(),
@@ -1097,26 +1101,11 @@ impl RobustNotifier {
         }
     }
 
-    /// Build the full-state fallback frame for a client whose replay
-    /// prefix was garbage-collected.
-    fn full_resync_frame(&self, site: SiteId, epoch: u32) -> ReliableMsg {
-        let (doc, sent_to_site, received_from_site) = self
-            .core
-            .notifier()
-            .resync_snapshot_for(site)
-            .expect("the request's site was checked active");
-        ReliableMsg {
-            epoch,
-            kind: ReliableKind::ResyncFull {
-                sent_to_site,
-                received_from_site,
-                doc,
-            },
-        }
-    }
-
-    /// Decompose one executed (notifier-form) operation into
-    /// per-character mesh ops and queue them for cross-shard relay.
+    /// Decompose one executed (notifier-form) operation from `from` into
+    /// per-character mesh ops and queue them for cross-shard relay. A
+    /// no-op without federation and for the virtual relay client's own
+    /// injections — those *came from* the mesh, so re-relaying them would
+    /// echo forever.
     ///
     /// Invariant: the mesh's visible text equals the notifier document
     /// *before* `executed` was applied — `integrate` calls this
@@ -1124,8 +1113,10 @@ impl RobustNotifier {
     /// against a running visible position replays the exact edit on the
     /// mesh replica (whose own vector clock then carries it to the peer
     /// shards).
-    fn mirror_to_relay(&mut self, executed: &SeqOp, now_us: u64) {
-        let rel = self.relay.as_mut().expect("caller checked relay");
+    fn mirror_to_relay(&mut self, from: SiteId, executed: &SeqOp, now_us: u64) {
+        let Some(rel) = self.relay.as_mut().filter(|r| from != r.virtual_site) else {
+            return;
+        };
         let mut pos = 0usize;
         for comp in executed.components() {
             match comp {
@@ -1147,7 +1138,7 @@ impl RobustNotifier {
         }
         debug_assert_eq!(
             rel.mesh.doc(),
-            self.core.notifier().doc(),
+            self.hub.notifier().doc(),
             "relay mesh mirror diverged from the shard document"
         );
     }
@@ -1234,45 +1225,42 @@ impl RobustNotifier {
             let vs = rel.virtual_site;
             // T1 for the virtual client is exactly what the notifier has
             // sent it (`record_send_shared` counts every active
-            // destination, fenced or not), so formula (7) finds zero
+            // destination, bound or not), so formula (7) finds zero
             // concurrency and the transformed-at-the-mesh op applies
             // verbatim — the cross-shard transformation happened in the
             // mesh tier, the star tier just executes.
-            let t1 = self.core.notifier().state_vector().compress_for(vs).get(1);
-            self.core.note_lifecycle(
+            let t1 = self.hub.notifier().state_vector().compress_for(vs).get(1);
+            self.hub.core_mut().note_lifecycle(
                 FlightEvent::new(EventKind::Relay)
                     .with_op(vs.0, t2)
                     .with_ab(origin_shard as u64, hop)
                     .with_detail("relay-inject"),
             );
-            self.integrate(
-                ctx,
-                vs,
-                ClientOpMsg {
-                    origin: vs,
-                    stamp: CompressedStamp::new(t1, t2),
-                    op,
-                    cursor: None,
-                },
-            );
+            let op = ClientOpMsg {
+                origin: vs,
+                stamp: CompressedStamp::new(t1, t2),
+                op,
+                cursor: None,
+            };
+            self.integrate(ctx, vs, EditorMsg::ClientOp(op));
         }
     }
 
     /// Advance the virtual relay client's ack watermark to everything
-    /// this notifier has sent it. The virtual channel is permanently
-    /// fenced (no process ever acks on it), so without this driver-called
-    /// keepalive a quiet federation link would pin history GC forever.
+    /// this notifier has sent it. The virtual slot is never bound (no
+    /// process ever acks on it), so without this driver-called keepalive
+    /// a quiet federation link would pin history GC forever.
     pub(crate) fn relay_keepalive(&mut self) {
         let Some(rel) = &self.relay else { return };
         let vs = rel.virtual_site;
-        let notifier = self.core.notifier();
+        let notifier = self.hub.notifier();
         let sent = notifier.state_vector().compress_for(vs).get(1);
         if sent > notifier.acked_by()[vs.client_index()] {
-            let ack = ClientAckMsg {
+            let ack = EditorMsg::ClientAck(ClientAckMsg {
                 origin: vs,
                 received: sent,
-            };
-            if let Err(e) = self.core.integrate_ack(vs, ack) {
+            });
+            if let Step::Evicted(_, e) = self.hub.integrate(vs, ack, &mut Vec::new()) {
                 eprintln!("relay keepalive rejected: {e}");
             }
         }
@@ -1305,83 +1293,68 @@ impl RobustNotifier {
             .unwrap_or(0)
     }
 
-    /// Integrate an op that arrived on `from`'s channel (the virtual relay
-    /// client's injections arrive on its own).
-    fn integrate(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, from: SiteId, c: ClientOpMsg) {
-        let traced_msg = self.trace.is_some().then(|| c.clone());
+    /// Feed one input from `site` through the hub — the site its channel
+    /// was bound to when the frame arrived, or the virtual relay client
+    /// for its own injections — and put what it queued on the links.
+    fn integrate(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, site: SiteId, msg: EditorMsg) {
+        let traced = self.trace.is_some().then(|| msg.clone());
         // Write-ahead ordering lives in the core: by the time an outcome
         // comes back its record is durable and mirrored to the warm
         // standby, so nothing below can broadcast an unlogged op. A crash
         // before the append is indistinguishable from the op never
         // arriving — the origin re-sends it after resync.
-        match self.core.integrate_op(from, c) {
-            Ok(out) => {
+        let mut sends = Vec::new();
+        match self.hub.integrate(site, msg, &mut sends) {
+            Step::Op(out) => {
                 self.ops_integrated += 1;
-                if let (Some(tr), Some(msg)) = (&mut self.trace, traced_msg) {
+                if let (Some(tr), Some(EditorMsg::ClientOp(msg))) = (&mut self.trace, traced) {
                     tr.push(NotifierStep {
                         msg,
                         verdicts: out.full_verdicts(),
                         broadcasts: out.broadcast_msgs(),
                     });
                 }
-                let crashing = self.crash.is_some_and(|cr| cr.at_op == self.ops_integrated);
-                // Encode once: the destination-independent body of the
-                // server op is serialized a single time; each destination
-                // gets a small fresh header (tag + its compressed stamp)
-                // spliced onto the shared refcounted bytes.
-                let frame = out.frame();
-                let keep = if crashing {
-                    match self.crash.map(|cr| cr.point) {
-                        Some(CrashPoint::BeforeSend) => 0,
-                        Some(CrashPoint::MidBroadcast) => out.stamps.len().div_ceil(2),
-                        _ => out.stamps.len(),
-                    }
-                } else {
-                    out.stamps.len()
-                };
+                let crashing = self.crash.filter(|cr| cr.at_op == self.ops_integrated);
+                // Every channel is bound until the crash, so the sends are
+                // the broadcasts in destination order.
+                match crashing.map(|cr| cr.point) {
+                    Some(CrashPoint::BeforeSend) => sends.clear(),
+                    Some(CrashPoint::MidBroadcast) => sends.truncate(out.stamps.len().div_ceil(2)),
+                    _ => {}
+                }
                 // Federation: mirror the executed form into this shard's
                 // mesh replica and queue per-character relay frames for
-                // the peer shards. Skipped for the virtual relay client's
-                // own injections — those *came from* the mesh, so
-                // re-relaying them would echo forever.
-                let mirror = match &self.relay {
-                    Some(rel) => from != rel.virtual_site,
-                    None => false,
-                };
-                if mirror {
-                    self.mirror_to_relay(&out.executed, ctx.now.as_micros());
+                // the peer shards.
+                self.mirror_to_relay(site, &out.executed, ctx.now.as_micros());
+                // An unbound (fenced) channel got nothing: the fresh link's
+                // sequence numbers would eventually slide into the zombie
+                // client's acceptance window and deliver gap-skipping ops —
+                // and every epoch-matching frame would reset its crash
+                // detector, so it would never re-handshake. The resync
+                // replay carries these ops instead.
+                for (node, p) in sends {
+                    self.links[node - 1].queue_payload(ctx, node, RETX_TAG + node as u64 - 1, p);
                 }
-                for &(dest, stamp) in out.stamps.iter().take(keep) {
-                    let di = dest.client_index();
-                    // A fenced channel is silent in BOTH directions: the
-                    // fresh link's sequence numbers would eventually slide
-                    // into the zombie client's acceptance window and
-                    // deliver gap-skipping ops — and every epoch-matching
-                    // frame would reset its crash detector, so it would
-                    // never re-handshake. The resync replay carries these
-                    // ops instead.
-                    if self.fenced.get(di).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let payload = frame.payload_for(stamp);
-                    self.links[di].queue_payload(ctx, di + 1, RETX_TAG + di as u64, payload);
-                }
-                if crashing {
+                if crashing.is_some() {
                     self.crash_and_promote(ctx);
                 }
             }
-            Err(e) => self.evict(from, &e),
+            Step::Ack(a) => self
+                .trace_acks
+                .extend(self.trace.as_ref().map(|tr| (tr.len(), a))),
+            // A frame that survived the reliable channel but violates the
+            // editor protocol is hostile input, not line noise: the hub
+            // evicted the site whose channel carried it — whatever origin
+            // the frame claimed; dump the flight recorder and keep serving
+            // everyone else.
+            Step::Evicted(site, e) => {
+                eprintln!("notifier rejected input from {site}: {e}");
+                eprintln!("{}", self.hub.notifier().dump_recorder());
+            }
+            // Server-to-client frames arriving upstream are nonsense.
+            Step::Refused => self.links[site.client_index()].hostile_drops += 1,
+            Step::Bound(_) | Step::Trimmed(_) => {}
         }
-    }
-
-    /// A frame that survived the reliable channel but violates the editor
-    /// protocol is hostile input, not line noise: dump the flight
-    /// recorder, evict the site whose channel carried it — whatever origin
-    /// the frame claimed — and keep serving everyone else.
-    fn evict(&mut self, sender: SiteId, e: &ProtocolError) {
-        eprintln!("notifier rejected input from {sender}: {e}");
-        eprintln!("{}", self.core.notifier().dump_recorder());
-        let _ = self.core.integrate_eviction(sender);
     }
 
     /// The seeded crash point was reached: the primary dies mid-stride
@@ -1403,13 +1376,11 @@ impl RobustNotifier {
             .links
             .iter()
             .enumerate()
-            .map(|(i, old)| {
-                let mut l =
-                    ReliableLink::new(self.link_seed.wrapping_mul(7919).wrapping_add(i as u64));
-                l.batching = old.batching;
-                l.flush_delay = old.flush_delay;
-                l.epoch = old.epoch;
-                l
+            .map(|(i, old)| ReliableLink {
+                epoch: old.epoch,
+                batching: old.batching,
+                flush_delay: old.flush_delay,
+                ..ReliableLink::new(self.link_seed.wrapping_mul(7919).wrapping_add(i as u64))
             })
             .collect();
         self.retired_links = std::mem::replace(&mut self.links, fresh);
@@ -1417,79 +1388,69 @@ impl RobustNotifier {
         // refusing to serve divergent state beats silent corruption. The
         // promoted notifier inherits the dead primary's black box; mark
         // the lifecycle transition on it.
-        let replay = self
-            .core
+        let core = self.hub.core_mut();
+        let replay = core
             .promote()
             .expect("a crash plan requires the standby")
             .expect("standby poisoned at promotion");
-        self.core.set_now(ctx.now.as_micros());
-        self.core.note_lifecycle(
+        core.set_now(ctx.now.as_micros());
+        core.note_lifecycle(
             FlightEvent::new(EventKind::Crash)
                 .with_ab(self.ops_integrated, crash.point.index())
                 .with_detail(crash.point.name()),
         );
-        self.core.note_lifecycle(
+        core.note_lifecycle(
             FlightEvent::new(EventKind::Promote)
                 .with_ab(replay.0, n as u64)
                 .with_detail("standby-promoted"),
         );
         self.promoted_replay = Some(replay);
-        self.fenced = vec![true; n];
+        // The fence: the promoted incarnation has no client bound.
+        for node in 1..=n {
+            self.hub.unbind(node);
+        }
         self.unfenced_at = vec![None; n];
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, from: NodeId, msg: ReliableMsg) {
         assert!(from >= 1, "notifier is node 0; peers are clients");
         let xi = from - 1;
-        let sender = SiteId(from as u32);
-        let fenced = self.fenced.get(xi).copied().unwrap_or(false);
+        let bound = self.hub.site_of(from);
         match msg.kind {
+            // A channel with no site bound is fenced: this is zombie
+            // traffic addressed to the dead incarnation. Plain epoch
+            // arithmetic cannot be trusted here: a never-reconnected
+            // client's frames carry the matching epoch but sequencing state
+            // the promoted link never had. Drop everything until the
+            // channel re-handshakes with a bumped epoch.
+            ReliableKind::Data { .. } | ReliableKind::Ack { .. } if bound.is_none() => {
+                self.fenced_drops += 1;
+            }
             ReliableKind::Data {
                 seq,
                 ack,
                 checksum,
                 payload,
             } => {
-                if fenced {
-                    // Zombie traffic addressed to the dead incarnation.
-                    // Plain epoch arithmetic cannot be trusted here: a
-                    // never-reconnected client's frames carry the matching
-                    // epoch but sequencing state the promoted link never
-                    // had. Drop everything until the channel re-handshakes
-                    // with a bumped epoch.
-                    self.fenced_drops += 1;
-                    return;
-                }
+                let site = SiteId(from as u32); // bound, per the arm above
                 if msg.epoch != self.links[xi].epoch {
                     return; // stale epoch
                 }
                 let ready = self.links[xi].on_data(ctx, from, seq, ack, checksum, payload);
-                let mut msgs = Vec::new();
                 for p in ready {
                     // Checksum-valid but undecodable means a hostile or
                     // buggy peer, not transport corruption: drop the frame
-                    // and keep serving.
+                    // (nothing was decoded from it) and keep serving.
+                    let mut msgs = Vec::new();
                     if decode_payload(p.chunks(), &mut msgs).is_err() {
                         self.links[xi].hostile_drops += 1;
-                        continue;
                     }
                     // A compound frame arrives as its queued messages, in
-                    // queue order.
-                    for m in msgs.drain(..) {
-                        match m {
-                            EditorMsg::ClientOp(c) => self.integrate(ctx, sender, c),
-                            EditorMsg::ClientAck(a) => match self.core.integrate_ack(sender, a) {
-                                Ok(()) => {
-                                    if let Some(tr) = &self.trace {
-                                        self.trace_acks.push((tr.len(), a));
-                                    }
-                                }
-                                Err(e) => self.evict(sender, &e),
-                            },
-                            // Server-to-client frames arriving upstream are
-                            // nonsense; drop rather than crash.
-                            _ => self.links[xi].hostile_drops += 1,
-                        }
+                    // queue order, all from the site bound at its arrival
+                    // — a crash inside the frame fences the channel for
+                    // the next frame, not for the rest of this one.
+                    for m in msgs {
+                        self.integrate(ctx, site, m);
                     }
                 }
                 // The piggybacked ack may have drained this channel's
@@ -1497,10 +1458,6 @@ impl RobustNotifier {
                 self.links[xi].maybe_flush(ctx, from, RETX_TAG + xi as u64);
             }
             ReliableKind::Ack { ack } => {
-                if fenced {
-                    self.fenced_drops += 1;
-                    return;
-                }
                 if msg.epoch == self.links[xi].epoch {
                     self.links[xi].accept_ack(ctx.now, ack);
                     self.links[xi].maybe_flush(ctx, from, RETX_TAG + xi as u64);
@@ -1512,91 +1469,69 @@ impl RobustNotifier {
                 generated,
             } => {
                 let x = SiteId(site);
-                // Validate before serving: a resync naming the notifier
-                // itself, arriving on the wrong channel, carrying an
-                // unknown site, or claiming impossible counters (a client
-                // cannot have generated less than the notifier integrated)
-                // is hostile — drop it and keep serving.
-                if x.is_notifier() || x.client_index() != xi || !self.core.notifier().is_active(x) {
+                // Validate before serving: a resync naming another channel's
+                // site (or the notifier), an unknown or departed site, or
+                // impossible counters (a client cannot have generated less
+                // than the notifier integrated) is hostile — drop it and
+                // keep serving.
+                let notifier = self.hub.notifier();
+                let integrated = notifier.state_vector().received_from(x).unwrap_or(0);
+                if site as usize != from || !notifier.is_active(x) || generated < integrated {
                     self.links[xi].hostile_drops += 1;
                     return;
                 }
-                let Ok(integrated) = self.core.notifier().state_vector().received_from(x) else {
-                    self.links[xi].hostile_drops += 1;
-                    return;
-                };
-                if generated < integrated {
-                    self.links[xi].hostile_drops += 1;
-                    return;
-                }
-                if msg.epoch > self.links[xi].epoch {
+                let fresh = msg.epoch > self.links[xi].epoch;
+                if msg.epoch < self.links[xi].epoch {
+                    return; // a late straggler
+                } else if fresh {
                     // New connection: reset sequencing (pending frames are
                     // superseded by the replay below) and serve the resync.
+                    // A bumped epoch is the one legitimate way back through
+                    // the post-promotion fence: the channel's sequencing is
+                    // now fresh on both ends, so it is bound again.
                     self.links[xi].reset(msg.epoch);
                     self.links[xi].resyncs += 1;
-                    match self.core.notifier().replay_for(x, received) {
-                        Ok(replay) => {
-                            self.links[xi].resync_replayed += replay.len() as u64;
-                            ctx.send(
-                                from,
-                                ReliableMsg {
-                                    epoch: msg.epoch,
-                                    kind: ReliableKind::ResyncResponse {
-                                        received_from_site: integrated,
-                                    },
-                                },
-                            );
-                            for sm in replay {
-                                let payload = Payload::encode(&EditorMsg::ServerOp(sm));
-                                self.links[xi].queue_payload(
-                                    ctx,
-                                    from,
-                                    RETX_TAG + xi as u64,
-                                    payload,
-                                );
-                            }
-                        }
-                        Err(_) => {
-                            // The needed prefix was garbage-collected (a
-                            // client restored from a stale backup), or the
-                            // request's counters were otherwise beyond
-                            // replay: serve the whole state instead.
-                            ctx.send(from, self.full_resync_frame(x, msg.epoch));
-                        }
-                    }
-                    // A bumped-epoch resync is the one legitimate way back
-                    // through the post-promotion fence: the channel's
-                    // sequencing is now fresh on both ends.
-                    if fenced {
-                        self.fenced[xi] = false;
+                    if bound.is_none() && self.hub.bind(from, x) {
                         self.unfenced_at[xi] = Some(ctx.now);
                     }
-                } else if msg.epoch == self.links[xi].epoch {
-                    if fenced {
-                        // The promoted link never sent anything in this
-                        // epoch, so the idempotent re-answer below would
-                        // be a lie (nothing queued, nothing retransmitted
-                        // to cover it). Drop; the client's resync-retry
-                        // escalation bumps the epoch and re-handshakes.
-                        self.fenced_drops += 1;
-                        return;
-                    }
-                    // Duplicate request (lost response or a network dup):
-                    // answer idempotently; the data retransmission timer
-                    // already covers the replayed frames. A trimmed replay
-                    // re-serves the (unsequenced) snapshot frame.
-                    let kind = match self.core.notifier().replay_for(x, received) {
-                        Ok(_) => ReliableMsg {
-                            epoch: msg.epoch,
-                            kind: ReliableKind::ResyncResponse {
-                                received_from_site: integrated,
-                            },
-                        },
-                        Err(_) => self.full_resync_frame(x, msg.epoch),
-                    };
-                    ctx.send(from, kind);
+                } else if bound.is_none() {
+                    // The promoted link never sent anything in this epoch,
+                    // so an idempotent re-answer would be a lie (nothing
+                    // queued, nothing retransmitted to cover it). Drop; the
+                    // client's resync-retry escalation bumps the epoch and
+                    // re-handshakes.
+                    self.fenced_drops += 1;
+                    return;
                 }
-                // An older epoch is a late straggler: ignore.
+                // A duplicate request (lost response or a network dup) is
+                // answered idempotently: the data retransmission timer
+                // already covers the replayed frames. A trimmed prefix (a
+                // client restored from a stale backup) is served the whole
+                // state instead, unsequenced.
+                let (kind, replay) = match self.hub.catch_up(x, received) {
+                    Ok(CatchUp::Replay { ops, integrated }) => {
+                        let received_from_site = integrated;
+                        (ReliableKind::ResyncResponse { received_from_site }, ops)
+                    }
+                    Ok(CatchUp::Snapshot(doc, sent_to_site, received_from_site)) => {
+                        let kind = ReliableKind::ResyncFull {
+                            sent_to_site,
+                            received_from_site,
+                            doc,
+                        };
+                        (kind, Vec::new())
+                    }
+                    Err(_) => return, // validated active above
+                };
+                let epoch = msg.epoch;
+                ctx.send(from, ReliableMsg { epoch, kind });
+                if fresh {
+                    self.links[xi].resync_replayed += replay.len() as u64;
+                    for sm in replay {
+                        let payload = Payload::encode(&EditorMsg::ServerOp(sm));
+                        self.links[xi].queue_payload(ctx, from, RETX_TAG + xi as u64, payload);
+                    }
+                }
             }
             ReliableKind::ResyncResponse { .. } | ReliableKind::ResyncFull { .. } => {
                 // Only clients receive responses; a stray one is dropped.
@@ -1615,8 +1550,8 @@ impl RobustNotifier {
         }
         let xi = (tag - RETX_TAG) as usize;
         if let Some((frames, rto_us)) = self.links[xi].on_retx_timer(ctx, xi + 1, tag) {
-            self.core
-                .note_retx_stall(SiteId(xi as u32 + 1), frames, rto_us);
+            let peer = SiteId(xi as u32 + 1);
+            self.hub.core_mut().note_retx_stall(peer, frames, rto_us);
         }
     }
 }
@@ -1936,7 +1871,7 @@ impl Node<ReliableMsg> for RobustNode {
         // delegating, so events recorded inside carry sim time.
         match self {
             RobustNode::Notifier(n) => {
-                n.core.set_now(ctx.now.as_micros());
+                n.hub.core_mut().set_now(ctx.now.as_micros());
                 n.on_message(ctx, from, msg)
             }
             RobustNode::Client(c) => {
@@ -1949,7 +1884,7 @@ impl Node<ReliableMsg> for RobustNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, tag: u64) {
         match self {
             RobustNode::Notifier(n) => {
-                n.core.set_now(ctx.now.as_micros());
+                n.hub.core_mut().set_now(ctx.now.as_micros());
                 n.on_timer(ctx, tag)
             }
             RobustNode::Client(c) => {
@@ -1993,7 +1928,7 @@ pub(crate) struct ShardSim {
 /// virtual time of the last scripted edit (µs).
 fn build_star(
     cfg: &SessionConfig,
-    notifier: RobustNotifier,
+    mut notifier: RobustNotifier,
     traced: bool,
 ) -> (Simulator<ReliableMsg, RobustNode>, u64) {
     let scripts = cfg.workload.generate();
@@ -2015,17 +1950,14 @@ fn build_star(
             }
         });
     }
+    for i in 0..scripts.len() {
+        notifier.hub.bind(1 + i, SiteId(i as u32 + 1));
+    }
     sim.add_node(RobustNode::Notifier(Box::new(notifier)));
     for (i, script) in scripts.iter().enumerate() {
         sim.add_node(RobustNode::Client(Box::new(RobustClient {
             inner: Box::new(cfg.client(SiteId(i as u32 + 1))),
-            link: {
-                let mut l =
-                    ReliableLink::new(cfg.net_seed.wrapping_mul(1001).wrapping_add(i as u64));
-                l.batching = cfg.compound_frames;
-                l.flush_delay = SimDuration::from_micros(cfg.compound_flush_ticks);
-                l
-            },
+            link: cfg.link(cfg.net_seed.wrapping_mul(1001).wrapping_add(i as u64)),
             script: script.clone(),
             state: ConnState::Connected,
             resync_rto: SimDuration::from_micros(BASE_RTO_US),
@@ -2048,7 +1980,7 @@ fn build_star(
 }
 
 /// Build one federation shard: a star/CVC session whose notifier carries
-/// `n_local + 1` client slots — the extra, permanently fenced slot is the
+/// `n_local + 1` client slots — the extra, never-bound slot is the
 /// *virtual relay client* through which peer-shard operations enter this
 /// star (see [`crate::relay`] for the federation model).
 /// `cfg.workload.n_sites` is the number of real clients on this shard.
@@ -2067,12 +1999,10 @@ pub(crate) fn build_shard_sim(
     let n_local = cfg.workload.n_sites;
     assert!(n_local >= 1, "a shard hosts at least one client");
     let slots = n_local + 1; // + the virtual relay client
+                             // The virtual slot is never bound: its broadcasts are silently skipped
+                             // (the mesh relay carries them instead) and no node exists at its
+                             // address.
     let mut notifier = RobustNotifier::new(cfg, slots, traced);
-    // The virtual slot is fenced from birth: its broadcasts are silently
-    // skipped (the mesh relay carries them instead) and no node exists at
-    // its address.
-    notifier.fenced = vec![false; slots];
-    notifier.fenced[n_local] = true;
     notifier.relay = Some(Box::new(RelayState::new(
         shard,
         n_shards,
@@ -2188,7 +2118,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
     for node in sim.nodes_mut() {
         match node {
             RobustNode::Notifier(rn) => {
-                let mut m = *rn.core.notifier().metrics();
+                let mut m = *rn.hub.notifier().metrics();
                 // The dead primary's retired links legitimately ended with
                 // frames in flight — that is the crash under test.
                 for l in &rn.retired_links {
@@ -2202,18 +2132,23 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                     l.fold_into(&mut m);
                 }
                 centre_metrics = Some(m);
-                final_docs.push(rn.core.notifier().doc());
-                max_history = max_history.max(rn.core.notifier().history().len());
+                let notifier = rn.hub.notifier();
+                final_docs.push(notifier.doc());
+                max_history = max_history.max(notifier.history().len());
                 if let (Some(tr), Some(steps)) = (&mut trace, rn.trace.take()) {
                     tr.notifier = steps;
                     tr.notifier_acks = std::mem::take(&mut rn.trace_acks);
-                    tr.wal_image = rn.core.wal().map_or_else(Vec::new, |w| w.bytes().to_vec());
+                    tr.wal_image = rn
+                        .hub
+                        .core()
+                        .wal()
+                        .map_or_else(Vec::new, |w| w.bytes().to_vec());
                 }
                 if cfg.flight_recorder {
-                    flight_traces.push((SiteId(0), rn.core.notifier().recorder().events()));
+                    flight_traces.push((SiteId(0), notifier.recorder().events()));
                 }
                 if let Some(crash_at) = rn.crash_at {
-                    let wal = rn.core.wal().expect("a crash implies the WAL");
+                    let wal = rn.hub.core().wal().expect("a crash implies the WAL");
                     let recovered_at = rn
                         .unfenced_at
                         .iter()
@@ -2758,11 +2693,11 @@ mod tests {
         let RobustNode::Notifier(node) = sim.node(0) else {
             unreachable!("node 0 is the notifier");
         };
-        let live = node.core.notifier();
+        let live = node.hub.notifier();
         assert!(!live.is_active(SiteId(1)), "the sender is out");
         assert!(live.is_active(SiteId(2)) && live.is_active(SiteId(3)));
         assert_eq!(live.doc(), cfg.initial_doc);
-        let wal = node.core.wal().expect("standby sessions log");
+        let wal = node.hub.core().wal().expect("standby sessions log");
         let cold = Standby::from_log(wal.bytes(), 3, &cfg.initial_doc).expect("scan");
         assert!(!cold.notifier().is_active(SiteId(1)), "and stays out");
     }
@@ -2809,7 +2744,7 @@ mod tests {
         };
         assert_eq!(node.links[0].hostile_drops, 1);
         assert_eq!(node.ops_integrated, 0);
-        assert_eq!(node.core.notifier().doc(), cfg.initial_doc);
+        assert_eq!(node.hub.notifier().doc(), cfg.initial_doc);
     }
 
     /// The client-side mirror: a `ServerOp` with a trailing byte is

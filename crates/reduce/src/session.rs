@@ -19,7 +19,7 @@
 
 use crate::client::Client;
 use crate::composing::ComposingClient;
-use crate::error::ProtocolError;
+use crate::core::NotifierCore;
 use crate::mesh::MeshSite;
 use crate::metrics::SiteMetrics;
 use crate::msg::EditorMsg;
@@ -313,7 +313,9 @@ impl SessionReport {
 
 /// One simulator node of a session.
 enum SessionNode {
-    Notifier(Box<Notifier>),
+    /// The star's notifier: a core with no log, so there is nothing to
+    /// mirror or compact.
+    Notifier(Box<NotifierCore>),
     Client {
         client: Box<Client>,
         script: Vec<ScheduledEdit>,
@@ -349,48 +351,42 @@ impl SessionNode {
     }
 }
 
-/// Hostile or corrupted input must never take the session down: dump the
-/// evidence, quarantine the sender, keep serving the surviving clients.
-fn evict(n: &mut Notifier, sender: SiteId, e: &ProtocolError) {
-    eprintln!("notifier rejected input from {sender}: {e}");
-    eprintln!("{}", n.dump_recorder());
-    let _ = n.quarantine(sender);
-}
-
 impl Node<EditorMsg> for SessionNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, EditorMsg>, from: NodeId, msg: EditorMsg) {
         // Stamp the virtual clock onto the site's flight recorder before
         // delegating, so every event recorded inside carries sim time.
         match self {
-            SessionNode::Notifier(n) => n.set_now(ctx.now.as_micros()),
+            SessionNode::Notifier(core) => core.set_now(ctx.now.as_micros()),
             SessionNode::Client { client, .. } => client.set_now(ctx.now.as_micros()),
             _ => {}
         }
         match (self, msg) {
-            (SessionNode::Notifier(n), EditorMsg::ClientOp(m)) => {
-                // GC (when enabled) is folded into the integration itself
-                // via `Notifier::set_auto_gc` — no explicit pass here.
+            (
+                SessionNode::Notifier(core),
+                msg @ (EditorMsg::ClientOp(_) | EditorMsg::ClientAck(_)),
+            ) => {
+                // The channel names the sender; GC (when enabled) is folded
+                // into the integration itself via `Notifier::set_auto_gc`.
                 let sender = SiteId(from as u32);
-                match ProtocolError::check_sender(sender, m.origin)
-                    .and_then(|()| n.try_on_client_op_outcome(m))
-                {
-                    Ok(outcome) => {
+                let res = match msg {
+                    EditorMsg::ClientOp(m) => core.integrate_op(sender, m).map(|outcome| {
                         for (dest, smsg) in outcome.broadcast_msgs() {
                             ctx.send(dest.0 as usize, EditorMsg::ServerOp(smsg));
                         }
                         if let Some((dest, ack)) = outcome.ack {
                             ctx.send(dest.0 as usize, EditorMsg::ServerAck(ack));
                         }
-                    }
-                    Err(e) => evict(n, sender, &e),
-                }
-            }
-            (SessionNode::Notifier(n), EditorMsg::ClientAck(a)) => {
-                let sender = SiteId(from as u32);
-                if let Err(e) = ProtocolError::check_sender(sender, a.origin)
-                    .and_then(|()| n.try_on_client_ack(a))
-                {
-                    evict(n, sender, &e);
+                    }),
+                    EditorMsg::ClientAck(a) => core.integrate_ack(sender, a),
+                    _ => Ok(()),
+                };
+                if let Err(e) = res {
+                    // Hostile or corrupted input must never take the
+                    // session down: dump the evidence, evict the sender,
+                    // keep serving the surviving clients.
+                    eprintln!("notifier rejected input from {sender}: {e}");
+                    eprintln!("{}", core.notifier().dump_recorder());
+                    let _ = core.integrate_eviction(sender);
                 }
             }
             (
@@ -575,7 +571,8 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
             if cfg.client_mode == ClientMode::Composing {
                 notifier.set_send_acks(true);
             }
-            sim.add_node(SessionNode::Notifier(Box::new(notifier)));
+            let core = NotifierCore::new(notifier, None, None);
+            sim.add_node(SessionNode::Notifier(Box::new(core)));
             for (i, script) in scripts.iter().enumerate() {
                 match cfg.client_mode {
                     ClientMode::Streaming => sim.add_node(SessionNode::Client {
@@ -648,7 +645,8 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
     let mut flight_traces: Vec<(SiteId, Vec<FlightEvent>)> = Vec::new();
     for node in sim.nodes() {
         match node {
-            SessionNode::Notifier(nf) => {
+            SessionNode::Notifier(core) => {
+                let nf = core.notifier();
                 centre_metrics = Some(*nf.metrics());
                 final_docs.push(nf.doc().to_owned());
                 max_stamp_integers = max_stamp_integers.max(2);
@@ -908,7 +906,8 @@ mod tests {
     #[test]
     fn forged_origin_quarantines_the_channel_it_arrived_on() {
         let mut sim: Simulator<EditorMsg, SessionNode> = Simulator::new(LatencyModel::lan(), 1);
-        sim.add_node(SessionNode::Notifier(Box::new(Notifier::new(3, "ab"))));
+        let core = NotifierCore::new(Notifier::new(3, "ab"), None, None);
+        sim.add_node(SessionNode::Notifier(Box::new(core)));
         for i in 1..=3 {
             sim.add_node(SessionNode::Client {
                 client: Box::new(Client::new(SiteId(i), "ab")),
@@ -919,9 +918,10 @@ mod tests {
         let forged = Client::new(SiteId(2), "ab").insert(0, "F");
         sim.inject_send(1, 0, EditorMsg::ClientOp(forged));
         sim.run();
-        let SessionNode::Notifier(n) = sim.node(0) else {
+        let SessionNode::Notifier(core) = sim.node(0) else {
             unreachable!("node 0 is the notifier");
         };
+        let n = core.notifier();
         assert!(!n.is_active(SiteId(1)), "the sender is out");
         assert!(n.is_active(SiteId(2)) && n.is_active(SiteId(3)));
         assert_eq!(n.doc(), "ab");

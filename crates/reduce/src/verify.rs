@@ -349,7 +349,9 @@ pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyRepo
                     .map(|(i, _)| i)
                     .collect();
                 let v = victims[rng.gen_range(0..victims.len())];
-                notifier.remove_client(SiteId(v as u32 + 1));
+                notifier
+                    .quarantine(SiteId(v as u32 + 1))
+                    .expect("victims are active members");
                 clients[v] = None;
                 up[v].clear();
                 down[v].clear();

@@ -178,8 +178,10 @@ fn drive(
                     .map(|(i, _)| i)
                     .collect();
                 let v = victims[rng.gen_range(0..victims.len())];
-                a.remove_client(SiteId(v as u32 + 1));
-                b.remove_client(SiteId(v as u32 + 1));
+                a.quarantine(SiteId(v as u32 + 1))
+                    .expect("an active victim");
+                b.quarantine(SiteId(v as u32 + 1))
+                    .expect("an active victim");
                 clients[v] = None;
                 up[v].clear();
                 down[v].clear();

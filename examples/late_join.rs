@@ -87,7 +87,7 @@ fn main() {
     assert_eq!(carol.doc(), notifier.doc());
 
     // Bob leaves; the session shrinks but keeps working.
-    notifier.remove_client(SiteId(2));
+    notifier.quarantine(SiteId(2)).expect("bob is a member");
     let m = alice.insert(0, "#![allow(fun)]\n");
     let out = notifier
         .try_on_client_op_outcome(m)

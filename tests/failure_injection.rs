@@ -235,7 +235,7 @@ fn broken_client_recovers_by_rejoining() {
     assert!(matches!(err, ProtocolError::FifoViolation { .. }));
 
     // Recovery: c2 leaves and rejoins as a fresh site with a snapshot.
-    notifier.remove_client(SiteId(2));
+    notifier.quarantine(SiteId(2)).expect("c2 is a member");
     let (new_site, snapshot) = notifier.add_client();
     assert_eq!(new_site, SiteId(3));
     let mut c2b = Client::new(new_site, &snapshot);
@@ -270,7 +270,7 @@ fn departed_client_messages_are_detected() {
     let mut notifier = Notifier::new(3, "ab");
     let mut client2 = Client::new(SiteId(2), "ab");
     let msg = client2.insert(0, "z");
-    notifier.remove_client(SiteId(2));
+    notifier.quarantine(SiteId(2)).expect("site 2 is a member");
     let err = notifier.try_on_client_op_outcome(msg).unwrap_err();
     assert!(matches!(
         err,
