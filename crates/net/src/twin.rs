@@ -22,9 +22,9 @@
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_reduce::client::Client;
-use cvc_reduce::msg::{ClientOpMsg, ServerOpMsg};
+use cvc_reduce::msg::ClientOpMsg;
 use cvc_reduce::notifier::Notifier;
-use std::collections::VecDeque;
+use cvc_reduce::world::StarWorld;
 
 /// Why a replay refused to certify the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,35 +106,16 @@ pub struct TwinReport {
 /// Replay `log` (a server's accepted ops, in integration order) through a
 /// fresh offline star and certify convergence.
 pub fn replay_twin(n_clients: usize, log: &[ClientOpMsg]) -> Result<TwinReport, TwinError> {
-    let mut notifier = Notifier::new(n_clients, "");
-    notifier.set_send_acks(false);
-    let mut twins: Vec<Client> = (0..n_clients)
-        .map(|i| Client::new(SiteId::from_client_index(i), ""))
-        .collect();
-    // The notifier→client FIFO streams TCP provides for real.
-    let mut streams: Vec<VecDeque<ServerOpMsg>> = vec![VecDeque::new(); n_clients];
-
-    let deliver_until =
-        |twin: &mut Client, stream: &mut VecDeque<ServerOpMsg>, target: u64| -> Result<(), ()> {
-            while twin.state_vector().received() < target {
-                let Some(m) = stream.pop_front() else {
-                    return Err(());
-                };
-                if twin.try_on_server_op(m).is_err() {
-                    return Err(());
-                }
-            }
-            Ok(())
-        };
-
+    let mut world = StarWorld::new(Notifier::new(n_clients, ""));
     for (index, m) in log.iter().enumerate() {
         let site = m.origin;
-        let idx = site.client_index();
-
+        let rejected = TwinError::Rejected { site, index };
         // Catch the twin up to the causal context the wire stamp claims
         // (`T_O[1]` = server ops received at generation time).
-        let twin = &mut twins[idx];
-        let available = twin.state_vector().received() + streams[idx].len() as u64;
+        let Some(received) = world.client(site).map(|c| c.state_vector().received()) else {
+            return Err(rejected);
+        };
+        let available = received + world.queued(site).1 as u64;
         if available < m.stamp.t1 {
             return Err(TwinError::MissingContext {
                 site,
@@ -142,53 +123,130 @@ pub fn replay_twin(n_clients: usize, log: &[ClientOpMsg]) -> Result<TwinReport, 
                 available,
             });
         }
-        if deliver_until(twin, &mut streams[idx], m.stamp.t1).is_err() {
-            return Err(TwinError::Rejected { site, index });
+        for _ in received..m.stamp.t1 {
+            world.deliver_down(site).map_err(|_| rejected.clone())?;
         }
-
-        // Regenerate the op at the twin and demand the identical stamp.
-        let Ok(regen) = twin.try_local_edit(m.op.clone()) else {
-            return Err(TwinError::Rejected { site, index });
-        };
-        if regen.stamp != m.stamp {
+        // Regenerate the op at the twin and demand the identical stamp,
+        // then integrate it at the twin notifier.
+        let twin = world
+            .edit(site, |c| c.try_local_edit(m.op.clone()))
+            .map_err(|_| rejected.clone())?;
+        if twin != m.stamp {
             return Err(TwinError::StampMismatch {
                 site,
                 wire: m.stamp,
-                twin: regen.stamp,
+                twin,
             });
         }
-
-        // Integrate at the twin notifier and queue its broadcasts.
-        let Ok(outcome) = notifier.try_on_client_op_outcome(regen) else {
-            return Err(TwinError::Rejected { site, index });
-        };
-        for &(dest, stamp) in &outcome.stamps {
-            streams[dest.client_index()].push_back(ServerOpMsg {
-                stamp,
-                op: (*outcome.executed).clone(),
-                cursor: outcome.cursor,
-            });
-        }
+        world.deliver_up(site).map_err(|_| rejected)?;
     }
 
     // Drain every remaining broadcast, then demand convergence.
-    for (idx, twin) in twins.iter_mut().enumerate() {
-        while let Some(m) = streams[idx].pop_front() {
-            if twin.try_on_server_op(m).is_err() {
-                return Err(TwinError::Rejected {
-                    site: twin.site(),
-                    index: log.len(),
-                });
-            }
-        }
-        if twin.doc_checksum() != notifier.doc_checksum() {
-            return Err(TwinError::Diverged { site: twin.site() });
+    let checksum = world.notifier().doc_checksum();
+    for i in 0..n_clients {
+        let site = SiteId::from_client_index(i);
+        let rejected = TwinError::Rejected {
+            site,
+            index: log.len(),
+        };
+        while world
+            .deliver_down(site)
+            .map_err(|_| rejected.clone())?
+            .is_some()
+        {}
+        if world.client(site).map(Client::doc_checksum) != Some(checksum) {
+            return Err(TwinError::Diverged { site });
         }
     }
 
     Ok(TwinReport {
-        doc: notifier.doc(),
-        doc_checksum: notifier.doc_checksum(),
+        doc: world.notifier().doc(),
+        doc_checksum: checksum,
         ops_replayed: log.len(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cvc_ot::pos::PosOp;
+    use cvc_ot::seq::SeqOp;
+    use cvc_reduce::core::NotifierCore;
+
+    fn insert(origin: u32, stamp: (u64, u64), pos: usize, text: &str, base: usize) -> ClientOpMsg {
+        ClientOpMsg {
+            origin: SiteId(origin),
+            stamp: CompressedStamp::new(stamp.0, stamp.1),
+            op: SeqOp::from_pos(&PosOp::insert(pos, text), base),
+            cursor: None,
+        }
+    }
+
+    #[test]
+    fn a_stamp_claiming_unbroadcast_context_is_missing_context() {
+        // Site 1's first op claims one server op received; none was sent.
+        let log = [insert(1, (1, 1), 0, "a", 0)];
+        assert_eq!(
+            replay_twin(2, &log).map(|r| r.ops_replayed),
+            Err(TwinError::MissingContext {
+                site: SiteId(1),
+                claimed: 1,
+                available: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn a_tampered_sequence_counter_is_a_stamp_mismatch() {
+        let log = [insert(1, (0, 1), 0, "a", 0), insert(1, (0, 3), 1, "b", 1)];
+        assert_eq!(
+            replay_twin(2, &log).map(|r| r.ops_replayed),
+            Err(TwinError::StampMismatch {
+                site: SiteId(1),
+                wire: CompressedStamp::new(0, 3),
+                twin: CompressedStamp::new(0, 2),
+            })
+        );
+    }
+
+    #[test]
+    fn an_op_that_does_not_fit_is_rejected() {
+        // Site 2 has received "a" (length 1); the op claims a base of 5.
+        let log = [insert(1, (0, 1), 0, "a", 0), insert(2, (1, 1), 5, "x", 5)];
+        assert_eq!(
+            replay_twin(2, &log).map(|r| r.ops_replayed),
+            Err(TwinError::Rejected {
+                site: SiteId(2),
+                index: 1,
+            })
+        );
+    }
+
+    /// A log captured from a live star — two concurrent ops, then one
+    /// that saw both — certifies, at the live notifier's document.
+    #[test]
+    fn an_honest_log_replays_to_the_live_notifiers_document() {
+        let mut core = NotifierCore::new(Notifier::new(3, ""), None, None);
+        let mut clients: Vec<Client> = (1..=3).map(|i| Client::new(SiteId(i), "")).collect();
+        let mut log = Vec::new();
+        let mut integrate = |core: &mut NotifierCore, clients: &mut [Client], m: ClientOpMsg| {
+            log.push(m.clone());
+            let out = core.integrate_op(m.origin, m).expect("honest op");
+            for (dest, b) in out.broadcast_msgs() {
+                clients[dest.client_index()]
+                    .try_on_server_op(b)
+                    .expect("honest broadcast");
+            }
+        };
+        let a = clients[0].insert(0, "ab");
+        let b = clients[1].insert(0, "xy");
+        integrate(&mut core, &mut clients, a);
+        integrate(&mut core, &mut clients, b);
+        let c = clients[2].insert(2, "-");
+        integrate(&mut core, &mut clients, c);
+        let report = replay_twin(3, &log).expect("an honest log certifies");
+        assert_eq!(report.ops_replayed, 3);
+        assert_eq!(report.doc_checksum, core.notifier().doc_checksum());
+        assert_eq!(report.doc, core.notifier().doc());
+    }
 }

@@ -26,12 +26,12 @@
 //! here. Which channel speaks for which site is [`crate::hub::Hub`]'s
 //! table beside this core; the simulator node (`reliable.rs`) and the
 //! epoll core thread (`cvc-net`'s `server.rs`) drive a hub and own only
-//! transport state (links, epochs, crash plans, connection ids), and the
-//! plain session node drives a core without a log. **Nothing outside this
-//! module calls [`Wal::append`], one of the notifier's `try_on_client_*`
-//! entry points or [`Notifier::quarantine`]** on a notifier that has a log
-//! or a shadow (engines holding a bare, non-durable [`Notifier`] — the TCP
-//! twin, the verifier — still do).
+//! transport state (links, epochs, crash plans, connection ids). The
+//! plain session node and [`crate::world::StarWorld`] (the verifier, the
+//! TCP twin, the Fig. 3 walkthrough) drive a core without a log.
+//! **Nothing outside this module calls [`Wal::append`], one of the
+//! notifier's `try_on_client_*` entry points, [`Notifier::quarantine`] or
+//! [`Notifier::add_client`]** — durable or not, and CI greps for it.
 //!
 //! Underneath sits [`apply`]: the one function that replays a
 //! [`WalRecord`] into a notifier. The live path, [`Standby::observe`] and
@@ -203,6 +203,17 @@ impl NotifierCore {
         self.log(&rec);
         self.compact();
         Ok(())
+    }
+
+    /// Admit a client mid-session: its site id and the document it starts
+    /// from ([`Notifier::add_client`]). A join is not a log record, so a
+    /// core with a log or a standby refuses and changes nothing (`None`):
+    /// its recovery would rebuild a narrower session than the live one.
+    pub fn add_client(&mut self) -> Option<(SiteId, String)> {
+        if self.wal.is_some() || self.standby.is_some() {
+            return None;
+        }
+        Some(self.notifier.add_client())
     }
 
     /// Steps 2 and 3 for one validated record: append, then mirror.
@@ -434,6 +445,34 @@ mod tests {
             assert!(replica.checkpoint_ready(), "{name}: cannot checkpoint");
             assert_eq!(replica.doc(), live.doc(), "{name}");
         }
+    }
+
+    /// A log-less core admits a newcomer exactly as its notifier would; a
+    /// core with a log refuses, because recovery could not replay the join.
+    #[test]
+    fn add_client_admits_only_on_a_log_less_core() {
+        let mut core = NotifierCore::new(Notifier::new(2, "ab"), None, None);
+        let mut twin = Notifier::new(2, "ab");
+        send(&mut core, op(1, 0, 1, 2, "c", 2)).expect("op");
+        twin.try_on_client_op_outcome(op(1, 0, 1, 2, "c", 2))
+            .expect("op");
+        assert_eq!(core.add_client(), Some(twin.add_client()));
+        assert_eq!(core.add_client(), Some((SiteId(4), "abc".into())));
+
+        let mut logged = NotifierCore::new(
+            Notifier::new(2, "ab"),
+            Some(Wal::new(DEFAULT_COMPACT_EVERY)),
+            None,
+        );
+        send(&mut logged, op(1, 0, 1, 2, "c", 2)).expect("op");
+        let appends = logged.wal().expect("durable").appends();
+        assert_eq!(logged.add_client(), None);
+        assert_eq!(logged.notifier().n_clients(), 2);
+        assert_eq!(
+            logged.notifier().state_vector().as_vector().entries(),
+            &[1, 0]
+        );
+        assert_eq!(logged.wal().expect("durable").appends(), appends);
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //!   resync via the 2-element-clock cursor).
 //! * [`hub`] — who is bound to which site: the one binding table, hello,
 //!   catch-up and eviction rules both notifier drivers share.
+//! * [`world`] — the transport-free star (notifier, clients, FIFO
+//!   channels) the verifier, the TCP twin and the Fig. 3 walkthrough step.
 //! * [`verify`] — every engine concurrency verdict compared against a
 //!   ground-truth Definition-1 oracle over randomized interleavings.
 //!
@@ -70,6 +72,7 @@ pub mod trace;
 pub mod verify;
 pub mod wal;
 pub mod workload;
+pub mod world;
 
 pub use audit::{audit_streams, AuditReport, AuditViolation, AuditViolationKind};
 pub use client::Client;

@@ -21,13 +21,14 @@
 //! `O4 = Insert["xy",2]` generated at site 3 on "AB",
 //! `O3 = Insert["z",4]` generated at site 2 on "A12B".
 
-use crate::client::Client;
+use crate::client::{Client, ClientIntegration};
 use crate::core::NotifierCore;
 use crate::msg::{ClientOpMsg, ServerOpMsg};
 use crate::notifier::{Notifier, ScanMode};
-use crate::recorder::FlightEvent;
+use crate::recorder::{FlightEvent, FlightRecorder};
 use crate::standby::Standby;
 use crate::wal::Wal;
+use crate::world::StarWorld;
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::buffer::TextBuffer;
@@ -137,270 +138,185 @@ pub struct Fig3Transcript {
     pub flight_traces: Vec<(SiteId, Vec<FlightEvent>)>,
 }
 
+/// The Fig. 3 script's state: the star being stepped, and what the
+/// transcript collects along the way.
+struct Fig3 {
+    w: StarWorld,
+    narration: Vec<String>,
+    verdicts: Vec<(&'static str, &'static str, &'static str, bool)>,
+    prop_stamps: Vec<(&'static str, u32, CompressedStamp)>,
+}
+
+/// Verdict labels by site number.
+const SITES: [&str; 4] = ["site 0", "site 1", "site 2", "site 3"];
+
+impl Fig3 {
+    /// Site `n`'s replica (`0`, the notifier's): its document and ring.
+    fn replica(&self, n: u32) -> (String, &FlightRecorder) {
+        match self.w.client(SiteId(n)) {
+            Some(c) => (c.doc(), c.recorder()),
+            None => (self.w.notifier().doc(), self.w.notifier().recorder()),
+        }
+    }
+
+    /// Site `n` generates `what` through `edit`; returns its stamp.
+    fn generate(
+        &mut self,
+        n: u32,
+        what: &str,
+        edit: fn(&mut Client) -> ClientOpMsg,
+    ) -> CompressedStamp {
+        let stamp = self.w.edit(SiteId(n), |c| Ok(edit(c))).expect("a member");
+        let doc = self.replica(n).0;
+        self.narration.push(format!(
+            "site {n} generates {what}, stamped {stamp}; doc: {doc:?}"
+        ));
+        stamp
+    }
+
+    /// Site 0 integrates site `from`'s next op `op` against its history
+    /// `against`, narrates `head` and each propagation of `prime`, and
+    /// returns the new entry's buffered full vector.
+    fn at_site0(
+        &mut self,
+        from: u32,
+        op: &'static str,
+        prime: &'static str,
+        against: &[&'static str],
+        head: &str,
+    ) -> Vec<u64> {
+        let out = self
+            .w
+            .deliver_up(SiteId(from))
+            .expect("valid client op")
+            .expect("queued");
+        for (k, &ob) in against.iter().enumerate() {
+            self.verdicts.push(("site 0", op, ob, out.verdict(k)));
+        }
+        let n = self.w.notifier();
+        let buffered = n.hb_snapshot(against.len()).entries().to_vec();
+        // E3's golden pins the wording: the first line shows no document.
+        let doc = match against {
+            [] => String::new(),
+            _ => format!("; doc: {:?}", n.doc()),
+        };
+        let sv = n.state_vector();
+        self.narration.push(format!(
+            "site 0{head}; SV_0 = {sv}; buffers with {buffered:?}{doc}"
+        ));
+        for &(dest, stamp) in &out.stamps {
+            let to = dest.0;
+            self.narration.push(format!(
+                "site 0 propagates {prime} to site {to} stamped {stamp}"
+            ));
+            self.prop_stamps.push((prime, to, stamp));
+        }
+        buffered
+    }
+
+    /// Site `to` integrates its next broadcast `prime` against its history
+    /// `against` and, given a `tail`, narrates it.
+    fn at_client(
+        &mut self,
+        to: u32,
+        prime: &'static str,
+        against: &[&'static str],
+        tail: Option<&str>,
+    ) -> ClientIntegration {
+        let out = self
+            .w
+            .deliver_down(SiteId(to))
+            .expect("valid server op")
+            .expect("queued");
+        assert_eq!(out.checked.len(), against.len(), "{prime} at site {to}");
+        for (&ob, &verdict) in against.iter().zip(&out.checked) {
+            self.verdicts.push((SITES[to as usize], prime, ob, verdict));
+        }
+        if let Some(tail) = tail {
+            let doc = self.replica(to).0;
+            self.narration
+                .push(format!("site {to}{tail}; doc: {doc:?}"));
+        }
+        out
+    }
+}
+
 /// Drive the real engine through the Fig. 3 event order.
 pub fn fig3_walkthrough() -> Fig3Transcript {
-    let mut narration = Vec::new();
-    let mut verdicts = Vec::new();
-    let mut prop_stamps = Vec::new();
-
     let mut notifier = Notifier::new(3, INITIAL_DOC);
     // Ack-driven collection stays off for this transcript — and only
     // here: the walkthrough reproduces the paper's Fig. 3 history-buffer
     // contents by absolute index, which a mid-trace trim would shift.
     // Live layers (sessions, benches) run with auto-GC on by default.
     notifier.set_auto_gc(false);
-    let mut c1 = Client::new(SiteId(1), INITIAL_DOC);
-    let mut c2 = Client::new(SiteId(2), INITIAL_DOC);
-    let mut c3 = Client::new(SiteId(3), INITIAL_DOC);
-    // Record the whole walkthrough: the rings must independently
-    // reproduce every Section 5 number and survive the oracle audit.
+    // Record the whole walkthrough (the world's clients record because
+    // its notifier does): the rings must independently reproduce every
+    // Section 5 number and survive the oracle audit.
     notifier.set_flight_recorder(true);
-    c1.set_flight_recorder(true);
-    c2.set_flight_recorder(true);
-    c3.set_flight_recorder(true);
+    let mut t = Fig3 {
+        w: StarWorld::new(notifier),
+        narration: Vec::new(),
+        verdicts: Vec::new(),
+        prop_stamps: Vec::new(),
+    };
 
     // --- Generation of O2 at site 2 and O1 at site 1 (concurrent). ---
-    let o2_msg = c2.delete(2, 3); // Delete[3, 2]
-    narration.push(format!(
-        "site 2 generates O2 = Delete[3,2], stamped {}; doc: {:?}",
-        o2_msg.stamp,
-        c2.doc()
-    ));
-    let o1_msg = c1.insert(1, "12"); // Insert["12", 1]
-    narration.push(format!(
-        "site 1 generates O1 = Insert[\"12\",1], stamped {}; doc: {:?}",
-        o1_msg.stamp,
-        c1.doc()
-    ));
-    let gen_o2 = o2_msg.stamp;
-    let gen_o1 = o1_msg.stamp;
+    let gen_o2 = t.generate(2, "O2 = Delete[3,2]", |c| c.delete(2, 3));
+    let gen_o1 = t.generate(1, "O1 = Insert[\"12\",1]", |c| c.insert(1, "12"));
 
-    // --- O2 reaches site 0 first. ---
-    let out = notifier
-        .try_on_client_op_outcome(o2_msg)
-        .expect("valid client op");
-    let buffered_o2p = notifier.hb_snapshot(0).entries().to_vec();
-    narration.push(format!(
-        "site 0 executes O2 as-is (O2'); SV_0 = {}; buffers with {:?}",
-        notifier.state_vector(),
-        buffered_o2p
-    ));
-    let mut o2p_to_1: Option<ServerOpMsg> = None;
-    let mut o2p_to_3: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcast_msgs() {
-        narration.push(format!(
-            "site 0 propagates O2' to site {} stamped {}",
-            dest.0, m.stamp
-        ));
-        prop_stamps.push(("O2'", dest.0, m.stamp));
-        match dest.0 {
-            1 => o2p_to_1 = Some(m),
-            3 => o2p_to_3 = Some(m),
-            _ => unreachable!(),
-        }
-    }
-
-    // --- O2' arrives at site 1 (HB_1 = [O1]). ---
-    let outcome = c1
-        .try_on_server_op(o2p_to_1.expect("broadcast to site 1"))
-        .expect("valid server op");
-    verdicts.push(("site 1", "O2'", "O1", outcome.checked[0]));
-    let o2p_at_site1 = outcome
+    // --- O2 reaches site 0 first; O2' reaches site 1 (HB_1 = [O1]) and
+    // site 3 (empty HB). ---
+    let buffered_o2p = t.at_site0(2, "O2", "O2'", &[], " executes O2 as-is (O2')");
+    let at_1 = t.at_client(1, "O2'", &["O1"], None);
+    let o2p_at_site1 = at_1
         .executed
         .to_pos("A12BCDE")
         .expect("decompose O2' at site 1");
-    narration.push(format!(
-        "site 1: O2' ∥ O1 → transformed to {:?}; doc: {:?}",
-        o2p_at_site1
-            .iter()
-            .map(|o| o.to_string())
-            .collect::<Vec<_>>(),
-        c1.doc()
+    let shown: Vec<String> = o2p_at_site1.iter().map(|o| o.to_string()).collect();
+    let doc = t.replica(1).0;
+    t.narration.push(format!(
+        "site 1: O2' ∥ O1 → transformed to {shown:?}; doc: {doc:?}"
     ));
+    t.at_client(3, "O2'", &[], Some(" executes O2' as-is"));
 
-    // --- O2' arrives at site 3 (empty HB). ---
-    let outcome = c3
-        .try_on_server_op(o2p_to_3.expect("broadcast to site 3"))
-        .expect("valid server op");
-    assert!(outcome.checked.is_empty());
-    narration.push(format!("site 3 executes O2' as-is; doc: {:?}", c3.doc()));
+    // --- Site 3 generates O4 on "AB"; O1 arrives at site 0 (HB_0 = [O2']). ---
+    let gen_o4 = t.generate(3, "O4 = Insert[\"xy\",2]", |c| c.insert(2, "xy"));
+    let buffered_o1p = t.at_site0(1, "O1", "O1'", &["O2'"], ": O2' ∥ O1 → O1' executed");
 
-    // --- Site 3 generates O4 on "AB". ---
-    let o4_msg = c3.insert(2, "xy");
-    let gen_o4 = o4_msg.stamp;
-    narration.push(format!(
-        "site 3 generates O4 = Insert[\"xy\",2], stamped {}; doc: {:?}",
-        o4_msg.stamp,
-        c3.doc()
-    ));
+    // --- O1' arrives at site 2 (HB_2 = [O2]), which then generates O3 on
+    // "A12B"; then at site 3 (HB_3 = [O2', O4]). ---
+    t.at_client(2, "O1'", &["O2"], Some(" executes O1' as-is"));
+    let gen_o3 = t.generate(2, "O3 = Insert[\"z\",4]", |c| c.insert(4, "z"));
+    let tail = ": O1' ∥ O4 → transformed and executed";
+    t.at_client(3, "O1'", &["O2'", "O4"], Some(tail));
 
-    // --- O1 arrives at site 0 (HB_0 = [O2']). ---
-    let out = notifier
-        .try_on_client_op_outcome(o1_msg)
-        .expect("valid client op");
-    verdicts.push(("site 0", "O1", "O2'", out.verdict(0)));
-    let buffered_o1p = notifier.hb_snapshot(1).entries().to_vec();
-    narration.push(format!(
-        "site 0: O2' ∥ O1 → O1' executed; SV_0 = {}; buffers with {:?}; doc: {:?}",
-        notifier.state_vector(),
-        buffered_o1p,
-        notifier.doc()
-    ));
-    let mut o1p_to_2: Option<ServerOpMsg> = None;
-    let mut o1p_to_3: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcast_msgs() {
-        narration.push(format!(
-            "site 0 propagates O1' to site {} stamped {}",
-            dest.0, m.stamp
-        ));
-        prop_stamps.push(("O1'", dest.0, m.stamp));
-        match dest.0 {
-            2 => o1p_to_2 = Some(m),
-            3 => o1p_to_3 = Some(m),
-            _ => unreachable!(),
-        }
-    }
+    // --- O4 arrives at site 0 (HB_0 = [O2', O1']), then at site 1
+    // (HB_1 = [O1, O2']) and site 2 (HB_2 = [O2, O1', O3]). ---
+    let head = ": O1' ∥ O4 → O4' executed";
+    let buffered_o4p = t.at_site0(3, "O4", "O4'", &["O2'", "O1'"], head);
+    t.at_client(1, "O4'", &["O1", "O2'"], Some(" executes O4' as-is"));
+    let tail = ": O4' ∥ O3 → transformed and executed";
+    t.at_client(2, "O4'", &["O2", "O1'", "O3"], Some(tail));
 
-    // --- O1' arrives at site 2 (HB_2 = [O2]). ---
-    let outcome = c2
-        .try_on_server_op(o1p_to_2.expect("to site 2"))
-        .expect("valid server op");
-    verdicts.push(("site 2", "O1'", "O2", outcome.checked[0]));
-    narration.push(format!("site 2 executes O1' as-is; doc: {:?}", c2.doc()));
+    // --- O3 arrives at site 0 (HB_0 = [O2', O1', O4']), then at sites 1
+    // and 3. ---
+    let head = ": O4' ∥ O3 → O3' executed";
+    let buffered_o3p = t.at_site0(2, "O3", "O3'", &["O2'", "O1'", "O4'"], head);
+    t.at_client(1, "O3'", &["O1", "O2'", "O4'"], Some(" executes O3' as-is"));
+    t.at_client(3, "O3'", &["O2'", "O4", "O1'"], Some(" executes O3' as-is"));
 
-    // --- Site 2 generates O3 on "A12B". ---
-    let o3_msg = c2.insert(4, "z");
-    let gen_o3 = o3_msg.stamp;
-    narration.push(format!(
-        "site 2 generates O3 = Insert[\"z\",4], stamped {}; doc: {:?}",
-        o3_msg.stamp,
-        c2.doc()
-    ));
-
-    // --- O1' arrives at site 3 (HB_3 = [O2', O4]). ---
-    let outcome = c3
-        .try_on_server_op(o1p_to_3.expect("to site 3"))
-        .expect("valid server op");
-    verdicts.push(("site 3", "O1'", "O2'", outcome.checked[0]));
-    verdicts.push(("site 3", "O1'", "O4", outcome.checked[1]));
-    narration.push(format!(
-        "site 3: O1' ∥ O4 → transformed and executed; doc: {:?}",
-        c3.doc()
-    ));
-
-    // --- O4 arrives at site 0 (HB_0 = [O2', O1']). ---
-    let out = notifier
-        .try_on_client_op_outcome(o4_msg)
-        .expect("valid client op");
-    verdicts.push(("site 0", "O4", "O2'", out.verdict(0)));
-    verdicts.push(("site 0", "O4", "O1'", out.verdict(1)));
-    let buffered_o4p = notifier.hb_snapshot(2).entries().to_vec();
-    narration.push(format!(
-        "site 0: O1' ∥ O4 → O4' executed; SV_0 = {}; buffers with {:?}; doc: {:?}",
-        notifier.state_vector(),
-        buffered_o4p,
-        notifier.doc()
-    ));
-    let mut o4p_to_1: Option<ServerOpMsg> = None;
-    let mut o4p_to_2: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcast_msgs() {
-        narration.push(format!(
-            "site 0 propagates O4' to site {} stamped {}",
-            dest.0, m.stamp
-        ));
-        prop_stamps.push(("O4'", dest.0, m.stamp));
-        match dest.0 {
-            1 => o4p_to_1 = Some(m),
-            2 => o4p_to_2 = Some(m),
-            _ => unreachable!(),
-        }
-    }
-
-    // --- O4' arrives at site 1 (HB_1 = [O1, O2']). ---
-    let outcome = c1
-        .try_on_server_op(o4p_to_1.expect("to site 1"))
-        .expect("valid server op");
-    verdicts.push(("site 1", "O4'", "O1", outcome.checked[0]));
-    verdicts.push(("site 1", "O4'", "O2'", outcome.checked[1]));
-    narration.push(format!("site 1 executes O4' as-is; doc: {:?}", c1.doc()));
-
-    // --- O4' arrives at site 2 (HB_2 = [O2, O1', O3]). ---
-    let outcome = c2
-        .try_on_server_op(o4p_to_2.expect("to site 2"))
-        .expect("valid server op");
-    verdicts.push(("site 2", "O4'", "O2", outcome.checked[0]));
-    verdicts.push(("site 2", "O4'", "O1'", outcome.checked[1]));
-    verdicts.push(("site 2", "O4'", "O3", outcome.checked[2]));
-    narration.push(format!(
-        "site 2: O4' ∥ O3 → transformed and executed; doc: {:?}",
-        c2.doc()
-    ));
-
-    // --- O3 arrives at site 0 (HB_0 = [O2', O1', O4']). ---
-    let out = notifier
-        .try_on_client_op_outcome(o3_msg)
-        .expect("valid client op");
-    verdicts.push(("site 0", "O3", "O2'", out.verdict(0)));
-    verdicts.push(("site 0", "O3", "O1'", out.verdict(1)));
-    verdicts.push(("site 0", "O3", "O4'", out.verdict(2)));
-    let buffered_o3p = notifier.hb_snapshot(3).entries().to_vec();
-    narration.push(format!(
-        "site 0: O4' ∥ O3 → O3' executed; SV_0 = {}; buffers with {:?}; doc: {:?}",
-        notifier.state_vector(),
-        buffered_o3p,
-        notifier.doc()
-    ));
-    let mut o3p_to_1: Option<ServerOpMsg> = None;
-    let mut o3p_to_3: Option<ServerOpMsg> = None;
-    for (dest, m) in out.broadcast_msgs() {
-        narration.push(format!(
-            "site 0 propagates O3' to site {} stamped {}",
-            dest.0, m.stamp
-        ));
-        prop_stamps.push(("O3'", dest.0, m.stamp));
-        match dest.0 {
-            1 => o3p_to_1 = Some(m),
-            3 => o3p_to_3 = Some(m),
-            _ => unreachable!(),
-        }
-    }
-
-    // --- O3' arrives at sites 1 and 3. ---
-    let outcome = c1
-        .try_on_server_op(o3p_to_1.expect("to site 1"))
-        .expect("valid server op");
-    verdicts.push(("site 1", "O3'", "O1", outcome.checked[0]));
-    verdicts.push(("site 1", "O3'", "O2'", outcome.checked[1]));
-    verdicts.push(("site 1", "O3'", "O4'", outcome.checked[2]));
-    narration.push(format!("site 1 executes O3' as-is; doc: {:?}", c1.doc()));
-    let outcome = c3
-        .try_on_server_op(o3p_to_3.expect("to site 3"))
-        .expect("valid server op");
-    verdicts.push(("site 3", "O3'", "O2'", outcome.checked[0]));
-    verdicts.push(("site 3", "O3'", "O4", outcome.checked[1]));
-    verdicts.push(("site 3", "O3'", "O1'", outcome.checked[2]));
-    narration.push(format!("site 3 executes O3' as-is; doc: {:?}", c3.doc()));
-
-    let final_docs = [
-        notifier.doc().to_owned(),
-        c1.doc().to_owned(),
-        c2.doc().to_owned(),
-        c3.doc().to_owned(),
-    ];
+    let final_docs = [0, 1, 2, 3].map(|n| t.replica(n).0);
     let converged = final_docs.windows(2).all(|w| w[0] == w[1]);
-    let flight_traces = vec![
-        (SiteId(0), notifier.recorder().events()),
-        (SiteId(1), c1.recorder().events()),
-        (SiteId(2), c2.recorder().events()),
-        (SiteId(3), c3.recorder().events()),
-    ];
+    let flight_traces = (0..=3)
+        .map(|n| (SiteId(n), t.replica(n).1.events()))
+        .collect();
 
     Fig3Transcript {
-        narration,
+        narration: t.narration,
         gen_stamps: [gen_o2, gen_o1, gen_o4, gen_o3],
-        prop_stamps,
+        prop_stamps: t.prop_stamps,
         buffered_vectors: [buffered_o2p, buffered_o1p, buffered_o4p, buffered_o3p],
-        verdicts,
+        verdicts: t.verdicts,
         o2p_at_site1,
         final_docs,
         converged,

@@ -19,8 +19,9 @@
 
 use crate::client::Client;
 use crate::mesh::MeshSite;
-use crate::msg::{ClientOpMsg, MeshOpMsg, ServerOpMsg};
+use crate::msg::MeshOpMsg;
 use crate::notifier::Notifier;
+use crate::world::StarWorld;
 use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
 use rand::rngs::SmallRng;
@@ -65,6 +66,10 @@ pub struct VerifyReport {
     pub samples: Vec<String>,
     /// All replicas converged at quiescence.
     pub converged: bool,
+    /// Clients that joined mid-session (dynamic membership only).
+    pub joins: u64,
+    /// Clients that left mid-session (dynamic membership only).
+    pub leaves: u64,
 }
 
 impl VerifyReport {
@@ -82,15 +87,46 @@ impl VerifyReport {
 /// Verify the star/CVC deployment's formula (5)/(7) verdicts against the
 /// oracle over a randomized interleaving.
 pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
+    walk_star(cfg, cfg.seed, None)
+}
+
+/// Verify the star deployment under **dynamic membership**: clients join
+/// (receiving the notifier's current document as their snapshot) and leave
+/// mid-session, while every concurrency verdict is still compared against
+/// the Definition-1 oracle and the active replicas must converge.
+pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyReport {
+    let seed = cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    walk_star(cfg, seed, Some(max_clients))
+}
+
+/// One enabled step of [`walk_star`], by client index.
+#[derive(Clone, Copy)]
+enum Action {
+    Edit(usize),
+    Up(usize),
+    Down(usize),
+    Join,
+    Leave,
+}
+
+fn letter(rng: &mut SmallRng) -> char {
+    (b'a' + rng.gen_range(0..26)) as char
+}
+
+/// The seeded random walk over a [`StarWorld`] behind both star
+/// verifiers: each step is drawn uniformly from the enabled ones, and
+/// every verdict an integration returns is compared with the oracle's.
+/// `max_clients` turns on membership changes — joins up to that many
+/// sites, leaves while more than two members remain — and with them the
+/// dynamic walk's draw order (an insert's character before its position),
+/// which E11's golden pins as E8's pins the other.
+fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> VerifyReport {
     let n = cfg.n_clients;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let tag = if max_clients.is_some() { "dyn " } else { "" };
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut report = VerifyReport::default();
     let mut oracle = CausalityOracle::new();
-
-    let mut notifier = Notifier::new(n, &cfg.initial_doc);
-    let mut clients: Vec<Client> = (1..=n)
-        .map(|i| Client::new(SiteId(i as u32), &cfg.initial_doc))
-        .collect();
+    let mut world = StarWorld::new(Notifier::new(n, &cfg.initial_doc));
 
     // Oracle refs mirroring each history buffer. A notifier HB entry has a
     // dual identity, exactly as the paper uses it: the transformed `O'` is
@@ -99,57 +135,74 @@ pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
     // generated at the same site 2" — i.e. it inherits the original op's
     // site identity. We keep both refs and pick per comparison.
     let mut hb_refs_notifier: Vec<(OpRef, OpRef, SiteId)> = Vec::new();
+    // Per client index: its HB's refs, the ops it generated (indexed by
+    // `T[2]` − 1) and the broadcasts sent to it (by `T[1]` − 1).
     let mut hb_refs_client: Vec<Vec<OpRef>> = vec![Vec::new(); n];
-
-    // FIFO channels: up[i] client i+1 → notifier; down[i] the reverse.
-    let mut up: Vec<VecDeque<(ClientOpMsg, OpRef)>> = vec![VecDeque::new(); n];
-    let mut down: Vec<VecDeque<(ServerOpMsg, OpRef)>> = vec![VecDeque::new(); n];
+    let mut generated: Vec<Vec<OpRef>> = vec![Vec::new(); n];
+    let mut sent: Vec<Vec<OpRef>> = vec![Vec::new(); n];
     let mut budget: Vec<usize> = vec![cfg.ops_per_client; n];
 
     loop {
-        // Possible actions: generate at i (budget left), deliver up[i],
-        // deliver down[i].
-        let mut actions: Vec<(u8, usize)> = Vec::new();
-        for i in 0..n {
-            if budget[i] > 0 {
-                actions.push((0, i));
+        let sites = world.notifier().n_clients();
+        let mut actions = Vec::new();
+        for (i, &left) in budget.iter().enumerate() {
+            let site = SiteId::from_client_index(i);
+            if world.client(site).is_none() {
+                continue;
             }
-            if !up[i].is_empty() {
-                actions.push((1, i));
-            }
-            if !down[i].is_empty() {
-                actions.push((2, i));
+            let (up, down) = world.queued(site);
+            for (enabled, a) in [
+                (left > 0, Action::Edit(i)),
+                (up > 0, Action::Up(i)),
+                (down > 0, Action::Down(i)),
+            ] {
+                if enabled {
+                    actions.push(a);
+                }
             }
         }
-        let Some(&(kind, i)) = actions.get(rng.gen_range(0..actions.len().max(1))).or(None) else {
+        // Termination: no work pending, only membership changes left.
+        if actions.is_empty() {
             break;
-        };
-        match kind {
-            0 => {
-                // Generate a local op at client i.
+        }
+        if let Some(max) = max_clients {
+            if sites < max {
+                actions.push(Action::Join);
+            }
+            if world.clients().count() > 2 {
+                actions.push(Action::Leave);
+            }
+        }
+        match actions[rng.gen_range(0..actions.len())] {
+            Action::Edit(i) => {
                 budget[i] -= 1;
                 report.ops += 1;
-                let site = SiteId(i as u32 + 1);
-                let len = clients[i].doc_len();
-                let msg = if len > 0 && rng.gen_bool(0.3) {
-                    let pos = rng.gen_range(0..len);
-                    clients[i].delete(pos, 1)
-                } else {
-                    let pos = rng.gen_range(0..=len);
-                    let ch = (b'a' + rng.gen_range(0..26)) as char;
-                    clients[i].insert(pos, &ch.to_string())
+                let site = SiteId::from_client_index(i);
+                let edit = |c: &mut Client| {
+                    let len = c.doc_len();
+                    Ok(if len > 0 && rng.gen_bool(0.3) {
+                        c.delete(rng.gen_range(0..len), 1)
+                    } else {
+                        let (pos, ch) = if max_clients.is_some() {
+                            let ch = letter(&mut rng);
+                            (rng.gen_range(0..=len), ch)
+                        } else {
+                            (rng.gen_range(0..=len), letter(&mut rng))
+                        };
+                        c.insert(pos, &ch.to_string())
+                    })
                 };
-                let op_ref = oracle.record_generation(site, format!("{site}#{}", msg.stamp));
+                let stamp = world.edit(site, edit).expect("members edit");
+                let op_ref = oracle.record_generation(site, format!("{site}#{stamp}"));
                 hb_refs_client[i].push(op_ref);
-                up[i].push_back((msg, op_ref));
+                generated[i].push(op_ref);
             }
-            1 => {
-                // Deliver client i's op to the notifier.
-                let (msg, op_ref) = up[i].pop_front().expect("nonempty");
-                let origin = SiteId(i as u32 + 1);
-                let outcome = notifier
-                    .try_on_client_op_outcome(msg)
-                    .expect("valid client op");
+            Action::Up(i) => {
+                let origin = SiteId::from_client_index(i);
+                let outcome = world.deliver_up(origin).expect("valid client op");
+                let outcome = outcome.expect("queued");
+                let seq = world.notifier().state_vector().received_from(origin);
+                let op_ref = generated[i][seq.expect("a member") as usize - 1];
                 // `full_verdicts` materialises the below-watermark prefix
                 // too, so the oracle audits every pair, not just the
                 // suffix the bounded scan actually touched.
@@ -166,7 +219,7 @@ pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
                     let truth = oracle.concurrent(op_ref, ob);
                     report.record(verdict, truth, || {
                         format!(
-                            "notifier: {} vs {} engine={verdict} oracle={truth}",
+                            "{tag}notifier: {} vs {} engine={verdict} oracle={truth}",
                             oracle.label_of(op_ref),
                             oracle.label_of(ob)
                         )
@@ -178,197 +231,58 @@ pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
                 let prime =
                     oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
                 hb_refs_notifier.push((prime, op_ref, origin));
-                for (dest, smsg) in outcome.broadcast_msgs() {
-                    down[dest.client_index()].push_back((smsg, prime));
+                for &(dest, _) in &outcome.stamps {
+                    sent[dest.client_index()].push(prime);
                 }
             }
-            2 => {
-                // Deliver a server op to client i.
-                let (msg, prime_ref) = down[i].pop_front().expect("nonempty");
-                let outcome = clients[i].try_on_server_op(msg).expect("valid server op");
+            Action::Down(i) => {
+                let site = SiteId::from_client_index(i);
+                let outcome = world.deliver_down(site).expect("valid server op");
+                let outcome = outcome.expect("queued");
+                let received = world
+                    .client(site)
+                    .map_or(0, |c| c.state_vector().received());
+                let prime_ref = sent[i][received as usize - 1];
                 for (k, &verdict) in outcome.checked.iter().enumerate() {
                     let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
                     report.record(verdict, truth, || {
                         format!(
-                            "client {}: {} vs {} engine={verdict} oracle={truth}",
+                            "{tag}client {}: {} vs {} engine={verdict} oracle={truth}",
                             i + 1,
                             oracle.label_of(prime_ref),
                             oracle.label_of(hb_refs_client[i][k])
                         )
                     });
                 }
-                oracle.record_execution(SiteId(i as u32 + 1), prime_ref);
+                oracle.record_execution(site, prime_ref);
                 hb_refs_client[i].push(prime_ref);
             }
-            _ => unreachable!(),
-        }
-    }
-
-    let mut docs: Vec<String> = clients.iter().map(|c| c.doc()).collect();
-    docs.push(notifier.doc());
-    report.converged = docs.windows(2).all(|w| w[0] == w[1]);
-    report
-}
-
-/// Verify the star deployment under **dynamic membership**: clients join
-/// (receiving the notifier's current document as their snapshot) and leave
-/// mid-session, while every concurrency verdict is still compared against
-/// the Definition-1 oracle and the active replicas must converge.
-pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyReport {
-    let n0 = cfg.n_clients;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut report = VerifyReport::default();
-    let mut oracle = CausalityOracle::new();
-
-    let mut notifier = Notifier::new(n0, &cfg.initial_doc);
-    let mut clients: Vec<Option<Client>> = (1..=n0)
-        .map(|i| Some(Client::new(SiteId(i as u32), &cfg.initial_doc)))
-        .collect();
-    let mut hb_refs_notifier: Vec<(OpRef, OpRef, SiteId)> = Vec::new();
-    let mut hb_refs_client: Vec<Vec<OpRef>> = vec![Vec::new(); n0];
-    let mut up: Vec<VecDeque<(ClientOpMsg, OpRef)>> = vec![VecDeque::new(); n0];
-    let mut down: Vec<VecDeque<(ServerOpMsg, OpRef)>> = vec![VecDeque::new(); n0];
-    let mut budget: Vec<usize> = vec![cfg.ops_per_client; n0];
-    let mut joins = 0usize;
-
-    loop {
-        let mut actions: Vec<(u8, usize)> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for (i, c) in clients.iter().enumerate() {
-            if c.is_some() {
-                if budget[i] > 0 {
-                    actions.push((0, i));
-                }
-                if !up[i].is_empty() {
-                    actions.push((1, i));
-                }
-                if !down[i].is_empty() {
-                    actions.push((2, i));
-                }
-            }
-        }
-        let active = clients.iter().filter(|c| c.is_some()).count();
-        if clients.len() < max_clients {
-            actions.push((3, 0)); // join
-        }
-        if active > 2 {
-            actions.push((4, 0)); // leave someone
-        }
-        // Termination: only structural actions left and no work pending.
-        let has_work = actions.iter().any(|&(k, _)| k <= 2);
-        if !has_work {
-            break;
-        }
-        let (kind, i) = actions[rng.gen_range(0..actions.len())];
-        match kind {
-            0 => {
-                budget[i] -= 1;
-                report.ops += 1;
-                let site = SiteId(i as u32 + 1);
-                let client = clients[i].as_mut().expect("active");
-                let len = client.doc_len();
-                let msg = if len > 0 && rng.gen_bool(0.3) {
-                    client.delete(rng.gen_range(0..len), 1)
-                } else {
-                    let ch = (b'a' + rng.gen_range(0..26)) as char;
-                    client.insert(rng.gen_range(0..=len), &ch.to_string())
-                };
-                let op_ref = oracle.record_generation(site, format!("{site}#{}", msg.stamp));
-                hb_refs_client[i].push(op_ref);
-                up[i].push_back((msg, op_ref));
-            }
-            1 => {
-                let (msg, op_ref) = up[i].pop_front().expect("nonempty");
-                let origin = SiteId(i as u32 + 1);
-                let outcome = notifier
-                    .try_on_client_op_outcome(msg)
-                    .expect("active client ops are valid");
-                for (k, verdict) in outcome.full_verdicts().into_iter().enumerate() {
-                    let (prime_ref, orig_ref, entry_origin) = hb_refs_notifier[k];
-                    let ob = if entry_origin == origin {
-                        orig_ref
-                    } else {
-                        prime_ref
-                    };
-                    let truth = oracle.concurrent(op_ref, ob);
-                    report.record(verdict, truth, || {
-                        format!(
-                            "dyn notifier: {} vs {} engine={verdict} oracle={truth}",
-                            oracle.label_of(op_ref),
-                            oracle.label_of(ob)
-                        )
-                    });
-                }
-                oracle.record_execution(SiteId(0), op_ref);
-                let prime =
-                    oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
-                hb_refs_notifier.push((prime, op_ref, origin));
-                for (dest, smsg) in outcome.broadcast_msgs() {
-                    down[dest.client_index()].push_back((smsg, prime));
-                }
-            }
-            2 => {
-                let (msg, prime_ref) = down[i].pop_front().expect("nonempty");
-                let client = clients[i].as_mut().expect("active");
-                let outcome = client.try_on_server_op(msg).expect("valid broadcast");
-                for (k, &verdict) in outcome.checked.iter().enumerate() {
-                    let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
-                    report.record(verdict, truth, || {
-                        format!(
-                            "dyn client {}: {} vs {} engine={verdict} oracle={truth}",
-                            i + 1,
-                            oracle.label_of(prime_ref),
-                            oracle.label_of(hb_refs_client[i][k])
-                        )
-                    });
-                }
-                oracle.record_execution(SiteId(i as u32 + 1), prime_ref);
-                hb_refs_client[i].push(prime_ref);
-            }
-            3 => {
-                // Join: snapshot semantics — the newcomer has causally seen
+            Action::Join => {
+                // Snapshot semantics: the newcomer has causally seen
                 // everything the notifier executed so far.
-                let (site, snapshot) = notifier.add_client();
-                joins += 1;
-                let newcomer = Client::new(site, &snapshot);
+                let site = world.join().expect("a world's core has no log");
+                report.joins += 1;
                 for &(prime, _, _) in &hb_refs_notifier {
                     oracle.record_execution(site, prime);
                 }
-                clients.push(Some(newcomer));
                 hb_refs_client.push(Vec::new());
-                up.push(VecDeque::new());
-                down.push(VecDeque::new());
+                generated.push(Vec::new());
+                sent.push(Vec::new());
                 budget.push(cfg.ops_per_client);
             }
-            4 => {
-                // Leave: pick a random active client; drop its channels.
-                let victims: Vec<usize> = clients
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.is_some())
-                    .map(|(i, _)| i)
-                    .collect();
-                let v = victims[rng.gen_range(0..victims.len())];
-                notifier
-                    .quarantine(SiteId(v as u32 + 1))
-                    .expect("victims are active members");
-                clients[v] = None;
-                up[v].clear();
-                down[v].clear();
-                budget[v] = 0;
+            Action::Leave => {
+                // A random member leaves; whatever it had in flight goes.
+                let members: Vec<SiteId> = world.clients().map(Client::site).collect();
+                let v = members[rng.gen_range(0..members.len())];
+                world.leave(v).expect("members can leave");
+                report.leaves += 1;
+                budget[v.client_index()] = 0;
             }
-            _ => unreachable!(),
         }
     }
 
-    let mut docs: Vec<String> = clients
-        .iter()
-        .filter_map(|c| c.as_ref().map(|c| c.doc()))
-        .collect();
-    docs.push(notifier.doc());
-    report.converged = docs.windows(2).all(|w| w[0] == w[1]);
-    // Sanity: the dynamic machinery was actually exercised.
-    debug_assert!(joins <= max_clients);
+    let doc = world.notifier().doc();
+    report.converged = world.clients().all(|c| c.doc() == doc);
     report
 }
 
@@ -416,7 +330,7 @@ pub fn verify_mesh(cfg: &VerifyConfig) -> VerifyReport {
                 let msg = if len > 0 && rng.gen_bool(0.3) {
                     sites[a].local_delete(rng.gen_range(0..len))
                 } else {
-                    let ch = (b'a' + rng.gen_range(0..26)) as char;
+                    let ch = letter(&mut rng);
                     sites[a].local_insert(rng.gen_range(0..=len), ch)
                 };
                 let seq = msg.vector.get(a);
@@ -481,12 +395,16 @@ mod tests {
 
     #[test]
     fn dynamic_membership_matches_oracle() {
+        let (mut joins, mut leaves) = (0, 0);
         for seed in 0..10 {
             let r = verify_star_dynamic(&VerifyConfig::new(3, 12, seed), 8);
             assert!(r.checks > 0, "seed {seed}");
             assert_eq!(r.disagreements, 0, "seed {seed}: {:#?}", r.samples);
             assert!(r.converged, "seed {seed} did not converge");
+            (joins, leaves) = (joins + r.joins, leaves + r.leaves);
         }
+        // The walk really changed membership.
+        assert!(joins > 0 && leaves > 0, "{joins} joins, {leaves} leaves");
     }
 
     #[test]
