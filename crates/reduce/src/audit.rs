@@ -1,12 +1,43 @@
-//! Causality audit replayer: re-run a flight-recorder dump through the
-//! ground-truth oracle.
+//! Causality audit: the star's events checked against the ground-truth
+//! oracle.
+//!
+//! [`StarAudit`] is the one place that maps the star onto
+//! [`cvc_core::oracle::CausalityOracle`] (Definition 1, no clocks at
+//! all). Operations are named by their *generation identity*
+//! [`OpId`] — origin site and that site's `T[2]` when it generated the
+//! op — and four rules turn the star's events into the oracle's:
+//!
+//! 1. **The notifier's execution generates `O'` at site 0.** Executing a
+//!    client operation at site 0 also generates its transformed form as a
+//!    fresh operation of site 0, whose causal context is everything the
+//!    notifier executed before it; what the notifier buffers and
+//!    broadcasts is that `O'`.
+//! 2. **A same-origin pair relates through the original** (the paper's
+//!    `x = y` rule): a formula-(7) check of an incoming operation against
+//!    a buffered entry from the *same* origin compares the two originals
+//!    (FIFO order at the generating site), not the entry's `O'`.
+//! 3. **A client resolves a broadcast by its `T[1]` position.** A client
+//!    cannot know a server operation's generation identity, only how many
+//!    operations the notifier has sent it; each broadcast maps
+//!    `(destination, position) → identity`, and the client's events refer
+//!    to that identity's `O'`.
+//! 4. **A joiner has executed every `O'`.** It starts from a snapshot of
+//!    the notifier's document.
+//!
+//! Each check returns a [`Finding`] when the engine's verdict contradicts
+//! Definition 1, or [`Unknown`] when it names an identity the audit has
+//! not registered yet; nothing here panics. Three drivers feed it: the
+//! seeded E8/E11 walks ([`crate::verify`]), the chaos twin, and
+//! [`audit_streams`] below, which replays flight-recorder dumps.
+//!
+//! ## Replaying flight-recorder dumps
 //!
 //! The [`crate::recorder`] rings capture, per site, the lifecycle walk of
 //! every operation — generation, delivery, the individual formula (5)/(7)
-//! concurrency checks, execution, broadcast. This module replays such a
-//! set of per-site traces through [`cvc_core::oracle::CausalityOracle`]
-//! (Definition 1, no clocks at all) and reports the **first event whose
-//! recorded verdict or ordering contradicts the oracle**:
+//! concurrency checks, execution, broadcast. [`audit_streams`] replays
+//! such a set of per-site traces through a [`StarAudit`] and reports the
+//! **first event whose recorded verdict or ordering contradicts the
+//! oracle**:
 //!
 //! * a [`EventKind::Transform`] event whose `flag` (the engine's
 //!   "concurrent?" verdict from formula (5) or (7)) differs from
@@ -15,36 +46,209 @@
 //!   check referring to an operation whose generation never appears
 //!   (corrupted or truncated ring).
 //!
-//! ## Operation identity
-//!
-//! Events name operations by their *generation identity* `(origin site,
-//! per-origin sequence)`. Following the paper (and [`crate::verify`],
-//! which pioneered this mapping for experiment E8), every notifier
-//! execution of a client operation also *generates* the transformed `O'`
-//! as a fresh operation at site 0 whose causal context is everything the
-//! notifier executed before it; downstream client events refer to that
-//! prime form. The one exception is the paper's `x = y` rule: when the
-//! notifier checks an incoming operation against a buffered entry from
-//! the **same** origin, the pair relates through the entry's original
-//! (FIFO order at the generating site), not its site-0 re-generation.
-//!
-//! Clients receive server operations that identify themselves only by
-//! *stream position* (`T[1]` of the propagation stamp — how many
-//! operations the notifier has sent this client). Such events carry
-//! [`NO_SITE`] and the position; the replayer resolves them through the
-//! notifier's [`EventKind::Broadcast`] events, which map
-//! `(destination, position) → (origin, sequence)`.
+//! Client events name server operations by stream position: they carry
+//! [`NO_SITE`] and the position, resolved through the notifier's
+//! [`EventKind::Broadcast`] events (rule 3), all of which are read before
+//! the replay starts.
 //!
 //! The replay itself is a round-robin topological merge: each per-site
 //! trace is consumed in order, an event waiting until the operations it
 //! references are registered. A full pass with no progress means the
 //! traces are causally inconsistent — also a reportable violation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::client::{Client, ClientIntegration};
+use crate::notifier::{Notifier, NotifierOutcome};
 use crate::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
+use cvc_core::timestamp::OriginAtClient;
 use std::collections::HashMap;
 use std::fmt;
+
+/// Generation identity of an operation: `(origin site, per-origin seq)`,
+/// the seq being the origin's `T[2]` when it generated the op.
+pub type OpId = (SiteId, u64);
+
+/// How a client's event names an operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Named {
+    /// By generation identity: the client's own operations.
+    Op(OpId),
+    /// By stream position `T[1]`: a broadcast the client received.
+    Position(u64),
+}
+
+/// Why the audit could not judge or register an event yet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unknown {
+    /// A stream position no broadcast has mapped (or one where the
+    /// notifier needs a generation identity).
+    Position,
+    /// An operation whose generation — or, for an `O'`, whose execution
+    /// at site 0 — is not registered yet.
+    NotYet,
+}
+
+/// An engine verdict that contradicts Definition 1.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The engine's verdict: concurrent?
+    pub engine: bool,
+    /// Label of the incoming operation.
+    pub incoming: String,
+    /// Label of the buffered operation it was checked against.
+    pub buffered: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let word = |c: bool| if c { "concurrent" } else { "ordered" };
+        let (inc, chk) = (&self.incoming, &self.buffered);
+        let (e, t) = (word(self.engine), word(!self.engine));
+        write!(
+            f,
+            "engine said {e} for {inc} vs {chk}, Definition 1 says {t}"
+        )
+    }
+}
+
+/// One verdict judged: `Ok(None)` agrees with Definition 1.
+pub(crate) type Check = Result<Option<Finding>, Unknown>;
+
+/// Every verdict of one integration judged: the ones Definition 1
+/// contradicts.
+pub type Findings = Result<Vec<Finding>, Unknown>;
+
+/// The Definition-1 oracle plus the identity maps that tie the star's
+/// events to it (see the module docs). `Clone`, so an explorer can branch
+/// it beside a [`crate::world::StarWorld`].
+#[derive(Debug, Clone, Default)]
+pub struct StarAudit {
+    oracle: CausalityOracle,
+    /// Originals, by generation identity.
+    ops: HashMap<OpId, OpRef>,
+    /// Site-0 forms `O'`, by their original's identity.
+    primes: HashMap<OpId, OpRef>,
+    /// `(destination, T[1])` → the broadcast original's identity.
+    positions: HashMap<(SiteId, u64), OpId>,
+}
+
+impl StarAudit {
+    /// `op.0` generated `op` (and executed it: local ops run at once).
+    pub fn generate(&mut self, op: OpId) {
+        let label = format!("site{}#{}", op.0 .0, op.1);
+        self.ops
+            .insert(op, self.oracle.record_generation(op.0, label));
+    }
+
+    /// Formula (7) at site 0: `inc` judged against the buffered entry
+    /// `chk`, the engine saying `verdict` (rule 2).
+    pub(crate) fn check_at_notifier(&self, inc: OpId, chk: OpId, verdict: bool) -> Check {
+        let same_origin = chk.0 == inc.0;
+        let chk = registered(if same_origin { &self.ops } else { &self.primes }, chk)?;
+        Ok(self.judge(registered(&self.ops, inc)?, chk, verdict))
+    }
+
+    /// Site 0 executed `op`, generating its `O'` (rule 1).
+    pub(crate) fn execute_at_notifier(&mut self, op: OpId) -> Result<(), Unknown> {
+        let orig = registered(&self.ops, op)?;
+        self.oracle.record_execution(SiteId(0), orig);
+        let label = format!("{}'", self.oracle.label_of(orig));
+        self.primes
+            .insert(op, self.oracle.record_generation(SiteId(0), label));
+        Ok(())
+    }
+
+    /// Site 0 sent `op`'s `O'` to `dest` as its `T[1]` = `position`
+    /// (rule 3); whether that position was new.
+    pub(crate) fn broadcast(&mut self, dest: SiteId, position: u64, op: OpId) -> bool {
+        self.positions.insert((dest, position), op).is_none()
+    }
+
+    /// Formula (5) at client `site`: the broadcast at stream position
+    /// `inc` judged against the buffered entry `chk`, the engine's verdict
+    /// being `flag`.
+    pub(crate) fn check_at_client(&self, site: SiteId, inc: u64, chk: Named, flag: bool) -> Check {
+        let inc = self.resolve(site, Named::Position(inc))?;
+        Ok(self.judge(inc, self.resolve(site, chk)?, flag))
+    }
+
+    /// Client `site` executed `op`.
+    pub(crate) fn execute_at_client(&mut self, site: SiteId, op: Named) -> Result<(), Unknown> {
+        self.oracle.record_execution(site, self.resolve(site, op)?);
+        Ok(())
+    }
+
+    /// `site` joined from the notifier's document (rule 4).
+    pub fn join(&mut self, site: SiteId) {
+        for &prime in self.primes.values() {
+            self.oracle.record_execution(site, prime);
+        }
+    }
+
+    /// Feed the notifier's integration that buffered its newest history
+    /// entry: each of `outcome`'s formula-(7) verdicts against the entry
+    /// it was taken for, the execution, then the broadcasts. The buffer
+    /// must not have been trimmed during the integration.
+    pub fn notifier_integrated(&mut self, n: &Notifier, outcome: &NotifierOutcome) -> Findings {
+        let hb = n.history();
+        let op = hb.back().ok_or(Unknown::NotYet)?;
+        let op = (op.origin, op.origin_seq);
+        let mut findings = Vec::new();
+        for (e, verdict) in hb.iter().zip(outcome.full_verdicts()) {
+            findings.extend(self.check_at_notifier(op, (e.origin, e.origin_seq), verdict)?);
+        }
+        self.execute_at_notifier(op)?;
+        for &(dest, stamp) in &outcome.stamps {
+            self.broadcast(dest, stamp.get(1), op);
+        }
+        Ok(findings)
+    }
+
+    /// Feed `client`'s integration of its newest history entry: each of
+    /// `outcome`'s formula-(5) verdicts against the entry it was taken
+    /// for, then the execution.
+    pub fn client_integrated(&mut self, client: &Client, outcome: &ClientIntegration) -> Findings {
+        let (site, hb) = (client.site(), client.history());
+        let position = hb.last().ok_or(Unknown::NotYet)?.stamp.get(1);
+        let mut findings = Vec::new();
+        for (e, &verdict) in hb.iter().zip(&outcome.checked) {
+            let named = match e.origin {
+                OriginAtClient::Local => Named::Op((site, e.stamp.get(2))),
+                OriginAtClient::FromNotifier => Named::Position(e.stamp.get(1)),
+            };
+            findings.extend(self.check_at_client(site, position, named, verdict)?);
+        }
+        self.execute_at_client(site, Named::Position(position))?;
+        Ok(findings)
+    }
+
+    /// What `op` names at client `site`: an original, or the `O'` of the
+    /// broadcast at that stream position.
+    fn resolve(&self, site: SiteId, op: Named) -> Result<OpRef, Unknown> {
+        match op {
+            Named::Op(id) => registered(&self.ops, id),
+            Named::Position(p) => {
+                let id = self.positions.get(&(site, p)).ok_or(Unknown::Position)?;
+                registered(&self.primes, *id)
+            }
+        }
+    }
+
+    fn judge(&self, inc: OpRef, chk: OpRef, verdict: bool) -> Option<Finding> {
+        (self.oracle.concurrent(inc, chk) != verdict).then(|| Finding {
+            engine: verdict,
+            incoming: self.oracle.label_of(inc).to_owned(),
+            buffered: self.oracle.label_of(chk).to_owned(),
+        })
+    }
+}
+
+fn registered(map: &HashMap<OpId, OpRef>, op: OpId) -> Result<OpRef, Unknown> {
+    map.get(&op).copied().ok_or(Unknown::NotYet)
+}
 
 /// What kind of inconsistency the replayer found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +332,6 @@ impl AuditReport {
     }
 }
 
-/// Generation identity of an operation: `(origin site, per-origin seq)`.
-type OpId = (u32, u64);
-
 /// Replay per-site flight-recorder traces through the causality oracle.
 ///
 /// `traces` holds one `(site, events-oldest-first)` pair per participant;
@@ -138,266 +339,142 @@ type OpId = (u32, u64);
 /// the position → identity mapping clients need). Returns the replay
 /// summary, or the **first** event that contradicts Definition 1.
 pub fn audit_streams(traces: &[(SiteId, Vec<FlightEvent>)]) -> Result<AuditReport, AuditViolation> {
-    // Phase 1: learn (destination, position) → (origin, seq) from the
+    // Phase 1: learn (destination, position) → identity from the
     // notifier's broadcast events, and find which rings wrapped — a
     // truncated ring means the merge below is auditing a suffix, so gaps
     // it hits are reported as truncation, not treated as violations.
-    let mut broadcast_map: HashMap<(u32, u64), OpId> = HashMap::new();
-    let mut truncated_sites: Vec<SiteId> = Vec::new();
-    let mut events_lost = 0u64;
+    let mut audit = StarAudit::default();
+    let mut report = AuditReport::default();
     for (site, events) in traces {
         for ev in events {
             if ev.kind == EventKind::RingTruncated {
-                truncated_sites.push(*site);
-                events_lost += ev.a;
+                report.truncated_sites.push(*site);
+                report.events_lost += ev.a;
             }
-            if site.0 == 0 && ev.kind == EventKind::Broadcast {
-                broadcast_map.insert((ev.a as u32, ev.stamp.get(1)), (ev.op_site, ev.op_seq));
+            let op = (SiteId(ev.op_site), ev.op_seq);
+            let is_broadcast = site.0 == 0 && ev.kind == EventKind::Broadcast;
+            if is_broadcast && audit.broadcast(SiteId(ev.a as u32), ev.stamp.get(1), op) {
+                report.broadcasts_mapped += 1;
             }
         }
     }
-    let truncated = !truncated_sites.is_empty();
+    let truncated = !report.truncated_sites.is_empty();
 
-    // Phase 2: round-robin topological merge into the oracle.
-    let mut oracle = CausalityOracle::new();
-    // Originals, keyed by generation identity.
-    let mut op_map: HashMap<OpId, OpRef> = HashMap::new();
-    // Transformed site-0 forms, keyed by the original's identity.
-    let mut prime_map: HashMap<OpId, OpRef> = HashMap::new();
+    // Phase 2: round-robin topological merge into the audit, until every
+    // trace is consumed or the first violation.
     let mut cursors = vec![0usize; traces.len()];
-    let mut report = AuditReport {
-        broadcasts_mapped: broadcast_map.len(),
-        truncated_sites,
-        events_lost,
-        ..AuditReport::default()
-    };
-
-    let unresolved = |site: SiteId, ev: &FlightEvent, what: &str| AuditViolation {
-        site,
-        event_seq: ev.seq,
-        kind: AuditViolationKind::UnresolvedOp,
-        message: format!("{what} references an unknown operation: {ev}"),
-    };
-
-    loop {
+    let (site, ev, kind, message) = 'merge: loop {
         let mut progressed = false;
         for (ti, (site, events)) in traces.iter().enumerate() {
-            'stream: while cursors[ti] < events.len() {
-                let ev = &events[cursors[ti]];
-                match ev.kind {
-                    EventKind::Generate => {
-                        let id: OpId = (ev.op_site, ev.op_seq);
-                        let r = oracle.record_generation(*site, format!("site{}#{}", id.0, id.1));
-                        op_map.insert(id, r);
-                        report.ops_registered += 1;
+            while let Some(ev) = events.get(cursors[ti]) {
+                match replay(&mut audit, &mut report, *site, ev) {
+                    Ok(None) => {}
+                    Ok(Some(f)) => {
+                        let message = format!("{f} ({ev})");
+                        break 'merge (*site, ev, AuditViolationKind::VerdictMismatch, message);
                     }
-                    EventKind::Execute if site.0 == 0 => {
-                        // The notifier executes the original, then
-                        // "generates" the transformed O' as site 0.
-                        if ev.op_site == NO_SITE {
-                            if truncated {
-                                report.unreplayed_events += 1;
-                                cursors[ti] += 1;
-                                progressed = true;
-                                continue 'stream;
-                            }
-                            return Err(unresolved(*site, ev, "notifier execute"));
-                        }
-                        let id: OpId = (ev.op_site, ev.op_seq);
-                        let Some(&orig) = op_map.get(&id) else {
-                            break 'stream; // generation not merged yet
-                        };
-                        oracle.record_execution(*site, orig);
-                        let prime =
-                            oracle.record_generation(*site, format!("site{}#{}'", id.0, id.1));
-                        prime_map.insert(id, prime);
-                        report.executions_replayed += 1;
-                        report.primes_registered += 1;
+                    Err(Unknown::NotYet) => break, // its generation is still to come
+                    Err(Unknown::Position) if truncated => report.unreplayed_events += 1,
+                    Err(Unknown::Position) => {
+                        let at = if site.0 == 0 { "notifier" } else { "client" };
+                        let what = format!("{at} {}", ev.kind.name());
+                        let message = format!("{what} references an unknown operation: {ev}");
+                        break 'merge (*site, ev, AuditViolationKind::UnresolvedOp, message);
                     }
-                    EventKind::Execute => {
-                        // A client executes the propagated (prime) form.
-                        let r = if ev.op_site == NO_SITE {
-                            let Some(&id) = broadcast_map.get(&(site.0, ev.op_seq)) else {
-                                if truncated {
-                                    report.unreplayed_events += 1;
-                                    cursors[ti] += 1;
-                                    progressed = true;
-                                    continue 'stream;
-                                }
-                                return Err(unresolved(*site, ev, "client execute"));
-                            };
-                            let Some(&p) = prime_map.get(&id) else {
-                                break 'stream;
-                            };
-                            p
-                        } else {
-                            let Some(&r) = op_map.get(&(ev.op_site, ev.op_seq)) else {
-                                break 'stream;
-                            };
-                            r
-                        };
-                        oracle.record_execution(*site, r);
-                        report.executions_replayed += 1;
-                    }
-                    EventKind::Transform if site.0 == 0 => {
-                        // Formula (7): incoming original vs a buffered
-                        // entry — same-origin pairs through the original
-                        // (the x = y rule), cross-site through the prime.
-                        if ev.op_site == NO_SITE {
-                            if truncated {
-                                report.unreplayed_events += 1;
-                                cursors[ti] += 1;
-                                progressed = true;
-                                continue 'stream;
-                            }
-                            return Err(unresolved(*site, ev, "notifier check (incoming)"));
-                        }
-                        let inc_id: OpId = (ev.op_site, ev.op_seq);
-                        let chk_id: OpId = (ev.a as u32, ev.b);
-                        let Some(&inc) = op_map.get(&inc_id) else {
-                            break 'stream;
-                        };
-                        let chk = if chk_id.0 == inc_id.0 {
-                            match op_map.get(&chk_id) {
-                                Some(&r) => r,
-                                None => break 'stream,
-                            }
-                        } else {
-                            match prime_map.get(&chk_id) {
-                                Some(&r) => r,
-                                None => break 'stream,
-                            }
-                        };
-                        check_verdict(&oracle, *site, ev, inc, chk)?;
-                        report.verdicts_validated += 1;
-                    }
-                    EventKind::Transform => {
-                        // Formula (5): incoming prime vs a buffered entry
-                        // (local original, or an earlier prime by stream
-                        // position).
-                        let Some(&inc_id) = broadcast_map.get(&(site.0, ev.op_seq)) else {
-                            if truncated {
-                                report.unreplayed_events += 1;
-                                cursors[ti] += 1;
-                                progressed = true;
-                                continue 'stream;
-                            }
-                            return Err(unresolved(*site, ev, "client check (incoming)"));
-                        };
-                        let Some(&inc) = prime_map.get(&inc_id) else {
-                            break 'stream;
-                        };
-                        let chk = if ev.a == u64::from(NO_SITE) {
-                            let Some(&id) = broadcast_map.get(&(site.0, ev.b)) else {
-                                if truncated {
-                                    report.unreplayed_events += 1;
-                                    cursors[ti] += 1;
-                                    progressed = true;
-                                    continue 'stream;
-                                }
-                                return Err(unresolved(*site, ev, "client check (checked)"));
-                            };
-                            match prime_map.get(&id) {
-                                Some(&r) => r,
-                                None => break 'stream,
-                            }
-                        } else {
-                            match op_map.get(&(ev.a as u32, ev.b)) {
-                                Some(&r) => r,
-                                None => break 'stream,
-                            }
-                        };
-                        check_verdict(&oracle, *site, ev, inc, chk)?;
-                        report.verdicts_validated += 1;
-                    }
-                    // Transport/bookkeeping events carry no causal claim.
-                    // (RingTruncated markers were tallied in phase 1;
-                    // RetxStall attributes transport latency only.)
-                    EventKind::Send
-                    | EventKind::Deliver
-                    | EventKind::Broadcast
-                    | EventKind::Ack
-                    | EventKind::GcTrim
-                    | EventKind::Error
-                    | EventKind::RingTruncated
-                    | EventKind::RetxStall
-                    | EventKind::Crash
-                    | EventKind::Promote
-                    | EventKind::Relay => {}
                 }
                 cursors[ti] += 1;
                 progressed = true;
             }
         }
-        if cursors.iter().zip(traces).all(|(&c, (_, e))| c == e.len()) {
+        // The oldest head still waiting, if any trace is unfinished.
+        let stuck = traces
+            .iter()
+            .enumerate()
+            .filter_map(|(ti, (s, e))| e.get(cursors[ti]).map(|ev| (ti, *s, ev)))
+            .min_by_key(|(_, _, ev)| ev.seq);
+        let Some((ti, site, ev)) = stuck else {
             return Ok(report);
-        }
-        if !progressed {
-            if truncated {
-                // Some ring wrapped: every stuck head waits on an
-                // operation whose generation was overwritten. That is
-                // expected data loss, not causal inconsistency — skip the
-                // oldest stuck event and keep replaying whatever the
-                // surviving suffixes still support.
-                let ti = traces
-                    .iter()
-                    .enumerate()
-                    .filter(|(ti, (_, e))| cursors[*ti] < e.len())
-                    .min_by_key(|(ti, (_, e))| e[cursors[*ti]].seq)
-                    .map(|(ti, _)| ti)
-                    .expect("some trace is unfinished");
-                report.unreplayed_events += 1;
-                cursors[ti] += 1;
-                continue;
-            }
+        };
+        if !progressed && !truncated {
             // Every remaining head waits on an operation that will never
             // be registered: the traces are causally inconsistent.
-            let (site, ev) = traces
-                .iter()
-                .enumerate()
-                .filter(|(ti, (_, e))| cursors[*ti] < e.len())
-                .map(|(ti, (s, e))| (*s, e[cursors[ti]]))
-                .min_by_key(|(_, ev)| ev.seq)
-                .expect("some trace is unfinished");
-            return Err(AuditViolation {
-                site,
-                event_seq: ev.seq,
-                kind: AuditViolationKind::Stalled,
-                message: format!(
-                    "no causal order can schedule the remaining events; first stuck: {ev}"
-                ),
-            });
+            let what = "no causal order can schedule the remaining events; first stuck";
+            let message = format!("{what}: {ev}");
+            break (site, ev, AuditViolationKind::Stalled, message);
+        } else if !progressed {
+            // Some ring wrapped: every stuck head waits on an operation
+            // whose generation was overwritten. That is expected data
+            // loss, not causal inconsistency — skip the oldest stuck event
+            // and keep replaying whatever the surviving suffixes support.
+            report.unreplayed_events += 1;
+            cursors[ti] += 1;
         }
-    }
+    };
+    let event_seq = ev.seq;
+    Err(AuditViolation {
+        site,
+        event_seq,
+        kind,
+        message,
+    })
 }
 
-/// Compare one recorded verdict against Definition 1.
-fn check_verdict(
-    oracle: &CausalityOracle,
-    site: SiteId,
-    ev: &FlightEvent,
-    inc: OpRef,
-    chk: OpRef,
-) -> Result<(), AuditViolation> {
-    let truth = oracle.concurrent(inc, chk);
-    if truth != ev.flag {
-        return Err(AuditViolation {
-            site,
-            event_seq: ev.seq,
-            kind: AuditViolationKind::VerdictMismatch,
-            message: format!(
-                "engine said {} for {} vs {}, Definition 1 says {} ({ev})",
-                if ev.flag { "concurrent" } else { "ordered" },
-                oracle.label_of(inc),
-                oracle.label_of(chk),
-                if truth { "concurrent" } else { "ordered" },
-            ),
-        });
+/// Replay one event of `site`'s trace into `audit`, counting it in
+/// `report`; `Ok(Some(_))` is a verdict Definition 1 contradicts.
+fn replay(audit: &mut StarAudit, rep: &mut AuditReport, site: SiteId, ev: &FlightEvent) -> Check {
+    let op = (SiteId(ev.op_site), ev.op_seq);
+    // Site 0 names every operation by identity; a client names a
+    // broadcast by stream position.
+    let by_id = (ev.op_site != NO_SITE)
+        .then_some(op)
+        .ok_or(Unknown::Position);
+    match ev.kind {
+        EventKind::Generate => {
+            audit.generate(op);
+            rep.ops_registered += 1;
+        }
+        EventKind::Execute if site.0 == 0 => {
+            audit.execute_at_notifier(by_id?)?;
+            rep.executions_replayed += 1;
+            rep.primes_registered += 1;
+        }
+        EventKind::Execute => {
+            let named = by_id.map_or(Named::Position(ev.op_seq), Named::Op);
+            audit.execute_at_client(site, named)?;
+            rep.executions_replayed += 1;
+        }
+        EventKind::Transform => {
+            let chk = (SiteId(ev.a as u32), ev.b);
+            let finding = if site.0 == 0 {
+                audit.check_at_notifier(by_id?, chk, ev.flag)?
+            } else if ev.a == u64::from(NO_SITE) {
+                audit.check_at_client(site, ev.op_seq, Named::Position(ev.b), ev.flag)?
+            } else {
+                audit.check_at_client(site, ev.op_seq, Named::Op(chk), ev.flag)?
+            };
+            rep.verdicts_validated += 1;
+            return Ok(finding);
+        }
+        // Transport/bookkeeping events carry no causal claim.
+        // (RingTruncated markers were tallied in phase 1;
+        // RetxStall attributes transport latency only.)
+        EventKind::Send
+        | EventKind::Deliver
+        | EventKind::Broadcast
+        | EventKind::Ack
+        | EventKind::GcTrim
+        | EventKind::Error
+        | EventKind::RingTruncated
+        | EventKind::RetxStall
+        | EventKind::Crash
+        | EventKind::Promote
+        | EventKind::Relay => {}
     }
-    Ok(())
+    Ok(None)
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use cvc_core::state_vector::CompressedStamp;
@@ -680,5 +757,107 @@ mod tests {
         assert_eq!(report.events_lost, 1);
         assert_eq!(report.ops_registered, 2, "the surviving suffix replays");
         assert!(!report.complete(), "coverage must not be implied as full");
+    }
+
+    const S1: SiteId = SiteId(1);
+    const S2: SiteId = SiteId(2);
+
+    /// Sites 1 and 2 each generate one op; site 0 executes site 1's and
+    /// broadcasts it to site 2 as that client's stream position 1.
+    fn concurrent_pair() -> StarAudit {
+        let mut a = StarAudit::default();
+        a.generate((S1, 1));
+        a.generate((S2, 1));
+        a.execute_at_notifier((S1, 1)).expect("generated");
+        assert!(a.broadcast(S2, 1, (S1, 1)));
+        a
+    }
+
+    #[test]
+    fn star_audit_flipped_verdicts_come_back_as_findings() {
+        let a = concurrent_pair();
+        // Formula (7): site 2's op arrives with site 1's O' buffered.
+        assert_eq!(a.check_at_notifier((S2, 1), (S1, 1), true), Ok(None));
+        let f = a
+            .check_at_notifier((S2, 1), (S1, 1), false)
+            .expect("known")
+            .expect("a finding");
+        assert_eq!(
+            (f.incoming.as_str(), f.buffered.as_str()),
+            ("site2#1", "site1#1'")
+        );
+        assert!(!f.engine);
+        // Formula (5): at site 2, position 1 against its own op.
+        let local = Named::Op((S2, 1));
+        assert_eq!(a.check_at_client(S2, 1, local, true), Ok(None));
+        let f = a
+            .check_at_client(S2, 1, local, false)
+            .expect("known")
+            .expect("a finding");
+        assert_eq!(
+            f.to_string(),
+            "engine said ordered for site1#1' vs site2#1, Definition 1 says concurrent"
+        );
+    }
+
+    #[test]
+    fn star_audit_relates_a_same_origin_pair_through_the_original() {
+        let mut a = StarAudit::default();
+        a.generate((S1, 1));
+        a.generate((S1, 2)); // before site 1 hears of O1#1'
+        a.execute_at_notifier((S1, 1)).expect("generated");
+        // x = y: FIFO at site 1 orders the pair, though site 1's second op
+        // is concurrent with the site-0 form of its first.
+        assert_eq!(a.check_at_notifier((S1, 2), (S1, 1), false), Ok(None));
+        assert!(a
+            .check_at_notifier((S1, 2), (S1, 1), true)
+            .expect("known")
+            .is_some());
+    }
+
+    #[test]
+    fn star_audit_names_unknown_identities_instead_of_panicking() {
+        let mut a = StarAudit::default();
+        assert_eq!(
+            a.check_at_notifier((S1, 1), (S2, 1), true),
+            Err(Unknown::NotYet)
+        );
+        assert_eq!(a.execute_at_notifier((S1, 1)), Err(Unknown::NotYet));
+        assert_eq!(
+            a.check_at_client(S2, 1, Named::Op((S2, 1)), true),
+            Err(Unknown::Position)
+        );
+        assert_eq!(
+            a.execute_at_client(S2, Named::Position(1)),
+            Err(Unknown::Position)
+        );
+        // Broadcast but not yet executed at site 0: its O' is still to come.
+        a.generate((S1, 1));
+        a.broadcast(S2, 1, (S1, 1));
+        assert_eq!(
+            a.execute_at_client(S2, Named::Position(1)),
+            Err(Unknown::NotYet)
+        );
+        assert_eq!(
+            a.check_at_notifier((S1, 2), (S1, 1), false),
+            Err(Unknown::NotYet)
+        );
+    }
+
+    #[test]
+    fn star_audit_joiner_has_executed_every_earlier_prime() {
+        let s3 = SiteId(3);
+        let mut a = concurrent_pair();
+        let mut strangers = a.clone();
+        a.join(s3);
+        a.generate((s3, 1));
+        // The joiner's op follows site 1's O'.
+        assert_eq!(a.check_at_notifier((s3, 1), (S1, 1), false), Ok(None));
+        // Without the join rule the pair would be concurrent.
+        strangers.generate((s3, 1));
+        assert_eq!(
+            strangers.check_at_notifier((s3, 1), (S1, 1), true),
+            Ok(None)
+        );
     }
 }

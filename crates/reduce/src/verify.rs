@@ -13,10 +13,10 @@
 //!
 //! Remember the subtlety the paper stresses: at the notifier and clients,
 //! the buffered operations are the *transformed* `O'` forms, which count as
-//! operations generated at site 0. The oracle is fed accordingly (a
-//! transformed broadcast is a fresh operation generated at site 0 whose
-//! context is everything the notifier executed).
+//! operations generated at site 0. The star walks feed a
+//! [`StarAudit`], which states that rule and its companions once.
 
+use crate::audit::StarAudit;
 use crate::client::Client;
 use crate::mesh::MeshSite;
 use crate::msg::MeshOpMsg;
@@ -73,12 +73,14 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    fn record(&mut self, engine: bool, oracle: bool, what: impl FnOnce() -> String) {
-        self.checks += 1;
-        if engine != oracle {
+    /// `checks` verdicts were compared with the oracle, which contradicted
+    /// the ones `disagreements` describes.
+    fn record(&mut self, checks: usize, disagreements: impl IntoIterator<Item = String>) {
+        self.checks += checks as u64;
+        for d in disagreements {
             self.disagreements += 1;
             if self.samples.len() < 8 {
-                self.samples.push(what());
+                self.samples.push(d);
             }
         }
     }
@@ -115,7 +117,7 @@ fn letter(rng: &mut SmallRng) -> char {
 
 /// The seeded random walk over a [`StarWorld`] behind both star
 /// verifiers: each step is drawn uniformly from the enabled ones, and
-/// every verdict an integration returns is compared with the oracle's.
+/// every verdict an integration returns goes through a [`StarAudit`].
 /// `max_clients` turns on membership changes — joins up to that many
 /// sites, leaves while more than two members remain — and with them the
 /// dynamic walk's draw order (an insert's character before its position),
@@ -125,21 +127,8 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
     let tag = if max_clients.is_some() { "dyn " } else { "" };
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut report = VerifyReport::default();
-    let mut oracle = CausalityOracle::new();
+    let mut audit = StarAudit::default();
     let mut world = StarWorld::new(Notifier::new(n, &cfg.initial_doc));
-
-    // Oracle refs mirroring each history buffer. A notifier HB entry has a
-    // dual identity, exactly as the paper uses it: the transformed `O'` is
-    // "an operation generated at site 0" for cross-site relations, but for
-    // the same-site rule the paper writes "O2' ∦ O3 because they were
-    // generated at the same site 2" — i.e. it inherits the original op's
-    // site identity. We keep both refs and pick per comparison.
-    let mut hb_refs_notifier: Vec<(OpRef, OpRef, SiteId)> = Vec::new();
-    // Per client index: its HB's refs, the ops it generated (indexed by
-    // `T[2]` − 1) and the broadcasts sent to it (by `T[1]` − 1).
-    let mut hb_refs_client: Vec<Vec<OpRef>> = vec![Vec::new(); n];
-    let mut generated: Vec<Vec<OpRef>> = vec![Vec::new(); n];
-    let mut sent: Vec<Vec<OpRef>> = vec![Vec::new(); n];
     let mut budget: Vec<usize> = vec![cfg.ops_per_client; n];
 
     loop {
@@ -193,81 +182,31 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
                     })
                 };
                 let stamp = world.edit(site, edit).expect("members edit");
-                let op_ref = oracle.record_generation(site, format!("{site}#{stamp}"));
-                hb_refs_client[i].push(op_ref);
-                generated[i].push(op_ref);
+                audit.generate((site, stamp.get(2)));
             }
             Action::Up(i) => {
-                let origin = SiteId::from_client_index(i);
-                let outcome = world.deliver_up(origin).expect("valid client op");
-                let outcome = outcome.expect("queued");
-                let seq = world.notifier().state_vector().received_from(origin);
-                let op_ref = generated[i][seq.expect("a member") as usize - 1];
-                // `full_verdicts` materialises the below-watermark prefix
-                // too, so the oracle audits every pair, not just the
-                // suffix the bounded scan actually touched.
-                for (k, verdict) in outcome.full_verdicts().into_iter().enumerate() {
-                    let (prime_ref, orig_ref, entry_origin) = hb_refs_notifier[k];
-                    // Same-origin pairs are compared through the original
-                    // op (the paper's x = y rule); cross-site pairs through
-                    // the site-0 transformed form.
-                    let ob = if entry_origin == origin {
-                        orig_ref
-                    } else {
-                        prime_ref
-                    };
-                    let truth = oracle.concurrent(op_ref, ob);
-                    report.record(verdict, truth, || {
-                        format!(
-                            "{tag}notifier: {} vs {} engine={verdict} oracle={truth}",
-                            oracle.label_of(op_ref),
-                            oracle.label_of(ob)
-                        )
-                    });
-                }
-                // The notifier executes the original, then "generates" the
-                // transformed form as site 0.
-                oracle.record_execution(SiteId(0), op_ref);
-                let prime =
-                    oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
-                hb_refs_notifier.push((prime, op_ref, origin));
-                for &(dest, _) in &outcome.stamps {
-                    sent[dest.client_index()].push(prime);
-                }
+                let outcome = world.deliver_up(SiteId::from_client_index(i));
+                let outcome = outcome.expect("valid client op").expect("queued");
+                let found = audit.notifier_integrated(world.notifier(), &outcome);
+                let found = found.expect("the walk generated it").into_iter();
+                // Every verdict, the below-watermark prefix included.
+                let checks = outcome.first_checked + outcome.checked.len();
+                report.record(checks, found.map(|f| format!("{tag}notifier: {f}")));
             }
             Action::Down(i) => {
                 let site = SiteId::from_client_index(i);
                 let outcome = world.deliver_down(site).expect("valid server op");
                 let outcome = outcome.expect("queued");
-                let received = world
-                    .client(site)
-                    .map_or(0, |c| c.state_vector().received());
-                let prime_ref = sent[i][received as usize - 1];
-                for (k, &verdict) in outcome.checked.iter().enumerate() {
-                    let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
-                    report.record(verdict, truth, || {
-                        format!(
-                            "{tag}client {}: {} vs {} engine={verdict} oracle={truth}",
-                            i + 1,
-                            oracle.label_of(prime_ref),
-                            oracle.label_of(hb_refs_client[i][k])
-                        )
-                    });
-                }
-                oracle.record_execution(site, prime_ref);
-                hb_refs_client[i].push(prime_ref);
+                let client = world.client(site).expect("a member");
+                let found = audit.client_integrated(client, &outcome);
+                let found = found.expect("the walk broadcast it").into_iter();
+                let found = found.map(|f| format!("{tag}client {}: {f}", i + 1));
+                report.record(outcome.checked.len(), found);
             }
             Action::Join => {
-                // Snapshot semantics: the newcomer has causally seen
-                // everything the notifier executed so far.
                 let site = world.join().expect("a world's core has no log");
                 report.joins += 1;
-                for &(prime, _, _) in &hb_refs_notifier {
-                    oracle.record_execution(site, prime);
-                }
-                hb_refs_client.push(Vec::new());
-                generated.push(Vec::new());
-                sent.push(Vec::new());
+                audit.join(site);
                 budget.push(cfg.ops_per_client);
             }
             Action::Leave => {
@@ -350,14 +289,14 @@ pub fn verify_mesh(cfg: &VerifyConfig) -> VerifyReport {
                     for (o_site, o_seq, verdict) in rec.checked {
                         let ob_ref = refs[&(o_site.0, o_seq)];
                         let truth = oracle.concurrent(inc_ref, ob_ref);
-                        report.record(verdict, truth, || {
+                        let (inc, ob) = (oracle.label_of(inc_ref), oracle.label_of(ob_ref));
+                        let site = b + 1;
+                        let what = || {
                             format!(
-                                "mesh site {}: {} vs {} engine={verdict} oracle={truth}",
-                                b + 1,
-                                oracle.label_of(inc_ref),
-                                oracle.label_of(ob_ref)
+                                "mesh site {site}: {inc} vs {ob} engine={verdict} oracle={truth}"
                             )
-                        });
+                        };
+                        report.record(1, (verdict != truth).then(what));
                     }
                     oracle.record_execution(SiteId(b as u32 + 1), inc_ref);
                 }

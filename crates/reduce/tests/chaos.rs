@@ -8,18 +8,18 @@
 //!    outages, a robust session must converge, and a *twin replay* of its
 //!    recorded trace on a fault-free in-process network must reproduce
 //!    every formula-(5)/(7) verdict bit-for-bit — each of which must also
-//!    agree with the Definition-1 [`CausalityOracle`]. In other words, the
-//!    reliability layer makes the faulty network observationally identical
-//!    to the paper's assumed FIFO transport.
+//!    agree with the Definition-1 oracle, through a [`StarAudit`]. In
+//!    other words, the reliability layer makes the faulty network
+//!    observationally identical to the paper's assumed FIFO transport.
 //! 2. **Detection**: with the reliability layer *off*, the same fault
 //!    classes must be caught by the protocol's FIFO/ack checks as
 //!    [`ProtocolError`]s — never silently mis-integrated.
 //! 3. A fixed-seed smoke variant of (1) for CI.
 
-use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::seq::SeqOp;
+use cvc_reduce::audit::StarAudit;
 use cvc_reduce::client::Client;
 use cvc_reduce::error::ProtocolError;
 use cvc_reduce::msg::{ClientOpMsg, EditorMsg, ServerOpMsg};
@@ -42,7 +42,7 @@ use std::collections::VecDeque;
 /// and the live run's final state.
 fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionReport) {
     let n = cfg.workload.n_sites;
-    let mut oracle = CausalityOracle::new();
+    let mut audit = StarAudit::default();
     let mut notifier = Notifier::new(n, &cfg.initial_doc);
     notifier.set_scan_mode(cfg.notifier_scan);
     let mut clients: Vec<Client> = (1..=n)
@@ -53,20 +53,14 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
         })
         .collect();
 
-    // Oracle refs mirroring the history buffers (the verify.rs scheme:
-    // a notifier HB entry keeps both the transformed op's site-0 identity
-    // and the original's, picked per comparison).
-    let mut hb_refs_notifier: Vec<(OpRef, OpRef, SiteId)> = Vec::new();
-    let mut hb_refs_client: Vec<Vec<OpRef>> = vec![Vec::new(); n];
-
     // Replay cursors and in-flight queues. The recorded per-node orders
     // are the schedule; the queues enforce generation-before-integration
     // and broadcast-before-execution, which makes the merged order a
     // valid linearization of the live run.
     let mut ns = 0usize; // next notifier step
     let mut ci = vec![0usize; n]; // next client event
-    let mut up: Vec<VecDeque<(ClientOpMsg, OpRef)>> = vec![VecDeque::new(); n];
-    let mut down: Vec<VecDeque<(ServerOpMsg, OpRef)>> = vec![VecDeque::new(); n];
+    let mut up: Vec<VecDeque<ClientOpMsg>> = vec![VecDeque::new(); n];
+    let mut down: Vec<VecDeque<ServerOpMsg>> = vec![VecDeque::new(); n];
 
     loop {
         let mut progressed = false;
@@ -84,14 +78,11 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                             "twin client {} rebuilt a different propagation message",
                             i + 1
                         );
-                        let site = SiteId(i as u32 + 1);
-                        let op_ref =
-                            oracle.record_generation(site, format!("{site}#{}", rebuilt.stamp));
-                        hb_refs_client[i].push(op_ref);
-                        up[i].push_back((rebuilt, op_ref));
+                        audit.generate((SiteId(i as u32 + 1), rebuilt.stamp.get(2)));
+                        up[i].push_back(rebuilt);
                     }
                     ClientEvent::Remote { msg, checked } => {
-                        let Some((expected, prime_ref)) = down[i].pop_front() else {
+                        let Some(expected) = down[i].pop_front() else {
                             break; // blocked on a notifier step
                         };
                         assert_eq!(
@@ -107,19 +98,14 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                             &outcome.checked, checked,
                             "live formula-(5) verdicts differ from the fault-free twin"
                         );
-                        for (k, &verdict) in outcome.checked.iter().enumerate() {
-                            let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
-                            assert_eq!(
-                                verdict,
-                                truth,
-                                "client {}: formula (5) disagrees with the oracle on {} vs {}",
-                                i + 1,
-                                oracle.label_of(prime_ref),
-                                oracle.label_of(hb_refs_client[i][k]),
-                            );
-                        }
-                        oracle.record_execution(SiteId(i as u32 + 1), prime_ref);
-                        hb_refs_client[i].push(prime_ref);
+                        let findings = audit
+                            .client_integrated(&clients[i], &outcome)
+                            .expect("every broadcast was generated and integrated");
+                        assert!(
+                            findings.is_empty(),
+                            "client {}: formula (5) disagrees with the oracle: {findings:?}",
+                            i + 1,
+                        );
                     }
                 }
                 ci[i] += 1;
@@ -131,9 +117,8 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
         // generated the operation.
         while ns < trace.notifier.len() {
             let step = &trace.notifier[ns];
-            let origin = step.msg.origin;
-            let xi = origin.client_index();
-            let Some((queued, op_ref)) = up[xi].pop_front() else {
+            let xi = step.msg.origin.client_index();
+            let Some(queued) = up[xi].pop_front() else {
                 break;
             };
             assert_eq!(
@@ -148,33 +133,20 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                 verdicts, step.verdicts,
                 "live formula-(7) verdicts differ from the fault-free twin"
             );
-            for (k, &verdict) in verdicts.iter().enumerate() {
-                let (prime_ref, orig_ref, entry_origin) = hb_refs_notifier[k];
-                let ob = if entry_origin == origin {
-                    orig_ref
-                } else {
-                    prime_ref
-                };
-                let truth = oracle.concurrent(op_ref, ob);
-                assert_eq!(
-                    verdict,
-                    truth,
-                    "notifier: formula (7) disagrees with the oracle on {} vs {}",
-                    oracle.label_of(op_ref),
-                    oracle.label_of(ob),
-                );
-            }
-            oracle.record_execution(SiteId(0), op_ref);
-            let prime =
-                oracle.record_generation(SiteId(0), format!("{}'", oracle.label_of(op_ref)));
-            hb_refs_notifier.push((prime, op_ref, origin));
+            let findings = audit
+                .notifier_integrated(&notifier, &outcome)
+                .expect("every integrated op was generated");
+            assert!(
+                findings.is_empty(),
+                "notifier: formula (7) disagrees with the oracle: {findings:?}"
+            );
             assert_eq!(
                 outcome.broadcast_msgs(),
                 step.broadcasts,
                 "twin notifier broadcast a different stream"
             );
             for (dest, smsg) in outcome.broadcast_msgs() {
-                down[dest.client_index()].push_back((smsg, prime));
+                down[dest.client_index()].push_back(smsg);
             }
             ns += 1;
             progressed = true;
