@@ -4,13 +4,24 @@
 //!
 //! ```text
 //!            accept thread ──round robin──►  shard workers (thread per core)
-//!                                             │  epoll loop, Conn state machines
-//!                 frames in (mpsc)  ◄─────────┤  frame reassembly + decode
+//!                                             │  epoll loop, Conn state machines,
+//!                                             │  frame reassembly + decode
+//!     one CoreMsg per poll pass (mpsc) ◄──────┤  every message and close it read
 //!                      │                      ▲
-//!                      ▼                      │ outbox (Mutex<VecDeque> + eventfd waker)
-//!            core thread: NotifierCore ───────┘ per-destination payloads,
-//!            (validate → log → compact)         coalesced into compound frames
+//!                      ▼                      │ one outbox append + one eventfd
+//!            core thread: Hub/NotifierCore ───┘ wake per drained batch
+//!            (validate → log → compact,         per-destination payloads, held
+//!             ≤ CORE_BATCH messages a batch)    while reads keep arriving, then
+//!                                               coalesced into compound frames
 //! ```
+//!
+//! Each direction of that boundary is one hand-off per batch, and the
+//! worker reads before it writes: while a pass read input, held output
+//! waits (the next poll does not block) until either a pass reads nothing
+//! or [`CORE_BATCH`] messages went to the core since output was last
+//! written or empty. Broadcasts that arrive while input is still flowing
+//! then share one compound frame. An idle server writes on its first
+//! quiet poll.
 //!
 //! The I/O tier never touches editor state and the core never touches a
 //! socket: workers own reads, reassembly, decode, and writes; the single
@@ -43,9 +54,11 @@
 //! Workers address connections by a **generation-tagged id** (slab slot
 //! in the low 32 bits, a per-slot generation in the high 32). Slots are
 //! recycled, and the core learns of a close asynchronously — so a write
-//! command it queued for a dead connection can still be in flight when a
-//! new stream adopts the same slot. The generation check makes such
-//! commands die instead of reaching the unrelated new connection.
+//! command it queued for a dead connection can still be in flight, or
+//! held by the worker, when a new stream adopts the same slot. Held output
+//! remembers its generation ([`OutBatch`]): a close drops it, and the
+//! generation check at write time makes a late command die instead of
+//! reaching the unrelated new connection.
 
 use crate::admin::{spawn_admin, AdminHandle, AdminShared, AliveGuard, Tier, RING_LOG_CAP};
 use crate::conn::{Conn, ConnError};
@@ -59,7 +72,6 @@ use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::trace::dump_event_line;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
-use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -115,6 +127,13 @@ impl Default for ServerConfig {
 /// Most sub-messages one compound frame may carry on the write path.
 const COMPOUND_MAX: usize = 32;
 
+/// Editor messages the core drains per batch (it stops at the first
+/// hand-off that reaches the cap), and the read-first bound: a worker
+/// whose reads keep arriving holds its output only until this many
+/// messages went to the core since it last wrote or held nothing. One
+/// constant, so held output waits for at most about one core batch.
+const CORE_BATCH: usize = 512;
+
 /// Notifier flight-recorder ring capacity when `trace_rings` is on. Sized
 /// for a full 512-message core batch at burst-level transform fan-out; the
 /// per-batch drain empties it between batches, so this bounds single-batch
@@ -135,8 +154,14 @@ pub(crate) struct IoStats {
     pub(crate) closed: AtomicU64,
     /// Connections the core shed for protocol violations or backpressure.
     pub(crate) evicted: AtomicU64,
-    /// Messages queued toward the core and not yet drained by it.
+    /// Editor messages (and closes) handed to the core and not yet
+    /// drained by it.
     pub(crate) core_queue: AtomicU64,
+    /// Worker→core hand-offs: one mpsc send per poll pass that read or
+    /// closed something (a second only when its write round closed one).
+    pub(crate) core_handoffs: AtomicU64,
+    /// Worker write rounds: drains of held output that queued a frame.
+    pub(crate) write_rounds: AtomicU64,
     /// Abnormal I/O-tier thread exits (a wedged accept loop or a worker
     /// whose poller died). Nonzero means the server is silently degraded.
     pub(crate) io_errors: AtomicU64,
@@ -178,8 +203,14 @@ pub struct ServerReport {
     pub active_connections: u64,
     /// Connections the core shed (protocol violations, backpressure).
     pub evicted: u64,
-    /// Per-worker peak queued write commands (outbox depth high-water).
+    /// Per-worker peak write commands queued in the outbox or held by the
+    /// worker unwritten (outbox depth high-water).
     pub outbox_high_water: Vec<u64>,
+    /// Worker→core hand-offs (mpsc sends), one per poll pass that read or
+    /// closed something.
+    pub core_handoffs: u64,
+    /// Worker write rounds: drains of held output that queued a frame.
+    pub write_rounds: u64,
     /// Rebinds shed because the broadcasts they asked for were already
     /// collected from the history buffer (a hello claiming a frontier
     /// below the site's own earlier ack).
@@ -219,19 +250,158 @@ enum OutCmd {
     Close { conn: u64 },
 }
 
-/// What workers tell the core. `conn` is a generation-tagged id
+/// One item of a worker's hand-off. Ids are generation-tagged
 /// ([`conn_id`]).
+enum Inbound {
+    /// A decoded message, in its connection's stream order.
+    Msg(u64, EditorMsg),
+    /// The connection is gone (peer close, error, or eviction done).
+    Closed(u64),
+}
+
+/// What workers tell the core.
 enum CoreMsg {
-    /// Decoded messages from one connection, in stream order.
-    Frames {
-        worker: usize,
-        conn: u64,
-        msgs: Vec<EditorMsg>,
-    },
-    /// A connection is gone (peer close, error, or eviction done).
-    Disconnected { worker: usize, conn: u64 },
+    /// Everything one worker poll pass read or closed, in pass order.
+    Pass { worker: usize, items: Vec<Inbound> },
     /// Stop and produce the report.
     Shutdown,
+}
+
+impl CoreMsg {
+    /// Editor messages and closes carried: what the core's drain cap
+    /// counts.
+    fn len(&self) -> usize {
+        match self {
+            CoreMsg::Pass { items, .. } => items.len(),
+            CoreMsg::Shutdown => 0,
+        }
+    }
+}
+
+/// A worker's held output, grouped per connection: bookkeeping only, no
+/// sockets. Output waits here while the worker's reads keep arriving, so
+/// a slot can close — and its generation move on — with output for it
+/// still held, and a command the core queued before it learned of the
+/// close can arrive after. Each slot's buffer therefore remembers the
+/// generation it holds for: [`OutBatch::forget`] drops it at close, a
+/// push for a newer generation supersedes it, and [`OutBatch::drain`]
+/// checks it against the live generation at write time. Buffers are
+/// slot-indexed and keep their capacity across drains.
+#[derive(Default)]
+struct OutBatch {
+    slots: Vec<Held>,
+    /// Slots with held payloads, in first-seen order.
+    order: Vec<usize>,
+    /// Close commands (generation-tagged ids), in arrival order.
+    closes: Vec<u64>,
+    /// Commands held: payloads plus closes.
+    len: usize,
+}
+
+#[derive(Default)]
+struct Held {
+    gen: u32,
+    payloads: Vec<Payload>,
+}
+
+/// One step of [`OutBatch::drain`].
+enum Flush<'a> {
+    /// Every payload held for a live connection, in push order.
+    Frames(usize, &'a [Payload]),
+    /// Close a live connection; closes come after every connection's
+    /// frames.
+    Close(usize),
+}
+
+impl OutBatch {
+    fn push(&mut self, cmd: OutCmd) {
+        let (conn, payload) = match cmd {
+            OutCmd::Frame { conn, payload } => (conn, payload),
+            OutCmd::Close { conn } => {
+                self.closes.push(conn);
+                self.len += 1;
+                return;
+            }
+        };
+        let (slot, gen) = conn_parts(conn);
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, Held::default);
+        }
+        let held = &mut self.slots[slot];
+        if held.payloads.is_empty() {
+            held.gen = gen;
+            self.order.push(slot);
+        } else if held.gen != gen {
+            // The slot's next incarnation: the core heard of the close
+            // before it could address the successor, so what is held is
+            // for the closed one and can never be written.
+            self.len -= held.payloads.len();
+            held.payloads.clear();
+            held.gen = gen;
+        }
+        held.payloads.push(payload);
+        self.len += 1;
+    }
+
+    /// The worker closed `slot`: nothing held for it may be written.
+    fn forget(&mut self, slot: usize) {
+        if let Some(held) = self.slots.get_mut(slot).filter(|h| !h.payloads.is_empty()) {
+            self.len -= held.payloads.len();
+            held.payloads.clear();
+            self.order.retain(|&s| s != slot);
+        }
+    }
+
+    /// Hand out everything held — each live connection's payloads in
+    /// first-seen order, then each live close — and empty the batch.
+    /// Output whose generation is not `gens[slot]` belongs to a closed
+    /// incarnation and is dropped.
+    fn drain(&mut self, gens: &[u32], mut each: impl FnMut(Flush<'_>)) {
+        let live = |slot: usize, gen: u32| gens.get(slot) == Some(&gen);
+        for slot in self.order.drain(..) {
+            let held = &mut self.slots[slot];
+            if live(slot, held.gen) {
+                each(Flush::Frames(slot, &held.payloads));
+            }
+            held.payloads.clear();
+        }
+        for id in self.closes.drain(..) {
+            let (slot, gen) = conn_parts(id);
+            if live(slot, gen) {
+                each(Flush::Close(slot));
+            }
+        }
+        self.len = 0;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Frame one connection's payloads in groups of up to [`COMPOUND_MAX`]: a
+/// lone payload as a plain frame, a larger group as one compound frame —
+/// one header and checksum over the whole group, §14's freight saving
+/// applied at the socket boundary. `frame` gets each frame's chunks and
+/// its message count.
+fn frame_groups<E>(
+    payloads: &[Payload],
+    mut frame: impl FnMut(&[&[u8]], usize) -> Result<(), E>,
+) -> Result<(), E> {
+    for group in payloads.chunks(COMPOUND_MAX) {
+        if let [p] = group {
+            frame(&p.chunks(), 1)?;
+        } else {
+            let header = compound_header(group.len());
+            let mut chunks: Vec<&[u8]> = Vec::with_capacity(1 + group.len() * 2);
+            chunks.push(&header);
+            for p in group {
+                chunks.extend(p.chunks());
+            }
+            frame(&chunks, group.len())?;
+        }
+    }
+    Ok(())
 }
 
 /// Per-worker mailboxes shared between threads.
@@ -239,11 +409,12 @@ struct WorkerShared {
     waker: Waker,
     /// Freshly accepted streams awaiting registration.
     inbox: Mutex<Vec<TcpStream>>,
-    /// Write-side commands from the core.
-    outbox: Mutex<VecDeque<OutCmd>>,
+    /// Write-side commands from the core, appended once per core batch.
+    outbox: Mutex<Vec<OutCmd>>,
     /// Connections this worker currently owns.
     active_conns: AtomicU64,
-    /// Commands sitting in `outbox` right now / at peak.
+    /// Commands in `outbox` or held by the worker unwritten, right now /
+    /// at peak.
     outbox_depth: AtomicU64,
     outbox_high_water: AtomicU64,
     /// Peak unsent bytes observed on any one connection after a flush.
@@ -255,7 +426,7 @@ impl WorkerShared {
         Ok(WorkerShared {
             waker: Waker::new()?,
             inbox: Mutex::new(Vec::new()),
-            outbox: Mutex::new(VecDeque::new()),
+            outbox: Mutex::new(Vec::new()),
             active_conns: AtomicU64::new(0),
             outbox_depth: AtomicU64::new(0),
             outbox_high_water: AtomicU64::new(0),
@@ -507,215 +678,255 @@ fn worker_inner(
 ) -> io::Result<()> {
     let poller = Poller::new()?;
     poller.register(shared.waker.fd(), 0, Interest::READ)?;
-    // Slab of connections; epoll token = slot + 1 (token 0 is the waker).
-    // `gens[slot]` is the slot's current generation — together they form
-    // the connection id the core addresses ([`conn_id`]).
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut gens: Vec<u32> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut events: Vec<PollEvent> = Vec::new();
-
-    let close_slot = |poller: &Poller,
-                      conns: &mut Vec<Option<Conn>>,
-                      gens: &mut [u32],
-                      free: &mut Vec<usize>,
-                      slot: usize| {
-        if let Some(conn) = conns.get_mut(slot).and_then(Option::take) {
-            let _ = poller.deregister(conn.fd());
-            stats.core_queue.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(CoreMsg::Disconnected {
-                worker: wi,
-                conn: conn_id(slot, gens[slot]),
-            });
-            shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-            // Retire the identity *before* the slot becomes reusable:
-            // commands the core already queued for this connection now
-            // fail the generation check instead of reaching the slot's
-            // next occupant.
-            gens[slot] = gens[slot].wrapping_add(1);
-            free.push(slot);
-            stats.closed.fetch_add(1, Ordering::Relaxed);
-        }
+    let mut w = Worker {
+        wi,
+        shared,
+        stats,
+        tx,
+        poller,
+        conns: Vec::new(),
+        gens: Vec::new(),
+        free: Vec::new(),
+        handoff: Vec::new(),
+        out: OutBatch::default(),
     };
-
+    let mut events: Vec<PollEvent> = Vec::new();
+    let mut cmds: Vec<OutCmd> = Vec::new();
+    // Commands of `w.out` already counted in `outbox_depth`.
+    let mut counted = 0usize;
+    // Items handed to the core since output was last written or empty.
+    let mut handed = 0usize;
+    let mut hold = false;
     while !stop.load(Ordering::SeqCst) {
         events.clear();
-        poller.wait(&mut events, 500)?;
-
+        // Read first: while the last pass read input, held output waits
+        // and this poll does not block.
+        w.poller.wait(&mut events, if hold { 0 } else { 500 })?;
+        let mut read_input = false;
         for ev in &events {
             if ev.token == 0 {
                 shared.waker.drain();
-                continue;
+            } else {
+                read_input |= w.on_event(ev);
             }
-            let slot = (ev.token - 1) as usize;
-            let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
-                continue;
-            };
-            let mut dead = false;
-            if ev.readable || ev.hangup {
-                let mut payloads = Vec::new();
-                let res = conn.on_readable(&mut payloads);
-                if !payloads.is_empty() {
-                    stats
-                        .frames_in
-                        .fetch_add(payloads.len() as u64, Ordering::Relaxed);
-                    let mut msgs = Vec::with_capacity(payloads.len());
-                    match payloads
-                        .iter()
-                        .try_for_each(|p| decode_payload([p, &[]], &mut msgs))
-                    {
-                        Ok(()) => {
-                            stats
-                                .msgs_in
-                                .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                            stats.core_queue.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(CoreMsg::Frames {
-                                worker: wi,
-                                conn: conn_id(slot, gens[slot]),
-                                msgs,
-                            });
-                        }
-                        Err(_) => {
-                            stats.frame_errors.fetch_add(1, Ordering::Relaxed);
-                            dead = true;
-                        }
+        }
+        w.adopt();
+        handed += w.hand_off();
+
+        // The core's commands move from the outbox into `w.out`; they stay
+        // counted in `outbox_depth` until written or dropped.
+        std::mem::swap(&mut *lock(&shared.outbox), &mut cmds);
+        counted += cmds.len();
+        for cmd in cmds.drain(..) {
+            w.out.push(cmd);
+        }
+        hold = read_input && handed < CORE_BATCH && !w.out.is_empty();
+        if !hold {
+            w.write_round();
+            handed = 0;
+            // A failed write or an eviction closed connections the core
+            // must hear of.
+            w.hand_off();
+        }
+        // Written or dropped commands leave the depth gauge.
+        let gone = (counted - w.out.len) as u64;
+        shared.outbox_depth.fetch_sub(gone, Ordering::Relaxed);
+        counted = w.out.len;
+    }
+    Ok(())
+}
+
+/// One shard worker's state: its connections, what its current poll pass
+/// hands the core, and the output it holds.
+struct Worker<'a> {
+    wi: usize,
+    shared: &'a WorkerShared,
+    stats: &'a IoStats,
+    tx: &'a mpsc::Sender<CoreMsg>,
+    poller: Poller,
+    /// Slab of connections; epoll token = slot + 1 (token 0 is the waker).
+    /// `gens[slot]` is the slot's current generation — together they form
+    /// the connection id the core addresses ([`conn_id`]).
+    conns: Vec<Option<Conn>>,
+    gens: Vec<u32>,
+    free: Vec<usize>,
+    /// This pass's messages and closes, sent to the core as one message.
+    handoff: Vec<Inbound>,
+    /// Output the core handed over that is not written yet.
+    out: OutBatch,
+}
+
+impl Worker<'_> {
+    /// Serve one readiness event on a connection; returns whether it read
+    /// a frame. Decoded messages join this pass's hand-off; a dead
+    /// connection is closed.
+    fn on_event(&mut self, ev: &PollEvent) -> bool {
+        let slot = (ev.token - 1) as usize;
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return false;
+        };
+        let stats = self.stats;
+        let mut read = false;
+        let mut dead = false;
+        if ev.readable || ev.hangup {
+            let mut payloads = Vec::new();
+            let res = conn.on_readable(&mut payloads);
+            if !payloads.is_empty() {
+                read = true;
+                stats
+                    .frames_in
+                    .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+                let mut msgs = Vec::with_capacity(payloads.len());
+                match payloads
+                    .iter()
+                    .try_for_each(|p| decode_payload([p, &[]], &mut msgs))
+                {
+                    Ok(()) => {
+                        stats
+                            .msgs_in
+                            .fetch_add(msgs.len() as u64, Ordering::Relaxed);
+                        let id = conn_id(slot, self.gens[slot]);
+                        self.handoff
+                            .extend(msgs.into_iter().map(|m| Inbound::Msg(id, m)));
                     }
-                }
-                match res {
-                    Ok(()) => {}
-                    Err(ConnError::Frame(_)) => {
+                    Err(_) => {
                         stats.frame_errors.fetch_add(1, Ordering::Relaxed);
                         dead = true;
                     }
-                    Err(_) => dead = true,
                 }
             }
-            if !dead && ev.writable {
-                dead = conn.flush().is_err()
-                    || (!conn.wants_write()
-                        && poller.modify(conn.fd(), ev.token, Interest::READ).is_err());
-            }
-            if dead || (ev.hangup && !ev.readable) {
-                close_slot(&poller, &mut conns, &mut gens, &mut free, slot);
+            match res {
+                Ok(()) => {}
+                Err(ConnError::Frame(_)) => {
+                    stats.frame_errors.fetch_add(1, Ordering::Relaxed);
+                    dead = true;
+                }
+                Err(_) => dead = true,
             }
         }
+        if !dead && ev.writable {
+            dead = conn.flush().is_err()
+                || (!conn.wants_write()
+                    && self
+                        .poller
+                        .modify(conn.fd(), ev.token, Interest::READ)
+                        .is_err());
+        }
+        if dead || (ev.hangup && !ev.readable) {
+            self.close(slot);
+        }
+        read
+    }
 
-        // Adopt freshly accepted connections.
-        let fresh: Vec<TcpStream> = std::mem::take(&mut *lock(&shared.inbox));
+    /// Adopt freshly accepted connections.
+    fn adopt(&mut self) {
+        let fresh: Vec<TcpStream> = std::mem::take(&mut *lock(&self.shared.inbox));
         for stream in fresh {
             let Ok(conn) = Conn::new(stream) else {
                 continue;
             };
-            let slot = free.pop().unwrap_or_else(|| {
-                conns.push(None);
-                gens.push(0);
-                conns.len() - 1
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.conns.push(None);
+                self.gens.push(0);
+                self.conns.len() - 1
             });
-            let token = slot as u64 + 1;
-            if poller.register(conn.fd(), token, Interest::READ).is_ok() {
-                conns[slot] = Some(conn);
-                shared.active_conns.fetch_add(1, Ordering::Relaxed);
+            if self
+                .poller
+                .register(conn.fd(), slot as u64 + 1, Interest::READ)
+                .is_ok()
+            {
+                self.conns[slot] = Some(conn);
+                self.shared.active_conns.fetch_add(1, Ordering::Relaxed);
             } else {
-                free.push(slot);
+                self.free.push(slot);
             }
-        }
-
-        // Drain the core's write commands, coalescing per connection.
-        let cmds: VecDeque<OutCmd> = std::mem::take(&mut *lock(&shared.outbox));
-        shared.outbox_depth.store(0, Ordering::Relaxed);
-        if cmds.is_empty() {
-            continue;
-        }
-        let mut batches: HashMap<u64, Vec<Payload>> = HashMap::new();
-        let mut order: Vec<u64> = Vec::new();
-        let mut closes: Vec<u64> = Vec::new();
-        for cmd in cmds {
-            match cmd {
-                OutCmd::Frame { conn, payload } => {
-                    batches.entry(conn).or_insert_with(|| {
-                        order.push(conn);
-                        Vec::new()
-                    });
-                    if let Some(b) = batches.get_mut(&conn) {
-                        b.push(payload);
-                    }
-                }
-                OutCmd::Close { conn } => closes.push(conn),
-            }
-        }
-        for id in order {
-            let (slot, gen) = conn_parts(id);
-            // A stale generation means the addressed connection closed
-            // after the core queued this; the slot may already hold an
-            // unrelated stream, so the batch must be dropped, not
-            // delivered.
-            if gens.get(slot).copied() != Some(gen) {
-                continue;
-            }
-            let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
-                continue;
-            };
-            let Some(batch) = batches.remove(&id) else {
-                continue;
-            };
-            let mut failed = false;
-            for group in batch.chunks(COMPOUND_MAX) {
-                let res = if group.len() == 1 {
-                    let [head, body] = group[0].chunks();
-                    conn.queue_frame(&[head, body])
-                } else {
-                    // Compound coalescing: one frame header + checksum
-                    // over the whole group — the PR 6 freight saving,
-                    // applied at the socket boundary.
-                    let header = compound_header(group.len());
-                    let mut chunks: Vec<&[u8]> = Vec::with_capacity(1 + group.len() * 2);
-                    chunks.push(&header);
-                    for p in group {
-                        let [head, body] = p.chunks();
-                        chunks.push(head);
-                        chunks.push(body);
-                    }
-                    stats.compound_frames_out.fetch_add(1, Ordering::Relaxed);
-                    conn.queue_frame(&chunks)
-                };
-                stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .msgs_out
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
-                if res.is_err() {
-                    failed = true;
-                    break;
-                }
-            }
-            if !failed && conn.flush().is_err() {
-                failed = true;
-            }
-            if failed {
-                close_slot(&poller, &mut conns, &mut gens, &mut free, slot);
-                continue;
-            }
-            shared
-                .pending_out_high_water
-                .fetch_max(conn.pending_out() as u64, Ordering::Relaxed);
-            if conn.wants_write() {
-                let _ = poller.modify(conn.fd(), slot as u64 + 1, Interest::READ_WRITE);
-            }
-        }
-        for id in closes {
-            let (slot, gen) = conn_parts(id);
-            // Same staleness rule: never close a successor connection on
-            // behalf of its slot's previous occupant.
-            if gens.get(slot).copied() != Some(gen) {
-                continue;
-            }
-            // Best-effort final flush so eviction notices drain.
-            if let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) {
-                let _ = conn.flush();
-            }
-            close_slot(&poller, &mut conns, &mut gens, &mut free, slot);
         }
     }
-    Ok(())
+
+    /// Send this pass's messages and closes to the core as one
+    /// [`CoreMsg`]; returns how many items went.
+    fn hand_off(&mut self) -> usize {
+        let n = self.handoff.len();
+        if n > 0 {
+            self.stats.core_queue.fetch_add(n as u64, Ordering::Relaxed);
+            self.stats.core_handoffs.fetch_add(1, Ordering::Relaxed);
+            let items = std::mem::take(&mut self.handoff);
+            let _ = self.tx.send(CoreMsg::Pass {
+                worker: self.wi,
+                items,
+            });
+        }
+        n
+    }
+
+    /// Write everything held: each connection's frames, flushed once,
+    /// then the closes.
+    fn write_round(&mut self) {
+        let mut wrote = false;
+        let mut doomed = Vec::new();
+        let stats = self.stats;
+        self.out.drain(&self.gens, |flush| match flush {
+            Flush::Frames(slot, payloads) => {
+                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                    return;
+                };
+                wrote = true;
+                let res = frame_groups(payloads, |chunks, msgs| {
+                    stats.frames_out.fetch_add(1, Ordering::Relaxed);
+                    stats.msgs_out.fetch_add(msgs as u64, Ordering::Relaxed);
+                    if msgs > 1 {
+                        stats.compound_frames_out.fetch_add(1, Ordering::Relaxed);
+                    }
+                    conn.queue_frame(chunks)
+                })
+                .and_then(|()| conn.flush());
+                if res.is_err() {
+                    doomed.push(slot);
+                    return;
+                }
+                self.shared
+                    .pending_out_high_water
+                    .fetch_max(conn.pending_out() as u64, Ordering::Relaxed);
+                if conn.wants_write() {
+                    let _ = self
+                        .poller
+                        .modify(conn.fd(), slot as u64 + 1, Interest::READ_WRITE);
+                }
+            }
+            Flush::Close(slot) => {
+                // Best-effort final flush so eviction notices drain.
+                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+                    let _ = conn.flush();
+                }
+                doomed.push(slot);
+            }
+        });
+        if wrote {
+            stats.write_rounds.fetch_add(1, Ordering::Relaxed);
+        }
+        for slot in doomed {
+            self.close(slot);
+        }
+    }
+
+    /// Close `slot`'s connection: the core hears of it in this pass's
+    /// hand-off, and output held for it is dropped.
+    fn close(&mut self, slot: usize) {
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) {
+            let _ = self.poller.deregister(conn.fd());
+            self.handoff
+                .push(Inbound::Closed(conn_id(slot, self.gens[slot])));
+            self.out.forget(slot);
+            self.shared.active_conns.fetch_sub(1, Ordering::Relaxed);
+            // Retire the identity *before* the slot becomes reusable:
+            // commands the core already queued for this connection now
+            // fail the generation check instead of reaching the slot's
+            // next occupant.
+            self.gens[slot] = self.gens[slot].wrapping_add(1);
+            self.free.push(slot);
+            self.stats.closed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A connection as the core addresses it: `(worker, generation-tagged
@@ -735,8 +946,9 @@ struct Core<'a> {
     hub: Hub<ConnKey>,
     /// The hub's sends for the message in hand (a reused buffer).
     sends: Vec<(ConnKey, Payload)>,
-    /// Workers touched in the current drain (woken once at the end).
-    touched: Vec<bool>,
+    /// Each worker's commands from the batch in hand, published with one
+    /// outbox lock and one wake per worker at the batch's end.
+    outgoing: Vec<Vec<OutCmd>>,
     dropped_broadcasts: u64,
     integration_log: Vec<ClientOpMsg>,
     stats: &'a IoStats,
@@ -760,18 +972,6 @@ struct Core<'a> {
 }
 
 impl<'a> Core<'a> {
-    fn push(&mut self, worker: usize, cmd: OutCmd) {
-        let w = &self.workers[worker];
-        let depth = {
-            let mut q = lock(&w.outbox);
-            q.push_back(cmd);
-            q.len() as u64
-        };
-        w.outbox_depth.store(depth, Ordering::Relaxed);
-        w.outbox_high_water.fetch_max(depth, Ordering::Relaxed);
-        self.touched[worker] = true;
-    }
-
     /// Handle one decoded message from a connection: the hub steps, its
     /// sends become write commands, and a refused hello or input, a
     /// trimmed rebind, or an evicted site sheds the connection.
@@ -807,21 +1007,32 @@ impl<'a> Core<'a> {
                 }
                 self.hub.unbind(key);
                 self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-                self.push(key.0, OutCmd::Close { conn: key.1 });
+                self.outgoing[key.0].push(OutCmd::Close { conn: key.1 });
             }
         }
         for ((worker, conn), payload) in sends.drain(..) {
-            self.push(worker, OutCmd::Frame { conn, payload });
+            self.outgoing[worker].push(OutCmd::Frame { conn, payload });
         }
         self.sends = sends;
     }
 
-    fn wake_touched(&mut self) {
-        for (wi, touched) in self.touched.iter_mut().enumerate() {
-            if *touched {
-                self.workers[wi].waker.wake();
-                *touched = false;
+    /// Publish the batch's commands: per worker, one outbox append under
+    /// one lock, then one wake.
+    fn hand_off(&mut self) {
+        for (w, cmds) in self.workers.iter().zip(&mut self.outgoing) {
+            if cmds.is_empty() {
+                continue;
             }
+            let n = cmds.len() as u64;
+            let depth = {
+                let mut q = lock(&w.outbox);
+                q.append(cmds);
+                // Counted under the lock: the worker subtracts these only
+                // after it has taken them, which needs the lock too.
+                w.outbox_depth.fetch_add(n, Ordering::Relaxed) + n
+            };
+            w.outbox_high_water.fetch_max(depth, Ordering::Relaxed);
+            w.waker.wake();
         }
     }
 
@@ -931,6 +1142,8 @@ impl<'a> Core<'a> {
         live.set_counter("net.closed", s.closed.load(Ordering::Relaxed));
         live.set_counter("net.evicted", s.evicted.load(Ordering::Relaxed));
         live.set_counter("net.io_errors", s.io_errors.load(Ordering::Relaxed));
+        live.set_counter("net.core_handoffs", s.core_handoffs.load(Ordering::Relaxed));
+        live.set_counter("net.write_rounds", s.write_rounds.load(Ordering::Relaxed));
         live.set_gauge(
             "core.queue_depth",
             s.core_queue.load(Ordering::Relaxed) as f64,
@@ -992,7 +1205,7 @@ fn core_loop(
         workers,
         hub: Hub::new(NotifierCore::new(notifier, wal, None)),
         sends: Vec::new(),
-        touched: vec![false; workers.len()],
+        outgoing: workers.iter().map(|_| Vec::new()).collect(),
         dropped_broadcasts: 0,
         integration_log: Vec::new(),
         stats,
@@ -1010,6 +1223,7 @@ fn core_loop(
     // block carries a deadline so the publish cadence holds even while
     // the editor port is idle.
     let mut next_publish = Instant::now() + PUBLISH_INTERVAL;
+    let mut batch: Vec<CoreMsg> = Vec::new();
     'outer: loop {
         let first = if has_admin {
             match rx.recv_timeout(next_publish.saturating_duration_since(Instant::now())) {
@@ -1026,51 +1240,56 @@ fn core_loop(
         if let Some(first) = first {
             core.now_us = started.elapsed().as_micros() as u64;
             core.hub.core_mut().set_now(core.now_us);
-            let mut batch = vec![first];
-            while batch.len() < 512 {
-                match rx.try_recv() {
-                    Ok(m) => batch.push(m),
-                    Err(_) => break,
-                }
+            let mut queued = first.len();
+            batch.push(first);
+            while queued < CORE_BATCH {
+                let Ok(m) = rx.try_recv() else {
+                    break;
+                };
+                queued += m.len();
+                batch.push(m);
             }
             let mut since_drain = 0usize;
-            for m in batch {
-                match m {
-                    CoreMsg::Frames { worker, conn, msgs } => {
-                        stats.core_queue.fetch_sub(1, Ordering::Relaxed);
-                        for msg in msgs {
-                            core.on_msg((worker, conn), msg);
-                            // Mid-batch ring drain: transform recording
-                            // is O(|HB|) per op, and one socket read can
-                            // decode thousands of ops into a single
-                            // Frames message, so the drain counts editor
-                            // messages, not batch items — every 32 ops
-                            // bounds recorder-ring growth far below its
-                            // capacity. A no-op unless tracing is on.
-                            since_drain += 1;
-                            if since_drain >= 32 {
-                                since_drain = 0;
-                                if let Some(admin) = core.admin.clone() {
-                                    core.publish_rings(&admin, false);
-                                }
-                            }
-                        }
-                    }
-                    CoreMsg::Disconnected { worker, conn } => {
-                        stats.core_queue.fetch_sub(1, Ordering::Relaxed);
-                        core.hub.unbind((worker, conn));
-                    }
+            for m in batch.drain(..) {
+                let (worker, items) = match m {
+                    CoreMsg::Pass { worker, items } => (worker, items),
                     CoreMsg::Shutdown => {
                         // The final publish eof-marks the ring log so an
                         // attached tailer knows the stream is complete.
                         core.now_us = started.elapsed().as_micros() as u64;
                         core.publish(true);
-                        core.wake_touched();
+                        core.hand_off();
                         break 'outer;
+                    }
+                };
+                stats
+                    .core_queue
+                    .fetch_sub(items.len() as u64, Ordering::Relaxed);
+                for item in items {
+                    let (conn, msg) = match item {
+                        Inbound::Msg(conn, msg) => (conn, msg),
+                        Inbound::Closed(conn) => {
+                            core.hub.unbind((worker, conn));
+                            continue;
+                        }
+                    };
+                    core.on_msg((worker, conn), msg);
+                    // Mid-batch ring drain: transform recording is
+                    // O(|HB|) per op, and one socket read can decode
+                    // thousands of ops into a single hand-off, so the
+                    // drain counts editor messages, not batch items —
+                    // every 32 ops bounds recorder-ring growth far below
+                    // its capacity. A no-op unless tracing is on.
+                    since_drain += 1;
+                    if since_drain >= 32 {
+                        since_drain = 0;
+                        if let Some(admin) = core.admin.clone() {
+                            core.publish_rings(&admin, false);
+                        }
                     }
                 }
             }
-            core.wake_touched();
+            core.hand_off();
             // Ring drain is per-batch, not per-cadence: a concurrency
             // burst can outrun the recorder ring inside one publish
             // interval, and lines lost to overwrite are lost for good.
@@ -1115,11 +1334,136 @@ fn core_loop(
             .iter()
             .map(|w| w.outbox_high_water.load(Ordering::Relaxed))
             .collect(),
+        core_handoffs: stats.core_handoffs.load(Ordering::Relaxed),
+        write_rounds: stats.write_rounds.load(Ordering::Relaxed),
         dropped_broadcasts: core.dropped_broadcasts,
         wal_appends: wal.map_or(0, Wal::appends),
         wal_amplification: wal.map_or(0.0, Wal::amplification),
         wal_bytes: wal.map_or_else(Vec::new, |w| w.bytes().to_vec()),
         hb_high_water: m.hb_high_water,
         integration_log: core.integration_log,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cvc_reduce::msg::ClientAckMsg;
+
+    /// A distinguishable payload: an ack whose frontier is `n`.
+    fn payload(n: u64) -> Payload {
+        Payload::encode(&EditorMsg::ClientAck(ClientAckMsg {
+            origin: SiteId(1),
+            received: n,
+        }))
+    }
+
+    fn frame(slot: usize, gen: u32, n: u64) -> OutCmd {
+        OutCmd::Frame {
+            conn: conn_id(slot, gen),
+            payload: payload(n),
+        }
+    }
+
+    /// The frontiers of decoded [`payload`]s, in order.
+    fn frontiers(msgs: &[EditorMsg]) -> Vec<u64> {
+        msgs.iter()
+            .map(|m| match m {
+                EditorMsg::ClientAck(a) => a.received,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Drain `out` against `gens`: each connection's payloads by
+    /// frontier, `None` for a close.
+    fn drained(out: &mut OutBatch, gens: &[u32]) -> Vec<(usize, Option<Vec<u64>>)> {
+        let mut got = Vec::new();
+        out.drain(gens, |flush| {
+            got.push(match flush {
+                Flush::Frames(slot, payloads) => {
+                    let mut msgs = Vec::new();
+                    for p in payloads {
+                        assert!(decode_payload(p.chunks(), &mut msgs).is_ok());
+                    }
+                    (slot, Some(frontiers(&msgs)))
+                }
+                Flush::Close(slot) => (slot, None),
+            });
+        });
+        assert!(out.is_empty(), "a drain empties the batch");
+        got
+    }
+
+    #[test]
+    fn held_output_never_reaches_the_slots_next_incarnation() {
+        let mut out = OutBatch::default();
+        out.push(frame(3, 7, 1));
+        // The worker closes slot 3 (generation 7 → 8) while holding; a
+        // command the core queued before it heard of the close arrives
+        // late, then the slot's next occupant gets its own output.
+        out.forget(3);
+        out.push(frame(3, 7, 2));
+        out.push(frame(3, 8, 3));
+        out.push(OutCmd::Close {
+            conn: conn_id(3, 7),
+        });
+        assert_eq!(drained(&mut out, &[0, 0, 0, 8]), vec![(3, Some(vec![3]))]);
+    }
+
+    #[test]
+    fn a_close_drops_the_held_output() {
+        let mut out = OutBatch::default();
+        out.push(frame(1, 0, 10));
+        out.push(frame(2, 0, 20));
+        out.push(frame(1, 0, 11));
+        out.forget(1);
+        assert!(!out.is_empty());
+        assert_eq!(drained(&mut out, &[0, 0, 0]), vec![(2, Some(vec![20]))]);
+        out.forget(2);
+        assert!(out.is_empty() && drained(&mut out, &[0, 0, 0]).is_empty());
+    }
+
+    #[test]
+    fn drain_keeps_first_seen_order_with_closes_last() {
+        let mut out = OutBatch::default();
+        out.push(OutCmd::Close {
+            conn: conn_id(0, 0),
+        });
+        out.push(frame(4, 0, 1));
+        out.push(frame(2, 0, 2));
+        out.push(frame(4, 0, 3));
+        out.push(frame(2, 0, 4));
+        let gens = [0; 5];
+        let want = vec![(4, Some(vec![1, 3])), (2, Some(vec![2, 4])), (0, None)];
+        assert_eq!(drained(&mut out, &gens), want);
+        // The buffers are reused: a second round sees only its own output.
+        out.push(frame(2, 0, 5));
+        assert_eq!(drained(&mut out, &gens), vec![(2, Some(vec![5]))]);
+    }
+
+    #[test]
+    fn frames_are_compound_groups_of_at_most_compound_max() {
+        let mut out = OutBatch::default();
+        let n = 2 * COMPOUND_MAX as u64 + 6;
+        for i in 0..n {
+            out.push(frame(0, 0, i));
+        }
+        let (mut sizes, mut msgs) = (Vec::new(), Vec::new());
+        out.drain(&[0], |flush| {
+            let Flush::Frames(0, payloads) = flush else {
+                panic!("one connection's frames");
+            };
+            let res: Result<(), ()> = frame_groups(payloads, |chunks, count| {
+                let before = msgs.len();
+                assert!(decode_payload([&chunks.concat(), &[]], &mut msgs).is_ok());
+                assert_eq!(msgs.len() - before, count, "a frame carries its count");
+                sizes.push(count);
+                Ok(())
+            });
+            assert!(res.is_ok());
+        });
+        assert_eq!(sizes, vec![COMPOUND_MAX, COMPOUND_MAX, 6]);
+        assert_eq!(frontiers(&msgs), (0..n).collect::<Vec<_>>());
     }
 }

@@ -4,13 +4,15 @@
 //! log, and a forged origin that must cost the sender, not the site it
 //! names), reconnect rebinding (a rebind is a replay from the history
 //! buffer; one below a collected prefix is shed), connection churn over
-//! recycled slab slots, and a long session whose history buffer and log
-//! stay bounded.
+//! recycled slab slots, a long session whose history buffer and log
+//! stay bounded, a reader that never pauses and still cannot hold back a
+//! broadcast, and the hand-off counters read alike from `/metrics` and
+//! the report.
 
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_net::frame::{write_frame, FrameReader};
-use cvc_net::{replay_twin, run_load, EditorServer, LoadConfig, ServerConfig};
+use cvc_net::{replay_twin, run_load, AdminClient, EditorServer, LoadConfig, ServerConfig};
 use cvc_reduce::client::{Client, ACK_INTERVAL};
 use cvc_reduce::msg::{ClientAckMsg, EditorMsg, ServerOpMsg};
 use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
@@ -704,4 +706,163 @@ fn connection_churn_never_leaks_across_slot_reuse() {
     assert_eq!(report.protocol_errors, 0);
     assert_eq!(report.io_errors, 0);
     assert_eq!(report.doc_checksum, load.doc_checksum);
+}
+
+/// The worker reads before it writes, but only for a bounded while: a
+/// bound reader that sends valid acks at its frontier without pause keeps
+/// every one of its worker's passes reading, yet the other readers still
+/// get a broadcast within the deadline. Held output waits for at most
+/// one core batch of hand-offs, not for the sockets to go quiet.
+#[test]
+fn a_reader_that_never_pauses_cannot_hold_back_broadcasts() {
+    const DEADLINE: Duration = Duration::from_secs(2);
+    let n = 4;
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: n,
+        // One worker: the chatter shares its poll passes with everyone.
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let sites: Vec<SiteId> = (0..n).map(SiteId::from_client_index).collect();
+    let mut writer = TestPeer::bind(&addr, sites[0]);
+    let mut chatter = TestPeer::bind(&addr, sites[1]).stream;
+    let mut readers: Vec<TestPeer> = sites[2..]
+        .iter()
+        .map(|&s| TestPeer::bind(&addr, s))
+        .collect();
+    barrier(&addr);
+
+    // Stops the chatter however the test ends.
+    struct StopOnDrop(Arc<AtomicBool>);
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = StopOnDrop(Arc::new(AtomicBool::new(false)));
+    let chatter = {
+        let stop = Arc::clone(&stop.0);
+        let mut burst = Vec::new();
+        let ack = EditorMsg::ClientAck(ClientAckMsg {
+            origin: sites[1],
+            received: 0,
+        });
+        let mut body = Vec::with_capacity(ack.wire_bytes());
+        ack.encode(&mut body);
+        for _ in 0..256 {
+            write_frame(&mut burst, &[&body]);
+        }
+        let (flooding, flood_on) = std::sync::mpsc::channel();
+        let chatter = std::thread::spawn(move || {
+            for sent in 0u64.. {
+                if stop.load(Ordering::Relaxed) || chatter.write_all(&burst).is_err() {
+                    break;
+                }
+                if sent == 16 {
+                    let _ = flooding.send(());
+                }
+            }
+        });
+        // The op below goes out only once the flood has taken hold.
+        flood_on.recv().expect("the chatter floods");
+        chatter
+    };
+
+    let started = std::time::Instant::now();
+    writer.send(&EditorMsg::ClientOp(
+        Client::new(sites[0], "").insert(0, "a"),
+    ));
+    for (reader, &site) in readers.iter_mut().zip(&sites[2..]) {
+        reader
+            .stream
+            .set_read_timeout(Some(DEADLINE))
+            .expect("set timeout");
+        let mut replica = Client::new(site, "");
+        apply_server_ops(reader, &mut replica, 1);
+        assert_eq!(replica.doc(), "a");
+    }
+    let waited = started.elapsed();
+    drop(stop);
+    chatter.join().expect("chatter joins");
+    assert!(waited < DEADLINE, "the broadcast took {waited:?}");
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 1);
+    assert_eq!(report.protocol_errors, 0, "every chatter ack is valid");
+    assert_eq!(report.io_errors, 0);
+}
+
+/// The hand-off counters are the same numbers on `/metrics` and in the
+/// report, and the core's queue gauge — which counts editor messages, not
+/// worker passes — reads empty once the barrier has gone through.
+#[test]
+fn hand_off_counters_agree_between_registry_and_report() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        admin_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let admin = AdminClient::new(
+        &server.admin_addr().expect("admin binds").to_string(),
+        Duration::from_secs(5),
+    );
+    let site1 = SiteId::from_client_index(0);
+    let site2 = SiteId::from_client_index(1);
+    let mut editor1 = Client::new(site1, "");
+    let mut replica2 = Client::new(site2, "");
+    let mut peer1 = TestPeer::bind(&addr, site1);
+    let mut peer2 = TestPeer::bind(&addr, site2);
+    for k in 0..3 {
+        peer1.send(&EditorMsg::ClientOp(editor1.insert(k, "x")));
+        apply_server_ops(&mut peer2, &mut replica2, 1);
+    }
+    barrier(&addr);
+
+    // The registry is published every 100 ms: wait for two snapshots that
+    // agree, taken after everything above reached the core.
+    let scrape = || {
+        let (code, text) = admin.get_text("/metrics").expect("scrape");
+        assert_eq!(code, 200);
+        let value = |name: &str| -> Option<f64> {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        };
+        Some((
+            value("cvc_admin_snapshot_seq")?,
+            [
+                value("cvc_net_core_handoffs")?,
+                value("cvc_net_write_rounds")?,
+                value("cvc_core_queue_depth")?,
+            ],
+        ))
+    };
+    let mut last = None;
+    let mut settled = None;
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = scrape();
+        if let (Some((seq, values)), Some((last_seq, last_values))) = (now, last) {
+            if seq > last_seq && values == last_values {
+                settled = Some(values);
+                break;
+            }
+        }
+        last = now;
+    }
+    let [handoffs, write_rounds, queue_depth] = settled.expect("the registry settles");
+    assert_eq!(
+        queue_depth, 0.0,
+        "the core drained every handed-over message"
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 3);
+    assert!(report.core_handoffs > 0 && report.write_rounds > 0);
+    assert_eq!(report.core_handoffs as f64, handoffs);
+    assert_eq!(report.write_rounds as f64, write_rounds);
 }
