@@ -996,12 +996,11 @@ impl<'a> Core<'a> {
                 }
                 self.integration_log.extend(captured);
             }
-            Step::Ack(_) | Step::Bound(_) => {}
             // Refused input, a trimmed rebind or an evicted site: the
             // connection speaks for nobody from here on. A trimmed rebind
             // (a stale backup's frontier) needs a snapshot this tier cannot
             // send yet, so it is also counted.
-            shed => {
+            shed if shed.sheds() => {
                 if let Step::Trimmed(_) = shed {
                     self.dropped_broadcasts += 1;
                 }
@@ -1009,6 +1008,7 @@ impl<'a> Core<'a> {
                 self.stats.evicted.fetch_add(1, Ordering::Relaxed);
                 self.outgoing[key.0].push(OutCmd::Close { conn: key.1 });
             }
+            _ => {}
         }
         for ((worker, conn), payload) in sends.drain(..) {
             self.outgoing[worker].push(OutCmd::Frame { conn, payload });

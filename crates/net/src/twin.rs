@@ -6,8 +6,9 @@
 //! frame decoded wrong, a broadcast dropped, an integration reordered.
 //! This module turns that observation into an oracle: given the ops the
 //! server accepted, **in its integration order**, rebuild the whole star
-//! offline — a twin notifier plus a twin `Client` per site, with the
-//! notifier→client streams modelled as FIFO queues — and check that
+//! offline — `cvc-reduce`'s `StarWorld`: the server's `Hub` over a twin
+//! notifier, a twin `Client` per site, and the payload bytes the hub
+//! encodes queued per channel and decoded on delivery — and check that
 //!
 //! 1. each twin client, once caught up to the causal context the real
 //!    client claimed (`T_O[1]` server ops received), generates an op with
@@ -22,6 +23,7 @@
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_reduce::client::Client;
+use cvc_reduce::core::NotifierCore;
 use cvc_reduce::msg::ClientOpMsg;
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::world::StarWorld;
@@ -106,7 +108,7 @@ pub struct TwinReport {
 /// Replay `log` (a server's accepted ops, in integration order) through a
 /// fresh offline star and certify convergence.
 pub fn replay_twin(n_clients: usize, log: &[ClientOpMsg]) -> Result<TwinReport, TwinError> {
-    let mut world = StarWorld::new(Notifier::new(n_clients, ""));
+    let mut world = StarWorld::new(NotifierCore::new(Notifier::new(n_clients, ""), None, None));
     for (index, m) in log.iter().enumerate() {
         let site = m.origin;
         let rejected = TwinError::Rejected { site, index };
@@ -149,11 +151,9 @@ pub fn replay_twin(n_clients: usize, log: &[ClientOpMsg]) -> Result<TwinReport, 
             site,
             index: log.len(),
         };
-        while world
-            .deliver_down(site)
-            .map_err(|_| rejected.clone())?
-            .is_some()
-        {}
+        while world.queued(site).1 > 0 {
+            world.deliver_down(site).map_err(|_| rejected.clone())?;
+        }
         if world.client(site).map(Client::doc_checksum) != Some(checksum) {
             return Err(TwinError::Diverged { site });
         }

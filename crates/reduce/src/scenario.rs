@@ -23,7 +23,8 @@
 
 use crate::client::{Client, ClientIntegration};
 use crate::core::NotifierCore;
-use crate::msg::{ClientOpMsg, ServerOpMsg};
+use crate::hub::Step;
+use crate::msg::ClientOpMsg;
 use crate::notifier::{Notifier, ScanMode};
 use crate::recorder::{FlightEvent, FlightRecorder};
 use crate::standby::Standby;
@@ -185,11 +186,8 @@ impl Fig3 {
         against: &[&'static str],
         head: &str,
     ) -> Vec<u64> {
-        let out = self
-            .w
-            .deliver_up(SiteId(from))
-            .expect("valid client op")
-            .expect("queued");
+        let out = self.w.deliver_up(SiteId(from)).expect("valid client op");
+        let out = out.expect("queued");
         for (k, &ob) in against.iter().enumerate() {
             self.verdicts.push(("site 0", op, ob, out.verdict(k)));
         }
@@ -223,11 +221,8 @@ impl Fig3 {
         against: &[&'static str],
         tail: Option<&str>,
     ) -> ClientIntegration {
-        let out = self
-            .w
-            .deliver_down(SiteId(to))
-            .expect("valid server op")
-            .expect("queued");
+        let out = self.w.deliver_down(SiteId(to)).expect("valid server op");
+        let out = out.expect("queued");
         assert_eq!(out.checked.len(), against.len(), "{prime} at site {to}");
         for (&ob, &verdict) in against.iter().zip(&out.checked) {
             self.verdicts.push((SITES[to as usize], prime, ob, verdict));
@@ -254,7 +249,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
     // Section 5 number and survive the oracle audit.
     notifier.set_flight_recorder(true);
     let mut t = Fig3 {
-        w: StarWorld::new(notifier),
+        w: StarWorld::new(NotifierCore::new(notifier, None, None)),
         narration: Vec::new(),
         verdicts: Vec::new(),
         prop_stamps: Vec::new(),
@@ -354,129 +349,115 @@ pub struct FailoverTranscript {
     pub converged: bool,
 }
 
-/// Drive the direct (transport-free) engine through a crash and
-/// promotion. The reliability layer's epoch fencing is exercised by the
+/// Step the transport-free star ([`StarWorld`]) over a durable core
+/// through a crash and promotion. The reliability layer's epoch fencing is exercised by the
 /// simulated sessions ([`crate::reliable`]); this walkthrough isolates
 /// the durability core those sessions rely on.
 pub fn failover_walkthrough() -> FailoverTranscript {
     let mut narration = Vec::new();
 
-    let mut primary = NotifierCore::new(
+    // The write-ahead ordering every integration follows, enforced by
+    // the durable core under the hub: validate, append to the log, let the
+    // standby tail the appended record, and only then hand back what to
+    // broadcast. A crash after any of these steps loses broadcasts —
+    // never logged history.
+    let mut w = StarWorld::new(NotifierCore::new(
         Notifier::new(3, INITIAL_DOC),
         Some(Wal::new(0)),
         Some(Standby::new(3, INITIAL_DOC, ScanMode::SuffixBounded)),
-    );
-    let mut c1 = Client::new(SiteId(1), INITIAL_DOC);
-    let mut c2 = Client::new(SiteId(2), INITIAL_DOC);
-    let mut c3 = Client::new(SiteId(3), INITIAL_DOC);
-
-    // The write-ahead ordering every integration follows, enforced by
-    // the durable core: validate, append to the log, let the standby tail
-    // the appended record, and only then hand back what to broadcast. A
-    // crash after any of these steps loses broadcasts — never logged
-    // history.
-    fn ingest(primary: &mut NotifierCore, msg: ClientOpMsg) -> Vec<(SiteId, ServerOpMsg)> {
-        let outcome = primary.integrate_op(msg.origin, msg);
-        outcome
-            .expect("the scenario's ops are valid")
-            .broadcast_msgs()
-    }
+    ));
+    // Site `to`'s channel delivers its next broadcast.
+    let down = |w: &mut StarWorld, to: u32| {
+        let out = w.deliver_down(SiteId(to)).expect("valid server op");
+        out.expect("queued");
+    };
+    // Site `from`'s next op reaches the primary; its broadcasts reach `to`.
+    let relay = |w: &mut StarWorld, from: u32, to: &[u32]| {
+        let out = w
+            .deliver_up(SiteId(from))
+            .expect("the scenario's ops are valid");
+        out.expect("sent on a bound channel");
+        to.iter().for_each(|&site| down(w, site));
+    };
 
     // --- Healthy operation: O2 and O1, logged then broadcast. ---
-    let o2 = c2.delete(2, 3); // the paper's Delete[3,2]
+    // The paper's Delete[3,2].
+    let o2 = w.edit(SiteId(2), |c| Ok(c.delete(2, 3))).expect("a member");
     narration.push(format!(
-        "site 2 generates O2 = Delete[3,2] stamped {}; primary logs it (WAL record 1), standby tails it, then broadcasts",
-        o2.stamp
+        "site 2 generates O2 = Delete[3,2] stamped {o2}; primary logs it (WAL record 1), standby tails it, then broadcasts"
     ));
-    for (dest, m) in ingest(&mut primary, o2) {
-        match dest.0 {
-            1 => drop(c1.try_on_server_op(m).expect("valid server op")),
-            3 => drop(c3.try_on_server_op(m).expect("valid server op")),
-            _ => unreachable!(),
-        }
-    }
-    let o1 = c1.insert(1, "12"); // the paper's Insert["12",1]
+    relay(&mut w, 2, &[1, 3]);
+    // The paper's Insert["12",1].
+    let o1 = w
+        .edit(SiteId(1), |c| Ok(c.insert(1, "12")))
+        .expect("a member");
     narration.push(format!(
-        "site 1 generates O1 = Insert[\"12\",1] stamped {}; logged (record 2), mirrored, broadcast",
-        o1.stamp
+        "site 1 generates O1 = Insert[\"12\",1] stamped {o1}; logged (record 2), mirrored, broadcast"
     ));
-    for (dest, m) in ingest(&mut primary, o1) {
-        match dest.0 {
-            2 => drop(c2.try_on_server_op(m).expect("valid server op")),
-            3 => drop(c3.try_on_server_op(m).expect("valid server op")),
-            _ => unreachable!(),
-        }
-    }
+    relay(&mut w, 1, &[2, 3]);
 
     // --- The crash: O4 is logged and executed, but the primary dies
-    // mid-broadcast — site 1's copy is on the wire, site 2's dies with
-    // the process. ---
-    let o4 = c3.insert(2, "xy");
-    let broadcasts = ingest(&mut primary, o4);
-    let doc_at_crash = primary.notifier().doc();
-    let wal_records_at_crash = primary.wal().map_or(0, Wal::appends);
+    // mid-broadcast — site 1's copy is on the wire, site 2's is still
+    // queued when the process dies. ---
+    w.edit(SiteId(3), |c| Ok(c.insert(2, "xy")))
+        .expect("a member");
+    relay(&mut w, 3, &[1]);
+    let doc_at_crash = w.notifier().doc();
+    let wal_records_at_crash = w.hub().core().wal().map_or(0, Wal::appends);
     narration.push(format!(
         "site 3 generates O4 = Insert[\"xy\",2]; logged (record 3), mirrored, executed — then the primary CRASHES mid-broadcast on {:?}",
         doc_at_crash
     ));
-    for (dest, m) in broadcasts {
-        if dest.0 == 1 {
-            drop(c1.try_on_server_op(m).expect("valid server op"));
-            narration.push("O4' to site 1 had left the host; site 2's copy is lost".into());
-        }
-        // dest 2: lost with the primary.
-    }
+    narration.push("O4' to site 1 had left the host; site 2's copy is lost".into());
 
     // --- Promotion: the standby has replayed exactly the logged
     // history, so its replica equals the dead primary's. ---
-    let (standby_replay_ops, _) = primary
+    let (standby_replay_ops, _) = w
+        .core_mut()
         .promote()
         .expect("the walkthrough runs a standby")
         .expect("the mirrored log was clean");
-    let mut promoted = primary;
-    let doc_at_promotion = promoted.notifier().doc();
+    let doc_at_promotion = w.notifier().doc();
     narration.push(format!(
         "standby promoted after replaying {} logged ops; its document {:?} is byte-identical to the dead primary's",
         standby_replay_ops, doc_at_promotion
     ));
 
-    // --- Resync: each client presents its `received` cursor (the second
-    // element of its compressed clock); the promoted notifier replays
-    // exactly the missed suffix of that client's stream. ---
+    // --- Resync: every connection (channels 0–2) died with the primary,
+    // site 2's copy of O4' with it. Each client says hello on a new one
+    // with its `received` cursor (the second element of its compressed
+    // clock); the promoted notifier's hub replays exactly the missed
+    // suffix of that client's stream. ---
+    for ch in 0..3 {
+        w.close(ch);
+    }
     let mut replays = Vec::new();
-    for (site, client) in [(1u32, &mut c1), (2, &mut c2), (3, &mut c3)] {
+    for site in 1..=3u32 {
+        let client = w.client(SiteId(site)).expect("a member");
         let received = client.state_vector().received();
-        let replay = promoted
-            .notifier()
-            .replay_for(SiteId(site), received)
-            .expect("nothing was trimmed");
+        let step = w.hello(SiteId(site), 2 + site as usize);
+        assert!(matches!(step, Ok(Step::Bound(_))), "resync: {step:?}");
+        let replayed = w.queued(SiteId(site)).1;
         narration.push(format!(
-            "site {site} resyncs from cursor received={received}: {} op(s) replayed",
-            replay.len()
+            "site {site} resyncs from cursor received={received}: {replayed} op(s) replayed"
         ));
-        replays.push((site, replay.len()));
-        for m in replay {
-            drop(client.try_on_server_op(m).expect("valid server op"));
-        }
+        replays.push((site, replayed));
+        (0..replayed).for_each(|_| down(&mut w, site));
     }
 
     // --- Post-recovery health: one more edit flows through the promoted
     // primary (which keeps extending the same log) and reaches everyone. ---
-    let o3 = c2.insert(4, "z");
+    w.edit(SiteId(2), |c| Ok(c.insert(4, "z")))
+        .expect("a member");
     narration.push(
         "site 2 generates O3 = Insert[\"z\",4] against the recovered state; \
          the promoted primary logs and broadcasts it"
             .into(),
     );
-    for (dest, m) in ingest(&mut promoted, o3) {
-        match dest.0 {
-            1 => drop(c1.try_on_server_op(m).expect("valid server op")),
-            3 => drop(c3.try_on_server_op(m).expect("valid server op")),
-            _ => unreachable!(),
-        }
-    }
+    relay(&mut w, 2, &[1, 3]);
 
-    let final_docs = vec![promoted.notifier().doc(), c1.doc(), c2.doc(), c3.doc()];
+    let mut final_docs = vec![w.notifier().doc()];
+    final_docs.extend(w.clients().map(Client::doc));
     let converged = final_docs.windows(2).all(|w| w[0] == w[1]);
     narration.push(format!(
         "all four replicas read {:?}: converged across the crash",

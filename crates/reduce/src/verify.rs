@@ -18,10 +18,11 @@
 
 use crate::audit::StarAudit;
 use crate::client::Client;
+use crate::core::NotifierCore;
 use crate::mesh::MeshSite;
 use crate::msg::MeshOpMsg;
 use crate::notifier::Notifier;
-use crate::world::StarWorld;
+use crate::world::{Move, StarWorld};
 use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
 use rand::rngs::SmallRng;
@@ -101,12 +102,11 @@ pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyRepo
     walk_star(cfg, seed, Some(max_clients))
 }
 
-/// One enabled step of [`walk_star`], by client index.
+/// One enabled step of [`walk_star`]: the world's work, or a membership
+/// change.
 #[derive(Clone, Copy)]
 enum Action {
-    Edit(usize),
-    Up(usize),
-    Down(usize),
+    Work(Move),
     Join,
     Leave,
 }
@@ -116,8 +116,9 @@ fn letter(rng: &mut SmallRng) -> char {
 }
 
 /// The seeded random walk over a [`StarWorld`] behind both star
-/// verifiers: each step is drawn uniformly from the enabled ones, and
-/// every verdict an integration returns goes through a [`StarAudit`].
+/// verifiers: each step is drawn uniformly from the enabled ones (the
+/// world's [`StarWorld::moves`], then any membership change), and every
+/// verdict an integration returns goes through a [`StarAudit`].
 /// `max_clients` turns on membership changes — joins up to that many
 /// sites, leaves while more than two members remain — and with them the
 /// dynamic walk's draw order (an insert's character before its position),
@@ -128,28 +129,14 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut report = VerifyReport::default();
     let mut audit = StarAudit::default();
-    let mut world = StarWorld::new(Notifier::new(n, &cfg.initial_doc));
+    let core = NotifierCore::new(Notifier::new(n, &cfg.initial_doc), None, None);
+    let mut world = StarWorld::new(core);
     let mut budget: Vec<usize> = vec![cfg.ops_per_client; n];
 
     loop {
         let sites = world.notifier().n_clients();
-        let mut actions = Vec::new();
-        for (i, &left) in budget.iter().enumerate() {
-            let site = SiteId::from_client_index(i);
-            if world.client(site).is_none() {
-                continue;
-            }
-            let (up, down) = world.queued(site);
-            for (enabled, a) in [
-                (left > 0, Action::Edit(i)),
-                (up > 0, Action::Up(i)),
-                (down > 0, Action::Down(i)),
-            ] {
-                if enabled {
-                    actions.push(a);
-                }
-            }
-        }
+        let work = world.moves(&budget).into_iter().map(Action::Work);
+        let mut actions: Vec<Action> = work.collect();
         // Termination: no work pending, only membership changes left.
         if actions.is_empty() {
             break;
@@ -163,29 +150,25 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
             }
         }
         match actions[rng.gen_range(0..actions.len())] {
-            Action::Edit(i) => {
-                budget[i] -= 1;
+            Action::Work(Move::Edit(site)) => {
+                budget[site.client_index()] -= 1;
                 report.ops += 1;
-                let site = SiteId::from_client_index(i);
                 let edit = |c: &mut Client| {
                     let len = c.doc_len();
                     Ok(if len > 0 && rng.gen_bool(0.3) {
                         c.delete(rng.gen_range(0..len), 1)
                     } else {
-                        let (pos, ch) = if max_clients.is_some() {
-                            let ch = letter(&mut rng);
-                            (rng.gen_range(0..=len), ch)
-                        } else {
-                            (rng.gen_range(0..=len), letter(&mut rng))
-                        };
+                        let first = max_clients.map(|_| letter(&mut rng));
+                        let pos = rng.gen_range(0..=len);
+                        let ch = first.unwrap_or_else(|| letter(&mut rng));
                         c.insert(pos, &ch.to_string())
                     })
                 };
                 let stamp = world.edit(site, edit).expect("members edit");
                 audit.generate((site, stamp.get(2)));
             }
-            Action::Up(i) => {
-                let outcome = world.deliver_up(SiteId::from_client_index(i));
+            Action::Work(Move::Up(site)) => {
+                let outcome = world.deliver_up(site);
                 let outcome = outcome.expect("valid client op").expect("queued");
                 let found = audit.notifier_integrated(world.notifier(), &outcome);
                 let found = found.expect("the walk generated it").into_iter();
@@ -193,14 +176,13 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
                 let checks = outcome.first_checked + outcome.checked.len();
                 report.record(checks, found.map(|f| format!("{tag}notifier: {f}")));
             }
-            Action::Down(i) => {
-                let site = SiteId::from_client_index(i);
+            Action::Work(Move::Down(site)) => {
                 let outcome = world.deliver_down(site).expect("valid server op");
                 let outcome = outcome.expect("queued");
                 let client = world.client(site).expect("a member");
                 let found = audit.client_integrated(client, &outcome);
                 let found = found.expect("the walk broadcast it").into_iter();
-                let found = found.map(|f| format!("{tag}client {}: {f}", i + 1));
+                let found = found.map(|f| format!("{tag}client {}: {f}", site.0));
                 report.record(outcome.checked.len(), found);
             }
             Action::Join => {

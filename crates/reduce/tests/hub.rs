@@ -2,7 +2,9 @@
 //! hello is answered with, and what a refusal or a violation costs. Each
 //! hostile case the TCP end-to-end battery drives over real sockets is
 //! restated here as plain data in and out, and a bounded exhaustive check
-//! walks every short interleaving of hellos, ops, deliveries and closes.
+//! walks the star world ([`StarWorld`], the hub with its replicas and
+//! channels) through every short interleaving of hellos, ops, deliveries
+//! and closes.
 
 use cvc_core::site::SiteId;
 use cvc_reduce::client::Client;
@@ -12,17 +14,17 @@ use cvc_reduce::hub::{CatchUp, Hub, Step};
 use cvc_reduce::msg::{decode_payload, ClientAckMsg, EditorMsg, Payload, ServerAckMsg};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
-use std::collections::VecDeque;
+use cvc_reduce::world::StarWorld;
 
-/// A durable, auto-collecting hub for `n` sites, as the TCP tier runs it.
-fn hub(n: usize) -> Hub<u8> {
+/// A durable, auto-collecting core for `n` sites, as the TCP tier runs it.
+fn core(n: usize) -> NotifierCore {
     let mut notifier = Notifier::new(n, "");
     notifier.set_auto_gc(true);
-    Hub::new(NotifierCore::new(
-        notifier,
-        Some(Wal::new(DEFAULT_COMPACT_EVERY)),
-        None,
-    ))
+    NotifierCore::new(notifier, Some(Wal::new(DEFAULT_COMPACT_EVERY)), None)
+}
+
+fn hub(n: usize) -> Hub<u8> {
+    Hub::new(core(n))
 }
 
 fn hello(site: u32, received: u64) -> EditorMsg {
@@ -249,203 +251,161 @@ fn trimmed_rebind_is_reported_and_left_unbound() {
     ));
 }
 
-// ---- bounded exhaustive check ------------------------------------------
+// ---- bounded exhaustive check over the star world ----------------------
 
 const SITES: usize = 2;
-const CHANNELS: u8 = 3;
+const CHANNELS: usize = 3;
 /// Longest event sequence explored (every shorter one is checked too).
 const DEPTH: usize = 6;
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// Site `.0` says hello on channel `.1` with its replica's real `T[1]`.
-    Hello(usize, u8),
+    Hello(usize, usize),
     /// Bound site `.0` edits and sends the op on its channel.
     Op(usize),
     /// Channel `.0` delivers everything queued on it.
-    Deliver(u8),
+    Deliver(usize),
     /// Channel `.0` closes; what it still held dies with it.
-    Close(u8),
-}
-
-#[derive(Clone)]
-struct World {
-    hub: Hub<u8>,
-    replicas: Vec<Client>,
-    queues: Vec<VecDeque<Payload>>,
+    Close(usize),
 }
 
 fn site(s: usize) -> SiteId {
     SiteId::from_client_index(s)
 }
 
-impl World {
-    fn new() -> World {
-        World {
-            hub: hub(SITES),
-            replicas: (0..SITES).map(|s| Client::new(site(s), "")).collect(),
-            queues: vec![VecDeque::new(); CHANNELS as usize],
+/// The star as the TCP tier runs it, before anyone has said hello.
+fn unbound_world() -> StarWorld {
+    let mut w = StarWorld::new(core(SITES));
+    for ch in 0..SITES {
+        w.close(ch);
+    }
+    w
+}
+
+/// The event menu: a hello from every site on each unbound channel, a
+/// close of each bound one, a delivery on each channel holding payloads,
+/// an op from each bound site.
+fn enabled(w: &StarWorld) -> Vec<Event> {
+    let mut evs = Vec::new();
+    for c in 0..CHANNELS {
+        match w.hub().site_of(c) {
+            None => evs.extend((0..SITES).map(|s| Event::Hello(s, c))),
+            Some(_) => evs.push(Event::Close(c)),
+        }
+        if w.queued_on(c) > 0 {
+            evs.push(Event::Deliver(c));
         }
     }
+    let bound = (0..SITES).filter(|&s| w.hub().channel_of(site(s)).is_some());
+    evs.extend(bound.map(Event::Op));
+    evs
+}
 
-    fn enabled(&self) -> Vec<Event> {
-        let mut evs = Vec::new();
-        for c in 0..CHANNELS {
-            match self.hub.site_of(c) {
-                None => evs.extend((0..SITES).map(|s| Event::Hello(s, c))),
-                Some(_) => evs.push(Event::Close(c)),
-            }
-            if !self.queues[c as usize].is_empty() {
-                evs.push(Event::Deliver(c));
-            }
-        }
-        evs.extend(
-            (0..SITES)
-                .filter(|&s| self.hub.channel_of(site(s)).is_some())
-                .map(Event::Op),
-        );
-        evs
-    }
-
-    /// Feed one input to the hub the way a driver does, then check the
-    /// step's shape and what it queued.
-    fn send(&mut self, ch: u8, msg: EditorMsg) -> Step {
-        let mut sends = Vec::new();
-        let step = self.hub.on_msg(ch, msg, &mut sends);
-        for (c, p) in sends {
-            assert!(
-                self.hub.site_of(c).is_some(),
-                "payload queued for unbound channel {c}"
-            );
-            self.queues[c as usize].push_back(p);
-        }
-        if matches!(step, Step::Refused | Step::Trimmed(_) | Step::Evicted(..)) {
-            self.close(ch);
-        }
-        step
-    }
-
-    fn close(&mut self, ch: u8) {
-        self.hub.unbind(ch);
-        self.queues[ch as usize].clear();
-    }
-
-    fn hello(&mut self, s: usize, ch: u8) -> Step {
-        let received = self.replicas[s].state_vector().received();
-        let taken = self.hub.channel_of(site(s)).is_some();
-        let step = self.send(ch, hello(site(s).0, received));
-        match step {
-            Step::Refused => assert!(taken, "an honest free hello was refused"),
-            Step::Bound(b) => assert!(!taken && b == site(s)),
-            other => panic!("an honest hello stepped to {other:?}"),
-        }
-        step
-    }
-
-    fn apply(&mut self, ev: Event) {
-        match ev {
-            Event::Hello(s, ch) => {
-                self.hello(s, ch);
-            }
-            Event::Op(s) => {
-                let ch = self
-                    .hub
-                    .channel_of(site(s))
-                    .expect("enabled for bound sites");
-                let pos = if s == 0 {
-                    0
-                } else {
-                    self.replicas[s].doc_len()
-                };
-                let op = self.replicas[s].insert(pos, if s == 0 { "a" } else { "b" });
-                let step = self.send(ch, EditorMsg::ClientOp(op));
-                assert!(matches!(step, Step::Op(_)), "{step:?}");
-            }
-            Event::Deliver(ch) => {
-                let to = self
-                    .hub
-                    .site_of(ch)
-                    .expect("a queue only lives on a bound channel");
-                for p in std::mem::take(&mut self.queues[ch as usize]) {
-                    for m in decode(&p) {
-                        let EditorMsg::ServerOp(op) = m else {
-                            panic!("acks are off: {m:?}")
-                        };
-                        let replica = &mut self.replicas[to.client_index()];
-                        replica.try_on_server_op(op).expect("no gap, no duplicate");
-                        replica.gc();
-                    }
-                }
-            }
-            Event::Close(ch) => self.close(ch),
-        }
-        self.assert_bijection();
-    }
-
-    fn assert_bijection(&self) {
-        for c in 0..CHANNELS {
-            if let Some(s) = self.hub.site_of(c) {
-                assert_eq!(self.hub.channel_of(s), Some(c));
-            }
-        }
-        for s in 0..SITES {
-            if let Some(c) = self.hub.channel_of(site(s)) {
-                assert_eq!(self.hub.site_of(c), Some(site(s)));
-            }
-        }
-    }
-
-    /// Rebind every site and drain: every replica holds exactly the
-    /// notifier's document and every broadcast sent to it, once.
-    fn settle(mut self) {
-        for s in 0..SITES {
-            if self.hub.channel_of(site(s)).is_none() {
-                let free = (0..CHANNELS).find(|&c| self.hub.site_of(c).is_none());
-                let step = self.hello(s, free.expect("more channels than sites"));
-                assert!(matches!(step, Step::Bound(_)));
-            }
-        }
-        for c in 0..CHANNELS {
-            if !self.queues[c as usize].is_empty() {
-                self.apply(Event::Deliver(c));
-            }
-        }
-        let n = self.hub.notifier();
-        for r in &self.replicas {
-            let sv = r.state_vector();
-            assert_eq!(r.doc(), n.doc(), "{} diverged", r.site());
-            assert_eq!(
-                sv.received(),
-                n.state_vector().compress_for(r.site()).get(1)
-            );
-            assert_eq!(Ok(sv.generated()), n.state_vector().received_from(r.site()));
-        }
-        assert_eq!(n.metrics().protocol_errors, 0);
-        assert_eq!(n.active_clients(), SITES);
+/// An honest hello is refused exactly when its site is taken.
+fn honest_hello(w: &mut StarWorld, s: usize, ch: usize) {
+    let taken = w.hub().channel_of(site(s)).is_some();
+    match w.hello(site(s), ch).expect("a member") {
+        Step::Refused => assert!(taken, "an honest free hello was refused"),
+        Step::Bound(b) => assert!(!taken && b == site(s)),
+        other => panic!("an honest hello stepped to {other:?}"),
     }
 }
 
-fn explore(w: &World, depth: usize, visited: &mut u64) {
+/// Step the world, then check the table is a partial bijection and that
+/// nothing is queued for an unbound channel — neither sent to one (the
+/// world counts those at send time, before a shed closes anything) nor
+/// left on one.
+fn apply(w: &mut StarWorld, ev: Event) {
+    match ev {
+        Event::Hello(s, ch) => honest_hello(w, s, ch),
+        Event::Op(s) => {
+            let (text, at_end) = if s == 0 { ("a", false) } else { ("b", true) };
+            let op = |c: &mut Client| Ok(c.insert(if at_end { c.doc_len() } else { 0 }, text));
+            w.edit(site(s), op).expect("a member");
+            let out = w.deliver_up(site(s)).expect("an honest op integrates");
+            assert!(out.is_some(), "sent on a bound channel");
+        }
+        Event::Deliver(ch) => {
+            let to = w
+                .hub()
+                .site_of(ch)
+                .expect("a queue only lives on a bound channel");
+            while w.queued_on(ch) > 0 {
+                let applied = w.deliver_down(to).expect("no gap, no duplicate");
+                assert!(applied.is_some(), "acks are off: every payload is one op");
+                w.gc(to).expect("a member");
+            }
+        }
+        Event::Close(ch) => w.close(ch),
+    }
+    assert_eq!(w.misrouted(), 0, "payload queued for an unbound channel");
+    let hub = w.hub();
+    for c in 0..CHANNELS {
+        match hub.site_of(c) {
+            Some(s) => assert_eq!(hub.channel_of(s), Some(c)),
+            None => assert_eq!(w.queued_on(c), 0, "payload queued for unbound channel {c}"),
+        }
+    }
+    for s in 0..SITES {
+        if let Some(c) = hub.channel_of(site(s)) {
+            assert_eq!(hub.site_of(c), Some(site(s)));
+        }
+    }
+}
+
+/// Rebind every site and drain: every replica holds exactly the
+/// notifier's document and every broadcast sent to it, once.
+fn settle(mut w: StarWorld) {
+    for s in 0..SITES {
+        if w.hub().channel_of(site(s)).is_none() {
+            // A free site's honest hello binds (`honest_hello` checks).
+            let free = (0..CHANNELS).find(|&c| w.hub().site_of(c).is_none());
+            honest_hello(&mut w, s, free.expect("more channels than sites"));
+        }
+    }
+    for c in 0..CHANNELS {
+        if w.queued_on(c) > 0 {
+            apply(&mut w, Event::Deliver(c));
+        }
+    }
+    assert_eq!(w.misrouted(), 0, "a rebind's catch-up went astray");
+    let n = w.notifier();
+    for r in w.clients() {
+        let sv = r.state_vector();
+        assert_eq!(r.doc(), n.doc(), "{} diverged", r.site());
+        assert_eq!(
+            sv.received(),
+            n.state_vector().compress_for(r.site()).get(1)
+        );
+        assert_eq!(Ok(sv.generated()), n.state_vector().received_from(r.site()));
+    }
+    assert_eq!(n.metrics().protocol_errors, 0);
+    assert_eq!(n.active_clients(), SITES);
+}
+
+fn explore(w: &StarWorld, depth: usize, visited: &mut u64) {
     *visited += 1;
-    w.clone().settle();
+    settle(w.clone());
     if depth == 0 {
         return;
     }
-    for ev in w.enabled() {
+    for ev in enabled(w) {
         let mut next = w.clone();
-        next.apply(ev);
+        apply(&mut next, ev);
         explore(&next, depth - 1, visited);
     }
 }
 
 /// Every sequence of at most [`DEPTH`] hellos (honest frontier, any
 /// unbound channel), ops from bound sites, deliveries and closes over 2
-/// sites × 3 channels: the table stays a partial bijection, nothing is
-/// queued for an unbound channel, every delivered broadcast applies, and
-/// rebinding everyone converges with nothing lost or duplicated.
+/// sites × 3 channels of the star world: the table stays a partial
+/// bijection, nothing is queued for an unbound channel, every delivered
+/// broadcast applies, and rebinding everyone converges with nothing lost
+/// or duplicated.
 #[test]
 fn every_short_interleaving_of_hellos_ops_deliveries_and_closes_converges() {
     let mut visited = 0;
-    explore(&World::new(), DEPTH, &mut visited);
+    explore(&unbound_world(), DEPTH, &mut visited);
     assert_eq!(visited, 63_697, "the scope changed");
 }

@@ -2,8 +2,9 @@
 //! scope, not a seeded sample: a depth-first search that clones
 //! `(StarWorld, StarAudit)` at each branch. Two sites make two edits each,
 //! every edit an insert of the site's letter at position 0; the enabled
-//! actions are the ones `verify::walk_star` draws from (edit while budget
-//! is left, deliver up or down while that channel holds a message).
+//! actions are the world's `StarWorld::moves`, the list `verify::walk_star`
+//! draws from (edit while budget is left, deliver up or down while that
+//! channel holds a message).
 //!
 //! Each site's own actions form the poset edit < edit, edit_k < up_k,
 //! up < up, up_k < down_k (at the other site), down < down, which has 5
@@ -12,13 +13,13 @@
 //! converge with no verdict Definition 1 contradicts, and a run that flips
 //! the first verdict fed to the audit must be caught on every path.
 //!
-//! Debug build on a 2-core Xeon: about 2.4 s for both searches run in
-//! parallel, 3.8 s one after the other.
+//! Debug build on a 2-core Xeon: about 2.8 s for both searches run in
+//! parallel, 3.9 s one after the other.
 
-use cvc_core::site::SiteId;
 use cvc_reduce::audit::StarAudit;
+use cvc_reduce::core::NotifierCore;
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::world::StarWorld;
+use cvc_reduce::world::{Move, StarWorld};
 
 const SITES: usize = 2;
 const OPS: usize = 2;
@@ -36,13 +37,6 @@ struct Node {
     findings: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Action {
-    Edit(SiteId),
-    Up(SiteId),
-    Down(SiteId),
-}
-
 #[derive(Default, Debug, PartialEq, Eq)]
 struct Tally {
     terminals: u64,
@@ -53,31 +47,14 @@ struct Tally {
 
 impl Node {
     fn new(flip: bool) -> Self {
+        let core = NotifierCore::new(Notifier::new(SITES, ""), None, None);
         Node {
-            world: StarWorld::new(Notifier::new(SITES, "")),
+            world: StarWorld::new(core),
             audit: StarAudit::default(),
             budget: [OPS; SITES],
             flip,
             findings: 0,
         }
-    }
-
-    fn enabled(&self) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for (i, &left) in self.budget.iter().enumerate() {
-            let site = SiteId::from_client_index(i);
-            let (up, down) = self.world.queued(site);
-            for (on, a) in [
-                (left > 0, Action::Edit(site)),
-                (up > 0, Action::Up(site)),
-                (down > 0, Action::Down(site)),
-            ] {
-                if on {
-                    actions.push(a);
-                }
-            }
-        }
-        actions
     }
 
     /// In the mutated run, flip the first of `verdicts`, once per path.
@@ -88,16 +65,16 @@ impl Node {
         }
     }
 
-    fn step(&mut self, a: Action) {
-        let found = match a {
-            Action::Edit(site) => {
+    fn step(&mut self, m: Move) {
+        let found = match m {
+            Move::Edit(site) => {
                 self.budget[site.client_index()] -= 1;
                 let letter = char::from(b'a' + site.client_index() as u8).to_string();
                 let stamp = self.world.edit(site, |c| Ok(c.insert(0, &letter)));
                 self.audit.generate((site, stamp.expect("a member").get(2)));
                 0
             }
-            Action::Up(site) => {
+            Move::Up(site) => {
                 let out = self.world.deliver_up(site).expect("valid op");
                 let mut out = out.expect("queued");
                 let mut verdicts = out.full_verdicts();
@@ -106,7 +83,7 @@ impl Node {
                 let found = self.audit.notifier_integrated(self.world.notifier(), &out);
                 found.expect("every op was generated").len()
             }
-            Action::Down(site) => {
+            Move::Down(site) => {
                 let out = self.world.deliver_down(site).expect("valid op");
                 let mut out = out.expect("queued");
                 self.mutate(&mut out.checked);
@@ -120,8 +97,8 @@ impl Node {
 }
 
 fn explore(node: Node, tally: &mut Tally) {
-    let actions = node.enabled();
-    if actions.is_empty() {
+    let moves = node.world.moves(&node.budget);
+    if moves.is_empty() {
         tally.terminals += 1;
         tally.by_findings[node.findings.min(2)] += 1;
         let doc = node.world.notifier().doc();
@@ -130,9 +107,9 @@ fn explore(node: Node, tally: &mut Tally) {
         }
         return;
     }
-    for a in actions {
+    for m in moves {
         let mut next = node.clone();
-        next.step(a);
+        next.step(m);
         explore(next, tally);
     }
 }
