@@ -6,7 +6,7 @@
 //!   string) vs the gap-buffer `TextBuffer` (moves the gap), at growing
 //!   document sizes, once into a fresh buffer and with two carets taking
 //!   turns (every apply a far gap move); and an executed op riding a full
-//!   undo stack, as a dual transform per entry vs `rebase_all_over`;
+//!   undo stack, as a dual transform per entry vs an `OpStack` ride;
 //! * **reduce** — notifier integration with ack-driven GC holding the
 //!   history at the in-flight window vs the unbounded buffer;
 //! * **checksum** — the reliable layer's frame checksum: byte-at-a-time
@@ -20,6 +20,7 @@ use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::pos::PosOp;
 use cvc_ot::seq::SeqOp;
+use cvc_ot::stack::OpStack;
 use cvc_reduce::client::{ACK_INTERVAL, MAX_UNDO_DEPTH};
 use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg};
 use cvc_reduce::notifier::Notifier;
@@ -98,7 +99,7 @@ fn bench_document_layer(c: &mut Criterion) {
 /// inverses (of inserts and of deletes, alternating, spread over the
 /// document) ride an insert and then its deletion, which returns them to
 /// the frame they started in. `transform_pair` is the dual transform per
-/// entry with one result thrown away; `rebase_over` is the sweep `Client`
+/// entry with one result thrown away; `op_stack` is the ride `Client`
 /// runs.
 fn bench_undo_stack_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("undo_stack_sweep");
@@ -139,18 +140,24 @@ fn bench_undo_stack_sweep(c: &mut Criterion) {
             },
         );
         assert_eq!(riding, stack);
+        let mut op_stack = OpStack::new(MAX_UNDO_DEPTH);
+        for inv in &stack {
+            op_stack.push(inv.clone());
+        }
         g.bench_with_input(
-            BenchmarkId::new("rebase_over_x2", payload_len),
+            BenchmarkId::new("op_stack_x2", payload_len),
             &payload_len,
             |b, _| {
                 b.iter(|| {
                     for op in &ride {
-                        SeqOp::rebase_all_over(&mut riding, op).expect("same frame");
+                        op_stack.ride(op).expect("same frame");
                     }
                 })
             },
         );
-        assert_eq!(riding, stack);
+        let mut popped: Vec<SeqOp> = std::iter::from_fn(|| op_stack.pop()).collect();
+        popped.reverse();
+        assert_eq!(popped, stack);
     }
     g.finish();
 }

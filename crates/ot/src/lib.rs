@@ -16,6 +16,8 @@
 //! * [`seq`] — engine-grade component-sequence operations
 //!   (retain/insert/delete) with **total** transform, compose, and invert;
 //!   what the star-topology engines in `cvc-reduce` actually run on.
+//! * [`stack`] — bounded operation stacks (a client's undo and redo) whose
+//!   entries ride every executed operation by integer arithmetic.
 //! * [`ttf`] — Tombstone Transformation Functions satisfying TP1 + TP2,
 //!   powering the fully-distributed full-vector baseline.
 //! * [`props`] — named convergence-property checkers (TP1, TP2) used by
@@ -52,6 +54,7 @@ pub mod it;
 pub mod pos;
 pub mod props;
 pub mod seq;
+pub mod stack;
 pub mod ttf;
 
 pub use buffer::TextBuffer;
@@ -60,4 +63,5 @@ pub use et::{et_op, EtError};
 pub use it::{it_op, transform_pair, Side};
 pub use pos::{ApplyError, PosOp};
 pub use seq::{Component, SeqError, SeqOp};
+pub use stack::OpStack;
 pub use ttf::{it_ttf, transpose, TtfDoc, TtfOp};

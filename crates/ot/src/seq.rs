@@ -129,6 +129,12 @@ impl SeqOp {
         &self.components
     }
 
+    /// The component run, by value (an [`crate::stack::OpStack`] keeps an
+    /// insert's text without copying it).
+    pub(crate) fn into_components(self) -> Vec<Component> {
+        self.components
+    }
+
     /// True if the operation changes nothing (retains only).
     pub fn is_noop(&self) -> bool {
         self.components
@@ -420,110 +426,6 @@ impl SeqOp {
         Ok((a1, b1))
     }
 
-    /// One-sided, in-place transform: rewrite `self` into exactly
-    /// `SeqOp::transform(self, b)?.0` — the same normalized components and
-    /// lengths — or fail with the same [`SeqError::TransformMismatch`],
-    /// leaving `self` untouched.
-    ///
-    /// When `b` edits one site (`retain? insert? delete? retain?`) and that
-    /// site lies inside one retain of `self`, the result is that retain and
-    /// both lengths changed by `inserted − deleted`: integer arithmetic,
-    /// nothing allocated, `b`'s text not read. Anything else goes through
-    /// [`SeqOp::transform`].
-    pub fn rebase_over(&mut self, b: &SeqOp) -> Result<(), SeqError> {
-        SeqOp::rebase_all_over(std::iter::once(self), b)
-    }
-
-    /// [`SeqOp::rebase_over`] for every operation of a sweep (an undo
-    /// stack riding an executed op), reading `b`'s shape once for all of
-    /// them. Stops at the first base mismatch; operations before it are
-    /// already rebased.
-    pub fn rebase_all_over<'a>(
-        ops: impl IntoIterator<Item = &'a mut SeqOp>,
-        b: &SeqOp,
-    ) -> Result<(), SeqError> {
-        let site = b.site();
-        for a in ops {
-            let in_place =
-                a.base_len == b.base_len && site.is_some_and(|site| a.rebase_in_place(site));
-            if !in_place {
-                *a = SeqOp::transform(a, b)?.0;
-            }
-        }
-        Ok(())
-    }
-
-    /// The one place this operation edits, if its shape is
-    /// `retain? insert? delete? retain?` — every keystroke, backspace and
-    /// paste.
-    fn site(&self) -> Option<Site> {
-        let mut site = Site::default();
-        let mut rest = self.components.as_slice();
-        if let [Component::Retain(n), tail @ ..] = rest {
-            (site.pos, rest) = (*n, tail);
-        }
-        if let [Component::Insert(s), tail @ ..] = rest {
-            (site.inserted, rest) = (s.chars().count(), tail);
-        }
-        if let [Component::Delete(n), tail @ ..] = rest {
-            (site.deleted, rest) = (*n, tail);
-        }
-        matches!(rest, [] | [Component::Retain(_)]).then_some(site)
-    }
-
-    /// Rebase over a concurrent operation that edits only `site` (same
-    /// base), if that site lies inside one retain of `self`: the retain
-    /// and both lengths change by `inserted − deleted` and nothing else
-    /// moves. Returns `false`, with `self` untouched, when the site touches
-    /// one of `self`'s deletes, spans components, or would empty the
-    /// retain or add a component — the shapes whose result needs
-    /// re-normalizing.
-    ///
-    /// Which retain owns a site on a component boundary is the arm order
-    /// of [`SeqOp::transform`]: `self`'s insert at `pos` goes first, so the
-    /// site belongs to what follows that insert; otherwise an insert point
-    /// at a retain's end extends that retain, while a deleted range
-    /// belongs to the component it starts in.
-    fn rebase_in_place(&mut self, site: Site) -> bool {
-        let Site {
-            pos,
-            inserted,
-            deleted,
-        } = site;
-        // Base position at which the component under the cursor starts;
-        // `pos >= at` throughout.
-        let mut at = 0usize;
-        let mut comps = self.components.iter_mut().peekable();
-        while let Some(c) = comps.next() {
-            match c {
-                Component::Insert(_) => {}
-                Component::Delete(n) => {
-                    if pos < at + *n {
-                        return false;
-                    }
-                    at += *n;
-                }
-                Component::Retain(n) => {
-                    let end = at + *n;
-                    let extends = deleted == 0
-                        && pos == end
-                        && !matches!(comps.peek(), Some(Component::Insert(_)));
-                    if pos < end || extends {
-                        if pos + deleted > end || *n + inserted == deleted {
-                            return false;
-                        }
-                        *n = *n + inserted - deleted;
-                        self.base_len = self.base_len + inserted - deleted;
-                        self.target_len = self.target_len + inserted - deleted;
-                        return true;
-                    }
-                    at = end;
-                }
-            }
-        }
-        false
-    }
-
     /// Lift a positional operation onto a document of `doc_len` characters.
     pub fn from_pos(op: &PosOp, doc_len: usize) -> SeqOp {
         let mut s = SeqOp::new();
@@ -614,15 +516,6 @@ impl fmt::Display for SeqOp {
         }
         write!(f, "⟩")
     }
-}
-
-/// Where a single-site operation edits its base document: `inserted`
-/// characters go in at `pos` and the `deleted` ones from `pos` on go out.
-#[derive(Debug, Clone, Copy, Default)]
-struct Site {
-    pos: usize,
-    inserted: usize,
-    deleted: usize,
 }
 
 /// Cursor over a component run that can consume partial components.
@@ -837,74 +730,6 @@ mod tests {
         let a = SeqOp::identity(3);
         let b = SeqOp::identity(4);
         assert!(SeqOp::transform(&a, &b).is_err());
-    }
-
-    /// The boundary rules of `rebase_in_place`, by name: which shapes are
-    /// rewritten by arithmetic and which are left (untouched) to the
-    /// general transform. Equality with `transform` for the whole class is
-    /// `tests/rebase.rs`; this pins that the fast path is the one taken.
-    #[test]
-    fn rebase_in_place_boundary_rules() {
-        let case = |a: &SeqOp, b: &SeqOp, in_place: Option<&str>| {
-            let want = SeqOp::transform(a, b).unwrap().0;
-            let mut got = a.clone();
-            let site = b.site().expect("b edits one site");
-            assert_eq!(got.rebase_in_place(site), in_place.is_some(), "{a} / {b}");
-            assert_eq!(&got, if in_place.is_some() { &want } else { a });
-            if let Some(shown) = in_place {
-                assert_eq!(got.to_string(), shown);
-            }
-            let mut got = a.clone();
-            got.rebase_over(b).unwrap();
-            assert_eq!(got, want);
-        };
-        let ins = |p, text: &str, len| SeqOp::from_pos(&PosOp::insert(p, text), len);
-        let del = |p, n: usize, len| SeqOp::from_pos(&PosOp::delete(p, "x".repeat(n)), len);
-        let a = op(|o| {
-            o.retain(2).delete(1).retain(3);
-        });
-        // A site strictly inside a retain, either side of the delete.
-        case(&a, &ins(1, "éλ", 6), Some("⟨R4 D1 R3⟩"));
-        case(&a, &del(4, 2, 6), Some("⟨R2 D1 R1⟩"));
-        // An insert point at the end of a retain that a delete follows
-        // extends that retain; a deleted range there touches the delete.
-        case(&a, &ins(2, "x", 6), Some("⟨R3 D1 R3⟩"));
-        case(&a, &del(2, 1, 6), None);
-        case(&a, &del(1, 2, 6), None);
-        // A retain may shrink but not vanish — unless the same site
-        // inserts, which keeps it alive.
-        case(&a, &del(0, 2, 6), None);
-        case(&a, &del(0, 1, 6), Some("⟨R1 D1 R3⟩"));
-        let replace_all_of_first = op(|o| {
-            o.insert("yz").delete(2).retain(4);
-        });
-        case(&a, &replace_all_of_first, Some("⟨R2 D1 R3⟩"));
-        // `a`'s insert at the site goes first, so the site belongs to the
-        // retain after it; with no retain there, it is a new component.
-        let a = op(|o| {
-            o.retain(2).insert("a").retain(2);
-        });
-        case(&a, &ins(2, "x", 4), Some("⟨R2 I\"a\" R3⟩"));
-        case(&a, &del(2, 1, 4), Some("⟨R2 I\"a\" R1⟩"));
-        case(&a, &del(1, 1, 4), Some("⟨R1 I\"a\" R2⟩"));
-        case(&a, &del(1, 2, 4), None);
-        let a = op(|o| {
-            o.retain(2).insert("a").delete(2);
-        });
-        case(&a, &ins(2, "x", 4), None);
-        case(&a, &ins(4, "x", 4), None);
-        let a = op(|o| {
-            o.retain(4).insert("a");
-        });
-        case(&a, &ins(4, "x", 4), None);
-        // An insert point at the very end extends a trailing retain.
-        case(&SeqOp::identity(4), &ins(4, "x", 4), Some("⟨R5⟩"));
-        case(&SeqOp::new(), &ins(0, "x", 0), None);
-        // Two sites are not a site.
-        let two = op(|o| {
-            o.delete(1).retain(1).insert("x").retain(2);
-        });
-        assert!(two.site().is_none());
     }
 
     #[test]

@@ -1,8 +1,12 @@
-//! `SeqOp::rebase_over` is `SeqOp::transform(a, b).0` — held for the class,
-//! not for instances: exhaustively over every pair of small operations,
-//! and by proptest over larger random ones.
+//! An entry that rides `b` in an `OpStack` is `SeqOp::transform(a, b).0` —
+//! held for the class, not for instances: exhaustively over every pair of
+//! small operations, and by proptest over larger random ones and over
+//! random stacks past the undo depth.
+
+use std::collections::VecDeque;
 
 use cvc_ot::seq::{Component, SeqError, SeqOp};
+use cvc_ot::stack::OpStack;
 use proptest::prelude::*;
 
 /// Insert payloads of the exhaustive scope: one and two characters, the
@@ -14,6 +18,8 @@ const MAX_BASE_ALL_PAIRS: usize = 5;
 /// …and beyond it only single-site `b`: a multi-site `b` goes straight to
 /// `SeqOp::transform`, so more of those pairs would buy nothing.
 const MAX_BASE: usize = 8;
+/// A client's undo depth (`cvc_reduce::client::MAX_UNDO_DEPTH`).
+const DEPTH: usize = 100;
 
 /// Every normalized operation of at most `MAX_COMPONENTS` components on a
 /// document of `base` characters, inserting only `TEXTS`.
@@ -48,6 +54,22 @@ fn all_ops(base: usize) -> Vec<SeqOp> {
     out
 }
 
+/// A stack deep enough for `ops`, holding them oldest first.
+fn stack_of(ops: &[SeqOp]) -> OpStack {
+    let mut stack = OpStack::new(ops.len());
+    for op in ops {
+        stack.push(op.clone());
+    }
+    stack
+}
+
+/// Pop every entry, returning them oldest first.
+fn drain(mut stack: OpStack) -> Vec<SeqOp> {
+    let mut out: Vec<SeqOp> = std::iter::from_fn(|| stack.pop()).collect();
+    out.reverse();
+    out
+}
+
 fn is_single_site(op: &SeqOp) -> bool {
     use Component::{Delete, Insert, Retain};
     let mut rest = op.components();
@@ -72,9 +94,11 @@ fn rebase_over_is_transform_on_every_small_pair() {
             if base > MAX_BASE_ALL_PAIRS && !is_single_site(b) {
                 continue;
             }
-            // The whole set rides `b` as one sweep, as an undo stack does.
-            let mut rebased = ops.clone();
-            SeqOp::rebase_all_over(&mut rebased, b).expect("equal bases");
+            // The whole set rides `b` as one stack, as an undo stack does.
+            let mut stack = stack_of(&ops);
+            stack.ride(b).expect("equal bases");
+            let rebased = drain(stack);
+            assert_eq!(rebased.len(), ops.len());
             for (a, got) in ops.iter().zip(&rebased) {
                 let want = SeqOp::transform(a, b).expect("equal bases").0;
                 assert_eq!(got, &want, "a = {a}, b = {b}");
@@ -93,14 +117,29 @@ fn rebase_over_rejects_a_base_mismatch_and_leaves_the_op_alone() {
         for b_base in (0..=3).filter(|&b| b != a_base) {
             for a in all_ops(a_base) {
                 for b in all_ops(b_base).iter().take(40) {
-                    let mut got = a.clone();
+                    let alone = std::slice::from_ref(&a);
+                    let mut stack = stack_of(alone);
                     assert_eq!(
-                        got.rebase_over(b),
+                        stack.ride(b),
                         Err(SeqError::TransformMismatch { a_base, b_base })
                     );
-                    assert_eq!(got, a);
+                    assert_eq!(drain(stack), alone);
                 }
             }
+        }
+    }
+}
+
+/// What goes in comes out: a push and a pop give back the same normalized
+/// operation, flat or held.
+#[test]
+fn push_then_pop_is_the_identity() {
+    for base in 0..=MAX_BASE_ALL_PAIRS {
+        for op in all_ops(base) {
+            let mut stack = OpStack::new(1);
+            stack.push(op.clone());
+            assert_eq!(stack.pop(), Some(op));
+            assert_eq!(stack.pop(), None);
         }
     }
 }
@@ -155,9 +194,9 @@ proptest! {
         let a = build(base, &a_parts, a_tail);
         let b = build(base, &b_parts, b_tail);
         let want = SeqOp::transform(&a, &b).expect("equal bases").0;
-        let mut got = a.clone();
-        got.rebase_over(&b).expect("equal bases");
-        prop_assert_eq!(got, want);
+        let mut stack = stack_of(&[a]);
+        stack.ride(&b).expect("equal bases");
+        prop_assert_eq!(drain(stack), [want]);
     }
 
     #[test]
@@ -170,8 +209,67 @@ proptest! {
         prop_assume!(a_base != b_base);
         let a = build(a_base, &a_parts, false);
         let b = build(b_base, &b_parts, false);
-        let mut got = a.clone();
-        prop_assert_eq!(got.rebase_over(&b), SeqOp::transform(&a, &b).map(|_| ()));
-        prop_assert_eq!(got, a);
+        let mut stack = stack_of(std::slice::from_ref(&a));
+        prop_assert_eq!(stack.ride(&b), SeqOp::transform(&a, &b).map(|_| ()));
+        prop_assert_eq!(drain(stack), [a]);
+    }
+}
+
+/// One step of a random stack session: push an op on the current base,
+/// ride an executed op, or pop.
+#[derive(Debug, Clone)]
+enum Step {
+    Push(Vec<(u8, usize, String)>, bool),
+    Ride(Vec<(u8, usize, String)>, bool),
+    Pop,
+}
+
+/// Five pushes and three rides to a pop, so long sessions outgrow the
+/// depth.
+fn arb_step() -> impl Strategy<Value = Step> {
+    let op = prop_oneof![arb_parts(3), arb_parts(8)];
+    (0u8..9, op, any::<bool>()).prop_map(|(kind, parts, tail)| match kind {
+        0..=4 => Step::Push(parts, tail),
+        5..=7 => Step::Ride(parts, tail),
+        _ => Step::Pop,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A stack driven past its depth pops exactly what a `VecDeque` of
+    /// whole operations, riding by `transform`, pops — entries pushed after
+    /// many rides, dropped by the depth cap, and left at the end included.
+    #[test]
+    fn random_stacks_match_a_transform_reference(
+        base in 0usize..40,
+        steps in proptest::collection::vec(arb_step(), (2 * DEPTH)..(4 * DEPTH)),
+    ) {
+        let mut base = base;
+        let mut stack = OpStack::new(DEPTH);
+        let mut reference = VecDeque::new();
+        for step in steps {
+            match step {
+                Step::Push(parts, tail) => {
+                    let op = build(base, &parts, tail);
+                    stack.push(op.clone());
+                    reference.push_back(op);
+                    if reference.len() > DEPTH {
+                        reference.pop_front();
+                    }
+                }
+                Step::Ride(parts, tail) => {
+                    let b = build(base, &parts, tail);
+                    stack.ride(&b).expect("one frame");
+                    for a in reference.iter_mut() {
+                        *a = SeqOp::transform(a, &b).expect("one frame").0;
+                    }
+                    base = b.target_len();
+                }
+                Step::Pop => prop_assert_eq!(stack.pop(), reference.pop_back()),
+            }
+        }
+        prop_assert_eq!(drain(stack), Vec::from(reference));
     }
 }

@@ -30,7 +30,8 @@ use cvc_ot::buffer::TextBuffer;
 use cvc_ot::cursor::{transform_cursor, Bias};
 use cvc_ot::pos::PosOp;
 use cvc_ot::seq::{SeqError, SeqOp};
-use std::collections::{HashMap, VecDeque};
+use cvc_ot::stack::OpStack;
+use std::collections::HashMap;
 
 /// Undo depth retained per client: each local operation keeps its
 /// current-frame inverse until this many newer ones exist (typical editor
@@ -74,12 +75,12 @@ pub struct Client {
     /// Inverses of this site's not-yet-undone local operations, each kept
     /// transformed into the *current* document frame (updated on every
     /// executed operation). Independent of the history buffer, so undo
-    /// composes with garbage collection. Ring-buffered: the depth cap
-    /// drops the oldest entry in O(1).
-    undo_stack: VecDeque<SeqOp>,
+    /// composes with garbage collection. Capped at [`MAX_UNDO_DEPTH`]:
+    /// the oldest entry drops.
+    undo_stack: OpStack,
     /// Inverses of undos (redo candidates), maintained the same way;
     /// cleared by any fresh local edit, as in conventional editors.
-    redo_stack: VecDeque<SeqOp>,
+    redo_stack: OpStack,
     /// This user's caret position (drives the telepointer we send).
     caret: usize,
     /// Whether local operations carry the caret (telepointer presence).
@@ -102,8 +103,8 @@ impl Client {
             hb: Vec::new(),
             acked_local: 0,
             last_ack_sent: 0,
-            undo_stack: VecDeque::new(),
-            redo_stack: VecDeque::new(),
+            undo_stack: OpStack::new(MAX_UNDO_DEPTH),
+            redo_stack: OpStack::new(MAX_UNDO_DEPTH),
             caret: 0,
             share_caret: true,
             remote_carets: HashMap::new(),
@@ -276,17 +277,12 @@ impl Client {
             stamp.get(2),
             "bridge sequence must equal SV_i[2] (paper Section 3.3)"
         );
-        SeqOp::rebase_all_over(self.undo_stack.iter_mut().chain(&mut self.redo_stack), &op)
-            .expect("stack rides local ops");
+        for stack in [&mut self.undo_stack, &mut self.redo_stack] {
+            stack.ride(&op).expect("stack rides local ops");
+        }
         match kind {
-            UndoKind::Fresh | UndoKind::Redo => self.undo_stack.push_back(inverse),
-            UndoKind::Undo => self.redo_stack.push_back(inverse),
-        }
-        if self.undo_stack.len() > MAX_UNDO_DEPTH {
-            self.undo_stack.pop_front();
-        }
-        if self.redo_stack.len() > MAX_UNDO_DEPTH {
-            self.redo_stack.pop_front();
+            UndoKind::Fresh | UndoKind::Redo => self.undo_stack.push(inverse),
+            UndoKind::Undo => self.redo_stack.push(inverse),
         }
         self.hb.push(ClientHbEntry {
             stamp,
@@ -358,7 +354,7 @@ impl Client {
     /// Returns the message to send, or `None` when there is nothing to
     /// undo (or the target's effect was already entirely cancelled).
     pub fn undo_last_local(&mut self) -> Option<ClientOpMsg> {
-        let undo_op = self.undo_stack.pop_back()?;
+        let undo_op = self.undo_stack.pop()?;
         if undo_op.is_noop() {
             return None;
         }
@@ -374,7 +370,7 @@ impl Client {
     /// Re-apply the most recently undone operation (transformed to the
     /// current frame). Any fresh local edit clears the redo chain.
     pub fn redo_last(&mut self) -> Option<ClientOpMsg> {
-        let redo_op = self.redo_stack.pop_back()?;
+        let redo_op = self.redo_stack.pop()?;
         if redo_op.is_noop() {
             return None;
         }
@@ -587,11 +583,11 @@ impl Client {
             .op
             .apply_to_buffer(&mut self.doc)
             .map_err(ProtocolError::BadOperation)?;
-        SeqOp::rebase_all_over(
-            self.undo_stack.iter_mut().chain(&mut self.redo_stack),
-            &integrated.op,
-        )
-        .map_err(ProtocolError::BadOperation)?;
+        for stack in [&mut self.undo_stack, &mut self.redo_stack] {
+            stack
+                .ride(&integrated.op)
+                .map_err(ProtocolError::BadOperation)?;
+        }
         // Rule 2: executing a notifier op bumps SV_i[1].
         self.sv.record_from_notifier();
         self.acked_local = self.acked_local.max(msg.stamp.get(2));
