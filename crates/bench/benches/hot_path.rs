@@ -9,10 +9,10 @@
 //!   undo stack, as a dual transform per entry vs an `OpStack` ride;
 //! * **reduce** — notifier integration with ack-driven GC holding the
 //!   history at the in-flight window vs the unbounded buffer;
-//! * **checksum** — the reliable layer's frame checksum: byte-at-a-time
-//!   FNV-1a vs the word-at-a-time `FrameHasher` that replaced it on the
-//!   send/receive path, at frame sizes from a single op to a large
-//!   compound frame.
+//! * **checksum** — the frame codec's checksum: byte-at-a-time FNV-1a
+//!   (kept here only, as the baseline) vs the word-at-a-time `FrameHasher`
+//!   that replaced it on every framed byte, at frame sizes from a single
+//!   op to a large compound frame.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use cvc_core::site::SiteId;
@@ -22,9 +22,9 @@ use cvc_ot::pos::PosOp;
 use cvc_ot::seq::SeqOp;
 use cvc_ot::stack::OpStack;
 use cvc_reduce::client::{ACK_INTERVAL, MAX_UNDO_DEPTH};
+use cvc_reduce::frame::frame_checksum;
 use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg};
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::reliable::{fnv1a32, frame_checksum};
 
 fn bench_stamp_layer(c: &mut Criterion) {
     let mut g = c.benchmark_group("stamp_layer");
@@ -237,7 +237,22 @@ fn bench_notifier_layer(c: &mut Criterion) {
     g.finish();
 }
 
+/// FNV-1a 32-bit hash, byte-at-a-time: the frame checksum before
+/// `FrameHasher`, kept as this group's baseline row.
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    let mut h: u32 = 0x811c_9dc5;
+    for &b in bytes {
+        h ^= u32::from(b);
+        h = h.wrapping_mul(0x0100_0193);
+    }
+    h
+}
+
 fn bench_checksum_layer(c: &mut Criterion) {
+    // The baseline is the real FNV-1a: its published reference vectors.
+    assert_eq!(fnv1a32(b""), 0x811c_9dc5);
+    assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
+    assert_eq!(fnv1a32(b"foobar"), 0xbf9c_f968);
     let mut g = c.benchmark_group("frame_checksum");
     // 64 B ≈ one stamped op, 1 KiB ≈ a full compound frame at the batch
     // byte threshold, 64 KiB stresses pure throughput.

@@ -7,7 +7,7 @@
 //! says so, and consults [`Conn::wants_write`] to decide the registration
 //! interest. Nothing here blocks, allocates per byte, or trusts the peer.
 
-use crate::frame::{write_frame, FrameError, FrameReader};
+use cvc_reduce::frame::{write_frame, FrameError, FrameReader};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};

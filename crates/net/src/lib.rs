@@ -9,12 +9,12 @@
 //! * [`poll`] — a thin FFI wrapper over `epoll(7)` plus an `eventfd(2)`
 //!   waker for cross-thread nudges. Rust's std already links the platform
 //!   libc, so the three syscall entry points are declared directly.
-//! * [`frame`] — the TCP stream framing `[len][checksum][EditorMsg bytes]`
-//!   (the WAL record discipline applied to the socket; the checksum is
-//!   the reliable layer's word-wise `frame_checksum`), and the
-//!   incremental [`frame::FrameReader`] that reassembles frames from
-//!   arbitrary read fragments: partial frames, torn varints, and hostile
-//!   length claims are all first-class inputs, not edge cases.
+//! * [`frame`] — re-exports of `cvc_reduce::frame`, the codec the WAL
+//!   writes: the TCP stream carries `[len][checksum][EditorMsg bytes]` in
+//!   it, and [`FrameReader`] reassembles frames from arbitrary read
+//!   fragments with the same parser `Wal::recover` runs — partial frames,
+//!   torn varints, and hostile length claims are all first-class inputs,
+//!   not edge cases.
 //! * [`conn`] — the per-connection state machine: a nonblocking stream,
 //!   a reassembly buffer, and a pending-write buffer that survives
 //!   partial writes under backpressure.
@@ -38,7 +38,6 @@
 
 pub mod admin;
 pub mod conn;
-pub mod frame;
 pub mod load;
 pub mod poll;
 pub mod server;
@@ -46,8 +45,14 @@ pub mod twin;
 
 pub use admin::{parse_rings_response, AdminClient};
 pub use conn::{Conn, ConnError};
-pub use frame::{FrameError, FrameReader, MAX_FRAME_BYTES};
+pub use cvc_reduce::frame::FrameReader;
 pub use load::{run_load, LoadConfig, LoadReport, RttSummary};
 pub use poll::{Interest, PollEvent, Poller, Waker};
 pub use server::{EditorServer, ServerConfig, ServerHandle, ServerReport};
 pub use twin::{replay_twin, TwinError, TwinReport};
+
+/// The frame codec's writer, re-exported beside the connections that
+/// call it.
+pub mod frame {
+    pub use cvc_reduce::frame::{framed_len, write_frame};
+}

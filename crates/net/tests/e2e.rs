@@ -11,9 +11,9 @@
 
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
-use cvc_net::frame::{write_frame, FrameReader};
 use cvc_net::{replay_twin, run_load, AdminClient, EditorServer, LoadConfig, ServerConfig};
 use cvc_reduce::client::{Client, ACK_INTERVAL};
+use cvc_reduce::frame::{write_frame, FrameReader};
 use cvc_reduce::msg::{ClientAckMsg, EditorMsg, ServerOpMsg};
 use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
 use proptest::prelude::*;

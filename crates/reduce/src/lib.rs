@@ -28,6 +28,8 @@
 //!   notifier's input stream with compacted snapshots and a warm standby
 //!   that tails it and can be promoted when the primary crashes (clients
 //!   resync via the 2-element-clock cursor).
+//! * [`frame`] — the one `[len][checksum][bytes]` codec: the WAL's records,
+//!   the TCP stream's frames and the relay bus's checksum.
 //! * [`hub`] — who is bound to which site: the one binding table, hello,
 //!   catch-up and eviction rules both notifier drivers share.
 //! * [`world`] — the transport-free star (notifier, clients, FIFO
@@ -56,6 +58,7 @@ pub mod client;
 pub mod composing;
 pub mod core;
 pub mod error;
+pub mod frame;
 pub mod hub;
 pub mod mesh;
 pub mod metrics;

@@ -45,10 +45,11 @@
 //! re-relayed by the go-back-N bus once it answers again.
 
 use crate::audit::audit_streams;
+use crate::frame::frame_checksum;
 use crate::mesh::MeshSite;
 use crate::msg::{decode_payload, EditorMsg, MeshOpMsg, Payload, RelayAckMsg, RelayOpMsg};
 use crate::recorder::{EventKind, FlightEvent};
-use crate::reliable::{build_shard_sim, fnv1a32, RobustNotifier, ShardSim};
+use crate::reliable::{build_shard_sim, RobustNotifier, ShardSim};
 use crate::session::{ClientMode, Deployment, SessionConfig};
 use crate::trace::TraceAssembler;
 use cvc_core::oracle::{CausalityOracle, OpRef};
@@ -274,10 +275,10 @@ struct BusFrame {
 }
 
 /// The cross-shard transport: per ordered pair `(origin, dest)` a FIFO of
-/// **wire-encoded** [`EditorMsg::RelayOp`] frames with an fnv1a-32
-/// checksum taken at send time. Every barrier the whole unacked window is
-/// redelivered in order (go-back-N); the destination notifier's in-order
-/// cursor, carried back as a wire-encoded [`EditorMsg::RelayAck`],
+/// **wire-encoded** [`EditorMsg::RelayOp`] frames with the frame codec's
+/// [`frame_checksum`] taken at send time. Every barrier the whole unacked
+/// window is redelivered in order (go-back-N); the destination notifier's
+/// in-order cursor, carried back as a wire-encoded [`EditorMsg::RelayAck`],
 /// advances the queue head. Seeded drop/corrupt faults apply per attempt,
 /// so a lossy federation makes progress exactly as fast as its redelivery
 /// cadence — and a corrupted frame can never reach a notifier: the
@@ -332,7 +333,7 @@ impl RelayBus {
         };
         let mut bytes = Vec::with_capacity(msg.wire_bytes());
         msg.encode(&mut bytes);
-        let checksum = fnv1a32(&bytes);
+        let checksum = frame_checksum(&[&bytes]);
         for dest in 0..self.k {
             if dest == origin {
                 continue;
@@ -373,7 +374,7 @@ impl RelayBus {
                 let at = self.rng.gen_range(0..bytes.len());
                 bytes[at] ^= 1 << self.rng.gen_range(0..8u8);
             }
-            if fnv1a32(&bytes) != f.checksum {
+            if frame_checksum(&[&bytes]) != f.checksum {
                 self.stats.corrupt_drops += 1;
                 continue;
             }
@@ -1085,7 +1086,7 @@ mod tests {
         ]);
         let mut bytes = Vec::with_capacity(msg.wire_bytes());
         msg.encode(&mut bytes);
-        let checksum = fnv1a32(&bytes);
+        let checksum = frame_checksum(&[&bytes]);
         bus.queues[1].push_back(BusFrame {
             last_seq: 2,
             bytes,

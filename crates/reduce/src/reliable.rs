@@ -9,7 +9,7 @@
 //!
 //! * Every editor message travels inside a [`ReliableMsg::Data`] frame
 //!   with a per-channel sequence number, a piggybacked cumulative ack,
-//!   and an FNV-1a checksum over the payload.
+//!   and the frame codec's [`frame_checksum`] over the payload.
 //! * A [`ReliableLink`] per directed peer pair retransmits unacked frames
 //!   (go-back-N) on a timer with exponential backoff and jitter, drops
 //!   duplicates, rejects corrupt payloads, and holds out-of-order frames
@@ -32,6 +32,7 @@
 
 use crate::client::Client;
 use crate::core::NotifierCore;
+pub use crate::frame::frame_checksum;
 use crate::hub::{CatchUp, Hub, Step};
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
@@ -92,116 +93,6 @@ const MAX_RTO_US: u64 = 2_000_000;
 /// Uniform jitter added to every armed timeout (µs), so periodic faults
 /// cannot phase-lock with the retransmission schedule.
 const RTO_JITTER_US: u64 = 50_000;
-
-/// FNV-1a 32-bit hash, byte-at-a-time — the original frame checksum,
-/// kept as the reference/bench baseline (see the `checksum` group in the
-/// `hot_path` criterion bench).
-///
-/// Not cryptographic: it models the per-segment integrity check a real
-/// transport performs, strong enough to catch the simulator's injected
-/// bit-flips.
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Streaming word-at-a-time frame checksum: 64-bit FNV-1a over the input
-/// viewed as little-endian `u64` words (final partial word zero-padded),
-/// with the byte length mixed in at the end (so `"a"` and `"a\0"` differ)
-/// and the state folded to 32 bits.
-///
-/// One multiply per 8 bytes instead of one per byte — the checksum was a
-/// visible slice of the reliable hot path once everything else in the
-/// broadcast loop became O(1) per destination. Byte-at-a-time FNV-1a
-/// cannot be widened without changing the function (xor does not
-/// distribute over the modular multiply), so this *is* a different
-/// checksum; both sides of every link compute it the same way, which is
-/// all a frame check needs. Streaming over arbitrary chunk boundaries
-/// yields the same value as one-shot over the concatenation.
-#[derive(Debug, Clone)]
-pub struct FrameHasher {
-    h: u64,
-    /// Partial little-endian word, low bytes filled first.
-    pending: u64,
-    pending_len: u32,
-    len: u64,
-}
-
-impl Default for FrameHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FrameHasher {
-    /// A fresh hasher.
-    pub fn new() -> Self {
-        FrameHasher {
-            h: FNV64_OFFSET,
-            pending: 0,
-            pending_len: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn mix(&mut self, w: u64) {
-        self.h = (self.h ^ w).wrapping_mul(FNV64_PRIME);
-    }
-
-    /// Absorb `bytes`; chunk boundaries do not affect the result.
-    pub fn update(&mut self, bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        let mut i = 0;
-        while self.pending_len > 0 && self.pending_len < 8 && i < bytes.len() {
-            self.pending |= u64::from(bytes[i]) << (8 * self.pending_len);
-            self.pending_len += 1;
-            i += 1;
-        }
-        if self.pending_len == 8 {
-            let w = self.pending;
-            self.mix(w);
-            self.pending = 0;
-            self.pending_len = 0;
-        }
-        let mut words = bytes[i..].chunks_exact(8);
-        for w in &mut words {
-            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        for &b in words.remainder() {
-            self.pending |= u64::from(b) << (8 * self.pending_len);
-            self.pending_len += 1;
-        }
-    }
-
-    /// Zero-pad the trailing partial word, mix in the length, fold to 32
-    /// bits.
-    pub fn finish(mut self) -> u32 {
-        if self.pending_len > 0 {
-            let w = self.pending;
-            self.mix(w);
-        }
-        let len = self.len;
-        self.mix(len);
-        (self.h ^ (self.h >> 32)) as u32
-    }
-}
-
-/// [`FrameHasher`] over a sequence of byte runs (one pass, no copy).
-pub fn frame_checksum(parts: &[&[u8]]) -> u32 {
-    let mut h = FrameHasher::new();
-    for p in parts {
-        h.update(p);
-    }
-    h.finish()
-}
 
 /// The frame checksum of a [`Payload`]'s logical bytes, hashed straight
 /// over its head/body runs without materializing them.
@@ -2237,36 +2128,6 @@ mod tests {
     use cvc_ot::seq::SeqOp;
     use cvc_sim::fault::FlapSpec;
     use cvc_sim::latency::LatencyModel;
-
-    #[test]
-    fn fnv1a32_matches_reference_vectors() {
-        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
-        assert_eq!(fnv1a32(b"foobar"), 0xbf9c_f968);
-    }
-
-    #[test]
-    fn frame_hasher_is_split_invariant() {
-        let data: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
-        let one_shot = frame_checksum(&[&data]);
-        for split in [0, 1, 7, 8, 9, 63, 500, 999, 1000] {
-            let (a, b) = data.split_at(split);
-            assert_eq!(frame_checksum(&[a, b]), one_shot, "split at {split}");
-            let mut h = FrameHasher::new();
-            h.update(a);
-            h.update(b);
-            assert_eq!(h.finish(), one_shot, "streamed split at {split}");
-        }
-    }
-
-    #[test]
-    fn frame_hasher_mixes_length_and_order() {
-        // Same bytes, different boundaries, must collide (split-invariant);
-        // different content or length must not (these vectors, at least).
-        assert_ne!(frame_checksum(&[b"ab"]), frame_checksum(&[b"ba"]));
-        assert_ne!(frame_checksum(&[b"a"]), frame_checksum(&[b"a\0"]));
-        assert_ne!(frame_checksum(&[b""]), frame_checksum(&[b"\0"]));
-    }
 
     #[test]
     fn payload_checksum_covers_both_chunks() {

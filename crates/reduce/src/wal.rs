@@ -4,7 +4,8 @@
 //! notifier, lose the session. This module gives the notifier a durable
 //! input log: every client operation and acknowledgement is appended —
 //! *before* any downstream broadcast leaves — in the existing editor wire
-//! codec, each record framed with a length prefix and an FNV-1a checksum.
+//! codec, each record framed by [`crate::frame`], the codec the TCP stream
+//! uses too.
 //! Replaying the log through the notifier's own fallible `try_on_*` paths
 //! reproduces its state bit-for-bit, because the notifier is a
 //! deterministic function of its input stream.
@@ -38,18 +39,18 @@
 //! its stream head and thereby blocks compaction, exactly as it pins the
 //! history-buffer trim, so the records it may still need are retained.
 //!
-//! **Recovery.** [`Wal::recover`] scans the log front to back. The suffix
-//! after the last snapshot is the replay tail. A torn tail — a final
-//! record whose bytes ran out, or whose checksum fails (a torn write and a
-//! flipped bit are indistinguishable at the tail) — is tolerated and
-//! reported, matching the write-ahead argument above: a torn final record
-//! was never broadcast-confirmed to anyone. Anything malformed *before*
-//! the tail is real corruption and surfaces as a typed [`WalError`];
-//! recovery never panics and never silently diverges.
+//! **Recovery.** [`Wal::recover`] scans the log front to back with the
+//! frame codec's own parser. The suffix after the last snapshot is the
+//! replay tail. A torn tail is tolerated and reported, matching the
+//! write-ahead argument above: a torn final record was never
+//! broadcast-confirmed to anyone. What counts as torn is stated once, in
+//! [`Wal::recover`]; anything else malformed is real corruption and
+//! surfaces as a typed [`WalError`]. Recovery never panics and never
+//! silently diverges.
 
+use crate::frame::{split_frame, write_frame, FrameError};
 use crate::msg::{ClientAckMsg, ClientOpMsg, EditorMsg};
 use crate::notifier::{CheckpointCursor, Notifier};
-use crate::reliable::fnv1a32;
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
 use cvc_sim::wire::{
@@ -287,8 +288,8 @@ impl WireDecode for WalRecord {
 /// counters, `Display` for humans, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
-    /// A record *before* the tail failed its checksum: real corruption,
-    /// not a torn write (later records decoded fine after it).
+    /// A frame no torn write leaves: a failed checksum with bytes behind
+    /// it, or a malformed header varint anywhere.
     Corrupt {
         /// Zero-based index of the failing record.
         record: u64,
@@ -332,7 +333,7 @@ impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Corrupt { record, offset } => {
-                write!(f, "wal record {record} at byte {offset}: checksum mismatch")
+                write!(f, "wal record {record} at byte {offset}: corrupt frame")
             }
             WalError::Undecodable {
                 record,
@@ -396,10 +397,10 @@ impl WalRecovery {
 /// transport — is the contract, so a file- or socket-backed log carries
 /// the same records.
 ///
-/// Frame format, per record:
+/// Frame format, per record — [`crate::frame`]'s, byte for byte:
 ///
 /// ```text
-/// [record-len varint] [fnv1a32(record-bytes) varint] [record-bytes]
+/// [record-len varint] [frame_checksum(record-bytes) varint] [record-bytes]
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
@@ -428,20 +429,16 @@ impl Wal {
     pub fn append(&mut self, rec: &WalRecord) -> u64 {
         self.scratch.clear();
         rec.encode(&mut self.scratch);
-        let sum = fnv1a32(&self.scratch);
-        let framed =
-            varint_len(self.scratch.len() as u64) + varint_len(u64::from(sum)) + self.scratch.len();
-        self.buf.reserve(framed);
-        put_varint(&mut self.buf, self.scratch.len() as u64);
-        put_varint(&mut self.buf, u64::from(sum));
-        self.buf.extend_from_slice(&self.scratch);
+        let before = self.buf.len();
+        write_frame(&mut self.buf, &[&self.scratch]);
+        let framed = (self.buf.len() - before) as u64;
         self.appends += 1;
-        self.bytes_appended += framed as u64;
+        self.bytes_appended += framed;
         if matches!(rec, WalRecord::Op(_)) {
             self.ops_since_checkpoint += 1;
             self.op_bytes += self.scratch.len() as u64;
         }
-        framed as u64
+        framed
     }
 
     /// Compact if due and the notifier is at a checkpointable state:
@@ -509,47 +506,35 @@ impl Wal {
         self.compactions
     }
 
-    /// Scan a log image into a [`WalRecovery`]. Torn tails (truncated or
-    /// checksum-failed *final* record) are tolerated and reported via
-    /// [`WalRecovery::torn_bytes`]; malformed records before the tail are
-    /// typed errors. Never panics.
+    /// Scan a log image into a [`WalRecovery`], splitting frames with the
+    /// codec's [`split_frame`] under the image's own length as the cap (a
+    /// snapshot record may exceed the socket's). Torn tails are tolerated
+    /// and reported via [`WalRecovery::torn_bytes`]; every other malformed
+    /// frame or record is a typed error. Never panics.
     pub fn recover(bytes: &[u8]) -> Result<WalRecovery, WalError> {
         let mut out = WalRecovery::default();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let offset = bytes.len() - rest.len();
-            let mut probe = rest;
-            let header: Result<(u64, u64), WireError> = (|| {
-                let len = get_varint(&mut probe)?;
-                let sum = get_varint(&mut probe)?;
-                Ok((len, sum))
-            })();
-            let (len, sum) = match header {
-                Ok(h) => h,
+        let mut offset = 0;
+        while offset < bytes.len() {
+            let rest = &bytes[offset..];
+            // The torn-tail rule. A torn write leaves a prefix of a frame,
+            // so a frame is torn only if its bytes ran out (a claim past
+            // the image's length ran out too), or if it is the *final*
+            // frame, complete, and fails its checksum — a torn write and a
+            // flipped bit are indistinguishable there. A prefix never ends
+            // in a terminated varint, so a malformed header is corrupt
+            // wherever it occurs, as is a failed checksum with bytes
+            // behind it.
+            let (frame, consumed) = match split_frame(rest, bytes.len()) {
+                Ok(Some(split)) => split,
+                Ok(None) | Err(FrameError::Oversized(_)) => break,
+                Err(FrameError::BadChecksum { framed, .. }) if framed == rest.len() => break,
                 Err(_) => {
-                    // Ran out of bytes mid-header: torn tail.
-                    out.torn_bytes = rest.len();
-                    return Ok(out);
+                    return Err(WalError::Corrupt {
+                        record: out.records,
+                        offset,
+                    })
                 }
             };
-            if (probe.len() as u64) < len {
-                // The final record's bytes ran out: torn tail.
-                out.torn_bytes = rest.len();
-                return Ok(out);
-            }
-            let (frame, after) = probe.split_at(len as usize);
-            if u64::from(fnv1a32(frame)) != sum {
-                if after.is_empty() {
-                    // A failed checksum on the *final* record is
-                    // indistinguishable from a torn write; drop it.
-                    out.torn_bytes = rest.len();
-                    return Ok(out);
-                }
-                return Err(WalError::Corrupt {
-                    record: out.records,
-                    offset,
-                });
-            }
             let mut body = frame;
             let rec = WalRecord::decode(&mut body).map_err(|err| WalError::Undecodable {
                 record: out.records,
@@ -570,8 +555,9 @@ impl Wal {
                 out.tail.push(rec);
             }
             out.records += 1;
-            rest = after;
+            offset += consumed;
         }
+        out.torn_bytes = bytes.len() - offset;
         Ok(out)
     }
 }
@@ -579,6 +565,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{FrameReader, MAX_FRAME_BYTES};
     use cvc_core::site::SiteId;
     use cvc_core::state_vector::CompressedStamp;
     use cvc_ot::pos::PosOp;
@@ -726,16 +713,82 @@ mod tests {
         assert!(rec.torn_bytes > 0);
     }
 
+    /// A header varint that ends but no `u64` holds is no torn write's
+    /// leftover (a prefix never ends in a terminated varint), so it is
+    /// corrupt mid-log — never a torn tail that drops the records behind.
+    #[test]
+    fn mid_log_overlong_header_is_corrupt() {
+        let mut wal = Wal::new(0);
+        wal.append(&ack_record(1, 1));
+        let mut bytes = wal.bytes().to_vec();
+        assert_eq!(bytes.len(), 9);
+        bytes.extend_from_slice(&[0x80; 9]);
+        bytes.push(0x02);
+        let mut behind = Wal::new(0);
+        behind.append(&ack_record(2, 1));
+        behind.append(&ack_record(1, 2));
+        bytes.extend_from_slice(behind.bytes());
+        assert_eq!(
+            Wal::recover(&bytes),
+            Err(WalError::Corrupt {
+                record: 1,
+                offset: 9
+            })
+        );
+    }
+
+    /// The torn-tail rule's other half: a *complete* final frame is torn
+    /// only when its checksum fails, not when its checksum varint is wider
+    /// than 32 bits — no writer puts that there.
+    #[test]
+    fn final_frame_with_a_wide_checksum_is_corrupt() {
+        let mut wal = Wal::new(0);
+        wal.append(&ack_record(1, 1));
+        let mut bytes = wal.bytes().to_vec();
+        let first_len = bytes.len();
+        let mut body = Vec::new();
+        ack_record(2, 1).encode(&mut body);
+        put_varint(&mut bytes, body.len() as u64);
+        put_varint(&mut bytes, u64::from(u32::MAX) + 1);
+        bytes.extend_from_slice(&body);
+        assert_eq!(
+            Wal::recover(&bytes),
+            Err(WalError::Corrupt {
+                record: 1,
+                offset: first_len
+            })
+        );
+    }
+
+    /// The log and the socket share one parser but not one cap: a
+    /// snapshot carries the whole document, so the log's cap is its own
+    /// length, while the socket's stays [`MAX_FRAME_BYTES`].
+    #[test]
+    fn snapshot_past_the_socket_cap_recovers_from_the_log_only() {
+        let mut snap = sample_snapshot();
+        snap.doc = "x".repeat(MAX_FRAME_BYTES + 1);
+        let mut wal = Wal::new(0);
+        wal.append(&WalRecord::Snapshot(snap.clone()));
+        let rec = Wal::recover(wal.bytes()).expect("recover");
+        assert_eq!(rec.snapshot.as_ref(), Some(&snap));
+        let (restored, replayed) = rec.restore(2, "").expect("restore");
+        assert_eq!(replayed, 0);
+        assert_eq!(restored.doc(), snap.doc);
+        let mut reader = FrameReader::new();
+        reader.extend(wal.bytes());
+        assert!(matches!(
+            reader.next_frame(),
+            Err(FrameError::Oversized(n)) if n > MAX_FRAME_BYTES as u64
+        ));
+    }
+
     #[test]
     fn checksum_valid_garbage_is_undecodable() {
         // Hand-frame a record whose checksum is correct but whose bytes are
         // not a valid record (unknown tag 0xEE), followed by a good record
         // so it is not tail-forgiven.
         let mut bytes = Vec::new();
-        let body = [0xEEu8, 1, 2, 3];
-        put_varint(&mut bytes, body.len() as u64);
-        put_varint(&mut bytes, u64::from(fnv1a32(&body)));
-        bytes.extend_from_slice(&body);
+        write_frame(&mut bytes, &[&[0xEEu8, 1, 2, 3]]);
         let mut wal = Wal::new(0);
         wal.append(&ack_record(1, 1));
         bytes.extend_from_slice(wal.bytes());

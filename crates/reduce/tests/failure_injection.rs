@@ -12,16 +12,23 @@
 //!    session's log at *every* byte boundary, or flipping any single
 //!    byte, yields a clean replay or a typed [`WalError`] — never a
 //!    panic, never silent divergence.
+//!    The log is a frame stream: the socket's incremental `FrameReader`,
+//!    fed any cut of it in random chunks, yields exactly the records
+//!    `Wal::recover` does.
 //! 3. **Stale-primary fencing** — zombie frames from the dead
 //!    incarnation (retransmissions, duplicates, reorders straddling the
 //!    crash) are discarded by the promoted notifier's fence, not
 //!    mis-sequenced into its fresh links.
 
+use cvc_reduce::frame::FrameReader;
 use cvc_reduce::reliable::{run_robust_session, CrashPoint, NotifierCrash};
 use cvc_reduce::session::{Deployment, FailoverReport, SessionConfig};
 use cvc_reduce::wal::{Wal, WalRecord, WalSnapshot};
 use cvc_sim::fault::FaultPlan;
+use cvc_sim::wire::WireDecode;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn crash_cfg(n: usize, seed: u64, at_op: u64, point: CrashPoint) -> SessionConfig {
     let mut cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
@@ -179,6 +186,41 @@ proptest! {
             );
             // Whatever recovered must replay without panicking.
             let _ = rec.restore(2, "");
+        }
+    }
+
+    /// One parser, two drivers: at every cut of a log image, the socket's
+    /// `FrameReader` fed `image[..cut]` in seeded random chunks yields
+    /// exactly the records `Wal::recover` returns for that cut, each
+    /// payload decoding (with no bytes left over) to the record at its
+    /// index. Over the whole image this pins that the log *is* a frame
+    /// stream a standby could tail over a socket.
+    #[test]
+    fn wal_is_a_frame_stream_at_every_cut(seed in 0u64..1_000) {
+        let image = session_wal_image(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for cut in 0..=image.len() {
+            let rec = Wal::recover(&image[..cut])
+                .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            let mut reader = FrameReader::new();
+            let mut payloads = Vec::new();
+            let mut fed = 0;
+            while fed < cut {
+                let n = rng.gen_range(1..=(cut - fed).min(16));
+                reader.extend(&image[fed..fed + n]);
+                fed += n;
+                while let Some(p) = reader.next_frame().expect("a prefix is never malformed") {
+                    payloads.push(p);
+                }
+            }
+            prop_assert_eq!(payloads.len() as u64, rec.records, "cut at {}", cut);
+            prop_assert_eq!(reader.buffered(), rec.torn_bytes, "cut at {}", cut);
+            for (i, p) in payloads.iter().enumerate() {
+                let mut body = &p[..];
+                let decoded = WalRecord::decode(&mut body).expect("payload decodes");
+                prop_assert!(body.is_empty(), "cut at {}: trailing bytes in frame {}", cut, i);
+                prop_assert_eq!(&decoded, &rec.tail[i], "cut at {}, frame {}", cut, i);
+            }
         }
     }
 

@@ -19,13 +19,14 @@ use cvc_core::vector::VectorClock;
 use cvc_ot::seq::SeqOp;
 use cvc_ot::ttf::TtfOp;
 use cvc_reduce::client::Client;
+use cvc_reduce::frame::{frame_checksum, FrameHasher};
 use cvc_reduce::msg::{
     ClientAckMsg, ClientOpMsg, EditorMsg, MeshOpMsg, Payload, RelayAckMsg, RelayOpMsg,
     ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::relay::{RelayBus, RelayFaultPlan};
-use cvc_reduce::reliable::{frame_checksum, FrameHasher, ReliableKind, ReliableMsg};
+use cvc_reduce::reliable::{ReliableKind, ReliableMsg};
 use cvc_reduce::wal::{WalRecord, WalSnapshot};
 use cvc_sim::wire::{put_varint, WireDecode, WireEncode, WireError, WireSize, MAX_WIRE_SPAN};
 use proptest::prelude::*;
