@@ -3,8 +3,10 @@
 //! Every experiment the registry does not mark `timing` runs entirely on
 //! virtual time, so its rendered report is a pure function of the code.
 //! The files under `golden/` are those reports: `e20_failover_smoke.txt`
-//! was captured at the commit *before* the notifier's durability wiring
-//! was folded into `NotifierCore`; the rest at the commit before the
+//! was last regenerated when a simulated reconnect became the hub's
+//! hello (the hello integrates as an ack and the handshake's frames
+//! changed; EXPERIMENTS E20 lists every moved cell); the rest at the
+//! commit before the
 //! E-suite moved onto `Report` (from that commit's `repro <id>`, minus the
 //! artefact-path line), except `e8.txt`, captured once `verify_mesh`
 //! stopped depending on a hasher's iteration order. They are the

@@ -443,6 +443,25 @@ impl Client {
             .collect()
     }
 
+    /// The frontier this client presents when it says hello again, given
+    /// that the notifier has integrated at least its first `integrated`
+    /// operations: its `T[1]`, held back to the `T[1]` of its oldest local
+    /// operation past that count. A hello integrates like an ack, and an
+    /// ack past that stamp would let the notifier prune the broadcasts the
+    /// operation transforms against when it is re-sent, if it was never
+    /// integrated — everything the site sent before it acknowledged no
+    /// more. The replay then repeats what the replica executed past the
+    /// frontier; the caller skips those. With the true count the frontier
+    /// is exact: no higher than any re-sent stamp, no lower than anything
+    /// the notifier may have collected.
+    pub fn hello_frontier(&self, integrated: u64) -> u64 {
+        let after = integrated.max(self.acked_local);
+        self.hb
+            .iter()
+            .find(|e| e.origin == OriginAtClient::Local && e.stamp.get(2) > after)
+            .map_or(self.sv.received(), |e| e.stamp.get(1))
+    }
+
     /// Integrate an operation propagated from the notifier, detecting
     /// broken FIFO assumptions before they can corrupt the replica.
     ///
@@ -905,6 +924,30 @@ mod tests {
         // from the local set; a server entry would die, locals survive).
         c.gc();
         assert_eq!(c.unacked_local_since(1).len(), 2);
+    }
+
+    #[test]
+    fn hello_frontier_holds_back_to_the_oldest_unintegrated_stamp() {
+        let mut c = Client::new(SiteId(1), "abc");
+        c.set_share_caret(false);
+        assert_eq!(c.hello_frontier(0), 0, "nothing local: T[1]");
+        c.insert(0, "x"); // (0, 1)
+        c.try_on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(1, 0),
+            op: SeqOp::identity(3),
+            cursor: None,
+        })
+        .expect("valid server op");
+        c.insert(0, "y"); // (1, 2)
+        c.try_on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(2, 1),
+            op: SeqOp::identity(4),
+            cursor: None,
+        })
+        .expect("valid server op"); // acknowledges op 1
+        assert_eq!(c.state_vector().received(), 2);
+        assert_eq!(c.hello_frontier(0), 1, "op 2 was stamped at T[1] = 1");
+        assert_eq!(c.hello_frontier(2), 2, "both integrated: T[1]");
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //!   message to [`Hub::on_msg`] and turns the queued sends into worker
 //!   commands;
 //! * the simulator's notifier node (`reliable.rs`) binds its client
-//!   channels when the star is built, fences a channel by unbinding it,
-//!   and answers a resync with [`Hub::catch_up`];
+//!   channels when the star is built and unbinds one when a data frame in
+//!   a newer epoch opens a new connection (or a crash fences it); the
+//!   new connection's hello goes to [`Hub::on_msg`] like a socket's, and
+//!   the driver ends its answer with the integrated count itself;
 //! * the transport-free star ([`crate::world::StarWorld`]) feeds each
 //!   site's up FIFO to [`Hub::on_msg`] and queues the sends' bytes on its
 //!   down channels — the world the E8/E11 walks, the TCP twin, both

@@ -26,8 +26,8 @@ use cvc_core::vector::VectorClock;
 use cvc_ot::seq::{Component, SeqOp};
 use cvc_ot::ttf::TtfOp;
 use cvc_sim::wire::{
-    get_bounded_len, get_bounded_span, get_string, get_varint, put_string, put_varint, string_len,
-    varint_len, WireDecode, WireEncode, WireError, WireSize,
+    get_bounded_len, get_bounded_span, get_string, get_u32, get_varint, put_string, put_varint,
+    string_len, varint_len, WireDecode, WireEncode, WireError, WireSize,
 };
 use std::sync::Arc;
 
@@ -488,7 +488,7 @@ fn get_opt_owned_cursor<B: Buf>(buf: &mut B) -> Result<Option<(u32, u64)>, WireE
     }
     match buf.get_u8() {
         0 => Ok(None),
-        1 => Ok(Some((get_varint(buf)? as u32, get_varint(buf)?))),
+        1 => Ok(Some((get_u32(buf)?, get_varint(buf)?))),
         t => Err(WireError::BadTag(t)),
     }
 }
@@ -527,8 +527,8 @@ fn get_ttf_op<B: Buf>(buf: &mut B) -> Result<TtfOp, WireError> {
             // hostile 64-bit position neither truncates on 32-bit targets
             // nor reaches the transform layer's index arithmetic.
             let pos = get_bounded_span(buf)?;
-            let ch = char::from_u32(get_varint(buf)? as u32).ok_or(WireError::BadUtf8)?;
-            let site = get_varint(buf)? as u32;
+            let ch = char::from_u32(get_u32(buf)?).ok_or(WireError::BadUtf8)?;
+            let site = get_u32(buf)?;
             Ok(TtfOp::Insert { pos, ch, site })
         }
         TTF_DELETE => Ok(TtfOp::Delete {
@@ -645,7 +645,7 @@ impl EditorMsg {
         }
         match buf.get_u8() {
             TAG_CLIENT_OP => Ok(EditorMsg::ClientOp(ClientOpMsg {
-                origin: SiteId(get_varint(buf)? as u32),
+                origin: SiteId(get_u32(buf)?),
                 stamp: get_stamp(buf)?,
                 op: get_seq_op(buf)?,
                 cursor: get_opt_cursor(buf)?,
@@ -656,7 +656,7 @@ impl EditorMsg {
                 cursor: get_opt_owned_cursor(buf)?,
             })),
             TAG_MESH_OP => Ok(EditorMsg::MeshOp(MeshOpMsg {
-                origin: SiteId(get_varint(buf)? as u32),
+                origin: SiteId(get_u32(buf)?),
                 vector: get_vector(buf)?,
                 op: get_ttf_op(buf)?,
             })),
@@ -664,21 +664,21 @@ impl EditorMsg {
                 acked: get_varint(buf)?,
             })),
             TAG_CLIENT_ACK => Ok(EditorMsg::ClientAck(ClientAckMsg {
-                origin: SiteId(get_varint(buf)? as u32),
+                origin: SiteId(get_u32(buf)?),
                 received: get_varint(buf)?,
             })),
             TAG_RELAY_OP => Ok(EditorMsg::RelayOp(RelayOpMsg {
-                origin_shard: get_varint(buf)? as u32,
+                origin_shard: get_u32(buf)?,
                 seq: get_varint(buf)?,
                 sent_at_us: get_varint(buf)?,
                 inner: MeshOpMsg {
-                    origin: SiteId(get_varint(buf)? as u32),
+                    origin: SiteId(get_u32(buf)?),
                     vector: get_vector(buf)?,
                     op: get_ttf_op(buf)?,
                 },
             })),
             TAG_RELAY_ACK => Ok(EditorMsg::RelayAck(RelayAckMsg {
-                origin_shard: get_varint(buf)? as u32,
+                origin_shard: get_u32(buf)?,
                 received: get_varint(buf)?,
             })),
             TAG_COMPOUND if allow_compound => {
@@ -757,6 +757,14 @@ mod tests {
         let back = EditorMsg::decode(&mut slice).expect("decode");
         assert!(slice.is_empty(), "decode must consume all bytes");
         assert_eq!(&back, msg);
+    }
+
+    /// A `ClientAck` whose origin is 2³²+1 is an overlong site id, not a
+    /// hello from site 1 that a hub would bind.
+    #[test]
+    fn a_site_id_past_u32_is_overlong_not_truncated() {
+        let mut bytes: &[u8] = &[0x05, 0x81, 0x80, 0x80, 0x80, 0x10, 0x00];
+        assert_eq!(EditorMsg::decode(&mut bytes), Err(WireError::Overlong));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Ack/retransmit reliability layer over faulty links, with client
-//! reconnect and state resync.
+//! reconnect through the hub's hello.
 //!
 //! The CVC formulas (5)/(7) are only sound on reliable FIFO channels —
 //! the paper assumes TCP. `cvc_sim`'s [`FaultPlan`] deliberately violates
@@ -14,14 +14,20 @@
 //!   (go-back-N) on a timer with exponential backoff and jitter, drops
 //!   duplicates, rejects corrupt payloads, and holds out-of-order frames
 //!   in a resequencing buffer until the gap fills.
-//! * A client can disconnect and later reconnect: it bumps its link
-//!   *epoch*, presents its 2-element state vector in a
-//!   [`ReliableMsg::ResyncRequest`], and the notifier replays the
-//!   missing broadcast suffix from its history buffer
-//!   ([`crate::hub::Hub::catch_up`]) while the client
-//!   re-sends its unacked local operations
-//!   ([`Client::unacked_local_since`]). Frames from a stale epoch are
-//!   discarded on both sides.
+//! * A client can disconnect and later reconnect, and a reconnect is what
+//!   it is on TCP: a new connection whose first message is a hello. The
+//!   client bumps its link *epoch* and queues an unbound [`ClientAckMsg`]
+//!   as the epoch's first data payload. A data frame in a newer epoch is a
+//!   new connection to the notifier, which unbinds the node's channel and
+//!   feeds the hello to [`Hub::on_msg`]; the hub replays the broadcast
+//!   suffix past the hello's frontier from its history buffer, and the
+//!   driver ends the answer with `ServerAck{acked: integrated}`, from
+//!   which the client re-sends its unacked local operations
+//!   ([`Client::unacked_local_since`]). The hello integrates like an ack,
+//!   so its frontier is held back to the oldest stamp the client may
+//!   re-send ([`Client::hello_frontier`]); an answer whose count shows it
+//!   was held back too far is followed by one exact hello. Frames from a
+//!   stale epoch are discarded on both sides.
 //!
 //! [`run_robust_session`] wires the whole thing onto the simulator and
 //! returns the same [`SessionReport`] as a plain session, with the
@@ -33,12 +39,12 @@
 use crate::client::Client;
 use crate::core::NotifierCore;
 pub use crate::frame::frame_checksum;
-use crate::hub::{CatchUp, Hub, Step};
+use crate::hub::{Hub, Sends, Step};
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
     compound_header, decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, RelayOpMsg,
-    ServerOpMsg,
+    ServerAckMsg, ServerOpMsg,
 };
 use crate::recorder::{EventKind, FlightEvent};
 use crate::relay::RelayState;
@@ -54,8 +60,8 @@ use cvc_sim::fault::FaultPlan;
 use cvc_sim::sim::{Ctx, Node, NodeId, Simulator};
 use cvc_sim::time::{SimDuration, SimTime};
 use cvc_sim::wire::{
-    get_bounded_len, get_string, get_varint, put_string, put_varint, varint_len, WireDecode,
-    WireEncode, WireError, WireSize,
+    get_bounded_len, get_u32, get_varint, put_varint, varint_len, WireDecode, WireEncode,
+    WireError, WireSize,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -64,9 +70,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 const TAG_DATA: u8 = 10;
 const TAG_ACK: u8 = 11;
-const TAG_RESYNC_REQ: u8 = 12;
-const TAG_RESYNC_RESP: u8 = 13;
-const TAG_RESYNC_FULL: u8 = 14;
 
 /// Timer tag for a link retransmission timeout (the notifier adds the
 /// peer's client index). Script-edit timers use their small script index,
@@ -76,8 +79,6 @@ const RETX_TAG: u64 = 1 << 40;
 const DISCONNECT_TAG: u64 = 2 << 40;
 /// Timer tag scheduling a client's reconnect.
 const RECONNECT_TAG: u64 = 3 << 40;
-/// Timer tag retrying an unanswered resync request.
-const RESYNC_RETRY_TAG: u64 = 4 << 40;
 /// Timer tag flushing a compound-frame batch whose deadline expired (the
 /// notifier adds the peer's client index, mirroring [`RETX_TAG`]).
 const FLUSH_TAG: u64 = 5 << 40;
@@ -123,40 +124,14 @@ pub enum ReliableKind {
         /// Highest in-order seq received.
         ack: u64,
     },
-    /// Client → notifier on reconnect: "here is my 2-element `SV_i`,
-    /// replay what I am missing". Retransmitted until answered.
-    ResyncRequest {
-        /// The requesting client site id.
-        site: u32,
-        /// `SV_i[1]`: notifier operations this client has executed.
-        received: u64,
-        /// `SV_i[2]`: operations this client has generated.
-        generated: u64,
-    },
-    /// Notifier → client: resync accepted.
-    ResyncResponse {
-        /// `SV_0[i]`: how many of the client's operations the notifier
-        /// has integrated — the client re-sends everything after this.
-        received_from_site: u64,
-    },
-    /// Notifier → client: the replay prefix was garbage-collected
-    /// ([`crate::error::ProtocolError::ReplayTrimmed`]); rebuild the
-    /// replica wholesale from this snapshot instead.
-    ResyncFull {
-        /// Operations the notifier has sent to this client.
-        sent_to_site: u64,
-        /// Operations the notifier has integrated from this client.
-        received_from_site: u64,
-        /// The notifier's current document.
-        doc: String,
-    },
 }
 
 /// One frame of the reliability protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReliableMsg {
-    /// Connection epoch; bumped by each client reconnect. Frames from a
-    /// stale epoch are discarded.
+    /// Connection epoch; bumped by each client reconnect. A data frame in
+    /// a newer epoch opens a new connection; frames from a stale epoch are
+    /// discarded.
     pub epoch: u32,
     /// The frame payload.
     pub kind: ReliableKind,
@@ -179,24 +154,6 @@ impl WireSize for ReliableMsg {
                         + payload.len()
                 }
                 ReliableKind::Ack { ack } => varint_len(*ack),
-                ReliableKind::ResyncRequest {
-                    site,
-                    received,
-                    generated,
-                } => varint_len(u64::from(*site)) + varint_len(*received) + varint_len(*generated),
-                ReliableKind::ResyncResponse { received_from_site } => {
-                    varint_len(*received_from_site)
-                }
-                ReliableKind::ResyncFull {
-                    sent_to_site,
-                    received_from_site,
-                    doc,
-                } => {
-                    varint_len(*sent_to_site)
-                        + varint_len(*received_from_site)
-                        + varint_len(doc.len() as u64)
-                        + doc.len()
-                }
             }
     }
 }
@@ -223,33 +180,6 @@ impl WireEncode for ReliableMsg {
                 put_varint(buf, u64::from(self.epoch));
                 put_varint(buf, *ack);
             }
-            ReliableKind::ResyncRequest {
-                site,
-                received,
-                generated,
-            } => {
-                buf.put_u8(TAG_RESYNC_REQ);
-                put_varint(buf, u64::from(self.epoch));
-                put_varint(buf, u64::from(*site));
-                put_varint(buf, *received);
-                put_varint(buf, *generated);
-            }
-            ReliableKind::ResyncResponse { received_from_site } => {
-                buf.put_u8(TAG_RESYNC_RESP);
-                put_varint(buf, u64::from(self.epoch));
-                put_varint(buf, *received_from_site);
-            }
-            ReliableKind::ResyncFull {
-                sent_to_site,
-                received_from_site,
-                doc,
-            } => {
-                buf.put_u8(TAG_RESYNC_FULL);
-                put_varint(buf, u64::from(self.epoch));
-                put_varint(buf, *sent_to_site);
-                put_varint(buf, *received_from_site);
-                put_string(buf, doc);
-            }
         }
     }
 }
@@ -260,12 +190,12 @@ impl WireDecode for ReliableMsg {
             return Err(WireError::Truncated);
         }
         let tag = buf.get_u8();
-        let epoch = get_varint(buf)? as u32;
+        let epoch = get_u32(buf)?;
         let kind = match tag {
             TAG_DATA => {
                 let seq = get_varint(buf)?;
                 let ack = get_varint(buf)?;
-                let checksum = get_varint(buf)? as u32;
+                let checksum = get_u32(buf)?;
                 // Length check before the allocation, in the u64 domain: a
                 // bit-flipped or hostile length prefix must not cause a huge
                 // reservation, an over-read, or a 32-bit truncation.
@@ -281,19 +211,6 @@ impl WireDecode for ReliableMsg {
             }
             TAG_ACK => ReliableKind::Ack {
                 ack: get_varint(buf)?,
-            },
-            TAG_RESYNC_REQ => ReliableKind::ResyncRequest {
-                site: get_varint(buf)? as u32,
-                received: get_varint(buf)?,
-                generated: get_varint(buf)?,
-            },
-            TAG_RESYNC_RESP => ReliableKind::ResyncResponse {
-                received_from_site: get_varint(buf)?,
-            },
-            TAG_RESYNC_FULL => ReliableKind::ResyncFull {
-                sent_to_site: get_varint(buf)?,
-                received_from_site: get_varint(buf)?,
-                doc: get_string(buf)?,
             },
             t => return Err(WireError::BadTag(t)),
         };
@@ -315,6 +232,10 @@ const MAX_BATCH_BYTES: usize = 1024;
 pub struct ReliableLink {
     /// Current connection epoch (see [`ReliableMsg::epoch`]).
     epoch: u32,
+    /// A promoted notifier's link to a channel of the dead incarnation:
+    /// every frame is zombie traffic until a newer epoch opens a new
+    /// connection ([`ReliableLink::reset`] clears it).
+    fenced: bool,
     /// Next outgoing sequence number.
     next_seq: u64,
     /// Unacknowledged outgoing frames, in seq order.
@@ -358,7 +279,8 @@ pub struct ReliableLink {
     /// advance the window push this forward, so frames queued behind a
     /// healthy stream are not spuriously re-sent.
     retx_deadline: SimTime,
-    /// Whether a retransmission timer event is outstanding (at most one).
+    /// Whether a retransmission timer event is outstanding (at most one
+    /// per connection: [`ReliableLink::reset`] leaves a stale one behind).
     retx_armed: bool,
     /// Jitter source for timeouts.
     rng: SmallRng,
@@ -376,8 +298,8 @@ pub struct ReliableLink {
     resyncs: u64,
     resync_replayed: u64,
     /// Frames that passed the checksum but carried a hostile or
-    /// nonsensical payload (undecodable, wrong direction, impossible
-    /// resync counters). Folded into [`SiteMetrics::protocol_errors`].
+    /// nonsensical payload (undecodable, wrong direction, a refused or
+    /// trimmed hello). Folded into [`SiteMetrics::protocol_errors`].
     hostile_drops: u64,
     /// Smoothed round-trip time (µs); 0 until the first clean sample.
     srtt_us: u64,
@@ -403,6 +325,7 @@ impl ReliableLink {
     fn new(seed: u64) -> Self {
         ReliableLink {
             epoch: 0,
+            fenced: false,
             next_seq: 1,
             send_buf: VecDeque::new(),
             batching: true,
@@ -445,16 +368,23 @@ impl ReliableLink {
     /// the latency logs survive; sequencing state does not.
     fn reset(&mut self, epoch: u32) {
         self.epoch = epoch;
+        self.fenced = false;
         self.next_seq = 1;
         self.send_buf.clear();
-        // Unflushed frames die with the epoch: the resync replay (driven
-        // by the editor-layer counters) re-covers anything they carried.
+        // Unflushed frames die with the epoch: the hello's catch-up and the
+        // re-sends after it (driven by the editor-layer counters) re-cover
+        // anything they carried.
         self.pending_out.clear();
         self.pending_bytes = 0;
         self.highest_acked = 0;
         self.next_expected = 1;
         self.resequence.clear();
         self.rto = SimDuration::from_micros(BASE_RTO_US);
+        // The dead connection's timer may still be out, armed for a
+        // backed-off timeout: the new connection's first frame (a hello,
+        // or its answer) arms its own. The stale one, when it fires,
+        // finds the new deadline and re-arms or disarms.
+        self.retx_armed = false;
         // The probe's frame died with the epoch; the RTT estimate itself
         // survives (same physical channel, new connection).
         self.rtt_probe = None;
@@ -775,7 +705,8 @@ impl ReliableLink {
 }
 
 /// One scheduled client outage: the client stops sending and drops all
-/// incoming traffic at `at`, then reconnects (and resyncs) after `down`.
+/// incoming traffic at `at`, then reconnects — a new connection and a
+/// hello — after `down`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisconnectSpec {
     /// Client index (0-based; the site id is `client + 1`).
@@ -791,7 +722,7 @@ pub struct DisconnectSpec {
 /// write-ahead ordering under test — so "before send" is the earliest
 /// observable crash once an operation exists at all: a crash *before* the
 /// append is indistinguishable from the operation never arriving (the
-/// origin re-sends it after resync).
+/// origin re-sends it after its hello).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CrashPoint {
     /// Die between the WAL append and the first broadcast: the log has
@@ -828,8 +759,8 @@ impl CrashPoint {
 /// A seeded primary-notifier crash: die at the `at_op`-th integrated
 /// operation (1-based), at the chosen [`CrashPoint`]. Requires
 /// [`SessionConfig::standby`]; the warm standby is promoted in place and
-/// every client channel is fenced until that client completes an
-/// epoch-bumped resync.
+/// every client channel is fenced until that client's hello, in a bumped
+/// epoch, binds it again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NotifierCrash {
     /// Crash while integrating the `at_op`-th client operation (1-based).
@@ -839,9 +770,10 @@ pub struct NotifierCrash {
     pub point: CrashPoint,
 }
 
-/// Consecutive detection rounds (genuine retransmission stalls, or
-/// unanswered resync requests) after which a standby-session client
-/// assumes the notifier died and re-handshakes with a bumped epoch.
+/// Consecutive detection rounds (genuine retransmission stalls, or probe
+/// ticks with the hello taken and its answer silent) after which a
+/// standby-session client assumes the notifier died and says hello again
+/// in a bumped epoch.
 const CRASH_STALLS: u32 = 3;
 
 /// Keep-alive probe interval (µs) for standby sessions: even a quiet
@@ -849,7 +781,7 @@ const CRASH_STALLS: u32 = 3;
 /// something to time out on when the primary dies.
 const PROBE_INTERVAL_US: u64 = 500_000;
 /// How far past the last scripted edit probes keep firing (µs): covers
-/// worst-case crash detection plus the resync round trips. Probes are
+/// worst-case crash detection plus the hello round trips. Probes are
 /// pre-scheduled (bounded) so the simulator still quiesces.
 const PROBE_MARGIN_US: u64 = 20_000_000;
 
@@ -870,8 +802,14 @@ enum ConnState {
     Connected,
     /// Offline: incoming traffic is dropped, local edits apply locally.
     Disconnected,
-    /// Reconnected; waiting for the notifier's resync response.
-    AwaitingResync,
+    /// Reconnected: the hello is the new epoch's first payload, and the
+    /// `ServerAck` that ends its answer has not arrived yet.
+    Hello {
+        /// The frontier the hello presented.
+        frontier: u64,
+        /// The replica's `T[1]` when it said hello.
+        received: u64,
+    },
 }
 
 /// One integration recorded at the notifier, in arrival order.
@@ -939,9 +877,9 @@ pub(crate) struct RobustNotifier {
     /// windows and parked batches died with the process, but their
     /// counters and latency logs still belong to the session.
     retired_links: Vec<ReliableLink>,
-    /// Zombie frames discarded on unbound (fenced) channels: after the
-    /// crash every data/ack frame is dropped regardless of epoch, and only
-    /// a resync request with a *bumped* epoch is served and rebinds.
+    /// Zombie frames discarded on fenced links: after the crash every
+    /// frame is dropped until a data frame in a *bumped* epoch opens a new
+    /// connection, whose hello rebinds the channel.
     fenced_drops: u64,
     /// When the primary died (set once).
     crash_at: Option<SimTime>,
@@ -1133,7 +1071,7 @@ impl RobustNotifier {
                 op,
                 cursor: None,
             };
-            self.integrate(ctx, vs, EditorMsg::ClientOp(op));
+            self.integrate(ctx, vs.client_index() + 1, true, EditorMsg::ClientOp(op));
         }
     }
 
@@ -1184,18 +1122,34 @@ impl RobustNotifier {
             .unwrap_or(0)
     }
 
-    /// Feed one input from `site` through the hub — the site its channel
-    /// was bound to when the frame arrived, or the virtual relay client
-    /// for its own injections — and put what it queued on the links.
-    fn integrate(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, site: SiteId, msg: EditorMsg) {
+    /// Feed one input from node `node` through the hub and put what it
+    /// queued on the links. Node `i` speaks only for site `i` (the virtual
+    /// relay client's slot included): node identity stands in for an
+    /// authenticated connection, so a hello naming another site is
+    /// refused here. A `bound` input integrates as that site — whatever
+    /// the hub's table says by now; otherwise the hub hears a stranger,
+    /// and only a hello binds.
+    fn integrate(
+        &mut self,
+        ctx: &mut Ctx<'_, ReliableMsg>,
+        node: NodeId,
+        bound: bool,
+        msg: EditorMsg,
+    ) {
+        let site = SiteId(node as u32);
         let traced = self.trace.is_some().then(|| msg.clone());
         // Write-ahead ordering lives in the core: by the time an outcome
         // comes back its record is durable and mirrored to the warm
         // standby, so nothing below can broadcast an unlogged op. A crash
         // before the append is indistinguishable from the op never
-        // arriving — the origin re-sends it after resync.
+        // arriving — the origin re-sends it after its hello.
         let mut sends = Vec::new();
-        match self.hub.integrate(site, msg, &mut sends) {
+        let step = match msg {
+            msg if bound => self.hub.integrate(site, msg, &mut sends),
+            EditorMsg::ClientAck(a) if a.origin != site => Step::Refused,
+            msg => self.hub.on_msg(node, msg, &mut sends),
+        };
+        match step {
             Step::Op(out) => {
                 self.ops_integrated += 1;
                 if let (Some(tr), Some(EditorMsg::ClientOp(msg))) = (&mut self.trace, traced) {
@@ -1221,18 +1175,24 @@ impl RobustNotifier {
                 // sequence numbers would eventually slide into the zombie
                 // client's acceptance window and deliver gap-skipping ops —
                 // and every epoch-matching frame would reset its crash
-                // detector, so it would never re-handshake. The resync
-                // replay carries these ops instead.
-                for (node, p) in sends {
-                    self.links[node - 1].queue_payload(ctx, node, RETX_TAG + node as u64 - 1, p);
-                }
+                // detector, so it would never say hello again. The hello's
+                // catch-up carries these ops instead.
+                self.put(ctx, sends);
                 if crashing.is_some() {
                     self.crash_and_promote(ctx);
                 }
             }
-            Step::Ack(a) => self
-                .trace_acks
-                .extend(self.trace.as_ref().map(|tr| (tr.len(), a))),
+            Step::Ack(_) => self.trace_ack(traced),
+            // A hello integrates its frontier like any ack, and the hub
+            // queued the catch-up behind it.
+            Step::Bound(_) => {
+                self.trace_ack(traced);
+                if let Some(at @ None) = self.unfenced_at.get_mut(node - 1) {
+                    *at = Some(ctx.now);
+                }
+                self.links[node - 1].resync_replayed += sends.len() as u64;
+                self.answer_hello(ctx, node, sends);
+            }
             // A frame that survived the reliable channel but violates the
             // editor protocol is hostile input, not line noise: the hub
             // evicted the site whose channel carried it — whatever origin
@@ -1242,9 +1202,59 @@ impl RobustNotifier {
                 eprintln!("notifier rejected input from {site}: {e}");
                 eprintln!("{}", self.hub.notifier().dump_recorder());
             }
-            // Server-to-client frames arriving upstream are nonsense.
-            Step::Refused => self.links[site.client_index()].hostile_drops += 1,
-            Step::Bound(_) | Step::Trimmed(_) => {}
+            // Server-to-client frames arriving upstream, a hello that names
+            // another node's site, is taken or overruns, and anything but a
+            // hello from a connection nobody is bound to are nonsense. The
+            // channel stays as it was.
+            Step::Refused => self.links[node - 1].hostile_drops += 1,
+            // A hello asking for a collected prefix integrated its frontier
+            // too, stays unbound and is counted like a refusal; its answer
+            // is the count alone, so an honest client whose frontier was
+            // held back too far learns where to say hello from again.
+            Step::Trimmed(_) => {
+                self.trace_ack(traced);
+                self.links[node - 1].hostile_drops += 1;
+                self.answer_hello(ctx, node, sends);
+            }
+        }
+    }
+
+    /// Traced sessions: record an integrated ack — a hello's frontier
+    /// included — at its place in the op stream.
+    fn trace_ack(&mut self, msg: Option<EditorMsg>) {
+        if let (Some(tr), Some(EditorMsg::ClientAck(a))) = (&self.trace, msg) {
+            self.trace_acks.push((tr.len(), a));
+        }
+    }
+
+    /// End the answer to node `node`'s hello — the catch-up the hub queued
+    /// in `sends`, if it bound the channel — with `ServerAck{acked:
+    /// integrated}`: where the client's re-sends start. The hub adds that
+    /// ack only when the notifier sends acks and has integrated something;
+    /// this notifier sends none, and the client needs the count even when
+    /// it is 0.
+    fn answer_hello(
+        &mut self,
+        ctx: &mut Ctx<'_, ReliableMsg>,
+        node: NodeId,
+        mut sends: Sends<NodeId>,
+    ) {
+        let site = SiteId(node as u32);
+        let acked = self
+            .hub
+            .notifier()
+            .state_vector()
+            .received_from(site)
+            .unwrap_or(0);
+        let ack = EditorMsg::ServerAck(ServerAckMsg { acked });
+        sends.push((node, Payload::encode(&ack)));
+        self.put(ctx, sends);
+    }
+
+    /// Queue each send on its channel's link.
+    fn put(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, sends: Sends<NodeId>) {
+        for (node, p) in sends {
+            self.links[node - 1].queue_payload(ctx, node, RETX_TAG + node as u64 - 1, p);
         }
     }
 
@@ -1259,16 +1269,17 @@ impl RobustNotifier {
         self.crash_at = Some(ctx.now);
         let n = self.links.len();
         // Retire the dead primary's links. The promoted incarnation
-        // starts each channel at the dead link's epoch with fresh
-        // sequencing: every pre-crash frame is thereby stale, and only a
-        // client that bumps its epoch (its crash detector firing) gets a
-        // clean handshake.
+        // starts each channel fenced at the dead link's epoch with fresh
+        // sequencing: every pre-crash frame is thereby zombie traffic, and
+        // only a client that bumps its epoch (its crash detector firing)
+        // opens a new connection.
         let fresh: Vec<ReliableLink> = self
             .links
             .iter()
             .enumerate()
             .map(|(i, old)| ReliableLink {
                 epoch: old.epoch,
+                fenced: true,
                 batching: old.batching,
                 flush_delay: old.flush_delay,
                 ..ReliableLink::new(self.link_seed.wrapping_mul(7919).wrapping_add(i as u64))
@@ -1306,27 +1317,36 @@ impl RobustNotifier {
     fn on_message(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, from: NodeId, msg: ReliableMsg) {
         assert!(from >= 1, "notifier is node 0; peers are clients");
         let xi = from - 1;
-        let bound = self.hub.site_of(from);
-        match msg.kind {
-            // A channel with no site bound is fenced: this is zombie
-            // traffic addressed to the dead incarnation. Plain epoch
+        if matches!(msg.kind, ReliableKind::Data { .. }) && msg.epoch > self.links[xi].epoch {
+            // A new connection: the old one is gone, and whoever it spoke
+            // for must say hello again.
+            self.links[xi].reset(msg.epoch);
+            self.links[xi].resyncs += 1;
+            self.hub.unbind(from);
+        }
+        if self.links[xi].fenced {
+            // Zombie traffic addressed to the dead incarnation. Plain epoch
             // arithmetic cannot be trusted here: a never-reconnected
             // client's frames carry the matching epoch but sequencing state
-            // the promoted link never had. Drop everything until the
-            // channel re-handshakes with a bumped epoch.
-            ReliableKind::Data { .. } | ReliableKind::Ack { .. } if bound.is_none() => {
-                self.fenced_drops += 1;
-            }
+            // the promoted link never had.
+            self.fenced_drops += 1;
+            return;
+        }
+        if msg.epoch != self.links[xi].epoch {
+            return; // stale epoch
+        }
+        match msg.kind {
             ReliableKind::Data {
                 seq,
                 ack,
                 checksum,
                 payload,
             } => {
-                let site = SiteId(from as u32); // bound, per the arm above
-                if msg.epoch != self.links[xi].epoch {
-                    return; // stale epoch
-                }
+                // A compound frame arrives as its queued messages, in queue
+                // order, all from the site bound at its arrival — a crash
+                // inside the frame fences the channel for the next frame,
+                // not for the rest of this one.
+                let bound = self.hub.site_of(from).is_some();
                 let ready = self.links[xi].on_data(ctx, from, seq, ack, checksum, payload);
                 for p in ready {
                     // Checksum-valid but undecodable means a hostile or
@@ -1336,12 +1356,8 @@ impl RobustNotifier {
                     if decode_payload(p.chunks(), &mut msgs).is_err() {
                         self.links[xi].hostile_drops += 1;
                     }
-                    // A compound frame arrives as its queued messages, in
-                    // queue order, all from the site bound at its arrival
-                    // — a crash inside the frame fences the channel for
-                    // the next frame, not for the rest of this one.
                     for m in msgs {
-                        self.integrate(ctx, site, m);
+                        self.integrate(ctx, from, bound, m);
                     }
                 }
                 // The piggybacked ack may have drained this channel's
@@ -1349,83 +1365,8 @@ impl RobustNotifier {
                 self.links[xi].maybe_flush(ctx, from, RETX_TAG + xi as u64);
             }
             ReliableKind::Ack { ack } => {
-                if msg.epoch == self.links[xi].epoch {
-                    self.links[xi].accept_ack(ctx.now, ack);
-                    self.links[xi].maybe_flush(ctx, from, RETX_TAG + xi as u64);
-                }
-            }
-            ReliableKind::ResyncRequest {
-                site,
-                received,
-                generated,
-            } => {
-                let x = SiteId(site);
-                // Validate before serving: a resync naming another channel's
-                // site (or the notifier), an unknown or departed site, or
-                // impossible counters (a client cannot have generated less
-                // than the notifier integrated) is hostile — drop it and
-                // keep serving.
-                let notifier = self.hub.notifier();
-                let integrated = notifier.state_vector().received_from(x).unwrap_or(0);
-                if site as usize != from || !notifier.is_active(x) || generated < integrated {
-                    self.links[xi].hostile_drops += 1;
-                    return;
-                }
-                let fresh = msg.epoch > self.links[xi].epoch;
-                if msg.epoch < self.links[xi].epoch {
-                    return; // a late straggler
-                } else if fresh {
-                    // New connection: reset sequencing (pending frames are
-                    // superseded by the replay below) and serve the resync.
-                    // A bumped epoch is the one legitimate way back through
-                    // the post-promotion fence: the channel's sequencing is
-                    // now fresh on both ends, so it is bound again.
-                    self.links[xi].reset(msg.epoch);
-                    self.links[xi].resyncs += 1;
-                    if bound.is_none() && self.hub.bind(from, x) {
-                        self.unfenced_at[xi] = Some(ctx.now);
-                    }
-                } else if bound.is_none() {
-                    // The promoted link never sent anything in this epoch,
-                    // so an idempotent re-answer would be a lie (nothing
-                    // queued, nothing retransmitted to cover it). Drop; the
-                    // client's resync-retry escalation bumps the epoch and
-                    // re-handshakes.
-                    self.fenced_drops += 1;
-                    return;
-                }
-                // A duplicate request (lost response or a network dup) is
-                // answered idempotently: the data retransmission timer
-                // already covers the replayed frames. A trimmed prefix (a
-                // client restored from a stale backup) is served the whole
-                // state instead, unsequenced.
-                let (kind, replay) = match self.hub.catch_up(x, received) {
-                    Ok(CatchUp::Replay { ops, integrated }) => {
-                        let received_from_site = integrated;
-                        (ReliableKind::ResyncResponse { received_from_site }, ops)
-                    }
-                    Ok(CatchUp::Snapshot(doc, sent_to_site, received_from_site)) => {
-                        let kind = ReliableKind::ResyncFull {
-                            sent_to_site,
-                            received_from_site,
-                            doc,
-                        };
-                        (kind, Vec::new())
-                    }
-                    Err(_) => return, // validated active above
-                };
-                let epoch = msg.epoch;
-                ctx.send(from, ReliableMsg { epoch, kind });
-                if fresh {
-                    self.links[xi].resync_replayed += replay.len() as u64;
-                    for sm in replay {
-                        let payload = Payload::encode(&EditorMsg::ServerOp(sm));
-                        self.links[xi].queue_payload(ctx, from, RETX_TAG + xi as u64, payload);
-                    }
-                }
-            }
-            ReliableKind::ResyncResponse { .. } | ReliableKind::ResyncFull { .. } => {
-                // Only clients receive responses; a stray one is dropped.
+                self.links[xi].accept_ack(ctx.now, ack);
+                self.links[xi].maybe_flush(ctx, from, RETX_TAG + xi as u64);
             }
         }
     }
@@ -1452,18 +1393,17 @@ pub(crate) struct RobustClient {
     pub(crate) link: ReliableLink,
     script: Vec<ScheduledEdit>,
     state: ConnState,
-    /// Retry timeout for an unanswered resync request.
-    resync_rto: SimDuration,
     auto_gc: bool,
-    /// Standby session: run the crash detector (stall counting, resync
-    /// escalation, keep-alive probes). Off for legacy sessions so their
-    /// behaviour stays byte-identical.
+    /// Standby session: run the crash detector (stall counting, keep-alive
+    /// probes). Off for legacy sessions so their behaviour stays
+    /// byte-identical.
     standby_mode: bool,
-    /// Consecutive genuine retransmission stalls with no ack progress;
+    /// Consecutive detection rounds with no downstream progress;
     /// [`CRASH_STALLS`] of them mean the notifier is presumed dead.
     stall_rounds: u32,
-    /// Consecutive unanswered resync requests in the current epoch.
-    resync_retries: u32,
+    /// Local operations the last hello's answer said the notifier had
+    /// integrated: a lower bound the next hello's frontier starts from.
+    integrated: u64,
     trace: Option<Vec<ClientEvent>>,
 }
 
@@ -1474,39 +1414,62 @@ impl RobustClient {
         self.state == ConnState::Connected
     }
 
-    fn send_up(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, c: &ClientOpMsg) {
-        let payload = Payload::encode(&EditorMsg::ClientOp(c.clone()));
-        self.link.queue_payload(ctx, 0, RETX_TAG, payload);
+    fn send(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, m: &EditorMsg) {
+        self.link
+            .queue_payload(ctx, 0, RETX_TAG, Payload::encode(m));
     }
 
-    /// Start a fresh connection epoch and ask for a resync — the shared
-    /// tail of a scheduled reconnect and of the crash detector firing.
+    /// Open a new connection and say hello — the shared tail of a
+    /// scheduled reconnect, of the crash detector firing and of an answer
+    /// that shows the frontier was held back too far. The hello is the new
+    /// epoch's first data payload, sequenced and retransmitted like any
+    /// other; its frontier ([`Client::hello_frontier`]) is the cursor the
+    /// catch-up starts from.
     fn begin_reconnect(&mut self, ctx: &mut Ctx<'_, ReliableMsg>) {
         let epoch = self.link.epoch + 1;
         self.link.reset(epoch);
-        self.state = ConnState::AwaitingResync;
-        self.resync_rto = SimDuration::from_micros(BASE_RTO_US);
         self.stall_rounds = 0;
-        self.resync_retries = 0;
-        self.send_resync_request(ctx);
+        let frontier = self.inner.hello_frontier(self.integrated);
+        let received = self.inner.state_vector().received();
+        self.state = ConnState::Hello { frontier, received };
+        let hello = ClientAckMsg {
+            origin: self.inner.site(),
+            received: frontier,
+        };
+        self.send(ctx, &EditorMsg::ClientAck(hello));
     }
 
-    fn send_resync_request(&mut self, ctx: &mut Ctx<'_, ReliableMsg>) {
-        let sv = self.inner.state_vector();
-        ctx.send(
-            0,
-            ReliableMsg {
-                epoch: self.link.epoch,
-                kind: ReliableKind::ResyncRequest {
-                    site: self.inner.site().0,
-                    received: sv.received(),
-                    generated: sv.generated(),
-                },
-            },
-        );
-        ctx.set_timer(self.resync_rto, RESYNC_RETRY_TAG);
-        self.resync_rto =
-            SimDuration::from_micros((self.resync_rto.as_micros() * 2).min(MAX_RTO_US));
+    /// The `ServerAck` that ends a hello's answer: `integrated` says where
+    /// the re-sends start. The frontier was exact if it is the one that
+    /// count gives; only then was it surely served — a frontier held back
+    /// below operations the notifier had in fact integrated may have asked
+    /// for a collected prefix, and the hub then binds nothing. A short one
+    /// says hello again, exactly.
+    fn on_answer(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, integrated: u64) {
+        let ConnState::Hello { frontier, received } = self.state else {
+            return; // a streaming client ignores every other ack
+        };
+        self.integrated = integrated;
+        if frontier < self.inner.hello_frontier(integrated).min(received) {
+            self.begin_reconnect(ctx);
+            return;
+        }
+        self.state = ConnState::Connected;
+        self.link.resyncs += 1;
+        for c in self.inner.unacked_local_since(integrated) {
+            self.send(ctx, &EditorMsg::ClientOp(c));
+        }
+    }
+
+    /// One stall round of the crash detector (standby sessions): enough in
+    /// a row and the notifier is presumed dead, so say hello again in a
+    /// bumped epoch (which is also what un-fences this channel on a
+    /// promoted standby).
+    fn stalled(&mut self, ctx: &mut Ctx<'_, ReliableMsg>) {
+        self.stall_rounds += 1;
+        if self.stall_rounds >= CRASH_STALLS {
+            self.begin_reconnect(ctx);
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, ReliableMsg>, msg: ReliableMsg) {
@@ -1539,6 +1502,11 @@ impl RobustClient {
                     // queue order.
                     for m in msgs.drain(..) {
                         match m {
+                            // The catch-up repeats what the replica
+                            // executed past its hello's frontier.
+                            EditorMsg::ServerOp(m)
+                                if matches!(self.state, ConnState::Hello { .. })
+                                    && m.stamp.get(1) <= self.inner.state_vector().received() => {}
                             EditorMsg::ServerOp(m) => {
                                 match self.inner.try_on_server_op(m.clone()) {
                                     Ok(out) => {
@@ -1555,8 +1523,7 @@ impl RobustClient {
                                     Err(e) => {
                                         // A server op that violates the protocol
                                         // is dropped; the client stays usable
-                                        // offline and a later resync can rebuild
-                                        // it.
+                                        // offline.
                                         eprintln!(
                                             "client {} rejected server op: {e}",
                                             self.inner.site()
@@ -1566,7 +1533,7 @@ impl RobustClient {
                                     }
                                 }
                             }
-                            EditorMsg::ServerAck(_) => {} // streaming clients ignore acks
+                            EditorMsg::ServerAck(a) => self.on_answer(ctx, a.acked),
                             // Client-to-server frames arriving downstream are
                             // nonsense; drop rather than crash.
                             _ => self.link.hostile_drops += 1,
@@ -1575,18 +1542,15 @@ impl RobustClient {
                 }
                 // A quiet client still owes the notifier a periodic bare
                 // ack, or its frozen watermark would starve the GC. NOT
-                // while awaiting a resync though: replay data can arrive
-                // ahead of the (unsequenced) resync response, and an ack
-                // emitted here would overtake the un-acked local ops the
-                // response handler re-sends — the notifier would prune
-                // exactly the pending context those ops still transform
-                // against. The ack stays latched and goes out with the
-                // first frame after the handshake completes, safely
-                // sequenced behind the re-sent ops.
+                // while the hello's answer is still arriving though: an
+                // ack covering the catch-up would overtake the un-acked
+                // local ops the closing `ServerAck` releases — the
+                // notifier would prune exactly the pending context those
+                // ops still transform against. The ack stays latched and
+                // goes out behind the re-sent ops.
                 if self.state == ConnState::Connected {
                     if let Some(a) = self.inner.take_pending_ack() {
-                        let payload = Payload::encode(&EditorMsg::ClientAck(a));
-                        self.link.queue_payload(ctx, 0, RETX_TAG, payload);
+                        self.send(ctx, &EditorMsg::ClientAck(a));
                     }
                 }
                 // The piggybacked ack may have drained the in-flight
@@ -1600,38 +1564,6 @@ impl RobustClient {
                     self.link.maybe_flush(ctx, 0, RETX_TAG);
                 }
             }
-            ReliableKind::ResyncResponse { received_from_site } => {
-                if msg.epoch == self.link.epoch && self.state == ConnState::AwaitingResync {
-                    self.state = ConnState::Connected;
-                    self.stall_rounds = 0;
-                    self.resync_retries = 0;
-                    self.link.resyncs += 1;
-                    for c in self.inner.unacked_local_since(received_from_site) {
-                        self.send_up(ctx, &c);
-                    }
-                }
-            }
-            ReliableKind::ResyncFull {
-                sent_to_site,
-                received_from_site,
-                doc,
-            } => {
-                if msg.epoch == self.link.epoch && self.state == ConnState::AwaitingResync {
-                    self.state = ConnState::Connected;
-                    self.stall_rounds = 0;
-                    self.resync_retries = 0;
-                    // The replica is rebuilt wholesale; unacked local work
-                    // beyond `received_from_site` is abandoned (this path
-                    // only triggers for a replica already known to be
-                    // unrecoverable by replay). `adopt_snapshot` counts the
-                    // resync in the client's own metrics.
-                    self.inner
-                        .adopt_snapshot(&doc, sent_to_site, received_from_site);
-                }
-            }
-            ReliableKind::ResyncRequest { .. } => {
-                // Only the notifier serves resyncs; a stray one is dropped.
-            }
         }
     }
 
@@ -1640,16 +1572,10 @@ impl RobustClient {
             RETX_TAG => {
                 if let Some((frames, rto_us)) = self.link.on_retx_timer(ctx, 0, tag) {
                     self.inner.note_retx_stall(frames, rto_us);
-                    if self.standby_mode && self.state == ConnState::Connected {
-                        // Genuine stall with zero ack progress since the
-                        // last one. Enough in a row and the notifier is
-                        // presumed dead: re-handshake with a bumped epoch
-                        // (which is also what un-fences this channel on a
-                        // promoted standby).
-                        self.stall_rounds += 1;
-                        if self.stall_rounds >= CRASH_STALLS {
-                            self.begin_reconnect(ctx);
-                        }
+                    // A genuine stall with zero ack progress since the
+                    // last one — the hello's own included.
+                    if self.standby_mode && self.state != ConnState::Disconnected {
+                        self.stalled(ctx);
                     }
                 }
             }
@@ -1657,27 +1583,34 @@ impl RobustClient {
                 if self.state == ConnState::Connected {
                     self.link.on_flush_timer(ctx, 0, RETX_TAG);
                 } else {
-                    // Offline or mid-resync: the pending batch either died
-                    // with the epoch or must wait for the resync replay.
+                    // Offline or saying hello: the pending batch died with
+                    // the epoch, and the hello's answer re-covers it.
                     self.link.flush_armed = false;
                 }
             }
             PROBE_TAG => {
-                // Keep-alive: a quiet client owes the notifier periodic
-                // traffic, or a crashed primary would go unnoticed until
-                // the next edit. A bare cumulative ack is idempotent at
-                // the editor layer and cheap on the wire.
-                if self.standby_mode
-                    && self.state == ConnState::Connected
-                    && self.link.in_flight() == 0
-                    && self.link.pending_out.is_empty()
-                {
-                    let a = ClientAckMsg {
-                        origin: self.inner.site(),
-                        received: self.inner.state_vector().received(),
-                    };
-                    let payload = Payload::encode(&EditorMsg::ClientAck(a));
-                    self.link.queue_payload(ctx, 0, RETX_TAG, payload);
+                let idle = self.link.in_flight() == 0 && self.link.pending_out.is_empty();
+                if !self.standby_mode || !idle {
+                    return;
+                }
+                match self.state {
+                    // Keep-alive: a quiet client owes the notifier periodic
+                    // traffic, or a crashed primary would go unnoticed until
+                    // the next edit. A bare cumulative ack is idempotent at
+                    // the editor layer and cheap on the wire.
+                    ConnState::Connected => {
+                        let a = ClientAckMsg {
+                            origin: self.inner.site(),
+                            received: self.inner.state_vector().received(),
+                        };
+                        self.send(ctx, &EditorMsg::ClientAck(a));
+                    }
+                    // The hello was taken but its answer went quiet: the
+                    // notifier that took it may have died with the answer
+                    // unsent, and an ack now would overtake the re-sends.
+                    // Count the silence instead.
+                    ConnState::Hello { .. } => self.stalled(ctx),
+                    ConnState::Disconnected => {}
                 }
             }
             DISCONNECT_TAG => {
@@ -1686,32 +1619,17 @@ impl RobustClient {
             RECONNECT_TAG => {
                 self.begin_reconnect(ctx);
             }
-            RESYNC_RETRY_TAG => {
-                if self.state == ConnState::AwaitingResync {
-                    self.resync_retries += 1;
-                    if self.standby_mode && self.resync_retries >= CRASH_STALLS {
-                        // The resync itself is going unanswered: the
-                        // server may have lost this epoch mid-handshake
-                        // (crashed after resetting the channel). Bump
-                        // again — a fenced promoted notifier only answers
-                        // strictly newer epochs.
-                        self.begin_reconnect(ctx);
-                    } else {
-                        self.send_resync_request(ctx);
-                    }
-                }
-            }
             k => {
                 // A scheduled edit. It always applies locally; it goes on
-                // the wire only while connected — otherwise the resync
-                // re-send (driven by the notifier's integrated count)
-                // covers it, and sending now would double-transmit.
+                // the wire only while connected — otherwise the re-sends
+                // after the hello (driven by the notifier's integrated
+                // count) cover it, and sending now would double-transmit.
                 if let Some(c) = self.script[k as usize].intent.apply_to(&mut self.inner) {
                     if let Some(tr) = &mut self.trace {
                         tr.push(ClientEvent::Local(c.clone()));
                     }
                     if self.state == ConnState::Connected {
-                        self.send_up(ctx, &c);
+                        self.send(ctx, &EditorMsg::ClientOp(c));
                     }
                 }
             }
@@ -1851,11 +1769,10 @@ fn build_star(
             link: cfg.link(cfg.net_seed.wrapping_mul(1001).wrapping_add(i as u64)),
             script: script.clone(),
             state: ConnState::Connected,
-            resync_rto: SimDuration::from_micros(BASE_RTO_US),
             auto_gc: cfg.auto_gc,
             standby_mode: cfg.standby,
             stall_rounds: 0,
-            resync_retries: 0,
+            integrated: 0,
             trace: traced.then(Vec::new),
         })));
         for (k, edit) in script.iter().enumerate() {
@@ -1943,7 +1860,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
         // Keep-alive probes for the crash detector. Pre-scheduled and
         // bounded — the simulator must quiesce, so nodes cannot re-arm
         // their own heartbeat forever. The horizon covers the scripted
-        // workload plus worst-case detection and resync.
+        // workload plus worst-case detection and the hello.
         let mut t = PROBE_INTERVAL_US;
         while t <= last_edit + PROBE_MARGIN_US {
             for i in 0..n {
@@ -2071,7 +1988,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                     assert_eq!(
                         rc.state,
                         ConnState::Connected,
-                        "client left disconnected or mid-resync at quiescence"
+                        "client left disconnected or mid-hello at quiescence"
                     );
                     assert_eq!(rc.link.in_flight(), 0, "client left frames unacked");
                     assert!(
@@ -2240,20 +2157,6 @@ mod tests {
             epoch: 2,
             kind: ReliableKind::Ack { ack: 12 },
         });
-        round_trip(&ReliableMsg {
-            epoch: 3,
-            kind: ReliableKind::ResyncRequest {
-                site: 4,
-                received: 9,
-                generated: 11,
-            },
-        });
-        round_trip(&ReliableMsg {
-            epoch: 3,
-            kind: ReliableKind::ResyncResponse {
-                received_from_site: 8,
-            },
-        });
     }
 
     #[test]
@@ -2399,6 +2302,111 @@ mod tests {
         );
         let centre = r.centre_metrics.expect("star has a centre");
         assert!(centre.robustness_summary().is_some());
+    }
+
+    /// A client that edits only while it is away: the notifier has
+    /// integrated none of its ops when it says hello, so the hub's answer
+    /// alone (no ack when the count is 0) would leave it waiting forever.
+    /// The closing `ServerAck{acked: 0}` is what releases its re-sends.
+    #[test]
+    fn ops_made_entirely_offline_converge_after_the_hello() {
+        let mut cfg = robust_cfg(3, 47);
+        cfg.workload.ops_per_site = 6;
+        let scripts = cfg.workload.generate();
+        let last = scripts[0]
+            .iter()
+            .map(|e| e.at)
+            .max()
+            .expect("client 0 edits");
+        assert!(scripts[0].iter().all(|e| e.at > SimTime::ZERO));
+        cfg.disconnects = vec![DisconnectSpec {
+            client: 0,
+            at: SimTime::ZERO,
+            down: SimDuration::from_micros(last.as_micros() + 100_000),
+        }];
+        let r = run_robust_session(&cfg);
+        assert!(r.converged, "{:?}", r.final_docs);
+        let c0 = &r.client_metrics[0];
+        assert_eq!(c0.ops_generated, 6);
+        assert_eq!(c0.resyncs, 1, "one hello, one answer");
+        assert!(r.final_doc.len() > cfg.initial_doc.len());
+    }
+
+    /// An honest client that does not know its in-flight ops were
+    /// integrated holds its hello's frontier back to their stamps; when
+    /// the collector already trimmed past that, the hub binds nothing and
+    /// the answer is the count alone — the client says hello again from
+    /// the exact frontier. More connections than completed handshakes.
+    #[test]
+    fn a_frontier_held_back_too_far_says_hello_again() {
+        let mut cfg = robust_cfg(4, 3);
+        cfg.workload.ops_per_site = 15;
+        cfg.disconnects = vec![DisconnectSpec {
+            client: 1,
+            at: SimTime::from_millis(400),
+            down: SimDuration::from_millis(900),
+        }];
+        let r = run_robust_session(&cfg);
+        assert!(r.converged, "{:?}", r.final_docs);
+        let centre = r.centre_metrics.expect("star has a centre");
+        let c1 = &r.client_metrics[1];
+        assert_eq!(c1.resyncs, 1, "one completed handshake");
+        assert_eq!(centre.resyncs, 2, "two connections: short, then exact");
+        assert_eq!(centre.protocol_errors, 1, "the trimmed hello is counted");
+    }
+
+    /// Node identity stands in for an authenticated connection: a hello
+    /// on node 1 naming site 2 is hostile, binds nothing, and leaves site
+    /// 2's own channel alone.
+    #[test]
+    fn a_hello_naming_another_nodes_site_binds_nothing() {
+        let mut cfg = robust_cfg(3, 5);
+        cfg.workload.ops_per_site = 0;
+        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let hello = ClientAckMsg {
+            origin: SiteId(2),
+            received: 0,
+        };
+        let frame = data_frame(Payload::encode(&EditorMsg::ClientAck(hello)));
+        sim.inject_send(1, 0, ReliableMsg { epoch: 1, ..frame });
+        sim.run();
+        let RobustNode::Notifier(node) = sim.node(0) else {
+            unreachable!("node 0 is the notifier");
+        };
+        assert_eq!(node.links[0].hostile_drops, 1);
+        assert_eq!(
+            node.hub.site_of(1),
+            None,
+            "the new connection speaks for nobody"
+        );
+        assert_eq!(node.hub.channel_of(SiteId(1)), None);
+        assert_eq!(node.hub.site_of(2), Some(SiteId(2)));
+        assert_eq!(node.links[0].resync_replayed, 0, "no catch-up was served");
+    }
+
+    /// Once a new connection has said hello, a frame of the old epoch is a
+    /// straggler of a connection that is gone: dropped, not integrated.
+    #[test]
+    fn old_epoch_frames_after_the_hello_are_dropped() {
+        let mut cfg = robust_cfg(3, 5);
+        cfg.workload.ops_per_site = 0;
+        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        sim.schedule_timer(1, SimTime::from_millis(1), RECONNECT_TAG);
+        sim.run();
+        let RobustNode::Client(client) = sim.node(1) else {
+            unreachable!("node 1 is a client");
+        };
+        assert!(client.is_connected() && client.link.epoch == 1);
+        let op = Client::new(SiteId(1), &cfg.initial_doc).insert(0, "Z");
+        sim.inject_send(1, 0, data_frame(Payload::encode(&EditorMsg::ClientOp(op))));
+        sim.run();
+        let RobustNode::Notifier(node) = sim.node(0) else {
+            unreachable!("node 0 is the notifier");
+        };
+        assert_eq!(node.links[0].epoch, 1);
+        assert_eq!(node.hub.site_of(1), Some(SiteId(1)), "the hello bound it");
+        assert_eq!(node.ops_integrated, 0);
+        assert_eq!(node.hub.notifier().doc(), cfg.initial_doc);
     }
 
     #[test]
@@ -2759,6 +2767,30 @@ mod tests {
             let r = run_robust_session(&cfg);
             assert_failed_over(&r, 4);
         }
+    }
+
+    /// Site 1 comes back from an outage and its hello is taken by the
+    /// primary, which dies before the answer leaves: nothing is in flight
+    /// and nothing arrives, so no retransmission can stall. The probe
+    /// clock counts the silence, and the client says hello again to the
+    /// promoted standby.
+    #[test]
+    fn a_hello_whose_answer_died_with_the_primary_is_said_again() {
+        let mut cfg = crash_cfg(3, 36, 17, CrashPoint::BeforeSend);
+        cfg.workload.ops_per_site = 8;
+        cfg.disconnects = vec![
+            DisconnectSpec {
+                client: 0,
+                at: SimTime::from_millis(136),
+                down: SimDuration::from_millis(1532),
+            },
+            DisconnectSpec {
+                client: 1,
+                at: SimTime::from_millis(336),
+                down: SimDuration::from_millis(868),
+            },
+        ];
+        assert_failed_over(&run_robust_session(&cfg), 3);
     }
 
     #[test]

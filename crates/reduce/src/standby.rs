@@ -11,14 +11,15 @@
 //!
 //! On promotion the reliability layer swaps the standby's notifier in for
 //! the dead primary's and fences every channel (see
-//! `RobustNotifier`): the promoted notifier answers only resync requests
-//! carrying a *bumped* epoch, which is exactly what crashed-out clients
-//! send after their retransmit stall detector fires. Replay then runs off
-//! the standby's history buffer via the existing 2-element-clock resync
-//! cursor ([`Notifier::replay_for`]); a stale cursor falls back to
-//! [`Notifier::resync_snapshot_for`] / `ResyncFull` unchanged. Frames the
-//! zombie primary may still emit carry the old epoch and are discarded by
-//! the established epoch rules on every survivor.
+//! `RobustNotifier`): the promoted notifier hears only a data frame in a
+//! *bumped* epoch — a new connection, which is exactly what crashed-out
+//! clients open after their retransmit stall detector fires — and its
+//! hello, answered by the hub like any other. Replay then runs off the
+//! standby's history buffer via the 2-element-clock cursor
+//! ([`Notifier::replay_for`]); a cursor below a collected prefix is
+//! answered `Trimmed`, as on the socket tier. Frames the zombie primary
+//! may still emit carry the old epoch and are discarded by the
+//! established epoch rules on every survivor.
 //!
 //! A *cold* standby — one started after the crash — reaches the same
 //! state from the log image alone: [`Standby::from_log`] recovers the

@@ -54,8 +54,8 @@ use crate::notifier::{CheckpointCursor, Notifier};
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
 use cvc_sim::wire::{
-    get_bounded_len, get_string, get_varint, put_string, put_varint, string_len, varint_len,
-    WireDecode, WireEncode, WireError, WireSize,
+    get_bounded_len, get_string, get_u32, get_varint, put_string, put_varint, string_len,
+    varint_len, WireDecode, WireEncode, WireError, WireSize,
 };
 
 /// Record tag for [`WalRecord::Snapshot`]. Op and ack records reuse the
@@ -223,13 +223,13 @@ impl WireDecode for WalRecord {
             // Same field layout as the EditorMsg decoder's ClientOp and
             // ClientAck arms — the log format is the wire format.
             crate::msg::TAG_CLIENT_OP => Ok(WalRecord::Op(ClientOpMsg {
-                origin: SiteId(get_varint(buf)? as u32),
+                origin: SiteId(get_u32(buf)?),
                 stamp: crate::msg::get_stamp(buf)?,
                 op: crate::msg::get_seq_op(buf)?,
                 cursor: crate::msg::get_opt_cursor(buf)?,
             })),
             crate::msg::TAG_CLIENT_ACK => Ok(WalRecord::Ack(ClientAckMsg {
-                origin: SiteId(get_varint(buf)? as u32),
+                origin: SiteId(get_u32(buf)?),
                 received: get_varint(buf)?,
             })),
             WAL_TAG_ACK_FRONTIER => {
@@ -239,17 +239,11 @@ impl WireDecode for WalRecord {
                 let n = get_bounded_len(buf, 2)?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    // A client index is a u32 everywhere else in the
-                    // protocol; a wider varint here is an overlong value.
-                    let idx = u32::try_from(get_varint(buf)?).map_err(|_| WireError::Overlong)?;
-                    entries.push((idx, get_varint(buf)?));
+                    entries.push((get_u32(buf)?, get_varint(buf)?));
                 }
                 Ok(WalRecord::AckFrontier(AckFrontierRecord { entries }))
             }
-            WAL_TAG_EVICT => {
-                let site = u32::try_from(get_varint(buf)?).map_err(|_| WireError::Overlong)?;
-                Ok(WalRecord::Evict(SiteId(site)))
-            }
+            WAL_TAG_EVICT => Ok(WalRecord::Evict(SiteId(get_u32(buf)?))),
             WAL_TAG_SNAPSHOT => {
                 let doc = get_string(buf)?;
                 // Each cursor costs ≥ 4 bytes; a hostile count cannot force

@@ -132,6 +132,39 @@ fn hostile_64_bit_lengths_are_rejected_at_every_site() {
     assert!(WalRecord::decode(&mut buf).is_err());
 }
 
+/// A shard id past `u32` is an overlong value, never a truncated one: read
+/// as `2^32 → 0`, a hostile relay frame would claim to come from shard 0
+/// and slip past the notifier's hostile-shard quarantine.
+#[test]
+fn wide_origin_shard_is_overlong_not_shard_zero() {
+    let inner = MeshOpMsg {
+        origin: SiteId(1),
+        vector: VectorClock::from_entries(vec![1, 0]),
+        op: TtfOp::Delete { pos: 0 },
+    };
+    let op = EditorMsg::RelayOp(RelayOpMsg {
+        origin_shard: 0,
+        seq: 1,
+        sent_at_us: 0,
+        inner,
+    });
+    let ack = EditorMsg::RelayAck(RelayAckMsg {
+        origin_shard: 0,
+        received: 1,
+    });
+    for msg in [op, ack] {
+        let mut valid = Vec::new();
+        msg.encode(&mut valid);
+        // Byte 0 is the tag, byte 1 the one-byte varint of shard 0.
+        for wide in [1u64 << 32, (1 << 32) + 1, u64::MAX] {
+            let mut b = vec![valid[0]];
+            put_varint(&mut b, wide);
+            b.extend_from_slice(&valid[2..]);
+            assert_eq!(must_reject(&b), WireError::Overlong, "{msg:?} at {wide}");
+        }
+    }
+}
+
 /// A structurally valid (not necessarily applicable) sequence operation.
 fn seq_op_strategy() -> impl Strategy<Value = SeqOp> {
     proptest::collection::vec(
@@ -262,22 +295,6 @@ fn reliable_msg_strategy() -> impl Strategy<Value = ReliableMsg> {
                 payload: Payload::from_vec(payload),
             }),
         any::<u64>().prop_map(|ack| ReliableKind::Ack { ack }),
-        (1u32..=64, any::<u64>(), any::<u64>()).prop_map(|(site, received, generated)| {
-            ReliableKind::ResyncRequest {
-                site,
-                received,
-                generated,
-            }
-        }),
-        any::<u64>()
-            .prop_map(|received_from_site| ReliableKind::ResyncResponse { received_from_site }),
-        (any::<u64>(), any::<u64>(), "[a-z ]{0,48}").prop_map(
-            |(sent_to_site, received_from_site, doc)| ReliableKind::ResyncFull {
-                sent_to_site,
-                received_from_site,
-                doc,
-            }
-        ),
     ];
     (any::<u32>(), kind).prop_map(|(epoch, kind)| ReliableMsg { epoch, kind })
 }

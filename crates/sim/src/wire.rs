@@ -109,6 +109,13 @@ pub fn get_varint<B: Buf>(buf: &mut B) -> Result<u64, WireError> {
     decode_varint(|| buf.has_remaining().then(|| buf.get_u8()))?.ok_or(WireError::Truncated)
 }
 
+/// Read a varint that must fit a `u32` (a site or shard id, an epoch, a
+/// checksum, a char): a wider value is [`WireError::Overlong`], never
+/// truncated into a small, valid-looking one.
+pub fn get_u32<B: Buf>(buf: &mut B) -> Result<u32, WireError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| WireError::Overlong)
+}
+
 /// Parse one varint from the front of `bytes` without consuming them:
 /// `Ok(Some((value, consumed)))` on a complete varint, `Ok(None)` when the
 /// input ends mid-varint (torn — a stream reader waits for more bytes).
