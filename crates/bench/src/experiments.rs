@@ -22,6 +22,7 @@ use cvc_core::clock::{ClockScheme, FullVectorScheme, LamportScheme, SkScheme};
 use cvc_core::site::SiteId;
 use cvc_net::{replay_twin, run_load, AdminClient, EditorServer, LoadConfig, LoadReport};
 use cvc_net::{ServerConfig, ServerHandle, ServerReport};
+use cvc_reduce::client::ACK_INTERVAL;
 use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::scenario::{failover_walkthrough, fig2_report, fig3_walkthrough};
 use cvc_reduce::session::Deployment::{MeshFullVc, RelayStar, StarCvc};
@@ -134,16 +135,35 @@ pub fn e1_topology() -> Report {
             let r = run_session(&session_cfg(deployment, n, 10, 11));
             let measured = r.net.messages as f64 / ops_generated(&r) as f64;
             rep.row([
-                shown("N", &n),
-                shown("topology", &deployment.label()),
-                shown("msgs/op (model)", &topo.messages_per_op()),
-                shown("msgs/op (measured)", &measured).text(Fixed(2)),
+                cell("N", "n", &n),
+                cell("topology", "topology", &deployment.label()),
+                cell("msgs/op (model)", "model", &topo.messages_per_op()),
+                cell("msgs/op (measured)", "measured", &measured).text(Fixed(2)),
                 shown("channels/client", &topo.channels_per_client()),
                 shown("hops", &topo.hops_to_peer()),
             ]);
         }
     }
     rep
+}
+
+/// E1's ack budget. The mesh sends exactly the model's N − 1 copies per
+/// op. The star sends the model's N (one up, N − 1 down) plus bare acks:
+/// a quiet client acks once per [`ACK_INTERVAL`] server ops executed
+/// since it last told the notifier (a local op resets that count), so
+/// the N − 1 receipts of each op buy at most (N − 1) / `ACK_INTERVAL`
+/// acks.
+fn e1_gate(r: &Report, _: Scope<'_>) -> Vec<String> {
+    let mut g = Findings::default();
+    for row in g.rows(r) {
+        let (n, model, measured) = (row.num("n"), row.num("model"), row.num("measured"));
+        if row.text("topology") == StarCvc.label() {
+            require_of!(g, row, measured <= model + (n - 1.0) / ACK_INTERVAL as f64);
+        } else {
+            require_of!(g, row, measured == model);
+        }
+    }
+    g.0
 }
 
 /// E2 — Fig. 2: divergence and intention violation without OT.
@@ -2390,7 +2410,7 @@ impl Experiment {
 /// Every experiment, in report order: the one list behind `repro <id>`,
 /// `repro <id>-smoke`, `repro list`, `repro all` and `repro check`.
 pub static EXPERIMENTS: [Experiment; 24] = [
-    Experiment::new("e1", "topology message mapping (Fig. 1)", e1_topology),
+    Experiment::new("e1", "topology message mapping (Fig. 1)", e1_topology).gated(e1_gate),
     Experiment::new("e2", "divergence & intention violation (Fig. 2)", e2_fig2),
     Experiment::new("e3", "compressed clock walkthrough (Fig. 3)", e3_fig3).gated(walkthrough_gate),
     Experiment::new("e4", "timestamp size vs N", e4_timestamp_size),
@@ -2708,6 +2728,29 @@ mod tests {
     }
 
     #[test]
+    fn e1_gate_bounds_the_star_by_its_ack_budget_and_pins_the_mesh() {
+        let budget = 3.0 / ACK_INTERVAL as f64;
+        let mut rep = Report::new("t");
+        for (topology, model, measured) in [
+            ("star/cvc", 4u64, 4.0 + budget),
+            ("star/cvc", 4, 4.0 + budget + 0.01),
+            ("mesh/full-vc", 3, 3.0),
+            ("mesh/full-vc", 3, 3.01),
+        ] {
+            rep.row([
+                cell("N", "n", &4u64),
+                cell("topology", "topology", &topology),
+                cell("msgs/op (model)", "model", &model),
+                cell("msgs/op (measured)", "measured", &measured),
+            ]);
+        }
+        let found = e1_gate(&rep, Scope::Full);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].starts_with("row 1 (") && found[0].ends_with("ACK_INTERVAL as f64"));
+        assert!(found[1].starts_with("row 3 (") && found[1].ends_with("measured == model"));
+    }
+
+    #[test]
     fn e2_contains_paper_strings() {
         let s = e2_fig2().render();
         assert!(s.contains("A1DE") && s.contains("A12B"));
@@ -2966,10 +3009,10 @@ mod tests {
 
     #[test]
     fn an_edited_digit_fails_check_naming_file_row_and_gate() {
-        // 729215 wire bytes at N=64 / 1% loss; every row gate still holds
+        // 755079 wire bytes at N=64 / 1% loss; every row gate still holds
         // one byte up, so only regeneration can tell.
         let text = committed_text("BENCH_PR2.json");
-        let edited = text.replacen("\"wire_bytes\": 729215", "\"wire_bytes\": 729216", 1);
+        let edited = text.replacen("\"wire_bytes\": 755079", "\"wire_bytes\": 755080", 1);
         assert_ne!(edited, text);
         assert_eq!(
             check_artifact("BENCH_PR2.json", &edited, false),

@@ -2,11 +2,12 @@
 //!
 //! Every experiment the registry does not mark `timing` runs entirely on
 //! virtual time, so its rendered report is a pure function of the code.
-//! The files under `golden/` are those reports: `e20_failover_smoke.txt`
-//! was last regenerated when a simulated reconnect became the hub's
-//! hello (the hello integrates as an ack and the handshake's frames
-//! changed; EXPERIMENTS E20 lists every moved cell); the rest at the
-//! commit before the
+//! The files under `golden/` are those reports: `e1`, `e4`, `e6`, `e10`,
+//! `e12`, `e13`, `e15` and `e20_failover_smoke` were last regenerated
+//! when a quiet site's bare-ack interval (`ACK_INTERVAL`) rose from 8 to
+//! 64 executed ops (fewer ack messages move every star cell that counts
+//! messages or bytes; EXPERIMENTS lists every moved cell up front); the
+//! rest at the commit before the
 //! E-suite moved onto `Report` (from that commit's `repro <id>`, minus the
 //! artefact-path line), except `e8.txt`, captured once `verify_mesh`
 //! stopped depending on a hasher's iteration order. They are the

@@ -559,15 +559,13 @@ fn forged_origin_evicts_the_sender_not_the_named_site() {
     assert!(recovered.is_active(sites[1]) && recovered.is_active(sites[2]));
 }
 
-/// DESIGN §15/§17: the TCP server's state is bounded by the in-flight
-/// window, not by the session. Four lockstep writers (one op in flight,
-/// acks exactly as `Client::take_pending_ack` dictates, one final ack
-/// each) run 2 000 ops; the notifier's history buffer must stay within
-/// the ack-lag window and the log must have compacted to a snapshot.
-#[test]
-fn long_session_keeps_history_and_log_bounded() {
-    const OPS: usize = 2_000;
-    let n = 4;
+/// A lockstep session of `ops` ops over `n` sites, the first `writers` of
+/// which take turns editing (one op in flight). Every other site
+/// executes each op and acks exactly as `Client::take_pending_ack`
+/// dictates, then every site sends one final ack. The notifier's
+/// history must stay within the ack-lag window and the log must have
+/// compacted to a snapshot. Returns each site's bare-ack count.
+fn lockstep_session(n: usize, writers: usize, ops: usize) -> Vec<u64> {
     let server = EditorServer::spawn(ServerConfig {
         n_clients: n,
         workers: 1,
@@ -578,9 +576,10 @@ fn long_session_keeps_history_and_log_bounded() {
     let sites: Vec<SiteId> = (0..n).map(SiteId::from_client_index).collect();
     let mut replicas: Vec<Client> = sites.iter().map(|&s| Client::new(s, "")).collect();
     let mut peers: Vec<TestPeer> = sites.iter().map(|&s| TestPeer::bind(&addr, s)).collect();
+    let mut bare_acks = vec![0u64; n];
 
-    for k in 0..OPS {
-        let origin = k % n;
+    for k in 0..ops {
+        let origin = k % writers;
         let op = replicas[origin].insert(k / 2, "x");
         peers[origin].send(&EditorMsg::ClientOp(op));
         for j in (0..n).filter(|&j| j != origin) {
@@ -588,6 +587,7 @@ fn long_session_keeps_history_and_log_bounded() {
             replicas[j].gc();
             if let Some(ack) = replicas[j].take_pending_ack() {
                 peers[j].send(&EditorMsg::ClientAck(ack));
+                bare_acks[j] += 1;
             }
         }
     }
@@ -600,7 +600,7 @@ fn long_session_keeps_history_and_log_bounded() {
     barrier(&addr);
 
     let report = server.shutdown();
-    assert_eq!(report.ops_integrated, OPS as u64);
+    assert_eq!(report.ops_integrated, ops as u64);
     assert_eq!(report.protocol_errors, 0);
     for replica in &replicas {
         assert_eq!(replica.doc(), report.doc);
@@ -613,17 +613,41 @@ fn long_session_keeps_history_and_log_bounded() {
     let bound = 2 * (ACK_INTERVAL + n as u64 + 1);
     assert!(
         report.hb_high_water <= bound,
-        "history buffer grew with the session: high water {} > window {bound} over {OPS} ops",
+        "history buffer grew with the session: high water {} > window {bound} over {ops} ops",
         report.hb_high_water
     );
-
     let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
     assert!(
         recovery.snapshot.is_some(),
-        "a fully acknowledged {OPS}-op session must have compacted at least once"
+        "a fully acknowledged {ops}-op session must have compacted at least once"
     );
     let (recovered, _) = recovery.restore(n, "").expect("WAL restores");
     assert_eq!(recovered.doc_checksum(), report.doc_checksum);
+    bare_acks
+}
+
+/// DESIGN §15/§17: the TCP server's state is bounded by the in-flight
+/// window, not by the session. Four round-robin writers run 2 000 ops;
+/// each receives only three ops between its own, so every ack rides
+/// `T[1]` of an op.
+#[test]
+fn long_session_keeps_history_and_log_bounded() {
+    assert_eq!(lockstep_session(4, 4, 2_000), [0; 4]);
+}
+
+/// The reader path of the ack rule on real sockets: two writers and two
+/// read-only sites, which can only send a bare ack every
+/// [`ACK_INTERVAL`] executions. Those acks alone must keep the history
+/// within the same window and let the log compact; a hub that dropped
+/// them would pin every op.
+#[test]
+fn quiet_readers_ack_every_interval_and_keep_history_bounded() {
+    let ops = 8 * ACK_INTERVAL;
+    let readers_acks = ops / ACK_INTERVAL;
+    assert_eq!(
+        lockstep_session(4, 2, ops as usize),
+        [0, 0, readers_acks, readers_acks]
+    );
 }
 
 /// Heavy connect/disconnect churn forces the workers to recycle slab

@@ -42,7 +42,16 @@ pub const MAX_UNDO_DEPTH: usize = 100;
 /// the notifier a bare [`ClientAckMsg`]. Actively-editing clients never
 /// send one — every local operation already carries the acknowledgement in
 /// `T[1]` — so this only bounds the GC lag introduced by idle observers.
-pub const ACK_INTERVAL: u64 = 8;
+///
+/// The interval trades frames for retention. Each quiet site sends
+/// `1 / ACK_INTERVAL` bare-ack frames per broadcast it receives (a
+/// socket write, a server read and a WAL ack record each); in exchange
+/// it pins at most the in-flight window + `ACK_INTERVAL` entries of the
+/// notifier's history buffer. A live reconnect replays exactly what the
+/// site missed; a replica restored from an older copy is still caught up
+/// by replay down to its last ack, so that catch-up can be up to
+/// `ACK_INTERVAL − 1` operations longer.
+pub const ACK_INTERVAL: u64 = 64;
 
 /// One executed operation remembered in a client's history buffer,
 /// timestamped per Section 3.3 ("a buffered operation is timestamped with

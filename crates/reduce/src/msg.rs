@@ -103,7 +103,8 @@ pub struct ServerAckMsg {
 /// `acked_by` entry and the notifier's history buffer could never be
 /// garbage-collected past that client. Sent sparsely (every
 /// [`crate::client::ACK_INTERVAL`] receipts without an intervening local
-/// edit), this keeps the notifier's HB bounded by the in-flight window.
+/// edit), this keeps the notifier's HB bounded by the in-flight window +
+/// [`crate::client::ACK_INTERVAL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientAckMsg {
     /// Acknowledging client site.

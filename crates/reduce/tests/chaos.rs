@@ -20,7 +20,7 @@ use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::seq::SeqOp;
 use cvc_reduce::audit::StarAudit;
-use cvc_reduce::client::Client;
+use cvc_reduce::client::{Client, ACK_INTERVAL};
 use cvc_reduce::error::ProtocolError;
 use cvc_reduce::msg::{ClientOpMsg, EditorMsg, ServerOpMsg};
 use cvc_reduce::notifier::Notifier;
@@ -456,9 +456,11 @@ fn stale_backup_falls_back_to_full_state_resync() {
     }
     let backup = c1.clone(); // received = 0: predates all of c2's traffic
 
-    // Heavy one-sided traffic: c1 stays quiet but acks periodically, so
-    // the collector trims the broadcast prefix the backup would need.
-    for _ in 0..20 {
+    // Heavy one-sided traffic: c1 stays quiet but acks every
+    // ACK_INTERVAL executions, so the collector trims the broadcast prefix
+    // the backup would need. Two intervals and change guarantee a trim.
+    let mut bare_acks = 0;
+    for _ in 0..2 * ACK_INTERVAL + 4 {
         let m = c2.insert(0, "x");
         for (dest, sm) in notifier
             .try_on_client_op_outcome(m)
@@ -469,9 +471,15 @@ fn stale_backup_falls_back_to_full_state_resync() {
             c1.try_on_server_op(sm).expect("valid server op");
             if let Some(a) = c1.take_pending_ack() {
                 notifier.try_on_client_ack(a).expect("valid client ack");
+                bare_acks += 1;
             }
         }
     }
+    assert!(bare_acks >= 1, "the quiet site must have sent a bare ack");
+    assert!(
+        notifier.history_trimmed() > 0,
+        "the collector must have trimmed"
+    );
 
     // The live c1 now "crashes"; the restored backup asks for a replay.
     let stale_received = backup.state_vector().received();
@@ -508,6 +516,47 @@ fn stale_backup_falls_back_to_full_state_resync() {
     }
     assert_eq!(restored.doc(), notifier.doc());
     assert_eq!(c2.doc(), notifier.doc());
+}
+
+/// The trade `ACK_INTERVAL` sets, pinned at its edges: a quiet site pins
+/// at most `ACK_INTERVAL` history entries at the notifier (lockstep, so
+/// the in-flight window is empty), and a copy of its replica taken at its
+/// last ack is still caught up by replay, `ACK_INTERVAL − 1` ops long.
+#[test]
+fn a_quiet_site_pins_one_ack_interval_of_history() {
+    let mut notifier = Notifier::new(2, "");
+    notifier.set_auto_gc(true);
+    let mut reader = Client::new(SiteId(1), "");
+    let mut writer = Client::new(SiteId(2), "");
+    let mut high_water = 0;
+    let mut backup = None;
+    for k in 0..3 * ACK_INTERVAL - 1 {
+        let m = writer.insert(0, "x");
+        for (_, sm) in notifier
+            .try_on_client_op_outcome(m)
+            .expect("valid client op")
+            .broadcast_msgs()
+        {
+            reader.try_on_server_op(sm).expect("valid server op");
+        }
+        high_water = high_water.max(notifier.history().len() as u64);
+        if let Some(a) = reader.take_pending_ack() {
+            notifier.try_on_client_ack(a).expect("valid client ack");
+            assert!(
+                notifier.history().is_empty(),
+                "an ack frees everything before it"
+            );
+        }
+        if k == 2 * ACK_INTERVAL - 1 {
+            backup = Some(reader.clone());
+        }
+    }
+    assert_eq!(high_water, ACK_INTERVAL);
+    let backup = backup.expect("taken at the second ack");
+    let replay = notifier
+        .replay_for(SiteId(1), backup.state_vector().received())
+        .expect("history since the last ack is kept");
+    assert_eq!(replay.len() as u64, ACK_INTERVAL - 1);
 }
 
 /// Integrate one honest client edit and fan its broadcasts out to the
