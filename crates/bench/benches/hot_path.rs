@@ -12,19 +12,23 @@
 //! * **checksum** — the frame codec's checksum: byte-at-a-time FNV-1a
 //!   (kept here only, as the baseline) vs the word-at-a-time `FrameHasher`
 //!   that replaced it on every framed byte, at frame sizes from a single
-//!   op to a large compound frame.
+//!   op to a large compound frame;
+//! * **quiet replica** — a site that never edits receiving broadcasts:
+//!   decode, execute and `gc`, per message, over many interleaved
+//!   replicas.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::pos::PosOp;
 use cvc_ot::seq::SeqOp;
 use cvc_ot::stack::OpStack;
-use cvc_reduce::client::{ACK_INTERVAL, MAX_UNDO_DEPTH};
+use cvc_reduce::client::{Client, ACK_INTERVAL, MAX_UNDO_DEPTH};
 use cvc_reduce::frame::frame_checksum;
-use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg};
+use cvc_reduce::msg::{decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, ServerOpMsg};
 use cvc_reduce::notifier::Notifier;
+use cvc_sim::wire::WireEncode;
 
 fn bench_stamp_layer(c: &mut Criterion) {
     let mut g = c.benchmark_group("stamp_layer");
@@ -283,12 +287,84 @@ fn bench_checksum_layer(c: &mut Criterion) {
     g.finish();
 }
 
+/// What `fanout_n64`'s generator pays per broadcast for one of its
+/// readers: 64 replicas that never edit, each fed the same 4-message
+/// compounds in turn (four writers typing on a 4 096-char document), and
+/// per message a decode, `try_on_server_op` and `gc`. One sample is 32
+/// compounds to every replica, 8 192 messages.
+fn bench_quiet_replica(c: &mut Criterion) {
+    const REPLICAS: u32 = 64;
+    const ROUNDS: usize = 32;
+    const WRITERS: u32 = 4;
+    let doc = "x".repeat(4_096);
+    let mut len = doc.len();
+    let mut received = 0u64;
+    // Even rounds insert a char at each writer's site, odd rounds delete
+    // one, so the document keeps its length.
+    let compounds: Vec<Vec<u8>> = (0..ROUNDS)
+        .map(|round| {
+            let msgs = (1..=WRITERS)
+                .map(|w| {
+                    let pos = w as usize * 800;
+                    let op = if round % 2 == 0 {
+                        PosOp::insert(pos, "y")
+                    } else {
+                        PosOp::delete(pos, "y")
+                    };
+                    let op = SeqOp::from_pos(&op, len);
+                    len = op.target_len();
+                    received += 1;
+                    EditorMsg::ServerOp(ServerOpMsg {
+                        stamp: CompressedStamp::new(received, 0),
+                        op,
+                        cursor: Some((w, pos as u64)),
+                    })
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            EditorMsg::Compound(msgs).encode(&mut bytes);
+            bytes
+        })
+        .collect();
+    let readers: Vec<Client> = (1..=REPLICAS)
+        .map(|i| Client::new(SiteId(WRITERS + i), &doc))
+        .collect();
+    let mut g = c.benchmark_group("quiet_replica");
+    g.throughput(Throughput::Elements(
+        u64::from(REPLICAS) * ROUNDS as u64 * u64::from(WRITERS),
+    ));
+    let mut msgs = Vec::new();
+    g.bench_function("decode_exec_gc_64x4", |b| {
+        b.iter_batched(
+            || readers.clone(),
+            |mut replicas| {
+                for bytes in &compounds {
+                    for replica in &mut replicas {
+                        decode_payload([bytes, &[]], &mut msgs).expect("decodes");
+                        for msg in msgs.drain(..) {
+                            let EditorMsg::ServerOp(m) = msg else {
+                                unreachable!("only server ops were encoded")
+                            };
+                            replica.try_on_server_op(m).expect("in order");
+                            replica.gc();
+                        }
+                    }
+                }
+                replicas
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_stamp_layer,
     bench_document_layer,
     bench_undo_stack_sweep,
     bench_notifier_layer,
-    bench_checksum_layer
+    bench_checksum_layer,
+    bench_quiet_replica
 );
 criterion_main!(benches);

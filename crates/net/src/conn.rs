@@ -8,6 +8,7 @@
 //! interest. Nothing here blocks, allocates per byte, or trusts the peer.
 
 use cvc_reduce::frame::{write_frame, FrameError, FrameReader};
+use std::cell::RefCell;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
@@ -53,6 +54,16 @@ const MAX_PENDING_OUT: usize = 8 << 20;
 /// is lost — the drain just interleaves fairly.
 const MAX_READ_PER_EVENT: usize = 256 * 1024;
 
+/// Bytes one `read` call asks for.
+const READ_CHUNK: usize = 16 * 1024;
+
+thread_local! {
+    /// The buffer every connection on this thread reads through, zeroed
+    /// once. A worker owns many connections, so one per connection would
+    /// cost `READ_CHUNK` bytes each.
+    static SCRATCH: RefCell<Box<[u8]>> = RefCell::new(vec![0; READ_CHUNK].into_boxed_slice());
+}
+
 /// One framed, nonblocking connection.
 #[derive(Debug)]
 pub struct Conn {
@@ -85,35 +96,22 @@ impl Conn {
     }
 
     /// Drain the socket and append every completed frame payload to
-    /// `frames`. Returns when the socket would block or the per-event
-    /// byte budget ([`MAX_READ_PER_EVENT`]) is spent — level-triggered
-    /// polling redelivers the event, so a capped return is a fairness
+    /// `frames`. Returns after a read that came back shorter than the
+    /// scratch buffer (the socket is empty: one more read could only say
+    /// `EAGAIN`), when the socket would block, or when the per-event byte
+    /// budget ([`MAX_READ_PER_EVENT`]) is spent. The poller is
+    /// level-triggered and watches `EPOLLRDHUP`, so bytes or a close that
+    /// land later re-arm the connection and a capped return is a fairness
     /// yield, not data loss. Errors are fatal to the connection.
     pub fn on_readable(&mut self, frames: &mut Vec<Vec<u8>>) -> Result<(), ConnError> {
-        let mut chunk = [0u8; 16 * 1024];
-        let mut consumed = 0usize;
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // Orderly close. Frames already reassembled were
-                    // appended on earlier iterations and stay valid.
-                    return Err(ConnError::PeerClosed);
-                }
-                Ok(n) => {
-                    self.reader.extend(&chunk[..n]);
-                    while let Some(payload) = self.reader.next_frame()? {
-                        frames.push(payload);
-                    }
-                    consumed += n;
-                    if consumed >= MAX_READ_PER_EVENT {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ConnError::Io(e)),
-            }
-        }
+        SCRATCH.with(|scratch| {
+            drain(
+                &self.stream,
+                &mut self.reader,
+                &mut scratch.borrow_mut(),
+                frames,
+            )
+        })
     }
 
     /// Queue one frame wrapping the concatenation of `chunks` (framed
@@ -161,6 +159,39 @@ impl Conn {
     /// Unsent output bytes pending.
     pub fn pending_out(&self) -> usize {
         self.out.len() - self.out_start
+    }
+}
+
+/// [`Conn::on_readable`]'s loop over any byte source: read through
+/// `chunk` into `reader` and append the completed payloads to `frames`.
+fn drain(
+    mut src: impl Read,
+    reader: &mut FrameReader,
+    chunk: &mut [u8],
+    frames: &mut Vec<Vec<u8>>,
+) -> Result<(), ConnError> {
+    let mut consumed = 0usize;
+    loop {
+        match src.read(chunk) {
+            Ok(0) => {
+                // Orderly close. Frames already reassembled were
+                // appended on earlier iterations and stay valid.
+                return Err(ConnError::PeerClosed);
+            }
+            Ok(n) => {
+                reader.extend(&chunk[..n]);
+                while let Some(payload) = reader.next_frame()? {
+                    frames.push(payload);
+                }
+                consumed += n;
+                if n < chunk.len() || consumed >= MAX_READ_PER_EVENT {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ConnError::Io(e)),
+        }
     }
 }
 
@@ -236,5 +267,135 @@ mod tests {
         }
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0], big);
+    }
+
+    /// Call `on_readable` until `done` holds, giving the loopback a
+    /// moment between calls.
+    fn read_until(b: &mut Conn, frames: &mut Vec<Vec<u8>>, done: impl Fn(&Conn, usize) -> bool) {
+        for _ in 0..200 {
+            b.on_readable(frames).unwrap();
+            if done(b, frames.len()) {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        panic!(
+            "{} frames, {} bytes buffered",
+            frames.len(),
+            b.reader.buffered()
+        );
+    }
+
+    #[test]
+    fn a_frame_split_across_writes_arrives_whole_after_the_second() {
+        let (a, mut b) = pair();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[b"split across two writes"]);
+        let (first, second) = wire.split_at(wire.len() / 2);
+        let mut raw = &a.stream;
+        raw.write_all(first).unwrap();
+        let mut frames = Vec::new();
+        read_until(&mut b, &mut frames, |b, _| {
+            b.reader.buffered() == first.len()
+        });
+        assert!(frames.is_empty(), "half a frame is not a frame");
+        raw.write_all(second).unwrap();
+        read_until(&mut b, &mut frames, |_, n| n == 1);
+        assert_eq!(frames, vec![b"split across two writes".to_vec()]);
+        assert_eq!(b.reader.buffered(), 0);
+    }
+
+    #[test]
+    fn a_close_after_data_surfaces_on_the_next_call() {
+        let (mut a, mut b) = pair();
+        a.queue_frame(&[b"last words"]).unwrap();
+        a.flush().unwrap();
+        assert!(!a.wants_write());
+        drop(a);
+        // Let the data and the close both land: the pass that returns the
+        // data stops at its short read, and the close is a later call's
+        // answer.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut frames = Vec::new();
+        read_until(&mut b, &mut frames, |_, n| n == 1);
+        assert_eq!(frames, vec![b"last words".to_vec()]);
+        for _ in 0..50 {
+            match b.on_readable(&mut frames) {
+                Err(ConnError::PeerClosed) => {
+                    assert_eq!(frames.len(), 1);
+                    return;
+                }
+                Ok(()) => std::thread::sleep(std::time::Duration::from_millis(10)),
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        panic!("peer close never surfaced");
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_scratch_arrives_whole() {
+        let (mut a, mut b) = pair();
+        let big: Vec<u8> = (0..READ_CHUNK + 1).map(|i| (i % 251) as u8).collect();
+        a.queue_frame(&[&big]).unwrap();
+        a.flush().unwrap();
+        assert!(!a.wants_write());
+        let mut frames = Vec::new();
+        read_until(&mut b, &mut frames, |_, n| n == 1);
+        assert_eq!(frames, vec![big]);
+    }
+
+    /// A byte source that serves `frame` over and over, `per_read`
+    /// bytes at a time at most, and counts its reads.
+    struct Endless {
+        frame: Vec<u8>,
+        at: usize,
+        per_read: usize,
+        reads: usize,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = out.len().min(self.per_read);
+            for byte in &mut out[..n] {
+                *byte = self.frame[self.at];
+                self.at = (self.at + 1) % self.frame.len();
+            }
+            Ok(n)
+        }
+    }
+
+    fn endless(per_read: usize) -> Endless {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &[&[7u8; 1000]]);
+        Endless {
+            frame,
+            at: 0,
+            per_read,
+            reads: 0,
+        }
+    }
+
+    #[test]
+    fn a_pass_stops_at_the_per_event_budget() {
+        let mut src = endless(usize::MAX);
+        let (mut reader, mut frames) = (FrameReader::new(), Vec::new());
+        let mut chunk = [0u8; READ_CHUNK];
+        drain(&mut src, &mut reader, &mut chunk, &mut frames).unwrap();
+        assert_eq!(src.reads, MAX_READ_PER_EVENT / READ_CHUNK);
+        let consumed = frames.len() * src.frame.len() + reader.buffered();
+        assert_eq!(consumed, MAX_READ_PER_EVENT);
+    }
+
+    #[test]
+    fn a_short_read_ends_the_pass() {
+        // The source never says `EAGAIN`: a pass that read again after a
+        // short read would spin until the budget.
+        let mut src = endless(3000);
+        let (mut reader, mut frames) = (FrameReader::new(), Vec::new());
+        let mut chunk = [0u8; READ_CHUNK];
+        drain(&mut src, &mut reader, &mut chunk, &mut frames).unwrap();
+        assert_eq!(src.reads, 1);
+        assert_eq!(frames.len(), 3000 / src.frame.len());
     }
 }

@@ -104,6 +104,15 @@ impl SeqOp {
         Self::default()
     }
 
+    /// The empty operation, with room for `components` components before
+    /// its first reallocation.
+    pub fn with_capacity(components: usize) -> Self {
+        SeqOp {
+            components: Vec::with_capacity(components),
+            ..Self::default()
+        }
+    }
+
     /// Identity operation on a document of `n` characters.
     pub fn identity(n: usize) -> Self {
         let mut op = SeqOp::new();
@@ -159,24 +168,36 @@ impl SeqOp {
 
     /// Append an insert of `text`.
     pub fn insert(&mut self, text: &str) -> &mut Self {
-        if text.is_empty() {
+        self.push_insert(text)
+    }
+
+    /// Append an insert of `text`, keeping the `String` itself when it
+    /// becomes a component of its own — the decoder and the transforms
+    /// already own the text they append, so this saves a copy.
+    pub fn insert_owned(&mut self, text: String) -> &mut Self {
+        self.push_insert(text)
+    }
+
+    fn push_insert<S: AsRef<str> + Into<String>>(&mut self, text: S) -> &mut Self {
+        let s = text.as_ref();
+        if s.is_empty() {
             return self;
         }
-        self.target_len += text.chars().count();
+        self.target_len += s.chars().count();
         match self.components.last_mut() {
-            Some(Component::Insert(s)) => s.push_str(text),
+            Some(Component::Insert(prev)) => prev.push_str(s),
             Some(Component::Delete(_)) => {
                 // Canonical order: insert before delete. If the component
                 // before the delete is also an insert, merge into it.
                 let del = self.components.pop().expect("just matched");
-                if let Some(Component::Insert(s)) = self.components.last_mut() {
-                    s.push_str(text);
+                if let Some(Component::Insert(prev)) = self.components.last_mut() {
+                    prev.push_str(s);
                 } else {
-                    self.components.push(Component::Insert(text.to_owned()));
+                    self.components.push(Component::Insert(text.into()));
                 }
                 self.components.push(del);
             }
-            _ => self.components.push(Component::Insert(text.to_owned())),
+            _ => self.components.push(Component::Insert(text.into())),
         }
         self
     }
@@ -269,7 +290,7 @@ impl SeqOp {
                     inv.delete(s.chars().count());
                 }
                 Component::Delete(n) => {
-                    inv.insert(&buf.slice(pos, *n));
+                    inv.insert_owned(buf.slice(pos, *n));
                     pos += n;
                 }
             }
@@ -299,8 +320,7 @@ impl SeqOp {
                     inv.delete(s.chars().count());
                 }
                 Component::Delete(n) => {
-                    let removed: String = chars[pos..pos + n].iter().collect();
-                    inv.insert(&removed);
+                    inv.insert_owned(chars[pos..pos + n].iter().collect());
                     pos += n;
                 }
             }
@@ -330,8 +350,7 @@ impl SeqOp {
                 }
                 // b's inserts pass straight through.
                 (_, Some(Component::Insert(_))) => {
-                    let s = bi.take_all_insert();
-                    out.insert(&s);
+                    out.insert_owned(bi.take_all_insert());
                 }
                 (None, Some(_)) | (Some(_), None) => {
                     unreachable!("length precondition violated despite check")
@@ -350,7 +369,7 @@ impl SeqOp {
                 }
                 (Some(Component::Insert(_)), Some(Component::Retain(_))) => {
                     let n = ai.len_avail().min(bi.len_avail());
-                    out.insert(&ai.take_insert_text(n));
+                    out.insert_owned(ai.take_insert_text(n));
                     bi.consume(n);
                 }
                 (Some(Component::Insert(_)), Some(Component::Delete(_))) => {
@@ -386,12 +405,12 @@ impl SeqOp {
                 (Some(Component::Insert(_)), _) => {
                     let s = ai.take_all_insert();
                     b1.retain(s.chars().count());
-                    a1.insert(&s);
+                    a1.insert_owned(s);
                 }
                 (_, Some(Component::Insert(_))) => {
                     let s = bi.take_all_insert();
                     a1.retain(s.chars().count());
-                    b1.insert(&s);
+                    b1.insert_owned(s);
                 }
                 (None, Some(_)) | (Some(_), None) => {
                     unreachable!("length precondition violated despite check")
@@ -659,6 +678,43 @@ mod tests {
             o.components(),
             &[Component::Insert("ab".into()), Component::Delete(2)]
         );
+    }
+
+    #[test]
+    fn owned_inserts_normalize_like_borrowed_ones() {
+        let borrowed = op(|o| {
+            o.retain(1)
+                .insert("a")
+                .delete(1)
+                .insert("")
+                .insert("b")
+                .retain(1);
+        });
+        let mut owned = SeqOp::with_capacity(4);
+        owned
+            .retain(1)
+            .insert_owned("a".into())
+            .delete(1)
+            .insert_owned(String::new())
+            .insert_owned("b".into())
+            .retain(1);
+        assert_eq!(owned, borrowed);
+        assert_eq!(
+            owned.components(),
+            &[
+                Component::Retain(1),
+                Component::Insert("ab".into()),
+                Component::Delete(1),
+                Component::Retain(1)
+            ]
+        );
+        let mut o = SeqOp::new();
+        o.delete(2).insert_owned("xy".into());
+        assert_eq!(
+            o.components(),
+            &[Component::Insert("xy".into()), Component::Delete(2)]
+        );
+        assert_eq!((o.base_len(), o.target_len()), (2, 2));
     }
 
     #[test]

@@ -31,7 +31,6 @@ use cvc_ot::cursor::{transform_cursor, Bias};
 use cvc_ot::pos::PosOp;
 use cvc_ot::seq::{SeqError, SeqOp};
 use cvc_ot::stack::OpStack;
-use std::collections::HashMap;
 
 /// Undo depth retained per client: each local operation keeps its
 /// current-frame inverse until this many newer ones exist (typical editor
@@ -56,14 +55,18 @@ pub const ACK_INTERVAL: u64 = 64;
 /// One executed operation remembered in a client's history buffer,
 /// timestamped per Section 3.3 ("a buffered operation is timestamped with
 /// its original 2-element propagation timestamp").
+///
+/// Formula (5), [`Client::gc`] and the star audit read only the stamp and
+/// the origin. Only a local operation is ever read back — it is re-sent
+/// on reconnect — so only a local entry keeps the operation.
 #[derive(Debug, Clone)]
 pub struct ClientHbEntry {
     /// The 2-element stamp the operation carried.
     pub stamp: CompressedStamp,
     /// Local operation or one propagated from the notifier.
     pub origin: OriginAtClient,
-    /// The executed form.
-    pub op: SeqOp,
+    /// A local operation as generated; `None` for one from the notifier.
+    pub op: Option<SeqOp>,
 }
 
 /// A collaborating client site (site `i ≠ 0`).
@@ -94,8 +97,10 @@ pub struct Client {
     caret: usize,
     /// Whether local operations carry the caret (telepointer presence).
     share_caret: bool,
-    /// Last known caret of each remote user, in this replica's frame.
-    remote_carets: HashMap<u32, usize>,
+    /// Last known caret of each remote user, in this replica's frame, in
+    /// the order the users were first seen. Every execute moves every
+    /// caret, so a linear lookup costs nothing extra.
+    remote_carets: Vec<(u32, usize)>,
     metrics: SiteMetrics,
     recorder: FlightRecorder,
 }
@@ -116,7 +121,7 @@ impl Client {
             redo_stack: OpStack::new(MAX_UNDO_DEPTH),
             caret: 0,
             share_caret: true,
-            remote_carets: HashMap::new(),
+            remote_carets: Vec::new(),
             metrics: SiteMetrics::new(),
             recorder: FlightRecorder::new(site),
         }
@@ -211,9 +216,9 @@ impl Client {
     }
 
     /// Last known remote carets `(site id, position)`, in this replica's
-    /// current frame.
+    /// current frame, in the order their users were first seen.
     pub fn remote_carets(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.remote_carets.iter().map(|(&s, &p)| (s, p))
+        self.remote_carets.iter().copied()
     }
 
     /// Document length in characters.
@@ -261,7 +266,7 @@ impl Client {
         }
         // Our caret rides our own edit; remote carets shift around it.
         self.caret = transform_cursor(self.caret, &op, Bias::After);
-        for c in self.remote_carets.values_mut() {
+        for (_, c) in &mut self.remote_carets {
             *c = transform_cursor(*c, &op, Bias::Before);
         }
         // Rule 3: executing a local op bumps SV_i[2]; the *current* value
@@ -296,7 +301,7 @@ impl Client {
         self.hb.push(ClientHbEntry {
             stamp,
             origin: OriginAtClient::Local,
-            op: op.clone(),
+            op: Some(op.clone()),
         });
         self.metrics.ops_generated += 1;
         self.metrics.messages_sent += 1;
@@ -443,11 +448,13 @@ impl Client {
         self.hb
             .iter()
             .filter(|e| e.origin == OriginAtClient::Local && e.stamp.get(2) > after)
-            .map(|e| ClientOpMsg {
-                origin: self.site,
-                stamp: e.stamp,
-                op: e.op.clone(),
-                cursor: None,
+            .filter_map(|e| {
+                Some(ClientOpMsg {
+                    origin: self.site,
+                    stamp: e.stamp,
+                    op: e.op.clone()?,
+                    cursor: None,
+                })
             })
             .collect()
     }
@@ -620,18 +627,26 @@ impl Client {
         self.sv.record_from_notifier();
         self.acked_local = self.acked_local.max(msg.stamp.get(2));
         // Presence: every caret shifts under the executed remote op; the
-        // author's caret is then overwritten by the transported one.
+        // author's caret takes the transported one instead.
         self.caret = transform_cursor(self.caret, &integrated.op, Bias::Before);
-        for c in self.remote_carets.values_mut() {
-            *c = transform_cursor(*c, &integrated.op, Bias::Before);
+        let mut author = msg
+            .cursor
+            .zip(remote_cursor)
+            .map(|((owner, _), pos)| (owner, pos));
+        for (site, c) in &mut self.remote_carets {
+            *c = match author {
+                Some((owner, pos)) if owner == *site => {
+                    author = None;
+                    pos
+                }
+                _ => transform_cursor(*c, &integrated.op, Bias::Before),
+            };
         }
-        if let (Some((owner, _)), Some(pos)) = (msg.cursor, remote_cursor) {
-            self.remote_carets.insert(owner, pos);
-        }
+        self.remote_carets.extend(author);
         self.hb.push(ClientHbEntry {
             stamp: msg.stamp,
             origin: OriginAtClient::FromNotifier,
-            op: integrated.op.clone(),
+            op: None,
         });
         self.metrics.ops_executed_remote += 1;
         if self.recorder.is_enabled() {
@@ -1069,6 +1084,35 @@ mod tests {
         let carets: Vec<(u32, usize)> = alice.remote_carets().collect();
         assert_eq!(carets, vec![(2, 16)]);
         assert_eq!(alice.caret(), 3);
+    }
+
+    #[test]
+    fn remote_carets_keep_first_seen_order_as_they_move() {
+        let mut reader = Client::new(SiteId(4), "abcdef");
+        let mut doc_len = 6;
+        let mut deliver = |reader: &mut Client, k: u64, author: u32, op: PosOp, caret: u64| {
+            let op = SeqOp::from_pos(&op, doc_len);
+            doc_len = op.target_len();
+            reader
+                .try_on_server_op(ServerOpMsg {
+                    stamp: CompressedStamp::new(k, 0),
+                    op,
+                    cursor: Some((author, caret)),
+                })
+                .expect("in order");
+            reader.remote_carets().collect::<Vec<_>>()
+        };
+        let carets = deliver(&mut reader, 1, 3, PosOp::insert(0, "x"), 1);
+        assert_eq!(carets, vec![(3, 1)]);
+        let carets = deliver(&mut reader, 2, 1, PosOp::insert(7, "y"), 8);
+        assert_eq!(carets, vec![(3, 1), (1, 8)]);
+        // Site 2 deletes the "x" in front of site 3's caret.
+        let carets = deliver(&mut reader, 3, 2, PosOp::delete(0, "x"), 0);
+        assert_eq!(carets, vec![(3, 0), (1, 7), (2, 0)]);
+        // Site 3 moves last and keeps its place in the order.
+        let carets = deliver(&mut reader, 4, 3, PosOp::insert(3, "w"), 4);
+        assert_eq!(carets, vec![(3, 4), (1, 8), (2, 0)]);
+        assert_eq!(reader.doc(), "abcwdefy");
     }
 
     #[test]

@@ -284,8 +284,13 @@ impl FrameReader {
             }
         };
         self.start += consumed;
-        // Compact once the dead prefix dominates, amortized O(1)/byte.
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
+        // Rewind once everything is consumed (the common case: a read
+        // ends on a frame boundary); otherwise compact once the dead
+        // prefix dominates, amortized O(1)/byte.
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 4096 && self.start * 2 >= self.buf.len() {
             self.buf.drain(..self.start);
             self.start = 0;
         }

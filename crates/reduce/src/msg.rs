@@ -422,7 +422,9 @@ pub(crate) fn get_seq_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
     // lengths are additionally capped at the document-size bound so a
     // hostile span cannot drive downstream position arithmetic.
     let n = get_bounded_len(buf, 2)?;
-    let mut op = SeqOp::new();
+    // One reservation fits a single-site op (`retain·insert·delete·retain`);
+    // capping it there keeps a hostile count from driving the allocation.
+    let mut op = SeqOp::with_capacity(n.min(4));
     for _ in 0..n {
         if !buf.has_remaining() {
             return Err(WireError::Truncated);
@@ -432,7 +434,7 @@ pub(crate) fn get_seq_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
                 op.retain(get_bounded_span(buf)?);
             }
             COMP_INSERT => {
-                op.insert(&get_string(buf)?);
+                op.insert_owned(get_string(buf)?);
             }
             COMP_DELETE => {
                 op.delete(get_bounded_span(buf)?);

@@ -12,11 +12,15 @@
 //! * **bit flips / garbage** — arbitrary corrupted or random byte strings
 //!   decode to Ok-or-Err without panicking or reading past the end.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use bytes::BufMut;
+use counting_alloc::tally;
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_core::vector::VectorClock;
-use cvc_ot::seq::SeqOp;
+use cvc_ot::seq::{Component, SeqOp};
 use cvc_ot::ttf::TtfOp;
 use cvc_reduce::client::Client;
 use cvc_reduce::frame::{frame_checksum, FrameHasher};
@@ -163,6 +167,27 @@ fn wide_origin_shard_is_overlong_not_shard_zero() {
             assert_eq!(must_reject(&b), WireError::Overlong, "{msg:?} at {wide}");
         }
     }
+}
+
+/// A component count the frame's length allows but its bytes do not
+/// back: ~500 k claimed, three real components, then junk. The decode
+/// fails, and the op's component vector was never reserved past four
+/// entries (a single-site op's `retain·insert·delete·retain`).
+#[test]
+fn a_hostile_component_count_does_not_drive_the_reservation() {
+    let claimed = 500_000u64;
+    let mut b = vec![2u8];
+    put_varint(&mut b, 0);
+    put_varint(&mut b, 0); // stamp
+    put_varint(&mut b, claimed); // component count
+    b.extend_from_slice(&[0, 1, 1, 1, b'a', 2, 1]); // retain 1 · insert "a" · delete 1
+    b.resize(b.len() + 2 * claimed as usize, 0xff);
+    let (err, t) = tally(|| must_reject(&b));
+    assert_eq!(err, WireError::BadTag(0xff));
+    assert!(
+        t.largest <= 4 * std::mem::size_of::<Component>(),
+        "decode reserved {t:?}"
+    );
 }
 
 /// A structurally valid (not necessarily applicable) sequence operation.
