@@ -169,8 +169,19 @@ impl ComposingClient {
 
     /// Integrate a server operation. Returns the executed form and,
     /// possibly, the next upstream message (when the op implicitly
-    /// acknowledged the outstanding one and a buffer was waiting).
+    /// acknowledged the outstanding one and a buffer was waiting). A
+    /// rejected message leaves the replica untouched beyond its
+    /// `protocol_errors` counter.
     pub fn on_server_op(
+        &mut self,
+        msg: ServerOpMsg,
+    ) -> Result<(SeqOp, Option<ClientOpMsg>), ProtocolError> {
+        let out = self.integrate_server_op(msg);
+        self.metrics.protocol_errors += u64::from(out.is_err());
+        out
+    }
+
+    fn integrate_server_op(
         &mut self,
         msg: ServerOpMsg,
     ) -> Result<(SeqOp, Option<ClientOpMsg>), ProtocolError> {
@@ -190,33 +201,32 @@ impl ComposingClient {
             });
         }
 
+        // Transform and apply on locals; the replica changes only once
+        // every step succeeded.
         let mut incoming = msg.op;
-        // Outstanding: concurrent iff the server had not integrated it.
-        if let Some((seq, out)) = self.outstanding.take() {
-            if msg.stamp.get(2) < seq {
-                let (inc2, out2) =
-                    SeqOp::transform(&incoming, &out).map_err(ProtocolError::BadOperation)?;
-                incoming = inc2;
-                self.outstanding = Some((seq, out2));
-                self.metrics.transforms += 1;
-            } else {
-                // Implicit acknowledgement: the server op's context already
-                // contains the outstanding op.
-                self.outstanding = None;
-            }
-        }
-        // The compose buffer is never sent, hence always concurrent.
-        if let Some(buf) = self.buffer.take() {
-            let (inc2, buf2) =
-                SeqOp::transform(&incoming, &buf).map_err(ProtocolError::BadOperation)?;
+        let mut transforms = 0;
+        let mut rebase = |local: &SeqOp| {
+            let (inc2, local2) =
+                SeqOp::transform(&incoming, local).map_err(ProtocolError::BadOperation)?;
             incoming = inc2;
-            self.buffer = Some(buf2);
-            self.metrics.transforms += 1;
-        }
-
-        self.doc = incoming
+            transforms += 1;
+            Ok::<_, ProtocolError>(local2)
+        };
+        // Outstanding: concurrent iff the server had not integrated it;
+        // otherwise the server op's context already contains it (an
+        // implicit acknowledgement).
+        let outstanding = match &self.outstanding {
+            Some((seq, out)) if msg.stamp.get(2) < *seq => Some((*seq, rebase(out)?)),
+            _ => None,
+        };
+        // The compose buffer is never sent, hence always concurrent.
+        let buffer = self.buffer.as_ref().map(&mut rebase).transpose()?;
+        let doc = incoming
             .apply(&self.doc)
             .map_err(ProtocolError::BadOperation)?;
+
+        (self.outstanding, self.buffer, self.doc) = (outstanding, buffer, doc);
+        self.metrics.transforms += transforms;
         self.sv.record_from_notifier();
         self.metrics.ops_executed_remote += 1;
         let next = self.maybe_flush();
@@ -408,6 +418,36 @@ mod tests {
             .expect("valid client op");
         assert_eq!(notifier.doc(), "abxyz");
         assert_eq!(c1.doc(), "abxyz");
+    }
+
+    /// A server op the replica cannot rebase (built on the wrong document
+    /// length) is refused and counted; the in-flight op, the compose
+    /// buffer and the document survive it, and the stream continues as if
+    /// the bad message had never come.
+    #[test]
+    fn rejected_server_op_leaves_the_client_untouched() {
+        let image = |c: &ComposingClient| {
+            format!("{c:?}").replace("protocol_errors: 1", "protocol_errors: 0")
+        };
+        let mut c = ComposingClient::new(SiteId(1), "abcd");
+        c.insert(0, "p").expect("sent");
+        assert!(c.insert(1, "q").is_none(), "buffered behind op 1");
+        let mut twin = c.clone();
+        let server_op = |op| ServerOpMsg {
+            stamp: cvc_core::state_vector::CompressedStamp::new(1, 0),
+            op,
+            cursor: None,
+        };
+        let before = image(&c);
+        let err = c.on_server_op(server_op(SeqOp::identity(7))).unwrap_err();
+        assert!(matches!(err, ProtocolError::BadOperation(_)), "{err:?}");
+        assert_eq!(c.metrics().protocol_errors, 1);
+        assert_eq!(image(&c), before);
+        let right = SeqOp::from_pos(&PosOp::insert(4, "s"), 4);
+        c.on_server_op(server_op(right.clone())).expect("valid");
+        twin.on_server_op(server_op(right)).expect("valid");
+        assert_eq!(image(&c), image(&twin));
+        assert_eq!(c.doc(), "pqabcds");
     }
 
     #[test]

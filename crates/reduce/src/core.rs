@@ -27,9 +27,9 @@
 //! table beside this core; the simulator node (`reliable.rs`) and the
 //! epoll core thread (`cvc-net`'s `server.rs`) drive a hub and own only
 //! transport state (links, epochs, crash plans, connection ids), and so
-//! does [`crate::world::StarWorld`] (the verifier, the TCP twin, both
-//! walkthroughs, the exhaustive checks) over whichever core it is given.
-//! The plain session node drives a core without a log.
+//! does [`crate::world::StarWorld`] (timed plain sessions, the verifier,
+//! the TCP twin, both walkthroughs, the exhaustive checks) over whichever
+//! core it is given. Outside this module, only the hub calls its doors.
 //! **Nothing outside this module calls [`Wal::append`], one of the
 //! notifier's `try_on_client_*` entry points, [`Notifier::quarantine`] or
 //! [`Notifier::add_client`]** — durable or not, and CI greps for it.

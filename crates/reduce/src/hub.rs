@@ -33,8 +33,9 @@
 //!   the driver ends its answer with the integrated count itself;
 //! * the transport-free star ([`crate::world::StarWorld`]) feeds each
 //!   site's up FIFO to [`Hub::on_msg`] and queues the sends' bytes on its
-//!   down channels — the world the E8/E11 walks, the TCP twin, both
-//!   paper walkthroughs and the exhaustive checks step.
+//!   down channels — the world timed plain sessions, the E8/E11 walks,
+//!   the TCP twin, both paper walkthroughs and the exhaustive checks
+//!   step.
 //!
 //! What a refusal or an eviction costs the channel — a close on TCP and
 //! in the world ([`Step::sheds`]), a counter in the simulator — is the

@@ -289,6 +289,14 @@ impl PartialEq for Payload {
 
 impl Eq for Payload {}
 
+/// An encoded message is as long as it is: the same count
+/// [`EditorMsg::wire_bytes`] gives before encoding.
+impl WireSize for Payload {
+    fn wire_bytes(&self) -> usize {
+        self.len()
+    }
+}
+
 /// The destination-independent portion of a [`ServerOpMsg`], encoded
 /// exactly once. [`ServerOpFrame::payload_for`] then stamps out one
 /// [`Payload`] per destination by prepending the 3–21 byte head (tag +

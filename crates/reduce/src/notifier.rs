@@ -738,7 +738,7 @@ impl Notifier {
     /// The outcome carries the broadcast in unserialized shared form
     /// (`Arc`'d op + per-destination stamps): the reliability layer
     /// encodes the destination-independent body exactly once
-    /// ([`NotifierOutcome::frame`]); plain sessions materialize one
+    /// ([`NotifierOutcome::frame`]); traces and examples materialize one
     /// [`ServerOpMsg`] per destination ([`NotifierOutcome::broadcast_msgs`]).
     pub fn try_on_client_op_outcome(
         &mut self,
@@ -950,8 +950,8 @@ impl Notifier {
         // Re-broadcast with per-destination compressed stamps. The op is
         // refcounted across all destination bridges and the outcome; the
         // caller decides whether to materialize per-destination messages
-        // (plain sessions) or to serialize the shared body exactly once
-        // (the reliability layer's encode-once path).
+        // (traces, examples) or to serialize the shared body exactly once
+        // (the hub's encode-once path).
         let executed = Arc::new(integrated.op);
         let owned_cursor = cursor.map(|c| (x.0, c as u64));
         // The destination-independent body prices every broadcast frame;
@@ -1058,7 +1058,7 @@ impl NotifierOutcome {
     }
 
     /// Materialize the per-destination broadcast messages (op cloned per
-    /// destination) — the form plain sessions and traces consume.
+    /// destination) — the form traces and hand-driven examples consume.
     pub fn broadcast_msgs(&self) -> Vec<(SiteId, ServerOpMsg)> {
         self.stamps
             .iter()

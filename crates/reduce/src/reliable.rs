@@ -1870,7 +1870,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
         }
     }
 
-    let quiesced_at = sim.run();
+    sim.run();
 
     // Harvest. Latency joins need both ends of each link, so collect the
     // send/delivery logs first.
@@ -1916,13 +1916,12 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
         }
     }
 
-    let mut final_docs = Vec::new();
-    let mut client_metrics = Vec::new();
-    let mut centre_metrics = None;
-    let mut max_history = 0usize;
+    let mut r = SessionReport {
+        max_stamp_integers: 2,
+        delivery_latencies_us,
+        ..SessionReport::default()
+    };
     let mut trace = traced.then(SessionTrace::default);
-    let mut flight_traces = Vec::new();
-    let mut failover = None;
     for node in sim.nodes_mut() {
         match node {
             RobustNode::Notifier(rn) => {
@@ -1939,10 +1938,10 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                     }
                     l.fold_into(&mut m);
                 }
-                centre_metrics = Some(m);
+                r.centre_metrics = Some(m);
                 let notifier = rn.hub.notifier();
-                final_docs.push(notifier.doc());
-                max_history = max_history.max(notifier.history().len());
+                r.final_docs.push(notifier.doc());
+                r.max_history_len = r.max_history_len.max(notifier.history().len());
                 if let (Some(tr), Some(steps)) = (&mut trace, rn.trace.take()) {
                     tr.notifier = steps;
                     tr.notifier_acks = std::mem::take(&mut rn.trace_acks);
@@ -1953,7 +1952,8 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                         .map_or_else(Vec::new, |w| w.bytes().to_vec());
                 }
                 if cfg.flight_recorder {
-                    flight_traces.push((SiteId(0), notifier.recorder().events()));
+                    r.flight_traces
+                        .push((SiteId(0), notifier.recorder().events()));
                 }
                 if let Some(crash_at) = rn.crash_at {
                     let wal = rn.hub.core().wal().expect("a crash implies the WAL");
@@ -1964,7 +1964,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                         .collect::<Option<Vec<_>>>()
                         .and_then(|ts| ts.into_iter().max());
                     let (replay_ops, replay_acks) = rn.promoted_replay.unwrap_or((0, 0));
-                    failover = Some(FailoverReport {
+                    r.failover = Some(FailoverReport {
                         crash_at_us: crash_at.as_micros(),
                         recovered_at_us: recovered_at.map(|t| t.as_micros()),
                         resynced_clients: rn.unfenced_at.iter().filter(|t| t.is_some()).count(),
@@ -1998,42 +1998,20 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
                 }
                 let mut m = *rc.inner.metrics();
                 rc.link.fold_into(&mut m);
-                client_metrics.push(m);
-                final_docs.push(rc.inner.doc().to_owned());
-                max_history = max_history.max(rc.inner.history().len());
+                r.client_metrics.push(m);
+                r.final_docs.push(rc.inner.doc().to_owned());
+                r.max_history_len = r.max_history_len.max(rc.inner.history().len());
                 if let (Some(tr), Some(events)) = (&mut trace, rc.trace.take()) {
                     tr.clients.push(events);
                 }
                 if cfg.flight_recorder {
-                    flight_traces.push((rc.inner.site(), rc.inner.recorder().events()));
+                    r.flight_traces
+                        .push((rc.inner.site(), rc.inner.recorder().events()));
                 }
             }
         }
     }
-    let converged = final_docs.windows(2).all(|w| w[0] == w[1]);
-    let final_doc = final_docs.last().cloned().unwrap_or_default();
-
-    (
-        SessionReport {
-            deployment: cfg.deployment,
-            n_clients: n,
-            converged,
-            final_doc,
-            final_docs,
-            quiesced_at,
-            client_metrics,
-            centre_metrics,
-            net: sim.total_stats(),
-            max_stamp_integers: 2,
-            max_history_len: max_history,
-            deliveries: sim.deliveries().to_vec(),
-            fault_stats: sim.fault_stats(),
-            delivery_latencies_us,
-            flight_traces,
-            failover,
-        },
-        trace,
-    )
+    (r.finish(cfg, &sim), trace)
 }
 
 #[cfg(test)]

@@ -13,29 +13,40 @@
 //!   transformation) — so causality stays `N`-dimensional and messages
 //!   must carry full vectors.
 //!
+//! A plain star session is a timed chooser over the one
+//! [`StarWorld`]: the simulator decides *when* — script timers, latency
+//! draws, the FIFO clamp, bandwidth, fault plans — and the world decides
+//! *what*: the hub integrates, the replicas integrate, and every send is
+//! popped off the world's FIFOs the moment it is queued and carried, as
+//! its payload bytes, through the simulator's channel (node 0 is the
+//! notifier, node `i` site `i`). The two full-vector baselines run as
+//! [`Node`]s on the same event loop; reliable sessions are
+//! `crate::reliable`'s.
+//!
 //! The report carries everything the experiments tabulate: convergence,
 //! wire bytes split into payload vs timestamp, stamp widths, transform and
 //! check counts, and optional per-delivery latency records.
 
 use crate::client::Client;
-use crate::composing::ComposingClient;
 use crate::core::NotifierCore;
 use crate::mesh::MeshSite;
 use crate::metrics::SiteMetrics;
-use crate::msg::EditorMsg;
+use crate::msg::{EditorMsg, Payload};
 use crate::notifier::{Notifier, ScanMode};
 use crate::recorder::FlightEvent;
 use crate::reliable::DisconnectSpec;
-use crate::workload::{EditIntent, ScheduledEdit, WorkloadConfig};
+use crate::workload::{ScheduledEdit, WorkloadConfig};
+use crate::world::StarWorld;
 use cvc_core::site::SiteId;
 use cvc_sim::prelude::*;
 use cvc_sim::wire::WireSize;
 use serde::{Deserialize, Serialize};
 
 /// Which system variant a session runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Deployment {
     /// The paper: star + transforming notifier + compressed stamps.
+    #[default]
     StarCvc,
     /// Classic fully-distributed REDUCE with full vector stamps.
     MeshFullVc,
@@ -253,7 +264,7 @@ impl FailoverReport {
 }
 
 /// Result of a completed session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionReport {
     /// System variant that ran.
     pub deployment: Deployment,
@@ -311,20 +322,8 @@ impl SessionReport {
     }
 }
 
-/// One simulator node of a session.
+/// One simulator node of a full-vector baseline session.
 enum SessionNode {
-    /// The star's notifier: a core with no log, so there is nothing to
-    /// mirror or compact.
-    Notifier(Box<NotifierCore>),
-    Client {
-        client: Box<Client>,
-        script: Vec<ScheduledEdit>,
-        auto_gc: bool,
-    },
-    ComposingClient {
-        client: Box<ComposingClient>,
-        script: Vec<ScheduledEdit>,
-    },
     MeshSite {
         site: Box<MeshSite>,
         peers: Vec<NodeId>,
@@ -353,80 +352,7 @@ impl SessionNode {
 
 impl Node<EditorMsg> for SessionNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, EditorMsg>, from: NodeId, msg: EditorMsg) {
-        // Stamp the virtual clock onto the site's flight recorder before
-        // delegating, so every event recorded inside carries sim time.
-        match self {
-            SessionNode::Notifier(core) => core.set_now(ctx.now.as_micros()),
-            SessionNode::Client { client, .. } => client.set_now(ctx.now.as_micros()),
-            _ => {}
-        }
         match (self, msg) {
-            (
-                SessionNode::Notifier(core),
-                msg @ (EditorMsg::ClientOp(_) | EditorMsg::ClientAck(_)),
-            ) => {
-                // The channel names the sender; GC (when enabled) is folded
-                // into the integration itself via `Notifier::set_auto_gc`.
-                let sender = SiteId(from as u32);
-                let res = match msg {
-                    EditorMsg::ClientOp(m) => core.integrate_op(sender, m).map(|outcome| {
-                        for (dest, smsg) in outcome.broadcast_msgs() {
-                            ctx.send(dest.0 as usize, EditorMsg::ServerOp(smsg));
-                        }
-                        if let Some((dest, ack)) = outcome.ack {
-                            ctx.send(dest.0 as usize, EditorMsg::ServerAck(ack));
-                        }
-                    }),
-                    EditorMsg::ClientAck(a) => core.integrate_ack(sender, a),
-                    _ => Ok(()),
-                };
-                if let Err(e) = res {
-                    // Hostile or corrupted input must never take the
-                    // session down: dump the evidence, evict the sender,
-                    // keep serving the surviving clients.
-                    eprintln!("notifier rejected input from {sender}: {e}");
-                    eprintln!("{}", core.notifier().dump_recorder());
-                    let _ = core.integrate_eviction(sender);
-                }
-            }
-            (
-                SessionNode::Client {
-                    client, auto_gc, ..
-                },
-                EditorMsg::ServerOp(m),
-            ) => {
-                if let Err(e) = client.try_on_server_op(m) {
-                    // The replica counted the violation and is untouched;
-                    // drop the message (a duplicate is harmless, a gap
-                    // shows up as a diverged report, never as a panic).
-                    eprintln!("{} rejected server op: {e}", client.site());
-                    eprintln!("{}", client.dump_recorder());
-                    return;
-                }
-                if *auto_gc {
-                    client.gc();
-                }
-                // Quiet clients still owe the notifier a periodic bare ack,
-                // or their frozen watermarks would starve its collector.
-                if let Some(a) = client.take_pending_ack() {
-                    ctx.send(0, EditorMsg::ClientAck(a));
-                }
-            }
-            (SessionNode::Client { .. }, EditorMsg::ServerAck(_)) => {
-                // Streaming clients ignore acknowledgements.
-            }
-            (SessionNode::ComposingClient { client, .. }, EditorMsg::ServerOp(m)) => {
-                match client.on_server_op(m) {
-                    Ok((_, Some(up))) => ctx.send(0, EditorMsg::ClientOp(up)),
-                    Ok((_, None)) => {}
-                    Err(e) => eprintln!("composing client rejected server op: {e}"),
-                }
-            }
-            (SessionNode::ComposingClient { client, .. }, EditorMsg::ServerAck(m)) => {
-                if let Some(up) = client.on_server_ack(m) {
-                    ctx.send(0, EditorMsg::ClientOp(up));
-                }
-            }
             (SessionNode::MeshSite { site, auto_gc, .. }, EditorMsg::MeshOp(m)) => {
                 site.on_remote(m);
                 if *auto_gc {
@@ -461,78 +387,22 @@ impl Node<EditorMsg> for SessionNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, EditorMsg>, tag: u64) {
-        match self {
-            SessionNode::Client { client, script, .. } => {
-                client.set_now(ctx.now.as_micros());
-                if let Some(msg) = script[tag as usize].intent.apply_to(client) {
-                    ctx.send(0, EditorMsg::ClientOp(msg));
-                }
-            }
-            SessionNode::MeshSite {
-                site,
-                peers,
-                script,
-                wire,
-                max_stamp,
-                ..
-            } => {
-                let edit = script[tag as usize].clone();
-                let len = site.doc().chars().count();
-                let mut msgs = Vec::new();
-                match &edit.intent {
-                    EditIntent::InsertChar { ch, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        msgs.push(site.local_insert(pos, *ch));
-                    }
-                    EditIntent::InsertText { text, .. } => {
-                        // Char-based ops: the mesh pays one operation (and
-                        // one broadcast) per character.
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        for (k, ch) in text.chars().enumerate() {
-                            msgs.push(site.local_insert(pos + k, ch));
-                        }
-                    }
-                    EditIntent::DeleteChar { .. } => {
-                        if let Some(pos) = edit.intent.position(len) {
-                            msgs.push(site.local_delete(pos));
-                        }
-                    }
-                    // The mesh baseline has no undo; skip.
-                    EditIntent::Undo => {}
-                }
-                for m in msgs {
-                    let wire_msg = EditorMsg::MeshOp(m);
-                    SessionNode::count_send(wire, max_stamp, &wire_msg, peers.len());
-                    for &p in peers.iter() {
-                        ctx.send(p, wire_msg.clone());
-                    }
-                }
-            }
-            SessionNode::ComposingClient { client, script } => {
-                let edit = script[tag as usize].clone();
-                let len = client.doc_len();
-                let sent = match &edit.intent {
-                    EditIntent::InsertChar { ch, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        client.insert(pos, &ch.to_string())
-                    }
-                    EditIntent::InsertText { text, .. } => {
-                        let pos = edit.intent.position(len).expect("insert always applies");
-                        client.insert(pos, text)
-                    }
-                    EditIntent::DeleteChar { .. } => edit
-                        .intent
-                        .position(len)
-                        .and_then(|pos| client.delete(pos, 1)),
-                    // Composing clients have no undo.
-                    EditIntent::Undo => None,
-                };
-                if let Some(msg) = sent {
-                    ctx.send(0, EditorMsg::ClientOp(msg));
-                }
-            }
-            SessionNode::Notifier(..) | SessionNode::Relay { .. } => {
-                unreachable!("centre nodes have no scheduled edits")
+        let SessionNode::MeshSite {
+            site,
+            peers,
+            script,
+            wire,
+            max_stamp,
+            ..
+        } = self
+        else {
+            unreachable!("centre nodes have no scheduled edits")
+        };
+        for m in script[tag as usize].intent.apply_to_mesh(site) {
+            let wire_msg = EditorMsg::MeshOp(m);
+            SessionNode::count_send(wire, max_stamp, &wire_msg, peers.len());
+            for &p in peers.iter() {
+                ctx.send(p, wire_msg.clone());
             }
         }
     }
@@ -544,17 +414,28 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
         return crate::reliable::run_robust_session(cfg);
     }
     assert!(
-        cfg.disconnects.is_empty(),
-        "client outages require the reliability layer (cfg.reliable)"
-    );
-    assert!(
-        !cfg.standby && cfg.crash.is_none(),
-        "notifier durability/failover requires the reliability layer (cfg.reliable)"
+        cfg.disconnects.is_empty() && !cfg.standby && cfg.crash.is_none(),
+        "client outages and notifier failover require the reliability layer (cfg.reliable)"
     );
     let n = cfg.workload.n_sites;
     assert!(n >= 2, "sessions need at least two clients");
     let scripts = cfg.workload.generate();
-    let mut sim: Simulator<EditorMsg, SessionNode> = Simulator::new(cfg.latency, cfg.net_seed);
+    match cfg.deployment {
+        Deployment::StarCvc => run_star(cfg, &scripts),
+        Deployment::MeshFullVc | Deployment::RelayStar => run_baseline(cfg, &scripts),
+    }
+}
+
+/// The simulated network of a plain session over `nodes`, every edit of
+/// script `i` scheduled as a timer (tagged with its index) on node
+/// `first_site + i`.
+fn network<M: WireSize + Clone, N>(
+    cfg: &SessionConfig,
+    nodes: impl IntoIterator<Item = N>,
+    scripts: &[Vec<ScheduledEdit>],
+    first_site: NodeId,
+) -> Simulator<M, N> {
+    let mut sim = Simulator::new(cfg.latency, cfg.net_seed);
     sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
     sim.record_deliveries(cfg.record_deliveries);
     if let Some(plan) = cfg.fault_plan {
@@ -563,116 +444,138 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
         // under test in the chaos suite.
         sim.set_default_fault_plan(plan);
     }
-
-    // Build nodes per deployment.
-    match cfg.deployment {
-        Deployment::StarCvc => {
-            let mut notifier = cfg.notifier(n);
-            if cfg.client_mode == ClientMode::Composing {
-                notifier.set_send_acks(true);
-            }
-            let core = NotifierCore::new(notifier, None, None);
-            sim.add_node(SessionNode::Notifier(Box::new(core)));
-            for (i, script) in scripts.iter().enumerate() {
-                match cfg.client_mode {
-                    ClientMode::Streaming => sim.add_node(SessionNode::Client {
-                        client: Box::new(cfg.client(SiteId(i as u32 + 1))),
-                        script: script.clone(),
-                        auto_gc: cfg.auto_gc,
-                    }),
-                    ClientMode::Composing => sim.add_node(SessionNode::ComposingClient {
-                        client: Box::new(ComposingClient::new(
-                            SiteId(i as u32 + 1),
-                            &cfg.initial_doc,
-                        )),
-                        script: script.clone(),
-                    }),
-                };
-            }
+    for node in nodes {
+        sim.add_node(node);
+    }
+    for (i, script) in scripts.iter().enumerate() {
+        for (k, edit) in script.iter().enumerate() {
+            sim.schedule_timer(first_site + i, edit.at, k as u64);
         }
+    }
+    sim
+}
+
+/// The paper's star as a timed chooser over a [`StarWorld`] (see the
+/// module docs).
+fn run_star(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionReport {
+    let n = scripts.len();
+    let mut notifier = cfg.notifier(n);
+    notifier.set_send_acks(cfg.client_mode == ClientMode::Composing);
+    let mut world = StarWorld::for_session(NotifierCore::new(notifier, None, None), cfg);
+    let mut sim: Simulator<Payload, ()> = network(cfg, vec![(); n + 1], scripts, 1);
+    while let Some(fired) = sim.step(SimTime(u64::MAX)) {
+        world.set_now(sim.now().as_micros());
+        let site = match fired {
+            Fired::Timer(node, tag) => {
+                let site = SiteId(node as u32);
+                let _ = world.perform(site, &scripts[node - 1][tag as usize].intent);
+                site
+            }
+            Fired::Deliver(from, 0, msg) => {
+                // The channel, not the envelope, names the sender; a
+                // rejected input evicts it and sheds its channel.
+                match world.receive_up(from - 1, &msg) {
+                    // The hub's sends in the order it produced them, one
+                    // per channel: the broadcasts in destination order,
+                    // then the ack. That order is the latency draws'.
+                    // Site `i`'s channel is `i - 1` for the whole session.
+                    Ok(Some(out)) => {
+                        let acked = out.ack.map(|(d, _)| d);
+                        for dest in out.stamps.iter().map(|&(d, _)| d).chain(acked) {
+                            if let Some(payload) = world.pop_down(dest.client_index()) {
+                                sim.inject_send(0, dest.0 as usize, payload);
+                            }
+                        }
+                    }
+                    Ok(None) => {}
+                    Err(e) => eprintln!("notifier rejected input from node {from}: {e}"),
+                }
+                continue;
+            }
+            Fired::Deliver(_, to, msg) => {
+                let site = SiteId(to as u32);
+                // A refused message was counted and dropped: a duplicate is
+                // harmless, a gap shows up as a diverged report.
+                match world.receive_down(site, &msg) {
+                    Ok(_) if cfg.auto_gc => _ = world.gc(site),
+                    Ok(_) => {}
+                    Err(e) => {
+                        eprintln!("{site} rejected server op: {e}");
+                        continue;
+                    }
+                }
+                // Quiet clients still owe the notifier a periodic bare ack,
+                // or their frozen watermarks would starve its collector.
+                world.take_pending_ack(site);
+                site
+            }
+        };
+        while let Some(payload) = world.pop_up(site) {
+            sim.inject_send(site.0 as usize, 0, payload);
+        }
+    }
+
+    let (nf, traced) = (world.notifier(), cfg.flight_recorder);
+    let mut r = SessionReport {
+        final_docs: vec![nf.doc()],
+        centre_metrics: Some(*nf.metrics()),
+        max_stamp_integers: 2,
+        max_history_len: nf.history().len(),
+        ..SessionReport::default()
+    };
+    r.flight_traces
+        .extend(traced.then(|| (SiteId(0), nf.recorder().events())));
+    for site in (0..n).map(SiteId::from_client_index) {
+        if let Some(c) = world.client(site) {
+            r.client_metrics.push(*c.metrics());
+            r.final_docs.push(c.doc());
+            r.max_history_len = r.max_history_len.max(c.history().len());
+            r.flight_traces
+                .extend(traced.then(|| (site, c.recorder().events())));
+        } else if let Some(c) = world.composing(site) {
+            assert!(
+                !nf.is_active(site) || !c.has_outstanding() && !c.has_buffered(),
+                "composing member left unflushed work at quiescence"
+            );
+            r.client_metrics.push(*c.metrics());
+            r.final_docs.push(c.doc().to_owned());
+        }
+    }
+    r.finish(cfg, &sim)
+}
+
+/// The full-vector baselines: mesh sites, and relay-star's relay centre.
+fn run_baseline(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionReport {
+    let n = scripts.len();
+    let site = |i: usize, peers| SessionNode::MeshSite {
+        site: Box::new(MeshSite::new(SiteId(i as u32 + 1), n, &cfg.initial_doc)),
+        peers,
+        script: scripts[i].clone(),
+        wire: SiteMetrics::new(),
+        max_stamp: 0,
+        auto_gc: cfg.auto_gc,
+    };
+    let mut sim: Simulator<EditorMsg, SessionNode> = match cfg.deployment {
         Deployment::RelayStar => {
-            sim.add_node(SessionNode::Relay {
+            let relay = SessionNode::Relay {
                 client_nodes: (1..=n).collect(),
                 wire: SiteMetrics::new(),
                 max_stamp: 0,
-            });
-            for (i, script) in scripts.iter().enumerate() {
-                sim.add_node(SessionNode::MeshSite {
-                    site: Box::new(MeshSite::new(SiteId(i as u32 + 1), n, &cfg.initial_doc)),
-                    peers: vec![0],
-                    script: script.clone(),
-                    wire: SiteMetrics::new(),
-                    max_stamp: 0,
-                    auto_gc: cfg.auto_gc,
-                });
-            }
+            };
+            let sites = (0..n).map(|i| site(i, vec![0]));
+            network(cfg, std::iter::once(relay).chain(sites), scripts, 1)
         }
-        Deployment::MeshFullVc => {
-            for (i, script) in scripts.iter().enumerate() {
-                let peers = (0..n).filter(|&p| p != i).collect();
-                sim.add_node(SessionNode::MeshSite {
-                    site: Box::new(MeshSite::new(SiteId(i as u32 + 1), n, &cfg.initial_doc)),
-                    peers,
-                    script: script.clone(),
-                    wire: SiteMetrics::new(),
-                    max_stamp: 0,
-                    auto_gc: cfg.auto_gc,
-                });
-            }
+        _ => {
+            let sites = (0..n).map(|i| site(i, (0..n).filter(|&p| p != i).collect()));
+            network(cfg, sites, scripts, 0)
         }
-    }
-
-    // Schedule every edit as a timer on its site's node.
-    let client_node_base = match cfg.deployment {
-        Deployment::StarCvc | Deployment::RelayStar => 1usize,
-        Deployment::MeshFullVc => 0usize,
     };
-    for (i, script) in scripts.iter().enumerate() {
-        for (k, edit) in script.iter().enumerate() {
-            sim.schedule_timer(client_node_base + i, edit.at, k as u64);
-        }
-    }
+    sim.run();
 
-    let quiesced_at = sim.run();
-
-    // Harvest.
-    let mut final_docs = Vec::new();
+    let mut r = SessionReport::default();
     let mut mesh_models: Vec<cvc_ot::ttf::TtfDoc> = Vec::new();
-    let mut client_metrics = Vec::new();
-    let mut centre_metrics: Option<SiteMetrics> = None;
-    let mut max_stamp_integers = 0usize;
-    let mut max_history = 0usize;
-    let mut flight_traces: Vec<(SiteId, Vec<FlightEvent>)> = Vec::new();
     for node in sim.nodes() {
         match node {
-            SessionNode::Notifier(core) => {
-                let nf = core.notifier();
-                centre_metrics = Some(*nf.metrics());
-                final_docs.push(nf.doc().to_owned());
-                max_stamp_integers = max_stamp_integers.max(2);
-                max_history = max_history.max(nf.history().len());
-                if cfg.flight_recorder {
-                    flight_traces.push((SiteId(0), nf.recorder().events()));
-                }
-            }
-            SessionNode::Client { client, .. } => {
-                client_metrics.push(*client.metrics());
-                final_docs.push(client.doc().to_owned());
-                max_stamp_integers = max_stamp_integers.max(2);
-                max_history = max_history.max(client.history().len());
-                if cfg.flight_recorder {
-                    flight_traces.push((client.site(), client.recorder().events()));
-                }
-            }
-            SessionNode::ComposingClient { client, .. } => {
-                assert!(
-                    !client.has_outstanding() && !client.has_buffered(),
-                    "composing client left unflushed work at quiescence"
-                );
-                client_metrics.push(*client.metrics());
-                final_docs.push(client.doc().to_owned());
-                max_stamp_integers = max_stamp_integers.max(2);
-            }
             SessionNode::MeshSite {
                 site,
                 wire,
@@ -683,20 +586,19 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
                 mesh_models.push(site.model().clone());
                 let mut m = *site.metrics();
                 m += *wire;
-                client_metrics.push(m);
-                final_docs.push(site.doc());
-                max_stamp_integers = max_stamp_integers.max(*max_stamp);
-                max_history = max_history.max(site.history_len());
+                r.client_metrics.push(m);
+                r.final_docs.push(site.doc());
+                r.max_stamp_integers = r.max_stamp_integers.max(*max_stamp);
+                r.max_history_len = r.max_history_len.max(site.history_len());
             }
             SessionNode::Relay {
                 wire, max_stamp, ..
             } => {
-                centre_metrics = Some(*wire);
-                max_stamp_integers = max_stamp_integers.max(*max_stamp);
+                r.centre_metrics = Some(*wire);
+                r.max_stamp_integers = r.max_stamp_integers.max(*max_stamp);
             }
         }
     }
-    let converged = final_docs.windows(2).all(|w| w[0] == w[1]);
     // Structural audit for tombstone replicas: not just the visible text —
     // the full models (every cell ever inserted, dead or alive) must be
     // identical, which pins down intention preservation at the character
@@ -706,25 +608,28 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
         mesh_models.windows(2).all(|w| w[0] == w[1]),
         "visible texts may agree while models diverge — structural audit failed"
     );
-    let final_doc = final_docs.last().cloned().unwrap_or_default();
+    r.finish(cfg, &sim)
+}
 
-    SessionReport {
-        deployment: cfg.deployment,
-        n_clients: n,
-        converged,
-        final_doc,
-        final_docs,
-        quiesced_at,
-        client_metrics,
-        centre_metrics,
-        net: sim.total_stats(),
-        max_stamp_integers,
-        max_history_len: max_history,
-        deliveries: sim.deliveries().to_vec(),
-        fault_stats: sim.fault_stats(),
-        delivery_latencies_us: Vec::new(),
-        flight_traces,
-        failover: None,
+impl SessionReport {
+    /// Complete a simulated session's report with what every driver
+    /// reports the same way: its configuration, the verdict over the
+    /// harvested documents (the centre's first, when it keeps one) and the
+    /// network's tallies at quiescence.
+    pub(crate) fn finish<M: WireSize + Clone, N>(
+        mut self,
+        cfg: &SessionConfig,
+        sim: &Simulator<M, N>,
+    ) -> Self {
+        self.deployment = cfg.deployment;
+        self.n_clients = cfg.workload.n_sites;
+        self.converged = self.final_docs.windows(2).all(|w| w[0] == w[1]);
+        self.final_doc = self.final_docs.last().cloned().unwrap_or_default();
+        self.quiesced_at = sim.now();
+        self.net = sim.total_stats();
+        self.deliveries = sim.deliveries().to_vec();
+        self.fault_stats = sim.fault_stats();
+        self
     }
 }
 
@@ -900,28 +805,36 @@ mod tests {
         assert!(centre.protocol_errors > 0, "and so does the notifier");
     }
 
+    /// Composing clients count what they refuse too: the duplicates a
+    /// duplicating network hands them are protocol errors, not silent
+    /// drops of the op in flight or of the compose buffer.
+    #[test]
+    fn duplicating_links_yield_counted_errors_at_composing_clients() {
+        let mut cfg = SessionConfig::small(Deployment::StarCvc, 3, 5);
+        cfg.client_mode = ClientMode::Composing;
+        cfg.fault_plan = Some(FaultPlan {
+            duplicate: 0.3,
+            ..FaultPlan::NONE
+        });
+        let r = run_session(&cfg);
+        assert!(r.fault_stats.duplicated > 0, "the plan must have fired");
+        let at_clients: u64 = r.client_metrics.iter().map(|m| m.protocol_errors).sum();
+        assert!(at_clients > 0, "clients count the duplicates they refuse");
+        let centre = r.centre_metrics.expect("star has a centre");
+        assert!(centre.protocol_errors > 0, "and so does the notifier");
+    }
+
     /// On the plain tier too the channel, not the envelope, names the
-    /// sender: node 1 delivering what would be site 2's valid first op
-    /// gets site 1 quarantined and leaves site 2 a member.
+    /// sender: channel 0 (site 1's) carrying what would be site 2's valid
+    /// first op gets site 1 quarantined and leaves site 2 a member.
     #[test]
     fn forged_origin_quarantines_the_channel_it_arrived_on() {
-        let mut sim: Simulator<EditorMsg, SessionNode> = Simulator::new(LatencyModel::lan(), 1);
         let core = NotifierCore::new(Notifier::new(3, "ab"), None, None);
-        sim.add_node(SessionNode::Notifier(Box::new(core)));
-        for i in 1..=3 {
-            sim.add_node(SessionNode::Client {
-                client: Box::new(Client::new(SiteId(i), "ab")),
-                script: Vec::new(),
-                auto_gc: true,
-            });
-        }
+        let mut world = StarWorld::new(core);
         let forged = Client::new(SiteId(2), "ab").insert(0, "F");
-        sim.inject_send(1, 0, EditorMsg::ClientOp(forged));
-        sim.run();
-        let SessionNode::Notifier(core) = sim.node(0) else {
-            unreachable!("node 0 is the notifier");
-        };
-        let n = core.notifier();
+        let forged = Payload::encode(&EditorMsg::ClientOp(forged));
+        assert!(world.receive_up(0, &forged).is_err());
+        let n = world.notifier();
         assert!(!n.is_active(SiteId(1)), "the sender is out");
         assert!(n.is_active(SiteId(2)) && n.is_active(SiteId(3)));
         assert_eq!(n.doc(), "ab");

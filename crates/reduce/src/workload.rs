@@ -12,7 +12,9 @@
 //! a concrete operation against its current replica at fire time.
 
 use crate::client::Client;
-use crate::msg::ClientOpMsg;
+use crate::composing::ComposingClient;
+use crate::mesh::MeshSite;
+use crate::msg::{ClientOpMsg, MeshOpMsg};
 use cvc_sim::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +68,23 @@ impl EditIntent {
         }
     }
 
+    /// [`EditIntent::apply_to`] for a full-vector mesh site: its ops are
+    /// char-based, so it pays one operation (and one broadcast) per
+    /// character. The mesh baseline has no undo.
+    pub fn apply_to_mesh(&self, site: &mut MeshSite) -> Vec<MeshOpMsg> {
+        let Some(pos) = self.position(site.doc().chars().count()) else {
+            return Vec::new();
+        };
+        match self {
+            EditIntent::InsertChar { ch, .. } => vec![site.local_insert(pos, *ch)],
+            EditIntent::InsertText { text, .. } => (text.chars().enumerate())
+                .map(|(k, ch)| site.local_insert(pos + k, ch))
+                .collect(),
+            EditIntent::DeleteChar { .. } => vec![site.local_delete(pos)],
+            EditIntent::Undo => Vec::new(),
+        }
+    }
+
     /// Materialise this intent against a star/CVC replica as it stands
     /// now: the local edit is executed and the message to propagate comes
     /// back. `None` when nothing applies (deleting from an empty
@@ -77,6 +96,19 @@ impl EditIntent {
             EditIntent::InsertText { text, .. } => Some(client.insert(pos?, text)),
             EditIntent::DeleteChar { .. } => Some(client.delete(pos?, 1)),
             EditIntent::Undo => client.undo_last_local(),
+        }
+    }
+
+    /// [`EditIntent::apply_to`] for a composing replica (E12): `None` also
+    /// when the edit joins the compose buffer behind the op in flight.
+    /// Composing clients have no undo.
+    pub fn apply_to_composing(&self, client: &mut ComposingClient) -> Option<ClientOpMsg> {
+        let pos = self.position(client.doc_len());
+        match self {
+            EditIntent::InsertChar { ch, .. } => client.insert(pos?, &ch.to_string()),
+            EditIntent::InsertText { text, .. } => client.insert(pos?, text),
+            EditIntent::DeleteChar { .. } => client.delete(pos?, 1),
+            EditIntent::Undo => None,
         }
     }
 }

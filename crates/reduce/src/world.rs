@@ -6,18 +6,26 @@
 //! N client replicas, and FIFO order on every channel (the guarantee
 //! formulas (5) and (7) lean on). [`StarWorld`] holds it the way the TCP
 //! tier does: the one [`Hub`] over any [`NotifierCore`], log-less or
-//! durable; one [`Client`] per site with an up FIFO of the ops it sent;
-//! and one down FIFO per channel holding the [`Payload`]s the hub queued
-//! there — the bytes an op's broadcast frame encodes once. Channels are
-//! `usize`: the constructor binds client index `i` to channel `i`, and a
-//! join binds a fresh one. Its actions:
+//! durable; one seat per site with its replica — the paper's streaming
+//! [`Client`], or the [`ComposingClient`] a composing session (E12) seats
+//! — and an up FIFO of the [`Payload`]s it sent; and one down FIFO per
+//! channel holding the payloads the hub queued there — the bytes an op's
+//! broadcast frame encodes once. Channels are `usize`: the constructor
+//! binds client index `i` to channel `i`, and a join binds a fresh one.
+//! Its actions:
 //!
-//! * [`StarWorld::edit`] — a local edit at a site, queued on its up FIFO;
-//! * [`StarWorld::deliver_up`] — the head of a site's up FIFO through
-//!   [`Hub::on_msg`] on the site's bound channel;
-//! * [`StarWorld::deliver_down`] — the head of a site's channel, one
-//!   message, through [`decode_payload`] and [`Client::try_on_server_op`];
+//! * [`StarWorld::edit`] / [`StarWorld::perform`] — a local edit at a
+//!   site, queued on its up FIFO;
+//! * [`StarWorld::deliver_up`] — the head of a site's up FIFO
+//!   ([`StarWorld::pop_up`]) received on the site's bound channel
+//!   ([`StarWorld::receive_up`]: one message through [`Hub::on_msg`]);
+//! * [`StarWorld::deliver_down`] — the head of a site's channel
+//!   ([`StarWorld::pop_down`]) received by its replica
+//!   ([`StarWorld::receive_down`]: one message through
+//!   [`decode_payload`] and [`Client::try_on_server_op`]);
 //! * [`StarWorld::gc`] — a site's replica collects its history;
+//! * [`StarWorld::take_pending_ack`] — a quiet site queues the bare ack
+//!   it owes the notifier;
 //! * [`StarWorld::hello`] — a site's replica presents its real `T[1]` on a
 //!   channel, and the hub's catch-up is queued there;
 //! * [`StarWorld::close`] — a channel is unbound and what was queued down
@@ -29,34 +37,67 @@
 //! A step that costs a connection on TCP ([`Step::sheds`]) closes the
 //! world's channel too: an op the notifier rejects evicts its site and
 //! drops what was queued for it. A send the hub addresses to a channel it
-//! has not bound is counted ([`StarWorld::misrouted`]), never queued. Each action returns the engine's outcome
-//! or its typed [`ProtocolError`]; delivering from an empty or unbound
-//! channel is `Ok(None)`. Which action comes next is the caller's —
+//! has not bound is counted ([`StarWorld::misrouted`]), never queued.
+//! Each action returns the engine's outcome or its typed
+//! [`ProtocolError`]; delivering from an empty or unbound channel is
+//! `Ok(None)`. Which action comes next is the caller's —
 //! [`StarWorld::moves`] lists the work a walk can do: a seeded walk
 //! audited by the Definition-1 oracle ([`crate::verify`]), a server's
 //! integration log (`cvc-net`'s twin), the paper's walkthroughs
-//! ([`crate::scenario`]), the exhaustive checks. No RNG, oracle, clock or
-//! panic lives here. The clients do not model acks: a payload carrying no
-//! op (a `ServerAck`, which only a notifier set to send acks queues) is
-//! consumed as `Ok(None)`.
+//! ([`crate::scenario`]), the exhaustive checks. A timed plain session
+//! ([`crate::session`]) pops each send the moment it is queued and carries
+//! its bytes through the simulator's channels, whose latency draws decide
+//! when the matching receive happens; [`StarWorld::set_now`] stamps that
+//! time on the recorders. No RNG, oracle or panic lives here. A streaming
+//! client consumes a payload carrying no op (a `ServerAck`, which only a
+//! notifier set to send acks queues) as `Ok(None)`; a composing one
+//! releases its next op on it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::client::{Client, ClientIntegration};
+use crate::composing::ComposingClient;
 use crate::core::NotifierCore;
 use crate::error::ProtocolError;
 use crate::hub::{Hub, Step};
 use crate::msg::{decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload};
 use crate::notifier::{Notifier, NotifierOutcome};
+use crate::session::{ClientMode, SessionConfig};
+use crate::workload::EditIntent;
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use std::collections::VecDeque;
 
-/// One member's replica and the ops it sent that the hub has not taken.
+/// A member's replica: the paper's, or the composing variant.
+#[derive(Debug, Clone)]
+enum Replica {
+    Streaming(Box<Client>),
+    Composing(Box<ComposingClient>),
+}
+
+/// One member's replica and the messages it sent that the hub has not
+/// taken.
 #[derive(Debug, Clone)]
 struct Seat {
-    client: Client,
-    up: VecDeque<ClientOpMsg>,
+    replica: Replica,
+    up: VecDeque<Payload>,
+}
+
+impl Seat {
+    /// Queue an op the replica generated; its stamp.
+    fn send_op(&mut self, op: ClientOpMsg) -> CompressedStamp {
+        let stamp = op.stamp;
+        self.up.push_back(Payload::encode(&EditorMsg::ClientOp(op)));
+        stamp
+    }
+
+    /// The replica, when it streams.
+    fn streaming(&self) -> Option<&Client> {
+        match &self.replica {
+            Replica::Streaming(c) => Some(c.as_ref()),
+            Replica::Composing(_) => None,
+        }
+    }
 }
 
 /// One unit of work a walk over the star can do ([`StarWorld::moves`]).
@@ -80,12 +121,14 @@ pub struct StarWorld {
     down: Vec<VecDeque<Payload>>,
     /// Payloads the hub addressed to a channel it had not bound.
     misrouted: u64,
+    /// Virtual time (µs) stamped on the recorders a step touches.
+    now: u64,
 }
 
 impl StarWorld {
-    /// A star around `core`, each of its sites a client starting from the
-    /// notifier's document and bound to its own channel. Clients keep a
-    /// flight recorder when the notifier does.
+    /// A star around `core`, each of its sites a streaming client starting
+    /// from the notifier's document and bound to its own channel. Clients
+    /// keep a flight recorder when the notifier does.
     pub fn new(core: NotifierCore) -> Self {
         let doc = core.notifier().doc();
         let n = core.notifier().n_clients();
@@ -94,9 +137,27 @@ impl StarWorld {
             seats: Vec::new(),
             down: Vec::new(),
             misrouted: 0,
+            now: 0,
         };
         for i in 0..n {
             world.seat_client(SiteId::from_client_index(i), &doc);
+        }
+        world
+    }
+
+    /// The star a timed session steps: [`StarWorld::new`] with `cfg`'s
+    /// replicas in the seats — streaming clients with its settings
+    /// (`SessionConfig::client`) or, in composing mode, composing ones.
+    pub fn for_session(core: NotifierCore, cfg: &SessionConfig) -> Self {
+        let mut world = Self::new(core);
+        for (i, seat) in world.seats.iter_mut().flatten().enumerate() {
+            let site = SiteId::from_client_index(i);
+            seat.replica = match cfg.client_mode {
+                ClientMode::Streaming => Replica::Streaming(Box::new(cfg.client(site))),
+                ClientMode::Composing => {
+                    Replica::Composing(Box::new(ComposingClient::new(site, &cfg.initial_doc)))
+                }
+            };
         }
         world
     }
@@ -106,24 +167,37 @@ impl StarWorld {
         let mut client = Client::new(site, doc);
         client.set_flight_recorder(self.notifier().recorder().is_enabled());
         self.seats.push(Some(Seat {
-            client,
+            replica: Replica::Streaming(Box::new(client)),
             up: VecDeque::new(),
         }));
         self.hub.bind(self.down.len(), site);
         self.down.push(VecDeque::new());
     }
 
-    /// `site`'s seat, provided it is a member.
+    /// `site`'s seat, provided it is a member, its recorder at the
+    /// world's time.
     fn seat(&mut self, site: SiteId) -> Result<&mut Seat, ProtocolError> {
-        let n_clients = self.seats.len();
+        let (n_clients, now) = (self.seats.len(), self.now);
         match (site.0 as usize)
             .checked_sub(1)
             .and_then(|i| self.seats.get_mut(i))
         {
-            Some(Some(seat)) => Ok(seat),
+            Some(Some(seat)) => {
+                if let Replica::Streaming(c) = &mut seat.replica {
+                    c.set_now(now);
+                }
+                Ok(seat)
+            }
             Some(None) => Err(ProtocolError::DepartedSite { site }),
             None => Err(ProtocolError::UnknownSite { site, n_clients }),
         }
+    }
+
+    /// The virtual time (µs) every later step stamps on the flight
+    /// recorders it touches: the notifier's now, a replica's when it acts.
+    pub fn set_now(&mut self, now_us: u64) {
+        self.now = now_us;
+        self.hub.core_mut().set_now(now_us);
     }
 
     /// The hub: its core, and who is bound to which channel.
@@ -147,19 +221,27 @@ impl StarWorld {
         self.seats.get(i)?.as_ref()
     }
 
-    /// `site`'s replica, while it is seated (an evicted site keeps its
-    /// replica; a site that left does not).
+    /// `site`'s streaming replica, while it is seated (an evicted site
+    /// keeps its replica; a site that left does not).
     pub fn client(&self, site: SiteId) -> Option<&Client> {
-        self.seated(site).map(|s| &s.client)
+        self.seated(site)?.streaming()
     }
 
-    /// Every seated replica, in site order.
+    /// `site`'s composing replica, while it is seated.
+    pub fn composing(&self, site: SiteId) -> Option<&ComposingClient> {
+        match &self.seated(site)?.replica {
+            Replica::Composing(c) => Some(c.as_ref()),
+            Replica::Streaming(_) => None,
+        }
+    }
+
+    /// Every seated streaming replica, in site order.
     pub fn clients(&self) -> impl Iterator<Item = &Client> {
-        self.seats.iter().flatten().map(|s| &s.client)
+        self.seats.iter().flatten().filter_map(Seat::streaming)
     }
 
-    /// Messages queued for `site`: `(up, down)` — the ops it sent that the
-    /// hub has not taken, and the payloads on its bound channel.
+    /// Messages queued for `site`: `(up, down)` — the messages it sent
+    /// that the hub has not taken, and the payloads on its bound channel.
     pub fn queued(&self, site: SiteId) -> (usize, usize) {
         let down = self.hub.channel_of(site).map_or(0, |ch| self.queued_on(ch));
         (self.seated(site).map_or(0, |s| s.up.len()), down)
@@ -200,80 +282,161 @@ impl StarWorld {
         moves
     }
 
-    /// `site`'s user edits its replica (`user` generates and executes the
-    /// op, the paper's rule 3); the op is queued up and its stamp returned.
+    /// `site`'s user edits its streaming replica (`user` generates and
+    /// executes the op, the paper's rule 3); the op is queued up and its
+    /// stamp returned. A composing seat is no streaming site
+    /// (`UnknownSite`): its edits are intents ([`StarWorld::perform`]).
     pub fn edit(
         &mut self,
         site: SiteId,
         user: impl FnOnce(&mut Client) -> Result<ClientOpMsg, ProtocolError>,
     ) -> Result<CompressedStamp, ProtocolError> {
+        let n_clients = self.seats.len();
         let seat = self.seat(site)?;
-        let msg = user(&mut seat.client)?;
-        let stamp = msg.stamp;
-        seat.up.push_back(msg);
-        Ok(stamp)
+        let Replica::Streaming(client) = &mut seat.replica else {
+            return Err(ProtocolError::UnknownSite { site, n_clients });
+        };
+        let op = user(client)?;
+        Ok(seat.send_op(op))
     }
 
-    /// The head of `site`'s up FIFO reaches the hub on the site's channel;
-    /// the broadcasts are queued on their destinations' channels. A
-    /// rejected op evicts the site and closes its channel. A site with no
-    /// channel holds its ops until a hello binds one.
+    /// `site`'s user performs `intent` on its replica, of either kind;
+    /// the stamp of the op it sends, queued up, if it sends one.
+    pub fn perform(
+        &mut self,
+        site: SiteId,
+        intent: &EditIntent,
+    ) -> Result<Option<CompressedStamp>, ProtocolError> {
+        let seat = self.seat(site)?;
+        let sent = match &mut seat.replica {
+            Replica::Streaming(c) => intent.apply_to(c),
+            Replica::Composing(c) => intent.apply_to_composing(c),
+        };
+        Ok(sent.map(|op| seat.send_op(op)))
+    }
+
+    /// A quiet streaming replica at `site` owes the notifier a bare ack
+    /// ([`Client::take_pending_ack`]): it is queued up. Only a timed
+    /// session asks, so the walks' move lists never hold an ack.
+    pub fn take_pending_ack(&mut self, site: SiteId) {
+        if let Ok(Seat {
+            replica: Replica::Streaming(c),
+            up,
+        }) = self.seat(site)
+        {
+            up.extend(
+                c.take_pending_ack()
+                    .map(|a| Payload::encode(&EditorMsg::ClientAck(a))),
+            );
+        }
+    }
+
+    /// The head of `site`'s up FIFO, taken off it: the bytes the site
+    /// sends next, wherever they go.
+    pub fn pop_up(&mut self, site: SiteId) -> Option<Payload> {
+        self.seat(site).ok()?.up.pop_front()
+    }
+
+    /// The head of channel `ch`'s down FIFO, taken off it.
+    pub fn pop_down(&mut self, ch: usize) -> Option<Payload> {
+        self.down.get_mut(ch)?.pop_front()
+    }
+
+    /// The head of `site`'s up FIFO reaches the hub on the site's channel
+    /// ([`StarWorld::receive_up`]). A site with no channel holds its
+    /// messages until a hello binds one.
     pub fn deliver_up(&mut self, site: SiteId) -> Result<Option<NotifierOutcome>, ProtocolError> {
         let ch = self.hub.channel_of(site);
         let seat = self.seat(site)?;
         let Some(ch) = ch else { return Ok(None) };
-        let Some(msg) = seat.up.pop_front() else {
+        match seat.up.pop_front() {
+            Some(payload) => self.receive_up(ch, &payload),
+            None => Ok(None),
+        }
+    }
+
+    /// `payload` arrives on channel `ch`: one message through the hub,
+    /// its broadcasts queued on their destinations' channels. An op comes
+    /// back as its outcome; a rejected op evicts the channel's site and
+    /// closes the channel, as does a payload that is not one message.
+    pub fn receive_up(
+        &mut self,
+        ch: usize,
+        payload: &Payload,
+    ) -> Result<Option<NotifierOutcome>, ProtocolError> {
+        let Some(msg) = decode_one(payload) else {
+            self.close(ch);
             return Ok(None);
         };
-        match self.feed(ch, EditorMsg::ClientOp(msg)) {
+        match self.feed(ch, msg) {
             Step::Op(out) => Ok(Some(out)),
             Step::Evicted(_, e) => Err(e),
-            // A bound channel's op integrates or evicts.
             _ => Ok(None),
         }
     }
 
-    /// `site`'s client integrates the head of its channel: one payload is
-    /// one message, a `ServerOp` it integrates or a `ServerAck` it consumes
-    /// (`Ok(None)`). Anything else — bytes that do not decode, a compound,
-    /// an upstream kind — closes the channel, as a client hangs up on a
-    /// stream it cannot read.
+    /// `site`'s replica integrates the head of its channel
+    /// ([`StarWorld::receive_down`]).
     pub fn deliver_down(
         &mut self,
         site: SiteId,
     ) -> Result<Option<ClientIntegration>, ProtocolError> {
         self.seat(site)?;
-        let Some(ch) = self.hub.channel_of(site) else {
-            return Ok(None);
-        };
-        let Some(payload) = self.down.get_mut(ch).and_then(VecDeque::pop_front) else {
-            return Ok(None);
-        };
-        let mut msgs = Vec::new();
-        let msg = match decode_payload(payload.chunks(), &mut msgs) {
-            Ok(()) if msgs.len() == 1 => msgs.pop(),
-            _ => None,
-        };
-        match msg {
-            Some(EditorMsg::ServerOp(op)) => self.seat(site)?.client.try_on_server_op(op).map(Some),
-            Some(EditorMsg::ServerAck(_)) => Ok(None),
-            _ => {
-                self.close(ch);
-                Ok(None)
-            }
+        match self.hub.channel_of(site).and_then(|ch| self.pop_down(ch)) {
+            Some(payload) => self.receive_down(site, &payload),
+            None => Ok(None),
         }
     }
 
+    /// `site`'s replica receives `payload`: one payload is one message, a
+    /// `ServerOp` it integrates (a streaming replica's integration comes
+    /// back) or a `ServerAck`; what a composing replica releases in answer
+    /// is queued up. Anything else — bytes that do not decode, a compound,
+    /// an upstream kind — closes the site's channel, as a client hangs up
+    /// on a stream it cannot read.
+    pub fn receive_down(
+        &mut self,
+        site: SiteId,
+        payload: &Payload,
+    ) -> Result<Option<ClientIntegration>, ProtocolError> {
+        let seat = self.seat(site)?;
+        let next = match (&mut seat.replica, decode_one(payload)) {
+            (Replica::Streaming(c), Some(EditorMsg::ServerOp(op))) => {
+                return c.try_on_server_op(op).map(Some)
+            }
+            (Replica::Streaming(_), Some(EditorMsg::ServerAck(_))) => None,
+            (Replica::Composing(c), Some(EditorMsg::ServerOp(op))) => c.on_server_op(op)?.1,
+            (Replica::Composing(c), Some(EditorMsg::ServerAck(ack))) => c.on_server_ack(ack),
+            _ => {
+                if let Some(ch) = self.hub.channel_of(site) {
+                    self.close(ch);
+                }
+                return Ok(None);
+            }
+        };
+        if let Some(op) = next {
+            seat.send_op(op);
+        }
+        Ok(None)
+    }
+
     /// `site`'s replica collects its history buffer — a local step that
-    /// sends nothing; the number of entries collected.
+    /// sends nothing; the number of entries collected (a composing
+    /// replica keeps no history).
     pub fn gc(&mut self, site: SiteId) -> Result<usize, ProtocolError> {
-        Ok(self.seat(site)?.client.gc())
+        Ok(match &mut self.seat(site)?.replica {
+            Replica::Streaming(c) => c.gc(),
+            Replica::Composing(_) => 0,
+        })
     }
 
     /// `site`'s replica says hello on `ch` with its real frontier `T[1]`;
     /// the hub's step, its catch-up queued on `ch` when it binds.
     pub fn hello(&mut self, site: SiteId, ch: usize) -> Result<Step, ProtocolError> {
-        let received = self.seat(site)?.client.state_vector().received();
+        let received = match &self.seat(site)?.replica {
+            Replica::Streaming(c) => c.state_vector().received(),
+            Replica::Composing(c) => c.state_vector().received(),
+        };
         let hello = ClientAckMsg {
             origin: site,
             received,
@@ -336,6 +499,15 @@ impl StarWorld {
         }
         Ok(())
     }
+}
+
+/// The one message `payload` carries; `None` for bytes that do not
+/// decode, a compound, or trailing bytes.
+fn decode_one(payload: &Payload) -> Option<EditorMsg> {
+    let mut msgs = Vec::with_capacity(1);
+    decode_payload(payload.chunks(), &mut msgs).ok()?;
+    let msg = msgs.pop()?;
+    msgs.is_empty().then_some(msg)
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use fault::{FaultPlan, FaultStats, FlapSpec};
 pub use latency::LatencyModel;
-pub use sim::{ChannelStats, Ctx, DeliveryRecord, Node, NodeId, Simulator};
+pub use sim::{ChannelStats, Ctx, DeliveryRecord, Fired, Node, NodeId, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
 pub use wire::{WireDecode, WireEncode, WireError, WireSize};
@@ -56,7 +56,7 @@ pub use wire::{WireDecode, WireEncode, WireError, WireSize};
 pub mod prelude {
     pub use crate::fault::{FaultPlan, FaultStats, FlapSpec};
     pub use crate::latency::LatencyModel;
-    pub use crate::sim::{ChannelStats, Ctx, DeliveryRecord, Node, NodeId, Simulator};
+    pub use crate::sim::{ChannelStats, Ctx, DeliveryRecord, Fired, Node, NodeId, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::Topology;
     pub use crate::wire::{WireDecode, WireEncode, WireError, WireSize};

@@ -57,6 +57,15 @@ impl<M> Ctx<'_, M> {
     }
 }
 
+/// One event [`Simulator::step`] fired.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fired<M> {
+    /// `(from, to, msg)`: a message reached its receiver.
+    Deliver(NodeId, NodeId, M),
+    /// `(node, tag)`: a timer of the node's fired.
+    Timer(NodeId, u64),
+}
+
 enum EventKind<M> {
     Deliver {
         from: NodeId,
@@ -177,7 +186,7 @@ pub struct Simulator<M, N> {
     corruptor: Option<Box<dyn FnMut(&mut M, &mut SmallRng) + Send>>,
 }
 
-impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
+impl<M: WireSize + Clone, N> Simulator<M, N> {
     /// A simulator whose channels default to `latency`, seeded for
     /// reproducible latency draws.
     pub fn new(latency: LatencyModel, seed: u64) -> Self {
@@ -330,122 +339,56 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
         total
     }
 
-    /// Run until the event queue drains; returns the quiescence time.
-    pub fn run(&mut self) -> SimTime {
-        self.run_until(SimTime(u64::MAX))
-    }
-
-    /// Process events with `time <= deadline`; returns the current time
-    /// afterwards.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        // Peek decides, pop consumes: folding both into one guarded pop
-        // keeps the loop panic-free (no "peeked therefore poppable" claim).
-        while self.queue.peek().is_some_and(|ev| ev.time <= deadline) {
-            let Some(ev) = self.queue.pop() else { break };
-            self.now = ev.time;
-            self.events_processed += 1;
-            let mut outbox = Vec::new();
-            let mut timers = Vec::new();
-            {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    me: ev.to,
-                    outbox: &mut outbox,
-                    timers: &mut timers,
-                };
-                match ev.kind {
-                    EventKind::Deliver {
-                        from,
-                        msg,
-                        sent_at,
-                        bytes,
-                        index,
-                    } => {
-                        let latency = self.now - sent_at;
-                        // A delivery is only ever enqueued by
-                        // `enqueue_send`, which creates the channel entry
-                        // first — so the entry always exists and the guard
-                        // (rather than a panic) only skips accounting.
-                        if let Some(ch) = self.channels.get_mut(&(from, ev.to)) {
-                            ch.stats.messages += 1;
-                            ch.stats.bytes += bytes as u64;
-                            ch.stats.total_latency_us += latency.as_micros();
-                            match ch.max_delivered {
-                                Some(m) if index < m => self.fault_stats.inversions_observed += 1,
-                                Some(m) if index == m => {} // duplicate of the head
-                                _ => ch.max_delivered = Some(index),
-                            }
-                        }
-                        if let Some(log) = &mut self.deliveries {
-                            log.push(DeliveryRecord {
-                                from,
-                                to: ev.to,
-                                sent_at,
-                                delivered_at: self.now,
-                                bytes,
-                            });
-                        }
-                        self.nodes[ev.to].on_message(&mut ctx, from, msg);
-                    }
-                    EventKind::Timer { tag } => {
-                        self.nodes[ev.to].on_timer(&mut ctx, tag);
+    /// Pop the next event due by `deadline` and account for it: the clock
+    /// moves to it, and a delivery is counted on its channel (stats,
+    /// inversions, its [`DeliveryRecord`]). This is the pull half of the
+    /// event loop: the caller reacts through [`Simulator::inject_send`]
+    /// and [`Simulator::schedule_timer`] and steps again;
+    /// [`Simulator::run_until`] is the same loop reacting through
+    /// [`Node`]s.
+    pub fn step(&mut self, deadline: SimTime) -> Option<Fired<M>> {
+        // Peek decides, pop consumes: both guarded, so the loop stays
+        // panic-free (no "peeked therefore poppable" claim).
+        self.queue.peek().filter(|ev| ev.time <= deadline)?;
+        let ev = self.queue.pop()?;
+        self.now = ev.time;
+        self.events_processed += 1;
+        Some(match ev.kind {
+            EventKind::Deliver {
+                from,
+                msg,
+                sent_at,
+                bytes,
+                index,
+            } => {
+                let latency = self.now - sent_at;
+                // A delivery is only ever enqueued by `inject_send`, which
+                // creates the channel entry first — so the entry always
+                // exists and the guard (rather than a panic) only skips
+                // accounting.
+                if let Some(ch) = self.channels.get_mut(&(from, ev.to)) {
+                    ch.stats.messages += 1;
+                    ch.stats.bytes += bytes as u64;
+                    ch.stats.total_latency_us += latency.as_micros();
+                    match ch.max_delivered {
+                        Some(m) if index < m => self.fault_stats.inversions_observed += 1,
+                        Some(m) if index == m => {} // duplicate of the head
+                        _ => ch.max_delivered = Some(index),
                     }
                 }
+                if let Some(log) = &mut self.deliveries {
+                    log.push(DeliveryRecord {
+                        from,
+                        to: ev.to,
+                        sent_at,
+                        delivered_at: self.now,
+                        bytes,
+                    });
+                }
+                Fired::Deliver(from, ev.to, msg)
             }
-            for (to, msg) in outbox {
-                self.enqueue_send(ev.to, to, msg);
-            }
-            for (delay, tag) in timers {
-                let at = self.now + delay;
-                let seq = self.next_seq();
-                self.queue.push(Event {
-                    time: at,
-                    seq,
-                    to: ev.to,
-                    kind: EventKind::Timer { tag },
-                });
-            }
-        }
-        self.now = self
-            .now
-            .max(deadline.min(self.peek_time().unwrap_or(self.now)));
-        self.now
-    }
-
-    /// Inject a message send from outside any callback (e.g. a test driving
-    /// a single node directly).
-    pub fn inject_send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.enqueue_send(from, to, msg);
-    }
-
-    /// Invoke `f` as if it ran inside `node`'s callback: sends and timers
-    /// it issues through the [`Ctx`] are honoured. This is how session
-    /// drivers deliver *local user operations* to a site.
-    pub fn with_node_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_, M>)) {
-        let mut outbox = Vec::new();
-        let mut timers = Vec::new();
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                me: node,
-                outbox: &mut outbox,
-                timers: &mut timers,
-            };
-            f(&mut self.nodes[node], &mut ctx);
-        }
-        for (to, msg) in outbox {
-            self.enqueue_send(node, to, msg);
-        }
-        for (delay, tag) in timers {
-            let at = self.now + delay;
-            let seq = self.next_seq();
-            self.queue.push(Event {
-                time: at,
-                seq,
-                to: node,
-                kind: EventKind::Timer { tag },
-            });
-        }
+            EventKind::Timer { tag } => Fired::Timer(ev.to, tag),
+        })
     }
 
     /// Advance the clock to `t` without processing events (only forward).
@@ -480,7 +423,10 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
         })
     }
 
-    fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: M) {
+    /// Send `msg` from `from` to `to` over their FIFO channel: a pull
+    /// driver's sends, a test driving a single node directly, and every
+    /// send a node makes through its [`Ctx`].
+    pub fn inject_send(&mut self, from: NodeId, to: NodeId, msg: M) {
         assert!(to < self.nodes.len(), "send to unknown node {to}");
         assert_ne!(from, to, "self-sends are not modelled");
         let now = self.now;
@@ -571,24 +517,8 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
             ch.last_arrival = a;
             a
         };
-        if let Some(dup_lat) = dup_latency {
-            self.fault_stats.duplicated += 1;
-            let dup_seq = self.next_seq();
-            self.queue.push(Event {
-                time: departed + dup_lat,
-                seq: dup_seq,
-                to,
-                kind: EventKind::Deliver {
-                    from,
-                    msg: msg.clone(),
-                    sent_at: now,
-                    bytes,
-                    index,
-                },
-            });
-        }
-        self.queue.push(Event {
-            time: arrival,
+        let deliver = |time, seq, msg| Event {
+            time,
             seq,
             to,
             kind: EventKind::Deliver {
@@ -598,7 +528,63 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
                 bytes,
                 index,
             },
-        });
+        };
+        if let Some(dup_lat) = dup_latency {
+            self.fault_stats.duplicated += 1;
+            let dup_seq = self.next_seq();
+            self.queue
+                .push(deliver(departed + dup_lat, dup_seq, msg.clone()));
+        }
+        self.queue.push(deliver(arrival, seq, msg));
+    }
+}
+
+impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
+    /// Run until the event queue drains; returns the quiescence time.
+    pub fn run(&mut self) -> SimTime {
+        self.run_until(SimTime(u64::MAX))
+    }
+
+    /// Process events with `time <= deadline`, each through its node;
+    /// returns the current time afterwards.
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        while let Some(fired) = self.step(deadline) {
+            match fired {
+                Fired::Deliver(from, to, msg) => {
+                    self.with_node_ctx(to, |node, ctx| node.on_message(ctx, from, msg))
+                }
+                Fired::Timer(node, tag) => self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, tag)),
+            }
+        }
+        self.now = self
+            .now
+            .max(deadline.min(self.peek_time().unwrap_or(self.now)));
+        self.now
+    }
+
+    /// Invoke `f` as if it ran inside `node`'s callback: sends and timers
+    /// it issues through the [`Ctx`] are honoured. [`Simulator::run_until`]
+    /// hands every fired event to its node this way, and drivers use it to
+    /// deliver *local user operations* to a site.
+    pub fn with_node_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_, M>)) {
+        let mut outbox = Vec::new();
+        let mut timers = Vec::new();
+        f(
+            &mut self.nodes[node],
+            &mut Ctx {
+                now: self.now,
+                me: node,
+                outbox: &mut outbox,
+                timers: &mut timers,
+            },
+        );
+        for (to, msg) in outbox {
+            self.inject_send(node, to, msg);
+        }
+        for (delay, tag) in timers {
+            let at = self.now + delay;
+            self.schedule_timer(node, at, tag);
+        }
     }
 }
 
@@ -745,6 +731,64 @@ mod tests {
         s.run();
         assert_eq!(s.node(1).seen.len(), 1);
         assert_eq!(s.node(0).timer_fired, vec![42]);
+    }
+
+    /// A caller stepping the queue and reacting by hand (relaying, the
+    /// tag-7 timer's send) reproduces the node-driven run exactly: the
+    /// same delivery records in the same order, the same quiescence time.
+    #[test]
+    fn pull_driving_reproduces_the_node_driven_run() {
+        let network = || {
+            let mut s = sim(LatencyModel::Uniform { lo: 10, hi: 5_000 });
+            s.record_deliveries(true);
+            s.node_mut(1).relay_to = Some(2);
+            s.node_mut(2).relay_to = Some(0);
+            for (k, at) in [(7, 40), (8, 40), (7, 900)] {
+                s.schedule_timer(0, SimTime::from_micros(at), k);
+            }
+            for id in 0..20 {
+                s.inject_send(0, 1, TestMsg { id, size: 3 });
+                s.inject_send(
+                    2,
+                    1,
+                    TestMsg {
+                        id: 50 + id,
+                        size: 5,
+                    },
+                );
+            }
+            s
+        };
+        let mut driven = network();
+        let quiesced = driven.run();
+        let mut pulled = network();
+        let mut fired = 0;
+        while let Some(ev) = pulled.step(SimTime(u64::MAX)) {
+            fired += 1;
+            match ev {
+                Fired::Deliver(_, to, msg) => {
+                    if let Some(next) = pulled.node(to).relay_to {
+                        let size = msg.size;
+                        pulled.inject_send(
+                            to,
+                            next,
+                            TestMsg {
+                                id: msg.id + 100,
+                                size,
+                            },
+                        );
+                    }
+                }
+                Fired::Timer(node, 7) => {
+                    pulled.inject_send(node, 1, TestMsg { id: 777, size: 3 });
+                }
+                Fired::Timer(..) => {}
+            }
+        }
+        assert!(driven.deliveries().len() > 40, "relays and timers ran");
+        assert_eq!(pulled.deliveries(), driven.deliveries());
+        assert_eq!(pulled.now(), quiesced);
+        assert_eq!(fired, driven.events_processed());
     }
 
     #[test]
