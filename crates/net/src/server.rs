@@ -66,7 +66,7 @@ use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
 use cvc_reduce::hub::{Hub, Step};
-use cvc_reduce::msg::{compound_header, decode_payload, ClientOpMsg, EditorMsg, Payload};
+use cvc_reduce::msg::{decode_payload, write_compound, ClientOpMsg, EditorMsg, Payload};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
@@ -382,23 +382,21 @@ impl OutBatch {
 /// Frame one connection's payloads in groups of up to [`COMPOUND_MAX`]: a
 /// lone payload as a plain frame, a larger group as one compound frame —
 /// one header and checksum over the whole group, §14's freight saving
-/// applied at the socket boundary. `frame` gets each frame's chunks and
-/// its message count.
+/// applied at the socket boundary. A compound is written into `scratch`
+/// by [`write_compound`]. `frame` gets each frame's chunks and its message
+/// count.
 fn frame_groups<E>(
     payloads: &[Payload],
+    scratch: &mut Vec<u8>,
     mut frame: impl FnMut(&[&[u8]], usize) -> Result<(), E>,
 ) -> Result<(), E> {
     for group in payloads.chunks(COMPOUND_MAX) {
         if let [p] = group {
             frame(&p.chunks(), 1)?;
         } else {
-            let header = compound_header(group.len());
-            let mut chunks: Vec<&[u8]> = Vec::with_capacity(1 + group.len() * 2);
-            chunks.push(&header);
-            for p in group {
-                chunks.extend(p.chunks());
-            }
-            frame(&chunks, group.len())?;
+            scratch.clear();
+            write_compound(group.iter(), scratch);
+            frame(&[scratch], group.len())?;
         }
     }
     Ok(())
@@ -689,6 +687,7 @@ fn worker_inner(
         free: Vec::new(),
         handoff: Vec::new(),
         out: OutBatch::default(),
+        compound: Vec::new(),
     };
     let mut events: Vec<PollEvent> = Vec::new();
     let mut cmds: Vec<OutCmd> = Vec::new();
@@ -754,6 +753,8 @@ struct Worker<'a> {
     handoff: Vec<Inbound>,
     /// Output the core handed over that is not written yet.
     out: OutBatch,
+    /// The compound frame being written, reused across frames.
+    compound: Vec<u8>,
 }
 
 impl Worker<'_> {
@@ -871,7 +872,7 @@ impl Worker<'_> {
                     return;
                 };
                 wrote = true;
-                let res = frame_groups(payloads, |chunks, msgs| {
+                let res = frame_groups(payloads, &mut self.compound, |chunks, msgs| {
                     stats.frames_out.fetch_add(1, Ordering::Relaxed);
                     stats.msgs_out.fetch_add(msgs as u64, Ordering::Relaxed);
                     if msgs > 1 {
@@ -1454,7 +1455,7 @@ mod tests {
             let Flush::Frames(0, payloads) = flush else {
                 panic!("one connection's frames");
             };
-            let res: Result<(), ()> = frame_groups(payloads, |chunks, count| {
+            let res: Result<(), ()> = frame_groups(payloads, &mut Vec::new(), |chunks, count| {
                 let before = msgs.len();
                 assert!(decode_payload([&chunks.concat(), &[]], &mut msgs).is_ok());
                 assert_eq!(msgs.len() - before, count, "a frame carries its count");

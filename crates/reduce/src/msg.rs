@@ -7,7 +7,8 @@
 //!   compressed stamp up to the notifier; [`ServerOpMsg`] carries a
 //!   2-element stamp back down. *No message in the paper's deployment ever
 //!   carries more than two timestamp integers* — that is the claim under
-//!   test.
+//!   test. Inside a compound frame the two integers travel as deltas from
+//!   the previous op of the same kind ([`write_compound`]).
 //! * **Mesh / full vector** (classic REDUCE baseline): [`MeshOpMsg`]
 //!   carries an `N`-element vector.
 //! * **Relay star** (ablation E9: star topology *without* the transforming
@@ -39,6 +40,12 @@ pub(crate) const TAG_CLIENT_ACK: u8 = 5;
 const TAG_COMPOUND: u8 = 6;
 pub(crate) const TAG_RELAY_OP: u8 = 7;
 pub(crate) const TAG_RELAY_ACK: u8 = 8;
+
+/// Cursor tags: no caret, a caret at an explicit position, and a caret at
+/// the operation's edit end ([`edit_end`]), which carries no position.
+const CURSOR_NONE: u8 = 0;
+const CURSOR_AT: u8 = 1;
+const CURSOR_AT_EDIT_END: u8 = 2;
 
 const COMP_RETAIN: u8 = 0;
 const COMP_INSERT: u8 = 1;
@@ -164,8 +171,8 @@ pub enum EditorMsg {
     /// Federation: notifier → notifier cumulative acknowledgement.
     RelayAck(RelayAckMsg),
     /// Several editor messages coalesced into one reliable-layer frame
-    /// (one header, one checksum). Never nested; built by the reliability
-    /// layer's flush path, not by the editor layer.
+    /// (one header, one checksum). Never nested; built by the transports'
+    /// flush paths through [`write_compound`], not by the editor layer.
     Compound(Vec<EditorMsg>),
 }
 
@@ -180,7 +187,16 @@ impl EditorMsg {
             EditorMsg::ClientAck(m) => varint_len(m.received),
             EditorMsg::RelayOp(m) => vector_wire_len(&m.inner.vector),
             EditorMsg::RelayAck(m) => varint_len(m.received),
-            EditorMsg::Compound(ms) => ms.iter().map(EditorMsg::stamp_bytes).sum(),
+            EditorMsg::Compound(ms) => {
+                let mut ctx = Deltas::default();
+                ms.iter()
+                    .map(|m| match m {
+                        EditorMsg::ClientOp(c) => stamp_wire_len(delta(&mut ctx.client, c.stamp)),
+                        EditorMsg::ServerOp(s) => stamp_wire_len(delta(&mut ctx.server, s.stamp)),
+                        m => m.stamp_bytes(),
+                    })
+                    .sum()
+            }
         }
     }
 
@@ -313,7 +329,7 @@ impl ServerOpFrame {
     pub fn new(op: &SeqOp, cursor: &Option<(u32, u64)>) -> Self {
         let mut b = Vec::with_capacity(server_op_body_len(op, cursor));
         put_seq_op(&mut b, op);
-        put_opt_owned_cursor(&mut b, cursor);
+        put_opt_owned_cursor(&mut b, op, cursor);
         ServerOpFrame { body: b.into() }
     }
 
@@ -336,23 +352,123 @@ impl ServerOpFrame {
     }
 }
 
-/// Header bytes of a compound frame wrapping `count` sub-messages:
-/// `[TAG_COMPOUND][count varint]`, to be followed by each sub-message's
-/// full encoding. This is how every transport — the reliability layer's
-/// flush path, the TCP server's socket write path — coalesces several
-/// queued editor messages into one frame, so [`decode_payload`] reads
-/// both identically.
-pub fn compound_header(count: usize) -> Vec<u8> {
-    let mut h = Vec::with_capacity(1 + varint_len(count as u64));
-    h.push(TAG_COMPOUND);
-    put_varint(&mut h, count as u64);
-    h
+/// Append `payloads` to `buf` as one compound frame: `[TAG_COMPOUND][count
+/// varint]`, then each payload's message. This is how every transport —
+/// the reliability layer's flush path, the TCP server's socket write path —
+/// coalesces several queued editor messages into one frame, and it writes
+/// the bytes [`EditorMsg::Compound`] of the same messages encodes to, so
+/// [`decode_payload`] reads both identically.
+///
+/// Each payload is one encoded message, split by
+/// [`ServerOpFrame::payload_for`] or whole from [`Payload::encode`]. An
+/// op's head is re-written with its stamp as a delta from the previous op
+/// of its kind in the frame; the bytes after the stamp, the shared body,
+/// are copied as they are.
+pub fn write_compound<'a, B: BufMut>(
+    payloads: impl ExactSizeIterator<Item = &'a Payload>,
+    buf: &mut B,
+) {
+    put_compound(payloads, buf, |p, buf, ctx| ctx.rehead(p, buf));
+}
+
+/// The one compound writer: header, then each part under one fresh
+/// [`Deltas`] context.
+fn put_compound<'a, T: 'a, B: BufMut>(
+    parts: impl ExactSizeIterator<Item = &'a T>,
+    buf: &mut B,
+    mut put: impl FnMut(&T, &mut B, &mut Deltas),
+) {
+    buf.put_u8(TAG_COMPOUND);
+    put_varint(buf, parts.len() as u64);
+    let mut ctx = Deltas::default();
+    for part in parts {
+        put(part, buf, &mut ctx);
+    }
+}
+
+/// The stamp context of one compound frame: the last `ServerOp` and the
+/// last `ClientOp` stamp in it. Each op's stamp travels as wrapping deltas
+/// `(T[1] − prev T[1], T[2] − prev T[2])` from the previous op of its kind,
+/// so consecutive broadcasts to one site cost a 1-byte `T[1]`. Both start
+/// at zero: the first op of each kind, and every message outside a
+/// compound, carries its absolute stamp. A context never outlives its
+/// frame, so every frame decodes alone.
+///
+/// The decoder adds the deltas back and hands the replicas absolute
+/// stamps; `T[1]` is read, never implied from its predecessor, so a
+/// duplicated, skipped or reordered broadcast still reaches the FIFO
+/// check with the value it was sent with.
+#[derive(Debug, Clone, Copy, Default)]
+struct Deltas {
+    server: (u64, u64),
+    client: (u64, u64),
+}
+
+/// `s` as a delta from `*prev`, which becomes `s`.
+fn delta(prev: &mut (u64, u64), s: CompressedStamp) -> CompressedStamp {
+    let d = CompressedStamp::new(s.t1.wrapping_sub(prev.0), s.t2.wrapping_sub(prev.1));
+    *prev = s.as_pair();
+    d
+}
+
+/// The stamp the delta `d` from `*prev` stands for, which `*prev` becomes.
+fn undelta(prev: &mut (u64, u64), d: CompressedStamp) -> CompressedStamp {
+    *prev = (prev.0.wrapping_add(d.t1), prev.1.wrapping_add(d.t2));
+    CompressedStamp::new(prev.0, prev.1)
+}
+
+impl Deltas {
+    /// Write the encoded message `p` with its stamp, if it is an op, as a
+    /// delta. A payload that is not an op, or whose head does not parse,
+    /// is copied as it is.
+    fn rehead<B: BufMut>(&mut self, p: &Payload, buf: &mut B) {
+        let mut rd = p.head.as_slice().chain(&p.body[..]);
+        let total = rd.remaining();
+        let Some((tag, origin, stamp)) = read_op_head(&mut rd) else {
+            p.write_to(buf);
+            return;
+        };
+        let read = total - rd.remaining();
+        buf.put_u8(tag);
+        let prev = match origin {
+            Some(origin) => {
+                put_varint(buf, u64::from(origin));
+                &mut self.client
+            }
+            None => &mut self.server,
+        };
+        put_stamp(buf, delta(prev, stamp));
+        // The rest of the logical bytes: what is left of the head (none,
+        // for a split payload), then the body past what was read of it.
+        if let Some(head_rest) = p.head.get(read..) {
+            buf.put_slice(head_rest);
+            buf.put_slice(&p.body);
+        } else {
+            buf.put_slice(p.body.get(read - p.head.len()..).unwrap_or_default());
+        }
+    }
+}
+
+/// The tag, origin (a `ClientOp`'s; `None` for a `ServerOp`) and absolute
+/// stamp at the front of an encoded op; `None` for any other message.
+fn read_op_head<B: Buf>(buf: &mut B) -> Option<(u8, Option<u32>, CompressedStamp)> {
+    if !buf.has_remaining() {
+        return None;
+    }
+    match buf.get_u8() {
+        TAG_SERVER_OP => Some((TAG_SERVER_OP, None, get_stamp(buf).ok()?)),
+        TAG_CLIENT_OP => {
+            let origin = get_u32(buf).ok()?;
+            Some((TAG_CLIENT_OP, Some(origin), get_stamp(buf).ok()?))
+        }
+        _ => None,
+    }
 }
 
 /// Encoded size of a [`ServerOpMsg`] body (everything after the stamp):
 /// computed once per broadcast, it prices all `N−1` destination frames.
 pub(crate) fn server_op_body_len(op: &SeqOp, cursor: &Option<(u32, u64)>) -> usize {
-    seq_op_wire_len(op) + opt_owned_cursor_len(cursor)
+    seq_op_wire_len(op) + opt_owned_cursor_len(op, cursor)
 }
 
 pub(crate) fn stamp_wire_len(s: CompressedStamp) -> usize {
@@ -364,7 +480,7 @@ pub(crate) fn put_stamp<B: BufMut>(buf: &mut B, s: CompressedStamp) {
     put_varint(buf, s.t2);
 }
 
-pub(crate) fn get_stamp<B: Buf>(buf: &mut B) -> Result<CompressedStamp, WireError> {
+fn get_stamp<B: Buf>(buf: &mut B) -> Result<CompressedStamp, WireError> {
     Ok(CompressedStamp::new(get_varint(buf)?, get_varint(buf)?))
 }
 
@@ -424,7 +540,7 @@ pub(crate) fn put_seq_op<B: BufMut>(buf: &mut B, op: &SeqOp) {
     }
 }
 
-pub(crate) fn get_seq_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
+fn get_seq_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
     // Every component costs at least two bytes (tag + one varint byte), so
     // a component count past `remaining / 2` is a lie; retain/delete run
     // lengths are additionally capped at the document-size bound so a
@@ -453,55 +569,130 @@ pub(crate) fn get_seq_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
     Ok(op)
 }
 
-pub(crate) fn opt_cursor_len(c: &Option<u64>) -> usize {
-    1 + c.map_or(0, varint_len)
+/// Where a caret sits after `op`'s one edit: `retain p · insert t? ·
+/// delete d? · retain r?` ends its edit at `p + |t|`. An op that edits
+/// nothing, or more than one place, has no edit end.
+fn edit_end(op: &SeqOp) -> Option<u64> {
+    let (mut end, mut edits, mut rest) = (0, false, op.components());
+    if let [Component::Retain(n), tail @ ..] = rest {
+        (end, rest) = (*n, tail);
+    }
+    if let [Component::Insert(s), tail @ ..] = rest {
+        (end, edits, rest) = (end + s.chars().count(), true, tail);
+    }
+    if let [Component::Delete(_), tail @ ..] = rest {
+        (edits, rest) = (true, tail);
+    }
+    (edits && matches!(rest, [] | [Component::Retain(_)])).then_some(end as u64)
 }
 
-pub(crate) fn put_opt_cursor<B: BufMut>(buf: &mut B, c: &Option<u64>) {
-    match c {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            put_varint(buf, *v);
+/// The varint position a caret after `op` travels with: none when it sits
+/// at the edit end, which cursor tag 2 says alone.
+fn caret_pos(op: &SeqOp, pos: u64) -> Option<u64> {
+    (edit_end(op) != Some(pos)).then_some(pos)
+}
+
+fn opt_cursor_len(op: &SeqOp, c: &Option<u64>) -> usize {
+    1 + c.and_then(|v| caret_pos(op, v)).map_or(0, varint_len)
+}
+
+fn put_opt_cursor<B: BufMut>(buf: &mut B, op: &SeqOp, c: &Option<u64>) {
+    match c.map(|v| caret_pos(op, v)) {
+        None => buf.put_u8(CURSOR_NONE),
+        Some(None) => buf.put_u8(CURSOR_AT_EDIT_END),
+        Some(Some(v)) => {
+            buf.put_u8(CURSOR_AT);
+            put_varint(buf, v);
         }
     }
 }
 
-pub(crate) fn get_opt_cursor<B: Buf>(buf: &mut B) -> Result<Option<u64>, WireError> {
+fn get_opt_cursor<B: Buf>(buf: &mut B, op: &SeqOp) -> Result<Option<u64>, WireError> {
     if !buf.has_remaining() {
         return Err(WireError::Truncated);
     }
     match buf.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some(get_varint(buf)?)),
+        CURSOR_NONE => Ok(None),
+        CURSOR_AT => Ok(Some(get_varint(buf)?)),
+        // An op with no edit end cannot carry a caret there.
+        CURSOR_AT_EDIT_END => edit_end(op)
+            .map(Some)
+            .ok_or(WireError::BadTag(CURSOR_AT_EDIT_END)),
         t => Err(WireError::BadTag(t)),
     }
 }
 
-fn opt_owned_cursor_len(c: &Option<(u32, u64)>) -> usize {
-    1 + c.map_or(0, |(s, v)| varint_len(u64::from(s)) + varint_len(v))
+fn opt_owned_cursor_len(op: &SeqOp, c: &Option<(u32, u64)>) -> usize {
+    1 + c.map_or(0, |(s, v)| {
+        varint_len(u64::from(s)) + caret_pos(op, v).map_or(0, varint_len)
+    })
 }
 
-fn put_opt_owned_cursor<B: BufMut>(buf: &mut B, c: &Option<(u32, u64)>) {
-    match c {
-        None => buf.put_u8(0),
-        Some((s, v)) => {
-            buf.put_u8(1);
-            put_varint(buf, u64::from(*s));
-            put_varint(buf, *v);
+fn put_opt_owned_cursor<B: BufMut>(buf: &mut B, op: &SeqOp, c: &Option<(u32, u64)>) {
+    let Some((s, v)) = *c else {
+        return buf.put_u8(CURSOR_NONE);
+    };
+    let pos = caret_pos(op, v);
+    buf.put_u8(if pos.is_some() {
+        CURSOR_AT
+    } else {
+        CURSOR_AT_EDIT_END
+    });
+    put_varint(buf, u64::from(s));
+    if let Some(v) = pos {
+        put_varint(buf, v);
+    }
+}
+
+fn get_opt_owned_cursor<B: Buf>(buf: &mut B, op: &SeqOp) -> Result<Option<(u32, u64)>, WireError> {
+    if !buf.has_remaining() {
+        return Err(WireError::Truncated);
+    }
+    match buf.get_u8() {
+        CURSOR_NONE => Ok(None),
+        CURSOR_AT => Ok(Some((get_u32(buf)?, get_varint(buf)?))),
+        CURSOR_AT_EDIT_END => {
+            let owner = get_u32(buf)?;
+            let pos = edit_end(op).ok_or(WireError::BadTag(CURSOR_AT_EDIT_END))?;
+            Ok(Some((owner, pos)))
         }
+        t => Err(WireError::BadTag(t)),
     }
 }
 
-fn get_opt_owned_cursor<B: Buf>(buf: &mut B) -> Result<Option<(u32, u64)>, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some((get_u32(buf)?, get_varint(buf)?))),
-        t => Err(WireError::BadTag(t)),
-    }
+/// Encoded size of a [`ClientOpMsg`] after its tag, its stamp a delta
+/// from `*prev` (which becomes the stamp). The WAL's op record and the
+/// upstream message share these three: the log format is the wire format.
+pub(crate) fn client_op_len(m: &ClientOpMsg, prev: &mut (u64, u64)) -> usize {
+    varint_len(u64::from(m.origin.0))
+        + stamp_wire_len(delta(prev, m.stamp))
+        + seq_op_wire_len(&m.op)
+        + opt_cursor_len(&m.op, &m.cursor)
+}
+
+/// Write a [`ClientOpMsg`] after its tag, its stamp a delta from `*prev`.
+pub(crate) fn put_client_op<B: BufMut>(buf: &mut B, m: &ClientOpMsg, prev: &mut (u64, u64)) {
+    put_varint(buf, u64::from(m.origin.0));
+    put_stamp(buf, delta(prev, m.stamp));
+    put_seq_op(buf, &m.op);
+    put_opt_cursor(buf, &m.op, &m.cursor);
+}
+
+/// Read a [`ClientOpMsg`] after its tag, its stamp a delta from `*prev`.
+pub(crate) fn get_client_op<B: Buf>(
+    buf: &mut B,
+    prev: &mut (u64, u64),
+) -> Result<ClientOpMsg, WireError> {
+    let origin = SiteId(get_u32(buf)?);
+    let stamp = undelta(prev, get_stamp(buf)?);
+    let op = get_seq_op(buf)?;
+    let cursor = get_opt_cursor(buf, &op)?;
+    Ok(ClientOpMsg {
+        origin,
+        stamp,
+        op,
+        cursor,
+    })
 }
 
 fn ttf_op_wire_len(op: &TtfOp) -> usize {
@@ -551,15 +742,24 @@ fn get_ttf_op<B: Buf>(buf: &mut B) -> Result<TtfOp, WireError> {
 
 impl WireSize for EditorMsg {
     fn wire_bytes(&self) -> usize {
+        self.len_in(&mut Deltas::default())
+    }
+}
+
+impl WireEncode for EditorMsg {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
+        self.put_in(buf, &mut Deltas::default());
+    }
+}
+
+impl EditorMsg {
+    /// Encoded size, an op's stamp a delta in `ctx`.
+    fn len_in(&self, ctx: &mut Deltas) -> usize {
         1 + match self {
-            EditorMsg::ClientOp(m) => {
-                varint_len(u64::from(m.origin.0))
-                    + stamp_wire_len(m.stamp)
-                    + seq_op_wire_len(&m.op)
-                    + opt_cursor_len(&m.cursor)
-            }
+            EditorMsg::ClientOp(m) => client_op_len(m, &mut ctx.client),
             EditorMsg::ServerOp(m) => {
-                stamp_wire_len(m.stamp) + seq_op_wire_len(&m.op) + opt_owned_cursor_len(&m.cursor)
+                stamp_wire_len(delta(&mut ctx.server, m.stamp))
+                    + server_op_body_len(&m.op, &m.cursor)
             }
             EditorMsg::MeshOp(m) => {
                 varint_len(u64::from(m.origin.0))
@@ -580,27 +780,24 @@ impl WireSize for EditorMsg {
                 varint_len(u64::from(m.origin_shard)) + varint_len(m.received)
             }
             EditorMsg::Compound(ms) => {
-                varint_len(ms.len() as u64) + ms.iter().map(WireSize::wire_bytes).sum::<usize>()
+                let mut sub = Deltas::default();
+                varint_len(ms.len() as u64) + ms.iter().map(|m| m.len_in(&mut sub)).sum::<usize>()
             }
         }
     }
-}
 
-impl WireEncode for EditorMsg {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
+    /// Encode, an op's stamp a delta in `ctx`.
+    fn put_in<B: BufMut>(&self, buf: &mut B, ctx: &mut Deltas) {
         match self {
             EditorMsg::ClientOp(m) => {
                 buf.put_u8(TAG_CLIENT_OP);
-                put_varint(buf, u64::from(m.origin.0));
-                put_stamp(buf, m.stamp);
-                put_seq_op(buf, &m.op);
-                put_opt_cursor(buf, &m.cursor);
+                put_client_op(buf, m, &mut ctx.client);
             }
             EditorMsg::ServerOp(m) => {
                 buf.put_u8(TAG_SERVER_OP);
-                put_stamp(buf, m.stamp);
+                put_stamp(buf, delta(&mut ctx.server, m.stamp));
                 put_seq_op(buf, &m.op);
-                put_opt_owned_cursor(buf, &m.cursor);
+                put_opt_owned_cursor(buf, &m.op, &m.cursor);
             }
             EditorMsg::MeshOp(m) => {
                 buf.put_u8(TAG_MESH_OP);
@@ -636,36 +833,30 @@ impl WireEncode for EditorMsg {
                     ms.iter().all(|m| !matches!(m, EditorMsg::Compound(_))),
                     "compound frames never nest"
                 );
-                buf.put_u8(TAG_COMPOUND);
-                put_varint(buf, ms.len() as u64);
-                for m in ms {
-                    m.encode(buf);
-                }
+                put_compound(ms.iter(), buf, |m, buf, ctx| m.put_in(buf, ctx));
             }
         }
     }
-}
 
-impl EditorMsg {
-    /// Decode one message. `allow_compound` is false for the sub-messages
-    /// of a compound frame, so nesting is rejected as a bad tag rather
-    /// than recursed into.
-    fn decode_inner<B: Buf>(buf: &mut B, allow_compound: bool) -> Result<Self, WireError> {
+    /// Decode one message, an op's stamp a delta in `ctx`.
+    /// `allow_compound` is false for the sub-messages of a compound frame,
+    /// so nesting is rejected as a bad tag rather than recursed into.
+    fn decode_in<B: Buf>(
+        buf: &mut B,
+        ctx: &mut Deltas,
+        allow_compound: bool,
+    ) -> Result<Self, WireError> {
         if !buf.has_remaining() {
             return Err(WireError::Truncated);
         }
         match buf.get_u8() {
-            TAG_CLIENT_OP => Ok(EditorMsg::ClientOp(ClientOpMsg {
-                origin: SiteId(get_u32(buf)?),
-                stamp: get_stamp(buf)?,
-                op: get_seq_op(buf)?,
-                cursor: get_opt_cursor(buf)?,
-            })),
-            TAG_SERVER_OP => Ok(EditorMsg::ServerOp(ServerOpMsg {
-                stamp: get_stamp(buf)?,
-                op: get_seq_op(buf)?,
-                cursor: get_opt_owned_cursor(buf)?,
-            })),
+            TAG_CLIENT_OP => Ok(EditorMsg::ClientOp(get_client_op(buf, &mut ctx.client)?)),
+            TAG_SERVER_OP => {
+                let stamp = undelta(&mut ctx.server, get_stamp(buf)?);
+                let op = get_seq_op(buf)?;
+                let cursor = get_opt_owned_cursor(buf, &op)?;
+                Ok(EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor }))
+            }
             TAG_MESH_OP => Ok(EditorMsg::MeshOp(MeshOpMsg {
                 origin: SiteId(get_u32(buf)?),
                 vector: get_vector(buf)?,
@@ -702,9 +893,10 @@ impl EditorMsg {
                 if count == 0 {
                     return Err(WireError::BadTag(TAG_COMPOUND));
                 }
+                let mut sub = Deltas::default();
                 let mut ms = Vec::with_capacity(count);
                 for _ in 0..count {
-                    ms.push(EditorMsg::decode_inner(buf, false)?);
+                    ms.push(EditorMsg::decode_in(buf, &mut sub, false)?);
                 }
                 Ok(EditorMsg::Compound(ms))
             }
@@ -715,7 +907,7 @@ impl EditorMsg {
 
 impl WireDecode for EditorMsg {
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        EditorMsg::decode_inner(buf, true)
+        EditorMsg::decode_in(buf, &mut Deltas::default(), true)
     }
 }
 
@@ -1044,15 +1236,14 @@ mod tests {
         let mut out = Vec::new();
         decode_payload(compound.chunks(), &mut out).expect("compound of three");
         assert_eq!(out, subs, "the sub-messages, never the compound");
-        // Header-built (the transports' way) reads the same.
-        let mut built = compound_header(subs.len());
-        for m in &subs {
-            m.encode(&mut built);
-        }
+        // Written from payloads (the transports' way), the same bytes.
+        let payloads: Vec<Payload> = subs.iter().map(Payload::encode).collect();
+        let mut built = Vec::new();
+        write_compound(payloads.iter(), &mut built);
         assert_eq!(built, compound.to_vec());
         // A compound inside a compound is a bad tag, not a recursion.
-        let mut nested = compound_header(1);
-        nested.extend(compound.to_vec());
+        let mut nested = Vec::new();
+        write_compound([compound].iter(), &mut nested);
         out.clear();
         assert_eq!(
             decode_payload([&nested, &[]], &mut out),

@@ -43,7 +43,7 @@ use crate::hub::{Hub, Sends, Step};
 use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
-    compound_header, decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, RelayOpMsg,
+    decode_payload, write_compound, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, RelayOpMsg,
     ServerAckMsg, ServerOpMsg,
 };
 use crate::recorder::{EventKind, FlightEvent};
@@ -521,14 +521,10 @@ impl ReliableLink {
             self.send_payload(ctx, peer, retx_tag, p);
             return;
         }
-        // Compound header ++ concatenated sub-frames: byte-identical to
-        // encoding `EditorMsg::Compound` of the decoded messages.
-        let head = compound_header(self.pending_out.len());
-        let mut body = Vec::with_capacity(self.pending_out.iter().map(Payload::len).sum());
-        for p in self.pending_out.drain(..) {
-            p.write_to(&mut body);
-        }
-        self.send_payload(ctx, peer, retx_tag, Payload::from_parts(head, body.into()));
+        let mut bytes = Vec::with_capacity(self.pending_out.iter().map(Payload::len).sum());
+        write_compound(self.pending_out.iter(), &mut bytes);
+        self.pending_out.clear();
+        self.send_payload(ctx, peer, retx_tag, Payload::from_vec(bytes));
     }
 
     /// Flush the pending batch if the in-flight window just drained —

@@ -49,7 +49,10 @@
 //! silently diverges.
 
 use crate::frame::{split_frame, write_frame, FrameError};
-use crate::msg::{ClientAckMsg, ClientOpMsg, EditorMsg};
+use crate::msg::{
+    client_op_len, get_client_op, put_client_op, ClientAckMsg, ClientOpMsg, EditorMsg,
+    TAG_CLIENT_ACK, TAG_CLIENT_OP,
+};
 use crate::notifier::{CheckpointCursor, Notifier};
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
@@ -153,7 +156,7 @@ impl WalSnapshot {
 impl WireSize for WalRecord {
     fn wire_bytes(&self) -> usize {
         match self {
-            WalRecord::Op(m) => EditorMsg::ClientOp(m.clone()).wire_bytes(),
+            WalRecord::Op(m) => 1 + client_op_len(m, &mut (0, 0)),
             WalRecord::Ack(m) => EditorMsg::ClientAck(*m).wire_bytes(),
             WalRecord::AckFrontier(f) => {
                 1 + varint_len(f.entries.len() as u64)
@@ -185,7 +188,10 @@ impl WireEncode for WalRecord {
         match self {
             // Byte-identical to the upstream wire frames (same tags, same
             // field codec) — the log format *is* the wire format.
-            WalRecord::Op(m) => EditorMsg::ClientOp(m.clone()).encode(buf),
+            WalRecord::Op(m) => {
+                buf.put_u8(TAG_CLIENT_OP);
+                put_client_op(buf, m, &mut (0, 0));
+            }
             WalRecord::Ack(m) => EditorMsg::ClientAck(*m).encode(buf),
             WalRecord::AckFrontier(f) => {
                 buf.put_u8(WAL_TAG_ACK_FRONTIER);
@@ -222,13 +228,8 @@ impl WireDecode for WalRecord {
         match buf.get_u8() {
             // Same field layout as the EditorMsg decoder's ClientOp and
             // ClientAck arms — the log format is the wire format.
-            crate::msg::TAG_CLIENT_OP => Ok(WalRecord::Op(ClientOpMsg {
-                origin: SiteId(get_u32(buf)?),
-                stamp: crate::msg::get_stamp(buf)?,
-                op: crate::msg::get_seq_op(buf)?,
-                cursor: crate::msg::get_opt_cursor(buf)?,
-            })),
-            crate::msg::TAG_CLIENT_ACK => Ok(WalRecord::Ack(ClientAckMsg {
+            TAG_CLIENT_OP => Ok(WalRecord::Op(get_client_op(buf, &mut (0, 0))?)),
+            TAG_CLIENT_ACK => Ok(WalRecord::Ack(ClientAckMsg {
                 origin: SiteId(get_u32(buf)?),
                 received: get_varint(buf)?,
             })),

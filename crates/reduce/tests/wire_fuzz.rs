@@ -23,10 +23,11 @@ use cvc_core::vector::VectorClock;
 use cvc_ot::seq::{Component, SeqOp};
 use cvc_ot::ttf::TtfOp;
 use cvc_reduce::client::Client;
+use cvc_reduce::error::ProtocolError;
 use cvc_reduce::frame::{frame_checksum, FrameHasher};
 use cvc_reduce::msg::{
-    ClientAckMsg, ClientOpMsg, EditorMsg, MeshOpMsg, Payload, RelayAckMsg, RelayOpMsg,
-    ServerAckMsg, ServerOpFrame, ServerOpMsg,
+    decode_payload, write_compound, ClientAckMsg, ClientOpMsg, EditorMsg, MeshOpMsg, Payload,
+    RelayAckMsg, RelayOpMsg, ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::relay::{RelayBus, RelayFaultPlan};
@@ -369,6 +370,102 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
     prop_oneof![op, ack, frontier, evict, snapshot]
 }
 
+/// Where a caret sits after `op`'s one edit (`retain p · insert t? ·
+/// delete d? · retain r?` ends at `p + |t|`), stated here apart from the
+/// codec so the tests check it rather than restate it.
+fn edit_end(op: &SeqOp) -> Option<u64> {
+    let mut c = op.components();
+    let mut end = 0;
+    if let [Component::Retain(n), rest @ ..] = c {
+        (end, c) = (*n, rest);
+    }
+    let before = c.len();
+    if let [Component::Insert(t), rest @ ..] = c {
+        (end, c) = (end + t.chars().count(), rest);
+    }
+    if let [Component::Delete(_), rest @ ..] = c {
+        c = rest;
+    }
+    let edits = c.len() < before;
+    (edits && matches!(c, [] | [Component::Retain(_)])).then_some(end as u64)
+}
+
+/// A caret after `op`: none, anywhere, or at its edit end when it has one.
+fn caret(op: &SeqOp, kind: u8, anywhere: u64) -> Option<u64> {
+    match kind % 3 {
+        0 => None,
+        1 => Some(anywhere),
+        _ => Some(edit_end(op).unwrap_or(anywhere)),
+    }
+}
+
+/// Stamps as a compound to one site carries them: mostly each one step on
+/// from the last (small deltas), sometimes anything (wrapping deltas).
+fn stamp_run_strategy() -> impl Strategy<Value = CompressedStamp> {
+    let step = || (0u64..4, 0u64..4).prop_map(|(a, b)| CompressedStamp::new(a, b));
+    prop_oneof![step(), step(), step(), stamp_strategy()]
+}
+
+/// One message a compound frame carries, with carets at the edit end as
+/// often as anywhere else and stamps that are deltas of each other.
+fn compound_part_strategy() -> impl Strategy<Value = EditorMsg> {
+    let op = || {
+        (
+            stamp_run_strategy(),
+            seq_op_strategy(),
+            any::<u8>(),
+            any::<u64>(),
+            1u32..=64,
+            any::<bool>(),
+        )
+            .prop_map(|(stamp, op, kind, anywhere, who, server)| {
+                let cursor = caret(&op, kind, anywhere);
+                if server {
+                    let cursor = cursor.map(|pos| (who, pos));
+                    EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor })
+                } else {
+                    EditorMsg::ClientOp(ClientOpMsg {
+                        origin: SiteId(who),
+                        stamp,
+                        op,
+                        cursor,
+                    })
+                }
+            })
+    };
+    prop_oneof![op(), op(), op(), leaf_editor_msg_strategy()]
+}
+
+/// `ms` with each op's stamp made absolute: the strategy draws deltas.
+fn absolute(mut ms: Vec<EditorMsg>) -> Vec<EditorMsg> {
+    let (mut server, mut client) = ((0u64, 0u64), (0u64, 0u64));
+    for m in &mut ms {
+        let (prev, stamp) = match m {
+            EditorMsg::ServerOp(o) => (&mut server, &mut o.stamp),
+            EditorMsg::ClientOp(o) => (&mut client, &mut o.stamp),
+            _ => continue,
+        };
+        *prev = (prev.0.wrapping_add(stamp.t1), prev.1.wrapping_add(stamp.t2));
+        *stamp = CompressedStamp::new(prev.0, prev.1);
+    }
+    ms
+}
+
+/// `m` as a transport queues it: a broadcast split by the encode-once
+/// frame, anything else whole or cut in two at `cut`.
+fn queued(m: &EditorMsg, cut: usize, split: bool) -> Payload {
+    match m {
+        EditorMsg::ServerOp(o) if split => {
+            ServerOpFrame::new(&o.op, &o.cursor).payload_for(o.stamp)
+        }
+        m => {
+            let bytes = Payload::encode(m).to_vec();
+            let (head, body) = bytes.split_at(cut % (bytes.len() + 1));
+            Payload::from_parts(head.to_vec(), body.to_vec().into())
+        }
+    }
+}
+
 /// Run the full hostile-input battery against one message's encoding.
 fn battery<M>(msg: &M, flips: &[usize])
 where
@@ -700,4 +797,222 @@ proptest! {
         prop_assert_eq!(st.corrupt_drops, n * barriers as u64);
         prop_assert!(!bus.is_empty(), "quarantined frames must stay queued");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one compound encoder: any mix of messages, queued as the
+    /// transports queue them (split broadcasts, whole or arbitrarily cut
+    /// payloads), is re-headed into exactly the bytes
+    /// `EditorMsg::Compound(..).encode` writes, `wire_bytes()` is that
+    /// length, and both decoders give back the messages with their
+    /// absolute stamps. Then the full hostile battery runs on it.
+    #[test]
+    fn compound_encoder_matches_the_message_encoding(
+        deltas in proptest::collection::vec(compound_part_strategy(), 1..10),
+        cuts in proptest::collection::vec((any::<usize>(), any::<bool>()), 10),
+        flips in proptest::collection::vec(any::<usize>(), 1..8),
+    ) {
+        let msgs = absolute(deltas);
+        let compound = EditorMsg::Compound(msgs.clone());
+        let mut reference = Vec::with_capacity(compound.wire_bytes());
+        compound.encode(&mut reference);
+        prop_assert_eq!(reference.len(), compound.wire_bytes());
+
+        let payloads: Vec<Payload> = msgs
+            .iter()
+            .zip(&cuts)
+            .map(|(m, &(cut, split))| queued(m, cut, split))
+            .collect();
+        let mut built = Vec::new();
+        write_compound(payloads.iter(), &mut built);
+        prop_assert_eq!(&built, &reference);
+
+        let mut out = Vec::new();
+        prop_assert_eq!(decode_payload([&built, &[]], &mut out), Ok(()));
+        prop_assert_eq!(&out, &msgs);
+        let mut slice: &[u8] = &built;
+        prop_assert_eq!(EditorMsg::decode(&mut slice), Ok(compound.clone()));
+        prop_assert!(slice.is_empty());
+        battery(&compound, &flips);
+    }
+}
+
+/// Hand-built `[TAG_SERVER_OP, t1, t2] ++ op` with cursor tag 2 and an
+/// owner: a caret "at the edit end" of an op that has none.
+fn server_op_with_tag_2(op: &SeqOp) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    EditorMsg::ServerOp(ServerOpMsg {
+        stamp: CompressedStamp::new(1, 0),
+        op: op.clone(),
+        cursor: None,
+    })
+    .encode(&mut bytes);
+    assert_eq!(bytes.pop(), Some(0), "no caret: tag 0 last");
+    bytes.extend([2, 7]);
+    bytes
+}
+
+#[test]
+fn compound_caret_tag_2_needs_a_single_edit_site() {
+    let mut identity = SeqOp::new();
+    identity.retain(5);
+    let mut two_sites = SeqOp::new();
+    two_sites
+        .retain(1)
+        .insert("a")
+        .retain(2)
+        .delete(1)
+        .retain(1);
+    let mut one_site = SeqOp::new();
+    one_site.retain(2).insert("ab").delete(1).retain(2);
+    for op in [&identity, &SeqOp::new(), &two_sites] {
+        assert_eq!(must_reject(&server_op_with_tag_2(op)), WireError::BadTag(2));
+        let mut up = Vec::new();
+        EditorMsg::ClientOp(ClientOpMsg {
+            origin: SiteId(1),
+            stamp: CompressedStamp::new(0, 1),
+            op: op.clone(),
+            cursor: None,
+        })
+        .encode(&mut up);
+        *up.last_mut().expect("cursor tag") = 2;
+        assert_eq!(must_reject(&up), WireError::BadTag(2), "{op:?}");
+    }
+    // The same bytes on a one-site op are its caret at the edit end: the
+    // owner, and no position.
+    let mut bytes: &[u8] = &server_op_with_tag_2(&one_site);
+    match EditorMsg::decode(&mut bytes) {
+        Ok(EditorMsg::ServerOp(m)) => assert_eq!(m.cursor, Some((7, 4))),
+        other => panic!("{other:?}"),
+    }
+    assert!(bytes.is_empty());
+    let at = |pos| {
+        EditorMsg::ServerOp(ServerOpMsg {
+            stamp: CompressedStamp::new(1, 0),
+            op: one_site.clone(),
+            cursor: Some((7, pos)),
+        })
+    };
+    let (at_end, elsewhere) = (at(4), at(3));
+    assert_eq!(
+        elsewhere.wire_bytes(),
+        at_end.wire_bytes() + 1,
+        "the position"
+    );
+}
+
+#[test]
+fn compound_stamp_deltas_wrap_past_u64() {
+    // Two broadcasts whose T[1] and T[2] wrap around between them, and the
+    // same frame written by hand with a delta of u64::MAX.
+    let op = || SeqOp::from_pos(&cvc_ot::pos::PosOp::insert(0, "x"), 0);
+    let msgs = vec![
+        EditorMsg::ServerOp(ServerOpMsg {
+            stamp: CompressedStamp::new(u64::MAX, 3),
+            op: op(),
+            cursor: None,
+        }),
+        EditorMsg::ServerOp(ServerOpMsg {
+            stamp: CompressedStamp::new(0, u64::MAX - 1),
+            op: op(),
+            cursor: None,
+        }),
+    ];
+    let compound = EditorMsg::Compound(msgs.clone());
+    let mut bytes = Vec::new();
+    compound.encode(&mut bytes);
+    let mut out = Vec::new();
+    assert_eq!(decode_payload([&bytes, &[]], &mut out), Ok(()));
+    assert_eq!(out, msgs);
+
+    let mut by_hand = vec![6, 2];
+    for (t1, t2) in [(5u64, 5u64), (u64::MAX, u64::MAX)] {
+        by_hand.push(2);
+        put_varint(&mut by_hand, t1);
+        put_varint(&mut by_hand, t2);
+        by_hand.extend([1, 1, 1, b'x', 0]); // one component, insert "x"; no caret
+    }
+    let mut slice: &[u8] = &by_hand;
+    let Ok(EditorMsg::Compound(ms)) = EditorMsg::decode(&mut slice) else {
+        panic!("a frame of two wrapping deltas decodes");
+    };
+    let stamps: Vec<_> = ms
+        .iter()
+        .map(|m| match m {
+            EditorMsg::ServerOp(o) => o.stamp.as_pair(),
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(stamps, vec![(5, 5), (4, 4)], "5 + u64::MAX wraps to 4");
+}
+
+#[test]
+fn compound_payloads_never_nest() {
+    let inner = Payload::encode(&EditorMsg::Compound(vec![EditorMsg::ServerAck(
+        ServerAckMsg { acked: 1 },
+    )]));
+    let ack = Payload::encode(&EditorMsg::ServerAck(ServerAckMsg { acked: 2 }));
+    let mut bytes = Vec::new();
+    write_compound([ack, inner].iter(), &mut bytes);
+    let mut out = Vec::new();
+    assert_eq!(
+        decode_payload([&bytes, &[]], &mut out),
+        Err(WireError::BadTag(6))
+    );
+    assert!(out.is_empty());
+}
+
+/// A reader's FIFO check sees the `T[1]` the notifier sent, not one
+/// implied from the frame: a compound whose second broadcast skips one
+/// stream position (a `T[1]` delta of 2) decodes, on the worker's path
+/// and on the generator's, to expected + 1 — and the replica refuses it
+/// untouched. A decoder that implied `T[1]` = previous + 1 would hand
+/// over a message that passes.
+#[test]
+fn compound_delta_t1_keeps_fifo_detection() {
+    let doc = "0123456789";
+    let insert =
+        |pos: usize, len: usize| SeqOp::from_pos(&cvc_ot::pos::PosOp::insert(pos, "x"), len);
+    let first =
+        ServerOpFrame::new(&insert(0, 10), &Some((2, 1))).payload_for(CompressedStamp::new(1, 0));
+    let skipped =
+        ServerOpFrame::new(&insert(3, 11), &Some((2, 4))).payload_for(CompressedStamp::new(3, 0));
+    let mut bytes = Vec::new();
+    write_compound([first, skipped].iter(), &mut bytes);
+
+    let mut worker = Vec::new();
+    assert_eq!(decode_payload([&bytes, &[]], &mut worker), Ok(()));
+    let mut slice: &[u8] = &bytes;
+    let Ok(EditorMsg::Compound(generator)) = EditorMsg::decode(&mut slice) else {
+        panic!("one compound");
+    };
+    assert_eq!(worker, generator);
+    let ops: Vec<ServerOpMsg> = worker
+        .into_iter()
+        .map(|m| match m {
+            EditorMsg::ServerOp(o) => o,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(ops[1].stamp.get(1), 3, "read, not implied");
+    assert_eq!(ops[1].cursor, Some((2, 4)), "tag 2 at the edit end");
+
+    let mut reader = Client::new(SiteId(3), doc);
+    let [first, skipped] = <[ServerOpMsg; 2]>::try_from(ops).expect("two ops");
+    reader.try_on_server_op(first).expect("in order");
+    let (doc_before, sv_before) = (reader.doc(), reader.state_vector());
+    let carets_before: Vec<_> = reader.remote_carets().collect();
+    assert_eq!(
+        reader.try_on_server_op(skipped).map(|_| ()),
+        Err(ProtocolError::FifoViolation {
+            site: SiteId(3),
+            expected: 2,
+            got: 3,
+        })
+    );
+    assert_eq!(reader.doc(), doc_before);
+    assert_eq!(reader.state_vector(), sv_before);
+    assert_eq!(reader.remote_carets().collect::<Vec<_>>(), carets_before);
 }
