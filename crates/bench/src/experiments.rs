@@ -818,49 +818,44 @@ fn e15_plan(loss: f64) -> FaultPlan {
     }
 }
 
-/// `cfg` over the reliability layer, with [`e15_plan`] faults when `loss`
-/// is non-zero.
+/// `cfg` over connections, under [`e15_plan`] faults (none at `loss` 0).
 fn lossy_cfg(mut cfg: SessionConfig, loss: f64) -> SessionConfig {
-    cfg.reliable = true;
-    if loss > 0.0 {
-        cfg.fault_plan = Some(e15_plan(loss));
-    }
+    cfg.fault_plan = Some(e15_plan(loss));
     cfg
 }
 
-/// E15 — robustness: the ack/retransmit reliability layer over faulty
-/// links. Sweeps loss rate × N, reporting goodput (delivered editor-payload
-/// bytes over delivered wire bytes), retransmit overhead, and p99
-/// generation→execution latency against the fault-free baseline of the
-/// same configuration. Artefact: `BENCH_PR2.json` — virtual-time, so
-/// `repro check` regenerates it and demands the same bytes.
+/// E15 — robustness: sessions over connections on faulty links, which
+/// fail the way TCP fails — a drop stalls the connection for one RTO,
+/// duplicates and reordering never surface. Sweeps loss rate × N,
+/// reporting goodput (delivered editor-payload bytes over wire bytes),
+/// stalls, resets, catch-up replays, and p99 one-way frame latency
+/// against the fault-free baseline of the same configuration. Artefact:
+/// `BENCH_PR2.json` — virtual-time, so `repro check` regenerates it and
+/// demands the same bytes.
 pub fn e15_robustness(ns: &[usize], ops_per_site: usize) -> Report {
-    let mut rep = Report::new(
-        "E15 — unreliable-transport survival: loss sweep under the reliability layer (extension)",
-    )
-    .artifact(
-        "E15 unreliable-transport survival",
-        &[
-            (
-                "baseline",
-                "loss 0.0 with the reliability layer enabled (per N)",
-            ),
-            (
-                "candidate",
-                "seeded drop/duplicate/reorder plans masked by ack/retransmit",
-            ),
-        ],
-    );
+    let mut rep =
+        Report::new("E15 — unreliable-transport survival: loss sweep over connections (extension)")
+            .artifact(
+                "E15 unreliable-transport survival",
+                &[
+                    ("baseline", "loss 0.0 over fault-free connections (per N)"),
+                    (
+                        "candidate",
+                        "seeded drop/duplicate/reorder plans, which a connection sees as stalls",
+                    ),
+                ],
+            );
     let mut summaries: Vec<String> = Vec::new();
     for &n in ns {
         let mut baseline_p99 = 0.0f64;
         for &loss in &E15_LOSS_SWEEP {
-            let cfg = lossy_cfg(session_cfg(StarCvc, n, ops_per_site, 99), loss);
+            let mut cfg = lossy_cfg(session_cfg(StarCvc, n, ops_per_site, 99), loss);
+            cfg.record_deliveries = true;
             let r = run_session(&cfg);
             let m = r.total_metrics();
-            let mut latencies_us = r.delivery_latencies_us.clone();
-            latencies_us.sort_unstable();
-            let p99 = percentile(&latencies_us, 99).map_or(0.0, |us| us as f64 / 1e3);
+            let mut latencies_ms = one_way_ms(&r);
+            latencies_ms.sort_unstable_by(f64::total_cmp);
+            let p99 = percentile(&latencies_ms, 99).unwrap_or(0.0);
             if loss == 0.0 {
                 baseline_p99 = p99;
             }
@@ -878,11 +873,9 @@ pub fn e15_robustness(ns: &[usize], ops_per_site: usize) -> Report {
                 cell("goodput", "goodput", &goodput)
                     .text(Pct(1))
                     .json(Fixed(4)),
-                cell("retx", "retransmits", &m.retransmits),
-                cell("retx bytes", "retransmit_bytes", &m.retransmit_bytes),
-                cell("dup drops", "dup_drops", &m.dup_drops),
-                kept("checksum_drops", &m.checksum_drops),
-                cell("reseq", "resequenced", &m.resequenced),
+                cell("stalls", "stalls", &r.fault_stats.delay_spiked),
+                cell("resets", "resets", &m.resets),
+                cell("replayed", "replayed", &m.resync_replayed),
                 float("p99 (ms)", "p99_ms", p99, 1, 3),
                 float("baseline p99", "baseline_p99_ms", baseline_p99, 1, 3),
                 cell("converged", "converged", &r.converged),
@@ -893,7 +886,7 @@ pub fn e15_robustness(ns: &[usize], ops_per_site: usize) -> Report {
         }
     }
     if !summaries.is_empty() {
-        rep.para("reliability-layer activity:");
+        rep.para("connection activity:");
         for line in summaries {
             rep.note(line);
         }
@@ -911,13 +904,18 @@ fn e15_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
             row.flag("converged"),
             row.num("goodput") > 0.0 && row.num("goodput") <= 1.0,
             row.num("p99_ms") >= 0.0,
-            // A fault-free run neither retransmits nor sees duplicates.
-            row.num("loss") != 0.0 || row.num("retransmits") + row.num("dup_drops") == 0.0,
+            // A fault-free run neither stalls nor resets.
+            row.num("loss") != 0.0 || row.num("stalls") + row.num("resets") == 0.0,
         );
     }
     if let Scope::Full = scope {
-        // The sweep has both endpoints, and 5% loss costs retransmit bytes.
-        let lossy = |row: &Row<'_>| row.num("loss") >= 0.05 && row.num("retransmit_bytes") > 0.0;
+        // The sweep has both endpoints, and 5% loss stalls connections
+        // into a slower tail.
+        let lossy = |row: &Row<'_>| {
+            row.num("loss") >= 0.05
+                && row.num("stalls") > 0.0
+                && row.num("p99_ms") > row.num("baseline_p99_ms")
+        };
         require!(
             g,
             rows.iter().any(|row| row.num("loss") == 0.0),
@@ -1184,8 +1182,8 @@ fn exact_percentile_us(sorted: &[u64], pct: usize) -> u64 {
 /// every op's lifecycle across all sites into one end-to-end trace, so
 /// tail latency can be *attributed* to a stage (upstream transport,
 /// notifier transform, broadcast fan-out, downstream delivery) instead of
-/// observed as an opaque total. Sweeps loss × N over the reliability
-/// layer, reporting convergence-latency p50/p95/p99 and the critical-path
+/// observed as an opaque total. Sweeps loss × N over connections (a
+/// drop stalls one, stretching its transport stage), reporting convergence-latency p50/p95/p99 and the critical-path
 /// stage per cell.
 ///
 /// Costs are priced three ways. The hot-path hooks when *disabled* stay
@@ -1241,12 +1239,8 @@ pub fn e18_convergence_tracing(
                 // derived from the untraced rep's live GC watermark
                 // rather than the worst-case constant, cutting traced
                 // memory by ~2-8x across the sweep.
-                let (ccap, ncap) = cvc_reduce::trace::recommended_capacities_measured(
-                    n,
-                    ops_per_site,
-                    loss > 0.0,
-                    watermark,
-                );
+                let (ccap, ncap) =
+                    cvc_reduce::trace::recommended_capacities_measured(n, ops_per_site, watermark);
                 on.flight_recorder_capacity = ccap;
                 on.flight_recorder_notifier_capacity = ncap;
                 let t0 = Instant::now();
@@ -1299,7 +1293,6 @@ pub fn e18_convergence_tracing(
                 .map_or("-", |(s, _)| *s);
             let (traces, complete) = (set.traces.len(), set.complete_traces().count());
             let dangling = set.dangling().len();
-            let stalls: u64 = set.traces.iter().map(|t| t.retx_stalls).sum();
             let [p50, p95, p99] = [50, 95, 99].map(|pct| exact_percentile_us(&conv, pct));
             let ratio = wall_on_ms / wall_off_ms.max(f64::EPSILON);
             let assemble_share = assemble_ms / wall_on_ms.max(f64::EPSILON);
@@ -1313,7 +1306,6 @@ pub fn e18_convergence_tracing(
                 kept("complete", &complete),
                 cell("trunc", "truncated", &truncated),
                 kept("dangling", &dangling),
-                kept("retx_stalls", &stalls),
                 shown("p50 (ms)", &(p50 as f64 / 1e3)).text(Fixed(1)),
                 shown("p95 (ms)", &(p95 as f64 / 1e3)).text(Fixed(1)),
                 shown("p99 (ms)", &(p99 as f64 / 1e3)).text(Fixed(1)),
@@ -1321,7 +1313,6 @@ pub fn e18_convergence_tracing(
                 kept("p95_us", &p95),
                 kept("p99_us", &p99),
                 cell("critical stage", "critical_stage", &critical_stage),
-                shown("stalls", &stalls),
                 kept("stage_share", &stage_share).json(Fixed(4)),
                 kept("wall_off_ms", &wall_off_ms).json(Fixed(3)),
                 kept("wall_on_ms", &wall_on_ms).json(Fixed(3)),
@@ -1385,7 +1376,6 @@ fn e18_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
                 g,
                 row,
                 row.num("complete") == row.num("ops") && row.num("ops") == row.num("traces"),
-                row.num("retx_stalls") == 0.0,
             );
         }
         if row.num("complete") > 0.0 {
@@ -1417,9 +1407,10 @@ fn e18_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
 /// E19 — encode-once broadcast + compound-frame goodput. The notifier
 /// serializes each broadcast body **once** and patches the
 /// per-destination compressed stamp into a small header over the shared
-/// refcounted bytes; behind an in-flight reliable window, queued ops
-/// coalesce into compound frames carrying one header and one
-/// word-at-a-time checksum. The sweep runs the reliable star to N=4096
+/// refcounted bytes; what a connection queues while its previous frame is
+/// in flight coalesces into one write round of compound frames, each
+/// carrying one header and one word-at-a-time checksum (the TCP tier's
+/// `frame_groups`). The sweep runs the star over connections to N=4096
 /// at 0% and 1% loss under the E16 constant-global-rate discipline and
 /// reports per-exec cost, goodput (in-order delivered editor payload
 /// over total wire bytes), and frames-per-op (the coalescing ratio).
@@ -1428,14 +1419,14 @@ fn e18_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
 /// `BENCH_PR6.json`.
 pub fn e19_throughput(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report {
     let mut rep = Report::new(
-        "E19 — encode-once broadcast + compound-frame goodput (reliable star to N=4096)",
+        "E19 — encode-once broadcast + compound-frame goodput (star over connections to N=4096)",
     )
     .artifact(
         "E19 encode-once broadcast + compound-frame goodput",
         &[
             (
                 "baseline",
-                "per-destination EditorMsg::encode + one reliable frame per message",
+                "per-destination EditorMsg::encode + one frame per message",
             ),
             (
                 "candidate",
@@ -1471,7 +1462,6 @@ pub fn e19_throughput(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report
                 float("per-exec (µs)", "per_exec_us", per_exec_us, 2, 3),
                 float("goodput", "goodput", goodput, 3, 4),
                 float("frames/op", "frames_per_op", frames_per_op, 3, 4),
-                cell("retx", "retransmits", &total.retransmits),
                 cell("converged", "converged", &r.converged),
             ]);
             cells.push((n, loss, per_exec_us, goodput));
@@ -1549,9 +1539,10 @@ fn e19_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
 
 /// E20 — notifier durability and warm-standby failover. Every cell kills
 /// the primary mid-session at a seeded crash point (before the WAL'd op's
-/// fan-out, mid-broadcast, or after it) and measures the failover: crash
-/// detection at the clients, standby promotion from the mirrored WAL,
-/// epoch-fenced resync, and the session running to convergence. All
+/// fan-out, mid-broadcast, or after it) and measures the failover: the
+/// dead primary's connections closing, standby promotion from the
+/// mirrored WAL, each client re-dialing it with a hello, and the session
+/// running to convergence. All
 /// times are virtual (seeded), so every column is deterministic. Gates:
 /// every cell converges with all clients resynced, and recovery time at
 /// N=64 stays under 10 s of virtual time. WAL write amplification
@@ -1576,7 +1567,7 @@ pub fn e20_failover(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report {
             for point in [BeforeSend, MidBroadcast, AfterSend] {
                 // Kill the primary mid-stream: half the ops are WAL'd
                 // history the standby must replay, half arrive after
-                // promotion and exercise the fenced resync path.
+                // promotion and exercise the re-dial path.
                 let at_op = (total / 2).max(1);
                 let mut cfg = lossy_cfg(scaling_cfg(n, ops_per_site, 0x20E0 + n as u64), loss);
                 cfg.standby = true;
@@ -1604,7 +1595,7 @@ pub fn e20_failover(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report {
                         "snapshot_compactions",
                         &fo.snapshot_compactions,
                     ),
-                    cell("fenced", "fenced_drops", &fo.fenced_drops),
+                    cell("stale", "stale_drops", &fo.stale_drops),
                     shown("converged", &r.converged),
                 ]);
                 all_recovered &= r.converged && fo.resynced_clients == n && recovery_ms > 0.0;
@@ -1618,9 +1609,9 @@ pub fn e20_failover(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report {
     if all_recovered {
         rep.para("every crash point recovered: all clients resynced, all sessions converged");
     }
-    // Recovery at the N=64 anchor stays bounded (virtual time — crash
-    // detection dominates: stall rounds x RTO, then one resync round trip
-    // per client).
+    // Recovery at the N=64 anchor stays bounded (virtual time — each
+    // client hears its close one latency draw after the crash, then its
+    // hello takes one round trip).
     if worst64.is_finite() {
         rep.note(format!(
             "worst N=64 recovery: {worst64:.1} ms virtual (gate <= 10000 ms)"
@@ -1656,7 +1647,7 @@ fn e20_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
             row.num("wal_appends") > 0.0 && row.num("wal_bytes") > 0.0,
             // Amplification is reported, not gated — but it must be a sane
             // positive ratio.
-            row.num("wal_amplification") > 0.0 && row.num("fenced_drops") >= 0.0,
+            row.num("wal_amplification") > 0.0 && row.num("stale_drops") >= 0.0,
             // Crash detection + promotion + resync inside 10 s at N=64;
             // virtual time is deterministic, so no runner-noise headroom.
             row.num("n") != 64.0 || row.num("recovery_ms") <= 10_000.0,
@@ -2432,7 +2423,7 @@ pub static EXPERIMENTS: [Experiment; 24] = [
     .writes("BENCH_PR1.json", e14_gate),
     Experiment::new(
         "e15",
-        "unreliable-transport survival (reliability layer)",
+        "unreliable-transport survival (sessions over connections)",
         || e15_robustness(&[4, 16, 64], 12),
     )
     .writes("BENCH_PR2.json", e15_gate),
@@ -2686,12 +2677,12 @@ mod tests {
     /// aside — only `run_gated` stamps it), the same row keys in the same
     /// order, and the same number format under every key.
     fn assert_well_formed(rep: &Report, gate: Gate, artifact: &str) {
-        assert_well_formed_since(rep, gate, artifact, "");
+        assert_well_formed_but(rep, gate, artifact, "");
     }
 
-    /// [`assert_well_formed`], where the committed artefact predates the
-    /// row field whose shape is `newer`.
-    fn assert_well_formed_since(rep: &Report, gate: Gate, artifact: &str, newer: &str) {
+    /// [`assert_well_formed`], where the committed artefact, measured
+    /// before a row field went, still carries it: `dropped` is its shape.
+    fn assert_well_formed_but(rep: &Report, gate: Gate, artifact: &str, dropped: &str) {
         assert_eq!(gate(rep, Scope::Partial(None)), Vec::<String>::new());
         let fresh = Report::from_json(&rep.to_json()).expect("the writer writes JSON");
         let committed = Report::from_json(&committed_text(artifact)).expect("committed JSON");
@@ -2703,8 +2694,8 @@ mod tests {
         assert_eq!(keys(&fresh), keys(&committed), "{artifact}: top-level keys");
         let first_row = |r: &Report| r.rows().next().map(|row| shape(&row));
         assert_eq!(
-            first_row(&fresh).map(|shape| shape.replacen(newer, "", 1)),
-            first_row(&committed),
+            first_row(&fresh),
+            first_row(&committed).map(|shape| shape.replacen(dropped, "", 1)),
             "{artifact}: rows"
         );
         for key in ["attach", "overhead_gate"] {
@@ -2852,13 +2843,14 @@ mod tests {
 
     #[test]
     fn e15_loss_sweep_converges_and_shows_activity() {
-        // Small sizes so the retransmit machinery stays cheap in debug.
+        // Small sizes so the sweep stays cheap in debug.
         let rep = e15_robustness(&[3], 6);
         assert_eq!(e15_gate(&rep, Scope::Full), Vec::<String>::new());
         let s = rep.render();
-        // The 0% row is clean; the 5% row must show reliability activity.
+        // The 0% row is clean; the 5% row must show stalled connections.
         assert!(s.contains("0.0%") && s.contains("5.0%"), "{s}");
-        assert!(s.contains("reliability-layer activity"), "{s}");
+        let stalled = |row: &Row<'_>| row.num("loss") == 0.05 && row.num("stalls") > 0.0;
+        assert!(rep.rows().any(|row| stalled(&row)), "{s}");
     }
 
     #[test]
@@ -3009,10 +3001,10 @@ mod tests {
 
     #[test]
     fn an_edited_digit_fails_check_naming_file_row_and_gate() {
-        // 711378 wire bytes at N=64 / 1% loss; every row gate still holds
+        // 655323 wire bytes at N=64 / 1% loss; every row gate still holds
         // one byte up, so only regeneration can tell.
         let text = committed_text("BENCH_PR2.json");
-        let edited = text.replacen("\"wire_bytes\": 711378", "\"wire_bytes\": 711379", 1);
+        let edited = text.replacen("\"wire_bytes\": 655323", "\"wire_bytes\": 655324", 1);
         assert_ne!(edited, text);
         assert_eq!(
             check_artifact("BENCH_PR2.json", &edited, false),
@@ -3049,10 +3041,12 @@ mod tests {
 
     #[test]
     fn e19_small_sweep_converges_and_coalesces() {
-        // Tiny sizes so the reliable sessions stay cheap in debug; the
+        // Tiny sizes so the sessions stay cheap in debug; the
         // byte-derived columns (goodput, frames/op) are deterministic.
         let rep = e19_throughput(&[4, 8], &[0.0, 0.01], 64);
-        assert_well_formed(&rep, e19_gate, "BENCH_PR6.json");
+        // The committed wall-clock artefact predates connections and
+        // still carries the link's retransmit count.
+        assert_well_formed_but(&rep, e19_gate, "BENCH_PR6.json", "retransmits:i,");
         let s = rep.render();
         assert!(s.contains("goodput") && s.contains("frames/op"), "{s}");
         // Compound framing must actually coalesce: every row's
@@ -3070,9 +3064,7 @@ mod tests {
     #[test]
     fn e18_tiny_sweep_traces_every_op() {
         let rep = e18_convergence_tracing(&[4], &[0.0, 0.01], 20, 1);
-        // BENCH_PR5.json was measured before federation added the relay
-        // stage; a fresh run has a (zero) share for it.
-        assert_well_formed_since(&rep, e18_gate, "BENCH_PR5.json", "relay:f4,");
+        assert_well_formed(&rep, e18_gate, "BENCH_PR5.json");
         assert!(rep
             .render()
             .contains("every generated op assembled into exactly one explained trace"));

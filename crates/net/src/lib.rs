@@ -32,9 +32,10 @@
 //!   and demands byte-identical convergence.
 //!
 //! TCP supplies the reliable-FIFO channel that is the paper's transport
-//! assumption, so the simulator's go-back-N layer stays a fault-model
-//! artifact; what the server reuses from it is the framing discipline
-//! (checksums, compound coalescing) and the WAL.
+//! assumption, and the simulator's sessions run on connections that fail
+//! the way TCP's do; what the server shares with them is the framing
+//! discipline (checksums, the one `frame_groups` batching rule) and the
+//! WAL.
 
 pub mod admin;
 pub mod conn;

@@ -29,12 +29,12 @@
 //! (notifier + WAL behind one validate → log → compact entry point per
 //! message kind), preserving the exact integration semantics (and total
 //! order) the simulator validates. TCP
-//! supplies the reliable-FIFO channel the paper assumes, so the sim's
-//! go-back-N layer stays home; what crosses over is the framing
-//! discipline — checksummed frames (the reliable layer's word-wise
-//! `frame_checksum`), compound coalescing on the
-//! write path, and a broadcast that can only be built from an outcome
-//! whose record the core has already logged.
+//! supplies the reliable-FIFO channel the paper assumes, and the
+//! simulator's sessions run on simulated connections of the same shape;
+//! what both share is the framing discipline — checksummed frames (the
+//! word-wise `frame_checksum`), one write round framed by
+//! `cvc_reduce::msg::frame_groups`, and a broadcast that can only be
+//! built from an outcome whose record the core has already logged.
 //!
 //! A connection binds to its site with a hello frame: a `ClientAck`
 //! carrying the site id and the client's ack frontier (`received: 0` for
@@ -66,7 +66,7 @@ use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
 use cvc_reduce::hub::{Hub, Step};
-use cvc_reduce::msg::{decode_payload, write_compound, ClientOpMsg, EditorMsg, Payload};
+use cvc_reduce::msg::{decode_payload, frame_groups, ClientOpMsg, EditorMsg, Payload};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
@@ -123,9 +123,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// Most sub-messages one compound frame may carry on the write path.
-const COMPOUND_MAX: usize = 32;
 
 /// Editor messages the core drains per batch (it stops at the first
 /// hand-off that reaches the cap), and the read-first bound: a worker
@@ -377,29 +374,6 @@ impl OutBatch {
     fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
-
-/// Frame one connection's payloads in groups of up to [`COMPOUND_MAX`]: a
-/// lone payload as a plain frame, a larger group as one compound frame —
-/// one header and checksum over the whole group, §14's freight saving
-/// applied at the socket boundary. A compound is written into `scratch`
-/// by [`write_compound`]. `frame` gets each frame's chunks and its message
-/// count.
-fn frame_groups<E>(
-    payloads: &[Payload],
-    scratch: &mut Vec<u8>,
-    mut frame: impl FnMut(&[&[u8]], usize) -> Result<(), E>,
-) -> Result<(), E> {
-    for group in payloads.chunks(COMPOUND_MAX) {
-        if let [p] = group {
-            frame(&p.chunks(), 1)?;
-        } else {
-            scratch.clear();
-            write_compound(group.iter(), scratch);
-            frame(&[scratch], group.len())?;
-        }
-    }
-    Ok(())
 }
 
 /// Per-worker mailboxes shared between threads.
@@ -1349,7 +1323,7 @@ fn core_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvc_reduce::msg::ClientAckMsg;
+    use cvc_reduce::msg::{ClientAckMsg, COMPOUND_MAX};
 
     /// A distinguishable payload: an ack whose frontier is `n`.
     fn payload(n: u64) -> Payload {

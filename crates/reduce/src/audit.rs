@@ -456,8 +456,7 @@ fn replay(audit: &mut StarAudit, rep: &mut AuditReport, site: SiteId, ev: &Fligh
             return Ok(finding);
         }
         // Transport/bookkeeping events carry no causal claim.
-        // (RingTruncated markers were tallied in phase 1;
-        // RetxStall attributes transport latency only.)
+        // (RingTruncated markers were tallied in phase 1.)
         EventKind::Send
         | EventKind::Deliver
         | EventKind::Broadcast
@@ -465,7 +464,6 @@ fn replay(audit: &mut StarAudit, rep: &mut AuditReport, site: SiteId, ev: &Fligh
         | EventKind::GcTrim
         | EventKind::Error
         | EventKind::RingTruncated
-        | EventKind::RetxStall
         | EventKind::Crash
         | EventKind::Promote
         | EventKind::Relay => {}

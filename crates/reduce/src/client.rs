@@ -151,21 +151,6 @@ impl Client {
         self.recorder.set_now(now_us);
     }
 
-    /// Record a reliability-layer retransmission stall on the upstream
-    /// channel (`frames` go-back-N resends, backoff doubled to `rto_us`).
-    /// No-op while the recorder is disabled; lets latency traces attribute
-    /// transport stalls to the link that caused them.
-    pub fn note_retx_stall(&mut self, frames: u64, rto_us: u64) {
-        if self.recorder.is_enabled() {
-            self.recorder.record(
-                FlightEvent::new(EventKind::RetxStall)
-                    .with_op(0, 0)
-                    .with_ab(frames, rto_us)
-                    .with_detail("go-back-n"),
-            );
-        }
-    }
-
     /// Human-readable dump of the retained flight-recorder window.
     pub fn dump_recorder(&self) -> String {
         self.recorder.dump()

@@ -26,7 +26,7 @@
 //! here. Which channel speaks for which site is [`crate::hub::Hub`]'s
 //! table beside this core; the simulator node (`reliable.rs`) and the
 //! epoll core thread (`cvc-net`'s `server.rs`) drive a hub and own only
-//! transport state (links, epochs, crash plans, connection ids), and so
+//! transport state (connections, crash plans, connection ids), and so
 //! does [`crate::world::StarWorld`] (timed plain sessions, the verifier,
 //! the TCP twin, both walkthroughs, the exhaustive checks) over whichever
 //! core it is given. Outside this module, only the hub calls its doors.
@@ -260,11 +260,6 @@ impl NotifierCore {
     /// Record a driver lifecycle event (see [`Notifier::note_lifecycle`]).
     pub fn note_lifecycle(&mut self, ev: FlightEvent) {
         self.notifier.note_lifecycle(ev);
-    }
-
-    /// Record a transport stall (see [`Notifier::note_retx_stall`]).
-    pub fn note_retx_stall(&mut self, peer: SiteId, frames: u64, rto_us: u64) {
-        self.notifier.note_retx_stall(peer, frames, rto_us);
     }
 
     /// The primary died: swap the warm standby's notifier in for it.

@@ -27,9 +27,9 @@
 //!   message to [`Hub::on_msg`] and turns the queued sends into worker
 //!   commands;
 //! * the simulator's notifier node (`reliable.rs`) binds its client
-//!   channels when the star is built and unbinds one when a data frame in
-//!   a newer epoch opens a new connection (or a crash fences it); the
-//!   new connection's hello goes to [`Hub::on_msg`] like a socket's, and
+//!   channels when the star is built and unbinds one when its connection
+//!   closes (a reset, the client hanging up, or a crash); the client's
+//!   next connection's hello goes to [`Hub::on_msg`] like a socket's, and
 //!   the driver ends its answer with the integrated count itself;
 //! * the transport-free star ([`crate::world::StarWorld`]) feeds each
 //!   site's up FIFO to [`Hub::on_msg`] and queues the sends' bytes on its
@@ -203,9 +203,8 @@ impl<C: Copy + Eq + Hash> Hub<C> {
     }
 
     /// One input from `site` with no unbound channel in the way: a bound
-    /// channel's, the relay's virtual client's, or the rest of a frame the
-    /// simulator accepted before its channel was fenced. A downstream-only
-    /// kind is refused; a violation evicts `site`.
+    /// channel's, or the relay's virtual client's. A downstream-only kind
+    /// is refused; a violation evicts `site`.
     pub fn integrate(&mut self, site: SiteId, msg: EditorMsg, sends: &mut Sends<C>) -> Step {
         let res = match msg {
             // Durability before visibility: an outcome only comes back once

@@ -14,9 +14,9 @@
 //! * [`session`] — end-to-end simulated sessions of all deployments with
 //!   byte-exact overhead accounting; [`workload`] generates reproducible
 //!   editing scripts.
-//! * [`reliable`] — an ack/retransmit reliability layer that restores the
-//!   paper's FIFO-channel assumption over faulty simulated links, with
-//!   client disconnect/reconnect and history-buffer resync.
+//! * [`reliable`] — sessions over simulated TCP connections, which fail
+//!   the way TCP fails (a stall or a reset), with client re-dial through
+//!   the hub's hello and history-buffer catch-up.
 //! * [`scenario`] — the paper's Fig. 2 (inconsistency demo) and Fig. 3
 //!   (compressed-clock walkthrough) reproduced step by step.
 //! * [`relay`] — multi-notifier federation: `K` sharded stars bridged by
@@ -94,7 +94,7 @@ pub use relay::{
 };
 pub use reliable::{
     run_robust_session, run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec,
-    NotifierCrash, NotifierStep, ReliableKind, ReliableMsg, SessionTrace,
+    NotifierCrash, NotifierStep, SessionTrace,
 };
 pub use session::{
     run_session, ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport,

@@ -41,23 +41,17 @@ pub struct SiteMetrics {
     pub scan_len_total: u64,
     /// Longest single scan (high-water mark; aggregation takes the max).
     pub scan_len_max: u64,
-    /// Messages retransmitted by the reliability layer.
-    pub retransmits: u64,
-    /// Encoded bytes of those retransmissions (pure overhead).
-    pub retransmit_bytes: u64,
-    /// Incoming messages discarded as duplicates (seq already delivered).
-    pub dup_drops: u64,
-    /// Incoming messages discarded for a checksum mismatch.
-    pub checksum_drops: u64,
-    /// Incoming messages that arrived out of order and were held in the
-    /// resequencing buffer before in-order delivery.
-    pub resequenced: u64,
+    /// Connections that died under this site — a reset, or the peer's
+    /// close — and made it re-dial.
+    pub resets: u64,
+    /// Frames that arrived on a connection already dead, and were dropped.
+    pub stale_drops: u64,
     /// Resync handshakes completed (client reconnections served).
     pub resyncs: u64,
     /// History-buffer operations replayed to rejoining clients.
     pub resync_replayed: u64,
-    /// Application payload bytes the reliability layer delivered in order
-    /// (goodput numerator; zero when the session runs without the layer).
+    /// Application payload bytes delivered over live connections (goodput
+    /// numerator; zero for sessions on the ideal network).
     pub delivered_payload_bytes: u64,
     /// Bare client acknowledgements sent (GC keep-alives from quiet
     /// clients). Counted apart from [`SiteMetrics::messages_sent`] so the
@@ -68,18 +62,13 @@ pub struct SiteMetrics {
     /// Protocol violations detected on remote input (the offender was
     /// rejected — and, in sessions, quarantined — instead of panicking).
     pub protocol_errors: u64,
-    /// Reliable data frames put on the wire (first transmissions only).
-    /// With compound framing one frame can carry several editor messages,
-    /// so this divides [`SiteMetrics::editor_msgs_sent`] to give the
-    /// frames-per-op coalescing ratio.
+    /// Frames put on a connection's wire. A write round's compound frame
+    /// carries several editor messages, so this divides
+    /// [`SiteMetrics::editor_msgs_sent`] to give the frames-per-op
+    /// coalescing ratio.
     pub data_frames_sent: u64,
-    /// Editor-layer messages handed to the reliability layer for sending.
+    /// Editor-layer messages queued on a connection for sending.
     pub editor_msgs_sent: u64,
-    /// Compound-frame batches flushed by the deadline timer rather than by
-    /// an acknowledgement freeing the window. Non-zero means some batch sat
-    /// parked long enough to hit [`crate::session::SessionConfig::
-    /// compound_flush_ticks`]; the ack-driven path remains the normal case.
-    pub deadline_flushes: u64,
 }
 
 impl SiteMetrics {
@@ -140,7 +129,7 @@ impl SiteMetrics {
     /// `MetricsRegistry::absorb_site_metrics` both walk this list, so
     /// adding a field here is the single step that propagates it into
     /// session aggregation and the machine-readable bench artifacts.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 24] {
+    pub fn counter_fields(&self) -> [(&'static str, u64); 20] {
         [
             ("ops_generated", self.ops_generated),
             ("ops_executed_remote", self.ops_executed_remote),
@@ -152,11 +141,8 @@ impl SiteMetrics {
             ("concurrency_checks", self.concurrency_checks),
             ("concurrent_verdicts", self.concurrent_verdicts),
             ("scan_len_total", self.scan_len_total),
-            ("retransmits", self.retransmits),
-            ("retransmit_bytes", self.retransmit_bytes),
-            ("dup_drops", self.dup_drops),
-            ("checksum_drops", self.checksum_drops),
-            ("resequenced", self.resequenced),
+            ("resets", self.resets),
+            ("stale_drops", self.stale_drops),
             ("resyncs", self.resyncs),
             ("resync_replayed", self.resync_replayed),
             ("delivered_payload_bytes", self.delivered_payload_bytes),
@@ -165,13 +151,12 @@ impl SiteMetrics {
             ("protocol_errors", self.protocol_errors),
             ("data_frames_sent", self.data_frames_sent),
             ("editor_msgs_sent", self.editor_msgs_sent),
-            ("deadline_flushes", self.deadline_flushes),
         ]
     }
 
     /// Mutable view of the summable counters, in [`SiteMetrics::
     /// counter_fields`] order (the two lists index the same fields).
-    fn counter_fields_mut(&mut self) -> [&mut u64; 24] {
+    fn counter_fields_mut(&mut self) -> [&mut u64; 20] {
         [
             &mut self.ops_generated,
             &mut self.ops_executed_remote,
@@ -183,11 +168,8 @@ impl SiteMetrics {
             &mut self.concurrency_checks,
             &mut self.concurrent_verdicts,
             &mut self.scan_len_total,
-            &mut self.retransmits,
-            &mut self.retransmit_bytes,
-            &mut self.dup_drops,
-            &mut self.checksum_drops,
-            &mut self.resequenced,
+            &mut self.resets,
+            &mut self.stale_drops,
             &mut self.resyncs,
             &mut self.resync_replayed,
             &mut self.delivered_payload_bytes,
@@ -196,7 +178,6 @@ impl SiteMetrics {
             &mut self.protocol_errors,
             &mut self.data_frames_sent,
             &mut self.editor_msgs_sent,
-            &mut self.deadline_flushes,
         ]
     }
 
@@ -209,32 +190,20 @@ impl SiteMetrics {
         ]
     }
 
-    /// True when any reliability-layer counter is non-zero.
+    /// True when any connection counter is non-zero.
     pub fn has_robustness_activity(&self) -> bool {
-        self.retransmits != 0
-            || self.retransmit_bytes != 0
-            || self.dup_drops != 0
-            || self.checksum_drops != 0
-            || self.resequenced != 0
-            || self.resyncs != 0
-            || self.resync_replayed != 0
+        self.resets != 0 || self.stale_drops != 0 || self.resyncs != 0 || self.resync_replayed != 0
     }
 
-    /// One-line human summary of the robustness counters, or `None` when
-    /// the reliability layer never had to intervene.
+    /// One-line human summary of the connection counters, or `None` when
+    /// no connection ever died.
     pub fn robustness_summary(&self) -> Option<String> {
         if !self.has_robustness_activity() {
             return None;
         }
         Some(format!(
-            "retx {} ({} B) · dup-drop {} · cksum-drop {} · reseq {} · resync {} ({} ops replayed)",
-            self.retransmits,
-            self.retransmit_bytes,
-            self.dup_drops,
-            self.checksum_drops,
-            self.resequenced,
-            self.resyncs,
-            self.resync_replayed,
+            "resets {} · stale-drop {} · resync {} ({} ops replayed)",
+            self.resets, self.stale_drops, self.resyncs, self.resync_replayed,
         ))
     }
 }
@@ -316,30 +285,25 @@ mod tests {
     #[test]
     fn robustness_counters_sum_and_summarise() {
         let mut a = SiteMetrics {
-            retransmits: 2,
-            retransmit_bytes: 40,
-            dup_drops: 1,
+            resets: 2,
+            stale_drops: 1,
             ..SiteMetrics::default()
         };
         let b = SiteMetrics {
-            retransmits: 3,
-            checksum_drops: 1,
-            resequenced: 4,
+            resets: 3,
+            stale_drops: 4,
             resyncs: 1,
             resync_replayed: 7,
             ..SiteMetrics::default()
         };
         a += b;
-        assert_eq!(a.retransmits, 5);
-        assert_eq!(a.retransmit_bytes, 40);
-        assert_eq!(a.dup_drops, 1);
-        assert_eq!(a.checksum_drops, 1);
-        assert_eq!(a.resequenced, 4);
+        assert_eq!(a.resets, 5);
+        assert_eq!(a.stale_drops, 5);
         assert_eq!(a.resyncs, 1);
         assert_eq!(a.resync_replayed, 7);
         assert!(a.has_robustness_activity());
         let line = a.robustness_summary().expect("active");
-        assert!(line.contains("retx 5"), "{line}");
+        assert!(line.contains("resets 5 · stale-drop 5"), "{line}");
         assert!(line.contains("resync 1 (7 ops replayed)"), "{line}");
         assert_eq!(SiteMetrics::new().robustness_summary(), None);
     }

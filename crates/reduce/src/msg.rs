@@ -277,19 +277,6 @@ impl Payload {
         v.extend_from_slice(&self.body);
         v
     }
-
-    /// Flip one bit of the logical frame (fault-injection support). The
-    /// shared body is copied on write, so other holders of the same frame
-    /// are unaffected.
-    pub fn flip_bit(&mut self, byte: usize, bit: u8) {
-        if byte < self.head.len() {
-            self.head[byte] ^= 1u8 << (bit & 7);
-        } else if byte - self.head.len() < self.body.len() {
-            let mut owned = self.body.to_vec();
-            owned[byte - self.head.len()] ^= 1u8 << (bit & 7);
-            self.body = owned.into();
-        }
-    }
 }
 
 impl PartialEq for Payload {
@@ -352,10 +339,37 @@ impl ServerOpFrame {
     }
 }
 
+/// Most sub-messages one compound frame may carry on a write path.
+pub const COMPOUND_MAX: usize = 32;
+
+/// Frame one connection's write round in groups of up to [`COMPOUND_MAX`]:
+/// a lone payload as a plain frame, a larger group as one compound frame —
+/// one header and checksum over the whole group, DESIGN §14's freight
+/// saving. A compound is written into `scratch` by [`write_compound`].
+/// `frame` gets each frame's chunks and its message count. The one
+/// batching rule: the TCP server's socket writes and the simulator's
+/// connections both frame through it.
+pub fn frame_groups<E>(
+    payloads: &[Payload],
+    scratch: &mut Vec<u8>,
+    mut frame: impl FnMut(&[&[u8]], usize) -> Result<(), E>,
+) -> Result<(), E> {
+    for group in payloads.chunks(COMPOUND_MAX) {
+        if let [p] = group {
+            frame(&p.chunks(), 1)?;
+        } else {
+            scratch.clear();
+            write_compound(group.iter(), scratch);
+            frame(&[scratch], group.len())?;
+        }
+    }
+    Ok(())
+}
+
 /// Append `payloads` to `buf` as one compound frame: `[TAG_COMPOUND][count
-/// varint]`, then each payload's message. This is how every transport —
-/// the reliability layer's flush path, the TCP server's socket write path —
-/// coalesces several queued editor messages into one frame, and it writes
+/// varint]`, then each payload's message. This is how every transport
+/// coalesces several queued editor messages into one frame
+/// ([`frame_groups`]), and it writes
 /// the bytes [`EditorMsg::Compound`] of the same messages encodes to, so
 /// [`decode_payload`] reads both identically.
 ///
@@ -1152,10 +1166,8 @@ mod tests {
         let split = Payload::from_parts(vec![1, 2], vec![3u8, 4].into());
         assert_eq!(whole, split);
         assert_ne!(whole, Payload::from_vec(vec![1, 2, 3]));
-        let mut flipped = split.clone();
-        flipped.flip_bit(3, 0);
-        assert_ne!(whole, flipped);
-        assert_eq!(split.to_vec(), vec![1, 2, 3, 4], "copy-on-write");
+        assert_ne!(whole, Payload::from_parts(vec![1, 2], vec![3u8, 5].into()));
+        assert_eq!(split.to_vec(), vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -294,21 +294,6 @@ impl Notifier {
         self.recorder.set_now(now_us);
     }
 
-    /// Record a reliability-layer retransmission stall on the channel to
-    /// `peer` (`frames` go-back-N resends, backoff doubled to `rto_us`).
-    /// No-op while the recorder is disabled; lets latency traces attribute
-    /// transport stalls to the link that caused them.
-    pub fn note_retx_stall(&mut self, peer: SiteId, frames: u64, rto_us: u64) {
-        if self.recorder.is_enabled() {
-            self.recorder.record(
-                FlightEvent::new(EventKind::RetxStall)
-                    .with_op(peer.0, 0)
-                    .with_ab(frames, rto_us)
-                    .with_detail("go-back-n"),
-            );
-        }
-    }
-
     /// Merge another recorder's retained events into this notifier's ring,
     /// preserving their original timestamps (see
     /// [`FlightRecorder::absorb`]). Standby promotion uses this to carry
@@ -321,7 +306,7 @@ impl Notifier {
     }
 
     /// Record a failover lifecycle event (crash, promote) from the
-    /// reliability layer. No-op while the recorder is disabled.
+    /// simulated driver. No-op while the recorder is disabled.
     pub fn note_lifecycle(&mut self, ev: FlightEvent) {
         if self.recorder.is_enabled() {
             self.recorder.record(ev);
@@ -736,8 +721,8 @@ impl Notifier {
     /// untouched.
     ///
     /// The outcome carries the broadcast in unserialized shared form
-    /// (`Arc`'d op + per-destination stamps): the reliability layer
-    /// encodes the destination-independent body exactly once
+    /// (`Arc`'d op + per-destination stamps): every driver encodes the
+    /// destination-independent body exactly once
     /// ([`NotifierOutcome::frame`]); traces and examples materialize one
     /// [`ServerOpMsg`] per destination ([`NotifierOutcome::broadcast_msgs`]).
     pub fn try_on_client_op_outcome(

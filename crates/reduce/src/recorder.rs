@@ -65,17 +65,13 @@ pub enum EventKind {
     /// audit replayer, the trace assembler) see truncation explicitly
     /// instead of silently reading a suffix.
     RingTruncated,
-    /// A reliability-layer retransmission timer fired and the go-back-N
-    /// window was resent: `a` is the retransmitted frame count, `b` the
-    /// doubled RTO (µs). Attributes transport stalls in latency traces.
-    RetxStall,
     /// The primary notifier process died: `a` is the number of operations
     /// it had integrated, `b` the crash-point discriminant (see
     /// `CrashPoint` in [`crate::reliable`]).
     Crash,
     /// A warm standby was promoted to primary: `a` is the number of WAL
     /// operation records it had replayed, `b` the number of client
-    /// channels fenced pending an epoch-bumped resync.
+    /// channels whose connections closed with the dead primary.
     Promote,
     /// A cross-shard relay frame was integrated at this notifier: `a` is
     /// the origin shard, `b` the relay hop latency (µs) from the moment
@@ -97,7 +93,6 @@ impl EventKind {
             EventKind::GcTrim => "gc-trim",
             EventKind::Error => "error",
             EventKind::RingTruncated => "ring-truncated",
-            EventKind::RetxStall => "retx-stall",
             EventKind::Crash => "crash",
             EventKind::Promote => "promote",
             EventKind::Relay => "relay",
@@ -106,7 +101,7 @@ impl EventKind {
 
     /// Inverse of [`EventKind::name`], for parsing ring dumps.
     pub fn from_name(s: &str) -> Option<EventKind> {
-        const ALL: [EventKind; 14] = [
+        const ALL: [EventKind; 13] = [
             EventKind::Generate,
             EventKind::Send,
             EventKind::Deliver,
@@ -117,7 +112,6 @@ impl EventKind {
             EventKind::GcTrim,
             EventKind::Error,
             EventKind::RingTruncated,
-            EventKind::RetxStall,
             EventKind::Crash,
             EventKind::Promote,
             EventKind::Relay,

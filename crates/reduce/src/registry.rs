@@ -297,7 +297,7 @@ impl MetricsRegistry {
         self.add_counter("failover.replay_ops", fo.standby_replay_ops);
         self.add_counter("failover.replay_acks", fo.standby_replay_acks);
         self.add_counter("failover.resynced_clients", fo.resynced_clients as u64);
-        self.add_counter("failover.fenced_drops", fo.fenced_drops);
+        self.add_counter("failover.stale_drops", fo.stale_drops);
         let name = "failover.wal_amplification";
         let prev = self.gauge(name).unwrap_or(0.0);
         self.set_gauge(name, prev.max(fo.wal_amplification));
@@ -743,13 +743,13 @@ mod tests {
             wal_live_bytes: 320,
             snapshot_compactions: 1,
             wal_amplification: 1.6,
-            fenced_drops: 5,
+            stale_drops: 5,
         };
         r.absorb_failover(&fo);
         assert_eq!(r.counter("failover.wal_appends"), 10);
         assert_eq!(r.counter("failover.replay_ops"), 7);
         assert_eq!(r.counter("failover.resynced_clients"), 4);
-        assert_eq!(r.counter("failover.fenced_drops"), 5);
+        assert_eq!(r.counter("failover.stale_drops"), 5);
         assert_eq!(r.gauge("failover.wal_amplification"), Some(1.6));
         let h = r.histogram("failover.recovery_us").expect("recorded");
         assert_eq!(h.count(), 1);

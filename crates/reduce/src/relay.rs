@@ -493,7 +493,6 @@ impl FederationConfig {
         sc.client_mode = ClientMode::Streaming;
         sc.initial_doc = self.initial_doc.clone();
         sc.latency = self.latency;
-        sc.reliable = true;
         sc.standby = self.standby;
         sc.auto_gc = self.auto_gc;
         sc.flight_recorder = self.flight_recorder;

@@ -350,8 +350,8 @@ pub struct FailoverTranscript {
 }
 
 /// Step the transport-free star ([`StarWorld`]) over a durable core
-/// through a crash and promotion. The reliability layer's epoch fencing is exercised by the
-/// simulated sessions ([`crate::reliable`]); this walkthrough isolates
+/// through a crash and promotion. Closing the dead primary's connections
+/// is exercised by the simulated sessions ([`crate::reliable`]); this walkthrough isolates
 /// the durability core those sessions rely on.
 pub fn failover_walkthrough() -> FailoverTranscript {
     let mut narration = Vec::new();

@@ -20,8 +20,8 @@
 //! popped off the world's FIFOs the moment it is queued and carried, as
 //! its payload bytes, through the simulator's channel (node 0 is the
 //! notifier, node `i` site `i`). The two full-vector baselines run as
-//! [`Node`]s on the same event loop; reliable sessions are
-//! `crate::reliable`'s.
+//! [`Node`]s on the same event loop; sessions over connections — a fault
+//! plan, outages or a standby — are `crate::reliable`'s.
 //!
 //! The report carries everything the experiments tabulate: convergence,
 //! wire bytes split into payload vs timestamp, stamp widths, transform and
@@ -106,33 +106,17 @@ pub struct SessionConfig {
     /// deployments). Defaults to the watermark-bounded suffix scan; the
     /// full-scan reference exists for before/after measurements.
     pub notifier_scan: ScanMode,
-    /// Fault plan applied to every channel (`None` = the paper's reliable
-    /// FIFO network). Faulty plans normally require [`SessionConfig::
-    /// reliable`]; without it, protocol-level FIFO checks will (by
-    /// design) detect the violated transport assumption: each rejected
-    /// message is counted in the site's `protocol_errors` and dropped.
+    /// Fault plan applied to every channel. `None` is the paper's ideal
+    /// FIFO network; `Some` runs the star/CVC deployment over connections
+    /// (`crate::reliable`), which the plan stalls and resets the way TCP
+    /// fails — `Some(FaultPlan::NONE)` is a fault-free network of them.
     pub fault_plan: Option<FaultPlan>,
-    /// Run the star/CVC deployment over the ack/retransmit reliability
-    /// layer (`crate::reliable`), which restores FIFO semantics on top of
-    /// whatever `fault_plan` does to the links.
-    pub reliable: bool,
-    /// Coalesce editor messages queued behind an in-flight reliable
-    /// window into compound frames (one header + one checksum for several
-    /// ops). On by default; off reproduces the previous one-frame-per-
-    /// message wire behaviour exactly. Ignored without `reliable`.
-    pub compound_frames: bool,
-    /// Scheduled client outages (each ends in a reconnect + resync).
-    /// Requires `reliable`.
+    /// Scheduled client outages (each ends in a reconnect + resync). A
+    /// session with any runs over connections.
     pub disconnects: Vec<DisconnectSpec>,
-    /// Deadline (µs) after which a compound-frame payload parked behind an
-    /// in-flight reliable window is flushed even though no ack has arrived
-    /// (`0` = flushing stays purely ack-driven, the pre-deadline
-    /// behaviour). Bounds the worst-case batching delay a quiet channel
-    /// can impose. Ignored without `reliable` + `compound_frames`.
-    pub compound_flush_ticks: u64,
     /// Run the notifier with a write-ahead log and a warm standby that
-    /// tails it ([`crate::wal`] / [`crate::standby`]). Requires
-    /// `reliable`; a [`SessionConfig::crash`] plan requires this.
+    /// tails it ([`crate::wal`] / [`crate::standby`]); the session runs
+    /// over connections. A [`SessionConfig::crash`] plan requires this.
     pub standby: bool,
     /// Kill the primary notifier at a chosen integration point and promote
     /// the standby (see [`crate::reliable::NotifierCrash`]). Requires
@@ -174,14 +158,7 @@ impl SessionConfig {
             share_carets: false,
             notifier_scan: ScanMode::SuffixBounded,
             fault_plan: None,
-            reliable: false,
-            compound_frames: true,
             disconnects: Vec::new(),
-            // Just under the base retransmission timeout: the deadline is
-            // a last resort for pathologically parked batches, not a
-            // competitor to the ack-driven flush (which fires at RTT
-            // timescale). E19's goodput numbers are unchanged by it.
-            compound_flush_ticks: 200_000,
             standby: false,
             crash: None,
             flight_recorder: false,
@@ -229,10 +206,10 @@ impl SessionConfig {
 pub struct FailoverReport {
     /// Virtual time (µs) the primary died.
     pub crash_at_us: u64,
-    /// Virtual time (µs) the *last* client channel was unfenced — i.e.
-    /// every survivor had completed an epoch-bumped resync against the
-    /// promoted notifier. `None` if some channel never recovered (the
-    /// session will also have failed to converge).
+    /// Virtual time (µs) the *last* client channel was bound again — i.e.
+    /// every survivor had re-dialed the promoted notifier and its hello
+    /// was served. `None` if some channel never recovered (the session
+    /// will also have failed to converge).
     pub recovered_at_us: Option<u64>,
     /// Clients that resynced against the promoted notifier.
     pub resynced_clients: usize,
@@ -250,13 +227,13 @@ pub struct FailoverReport {
     pub snapshot_compactions: u64,
     /// Write amplification: framed WAL bytes per byte of op payload.
     pub wal_amplification: f64,
-    /// Zombie-epoch frames the fencing rules discarded after promotion.
-    pub fenced_drops: u64,
+    /// Frames the notifier dropped because their connection was dead.
+    pub stale_drops: u64,
 }
 
 impl FailoverReport {
-    /// Recovery time (µs), crash to last unfence; `None` while any
-    /// channel is still fenced.
+    /// Recovery time (µs), crash to the last channel bound again; `None`
+    /// while any channel is still unbound.
     pub fn recovery_us(&self) -> Option<u64> {
         self.recovered_at_us
             .map(|t| t.saturating_sub(self.crash_at_us))
@@ -293,10 +270,6 @@ pub struct SessionReport {
     pub deliveries: Vec<DeliveryRecord>,
     /// Injected-fault tallies (all zero on a clean network).
     pub fault_stats: FaultStats,
-    /// One-way in-order delivery latencies (µs) measured by the
-    /// reliability layer, send-to-usable: a dropped first copy counts
-    /// until its retransmission lands. Empty for plain sessions.
-    pub delivery_latencies_us: Vec<u64>,
     /// Per-site flight-recorder rings harvested at quiescence (site 0 =
     /// notifier), oldest event first, each stamped with virtual time.
     /// Empty unless [`SessionConfig::flight_recorder`] was set (star/CVC
@@ -408,14 +381,15 @@ impl Node<EditorMsg> for SessionNode {
     }
 }
 
-/// Run a configured session to quiescence and report.
+/// Run a configured session to quiescence and report. A session with a
+/// fault plan, outages or a standby runs over connections.
 pub fn run_session(cfg: &SessionConfig) -> SessionReport {
-    if cfg.reliable {
+    if cfg.fault_plan.is_some() || !cfg.disconnects.is_empty() || cfg.standby {
         return crate::reliable::run_robust_session(cfg);
     }
     assert!(
-        cfg.disconnects.is_empty() && !cfg.standby && cfg.crash.is_none(),
-        "client outages and notifier failover require the reliability layer (cfg.reliable)"
+        cfg.crash.is_none(),
+        "a notifier crash plan requires the warm standby (cfg.standby)"
     );
     let n = cfg.workload.n_sites;
     assert!(n >= 2, "sessions need at least two clients");
@@ -438,12 +412,6 @@ fn network<M: WireSize + Clone, N>(
     let mut sim = Simulator::new(cfg.latency, cfg.net_seed);
     sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
     sim.record_deliveries(cfg.record_deliveries);
-    if let Some(plan) = cfg.fault_plan {
-        // Without the reliability layer the protocol checks detect the
-        // broken FIFO assumption and count it; that detection is itself
-        // under test in the chaos suite.
-        sim.set_default_fault_plan(plan);
-    }
     for node in nodes {
         sim.add_node(node);
     }
@@ -492,6 +460,8 @@ fn run_star(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionRepor
                 }
                 continue;
             }
+            // Datagram channels never reset.
+            Fired::Reset(..) => continue,
             Fired::Deliver(_, to, msg) => {
                 let site = SiteId(to as u32);
                 // A refused message was counted and dropped: a duplicate is
@@ -785,43 +755,6 @@ mod tests {
         let (ab, bb) = (a.total_metrics().bytes_sent, b.total_metrics().bytes_sent);
         assert!(bb > ab, "presence adds bytes: {bb} vs {ab}");
         assert!(bb < ab + a.total_metrics().messages_sent * 4);
-    }
-
-    /// Without the reliability layer a duplicating network breaks the
-    /// FIFO assumption; every replica detects that through its fallible
-    /// entry point and the session still ends in a report.
-    #[test]
-    fn duplicating_links_yield_counted_errors_not_a_panic() {
-        let mut cfg = SessionConfig::small(Deployment::StarCvc, 3, 5);
-        cfg.fault_plan = Some(FaultPlan {
-            duplicate: 0.3,
-            ..FaultPlan::NONE
-        });
-        let r = run_session(&cfg);
-        assert!(r.fault_stats.duplicated > 0, "the plan must have fired");
-        let at_clients: u64 = r.client_metrics.iter().map(|m| m.protocol_errors).sum();
-        assert!(at_clients > 0, "clients count the duplicates they refuse");
-        let centre = r.centre_metrics.expect("star has a centre");
-        assert!(centre.protocol_errors > 0, "and so does the notifier");
-    }
-
-    /// Composing clients count what they refuse too: the duplicates a
-    /// duplicating network hands them are protocol errors, not silent
-    /// drops of the op in flight or of the compose buffer.
-    #[test]
-    fn duplicating_links_yield_counted_errors_at_composing_clients() {
-        let mut cfg = SessionConfig::small(Deployment::StarCvc, 3, 5);
-        cfg.client_mode = ClientMode::Composing;
-        cfg.fault_plan = Some(FaultPlan {
-            duplicate: 0.3,
-            ..FaultPlan::NONE
-        });
-        let r = run_session(&cfg);
-        assert!(r.fault_stats.duplicated > 0, "the plan must have fired");
-        let at_clients: u64 = r.client_metrics.iter().map(|m| m.protocol_errors).sum();
-        assert!(at_clients > 0, "clients count the duplicates they refuse");
-        let centre = r.centre_metrics.expect("star has a centre");
-        assert!(centre.protocol_errors > 0, "and so does the notifier");
     }
 
     /// On the plain tier too the channel, not the envelope, names the

@@ -9,17 +9,15 @@
 //! recovery run — so by the write-ahead ordering the standby's state is
 //! always *ahead of or equal to* every client's view of the primary.
 //!
-//! On promotion the reliability layer swaps the standby's notifier in for
-//! the dead primary's and fences every channel (see
-//! `RobustNotifier`): the promoted notifier hears only a data frame in a
-//! *bumped* epoch — a new connection, which is exactly what crashed-out
-//! clients open after their retransmit stall detector fires — and its
-//! hello, answered by the hub like any other. Replay then runs off the
-//! standby's history buffer via the 2-element-clock cursor
+//! On promotion the simulated driver swaps the standby's notifier in for
+//! the dead primary's, whose connections all close (see
+//! `RobustNotifier`): each client, hearing its close, re-dials — a new
+//! connection whose hello the hub answers like any other. Replay then
+//! runs off the standby's history buffer via the 2-element-clock cursor
 //! ([`Notifier::replay_for`]); a cursor below a collected prefix is
-//! answered `Trimmed`, as on the socket tier. Frames the zombie primary
-//! may still emit carry the old epoch and are discarded by the
-//! established epoch rules on every survivor.
+//! answered `Trimmed`, as on the socket tier. A frame still travelling on
+//! one of the dead primary's connections lands on a dead connection and
+//! is dropped.
 //!
 //! A *cold* standby — one started after the crash — reaches the same
 //! state from the log image alone: [`Standby::from_log`] recovers the

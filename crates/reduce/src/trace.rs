@@ -23,22 +23,19 @@
 //! and registers a deterministic per-stage summary into a
 //! [`MetricsRegistry`].
 //!
-//! Two failure modes are first-class rather than silent:
-//!
-//! * **Retransmit stalls** — [`EventKind::RetxStall`] events from the
-//!   reliability layer are attributed to the operations whose transport
-//!   window they overlap, so tail latency points at the link that caused
-//!   it.
-//! * **Truncation** — quarantined offenders (the notifier's PR-4 eviction
-//!   path) and wrapped rings ([`EventKind::RingTruncated`]) mark the
-//!   affected traces [`OpTrace::truncated`] instead of leaving them
-//!   dangling as assembly errors.
+//! A stalled connection needs no event of its own: as on TCP, the
+//! application never sees the retransmission, and the stall shows up as a
+//! longer upstream or downstream stage. Truncation is first-class rather
+//! than silent: quarantined offenders (the notifier's eviction path) and
+//! wrapped rings ([`EventKind::RingTruncated`]) mark the affected traces
+//! [`OpTrace::truncated`] instead of leaving them dangling as assembly
+//! errors.
 
 use crate::recorder::{EventKind, FlightEvent, NO_SITE};
 use crate::registry::MetricsRegistry;
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// Pack an `(site, seq)` identity into one map key — assembly folds
@@ -59,7 +56,7 @@ pub enum Stage {
     /// Generation to wire send at the origin client (local queueing).
     Enqueue,
     /// Origin client's send to notifier delivery (upstream transport,
-    /// including any retransmit stalls).
+    /// including any connection stall).
     Upstream,
     /// Notifier delivery to notifier execution (formula (7) checks,
     /// transformation, the integration queue).
@@ -140,13 +137,6 @@ pub struct OpTrace {
     /// Destinations that must execute this op for convergence (live
     /// clients other than the origin).
     pub expected_dests: Vec<u32>,
-    /// Retransmission-stall events overlapping this op's transport
-    /// windows (upstream or any downstream leg).
-    pub retx_stalls: u64,
-    /// Approximate stall time attributed from those events (µs): each
-    /// stall contributes the backoff window that elapsed before the
-    /// timer fired (half the doubled RTO it reports) — a lower bound.
-    pub retx_stall_us: u64,
     /// The trace is incomplete *by design*: its origin was quarantined
     /// mid-run, or an input ring wrapped over part of its lifecycle.
     pub truncated: bool,
@@ -171,8 +161,6 @@ impl OpTrace {
             deliveries: Vec::new(),
             executions: Vec::new(),
             expected_dests: Vec::new(),
-            retx_stalls: 0,
-            retx_stall_us: 0,
             truncated: false,
             relayed: false,
             relay_hop_us: 0,
@@ -352,13 +340,6 @@ impl OpTrace {
         if self.relayed {
             let _ = writeln!(out, "    relayed: cross-shard hop {} us", self.relay_hop_us);
         }
-        if self.retx_stalls > 0 {
-            let _ = writeln!(
-                out,
-                "    retx stalls: {} (~{} us attributed)",
-                self.retx_stalls, self.retx_stall_us
-            );
-        }
         out
     }
 }
@@ -423,8 +404,6 @@ impl TraceSet {
             } else {
                 reg.add_counter("trace.dangling", 1);
             }
-            reg.add_counter("trace.retx_stalls", t.retx_stalls);
-            reg.add_counter("trace.retx_stall_us", t.retx_stall_us);
         }
     }
 
@@ -625,12 +604,6 @@ impl TraceSet {
             if t.truncated {
                 root_attrs.push(("cvc.truncated", "\"boolValue\":true".to_string()));
             }
-            if t.retx_stalls > 0 {
-                root_attrs.push((
-                    "cvc.retx_stalls",
-                    format!("\"intValue\":\"{}\"", t.retx_stalls),
-                ));
-            }
             if let Some(c) = t.convergence_us() {
                 root_attrs.push(("cvc.convergence_us", format!("\"intValue\":\"{c}\"")));
             }
@@ -687,9 +660,8 @@ impl TraceSet {
 /// 512-op budget, 0–5% loss, reliable transport):
 ///
 /// * a client holds a handful of events per session op (deliver +
-///   execute + gc-trim + its ack share; worst measured ~9/op), plus
-///   go-back-N retransmit churn that scales with *its own* op count
-///   when the transport is lossy;
+///   execute + gc-trim + its ack share; worst measured ~9/op) — a loss
+///   rate adds none, since a stalled connection records nothing;
 /// * the notifier holds the broadcast fan-out (one event per op per
 ///   destination) plus the formula-(5) `transform` stream. Over
 ///   reliable transport acks arrive a full RTT late, so the GC
@@ -698,14 +670,9 @@ impl TraceSet {
 ///   the notifier term does not depend on the loss rate.
 ///
 /// Both formulas carry ≥1.3× headroom over the worst measured cell.
-pub fn recommended_capacities(n: usize, ops_per_site: usize, lossy: bool) -> (usize, usize) {
+pub fn recommended_capacities(n: usize, ops_per_site: usize) -> (usize, usize) {
     let total = n * ops_per_site;
-    let churn = if lossy {
-        1024 * ops_per_site + 2 * total
-    } else {
-        0
-    };
-    let client = 8 * total + 128 * ops_per_site + 512 + churn;
+    let client = 8 * total + 128 * ops_per_site + 512;
     let notifier = total * (n + 512) + 256;
     (client, notifier)
 }
@@ -727,54 +694,14 @@ pub fn recommended_capacities(n: usize, ops_per_site: usize, lossy: bool) -> (us
 pub fn recommended_capacities_measured(
     n: usize,
     ops_per_site: usize,
-    lossy: bool,
     notifier_hb_high_water: u64,
 ) -> (usize, usize) {
-    let (client, worst_notifier) = recommended_capacities(n, ops_per_site, lossy);
+    let (client, worst_notifier) = recommended_capacities(n, ops_per_site);
     let total = n * ops_per_site;
     let wm = usize::try_from(notifier_hb_high_water).unwrap_or(usize::MAX);
     let per_op = (n + 8).saturating_add(wm.saturating_mul(2));
     let notifier = total.saturating_mul(per_op).saturating_add(256);
     (client, notifier.min(worst_notifier))
-}
-
-/// One link's retransmit stalls: firing times (sorted ascending) with
-/// prefix sums of the attributed per-stall cost, so "count and total
-/// cost of stalls inside `[from, until]`" is two binary searches.
-struct StallIndex {
-    at: Vec<u64>,
-    /// `cum_us[i]` = attributed µs of the first `i` stalls.
-    cum_us: Vec<u64>,
-}
-
-impl StallIndex {
-    fn build(mut stalls: Vec<(u64, u64)>) -> Self {
-        stalls.sort_unstable();
-        let mut at = Vec::with_capacity(stalls.len());
-        let mut cum_us = Vec::with_capacity(stalls.len() + 1);
-        cum_us.push(0);
-        for (t, us) in stalls {
-            at.push(t);
-            cum_us.push(cum_us.last().copied().unwrap_or(0) + us);
-        }
-        StallIndex { at, cum_us }
-    }
-
-    /// `(count, total µs)` of stalls with `from <= at` and, when a close
-    /// time is known, `at <= until` (an op still in flight keeps
-    /// absorbing stalls until the end of the ring).
-    fn span(&self, from: u64, until: Option<u64>) -> (u64, u64) {
-        let lo = self.at.partition_point(|&a| a < from);
-        let hi = match until {
-            Some(c) => self.at.partition_point(|&a| a <= c),
-            None => self.at.len(),
-        };
-        if hi <= lo {
-            (0, 0)
-        } else {
-            ((hi - lo) as u64, self.cum_us[hi] - self.cum_us[lo])
-        }
-    }
 }
 
 /// Assembles per-site flight-recorder rings into [`OpTrace`]s, joining
@@ -808,10 +735,7 @@ impl TraceAssembler {
 /// time, in any interleaving across sites (oldest-first per site), drain
 /// op traces the moment their lifecycle closes — without waiting for the
 /// run to end — and [`TraceTailer::finish`] for the whole [`TraceSet`].
-/// The set does not depend on the interleaving. Retransmission-stall
-/// attribution needs each link's whole stall history, so it is computed
-/// at `finish()`; a trace handed out earlier by
-/// [`TraceTailer::drain_complete`] carries `retx_stalls == 0`.
+/// The set does not depend on the interleaving.
 ///
 /// The destinations a trace must reach are the live client set: pin it
 /// up front with [`TraceTailer::with_clients`] when the membership is
@@ -834,11 +758,6 @@ pub struct TraceTailer {
     unresolved: HashMap<u64, Vec<(EventKind, u32, u64)>>,
     ops: HashMap<u64, OpTrace>,
     emitted: BTreeSet<u64>,
-    /// Retransmit stalls per link — upstream keyed by the client whose
-    /// ring recorded them, downstream by the peer the notifier's ring
-    /// names — as `(fired at, attributed µs)`.
-    upstream_stalls: BTreeMap<u32, Vec<(u64, u64)>>,
-    downstream_stalls: BTreeMap<u32, Vec<(u64, u64)>>,
 }
 
 impl TraceTailer {
@@ -924,7 +843,6 @@ impl TraceTailer {
             EventKind::Error if ev.op_site != NO_SITE && ev.op_site != 0 => {
                 self.quarantined.insert(ev.op_site);
             }
-            EventKind::RetxStall => note_stall(&mut self.downstream_stalls, ev.op_site, ev),
             _ => {}
         }
     }
@@ -954,7 +872,6 @@ impl TraceTailer {
                         .push((ev.kind, site, ev.recorded_at));
                 }
             }
-            EventKind::RetxStall => note_stall(&mut self.upstream_stalls, site, ev),
             _ => {}
         }
     }
@@ -1001,25 +918,11 @@ impl TraceTailer {
 
     /// Close the stream: every op seen (drained or not) as a
     /// [`TraceSet`] — expected destinations from the final membership,
-    /// retransmit stalls attributed per link, unexplained incompleteness
-    /// left dangling and quarantine/ring-wrap truncation marked.
-    ///
-    /// Stalls are indexed per link (sorted times + prefix sums), so
-    /// attributing "every stall that fired while this op was in flight on
-    /// this link" is two binary searches per (op, link) instead of a scan
-    /// of every stall per op — the congested cells of E18 record 10⁵
-    /// stalls, and the scan was quadratic there.
+    /// unexplained incompleteness left dangling and quarantine/ring-wrap
+    /// truncation marked.
     pub fn finish(mut self) -> TraceSet {
         let live = self.live();
         let any_truncated = !self.truncated_inputs.is_empty();
-        let index = |stalls: BTreeMap<u32, Vec<(u64, u64)>>| -> BTreeMap<u32, StallIndex> {
-            stalls
-                .into_iter()
-                .map(|(link, v)| (link, StallIndex::build(v)))
-                .collect()
-        };
-        let upstream = index(self.upstream_stalls);
-        let downstream = index(self.downstream_stalls);
         for t in self.ops.values_mut() {
             t.expected_dests = live.iter().copied().filter(|&d| d != t.op.0).collect();
             // Per-destination lists in site order (stable, so each site's
@@ -1027,29 +930,6 @@ impl TraceTailer {
             // the rings were fed in.
             t.deliveries.sort_by_key(|&(site, _)| site);
             t.executions.sort_by_key(|&(site, _)| site);
-            // An upstream stall on the origin's link overlaps this op if
-            // it fired while the op was sent but not yet integrated.
-            if let (Some(sent), Some(ix)) = (t.sent_at, upstream.get(&t.op.0)) {
-                let (count, us) = ix.span(sent, t.notifier_delivered_at);
-                t.retx_stalls += count;
-                t.retx_stall_us += us;
-            }
-            // A downstream stall on the link to `peer` overlaps this op
-            // if it fired between the broadcast and the delivery there.
-            let mut seen: BTreeSet<u32> = BTreeSet::new();
-            for i in 0..t.broadcasts.len() {
-                let (peer, tb) = t.broadcasts[i];
-                if !seen.insert(peer) {
-                    continue;
-                }
-                let Some(ix) = downstream.get(&peer) else {
-                    continue;
-                };
-                let closed = OpTrace::lookup(&t.deliveries, peer).or(t.executed_at(peer));
-                let (count, us) = ix.span(tb, closed);
-                t.retx_stalls += count;
-                t.retx_stall_us += us;
-            }
             if !t.complete() && (self.quarantined.contains(&t.op.0) || any_truncated) {
                 t.truncated = true;
             }
@@ -1068,16 +948,6 @@ impl TraceTailer {
 fn entry(ops: &mut HashMap<u64, OpTrace>, id: (u32, u64)) -> &mut OpTrace {
     ops.entry(pack_id(id.0, id.1))
         .or_insert_with(|| OpTrace::new(id))
-}
-
-/// Record one [`EventKind::RetxStall`] against `link`: it fired at the
-/// event's time and is charged the backoff window that elapsed before the
-/// timer fired — half the doubled RTO it reports in `b`.
-fn note_stall(stalls: &mut BTreeMap<u32, Vec<(u64, u64)>>, link: u32, ev: &FlightEvent) {
-    stalls
-        .entry(link)
-        .or_default()
-        .push((ev.recorded_at, ev.b / 2));
 }
 
 /// Serialise rings to the `cvc-trace` dump format (one event per line,
@@ -1134,7 +1004,7 @@ pub fn dump_event_line(out: &mut String, site: SiteId, ev: &FlightEvent) {
 /// Map a detail string back to the recorder's static vocabulary; unknown
 /// details (free-form error kinds) intern to `""`.
 fn intern_detail(s: &str) -> &'static str {
-    const KNOWN: [&str; 12] = [
+    const KNOWN: [&str; 11] = [
         "edit",
         "undo",
         "redo",
@@ -1145,7 +1015,6 @@ fn intern_detail(s: &str) -> &'static str {
         "client-ack",
         "bare-ack",
         "client-gc",
-        "go-back-n",
         "ring-wrapped",
     ];
     KNOWN.iter().find(|&&k| k == s).copied().unwrap_or("")
@@ -1190,6 +1059,7 @@ pub fn parse_ring_line(line: &str) -> Result<Option<(SiteId, FlightEvent)>, Stri
 mod tests {
     use super::*;
     use crate::session::{run_session, ClientMode, Deployment, SessionConfig};
+    use std::collections::BTreeMap;
 
     /// A [`dump_rings`] dump back as per-site rings.
     fn parse_rings(input: &str) -> Result<Vec<(SiteId, Vec<FlightEvent>)>, String> {
@@ -1214,10 +1084,10 @@ mod tests {
 
     #[test]
     fn measured_capacities_shrink_the_notifier_ring_but_never_exceed_worst_case() {
-        let (client_w, notifier_w) = recommended_capacities(64, 8, true);
+        let (client_w, notifier_w) = recommended_capacities(64, 8);
         // A healthy ack-driven-GC watermark is tiny next to the 512-
         // checks/op worst case: the measured sizing must shrink a lot.
-        let (client_m, notifier_m) = recommended_capacities_measured(64, 8, true, 16);
+        let (client_m, notifier_m) = recommended_capacities_measured(64, 8, 16);
         assert_eq!(client_m, client_w, "client term is unchanged");
         assert!(
             notifier_m * 2 < notifier_w,
@@ -1225,7 +1095,7 @@ mod tests {
         );
         // A pathological watermark (GC off, unbounded history) caps at
         // the worst-case sizing instead of exploding.
-        let (_, capped) = recommended_capacities_measured(64, 8, true, u64::MAX);
+        let (_, capped) = recommended_capacities_measured(64, 8, u64::MAX);
         assert_eq!(capped, notifier_w);
     }
 
@@ -1236,11 +1106,11 @@ mod tests {
     fn watermark_sized_rings_still_assemble_complete_traces() {
         let mut probe = SessionConfig::small(Deployment::StarCvc, 4, 7);
         probe.client_mode = ClientMode::Streaming;
-        probe.reliable = true;
+        probe.fault_plan = Some(cvc_sim::fault::FaultPlan::NONE);
         let pr = run_session(&probe);
         let watermark = pr.centre_metrics.expect("star centre").hb_high_water;
         let (ccap, ncap) =
-            recommended_capacities_measured(4, probe.workload.ops_per_site, false, watermark);
+            recommended_capacities_measured(4, probe.workload.ops_per_site, watermark);
         let mut cfg = probe.clone();
         cfg.flight_recorder = true;
         cfg.flight_recorder_capacity = ccap;
@@ -1434,16 +1304,16 @@ mod tests {
 
     /// Stall attribution belongs to the one assembler, not to an input
     /// order: a lossy session pushed event by event, as a live tail sees
-    /// it, charges each op the stalls whole-ring assembly charges it.
+    /// it, charges each op's stages the stalls whole-ring assembly charges
+    /// them — a stalled connection shows as a longer transport stage.
     #[test]
     fn finish_attributes_stalls_like_assemble() {
         let mut cfg = traced_cfg(4, 7);
-        cfg.reliable = true;
         cfg.fault_plan = Some(cvc_sim::fault::FaultPlan {
             drop: 0.1,
             ..cvc_sim::fault::FaultPlan::NONE
         });
-        let (ccap, ncap) = recommended_capacities(4, cfg.workload.ops_per_site, true);
+        let (ccap, ncap) = recommended_capacities(4, cfg.workload.ops_per_site);
         cfg.flight_recorder_capacity = ccap;
         cfg.flight_recorder_notifier_capacity = ncap;
         let report = run_session(&cfg);
@@ -1454,16 +1324,13 @@ mod tests {
         for (site, ev) in time_sorted(&report.flight_traces) {
             tailer.push(site, ev);
         }
-        let stalls = |set: &TraceSet| -> Vec<((u32, u64), u64, u64)> {
-            set.traces
-                .iter()
-                .map(|t| (t.op, t.retx_stalls, t.retx_stall_us))
-                .collect()
-        };
         let tailed = tailer.finish();
-        assert_eq!(stalls(&tailed), stalls(&batch));
+        let stall = cvc_sim::sim::STALL_US;
         assert!(
-            tailed.traces.iter().any(|t| t.retx_stalls > 0),
+            tailed
+                .traces
+                .iter()
+                .any(|t| t.convergence_us().is_some_and(|c| c >= stall)),
             "a 10% lossy run must stall some op"
         );
         assert_eq!(tailed, batch);

@@ -17,8 +17,8 @@
 //!   or equal to* every client's view. A crash between append and send
 //!   loses nothing (the standby has the op; clients resync to it); a crash
 //!   before append means no client ever saw the op's broadcast, and the
-//!   origin's own reliability layer still holds it un-acked and re-sends
-//!   it after resync — the op is not lost, merely re-submitted.
+//!   origin still holds it un-acked and re-sends it after its hello's
+//!   answer — the op is not lost, merely re-submitted.
 //! * **Acks are part of the input stream.** The notifier's garbage
 //!   collection and replay watermarks are driven by `acked_by`, which
 //!   bare [`ClientAckMsg`]s advance. Omitting them from the log would let

@@ -1,19 +1,20 @@
-//! Chaos harness: faulty links + reliability layer vs. a ground-truth
-//! oracle.
+//! Chaos harness: faulty links vs. a ground-truth oracle.
 //!
 //! Three legs:
 //!
 //! 1. **Masking** (proptest + fixed-seed smoke): under seeded
 //!    drop/duplicate/reorder/corrupt/flap plans and scheduled client
-//!    outages, a robust session must converge, and a *twin replay* of its
-//!    recorded trace on a fault-free in-process network must reproduce
-//!    every formula-(5)/(7) verdict bit-for-bit — each of which must also
-//!    agree with the Definition-1 oracle, through a [`StarAudit`]. In
-//!    other words, the reliability layer makes the faulty network
-//!    observationally identical to the paper's assumed FIFO transport.
-//! 2. **Detection**: with the reliability layer *off*, the same fault
-//!    classes must be caught by the protocol's FIFO/ack checks as
-//!    [`ProtocolError`]s — never silently mis-integrated.
+//!    outages, a session over connections — which stall and reset the
+//!    way TCP does, and re-dial with a hello — must converge, and a *twin
+//!    replay* of its recorded trace on a fault-free in-process network
+//!    must reproduce every formula-(5)/(7) verdict bit-for-bit — each of
+//!    which must also agree with the Definition-1 oracle, through a
+//!    [`StarAudit`]. In other words, what TCP makes of a faulty network
+//!    is observationally identical to the paper's assumed FIFO transport.
+//! 2. **Detection**: on raw datagram links, with no connection in the
+//!    way, the same fault classes must be caught by the protocol's
+//!    FIFO/ack checks as [`ProtocolError`]s — never silently
+//!    mis-integrated.
 //! 3. A fixed-seed smoke variant of (1) for CI.
 
 use cvc_core::site::SiteId;
@@ -21,8 +22,9 @@ use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::seq::SeqOp;
 use cvc_reduce::audit::StarAudit;
 use cvc_reduce::client::{Client, ACK_INTERVAL};
+use cvc_reduce::core::NotifierCore;
 use cvc_reduce::error::ProtocolError;
-use cvc_reduce::msg::{ClientOpMsg, EditorMsg, ServerOpMsg};
+use cvc_reduce::msg::{ClientOpMsg, Payload, ServerOpMsg};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::relay::{run_federation, FederationConfig, RelayFaultPlan};
 use cvc_reduce::reliable::{
@@ -30,9 +32,9 @@ use cvc_reduce::reliable::{
     NotifierCrash, SessionTrace,
 };
 use cvc_reduce::session::{ClientMode, Deployment, SessionConfig, SessionReport};
-use cvc_reduce::workload::{EditIntent, ScheduledEdit};
-use cvc_sim::fault::{FaultPlan, FlapSpec};
-use cvc_sim::sim::{Ctx, Node, NodeId, Simulator};
+use cvc_reduce::world::StarWorld;
+use cvc_sim::fault::{FaultPlan, FaultStats, FlapSpec};
+use cvc_sim::sim::{Fired, Simulator};
 use cvc_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -202,7 +204,6 @@ fn chaos_cfg(
     let mut cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
     cfg.workload.ops_per_site = ops;
     cfg.client_mode = ClientMode::Streaming;
-    cfg.reliable = true;
     cfg.fault_plan = Some(plan);
     cfg.disconnects = disconnects;
     // The twin replay compares verdict vectors entry-for-entry, which
@@ -298,10 +299,10 @@ proptest! {
     }
 }
 
-/// E18's structural claim, property-tested: on a lossy network behind
-/// the reliability layer, the trace assembler stitches every generated
-/// op into exactly one *complete* trace with monotone stage times —
-/// retransmits delay stages but never split or orphan a trace.
+/// E18's structural claim, property-tested: on a lossy network of
+/// connections, the trace assembler stitches every generated op into
+/// exactly one *complete* trace with monotone stage times — stalls delay
+/// stages but never split or orphan a trace.
 /// (Quarantined offenders marking their traces truncated-not-dangling is
 /// covered by `trace::tests::quarantined_origin_marks_traces_truncated`.)
 mod traced_chaos {
@@ -390,9 +391,11 @@ fn fixed_seed_chaos_smoke() {
     let cfg = chaos_cfg(4, 14, 0xC4A05, plan, disconnects);
     let report = run_and_audit(&cfg);
     let total = report.total_metrics();
-    assert!(total.retransmits > 0, "the plan must actually bite");
+    let f = report.fault_stats;
+    assert!(f.delay_spiked > 0, "the plan must stall: {f:?}");
+    assert!(total.resets > 0, "the plan must reset: {f:?}");
     assert!(total.resyncs >= 4, "both outages must resync");
-    assert!(report.fault_stats.dropped > 0);
+    assert_eq!((f.dropped, f.duplicated, f.reordered), (0, 0, 0));
 }
 
 /// With ack-driven GC on (the default), a mid-session outage must still
@@ -405,7 +408,6 @@ fn outage_resyncs_from_the_pinned_suffix_with_gc_on() {
     let mut cfg = SessionConfig::small(Deployment::StarCvc, 4, 0xBACC);
     cfg.workload.ops_per_site = 30;
     cfg.client_mode = ClientMode::Streaming;
-    cfg.reliable = true;
     cfg.disconnects = vec![DisconnectSpec {
         client: 2,
         at: SimTime::from_millis(300),
@@ -664,103 +666,75 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Detection leg: the same faults without the reliability layer must be
-// *caught*, not silently mis-ordered.
+// Detection leg: the same faults on datagram links, with no connection
+// in the way, must be *caught*, not silently mis-ordered.
 // ---------------------------------------------------------------------
 
-/// Star nodes that integrate via the fallible entry points and count
-/// protocol errors instead of panicking.
-enum TolerantNode {
-    Notifier {
-        inner: Box<Notifier>,
-        errors: Vec<ProtocolError>,
-    },
-    Client {
-        inner: Box<Client>,
-        script: Vec<ScheduledEdit>,
-        errors: Vec<ProtocolError>,
-    },
-}
-
-impl Node<EditorMsg> for TolerantNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, EditorMsg>, _from: NodeId, msg: EditorMsg) {
-        match (self, msg) {
-            (TolerantNode::Notifier { inner, errors }, EditorMsg::ClientOp(m)) => {
-                match inner.try_on_client_op_outcome(m) {
-                    Ok(out) => {
-                        for (dest, smsg) in out.broadcast_msgs() {
-                            ctx.send(dest.0 as usize, EditorMsg::ServerOp(smsg));
-                        }
-                    }
-                    Err(e) => errors.push(e),
-                }
-            }
-            (TolerantNode::Client { inner, errors, .. }, EditorMsg::ServerOp(m)) => {
-                if let Err(e) = inner.try_on_server_op(m) {
-                    errors.push(e);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, EditorMsg>, tag: u64) {
-        let TolerantNode::Client { inner, script, .. } = self else {
-            return;
-        };
-        let edit = script[tag as usize].clone();
-        let len = inner.doc_len();
-        let msg = match &edit.intent {
-            EditIntent::InsertChar { ch, .. } => {
-                let pos = edit.intent.position(len).expect("insert applies");
-                Some(inner.insert(pos, &ch.to_string()))
-            }
-            EditIntent::InsertText { text, .. } => {
-                let pos = edit.intent.position(len).expect("insert applies");
-                Some(inner.insert(pos, text))
-            }
-            EditIntent::DeleteChar { .. } => {
-                edit.intent.position(len).map(|pos| inner.delete(pos, 1))
-            }
-            EditIntent::Undo => inner.undo_last_local(),
-        };
-        if let Some(m) = msg {
-            ctx.send(0, EditorMsg::ClientOp(m));
-        }
-    }
-}
-
-fn run_tolerant_unreliable(n: usize, seed: u64, plan: FaultPlan) -> Vec<ProtocolError> {
-    let cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
+/// The plain star on datagram links: a raw `Simulator<Payload, ()>` under
+/// `plan` carrying the one [`StarWorld`]'s FIFOs, the way a plain
+/// session's star carries them over FIFO channels. Every refusal comes
+/// back with the site that refused it (site 0: the notifier).
+fn run_on_datagrams(
+    cfg: &SessionConfig,
+    plan: FaultPlan,
+) -> (Vec<(SiteId, ProtocolError)>, FaultStats) {
+    let n = cfg.workload.n_sites;
     let scripts = cfg.workload.generate();
-    let mut sim: Simulator<EditorMsg, TolerantNode> = Simulator::new(cfg.latency, cfg.net_seed);
+    let mut notifier = Notifier::new(n, &cfg.initial_doc);
+    notifier.set_send_acks(cfg.client_mode == ClientMode::Composing);
+    let mut world = StarWorld::for_session(NotifierCore::new(notifier, None, None), cfg);
+    let mut sim: Simulator<Payload, ()> = Simulator::new(cfg.latency, cfg.net_seed);
     sim.set_default_fault_plan(plan);
-    sim.add_node(TolerantNode::Notifier {
-        inner: Box::new(Notifier::new(n, &cfg.initial_doc)),
-        errors: Vec::new(),
-    });
+    for _ in 0..=n {
+        sim.add_node(());
+    }
     for (i, script) in scripts.iter().enumerate() {
-        let mut client = Client::new(SiteId(i as u32 + 1), &cfg.initial_doc);
-        client.set_share_caret(false);
-        sim.add_node(TolerantNode::Client {
-            inner: Box::new(client),
-            script: script.clone(),
-            errors: Vec::new(),
-        });
         for (k, edit) in script.iter().enumerate() {
             sim.schedule_timer(1 + i, edit.at, k as u64);
         }
     }
-    sim.run();
-    let mut all = Vec::new();
-    for node in sim.nodes_mut() {
-        match node {
-            TolerantNode::Notifier { errors, .. } | TolerantNode::Client { errors, .. } => {
-                all.append(errors);
+    let mut errors = Vec::new();
+    while let Some(fired) = sim.step(SimTime(u64::MAX)) {
+        let site = match fired {
+            Fired::Timer(node, k) => {
+                let site = SiteId(node as u32);
+                let _ = world.perform(site, &scripts[node - 1][k as usize].intent);
+                site
             }
+            // Site `i`'s channel is `i - 1`.
+            Fired::Deliver(from, 0, payload) => {
+                if let Err(e) = world.receive_up(from - 1, &payload) {
+                    errors.push((SiteId(0), e));
+                }
+                for ch in 0..n {
+                    while let Some(p) = world.pop_down(ch) {
+                        sim.inject_send(0, ch + 1, p);
+                    }
+                }
+                continue;
+            }
+            Fired::Deliver(_, to, payload) => {
+                let site = SiteId(to as u32);
+                if let Err(e) = world.receive_down(site, &payload) {
+                    errors.push((site, e));
+                }
+                world.take_pending_ack(site);
+                site
+            }
+            Fired::Reset(..) => unreachable!("datagram links never reset"),
+        };
+        while let Some(p) = world.pop_up(site) {
+            sim.inject_send(site.0 as usize, 0, p);
         }
     }
-    all
+    (errors, sim.fault_stats())
+}
+
+fn run_tolerant_unreliable(n: usize, seed: u64, plan: FaultPlan) -> Vec<ProtocolError> {
+    let mut cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
+    cfg.share_carets = false;
+    let (errors, _) = run_on_datagrams(&cfg, plan);
+    errors.into_iter().map(|(_, e)| e).collect()
 }
 
 #[test]
@@ -808,6 +782,51 @@ fn without_reliability_reordering_is_detected() {
             .iter()
             .any(|e| matches!(e, ProtocolError::FifoViolation { .. })),
         "an overtaken message arrives with a regressed counter: {errors:?}"
+    );
+}
+
+/// A duplicating datagram network breaks the FIFO assumption; every
+/// replica detects that through its fallible entry point, the refusals
+/// are counted on both sides of the star, and the run still ends.
+#[test]
+fn duplicating_links_yield_counted_errors_not_a_panic() {
+    let cfg = SessionConfig::small(Deployment::StarCvc, 3, 5);
+    let plan = FaultPlan {
+        duplicate: 0.3,
+        ..FaultPlan::NONE
+    };
+    let (errors, stats) = run_on_datagrams(&cfg, plan);
+    assert!(stats.duplicated > 0, "the plan must have fired");
+    assert!(
+        errors.iter().any(|(s, _)| *s != SiteId(0)),
+        "clients count the duplicates they refuse"
+    );
+    assert!(
+        errors.iter().any(|(s, _)| *s == SiteId(0)),
+        "and so does the notifier"
+    );
+}
+
+/// Composing clients count what they refuse too: the duplicates a
+/// duplicating network hands them are protocol errors, not silent drops
+/// of the op in flight or of the compose buffer.
+#[test]
+fn duplicating_links_yield_counted_errors_at_composing_clients() {
+    let mut cfg = SessionConfig::small(Deployment::StarCvc, 3, 5);
+    cfg.client_mode = ClientMode::Composing;
+    let plan = FaultPlan {
+        duplicate: 0.3,
+        ..FaultPlan::NONE
+    };
+    let (errors, stats) = run_on_datagrams(&cfg, plan);
+    assert!(stats.duplicated > 0, "the plan must have fired");
+    assert!(
+        errors.iter().any(|(s, _)| *s != SiteId(0)),
+        "clients count the duplicates they refuse"
+    );
+    assert!(
+        errors.iter().any(|(s, _)| *s == SiteId(0)),
+        "and so does the notifier"
     );
 }
 

@@ -24,11 +24,12 @@ use cvc_reduce::client::Client;
 use cvc_reduce::core::{NotifierCore, ACK_FRONTIER_EVERY};
 use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg, EditorMsg, ServerOpMsg};
 use cvc_reduce::notifier::{Notifier, ScanMode};
-use cvc_reduce::reliable::run_robust_session_traced;
+use cvc_reduce::reliable::{run_robust_session_traced, DisconnectSpec};
 use cvc_reduce::session::{Deployment, SessionConfig};
 use cvc_reduce::standby::Standby;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use cvc_sim::fault::FaultPlan;
+use cvc_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -386,14 +387,22 @@ proptest! {
 }
 
 /// The sim node adds nothing to the durable pipeline: replaying the input
-/// stream it captured (ops and bare acks, in integration order) through a
-/// bare core reproduces its log byte for byte — on clean and lossy links.
+/// stream it captured (ops, bare acks and hellos, in integration order)
+/// through a bare core reproduces its log byte for byte — on clean and
+/// lossy links.
 #[test]
 fn traced_session_replayed_through_a_bare_core_yields_the_same_log() {
     for (seed, lossy) in [(5u64, false), (11, true), (23, true)] {
         let n = 4;
         let mut cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
         cfg.standby = true;
+        // An outage, so the captured stream carries a hello's frontier
+        // (every site edits throughout, so none owes a bare ack).
+        cfg.disconnects = vec![DisconnectSpec {
+            client: 1,
+            at: SimTime::from_millis(300),
+            down: SimDuration::from_millis(600),
+        }];
         if lossy {
             cfg.fault_plan = Some(FaultPlan {
                 drop: 0.05,

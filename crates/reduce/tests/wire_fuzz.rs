@@ -1,7 +1,8 @@
 //! Wire-codec hardening: decoding hostile bytes must be total.
 //!
-//! For every frame type on the simulated wire ([`EditorMsg`] and the
-//! reliability layer's [`ReliableMsg`]) these properties must hold:
+//! For every message type on the wire ([`EditorMsg`], and the
+//! [`WalRecord`]s a standby reads like remote input) these properties
+//! must hold:
 //!
 //! * **round trip** — decode(encode(m)) == m, consuming exactly
 //!   `wire_bytes()`;
@@ -24,14 +25,13 @@ use cvc_ot::seq::{Component, SeqOp};
 use cvc_ot::ttf::TtfOp;
 use cvc_reduce::client::Client;
 use cvc_reduce::error::ProtocolError;
-use cvc_reduce::frame::{frame_checksum, FrameHasher};
+use cvc_reduce::frame::{frame_checksum, split_frame, FrameError, FrameHasher, MAX_FRAME_BYTES};
 use cvc_reduce::msg::{
     decode_payload, write_compound, ClientAckMsg, ClientOpMsg, EditorMsg, MeshOpMsg, Payload,
     RelayAckMsg, RelayOpMsg, ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::relay::{RelayBus, RelayFaultPlan};
-use cvc_reduce::reliable::{ReliableKind, ReliableMsg};
 use cvc_reduce::wal::{WalRecord, WalSnapshot};
 use cvc_sim::wire::{put_varint, WireDecode, WireEncode, WireError, WireSize, MAX_WIRE_SPAN};
 use proptest::prelude::*;
@@ -306,25 +306,6 @@ fn editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
     ]
 }
 
-fn reliable_msg_strategy() -> impl Strategy<Value = ReliableMsg> {
-    let kind = prop_oneof![
-        (
-            1u64..1_000_000,
-            any::<u64>(),
-            any::<u32>(),
-            proptest::collection::vec(any::<u8>(), 0..64),
-        )
-            .prop_map(|(seq, ack, checksum, payload)| ReliableKind::Data {
-                seq,
-                ack,
-                checksum,
-                payload: Payload::from_vec(payload),
-            }),
-        any::<u64>().prop_map(|ack| ReliableKind::Ack { ack }),
-    ];
-    (any::<u32>(), kind).prop_map(|(epoch, kind)| ReliableMsg { epoch, kind })
-}
-
 /// Durability-log records: ops and acks reuse the editor wire format
 /// byte-for-byte; snapshots add a checkpoint frame of their own.
 fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
@@ -549,11 +530,6 @@ proptest! {
         battery(&msg, &flips);
     }
 
-    #[test]
-    fn reliable_msg_codec_is_total(msg in reliable_msg_strategy(), flips in proptest::collection::vec(any::<usize>(), 1..12)) {
-        battery(&msg, &flips);
-    }
-
     /// The durability log's record codec gets the same battery as the
     /// wire frames — a recovering standby reads WAL bytes exactly as
     /// hostile input, so its decoder must be total too.
@@ -563,13 +539,11 @@ proptest! {
     }
 
     /// Pure noise: decoding random byte strings never panics or reads past
-    /// the buffer, for either frame type.
+    /// the buffer, for either record type.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut buf: &[u8] = &bytes;
         let _ = EditorMsg::decode(&mut buf);
-        let mut buf: &[u8] = &bytes;
-        let _ = ReliableMsg::decode(&mut buf);
         let mut buf: &[u8] = &bytes;
         let _ = WalRecord::decode(&mut buf);
     }
@@ -633,25 +607,21 @@ proptest! {
     }
 
     /// A hostile length field must not trigger a giant allocation or an
-    /// over-read: a tiny Data frame claiming a huge payload is Truncated.
+    /// over-read: a tiny frame — a connection's wire unit — claiming a huge
+    /// payload is refused past the cap, and below it waits for bytes.
     #[test]
-    fn claimed_payload_length_is_bounded_by_buffer(claimed in 1u64..u64::MAX / 2) {
+    fn claimed_payload_length_is_bounded_by_buffer(claimed in 4u64..u64::MAX / 2) {
         let mut bytes = Vec::new();
-        ReliableMsg {
-            epoch: 0,
-            kind: ReliableKind::Data {
-                seq: 1,
-                ack: 0,
-                checksum: 0,
-                payload: Payload::from_vec(Vec::new()),
-            },
+        put_varint(&mut bytes, claimed);
+        put_varint(&mut bytes, 0);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        match split_frame(&bytes, MAX_FRAME_BYTES) {
+            Err(FrameError::Oversized(c)) => {
+                prop_assert!(c == claimed && claimed > MAX_FRAME_BYTES as u64)
+            }
+            Ok(None) => prop_assert!(claimed <= MAX_FRAME_BYTES as u64),
+            other => prop_assert!(false, "{:?}", other),
         }
-        .encode(&mut bytes);
-        // Replace the trailing zero payload-length varint with `claimed`.
-        bytes.pop();
-        cvc_sim::wire::put_varint(&mut bytes, claimed);
-        let mut buf: &[u8] = &bytes;
-        prop_assert!(ReliableMsg::decode(&mut buf).is_err());
     }
 
     /// The encode-once broadcast path: serializing the destination-

@@ -2,16 +2,25 @@
 //!
 //! The base simulator models the paper's deployment assumption — TCP-like
 //! reliable FIFO channels — because that is the precondition of the CVC
-//! formulas (5)/(7). This module lets experiments *violate* that
-//! assumption on purpose: a [`FaultPlan`] attached to a directed channel
-//! drops, duplicates, reorders, corrupts, delays, or flaps messages, all
-//! drawn from a dedicated fault RNG so that a run with an empty plan is
+//! formulas (5)/(7). A [`FaultPlan`] attached to a directed channel drops,
+//! duplicates, reorders, corrupts, delays, or flaps messages, all drawn
+//! from a dedicated fault RNG so that a run with an empty plan is
 //! bit-identical to a run on a fault-free simulator with the same seed.
+//!
+//! What a fault does depends on what the channel is. A datagram link (the
+//! default) suffers it as written, which *violates* the paper's
+//! assumption on purpose: the protocol's FIFO checks must catch it. A
+//! stream ([`Simulator::set_streams`](crate::Simulator::set_streams)) is
+//! a TCP connection and fails only the two ways TCP fails: a `drop` is a
+//! head-of-line stall of one retransmission timeout
+//! ([`STALL_US`](crate::sim::STALL_US)), a `corrupt` frame, a flap or a
+//! partition resets the connection, and duplicates and reordering never
+//! surface. `cvc-reduce`'s sessions over connections (`reliable.rs`) run
+//! on streams and re-dial a reset connection.
 //!
 //! Faults compose with the existing [`LatencyModel`](crate::LatencyModel):
 //! the latency draw happens first, then the fault pipeline decides what
-//! actually happens to the message. The reliability layer in `cvc-reduce`
-//! (`reliable.rs`) is what restores the FIFO guarantee on top.
+//! actually happens to the message.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -60,11 +69,9 @@ pub struct FaultPlan {
     pub reorder: f64,
     /// Extra delay budget for reordered messages (µs).
     pub reorder_extra_us: u64,
-    /// Probability a message is corrupted in flight. If the simulator has
-    /// a corruptor installed ([`Simulator::set_corruptor`]
-    /// (crate::Simulator::set_corruptor)), the message is mutated and
-    /// still delivered — the receiver's checksum is expected to catch it;
-    /// otherwise corruption degrades to a (separately counted) drop.
+    /// Probability a message is corrupted in flight: the receiver's
+    /// checksum catches it, so a datagram link loses it (separately
+    /// counted) and a stream resets.
     pub corrupt: f64,
     /// Probability a message suffers an extra `spike_us` delay (FIFO
     /// order is preserved: later messages queue behind the spike, exactly
@@ -118,16 +125,17 @@ impl Default for FaultPlan {
 /// channels of a simulator run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
-    /// Messages lost to the `drop` probability.
+    /// Messages lost to the `drop` probability (datagram links; on a
+    /// stream a drop is a stall, counted in `delay_spiked`).
     pub dropped: u64,
     /// Messages delivered twice.
     pub duplicated: u64,
     /// Messages that bypassed the FIFO clamp.
     pub reordered: u64,
-    /// Messages corrupted in flight (mutated if a corruptor is installed,
-    /// otherwise dropped).
+    /// Messages corrupted in flight (lost on a datagram link, a reset on
+    /// a stream).
     pub corrupted: u64,
-    /// Messages that took a delay spike.
+    /// Messages that took a delay spike, a stream's drop stalls included.
     pub delay_spiked: u64,
     /// Messages lost because the link was flapped down.
     pub flap_dropped: u64,

@@ -33,6 +33,13 @@ pub trait Node<M> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64) {
         let _ = (ctx, tag);
     }
+
+    /// A stream channel between this node and `peer` reset under `msg`,
+    /// the message it would have carried (see [`Simulator::set_streams`]).
+    /// Both ends hear it, the receiver first.
+    fn on_reset(&mut self, ctx: &mut Ctx<'_, M>, peer: NodeId, msg: &M) {
+        let _ = (ctx, peer, msg);
+    }
 }
 
 /// Side-effect collector handed to node callbacks.
@@ -43,12 +50,19 @@ pub struct Ctx<'a, M> {
     pub me: NodeId,
     outbox: &'a mut Vec<(NodeId, M)>,
     timers: &'a mut Vec<(SimDuration, u64)>,
+    channels: &'a HashMap<(NodeId, NodeId), Channel>,
 }
 
 impl<M> Ctx<'_, M> {
     /// Queue `msg` for delivery to `to` over the FIFO channel `me → to`.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.outbox.push((to, msg));
+    }
+
+    /// [`Simulator::horizon`] of the channel `me → to` as the callback
+    /// began: the sends this callback queues are not in it yet.
+    pub fn horizon(&self, to: NodeId) -> SimTime {
+        horizon(self.channels, self.me, to)
     }
 
     /// Arrange for `on_timer(tag)` to fire on this node after `delay`.
@@ -64,6 +78,9 @@ pub enum Fired<M> {
     Deliver(NodeId, NodeId, M),
     /// `(node, tag)`: a timer of the node's fired.
     Timer(NodeId, u64),
+    /// `(from, to, msg)`: the stream channel `from → to` reset where it
+    /// would have delivered `msg` (see [`Simulator::set_streams`]).
+    Reset(NodeId, NodeId, M),
 }
 
 enum EventKind<M> {
@@ -79,6 +96,10 @@ enum EventKind<M> {
     },
     Timer {
         tag: u64,
+    },
+    Reset {
+        from: NodeId,
+        msg: M,
     },
 }
 
@@ -158,6 +179,18 @@ pub struct DeliveryRecord {
     pub bytes: usize,
 }
 
+/// Head-of-line stall (µs) a stream channel suffers where a datagram
+/// channel would drop the message: one TCP retransmission timeout.
+pub const STALL_US: u64 = 250_000;
+
+/// When the channel `from → to`'s last FIFO message lands ([`SimTime::ZERO`]
+/// for an unused channel).
+fn horizon(channels: &HashMap<(NodeId, NodeId), Channel>, from: NodeId, to: NodeId) -> SimTime {
+    channels
+        .get(&(from, to))
+        .map_or(SimTime::ZERO, |c| c.last_arrival)
+}
+
 /// The simulator: nodes + event queue + channels.
 pub struct Simulator<M, N> {
     nodes: Vec<N>,
@@ -179,11 +212,9 @@ pub struct Simulator<M, N> {
     partitions: Vec<(NodeId, NodeId, SimTime, SimTime)>,
     fault_rng: SmallRng,
     fault_stats: FaultStats,
-    /// `Send` so a whole simulator can be stepped on a worker thread
-    /// (the federation driver runs one simulator per notifier shard
-    /// under `std::thread::scope`).
-    #[allow(clippy::type_complexity)]
-    corruptor: Option<Box<dyn FnMut(&mut M, &mut SmallRng) + Send>>,
+    /// Channels are TCP connections' byte streams rather than datagram
+    /// links ([`Simulator::set_streams`]).
+    streams: bool,
 }
 
 impl<M: WireSize + Clone, N> Simulator<M, N> {
@@ -206,7 +237,7 @@ impl<M: WireSize + Clone, N> Simulator<M, N> {
             partitions: Vec::new(),
             fault_rng: SmallRng::seed_from_u64(seed ^ 0xFA11_AB1E_0BAD_F00D),
             fault_stats: FaultStats::default(),
-            corruptor: None,
+            streams: false,
         }
     }
 
@@ -259,12 +290,22 @@ impl<M: WireSize + Clone, N> Simulator<M, N> {
         self.fault_stats
     }
 
-    /// Install the in-flight corruptor: when a `corrupt` fault fires, the
-    /// closure mutates the message, which is then delivered anyway — the
-    /// receiver's integrity check is expected to reject it. Without a
-    /// corruptor, corruption degrades to a separately-counted drop.
-    pub fn set_corruptor(&mut self, f: impl FnMut(&mut M, &mut SmallRng) + Send + 'static) {
-        self.corruptor = Some(Box::new(f));
+    /// Make every channel a TCP connection's byte stream: the fault plans
+    /// and partitions then fail it the way TCP fails, in one of two ways.
+    /// A `drop` is a head-of-line stall of [`STALL_US`] that later
+    /// messages queue behind; a `corrupt` frame (its checksum fails at the
+    /// receiver), a flap or a partition resets the stream, delivered as
+    /// [`Fired::Reset`] where the message would have landed; `duplicate`
+    /// and `reorder` never fire (TCP hides both). Off, the default, the
+    /// channels are datagram links that lose, copy and reorder messages.
+    pub fn set_streams(&mut self, on: bool) {
+        self.streams = on;
+    }
+
+    /// When the last FIFO message sent on `from → to` lands: while this is
+    /// later than [`Simulator::now`], the channel has a frame in flight.
+    pub fn horizon(&self, from: NodeId, to: NodeId) -> SimTime {
+        horizon(&self.channels, from, to)
     }
 
     /// Start keeping a [`DeliveryRecord`] per delivered message.
@@ -388,6 +429,7 @@ impl<M: WireSize + Clone, N> Simulator<M, N> {
                 Fired::Deliver(from, ev.to, msg)
             }
             EventKind::Timer { tag } => Fired::Timer(ev.to, tag),
+            EventKind::Reset { from, msg } => Fired::Reset(from, ev.to, msg),
         })
     }
 
@@ -440,47 +482,59 @@ impl<M: WireSize + Clone, N> Simulator<M, N> {
             .fault_plans
             .get(&(from, to))
             .unwrap_or(&self.default_fault_plan);
-        let mut msg = msg;
         let mut extra = SimDuration::ZERO;
         let mut unclamped = false;
         let mut duplicate = false;
+        let mut reset = false;
         if !plan.is_none() || !self.partitions.is_empty() {
             if self.partitions.iter().any(|&(a, b, s, e)| {
                 ((a == from && b == to) || (a == to && b == from)) && now >= s && now < e
             }) {
                 self.fault_stats.partition_dropped += 1;
-                return;
-            }
-            if plan.flap.is_some_and(|f| f.is_down(now)) {
+                reset = true;
+            } else if plan.flap.is_some_and(|f| f.is_down(now)) {
                 self.fault_stats.flap_dropped += 1;
-                return;
-            }
-            if plan.drop > 0.0 && self.fault_rng.gen_bool(plan.drop.clamp(0.0, 1.0)) {
-                self.fault_stats.dropped += 1;
-                return;
-            }
-            if plan.corrupt > 0.0 && self.fault_rng.gen_bool(plan.corrupt.clamp(0.0, 1.0)) {
-                self.fault_stats.corrupted += 1;
-                match self.corruptor.as_mut() {
-                    Some(f) => f(&mut msg, &mut self.fault_rng),
-                    // No corruptor installed: the receiver would discard
-                    // the mangled frame anyway; model it as a loss.
-                    None => return,
+                reset = true;
+            } else if plan.drop > 0.0 && self.fault_rng.gen_bool(plan.drop.clamp(0.0, 1.0)) {
+                if !self.streams {
+                    self.fault_stats.dropped += 1;
+                    return;
                 }
-            }
-            duplicate =
-                plan.duplicate > 0.0 && self.fault_rng.gen_bool(plan.duplicate.clamp(0.0, 1.0));
-            if plan.delay_spike > 0.0 && self.fault_rng.gen_bool(plan.delay_spike.clamp(0.0, 1.0)) {
                 self.fault_stats.delay_spiked += 1;
-                extra += SimDuration::from_micros(plan.spike_us);
+                extra += SimDuration::from_micros(STALL_US);
             }
-            if plan.reorder > 0.0 && self.fault_rng.gen_bool(plan.reorder.clamp(0.0, 1.0)) {
-                self.fault_stats.reordered += 1;
-                unclamped = true;
-                if plan.reorder_extra_us > 0 {
-                    extra += SimDuration::from_micros(
-                        self.fault_rng.gen_range(0..=plan.reorder_extra_us),
-                    );
+            if !reset && plan.corrupt > 0.0 && self.fault_rng.gen_bool(plan.corrupt.clamp(0.0, 1.0))
+            {
+                self.fault_stats.corrupted += 1;
+                reset = true;
+            }
+            if reset {
+                // A datagram link loses the message: cut, down, or
+                // discarded by the receiver as mangled.
+                if !self.streams {
+                    return;
+                }
+            } else {
+                duplicate = !self.streams
+                    && plan.duplicate > 0.0
+                    && self.fault_rng.gen_bool(plan.duplicate.clamp(0.0, 1.0));
+                if plan.delay_spike > 0.0
+                    && self.fault_rng.gen_bool(plan.delay_spike.clamp(0.0, 1.0))
+                {
+                    self.fault_stats.delay_spiked += 1;
+                    extra += SimDuration::from_micros(plan.spike_us);
+                }
+                if !self.streams
+                    && plan.reorder > 0.0
+                    && self.fault_rng.gen_bool(plan.reorder.clamp(0.0, 1.0))
+                {
+                    self.fault_stats.reordered += 1;
+                    unclamped = true;
+                    if plan.reorder_extra_us > 0 {
+                        extra += SimDuration::from_micros(
+                            self.fault_rng.gen_range(0..=plan.reorder_extra_us),
+                        );
+                    }
                 }
             }
         }
@@ -517,25 +571,34 @@ impl<M: WireSize + Clone, N> Simulator<M, N> {
             ch.last_arrival = a;
             a
         };
-        let deliver = |time, seq, msg| Event {
-            time,
-            seq,
-            to,
-            kind: EventKind::Deliver {
-                from,
-                msg,
-                sent_at: now,
-                bytes,
-                index,
-            },
+        let deliver = |msg| EventKind::Deliver {
+            from,
+            msg,
+            sent_at: now,
+            bytes,
+            index,
         };
         if let Some(dup_lat) = dup_latency {
             self.fault_stats.duplicated += 1;
-            let dup_seq = self.next_seq();
-            self.queue
-                .push(deliver(departed + dup_lat, dup_seq, msg.clone()));
+            let seq = self.next_seq();
+            self.queue.push(Event {
+                time: departed + dup_lat,
+                seq,
+                to,
+                kind: deliver(msg.clone()),
+            });
         }
-        self.queue.push(deliver(arrival, seq, msg));
+        let kind = if reset {
+            EventKind::Reset { from, msg }
+        } else {
+            deliver(msg)
+        };
+        self.queue.push(Event {
+            time: arrival,
+            seq,
+            to,
+            kind,
+        });
     }
 }
 
@@ -554,6 +617,10 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
                     self.with_node_ctx(to, |node, ctx| node.on_message(ctx, from, msg))
                 }
                 Fired::Timer(node, tag) => self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, tag)),
+                Fired::Reset(from, to, msg) => {
+                    self.with_node_ctx(to, |n, ctx| n.on_reset(ctx, from, &msg));
+                    self.with_node_ctx(from, |n, ctx| n.on_reset(ctx, to, &msg));
+                }
             }
         }
         self.now = self
@@ -576,6 +643,7 @@ impl<M: WireSize + Clone, N: Node<M>> Simulator<M, N> {
                 me: node,
                 outbox: &mut outbox,
                 timers: &mut timers,
+                channels: &self.channels,
             },
         );
         for (to, msg) in outbox {
@@ -782,7 +850,7 @@ mod tests {
                 Fired::Timer(node, 7) => {
                     pulled.inject_send(node, 1, TestMsg { id: 777, size: 3 });
                 }
-                Fired::Timer(..) => {}
+                Fired::Timer(..) | Fired::Reset(..) => {}
             }
         }
         assert!(driven.deliveries().len() > 40, "relays and timers ran");
@@ -1051,23 +1119,108 @@ mod tests {
         assert!(s.node(1).seen.is_empty());
     }
 
+    /// Node that logs deliveries and the resets it hears.
+    #[derive(Default)]
+    struct Ends {
+        seen: Vec<u64>,
+        resets: Vec<(NodeId, u64)>,
+    }
+
+    impl Node<TestMsg> for Ends {
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: NodeId, msg: TestMsg) {
+            self.seen.push(msg.id);
+        }
+
+        fn on_reset(&mut self, _: &mut Ctx<'_, TestMsg>, peer: NodeId, msg: &TestMsg) {
+            self.resets.push((peer, msg.id));
+        }
+    }
+
+    fn streams(plan: FaultPlan) -> Simulator<TestMsg, Ends> {
+        let mut s = Simulator::new(LatencyModel::Uniform { lo: 10, hi: 200 }, 5);
+        s.set_streams(true);
+        s.set_default_fault_plan(plan);
+        s.add_node(Ends::default());
+        s.add_node(Ends::default());
+        s
+    }
+
     #[test]
-    fn corruptor_mutates_in_flight() {
-        let mut s = sim(LatencyModel::Constant(10));
-        s.set_corruptor(|m: &mut TestMsg, _rng| m.id ^= 0x8000_0000_0000_0000);
-        s.set_fault_plan(
-            0,
-            1,
-            FaultPlan {
-                corrupt: 1.0,
-                ..FaultPlan::NONE
-            },
-        );
+    fn corruption_on_a_stream_is_a_reset() {
+        let mut s = streams(FaultPlan {
+            corrupt: 1.0,
+            ..FaultPlan::NONE
+        });
         s.inject_send(0, 1, TestMsg { id: 1, size: 1 });
         s.run();
         assert_eq!(s.fault_stats().corrupted, 1);
-        assert_eq!(s.node(1).seen.len(), 1);
-        assert_eq!(s.node(1).seen[0].1, 1 | 0x8000_0000_0000_0000);
+        assert!(
+            s.node(1).seen.is_empty(),
+            "a mangled frame is never delivered"
+        );
+        assert_eq!(s.node(1).resets, vec![(0, 1)], "the receiver closes");
+        assert_eq!(s.node(0).resets, vec![(1, 1)], "and the sender sees it");
+    }
+
+    /// On a stream a drop is one RTO of head-of-line stall, and TCP hides
+    /// duplicates and reordering: every message lands once, in order.
+    #[test]
+    fn a_stream_stalls_where_a_datagram_link_loses() {
+        let mut s = streams(FaultPlan {
+            drop: 0.3,
+            duplicate: 0.5,
+            reorder: 0.5,
+            reorder_extra_us: 5_000,
+            ..FaultPlan::NONE
+        });
+        for id in 0..100 {
+            s.inject_send(0, 1, TestMsg { id, size: 1 });
+        }
+        s.run();
+        assert_eq!(s.node(1).seen, (0..100).collect::<Vec<_>>());
+        let f = s.fault_stats();
+        assert!(f.delay_spiked > 10, "{f:?}");
+        assert_eq!((f.dropped, f.duplicated, f.reordered), (0, 0, 0));
+        assert_eq!(f.inversions_observed, 0);
+        assert!(s.now().as_micros() >= STALL_US, "the stalls cost time");
+    }
+
+    /// A flap or a partition kills the stream: each message sent while the
+    /// link is down is a reset both ends hear, in FIFO order with the
+    /// traffic around it.
+    #[test]
+    fn flaps_and_partitions_reset_streams() {
+        let mut s = streams(FaultPlan {
+            flap: Some(FlapSpec {
+                period_us: 1_000,
+                down_us: 500,
+                offset_us: 0,
+            }),
+            ..FaultPlan::NONE
+        });
+        s.inject_send(0, 1, TestMsg { id: 1, size: 1 });
+        s.run();
+        s.advance_to(SimTime::from_micros(600));
+        s.inject_send(0, 1, TestMsg { id: 2, size: 1 });
+        s.add_partition(0, 1, SimTime::from_micros(600), SimTime::from_micros(700));
+        s.inject_send(1, 0, TestMsg { id: 3, size: 1 });
+        s.run();
+        assert_eq!(s.node(1).seen, vec![2], "sent while the link was up");
+        assert_eq!(s.node(1).resets, vec![(0, 1), (0, 3)]);
+        assert_eq!(s.node(0).resets, vec![(1, 1), (1, 3)]);
+        assert_eq!(s.fault_stats().flap_dropped, 1);
+        assert_eq!(s.fault_stats().partition_dropped, 1);
+    }
+
+    #[test]
+    fn horizon_is_when_the_last_fifo_message_lands() {
+        let mut s = sim(LatencyModel::Constant(100));
+        assert_eq!(s.horizon(0, 1), SimTime::ZERO);
+        s.inject_send(0, 1, TestMsg { id: 1, size: 1 });
+        assert_eq!(s.horizon(0, 1), SimTime::from_micros(100));
+        assert_eq!(s.horizon(1, 0), SimTime::ZERO, "per directed channel");
+        s.run();
+        assert_eq!(s.now(), s.horizon(0, 1), "nothing in flight once it landed");
     }
 
     #[test]

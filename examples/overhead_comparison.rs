@@ -46,10 +46,7 @@ fn main() {
                 share_carets: false,
                 notifier_scan: cvc_reduce::notifier::ScanMode::SuffixBounded,
                 fault_plan: None,
-                reliable: false,
-                compound_frames: true,
                 disconnects: Vec::new(),
-                compound_flush_ticks: 200_000,
                 standby: false,
                 crash: None,
                 flight_recorder: false,

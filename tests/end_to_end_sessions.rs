@@ -36,10 +36,7 @@ fn cfg(
         share_carets: false,
         notifier_scan: cvc_reduce::notifier::ScanMode::SuffixBounded,
         fault_plan: None,
-        reliable: false,
-        compound_frames: true,
         disconnects: Vec::new(),
-        compound_flush_ticks: 200_000,
         standby: false,
         crash: None,
         flight_recorder: false,

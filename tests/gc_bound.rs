@@ -50,10 +50,7 @@ fn cfg(n: usize, ops: usize, seed: u64, auto_gc: bool) -> SessionConfig {
         share_carets: false,
         notifier_scan: ScanMode::SuffixBounded,
         fault_plan: None,
-        reliable: false,
-        compound_frames: true,
         disconnects: Vec::new(),
-        compound_flush_ticks: 200_000,
         standby: false,
         crash: None,
         flight_recorder: false,
