@@ -2,14 +2,14 @@
 //!
 //! Every experiment the registry does not mark `timing` runs entirely on
 //! virtual time, so its rendered report is a pure function of the code.
-//! The files under `golden/` are those reports: `e15` was last
-//! regenerated when a compound frame began carrying its ops' stamps as
-//! deltas and a caret at the edit end as one cursor tag (its compound
-//! frames got shorter); `e1`, `e4`, `e6`, `e10`, `e12`, `e13` and
-//! `e20_failover_smoke` when a quiet site's bare-ack interval
-//! (`ACK_INTERVAL`) rose from 8 to 64 executed ops (fewer ack messages
-//! move every star cell that counts messages or bytes; EXPERIMENTS lists
-//! every moved cell up front); the rest at the commit before the
+//! The files under `golden/` are those reports: `e4`, `e6`, `e12`,
+//! `e13`, `e15` and `e20_failover_smoke` were last regenerated when the
+//! op codec folded each component's kind into its length varint and the
+//! cursor kind into the component count (every star op message and WAL
+//! op record got shorter; EXPERIMENTS lists every moved cell); `e1` and
+//! `e10` when a quiet site's bare-ack interval (`ACK_INTERVAL`) rose
+//! from 8 to 64 executed ops (fewer ack messages move every star cell
+//! that counts messages or bytes); the rest at the commit before the
 //! E-suite moved onto `Report` (from that commit's `repro <id>`, minus the
 //! artefact-path line), except `e8.txt`, captured once `verify_mesh`
 //! stopped depending on a hasher's iteration order. They are the

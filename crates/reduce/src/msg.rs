@@ -19,6 +19,15 @@
 //! Encodings are hand-rolled varint formats (see `cvc_sim::wire`) so the
 //! overhead experiments measure real bytes. `stamp_bytes()` splits the
 //! timestamp portion out of the total for the overhead-fraction reports.
+//!
+//! An operation costs its edit. Its count varint is `count << 2 | cursor
+//! kind`, each component is one varint `n << 2 | kind` (an insert's UTF-8
+//! bytes follow its length), and after the components come only the
+//! caret's owner (a `ServerOp`'s) and, for a caret away from the edit
+//! end, its position. A one-character broadcast inside a compound frame
+//! is 11 bytes: tag 1, stamp deltas 2, op 7, caret owner 1. Kind 3 is
+//! [`WireError::BadTag`], and a caret past its op's post-state is
+//! [`WireError::HostileLength`], so no replica ever receives one.
 
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
@@ -27,8 +36,8 @@ use cvc_core::vector::VectorClock;
 use cvc_ot::seq::{Component, SeqOp};
 use cvc_ot::ttf::TtfOp;
 use cvc_sim::wire::{
-    get_bounded_len, get_bounded_span, get_string, get_u32, get_varint, put_string, put_varint,
-    string_len, varint_len, WireDecode, WireEncode, WireError, WireSize,
+    bounded_span, get_bounded_len, get_bounded_span, get_u32, get_utf8, get_varint, put_varint,
+    varint_len, WireDecode, WireEncode, WireError, WireSize,
 };
 use std::sync::Arc;
 
@@ -41,15 +50,18 @@ const TAG_COMPOUND: u8 = 6;
 pub(crate) const TAG_RELAY_OP: u8 = 7;
 pub(crate) const TAG_RELAY_ACK: u8 = 8;
 
-/// Cursor tags: no caret, a caret at an explicit position, and a caret at
-/// the operation's edit end ([`edit_end`]), which carries no position.
-const CURSOR_NONE: u8 = 0;
-const CURSOR_AT: u8 = 1;
-const CURSOR_AT_EDIT_END: u8 = 2;
+/// Cursor kinds, the low two bits of an op's count varint: no caret, a
+/// caret at an explicit position, and a caret at the operation's edit end
+/// ([`edit_end`]), which carries no position.
+const CURSOR_NONE: u64 = 0;
+const CURSOR_AT: u64 = 1;
+const CURSOR_AT_EDIT_END: u64 = 2;
 
-const COMP_RETAIN: u8 = 0;
-const COMP_INSERT: u8 = 1;
-const COMP_DELETE: u8 = 2;
+/// Component kinds, the low two bits of a component's varint; the high
+/// bits are the run length, or an insert's UTF-8 byte length.
+const COMP_RETAIN: u64 = 0;
+const COMP_INSERT: u64 = 1;
+const COMP_DELETE: u64 = 2;
 
 const TTF_INSERT: u8 = 0;
 const TTF_DELETE: u8 = 1;
@@ -315,8 +327,7 @@ impl ServerOpFrame {
     /// Serialize the shared body (operation + telepointer) once.
     pub fn new(op: &SeqOp, cursor: &Option<(u32, u64)>) -> Self {
         let mut b = Vec::with_capacity(server_op_body_len(op, cursor));
-        put_seq_op(&mut b, op);
-        put_opt_owned_cursor(&mut b, op, cursor);
+        put_server_op_body(&mut b, op, cursor);
         ServerOpFrame { body: b.into() }
     }
 
@@ -479,12 +490,6 @@ fn read_op_head<B: Buf>(buf: &mut B) -> Option<(u8, Option<u32>, CompressedStamp
     }
 }
 
-/// Encoded size of a [`ServerOpMsg`] body (everything after the stamp):
-/// computed once per broadcast, it prices all `N−1` destination frames.
-pub(crate) fn server_op_body_len(op: &SeqOp, cursor: &Option<(u32, u64)>) -> usize {
-    seq_op_wire_len(op) + opt_owned_cursor_len(op, cursor)
-}
-
 pub(crate) fn stamp_wire_len(s: CompressedStamp) -> usize {
     varint_len(s.t1) + varint_len(s.t2)
 }
@@ -522,65 +527,84 @@ fn get_vector<B: Buf>(buf: &mut B) -> Result<VectorClock, WireError> {
     Ok(VectorClock::from_entries(entries))
 }
 
-pub(crate) fn seq_op_wire_len(op: &SeqOp) -> usize {
-    let mut len = varint_len(op.components().len() as u64);
-    for c in op.components() {
-        len += 1; // component tag
-        len += match c {
-            Component::Retain(n) | Component::Delete(n) => varint_len(*n as u64),
-            Component::Insert(s) => string_len(s),
-        };
-    }
-    len
+/// `n` with a two-bit kind in its low bits: one varint says both.
+fn fold(n: usize, kind: u64) -> u64 {
+    (n as u64) << 2 | kind
 }
 
-pub(crate) fn put_seq_op<B: BufMut>(buf: &mut B, op: &SeqOp) {
-    put_varint(buf, op.components().len() as u64);
-    for c in op.components() {
-        match c {
-            Component::Retain(n) => {
-                buf.put_u8(COMP_RETAIN);
-                put_varint(buf, *n as u64);
-            }
-            Component::Insert(s) => {
-                buf.put_u8(COMP_INSERT);
-                put_string(buf, s);
-            }
-            Component::Delete(n) => {
-                buf.put_u8(COMP_DELETE);
-                put_varint(buf, *n as u64);
-            }
-        }
+/// A folded varint split into its value and kind; kind 3 names nothing.
+fn unfold(v: u64) -> Result<(u64, u64), WireError> {
+    match v & 3 {
+        3 => Err(WireError::BadTag(3)),
+        kind => Ok((v >> 2, kind)),
     }
 }
 
-fn get_seq_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
-    // Every component costs at least two bytes (tag + one varint byte), so
-    // a component count past `remaining / 2` is a lie; retain/delete run
-    // lengths are additionally capped at the document-size bound so a
-    // hostile span cannot drive downstream position arithmetic.
-    let n = get_bounded_len(buf, 2)?;
+/// The cursor kind a caret after `op` travels as, and the position that
+/// follows the components (kind 1 only): none when the caret sits at the
+/// edit end, which kind 2 says alone.
+fn caret_kind(op: &SeqOp, caret: Option<u64>) -> (u64, Option<u64>) {
+    match caret {
+        None => (CURSOR_NONE, None),
+        Some(pos) if edit_end(op) == Some(pos) => (CURSOR_AT_EDIT_END, None),
+        Some(pos) => (CURSOR_AT, Some(pos)),
+    }
+}
+
+/// A component as the codec writes it: its folded varint, then (an
+/// insert's) UTF-8 bytes.
+fn folded(c: &Component) -> (u64, &[u8]) {
+    match c {
+        Component::Retain(n) => (fold(*n, COMP_RETAIN), &[]),
+        Component::Insert(s) => (fold(s.len(), COMP_INSERT), s.as_bytes()),
+        Component::Delete(n) => (fold(*n, COMP_DELETE), &[]),
+    }
+}
+
+/// Encoded size of `op` under cursor kind `kind`: the count varint and the
+/// components, not the caret's payload.
+fn seq_op_wire_len(op: &SeqOp, kind: u64) -> usize {
+    let comps = op.components();
+    varint_len(fold(comps.len(), kind))
+        + comps
+            .iter()
+            .map(|c| {
+                let (v, text) = folded(c);
+                varint_len(v) + text.len()
+            })
+            .sum::<usize>()
+}
+
+fn put_seq_op<B: BufMut>(buf: &mut B, op: &SeqOp, kind: u64) {
+    put_varint(buf, fold(op.components().len(), kind));
+    for c in op.components() {
+        let (v, text) = folded(c);
+        put_varint(buf, v);
+        buf.put_slice(text);
+    }
+}
+
+/// Read an op and the cursor kind its count varint carries.
+fn get_seq_op<B: Buf>(buf: &mut B) -> Result<(SeqOp, u64), WireError> {
+    // A component folds into as little as one byte, so a count past the
+    // remaining bytes is a lie; retain/delete run lengths are additionally
+    // capped at the document-size bound so a hostile span cannot drive
+    // downstream position arithmetic.
+    let (n, kind) = unfold(get_varint(buf)?)?;
+    if n > buf.remaining() as u64 {
+        return Err(WireError::Truncated);
+    }
     // One reservation fits a single-site op (`retain·insert·delete·retain`);
     // capping it there keeps a hostile count from driving the allocation.
-    let mut op = SeqOp::with_capacity(n.min(4));
+    let mut op = SeqOp::with_capacity((n as usize).min(4));
     for _ in 0..n {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        match buf.get_u8() {
-            COMP_RETAIN => {
-                op.retain(get_bounded_span(buf)?);
-            }
-            COMP_INSERT => {
-                op.insert_owned(get_string(buf)?);
-            }
-            COMP_DELETE => {
-                op.delete(get_bounded_span(buf)?);
-            }
-            t => return Err(WireError::BadTag(t)),
-        }
+        match unfold(get_varint(buf)?)? {
+            (len, COMP_RETAIN) => op.retain(bounded_span(len)?),
+            (len, COMP_INSERT) => op.insert_owned(get_utf8(buf, len)?),
+            (len, _) => op.delete(bounded_span(len)?),
+        };
     }
-    Ok(op)
+    Ok((op, kind))
 }
 
 /// Where a caret sits after `op`'s one edit: `retain p · insert t? ·
@@ -600,96 +624,77 @@ fn edit_end(op: &SeqOp) -> Option<u64> {
     (edits && matches!(rest, [] | [Component::Retain(_)])).then_some(end as u64)
 }
 
-/// The varint position a caret after `op` travels with: none when it sits
-/// at the edit end, which cursor tag 2 says alone.
-fn caret_pos(op: &SeqOp, pos: u64) -> Option<u64> {
-    (edit_end(op) != Some(pos)).then_some(pos)
-}
-
-fn opt_cursor_len(op: &SeqOp, c: &Option<u64>) -> usize {
-    1 + c.and_then(|v| caret_pos(op, v)).map_or(0, varint_len)
-}
-
-fn put_opt_cursor<B: BufMut>(buf: &mut B, op: &SeqOp, c: &Option<u64>) {
-    match c.map(|v| caret_pos(op, v)) {
-        None => buf.put_u8(CURSOR_NONE),
-        Some(None) => buf.put_u8(CURSOR_AT_EDIT_END),
-        Some(Some(v)) => {
-            buf.put_u8(CURSOR_AT);
-            put_varint(buf, v);
-        }
-    }
-}
-
-fn get_opt_cursor<B: Buf>(buf: &mut B, op: &SeqOp) -> Result<Option<u64>, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
+/// The caret that cursor kind `kind` stands for after `op`; for kind 1
+/// the position is read from `buf`. A position past the op's post-state
+/// is hostile: no replica could place it, and a notifier would pass it on
+/// to every peer.
+fn get_caret<B: Buf>(buf: &mut B, op: &SeqOp, kind: u64) -> Result<Option<u64>, WireError> {
+    match kind {
         CURSOR_NONE => Ok(None),
-        CURSOR_AT => Ok(Some(get_varint(buf)?)),
+        CURSOR_AT => match get_varint(buf)? {
+            pos if pos > op.target_len() as u64 => Err(WireError::HostileLength(pos)),
+            pos => Ok(Some(pos)),
+        },
         // An op with no edit end cannot carry a caret there.
-        CURSOR_AT_EDIT_END => edit_end(op)
+        _ => edit_end(op)
             .map(Some)
-            .ok_or(WireError::BadTag(CURSOR_AT_EDIT_END)),
-        t => Err(WireError::BadTag(t)),
+            .ok_or(WireError::BadTag(CURSOR_AT_EDIT_END as u8)),
     }
 }
 
-fn opt_owned_cursor_len(op: &SeqOp, c: &Option<(u32, u64)>) -> usize {
-    1 + c.map_or(0, |(s, v)| {
-        varint_len(u64::from(s)) + caret_pos(op, v).map_or(0, varint_len)
-    })
+/// Encoded size of a [`ServerOpMsg`] body (everything after the stamp):
+/// computed once per broadcast, it prices all `N−1` destination frames.
+pub(crate) fn server_op_body_len(op: &SeqOp, cursor: &Option<(u32, u64)>) -> usize {
+    let (kind, pos) = caret_kind(op, cursor.map(|(_, pos)| pos));
+    seq_op_wire_len(op, kind)
+        + cursor.map_or(0, |(owner, _)| varint_len(u64::from(owner)))
+        + pos.map_or(0, varint_len)
 }
 
-fn put_opt_owned_cursor<B: BufMut>(buf: &mut B, op: &SeqOp, c: &Option<(u32, u64)>) {
-    let Some((s, v)) = *c else {
-        return buf.put_u8(CURSOR_NONE);
-    };
-    let pos = caret_pos(op, v);
-    buf.put_u8(if pos.is_some() {
-        CURSOR_AT
-    } else {
-        CURSOR_AT_EDIT_END
-    });
-    put_varint(buf, u64::from(s));
-    if let Some(v) = pos {
-        put_varint(buf, v);
+/// Write a [`ServerOpMsg`] body: the op, then the caret's owner and, for
+/// cursor kind 1, its position.
+fn put_server_op_body<B: BufMut>(buf: &mut B, op: &SeqOp, cursor: &Option<(u32, u64)>) {
+    let (kind, pos) = caret_kind(op, cursor.map(|(_, pos)| pos));
+    put_seq_op(buf, op, kind);
+    if let Some((owner, _)) = *cursor {
+        put_varint(buf, u64::from(owner));
+    }
+    if let Some(pos) = pos {
+        put_varint(buf, pos);
     }
 }
 
-fn get_opt_owned_cursor<B: Buf>(buf: &mut B, op: &SeqOp) -> Result<Option<(u32, u64)>, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::Truncated);
+/// Read a [`ServerOpMsg`] body.
+fn get_server_op_body<B: Buf>(buf: &mut B) -> Result<(SeqOp, Option<(u32, u64)>), WireError> {
+    let (op, kind) = get_seq_op(buf)?;
+    if kind == CURSOR_NONE {
+        return Ok((op, None));
     }
-    match buf.get_u8() {
-        CURSOR_NONE => Ok(None),
-        CURSOR_AT => Ok(Some((get_u32(buf)?, get_varint(buf)?))),
-        CURSOR_AT_EDIT_END => {
-            let owner = get_u32(buf)?;
-            let pos = edit_end(op).ok_or(WireError::BadTag(CURSOR_AT_EDIT_END))?;
-            Ok(Some((owner, pos)))
-        }
-        t => Err(WireError::BadTag(t)),
-    }
+    let owner = get_u32(buf)?;
+    let cursor = get_caret(buf, &op, kind)?.map(|pos| (owner, pos));
+    Ok((op, cursor))
 }
 
 /// Encoded size of a [`ClientOpMsg`] after its tag, its stamp a delta
 /// from `*prev` (which becomes the stamp). The WAL's op record and the
 /// upstream message share these three: the log format is the wire format.
 pub(crate) fn client_op_len(m: &ClientOpMsg, prev: &mut (u64, u64)) -> usize {
+    let (kind, pos) = caret_kind(&m.op, m.cursor);
     varint_len(u64::from(m.origin.0))
         + stamp_wire_len(delta(prev, m.stamp))
-        + seq_op_wire_len(&m.op)
-        + opt_cursor_len(&m.op, &m.cursor)
+        + seq_op_wire_len(&m.op, kind)
+        + pos.map_or(0, varint_len)
 }
 
 /// Write a [`ClientOpMsg`] after its tag, its stamp a delta from `*prev`.
 pub(crate) fn put_client_op<B: BufMut>(buf: &mut B, m: &ClientOpMsg, prev: &mut (u64, u64)) {
+    let (kind, pos) = caret_kind(&m.op, m.cursor);
     put_varint(buf, u64::from(m.origin.0));
     put_stamp(buf, delta(prev, m.stamp));
-    put_seq_op(buf, &m.op);
-    put_opt_cursor(buf, &m.op, &m.cursor);
+    put_seq_op(buf, &m.op, kind);
+    if let Some(pos) = pos {
+        put_varint(buf, pos);
+    }
 }
 
 /// Read a [`ClientOpMsg`] after its tag, its stamp a delta from `*prev`.
@@ -699,8 +704,8 @@ pub(crate) fn get_client_op<B: Buf>(
 ) -> Result<ClientOpMsg, WireError> {
     let origin = SiteId(get_u32(buf)?);
     let stamp = undelta(prev, get_stamp(buf)?);
-    let op = get_seq_op(buf)?;
-    let cursor = get_opt_cursor(buf, &op)?;
+    let (op, kind) = get_seq_op(buf)?;
+    let cursor = get_caret(buf, &op, kind)?;
     Ok(ClientOpMsg {
         origin,
         stamp,
@@ -810,8 +815,7 @@ impl EditorMsg {
             EditorMsg::ServerOp(m) => {
                 buf.put_u8(TAG_SERVER_OP);
                 put_stamp(buf, delta(&mut ctx.server, m.stamp));
-                put_seq_op(buf, &m.op);
-                put_opt_owned_cursor(buf, &m.op, &m.cursor);
+                put_server_op_body(buf, &m.op, &m.cursor);
             }
             EditorMsg::MeshOp(m) => {
                 buf.put_u8(TAG_MESH_OP);
@@ -867,8 +871,7 @@ impl EditorMsg {
             TAG_CLIENT_OP => Ok(EditorMsg::ClientOp(get_client_op(buf, &mut ctx.client)?)),
             TAG_SERVER_OP => {
                 let stamp = undelta(&mut ctx.server, get_stamp(buf)?);
-                let op = get_seq_op(buf)?;
-                let cursor = get_opt_owned_cursor(buf, &op)?;
+                let (op, cursor) = get_server_op_body(buf)?;
                 Ok(EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor }))
             }
             TAG_MESH_OP => Ok(EditorMsg::MeshOp(MeshOpMsg {

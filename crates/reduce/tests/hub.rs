@@ -251,6 +251,42 @@ fn trimmed_rebind_is_reported_and_left_unbound() {
     ));
 }
 
+/// A caret past its op's post-state is refused when the op is decoded,
+/// before the hub sees it: the sender's channel closes, nothing is
+/// integrated or logged, and no peer's channel gets the op or its caret.
+/// (Passed on untouched, it reached every peer.) A caret at the post-state's
+/// end is in range and rides along.
+#[test]
+fn a_caret_past_the_post_state_never_reaches_a_peer() {
+    let mut w = StarWorld::new(core(3));
+    let appends = |w: &StarWorld| w.hub().core().wal().expect("durable").appends();
+    let logged = appends(&w);
+    let caret_at = |pos| {
+        move |c: &mut Client| {
+            let mut m = c.insert(0, "a");
+            m.cursor = Some(pos);
+            Ok(m)
+        }
+    };
+    w.edit(SiteId(1), caret_at(1 << 20)).expect("a member");
+    let hostile = w.pop_up(SiteId(1)).expect("queued up");
+    assert!(matches!(w.receive_up(0, &hostile), Ok(None)));
+    assert_eq!(w.hub().site_of(0), None, "the sender's channel closed");
+    assert_eq!((w.queued_on(1), w.queued_on(2)), (0, 0), "no peer got it");
+    assert_eq!(w.notifier().doc(), "");
+    assert_eq!(appends(&w), logged, "nothing logged");
+
+    w.edit(SiteId(2), caret_at(1)).expect("a member");
+    assert!(w.deliver_up(SiteId(2)).expect("in range").is_some());
+    w.deliver_down(SiteId(3)).expect("applies");
+    let carets: Vec<_> = w
+        .client(SiteId(3))
+        .expect("seated")
+        .remote_carets()
+        .collect();
+    assert_eq!(carets, vec![(2, 1)]);
+}
+
 // ---- bounded exhaustive check over the star world ----------------------
 
 const SITES: usize = 2;

@@ -51,8 +51,10 @@ fn must_reject(bytes: &[u8]) -> WireError {
 /// cast to a 32-bit `usize` before the bounds check. Each must be rejected
 /// with a typed error; none may allocate, over-read, or mis-parse. Frames
 /// are built byte-by-byte against the stable wire tags (client-op 1,
-/// server-op 2, mesh-op 3, compound 6; components retain 0 / insert 1 /
-/// delete 2; TTF insert 0 / delete 1).
+/// server-op 2, mesh-op 3, compound 6; TTF insert 0 / delete 1) and the
+/// op's folded varints ([`fold`]: components retain 0 / insert 1 / delete
+/// 2 under their length, cursor kinds none 0 / at 1 / at the edit end 2
+/// under the component count).
 #[test]
 fn hostile_64_bit_lengths_are_rejected_at_every_site() {
     let hostile = (1u64 << 32) + 5; // truncates to 5 on 32-bit usize
@@ -66,35 +68,32 @@ fn hostile_64_bit_lengths_are_rejected_at_every_site() {
     assert_eq!(must_reject(&b), WireError::Truncated);
 
     // Site 2 — `get_seq_op` component count (ServerOp): 2^32+5 components
-    // over ten bytes that would parse as five retain components.
+    // over ten bytes that would parse as ten one-byte retain components.
     let mut b = vec![2u8];
     put_varint(&mut b, 0);
     put_varint(&mut b, 0); // stamp
-    put_varint(&mut b, hostile); // component count
-    b.extend_from_slice(&[0, 1, 0, 1, 0, 1, 0, 1, 0, 1]);
+    put_varint(&mut b, fold(hostile, 0)); // component count, no caret
+    b.extend_from_slice(&[4; 10]); // retain 1, ten times
     assert_eq!(must_reject(&b), WireError::Truncated);
 
     // Sites 3 and 4 — retain/delete run lengths: a single component whose
     // span is past the document cap must surface the claimed value.
-    for comp_tag in [0u8, 2u8] {
+    for comp_kind in [0u64, 2] {
         let mut b = vec![2u8];
         put_varint(&mut b, 0);
         put_varint(&mut b, 0); // stamp
-        put_varint(&mut b, 1); // one component
-        b.push(comp_tag);
-        put_varint(&mut b, hostile); // span
-        b.push(0); // cursor: none
+        put_varint(&mut b, fold(1, 0)); // one component, no caret
+        put_varint(&mut b, fold(hostile, comp_kind)); // span
         assert_eq!(must_reject(&b), WireError::HostileLength(hostile));
     }
 
-    // Insert-string byte length (the `get_string` site the spans share a
-    // frame with): 2^32+5 claimed bytes over 5 actual ones.
+    // Insert-string byte length (the UTF-8 read the spans share a frame
+    // with): 2^32+5 claimed bytes over 5 actual ones.
     let mut b = vec![2u8];
     put_varint(&mut b, 0);
     put_varint(&mut b, 0); // stamp
-    put_varint(&mut b, 1); // one component
-    b.push(1); // insert
-    put_varint(&mut b, hostile); // string byte length
+    put_varint(&mut b, fold(1, 0)); // one component, no caret
+    put_varint(&mut b, fold(hostile, 1)); // insert, string byte length
     b.extend_from_slice(b"aaaaa");
     assert_eq!(must_reject(&b), WireError::Truncated);
 
@@ -171,24 +170,37 @@ fn wide_origin_shard_is_overlong_not_shard_zero() {
 }
 
 /// A component count the frame's length allows but its bytes do not
-/// back: ~500 k claimed, three real components, then junk. The decode
-/// fails, and the op's component vector was never reserved past four
-/// entries (a single-site op's `retain·insert·delete·retain`).
+/// back: ~500 k claimed, three real components, then junk (kind 3). The
+/// decode fails, and the op's component vector was never reserved past
+/// four entries (a single-site op's `retain·insert·delete·retain`).
 #[test]
 fn a_hostile_component_count_does_not_drive_the_reservation() {
     let claimed = 500_000u64;
     let mut b = vec![2u8];
     put_varint(&mut b, 0);
     put_varint(&mut b, 0); // stamp
-    put_varint(&mut b, claimed); // component count
-    b.extend_from_slice(&[0, 1, 1, 1, b'a', 2, 1]); // retain 1 · insert "a" · delete 1
-    b.resize(b.len() + 2 * claimed as usize, 0xff);
+    put_varint(&mut b, fold(claimed, 0)); // component count, no caret
+    b.extend_from_slice(&[4, 5, b'a', 6]); // retain 1 · insert "a" · delete 1
+    b.resize(b.len() + claimed as usize, 3);
     let (err, t) = tally(|| must_reject(&b));
-    assert_eq!(err, WireError::BadTag(0xff));
+    assert_eq!(err, WireError::BadTag(3));
     assert!(
         t.largest <= 4 * std::mem::size_of::<Component>(),
         "decode reserved {t:?}"
     );
+}
+
+/// `n` with a two-bit kind in its low bits, as the op codec folds a
+/// component's kind into its length and the cursor kind into the count.
+fn fold(n: u64, kind: u64) -> u64 {
+    n << 2 | kind
+}
+
+/// A caret on `op`'s post-state, `0..=target_len`, drawn from `draw`.
+/// Carets past it are refused at decode
+/// (`carets_past_the_post_state_are_refused`).
+fn on_post_state(op: &SeqOp, draw: u64) -> u64 {
+    draw % (op.target_len() as u64 + 1)
 }
 
 /// A structurally valid (not necessarily applicable) sequence operation.
@@ -269,8 +281,8 @@ fn leaf_editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
             EditorMsg::ClientOp(ClientOpMsg {
                 origin: SiteId(origin),
                 stamp,
+                cursor: cursor.map(|c| on_post_state(&op, c)),
                 op,
-                cursor,
             })
         });
     let server = (
@@ -278,7 +290,10 @@ fn leaf_editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
         seq_op_strategy(),
         proptest::option::of((1u32..=64, any::<u64>())),
     )
-        .prop_map(|(stamp, op, cursor)| EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor }));
+        .prop_map(|(stamp, op, cursor)| {
+            let cursor = cursor.map(|(who, c)| (who, on_post_state(&op, c)));
+            EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor })
+        });
     let mesh = mesh_op_msg_strategy().prop_map(EditorMsg::MeshOp);
     let ack = any::<u64>().prop_map(|acked| EditorMsg::ServerAck(ServerAckMsg { acked }));
     let client_ack = (1u32..=64, any::<u64>()).prop_map(|(origin, received)| {
@@ -320,8 +335,8 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
             WalRecord::Op(ClientOpMsg {
                 origin: SiteId(origin),
                 stamp,
+                cursor: cursor.map(|c| on_post_state(&op, c)),
                 op,
-                cursor,
             })
         });
     let ack = (1u32..=64, any::<u64>()).prop_map(|(origin, received)| {
@@ -371,8 +386,10 @@ fn edit_end(op: &SeqOp) -> Option<u64> {
     (edits && matches!(c, [] | [Component::Retain(_)])).then_some(end as u64)
 }
 
-/// A caret after `op`: none, anywhere, or at its edit end when it has one.
+/// A caret after `op`: none, anywhere on its post-state, or at its edit
+/// end when it has one.
 fn caret(op: &SeqOp, kind: u8, anywhere: u64) -> Option<u64> {
+    let anywhere = on_post_state(op, anywhere);
     match kind % 3 {
         0 => None,
         1 => Some(anywhere),
@@ -594,15 +611,15 @@ proptest! {
     /// Every span/position past the document cap is rejected with the
     /// claimed value, across the full 64-bit hostile range — not just the
     /// 2^32-straddling shapes the deterministic battery pins down.
+    /// The span shares its varint with the component kind, so the widest
+    /// span a varint can claim is `u64::MAX >> 2`.
     #[test]
-    fn hostile_spans_reject_across_the_64_bit_range(claimed in MAX_WIRE_SPAN + 1..u64::MAX) {
+    fn hostile_spans_reject_across_the_64_bit_range(claimed in MAX_WIRE_SPAN + 1..=u64::MAX >> 2) {
         let mut b = vec![2u8];
         put_varint(&mut b, 0);
         put_varint(&mut b, 0);
-        put_varint(&mut b, 1);
-        b.push(0); // retain
-        put_varint(&mut b, claimed);
-        b.push(0);
+        put_varint(&mut b, fold(1, 0)); // one component, no caret
+        put_varint(&mut b, fold(claimed, 0)); // retain
         prop_assert_eq!(must_reject(&b), WireError::HostileLength(claimed));
     }
 
@@ -809,7 +826,14 @@ proptest! {
     }
 }
 
-/// Hand-built `[TAG_SERVER_OP, t1, t2] ++ op` with cursor tag 2 and an
+/// Set the cursor kind in the one-byte count varint at `bytes[at]`.
+fn with_cursor_kind(mut bytes: Vec<u8>, at: usize, kind: u8) -> Vec<u8> {
+    assert_eq!(bytes[at] & 0x83, 0, "a one-byte count, no caret");
+    bytes[at] |= kind;
+    bytes
+}
+
+/// Hand-built `[TAG_SERVER_OP, t1, t2] ++ op` with cursor kind 2 and an
 /// owner: a caret "at the edit end" of an op that has none.
 fn server_op_with_tag_2(op: &SeqOp) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -819,8 +843,8 @@ fn server_op_with_tag_2(op: &SeqOp) -> Vec<u8> {
         cursor: None,
     })
     .encode(&mut bytes);
-    assert_eq!(bytes.pop(), Some(0), "no caret: tag 0 last");
-    bytes.extend([2, 7]);
+    let mut bytes = with_cursor_kind(bytes, 3, 2);
+    bytes.push(7); // owner
     bytes
 }
 
@@ -847,7 +871,7 @@ fn compound_caret_tag_2_needs_a_single_edit_site() {
             cursor: None,
         })
         .encode(&mut up);
-        *up.last_mut().expect("cursor tag") = 2;
+        let up = with_cursor_kind(up, 4, 2); // after tag, origin, stamp
         assert_eq!(must_reject(&up), WireError::BadTag(2), "{op:?}");
     }
     // The same bytes on a one-site op are its caret at the edit end: the
@@ -902,7 +926,7 @@ fn compound_stamp_deltas_wrap_past_u64() {
         by_hand.push(2);
         put_varint(&mut by_hand, t1);
         put_varint(&mut by_hand, t2);
-        by_hand.extend([1, 1, 1, b'x', 0]); // one component, insert "x"; no caret
+        by_hand.extend([4, 5, b'x']); // one component, no caret; insert "x"
     }
     let mut slice: &[u8] = &by_hand;
     let Ok(EditorMsg::Compound(ms)) = EditorMsg::decode(&mut slice) else {
@@ -985,4 +1009,125 @@ fn compound_delta_t1_keeps_fifo_detection() {
     assert_eq!(reader.doc(), doc_before);
     assert_eq!(reader.state_vector(), sv_before);
     assert_eq!(reader.remote_carets().collect::<Vec<_>>(), carets_before);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A caret is a position on its op's post-state, `0..=target_len`. One
+    /// past it is refused as [`WireError::HostileLength`] wherever an op
+    /// travels — upstream, downstream, inside a compound, in a WAL op
+    /// record — so a notifier never passes it on to its peers and a log
+    /// never holds it.
+    #[test]
+    fn carets_past_the_post_state_are_refused(
+        op in seq_op_strategy(),
+        past in 1u64..=u64::MAX,
+        stamp in stamp_strategy(),
+        who in 1u32..=64,
+    ) {
+        let pos = (op.target_len() as u64).saturating_add(past);
+        let up = ClientOpMsg { origin: SiteId(who), stamp, op: op.clone(), cursor: Some(pos) };
+        let down = ServerOpMsg { stamp, op, cursor: Some((who, pos)) };
+        for msg in [
+            EditorMsg::ClientOp(up.clone()),
+            EditorMsg::ServerOp(down.clone()),
+            EditorMsg::Compound(vec![EditorMsg::ServerOp(down), EditorMsg::ClientOp(up.clone())]),
+        ] {
+            let mut b = Vec::new();
+            msg.encode(&mut b);
+            prop_assert_eq!(b.len(), msg.wire_bytes());
+            prop_assert_eq!(must_reject(&b), WireError::HostileLength(pos));
+        }
+        let record = WalRecord::Op(up);
+        let mut b = Vec::new();
+        record.encode(&mut b);
+        prop_assert_eq!(WalRecord::decode(&mut &b[..]), Err(WireError::HostileLength(pos)));
+    }
+
+    /// The op codec at its edges, on hand-built `ServerOp` frames. A span
+    /// or insert length folds into one varint with its kind, so 31 is the
+    /// last one-byte span and 4095 the last two-byte one; `MAX_WIRE_SPAN`
+    /// decodes and one more is hostile; kind 3, as a component or as a
+    /// cursor kind, names nothing; a count past the remaining bytes is
+    /// truncation.
+    #[test]
+    fn folded_varints_hold_at_their_edges(
+        edge in 0usize..6,
+        comp_kind in 0u64..3,
+        caret_kind in 0u64..4,
+        who in 1u8..=64,
+    ) {
+        let (span, width) = [(1, 1), (31, 1), (32, 2), (4095, 2), (4096, 3), (MAX_WIRE_SPAN, 5)][edge];
+        // A 2^30-byte insert is no test input: inserts stop at 4096.
+        let comp_kind = if span > 4096 { comp_kind & 2 } else { comp_kind };
+        let text = if comp_kind == 1 { span as usize } else { 0 };
+        let mut op = SeqOp::new();
+        match comp_kind {
+            0 => op.retain(span as usize),
+            1 => op.insert(&"x".repeat(text)),
+            _ => op.delete(span as usize),
+        };
+        // After the components: the owner, then for kind 1 the position 0.
+        let payload: &[u8] = match caret_kind {
+            0 => &[],
+            2 => &[who],
+            _ => &[who, 0],
+        };
+        let bytes = op_frame(fold(1, caret_kind), fold(span, comp_kind), text, payload);
+        let expect = match caret_kind {
+            0 => Ok(None),
+            1 => Ok(Some((u32::from(who), 0))),
+            2 if comp_kind == 0 => Err(WireError::BadTag(2)), // no edit end
+            2 => Ok(Some((u32::from(who), text as u64))),
+            _ => Err(WireError::BadTag(3)),
+        };
+        match expect {
+            Ok(cursor) => {
+                let msg = EditorMsg::ServerOp(ServerOpMsg {
+                    stamp: CompressedStamp::new(1, 0),
+                    op: op.clone(),
+                    cursor,
+                });
+                prop_assert_eq!(EditorMsg::decode(&mut &bytes[..]), Ok(msg.clone()));
+                let mut again = Vec::new();
+                msg.encode(&mut again);
+                prop_assert_eq!(EditorMsg::decode(&mut &again[..]), Ok(msg.clone()));
+                prop_assert!(again.len() <= bytes.len(), "a caret at the edit end drops its position");
+                let bare = EditorMsg::ServerOp(ServerOpMsg {
+                    stamp: CompressedStamp::new(1, 0),
+                    op,
+                    cursor: None,
+                });
+                prop_assert_eq!(bare.wire_bytes(), 4 + width + text);
+            }
+            Err(e) => prop_assert_eq!(must_reject(&bytes), e),
+        }
+        if comp_kind != 1 {
+            prop_assert_eq!(
+                must_reject(&op_frame(fold(1, 0), fold(MAX_WIRE_SPAN + 1, comp_kind), 0, &[])),
+                WireError::HostileLength(MAX_WIRE_SPAN + 1)
+            );
+        }
+        prop_assert_eq!(
+            must_reject(&op_frame(fold(1, 0), fold(span, 3), 0, &[])),
+            WireError::BadTag(3)
+        );
+        let rest = (width + text + payload.len()) as u64;
+        prop_assert_eq!(
+            must_reject(&op_frame(fold(rest + 1, caret_kind % 3), fold(span, comp_kind), text, payload)),
+            WireError::Truncated
+        );
+    }
+}
+
+/// `[TAG_SERVER_OP, 1, 0]` (stamp `(1, 0)`), the count varint, one
+/// component varint, `text` bytes of insert, then `payload`.
+fn op_frame(count: u64, comp: u64, text: usize, payload: &[u8]) -> Vec<u8> {
+    let mut b = vec![2u8, 1, 0];
+    put_varint(&mut b, count);
+    put_varint(&mut b, comp);
+    b.resize(b.len() + text, b'x');
+    b.extend_from_slice(payload);
+    b
 }

@@ -38,7 +38,8 @@ pub enum WireError {
     Overlong,
     /// A string payload was not valid UTF-8.
     BadUtf8,
-    /// An enum tag byte was not recognised.
+    /// An enum tag was not recognised: a tag byte, or the two kind bits
+    /// of a folded varint.
     BadTag(u8),
     /// A span, position, or count field claimed a value past the
     /// document-size cap ([`MAX_WIRE_SPAN`]) — carried verbatim so logs
@@ -154,7 +155,13 @@ pub fn get_bounded_len<B: Buf>(buf: &mut B, min_unit: usize) -> Result<usize, Wi
 /// span costs one varint no matter how far it reaches — so the bound is a
 /// document-size cap rather than a remaining-input check.
 pub fn get_bounded_span<B: Buf>(buf: &mut B) -> Result<usize, WireError> {
-    let n = get_varint(buf)?;
+    bounded_span(get_varint(buf)?)
+}
+
+/// A span or position already read off the wire (for example out of a
+/// varint that also carries a kind), held to [`MAX_WIRE_SPAN`] as
+/// [`get_bounded_span`] holds a whole varint.
+pub fn bounded_span(n: u64) -> Result<usize, WireError> {
     if n > MAX_WIRE_SPAN {
         return Err(WireError::HostileLength(n));
     }
@@ -176,8 +183,18 @@ pub fn put_string<B: BufMut>(buf: &mut B, s: &str) {
 /// remaining input in the `u64` domain before any cast, so hostile 64-bit
 /// lengths neither allocate nor truncate.
 pub fn get_string<B: Buf>(buf: &mut B) -> Result<String, WireError> {
-    let len = get_bounded_len(buf, 1)?;
-    let mut bytes = vec![0u8; len];
+    let len = get_varint(buf)?;
+    get_utf8(buf, len)
+}
+
+/// Read `len` bytes of UTF-8 whose length was already read off the wire.
+/// A `len` past the remaining input is [`WireError::Truncated`], checked
+/// in the `u64` domain before any allocation.
+pub fn get_utf8<B: Buf>(buf: &mut B, len: u64) -> Result<String, WireError> {
+    if len > buf.remaining() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let mut bytes = vec![0u8; len as usize];
     buf.copy_to_slice(&mut bytes);
     String::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
 }

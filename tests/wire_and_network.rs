@@ -33,6 +33,12 @@ fn arb_seq_op() -> impl Strategy<Value = SeqOp> {
     })
 }
 
+/// A caret on `op`'s post-state (`0..=target_len`, the only carets that
+/// decode), drawn from `draw`.
+fn on_post_state(op: &SeqOp, draw: u32) -> u64 {
+    u64::from(draw) % (op.target_len() as u64 + 1)
+}
+
 fn arb_msg() -> impl Strategy<Value = EditorMsg> {
     prop_oneof![
         (
@@ -46,8 +52,8 @@ fn arb_msg() -> impl Strategy<Value = EditorMsg> {
                 EditorMsg::ClientOp(ClientOpMsg {
                     origin: SiteId(site),
                     stamp: CompressedStamp::new(u64::from(t1), u64::from(t2)),
+                    cursor: cursor.map(|c| on_post_state(&op, c)),
                     op,
-                    cursor: cursor.map(u64::from),
                 })
             }),
         (
@@ -59,8 +65,8 @@ fn arb_msg() -> impl Strategy<Value = EditorMsg> {
             .prop_map(|(t1, t2, op, cursor)| {
                 EditorMsg::ServerOp(ServerOpMsg {
                     stamp: CompressedStamp::new(u64::from(t1), u64::from(t2)),
+                    cursor: cursor.map(|(s, c)| (s, on_post_state(&op, c))),
                     op,
-                    cursor: cursor.map(|(s, c)| (s, u64::from(c))),
                 })
             }),
         (
