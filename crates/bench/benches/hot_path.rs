@@ -15,7 +15,9 @@
 //!   op to a large compound frame;
 //! * **quiet replica** — a site that never edits receiving broadcasts:
 //!   decode, execute and `gc`, per message, over many interleaved
-//!   replicas.
+//!   replicas;
+//! * **compound write** — the write side of the same broadcasts: four
+//!   encode-once payloads and an ack re-headed into one compound frame.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use cvc_core::site::SiteId;
@@ -26,7 +28,10 @@ use cvc_ot::seq::SeqOp;
 use cvc_ot::stack::OpStack;
 use cvc_reduce::client::{Client, ACK_INTERVAL, MAX_UNDO_DEPTH};
 use cvc_reduce::frame::frame_checksum;
-use cvc_reduce::msg::{decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, ServerOpMsg};
+use cvc_reduce::msg::{
+    decode_payload, write_compound, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
+    ServerOpFrame, ServerOpMsg,
+};
 use cvc_reduce::notifier::Notifier;
 use cvc_sim::wire::WireEncode;
 
@@ -358,6 +363,40 @@ fn bench_quiet_replica(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a socket worker pays per compound on `fanout_n64`'s write path:
+/// four readers' split broadcasts (a shared body behind a per-destination
+/// head) and a writer's `ServerAck`, re-headed into one compound frame by
+/// `write_compound`. One sample writes 1 024 frames into a reused buffer.
+fn bench_compound_write(c: &mut Criterion) {
+    const FRAMES: usize = 1_024;
+    let mut len = 4_096;
+    let mut payloads: Vec<Payload> = (1..=4u32)
+        .map(|w| {
+            let pos = w as usize * 800;
+            let op = SeqOp::from_pos(&PosOp::insert(pos, "y"), len);
+            len = op.target_len();
+            ServerOpFrame::new(&op, &Some((w, pos as u64 + 1)))
+                .payload_for(CompressedStamp::new(u64::from(w) + 300, 0))
+        })
+        .collect();
+    payloads.push(Payload::encode(&EditorMsg::ServerAck(ServerAckMsg {
+        acked: 77,
+    })));
+    let mut g = c.benchmark_group("compound_write");
+    g.throughput(Throughput::Elements(FRAMES as u64));
+    let mut buf = Vec::new();
+    g.bench_function("rehead_4_reads_1_ack", |b| {
+        b.iter(|| {
+            for _ in 0..FRAMES {
+                buf.clear();
+                write_compound(std::hint::black_box(&payloads).iter(), &mut buf);
+            }
+            buf.len()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_stamp_layer,
@@ -365,6 +404,7 @@ criterion_group!(
     bench_undo_stack_sweep,
     bench_notifier_layer,
     bench_checksum_layer,
-    bench_quiet_replica
+    bench_quiet_replica,
+    bench_compound_write
 );
 criterion_main!(benches);

@@ -66,7 +66,9 @@ use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
 use cvc_reduce::hub::{Hub, Step};
-use cvc_reduce::msg::{decode_payload, frame_groups, ClientOpMsg, EditorMsg, Payload};
+use cvc_reduce::msg::{
+    decode_payload, frame_groups, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
+};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_reduce::registry::MetricsRegistry;
@@ -974,10 +976,19 @@ impl<'a> Core<'a> {
             // Refused input, a trimmed rebind or an evicted site: the
             // connection speaks for nobody from here on. A trimmed rebind
             // (a stale backup's frontier) needs a snapshot this tier cannot
-            // send yet, so it is also counted.
+            // send yet, so it is counted, and answered as on the simulator
+            // tier with its integrated count — where its re-sends start.
             shed if shed.sheds() => {
-                if let Step::Trimmed(_) = shed {
+                if let Step::Trimmed(site) = shed {
                     self.dropped_broadcasts += 1;
+                    let acked = self.hub.notifier().state_vector().received_from(site);
+                    let ack = ServerAckMsg {
+                        acked: acked.unwrap_or(0),
+                    };
+                    self.outgoing[key.0].push(OutCmd::Frame {
+                        conn: key.1,
+                        payload: Payload::encode(&EditorMsg::ServerAck(ack)),
+                    });
                 }
                 self.hub.unbind(key);
                 self.stats.evicted.fetch_add(1, Ordering::Relaxed);

@@ -14,7 +14,7 @@ use cvc_core::state_vector::CompressedStamp;
 use cvc_net::{replay_twin, run_load, AdminClient, EditorServer, LoadConfig, ServerConfig};
 use cvc_reduce::client::{Client, ACK_INTERVAL};
 use cvc_reduce::frame::{write_frame, FrameReader};
-use cvc_reduce::msg::{ClientAckMsg, EditorMsg, ServerOpMsg};
+use cvc_reduce::msg::{ClientAckMsg, EditorMsg, ServerAckMsg, ServerOpMsg};
 use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -96,6 +96,16 @@ impl TestPeer {
                 other => panic!("unexpected downstream message: {other:?}"),
             }
         }
+    }
+
+    /// Block until the server closes this connection, demanding that no
+    /// byte and no message arrives before the close.
+    fn expect_eof(mut self) {
+        assert!(self.unpacked.is_empty(), "{:?}", self.unpacked);
+        assert_eq!(self.reader.buffered(), 0, "bytes before the close");
+        let mut chunk = [0u8; 64];
+        let n = self.stream.read(&mut chunk).expect("a clean close");
+        assert_eq!(n, 0, "bytes before the close: {:?}", &chunk[..n]);
     }
 
     /// Block until the server closes this connection (an eviction).
@@ -423,8 +433,15 @@ fn rebind_below_a_trimmed_prefix_is_shed_and_counted() {
     drop(peer2);
     barrier(&addr);
 
-    // The stale rebind costs its connection and nothing else.
-    TestPeer::bind(&addr, site2).wait_closed();
+    // The stale rebind costs its connection and nothing else. Its answer
+    // is its integrated count alone (site 2 sent no ops), then EOF.
+    let mut stale = TestPeer::bind(&addr, site2);
+    assert_eq!(
+        stale.recv(),
+        EditorMsg::ServerAck(ServerAckMsg { acked: 0 }),
+        "the trimmed hello's answer"
+    );
+    stale.expect_eof();
     peer1.send(&EditorMsg::ClientOp(editor1.insert(1, "b")));
     let acks: Vec<EditorMsg> = (0..2).map(|_| peer1.recv()).collect();
     assert!(

@@ -1,4 +1,4 @@
-//! The one frame codec: `[len varint][checksum varint][payload bytes]`.
+//! The one frame codec: `[len varint][checksum u32 LE][payload bytes]`.
 //!
 //! The TCP stream, the write-ahead log ([`crate::wal`]) and the relay
 //! bus's checksum all go through this module, so "this record arrived
@@ -9,17 +9,22 @@
 //! whole document) and decides there which errors are a torn tail.
 //!
 //! The hostile shapes are the wire-codec battery's: **partial frames**
-//! and **torn varints** are "need more" (a varint never past 10 bytes),
-//! and a **hostile length** is rejected against the cap in the `u64`
-//! domain before any buffering commitment, so a 32-bit `usize` can never
-//! truncate it into a plausible value. On TCP the checksum is not
-//! defending against reordering; it catches a peer speaking a subtly
+//! and **torn varints** are "need more" (a length varint never past 10
+//! bytes), and a **hostile length** is rejected against the cap in the
+//! `u64` domain before any buffering commitment, so a 32-bit `usize` can
+//! never truncate it into a plausible value. The checksum is four fixed
+//! bytes: a frame's length does not depend on its payload's hash, and no
+//! header can claim a checksum wider than 32 bits. On TCP the checksum is
+//! not defending against reordering; it catches a peer speaking a subtly
 //! different framing, where a desynchronized length field would let
 //! garbage parse as a plausible message.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use cvc_sim::wire::{put_varint, try_varint, varint_len};
+
+/// Bytes of the frame header's checksum, after the length varint.
+const CHECKSUM_BYTES: usize = 4;
 
 /// Hard cap on one socket frame's payload bytes. A single editor message
 /// is tens of bytes and a maximal compound batch a few KiB; a megabyte of
@@ -32,8 +37,8 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 pub enum FrameError {
     /// The length prefix claimed more than the caller's cap.
     Oversized(u64),
-    /// A length or checksum varint ran past 10 bytes, ended in a value no
-    /// `u64` holds, or (the checksum) was wider than 32 bits.
+    /// The length varint ran past 10 bytes or ended in a value no `u64`
+    /// holds.
     TornVarint,
     /// The payload did not hash to the frame's checksum.
     BadChecksum {
@@ -162,10 +167,11 @@ pub fn frame_checksum(parts: &[&[u8]]) -> u32 {
     h.finish()
 }
 
-/// Bytes a frame wrapping `payload_len` payload bytes occupies, given the
-/// payload's checksum.
-pub fn framed_len(payload_len: usize, checksum: u32) -> usize {
-    varint_len(payload_len as u64) + varint_len(u64::from(checksum)) + payload_len
+/// Bytes a frame wrapping `payload_len` payload bytes occupies. The
+/// checksum is four fixed bytes, so its value does not change the length;
+/// the parameter keeps the callers' signature.
+pub fn framed_len(payload_len: usize, _checksum: u32) -> usize {
+    varint_len(payload_len as u64) + CHECKSUM_BYTES + payload_len
 }
 
 /// Append one frame wrapping the concatenation of `chunks` to `out`.
@@ -177,16 +183,10 @@ pub fn write_frame(out: &mut Vec<u8>, chunks: &[&[u8]]) {
     let sum = frame_checksum(chunks);
     out.reserve(framed_len(len, sum));
     put_varint(out, len as u64);
-    put_varint(out, u64::from(sum));
+    out.extend_from_slice(&sum.to_le_bytes());
     for c in chunks {
         out.extend_from_slice(c);
     }
-}
-
-/// A header varint: torn is "need more", and a value no `u64` holds is
-/// fatal for the framing.
-fn header_varint(bytes: &[u8]) -> Result<Option<(u64, usize)>, FrameError> {
-    try_varint(bytes).map_err(|_| FrameError::TornVarint)
 }
 
 /// Split one frame off the front of `bytes`, claiming at most `cap`
@@ -196,11 +196,12 @@ fn header_varint(bytes: &[u8]) -> Result<Option<(u64, usize)>, FrameError> {
 /// verified, and the bytes it occupied. `Ok(None)` — the bytes end inside
 /// the frame; more may complete it. `Err` — no continuation can make the
 /// front of `bytes` a frame: a claim past `cap` (checked the moment the
-/// length varint completes, before the checksum), a malformed header
+/// length varint completes, before the checksum), a malformed length
 /// varint, or a complete payload that fails its checksum (the error still
 /// says how long the frame was).
 pub fn split_frame(bytes: &[u8], cap: usize) -> Result<Option<(&[u8], usize)>, FrameError> {
-    let Some((len, n_len)) = header_varint(bytes)? else {
+    // Torn is "need more"; a value no `u64` holds is fatal.
+    let Some((len, n_len)) = try_varint(bytes).map_err(|_| FrameError::TornVarint)? else {
         return Ok(None);
     };
     // Compared in u64, so a 2^32-straddling claim cannot wrap into
@@ -208,12 +209,11 @@ pub fn split_frame(bytes: &[u8], cap: usize) -> Result<Option<(&[u8], usize)>, F
     if len > cap as u64 {
         return Err(FrameError::Oversized(len));
     }
-    let Some((sum, n_sum)) = header_varint(&bytes[n_len..])? else {
+    let header = n_len + CHECKSUM_BYTES;
+    let Some(&[a, b, c, d]) = bytes.get(n_len..header) else {
         return Ok(None);
     };
-    // A checksum wider than 32 bits is a desynchronized stream.
-    let claimed = u32::try_from(sum).map_err(|_| FrameError::TornVarint)?;
-    let header = n_len + n_sum;
+    let claimed = u32::from_le_bytes([a, b, c, d]);
     // `len <= cap`, so the cast is exact; a sum past `usize` is a frame
     // no slice holds, which `get` reports as "need more".
     let framed = header.saturating_add(len as usize);

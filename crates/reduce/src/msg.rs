@@ -8,7 +8,8 @@
 //!   2-element stamp back down. *No message in the paper's deployment ever
 //!   carries more than two timestamp integers* — that is the claim under
 //!   test. Inside a compound frame the two integers travel as deltas from
-//!   the previous op of the same kind ([`write_compound`]).
+//!   the previous op of the same kind, in the member's head
+//!   ([`write_compound`]).
 //! * **Mesh / full vector** (classic REDUCE baseline): [`MeshOpMsg`]
 //!   carries an `N`-element vector.
 //! * **Relay star** (ablation E9: star topology *without* the transforming
@@ -24,10 +25,18 @@
 //! kind`, each component is one varint `n << 2 | kind` (an insert's UTF-8
 //! bytes follow its length), and after the components come only the
 //! caret's owner (a `ServerOp`'s) and, for a caret away from the edit
-//! end, its position. A one-character broadcast inside a compound frame
-//! is 11 bytes: tag 1, stamp deltas 2, op 7, caret owner 1. Kind 3 is
-//! [`WireError::BadTag`], and a caret past its op's post-state is
-//! [`WireError::HostileLength`], so no replica ever receives one.
+//! end, its position. Kind 3 is [`WireError::BadTag`], and a caret past
+//! its op's post-state is [`WireError::HostileLength`], so no replica ever
+//! receives one.
+//!
+//! A lone message opens with its tag byte. A compound member opens with
+//! one head varint instead, its kind in the low two bits: a `ServerOp`
+//! (0) carries `T[1] delta << 3 | (T[2] delta ≠ 0) << 2` and the flagged
+//! `T[2]` delta follows; a `ClientOp` (1) is the mirror image, then its
+//! origin; a `ServerAck` (2) is `acked << 2`; kind 3 is exactly the byte
+//! `3` before any other message's tagged encoding, or an op whose delta
+//! does not fit the head. A one-character broadcast inside a compound
+//! frame is 9 bytes: head 1, op 7, caret owner 1.
 
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
@@ -62,6 +71,12 @@ const CURSOR_AT_EDIT_END: u64 = 2;
 const COMP_RETAIN: u64 = 0;
 const COMP_INSERT: u64 = 1;
 const COMP_DELETE: u64 = 2;
+
+/// Compound member kinds, the low two bits of a member's head varint.
+const MEMBER_SERVER_OP: u64 = 0;
+const MEMBER_CLIENT_OP: u64 = 1;
+const MEMBER_SERVER_ACK: u64 = 2;
+const MEMBER_TAGGED: u8 = 3;
 
 const TTF_INSERT: u8 = 0;
 const TTF_DELETE: u8 = 1;
@@ -201,13 +216,7 @@ impl EditorMsg {
             EditorMsg::RelayAck(m) => varint_len(m.received),
             EditorMsg::Compound(ms) => {
                 let mut ctx = Deltas::default();
-                ms.iter()
-                    .map(|m| match m {
-                        EditorMsg::ClientOp(c) => stamp_wire_len(delta(&mut ctx.client, c.stamp)),
-                        EditorMsg::ServerOp(s) => stamp_wire_len(delta(&mut ctx.server, s.stamp)),
-                        m => m.stamp_bytes(),
-                    })
-                    .sum()
+                ms.iter().map(|m| m.member_stamp_bytes(&mut ctx)).sum()
             }
         }
     }
@@ -378,17 +387,18 @@ pub fn frame_groups<E>(
 }
 
 /// Append `payloads` to `buf` as one compound frame: `[TAG_COMPOUND][count
-/// varint]`, then each payload's message. This is how every transport
-/// coalesces several queued editor messages into one frame
-/// ([`frame_groups`]), and it writes
-/// the bytes [`EditorMsg::Compound`] of the same messages encodes to, so
-/// [`decode_payload`] reads both identically.
+/// varint]`, then each payload's message as a member. This is how every
+/// transport coalesces several queued editor messages into one frame
+/// ([`frame_groups`]), and it writes the bytes [`EditorMsg::Compound`] of
+/// the same messages encodes to, so [`decode_payload`] reads both
+/// identically.
 ///
 /// Each payload is one encoded message, split by
 /// [`ServerOpFrame::payload_for`] or whole from [`Payload::encode`]. An
-/// op's head is re-written with its stamp as a delta from the previous op
-/// of its kind in the frame; the bytes after the stamp, the shared body,
-/// are copied as they are.
+/// op's or a `ServerAck`'s tag and stamp are re-written as its member
+/// head, the stamp a delta from the previous op of its kind in the frame;
+/// the bytes after the stamp, the shared body, are copied as they are.
+/// Any other payload is copied whole behind the kind-3 byte.
 pub fn write_compound<'a, B: BufMut>(
     payloads: impl ExactSizeIterator<Item = &'a Payload>,
     buf: &mut B,
@@ -412,57 +422,55 @@ fn put_compound<'a, T: 'a, B: BufMut>(
 }
 
 /// The stamp context of one compound frame: the last `ServerOp` and the
-/// last `ClientOp` stamp in it. Each op's stamp travels as wrapping deltas
-/// `(T[1] − prev T[1], T[2] − prev T[2])` from the previous op of its kind,
-/// so consecutive broadcasts to one site cost a 1-byte `T[1]`. Both start
-/// at zero: the first op of each kind, and every message outside a
-/// compound, carries its absolute stamp. A context never outlives its
-/// frame, so every frame decodes alone.
+/// last `ClientOp` stamp in it, indexed by "is a `ClientOp`". Each op's
+/// stamp travels as wrapping deltas `(T[1] − prev T[1], T[2] − prev T[2])`
+/// from the previous op of its kind, so consecutive broadcasts to one site
+/// cost a 1-byte head. Both start
+/// at zero: the first op of each kind carries its absolute stamp. A
+/// context never outlives its frame, so every frame decodes alone.
 ///
 /// The decoder adds the deltas back and hands the replicas absolute
 /// stamps; `T[1]` is read, never implied from its predecessor, so a
 /// duplicated, skipped or reordered broadcast still reaches the FIFO
 /// check with the value it was sent with.
 #[derive(Debug, Clone, Copy, Default)]
-struct Deltas {
-    server: (u64, u64),
-    client: (u64, u64),
-}
-
-/// `s` as a delta from `*prev`, which becomes `s`.
-fn delta(prev: &mut (u64, u64), s: CompressedStamp) -> CompressedStamp {
-    let d = CompressedStamp::new(s.t1.wrapping_sub(prev.0), s.t2.wrapping_sub(prev.1));
-    *prev = s.as_pair();
-    d
-}
-
-/// The stamp the delta `d` from `*prev` stands for, which `*prev` becomes.
-fn undelta(prev: &mut (u64, u64), d: CompressedStamp) -> CompressedStamp {
-    *prev = (prev.0.wrapping_add(d.t1), prev.1.wrapping_add(d.t2));
-    CompressedStamp::new(prev.0, prev.1)
-}
+struct Deltas([(u64, u64); 2]);
 
 impl Deltas {
-    /// Write the encoded message `p` with its stamp, if it is an op, as a
-    /// delta. A payload that is not an op, or whose head does not parse,
-    /// is copied as it is.
+    /// `s`, a `ClientOp`'s stamp when `client`, as a delta from the
+    /// previous op of its kind; `s` becomes the previous.
+    fn delta(&mut self, client: bool, s: CompressedStamp) -> CompressedStamp {
+        let prev = &mut self.0[usize::from(client)];
+        let d = CompressedStamp::new(s.t1.wrapping_sub(prev.0), s.t2.wrapping_sub(prev.1));
+        *prev = s.as_pair();
+        d
+    }
+
+    /// The stamp the delta `d` stands for, which becomes the previous.
+    fn undelta(&mut self, client: bool, d: CompressedStamp) -> CompressedStamp {
+        let prev = &mut self.0[usize::from(client)];
+        *prev = (prev.0.wrapping_add(d.t1), prev.1.wrapping_add(d.t2));
+        CompressedStamp::new(prev.0, prev.1)
+    }
+
+    /// Write the encoded message `p` as a member: an op or a `ServerAck`
+    /// re-headed, anything else (or a payload whose front does not parse)
+    /// whole behind the kind-3 byte.
     fn rehead<B: BufMut>(&mut self, p: &Payload, buf: &mut B) {
         let mut rd = p.head.as_slice().chain(&p.body[..]);
         let total = rd.remaining();
-        let Some((tag, origin, stamp)) = read_op_head(&mut rd) else {
-            p.write_to(buf);
-            return;
-        };
-        let read = total - rd.remaining();
-        buf.put_u8(tag);
-        let prev = match origin {
-            Some(origin) => {
-                put_varint(buf, u64::from(origin));
-                &mut self.client
+        match read_lead(&mut rd) {
+            Some(Lead::Op(origin, s)) => {
+                put_op_member_head(buf, origin, self.delta(origin.is_some(), s));
             }
-            None => &mut self.server,
-        };
-        put_stamp(buf, delta(prev, stamp));
+            Some(Lead::Ack(head)) => put_varint(buf, head),
+            None => {
+                buf.put_u8(MEMBER_TAGGED);
+                p.write_to(buf);
+                return;
+            }
+        }
+        let read = total - rd.remaining();
         // The rest of the logical bytes: what is left of the head (none,
         // for a split payload), then the body past what was read of it.
         if let Some(head_rest) = p.head.get(read..) {
@@ -474,19 +482,92 @@ impl Deltas {
     }
 }
 
-/// The tag, origin (a `ClientOp`'s; `None` for a `ServerOp`) and absolute
-/// stamp at the front of an encoded op; `None` for any other message.
-fn read_op_head<B: Buf>(buf: &mut B) -> Option<(u8, Option<u32>, CompressedStamp)> {
+/// What a member re-heads from the front of an encoded message: an op's
+/// origin (a `ClientOp`'s) and absolute stamp, or a `ServerAck`'s head.
+enum Lead {
+    Op(Option<u32>, CompressedStamp),
+    Ack(u64),
+}
+
+/// The [`Lead`] at the front of an encoded message; `None` for a message
+/// that travels tagged.
+fn read_lead<B: Buf>(buf: &mut B) -> Option<Lead> {
     if !buf.has_remaining() {
         return None;
     }
     match buf.get_u8() {
-        TAG_SERVER_OP => Some((TAG_SERVER_OP, None, get_stamp(buf).ok()?)),
+        TAG_SERVER_OP => Some(Lead::Op(None, get_stamp(buf).ok()?)),
         TAG_CLIENT_OP => {
             let origin = get_u32(buf).ok()?;
-            Some((TAG_CLIENT_OP, Some(origin), get_stamp(buf).ok()?))
+            Some(Lead::Op(Some(origin), get_stamp(buf).ok()?))
+        }
+        TAG_SERVER_ACK => {
+            let acked = get_varint(buf).ok()?;
+            EditorMsg::ServerAck(ServerAckMsg { acked })
+                .ack_head()
+                .map(Lead::Ack)
         }
         _ => None,
+    }
+}
+
+/// The head varint of an op member (a `ClientOp` when `client`) whose
+/// stamp delta is `d`, and the delta the head flags (0: none follows).
+/// The lead delta — a `ServerOp`'s `T[1]`, a `ClientOp`'s `T[2]` — sits
+/// above the flag and kind bits; `None` when it does not fit there, and
+/// the member goes tagged.
+fn op_head(client: bool, d: CompressedStamp) -> Option<(u64, u64)> {
+    let (kind, lead, flagged) = if client {
+        (MEMBER_CLIENT_OP, d.t2, d.t1)
+    } else {
+        (MEMBER_SERVER_OP, d.t1, d.t2)
+    };
+    (lead < 1 << 61).then_some((lead << 3 | u64::from(flagged != 0) << 2 | kind, flagged))
+}
+
+/// Stamp bytes of an op member: its head and flagged delta, or a tagged
+/// member's delta stamp.
+fn op_member_stamp_len(client: bool, d: CompressedStamp) -> usize {
+    match op_head(client, d) {
+        Some((head, 0)) => varint_len(head),
+        Some((head, flagged)) => varint_len(head) + varint_len(flagged),
+        None => stamp_wire_len(d),
+    }
+}
+
+/// Bytes of an op member before its op: what [`put_op_member_head`]
+/// writes.
+fn op_member_head_len(origin: Option<u32>, d: CompressedStamp) -> usize {
+    let client = origin.is_some();
+    let tag = op_head(client, d).map_or(2, |_| 0);
+    tag + op_member_stamp_len(client, d) + origin.map_or(0, |o| varint_len(u64::from(o)))
+}
+
+/// Write an op member up to its op: the head, the flagged delta and a
+/// `ClientOp`'s origin; for a delta the head cannot hold, the kind-3 byte
+/// and the tagged encoding's tag, origin and (delta) stamp.
+fn put_op_member_head<B: BufMut>(buf: &mut B, origin: Option<u32>, d: CompressedStamp) {
+    match op_head(origin.is_some(), d) {
+        Some((head, flagged)) => {
+            put_varint(buf, head);
+            if flagged != 0 {
+                put_varint(buf, flagged);
+            }
+            if let Some(o) = origin {
+                put_varint(buf, u64::from(o));
+            }
+        }
+        None => {
+            buf.put_u8(MEMBER_TAGGED);
+            match origin {
+                Some(o) => {
+                    buf.put_u8(TAG_CLIENT_OP);
+                    put_varint(buf, u64::from(o));
+                }
+                None => buf.put_u8(TAG_SERVER_OP),
+            }
+            put_stamp(buf, d);
+        }
     }
 }
 
@@ -675,35 +756,47 @@ fn get_server_op_body<B: Buf>(buf: &mut B) -> Result<(SeqOp, Option<(u32, u64)>)
     Ok((op, cursor))
 }
 
-/// Encoded size of a [`ClientOpMsg`] after its tag, its stamp a delta
-/// from `*prev` (which becomes the stamp). The WAL's op record and the
-/// upstream message share these three: the log format is the wire format.
-pub(crate) fn client_op_len(m: &ClientOpMsg, prev: &mut (u64, u64)) -> usize {
-    let (kind, pos) = caret_kind(&m.op, m.cursor);
-    varint_len(u64::from(m.origin.0))
-        + stamp_wire_len(delta(prev, m.stamp))
-        + seq_op_wire_len(&m.op, kind)
-        + pos.map_or(0, varint_len)
+/// Encoded size of a [`ClientOpMsg`] after its tag. The WAL's op record
+/// and the upstream message share these three: the log format is the wire
+/// format.
+pub(crate) fn client_op_len(m: &ClientOpMsg) -> usize {
+    varint_len(u64::from(m.origin.0)) + stamp_wire_len(m.stamp) + client_op_body_len(m)
 }
 
-/// Write a [`ClientOpMsg`] after its tag, its stamp a delta from `*prev`.
-pub(crate) fn put_client_op<B: BufMut>(buf: &mut B, m: &ClientOpMsg, prev: &mut (u64, u64)) {
-    let (kind, pos) = caret_kind(&m.op, m.cursor);
+/// Write a [`ClientOpMsg`] after its tag.
+pub(crate) fn put_client_op<B: BufMut>(buf: &mut B, m: &ClientOpMsg) {
     put_varint(buf, u64::from(m.origin.0));
-    put_stamp(buf, delta(prev, m.stamp));
+    put_stamp(buf, m.stamp);
+    put_client_op_body(buf, m);
+}
+
+/// Read a [`ClientOpMsg`] after its tag.
+pub(crate) fn get_client_op<B: Buf>(buf: &mut B) -> Result<ClientOpMsg, WireError> {
+    let origin = SiteId(get_u32(buf)?);
+    let stamp = get_stamp(buf)?;
+    get_client_op_body(buf, origin, stamp)
+}
+
+/// Encoded size of a [`ClientOpMsg`] body: its op and caret, after the
+/// origin and stamp (or a member's head and origin).
+fn client_op_body_len(m: &ClientOpMsg) -> usize {
+    let (kind, pos) = caret_kind(&m.op, m.cursor);
+    seq_op_wire_len(&m.op, kind) + pos.map_or(0, varint_len)
+}
+
+fn put_client_op_body<B: BufMut>(buf: &mut B, m: &ClientOpMsg) {
+    let (kind, pos) = caret_kind(&m.op, m.cursor);
     put_seq_op(buf, &m.op, kind);
     if let Some(pos) = pos {
         put_varint(buf, pos);
     }
 }
 
-/// Read a [`ClientOpMsg`] after its tag, its stamp a delta from `*prev`.
-pub(crate) fn get_client_op<B: Buf>(
+fn get_client_op_body<B: Buf>(
     buf: &mut B,
-    prev: &mut (u64, u64),
+    origin: SiteId,
+    stamp: CompressedStamp,
 ) -> Result<ClientOpMsg, WireError> {
-    let origin = SiteId(get_u32(buf)?);
-    let stamp = undelta(prev, get_stamp(buf)?);
     let (op, kind) = get_seq_op(buf)?;
     let cursor = get_caret(buf, &op, kind)?;
     Ok(ClientOpMsg {
@@ -761,24 +854,10 @@ fn get_ttf_op<B: Buf>(buf: &mut B) -> Result<TtfOp, WireError> {
 
 impl WireSize for EditorMsg {
     fn wire_bytes(&self) -> usize {
-        self.len_in(&mut Deltas::default())
-    }
-}
-
-impl WireEncode for EditorMsg {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.put_in(buf, &mut Deltas::default());
-    }
-}
-
-impl EditorMsg {
-    /// Encoded size, an op's stamp a delta in `ctx`.
-    fn len_in(&self, ctx: &mut Deltas) -> usize {
         1 + match self {
-            EditorMsg::ClientOp(m) => client_op_len(m, &mut ctx.client),
+            EditorMsg::ClientOp(m) => client_op_len(m),
             EditorMsg::ServerOp(m) => {
-                stamp_wire_len(delta(&mut ctx.server, m.stamp))
-                    + server_op_body_len(&m.op, &m.cursor)
+                stamp_wire_len(m.stamp) + server_op_body_len(&m.op, &m.cursor)
             }
             EditorMsg::MeshOp(m) => {
                 varint_len(u64::from(m.origin.0))
@@ -799,22 +878,24 @@ impl EditorMsg {
                 varint_len(u64::from(m.origin_shard)) + varint_len(m.received)
             }
             EditorMsg::Compound(ms) => {
-                let mut sub = Deltas::default();
-                varint_len(ms.len() as u64) + ms.iter().map(|m| m.len_in(&mut sub)).sum::<usize>()
+                let mut ctx = Deltas::default();
+                varint_len(ms.len() as u64)
+                    + ms.iter().map(|m| m.member_len(&mut ctx)).sum::<usize>()
             }
         }
     }
+}
 
-    /// Encode, an op's stamp a delta in `ctx`.
-    fn put_in<B: BufMut>(&self, buf: &mut B, ctx: &mut Deltas) {
+impl WireEncode for EditorMsg {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             EditorMsg::ClientOp(m) => {
                 buf.put_u8(TAG_CLIENT_OP);
-                put_client_op(buf, m, &mut ctx.client);
+                put_client_op(buf, m);
             }
             EditorMsg::ServerOp(m) => {
                 buf.put_u8(TAG_SERVER_OP);
-                put_stamp(buf, delta(&mut ctx.server, m.stamp));
+                put_stamp(buf, m.stamp);
                 put_server_op_body(buf, &m.op, &m.cursor);
             }
             EditorMsg::MeshOp(m) => {
@@ -851,26 +932,126 @@ impl EditorMsg {
                     ms.iter().all(|m| !matches!(m, EditorMsg::Compound(_))),
                     "compound frames never nest"
                 );
-                put_compound(ms.iter(), buf, |m, buf, ctx| m.put_in(buf, ctx));
+                put_compound(ms.iter(), buf, |m, buf, ctx| m.put_member(buf, ctx));
             }
         }
     }
+}
 
-    /// Decode one message, an op's stamp a delta in `ctx`.
-    /// `allow_compound` is false for the sub-messages of a compound frame,
-    /// so nesting is rejected as a bad tag rather than recursed into.
-    fn decode_in<B: Buf>(
-        buf: &mut B,
-        ctx: &mut Deltas,
-        allow_compound: bool,
-    ) -> Result<Self, WireError> {
+impl EditorMsg {
+    /// Stamp bytes of this message as a compound member: an op's head and
+    /// flagged delta, a `ServerAck`'s head, or a tagged member's stamp.
+    fn member_stamp_bytes(&self, ctx: &mut Deltas) -> usize {
+        match self {
+            EditorMsg::ServerOp(m) => op_member_stamp_len(false, ctx.delta(false, m.stamp)),
+            EditorMsg::ClientOp(m) => op_member_stamp_len(true, ctx.delta(true, m.stamp)),
+            m => m.ack_head().map_or_else(|| m.stamp_bytes(), varint_len),
+        }
+    }
+
+    /// The head varint of this message as a compound member when it is a
+    /// `ServerAck` small enough to shift under the kind bits.
+    fn ack_head(&self) -> Option<u64> {
+        match self {
+            EditorMsg::ServerAck(a) if a.acked < 1 << 62 => Some(a.acked << 2 | MEMBER_SERVER_ACK),
+            _ => None,
+        }
+    }
+
+    /// Encoded size as a compound member, an op's stamp a delta in `ctx`.
+    fn member_len(&self, ctx: &mut Deltas) -> usize {
+        match self {
+            EditorMsg::ServerOp(m) => {
+                op_member_head_len(None, ctx.delta(false, m.stamp))
+                    + server_op_body_len(&m.op, &m.cursor)
+            }
+            EditorMsg::ClientOp(m) => {
+                op_member_head_len(Some(m.origin.0), ctx.delta(true, m.stamp))
+                    + client_op_body_len(m)
+            }
+            m => m.ack_head().map_or_else(|| 1 + m.wire_bytes(), varint_len),
+        }
+    }
+
+    /// Encode as a compound member, an op's stamp a delta in `ctx`.
+    fn put_member<B: BufMut>(&self, buf: &mut B, ctx: &mut Deltas) {
+        match self {
+            EditorMsg::ServerOp(m) => {
+                put_op_member_head(buf, None, ctx.delta(false, m.stamp));
+                put_server_op_body(buf, &m.op, &m.cursor);
+            }
+            EditorMsg::ClientOp(m) => {
+                put_op_member_head(buf, Some(m.origin.0), ctx.delta(true, m.stamp));
+                put_client_op_body(buf, m);
+            }
+            m => match m.ack_head() {
+                Some(head) => put_varint(buf, head),
+                None => {
+                    buf.put_u8(MEMBER_TAGGED);
+                    m.encode(buf);
+                }
+            },
+        }
+    }
+
+    /// Decode one compound member, an op's stamp a delta in `ctx`. A set
+    /// flag over a zero delta is [`WireError::Overlong`], so each member
+    /// has one encoding; a kind-3 head with bits above the kind is
+    /// `BadTag(3)`; a tagged compound is `BadTag(TAG_COMPOUND)`, never a
+    /// recursion.
+    fn decode_member<B: Buf>(buf: &mut B, ctx: &mut Deltas) -> Result<Self, WireError> {
+        let head = get_varint(buf)?;
+        let client = match head & 3 {
+            MEMBER_SERVER_OP => false,
+            MEMBER_CLIENT_OP => true,
+            MEMBER_SERVER_ACK => {
+                return Ok(EditorMsg::ServerAck(ServerAckMsg { acked: head >> 2 }))
+            }
+            _ if head != u64::from(MEMBER_TAGGED) => return Err(WireError::BadTag(MEMBER_TAGGED)),
+            _ => {
+                return Ok(match EditorMsg::decode_in(buf, false)? {
+                    EditorMsg::ServerOp(mut m) => {
+                        m.stamp = ctx.undelta(false, m.stamp);
+                        EditorMsg::ServerOp(m)
+                    }
+                    EditorMsg::ClientOp(mut m) => {
+                        m.stamp = ctx.undelta(true, m.stamp);
+                        EditorMsg::ClientOp(m)
+                    }
+                    m => m,
+                })
+            }
+        };
+        let lead = head >> 3;
+        let flagged = match head & 4 {
+            0 => 0,
+            _ => match get_varint(buf)? {
+                0 => return Err(WireError::Overlong),
+                d => d,
+            },
+        };
+        if client {
+            let origin = SiteId(get_u32(buf)?);
+            let stamp = ctx.undelta(true, CompressedStamp::new(flagged, lead));
+            get_client_op_body(buf, origin, stamp).map(EditorMsg::ClientOp)
+        } else {
+            let stamp = ctx.undelta(false, CompressedStamp::new(lead, flagged));
+            let (op, cursor) = get_server_op_body(buf)?;
+            Ok(EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor }))
+        }
+    }
+
+    /// Decode one tagged message. `allow_compound` is false for a kind-3
+    /// compound member, so nesting is rejected as a bad tag rather than
+    /// recursed into.
+    fn decode_in<B: Buf>(buf: &mut B, allow_compound: bool) -> Result<Self, WireError> {
         if !buf.has_remaining() {
             return Err(WireError::Truncated);
         }
         match buf.get_u8() {
-            TAG_CLIENT_OP => Ok(EditorMsg::ClientOp(get_client_op(buf, &mut ctx.client)?)),
+            TAG_CLIENT_OP => Ok(EditorMsg::ClientOp(get_client_op(buf)?)),
             TAG_SERVER_OP => {
-                let stamp = undelta(&mut ctx.server, get_stamp(buf)?);
+                let stamp = get_stamp(buf)?;
                 let (op, cursor) = get_server_op_body(buf)?;
                 Ok(EditorMsg::ServerOp(ServerOpMsg { stamp, op, cursor }))
             }
@@ -904,16 +1085,16 @@ impl EditorMsg {
                 // An empty compound is never produced (the flush path only
                 // fires with pending frames) and a nested one is rejected
                 // below, so a hostile count cannot recurse or spin. Each
-                // sub-message costs ≥ 2 bytes (tag + one payload byte),
-                // bounding the allocation — checked in the u64 domain.
-                let count = get_bounded_len(buf, 2)?;
+                // member costs ≥ 1 byte (a `ServerAck` head), bounding the
+                // allocation — checked in the u64 domain.
+                let count = get_bounded_len(buf, 1)?;
                 if count == 0 {
                     return Err(WireError::BadTag(TAG_COMPOUND));
                 }
-                let mut sub = Deltas::default();
+                let mut ctx = Deltas::default();
                 let mut ms = Vec::with_capacity(count);
                 for _ in 0..count {
-                    ms.push(EditorMsg::decode_in(buf, &mut sub, false)?);
+                    ms.push(EditorMsg::decode_member(buf, &mut ctx)?);
                 }
                 Ok(EditorMsg::Compound(ms))
             }
@@ -924,7 +1105,7 @@ impl EditorMsg {
 
 impl WireDecode for EditorMsg {
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        EditorMsg::decode_in(buf, &mut Deltas::default(), true)
+        EditorMsg::decode_in(buf, true)
     }
 }
 
@@ -1196,9 +1377,10 @@ mod tests {
         // Empty compound: never produced, always rejected.
         let mut empty: &[u8] = &[6, 0];
         assert_eq!(EditorMsg::decode(&mut empty), Err(WireError::BadTag(6)));
-        // Nested compound: the inner tag is treated as unknown.
+        // Nested compound: a kind-3 member's inner tag is treated as
+        // unknown.
         let inner = EditorMsg::Compound(vec![EditorMsg::ServerAck(ServerAckMsg { acked: 1 })]);
-        let mut buf = vec![6u8, 1];
+        let mut buf = vec![6u8, 1, 3];
         inner.encode(&mut buf);
         let mut slice: &[u8] = &buf;
         assert_eq!(EditorMsg::decode(&mut slice), Err(WireError::BadTag(6)));

@@ -156,7 +156,7 @@ impl WalSnapshot {
 impl WireSize for WalRecord {
     fn wire_bytes(&self) -> usize {
         match self {
-            WalRecord::Op(m) => 1 + client_op_len(m, &mut (0, 0)),
+            WalRecord::Op(m) => 1 + client_op_len(m),
             WalRecord::Ack(m) => EditorMsg::ClientAck(*m).wire_bytes(),
             WalRecord::AckFrontier(f) => {
                 1 + varint_len(f.entries.len() as u64)
@@ -190,7 +190,7 @@ impl WireEncode for WalRecord {
             // field codec) — the log format *is* the wire format.
             WalRecord::Op(m) => {
                 buf.put_u8(TAG_CLIENT_OP);
-                put_client_op(buf, m, &mut (0, 0));
+                put_client_op(buf, m);
             }
             WalRecord::Ack(m) => EditorMsg::ClientAck(*m).encode(buf),
             WalRecord::AckFrontier(f) => {
@@ -228,7 +228,7 @@ impl WireDecode for WalRecord {
         match buf.get_u8() {
             // Same field layout as the EditorMsg decoder's ClientOp and
             // ClientAck arms — the log format is the wire format.
-            TAG_CLIENT_OP => Ok(WalRecord::Op(get_client_op(buf, &mut (0, 0))?)),
+            TAG_CLIENT_OP => Ok(WalRecord::Op(get_client_op(buf)?)),
             TAG_CLIENT_ACK => Ok(WalRecord::Ack(ClientAckMsg {
                 origin: SiteId(get_u32(buf)?),
                 received: get_varint(buf)?,
@@ -395,7 +395,7 @@ impl WalRecovery {
 /// Frame format, per record — [`crate::frame`]'s, byte for byte:
 ///
 /// ```text
-/// [record-len varint] [frame_checksum(record-bytes) varint] [record-bytes]
+/// [record-len varint] [frame_checksum(record-bytes) u32 LE] [record-bytes]
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
@@ -708,7 +708,7 @@ mod tests {
         assert!(rec.torn_bytes > 0);
     }
 
-    /// A header varint that ends but no `u64` holds is no torn write's
+    /// A length varint that ends but no `u64` holds is no torn write's
     /// leftover (a prefix never ends in a terminated varint), so it is
     /// corrupt mid-log — never a torn tail that drops the records behind.
     #[test]
@@ -716,7 +716,7 @@ mod tests {
         let mut wal = Wal::new(0);
         wal.append(&ack_record(1, 1));
         let mut bytes = wal.bytes().to_vec();
-        assert_eq!(bytes.len(), 9);
+        assert_eq!(bytes.len(), 8, "length 1, checksum 4, record 3");
         bytes.extend_from_slice(&[0x80; 9]);
         bytes.push(0x02);
         let mut behind = Wal::new(0);
@@ -727,30 +727,7 @@ mod tests {
             Wal::recover(&bytes),
             Err(WalError::Corrupt {
                 record: 1,
-                offset: 9
-            })
-        );
-    }
-
-    /// The torn-tail rule's other half: a *complete* final frame is torn
-    /// only when its checksum fails, not when its checksum varint is wider
-    /// than 32 bits — no writer puts that there.
-    #[test]
-    fn final_frame_with_a_wide_checksum_is_corrupt() {
-        let mut wal = Wal::new(0);
-        wal.append(&ack_record(1, 1));
-        let mut bytes = wal.bytes().to_vec();
-        let first_len = bytes.len();
-        let mut body = Vec::new();
-        ack_record(2, 1).encode(&mut body);
-        put_varint(&mut bytes, body.len() as u64);
-        put_varint(&mut bytes, u64::from(u32::MAX) + 1);
-        bytes.extend_from_slice(&body);
-        assert_eq!(
-            Wal::recover(&bytes),
-            Err(WalError::Corrupt {
-                record: 1,
-                offset: first_len
+                offset: 8
             })
         );
     }

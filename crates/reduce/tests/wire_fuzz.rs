@@ -921,13 +921,15 @@ fn compound_stamp_deltas_wrap_past_u64() {
     assert_eq!(decode_payload([&bytes, &[]], &mut out), Ok(()));
     assert_eq!(out, msgs);
 
-    let mut by_hand = vec![6, 2];
-    for (t1, t2) in [(5u64, 5u64), (u64::MAX, u64::MAX)] {
-        by_hand.push(2);
-        put_varint(&mut by_hand, t1);
-        put_varint(&mut by_hand, t2);
-        by_hand.extend([4, 5, b'x']); // one component, no caret; insert "x"
-    }
+    // The first member's deltas fit its head (T[1] 5 above the flag, the
+    // flagged T[2] 5 after); the second's T[1] delta of u64::MAX does not,
+    // so it travels tagged: kind 3, then `[TAG_SERVER_OP, t1, t2]`.
+    let mut by_hand = vec![6, 2, 5 << 3 | 4, 5];
+    by_hand.extend([4, 5, b'x']); // one component, no caret; insert "x"
+    by_hand.extend([3, 2]);
+    put_varint(&mut by_hand, u64::MAX);
+    put_varint(&mut by_hand, u64::MAX);
+    by_hand.extend([4, 5, b'x']);
     let mut slice: &[u8] = &by_hand;
     let Ok(EditorMsg::Compound(ms)) = EditorMsg::decode(&mut slice) else {
         panic!("a frame of two wrapping deltas decodes");
@@ -959,56 +961,58 @@ fn compound_payloads_never_nest() {
 }
 
 /// A reader's FIFO check sees the `T[1]` the notifier sent, not one
-/// implied from the frame: a compound whose second broadcast skips one
-/// stream position (a `T[1]` delta of 2) decodes, on the worker's path
-/// and on the generator's, to expected + 1 — and the replica refuses it
-/// untouched. A decoder that implied `T[1]` = previous + 1 would hand
-/// over a message that passes.
+/// implied from the frame: a compound whose second broadcast repeats a
+/// stream position or skips one (a `T[1]` delta of 0 or 2) decodes, on
+/// the worker's path and on the generator's, to expected − 1 or + 1 — and
+/// the replica refuses it untouched. A decoder that implied `T[1]` =
+/// previous + 1 would hand over a message that passes.
 #[test]
 fn compound_delta_t1_keeps_fifo_detection() {
     let doc = "0123456789";
     let insert =
         |pos: usize, len: usize| SeqOp::from_pos(&cvc_ot::pos::PosOp::insert(pos, "x"), len);
-    let first =
-        ServerOpFrame::new(&insert(0, 10), &Some((2, 1))).payload_for(CompressedStamp::new(1, 0));
-    let skipped =
-        ServerOpFrame::new(&insert(3, 11), &Some((2, 4))).payload_for(CompressedStamp::new(3, 0));
-    let mut bytes = Vec::new();
-    write_compound([first, skipped].iter(), &mut bytes);
+    for t1 in [1, 3] {
+        let first = ServerOpFrame::new(&insert(0, 10), &Some((2, 1)))
+            .payload_for(CompressedStamp::new(1, 0));
+        let wrong = ServerOpFrame::new(&insert(3, 11), &Some((2, 4)))
+            .payload_for(CompressedStamp::new(t1, 0));
+        let mut bytes = Vec::new();
+        write_compound([first, wrong].iter(), &mut bytes);
 
-    let mut worker = Vec::new();
-    assert_eq!(decode_payload([&bytes, &[]], &mut worker), Ok(()));
-    let mut slice: &[u8] = &bytes;
-    let Ok(EditorMsg::Compound(generator)) = EditorMsg::decode(&mut slice) else {
-        panic!("one compound");
-    };
-    assert_eq!(worker, generator);
-    let ops: Vec<ServerOpMsg> = worker
-        .into_iter()
-        .map(|m| match m {
-            EditorMsg::ServerOp(o) => o,
-            other => panic!("{other:?}"),
-        })
-        .collect();
-    assert_eq!(ops[1].stamp.get(1), 3, "read, not implied");
-    assert_eq!(ops[1].cursor, Some((2, 4)), "tag 2 at the edit end");
+        let mut worker = Vec::new();
+        assert_eq!(decode_payload([&bytes, &[]], &mut worker), Ok(()));
+        let mut slice: &[u8] = &bytes;
+        let Ok(EditorMsg::Compound(generator)) = EditorMsg::decode(&mut slice) else {
+            panic!("one compound");
+        };
+        assert_eq!(worker, generator);
+        let ops: Vec<ServerOpMsg> = worker
+            .into_iter()
+            .map(|m| match m {
+                EditorMsg::ServerOp(o) => o,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(ops[1].stamp.get(1), t1, "read, not implied");
+        assert_eq!(ops[1].cursor, Some((2, 4)), "tag 2 at the edit end");
 
-    let mut reader = Client::new(SiteId(3), doc);
-    let [first, skipped] = <[ServerOpMsg; 2]>::try_from(ops).expect("two ops");
-    reader.try_on_server_op(first).expect("in order");
-    let (doc_before, sv_before) = (reader.doc(), reader.state_vector());
-    let carets_before: Vec<_> = reader.remote_carets().collect();
-    assert_eq!(
-        reader.try_on_server_op(skipped).map(|_| ()),
-        Err(ProtocolError::FifoViolation {
-            site: SiteId(3),
-            expected: 2,
-            got: 3,
-        })
-    );
-    assert_eq!(reader.doc(), doc_before);
-    assert_eq!(reader.state_vector(), sv_before);
-    assert_eq!(reader.remote_carets().collect::<Vec<_>>(), carets_before);
+        let mut reader = Client::new(SiteId(3), doc);
+        let [first, wrong] = <[ServerOpMsg; 2]>::try_from(ops).expect("two ops");
+        reader.try_on_server_op(first).expect("in order");
+        let (doc_before, sv_before) = (reader.doc(), reader.state_vector());
+        let carets_before: Vec<_> = reader.remote_carets().collect();
+        assert_eq!(
+            reader.try_on_server_op(wrong).map(|_| ()),
+            Err(ProtocolError::FifoViolation {
+                site: SiteId(3),
+                expected: 2,
+                got: t1,
+            })
+        );
+        assert_eq!(reader.doc(), doc_before);
+        assert_eq!(reader.state_vector(), sv_before);
+        assert_eq!(reader.remote_carets().collect::<Vec<_>>(), carets_before);
+    }
 }
 
 proptest! {
@@ -1130,4 +1134,158 @@ fn op_frame(count: u64, comp: u64, text: usize, payload: &[u8]) -> Vec<u8> {
     b.resize(b.len() + text, b'x');
     b.extend_from_slice(payload);
     b
+}
+
+/// The message `client` picks, with stamp `stamp`: a `ClientOp` from site
+/// 9 or a `ServerOp`, both inserting "x" into an empty document with no
+/// caret, so the op after the head is `[4, 5, b'x']`.
+fn x_op(client: bool, stamp: CompressedStamp) -> EditorMsg {
+    let op = SeqOp::from_pos(&cvc_ot::pos::PosOp::insert(0, "x"), 0);
+    if client {
+        EditorMsg::ClientOp(ClientOpMsg {
+            origin: SiteId(9),
+            stamp,
+            op,
+            cursor: None,
+        })
+    } else {
+        EditorMsg::ServerOp(ServerOpMsg {
+            stamp,
+            op,
+            cursor: None,
+        })
+    }
+}
+
+/// `ms` as one compound, written both ways; the two must agree.
+fn compound_bytes(ms: &[EditorMsg]) -> Vec<u8> {
+    let compound = EditorMsg::Compound(ms.to_vec());
+    let mut bytes = Vec::with_capacity(compound.wire_bytes());
+    compound.encode(&mut bytes);
+    assert_eq!(bytes.len(), compound.wire_bytes());
+    let payloads: Vec<Payload> = ms.iter().map(Payload::encode).collect();
+    let mut built = Vec::new();
+    write_compound(payloads.iter(), &mut built);
+    assert_eq!(built, bytes, "re-headed payloads write the same bytes");
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A compound member's head at its edges. The lead delta (a
+    /// `ServerOp`'s `T[1]`, a `ClientOp`'s `T[2]`) of 0, 1 and 2^61 − 1
+    /// rides in the head above the flag and kind bits; 2^61 does not fit
+    /// and the member escapes to kind 3, `[3, tag, ..]`. The other delta
+    /// follows only when the flag says so, wrapping or not. Refused: a
+    /// set flag over a zero delta (each member has one encoding), a
+    /// kind-3 head with high bits, a kind-3 compound (nesting), a
+    /// truncated head; a count past the remaining bytes is truncation,
+    /// and a compound of 1-byte `ServerAck` heads fills its bound.
+    #[test]
+    fn member_heads_hold_at_their_edges(
+        edge in 0usize..4,
+        flagged in prop_oneof![Just(0u64), Just(1u64), any::<u64>()],
+        client in any::<bool>(),
+        anchor in stamp_strategy(),
+        high in 1u64..=u64::MAX >> 2,
+        acks in proptest::collection::vec(0u64..32, 1..64),
+    ) {
+        let lead = [0, 1, (1u64 << 61) - 1, 1 << 61][edge];
+        let (d1, d2) = if client { (flagged, lead) } else { (lead, flagged) };
+        let stamp = CompressedStamp::new(anchor.t1.wrapping_add(d1), anchor.t2.wrapping_add(d2));
+        let ms = vec![x_op(client, anchor), x_op(client, stamp)];
+        let bytes = compound_bytes(&ms);
+        let member = &bytes[compound_bytes(&ms[..1]).len()..];
+        let kind = u64::from(client);
+        let mut expect = Vec::new();
+        if lead < 1 << 61 {
+            put_varint(&mut expect, lead << 3 | u64::from(flagged != 0) << 2 | kind);
+            if flagged != 0 {
+                put_varint(&mut expect, flagged);
+            }
+            if client {
+                expect.push(9); // origin
+            }
+        } else {
+            expect.push(3);
+            if client {
+                expect.extend([1, 9]); // TAG_CLIENT_OP, origin
+            } else {
+                expect.push(2); // TAG_SERVER_OP
+            }
+            put_varint(&mut expect, d1);
+            put_varint(&mut expect, d2);
+        }
+        expect.extend([4, 5, b'x']);
+        prop_assert_eq!(member, &expect[..]);
+        let mut out = Vec::new();
+        prop_assert_eq!(decode_payload([&bytes, &[]], &mut out), Ok(()));
+        prop_assert_eq!(&out, &ms);
+
+        // A set flag over a zero delta.
+        let mut b = vec![6, 1];
+        put_varint(&mut b, (lead >> 3) << 3 | 4 | kind);
+        b.push(0);
+        if client {
+            b.push(9);
+        }
+        b.extend([4, 5, b'x']);
+        prop_assert_eq!(must_reject(&b), WireError::Overlong);
+
+        // Kind 3 with high bits, and kind 3 wrapping a compound.
+        let mut b = vec![6, 1];
+        put_varint(&mut b, high << 2 | 3);
+        b.extend([4, 1]);
+        prop_assert_eq!(must_reject(&b), WireError::BadTag(3));
+        prop_assert_eq!(must_reject(&[6, 1, 3, 6, 1, 6]), WireError::BadTag(6));
+
+        // A head cut anywhere, and the flagged delta cut off.
+        let mut b = vec![6, 1];
+        put_varint(&mut b, high << 3 | 4 | kind);
+        for cut in 2..b.len() {
+            prop_assert_eq!(must_reject(&b[..cut]), WireError::Truncated);
+        }
+        prop_assert_eq!(must_reject(&b), WireError::Truncated);
+
+        // One byte a member: `n` acks fill a count of `n`, and `n + 1` is
+        // a lie the bound catches before any member is read.
+        let n = acks.len() as u64;
+        let mut b = vec![6];
+        put_varint(&mut b, n);
+        b.extend(acks.iter().map(|&a| (a << 2 | 2) as u8));
+        let want: Vec<EditorMsg> = acks.iter().map(|&acked| EditorMsg::ServerAck(ServerAckMsg { acked })).collect();
+        prop_assert_eq!(EditorMsg::decode(&mut &b[..]), Ok(EditorMsg::Compound(want.clone())));
+        prop_assert_eq!(compound_bytes(&want), b.clone());
+        let mut over = vec![6];
+        put_varint(&mut over, n + 1);
+        over.extend_from_slice(&b[b.len() - acks.len()..]);
+        prop_assert_eq!(must_reject(&over), WireError::Truncated);
+    }
+}
+
+/// A reader's one-character broadcast inside a compound is 9 bytes: the
+/// head `0x08` (a `T[1]` delta of 1, no `T[2]` delta), the op's 7 bytes
+/// (count, retain, insert and its byte, retain) and the caret's owner. A
+/// writer's broadcast that acknowledges one of its own ops flags its
+/// `T[2]` delta of 1: 10 bytes.
+#[test]
+fn a_readers_broadcast_is_nine_bytes_in_a_compound() {
+    let op = SeqOp::from_pos(&cvc_ot::pos::PosOp::insert(500, "x"), 1000);
+    let frame = ServerOpFrame::new(&op, &Some((3, 501)));
+    for (t2_step, head) in [(0, vec![0x08]), (1, vec![0x0c, 1])] {
+        let first = frame.payload_for(CompressedStamp::new(40, 7));
+        let next = frame.payload_for(CompressedStamp::new(41, 7 + t2_step));
+        let (mut one, mut two) = (Vec::new(), Vec::new());
+        write_compound([first.clone()].iter(), &mut one);
+        write_compound([first, next.clone()].iter(), &mut two);
+        let member = &two[one.len()..];
+        assert_eq!(member.len(), 9 + t2_step as usize, "{member:?}");
+        assert_eq!(&member[..head.len()], &head[..]);
+        // The rest is the shared body, as the lone frame carries it after
+        // its tag and stamp.
+        let lone = next.to_vec();
+        assert_eq!(&member[head.len()..], &lone[3..]);
+        assert_eq!(lone.len() - 3, 8, "op 7, caret owner 1");
+    }
 }

@@ -34,7 +34,9 @@ pub trait WireDecode: Sized {
 pub enum WireError {
     /// Input ended mid-value.
     Truncated,
-    /// A varint ran past 10 bytes (not a valid u64).
+    /// A varint ran past 10 bytes (not a valid u64), or a compound
+    /// member's head flagged a zero delta: a longer encoding of a message
+    /// that has a shorter one.
     Overlong,
     /// A string payload was not valid UTF-8.
     BadUtf8,
