@@ -1668,185 +1668,6 @@ fn e20_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
     g.0
 }
 
-/// E21 — multi-notifier federation: aggregate throughput vs shard count.
-/// The global client population and the global edit rate are held
-/// constant while the session is split over `K` notifiers, each shard a
-/// full reliable star (WAL + warm standby + flight recorder) stepped on
-/// its own OS thread; the shards exchange operations through the
-/// checksummed go-back-N relay bus and the mesh-replica relay tier.
-/// Gates: every cell converges with zero Definition-1 violations, zero
-/// dangling traces and a clean audit; every multi-shard cell actually
-/// relays; and at the largest N the 4-shard cell clears a ≥2.5×
-/// wall-clock speedup over its single-shard twin (checked only when the
-/// host exposes ≥4 cores — the speedup is real parallelism, not
-/// virtual-time bookkeeping). WAL write amplification is reported per
-/// cell: the packed ack-frontier records (1 frontier per 16 acks) replace
-/// PR 7's per-ack appends, so the N=256 column lands far below the 22.6×
-/// measured there. Artefact: `BENCH_PR8.json`.
-pub fn e21_federation(ns: &[usize], ks: &[u32], ops_budget: usize) -> Report {
-    use cvc_reduce::relay::{run_federation, FederationConfig};
-    let mut rep = Report::new(
-        "E21 — multi-notifier federation: aggregate throughput vs shard count (constant global rate)",
-    )
-    .artifact(
-        "E21 multi-notifier federation throughput",
-        &[(
-            "baseline",
-            "K=1: the same driver, one notifier, no relay traffic",
-        )],
-    );
-    let n_max = ns.iter().copied().max().unwrap_or(0);
-    let mut all_correct = true;
-    let (mut speedup_at_4, mut amp_at_256) = (None, None);
-    for &n in ns {
-        let mut k1_ops_per_sec: Option<f64> = None;
-        for &k in ks {
-            if k as usize > n || n % k as usize != 0 {
-                continue;
-            }
-            let mut cfg = FederationConfig::small(k, n / k as usize, 0x21E0 + n as u64);
-            cfg.ops_per_client = (ops_budget / n).max(2);
-            // Hold the *global* edit rate constant as N grows (the E16
-            // convention: each client slows down by N), so within one N
-            // block the shard count is the only variable.
-            cfg.mean_gap_us = 20_000 * n as u64;
-            cfg.standby = true;
-            cfg.flight_recorder = true;
-            let r = run_federation(&cfg);
-            if k == 1 {
-                k1_ops_per_sec = Some(r.ops_per_sec);
-            }
-            // Wall-clock speedup over the K=1 cell of the same N.
-            let speedup = r.ops_per_sec / k1_ops_per_sec.unwrap_or(f64::EPSILON).max(f64::EPSILON);
-            let accepted: u64 = r.shards.iter().map(|s| s.relayed_in).sum();
-            let hop_us_mean = if accepted == 0 {
-                0.0
-            } else {
-                r.shards
-                    .iter()
-                    .map(|s| s.hop_us_mean * s.relayed_in as f64)
-                    .sum::<f64>()
-                    / accepted as f64
-            };
-            let wal_amp = r
-                .shards
-                .iter()
-                .map(|s| s.wal_amplification)
-                .fold(0.0, f64::max);
-            let dangling: usize = r.shards.iter().map(|s| s.dangling_traces).sum();
-            let audit_ok = r.shards.iter().all(|s| s.audit_ok);
-            rep.row([
-                cell("N", "n", &n),
-                cell("K", "k", &k),
-                cell("ops", "ops", &r.local_ops_total),
-                cell("relay frames", "relay_frames", &r.relay_frames_total),
-                // Physical bus frames enqueued per relayed op (compound
-                // coalescing drives this below 1.0; 0 when nothing relayed).
-                float("frames/op", "frames_per_op", r.bus.frames_per_op(), 3, 4),
-                cell("redeliv", "redeliveries", &r.bus.redeliveries),
-                cell("rounds", "rounds", &r.rounds),
-                float("wall (ms)", "wall_ms", r.wall_us as f64 / 1e3, 1, 3),
-                float("ops/sec", "ops_per_sec", r.ops_per_sec, 0, 1),
-                cell("speedup", "speedup", &speedup)
-                    .text(Times(2))
-                    .json(Fixed(3)),
-                float("hop µs", "hop_us_mean", hop_us_mean, 0, 1),
-                float("WAL amp", "wal_amplification", wal_amp, 3, 4),
-                cell("dangling", "dangling_traces", &dangling),
-                cell("audit", "audit_ok", &audit_ok),
-                kept("oracle_checks", &r.oracle_checks),
-                kept("oracle_violations", &r.oracle_violations),
-                cell("converged", "converged", &r.converged),
-            ]);
-            all_correct &= r.converged && r.oracle_violations == 0 && dangling == 0 && audit_ok;
-            if n == n_max && k == 4 {
-                speedup_at_4 = Some(speedup);
-            }
-            if n == 256 && k == 1 {
-                amp_at_256 = Some(wal_amp);
-            }
-        }
-    }
-    if all_correct {
-        rep.para(
-            "every federation cell converged: 0 oracle violations, 0 dangling traces, audits clean",
-        );
-    }
-    if let Some(speedup) = speedup_at_4 {
-        rep.note(format!(
-            "1 -> 4 shard speedup at N={n_max}: {speedup:.2}x (gate >= 2.50x on >= 4 cores; {} cores here)",
-            cores()
-        ));
-    }
-    // The PR-7 comparison: delta-encoded ack-frontier records (one O(W)
-    // record per W-ack window) vs one framed record per ack.
-    if let Some(amp) = amp_at_256 {
-        rep.note(format!(
-            "WAL write amplification at N=256: {amp:.1}x with delta ack frontiers \
-             (PR 7 per-ack baseline: 22.6x)"
-        ));
-    }
-    rep
-}
-
-fn e21_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
-    let mut g = Findings::default();
-    let rows = g.rows(r);
-    for row in &rows {
-        require_of!(
-            g,
-            row,
-            // Correctness everywhere: convergence under the Definition-1
-            // oracle, trace completeness and the causality audit.
-            row.flag("converged"),
-            row.num("oracle_violations") == 0.0,
-            row.num("dangling_traces") == 0.0,
-            row.flag("audit_ok"),
-            row.num("ops_per_sec") > 0.0,
-        );
-        if row.num("k") > 1.0 {
-            require_of!(
-                g,
-                row,
-                // Multi-shard cells must actually cross shards, every
-                // relay hop must have been measured, and compound
-                // coalescing ships at most one physical frame per op.
-                row.num("relay_frames") > 0.0 && row.num("oracle_checks") > 0.0,
-                row.num("hop_us_mean") > 0.0,
-                row.num("frames_per_op") <= 1.0,
-            );
-        } else {
-            require_of!(g, row, row.num("relay_frames") == 0.0);
-        }
-    }
-    // At least one cell must genuinely batch — the per-character
-    // decomposition of multi-char inserts guarantees same-barrier runs
-    // whenever any relay traffic exists.
-    let relaying = || rows.iter().filter(|row| row.num("k") > 1.0);
-    // The scaling claim is wall-clock, so it only binds when the run had
-    // real cores to parallelise across; `cores` is recorded per artefact.
-    let cores = r.top("cores").as_num();
-    let n_max = rows.iter().map(|row| row.num("n")).fold(0.0, f64::max);
-    let k4 = r.find(&[("n", n_max), ("k", 4.0)]);
-    require!(
-        g,
-        relaying().count() == 0 || relaying().any(|row| row.num("frames_per_op") < 1.0),
-        cores >= 1.0,
-        cores < 4.0 || *k4 == Json::Null || k4.num("speedup") >= 2.5,
-    );
-    if let Scope::Full = scope {
-        g.covers(r, "n", &[64.0, 256.0, 1024.0]);
-        // Delta ack frontiers must keep the single-shard N=256 cell under
-        // PR 7's 22.6x per-ack baseline (the packed-frontier regression
-        // was quadratic in N, so this catches any reintroduction).
-        require!(
-            g,
-            r.find(&[("n", 256.0), ("k", 1.0)]).num("wal_amplification") < 22.6
-        );
-    }
-    g.0
-}
-
 /// An in-process editor server on an ephemeral loopback port, capturing
 /// its integration log for the sim twin; `admin` adds the admin plane on
 /// another ephemeral port, `trace_rings` the ring-dump stream.
@@ -2400,7 +2221,7 @@ impl Experiment {
 
 /// Every experiment, in report order: the one list behind `repro <id>`,
 /// `repro <id>-smoke`, `repro list`, `repro all` and `repro check`.
-pub static EXPERIMENTS: [Experiment; 24] = [
+pub static EXPERIMENTS: [Experiment; 23] = [
     Experiment::new("e1", "topology message mapping (Fig. 1)", e1_topology).gated(e1_gate),
     Experiment::new("e2", "divergence & intention violation (Fig. 2)", e2_fig2),
     Experiment::new("e3", "compressed clock walkthrough (Fig. 3)", e3_fig3).gated(walkthrough_gate),
@@ -2466,14 +2287,6 @@ pub static EXPERIMENTS: [Experiment; 24] = [
     )
     .smoke(|| e20_failover(&[16, 64], &[0.0, 0.01], 512))
     .writes("BENCH_PR7.json", e20_gate),
-    Experiment::new(
-        "e21",
-        "multi-notifier federation throughput (K to 8, N to 1024)",
-        || e21_federation(&[64, 256, 1024], &[1, 2, 4, 8], 4096),
-    )
-    .smoke(|| e21_federation(&[64], &[1, 2, 4], 2048))
-    .wall_clock()
-    .writes("BENCH_PR8.json", e21_gate),
     Experiment::new(
         "e22",
         "loopback saturation sweep over real TCP (N to 4096)",
@@ -2917,7 +2730,11 @@ mod tests {
     #[test]
     fn experiment_registry_is_complete_and_ordered() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        let mut expected: Vec<String> = (1..=23).map(|i| format!("e{i}")).collect();
+        // E21 (the retired federation) stays reserved.
+        let mut expected: Vec<String> = (1..=23)
+            .filter(|&i| i != 21)
+            .map(|i| format!("e{i}"))
+            .collect();
         expected.push("failover".to_string());
         assert_eq!(names, expected);
         // Exactly the wall-clock experiments are marked timing-sensitive.
@@ -2928,7 +2745,7 @@ mod tests {
             .collect();
         assert_eq!(
             timing,
-            vec!["e7", "e14", "e16", "e17", "e18", "e19", "e21", "e22", "e23"]
+            vec!["e7", "e14", "e16", "e17", "e18", "e19", "e22", "e23"]
         );
         // Every id `repro list` prints resolves, and nothing else does.
         for line in list().lines() {
@@ -2938,10 +2755,14 @@ mod tests {
             assert!(id.starts_with(e.name));
         }
         assert!(lookup("e14-smoke").is_none() && lookup("e24").is_none());
+        assert!(lookup("e21").is_none() && lookup("e21-smoke").is_none());
         // Every artefact is committed under the name the registry gives
         // it, numbered in registry order, and names its experiment.
         let artifacts: Vec<&str> = EXPERIMENTS.iter().filter_map(|e| e.artifact).collect();
-        let numbered: Vec<String> = (1..=10).map(|i| format!("BENCH_PR{i}.json")).collect();
+        let numbered: Vec<String> = (1..=10)
+            .filter(|&i| i != 8)
+            .map(|i| format!("BENCH_PR{i}.json"))
+            .collect();
         assert_eq!(artifacts, numbered);
         for e in EXPERIMENTS.iter().filter(|e| e.artifact.is_some()) {
             let text = committed_text(e.artifact.expect("filtered"));

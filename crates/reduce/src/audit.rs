@@ -465,8 +465,7 @@ fn replay(audit: &mut StarAudit, rep: &mut AuditReport, site: SiteId, ev: &Fligh
         | EventKind::Error
         | EventKind::RingTruncated
         | EventKind::Crash
-        | EventKind::Promote
-        | EventKind::Relay => {}
+        | EventKind::Promote => {}
     }
     Ok(None)
 }

@@ -1,8 +1,8 @@
 //! The one frame codec: `[len varint][checksum u32 LE][payload bytes]`.
 //!
-//! The TCP stream, the write-ahead log ([`crate::wal`]) and the relay
-//! bus's checksum all go through this module, so "this record arrived
-//! intact" has one definition. [`split_frame`] is the one parser, with two
+//! The TCP stream and the write-ahead log ([`crate::wal`]) both go
+//! through this module, so "this record arrived intact" has one
+//! definition. [`split_frame`] is the one parser, with two
 //! drivers: [`FrameReader`] buffers a socket's bytes under
 //! [`MAX_FRAME_BYTES`], and [`crate::wal::Wal::recover`] loops over a log
 //! image under the image's own length (a snapshot record carries the

@@ -192,8 +192,7 @@ impl<C: Copy + Eq + Hash> Hub<C> {
     }
 
     /// One decoded message that arrived on `ch`: a bound channel's input
-    /// is its site's ([`Hub::integrate`]); an unbound channel may only say
-    /// hello.
+    /// is its site's; an unbound channel may only say hello.
     pub fn on_msg(&mut self, ch: C, msg: EditorMsg, sends: &mut Sends<C>) -> Step {
         match (self.site_of(ch), msg) {
             (Some(site), msg) => self.integrate(site, msg, sends),
@@ -202,10 +201,9 @@ impl<C: Copy + Eq + Hash> Hub<C> {
         }
     }
 
-    /// One input from `site` with no unbound channel in the way: a bound
-    /// channel's, or the relay's virtual client's. A downstream-only kind
-    /// is refused; a violation evicts `site`.
-    pub fn integrate(&mut self, site: SiteId, msg: EditorMsg, sends: &mut Sends<C>) -> Step {
+    /// One input from the site a channel is bound to. A downstream-only
+    /// kind is refused; a violation evicts `site`.
+    fn integrate(&mut self, site: SiteId, msg: EditorMsg, sends: &mut Sends<C>) -> Step {
         let res = match msg {
             // Durability before visibility: an outcome only comes back once
             // its record is in the log, and a rejected op never gets there.

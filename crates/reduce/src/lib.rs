@@ -19,9 +19,6 @@
 //!   the hub's hello and history-buffer catch-up.
 //! * [`scenario`] — the paper's Fig. 2 (inconsistency demo) and Fig. 3
 //!   (compressed-clock walkthrough) reproduced step by step.
-//! * [`relay`] — multi-notifier federation: `K` sharded stars bridged by
-//!   a mesh-replica relay tier over a checksummed go-back-N bus, stepped
-//!   in parallel and verified against the Definition-1 oracle.
 //! * [`core`] / [`wal`] / [`standby`] — notifier durability: the one
 //!   validate → log → mirror → compact wiring both the simulator node and
 //!   the TCP server drive, over a checksummed write-ahead log of the
@@ -29,7 +26,7 @@
 //!   that tails it and can be promoted when the primary crashes (clients
 //!   resync via the 2-element-clock cursor).
 //! * [`frame`] — the one `[len][checksum][bytes]` codec: the WAL's records,
-//!   the TCP stream's frames and the relay bus's checksum.
+//!   the TCP stream's frames.
 //! * [`hub`] — who is bound to which site: the one binding table, hello,
 //!   catch-up and eviction rules both notifier drivers share.
 //! * [`world`] — the transport-free star (notifier, clients, FIFO
@@ -66,7 +63,6 @@ pub mod msg;
 pub mod notifier;
 pub mod recorder;
 pub mod registry;
-pub mod relay;
 pub mod reliable;
 pub mod scenario;
 pub mod session;
@@ -88,10 +84,6 @@ pub use msg::{ClientOpMsg, EditorMsg, MeshOpMsg, ServerAckMsg, ServerOpMsg};
 pub use notifier::Notifier;
 pub use recorder::{EventKind, FlightEvent, FlightRecorder};
 pub use registry::{Histogram, MetricsRegistry};
-pub use relay::{
-    run_federation, FederationConfig, FederationReport, RelayBus, RelayBusStats, RelayFaultPlan,
-    ShardMap, ShardReport,
-};
 pub use reliable::{
     run_robust_session, run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec,
     NotifierCrash, NotifierStep, SessionTrace,

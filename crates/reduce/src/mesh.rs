@@ -293,25 +293,7 @@ impl MeshSite {
         }
         self.metrics.transforms += folds;
 
-        // 4. Execute and buffer. The visible effect is computed against
-        // the pre-apply model: the relay tier replays it as a positional
-        // op on a mirrored plain-text document (a delete of a cell that is
-        // already a tombstone has no visible effect — TTF idempotence).
-        let effect = match &op {
-            TtfOp::Insert { pos, ch, .. } => VisibleEffect::Insert {
-                pos: self.doc.model_to_visible(*pos),
-                ch: *ch,
-            },
-            TtfOp::Delete { pos } => {
-                if self.doc.is_visible(*pos) {
-                    VisibleEffect::Delete {
-                        pos: self.doc.model_to_visible(*pos),
-                    }
-                } else {
-                    VisibleEffect::None
-                }
-            }
-        };
+        // 4. Execute and buffer.
         self.doc
             .apply(&op)
             .expect("transformed remote op applies to the current model");
@@ -331,31 +313,8 @@ impl MeshSite {
             origin: msg.origin,
             seq,
             checked,
-            effect,
         }
     }
-}
-
-/// The *visible* (plain-text) effect of one executed TTF operation,
-/// expressed against the visible document immediately before execution.
-/// Lets a mirror that holds only visible text (the federation relay tier)
-/// replay mesh integrations positionally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VisibleEffect {
-    /// Insert a character at a visible position.
-    Insert {
-        /// Visible insertion position.
-        pos: usize,
-        /// The inserted character.
-        ch: char,
-    },
-    /// Delete the visible character at a position.
-    Delete {
-        /// Visible position of the deleted character.
-        pos: usize,
-    },
-    /// No visible change (delete of an already-dead cell).
-    None,
 }
 
 /// Reference integration for the fully-distributed deployment: an
@@ -394,8 +353,6 @@ pub struct MeshIntegration {
     /// Formula (3) verdict per history-buffer entry at check time, keyed
     /// by `(entry origin, entry per-origin seq)`.
     pub checked: Vec<(SiteId, u64, bool)>,
-    /// Visible effect of the executed (transformed) form.
-    pub effect: VisibleEffect,
 }
 
 #[cfg(test)]

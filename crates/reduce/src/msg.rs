@@ -56,8 +56,9 @@ const TAG_MESH_OP: u8 = 3;
 const TAG_SERVER_ACK: u8 = 4;
 pub(crate) const TAG_CLIENT_ACK: u8 = 5;
 const TAG_COMPOUND: u8 = 6;
-pub(crate) const TAG_RELAY_OP: u8 = 7;
-pub(crate) const TAG_RELAY_ACK: u8 = 8;
+// Tags 7 and 8 belonged to the retired federation's notifier-to-notifier
+// messages. They are not reused: either byte leading a message is
+// `WireError::BadTag`.
 
 /// Cursor kinds, the low two bits of an op's count varint: no caret, a
 /// caret at an explicit position, and a caret at the operation's edit end
@@ -147,39 +148,6 @@ pub struct ClientAckMsg {
     pub received: u64,
 }
 
-/// Notifier → notifier (federation): one locally-integrated character
-/// operation forwarded to a peer shard. The causality metadata is a
-/// `K`-element vector indexed over *notifiers only* (`inner.vector`) — the
-/// Zheng & Garg optimal-clock observation applied at the shard tier, where
-/// the participant set is tiny and stable. `seq` is the per-origin-shard
-/// relay stream cursor (1-based), the go-back-N position on the
-/// inter-notifier link; `sent_at_us` is the origin shard's virtual send
-/// time, carried so the destination can attribute the relay hop as its own
-/// trace stage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelayOpMsg {
-    /// Originating shard index (`0..K`).
-    pub origin_shard: u32,
-    /// Per-origin-shard relay sequence (1-based, FIFO per link).
-    pub seq: u64,
-    /// Origin shard's virtual send time in µs.
-    pub sent_at_us: u64,
-    /// The shard-mesh operation: `origin` is the shard's site in the
-    /// K-wide notifier mesh, `vector` the K-element shard clock.
-    pub inner: MeshOpMsg,
-}
-
-/// Notifier → notifier (federation): cumulative "I have integrated your
-/// first `received` relay operations" — drives go-back-N retransmission on
-/// the inter-notifier link and the shard-mesh matrix-clock GC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelayAckMsg {
-    /// Acknowledging shard index.
-    pub origin_shard: u32,
-    /// Relay operations received from the destination shard so far.
-    pub received: u64,
-}
-
 /// Any editor message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EditorMsg {
@@ -193,10 +161,6 @@ pub enum EditorMsg {
     ServerAck(ServerAckMsg),
     /// Star/CVC upstream acknowledgement (GC keep-alive for quiet clients).
     ClientAck(ClientAckMsg),
-    /// Federation: notifier → notifier forwarded operation.
-    RelayOp(RelayOpMsg),
-    /// Federation: notifier → notifier cumulative acknowledgement.
-    RelayAck(RelayAckMsg),
     /// Several editor messages coalesced into one reliable-layer frame
     /// (one header, one checksum). Never nested; built by the transports'
     /// flush paths through [`write_compound`], not by the editor layer.
@@ -212,8 +176,6 @@ impl EditorMsg {
             EditorMsg::MeshOp(m) => vector_wire_len(&m.vector),
             EditorMsg::ServerAck(m) => varint_len(m.acked),
             EditorMsg::ClientAck(m) => varint_len(m.received),
-            EditorMsg::RelayOp(m) => vector_wire_len(&m.inner.vector),
-            EditorMsg::RelayAck(m) => varint_len(m.received),
             EditorMsg::Compound(ms) => {
                 let mut ctx = Deltas::default();
                 ms.iter().map(|m| m.member_stamp_bytes(&mut ctx)).sum()
@@ -226,8 +188,7 @@ impl EditorMsg {
         match self {
             EditorMsg::ClientOp(_) | EditorMsg::ServerOp(_) => 2,
             EditorMsg::MeshOp(m) => m.vector.width(),
-            EditorMsg::RelayOp(m) => m.inner.vector.width(),
-            EditorMsg::ServerAck(_) | EditorMsg::ClientAck(_) | EditorMsg::RelayAck(_) => 1,
+            EditorMsg::ServerAck(_) | EditorMsg::ClientAck(_) => 1,
             EditorMsg::Compound(ms) => ms.iter().map(EditorMsg::stamp_integers).sum(),
         }
     }
@@ -866,17 +827,6 @@ impl WireSize for EditorMsg {
             }
             EditorMsg::ServerAck(m) => varint_len(m.acked),
             EditorMsg::ClientAck(m) => varint_len(u64::from(m.origin.0)) + varint_len(m.received),
-            EditorMsg::RelayOp(m) => {
-                varint_len(u64::from(m.origin_shard))
-                    + varint_len(m.seq)
-                    + varint_len(m.sent_at_us)
-                    + varint_len(u64::from(m.inner.origin.0))
-                    + vector_wire_len(&m.inner.vector)
-                    + ttf_op_wire_len(&m.inner.op)
-            }
-            EditorMsg::RelayAck(m) => {
-                varint_len(u64::from(m.origin_shard)) + varint_len(m.received)
-            }
             EditorMsg::Compound(ms) => {
                 let mut ctx = Deltas::default();
                 varint_len(ms.len() as u64)
@@ -911,20 +861,6 @@ impl WireEncode for EditorMsg {
             EditorMsg::ClientAck(m) => {
                 buf.put_u8(TAG_CLIENT_ACK);
                 put_varint(buf, u64::from(m.origin.0));
-                put_varint(buf, m.received);
-            }
-            EditorMsg::RelayOp(m) => {
-                buf.put_u8(TAG_RELAY_OP);
-                put_varint(buf, u64::from(m.origin_shard));
-                put_varint(buf, m.seq);
-                put_varint(buf, m.sent_at_us);
-                put_varint(buf, u64::from(m.inner.origin.0));
-                put_vector(buf, &m.inner.vector);
-                put_ttf_op(buf, &m.inner.op);
-            }
-            EditorMsg::RelayAck(m) => {
-                buf.put_u8(TAG_RELAY_ACK);
-                put_varint(buf, u64::from(m.origin_shard));
                 put_varint(buf, m.received);
             }
             EditorMsg::Compound(ms) => {
@@ -1067,20 +1003,6 @@ impl EditorMsg {
                 origin: SiteId(get_u32(buf)?),
                 received: get_varint(buf)?,
             })),
-            TAG_RELAY_OP => Ok(EditorMsg::RelayOp(RelayOpMsg {
-                origin_shard: get_u32(buf)?,
-                seq: get_varint(buf)?,
-                sent_at_us: get_varint(buf)?,
-                inner: MeshOpMsg {
-                    origin: SiteId(get_u32(buf)?),
-                    vector: get_vector(buf)?,
-                    op: get_ttf_op(buf)?,
-                },
-            })),
-            TAG_RELAY_ACK => Ok(EditorMsg::RelayAck(RelayAckMsg {
-                origin_shard: get_u32(buf)?,
-                received: get_varint(buf)?,
-            })),
             TAG_COMPOUND if allow_compound => {
                 // An empty compound is never produced (the flush path only
                 // fires with pending frames) and a nested one is rejected
@@ -1203,66 +1125,6 @@ mod tests {
             vector: VectorClock::from_entries(vec![0, 0]),
             op: TtfOp::Delete { pos: 0 },
         }));
-    }
-
-    #[test]
-    fn relay_op_round_trip() {
-        round_trip(&EditorMsg::RelayOp(RelayOpMsg {
-            origin_shard: 2,
-            seq: 17,
-            sent_at_us: 1_234_567,
-            inner: MeshOpMsg {
-                origin: SiteId(3),
-                vector: VectorClock::from_entries(vec![4, 0, 17, 2]),
-                op: TtfOp::Insert {
-                    pos: 9,
-                    ch: 'ß',
-                    site: 3,
-                },
-            },
-        }));
-        round_trip(&EditorMsg::RelayOp(RelayOpMsg {
-            origin_shard: 0,
-            seq: 1,
-            sent_at_us: 0,
-            inner: MeshOpMsg {
-                origin: SiteId(1),
-                vector: VectorClock::from_entries(vec![1, 0]),
-                op: TtfOp::Delete { pos: 0 },
-            },
-        }));
-    }
-
-    #[test]
-    fn relay_ack_round_trip() {
-        round_trip(&EditorMsg::RelayAck(RelayAckMsg {
-            origin_shard: 7,
-            received: 4096,
-        }));
-        let msg = EditorMsg::RelayAck(RelayAckMsg {
-            origin_shard: 1,
-            received: 5,
-        });
-        assert_eq!(msg.wire_bytes(), 3); // tag + shard + 1-byte varint
-        assert_eq!(msg.stamp_integers(), 1);
-    }
-
-    #[test]
-    fn relay_stamp_is_shard_width_not_client_width() {
-        // The federation's causality metadata scales with K (notifiers),
-        // not N (clients) — the point of the shard-tier vector.
-        let msg = EditorMsg::RelayOp(RelayOpMsg {
-            origin_shard: 1,
-            seq: 1,
-            sent_at_us: 0,
-            inner: MeshOpMsg {
-                origin: SiteId(2),
-                vector: VectorClock::new(4),
-                op: TtfOp::Delete { pos: 0 },
-            },
-        });
-        assert_eq!(msg.stamp_integers(), 4);
-        assert_eq!(msg.stamp_bytes(), 5); // width prefix + 4 zero entries
     }
 
     #[test]

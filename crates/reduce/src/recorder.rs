@@ -73,10 +73,6 @@ pub enum EventKind {
     /// operation records it had replayed, `b` the number of client
     /// channels whose connections closed with the dead primary.
     Promote,
-    /// A cross-shard relay frame was integrated at this notifier: `a` is
-    /// the origin shard, `b` the relay hop latency (µs) from the moment
-    /// the origin shard emitted the frame to its integration here.
-    Relay,
 }
 
 impl EventKind {
@@ -95,13 +91,12 @@ impl EventKind {
             EventKind::RingTruncated => "ring-truncated",
             EventKind::Crash => "crash",
             EventKind::Promote => "promote",
-            EventKind::Relay => "relay",
         }
     }
 
     /// Inverse of [`EventKind::name`], for parsing ring dumps.
     pub fn from_name(s: &str) -> Option<EventKind> {
-        const ALL: [EventKind; 13] = [
+        const ALL: [EventKind; 12] = [
             EventKind::Generate,
             EventKind::Send,
             EventKind::Deliver,
@@ -114,7 +109,6 @@ impl EventKind {
             EventKind::RingTruncated,
             EventKind::Crash,
             EventKind::Promote,
-            EventKind::Relay,
         ];
         ALL.into_iter().find(|k| k.name() == s)
     }

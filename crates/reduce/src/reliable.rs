@@ -43,21 +43,17 @@ use crate::core::NotifierCore;
 pub use crate::frame::frame_checksum;
 use crate::frame::framed_len;
 use crate::hub::{Hub, Sends, Step};
-use crate::mesh::VisibleEffect;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
-    decode_payload, frame_groups, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, RelayOpMsg,
-    ServerAckMsg, ServerOpMsg,
+    decode_payload, frame_groups, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
+    ServerOpMsg,
 };
 use crate::recorder::{EventKind, FlightEvent};
-use crate::relay::RelayState;
 use crate::session::{ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport};
 use crate::standby::Standby;
 use crate::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use crate::workload::ScheduledEdit;
 use cvc_core::site::SiteId;
-use cvc_core::state_vector::CompressedStamp;
-use cvc_ot::seq::{Component, SeqOp};
 use cvc_sim::fault::FaultPlan;
 use cvc_sim::sim::{Ctx, Node, NodeId, Simulator};
 use cvc_sim::time::{SimDuration, SimTime};
@@ -75,7 +71,7 @@ const RECONNECT_TAG: u64 = 3 << 40;
 
 /// What one simulated channel carries.
 #[derive(Debug, Clone)]
-pub(crate) enum Segment {
+enum Segment {
     /// One frame of connection `conn`: an encoded editor message, or a
     /// write round's compound of several.
     Frame {
@@ -116,7 +112,7 @@ impl WireSize for Segment {
 /// dials, so a larger one is a newer connection; the write-round timer
 /// belongs to the channel and outlives a close.
 #[derive(Debug, Default)]
-pub(crate) struct Connection {
+struct Connection {
     id: u32,
     /// Closed, by either end, a reset or a crash.
     dead: bool,
@@ -325,24 +321,23 @@ pub struct SessionTrace {
 
 /// The simulator's driver over a [`Hub`] whose channel ids are node ids:
 /// it owns what is genuinely the transport's — connections, the crash
-/// plan, the relay mirror, the trace. A channel whose connection closed
-/// is an unbound one.
-pub(crate) struct RobustNotifier {
+/// plan, the trace. A channel whose connection closed is an unbound one.
+struct RobustNotifier {
     /// The notifier, its durability pipeline (WAL + warm standby in
     /// standby sessions) and who is bound to which client channel: an
     /// outcome to broadcast only ever comes out of here, already logged
     /// and mirrored, with its sends queued for the bound channels.
-    pub(crate) hub: Hub<NodeId>,
+    hub: Hub<NodeId>,
     /// One connection end per client; index = client index, peer node =
     /// index + 1.
     conns: Vec<Connection>,
-    pub(crate) trace: Option<Vec<NotifierStep>>,
+    trace: Option<Vec<NotifierStep>>,
     /// Traced sessions: integrated bare acks, keyed by `trace` position.
     trace_acks: Vec<(usize, ClientAckMsg)>,
     /// Seeded crash plan; taken when it fires.
     crash: Option<NotifierCrash>,
     /// Client operations integrated so far (the crash plan's clock).
-    pub(crate) ops_integrated: u64,
+    ops_integrated: u64,
     /// When the primary died (set once).
     crash_at: Option<SimTime>,
     /// Per channel, when a hello bound it again after the crash; all
@@ -351,19 +346,13 @@ pub(crate) struct RobustNotifier {
     /// `(replayed ops, replayed acks)` captured from the standby at
     /// promotion.
     promoted_replay: Option<(u64, u64)>,
-    /// Cross-shard federation state ([`crate::relay`]): the shard's mesh
-    /// mirror, the virtual relay client's counters, and the outbox of
-    /// frames awaiting the driver's next barrier exchange. `None` for
-    /// ordinary (single-notifier) sessions, whose behaviour is untouched.
-    pub(crate) relay: Option<Box<RelayState>>,
 }
 
 impl RobustNotifier {
     /// The notifier node for a session of `slots` client channels: the
     /// configured notifier wrapped — in standby sessions with its log and
     /// warm shadow — in a [`NotifierCore`], plus one connection end per
-    /// channel. Nothing bound and unfederated; the star binds its clients
-    /// and a shard adds the relay afterwards.
+    /// channel, every client channel bound to its site.
     fn new(cfg: &SessionConfig, slots: usize, traced: bool) -> Self {
         let notifier = cfg.notifier(slots);
         let standby = cfg.standby.then(|| {
@@ -372,8 +361,12 @@ impl RobustNotifier {
             sb
         });
         let wal = cfg.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY));
+        let mut hub = Hub::new(NotifierCore::new(notifier, wal, standby));
+        for i in 0..slots {
+            hub.bind(1 + i, SiteId(i as u32 + 1));
+        }
         RobustNotifier {
-            hub: Hub::new(NotifierCore::new(notifier, wal, standby)),
+            hub,
             conns: (0..slots).map(|_| Connection::default()).collect(),
             trace: traced.then(Vec::new),
             trace_acks: Vec::new(),
@@ -382,209 +375,16 @@ impl RobustNotifier {
             crash_at: None,
             rebound_at: Vec::new(),
             promoted_replay: None,
-            relay: None,
         }
-    }
-
-    /// Decompose one executed (notifier-form) operation from `from` into
-    /// per-character mesh ops and queue them for cross-shard relay. A
-    /// no-op without federation and for the virtual relay client's own
-    /// injections — those *came from* the mesh, so re-relaying them would
-    /// echo forever.
-    ///
-    /// Invariant: the mesh's visible text equals the notifier document
-    /// *before* `executed` was applied — `integrate` calls this
-    /// immediately after every integration, so walking the component run
-    /// against a running visible position replays the exact edit on the
-    /// mesh replica (whose own vector clock then carries it to the peer
-    /// shards).
-    fn mirror_to_relay(&mut self, from: SiteId, executed: &SeqOp, now_us: u64) {
-        let Some(rel) = self.relay.as_mut().filter(|r| from != r.virtual_site) else {
-            return;
-        };
-        let mut pos = 0usize;
-        for comp in executed.components() {
-            match comp {
-                Component::Retain(n) => pos += n,
-                Component::Insert(s) => {
-                    for ch in s.chars() {
-                        let m = rel.mesh.local_insert(pos, ch);
-                        rel.queue_out(m, now_us);
-                        pos += 1;
-                    }
-                }
-                Component::Delete(n) => {
-                    for _ in 0..*n {
-                        let m = rel.mesh.local_delete(pos);
-                        rel.queue_out(m, now_us);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(
-            rel.mesh.doc(),
-            self.hub.notifier().doc(),
-            "relay mesh mirror diverged from the shard document"
-        );
-    }
-
-    /// Integrate one inbound relay frame from a peer shard (delivered by
-    /// the federation driver at a barrier exchange). Hostile shard ids
-    /// and broken sequencing are quarantined — counted, never panicking;
-    /// an in-order frame runs the mesh's vector-clock transformation and
-    /// each resulting visible effect is re-injected through the ordinary
-    /// client-op path as the *virtual relay client*, so the WAL, the warm
-    /// standby, broadcast stamping, GC, and the flight recorder all see
-    /// it as a first-class operation.
-    pub(crate) fn on_relay_frame(&mut self, ctx: &mut Ctx<'_, Segment>, r: RelayOpMsg) {
-        let Some(rel) = self.relay.as_mut() else {
-            // A relay frame at a non-federated notifier is hostile input;
-            // there is no relay state to count it against, so drop it.
-            return;
-        };
-        let oi = r.origin_shard as usize;
-        if r.origin_shard == rel.shard || oi >= rel.n_shards as usize {
-            rel.relay_hostile_drops += 1;
-            return;
-        }
-        match r.seq.cmp(&rel.next_in_seq[oi]) {
-            std::cmp::Ordering::Less => {
-                rel.relay_dup_drops += 1;
-                return;
-            }
-            std::cmp::Ordering::Greater => {
-                // A gap: the bus retransmits go-back-N from the lowest
-                // unacked frame, so the missing ones come again in order
-                // — drop rather than buffer out-of-order state.
-                rel.relay_gap_drops += 1;
-                return;
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        rel.next_in_seq[oi] = r.seq + 1;
-        rel.relayed_in += 1;
-        let hop = ctx.now.as_micros().saturating_sub(r.sent_at_us);
-        rel.hop_us_total += hop;
-        rel.hop_us_max = rel.hop_us_max.max(hop);
-        // Mesh integration: 0 (buffered / hostile), 1, or several
-        // executions if this frame unblocked causally-pending peers.
-        // Hostile payloads die inside `on_remote` (its own guard set).
-        let mut len = rel.mesh.visible_len();
-        let hostile_before = rel.mesh.metrics().protocol_errors;
-        let integrations = rel.mesh.on_remote(r.inner);
-        if rel.mesh.metrics().protocol_errors > hostile_before {
-            rel.relay_hostile_drops += 1;
-        }
-        // Convert each visible effect into a notifier-form SeqOp against
-        // the evolving document length, then inject.
-        let origin_shard = r.origin_shard;
-        let mut injected = Vec::new();
-        for ing in integrations {
-            // Log the *actual* integration (a causally-pending frame
-            // buffers in the mesh and surfaces here later, possibly
-            // carried in by a different frame) for the driver's oracle.
-            rel.integration_log
-                .push((ing.origin.client_index() as u32, ing.seq));
-            match ing.effect {
-                VisibleEffect::Insert { pos, ch } => {
-                    let mut op = SeqOp::new();
-                    op.retain(pos).insert(&ch.to_string()).retain(len - pos);
-                    len += 1;
-                    injected.push(op);
-                }
-                VisibleEffect::Delete { pos } => {
-                    let mut op = SeqOp::new();
-                    op.retain(pos).delete(1).retain(len - pos - 1);
-                    len -= 1;
-                    injected.push(op);
-                }
-                // A delete whose target was already a tombstone here:
-                // idempotent at the mesh, nothing to inject.
-                VisibleEffect::None => {}
-            }
-        }
-        for op in injected {
-            let rel = self.relay.as_mut().expect("still federated");
-            rel.virtual_seq += 1;
-            let t2 = rel.virtual_seq;
-            let vs = rel.virtual_site;
-            // T1 for the virtual client is exactly what the notifier has
-            // sent it (`record_send_shared` counts every active
-            // destination, bound or not), so formula (7) finds zero
-            // concurrency and the transformed-at-the-mesh op applies
-            // verbatim — the cross-shard transformation happened in the
-            // mesh tier, the star tier just executes.
-            let t1 = self.hub.notifier().state_vector().compress_for(vs).get(1);
-            self.hub.core_mut().note_lifecycle(
-                FlightEvent::new(EventKind::Relay)
-                    .with_op(vs.0, t2)
-                    .with_ab(origin_shard as u64, hop)
-                    .with_detail("relay-inject"),
-            );
-            let op = ClientOpMsg {
-                origin: vs,
-                stamp: CompressedStamp::new(t1, t2),
-                op,
-                cursor: None,
-            };
-            self.integrate(ctx, vs.client_index() + 1, true, EditorMsg::ClientOp(op));
-        }
-    }
-
-    /// Advance the virtual relay client's ack watermark to everything
-    /// this notifier has sent it. The virtual slot is never bound (no
-    /// process ever acks on it), so without this driver-called keepalive
-    /// a quiet federation link would pin history GC forever.
-    pub(crate) fn relay_keepalive(&mut self) {
-        let Some(rel) = &self.relay else { return };
-        let vs = rel.virtual_site;
-        let notifier = self.hub.notifier();
-        let sent = notifier.state_vector().compress_for(vs).get(1);
-        if sent > notifier.acked_by()[vs.client_index()] {
-            let ack = EditorMsg::ClientAck(ClientAckMsg {
-                origin: vs,
-                received: sent,
-            });
-            if let Step::Evicted(_, e) = self.hub.integrate(vs, ack, &mut Vec::new()) {
-                eprintln!("relay keepalive rejected: {e}");
-            }
-        }
-    }
-
-    /// Drain the frames queued for the peer shards (driver-called at each
-    /// barrier exchange).
-    pub(crate) fn take_relay_outbox(&mut self) -> Vec<RelayOpMsg> {
-        match &mut self.relay {
-            Some(rel) => std::mem::take(&mut rel.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Drain the mesh-integration log (driver-called; feeds the
-    /// federation's causality oracle with real execution order).
-    pub(crate) fn take_relay_integrations(&mut self) -> Vec<(u32, u64)> {
-        match &mut self.relay {
-            Some(rel) => std::mem::take(&mut rel.integration_log),
-            None => Vec::new(),
-        }
-    }
-
-    /// The in-order cursor for frames from `origin_shard` (next expected
-    /// sequence) — what a cumulative relay ack carries back.
-    pub(crate) fn relay_cursor(&self, origin_shard: u32) -> u64 {
-        self.relay
-            .as_ref()
-            .map(|rel| rel.next_in_seq[origin_shard as usize])
-            .unwrap_or(0)
     }
 
     /// Feed one input from node `node` through the hub and put what it
-    /// queued on the connections. Node `i` speaks only for site `i` (the
-    /// virtual relay client's slot included): node identity stands in for
-    /// an authenticated connection, so a hello naming another site is
-    /// refused here. A `bound` input integrates as that site; otherwise
-    /// the hub hears a stranger, and only a hello binds.
-    fn integrate(&mut self, ctx: &mut Ctx<'_, Segment>, node: NodeId, bound: bool, msg: EditorMsg) {
+    /// queued on the connections. Node `i` speaks only for site `i`: node
+    /// identity stands in for an authenticated connection, so a hello
+    /// naming another site is refused here. A bound channel's input
+    /// integrates as its site; otherwise the hub hears a stranger, and
+    /// only a hello binds.
+    fn integrate(&mut self, ctx: &mut Ctx<'_, Segment>, node: NodeId, msg: EditorMsg) {
         let site = SiteId(node as u32);
         let traced = self.trace.is_some().then(|| msg.clone());
         // Write-ahead ordering lives in the core: by the time an outcome
@@ -594,8 +394,9 @@ impl RobustNotifier {
         // arriving — the origin re-sends it after its hello.
         let mut sends = Vec::new();
         let step = match msg {
-            msg if bound => self.hub.integrate(site, msg, &mut sends),
-            EditorMsg::ClientAck(a) if a.origin != site => Step::Refused,
+            EditorMsg::ClientAck(a) if a.origin != site && self.hub.site_of(node).is_none() => {
+                Step::Refused
+            }
             msg => self.hub.on_msg(node, msg, &mut sends),
         };
         match step {
@@ -616,10 +417,6 @@ impl RobustNotifier {
                     Some(CrashPoint::MidBroadcast) => sends.truncate(out.stamps.len().div_ceil(2)),
                     _ => {}
                 }
-                // Federation: mirror the executed form into this shard's
-                // mesh replica and queue per-character relay frames for
-                // the peer shards.
-                self.mirror_to_relay(site, &out.executed, ctx.now.as_micros());
                 let written: Vec<NodeId> = sends.iter().map(|&(node, _)| node).collect();
                 self.put(ctx, sends);
                 if crashing.is_some() {
@@ -779,14 +576,13 @@ impl RobustNotifier {
             if self.conns[xi].dead {
                 break;
             }
-            let bound = self.hub.site_of(from).is_some();
-            self.integrate(ctx, from, bound, m);
+            self.integrate(ctx, from, m);
         }
     }
 }
 
-pub(crate) struct RobustClient {
-    pub(crate) inner: Box<Client>,
+struct RobustClient {
+    inner: Box<Client>,
     conn: Connection,
     script: Vec<ScheduledEdit>,
     state: ConnState,
@@ -798,12 +594,6 @@ pub(crate) struct RobustClient {
 }
 
 impl RobustClient {
-    /// Whether the client ended the run connected (federation harvest
-    /// assertion; fault-free shards must quiesce fully connected).
-    pub(crate) fn is_connected(&self) -> bool {
-        self.state == ConnState::Connected
-    }
-
     fn send(&mut self, ctx: &mut Ctx<'_, Segment>, m: &EditorMsg) {
         self.conn.queue(ctx, 0, WRITE_TAG, Payload::encode(m));
     }
@@ -956,42 +746,12 @@ impl RobustClient {
     }
 }
 
-pub(crate) enum RobustNode {
+enum RobustNode {
     Notifier(Box<RobustNotifier>),
     Client(Box<RobustClient>),
 }
 
 impl RobustNode {
-    /// The shard notifier (node 0 of a federation shard simulator).
-    ///
-    /// These accessors encode a *construction* invariant of the crate's
-    /// own driver (`build_shard_sim` always places the notifier at node
-    /// 0), not a remote-input path — no wire bytes can steer which
-    /// variant lives where, so `unreachable!` here is consistent with
-    /// the §12 panic-free-on-remote-input policy.
-    pub(crate) fn as_notifier(&self) -> &RobustNotifier {
-        match self {
-            RobustNode::Notifier(n) => n,
-            RobustNode::Client(_) => unreachable!("node is a client, not the notifier"),
-        }
-    }
-
-    /// Mutable access for the federation driver's barrier exchange.
-    pub(crate) fn as_notifier_mut(&mut self) -> &mut RobustNotifier {
-        match self {
-            RobustNode::Notifier(n) => n,
-            RobustNode::Client(_) => unreachable!("node is a client, not the notifier"),
-        }
-    }
-
-    /// The client at this node (federation harvest).
-    pub(crate) fn as_client(&self) -> &RobustClient {
-        match self {
-            RobustNode::Client(c) => c,
-            RobustNode::Notifier(_) => unreachable!("node is the notifier, not a client"),
-        }
-    }
-
     /// Stamp the virtual clock onto the site's flight recorder, so events
     /// recorded inside carry sim time.
     fn set_now(&mut self, now: SimTime) {
@@ -1048,36 +808,16 @@ pub fn run_robust_session_traced(cfg: &SessionConfig) -> (SessionReport, Session
     (report, trace.expect("trace requested"))
 }
 
-/// One shard of a multi-notifier federation: its simulator plus the
-/// construction facts the federation driver needs for stepping, barrier
-/// exchange, and harvest.
-pub(crate) struct ShardSim {
-    /// The shard's own star/CVC world: notifier at node 0, its local
-    /// clients at nodes `1..=n_local`.
-    pub(crate) sim: Simulator<Segment, RobustNode>,
-    /// Real clients hosted on this shard.
-    pub(crate) n_local: usize,
-    /// Virtual time of this shard's last scripted edit (µs).
-    pub(crate) last_edit_us: u64,
-}
-
-/// The simulated star both session shapes run on: streams under the
-/// session's fault plan, `notifier` at node 0, one scripted client per
-/// workload site at nodes `1..`, and every scripted edit scheduled. Also
-/// returns the virtual time of the last scripted edit (µs).
-fn build_star(
-    cfg: &SessionConfig,
-    mut notifier: RobustNotifier,
-    traced: bool,
-) -> (Simulator<Segment, RobustNode>, u64) {
+/// The simulated star a session runs on: streams under the session's
+/// fault plan, the notifier at node 0, one scripted client per workload
+/// site at nodes `1..`, and every scripted edit scheduled.
+fn build_star(cfg: &SessionConfig, traced: bool) -> Simulator<Segment, RobustNode> {
     let scripts = cfg.workload.generate();
-    let mut sim: Simulator<Segment, RobustNode> = Simulator::new(cfg.latency, cfg.net_seed);
+    let mut sim = Simulator::new(cfg.latency, cfg.net_seed);
     sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
     sim.set_streams(true);
     sim.set_default_fault_plan(cfg.fault_plan.unwrap_or(FaultPlan::NONE));
-    for i in 0..scripts.len() {
-        notifier.hub.bind(1 + i, SiteId(i as u32 + 1));
-    }
+    let notifier = RobustNotifier::new(cfg, scripts.len(), traced);
     sim.add_node(RobustNode::Notifier(Box::new(notifier)));
     for (i, script) in scripts.iter().enumerate() {
         sim.add_node(RobustNode::Client(Box::new(RobustClient {
@@ -1093,50 +833,7 @@ fn build_star(
             sim.schedule_timer(1 + i, edit.at, k as u64);
         }
     }
-    let last_edit_us = scripts
-        .iter()
-        .flat_map(|s| s.iter().map(|e| e.at.as_micros()))
-        .max()
-        .unwrap_or(0);
-    (sim, last_edit_us)
-}
-
-/// Build one federation shard: a star/CVC session whose notifier carries
-/// `n_local + 1` client slots — the extra, never-bound slot is the
-/// *virtual relay client* through which peer-shard operations enter this
-/// star (see [`crate::relay`] for the federation model).
-/// `cfg.workload.n_sites` is the number of real clients on this shard.
-pub(crate) fn build_shard_sim(
-    cfg: &SessionConfig,
-    shard: u32,
-    n_shards: u32,
-    traced: bool,
-) -> ShardSim {
-    assert!(n_shards >= 1 && shard < n_shards, "shard id in range");
-    assert!(
-        cfg.crash.is_none(),
-        "federation shards do not run crash plans (per-shard failover is a \
-         separate concern; see DESIGN §16)"
-    );
-    let n_local = cfg.workload.n_sites;
-    assert!(n_local >= 1, "a shard hosts at least one client");
-    // + the virtual relay client. Its slot is never bound: its broadcasts
-    // are silently skipped (the mesh relay carries them instead) and no
-    // node exists at its address.
-    let slots = n_local + 1;
-    let mut notifier = RobustNotifier::new(cfg, slots, traced);
-    notifier.relay = Some(Box::new(RelayState::new(
-        shard,
-        n_shards,
-        n_local,
-        &cfg.initial_doc,
-    )));
-    let (sim, last_edit_us) = build_star(cfg, notifier, traced);
-    ShardSim {
-        sim,
-        n_local,
-        last_edit_us,
-    }
+    sim
 }
 
 fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option<SessionTrace>) {
@@ -1162,7 +859,7 @@ fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option
     }
     let n = cfg.workload.n_sites;
     assert!(n >= 2, "sessions need at least two clients");
-    let (mut sim, _) = build_star(cfg, RobustNotifier::new(cfg, n, traced), traced);
+    let mut sim = build_star(cfg, traced);
     sim.record_deliveries(cfg.record_deliveries);
     for spec in &cfg.disconnects {
         assert!(spec.client < n, "disconnect spec for unknown client");
@@ -1343,6 +1040,35 @@ mod tests {
         assert_eq!(split_frame(&socket, usize::MAX), Ok(None), "truncated");
     }
 
+    impl RobustNode {
+        fn as_notifier(&self) -> &RobustNotifier {
+            match self {
+                RobustNode::Notifier(n) => n,
+                RobustNode::Client(_) => unreachable!("node is a client, not the notifier"),
+            }
+        }
+
+        fn as_notifier_mut(&mut self) -> &mut RobustNotifier {
+            match self {
+                RobustNode::Notifier(n) => n,
+                RobustNode::Client(_) => unreachable!("node is a client, not the notifier"),
+            }
+        }
+
+        fn as_client(&self) -> &RobustClient {
+            match self {
+                RobustNode::Client(c) => c,
+                RobustNode::Notifier(_) => unreachable!("node is the notifier, not a client"),
+            }
+        }
+    }
+
+    impl RobustClient {
+        fn is_connected(&self) -> bool {
+            self.state == ConnState::Connected
+        }
+    }
+
     fn robust_cfg(n: usize, seed: u64) -> SessionConfig {
         let mut cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
         cfg.fault_plan = Some(FaultPlan::NONE);
@@ -1398,7 +1124,7 @@ mod tests {
     fn a_burst_coalesces_at_most_compound_max_per_frame() {
         let mut cfg = robust_cfg(2, 5);
         cfg.workload.ops_per_site = 0;
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 2, false), false);
+        let mut sim = build_star(&cfg, false);
         sim.record_deliveries(true);
         let burst = 2 * COMPOUND_MAX + 6;
         sim.with_node_ctx(0, |node, ctx| {
@@ -1521,7 +1247,7 @@ mod tests {
         let mut cfg = robust_cfg(2, 5);
         cfg.workload.ops_per_site = 0;
         cfg.latency = LatencyModel::Constant(10_000);
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 2, false), false);
+        let mut sim = build_star(&cfg, false);
         let ack = |acked| Payload::encode(&EditorMsg::ServerAck(ServerAckMsg { acked }));
         let put = |sim: &mut Simulator<Segment, RobustNode>, acked| {
             sim.with_node_ctx(0, |node, ctx| {
@@ -1638,7 +1364,7 @@ mod tests {
     fn a_hello_naming_another_nodes_site_binds_nothing() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let mut sim = build_star(&cfg, false);
         let hello = ClientAckMsg {
             origin: SiteId(2),
             received: 0,
@@ -1668,7 +1394,7 @@ mod tests {
     fn old_epoch_frames_after_the_hello_are_dropped() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let mut sim = build_star(&cfg, false);
         sim.schedule_timer(1, SimTime::from_millis(1), RECONNECT_TAG);
         sim.run();
         let client = sim.node(1).as_client();
@@ -1835,7 +1561,7 @@ mod tests {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
         cfg.standby = true;
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let mut sim = build_star(&cfg, false);
         let forged = Client::new(SiteId(2), &cfg.initial_doc).insert(0, "F");
         sim.inject_send(
             1,
@@ -1869,7 +1595,7 @@ mod tests {
     fn client_op_with_a_trailing_byte_is_hostile_at_the_notifier() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let mut sim = build_star(&cfg, false);
         let op = Client::new(SiteId(1), &cfg.initial_doc).insert(0, "J");
         sim.inject_send(1, 0, frame(0, with_trailing_junk(&EditorMsg::ClientOp(op))));
         sim.run();
@@ -1885,7 +1611,7 @@ mod tests {
     fn server_op_with_a_trailing_byte_is_hostile_at_the_client() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let mut sim = build_star(&cfg, false);
         let len = cfg.initial_doc.chars().count();
         let op = ServerOpMsg {
             stamp: CompressedStamp::new(1, 0),
@@ -2037,7 +1763,7 @@ mod tests {
         let mut cfg = crash_cfg(3, 36, 1, CrashPoint::AfterSend);
         cfg.workload.ops_per_site = 0;
         cfg.latency = LatencyModel::Constant(10_000);
-        let (mut sim, _) = build_star(&cfg, RobustNotifier::new(&cfg, 3, false), false);
+        let mut sim = build_star(&cfg, false);
         sim.schedule_timer(1, SimTime::from_millis(1), RECONNECT_TAG);
         sim.run_until(SimTime::from_millis(1));
         sim.with_node_ctx(2, |node, ctx| {

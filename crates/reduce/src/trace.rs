@@ -49,10 +49,6 @@ fn pack_id(site: u32, seq: u64) -> u64 {
 /// One typed lifecycle stage of an operation's end-to-end trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Cross-shard relay hop: from the origin shard queueing the frame to
-    /// this shard's notifier injecting it (federated sessions only; zero
-    /// for ops generated by a local client).
-    Relay,
     /// Generation to wire send at the origin client (local queueing).
     Enqueue,
     /// Origin client's send to notifier delivery (upstream transport,
@@ -74,8 +70,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages in lifecycle order.
-    pub const ALL: [Stage; 7] = [
-        Stage::Relay,
+    pub const ALL: [Stage; 6] = [
         Stage::Enqueue,
         Stage::Upstream,
         Stage::NotifierTransform,
@@ -87,7 +82,6 @@ impl Stage {
     /// Stable lower-case name (used by dumps, metrics, and JSON exports).
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Relay => "relay",
             Stage::Enqueue => "enqueue",
             Stage::Upstream => "upstream",
             Stage::NotifierTransform => "notifier-transform",
@@ -100,7 +94,6 @@ impl Stage {
     /// Metric-safe name (dots and dashes replaced).
     fn metric_name(self) -> &'static str {
         match self {
-            Stage::Relay => "relay",
             Stage::Enqueue => "enqueue",
             Stage::Upstream => "upstream",
             Stage::NotifierTransform => "notifier_transform",
@@ -140,12 +133,6 @@ pub struct OpTrace {
     /// The trace is incomplete *by design*: its origin was quarantined
     /// mid-run, or an input ring wrapped over part of its lifecycle.
     pub truncated: bool,
-    /// The op arrived over the cross-shard relay tier (its "origin
-    /// client" is the shard's virtual relay slot).
-    pub relayed: bool,
-    /// Relay hop latency (µs): origin shard queueing the frame to this
-    /// shard injecting it. 0 for locally-generated ops.
-    pub relay_hop_us: u64,
 }
 
 impl OpTrace {
@@ -162,8 +149,6 @@ impl OpTrace {
             executions: Vec::new(),
             expected_dests: Vec::new(),
             truncated: false,
-            relayed: false,
-            relay_hop_us: 0,
         }
     }
 
@@ -214,20 +199,17 @@ impl OpTrace {
     }
 
     /// Critical-path decomposition of the convergence latency into the
-    /// seven typed stages, through the critical destination. The durations
+    /// six typed stages, through the critical destination. The durations
     /// sum to [`OpTrace::convergence_us`] exactly when that destination
     /// executed last (they are chained differences over the same span).
     /// `None` until the trace is complete.
-    pub fn stage_breakdown(&self) -> Option<[(Stage, u64); 7]> {
+    pub fn stage_breakdown(&self) -> Option<[(Stage, u64); 6]> {
         if !self.complete() {
             return None;
         }
         let d = self.critical_dest();
         let t0 = self.generated_at;
-        // For a relayed op, generation is anchored at the origin *shard*'s
-        // queue time; the relay hop ends where the local lifecycle starts.
-        let tr = t0 + self.relay_hop_us;
-        let t1 = self.sent_at.unwrap_or(tr).max(tr);
+        let t1 = self.sent_at.unwrap_or(t0).max(t0);
         let t2 = self.notifier_delivered_at.unwrap_or(t1);
         let t3 = self.notifier_executed_at.unwrap_or(t2);
         // A wrapped ring can lose broadcast/delivery events of an
@@ -241,8 +223,7 @@ impl OpTrace {
             .unwrap_or(t4);
         let t6 = d.and_then(|d| self.executed_at(d)).unwrap_or(t5);
         Some([
-            (Stage::Relay, self.relay_hop_us),
-            (Stage::Enqueue, t1.saturating_sub(tr)),
+            (Stage::Enqueue, t1.saturating_sub(t0)),
             (Stage::Upstream, t2.saturating_sub(t1)),
             (Stage::NotifierTransform, t3.saturating_sub(t2)),
             (Stage::Broadcast, t4.saturating_sub(t3)),
@@ -336,9 +317,6 @@ impl OpTrace {
                     self.expected_dests.len()
                 );
             }
-        }
-        if self.relayed {
-            let _ = writeln!(out, "    relayed: cross-shard hop {} us", self.relay_hop_us);
         }
         out
     }
@@ -436,17 +414,6 @@ impl TraceSet {
         };
         for t in &self.traces {
             let (o, _) = t.op;
-            if t.relayed {
-                push(
-                    &mut out,
-                    &mut first,
-                    "relay",
-                    0,
-                    t.op,
-                    t.generated_at,
-                    t.relay_hop_us,
-                );
-            }
             if let Some(sent) = t.sent_at {
                 push(
                     &mut out,
@@ -454,8 +421,8 @@ impl TraceSet {
                     "enqueue",
                     o,
                     t.op,
-                    t.generated_at + t.relay_hop_us,
-                    sent.saturating_sub(t.generated_at + t.relay_hop_us),
+                    t.generated_at,
+                    sent.saturating_sub(t.generated_at),
                 );
                 if let Some(nd) = t.notifier_delivered_at {
                     push(
@@ -529,10 +496,9 @@ impl TraceSet {
     /// deterministically from the CVC trace context `(origin site, per-
     /// origin seq)` — the compressed clock *is* the trace id, no extra
     /// wire bytes. A root `op` span covers generation → convergence and
-    /// complete traces add one child span per lifecycle stage, including
-    /// the federation's cross-shard `relay` stage. The simulator's
-    /// virtual-time µs are exported as `µs × 1000` "unix nanos" (there is
-    /// no epoch; viewers only use differences).
+    /// complete traces add one child span per lifecycle stage. The
+    /// simulator's virtual-time µs are exported as `µs × 1000` "unix nanos"
+    /// (there is no epoch; viewers only use differences).
     pub fn to_otlp_json(&self) -> String {
         let mut spans = String::new();
         let mut first = true;
@@ -593,14 +559,7 @@ impl TraceSet {
             let mut root_attrs = vec![
                 op_attr.clone(),
                 ("cvc.complete", format!("\"boolValue\":{}", t.complete())),
-                ("cvc.relayed", format!("\"boolValue\":{}", t.relayed)),
             ];
-            if t.relayed {
-                root_attrs.push((
-                    "cvc.relay_hop_us",
-                    format!("\"intValue\":\"{}\"", t.relay_hop_us),
-                ));
-            }
             if t.truncated {
                 root_attrs.push(("cvc.truncated", "\"boolValue\":true".to_string()));
             }
@@ -621,13 +580,6 @@ impl TraceSet {
             if let Some(breakdown) = t.stage_breakdown() {
                 let mut at = t.generated_at;
                 for (i, (stage, dur)) in breakdown.iter().enumerate() {
-                    // A plain star op has no relay hop — the stage exists
-                    // in the breakdown (zero-width) but a span for it
-                    // would just be noise in a viewer, so skip it; the
-                    // chrome export makes the same choice.
-                    if *stage == Stage::Relay && !t.relayed {
-                        continue;
-                    }
                     push_span(
                         &mut spans,
                         &mut first,
@@ -823,19 +775,6 @@ impl TraceTailer {
                 entry(&mut self.ops, (ev.op_site, ev.op_seq))
                     .notifier_executed_at
                     .get_or_insert(ev.recorded_at);
-            }
-            // A cross-shard injection: the virtual relay client's
-            // "generation". `b` carries the relay hop latency, so
-            // generation is anchored back at the origin shard's queue time
-            // and the hop becomes the trace's seventh stage; the injection
-            // time doubles as the wire-send anchor (the mesh tier has no
-            // per-op client enqueue).
-            EventKind::Relay if ev.op_site != NO_SITE => {
-                let t = entry(&mut self.ops, (ev.op_site, ev.op_seq));
-                t.relayed = true;
-                t.relay_hop_us = ev.b;
-                t.generated_at = ev.recorded_at.saturating_sub(ev.b);
-                t.sent_at.get_or_insert(ev.recorded_at);
             }
             // The notifier records an Error and the session layer
             // quarantines the offender; treat the error's origin as
@@ -1183,11 +1122,6 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         for stage in Stage::ALL {
-            if stage == Stage::Relay && !set.traces.iter().any(|t| t.relayed) {
-                // A plain star session never crosses a shard boundary;
-                // the relay stage only appears in federation traces.
-                continue;
-            }
             assert!(
                 j.contains(&format!("\"name\":\"{}\"", stage.name())),
                 "{stage:?}"

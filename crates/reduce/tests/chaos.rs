@@ -26,7 +26,6 @@ use cvc_reduce::core::NotifierCore;
 use cvc_reduce::error::ProtocolError;
 use cvc_reduce::msg::{ClientOpMsg, Payload, ServerOpMsg};
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::relay::{run_federation, FederationConfig, RelayFaultPlan};
 use cvc_reduce::reliable::{
     run_robust_session, run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec,
     NotifierCrash, SessionTrace,
@@ -828,70 +827,4 @@ fn duplicating_links_yield_counted_errors_at_composing_clients() {
         errors.iter().any(|(s, _)| *s == SiteId(0)),
         "and so does the notifier"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Leg 4 — federation chaos: the cross-shard relay tier gets the same
-// treatment as the star links. A multi-notifier session over a lossy,
-// corrupting inter-notifier bus must still deliver the paper's guarantee:
-// every site of every shard converges, zero Definition-1 violations, zero
-// hostile-input quarantines — go-back-N redelivery and the checksum gate
-// mask the bus faults. The *final document bytes* are compared only in
-// the fixed-seed twin (see `relay::tests`): the workload's `frac`-based
-// intents sample the doc length at edit time, so a delayed relay frame
-// legitimately changes which operations get generated — determinism
-// across fault plans is not a property the paper claims.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn faulty_federation_matches_fault_free_twin(
-        k in 2u32..=3,
-        clients_per_shard in 1usize..=2,
-        ops in 3usize..=8,
-        drop in 0.0f64..0.35,
-        corrupt in 0.0f64..0.25,
-        seed in 0u64..1_000,
-    ) {
-        let mut clean_cfg = FederationConfig::small(k, clients_per_shard, seed);
-        clean_cfg.ops_per_client = ops;
-        let clean = run_federation(&clean_cfg);
-        let mut faulty_cfg = clean_cfg.clone();
-        faulty_cfg.faults = RelayFaultPlan {
-            drop,
-            corrupt,
-            seed: seed ^ 0x00C0_FFEE,
-        };
-        let faulty = run_federation(&faulty_cfg);
-        prop_assert!(clean.converged, "fault-free twin diverged");
-        prop_assert!(faulty.converged, "faulty federation diverged");
-        // The scripted edit *count* is delivery-independent even though
-        // the edit positions are not: every client fires all its edits.
-        prop_assert_eq!(faulty.local_ops_total, clean.local_ops_total);
-        prop_assert_eq!(clean.oracle_violations, 0);
-        prop_assert_eq!(faulty.oracle_violations, 0);
-        for sh in &faulty.shards {
-            prop_assert_eq!(sh.relay_hostile_drops, 0, "shard {} quarantined honest frames", sh.shard);
-        }
-    }
-
-    /// A singleton federation is the plain robust star: no relay traffic,
-    /// and the final document equals a plain `run_robust_session` of the
-    /// same shard config — the federation driver adds nothing but the
-    /// (empty) bus.
-    #[test]
-    fn singleton_federation_is_the_plain_star(
-        clients in 1usize..=3,
-        ops in 3usize..=8,
-        seed in 0u64..1_000,
-    ) {
-        let mut cfg = FederationConfig::small(1, clients, seed);
-        cfg.ops_per_client = ops;
-        let rep = run_federation(&cfg);
-        prop_assert!(rep.converged);
-        prop_assert_eq!(rep.relay_frames_total, 0);
-        prop_assert_eq!(rep.bus.frames_sent, 0);
-        prop_assert_eq!(rep.n_clients_total, clients);
-    }
 }

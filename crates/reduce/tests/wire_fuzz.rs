@@ -28,10 +28,9 @@ use cvc_reduce::error::ProtocolError;
 use cvc_reduce::frame::{frame_checksum, split_frame, FrameError, FrameHasher, MAX_FRAME_BYTES};
 use cvc_reduce::msg::{
     decode_payload, write_compound, ClientAckMsg, ClientOpMsg, EditorMsg, MeshOpMsg, Payload,
-    RelayAckMsg, RelayOpMsg, ServerAckMsg, ServerOpFrame, ServerOpMsg,
+    ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::relay::{RelayBus, RelayFaultPlan};
 use cvc_reduce::wal::{WalRecord, WalSnapshot};
 use cvc_sim::wire::{put_varint, WireDecode, WireEncode, WireError, WireSize, MAX_WIRE_SPAN};
 use proptest::prelude::*;
@@ -136,36 +135,66 @@ fn hostile_64_bit_lengths_are_rejected_at_every_site() {
     assert!(WalRecord::decode(&mut buf).is_err());
 }
 
-/// A shard id past `u32` is an overlong value, never a truncated one: read
-/// as `2^32 → 0`, a hostile relay frame would claim to come from shard 0
-/// and slip past the notifier's hostile-shard quarantine.
+/// A site id past `u32` is an overlong value, never a truncated one:
+/// read as `2^32 + 1 → 1`, a stranger's hello would bind site 1, a lone
+/// op would speak for it, and a standby replaying the log would evict it.
+/// Each field is the first varint after its record's tag.
 #[test]
-fn wide_origin_shard_is_overlong_not_shard_zero() {
-    let inner = MeshOpMsg {
+fn wide_site_ids_are_overlong_not_truncated() {
+    let hello = EditorMsg::ClientAck(ClientAckMsg {
         origin: SiteId(1),
-        vector: VectorClock::from_entries(vec![1, 0]),
-        op: TtfOp::Delete { pos: 0 },
+        received: 0,
+    });
+    let mut insert = SeqOp::new();
+    insert.insert("a");
+    let op = EditorMsg::ClientOp(ClientOpMsg {
+        origin: SiteId(1),
+        stamp: CompressedStamp::new(0, 1),
+        op: insert,
+        cursor: None,
+    });
+    let with_wide_site = |valid: &[u8], wide: u64| {
+        // Byte 0 is the tag, byte 1 the one-byte varint of site 1.
+        let mut b = vec![valid[0]];
+        put_varint(&mut b, wide);
+        b.extend_from_slice(&valid[2..]);
+        b
     };
-    let op = EditorMsg::RelayOp(RelayOpMsg {
-        origin_shard: 0,
-        seq: 1,
-        sent_at_us: 0,
-        inner,
-    });
-    let ack = EditorMsg::RelayAck(RelayAckMsg {
-        origin_shard: 0,
-        received: 1,
-    });
-    for msg in [op, ack] {
-        let mut valid = Vec::new();
-        msg.encode(&mut valid);
-        // Byte 0 is the tag, byte 1 the one-byte varint of shard 0.
-        for wide in [1u64 << 32, (1 << 32) + 1, u64::MAX] {
-            let mut b = vec![valid[0]];
-            put_varint(&mut b, wide);
-            b.extend_from_slice(&valid[2..]);
+    for wide in [1u64 << 32, (1 << 32) + 1, u64::MAX] {
+        for msg in [&hello, &op] {
+            let mut valid = Vec::new();
+            msg.encode(&mut valid);
+            let b = with_wide_site(&valid, wide);
             assert_eq!(must_reject(&b), WireError::Overlong, "{msg:?} at {wide}");
         }
+        let mut valid = Vec::new();
+        WalRecord::Evict(SiteId(1)).encode(&mut valid);
+        let b = with_wide_site(&valid, wide);
+        let mut buf: &[u8] = &b;
+        assert_eq!(
+            WalRecord::decode(&mut buf).err(),
+            Some(WireError::Overlong),
+            "evict at {wide}"
+        );
+    }
+}
+
+/// Tags 7 and 8 belonged to the retired notifier-to-notifier messages and
+/// are not reused: a message that opens with either is a bad tag, alone
+/// or wrapped as a compound's kind-3 member.
+#[test]
+fn retired_tags_are_bad_tags() {
+    for tag in [7u8, 8] {
+        let lone = [tag, 0, 1, 0, 2, 1, 0];
+        assert_eq!(must_reject(&lone), WireError::BadTag(tag));
+        // `[compound][one member][kind 3]` then the tagged bytes.
+        let compound = [&[6u8, 1, 3][..], &lone].concat();
+        let mut out = Vec::new();
+        assert_eq!(
+            decode_payload([&compound, &[]], &mut out),
+            Err(WireError::BadTag(tag))
+        );
+        assert!(out.is_empty());
     }
 }
 
@@ -230,8 +259,7 @@ fn stamp_strategy() -> impl Strategy<Value = CompressedStamp> {
     (any::<u64>(), any::<u64>()).prop_map(|(a, b)| CompressedStamp::new(a, b))
 }
 
-/// A structurally valid shard-mesh operation — the body of both the
-/// mesh baseline's wire frame and the federation relay frame.
+/// A structurally valid mesh operation, the mesh baseline's wire frame.
 fn mesh_op_msg_strategy() -> impl Strategy<Value = MeshOpMsg> {
     (
         1u32..=16,
@@ -246,25 +274,6 @@ fn mesh_op_msg_strategy() -> impl Strategy<Value = MeshOpMsg> {
             origin: SiteId(origin),
             vector: VectorClock::from_entries(entries),
             op,
-        })
-}
-
-/// A federation relay frame with an **arbitrary** shard id — including
-/// self-referential and out-of-range ones. The codec must be total for
-/// all of them; shard-range policy lives in the notifier's quarantine
-/// counters, never in the decoder.
-fn relay_op_msg_strategy() -> impl Strategy<Value = RelayOpMsg> {
-    (
-        any::<u32>(),
-        1u64..1_000_000,
-        any::<u64>(),
-        mesh_op_msg_strategy(),
-    )
-        .prop_map(|(origin_shard, seq, sent_at_us, inner)| RelayOpMsg {
-            origin_shard,
-            seq,
-            sent_at_us,
-            inner,
         })
 }
 
@@ -302,14 +311,7 @@ fn leaf_editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
             received,
         })
     });
-    let relay_op = relay_op_msg_strategy().prop_map(EditorMsg::RelayOp);
-    let relay_ack = (any::<u32>(), any::<u64>()).prop_map(|(origin_shard, received)| {
-        EditorMsg::RelayAck(RelayAckMsg {
-            origin_shard,
-            received,
-        })
-    });
-    prop_oneof![client, server, mesh, ack, client_ack, relay_op, relay_ack]
+    prop_oneof![client, server, mesh, ack, client_ack]
 }
 
 fn editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
@@ -529,13 +531,8 @@ fn route_like_the_session_layer(notifier: &mut Notifier, client: &mut Client, ms
             }
         }
         // ServerAck and MeshOp are meaningless in the star topology's
-        // inbound direction, and the federation relay frames never reach
-        // a star edge at all (they live on the inter-notifier bus); the
-        // session layer counts and drops all of them.
-        EditorMsg::ServerAck(_)
-        | EditorMsg::MeshOp(_)
-        | EditorMsg::RelayOp(_)
-        | EditorMsg::RelayAck(_) => {}
+        // inbound direction; the session layer counts and drops them.
+        EditorMsg::ServerAck(_) | EditorMsg::MeshOp(_) => {}
     }
 }
 
@@ -710,80 +707,6 @@ proptest! {
         }
     }
 
-    /// The federation wire frames get the full battery — round trip,
-    /// truncation to `WireError`, no over-read, bit-flip totality — with
-    /// hostile shard ids baked into the strategy (`any::<u32>()`): the
-    /// codec never polices shard range, the notifier's quarantine does.
-    #[test]
-    fn relay_frame_codec_is_total(
-        op in relay_op_msg_strategy(),
-        origin_shard in any::<u32>(),
-        received in any::<u64>(),
-        flips in proptest::collection::vec(any::<usize>(), 1..12),
-    ) {
-        battery(&EditorMsg::RelayOp(op), &flips);
-        battery(&EditorMsg::RelayAck(RelayAckMsg { origin_shard, received }), &flips);
-    }
-
-    /// A fault-free bus is exact: every frame sent to a peer shard comes
-    /// out of `deliver` intact and in FIFO order — including frames whose
-    /// shard ids are hostile. The bus is a transport, not a policeman.
-    #[test]
-    fn fault_free_bus_is_exact_and_ordered(
-        inners in proptest::collection::vec((any::<u32>(), mesh_op_msg_strategy()), 1..12),
-    ) {
-        let mut bus = RelayBus::new(2, RelayFaultPlan::NONE);
-        let sent: Vec<RelayOpMsg> = inners
-            .into_iter()
-            .enumerate()
-            .map(|(i, (origin_shard, inner))| RelayOpMsg {
-                origin_shard,
-                seq: i as u64 + 1,
-                sent_at_us: i as u64,
-                inner,
-            })
-            .collect();
-        for f in &sent {
-            bus.send(0, f);
-        }
-        prop_assert_eq!(bus.deliver(0, 1), sent.clone());
-        let st = bus.stats();
-        prop_assert_eq!(st.deliveries, sent.len() as u64);
-        prop_assert_eq!(st.corrupt_drops, 0);
-        prop_assert_eq!(st.drops, 0);
-    }
-
-    /// The inter-notifier bus under **total** corruption: every delivery
-    /// attempt is bit-flipped in flight, so the checksum/decoder gate
-    /// must quarantine every frame — zero deliveries, zero panics — while
-    /// the queue keeps the frames for go-back-N redelivery.
-    #[test]
-    fn fully_corrupted_bus_quarantines_every_frame(
-        frames in proptest::collection::vec((any::<u32>(), mesh_op_msg_strategy()), 1..10),
-        seed in any::<u64>(),
-        barriers in 1usize..4,
-    ) {
-        let mut bus = RelayBus::new(
-            2,
-            RelayFaultPlan { drop: 0.0, corrupt: 1.0, seed },
-        );
-        let n = frames.len() as u64;
-        for (i, (origin_shard, inner)) in frames.into_iter().enumerate() {
-            bus.send(0, &RelayOpMsg {
-                origin_shard,
-                seq: i as u64 + 1,
-                sent_at_us: 0,
-                inner,
-            });
-        }
-        for _ in 0..barriers {
-            prop_assert!(bus.deliver(0, 1).is_empty());
-        }
-        let st = bus.stats();
-        prop_assert_eq!(st.deliveries, 0);
-        prop_assert_eq!(st.corrupt_drops, n * barriers as u64);
-        prop_assert!(!bus.is_empty(), "quarantined frames must stay queued");
-    }
 }
 
 proptest! {
