@@ -1552,7 +1552,7 @@ fn e19_gate(r: &Report, scope: Scope<'_>) -> Vec<String> {
 /// `repro check` regenerates it and demands the same bytes.
 pub fn e20_failover(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report {
     use cvc_reduce::reliable::CrashPoint::{AfterSend, BeforeSend, MidBroadcast};
-    use cvc_reduce::reliable::{run_robust_session, NotifierCrash};
+    use cvc_reduce::reliable::NotifierCrash;
     let mut rep = Report::new(
         "E20 — notifier durability and warm-standby failover (crash-point x loss x N sweep)",
     )
@@ -1572,7 +1572,7 @@ pub fn e20_failover(ns: &[usize], losses: &[f64], ops_budget: usize) -> Report {
                 let mut cfg = lossy_cfg(scaling_cfg(n, ops_per_site, 0x20E0 + n as u64), loss);
                 cfg.standby = true;
                 cfg.crash = Some(NotifierCrash { at_op, point });
-                let r = run_robust_session(&cfg);
+                let r = run_session(&cfg);
                 let fo = r.failover.clone().unwrap_or_default();
                 registry.absorb_failover(&fo);
                 let recovery_ms = fo.recovery_us().unwrap_or(0) as f64 / 1e3;

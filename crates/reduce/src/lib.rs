@@ -15,8 +15,8 @@
 //!   byte-exact overhead accounting; [`workload`] generates reproducible
 //!   editing scripts.
 //! * [`reliable`] — sessions over simulated TCP connections, which fail
-//!   the way TCP fails (a stall or a reset), with client re-dial through
-//!   the hub's hello and history-buffer catch-up.
+//!   the way TCP fails (a stall or a reset): a timed chooser over the same
+//!   [`world`], whose hello and crash actions re-dial and fail over.
 //! * [`scenario`] — the paper's Fig. 2 (inconsistency demo) and Fig. 3
 //!   (compressed-clock walkthrough) reproduced step by step.
 //! * [`core`] / [`wal`] / [`standby`] — notifier durability: the one
@@ -30,7 +30,8 @@
 //! * [`hub`] — who is bound to which site: the one binding table, hello,
 //!   catch-up and eviction rules both notifier drivers share.
 //! * [`world`] — the transport-free star (notifier, clients, FIFO
-//!   channels) the verifier, the TCP twin and the Fig. 3 walkthrough step.
+//!   channels) every simulated star session, the verifier, the TCP twin
+//!   and both walkthroughs step.
 //! * [`verify`] — every engine concurrency verdict compared against a
 //!   ground-truth Definition-1 oracle over randomized interleavings.
 //!
@@ -85,8 +86,8 @@ pub use notifier::Notifier;
 pub use recorder::{EventKind, FlightEvent, FlightRecorder};
 pub use registry::{Histogram, MetricsRegistry};
 pub use reliable::{
-    run_robust_session, run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec,
-    NotifierCrash, NotifierStep, SessionTrace,
+    run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec, NotifierCrash,
+    NotifierStep, SessionTrace,
 };
 pub use session::{
     run_session, ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport,

@@ -8,6 +8,13 @@
 //! connection or resets it, the two ways TCP fails, and nothing inside a
 //! connection is ever lost, copied or reordered.
 //!
+//! Like a plain session it is a timed chooser over the one [`StarWorld`]:
+//! the simulator decides *when*, the world decides *what* — the hub
+//! integrates and answers hellos, the replicas integrate, and the
+//! reconnect policy (the hello's held-back frontier, the skipped repeats,
+//! the re-sends and the exact second hello) and the crash are world
+//! actions. What is left here is transport:
+//!
 //! * A `Connection` is an id and an outbox. What an end queues while
 //!   the channel's previous frame is still in flight goes out when that
 //!   frame lands, as one write round framed by [`frame_groups`] — the TCP
@@ -19,43 +26,35 @@
 //!   primary's connections close as its process dies. A frame arriving on
 //!   a dead connection is dropped and counted.
 //! * A client re-dials as it would over TCP: a new connection whose first
-//!   message is a hello. The hello is an unbound [`ClientAckMsg`]; the
-//!   notifier feeds it to [`Hub::on_msg`], the hub replays the broadcast
-//!   suffix past the hello's frontier from its history buffer, and the
-//!   driver ends the answer with `ServerAck{acked: integrated}`, from
-//!   which the client re-sends its unacked local operations
-//!   ([`Client::unacked_local_since`]). The hello integrates like an ack,
-//!   so its frontier is held back to the oldest stamp the client may
-//!   re-send ([`Client::hello_frontier`]); an answer whose count shows it
-//!   was held back too far is followed by one exact hello. The hello rides
-//!   the channel behind the old connection's traffic, close included, so
-//!   it always finds its channel unbound.
+//!   message is its hello ([`StarWorld::open_hello`]). The notifier ends
+//!   the hub's answer with `ServerAck{acked: integrated}`, which the
+//!   client hands to [`StarWorld::answer`]. The hello rides the channel
+//!   behind the old connection's traffic, close included, so it always
+//!   finds its channel unbound.
+//! * The seeded crash cuts the dying stride's sends at its
+//!   [`CrashPoint`], writes what the process had written, closes every
+//!   connection and calls [`StarWorld::crash`].
 //!
-//! [`run_robust_session`] wires the whole thing onto the simulator and
-//! returns the same [`SessionReport`] as a plain session, with the
-//! transport counters folded into each site's [`SiteMetrics`].
 //! [`run_robust_session_traced`] additionally records every integration
 //! (messages, formula verdicts, broadcasts) so the chaos tests can replay
 //! the run against a ground-truth oracle.
 
-use crate::client::Client;
-use crate::core::NotifierCore;
 pub use crate::frame::frame_checksum;
 use crate::frame::framed_len;
-use crate::hub::{Hub, Sends, Step};
+use crate::hub::Step;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
     decode_payload, frame_groups, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
     ServerOpMsg,
 };
-use crate::recorder::{EventKind, FlightEvent};
-use crate::session::{ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport};
-use crate::standby::Standby;
-use crate::wal::{Wal, DEFAULT_COMPACT_EVERY};
+use crate::session::{
+    network, ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport,
+};
 use crate::workload::ScheduledEdit;
+use crate::world::StarWorld;
 use cvc_core::site::SiteId;
 use cvc_sim::fault::FaultPlan;
-use cvc_sim::sim::{Ctx, Node, NodeId, Simulator};
+use cvc_sim::sim::{Ctx, Fired, Node, NodeId, Simulator};
 use cvc_sim::time::{SimDuration, SimTime};
 use cvc_sim::wire::WireSize;
 use serde::{Deserialize, Serialize};
@@ -69,42 +68,21 @@ const DISCONNECT_TAG: u64 = 2 << 40;
 /// Timer tag scheduling a client's reconnect.
 const RECONNECT_TAG: u64 = 3 << 40;
 
-/// What one simulated channel carries.
+/// What one simulated channel carries: a frame of connection `conn` — an
+/// encoded editor message, or a write round's compound of several — or,
+/// with no frame, the connection's FIN.
 #[derive(Debug, Clone)]
-enum Segment {
-    /// One frame of connection `conn`: an encoded editor message, or a
-    /// write round's compound of several.
-    Frame {
-        /// The connection it was written on.
-        conn: u32,
-        /// The frame's bytes.
-        payload: Payload,
-    },
-    /// Connection `conn` closed: its FIN.
-    Close {
-        /// The connection that closed.
-        conn: u32,
-    },
-}
-
-impl Segment {
-    fn conn(&self) -> u32 {
-        match self {
-            Segment::Frame { conn, .. } | Segment::Close { conn } => *conn,
-        }
-    }
+struct Segment {
+    conn: u32,
+    frame: Option<Payload>,
 }
 
 impl WireSize for Segment {
     /// A frame costs what it does on a socket; the connection is the
-    /// socket's, not a byte on the wire.
+    /// socket's, not a byte on the wire. The checksum is four fixed bytes,
+    /// so the length needs no hashing.
     fn wire_bytes(&self) -> usize {
-        match self {
-            Segment::Frame { payload, .. } => {
-                framed_len(payload.len(), frame_checksum(&payload.chunks()))
-            }
-            Segment::Close { .. } => 0,
-        }
+        self.frame.as_ref().map_or(0, |p| framed_len(p.len(), 0))
     }
 }
 
@@ -151,7 +129,8 @@ impl Connection {
                 _ => Payload::from_vec(chunks.concat()),
             };
             next += msgs;
-            ctx.send(peer, Segment::Frame { conn, payload });
+            let frame = Some(payload);
+            ctx.send(peer, Segment { conn, frame });
             Ok::<_, ()>(())
         });
         self.outbox.clear();
@@ -169,6 +148,18 @@ impl Connection {
         self.outbox.clear();
     }
 
+    /// Close this end and send `peer` the FIN, if it is still open.
+    fn hang_up(&mut self, ctx: &mut Ctx<'_, Segment>, peer: NodeId) {
+        if !self.dead {
+            let fin = Segment {
+                conn: self.id,
+                frame: None,
+            };
+            ctx.send(peer, fin);
+        }
+        self.close();
+    }
+
     /// Open connection `id` on this channel.
     fn open(&mut self, id: u32) {
         self.id = id;
@@ -181,15 +172,21 @@ impl Connection {
         !self.dead && conn == self.id
     }
 
-    /// The payload of a frame that arrived, if it came on this live
-    /// connection; a frame on a dead one is dropped and counted.
-    fn accept(&mut self, conn: u32, payload: Payload) -> Option<Payload> {
+    /// The messages of a frame that arrived, if it came on this live
+    /// connection; a frame on a dead one is dropped and counted (`None`). Intact
+    /// but undecodable means a hostile or buggy peer: nothing was decoded
+    /// from it, and it is counted too.
+    fn receive(&mut self, conn: u32, payload: &Payload) -> Option<Vec<EditorMsg>> {
         if !self.live(conn) {
             self.m.stale_drops += 1;
             return None;
         }
         self.m.delivered_payload_bytes += payload.len() as u64;
-        Some(payload)
+        let mut msgs = Vec::new();
+        if decode_payload(payload.chunks(), &mut msgs).is_err() {
+            self.m.protocol_errors += 1;
+        }
+        Some(msgs)
     }
 }
 
@@ -235,15 +232,6 @@ impl CrashPoint {
             CrashPoint::AfterSend => "after-send",
         }
     }
-
-    /// Small stable discriminant for event operands.
-    pub fn index(self) -> u64 {
-        match self {
-            CrashPoint::BeforeSend => 0,
-            CrashPoint::MidBroadcast => 1,
-            CrashPoint::AfterSend => 2,
-        }
-    }
 }
 
 /// A seeded primary-notifier crash: die at the `at_op`-th integrated
@@ -258,22 +246,6 @@ pub struct NotifierCrash {
     pub at_op: u64,
     /// Where in the integration stride to die.
     pub point: CrashPoint,
-}
-
-/// Connection state of a robust client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    Connected,
-    /// Hung up for an outage: local edits apply locally.
-    Disconnected,
-    /// Re-dialed: the hello is the connection's first payload, and the
-    /// `ServerAck` that ends its answer has not arrived yet.
-    Hello {
-        /// The frontier the hello presented.
-        frontier: u64,
-        /// The replica's `T[1]` when it said hello.
-        received: u64,
-    },
 }
 
 /// One integration recorded at the notifier, in arrival order.
@@ -319,122 +291,347 @@ pub struct SessionTrace {
     pub clients: Vec<Vec<ClientEvent>>,
 }
 
-/// The simulator's driver over a [`Hub`] whose channel ids are node ids:
-/// it owns what is genuinely the transport's — connections, the crash
-/// plan, the trace. A channel whose connection closed is an unbound one.
-struct RobustNotifier {
-    /// The notifier, its durability pipeline (WAL + warm standby in
-    /// standby sessions) and who is bound to which client channel: an
-    /// outcome to broadcast only ever comes out of here, already logged
-    /// and mirrored, with its sends queued for the bound channels.
-    hub: Hub<NodeId>,
-    /// One connection end per client; index = client index, peer node =
-    /// index + 1.
-    conns: Vec<Connection>,
-    trace: Option<Vec<NotifierStep>>,
-    /// Traced sessions: integrated bare acks, keyed by `trace` position.
-    trace_acks: Vec<(usize, ClientAckMsg)>,
+/// A simulator node that holds nothing: every event is the [`Star`]'s,
+/// handed to it through [`Simulator::with_node_ctx`].
+struct Idle;
+
+impl Node<Segment> for Idle {
+    fn on_message(&mut self, _: &mut Ctx<'_, Segment>, _: NodeId, _: Segment) {}
+}
+
+/// The star over connections: the world, and what is genuinely the
+/// transport's — both ends of each client's connection, the crash plan,
+/// the failover bookkeeping and the trace. The notifier is node 0 and
+/// client index `i` is node `i + 1`, on channel `i` for the whole
+/// session: node identity stands in for an authenticated connection.
+struct Star {
+    world: StarWorld,
+    /// Per channel, the notifier's end and the client's: node `me` holds
+    /// end `usize::from(me != 0)`.
+    ends: Vec<[Connection; 2]>,
+    scripts: Vec<Vec<ScheduledEdit>>,
+    auto_gc: bool,
     /// Seeded crash plan; taken when it fires.
     crash: Option<NotifierCrash>,
-    /// Client operations integrated so far (the crash plan's clock).
-    ops_integrated: u64,
-    /// When the primary died (set once).
-    crash_at: Option<SimTime>,
+    /// A fired crash plan: when the primary died, and the promoted
+    /// standby's `(replayed ops, replayed acks)`.
+    failover: Option<(SimTime, (u64, u64))>,
     /// Per channel, when a hello bound it again after the crash; all
     /// `Some` once recovery completed.
     rebound_at: Vec<Option<SimTime>>,
-    /// `(replayed ops, replayed acks)` captured from the standby at
-    /// promotion.
-    promoted_replay: Option<(u64, u64)>,
+    trace: Option<SessionTrace>,
 }
 
-impl RobustNotifier {
-    /// The notifier node for a session of `slots` client channels: the
-    /// configured notifier wrapped — in standby sessions with its log and
-    /// warm shadow — in a [`NotifierCore`], plus one connection end per
-    /// channel, every client channel bound to its site.
-    fn new(cfg: &SessionConfig, slots: usize, traced: bool) -> Self {
-        let notifier = cfg.notifier(slots);
-        let standby = cfg.standby.then(|| {
-            let mut sb = Standby::new(slots, &cfg.initial_doc, cfg.notifier_scan);
-            sb.set_auto_gc(cfg.auto_gc);
-            sb
-        });
-        let wal = cfg.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY));
-        let mut hub = Hub::new(NotifierCore::new(notifier, wal, standby));
-        for i in 0..slots {
-            hub.bind(1 + i, SiteId(i as u32 + 1));
-        }
-        RobustNotifier {
-            hub,
-            conns: (0..slots).map(|_| Connection::default()).collect(),
-            trace: traced.then(Vec::new),
-            trace_acks: Vec::new(),
+impl Star {
+    /// The star a session runs on: its world
+    /// ([`SessionConfig::core`] and one streaming replica per workload
+    /// site), one connection per site, and streams under the session's
+    /// fault plan with every scripted edit scheduled.
+    fn new(cfg: &SessionConfig, traced: bool) -> (Simulator<Segment, Idle>, Star) {
+        let scripts = cfg.workload.generate();
+        let n = scripts.len();
+        let mut sim = network(cfg, (0..=n).map(|_| Idle), &scripts, 1);
+        sim.set_streams(true);
+        sim.set_default_fault_plan(cfg.fault_plan.unwrap_or(FaultPlan::NONE));
+        let star = Star {
+            world: StarWorld::for_session(cfg),
+            ends: (0..n).map(|_| Default::default()).collect(),
+            scripts,
+            auto_gc: cfg.auto_gc,
             crash: cfg.crash,
-            ops_integrated: 0,
-            crash_at: None,
+            failover: None,
             rebound_at: Vec::new(),
-            promoted_replay: None,
+            trace: traced.then(|| SessionTrace {
+                clients: vec![Vec::new(); n],
+                ..SessionTrace::default()
+            }),
+        };
+        (sim, star)
+    }
+
+    /// Hand every event due by `deadline` to its node's side of the star.
+    fn run_until(&mut self, sim: &mut Simulator<Segment, Idle>, deadline: SimTime) {
+        while let Some(fired) = sim.step(deadline) {
+            self.world.set_now(sim.now().as_micros());
+            match fired {
+                Fired::Deliver(from, to, seg) => {
+                    sim.with_node_ctx(to, |_, ctx| self.on_segment(ctx, from, seg))
+                }
+                Fired::Timer(node, tag) => {
+                    sim.with_node_ctx(node, |_, ctx| self.on_timer(ctx, tag))
+                }
+                Fired::Reset(from, to, seg) => {
+                    for (me, peer) in [(to, from), (from, to)] {
+                        sim.with_node_ctx(me, |_, ctx| self.on_reset(ctx, peer, &seg));
+                    }
+                }
+            }
         }
     }
 
-    /// Feed one input from node `node` through the hub and put what it
-    /// queued on the connections. Node `i` speaks only for site `i`: node
-    /// identity stands in for an authenticated connection, so a hello
-    /// naming another site is refused here. A bound channel's input
-    /// integrates as its site; otherwise the hub hears a stranger, and
-    /// only a hello binds.
-    fn integrate(&mut self, ctx: &mut Ctx<'_, Segment>, node: NodeId, msg: EditorMsg) {
-        let site = SiteId(node as u32);
+    /// Both ends of a reset close the connection it killed, if it is
+    /// still theirs; the receiver hears it first.
+    fn on_reset(&mut self, ctx: &mut Ctx<'_, Segment>, peer: NodeId, seg: &Segment) {
+        let i = ctx.me.max(peer) - 1;
+        if self.ends[i][usize::from(ctx.me != 0)].live(seg.conn) {
+            self.drop_conn(ctx, i);
+        }
+    }
+
+    /// Node `ctx.me`'s end of channel `i` died under it — a reset, or the
+    /// peer's close. The notifier unbinds the channel: whoever it spoke
+    /// for must say hello again. The client re-dials.
+    fn drop_conn(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize) {
+        let s = usize::from(ctx.me != 0);
+        self.ends[i][s].close();
+        if s == 0 {
+            self.world.close(i);
+        } else {
+            self.ends[i][1].m.resets += 1;
+            self.redial(ctx, i, None);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Segment>, tag: u64) {
+        if (WRITE_TAG..DISCONNECT_TAG).contains(&tag) {
+            let i = (tag - WRITE_TAG) as usize;
+            let (s, peer) = if ctx.me == 0 { (0, i + 1) } else { (1, 0) };
+            return self.ends[i][s].on_write_timer(ctx, peer);
+        }
+        let i = ctx.me - 1;
+        match tag {
+            DISCONNECT_TAG => self.ends[i][1].hang_up(ctx, 0),
+            RECONNECT_TAG => self.redial(ctx, i, None),
+            k => {
+                // A scripted edit always applies locally; it goes on the
+                // wire only while connected — otherwise the re-sends after
+                // the hello cover it.
+                let (site, intent) = (SiteId::from_client_index(i), &self.scripts[i][k as usize]);
+                let _ = self.world.perform(site, &intent.intent);
+                self.send_up(ctx, i, true);
+            }
+        }
+    }
+
+    /// Whether client `i` is connected: its connection open and its hello,
+    /// if it said one, answered.
+    fn connected(&self, i: usize) -> bool {
+        !self.ends[i][1].dead && !self.world.awaits_answer(SiteId::from_client_index(i))
+    }
+
+    /// Put what client `i`'s replica queued up on its connection while it
+    /// is connected; otherwise it is dropped, the re-sends after the hello
+    /// covering it. Traced sessions record each op an `edit` generated.
+    fn send_up(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, edit: bool) {
+        let connected = self.connected(i);
+        while let Some(p) = self.world.pop_up(SiteId::from_client_index(i)) {
+            if let (Some(tr), true) = (&mut self.trace, edit) {
+                let mut msgs = Vec::new();
+                let _ = decode_payload(p.chunks(), &mut msgs);
+                tr.clients[i].extend(msgs.into_iter().filter_map(|m| match m {
+                    EditorMsg::ClientOp(c) => Some(ClientEvent::Local(c)),
+                    _ => None,
+                }));
+            }
+            if connected {
+                self.ends[i][1].queue(ctx, 0, WRITE_TAG + i as u64, p);
+            }
+        }
+    }
+
+    /// Client `i` opens a new connection and says `hello` on it — its
+    /// replica's next one when `None`: a scheduled reconnect, a connection
+    /// lost under it, or an answer that shows the frontier was held back
+    /// too far.
+    fn redial(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, hello: Option<ClientAckMsg>) {
+        let site = SiteId::from_client_index(i);
+        let Some(hello) = hello.or_else(|| self.world.open_hello(site).ok()) else {
+            return;
+        };
+        let end = &mut self.ends[i][1];
+        end.hang_up(ctx, 0);
+        end.open(end.id + 1);
+        let hello = Payload::encode(&EditorMsg::ClientAck(hello));
+        end.queue(ctx, 0, WRITE_TAG + i as u64, hello);
+    }
+
+    fn on_segment(&mut self, ctx: &mut Ctx<'_, Segment>, from: NodeId, seg: Segment) {
+        let (i, s) = (ctx.me.max(from) - 1, usize::from(ctx.me != 0));
+        let end = &mut self.ends[i][s];
+        let (conn, Some(payload)) = (seg.conn, seg.frame) else {
+            if end.live(seg.conn) {
+                self.drop_conn(ctx, i);
+            }
+            return;
+        };
+        if s == 0 && conn > end.id {
+            // A new connection: its hello binds whoever it speaks for.
+            end.close();
+            end.open(conn);
+            self.world.close(i);
+        }
+        // A compound frame arrives as its queued messages, in queue order,
+        // each from the site bound at its own arrival. A crash inside the
+        // frame kills the rest of it with the connection, and so does an
+        // answer that says hello again at the client.
+        let Some(msgs) = self.ends[i][s].receive(conn, &payload) else {
+            return;
+        };
+        for m in msgs {
+            if !self.ends[i][s].live(conn) {
+                break;
+            }
+            if s == 0 {
+                self.integrate(ctx, i, m);
+            } else {
+                self.take(ctx, i, m);
+            }
+        }
+        if s == 1 {
+            // A quiet client still owes the notifier a periodic bare ack,
+            // or its frozen watermark would starve the GC; the world holds
+            // it back while the hello's answer is still arriving.
+            self.world.take_pending_ack(SiteId::from_client_index(i));
+            self.send_up(ctx, i, false);
+        }
+    }
+
+    /// Client `i` takes one message of a frame. A broadcast that violates
+    /// the protocol is dropped; the client stays usable offline.
+    fn take(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, m: EditorMsg) {
+        let site = SiteId::from_client_index(i);
+        let m = match m {
+            EditorMsg::ServerOp(op) => op,
+            EditorMsg::ServerAck(a) => {
+                let awaited = self.world.awaits_answer(site);
+                return match self.world.answer(site, a.acked) {
+                    Ok(Some(hello)) => self.redial(ctx, i, Some(hello)),
+                    Ok(None) if awaited => self.ends[i][1].m.resyncs += 1,
+                    _ => {}
+                };
+            }
+            // Client-to-server frames arriving downstream are nonsense;
+            // drop rather than crash.
+            _ => return self.ends[i][1].m.protocol_errors += 1,
+        };
+        let traced = self.trace.as_ref().map(|_| m.clone());
+        match self.world.take_op(site, m) {
+            Ok(Some(out)) => {
+                if let (Some(tr), Some(msg)) = (&mut self.trace, traced) {
+                    let checked = out.checked;
+                    tr.clients[i].push(ClientEvent::Remote { msg, checked });
+                }
+                if self.auto_gc {
+                    let _ = self.world.gc(site);
+                }
+            }
+            Ok(None) => {}
+            Err(e) => {
+                eprintln!("client {site} rejected server op: {e}");
+                if let Some(c) = self.world.client(site) {
+                    eprintln!("{}", c.dump_recorder());
+                }
+                self.ends[i][1].m.protocol_errors += 1;
+            }
+        }
+    }
+
+    /// One message on channel `i` through the world, and what it queued
+    /// put on the connections. A hello naming another node's site is
+    /// refused here, before the hub hears it.
+    fn integrate(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, msg: EditorMsg) {
+        let site = SiteId::from_client_index(i);
         let traced = self.trace.is_some().then(|| msg.clone());
         // Write-ahead ordering lives in the core: by the time an outcome
         // comes back its record is durable and mirrored to the warm
-        // standby, so nothing below can broadcast an unlogged op. A crash
-        // before the append is indistinguishable from the op never
-        // arriving — the origin re-sends it after its hello.
-        let mut sends = Vec::new();
-        let step = match msg {
-            EditorMsg::ClientAck(a) if a.origin != site && self.hub.site_of(node).is_none() => {
-                Step::Refused
-            }
-            msg => self.hub.on_msg(node, msg, &mut sends),
+        // standby, so nothing below can broadcast an unlogged op.
+        let stranger = matches!(&msg, EditorMsg::ClientAck(a) if a.origin != site);
+        let step = if stranger && self.world.hub().site_of(i).is_none() {
+            Step::Refused
+        } else {
+            self.world.feed(i, msg)
         };
+        // Traced sessions record an integrated ack — a hello's frontier
+        // included — at its place in the op stream.
+        if let (Some(tr), Some(EditorMsg::ClientAck(a))) = (&mut self.trace, &traced) {
+            if matches!(step, Step::Ack(_) | Step::Bound(_) | Step::Trimmed(_)) {
+                tr.notifier_acks.push((tr.notifier.len(), *a));
+            }
+        }
+        let hub_end = &mut self.ends[i][0];
         match step {
             Step::Op(out) => {
-                self.ops_integrated += 1;
                 if let (Some(tr), Some(EditorMsg::ClientOp(msg))) = (&mut self.trace, traced) {
-                    tr.push(NotifierStep {
+                    tr.notifier.push(NotifierStep {
                         msg,
                         verdicts: out.full_verdicts(),
                         broadcasts: out.broadcast_msgs(),
                     });
                 }
-                let crashing = self.crash.filter(|cr| cr.at_op == self.ops_integrated);
-                // Every channel is bound until the crash, so the sends are
-                // the broadcasts in destination order.
+                // The crash plan's clock: client ops integrated so far.
+                let integrated = self.world.notifier().state_vector().total();
+                let crashing = self.crash.take_if(|cr| cr.at_op == integrated);
+                let mut sends = self.world.pop_sends(&out);
                 match crashing.map(|cr| cr.point) {
                     Some(CrashPoint::BeforeSend) => sends.clear(),
                     Some(CrashPoint::MidBroadcast) => sends.truncate(out.stamps.len().div_ceil(2)),
                     _ => {}
                 }
-                let written: Vec<NodeId> = sends.iter().map(|&(node, _)| node).collect();
-                self.put(ctx, sends);
-                if crashing.is_some() {
-                    self.crash_and_promote(ctx, &written);
+                let written: Vec<usize> = sends.iter().map(|&(ch, _)| ch).collect();
+                for (ch, p) in sends {
+                    self.ends[ch][0].queue(ctx, ch + 1, WRITE_TAG + ch as u64, p);
+                }
+                // The primary dies mid-stride and the warm standby is
+                // promoted in its place. The channels in `written` got the
+                // dying process's last write round; every other queued
+                // round dies unwritten, and every connection closes, each
+                // client hearing its close one latency draw later.
+                // Everything appended to the WAL survives, which is exactly
+                // the invariant the chaos suite checks.
+                if let Some(crash) = crashing {
+                    for (ch, [end, _]) in self.ends.iter_mut().enumerate() {
+                        if written.contains(&ch) {
+                            end.write(ctx, ch + 1);
+                        }
+                        end.hang_up(ctx, ch + 1);
+                    }
+                    // A poisoned standby means the WAL and the primary
+                    // disagreed — refusing to serve divergent state beats
+                    // silent corruption.
+                    let promoted = self.world.crash(crash.point);
+                    let replay = promoted.expect("a crash plan requires the standby");
+                    self.failover = Some((ctx.now, replay.expect("standby poisoned at promotion")));
+                    self.rebound_at = vec![None; self.ends.len()];
                 }
             }
-            Step::Ack(_) => self.trace_ack(traced),
+            Step::Ack(_) => {}
             // A hello integrates its frontier like any ack, and the hub
-            // queued the catch-up behind it.
-            Step::Bound(_) => {
-                self.trace_ack(traced);
-                if let Some(at @ None) = self.rebound_at.get_mut(node - 1) {
-                    *at = Some(ctx.now);
+            // queued the catch-up behind it. A hello asking for a
+            // collected prefix stays unbound and is counted like a
+            // refusal. Either answer ends with `ServerAck{acked:
+            // integrated}` — the hub adds one only when the notifier sends
+            // acks and has integrated something, and the client needs the
+            // count even when it is 0 — so an honest client whose
+            // frontier was held back too far learns where to say hello
+            // from again.
+            Step::Bound(_) | Step::Trimmed(_) => {
+                let catch_up: Vec<Payload> =
+                    std::iter::from_fn(|| self.world.pop_down(i)).collect();
+                if matches!(step, Step::Bound(_)) {
+                    hub_end.m.resyncs += 1;
+                    hub_end.m.resync_replayed += catch_up.len() as u64;
+                    if let Some(at @ None) = self.rebound_at.get_mut(i) {
+                        *at = Some(ctx.now);
+                    }
+                } else {
+                    hub_end.m.protocol_errors += 1;
                 }
-                let m = &mut self.conns[node - 1].m;
-                m.resyncs += 1;
-                m.resync_replayed += sends.len() as u64;
-                self.answer_hello(ctx, node, sends);
+                let nf = self.world.notifier();
+                let acked = nf.state_vector().received_from(site).unwrap_or(0);
+                let ack = EditorMsg::ServerAck(ServerAckMsg { acked });
+                for p in catch_up.into_iter().chain([Payload::encode(&ack)]) {
+                    hub_end.queue(ctx, i + 1, WRITE_TAG + i as u64, p);
+                }
             }
             // A frame that arrived intact but violates the editor protocol
             // is hostile input, not line noise: the hub evicted the site
@@ -442,530 +639,109 @@ impl RobustNotifier {
             // dump the flight recorder and keep serving everyone else.
             Step::Evicted(site, e) => {
                 eprintln!("notifier rejected input from {site}: {e}");
-                eprintln!("{}", self.hub.notifier().dump_recorder());
+                eprintln!("{}", self.world.notifier().dump_recorder());
             }
             // Server-to-client frames arriving upstream, a hello that names
             // another node's site, is taken or overruns, and anything but a
-            // hello from a connection nobody is bound to are nonsense. The
-            // channel stays as it was.
-            Step::Refused => self.conns[node - 1].m.protocol_errors += 1,
-            // A hello asking for a collected prefix integrated its frontier
-            // too, stays unbound and is counted like a refusal; its answer
-            // is the count alone, so an honest client whose frontier was
-            // held back too far learns where to say hello from again.
-            Step::Trimmed(_) => {
-                self.trace_ack(traced);
-                self.conns[node - 1].m.protocol_errors += 1;
-                self.answer_hello(ctx, node, sends);
-            }
-        }
-    }
-
-    /// Traced sessions: record an integrated ack — a hello's frontier
-    /// included — at its place in the op stream.
-    fn trace_ack(&mut self, msg: Option<EditorMsg>) {
-        if let (Some(tr), Some(EditorMsg::ClientAck(a))) = (&self.trace, msg) {
-            self.trace_acks.push((tr.len(), a));
-        }
-    }
-
-    /// End the answer to node `node`'s hello — the catch-up the hub queued
-    /// in `sends`, if it bound the channel — with `ServerAck{acked:
-    /// integrated}`: where the client's re-sends start. The hub adds that
-    /// ack only when the notifier sends acks and has integrated something;
-    /// this notifier sends none, and the client needs the count even when
-    /// it is 0.
-    fn answer_hello(&mut self, ctx: &mut Ctx<'_, Segment>, node: NodeId, mut sends: Sends<NodeId>) {
-        let site = SiteId(node as u32);
-        let acked = self
-            .hub
-            .notifier()
-            .state_vector()
-            .received_from(site)
-            .unwrap_or(0);
-        let ack = EditorMsg::ServerAck(ServerAckMsg { acked });
-        sends.push((node, Payload::encode(&ack)));
-        self.put(ctx, sends);
-    }
-
-    /// Queue each send on its channel's connection.
-    fn put(&mut self, ctx: &mut Ctx<'_, Segment>, sends: Sends<NodeId>) {
-        for (node, p) in sends {
-            self.conns[node - 1].queue(ctx, node, WRITE_TAG + node as u64 - 1, p);
-        }
-    }
-
-    /// Close node `node`'s connection at this end: whoever it spoke for
-    /// must say hello again.
-    fn close(&mut self, node: NodeId) {
-        self.conns[node - 1].close();
-        self.hub.unbind(node);
-    }
-
-    /// The seeded crash point was reached: the primary dies mid-stride
-    /// and the warm standby is promoted in its place. The channels in
-    /// `written` got the dying process's last write round; every other
-    /// queued round dies unwritten, and every connection closes, each
-    /// client hearing its close one latency draw later. Everything
-    /// appended to the WAL survives, which is exactly the invariant the
-    /// chaos suite checks.
-    fn crash_and_promote(&mut self, ctx: &mut Ctx<'_, Segment>, written: &[NodeId]) {
-        let crash = self.crash.take().expect("crash plan present");
-        self.crash_at = Some(ctx.now);
-        let n = self.conns.len();
-        for node in 1..=n {
-            let c = &mut self.conns[node - 1];
-            if written.contains(&node) {
-                c.write(ctx, node);
-            }
-            if !c.dead {
-                ctx.send(node, Segment::Close { conn: c.id });
-            }
-            self.close(node);
-        }
-        // A poisoned standby means the WAL and the primary disagreed —
-        // refusing to serve divergent state beats silent corruption. The
-        // promoted notifier inherits the dead primary's black box; mark
-        // the lifecycle transition on it.
-        let core = self.hub.core_mut();
-        let replay = core
-            .promote()
-            .expect("a crash plan requires the standby")
-            .expect("standby poisoned at promotion");
-        core.set_now(ctx.now.as_micros());
-        core.note_lifecycle(
-            FlightEvent::new(EventKind::Crash)
-                .with_ab(self.ops_integrated, crash.point.index())
-                .with_detail(crash.point.name()),
-        );
-        core.note_lifecycle(
-            FlightEvent::new(EventKind::Promote)
-                .with_ab(replay.0, n as u64)
-                .with_detail("standby-promoted"),
-        );
-        self.promoted_replay = Some(replay);
-        self.rebound_at = vec![None; n];
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Segment>, from: NodeId, seg: Segment) {
-        assert!(from >= 1, "notifier is node 0; peers are clients");
-        let xi = from - 1;
-        let (conn, payload) = match seg {
-            Segment::Frame { conn, payload } => (conn, payload),
-            Segment::Close { conn } if self.conns[xi].live(conn) => return self.close(from),
-            Segment::Close { .. } => return,
-        };
-        if conn > self.conns[xi].id {
-            // A new connection: its hello binds whoever it speaks for.
-            self.close(from);
-            self.conns[xi].open(conn);
-        }
-        let Some(payload) = self.conns[xi].accept(conn, payload) else {
-            return;
-        };
-        // Intact but undecodable means a hostile or buggy peer: drop the
-        // frame (nothing was decoded from it) and keep serving.
-        let mut msgs = Vec::new();
-        if decode_payload(payload.chunks(), &mut msgs).is_err() {
-            self.conns[xi].m.protocol_errors += 1;
-        }
-        // A compound frame arrives as its queued messages, in queue order,
-        // each from the site bound at its own arrival. A crash inside the
-        // frame kills the rest of it with the connection.
-        for m in msgs {
-            if self.conns[xi].dead {
-                break;
-            }
-            self.integrate(ctx, from, m);
+            // hello from a connection nobody is bound to are nonsense.
+            Step::Refused => hub_end.m.protocol_errors += 1,
         }
     }
 }
 
-struct RobustClient {
-    inner: Box<Client>,
-    conn: Connection,
-    script: Vec<ScheduledEdit>,
-    state: ConnState,
-    auto_gc: bool,
-    /// Local operations the last hello's answer said the notifier had
-    /// integrated: a lower bound the next hello's frontier starts from.
-    integrated: u64,
-    trace: Option<Vec<ClientEvent>>,
-}
-
-impl RobustClient {
-    fn send(&mut self, ctx: &mut Ctx<'_, Segment>, m: &EditorMsg) {
-        self.conn.queue(ctx, 0, WRITE_TAG, Payload::encode(m));
-    }
-
-    /// Close this end of the connection and send the close along.
-    fn hang_up(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        if !self.conn.dead {
-            ctx.send(0, Segment::Close { conn: self.conn.id });
-        }
-        self.conn.close();
-    }
-
-    /// Open a new connection and say hello — the shared tail of a
-    /// scheduled reconnect, of a connection lost under the client and of
-    /// an answer that shows the frontier was held back too far. The hello
-    /// is the connection's first payload; its frontier
-    /// ([`Client::hello_frontier`]) is the cursor the catch-up starts from.
-    fn begin_reconnect(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        self.hang_up(ctx);
-        self.conn.open(self.conn.id + 1);
-        let frontier = self.inner.hello_frontier(self.integrated);
-        let received = self.inner.state_vector().received();
-        self.state = ConnState::Hello { frontier, received };
-        let hello = ClientAckMsg {
-            origin: self.inner.site(),
-            received: frontier,
-        };
-        self.send(ctx, &EditorMsg::ClientAck(hello));
-    }
-
-    /// The connection died under the client — a reset, or the notifier's
-    /// close: re-dial.
-    fn lost(&mut self, ctx: &mut Ctx<'_, Segment>) {
-        self.conn.m.resets += 1;
-        self.conn.close();
-        self.begin_reconnect(ctx);
-    }
-
-    /// The `ServerAck` that ends a hello's answer: `integrated` says where
-    /// the re-sends start. The frontier was exact if it is the one that
-    /// count gives; only then was it surely served — a frontier held back
-    /// below operations the notifier had in fact integrated may have asked
-    /// for a collected prefix, and the hub then binds nothing. A short one
-    /// says hello again, exactly.
-    fn on_answer(&mut self, ctx: &mut Ctx<'_, Segment>, integrated: u64) {
-        let ConnState::Hello { frontier, received } = self.state else {
-            return; // a streaming client ignores every other ack
-        };
-        self.integrated = integrated;
-        if frontier < self.inner.hello_frontier(integrated).min(received) {
-            self.begin_reconnect(ctx);
-            return;
-        }
-        self.state = ConnState::Connected;
-        self.conn.m.resyncs += 1;
-        for c in self.inner.unacked_local_since(integrated) {
-            self.send(ctx, &EditorMsg::ClientOp(c));
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Segment>, seg: Segment) {
-        let (conn, payload) = match seg {
-            Segment::Frame { conn, payload } => (conn, payload),
-            Segment::Close { conn } if self.conn.live(conn) => return self.lost(ctx),
-            Segment::Close { .. } => return,
-        };
-        let Some(payload) = self.conn.accept(conn, payload) else {
-            return;
-        };
-        // Intact but undecodable: hostile or buggy notifier — drop the
-        // frame and keep editing.
-        let mut msgs = Vec::new();
-        if decode_payload(payload.chunks(), &mut msgs).is_err() {
-            self.conn.m.protocol_errors += 1;
-        }
-        // A compound frame arrives as its queued messages, in queue order.
-        for m in msgs {
-            if !self.conn.live(conn) {
-                break; // the answer said hello again: the rest is stale
-            }
-            match m {
-                // The catch-up repeats what the replica executed past its
-                // hello's frontier.
-                EditorMsg::ServerOp(m)
-                    if matches!(self.state, ConnState::Hello { .. })
-                        && m.stamp.get(1) <= self.inner.state_vector().received() => {}
-                EditorMsg::ServerOp(m) => match self.inner.try_on_server_op(m.clone()) {
-                    Ok(out) => {
-                        if let Some(tr) = &mut self.trace {
-                            tr.push(ClientEvent::Remote {
-                                msg: m,
-                                checked: out.checked,
-                            });
-                        }
-                        if self.auto_gc {
-                            self.inner.gc();
-                        }
-                    }
-                    Err(e) => {
-                        // A server op that violates the protocol is
-                        // dropped; the client stays usable offline.
-                        eprintln!("client {} rejected server op: {e}", self.inner.site());
-                        eprintln!("{}", self.inner.dump_recorder());
-                        self.conn.m.protocol_errors += 1;
-                    }
-                },
-                EditorMsg::ServerAck(a) => self.on_answer(ctx, a.acked),
-                // Client-to-server frames arriving downstream are
-                // nonsense; drop rather than crash.
-                _ => self.conn.m.protocol_errors += 1,
-            }
-        }
-        // A quiet client still owes the notifier a periodic bare ack, or
-        // its frozen watermark would starve the GC. NOT while the hello's
-        // answer is still arriving though: an ack covering the catch-up
-        // would overtake the un-acked local ops the closing `ServerAck`
-        // releases — the notifier would prune exactly the pending context
-        // those ops still transform against. The ack stays latched and
-        // goes out behind the re-sent ops.
-        if self.state == ConnState::Connected {
-            if let Some(a) = self.inner.take_pending_ack() {
-                self.send(ctx, &EditorMsg::ClientAck(a));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Segment>, tag: u64) {
-        match tag {
-            WRITE_TAG => self.conn.on_write_timer(ctx, 0),
-            DISCONNECT_TAG => {
-                self.state = ConnState::Disconnected;
-                self.hang_up(ctx);
-            }
-            RECONNECT_TAG => self.begin_reconnect(ctx),
-            k => {
-                // A scheduled edit. It always applies locally; it goes on
-                // the wire only while connected — otherwise the re-sends
-                // after the hello (driven by the notifier's integrated
-                // count) cover it, and sending now would double-transmit.
-                if let Some(c) = self.script[k as usize].intent.apply_to(&mut self.inner) {
-                    if let Some(tr) = &mut self.trace {
-                        tr.push(ClientEvent::Local(c.clone()));
-                    }
-                    if self.state == ConnState::Connected {
-                        self.send(ctx, &EditorMsg::ClientOp(c));
-                    }
-                }
-            }
-        }
-    }
-}
-
-enum RobustNode {
-    Notifier(Box<RobustNotifier>),
-    Client(Box<RobustClient>),
-}
-
-impl RobustNode {
-    /// Stamp the virtual clock onto the site's flight recorder, so events
-    /// recorded inside carry sim time.
-    fn set_now(&mut self, now: SimTime) {
-        match self {
-            RobustNode::Notifier(n) => n.hub.core_mut().set_now(now.as_micros()),
-            RobustNode::Client(c) => c.inner.set_now(now.as_micros()),
-        }
-    }
-}
-
-impl Node<Segment> for RobustNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Segment>, from: NodeId, seg: Segment) {
-        self.set_now(ctx.now);
-        match self {
-            RobustNode::Notifier(n) => n.on_message(ctx, from, seg),
-            RobustNode::Client(c) => c.on_message(ctx, seg),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Segment>, tag: u64) {
-        self.set_now(ctx.now);
-        match self {
-            RobustNode::Notifier(n) => {
-                let xi = (tag - WRITE_TAG) as usize;
-                n.conns[xi].on_write_timer(ctx, xi + 1);
-            }
-            RobustNode::Client(c) => c.on_timer(ctx, tag),
-        }
-    }
-
-    /// Both ends of a reset close the connection it killed, if it is
-    /// still theirs.
-    fn on_reset(&mut self, ctx: &mut Ctx<'_, Segment>, peer: NodeId, seg: &Segment) {
-        self.set_now(ctx.now);
-        match self {
-            RobustNode::Notifier(n) if n.conns[peer - 1].live(seg.conn()) => n.close(peer),
-            RobustNode::Client(c) if c.conn.live(seg.conn()) => c.lost(ctx),
-            _ => {}
-        }
-    }
-}
-
-/// Run a star/CVC session over connections and report. The network
-/// faults come from [`SessionConfig::fault_plan`]; scheduled outages from
-/// [`SessionConfig::disconnects`].
-pub fn run_robust_session(cfg: &SessionConfig) -> SessionReport {
-    run_robust_inner(cfg, false).0
-}
-
-/// As [`run_robust_session`], also recording a full [`SessionTrace`] for
-/// oracle replay.
+/// As [`crate::session::run_session`] for a session over connections,
+/// also recording a full [`SessionTrace`] for oracle replay.
 pub fn run_robust_session_traced(cfg: &SessionConfig) -> (SessionReport, SessionTrace) {
-    let (report, trace) = run_robust_inner(cfg, true);
+    let (report, trace) = run_connections(cfg, true);
     (report, trace.expect("trace requested"))
 }
 
-/// The simulated star a session runs on: streams under the session's
-/// fault plan, the notifier at node 0, one scripted client per workload
-/// site at nodes `1..`, and every scripted edit scheduled.
-fn build_star(cfg: &SessionConfig, traced: bool) -> Simulator<Segment, RobustNode> {
-    let scripts = cfg.workload.generate();
-    let mut sim = Simulator::new(cfg.latency, cfg.net_seed);
-    sim.set_default_bandwidth(cfg.bandwidth_bytes_per_sec);
-    sim.set_streams(true);
-    sim.set_default_fault_plan(cfg.fault_plan.unwrap_or(FaultPlan::NONE));
-    let notifier = RobustNotifier::new(cfg, scripts.len(), traced);
-    sim.add_node(RobustNode::Notifier(Box::new(notifier)));
-    for (i, script) in scripts.iter().enumerate() {
-        sim.add_node(RobustNode::Client(Box::new(RobustClient {
-            inner: Box::new(cfg.client(SiteId(i as u32 + 1))),
-            conn: Connection::default(),
-            script: script.clone(),
-            state: ConnState::Connected,
-            auto_gc: cfg.auto_gc,
-            integrated: 0,
-            trace: traced.then(Vec::new),
-        })));
-        for (k, edit) in script.iter().enumerate() {
-            sim.schedule_timer(1 + i, edit.at, k as u64);
-        }
-    }
-    sim
-}
-
-fn run_robust_inner(cfg: &SessionConfig, traced: bool) -> (SessionReport, Option<SessionTrace>) {
-    assert_eq!(
-        cfg.deployment,
-        Deployment::StarCvc,
-        "sessions over connections run the star/CVC deployment"
-    );
-    assert_eq!(
-        cfg.client_mode,
-        ClientMode::Streaming,
-        "robust sessions run streaming clients"
+/// Run a star/CVC session over connections and report, with the
+/// transport counters folded into each site's [`SiteMetrics`]. The
+/// network faults come from [`SessionConfig::fault_plan`]; scheduled
+/// outages from [`SessionConfig::disconnects`].
+pub(crate) fn run_connections(
+    cfg: &SessionConfig,
+    traced: bool,
+) -> (SessionReport, Option<SessionTrace>) {
+    assert!(
+        cfg.deployment == Deployment::StarCvc && cfg.client_mode == ClientMode::Streaming,
+        "sessions over connections run streaming star/CVC clients"
     );
     assert!(
-        cfg.crash.is_none() || cfg.standby,
-        "a notifier crash plan requires the warm standby (cfg.standby)"
+        cfg.crash.is_none_or(|c| c.at_op >= 1),
+        "crash points are 1-based integration counts"
     );
-    if let Some(crash) = cfg.crash {
-        assert!(
-            crash.at_op >= 1,
-            "crash points are 1-based integration counts"
-        );
-    }
-    let n = cfg.workload.n_sites;
-    assert!(n >= 2, "sessions need at least two clients");
-    let mut sim = build_star(cfg, traced);
+    let (mut sim, mut star) = Star::new(cfg, traced);
     sim.record_deliveries(cfg.record_deliveries);
     for spec in &cfg.disconnects {
-        assert!(spec.client < n, "disconnect spec for unknown client");
+        assert!(
+            spec.client < cfg.workload.n_sites,
+            "disconnect for an unknown client"
+        );
         assert!(spec.down.as_micros() > 0, "zero-length outage");
         sim.schedule_timer(1 + spec.client, spec.at, DISCONNECT_TAG);
         sim.schedule_timer(1 + spec.client, spec.at + spec.down, RECONNECT_TAG);
     }
+    star.run_until(&mut sim, SimTime(u64::MAX));
 
-    sim.run();
-
-    let mut r = SessionReport {
-        max_stamp_integers: 2,
-        ..SessionReport::default()
-    };
-    let mut trace = traced.then(SessionTrace::default);
-    for node in sim.nodes_mut() {
-        match node {
-            RobustNode::Notifier(rn) => {
-                let mut m = *rn.hub.notifier().metrics();
-                let mut stale_drops = 0;
-                for c in &rn.conns {
-                    assert!(c.outbox.is_empty(), "notifier left a write round unsent");
-                    stale_drops += c.m.stale_drops;
-                    m += c.m;
-                }
-                r.centre_metrics = Some(m);
-                let notifier = rn.hub.notifier();
-                r.final_docs.push(notifier.doc());
-                r.max_history_len = r.max_history_len.max(notifier.history().len());
-                if let (Some(tr), Some(steps)) = (&mut trace, rn.trace.take()) {
-                    tr.notifier = steps;
-                    tr.notifier_acks = std::mem::take(&mut rn.trace_acks);
-                    tr.wal_image = rn
-                        .hub
-                        .core()
-                        .wal()
-                        .map_or_else(Vec::new, |w| w.bytes().to_vec());
-                }
-                if cfg.flight_recorder {
-                    r.flight_traces
-                        .push((SiteId(0), notifier.recorder().events()));
-                }
-                if let Some(crash_at) = rn.crash_at {
-                    let wal = rn.hub.core().wal().expect("a crash implies the WAL");
-                    let recovered_at = rn
-                        .rebound_at
-                        .iter()
-                        .copied()
-                        .collect::<Option<Vec<_>>>()
-                        .and_then(|ts| ts.into_iter().max());
-                    let (replay_ops, replay_acks) = rn.promoted_replay.unwrap_or((0, 0));
-                    r.failover = Some(FailoverReport {
-                        crash_at_us: crash_at.as_micros(),
-                        recovered_at_us: recovered_at.map(|t| t.as_micros()),
-                        resynced_clients: rn.rebound_at.iter().filter(|t| t.is_some()).count(),
-                        standby_replay_ops: replay_ops,
-                        standby_replay_acks: replay_acks,
-                        wal_appends: wal.appends(),
-                        wal_bytes: wal.bytes_appended(),
-                        wal_live_bytes: wal.live_bytes() as u64,
-                        snapshot_compactions: wal.compactions(),
-                        wal_amplification: wal.amplification(),
-                        stale_drops,
-                    });
-                }
-            }
-            RobustNode::Client(rc) => {
-                // A crash session may legitimately end un-clean when the
-                // failure is under test; convergence (checked below) and
-                // the failover report carry the verdict instead of an
-                // abort here.
-                if cfg.crash.is_none() {
-                    assert_eq!(
-                        rc.state,
-                        ConnState::Connected,
-                        "client left disconnected or mid-hello at quiescence"
-                    );
-                }
-                assert!(
-                    rc.conn.outbox.is_empty(),
-                    "client left a write round unsent"
-                );
-                let mut m = *rc.inner.metrics();
-                m += rc.conn.m;
-                r.client_metrics.push(m);
-                r.final_docs.push(rc.inner.doc().to_owned());
-                r.max_history_len = r.max_history_len.max(rc.inner.history().len());
-                if let (Some(tr), Some(events)) = (&mut trace, rc.trace.take()) {
-                    tr.clients.push(events);
-                }
-                if cfg.flight_recorder {
-                    r.flight_traces
-                        .push((rc.inner.site(), rc.inner.recorder().events()));
-                }
-            }
-        }
+    let mut r = SessionReport::harvest(&star.world, cfg);
+    let mut stale_drops = 0;
+    let centre = r.centre_metrics.as_mut().expect("a star has a centre");
+    for (i, [hub_end, end]) in star.ends.iter().enumerate() {
+        // A crash session may legitimately end un-clean when the failure
+        // is under test; convergence and the failover report carry the
+        // verdict instead of an abort here.
+        assert!(
+            cfg.crash.is_some() || star.connected(i),
+            "client left disconnected or mid-hello at quiescence"
+        );
+        assert!(
+            hub_end.outbox.is_empty() && end.outbox.is_empty(),
+            "a write round was left unsent"
+        );
+        stale_drops += hub_end.m.stale_drops;
+        *centre += hub_end.m;
+        r.client_metrics[i] += end.m;
     }
+    let core = star.world.hub().core();
+    if let Some((crash_at, (replay_ops, replay_acks))) = star.failover {
+        let wal = core.wal().expect("a crash implies the WAL");
+        let rebound = &star.rebound_at;
+        let recovered_at = rebound
+            .iter()
+            .try_fold(0, |t, at| Some(t.max((*at)?.as_micros())));
+        r.failover = Some(FailoverReport {
+            crash_at_us: crash_at.as_micros(),
+            recovered_at_us: recovered_at,
+            resynced_clients: rebound.iter().flatten().count(),
+            standby_replay_ops: replay_ops,
+            standby_replay_acks: replay_acks,
+            wal_appends: wal.appends(),
+            wal_bytes: wal.bytes_appended(),
+            wal_live_bytes: wal.live_bytes() as u64,
+            snapshot_compactions: wal.compactions(),
+            wal_amplification: wal.amplification(),
+            stale_drops,
+        });
+    }
+    let trace = star.trace.map(|mut tr| {
+        tr.wal_image = core.wal().map_or_else(Vec::new, |w| w.bytes().to_vec());
+        tr
+    });
     (r.finish(cfg, &sim), trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use crate::frame::{split_frame, write_frame, FrameError, MAX_FRAME_BYTES};
     use crate::msg::COMPOUND_MAX;
     use crate::notifier::Notifier;
+    use crate::recorder::EventKind;
+    use crate::session::run_session;
+    use crate::standby::Standby;
     use cvc_core::state_vector::CompressedStamp;
     use cvc_ot::pos::PosOp;
     use cvc_ot::seq::SeqOp;
@@ -999,16 +775,17 @@ mod tests {
     fn reliable_frames_round_trip() {
         let payload = Payload::from_parts(vec![1, 2, 3], vec![4, 5, 6].into());
         let socket = framed(&payload);
-        let seg = Segment::Frame {
-            conn: 7,
-            payload: payload.clone(),
-        };
+        let seg = frame(7, payload.clone());
         assert_eq!(seg.wire_bytes(), socket.len(), "a frame costs its bytes");
         let Ok(Some((back, used))) = split_frame(&socket, MAX_FRAME_BYTES) else {
             panic!("a whole frame splits");
         };
         assert_eq!((back, used), (&payload.to_vec()[..], socket.len()));
-        assert_eq!(Segment::Close { conn: 7 }.wire_bytes(), 0, "a FIN is free");
+        let fin = Segment {
+            conn: 7,
+            frame: None,
+        };
+        assert_eq!(fin.wire_bytes(), 0, "a FIN is free");
     }
 
     /// Every strict prefix of a connection's frame is "need more", never a
@@ -1040,33 +817,18 @@ mod tests {
         assert_eq!(split_frame(&socket, usize::MAX), Ok(None), "truncated");
     }
 
-    impl RobustNode {
-        fn as_notifier(&self) -> &RobustNotifier {
-            match self {
-                RobustNode::Notifier(n) => n,
-                RobustNode::Client(_) => unreachable!("node is a client, not the notifier"),
-            }
-        }
-
-        fn as_notifier_mut(&mut self) -> &mut RobustNotifier {
-            match self {
-                RobustNode::Notifier(n) => n,
-                RobustNode::Client(_) => unreachable!("node is a client, not the notifier"),
-            }
-        }
-
-        fn as_client(&self) -> &RobustClient {
-            match self {
-                RobustNode::Client(c) => c,
-                RobustNode::Notifier(_) => unreachable!("node is the notifier, not a client"),
-            }
-        }
+    /// The star `cfg` builds, and a driver that runs it to quiescence.
+    fn star(cfg: &SessionConfig) -> (Simulator<Segment, Idle>, Star) {
+        Star::new(cfg, false)
     }
 
-    impl RobustClient {
-        fn is_connected(&self) -> bool {
-            self.state == ConnState::Connected
-        }
+    fn run(sim: &mut Simulator<Segment, Idle>, star: &mut Star) {
+        star.run_until(sim, SimTime(u64::MAX));
+    }
+
+    /// Queue `p` on the notifier's end of channel 0.
+    fn put(sim: &mut Simulator<Segment, Idle>, star: &mut Star, p: Payload) {
+        sim.with_node_ctx(0, |_, ctx| star.ends[0][0].queue(ctx, 1, WRITE_TAG, p));
     }
 
     fn robust_cfg(n: usize, seed: u64) -> SessionConfig {
@@ -1084,7 +846,7 @@ mod tests {
         let mut cfg = robust_cfg(6, 23);
         cfg.workload.ops_per_site = 20;
         cfg.record_deliveries = true;
-        let batched = run_robust_session(&cfg);
+        let batched = run_session(&cfg);
         assert!(batched.converged, "{:?}", batched.final_docs);
         let bt = batched.total_metrics();
         assert!(
@@ -1097,7 +859,7 @@ mod tests {
         let max_frame = COMPOUND_MAX * 64;
         assert!(batched.deliveries.iter().all(|d| d.bytes < max_frame));
         cfg.fault_plan = None;
-        let ideal = crate::session::run_session(&cfg);
+        let ideal = run_session(&cfg);
         assert_eq!(bt.ops_generated, ideal.total_metrics().ops_generated);
     }
 
@@ -1109,7 +871,7 @@ mod tests {
         let mut cfg = robust_cfg(3, 37);
         cfg.workload.ops_per_site = 6;
         cfg.workload.mean_gap_us = 5_000_000; // ≫ RTT: strictly serial
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged);
         let t = r.total_metrics();
         assert!(t.editor_msgs_sent > 0);
@@ -1124,22 +886,19 @@ mod tests {
     fn a_burst_coalesces_at_most_compound_max_per_frame() {
         let mut cfg = robust_cfg(2, 5);
         cfg.workload.ops_per_site = 0;
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         sim.record_deliveries(true);
         let burst = 2 * COMPOUND_MAX + 6;
-        sim.with_node_ctx(0, |node, ctx| {
-            let n = node.as_notifier_mut();
-            // From 32 on, every ack's member head is two bytes, so the two
-            // full frames are the same size.
-            for acked in 32..32 + burst {
-                let ack = EditorMsg::ServerAck(ServerAckMsg {
-                    acked: acked as u64,
-                });
-                n.put(ctx, vec![(1, Payload::encode(&ack))]);
-            }
-        });
-        sim.run();
-        let sent = &sim.node(0).as_notifier().conns[0].m;
+        // From 32 on, every ack's member head is two bytes, so the two
+        // full frames are the same size.
+        for acked in 32..32 + burst {
+            let ack = EditorMsg::ServerAck(ServerAckMsg {
+                acked: acked as u64,
+            });
+            put(&mut sim, &mut star, Payload::encode(&ack));
+        }
+        run(&mut sim, &mut star);
+        let sent = &star.ends[0][0].m;
         assert_eq!(sent.editor_msgs_sent, burst as u64);
         assert_eq!(sent.data_frames_sent, 3, "32 + 32 + 6");
         let sizes: Vec<usize> = sim.deliveries().iter().map(|d| d.bytes).collect();
@@ -1154,7 +913,7 @@ mod tests {
         let mut cfg = robust_cfg(5, 61);
         cfg.workload.ops_per_site = 16;
         cfg.fault_plan = Some(FaultPlan::lossy(0.05));
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         assert!(r.fault_stats.delay_spiked > 0, "loss must stall");
         let t = r.total_metrics();
@@ -1166,7 +925,7 @@ mod tests {
 
     #[test]
     fn clean_network_robust_session_converges_without_retransmits() {
-        let r = run_robust_session(&robust_cfg(4, 11));
+        let r = run_session(&robust_cfg(4, 11));
         assert!(r.converged, "{:?}", r.final_docs);
         let total = r.total_metrics();
         assert_eq!((total.resets, total.stale_drops), (0, 0));
@@ -1189,7 +948,7 @@ mod tests {
             reorder_extra_us: 40_000,
             ..FaultPlan::NONE
         });
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         let f = r.fault_stats;
         assert!(f.delay_spiked > 0, "drops must stall: {f:?}");
@@ -1212,7 +971,7 @@ mod tests {
             corrupt: 0.2,
             ..FaultPlan::NONE
         });
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         let resets: u64 = r.client_metrics.iter().map(|m| m.resets).sum();
         assert!(resets > 0, "{:?}", r.fault_stats);
@@ -1233,7 +992,7 @@ mod tests {
             }),
             ..FaultPlan::NONE
         });
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         assert!(r.fault_stats.flap_dropped > 0);
         assert!(r.total_metrics().resets > 0);
@@ -1247,35 +1006,31 @@ mod tests {
         let mut cfg = robust_cfg(2, 5);
         cfg.workload.ops_per_site = 0;
         cfg.latency = LatencyModel::Constant(10_000);
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         let ack = |acked| Payload::encode(&EditorMsg::ServerAck(ServerAckMsg { acked }));
-        let put = |sim: &mut Simulator<Segment, RobustNode>, acked| {
-            sim.with_node_ctx(0, |node, ctx| {
-                node.as_notifier_mut().put(ctx, vec![(1, ack(acked))])
-            });
+        put(&mut sim, &mut star, ack(100));
+        star.run_until(&mut sim, SimTime::from_millis(1));
+        sim.advance_to(SimTime::from_millis(1));
+        put(&mut sim, &mut star, ack(101));
+        put(&mut sim, &mut star, ack(102));
+        let in_flight = Segment {
+            conn: 0,
+            frame: None,
         };
-        put(&mut sim, 100);
-        sim.run_until(SimTime::from_millis(1));
-        put(&mut sim, 101);
-        put(&mut sim, 102);
-        let in_flight = Segment::Close { conn: 0 };
-        sim.with_node_ctx(0, |node, ctx| node.on_reset(ctx, 1, &in_flight));
-        sim.with_node_ctx(1, |node, ctx| node.on_reset(ctx, 0, &in_flight));
-        sim.run();
-        let n = sim.node(0).as_notifier();
+        sim.with_node_ctx(0, |_, ctx| star.on_reset(ctx, 1, &in_flight));
+        sim.with_node_ctx(1, |_, ctx| star.on_reset(ctx, 0, &in_flight));
+        run(&mut sim, &mut star);
         assert_eq!(
-            n.conns[0].m.data_frames_sent, 2,
+            star.ends[0][0].m.data_frames_sent, 2,
             "the first ack, the answer"
         );
-        assert_eq!(n.hub.site_of(1), Some(SiteId(1)), "the hello bound it");
-        let c = sim.node(1).as_client();
-        assert!(c.is_connected());
-        assert_eq!(
-            (c.conn.id, c.conn.m.resets, c.conn.m.stale_drops),
-            (1, 1, 1)
-        );
+        let hub = star.world.hub();
+        assert_eq!(hub.site_of(0), Some(SiteId(1)), "the hello bound it");
+        assert!(star.connected(0));
+        let c = &star.ends[0][1];
+        assert_eq!((c.id, c.m.resets, c.m.stale_drops), (1, 1, 1));
         let answer = ack(0).len() as u64;
-        assert_eq!(c.conn.m.delivered_payload_bytes, answer, "nothing parked");
+        assert_eq!(c.m.delivered_payload_bytes, answer, "nothing parked");
     }
 
     #[test]
@@ -1289,7 +1044,7 @@ mod tests {
             at: SimTime::from_millis(400),
             down: SimDuration::from_millis(900),
         }];
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         let total = r.total_metrics();
         assert!(total.resyncs >= 2, "served + completed: {}", total.resyncs);
@@ -1321,7 +1076,7 @@ mod tests {
             at: SimTime::ZERO,
             down: SimDuration::from_micros(last.as_micros() + 100_000),
         }];
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         let c0 = &r.client_metrics[0];
         assert_eq!(c0.ops_generated, 6);
@@ -1343,7 +1098,7 @@ mod tests {
             at: SimTime::from_millis(400),
             down: SimDuration::from_millis(900),
         }];
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         let centre = r.centre_metrics.expect("star has a centre");
         let c1 = &r.client_metrics[1];
@@ -1354,7 +1109,10 @@ mod tests {
 
     /// `payload` as a frame of connection `conn`.
     fn frame(conn: u32, payload: Payload) -> Segment {
-        Segment::Frame { conn, payload }
+        Segment {
+            conn,
+            frame: Some(payload),
+        }
     }
 
     /// Node identity stands in for an authenticated connection: a hello
@@ -1364,7 +1122,7 @@ mod tests {
     fn a_hello_naming_another_nodes_site_binds_nothing() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         let hello = ClientAckMsg {
             origin: SiteId(2),
             received: 0,
@@ -1374,17 +1132,13 @@ mod tests {
             0,
             frame(1, Payload::encode(&EditorMsg::ClientAck(hello))),
         );
-        sim.run();
-        let node = sim.node(0).as_notifier();
-        assert_eq!(node.conns[0].m.protocol_errors, 1);
-        assert_eq!(
-            node.hub.site_of(1),
-            None,
-            "the new connection speaks for nobody"
-        );
-        assert_eq!(node.hub.channel_of(SiteId(1)), None);
-        assert_eq!(node.hub.site_of(2), Some(SiteId(2)));
-        assert_eq!(node.conns[0].m.resync_replayed, 0, "no catch-up was served");
+        run(&mut sim, &mut star);
+        let (hub, m) = (star.world.hub(), &star.ends[0][0].m);
+        assert_eq!(m.protocol_errors, 1);
+        assert_eq!(hub.site_of(0), None, "the new connection speaks for nobody");
+        assert_eq!(hub.channel_of(SiteId(1)), None);
+        assert_eq!(hub.site_of(1), Some(SiteId(2)));
+        assert_eq!(m.resync_replayed, 0, "no catch-up was served");
     }
 
     /// Once a new connection has said hello, a frame of the old one is a
@@ -1394,19 +1148,19 @@ mod tests {
     fn old_epoch_frames_after_the_hello_are_dropped() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         sim.schedule_timer(1, SimTime::from_millis(1), RECONNECT_TAG);
-        sim.run();
-        let client = sim.node(1).as_client();
-        assert!(client.is_connected() && client.conn.id == 1);
+        run(&mut sim, &mut star);
+        assert!(star.connected(0) && star.ends[0][1].id == 1);
         let op = Client::new(SiteId(1), &cfg.initial_doc).insert(0, "Z");
         sim.inject_send(1, 0, frame(0, Payload::encode(&EditorMsg::ClientOp(op))));
-        sim.run();
-        let node = sim.node(0).as_notifier();
-        assert_eq!((node.conns[0].id, node.conns[0].m.stale_drops), (1, 1));
-        assert_eq!(node.hub.site_of(1), Some(SiteId(1)), "the hello bound it");
-        assert_eq!(node.ops_integrated, 0);
-        assert_eq!(node.hub.notifier().doc(), cfg.initial_doc);
+        run(&mut sim, &mut star);
+        let end = &star.ends[0][0];
+        assert_eq!((end.id, end.m.stale_drops), (1, 1));
+        let hub = star.world.hub();
+        assert_eq!(hub.site_of(0), Some(SiteId(1)), "the hello bound it");
+        assert_eq!(star.world.notifier().state_vector().total(), 0);
+        assert_eq!(hub.notifier().doc(), cfg.initial_doc);
     }
 
     #[test]
@@ -1431,7 +1185,7 @@ mod tests {
                 down: SimDuration::from_millis(400),
             },
         ];
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         assert!(r.total_metrics().resyncs >= 6);
     }
@@ -1473,7 +1227,7 @@ mod tests {
             }),
             ..FaultPlan::NONE
         });
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{:?}", r.final_docs);
         assert!(r.fault_stats.flap_dropped > 0);
     }
@@ -1487,8 +1241,8 @@ mod tests {
             corrupt: 0.05,
             ..FaultPlan::NONE
         });
-        let a = run_robust_session(&cfg);
-        let b = run_robust_session(&cfg);
+        let a = run_session(&cfg);
+        let b = run_session(&cfg);
         assert_eq!(a.final_doc, b.final_doc);
         assert_eq!(a.net.bytes, b.net.bytes);
         assert_eq!(a.quiesced_at, b.quiesced_at);
@@ -1501,16 +1255,16 @@ mod tests {
     fn run_session_delegates_to_the_reliability_layer() {
         let mut cfg = robust_cfg(3, 2);
         cfg.fault_plan = Some(FaultPlan::lossy(0.1));
-        let r = crate::session::run_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged);
         assert!(r.fault_stats.delay_spiked > 0);
         cfg.fault_plan = Some(FaultPlan::NONE);
         let frames = |r: &SessionReport| r.total_metrics().data_frames_sent;
-        assert!(frames(&crate::session::run_session(&cfg)) > 0);
+        assert!(frames(&run_session(&cfg)) > 0);
         cfg.fault_plan = None;
-        assert_eq!(frames(&crate::session::run_session(&cfg)), 0);
+        assert_eq!(frames(&run_session(&cfg)), 0);
         cfg.standby = true;
-        assert!(frames(&crate::session::run_session(&cfg)) > 0);
+        assert!(frames(&run_session(&cfg)) > 0);
     }
 
     /// Off the connections, the same fault classes must be *detected* by
@@ -1561,20 +1315,19 @@ mod tests {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
         cfg.standby = true;
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         let forged = Client::new(SiteId(2), &cfg.initial_doc).insert(0, "F");
         sim.inject_send(
             1,
             0,
             frame(0, Payload::encode(&EditorMsg::ClientOp(forged))),
         );
-        sim.run();
-        let node = sim.node(0).as_notifier();
-        let live = node.hub.notifier();
+        run(&mut sim, &mut star);
+        let live = star.world.notifier();
         assert!(!live.is_active(SiteId(1)), "the sender is out");
         assert!(live.is_active(SiteId(2)) && live.is_active(SiteId(3)));
         assert_eq!(live.doc(), cfg.initial_doc);
-        let wal = node.hub.core().wal().expect("standby sessions log");
+        let wal = star.world.hub().core().wal().expect("standby sessions log");
         let cold = Standby::from_log(wal.bytes(), 3, &cfg.initial_doc).expect("scan");
         assert!(!cold.notifier().is_active(SiteId(1)), "and stays out");
     }
@@ -1595,14 +1348,13 @@ mod tests {
     fn client_op_with_a_trailing_byte_is_hostile_at_the_notifier() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         let op = Client::new(SiteId(1), &cfg.initial_doc).insert(0, "J");
         sim.inject_send(1, 0, frame(0, with_trailing_junk(&EditorMsg::ClientOp(op))));
-        sim.run();
-        let node = sim.node(0).as_notifier();
-        assert_eq!(node.conns[0].m.protocol_errors, 1);
-        assert_eq!(node.ops_integrated, 0);
-        assert_eq!(node.hub.notifier().doc(), cfg.initial_doc);
+        run(&mut sim, &mut star);
+        assert_eq!(star.ends[0][0].m.protocol_errors, 1);
+        assert_eq!(star.world.notifier().state_vector().total(), 0);
+        assert_eq!(star.world.notifier().doc(), cfg.initial_doc);
     }
 
     /// The client-side mirror: a `ServerOp` with a trailing byte is
@@ -1611,7 +1363,7 @@ mod tests {
     fn server_op_with_a_trailing_byte_is_hostile_at_the_client() {
         let mut cfg = robust_cfg(3, 5);
         cfg.workload.ops_per_site = 0;
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         let len = cfg.initial_doc.chars().count();
         let op = ServerOpMsg {
             stamp: CompressedStamp::new(1, 0),
@@ -1619,11 +1371,11 @@ mod tests {
             cursor: None,
         };
         sim.inject_send(0, 1, frame(0, with_trailing_junk(&EditorMsg::ServerOp(op))));
-        sim.run();
-        let node = sim.node(1).as_client();
-        assert_eq!(node.conn.m.protocol_errors, 1);
-        assert_eq!(node.inner.doc(), cfg.initial_doc);
-        assert_eq!(node.inner.state_vector().received(), 0);
+        run(&mut sim, &mut star);
+        assert_eq!(star.ends[0][1].m.protocol_errors, 1);
+        let replica = star.world.client(SiteId(1)).expect("seated");
+        assert_eq!(replica.doc(), cfg.initial_doc);
+        assert_eq!(replica.state_vector().received(), 0);
     }
 
     /// Latencies come from the simulator's delivery records, as in plain
@@ -1636,7 +1388,7 @@ mod tests {
         cfg.fault_plan = Some(FaultPlan::lossy(0.2));
         cfg.latency = LatencyModel::internet();
         cfg.record_deliveries = true;
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged);
         let lat: Vec<u64> = r
             .deliveries
@@ -1675,9 +1427,9 @@ mod tests {
     fn standby_without_crash_yields_no_failover() {
         let mut cfg = robust_cfg(4, 97);
         cfg.workload.ops_per_site = 10;
-        let plain = run_robust_session(&cfg);
+        let plain = run_session(&cfg);
         cfg.standby = true;
-        let shadowed = run_robust_session(&cfg);
+        let shadowed = run_session(&cfg);
         assert!(plain.converged && shadowed.converged);
         assert!(shadowed.failover.is_none(), "no crash, no failover");
         assert_eq!(plain.final_doc, shadowed.final_doc);
@@ -1716,7 +1468,7 @@ mod tests {
 
     #[test]
     fn crash_before_send_fails_over_and_converges() {
-        let r = run_robust_session(&crash_cfg(4, 101, 7, CrashPoint::BeforeSend));
+        let r = run_session(&crash_cfg(4, 101, 7, CrashPoint::BeforeSend));
         let fo = assert_failed_over(&r, 4);
         // The op was logged but never broadcast: the WAL replay is the
         // only reason the promoted notifier knows it.
@@ -1725,7 +1477,7 @@ mod tests {
 
     #[test]
     fn crash_mid_broadcast_fails_over_and_converges() {
-        let r = run_robust_session(&crash_cfg(4, 103, 7, CrashPoint::MidBroadcast));
+        let r = run_session(&crash_cfg(4, 103, 7, CrashPoint::MidBroadcast));
         let fo = assert_failed_over(&r, 4);
         // What the clients had in flight to the dead primary lands on a
         // closed connection: dropped and counted, never integrated.
@@ -1734,7 +1486,7 @@ mod tests {
 
     #[test]
     fn crash_after_send_fails_over_and_converges() {
-        let r = run_robust_session(&crash_cfg(4, 107, 7, CrashPoint::AfterSend));
+        let r = run_session(&crash_cfg(4, 107, 7, CrashPoint::AfterSend));
         let fo = assert_failed_over(&r, 4);
         assert!(fo.stale_drops > 0, "{fo:?}");
     }
@@ -1748,7 +1500,7 @@ mod tests {
         ] {
             let mut cfg = crash_cfg(4, 113, 9, point);
             cfg.fault_plan = Some(FaultPlan::lossy(0.01));
-            let r = run_robust_session(&cfg);
+            let r = run_session(&cfg);
             assert_failed_over(&r, 4);
         }
     }
@@ -1763,38 +1515,37 @@ mod tests {
         let mut cfg = crash_cfg(3, 36, 1, CrashPoint::AfterSend);
         cfg.workload.ops_per_site = 0;
         cfg.latency = LatencyModel::Constant(10_000);
-        let mut sim = build_star(&cfg, false);
+        let (mut sim, mut star) = star(&cfg);
         sim.schedule_timer(1, SimTime::from_millis(1), RECONNECT_TAG);
-        sim.run_until(SimTime::from_millis(1));
-        sim.with_node_ctx(2, |node, ctx| {
-            let RobustNode::Client(c) = node else {
-                unreachable!("node 2 is a client");
-            };
-            let op = c.inner.insert(0, "Z");
-            c.send(ctx, &EditorMsg::ClientOp(op));
-        });
-        sim.run();
-        let n = sim.node(0).as_notifier();
-        assert!(n.crash_at.is_some(), "the op crashed the primary");
-        assert!(n.rebound_at.iter().all(Option::is_some), "all re-dialed");
+        star.run_until(&mut sim, SimTime::from_millis(1));
+        star.world
+            .edit(SiteId(2), |c| Ok(c.insert(0, "Z")))
+            .expect("a member");
+        sim.with_node_ctx(2, |_, ctx| star.send_up(ctx, 1, false));
+        run(&mut sim, &mut star);
+        assert!(star.failover.is_some(), "the op crashed the primary");
+        assert!(star.rebound_at.iter().all(Option::is_some), "all re-dialed");
         // The primary bound the first hello; the promoted standby bound
         // all three channels.
-        assert_eq!(n.conns.iter().map(|c| c.m.resyncs).sum::<u64>(), 4);
-        let c1 = sim.node(1).as_client();
-        assert!(c1.is_connected());
-        assert_eq!((c1.conn.id, c1.conn.m.resets), (2, 1), "two dials");
-        let doc = n.hub.notifier().doc();
+        let resyncs = star
+            .ends
+            .iter()
+            .map(|[hub_end, _]| hub_end.m.resyncs)
+            .sum::<u64>();
+        assert_eq!(resyncs, 4);
+        assert!(star.connected(0));
+        let c1 = &star.ends[0][1];
+        assert_eq!((c1.id, c1.m.resets), (2, 1), "two dials");
+        let doc = star.world.notifier().doc();
         assert!(doc.starts_with('Z'));
-        for i in 1..=3 {
-            assert_eq!(sim.node(i).as_client().inner.doc(), doc);
-        }
+        assert!(star.world.clients().all(|c| c.doc() == doc));
     }
 
     #[test]
     fn failover_sessions_are_reproducible() {
         let cfg = crash_cfg(5, 127, 11, CrashPoint::MidBroadcast);
-        let a = run_robust_session(&cfg);
-        let b = run_robust_session(&cfg);
+        let a = run_session(&cfg);
+        let b = run_session(&cfg);
         assert_eq!(a.final_doc, b.final_doc);
         assert_eq!(a.quiesced_at, b.quiesced_at);
         let (fa, fb) = (a.failover.expect("crash"), b.failover.expect("crash"));
@@ -1812,7 +1563,7 @@ mod tests {
         // Big enough that nothing wraps the ring past the crash/promote
         // events recorded mid-session.
         cfg.flight_recorder_notifier_capacity = 1 << 14;
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged);
         let (_, events) = r
             .flight_traces
@@ -1830,7 +1581,7 @@ mod tests {
         assert_eq!(crashes.len(), 1, "exactly one crash");
         assert_eq!(promotes.len(), 1, "exactly one promotion");
         assert_eq!(crashes[0].a, 7, "ops integrated at the crash");
-        assert_eq!(crashes[0].b, CrashPoint::MidBroadcast.index());
+        assert_eq!(crashes[0].b, CrashPoint::MidBroadcast as u64);
         assert!(promotes[0].a >= 7, "replayed at least the logged ops");
         // The inherited pre-crash history is still there.
         assert!(

@@ -27,6 +27,7 @@ use crate::hub::Step;
 use crate::msg::ClientOpMsg;
 use crate::notifier::{Notifier, ScanMode};
 use crate::recorder::{FlightEvent, FlightRecorder};
+use crate::reliable::CrashPoint;
 use crate::standby::Standby;
 use crate::wal::Wal;
 use crate::world::StarWorld;
@@ -410,11 +411,12 @@ pub fn failover_walkthrough() -> FailoverTranscript {
     ));
     narration.push("O4' to site 1 had left the host; site 2's copy is lost".into());
 
-    // --- Promotion: the standby has replayed exactly the logged
-    // history, so its replica equals the dead primary's. ---
+    // --- The crash action: every connection (channels 0–2) dies with the
+    // primary, site 2's copy of O4' with it, and the standby — which has
+    // replayed exactly the logged history, so its replica equals the dead
+    // primary's — is promoted. ---
     let (standby_replay_ops, _) = w
-        .core_mut()
-        .promote()
+        .crash(CrashPoint::MidBroadcast)
         .expect("the walkthrough runs a standby")
         .expect("the mirrored log was clean");
     let doc_at_promotion = w.notifier().doc();
@@ -423,14 +425,10 @@ pub fn failover_walkthrough() -> FailoverTranscript {
         standby_replay_ops, doc_at_promotion
     ));
 
-    // --- Resync: every connection (channels 0–2) died with the primary,
-    // site 2's copy of O4' with it. Each client says hello on a new one
-    // with its `received` cursor (the second element of its compressed
-    // clock); the promoted notifier's hub replays exactly the missed
-    // suffix of that client's stream. ---
-    for ch in 0..3 {
-        w.close(ch);
-    }
+    // --- Resync: each client says hello on a new channel with its
+    // `received` cursor (the second element of its compressed clock); the
+    // promoted notifier's hub replays exactly the missed suffix of that
+    // client's stream. ---
     let mut replays = Vec::new();
     for site in 1..=3u32 {
         let client = w.client(SiteId(site)).expect("a member");

@@ -19,9 +19,13 @@
 //! *what*: the hub integrates, the replicas integrate, and every send is
 //! popped off the world's FIFOs the moment it is queued and carried, as
 //! its payload bytes, through the simulator's channel (node 0 is the
-//! notifier, node `i` site `i`). The two full-vector baselines run as
-//! [`Node`]s on the same event loop; sessions over connections — a fault
-//! plan, outages or a standby — are `crate::reliable`'s.
+//! notifier, node `i` site `i`). A session over connections — a fault
+//! plan, outages or a standby — is a timed chooser over the same world
+//! (`crate::reliable`), and both harvest their report from it the same
+//! way ([`SessionReport::harvest`]). The two loops stay apart: a plain
+//! session charges each message's bare payload bytes, a connection its
+//! framed write rounds, so one loop would move every plain golden. The
+//! two full-vector baselines are timed choosers over their mesh sites.
 //!
 //! The report carries everything the experiments tabulate: convergence,
 //! wire bytes split into payload vs timestamp, stamp widths, transform and
@@ -35,6 +39,8 @@ use crate::msg::{EditorMsg, Payload};
 use crate::notifier::{Notifier, ScanMode};
 use crate::recorder::FlightEvent;
 use crate::reliable::DisconnectSpec;
+use crate::standby::Standby;
+use crate::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use crate::workload::{ScheduledEdit, WorkloadConfig};
 use crate::world::StarWorld;
 use cvc_core::site::SiteId;
@@ -167,15 +173,31 @@ impl SessionConfig {
         }
     }
 
-    /// The star/CVC notifier this session runs, for `slots` client sites:
-    /// scan mode, folded-in GC and flight recorder as configured.
-    pub(crate) fn notifier(&self, slots: usize) -> Notifier {
-        let mut notifier = Notifier::new(slots, &self.initial_doc);
+    /// The notifier core this session's star runs: the star/CVC notifier
+    /// with its scan mode, folded-in GC and flight recorder as configured,
+    /// sending acks to composing clients, and — in standby sessions — its
+    /// write-ahead log and a warm standby tailing it.
+    pub(crate) fn core(&self) -> NotifierCore {
+        let n = self.workload.n_sites;
+        let mut notifier = Notifier::new(n, &self.initial_doc);
         notifier.set_scan_mode(self.notifier_scan);
         notifier.set_auto_gc(self.auto_gc);
-        notifier.set_flight_recorder_capacity(self.notifier_ring_capacity(slots));
+        // The notifier's ring: the explicit override when set, otherwise
+        // `N×` the per-client capacity (its stream carries the fan-out).
+        let ring = match self.flight_recorder_notifier_capacity {
+            0 => self.flight_recorder_capacity.saturating_mul(n.max(1)),
+            ring => ring,
+        };
+        notifier.set_flight_recorder_capacity(ring);
         notifier.set_flight_recorder(self.flight_recorder);
-        notifier
+        notifier.set_send_acks(self.client_mode == ClientMode::Composing);
+        let standby = self.standby.then(|| {
+            let mut sb = Standby::new(n, &self.initial_doc, self.notifier_scan);
+            sb.set_auto_gc(self.auto_gc);
+            sb
+        });
+        let wal = self.standby.then(|| Wal::new(DEFAULT_COMPACT_EVERY));
+        NotifierCore::new(notifier, wal, standby)
     }
 
     /// The streaming star/CVC client replica at `site`.
@@ -185,17 +207,6 @@ impl SessionConfig {
         client.set_flight_recorder_capacity(self.flight_recorder_capacity);
         client.set_flight_recorder(self.flight_recorder);
         client
-    }
-
-    /// The notifier's ring capacity: the explicit override when set,
-    /// otherwise `N×` the per-client capacity (its stream carries the
-    /// broadcast fan-out).
-    pub fn notifier_ring_capacity(&self, n: usize) -> usize {
-        if self.flight_recorder_notifier_capacity > 0 {
-            self.flight_recorder_notifier_capacity
-        } else {
-            self.flight_recorder_capacity.saturating_mul(n.max(1))
-        }
     }
 }
 
@@ -295,104 +306,20 @@ impl SessionReport {
     }
 }
 
-/// One simulator node of a full-vector baseline session.
-enum SessionNode {
-    MeshSite {
-        site: Box<MeshSite>,
-        peers: Vec<NodeId>,
-        script: Vec<ScheduledEdit>,
-        wire: SiteMetrics,
-        max_stamp: usize,
-        auto_gc: bool,
-    },
-    Relay {
-        client_nodes: Vec<NodeId>,
-        wire: SiteMetrics,
-        max_stamp: usize,
-    },
-}
-
-impl SessionNode {
-    fn count_send(wire: &mut SiteMetrics, max_stamp: &mut usize, msg: &EditorMsg, copies: usize) {
-        let c = copies as u64;
-        wire.messages_sent += c;
-        wire.bytes_sent += msg.wire_bytes() as u64 * c;
-        wire.stamp_bytes_sent += msg.stamp_bytes() as u64 * c;
-        wire.stamp_integers_sent += msg.stamp_integers() as u64 * c;
-        *max_stamp = (*max_stamp).max(msg.stamp_integers());
-    }
-}
-
-impl Node<EditorMsg> for SessionNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, EditorMsg>, from: NodeId, msg: EditorMsg) {
-        match (self, msg) {
-            (SessionNode::MeshSite { site, auto_gc, .. }, EditorMsg::MeshOp(m)) => {
-                site.on_remote(m);
-                if *auto_gc {
-                    site.gc();
-                }
-            }
-            (
-                SessionNode::Relay {
-                    client_nodes,
-                    wire,
-                    max_stamp,
-                },
-                EditorMsg::MeshOp(m),
-            ) => {
-                let msg = EditorMsg::MeshOp(m);
-                let copies = client_nodes.iter().filter(|&&n| n != from).count();
-                SessionNode::count_send(wire, max_stamp, &msg, copies);
-                for &node in client_nodes.iter() {
-                    if node != from {
-                        ctx.send(node, msg.clone());
-                    }
-                }
-            }
-            (_, other) => {
-                // A message kind this node cannot process — impossible in a
-                // well-formed session, possible under forged frames. Drop it
-                // rather than crash; the sender's stream checks will catch
-                // any real gap.
-                eprintln!("dropping incompatible message {other:?}");
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, EditorMsg>, tag: u64) {
-        let SessionNode::MeshSite {
-            site,
-            peers,
-            script,
-            wire,
-            max_stamp,
-            ..
-        } = self
-        else {
-            unreachable!("centre nodes have no scheduled edits")
-        };
-        for m in script[tag as usize].intent.apply_to_mesh(site) {
-            let wire_msg = EditorMsg::MeshOp(m);
-            SessionNode::count_send(wire, max_stamp, &wire_msg, peers.len());
-            for &p in peers.iter() {
-                ctx.send(p, wire_msg.clone());
-            }
-        }
-    }
-}
-
 /// Run a configured session to quiescence and report. A session with a
 /// fault plan, outages or a standby runs over connections.
 pub fn run_session(cfg: &SessionConfig) -> SessionReport {
-    if cfg.fault_plan.is_some() || !cfg.disconnects.is_empty() || cfg.standby {
-        return crate::reliable::run_robust_session(cfg);
-    }
     assert!(
-        cfg.crash.is_none(),
+        cfg.workload.n_sites >= 2,
+        "sessions need at least two clients"
+    );
+    assert!(
+        cfg.crash.is_none() || cfg.standby,
         "a notifier crash plan requires the warm standby (cfg.standby)"
     );
-    let n = cfg.workload.n_sites;
-    assert!(n >= 2, "sessions need at least two clients");
+    if cfg.fault_plan.is_some() || !cfg.disconnects.is_empty() || cfg.standby {
+        return crate::reliable::run_connections(cfg, false).0;
+    }
     let scripts = cfg.workload.generate();
     match cfg.deployment {
         Deployment::StarCvc => run_star(cfg, &scripts),
@@ -400,10 +327,10 @@ pub fn run_session(cfg: &SessionConfig) -> SessionReport {
     }
 }
 
-/// The simulated network of a plain session over `nodes`, every edit of
+/// The simulated network of a session over `nodes`, every edit of
 /// script `i` scheduled as a timer (tagged with its index) on node
 /// `first_site + i`.
-fn network<M: WireSize + Clone, N>(
+pub(crate) fn network<M: WireSize + Clone, N>(
     cfg: &SessionConfig,
     nodes: impl IntoIterator<Item = N>,
     scripts: &[Vec<ScheduledEdit>],
@@ -426,11 +353,8 @@ fn network<M: WireSize + Clone, N>(
 /// The paper's star as a timed chooser over a [`StarWorld`] (see the
 /// module docs).
 fn run_star(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionReport {
-    let n = scripts.len();
-    let mut notifier = cfg.notifier(n);
-    notifier.set_send_acks(cfg.client_mode == ClientMode::Composing);
-    let mut world = StarWorld::for_session(NotifierCore::new(notifier, None, None), cfg);
-    let mut sim: Simulator<Payload, ()> = network(cfg, vec![(); n + 1], scripts, 1);
+    let mut world = StarWorld::for_session(cfg);
+    let mut sim: Simulator<Payload, ()> = network(cfg, vec![(); scripts.len() + 1], scripts, 1);
     while let Some(fired) = sim.step(SimTime(u64::MAX)) {
         world.set_now(sim.now().as_micros());
         let site = match fired {
@@ -446,13 +370,9 @@ fn run_star(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionRepor
                     // The hub's sends in the order it produced them, one
                     // per channel: the broadcasts in destination order,
                     // then the ack. That order is the latency draws'.
-                    // Site `i`'s channel is `i - 1` for the whole session.
                     Ok(Some(out)) => {
-                        let acked = out.ack.map(|(d, _)| d);
-                        for dest in out.stamps.iter().map(|&(d, _)| d).chain(acked) {
-                            if let Some(payload) = world.pop_down(dest.client_index()) {
-                                sim.inject_send(0, dest.0 as usize, payload);
-                            }
+                        for (ch, payload) in world.pop_sends(&out) {
+                            sim.inject_send(0, ch + 1, payload);
                         }
                     }
                     Ok(None) => {}
@@ -485,89 +405,78 @@ fn run_star(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionRepor
         }
     }
 
-    let (nf, traced) = (world.notifier(), cfg.flight_recorder);
-    let mut r = SessionReport {
-        final_docs: vec![nf.doc()],
-        centre_metrics: Some(*nf.metrics()),
-        max_stamp_integers: 2,
-        max_history_len: nf.history().len(),
-        ..SessionReport::default()
-    };
-    r.flight_traces
-        .extend(traced.then(|| (SiteId(0), nf.recorder().events())));
-    for site in (0..n).map(SiteId::from_client_index) {
-        if let Some(c) = world.client(site) {
-            r.client_metrics.push(*c.metrics());
-            r.final_docs.push(c.doc());
-            r.max_history_len = r.max_history_len.max(c.history().len());
-            r.flight_traces
-                .extend(traced.then(|| (site, c.recorder().events())));
-        } else if let Some(c) = world.composing(site) {
-            assert!(
-                !nf.is_active(site) || !c.has_outstanding() && !c.has_buffered(),
-                "composing member left unflushed work at quiescence"
-            );
-            r.client_metrics.push(*c.metrics());
-            r.final_docs.push(c.doc().to_owned());
-        }
-    }
-    r.finish(cfg, &sim)
+    SessionReport::harvest(&world, cfg).finish(cfg, &sim)
 }
 
-/// The full-vector baselines: mesh sites, and relay-star's relay centre.
+/// The full-vector baselines, as a timed chooser too: a mesh site sends
+/// each op it generates to every peer — in relay-star, to the relay at
+/// node 0, which forwards it to every other site — counting what each
+/// node puts on the wire.
 fn run_baseline(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionReport {
     let n = scripts.len();
-    let site = |i: usize, peers| SessionNode::MeshSite {
-        site: Box::new(MeshSite::new(SiteId(i as u32 + 1), n, &cfg.initial_doc)),
-        peers,
-        script: scripts[i].clone(),
-        wire: SiteMetrics::new(),
-        max_stamp: 0,
-        auto_gc: cfg.auto_gc,
-    };
-    let mut sim: Simulator<EditorMsg, SessionNode> = match cfg.deployment {
-        Deployment::RelayStar => {
-            let relay = SessionNode::Relay {
-                client_nodes: (1..=n).collect(),
-                wire: SiteMetrics::new(),
-                max_stamp: 0,
-            };
-            let sites = (0..n).map(|i| site(i, vec![0]));
-            network(cfg, std::iter::once(relay).chain(sites), scripts, 1)
+    let first = usize::from(cfg.deployment == Deployment::RelayStar);
+    let new_site = |i| MeshSite::new(SiteId::from_client_index(i), n, &cfg.initial_doc);
+    let mut sites: Vec<MeshSite> = (0..n).map(new_site).collect();
+    // Per node: what it sent, and the widest stamp among it.
+    let mut wire = vec![(SiteMetrics::new(), 0); n + first];
+    let mut sim: Simulator<EditorMsg, ()> = network(cfg, vec![(); n + first], scripts, first);
+    while let Some(fired) = sim.step(SimTime(u64::MAX)) {
+        let (from, skip, msgs) = match fired {
+            Fired::Timer(node, tag) => {
+                let ops = scripts[node - first][tag as usize]
+                    .intent
+                    .apply_to_mesh(&mut sites[node - first]);
+                (node, node, ops.into_iter().map(EditorMsg::MeshOp).collect())
+            }
+            Fired::Deliver(site, 0, msg) if first == 1 => (0, site, vec![msg]),
+            Fired::Deliver(_, to, EditorMsg::MeshOp(m)) => {
+                let site = &mut sites[to - first];
+                site.on_remote(m);
+                if cfg.auto_gc {
+                    site.gc();
+                }
+                continue;
+            }
+            // A message kind a site cannot process — impossible in a
+            // well-formed session. Drop it rather than crash; the
+            // sender's stream checks will catch any real gap.
+            Fired::Deliver(_, _, other) => {
+                eprintln!("dropping incompatible message {other:?}");
+                continue;
+            }
+            Fired::Reset(..) => continue,
+        };
+        let peers: Vec<NodeId> = match from {
+            0 if first == 1 => (1..=n).filter(|&p| p != skip).collect(),
+            _ if first == 1 => vec![0],
+            _ => (0..n).filter(|&p| p != skip).collect(),
+        };
+        let (sent, widest) = &mut wire[from];
+        for msg in msgs {
+            let c = peers.len() as u64;
+            sent.messages_sent += c;
+            sent.bytes_sent += msg.wire_bytes() as u64 * c;
+            sent.stamp_bytes_sent += msg.stamp_bytes() as u64 * c;
+            sent.stamp_integers_sent += msg.stamp_integers() as u64 * c;
+            *widest = (*widest).max(msg.stamp_integers());
+            for &p in &peers {
+                sim.inject_send(from, p, msg.clone());
+            }
         }
-        _ => {
-            let sites = (0..n).map(|i| site(i, (0..n).filter(|&p| p != i).collect()));
-            network(cfg, sites, scripts, 0)
-        }
-    };
-    sim.run();
+    }
 
-    let mut r = SessionReport::default();
-    let mut mesh_models: Vec<cvc_ot::ttf::TtfDoc> = Vec::new();
-    for node in sim.nodes() {
-        match node {
-            SessionNode::MeshSite {
-                site,
-                wire,
-                max_stamp,
-                ..
-            } => {
-                assert_eq!(site.pending_len(), 0, "ops stuck awaiting causality");
-                mesh_models.push(site.model().clone());
-                let mut m = *site.metrics();
-                m += *wire;
-                r.client_metrics.push(m);
-                r.final_docs.push(site.doc());
-                r.max_stamp_integers = r.max_stamp_integers.max(*max_stamp);
-                r.max_history_len = r.max_history_len.max(site.history_len());
-            }
-            SessionNode::Relay {
-                wire, max_stamp, ..
-            } => {
-                r.centre_metrics = Some(*wire);
-                r.max_stamp_integers = r.max_stamp_integers.max(*max_stamp);
-            }
-        }
+    let mut r = SessionReport {
+        centre_metrics: (first == 1).then_some(wire[0].0),
+        max_stamp_integers: wire.iter().map(|w| w.1).max().unwrap_or(0),
+        ..SessionReport::default()
+    };
+    for (site, (sent, _)) in sites.iter().zip(&wire[first..]) {
+        assert_eq!(site.pending_len(), 0, "ops stuck awaiting causality");
+        let mut m = *site.metrics();
+        m += *sent;
+        r.client_metrics.push(m);
+        r.final_docs.push(site.doc());
+        r.max_history_len = r.max_history_len.max(site.history_len());
     }
     // Structural audit for tombstone replicas: not just the visible text —
     // the full models (every cell ever inserted, dead or alive) must be
@@ -575,13 +484,46 @@ fn run_baseline(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionR
     // level (each insert contributes exactly one cell everywhere; a delete
     // kills the same cell everywhere).
     assert!(
-        mesh_models.windows(2).all(|w| w[0] == w[1]),
+        sites.windows(2).all(|w| w[0].model() == w[1].model()),
         "visible texts may agree while models diverge — structural audit failed"
     );
     r.finish(cfg, &sim)
 }
 
 impl SessionReport {
+    /// A star session's report at quiescence, harvested from its world:
+    /// the notifier's document first, then each seated replica's, with
+    /// their metrics, history lengths and (when on) flight recorders.
+    pub(crate) fn harvest(world: &StarWorld, cfg: &SessionConfig) -> Self {
+        let (nf, traced) = (world.notifier(), cfg.flight_recorder);
+        let mut r = SessionReport {
+            final_docs: vec![nf.doc()],
+            centre_metrics: Some(*nf.metrics()),
+            max_stamp_integers: 2,
+            max_history_len: nf.history().len(),
+            ..SessionReport::default()
+        };
+        r.flight_traces
+            .extend(traced.then(|| (SiteId(0), nf.recorder().events())));
+        for site in (0..cfg.workload.n_sites).map(SiteId::from_client_index) {
+            if let Some(c) = world.client(site) {
+                r.client_metrics.push(*c.metrics());
+                r.final_docs.push(c.doc());
+                r.max_history_len = r.max_history_len.max(c.history().len());
+                r.flight_traces
+                    .extend(traced.then(|| (site, c.recorder().events())));
+            } else if let Some(c) = world.composing(site) {
+                assert!(
+                    !nf.is_active(site) || !c.has_outstanding() && !c.has_buffered(),
+                    "composing member left unflushed work at quiescence"
+                );
+                r.client_metrics.push(*c.metrics());
+                r.final_docs.push(c.doc().to_owned());
+            }
+        }
+        r
+    }
+
     /// Complete a simulated session's report with what every driver
     /// reports the same way: its configuration, the verdict over the
     /// harvested documents (the centre's first, when it keeps one) and the

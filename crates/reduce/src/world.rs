@@ -25,12 +25,24 @@
 //!   [`decode_payload`] and [`Client::try_on_server_op`]);
 //! * [`StarWorld::gc`] — a site's replica collects its history;
 //! * [`StarWorld::take_pending_ack`] — a quiet site queues the bare ack
-//!   it owes the notifier;
-//! * [`StarWorld::hello`] — a site's replica presents its real `T[1]` on a
-//!   channel, and the hub's catch-up is queued there;
+//!   it owes the notifier, unless its hello's answer is still arriving;
+//! * [`StarWorld::hello`] — a site's replica opens a hello
+//!   ([`StarWorld::open_hello`]) and presents it on a channel, and the
+//!   hub's catch-up is queued there. The frontier is
+//!   [`Client::hello_frontier`] of the count the seat's last answer
+//!   reported: a hello integrates like an ack, so it is held back to the
+//!   oldest op the site may re-send. While the hello is open the replica
+//!   skips catch-up ops at or below its `T[1]`, the repeats a held-back
+//!   frontier asks for;
+//! * [`StarWorld::answer`] — the `ServerAck{acked: integrated}` that ends
+//!   a hello's answer reaches the replica: a frontier shorter than that
+//!   count says hello once more, exactly; otherwise the hello
+//!   closes and [`Client::unacked_local_since`] is queued up;
 //! * [`StarWorld::close`] — a channel is unbound and what was queued down
 //!   on it dies; the site's up FIFO survives, as a client re-sends what
 //!   the hub has not integrated;
+//! * [`StarWorld::crash`] — the notifier dies: every channel closes and
+//!   the warm standby is promoted in its place;
 //! * [`StarWorld::join`] and [`StarWorld::leave`] — membership, through
 //!   [`Hub::join`] and [`NotifierCore::integrate_eviction`].
 //!
@@ -44,14 +56,17 @@
 //! [`StarWorld::moves`] lists the work a walk can do: a seeded walk
 //! audited by the Definition-1 oracle ([`crate::verify`]), a server's
 //! integration log (`cvc-net`'s twin), the paper's walkthroughs
-//! ([`crate::scenario`]), the exhaustive checks. A timed plain session
-//! ([`crate::session`]) pops each send the moment it is queued and carries
-//! its bytes through the simulator's channels, whose latency draws decide
-//! when the matching receive happens; [`StarWorld::set_now`] stamps that
-//! time on the recorders. No RNG, oracle or panic lives here. A streaming
-//! client consumes a payload carrying no op (a `ServerAck`, which only a
-//! notifier set to send acks queues) as `Ok(None)`; a composing one
-//! releases its next op on it.
+//! ([`crate::scenario`]), the exhaustive checks. A timed session pops
+//! each send the moment it is queued and carries its bytes through the
+//! simulator's channels, whose latency draws decide when the matching
+//! receive happens — a plain one ([`crate::session`]) as bare payloads, a
+//! session over connections ([`crate::reliable`]) in framed write rounds,
+//! feeding each message of a frame to [`StarWorld::feed`],
+//! [`StarWorld::take_op`] or [`StarWorld::answer`];
+//! [`StarWorld::set_now`] stamps that time on the recorders. No RNG,
+//! oracle or panic lives here. [`StarWorld::receive_down`] consumes a
+//! `ServerAck` at a streaming replica as `Ok(None)` (only a notifier set
+//! to send acks queues one); a composing one releases its next op on it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -60,8 +75,10 @@ use crate::composing::ComposingClient;
 use crate::core::NotifierCore;
 use crate::error::ProtocolError;
 use crate::hub::{Hub, Step};
-use crate::msg::{decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload};
+use crate::msg::{decode_payload, ClientAckMsg, ClientOpMsg, EditorMsg, Payload, ServerOpMsg};
 use crate::notifier::{Notifier, NotifierOutcome};
+use crate::recorder::{EventKind, FlightEvent};
+use crate::reliable::CrashPoint;
 use crate::session::{ClientMode, SessionConfig};
 use crate::workload::EditIntent;
 use cvc_core::site::SiteId;
@@ -75,12 +92,18 @@ enum Replica {
     Composing(Box<ComposingClient>),
 }
 
-/// One member's replica and the messages it sent that the hub has not
-/// taken.
+/// One member's replica, the messages it sent that the hub has not
+/// taken, and where its reconnect stands.
 #[derive(Debug, Clone)]
 struct Seat {
     replica: Replica,
     up: VecDeque<Payload>,
+    /// Ops of this site the last hello's answer said the notifier had
+    /// integrated: a lower bound the next hello's frontier starts from.
+    integrated: u64,
+    /// A streaming replica's open hello, `(frontier, T[1] when said)`,
+    /// until the `ServerAck` that ends its answer arrives.
+    hello: Option<(u64, u64)>,
 }
 
 impl Seat {
@@ -145,11 +168,12 @@ impl StarWorld {
         world
     }
 
-    /// The star a timed session steps: [`StarWorld::new`] with `cfg`'s
-    /// replicas in the seats — streaming clients with its settings
+    /// The star a timed session steps: [`StarWorld::new`] around `cfg`'s
+    /// notifier core (`SessionConfig::core`) with its replicas in the
+    /// seats — streaming clients with its settings
     /// (`SessionConfig::client`) or, in composing mode, composing ones.
-    pub fn for_session(core: NotifierCore, cfg: &SessionConfig) -> Self {
-        let mut world = Self::new(core);
+    pub fn for_session(cfg: &SessionConfig) -> Self {
+        let mut world = Self::new(cfg.core());
         for (i, seat) in world.seats.iter_mut().flatten().enumerate() {
             let site = SiteId::from_client_index(i);
             seat.replica = match cfg.client_mode {
@@ -169,6 +193,8 @@ impl StarWorld {
         self.seats.push(Some(Seat {
             replica: Replica::Streaming(Box::new(client)),
             up: VecDeque::new(),
+            integrated: 0,
+            hello: None,
         }));
         self.hub.bind(self.down.len(), site);
         self.down.push(VecDeque::new());
@@ -317,11 +343,17 @@ impl StarWorld {
 
     /// A quiet streaming replica at `site` owes the notifier a bare ack
     /// ([`Client::take_pending_ack`]): it is queued up. Only a timed
-    /// session asks, so the walks' move lists never hold an ack.
+    /// session asks, so the walks' move lists never hold an ack. Not while
+    /// its hello is open: an ack covering the catch-up would overtake the
+    /// re-sends the answer releases, and the notifier would prune the
+    /// context they still transform against. The ack stays latched and
+    /// goes out behind them.
     pub fn take_pending_ack(&mut self, site: SiteId) {
         if let Ok(Seat {
             replica: Replica::Streaming(c),
             up,
+            hello: None,
+            ..
         }) = self.seat(site)
         {
             up.extend(
@@ -340,6 +372,20 @@ impl StarWorld {
     /// The head of channel `ch`'s down FIFO, taken off it.
     pub fn pop_down(&mut self, ch: usize) -> Option<Payload> {
         self.down.get_mut(ch)?.pop_front()
+    }
+
+    /// The sends the integration `out` queued, taken off their channels in
+    /// the order the hub produced them — the broadcasts in destination
+    /// order, then the ack — which is the order a timed session puts them
+    /// on the wire.
+    pub fn pop_sends(&mut self, out: &NotifierOutcome) -> Vec<(usize, Payload)> {
+        let (hub, down) = (&self.hub, &mut self.down);
+        let acked = out.ack.as_ref().map(|&(d, _)| d);
+        let chans = out.stamps.iter().map(|&(d, _)| d).chain(acked);
+        let chans = chans.filter_map(|d| hub.channel_of(d));
+        chans
+            .filter_map(|ch| Some((ch, down.get_mut(ch)?.pop_front()?)))
+            .collect()
     }
 
     /// The head of `site`'s up FIFO reaches the hub on the site's channel
@@ -389,11 +435,10 @@ impl StarWorld {
     }
 
     /// `site`'s replica receives `payload`: one payload is one message, a
-    /// `ServerOp` it integrates (a streaming replica's integration comes
-    /// back) or a `ServerAck`; what a composing replica releases in answer
-    /// is queued up. Anything else — bytes that do not decode, a compound,
-    /// an upstream kind — closes the site's channel, as a client hangs up
-    /// on a stream it cannot read.
+    /// `ServerOp` it takes ([`StarWorld::take_op`]) or a `ServerAck`; what
+    /// a composing replica releases in answer is queued up. Anything else
+    /// — bytes that do not decode, a compound, an upstream kind — closes
+    /// the site's channel, as a client hangs up on a stream it cannot read.
     pub fn receive_down(
         &mut self,
         site: SiteId,
@@ -401,11 +446,8 @@ impl StarWorld {
     ) -> Result<Option<ClientIntegration>, ProtocolError> {
         let seat = self.seat(site)?;
         let next = match (&mut seat.replica, decode_one(payload)) {
-            (Replica::Streaming(c), Some(EditorMsg::ServerOp(op))) => {
-                return c.try_on_server_op(op).map(Some)
-            }
+            (_, Some(EditorMsg::ServerOp(op))) => return self.take_op(site, op),
             (Replica::Streaming(_), Some(EditorMsg::ServerAck(_))) => None,
-            (Replica::Composing(c), Some(EditorMsg::ServerOp(op))) => c.on_server_op(op)?.1,
             (Replica::Composing(c), Some(EditorMsg::ServerAck(ack))) => c.on_server_ack(ack),
             _ => {
                 if let Some(ch) = self.hub.channel_of(site) {
@@ -413,6 +455,32 @@ impl StarWorld {
                 }
                 return Ok(None);
             }
+        };
+        if let Some(op) = next {
+            seat.send_op(op);
+        }
+        Ok(None)
+    }
+
+    /// `site`'s replica takes one broadcast off its channel. A streaming
+    /// replica integrates it and its integration comes back — unless its
+    /// hello is open and the op is at or below its `T[1]`, a repeat the
+    /// held-back frontier asked for, which it skips (`Ok(None)`). What a
+    /// composing replica releases in answer is queued up.
+    pub fn take_op(
+        &mut self,
+        site: SiteId,
+        op: ServerOpMsg,
+    ) -> Result<Option<ClientIntegration>, ProtocolError> {
+        let seat = self.seat(site)?;
+        let next = match &mut seat.replica {
+            Replica::Streaming(c)
+                if seat.hello.is_some() && op.stamp.get(1) <= c.state_vector().received() =>
+            {
+                return Ok(None)
+            }
+            Replica::Streaming(c) => return c.try_on_server_op(op).map(Some),
+            Replica::Composing(c) => c.on_server_op(op)?.1,
         };
         if let Some(op) = next {
             seat.send_op(op);
@@ -430,23 +498,71 @@ impl StarWorld {
         })
     }
 
-    /// `site`'s replica says hello on `ch` with its real frontier `T[1]`;
-    /// the hub's step, its catch-up queued on `ch` when it binds.
-    pub fn hello(&mut self, site: SiteId, ch: usize) -> Result<Step, ProtocolError> {
-        let received = match &self.seat(site)?.replica {
-            Replica::Streaming(c) => c.state_vector().received(),
+    /// `site`'s replica opens a hello: the [`ClientAckMsg`] it presents.
+    /// A streaming replica's frontier is [`Client::hello_frontier`] of the
+    /// count its last answer reported, and the hello stays open until
+    /// [`StarWorld::answer`]; a composing one presents its `T[1]`.
+    pub fn open_hello(&mut self, site: SiteId) -> Result<ClientAckMsg, ProtocolError> {
+        let seat = self.seat(site)?;
+        let received = match &seat.replica {
+            Replica::Streaming(c) => {
+                let frontier = c.hello_frontier(seat.integrated);
+                seat.hello = Some((frontier, c.state_vector().received()));
+                frontier
+            }
             Replica::Composing(c) => c.state_vector().received(),
         };
-        let hello = ClientAckMsg {
+        Ok(ClientAckMsg {
             origin: site,
             received,
-        };
+        })
+    }
+
+    /// `site`'s replica says hello on `ch` ([`StarWorld::open_hello`]);
+    /// the hub's step, its catch-up queued on `ch` when it binds.
+    pub fn hello(&mut self, site: SiteId, ch: usize) -> Result<Step, ProtocolError> {
+        let hello = self.open_hello(site)?;
         // Every channel that spoke has a queue, so a join's fresh channel
         // (the next past them) is nobody's.
         if ch >= self.down.len() {
             self.down.resize_with(ch + 1, VecDeque::new);
         }
         Ok(self.feed(ch, EditorMsg::ClientAck(hello)))
+    }
+
+    /// Whether `site` has a hello open: said, and its answer not ended.
+    pub fn awaits_answer(&self, site: SiteId) -> bool {
+        self.seated(site).is_some_and(|s| s.hello.is_some())
+    }
+
+    /// The `ServerAck{acked: integrated}` that ends the answer to `site`'s
+    /// open hello reaches its replica. The frontier was exact if it is the
+    /// one that count gives; only then was it surely served — one held
+    /// back below ops the notifier had in fact integrated may have asked
+    /// for a collected prefix, and the hub then binds nothing. A short one
+    /// is said again, exactly: the new hello comes back, for a new
+    /// connection. Otherwise the hello closes and the site's ops past the
+    /// count are queued up to be re-sent. Without an open hello a
+    /// streaming replica ignores the ack.
+    pub fn answer(
+        &mut self,
+        site: SiteId,
+        integrated: u64,
+    ) -> Result<Option<ClientAckMsg>, ProtocolError> {
+        let seat = self.seat(site)?;
+        let (Some((frontier, received)), Replica::Streaming(c)) = (seat.hello, &seat.replica)
+        else {
+            return Ok(None);
+        };
+        seat.integrated = integrated;
+        if frontier < c.hello_frontier(integrated).min(received) {
+            return self.open_hello(site).map(Some);
+        }
+        for op in c.unacked_local_since(integrated) {
+            seat.up.push_back(Payload::encode(&EditorMsg::ClientOp(op)));
+        }
+        seat.hello = None;
+        Ok(None)
     }
 
     /// Channel `ch` closes: unbound, and whatever was queued down on it
@@ -463,7 +579,7 @@ impl StarWorld {
     /// has a queue; a send to one the hub has not bound is counted as
     /// [`StarWorld::misrouted`] — and only then does a step that sheds
     /// close `ch`.
-    fn feed(&mut self, ch: usize, msg: EditorMsg) -> Step {
+    pub fn feed(&mut self, ch: usize, msg: EditorMsg) -> Step {
         let mut sends = Vec::new();
         let step = self.hub.on_msg(ch, msg, &mut sends);
         for (c, payload) in sends {
@@ -476,6 +592,29 @@ impl StarWorld {
             self.close(ch);
         }
         step
+    }
+
+    /// The notifier dies at `point`: every channel closes, and the warm
+    /// standby, which has replayed exactly the logged history, is promoted
+    /// in its place; the promoted recorder notes the `Crash` (ops
+    /// integrated, the point) and the `Promote` (ops replayed, sites).
+    /// Returns the standby's `(replayed ops, replayed acks)`; `None`
+    /// without a standby, or the poisoning error when the log and the
+    /// primary had disagreed. Each site then says hello again.
+    pub fn crash(&mut self, point: CrashPoint) -> Option<Result<(u64, u64), ProtocolError>> {
+        let ops = self.notifier().state_vector().total();
+        (0..self.down.len()).for_each(|ch| self.close(ch));
+        let replay = self.core_mut().promote()?;
+        if let Ok((replayed, _)) = replay {
+            let (now, sites) = (self.now, self.seats.len() as u64);
+            let core = self.core_mut();
+            core.set_now(now);
+            let crash = FlightEvent::new(EventKind::Crash).with_ab(ops, point as u64);
+            core.note_lifecycle(crash.with_detail(point.name()));
+            let promote = FlightEvent::new(EventKind::Promote).with_ab(replayed, sites);
+            core.note_lifecycle(promote.with_detail("standby-promoted"));
+        }
+        Some(replay)
     }
 
     /// A newcomer joins from the notifier's current document, on a fresh

@@ -22,15 +22,13 @@ use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::seq::SeqOp;
 use cvc_reduce::audit::StarAudit;
 use cvc_reduce::client::{Client, ACK_INTERVAL};
-use cvc_reduce::core::NotifierCore;
 use cvc_reduce::error::ProtocolError;
 use cvc_reduce::msg::{ClientOpMsg, Payload, ServerOpMsg};
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::reliable::{
-    run_robust_session, run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec,
-    NotifierCrash, SessionTrace,
+    run_robust_session_traced, ClientEvent, CrashPoint, DisconnectSpec, NotifierCrash, SessionTrace,
 };
-use cvc_reduce::session::{ClientMode, Deployment, SessionConfig, SessionReport};
+use cvc_reduce::session::{run_session, ClientMode, Deployment, SessionConfig, SessionReport};
 use cvc_reduce::world::StarWorld;
 use cvc_sim::fault::{FaultPlan, FaultStats, FlapSpec};
 use cvc_sim::sim::{Fired, Simulator};
@@ -334,7 +332,7 @@ mod traced_chaos {
             // op total — size the rings to that bound so nothing wraps.
             let total = n * ops;
             cfg.flight_recorder_capacity = 2 * total * total + 12 * total + 256;
-            let report = run_robust_session(&cfg);
+            let report = run_session(&cfg);
             prop_assert!(report.converged);
             let set = TraceAssembler::assemble(&report.flight_traces);
             let expected: u64 = report
@@ -413,7 +411,7 @@ fn outage_resyncs_from_the_pinned_suffix_with_gc_on() {
         down: SimDuration::from_millis(1500),
     }];
     assert!(cfg.auto_gc, "GC-on is the default under test");
-    let report = run_robust_session(&cfg);
+    let report = run_session(&cfg);
     assert!(report.converged, "diverged: {:?}", report.final_docs);
     let total = report.total_metrics();
     assert!(total.resyncs >= 2, "the outage must complete a resync");
@@ -679,9 +677,7 @@ fn run_on_datagrams(
 ) -> (Vec<(SiteId, ProtocolError)>, FaultStats) {
     let n = cfg.workload.n_sites;
     let scripts = cfg.workload.generate();
-    let mut notifier = Notifier::new(n, &cfg.initial_doc);
-    notifier.set_send_acks(cfg.client_mode == ClientMode::Composing);
-    let mut world = StarWorld::for_session(NotifierCore::new(notifier, None, None), cfg);
+    let mut world = StarWorld::for_session(cfg);
     let mut sim: Simulator<Payload, ()> = Simulator::new(cfg.latency, cfg.net_seed);
     sim.set_default_fault_plan(plan);
     for _ in 0..=n {

@@ -21,8 +21,8 @@
 //!    integrated; only a re-dialed connection's hello binds a channel.
 
 use cvc_reduce::frame::FrameReader;
-use cvc_reduce::reliable::{run_robust_session, CrashPoint, NotifierCrash};
-use cvc_reduce::session::{Deployment, FailoverReport, SessionConfig};
+use cvc_reduce::reliable::{CrashPoint, NotifierCrash};
+use cvc_reduce::session::{run_session, Deployment, FailoverReport, SessionConfig};
 use cvc_reduce::wal::{Wal, WalRecord, WalSnapshot};
 use cvc_sim::fault::FaultPlan;
 use cvc_sim::wire::WireDecode;
@@ -74,7 +74,7 @@ fn every_crash_point_recovers() {
                     cfg.fault_plan = Some(FaultPlan::lossy(loss));
                 }
                 let label = format!("{} at op {at_op} loss {loss}", point.name());
-                let r = run_robust_session(&cfg);
+                let r = run_session(&cfg);
                 assert!(r.converged, "{label}: diverged: {:?}", r.final_docs);
                 let fo = r.failover.as_ref().expect("crash fired");
                 assert_recovered(fo, n, &label);
@@ -104,7 +104,7 @@ fn stale_primary_frames_are_fenced_not_resequenced() {
             reorder_extra_us: 150_000,
             ..FaultPlan::NONE
         });
-        let r = run_robust_session(&cfg);
+        let r = run_session(&cfg);
         assert!(r.converged, "{point:?}: {:?}", r.final_docs);
         let fo = r.failover.as_ref().expect("crash fired");
         assert_recovered(fo, 5, point.name());
@@ -128,7 +128,7 @@ fn failover_under_compound_faults_converges() {
         corrupt: 0.03,
         ..FaultPlan::NONE
     });
-    let r = run_robust_session(&cfg);
+    let r = run_session(&cfg);
     assert!(r.converged, "{:?}", r.final_docs);
     assert_recovered(r.failover.as_ref().expect("crash fired"), 4, "compound");
 }

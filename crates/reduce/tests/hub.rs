@@ -367,9 +367,16 @@ fn apply(w: &mut StarWorld, ev: Event) {
                 .hub()
                 .site_of(ch)
                 .expect("a queue only lives on a bound channel");
+            let received = |w: &StarWorld| w.client(to).map(|c| c.state_vector().received());
             while w.queued_on(ch) > 0 {
+                let before = received(w);
                 let applied = w.deliver_down(to).expect("no gap, no duplicate");
-                assert!(applied.is_some(), "acks are off: every payload is one op");
+                // Acks are off, so every payload is one op: it applies, or
+                // it repeats what the replica executed past a frontier held
+                // back behind an unacked local op, and the open hello skips
+                // it.
+                let skipped = w.awaits_answer(to) && received(w) == before;
+                assert!(applied.is_some() || skipped, "every payload is one op");
                 w.gc(to).expect("a member");
             }
         }

@@ -13,8 +13,6 @@
 
 use cvc_core::site::SiteId;
 use cvc_reduce::audit::StarAudit;
-use cvc_reduce::core::NotifierCore;
-use cvc_reduce::notifier::Notifier;
 use cvc_reduce::session::{run_session, Deployment, SessionConfig};
 use cvc_reduce::world::{Move, StarWorld};
 
@@ -53,8 +51,7 @@ fn moves_of(cfg: &SessionConfig, deliveries: &[cvc_sim::DeliveryRecord]) -> Vec<
 fn replay(cfg: &SessionConfig, moves: &[Move]) -> (Vec<String>, usize) {
     let n = cfg.workload.n_sites;
     let scripts = cfg.workload.generate();
-    let core = NotifierCore::new(Notifier::new(n, &cfg.initial_doc), None, None);
-    let mut world = StarWorld::for_session(core, cfg);
+    let mut world = StarWorld::for_session(cfg);
     let mut audit = StarAudit::default();
     let mut next_edit = vec![0; n];
     let mut verdicts = 0;
