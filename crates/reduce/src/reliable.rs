@@ -101,6 +101,10 @@ struct Connection {
     armed: bool,
     /// This end's transport counters, folded into its site's metrics.
     m: SiteMetrics,
+    /// A client's end: hellos in a row whose connection the notifier
+    /// closed before answering. At two the client stops re-dialing — an
+    /// evicted site is out for good.
+    unanswered: u8,
 }
 
 impl Connection {
@@ -360,34 +364,36 @@ impl Star {
                 Fired::Timer(node, tag) => {
                     sim.with_node_ctx(node, |_, ctx| self.on_timer(ctx, tag))
                 }
+                // Both ends of a reset close the connection it killed; the
+                // receiver hears it first.
                 Fired::Reset(from, to, seg) => {
                     for (me, peer) in [(to, from), (from, to)] {
-                        sim.with_node_ctx(me, |_, ctx| self.on_reset(ctx, peer, &seg));
+                        let i = me.max(peer) - 1;
+                        sim.with_node_ctx(me, |_, ctx| self.on_close(ctx, i, seg.conn, false));
                     }
                 }
             }
         }
     }
 
-    /// Both ends of a reset close the connection it killed, if it is
-    /// still theirs; the receiver hears it first.
-    fn on_reset(&mut self, ctx: &mut Ctx<'_, Segment>, peer: NodeId, seg: &Segment) {
-        let i = ctx.me.max(peer) - 1;
-        if self.ends[i][usize::from(ctx.me != 0)].live(seg.conn) {
-            self.drop_conn(ctx, i);
+    /// Connection `conn` of channel `i` died under node `ctx.me`'s end —
+    /// a reset, or the peer's FIN (`fin`) — if it is still that end's.
+    /// The notifier unbinds the channel: whoever it spoke for must say
+    /// hello again. The client re-dials, unless it is out: a FIN on its
+    /// open hello is one more unanswered hello in a row.
+    fn on_close(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, conn: u32, fin: bool) {
+        let site = SiteId::from_client_index(i);
+        let end = &mut self.ends[i][usize::from(ctx.me != 0)];
+        if !end.live(conn) {
+            return;
         }
-    }
-
-    /// Node `ctx.me`'s end of channel `i` died under it — a reset, or the
-    /// peer's close. The notifier unbinds the channel: whoever it spoke
-    /// for must say hello again. The client re-dials.
-    fn drop_conn(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize) {
-        let s = usize::from(ctx.me != 0);
-        self.ends[i][s].close();
-        if s == 0 {
-            self.world.close(i);
-        } else {
-            self.ends[i][1].m.resets += 1;
+        end.close();
+        if ctx.me == 0 {
+            return self.world.close(i);
+        }
+        end.m.resets += 1;
+        end.unanswered += u8::from(fin && self.world.awaits_answer(site));
+        if end.unanswered < 2 {
             self.redial(ctx, i, None);
         }
     }
@@ -457,16 +463,12 @@ impl Star {
 
     fn on_segment(&mut self, ctx: &mut Ctx<'_, Segment>, from: NodeId, seg: Segment) {
         let (i, s) = (ctx.me.max(from) - 1, usize::from(ctx.me != 0));
-        let end = &mut self.ends[i][s];
         let (conn, Some(payload)) = (seg.conn, seg.frame) else {
-            if end.live(seg.conn) {
-                self.drop_conn(ctx, i);
-            }
-            return;
+            return self.on_close(ctx, i, seg.conn, true);
         };
+        let end = &mut self.ends[i][s];
         if s == 0 && conn > end.id {
             // A new connection: its hello binds whoever it speaks for.
-            end.close();
             end.open(conn);
             self.world.close(i);
         }
@@ -504,6 +506,9 @@ impl Star {
             EditorMsg::ServerOp(op) => op,
             EditorMsg::ServerAck(a) => {
                 let awaited = self.world.awaits_answer(site);
+                if awaited {
+                    self.ends[i][1].unanswered = 0;
+                }
                 return match self.world.answer(site, a.acked) {
                     Ok(Some(hello)) => self.redial(ctx, i, Some(hello)),
                     Ok(None) if awaited => self.ends[i][1].m.resyncs += 1,
@@ -558,7 +563,7 @@ impl Star {
                 tr.notifier_acks.push((tr.notifier.len(), *a));
             }
         }
-        let hub_end = &mut self.ends[i][0];
+        let (hub_end, sheds) = (&mut self.ends[i][0], step.sheds());
         match step {
             Step::Op(out) => {
                 if let (Some(tr), Some(EditorMsg::ClientOp(msg))) = (&mut self.trace, traced) {
@@ -646,6 +651,13 @@ impl Star {
             // hello from a connection nobody is bound to are nonsense.
             Step::Refused => hub_end.m.protocol_errors += 1,
         }
+        // A shedding step costs the connection, as on TCP: what the step
+        // queued — a trimmed hello's answer — is written, then the FIN.
+        if sheds {
+            let end = &mut self.ends[i][0];
+            end.write(ctx, i + 1);
+            end.hang_up(ctx, i + 1);
+        }
     }
 }
 
@@ -673,7 +685,6 @@ pub(crate) fn run_connections(
         "crash points are 1-based integration counts"
     );
     let (mut sim, mut star) = Star::new(cfg, traced);
-    sim.record_deliveries(cfg.record_deliveries);
     for spec in &cfg.disconnects {
         assert!(
             spec.client < cfg.workload.n_sites,
@@ -691,9 +702,12 @@ pub(crate) fn run_connections(
     for (i, [hub_end, end]) in star.ends.iter().enumerate() {
         // A crash session may legitimately end un-clean when the failure
         // is under test; convergence and the failover report carry the
-        // verdict instead of an abort here.
+        // verdict instead of an abort here. A client is out only once the
+        // notifier evicted its site.
+        let site = SiteId::from_client_index(i);
+        let out = end.unanswered >= 2 && !star.world.notifier().is_active(site);
         assert!(
-            cfg.crash.is_some() || star.connected(i),
+            cfg.crash.is_some() || star.connected(i) || out,
             "client left disconnected or mid-hello at quiescence"
         );
         assert!(
@@ -1013,12 +1027,9 @@ mod tests {
         sim.advance_to(SimTime::from_millis(1));
         put(&mut sim, &mut star, ack(101));
         put(&mut sim, &mut star, ack(102));
-        let in_flight = Segment {
-            conn: 0,
-            frame: None,
-        };
-        sim.with_node_ctx(0, |_, ctx| star.on_reset(ctx, 1, &in_flight));
-        sim.with_node_ctx(1, |_, ctx| star.on_reset(ctx, 0, &in_flight));
+        // A reset of connection 0 under the frame in flight.
+        sim.with_node_ctx(0, |_, ctx| star.on_close(ctx, 0, 0, false));
+        sim.with_node_ctx(1, |_, ctx| star.on_close(ctx, 0, 0, false));
         run(&mut sim, &mut star);
         assert_eq!(
             star.ends[0][0].m.data_frames_sent, 2,
@@ -1330,6 +1341,29 @@ mod tests {
         let wal = star.world.hub().core().wal().expect("standby sessions log");
         let cold = Standby::from_log(wal.bytes(), 3, &cfg.initial_doc).expect("scan");
         assert!(!cold.notifier().is_active(SiteId(1)), "and stays out");
+    }
+
+    /// A shedding step costs the connection, as on TCP: after a
+    /// forged-origin eviction the notifier closes client 1's connection.
+    /// The client re-dials; each hello is refused and its connection
+    /// closed unanswered, and after two in a row the client stays out.
+    /// The session quiesces.
+    #[test]
+    fn an_evicted_site_hears_the_close_and_stays_out() {
+        let mut cfg = robust_cfg(3, 5);
+        cfg.workload.ops_per_site = 0;
+        let (mut sim, mut star) = star(&cfg);
+        let forged = Client::new(SiteId(2), &cfg.initial_doc).insert(0, "F");
+        let forged = Payload::encode(&EditorMsg::ClientOp(forged));
+        sim.inject_send(1, 0, frame(0, forged));
+        star.run_until(&mut sim, SimTime::from_millis(60_000));
+        assert!(sim.step(SimTime(u64::MAX)).is_none(), "quiescent");
+        assert!(!star.world.notifier().is_active(SiteId(1)));
+        let [hub_end, end] = &star.ends[0];
+        assert_eq!(end.m.resets, 3, "the eviction's close, then two hellos'");
+        assert!(end.dead && end.unanswered == 2, "out");
+        assert_eq!(hub_end.m.protocol_errors, 2, "both hellos refused");
+        assert!(star.connected(1) && star.connected(2));
     }
 
     /// `msg` encoded, then one byte the message does not account for.

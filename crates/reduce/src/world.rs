@@ -231,11 +231,6 @@ impl StarWorld {
         &self.hub
     }
 
-    /// The core's named mutators (promotion, clock, lifecycle notes).
-    pub fn core_mut(&mut self) -> &mut NotifierCore {
-        self.hub.core_mut()
-    }
-
     /// The notifier's replica.
     pub fn notifier(&self) -> &Notifier {
         self.hub.notifier()
@@ -604,11 +599,11 @@ impl StarWorld {
     pub fn crash(&mut self, point: CrashPoint) -> Option<Result<(u64, u64), ProtocolError>> {
         let ops = self.notifier().state_vector().total();
         (0..self.down.len()).for_each(|ch| self.close(ch));
-        let replay = self.core_mut().promote()?;
+        let replay = self.hub.core_mut().promote()?;
         if let Ok((replayed, _)) = replay {
-            let (now, sites) = (self.now, self.seats.len() as u64);
-            let core = self.core_mut();
-            core.set_now(now);
+            let sites = self.seats.len() as u64;
+            self.set_now(self.now);
+            let core = self.hub.core_mut();
             let crash = FlightEvent::new(EventKind::Crash).with_ab(ops, point as u64);
             core.note_lifecycle(crash.with_detail(point.name()));
             let promote = FlightEvent::new(EventKind::Promote).with_ab(replayed, sites);
@@ -629,7 +624,7 @@ impl StarWorld {
     /// `site` leaves: the notifier evicts it, its channel closes, and its
     /// replica goes with whatever it had not sent.
     pub fn leave(&mut self, site: SiteId) -> Result<(), ProtocolError> {
-        self.core_mut().integrate_eviction(site)?;
+        self.hub.core_mut().integrate_eviction(site)?;
         if let Some(ch) = self.hub.channel_of(site) {
             self.close(ch);
         }
