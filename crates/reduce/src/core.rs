@@ -24,12 +24,11 @@
 //!
 //! No clock, socket, simulator context, thread or `eprintln!` appears
 //! here. Which channel speaks for which site is [`crate::hub::Hub`]'s
-//! table beside this core; the simulator node (`reliable.rs`) and the
-//! epoll core thread (`cvc-net`'s `server.rs`) drive a hub and own only
-//! transport state (connections, crash plans, connection ids), and so
-//! does [`crate::world::StarWorld`] (timed plain sessions, the verifier,
-//! the TCP twin, both walkthroughs, the exhaustive checks) over whichever
-//! core it is given. Outside this module, only the hub calls its doors.
+//! table beside this core; the epoll core thread (`cvc-net`'s
+//! `server.rs`) drives a hub and owns only transport state (connections,
+//! connection ids), and so does [`crate::world::StarWorld`] (every timed
+//! simulated session, the verifier, the TCP twin, both walkthroughs, the
+//! exhaustive checks) over whichever core it is given. Outside this module, only the hub calls its doors.
 //! **Nothing outside this module calls [`Wal::append`], one of the
 //! notifier's `try_on_client_*` entry points, [`Notifier::quarantine`] or
 //! [`Notifier::add_client`]** — durable or not, and CI greps for it.

@@ -21,25 +21,21 @@
 //! * a downstream-only kind is refused without an eviction;
 //! * an op's broadcasts go only to bound channels, encoded once.
 //!
-//! No clock, socket or simulator appears here. Three drivers step a hub:
+//! No clock, socket or simulator appears here. Two drivers step a hub:
 //!
 //! * the epoll core thread (`cvc-net`'s `server.rs`) feeds every decoded
 //!   message to [`Hub::on_msg`] and turns the queued sends into worker
 //!   commands;
-//! * the simulator's notifier node (`reliable.rs`) binds its client
-//!   channels when the star is built and unbinds one when its connection
-//!   closes (a reset, the client hanging up, or a crash); the client's
-//!   next connection's hello goes to [`Hub::on_msg`] like a socket's, and
-//!   the driver ends its answer with the integrated count itself;
 //! * the transport-free star ([`crate::world::StarWorld`]) feeds each
-//!   site's up FIFO to [`Hub::on_msg`] and queues the sends' bytes on its
-//!   down channels — the world timed plain sessions, the E8/E11 walks,
-//!   the TCP twin, both paper walkthroughs and the exhaustive checks
-//!   step.
+//!   message that reaches it to [`Hub::on_msg`] and queues the sends'
+//!   bytes on its down channels — the world every timed simulated session
+//!   (plain ones and those over connections, whose driver ends a hello's
+//!   answer with the integrated count itself), the E8/E11 walks, the TCP
+//!   twin, both paper walkthroughs and the exhaustive checks step.
 //!
-//! What a refusal or an eviction costs the channel — a close on TCP and
-//! in the world ([`Step::sheds`]), a counter in the simulator — is the
-//! driver's.
+//! What a refusal or an eviction costs the channel is the driver's: a
+//! close, on TCP, in the world and on the simulator's connections
+//! ([`Step::sheds`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 

@@ -412,8 +412,8 @@ impl Star {
                 // A scripted edit always applies locally; it goes on the
                 // wire only while connected — otherwise the re-sends after
                 // the hello cover it.
-                let (site, intent) = (SiteId::from_client_index(i), &self.scripts[i][k as usize]);
-                let _ = self.world.perform(site, &intent.intent);
+                let (site, edit) = (SiteId::from_client_index(i), &self.scripts[i][k as usize]);
+                let _ = self.world.perform(site, &edit.intent);
                 self.send_up(ctx, i, true);
             }
         }

@@ -351,9 +351,9 @@ pub struct FailoverTranscript {
 }
 
 /// Step the transport-free star ([`StarWorld`]) over a durable core
-/// through a crash and promotion. Closing the dead primary's connections
-/// is exercised by the simulated sessions ([`crate::reliable`]); this walkthrough isolates
-/// the durability core those sessions rely on.
+/// through a crash and promotion ([`StarWorld::crash`]), the action the
+/// simulated sessions over connections ([`crate::reliable`]) fail over
+/// with; this walkthrough isolates the durability core they rely on.
 pub fn failover_walkthrough() -> FailoverTranscript {
     let mut narration = Vec::new();
 

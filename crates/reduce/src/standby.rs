@@ -9,10 +9,10 @@
 //! recovery run — so by the write-ahead ordering the standby's state is
 //! always *ahead of or equal to* every client's view of the primary.
 //!
-//! On promotion the simulated driver swaps the standby's notifier in for
-//! the dead primary's, whose connections all close (see
-//! `RobustNotifier`): each client, hearing its close, re-dials — a new
-//! connection whose hello the hub answers like any other. Replay then
+//! On promotion ([`crate::world::StarWorld::crash`]) the standby's
+//! notifier is swapped in for the dead primary's, whose connections all
+//! close: each client, hearing its close, re-dials — a new connection
+//! whose hello the hub answers like any other. Replay then
 //! runs off the standby's history buffer via the 2-element-clock cursor
 //! ([`Notifier::replay_for`]); a cursor below a collected prefix is
 //! answered `Trimmed`, as on the socket tier. A frame still travelling on

@@ -589,16 +589,19 @@ impl StarWorld {
         step
     }
 
-    /// The notifier dies at `point`: every channel closes, and the warm
+    /// The notifier dies at `point`: every channel closes — what was
+    /// queued on it either way dies with the connections — and the warm
     /// standby, which has replayed exactly the logged history, is promoted
     /// in its place; the promoted recorder notes the `Crash` (ops
     /// integrated, the point) and the `Promote` (ops replayed, sites).
     /// Returns the standby's `(replayed ops, replayed acks)`; `None`
     /// without a standby, or the poisoning error when the log and the
-    /// primary had disagreed. Each site then says hello again.
+    /// primary had disagreed. Each site then says hello again, and its
+    /// answer ([`StarWorld::answer`]) releases the re-sends.
     pub fn crash(&mut self, point: CrashPoint) -> Option<Result<(u64, u64), ProtocolError>> {
         let ops = self.notifier().state_vector().total();
         (0..self.down.len()).for_each(|ch| self.close(ch));
+        self.seats.iter_mut().flatten().for_each(|s| s.up.clear());
         let replay = self.hub.core_mut().promote()?;
         if let Ok((replayed, _)) = replay {
             let sites = self.seats.len() as u64;

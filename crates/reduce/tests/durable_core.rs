@@ -16,18 +16,25 @@
 //! 2. **Differential**: the simulator's node is a thin driver — the input
 //!    stream a traced standby session captured at its notifier, replayed
 //!    through a bare core, yields a byte-identical log image.
+//! 3. **Crash at every prefix**: a short scripted standby star, crashed
+//!    ([`StarWorld::crash`]) after each prefix of its script, recovers
+//!    through the hello and answer actions to the document the uncrashed
+//!    prefix drains to, and the promoted notifier is what a cold standby
+//!    rebuilds from the log image (cold = warm = live).
 
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::seq::SeqOp;
 use cvc_reduce::client::Client;
 use cvc_reduce::core::{NotifierCore, ACK_FRONTIER_EVERY};
+use cvc_reduce::hub::Step;
 use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg, EditorMsg, ServerOpMsg};
 use cvc_reduce::notifier::{Notifier, ScanMode};
-use cvc_reduce::reliable::{run_robust_session_traced, DisconnectSpec};
+use cvc_reduce::reliable::{run_robust_session_traced, CrashPoint, DisconnectSpec};
 use cvc_reduce::session::{Deployment, SessionConfig};
 use cvc_reduce::standby::Standby;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
+use cvc_reduce::world::{Move, StarWorld};
 use cvc_sim::fault::FaultPlan;
 use cvc_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -437,5 +444,118 @@ fn traced_session_replayed_through_a_bare_core_yields_the_same_log() {
             trace.wal_image.as_slice(),
             "bare core and sim node disagree on the log (seed {seed}, lossy {lossy})"
         );
+    }
+}
+
+/// One move of the prefix-crash script on the star: an edit — site 1
+/// types at the front, the others at the end — a delivery up, or one
+/// down, after which the replica collects and owes its bare ack.
+fn step(w: &mut StarWorld, m: Move) {
+    match m {
+        Move::Edit(s) => {
+            let text = ["a", "b", "c"][s.client_index()];
+            let at_end = s != SiteId(1);
+            w.edit(s, |c| {
+                Ok(c.insert(if at_end { c.doc_len() } else { 0 }, text))
+            })
+            .expect("a member");
+        }
+        Move::Up(s) => _ = w.deliver_up(s).expect("an honest op integrates"),
+        Move::Down(s) => {
+            w.deliver_down(s).expect("no gap, no duplicate");
+            w.gc(s).expect("a member");
+            w.take_pending_ack(s);
+        }
+    }
+}
+
+/// Deliver everything queued, up and down, until the star is quiet.
+fn drain(mut w: StarWorld) -> StarWorld {
+    while let Some(&m) = w.moves(&[0; 3]).first() {
+        step(&mut w, m);
+    }
+    w
+}
+
+/// ROADMAP 1(b)'s crash action, checked over prefixes instead of seeds:
+/// 3 sites and 6 edits with deliveries interleaved, crashed after every
+/// prefix. Each site says hello — again, exactly, when the answer shows
+/// its frontier was held back too far — and the drained star converges
+/// to the document the uncrashed prefix drains to.
+#[test]
+fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
+    let n = 3;
+    let mut notifier = Notifier::new(n, INITIAL);
+    notifier.set_auto_gc(true);
+    let mut standby = Standby::new(n, INITIAL, ScanMode::SuffixBounded);
+    standby.set_auto_gc(true);
+    let wal = Some(Wal::new(DEFAULT_COMPACT_EVERY));
+    let mut world = StarWorld::new(NotifierCore::new(notifier, wal, Some(standby)));
+    let script = "e1 e2 u1 e3 d2 u2 d1 d3 e1 u3 d2 u1 e2 d3 d1 u2 d3 d1 e3 u3";
+    let moves: Vec<Move> = script
+        .split(' ')
+        .map(|m| {
+            let site = SiteId(u32::from(m.as_bytes()[1] - b'0'));
+            match m.as_bytes()[0] {
+                b'e' => Move::Edit(site),
+                b'u' => Move::Up(site),
+                _ => Move::Down(site),
+            }
+        })
+        .collect();
+    assert_eq!(
+        moves.iter().filter(|m| matches!(m, Move::Edit(_))).count(),
+        6
+    );
+    for k in 0..=moves.len() {
+        let uncrashed = drain(world.clone());
+        let expected = uncrashed.notifier().doc();
+        assert!(uncrashed.clients().all(|c| c.doc() == expected));
+
+        let mut w = world.clone();
+        let (live_sum, live_sv) = (
+            w.notifier().doc_checksum(),
+            w.notifier().state_vector().clone(),
+        );
+        w.crash(CrashPoint::AfterSend)
+            .expect("the star runs a standby")
+            .expect("the mirrored log was clean");
+        // cold = warm = live: the promoted standby and a standby rebuilt
+        // cold from the log image are both the dead primary.
+        let image = w.hub().core().wal().expect("durable").bytes();
+        let cold = Standby::from_log(image, n, INITIAL).expect("log scans");
+        let cold = cold.promote().expect("unpoisoned standby promotes");
+        for promoted in [w.notifier(), &cold] {
+            assert_eq!(promoted.doc_checksum(), live_sum, "prefix {k}");
+            assert_eq!(promoted.state_vector(), &live_sv, "prefix {k}");
+        }
+        for i in 0..n {
+            let site = SiteId::from_client_index(i);
+            for hello in 0.. {
+                assert!(hello < 2, "prefix {k}: {site} was not served");
+                // Each hello rides a new connection: the channel closes
+                // under it, the crash's close first.
+                w.close(i);
+                let step = w.hello(site, i).expect("a member");
+                assert!(
+                    matches!(step, Step::Bound(_) | Step::Trimmed(_)),
+                    "{step:?}"
+                );
+                while w.queued(site).1 > 0 {
+                    w.deliver_down(site).expect("a catch-up applies or repeats");
+                }
+                let integrated = w.notifier().state_vector().received_from(site);
+                let again = w.answer(site, integrated.expect("a member"));
+                if again.expect("a member").is_none() {
+                    break;
+                }
+            }
+        }
+        let w = drain(w);
+        assert_eq!(w.notifier().doc(), expected, "prefix {k}");
+        assert!(w.clients().all(|c| c.doc() == expected), "prefix {k}");
+        if let Some(&m) = moves.get(k) {
+            step(&mut world, m);
+        }
     }
 }
