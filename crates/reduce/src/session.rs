@@ -370,6 +370,7 @@ fn run_star(cfg: &SessionConfig, scripts: &[Vec<ScheduledEdit>]) -> SessionRepor
                     // The hub's sends in the order it produced them, one
                     // per channel: the broadcasts in destination order,
                     // then the ack. That order is the latency draws'.
+                    // Channel `i` is node `i + 1`'s for the whole session.
                     Ok(Some(out)) => {
                         for (ch, payload) in world.pop_sends(&out) {
                             sim.inject_send(0, ch + 1, payload);
