@@ -35,9 +35,10 @@
 //!   skips catch-up ops at or below its `T[1]`, the repeats a held-back
 //!   frontier asks for;
 //! * [`StarWorld::answer`] — the `ServerAck{acked: integrated}` that ends
-//!   a hello's answer reaches the replica: a frontier shorter than that
-//!   count says hello once more, exactly; otherwise the hello
-//!   closes and [`Client::unacked_local_since`] is queued up;
+//!   a hello's answer reaches the replica: a trimmed hello (its channel
+//!   closed behind the answer) whose frontier is shorter than that count
+//!   says hello once more, exactly; otherwise the hello closes and
+//!   [`Client::unacked_local_since`] is queued up;
 //! * [`StarWorld::close`] — a channel is unbound and what was queued down
 //!   on it dies; the site's up FIFO survives, as a client re-sends what
 //!   the hub has not integrated;
@@ -531,26 +532,27 @@ impl StarWorld {
     }
 
     /// The `ServerAck{acked: integrated}` that ends the answer to `site`'s
-    /// open hello reaches its replica. The frontier was exact if it is the
-    /// one that count gives; only then was it surely served — one held
-    /// back below ops the notifier had in fact integrated may have asked
-    /// for a collected prefix, and the hub then binds nothing. A short one
+    /// open hello reaches its replica. A frontier held back below ops the
+    /// notifier had in fact integrated may have asked for a collected
+    /// prefix; the hub then binds nothing, and the channel closes right
+    /// behind the answer. Only such a trimmed hello with a short frontier
     /// is said again, exactly: the new hello comes back, for a new
-    /// connection. Otherwise the hello closes and the site's ops past the
-    /// count are queued up to be re-sent. Without an open hello a
-    /// streaming replica ignores the ack.
+    /// connection. A bound hello was served whatever its frontier, so the
+    /// hello closes and the site's ops past the count are queued up to be
+    /// re-sent. Without an open hello a streaming replica ignores the ack.
     pub fn answer(
         &mut self,
         site: SiteId,
         integrated: u64,
     ) -> Result<Option<ClientAckMsg>, ProtocolError> {
+        let trimmed = self.hub.channel_of(site).is_none();
         let seat = self.seat(site)?;
         let (Some((frontier, received)), Replica::Streaming(c)) = (seat.hello, &seat.replica)
         else {
             return Ok(None);
         };
         seat.integrated = integrated;
-        if frontier < c.hello_frontier(integrated).min(received) {
+        if trimmed && frontier < c.hello_frontier(integrated).min(received) {
             return self.open_hello(site).map(Some);
         }
         for op in c.unacked_local_since(integrated) {

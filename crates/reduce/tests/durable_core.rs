@@ -479,9 +479,11 @@ fn drain(mut w: StarWorld) -> StarWorld {
 
 /// ROADMAP 1(b)'s crash action, checked over prefixes instead of seeds:
 /// 3 sites and 6 edits with deliveries interleaved, crashed after every
-/// prefix. Each site says hello — again, exactly, when the answer shows
-/// its frontier was held back too far — and the drained star converges
-/// to the document the uncrashed prefix drains to.
+/// prefix. Each site says hello — again, exactly, only when its hello
+/// was trimmed and the answer shows its frontier was held back too far;
+/// a bound hello was served, so it is never followed by a second — and
+/// the drained star converges to the document the uncrashed prefix
+/// drains to.
 #[test]
 fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
     let n = 3;
@@ -507,6 +509,7 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
         moves.iter().filter(|m| matches!(m, Move::Edit(_))).count(),
         6
     );
+    let (mut bound_first, mut again_after_bound) = (0, 0);
     for k in 0..=moves.len() {
         let uncrashed = drain(world.clone());
         let expected = uncrashed.notifier().doc();
@@ -546,7 +549,12 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
                 }
                 let integrated = w.notifier().state_vector().received_from(site);
                 let again = w.answer(site, integrated.expect("a member"));
-                if again.expect("a member").is_none() {
+                let again = again.expect("a member").is_some();
+                if hello == 0 && matches!(step, Step::Bound(_)) {
+                    bound_first += 1;
+                    again_after_bound += usize::from(again);
+                }
+                if !again {
                     break;
                 }
             }
@@ -558,4 +566,6 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
             step(&mut world, m);
         }
     }
+    assert!(bound_first > 0);
+    assert_eq!(again_after_bound, 0, "a bound hello was said again");
 }
