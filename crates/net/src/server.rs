@@ -1177,8 +1177,8 @@ fn core_loop(
     let mut notifier = Notifier::new(cfg.n_clients, "");
     notifier.set_send_acks(cfg.send_acks);
     // Folded-in GC, as the simulator's sessions default to: the history
-    // buffer stays at the in-flight window, which is also what lets the
-    // log ever reach a checkpointable state and compact.
+    // buffer stays at the in-flight window, and with it the snapshots the
+    // log is cut to.
     notifier.set_auto_gc(true);
     if cfg.trace_rings && admin.is_some() {
         notifier.set_flight_recorder_capacity(TRACE_RING_CAPACITY);

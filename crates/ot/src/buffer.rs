@@ -232,8 +232,10 @@ impl Default for TextBuffer {
 
 impl fmt::Display for TextBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // One write, not one per character: a log snapshot copies the
+        // whole document.
         let (pre, post) = self.halves();
-        pre.iter().chain(post).try_for_each(|c| write!(f, "{c}"))
+        f.write_str(&pre.iter().chain(post).collect::<String>())
     }
 }
 

@@ -112,16 +112,26 @@ impl Bridge {
         }
     }
 
-    /// A bridge endpoint resuming at known counters with an empty pending
-    /// list — used by full-state resync, where the adopted snapshot
-    /// already covers everything either side had sent.
-    pub fn resume(role: BridgeRole, my_count: u64, their_count: u64) -> Self {
+    /// A bridge endpoint resuming at known counters with `pending`, the
+    /// last `pending.len()` ops it sent, still unseen by the peer — empty
+    /// for a full-state resync, where the adopted snapshot already covers
+    /// everything either side had sent; a notifier checkpoint's queue
+    /// otherwise. A queue longer than `my_count` keeps its newest
+    /// `my_count` entries.
+    pub fn resume(
+        role: BridgeRole,
+        my_count: u64,
+        their_count: u64,
+        mut pending: VecDeque<Arc<SeqOp>>,
+    ) -> Self {
+        let excess = (pending.len() as u64).saturating_sub(my_count);
+        pending.drain(..excess as usize);
         Bridge {
             role,
             my_count,
             their_count,
-            pending: VecDeque::new(),
-            first_pending_seq: my_count + 1,
+            first_pending_seq: my_count + 1 - pending.len() as u64,
+            pending,
         }
     }
 
@@ -145,6 +155,12 @@ impl Bridge {
     /// Number of pending local ops.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The pending local ops, oldest first (sequence numbers
+    /// [`Bridge::pending_seqs`]).
+    pub fn pending(&self) -> impl DoubleEndedIterator<Item = &Arc<SeqOp>> {
+        self.pending.iter()
     }
 
     /// The document length a peer operation carrying `acked` must be based

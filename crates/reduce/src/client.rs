@@ -696,7 +696,12 @@ impl Client {
     pub fn adopt_snapshot(&mut self, doc: &str, sent_to_site: u64, received_from_site: u64) {
         self.doc = TextBuffer::from_str(doc);
         self.sv = ClientStateVector::from_parts(sent_to_site, received_from_site);
-        self.bridge = Bridge::resume(BridgeRole::Client, received_from_site, sent_to_site);
+        self.bridge = Bridge::resume(
+            BridgeRole::Client,
+            received_from_site,
+            sent_to_site,
+            Default::default(),
+        );
         self.hb.clear();
         self.acked_local = received_from_site;
         self.last_ack_sent = sent_to_site;

@@ -227,8 +227,7 @@ impl NotifierCore {
         }
     }
 
-    /// Step 4: cut a snapshot if one is due and the notifier is at a
-    /// checkpointable state.
+    /// Step 4: cut a snapshot if one is due ([`Wal::maybe_compact`]).
     fn compact(&mut self) {
         if let Some(wal) = &mut self.wal {
             wal.maybe_compact(&self.notifier);
@@ -389,9 +388,9 @@ mod tests {
 
     /// Eviction is an input like any other: after site 3 is evicted and
     /// sites 1 and 2 exchange 12 fully acknowledged ops, the live notifier
-    /// has trimmed everything and can checkpoint — and so can every
-    /// replica rebuilt from the log. (Unlogged, recovery kept site 3
-    /// active: 12 entries pinned for good, never checkpoint-ready again.)
+    /// has trimmed everything — and so has every replica rebuilt from the
+    /// log, down to the same channel state. (Unlogged, recovery kept site
+    /// 3 active: 12 entries pinned for good.)
     #[test]
     fn eviction_is_replayed_so_recovery_agrees_on_membership() {
         let mut core = durable(3, "");
@@ -422,7 +421,7 @@ mod tests {
         let mut live = core.notifier().clone();
         live.gc();
         assert_eq!(live.history().len(), 0);
-        assert!(live.checkpoint_ready() && !live.is_active(SiteId(3)));
+        assert!(!live.is_active(SiteId(3)));
 
         let bytes = core.wal().expect("durable").bytes();
         let cold = Standby::from_log(bytes, 3, "").expect("scan");
@@ -437,7 +436,8 @@ mod tests {
             replica.gc();
             assert!(!replica.is_active(SiteId(3)), "{name}: site 3 active");
             assert_eq!(replica.history().len(), 0, "{name}: history pinned");
-            assert!(replica.checkpoint_ready(), "{name}: cannot checkpoint");
+            let cursors = replica.checkpoint_cursors();
+            assert_eq!(cursors, live.checkpoint_cursors(), "{name}");
             assert_eq!(replica.doc(), live.doc(), "{name}");
         }
     }

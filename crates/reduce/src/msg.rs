@@ -649,6 +649,26 @@ fn get_seq_op<B: Buf>(buf: &mut B) -> Result<(SeqOp, u64), WireError> {
     Ok((op, kind))
 }
 
+/// Encoded size of a bare op, with no caret: how the log's snapshot
+/// record writes history entries and pending broadcasts.
+pub(crate) fn op_len(op: &SeqOp) -> usize {
+    seq_op_wire_len(op, CURSOR_NONE)
+}
+
+/// Write a bare op (see [`op_len`]).
+pub(crate) fn put_op<B: BufMut>(buf: &mut B, op: &SeqOp) {
+    put_seq_op(buf, op, CURSOR_NONE);
+}
+
+/// Read a bare op (see [`op_len`]); a count varint that names a caret is
+/// refused.
+pub(crate) fn get_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
+    match get_seq_op(buf)? {
+        (op, CURSOR_NONE) => Ok(op),
+        (_, kind) => Err(WireError::BadTag(kind as u8)),
+    }
+}
+
 /// Where a caret sits after `op`'s one edit: `retain p · insert t? ·
 /// delete d? · retain r?` ends its edit at `p + |t|`. An op that edits
 /// nothing, or more than one place, has no edit end.

@@ -104,20 +104,21 @@ pub struct NotifierHbEntry {
     /// second half of the operation's global identity `(origin, seq)`,
     /// carried into flight-recorder events and the audit replayer.
     pub origin_seq: u64,
-    /// The executed (transformed) form.
-    pub op: SeqOp,
+    /// The executed (transformed) form, shared with the pending queue of
+    /// every bridge it was broadcast on until a transform rewrites it
+    /// there.
+    pub op: Arc<SeqOp>,
     /// Full `N`-element snapshot of `SV_0`, stored only in
     /// [`ScanMode::FullScanReference`].
     pub vector: Option<VectorClock>,
 }
 
-/// One client's stream counters inside a notifier checkpoint: everything
-/// [`Notifier::from_checkpoint`] needs to resume that channel. At a valid
-/// checkpoint (see [`Notifier::checkpoint_ready`]) the history buffer is
-/// fully acknowledged, so these four values — plus the document — *are* the
-/// notifier: per channel, `sent` broadcasts out, `received` operations in,
-/// the join-time stream shift, and liveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One client's channel inside a notifier checkpoint: everything
+/// [`Notifier::from_checkpoint`] needs to resume it — per channel, `sent`
+/// broadcasts out, `received` operations in, the broadcasts the client
+/// acknowledged, the join-time stream shift, liveness, the formula-(7)
+/// watermark and the broadcasts still pending on its bridge.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointCursor {
     /// Broadcasts sent to the client so far (stream positions; `T[1]` of
     /// the next broadcast will be `sent + 1`).
@@ -125,10 +126,43 @@ pub struct CheckpointCursor {
     /// Operations integrated from the client so far (formula (2)'s
     /// per-origin count).
     pub received: u64,
+    /// Broadcasts the client has acknowledged (its highest `T[1]`): what
+    /// gates the history trim.
+    pub acked: u64,
     /// Operations executed before the client joined (zero for founders).
     pub join_offset: u64,
     /// False once the client departed or was quarantined.
     pub active: bool,
+    /// History entries below the client's formula-(7) watermark: each is
+    /// non-concurrent with every operation the client sends from now on.
+    pub watermark: u64,
+    /// The bridge's pending broadcasts, oldest first — stream positions
+    /// `sent − len + 1 ..= sent`, the operations a concurrent arrival from
+    /// the client transforms against.
+    pub pending: Vec<PendingOp>,
+}
+
+/// One pending broadcast of a [`CheckpointCursor`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PendingOp {
+    /// Still the executed op of history entry `k` (a reader's queue is all
+    /// of these): shared with the entry, not copied.
+    History(u64),
+    /// Rewritten by a transform since it was broadcast.
+    Op(SeqOp),
+}
+
+/// One history-buffer entry inside a notifier checkpoint. Its running
+/// total and its origin's sequence number are not stored: the entry's
+/// place in the buffer and the clients' counts give both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointEntry {
+    /// The client the operation came from.
+    pub origin: SiteId,
+    /// Session width when the entry was buffered.
+    pub width_at: u64,
+    /// The executed (transformed) form.
+    pub op: SeqOp,
 }
 
 /// The central notifier process.
@@ -204,37 +238,84 @@ impl Notifier {
         }
     }
 
-    /// Rebuild a notifier from a compacted checkpoint: the document plus
-    /// one [`CheckpointCursor`] per client, as captured by
-    /// [`Notifier::checkpoint_cursors`] at a [`Notifier::checkpoint_ready`]
-    /// point. The result is indistinguishable from the original notifier
-    /// after a full garbage collection: empty history buffer, watermarks at
-    /// the trim frontier, bridges resumed at the recorded counters with no
-    /// pending (everything sent was acknowledged). Stamps on subsequent
-    /// broadcasts continue the original streams exactly.
+    /// Rebuild a notifier from a checkpoint cut at any point: the document,
+    /// one [`CheckpointCursor`] per client and the live history buffer, as
+    /// [`Notifier::checkpoint_cursors`] and [`Notifier::checkpoint_history`]
+    /// capture them. The trimmed prefix, each client's share of it, every
+    /// entry's running total and sequence number, and the watermarks' own
+    /// counts follow from the received counts and the entries' order.
+    /// Stamps on subsequent broadcasts continue the original streams, a
+    /// returning client is replayed the same suffix, and an arriving
+    /// operation is checked and transformed against the same concurrent
+    /// set. Pending entries that name a history entry share its op, as on
+    /// the live notifier. The caller passes a consistent checkpoint (the
+    /// log's decoder refuses any other); counts that contradict each other
+    /// are clamped rather than trusted.
     ///
     /// The scan mode is fixed at [`ScanMode::SuffixBounded`] (the universal
-    /// default): a restored notifier has a non-zero trim frontier, which
-    /// the reference mode's full snapshots cannot represent.
-    pub fn from_checkpoint(doc: &str, cursors: &[CheckpointCursor]) -> Self {
+    /// default): a restored notifier may have a non-zero trim frontier,
+    /// which the reference mode's full snapshots cannot represent.
+    pub fn from_checkpoint(
+        doc: &str,
+        cursors: &[CheckpointCursor],
+        history: &[CheckpointEntry],
+    ) -> Self {
         let n = cursors.len();
-        let sv = NotifierStateVector::from_counts(cursors.iter().map(|c| c.received).collect());
-        let total = sv.total();
+        let mut trimmed_from: Vec<u64> = cursors.iter().map(|c| c.received).collect();
+        for e in history {
+            if let Some(t) = trimmed_from.get_mut(e.origin.client_index()) {
+                *t = t.saturating_sub(1);
+            }
+        }
+        let trimmed: u64 = trimmed_from.iter().sum();
+        let mut seq = trimmed_from.clone();
+        let hb: VecDeque<NotifierHbEntry> = history
+            .iter()
+            .enumerate()
+            .map(|(k, e)| NotifierHbEntry {
+                origin: e.origin,
+                width_at: e.width_at as usize,
+                total_after: trimmed + k as u64 + 1,
+                origin_seq: seq.get_mut(e.origin.client_index()).map_or(0, |s| {
+                    *s += 1;
+                    *s
+                }),
+                op: Arc::new(e.op.clone()),
+                vector: None,
+            })
+            .collect();
+        let watermark = |c: &CheckpointCursor| (c.watermark as usize).min(hb.len());
         Notifier {
-            sv,
+            sv: NotifierStateVector::from_counts(cursors.iter().map(|c| c.received).collect()),
             doc: TextBuffer::from_str(doc),
             bridges: cursors
                 .iter()
-                .map(|c| Bridge::resume(BridgeRole::Notifier, c.sent, c.received))
+                .map(|c| {
+                    let pending = c.pending.iter().map(|p| match p {
+                        PendingOp::History(k) => hb
+                            .get(*k as usize)
+                            .map_or_else(|| Arc::new(SeqOp::new()), |e| Arc::clone(&e.op)),
+                        PendingOp::Op(op) => Arc::new(op.clone()),
+                    });
+                    Bridge::resume(BridgeRole::Notifier, c.sent, c.received, pending.collect())
+                })
                 .collect(),
-            hb: VecDeque::new(),
             scan_mode: ScanMode::SuffixBounded,
             auto_trim: false,
-            trimmed: total,
-            trimmed_from: cursors.iter().map(|c| c.received).collect(),
-            wm_abs: vec![total; n],
-            wm_from_self: cursors.iter().map(|c| c.received).collect(),
-            acked_by: cursors.iter().map(|c| c.sent).collect(),
+            trimmed,
+            wm_abs: cursors
+                .iter()
+                .map(|c| trimmed + watermark(c) as u64)
+                .collect(),
+            wm_from_self: (0..n)
+                .map(|i| {
+                    let below = hb.iter().take(watermark(&cursors[i]));
+                    trimmed_from[i] + below.filter(|e| e.origin.client_index() == i).count() as u64
+                })
+                .collect(),
+            trimmed_from,
+            hb,
+            acked_by: cursors.iter().map(|c| c.acked).collect(),
             join_offsets: cursors.iter().map(|c| c.join_offset).collect(),
             active: cursors.iter().map(|c| c.active).collect(),
             send_acks: false,
@@ -244,30 +325,49 @@ impl Notifier {
         }
     }
 
-    /// Per-client stream counters for a checkpoint record. Meaningful as a
-    /// recovery point only when [`Notifier::checkpoint_ready`] — callers
-    /// (the write-ahead log's compactor) must check first.
+    /// Per-client channel state for a checkpoint. A pending broadcast that
+    /// is still the very op of the history entry it was broadcast from is
+    /// named by that entry's index, not copied.
     pub fn checkpoint_cursors(&self) -> Vec<CheckpointCursor> {
         (0..self.n_clients())
-            .map(|i| CheckpointCursor {
-                sent: self.bridges[i].my_count(),
-                received: self.bridges[i].their_count(),
-                join_offset: self.join_offsets[i],
-                active: self.active[i],
+            .map(|i| {
+                let bridge = &self.bridges[i];
+                // The newest pending broadcast is the newest entry from
+                // another site, and so on back: pair them from the end.
+                let others = |(_, e): &(usize, &NotifierHbEntry)| e.origin.client_index() != i;
+                let mut entries = self.hb.iter().enumerate().rev().filter(others);
+                let mut pending: Vec<PendingOp> = bridge
+                    .pending()
+                    .rev()
+                    .map(|op| match entries.next() {
+                        Some((k, e)) if Arc::ptr_eq(op, &e.op) => PendingOp::History(k as u64),
+                        _ => PendingOp::Op((**op).clone()),
+                    })
+                    .collect();
+                pending.reverse();
+                CheckpointCursor {
+                    sent: bridge.my_count(),
+                    received: bridge.their_count(),
+                    acked: self.acked_by[i],
+                    join_offset: self.join_offsets[i],
+                    active: self.active[i],
+                    watermark: self.wm_abs[i] - self.trimmed,
+                    pending,
+                }
             })
             .collect()
     }
 
-    /// True when the notifier's state is fully described by the document
-    /// plus [`Notifier::checkpoint_cursors`]: the history buffer is empty
-    /// (every broadcast trimmed as acknowledged) and every active client
-    /// has acknowledged its entire stream. This implies the compaction
-    /// invariant — a snapshot cut here covers every un-acknowledged client
-    /// cursor, because there are none.
-    pub fn checkpoint_ready(&self) -> bool {
-        self.hb.is_empty()
-            && (0..self.n_clients())
-                .all(|i| !self.active[i] || self.acked_by[i] == self.bridges[i].my_count())
+    /// The history buffer for a checkpoint, oldest entry first.
+    pub fn checkpoint_history(&self) -> Vec<CheckpointEntry> {
+        self.hb
+            .iter()
+            .map(|e| CheckpointEntry {
+                origin: e.origin,
+                width_at: e.width_at as u64,
+                op: (*e.op).clone(),
+            })
+            .collect()
     }
 
     /// Turn the flight recorder on or off (off by default).
@@ -394,6 +494,15 @@ impl Notifier {
     pub fn quarantine(&mut self, site: SiteId) -> Result<(), ProtocolError> {
         let xi = self.active_index(site)?;
         self.active[xi] = false;
+        // Nothing integrates from the site again, so the broadcasts still
+        // pending on its bridge are dead weight.
+        let bridge = &self.bridges[xi];
+        self.bridges[xi] = Bridge::resume(
+            BridgeRole::Notifier,
+            bridge.my_count(),
+            bridge.their_count(),
+            VecDeque::new(),
+        );
         Ok(())
     }
 
@@ -553,7 +662,7 @@ impl Notifier {
             if pos > received {
                 out.push(ServerOpMsg {
                     stamp: CompressedStamp::new(pos, from_x),
-                    op: e.op.clone(),
+                    op: (*e.op).clone(),
                     cursor: None,
                 });
             }
@@ -918,13 +1027,16 @@ impl Notifier {
         }
 
         // Buffer with the running counters (Section 3.3's snapshot is
-        // implied; the reference mode also stores it).
+        // implied; the reference mode also stores it). The op is
+        // refcounted across the entry, every destination bridge and the
+        // outcome.
+        let executed = Arc::new(integrated.op);
         self.hb.push_back(NotifierHbEntry {
             origin: x,
             width_at: self.n_clients(),
             total_after: self.sv.total(),
             origin_seq: msg.stamp.get(2),
-            op: integrated.op.clone(),
+            op: Arc::clone(&executed),
             vector: match self.scan_mode {
                 ScanMode::FullScanReference => Some(self.sv.snapshot()),
                 ScanMode::SuffixBounded => None,
@@ -932,12 +1044,10 @@ impl Notifier {
         });
         self.metrics.record_hb_len(self.hb.len() as u64);
 
-        // Re-broadcast with per-destination compressed stamps. The op is
-        // refcounted across all destination bridges and the outcome; the
-        // caller decides whether to materialize per-destination messages
-        // (traces, examples) or to serialize the shared body exactly once
-        // (the hub's encode-once path).
-        let executed = Arc::new(integrated.op);
+        // Re-broadcast with per-destination compressed stamps. The caller
+        // decides whether to materialize per-destination messages (traces,
+        // examples) or to serialize the shared body exactly once (the
+        // hub's encode-once path).
         let owned_cursor = cursor.map(|c| (x.0, c as u64));
         // The destination-independent body prices every broadcast frame;
         // only the 2-varint stamp differs per destination.

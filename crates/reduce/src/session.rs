@@ -232,7 +232,8 @@ pub struct FailoverReport {
     pub wal_appends: u64,
     /// Framed bytes appended to the WAL over the whole session.
     pub wal_bytes: u64,
-    /// Live WAL size (bytes) at quiescence, after compactions.
+    /// Live WAL size (bytes) when the session ends: the last snapshot
+    /// and the records after it.
     pub wal_live_bytes: u64,
     /// Snapshot compactions performed.
     pub snapshot_compactions: u64,

@@ -220,22 +220,19 @@ mod tests {
 
     #[test]
     fn snapshot_record_resets_the_shadow() {
+        let cursor = |sent, received| crate::notifier::CheckpointCursor {
+            sent,
+            received,
+            acked: sent,
+            join_offset: 0,
+            active: true,
+            watermark: 0,
+            pending: Vec::new(),
+        };
         let snap = WalSnapshot {
             doc: "SNAP".into(),
-            clients: vec![
-                crate::notifier::CheckpointCursor {
-                    sent: 2,
-                    received: 1,
-                    join_offset: 0,
-                    active: true,
-                },
-                crate::notifier::CheckpointCursor {
-                    sent: 1,
-                    received: 2,
-                    join_offset: 0,
-                    active: true,
-                },
-            ],
+            clients: vec![cursor(2, 1), cursor(1, 2)],
+            history: Vec::new(),
         };
         let mut standby = Standby::new(2, "unrelated", ScanMode::SuffixBounded);
         standby

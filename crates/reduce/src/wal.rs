@@ -27,17 +27,25 @@
 //!   are logged, in arrival order — and so is an eviction, the third
 //!   input kind, because membership gates the same GC.
 //!
-//! **Compaction.** The log would otherwise grow without bound. When every
-//! active client has acknowledged its entire broadcast stream (and the
-//! history buffer is therefore fully trimmed —
-//! [`Notifier::checkpoint_ready`]), the notifier's state collapses to the
-//! document plus four counters per client. [`Wal::maybe_compact`] cuts a
-//! [`WalSnapshot`] record at such a point and drops the prefix. The
-//! compaction invariant required by recovery — *the snapshot covers every
-//! un-acknowledged client cursor* — holds trivially: at a ready point
-//! there are none. A disconnected-but-active client pins `acked_by` below
-//! its stream head and thereby blocks compaction, exactly as it pins the
-//! history-buffer trim, so the records it may still need are retained.
+//! **Compaction.** The log would otherwise grow by one record per op for
+//! as long as the session runs. A [`WalSnapshot`] is the notifier's whole
+//! protocol state — the document; per client the stream counters, the
+//! acknowledgement watermark, the join offset, liveness, the formula-(7)
+//! watermark and the broadcasts still pending on its bridge; and the
+//! history buffer — so [`Wal::maybe_compact`] can cut one at any point
+//! and drop everything before it: no quiet point, where every stream is
+//! acknowledged and the history empty, is needed, and a pipelined session
+//! never has one. A pending broadcast that is still its history entry's
+//! op is written as that entry's index, so a reader's queue costs a byte
+//! or two per entry. A snapshot is cut once `compact_every` op records
+//! and at least the previous snapshot's bytes have been appended since
+//! it: the snapshots add about as many bytes as the records between them
+//! at most (more only as the state itself grows), and the live log stays
+//! under about two snapshots plus one cadence of records — the in-flight
+//! window and the document, whatever the session length.
+//! The compaction invariant required by recovery — *the snapshot covers
+//! every un-acknowledged client cursor* — holds because the history
+//! entries a returning client is replayed from are in the snapshot.
 //!
 //! **Recovery.** [`Wal::recover`] scans the log front to back with the
 //! frame codec's own parser. The suffix after the last snapshot is the
@@ -50,10 +58,10 @@
 
 use crate::frame::{split_frame, write_frame, FrameError};
 use crate::msg::{
-    client_op_len, get_client_op, put_client_op, ClientAckMsg, ClientOpMsg, EditorMsg,
-    TAG_CLIENT_ACK, TAG_CLIENT_OP,
+    client_op_len, get_client_op, get_op, op_len, put_client_op, put_op, ClientAckMsg, ClientOpMsg,
+    EditorMsg, TAG_CLIENT_ACK, TAG_CLIENT_OP,
 };
-use crate::notifier::{CheckpointCursor, Notifier};
+use crate::notifier::{CheckpointCursor, CheckpointEntry, Notifier, PendingOp};
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
 use cvc_sim::wire::{
@@ -74,7 +82,7 @@ const WAL_TAG_ACK_FRONTIER: u8 = 33;
 /// Record tag for [`WalRecord::Evict`], outside the editor tag space.
 const WAL_TAG_EVICT: u8 = 34;
 
-/// Default ops between compaction attempts (see [`Wal::new`]).
+/// Default op records between snapshots (see [`Wal::new`]).
 pub const DEFAULT_COMPACT_EVERY: u64 = 256;
 
 /// One write-ahead-log record: an element of the notifier's input stream,
@@ -107,7 +115,7 @@ pub enum WalRecord {
     /// so a replay that missed an eviction would keep the site's frozen
     /// watermark pinning both forever.
     Evict(SiteId),
-    /// A compacted checkpoint: document plus per-client stream cursors.
+    /// A compacted checkpoint: the notifier's whole protocol state.
     /// Supersedes every earlier record.
     Snapshot(WalSnapshot),
 }
@@ -124,32 +132,40 @@ pub struct AckFrontierRecord {
     pub entries: Vec<(u32, u64)>,
 }
 
-/// A compacted notifier checkpoint, cut only at a
-/// [`Notifier::checkpoint_ready`] point (fully-acknowledged history).
-/// Feeds [`Notifier::from_checkpoint`].
+/// A compacted notifier checkpoint, cut at any point. Feeds
+/// [`Notifier::from_checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalSnapshot {
     /// The document at the checkpoint.
     pub doc: String,
-    /// Per-client stream cursors, indexed by client (site `i + 1`).
+    /// Per-client channel state, indexed by client (site `i + 1`).
     pub clients: Vec<CheckpointCursor>,
+    /// The history buffer's live entries, oldest first.
+    pub history: Vec<CheckpointEntry>,
 }
 
 impl WalSnapshot {
-    /// Capture a checkpoint from a live notifier. Callers must ensure
-    /// [`Notifier::checkpoint_ready`] first; capturing earlier produces a
-    /// snapshot that silently forgets un-acknowledged history.
+    /// Capture a checkpoint from a live notifier.
     pub fn capture(notifier: &Notifier) -> Self {
-        debug_assert!(notifier.checkpoint_ready(), "snapshot at a dirty point");
         WalSnapshot {
             doc: notifier.doc(),
             clients: notifier.checkpoint_cursors(),
+            history: notifier.checkpoint_history(),
         }
     }
 
     /// Rebuild a notifier from this checkpoint.
     pub fn restore(&self) -> Notifier {
-        Notifier::from_checkpoint(&self.doc, &self.clients)
+        Notifier::from_checkpoint(&self.doc, &self.clients, &self.history)
+    }
+}
+
+/// Encoded size of a pending broadcast: a history reference is its index
+/// plus one; 0 says an op follows.
+fn pending_len(p: &PendingOp) -> usize {
+    match p {
+        PendingOp::History(k) => varint_len(k + 1),
+        PendingOp::Op(op) => 1 + op_len(op),
     }
 }
 
@@ -169,13 +185,25 @@ impl WireSize for WalRecord {
             WalRecord::Snapshot(s) => {
                 1 + string_len(&s.doc)
                     + varint_len(s.clients.len() as u64)
+                    + varint_len(s.history.len() as u64)
+                    + s.history
+                        .iter()
+                        .map(|e| {
+                            varint_len(u64::from(e.origin.0))
+                                + varint_len(e.width_at)
+                                + op_len(&e.op)
+                        })
+                        .sum::<usize>()
                     + s.clients
                         .iter()
                         .map(|c| {
-                            varint_len(c.sent)
-                                + varint_len(c.received)
-                                + varint_len(c.join_offset)
+                            [c.sent, c.received, c.acked, c.join_offset, c.watermark]
+                                .map(varint_len)
+                                .iter()
+                                .sum::<usize>()
                                 + 1
+                                + varint_len(c.pending.len() as u64)
+                                + c.pending.iter().map(pending_len).sum::<usize>()
                         })
                         .sum::<usize>()
             }
@@ -209,11 +237,28 @@ impl WireEncode for WalRecord {
                 buf.put_u8(WAL_TAG_SNAPSHOT);
                 put_string(buf, &s.doc);
                 put_varint(buf, s.clients.len() as u64);
+                put_varint(buf, s.history.len() as u64);
+                for e in &s.history {
+                    put_varint(buf, u64::from(e.origin.0));
+                    put_varint(buf, e.width_at);
+                    put_op(buf, &e.op);
+                }
                 for c in &s.clients {
-                    put_varint(buf, c.sent);
-                    put_varint(buf, c.received);
-                    put_varint(buf, c.join_offset);
+                    for v in [c.sent, c.received, c.acked, c.join_offset] {
+                        put_varint(buf, v);
+                    }
                     buf.put_u8(u8::from(c.active));
+                    put_varint(buf, c.watermark);
+                    put_varint(buf, c.pending.len() as u64);
+                    for p in &c.pending {
+                        match p {
+                            PendingOp::History(k) => put_varint(buf, k + 1),
+                            PendingOp::Op(op) => {
+                                put_varint(buf, 0);
+                                put_op(buf, op);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -245,37 +290,78 @@ impl WireDecode for WalRecord {
                 Ok(WalRecord::AckFrontier(AckFrontierRecord { entries }))
             }
             WAL_TAG_EVICT => Ok(WalRecord::Evict(SiteId(get_u32(buf)?))),
-            WAL_TAG_SNAPSHOT => {
-                let doc = get_string(buf)?;
-                // Each cursor costs ≥ 4 bytes; a hostile count cannot force
-                // an allocation past the buffer it arrived in (checked in
-                // u64, so no 32-bit truncation).
-                let n = get_bounded_len(buf, 4)?;
-                let mut clients = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let sent = get_varint(buf)?;
-                    let received = get_varint(buf)?;
-                    let join_offset = get_varint(buf)?;
-                    if !buf.has_remaining() {
-                        return Err(WireError::Truncated);
-                    }
-                    let active = match buf.get_u8() {
-                        0 => false,
-                        1 => true,
-                        t => return Err(WireError::BadTag(t)),
-                    };
-                    clients.push(CheckpointCursor {
-                        sent,
-                        received,
-                        join_offset,
-                        active,
-                    });
-                }
-                Ok(WalRecord::Snapshot(WalSnapshot { doc, clients }))
-            }
+            WAL_TAG_SNAPSHOT => get_snapshot(buf).map(WalRecord::Snapshot),
             t => Err(WireError::BadTag(t)),
         }
     }
+}
+
+/// Read a snapshot record after its tag. Each count is held to the bytes
+/// left behind it (checked in u64, so no 32-bit truncation), and every
+/// field the restore indexes or subtracts by is held to what it names: an
+/// origin to the session's sites, a watermark or reference to the history
+/// read before it, a client's received count to its own history entries,
+/// a pending queue to the broadcasts sent. A value past its bound is
+/// [`WireError::HostileLength`].
+fn get_snapshot<B: Buf>(buf: &mut B) -> Result<WalSnapshot, WireError> {
+    let bound = |v: u64, max: u64| (v <= max).then_some(v).ok_or(WireError::HostileLength(v));
+    let doc = get_string(buf)?;
+    // A cursor costs ≥ 7 bytes, an entry ≥ 3.
+    let n = get_bounded_len(buf, 7)?;
+    let h = get_bounded_len(buf, 3)?;
+    let mut own = vec![0u64; n];
+    let mut history = Vec::with_capacity(h);
+    for _ in 0..h {
+        let site = get_u32(buf)?;
+        let i = (site as usize).checked_sub(1).filter(|&i| i < n);
+        *i.and_then(|i| own.get_mut(i))
+            .ok_or(WireError::HostileLength(u64::from(site)))? += 1;
+        history.push(CheckpointEntry {
+            origin: SiteId(site),
+            width_at: get_varint(buf)?,
+            op: get_op(buf)?,
+        });
+    }
+    let mut clients = Vec::with_capacity(n);
+    for own in own {
+        let sent = get_varint(buf)?;
+        let received = get_varint(buf)?;
+        bound(own, received)?;
+        let acked = get_varint(buf)?;
+        let join_offset = get_varint(buf)?;
+        if !buf.has_remaining() {
+            return Err(WireError::Truncated);
+        }
+        let active = match buf.get_u8() {
+            0 => false,
+            1 => true,
+            t => return Err(WireError::BadTag(t)),
+        };
+        let watermark = bound(get_varint(buf)?, h as u64)?;
+        let len = get_bounded_len(buf, 1)?;
+        bound(len as u64, sent)?;
+        let mut pending = Vec::with_capacity(len);
+        for _ in 0..len {
+            pending.push(match get_varint(buf)? {
+                0 => PendingOp::Op(get_op(buf)?),
+                k => PendingOp::History(bound(k, h as u64)? - 1),
+            });
+        }
+        clients.push(CheckpointCursor {
+            sent,
+            received,
+            acked,
+            join_offset,
+            active,
+            watermark,
+            pending,
+        });
+    }
+    Ok(WalSnapshot {
+        doc,
+        clients,
+        history,
+    })
 }
 
 /// Typed write-ahead-log recovery failures. Mirrors
@@ -400,9 +486,12 @@ impl WalRecovery {
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
     buf: Vec<u8>,
-    /// Attempt compaction after this many op records (0 = never).
+    /// Cut a snapshot after this many op records (0 = never).
     compact_every: u64,
     ops_since_checkpoint: u64,
+    /// Framed bytes of the snapshot at the front of `buf` (0 before the
+    /// first).
+    snapshot_bytes: usize,
     appends: u64,
     bytes_appended: u64,
     op_bytes: u64,
@@ -411,8 +500,9 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// An empty log that attempts compaction after every `compact_every`
-    /// op records (0 disables compaction).
+    /// An empty log that cuts a snapshot once `compact_every` op records
+    /// have been appended since the last one (0 disables compaction) —
+    /// and, after the first, once at least that snapshot's bytes have.
     pub fn new(compact_every: u64) -> Self {
         Wal {
             compact_every,
@@ -436,19 +526,22 @@ impl Wal {
         framed
     }
 
-    /// Compact if due and the notifier is at a checkpointable state:
-    /// replaces the whole log with one snapshot record. Returns whether a
-    /// compaction happened.
+    /// Compact if due: replace the whole log with one snapshot of
+    /// `notifier`, which must have integrated exactly the records
+    /// appended so far. Due means `compact_every` op records since the
+    /// last snapshot and a tail at least as long as it, so snapshots add
+    /// about as many bytes as the records between them at most. Returns
+    /// whether a compaction happened.
     pub fn maybe_compact(&mut self, notifier: &Notifier) -> bool {
         if self.compact_every == 0
             || self.ops_since_checkpoint < self.compact_every
-            || !notifier.checkpoint_ready()
+            || self.buf.len() - self.snapshot_bytes < self.snapshot_bytes
         {
             return false;
         }
         let snap = WalRecord::Snapshot(WalSnapshot::capture(notifier));
         self.buf.clear();
-        self.append(&snap);
+        self.snapshot_bytes = self.append(&snap) as usize;
         self.ops_since_checkpoint = 0;
         self.compactions += 1;
         true
@@ -582,6 +675,8 @@ mod tests {
         })
     }
 
+    /// Two clients; client 1's entry is pending to client 2 as itself,
+    /// and client 2 holds one rewritten broadcast.
     fn sample_snapshot() -> WalSnapshot {
         WalSnapshot {
             doc: "ABCDE".into(),
@@ -589,16 +684,27 @@ mod tests {
                 CheckpointCursor {
                     sent: 3,
                     received: 2,
+                    acked: 2,
                     join_offset: 0,
                     active: true,
+                    watermark: 0,
+                    pending: vec![PendingOp::Op(SeqOp::identity(4))],
                 },
                 CheckpointCursor {
                     sent: 2,
                     received: 3,
+                    acked: 1,
                     join_offset: 1,
                     active: false,
+                    watermark: 1,
+                    pending: vec![PendingOp::History(0)],
                 },
             ],
+            history: vec![CheckpointEntry {
+                origin: SiteId(1),
+                width_at: 2,
+                op: SeqOp::from_pos(&PosOp::insert(0, "A"), 4),
+            }],
         }
     }
 
@@ -768,8 +874,11 @@ mod tests {
         assert_eq!(err.kind_name(), "wal-undecodable");
     }
 
+    /// A snapshot needs no quiet point: cut while client 2 has not acked
+    /// the broadcast, it restores the history and the pending queue, and
+    /// the restored notifier goes on exactly as the live one.
     #[test]
-    fn compaction_waits_for_checkpoint_ready() {
+    fn compaction_cuts_with_history_in_flight() {
         let mut notifier = Notifier::new(2, "");
         let mut wal = Wal::new(1);
         let msg = ClientOpMsg {
@@ -780,25 +889,60 @@ mod tests {
         };
         wal.append(&WalRecord::Op(msg.clone()));
         notifier.try_on_client_op_outcome(msg).expect("integrate");
-        // Client 2 has not acked the broadcast: not checkpoint-ready.
-        assert!(!wal.maybe_compact(&notifier));
-        let ack = ClientAckMsg {
-            origin: SiteId(2),
-            received: 1,
-        };
-        wal.append(&WalRecord::Ack(ack));
-        notifier.try_on_client_ack(ack).expect("ack");
-        notifier.gc();
-        assert!(notifier.checkpoint_ready());
         assert!(wal.maybe_compact(&notifier));
         assert_eq!(wal.compactions(), 1);
-        // The compacted log restores to the same state.
+        let snapshot_bytes = wal.live_bytes();
         let rec = Wal::recover(wal.bytes()).expect("recover");
-        assert_eq!(rec.tail.len(), 0);
-        let (restored, replayed) = rec.restore(2, "").expect("restore");
+        let snap = rec.snapshot.clone().expect("a snapshot");
+        assert_eq!(snap.history.len(), 1, "the unacked entry is carried");
+        assert_eq!(snap.clients[1].pending, vec![PendingOp::History(0)]);
+        let (mut restored, replayed) = rec.restore(2, "").expect("restore");
         assert_eq!(replayed, 0);
         assert_eq!(restored.doc(), notifier.doc());
         assert_eq!(restored.checkpoint_cursors(), notifier.checkpoint_cursors());
+        assert_eq!(restored.checkpoint_history(), notifier.checkpoint_history());
+        // Client 2's concurrent op transforms against the carried entry.
+        let concurrent = ClientOpMsg {
+            origin: SiteId(2),
+            stamp: CompressedStamp::new(0, 1),
+            op: SeqOp::from_pos(&PosOp::insert(0, "y"), 0),
+            cursor: None,
+        };
+        let a = notifier.try_on_client_op_outcome(concurrent.clone());
+        let b = restored.try_on_client_op_outcome(concurrent);
+        let (a, b) = (a.expect("live"), b.expect("restored"));
+        assert_eq!((a.full_verdicts(), a.stamps), (b.full_verdicts(), b.stamps));
+        assert_eq!(restored.doc(), notifier.doc());
+        // Due again once an op record and the snapshot's bytes are in.
+        while wal.live_bytes() < 2 * snapshot_bytes {
+            assert!(!wal.maybe_compact(&notifier), "the tail is lighter");
+            wal.append(&op_record(1, 1, 2, 0, "z"));
+        }
+        assert!(wal.maybe_compact(&notifier));
+    }
+
+    /// Every field the restore indexes by is held to what it names.
+    #[test]
+    fn inconsistent_snapshots_are_refused() {
+        let breaks: [fn(&mut WalSnapshot); 5] = [
+            |s| s.history[0].origin = SiteId(3),
+            |s| s.clients[0].received = 0,
+            |s| s.clients[0].watermark = 2,
+            |s| s.clients[1].pending = vec![PendingOp::History(1)],
+            |s| s.clients[1].sent = 0,
+        ];
+        for (i, break_it) in breaks.iter().enumerate() {
+            let mut snap = sample_snapshot();
+            break_it(&mut snap);
+            let mut buf = Vec::new();
+            WalRecord::Snapshot(snap).encode(&mut buf);
+            let mut slice = &buf[..];
+            let err = WalRecord::decode(&mut slice).expect_err("inconsistent");
+            assert!(
+                matches!(err, WireError::HostileLength(_)),
+                "break {i}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -836,6 +980,9 @@ mod tests {
     #[test]
     fn restore_does_not_loop_on_decoded_counters() {
         let mut snap = sample_snapshot();
+        snap.history.clear();
+        snap.clients[1].pending.clear();
+        snap.clients[1].watermark = 0;
         snap.clients[0].received = 1 << 40;
         snap.clients[1].received = 7;
         let mut wal = Wal::new(0);
@@ -852,7 +999,7 @@ mod tests {
 
     #[test]
     fn from_checkpoint_continues_streams_exactly() {
-        // Drive a notifier to a ready point, checkpoint it, restore, then
+        // Drive a notifier to a quiet point, checkpoint it, restore, then
         // feed both the original and the restored notifier the same next
         // op: stamps and docs must match exactly.
         let mut a = Notifier::new(2, "");
@@ -869,8 +1016,8 @@ mod tests {
         };
         a.try_on_client_ack(ack).expect("ack");
         a.gc();
-        assert!(a.checkpoint_ready());
         let snap = WalSnapshot::capture(&a);
+        assert!(snap.history.is_empty());
         let mut b = snap.restore();
         let m2 = ClientOpMsg {
             origin: SiteId(2),

@@ -20,7 +20,8 @@
 //!    ([`StarWorld::crash`]) after each prefix of its script, recovers
 //!    through the hello and answer actions to the document the uncrashed
 //!    prefix drains to, and the promoted notifier is what a cold standby
-//!    rebuilds from the log image (cold = warm = live).
+//!    rebuilds from the log image (cold = warm = live) — mostly from a
+//!    snapshot cut with history in flight.
 
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
@@ -41,6 +42,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const INITIAL: &str = "seed";
 
@@ -314,15 +316,24 @@ impl World {
         }
         // What is collectable follows from membership and the frontier: a
         // replica behind on acks retains more, never less, and one level
-        // with the live frontier collects — and checkpoints — alike.
+        // with the live frontier retains the same entries — whether it was
+        // replayed or restored from a snapshot that carried them.
         let mut live = live.clone();
         live.gc();
         rebuilt.gc();
-        assert!(rebuilt.history().len() >= live.history().len());
+        let (got, want) = (rebuilt.checkpoint_history(), live.checkpoint_history());
+        assert!(got.len() >= want.len());
+        assert_eq!(got[got.len() - want.len()..], want[..]);
         if level {
-            assert_eq!(rebuilt.history().len(), live.history().len());
-            assert_eq!(rebuilt.checkpoint_ready(), live.checkpoint_ready());
+            assert_eq!(got, want);
         }
+    }
+
+    /// Whether the log now starts with a snapshot that carries history
+    /// entries — one cut with operations still in flight.
+    fn snapshot_carries_history(&self) -> bool {
+        let rec = Wal::recover(self.wal().bytes()).expect("log scans");
+        rec.snapshot.is_some_and(|s| !s.history.is_empty())
     }
 
     /// Drain every queue, then ack everything, so the session quiesces.
@@ -359,11 +370,14 @@ impl World {
     }
 }
 
+/// Snapshots cut, across the property's cases, while history entries
+/// were still in flight.
+static BUSY_SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn log_image_rebuilds_the_live_notifier_after_every_step(
+    fn log_image_cases(
         seed in any::<u64>(),
         n in 2usize..6,
         steps in 40usize..200,
@@ -375,8 +389,12 @@ proptest! {
         // half's inputs — evictions included — land on a compacted log.
         for _ in 0..2 {
             for _ in 0..steps / 2 {
+                let compactions = world.wal().compactions();
                 world.step(&mut rng);
                 world.check_log_rebuilds_live();
+                if world.wal().compactions() > compactions && world.snapshot_carries_history() {
+                    BUSY_SNAPSHOTS.fetch_add(1, Ordering::Relaxed);
+                }
             }
             world.quiesce();
             world.check_log_rebuilds_live();
@@ -385,12 +403,24 @@ proptest! {
         for (c, _) in world.clients.iter().zip(&world.evicted).filter(|(_, &out)| !out) {
             prop_assert_eq!(c.doc(), doc.as_str(), "replica diverged (seed {})", seed);
         }
-        // Fully acknowledged and past the cadence: the log has compacted.
+        // Past the cadence: the log has compacted.
         let ops = world.core.notifier().state_vector().total();
         if ops >= compact_every {
             prop_assert!(world.wal().compactions() >= 1, "never compacted (seed {})", seed);
         }
     }
+}
+
+/// Property 1 over 256 cases. Some snapshot must be cut while history
+/// entries are still in flight, so the restore that carries them — not
+/// only the quiet one — is what the invariant checks.
+#[test]
+fn log_image_rebuilds_the_live_notifier_after_every_step() {
+    log_image_cases();
+    assert!(
+        BUSY_SNAPSHOTS.load(Ordering::Relaxed) > 0,
+        "no snapshot carried history across the cases"
+    );
 }
 
 /// The sim node adds nothing to the durable pipeline: replaying the input
@@ -491,7 +521,9 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
     notifier.set_auto_gc(true);
     let mut standby = Standby::new(n, INITIAL, ScanMode::SuffixBounded);
     standby.set_auto_gc(true);
-    let wal = Some(Wal::new(DEFAULT_COMPACT_EVERY));
+    // A two-op cadence, so the cold standby mostly restores from a
+    // snapshot cut with history in flight.
+    let wal = Some(Wal::new(2));
     let mut world = StarWorld::new(NotifierCore::new(notifier, wal, Some(standby)));
     let script = "e1 e2 u1 e3 d2 u2 d1 d3 e1 u3 d2 u1 e2 d3 d1 u2 d3 d1 e3 u3";
     let moves: Vec<Move> = script
@@ -509,7 +541,7 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
         moves.iter().filter(|m| matches!(m, Move::Edit(_))).count(),
         6
     );
-    let (mut bound_first, mut again_after_bound) = (0, 0);
+    let (mut bound_first, mut again_after_bound, mut busy_images) = (0, 0, 0);
     for k in 0..=moves.len() {
         let uncrashed = drain(world.clone());
         let expected = uncrashed.notifier().doc();
@@ -526,6 +558,8 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
         // cold = warm = live: the promoted standby and a standby rebuilt
         // cold from the log image are both the dead primary.
         let image = w.hub().core().wal().expect("durable").bytes();
+        let snapshot = Wal::recover(image).expect("log scans").snapshot;
+        busy_images += usize::from(snapshot.is_some_and(|s| !s.history.is_empty()));
         let cold = Standby::from_log(image, n, INITIAL).expect("log scans");
         let cold = cold.promote().expect("unpoisoned standby promotes");
         for promoted in [w.notifier(), &cold] {
@@ -566,6 +600,6 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
             step(&mut world, m);
         }
     }
-    assert!(bound_first > 0);
+    assert!(bound_first > 0 && busy_images > 0);
     assert_eq!(again_after_bound, 0, "a bound hello was said again");
 }

@@ -9,9 +9,10 @@
 //!    and loss rates. Every run must converge with a complete failover
 //!    report: all clients resynced, recovery time measured, zero panics.
 //! 2. **WAL crash-anywhere recovery** (proptest) — truncating a real
-//!    session's log at *every* byte boundary, or flipping any single
-//!    byte, yields a clean replay or a typed [`WalError`] — never a
-//!    panic, never silent divergence.
+//!    durable core's log, which opens with a snapshot cut with history in
+//!    flight, at *every* byte boundary, or flipping any single byte,
+//!    yields a clean replay or a typed [`WalError`] — never a panic,
+//!    never silent divergence.
 //!    The log is a frame stream: the socket's incremental `FrameReader`,
 //!    fed any cut of it in random chunks, yields exactly the records
 //!    `Wal::recover` does.
@@ -133,35 +134,48 @@ fn failover_under_compound_faults_converges() {
     assert_recovered(r.failover.as_ref().expect("crash fired"), 4, "compound");
 }
 
-/// Build a realistic log image: run a crash-free standby session and
-/// return its failover twin's WAL bytes. Falls back to a small
-/// hand-rolled log; either way the image has several records.
+/// Build a realistic log image: a durable core with a two-op cadence
+/// under a seeded two-site exchange in which site 2 hears each step's
+/// broadcasts one step late and edits every other step. The image is a
+/// snapshot cut with history in flight — entries, pending references and
+/// a broadcast a concurrent op rewrote — and the records after it.
 fn session_wal_image(seed: u64) -> Vec<u8> {
     use cvc_core::site::SiteId;
-    use cvc_core::state_vector::CompressedStamp;
-    use cvc_ot::pos::PosOp;
-    use cvc_ot::seq::SeqOp;
-    use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg};
+    use cvc_reduce::client::Client;
+    use cvc_reduce::core::NotifierCore;
+    use cvc_reduce::msg::ServerOpMsg;
+    use cvc_reduce::notifier::Notifier;
 
-    // The in-sim WAL is not exported by SessionReport (only its counters
-    // are), so build the image the same way the notifier does: append the
-    // input stream of a deterministic two-client exchange.
-    let mut wal = Wal::new(0);
-    let texts = ["ab", "c", "def", "g", "hi"];
-    for (k, text) in texts.iter().enumerate() {
-        let t = (seed % 3) + k as u64;
-        wal.append(&WalRecord::Op(ClientOpMsg {
-            origin: SiteId(1 + (k as u32 % 2)),
-            stamp: CompressedStamp::new(t, t + 1),
-            op: SeqOp::from_pos(&PosOp::insert(k, *text), 8 + k + text.len()),
-            cursor: (k % 2 == 0).then_some(k as u64),
-        }));
-        wal.append(&WalRecord::Ack(ClientAckMsg {
-            origin: SiteId(2 - (k as u32 % 2)),
-            received: k as u64 + 1,
-        }));
+    let mut core = NotifierCore::new(Notifier::new(2, "seed"), Some(Wal::new(2)), None);
+    let mut clients = [
+        Client::new(SiteId(1), "seed"),
+        Client::new(SiteId(2), "seed"),
+    ];
+    let mut down: [Vec<ServerOpMsg>; 2] = Default::default();
+    for k in 0..6u64 {
+        for i in [1, 0] {
+            for m in std::mem::take(&mut down[i]) {
+                clients[i]
+                    .try_on_server_op(m)
+                    .expect("a FIFO stream applies");
+            }
+            if i == 1 && k % 2 == 0 {
+                continue;
+            }
+            let c = &mut clients[i];
+            let at = (seed + k) % (c.doc_len() as u64 + 1);
+            let op = c.insert(at as usize, ["ab", "c"][i]);
+            let out = core.integrate_op(op.origin, op).expect("an honest op");
+            for (dest, m) in out.broadcast_msgs() {
+                down[dest.client_index()].push(m);
+            }
+        }
     }
-    wal.bytes().to_vec()
+    let image = core.wal().expect("durable").bytes().to_vec();
+    let rec = Wal::recover(&image).expect("intact log");
+    let snapshot = rec.snapshot.expect("the log was cut");
+    assert!(!snapshot.history.is_empty(), "cut with history in flight");
+    image
 }
 
 proptest! {
@@ -215,11 +229,13 @@ proptest! {
             }
             prop_assert_eq!(payloads.len() as u64, rec.records, "cut at {}", cut);
             prop_assert_eq!(reader.buffered(), rec.torn_bytes, "cut at {}", cut);
+            let snapshot = rec.snapshot.iter().cloned().map(WalRecord::Snapshot);
+            let records: Vec<WalRecord> = snapshot.chain(rec.tail.iter().cloned()).collect();
             for (i, p) in payloads.iter().enumerate() {
                 let mut body = &p[..];
                 let decoded = WalRecord::decode(&mut body).expect("payload decodes");
                 prop_assert!(body.is_empty(), "cut at {}: trailing bytes in frame {}", cut, i);
-                prop_assert_eq!(&decoded, &rec.tail[i], "cut at {}, frame {}", cut, i);
+                prop_assert_eq!(&decoded, &records[i], "cut at {}, frame {}", cut, i);
             }
         }
     }
@@ -271,6 +287,7 @@ proptest! {
         wal.append(&WalRecord::Snapshot(WalSnapshot {
             doc: "checkpointed".into(),
             clients: Vec::new(),
+            history: Vec::new(),
         }));
         for rec in &base.tail {
             wal.append(rec);

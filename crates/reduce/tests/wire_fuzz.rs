@@ -120,19 +120,40 @@ fn hostile_64_bit_lengths_are_rejected_at_every_site() {
     b.extend_from_slice(&[4, 1, 4, 2, 4, 3]);
     assert_eq!(must_reject(&b), WireError::Truncated);
 
-    // The WAL shares the codec: frontier and snapshot cursor counts get
-    // the same u64-domain bound (tags 33 and 32).
+    // The WAL shares the codec, and its counts get the same u64-domain
+    // bound (tags 33 and 32). Site 8 — the ack frontier's entry count.
+    let wal_reject = |b: &[u8]| {
+        let mut buf: &[u8] = b;
+        WalRecord::decode(&mut buf).expect_err("hostile record decoded")
+    };
     let mut b = vec![33u8];
     put_varint(&mut b, hostile);
     b.extend_from_slice(&[1, 1, 1, 1]);
-    let mut buf: &[u8] = &b;
-    assert!(WalRecord::decode(&mut buf).is_err());
+    assert_eq!(wal_reject(&b), WireError::Truncated);
+    // Site 9 — the snapshot's client count.
     let mut b = vec![32u8];
     put_varint(&mut b, 0); // empty doc
-    put_varint(&mut b, hostile); // cursor count
+    put_varint(&mut b, hostile); // client count
     b.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 1]);
-    let mut buf: &[u8] = &b;
-    assert!(WalRecord::decode(&mut buf).is_err());
+    assert_eq!(wal_reject(&b), WireError::Truncated);
+    // Site 10 — the snapshot's history-entry count, over bytes that would
+    // parse as two entries (origin 1, width 1, an empty op).
+    let mut b = vec![32u8];
+    put_varint(&mut b, 0); // empty doc
+    put_varint(&mut b, 1); // one client
+    put_varint(&mut b, hostile); // history count
+    b.extend_from_slice(&[1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0]);
+    assert_eq!(wal_reject(&b), WireError::Truncated);
+    // Site 11 — a client's pending-queue length, over bytes that would
+    // parse as inline empty ops.
+    let mut b = vec![32u8];
+    put_varint(&mut b, 0); // empty doc
+    put_varint(&mut b, 1); // one client
+    put_varint(&mut b, 0); // no history
+    b.extend_from_slice(&[9, 0, 0, 0, 1, 0]); // counters, active, watermark
+    put_varint(&mut b, hostile); // pending length
+    b.extend_from_slice(&[0, 0, 0, 0, 0, 0]);
+    assert_eq!(wal_reject(&b), WireError::Truncated);
 }
 
 /// A site id past `u32` is an overlong value, never a truncated one:
@@ -326,7 +347,6 @@ fn editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
 /// Durability-log records: ops and acks reuse the editor wire format
 /// byte-for-byte; snapshots add a checkpoint frame of their own.
 fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
-    use cvc_reduce::notifier::CheckpointCursor;
     let op = (
         1u32..=64,
         stamp_strategy(),
@@ -347,25 +367,83 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
             received,
         })
     });
-    let snapshot = (
-        "[a-z ]{0,32}",
-        proptest::collection::vec(
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-                |(sent, received, join_offset, active)| CheckpointCursor {
-                    sent,
-                    received,
-                    join_offset,
-                    active,
-                },
-            ),
-            0..6,
-        ),
-    )
-        .prop_map(|(doc, clients)| WalRecord::Snapshot(WalSnapshot { doc, clients }));
     let frontier = proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8)
         .prop_map(|entries| WalRecord::AckFrontier(cvc_reduce::wal::AckFrontierRecord { entries }));
     let evict = any::<u32>().prop_map(|site| WalRecord::Evict(SiteId(site)));
-    prop_oneof![op, ack, frontier, evict, snapshot]
+    prop_oneof![op, ack, frontier, evict, snapshot_strategy()]
+}
+
+/// Snapshot records as a notifier checkpoint writes them: history entries
+/// from the session's sites, each client's received count covering its
+/// own entries, watermarks within the history, and pending queues no
+/// longer than the broadcasts sent, mixing history references with
+/// rewritten ops.
+fn snapshot_strategy() -> impl Strategy<Value = WalRecord> {
+    use cvc_reduce::notifier::{CheckpointCursor, CheckpointEntry, PendingOp};
+    let entry = (any::<u32>(), any::<u64>(), seq_op_strategy());
+    let pending = (any::<bool>(), any::<u64>(), seq_op_strategy());
+    let counters = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+    );
+    let cursor = (
+        counters,
+        any::<bool>(),
+        proptest::collection::vec(pending, 0..5),
+    );
+    (
+        "[a-z ]{0,32}",
+        proptest::collection::vec(cursor, 1..6),
+        proptest::collection::vec(entry, 0..6),
+    )
+        .prop_map(|(doc, clients, history)| {
+            let (n, h) = (clients.len(), history.len() as u64);
+            let history: Vec<CheckpointEntry> = history
+                .into_iter()
+                .map(|(site, width_at, op)| CheckpointEntry {
+                    origin: SiteId::from_client_index(site as usize % n),
+                    width_at,
+                    op,
+                })
+                .collect();
+            let clients = clients
+                .into_iter()
+                .enumerate()
+                .map(|(i, (c, active, pending))| {
+                    let (sent, received, acked, join_offset, wm) = c;
+                    let own = history
+                        .iter()
+                        .filter(|e| e.origin.client_index() == i)
+                        .count();
+                    let pending: Vec<PendingOp> = pending
+                        .into_iter()
+                        .map(|(shared, k, op)| {
+                            if shared && h > 0 {
+                                PendingOp::History(k % h)
+                            } else {
+                                PendingOp::Op(op)
+                            }
+                        })
+                        .collect();
+                    CheckpointCursor {
+                        sent: sent.max(pending.len() as u64),
+                        received: received.max(own as u64),
+                        acked,
+                        join_offset,
+                        active,
+                        watermark: wm % (h + 1),
+                        pending,
+                    }
+                });
+            WalRecord::Snapshot(WalSnapshot {
+                doc,
+                clients: clients.collect(),
+                history,
+            })
+        })
 }
 
 /// Where a caret sits after `op`'s one edit (`retain p · insert t? ·
