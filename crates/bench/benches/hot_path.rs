@@ -17,7 +17,10 @@
 //!   decode, execute and `gc`, per message, over many interleaved
 //!   replicas;
 //! * **compound write** — the write side of the same broadcasts: four
-//!   encode-once payloads and an ack re-headed into one compound frame.
+//!   encode-once payloads and an ack re-headed into one compound frame;
+//! * **snapshot** — what a log compaction costs the core thread: capturing
+//!   a fan-out notifier's whole state (history and pending broadcasts,
+//!   shared rather than copied) and encoding it as one record.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use cvc_core::site::SiteId;
@@ -33,6 +36,7 @@ use cvc_reduce::msg::{
     ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
+use cvc_reduce::wal::{WalRecord, WalSnapshot};
 use cvc_sim::wire::WireEncode;
 
 fn bench_stamp_layer(c: &mut Criterion) {
@@ -397,6 +401,44 @@ fn bench_compound_write(c: &mut Criterion) {
     g.finish();
 }
 
+/// A compaction on a fan-out session: 64 clients on a 4 096-char
+/// document, 32 history entries from four writers that acknowledge
+/// nothing (so each arrival rewrites its writer's pending broadcasts) and
+/// 60 readers' queues naming the entries — about 2 000 pending
+/// broadcasts. One sample captures the state and encodes the record into
+/// a reused buffer.
+fn bench_snapshot(c: &mut Criterion) {
+    const CLIENTS: usize = 64;
+    const ENTRIES: u64 = 32;
+    const WRITERS: u64 = 4;
+    const DOC: usize = 4_096;
+    let mut notifier = Notifier::new(CLIENTS, &"x".repeat(DOC));
+    for k in 0..ENTRIES {
+        let (w, own) = (k % WRITERS + 1, k / WRITERS);
+        // A writer's view is the document plus its own ops.
+        let len = DOC + own as usize;
+        notifier
+            .try_on_client_op_outcome(ClientOpMsg {
+                origin: SiteId(w as u32),
+                stamp: CompressedStamp::new(0, own + 1),
+                op: SeqOp::from_pos(&PosOp::insert(w as usize * 800, "y"), len),
+                cursor: None,
+            })
+            .expect("a concurrent op");
+    }
+    let mut g = c.benchmark_group("snapshot");
+    let mut buf = Vec::new();
+    g.bench_function("capture_encode_64x4k_32", |b| {
+        b.iter(|| {
+            let snap = WalRecord::Snapshot(WalSnapshot::capture(std::hint::black_box(&notifier)));
+            buf.clear();
+            snap.encode(&mut buf);
+            buf.len()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_stamp_layer,
@@ -405,6 +447,7 @@ criterion_group!(
     bench_notifier_layer,
     bench_checksum_layer,
     bench_quiet_replica,
-    bench_compound_write
+    bench_compound_write,
+    bench_snapshot
 );
 criterion_main!(benches);

@@ -2822,10 +2822,10 @@ mod tests {
 
     #[test]
     fn an_edited_digit_fails_check_naming_file_row_and_gate() {
-        // 395929 wire bytes at N=64 / 1% loss; every row gate still holds
+        // 304920 wire bytes at N=64 / 1% loss; every row gate still holds
         // one byte up, so only regeneration can tell.
         let text = committed_text("BENCH_PR2.json");
-        let edited = text.replacen("\"wire_bytes\": 395929", "\"wire_bytes\": 395930", 1);
+        let edited = text.replacen("\"wire_bytes\": 304920", "\"wire_bytes\": 304921", 1);
         assert_ne!(edited, text);
         assert_eq!(
             check_artifact("BENCH_PR2.json", &edited, false),

@@ -4,9 +4,9 @@
 //! virtual time, so its rendered report is a pure function of the code.
 //! The files under `golden/` are those reports: `e4`, `e6`, `e12`,
 //! `e13`, `e15` and `e20_failover_smoke` were last regenerated when the
-//! op codec folded each component's kind into its length varint and the
-//! cursor kind into the component count (every star op message and WAL
-//! op record got shorter; EXPERIMENTS lists every moved cell); `e1` and
+//! op codec stopped sending an op's trailing retain, which the receiving
+//! door implies from the base it knows (every star op message and WAL op
+//! record got shorter; EXPERIMENTS lists every moved cell); `e1` and
 //! `e10` when a quiet site's bare-ack interval (`ACK_INTERVAL`) rose
 //! from 8 to 64 executed ops (fewer ack messages move every star cell
 //! that counts messages or bytes); the rest at the commit before the

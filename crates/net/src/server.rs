@@ -956,7 +956,9 @@ impl<'a> Core<'a> {
         let (seq, captured) = match &msg {
             EditorMsg::ClientOp(op) => (
                 op.stamp.get(2),
-                self.cfg.capture_integrations.then(|| op.clone()),
+                self.cfg
+                    .capture_integrations
+                    .then(|| self.hub.notifier().closed(op)),
             ),
             _ => (0, None),
         };

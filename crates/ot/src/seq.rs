@@ -216,6 +216,22 @@ impl SeqOp {
         self
     }
 
+    /// Close an operation whose trailing retain was left implied, as the
+    /// wire sends it: retain the rest of a `base`-character document. An
+    /// operation reaching past `base` is refused as
+    /// [`SeqError::BaseLengthMismatch`] and left as it was; one already
+    /// consuming exactly `base` is unchanged.
+    pub fn close_to(&mut self, base: usize) -> Result<(), SeqError> {
+        let rest = base
+            .checked_sub(self.base_len)
+            .ok_or(SeqError::BaseLengthMismatch {
+                expected: self.base_len,
+                got: base,
+            })?;
+        self.retain(rest);
+        Ok(())
+    }
+
     /// Apply to `doc`, producing the new document.
     pub fn apply(&self, doc: &str) -> Result<String, SeqError> {
         let chars: Vec<char> = doc.chars().collect();
@@ -642,6 +658,35 @@ mod tests {
                 got: 2
             })
         ));
+    }
+
+    /// An open op closes to the full op on any base it fits; a full op
+    /// closes to itself; an op reaching past the base is refused, intact.
+    #[test]
+    fn close_to_retains_the_rest_and_refuses_a_reach_past_the_base() {
+        let full = op(|o| {
+            o.retain(1).insert("12").delete(1).retain(3);
+        });
+        let mut open = op(|o| {
+            o.retain(1).insert("12").delete(1);
+        });
+        let (mut same, mut short) = (full.clone(), open.clone());
+        assert_eq!(
+            short.close_to(1),
+            Err(SeqError::BaseLengthMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(short, open, "a refused close changes nothing");
+        open.close_to(5).expect("fits");
+        assert_eq!(open, full);
+        same.close_to(5).expect("already closed");
+        assert_eq!(same, full);
+        let mut noop = SeqOp::new();
+        noop.close_to(4)
+            .expect("an empty op closes to the identity");
+        assert_eq!(noop, SeqOp::identity(4));
     }
 
     #[test]

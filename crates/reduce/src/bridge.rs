@@ -166,8 +166,9 @@ impl Bridge {
     /// The document length a peer operation carrying `acked` must be based
     /// on: the base of the first of our ops the peer had not yet seen, or
     /// `None` when it had seen them all (its base is then the endpoint's
-    /// current document). Lets the owner reject a wrongly-based payload
-    /// *before* integration moves any counter.
+    /// current document). Lets the owner close an arriving op, which
+    /// travels without its trailing retain, on that base and refuse one
+    /// reaching past it *before* integration moves any counter.
     pub fn peer_base_len(&self, acked: u64) -> Option<usize> {
         let seen = (acked + 1).saturating_sub(self.first_pending_seq) as usize;
         self.pending.get(seen).map(|op| op.base_len())

@@ -29,7 +29,7 @@ use cvc_core::timestamp::OriginAtClient;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::cursor::{transform_cursor, Bias};
 use cvc_ot::pos::PosOp;
-use cvc_ot::seq::{SeqError, SeqOp};
+use cvc_ot::seq::SeqOp;
 use cvc_ot::stack::OpStack;
 
 /// Undo depth retained per client: each local operation keeps its
@@ -463,6 +463,25 @@ impl Client {
             .map_or(self.sv.received(), |e| e.stamp.get(1))
     }
 
+    /// The document length a notifier operation acknowledging `acked` of
+    /// this site's ops consumes: the base of the first local op it had not
+    /// seen, or the current document ([`Bridge::peer_base_len`]).
+    fn base_for(&self, acked: u64) -> usize {
+        self.bridge
+            .peer_base_len(acked)
+            .unwrap_or_else(|| self.doc.len())
+    }
+
+    /// `msg` as [`Client::try_on_server_op`] would integrate it now: its
+    /// op closed on the base that door closes it on. An op the door would
+    /// refuse comes back as it arrived. How a driver records the ops it
+    /// integrates whole, though they arrive without their tail.
+    pub fn closed(&self, msg: &ServerOpMsg) -> ServerOpMsg {
+        let mut msg = msg.clone();
+        let _ = msg.op.close_to(self.base_for(msg.stamp.get(2)));
+        msg
+    }
+
     /// Integrate an operation propagated from the notifier, detecting
     /// broken FIFO assumptions before they can corrupt the replica.
     ///
@@ -504,7 +523,7 @@ impl Client {
 
     fn integrate_server_op(
         &mut self,
-        msg: ServerOpMsg,
+        mut msg: ServerOpMsg,
     ) -> Result<ClientIntegration, ProtocolError> {
         let expected = self.sv.received() + 1;
         if msg.stamp.get(1) != expected {
@@ -521,21 +540,16 @@ impl Client {
                 acked: msg.stamp.get(2),
             });
         }
-        // A payload on the wrong base can only fail — in the bridge's first
-        // transform, after it dropped the acknowledged prefix, or at
-        // execution, after it counted the op. Refuse it here, where the
-        // promise that a rejected message leaves the replica untouched is
-        // cheap to keep; past this check nothing below can fail.
-        let base = self
-            .bridge
-            .peer_base_len(msg.stamp.get(2))
-            .unwrap_or_else(|| self.doc.len());
-        if msg.op.base_len() != base {
-            return Err(ProtocolError::BadOperation(SeqError::BaseLengthMismatch {
-                expected: msg.op.base_len(),
-                got: base,
-            }));
-        }
+        // The op arrives without its trailing retain: close it on the base
+        // it must consume. One reaching past that base can only fail — in
+        // the bridge's first transform, after it dropped the acknowledged
+        // prefix, or at execution, after it counted the op. Refuse it here,
+        // where the promise that a rejected message leaves the replica
+        // untouched is cheap to keep; past this check nothing below can
+        // fail.
+        msg.op
+            .close_to(self.base_for(msg.stamp.get(2)))
+            .map_err(ProtocolError::BadOperation)?;
         // Paper concurrency check (formula (5)) over the whole HB.
         let mut checked = Vec::with_capacity(self.hb.len());
         let mut concurrent_local = 0usize;

@@ -201,9 +201,26 @@ impl ComposingClient {
             });
         }
 
+        // Outstanding: concurrent iff the server had not integrated it;
+        // otherwise the server op's context already contains it (an
+        // implicit acknowledgement).
+        let concurrent = self
+            .outstanding
+            .as_ref()
+            .filter(|(seq, _)| msg.stamp.get(2) < *seq);
+        // The op arrives without its trailing retain: close it on the
+        // state it was made on — before the first local op it is
+        // concurrent with, else the replica's.
+        let base = match (concurrent, &self.buffer) {
+            (Some((_, out)), _) | (None, Some(out)) => out.base_len(),
+            (None, None) => self.doc_len(),
+        };
+        let mut incoming = msg.op;
+        incoming
+            .close_to(base)
+            .map_err(ProtocolError::BadOperation)?;
         // Transform and apply on locals; the replica changes only once
         // every step succeeded.
-        let mut incoming = msg.op;
         let mut transforms = 0;
         let mut rebase = |local: &SeqOp| {
             let (inc2, local2) =
@@ -212,12 +229,9 @@ impl ComposingClient {
             transforms += 1;
             Ok::<_, ProtocolError>(local2)
         };
-        // Outstanding: concurrent iff the server had not integrated it;
-        // otherwise the server op's context already contains it (an
-        // implicit acknowledgement).
-        let outstanding = match &self.outstanding {
-            Some((seq, out)) if msg.stamp.get(2) < *seq => Some((*seq, rebase(out)?)),
-            _ => None,
+        let outstanding = match concurrent {
+            Some((seq, out)) => Some((*seq, rebase(out)?)),
+            None => None,
         };
         // The compose buffer is never sent, hence always concurrent.
         let buffer = self.buffer.as_ref().map(&mut rebase).transpose()?;

@@ -29,6 +29,18 @@
 //! its op's post-state is [`WireError::HostileLength`], so no replica ever
 //! receives one.
 //!
+//! An op's final retain — the rest of the document — is not sent: the
+//! receiving door already knows the base the op must consume and closes
+//! it there ([`SeqOp::close_to`]), refusing an op that reaches past it.
+//! Only an op whose caret travels at an explicit position (cursor kind 1)
+//! keeps its tail, so the post-state bound on that caret is exact at
+//! decode. The decoder reads an op with or without its tail, and a
+//! decoded `ClientOp` or `ServerOp` is therefore *open* until its door
+//! closes it. A `ClientOp` in the log is open too (the log format is the
+//! wire format): replay closes it at the same door against the same state.
+//! A snapshot's ops are written whole (`put_op`), since a pending op's
+//! base is not known at restore.
+//!
 //! A lone message opens with its tag byte. A compound member opens with
 //! one head varint instead, its kind in the low two bits: a `ServerOp`
 //! (0) carries `T[1] delta << 3 | (T[2] delta ≠ 0) << 2` and the flagged
@@ -36,7 +48,7 @@
 //! origin; a `ServerAck` (2) is `acked << 2`; kind 3 is exactly the byte
 //! `3` before any other message's tagged encoding, or an op whose delta
 //! does not fit the head. A one-character broadcast inside a compound
-//! frame is 9 bytes: head 1, op 7, caret owner 1.
+//! frame is 7 bytes: head 1, op 5, caret owner 1.
 
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
@@ -603,10 +615,21 @@ fn folded(c: &Component) -> (u64, &[u8]) {
     }
 }
 
-/// Encoded size of `op` under cursor kind `kind`: the count varint and the
-/// components, not the caret's payload.
-fn seq_op_wire_len(op: &SeqOp, kind: u64) -> usize {
-    let comps = op.components();
+/// The components an op sends under cursor kind `kind`: all but a final
+/// retain, which the receiving door implies from the base it already
+/// knows ([`SeqOp::close_to`]). An op whose caret travels at an explicit
+/// position (kind 1) keeps it, so [`get_caret`] refuses a caret past the
+/// post-state exactly.
+fn sent(op: &SeqOp, kind: u64) -> &[Component] {
+    match op.components() {
+        [rest @ .., Component::Retain(_)] if kind != CURSOR_AT => rest,
+        comps => comps,
+    }
+}
+
+/// Encoded size of components `comps` under cursor kind `kind`: the count
+/// varint and the components, not the caret's payload.
+fn seq_op_wire_len(comps: &[Component], kind: u64) -> usize {
     varint_len(fold(comps.len(), kind))
         + comps
             .iter()
@@ -617,9 +640,9 @@ fn seq_op_wire_len(op: &SeqOp, kind: u64) -> usize {
             .sum::<usize>()
 }
 
-fn put_seq_op<B: BufMut>(buf: &mut B, op: &SeqOp, kind: u64) {
-    put_varint(buf, fold(op.components().len(), kind));
-    for c in op.components() {
+fn put_seq_op<B: BufMut>(buf: &mut B, comps: &[Component], kind: u64) {
+    put_varint(buf, fold(comps.len(), kind));
+    for c in comps {
         let (v, text) = folded(c);
         put_varint(buf, v);
         buf.put_slice(text);
@@ -636,9 +659,10 @@ fn get_seq_op<B: Buf>(buf: &mut B) -> Result<(SeqOp, u64), WireError> {
     if n > buf.remaining() as u64 {
         return Err(WireError::Truncated);
     }
-    // One reservation fits a single-site op (`retain·insert·delete·retain`);
-    // capping it there keeps a hostile count from driving the allocation.
-    let mut op = SeqOp::with_capacity((n as usize).min(4));
+    // One reservation fits a single-site op (`retain·insert·delete·retain`,
+    // the last retain sent or appended by the door that closes it); capping
+    // it there keeps a hostile count from driving the allocation.
+    let mut op = SeqOp::with_capacity(n.min(3) as usize + 1);
     for _ in 0..n {
         match unfold(get_varint(buf)?)? {
             (len, COMP_RETAIN) => op.retain(bounded_span(len)?),
@@ -652,12 +676,12 @@ fn get_seq_op<B: Buf>(buf: &mut B) -> Result<(SeqOp, u64), WireError> {
 /// Encoded size of a bare op, with no caret: how the log's snapshot
 /// record writes history entries and pending broadcasts.
 pub(crate) fn op_len(op: &SeqOp) -> usize {
-    seq_op_wire_len(op, CURSOR_NONE)
+    seq_op_wire_len(op.components(), CURSOR_NONE)
 }
 
 /// Write a bare op (see [`op_len`]).
 pub(crate) fn put_op<B: BufMut>(buf: &mut B, op: &SeqOp) {
-    put_seq_op(buf, op, CURSOR_NONE);
+    put_seq_op(buf, op.components(), CURSOR_NONE);
 }
 
 /// Read a bare op (see [`op_len`]); a count varint that names a caret is
@@ -708,7 +732,7 @@ fn get_caret<B: Buf>(buf: &mut B, op: &SeqOp, kind: u64) -> Result<Option<u64>, 
 /// computed once per broadcast, it prices all `N−1` destination frames.
 pub(crate) fn server_op_body_len(op: &SeqOp, cursor: &Option<(u32, u64)>) -> usize {
     let (kind, pos) = caret_kind(op, cursor.map(|(_, pos)| pos));
-    seq_op_wire_len(op, kind)
+    seq_op_wire_len(sent(op, kind), kind)
         + cursor.map_or(0, |(owner, _)| varint_len(u64::from(owner)))
         + pos.map_or(0, varint_len)
 }
@@ -717,7 +741,7 @@ pub(crate) fn server_op_body_len(op: &SeqOp, cursor: &Option<(u32, u64)>) -> usi
 /// cursor kind 1, its position.
 fn put_server_op_body<B: BufMut>(buf: &mut B, op: &SeqOp, cursor: &Option<(u32, u64)>) {
     let (kind, pos) = caret_kind(op, cursor.map(|(_, pos)| pos));
-    put_seq_op(buf, op, kind);
+    put_seq_op(buf, sent(op, kind), kind);
     if let Some((owner, _)) = *cursor {
         put_varint(buf, u64::from(owner));
     }
@@ -762,12 +786,12 @@ pub(crate) fn get_client_op<B: Buf>(buf: &mut B) -> Result<ClientOpMsg, WireErro
 /// origin and stamp (or a member's head and origin).
 fn client_op_body_len(m: &ClientOpMsg) -> usize {
     let (kind, pos) = caret_kind(&m.op, m.cursor);
-    seq_op_wire_len(&m.op, kind) + pos.map_or(0, varint_len)
+    seq_op_wire_len(sent(&m.op, kind), kind) + pos.map_or(0, varint_len)
 }
 
 fn put_client_op_body<B: BufMut>(buf: &mut B, m: &ClientOpMsg) {
     let (kind, pos) = caret_kind(&m.op, m.cursor);
-    put_seq_op(buf, &m.op, kind);
+    put_seq_op(buf, sent(&m.op, kind), kind);
     if let Some(pos) = pos {
         put_varint(buf, pos);
     }
@@ -1088,6 +1112,8 @@ mod tests {
         SeqOp::from_pos(&PosOp::insert(3, "hello"), 10)
     }
 
+    /// Encode, decode, and compare after closing a decoded op at its own
+    /// base, as its door would: the op's trailing retain is implied.
     fn round_trip(msg: &EditorMsg) {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
@@ -1097,8 +1123,14 @@ mod tests {
             "wire_bytes must match actual encoding for {msg:?}"
         );
         let mut slice = &buf[..];
-        let back = EditorMsg::decode(&mut slice).expect("decode");
+        let mut back = EditorMsg::decode(&mut slice).expect("decode");
         assert!(slice.is_empty(), "decode must consume all bytes");
+        match (&mut back, msg) {
+            (EditorMsg::ClientOp(b), EditorMsg::ClientOp(m)) => b.op.close_to(m.op.base_len()),
+            (EditorMsg::ServerOp(b), EditorMsg::ServerOp(m)) => b.op.close_to(m.op.base_len()),
+            _ => Ok(()),
+        }
+        .expect("the op fits its own base");
         assert_eq!(&back, msg);
     }
 

@@ -63,7 +63,7 @@ use cvc_core::site::SiteId;
 use cvc_core::state_vector::{CompressedStamp, NotifierStateVector};
 use cvc_core::vector::VectorClock;
 use cvc_ot::buffer::TextBuffer;
-use cvc_ot::seq::{SeqError, SeqOp};
+use cvc_ot::seq::SeqOp;
 use cvc_sim::wire::WireSize;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -148,8 +148,9 @@ pub enum PendingOp {
     /// Still the executed op of history entry `k` (a reader's queue is all
     /// of these): shared with the entry, not copied.
     History(u64),
-    /// Rewritten by a transform since it was broadcast.
-    Op(SeqOp),
+    /// Rewritten by a transform since it was broadcast: the bridge's own
+    /// op, shared.
+    Op(Arc<SeqOp>),
 }
 
 /// One history-buffer entry inside a notifier checkpoint. Its running
@@ -161,8 +162,8 @@ pub struct CheckpointEntry {
     pub origin: SiteId,
     /// Session width when the entry was buffered.
     pub width_at: u64,
-    /// The executed (transformed) form.
-    pub op: SeqOp,
+    /// The executed (transformed) form, shared with the history entry.
+    pub op: Arc<SeqOp>,
 }
 
 /// The central notifier process.
@@ -280,7 +281,7 @@ impl Notifier {
                     *s += 1;
                     *s
                 }),
-                op: Arc::new(e.op.clone()),
+                op: Arc::clone(&e.op),
                 vector: None,
             })
             .collect();
@@ -295,7 +296,7 @@ impl Notifier {
                         PendingOp::History(k) => hb
                             .get(*k as usize)
                             .map_or_else(|| Arc::new(SeqOp::new()), |e| Arc::clone(&e.op)),
-                        PendingOp::Op(op) => Arc::new(op.clone()),
+                        PendingOp::Op(op) => Arc::clone(op),
                     });
                     Bridge::resume(BridgeRole::Notifier, c.sent, c.received, pending.collect())
                 })
@@ -341,7 +342,7 @@ impl Notifier {
                     .rev()
                     .map(|op| match entries.next() {
                         Some((k, e)) if Arc::ptr_eq(op, &e.op) => PendingOp::History(k as u64),
-                        _ => PendingOp::Op((**op).clone()),
+                        _ => PendingOp::Op(Arc::clone(op)),
                     })
                     .collect();
                 pending.reverse();
@@ -365,7 +366,7 @@ impl Notifier {
             .map(|e| CheckpointEntry {
                 origin: e.origin,
                 width_at: e.width_at as u64,
-                op: (*e.op).clone(),
+                op: Arc::clone(&e.op),
             })
             .collect()
     }
@@ -518,6 +519,27 @@ impl Notifier {
             return Err(ProtocolError::DepartedSite { site });
         }
         Ok(site.client_index())
+    }
+
+    /// The document length an operation from client `xi` acknowledging
+    /// `acked` broadcasts consumes: the base of the first broadcast it had
+    /// not seen, or the current document ([`Bridge::peer_base_len`]).
+    fn base_for(&self, xi: usize, acked: u64) -> usize {
+        self.bridges[xi]
+            .peer_base_len(acked)
+            .unwrap_or_else(|| self.doc.len())
+    }
+
+    /// `msg` as [`Notifier::try_on_client_op_outcome`] would integrate it
+    /// now: its op closed on the base that door closes it on. An op the
+    /// door would refuse comes back as it arrived. How a driver records
+    /// the ops it integrates whole, though they arrive without their tail.
+    pub fn closed(&self, msg: &ClientOpMsg) -> ClientOpMsg {
+        let mut msg = msg.clone();
+        if let Ok(xi) = self.active_index(msg.origin) {
+            let _ = msg.op.close_to(self.base_for(xi, msg.stamp.get(1)));
+        }
+        msg
     }
 
     /// Whether `site` is currently a member.
@@ -862,7 +884,10 @@ impl Notifier {
         res
     }
 
-    fn integrate_client_op(&mut self, msg: ClientOpMsg) -> Result<NotifierOutcome, ProtocolError> {
+    fn integrate_client_op(
+        &mut self,
+        mut msg: ClientOpMsg,
+    ) -> Result<NotifierOutcome, ProtocolError> {
         let x = msg.origin;
         let xi = self.active_index(x)?;
         let expected = self.sv.received_from(x).expect("origin validated above") + 1;
@@ -881,20 +906,16 @@ impl Notifier {
                 acked: msg.stamp.get(1),
             });
         }
-        // A payload based on the wrong document length can only fail — in
-        // the bridge's first transform, or at execution after the bridge
-        // already counted it. Refuse it here, while the promise that a
-        // rejected input leaves the notifier untouched is still cheap to
-        // keep: recovery replays the log on the strength of that promise.
-        let base = self.bridges[xi]
-            .peer_base_len(msg.stamp.get(1))
-            .unwrap_or_else(|| self.doc.len());
-        if msg.op.base_len() != base {
-            return Err(ProtocolError::BadOperation(SeqError::BaseLengthMismatch {
-                expected: msg.op.base_len(),
-                got: base,
-            }));
-        }
+        // The op arrives without its trailing retain (from the wire or the
+        // log): close it on the base it must consume. One reaching past
+        // that base can only fail — in the bridge's first transform, or at
+        // execution after the bridge already counted it. Refuse it here,
+        // while the promise that a rejected input leaves the notifier
+        // untouched is still cheap to keep: recovery replays the log on the
+        // strength of that promise.
+        msg.op
+            .close_to(self.base_for(xi, msg.stamp.get(1)))
+            .map_err(ProtocolError::BadOperation)?;
 
         self.acked_by[xi] = self.acked_by[xi].max(msg.stamp.get(1));
 

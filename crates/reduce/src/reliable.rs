@@ -411,10 +411,14 @@ impl Star {
             k => {
                 // A scripted edit always applies locally; it goes on the
                 // wire only while connected — otherwise the re-sends after
-                // the hello cover it.
+                // the hello cover it. Traced sessions record the op as
+                // built.
                 let (site, edit) = (SiteId::from_client_index(i), &self.scripts[i][k as usize]);
-                let _ = self.world.perform(site, &edit.intent);
-                self.send_up(ctx, i, true);
+                let sent = self.world.perform(site, &edit.intent);
+                if let (Some(tr), Ok(Some(op))) = (&mut self.trace, sent) {
+                    tr.clients[i].push(ClientEvent::Local(op));
+                }
+                self.send_up(ctx, i);
             }
         }
     }
@@ -427,18 +431,10 @@ impl Star {
 
     /// Put what client `i`'s replica queued up on its connection while it
     /// is connected; otherwise it is dropped, the re-sends after the hello
-    /// covering it. Traced sessions record each op an `edit` generated.
-    fn send_up(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, edit: bool) {
+    /// covering it.
+    fn send_up(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize) {
         let connected = self.connected(i);
         while let Some(p) = self.world.pop_up(SiteId::from_client_index(i)) {
-            if let (Some(tr), true) = (&mut self.trace, edit) {
-                let mut msgs = Vec::new();
-                let _ = decode_payload(p.chunks(), &mut msgs);
-                tr.clients[i].extend(msgs.into_iter().filter_map(|m| match m {
-                    EditorMsg::ClientOp(c) => Some(ClientEvent::Local(c)),
-                    _ => None,
-                }));
-            }
             if connected {
                 self.ends[i][1].queue(ctx, 0, WRITE_TAG + i as u64, p);
             }
@@ -494,7 +490,7 @@ impl Star {
             // or its frozen watermark would starve the GC; the world holds
             // it back while the hello's answer is still arriving.
             self.world.take_pending_ack(SiteId::from_client_index(i));
-            self.send_up(ctx, i, false);
+            self.send_up(ctx, i);
         }
     }
 
@@ -519,7 +515,13 @@ impl Star {
             // drop rather than crash.
             _ => return self.ends[i][1].m.protocol_errors += 1,
         };
-        let traced = self.trace.as_ref().map(|_| m.clone());
+        // Traced as integrated: closed on the base the replica's door
+        // closes it on.
+        let traced = self
+            .trace
+            .as_ref()
+            .and(self.world.client(site))
+            .map(|c| c.closed(&m));
         match self.world.take_op(site, m) {
             Ok(Some(out)) => {
                 if let (Some(tr), Some(msg)) = (&mut self.trace, traced) {
@@ -546,7 +548,12 @@ impl Star {
     /// refused here, before the hub hears it.
     fn integrate(&mut self, ctx: &mut Ctx<'_, Segment>, i: usize, msg: EditorMsg) {
         let site = SiteId::from_client_index(i);
-        let traced = self.trace.is_some().then(|| msg.clone());
+        // Traced as integrated: an op closed on the base the notifier's
+        // door closes it on.
+        let traced = self.trace.is_some().then(|| match &msg {
+            EditorMsg::ClientOp(op) => EditorMsg::ClientOp(self.world.notifier().closed(op)),
+            m => m.clone(),
+        });
         // Write-ahead ordering lives in the core: by the time an outcome
         // comes back its record is durable and mirrored to the warm
         // standby, so nothing below can broadcast an unlogged op.
@@ -1555,7 +1562,7 @@ mod tests {
         star.world
             .edit(SiteId(2), |c| Ok(c.insert(0, "Z")))
             .expect("a member");
-        sim.with_node_ctx(2, |_, ctx| star.send_up(ctx, 1, false));
+        sim.with_node_ctx(2, |_, ctx| star.send_up(ctx, 1));
         run(&mut sim, &mut star);
         assert!(star.failover.is_some(), "the op crashed the primary");
         assert!(star.rebound_at.iter().all(Option::is_some), "all re-dialed");

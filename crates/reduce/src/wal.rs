@@ -68,6 +68,7 @@ use cvc_sim::wire::{
     get_bounded_len, get_string, get_u32, get_varint, put_string, put_varint, string_len,
     varint_len, WireDecode, WireEncode, WireError, WireSize,
 };
+use std::sync::Arc;
 
 /// Record tag for [`WalRecord::Snapshot`]. Op and ack records reuse the
 /// editor codec's own tags (`TAG_CLIENT_OP`, `TAG_CLIENT_ACK`), so an op
@@ -319,7 +320,7 @@ fn get_snapshot<B: Buf>(buf: &mut B) -> Result<WalSnapshot, WireError> {
         history.push(CheckpointEntry {
             origin: SiteId(site),
             width_at: get_varint(buf)?,
-            op: get_op(buf)?,
+            op: Arc::new(get_op(buf)?),
         });
     }
     let mut clients = Vec::with_capacity(n);
@@ -343,7 +344,7 @@ fn get_snapshot<B: Buf>(buf: &mut B) -> Result<WalSnapshot, WireError> {
         let mut pending = Vec::with_capacity(len);
         for _ in 0..len {
             pending.push(match get_varint(buf)? {
-                0 => PendingOp::Op(get_op(buf)?),
+                0 => PendingOp::Op(Arc::new(get_op(buf)?)),
                 k => PendingOp::History(bound(k, h as u64)? - 1),
             });
         }
@@ -668,6 +669,17 @@ mod tests {
         })
     }
 
+    /// `back`, decoded from `sent`'s bytes, with its op closed at the base
+    /// of `sent`'s, as replay's door closes it: the log leaves an op's
+    /// trailing retain implied.
+    fn closed_like(mut back: WalRecord, sent: &WalRecord) -> WalRecord {
+        if let (WalRecord::Op(b), WalRecord::Op(s)) = (&mut back, sent) {
+            b.op.close_to(s.op.base_len())
+                .expect("the op fits its own base");
+        }
+        back
+    }
+
     fn ack_record(origin: u32, received: u64) -> WalRecord {
         WalRecord::Ack(ClientAckMsg {
             origin: SiteId(origin),
@@ -688,7 +700,7 @@ mod tests {
                     join_offset: 0,
                     active: true,
                     watermark: 0,
-                    pending: vec![PendingOp::Op(SeqOp::identity(4))],
+                    pending: vec![PendingOp::Op(SeqOp::identity(4).into())],
                 },
                 CheckpointCursor {
                     sent: 2,
@@ -703,7 +715,7 @@ mod tests {
             history: vec![CheckpointEntry {
                 origin: SiteId(1),
                 width_at: 2,
-                op: SeqOp::from_pos(&PosOp::insert(0, "A"), 4),
+                op: SeqOp::from_pos(&PosOp::insert(0, "A"), 4).into(),
             }],
         }
     }
@@ -722,7 +734,7 @@ mod tests {
             let mut slice = &buf[..];
             let back = WalRecord::decode(&mut slice).expect("decode");
             assert!(slice.is_empty(), "decode must consume exactly");
-            assert_eq!(back, rec);
+            assert_eq!(closed_like(back, &rec), rec);
         }
     }
 
@@ -754,7 +766,13 @@ mod tests {
         }
         assert_eq!(wal.appends(), 3);
         let rec = Wal::recover(wal.bytes()).expect("recover");
-        assert_eq!(rec.tail, recs);
+        let tail: Vec<WalRecord> = rec
+            .tail
+            .into_iter()
+            .zip(&recs)
+            .map(|(b, s)| closed_like(b, s))
+            .collect();
+        assert_eq!(tail, recs);
         assert_eq!(rec.records, 3);
         assert_eq!(rec.torn_bytes, 0);
         assert!(rec.snapshot.is_none());

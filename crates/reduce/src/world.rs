@@ -108,11 +108,14 @@ struct Seat {
 }
 
 impl Seat {
-    /// Queue an op the replica generated; its stamp.
-    fn send_op(&mut self, op: ClientOpMsg) -> CompressedStamp {
-        let stamp = op.stamp;
-        self.up.push_back(Payload::encode(&EditorMsg::ClientOp(op)));
-        stamp
+    /// Queue an op the replica generated; the op, as built.
+    fn send_op(&mut self, op: ClientOpMsg) -> ClientOpMsg {
+        let msg = EditorMsg::ClientOp(op);
+        self.up.push_back(Payload::encode(&msg));
+        let EditorMsg::ClientOp(op) = msg else {
+            unreachable!("wrapped above")
+        };
+        op
     }
 
     /// The replica, when it streams.
@@ -319,16 +322,16 @@ impl StarWorld {
             return Err(ProtocolError::UnknownSite { site, n_clients });
         };
         let op = user(client)?;
-        Ok(seat.send_op(op))
+        Ok(seat.send_op(op).stamp)
     }
 
     /// `site`'s user performs `intent` on its replica, of either kind;
-    /// the stamp of the op it sends, queued up, if it sends one.
+    /// the op it sends, as built and queued up, if it sends one.
     pub fn perform(
         &mut self,
         site: SiteId,
         intent: &EditIntent,
-    ) -> Result<Option<CompressedStamp>, ProtocolError> {
+    ) -> Result<Option<ClientOpMsg>, ProtocolError> {
         let seat = self.seat(site)?;
         let sent = match &mut seat.replica {
             Replica::Streaming(c) => intent.apply_to(c),

@@ -163,6 +163,12 @@ fn a_wal_op_record_encodes_and_sizes_without_allocating() {
     let ((), t) = tally(|| record.encode(&mut buf));
     assert_eq!(t, Tally::default(), "encoding into a warm buffer: {t:?}");
     assert_eq!(buf.len(), len);
+    // The record leaves the op's trailing retain implied; replay's door
+    // closes it on the base it consumes (here its own).
     let mut slice: &[u8] = &buf;
-    assert_eq!(WalRecord::decode(&mut slice), Ok(record));
+    let mut back = WalRecord::decode(&mut slice);
+    if let (Ok(WalRecord::Op(b)), WalRecord::Op(m)) = (&mut back, &record) {
+        b.op.close_to(m.op.base_len()).expect("fits its own base");
+    }
+    assert_eq!(back, Ok(record));
 }

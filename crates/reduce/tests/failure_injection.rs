@@ -21,11 +21,13 @@
 //!    crash) are dropped and counted by the promoted notifier, never
 //!    integrated; only a re-dialed connection's hello binds a channel.
 
+use cvc_ot::seq::Component;
 use cvc_reduce::frame::FrameReader;
-use cvc_reduce::reliable::{CrashPoint, NotifierCrash};
+use cvc_reduce::reliable::{run_robust_session_traced, CrashPoint, NotifierCrash};
 use cvc_reduce::session::{run_session, Deployment, FailoverReport, SessionConfig};
-use cvc_reduce::wal::{Wal, WalRecord, WalSnapshot};
-use cvc_sim::fault::FaultPlan;
+use cvc_reduce::standby::Standby;
+use cvc_reduce::wal::{Wal, WalRecord, WalSnapshot, DEFAULT_COMPACT_EVERY};
+use cvc_sim::fault::{FaultPlan, FlapSpec};
 use cvc_sim::wire::WireDecode;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -132,6 +134,77 @@ fn failover_under_compound_faults_converges() {
     let r = run_session(&cfg);
     assert!(r.converged, "{:?}", r.final_docs);
     assert_recovered(r.failover.as_ref().expect("crash fired"), 4, "compound");
+}
+
+/// A session over connections restores from a snapshot. A durable star
+/// whose connections stall and reset runs past three cadences of ops, so
+/// its log was cut more than once: each cut replaces the whole log, and a
+/// cut follows at least [`DEFAULT_COMPACT_EVERY`] op records, so a
+/// snapshot covering two cadences was cut at least twice. The image is
+/// that snapshot and the op records since, each open (no trailing retain)
+/// and closing to the op the notifier integrated; cold recovery rebuilds
+/// the live document.
+#[test]
+fn a_session_over_connections_restores_from_a_snapshot() {
+    let n = 4;
+    let mut cfg = SessionConfig::small(Deployment::StarCvc, n, 0x5AB5);
+    cfg.standby = true;
+    cfg.workload.ops_per_site = 3 * DEFAULT_COMPACT_EVERY as usize / n + 16;
+    cfg.fault_plan = Some(FaultPlan {
+        corrupt: 0.01,
+        delay_spike: 0.03,
+        spike_us: 120_000,
+        flap: Some(FlapSpec {
+            period_us: 900_000,
+            down_us: 150_000,
+            offset_us: 300_000,
+        }),
+        ..FaultPlan::NONE
+    });
+    let (report, trace) = run_robust_session_traced(&cfg);
+    assert!(report.converged, "{:?}", report.final_docs);
+    assert!(report.fault_stats.delay_spiked > 0, "the plan must stall");
+    assert!(report.total_metrics().resets > 0, "the plan must reset");
+    assert!(trace.notifier.len() as u64 > 3 * DEFAULT_COMPACT_EVERY);
+
+    let rec = Wal::recover(&trace.wal_image).expect("an intact log");
+    let snapshot = rec.snapshot.as_ref().expect("the log was cut");
+    let covered: u64 = snapshot.clients.iter().map(|c| c.received).sum();
+    assert!(
+        covered >= 2 * DEFAULT_COMPACT_EVERY,
+        "cut at least twice: the snapshot covers {covered} ops"
+    );
+    let ops: Vec<_> = rec
+        .tail
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Op(m) => Some(m),
+            _ => None,
+        })
+        .collect();
+    assert!(!ops.is_empty(), "op records follow the snapshot");
+    assert_eq!(covered + ops.len() as u64, trace.notifier.len() as u64);
+    let since = &trace.notifier[covered as usize..];
+    for (logged, step) in ops.into_iter().zip(since) {
+        let tail = logged.op.components().last();
+        assert!(
+            !matches!(tail, Some(Component::Retain(_))),
+            "open: {logged:?}"
+        );
+        let mut closed = logged.clone();
+        closed
+            .op
+            .close_to(step.msg.op.base_len())
+            .expect("fits its base");
+        assert_eq!(closed, step.msg);
+    }
+    let cold = Standby::from_log(&trace.wal_image, n, &cfg.initial_doc).expect("a scan");
+    assert!(cold.poisoned().is_none(), "{:?}", cold.poisoned());
+    assert_eq!(
+        cold.notifier().doc(),
+        report.final_docs[0],
+        "the live notifier's"
+    );
 }
 
 /// Build a realistic log image: a durable core with a two-op cadence

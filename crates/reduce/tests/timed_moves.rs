@@ -65,8 +65,8 @@ fn replay(cfg: &SessionConfig, moves: &[Move]) -> (Vec<String>, usize) {
                 let k = &mut next_edit[site.client_index()];
                 let intent = &scripts[site.client_index()][*k].intent;
                 *k += 1;
-                if let Some(stamp) = world.perform(site, intent).expect("a member") {
-                    audit.generate((site, stamp.get(2)));
+                if let Some(op) = world.perform(site, intent).expect("a member") {
+                    audit.generate((site, op.stamp.get(2)));
                 }
                 Vec::new()
             }

@@ -406,7 +406,7 @@ fn snapshot_strategy() -> impl Strategy<Value = WalRecord> {
                 .map(|(site, width_at, op)| CheckpointEntry {
                     origin: SiteId::from_client_index(site as usize % n),
                     width_at,
-                    op,
+                    op: op.into(),
                 })
                 .collect();
             let clients = clients
@@ -424,7 +424,7 @@ fn snapshot_strategy() -> impl Strategy<Value = WalRecord> {
                             if shared && h > 0 {
                                 PendingOp::History(k % h)
                             } else {
-                                PendingOp::Op(op)
+                                PendingOp::Op(op.into())
                             }
                         })
                         .collect();
@@ -544,10 +544,64 @@ fn queued(m: &EditorMsg, cut: usize, split: bool) -> Payload {
     }
 }
 
+/// A decoded message as its receiving doors integrate it: each op closed
+/// at the base of the op `sent` carried, since the codec leaves an op's
+/// trailing retain implied. Round trips compare in this form.
+trait ClosedLike: Sized {
+    fn closed_like(self, sent: &Self) -> Self;
+}
+
+impl ClosedLike for EditorMsg {
+    fn closed_like(self, sent: &Self) -> Self {
+        match (self, sent) {
+            (EditorMsg::ClientOp(mut m), EditorMsg::ClientOp(s)) => {
+                let _ = m.op.close_to(s.op.base_len());
+                EditorMsg::ClientOp(m)
+            }
+            (EditorMsg::ServerOp(mut m), EditorMsg::ServerOp(s)) => {
+                let _ = m.op.close_to(s.op.base_len());
+                EditorMsg::ServerOp(m)
+            }
+            (EditorMsg::Compound(ms), EditorMsg::Compound(ss)) if ms.len() == ss.len() => {
+                EditorMsg::Compound(
+                    ms.into_iter()
+                        .zip(ss)
+                        .map(|(m, s)| m.closed_like(s))
+                        .collect(),
+                )
+            }
+            (m, _) => m,
+        }
+    }
+}
+
+impl ClosedLike for WalRecord {
+    fn closed_like(self, sent: &Self) -> Self {
+        match (self, sent) {
+            (WalRecord::Op(mut m), WalRecord::Op(s)) => {
+                let _ = m.op.close_to(s.op.base_len());
+                WalRecord::Op(m)
+            }
+            (r, _) => r,
+        }
+    }
+}
+
+/// `msgs`, decoded from `sent`'s encodings, closed like them.
+fn closed_like(msgs: Vec<EditorMsg>, sent: &[EditorMsg]) -> Vec<EditorMsg> {
+    if msgs.len() != sent.len() {
+        return msgs;
+    }
+    msgs.into_iter()
+        .zip(sent)
+        .map(|(m, s)| m.closed_like(s))
+        .collect()
+}
+
 /// Run the full hostile-input battery against one message's encoding.
 fn battery<M>(msg: &M, flips: &[usize])
 where
-    M: WireSize + WireEncode + WireDecode + PartialEq + std::fmt::Debug,
+    M: WireSize + WireEncode + WireDecode + ClosedLike + PartialEq + std::fmt::Debug,
 {
     let mut bytes = Vec::with_capacity(msg.wire_bytes());
     msg.encode(&mut bytes);
@@ -555,14 +609,20 @@ where
 
     // Round trip, consuming exactly the frame.
     let mut buf: &[u8] = &bytes;
-    assert_eq!(M::decode(&mut buf).as_ref(), Ok(msg));
+    assert_eq!(
+        M::decode(&mut buf).map(|m| m.closed_like(msg)).as_ref(),
+        Ok(msg)
+    );
     assert!(buf.is_empty(), "decode left {} unread bytes", buf.len());
 
     // No over-read past the frame: trailing junk stays in the buffer.
     let mut overlong = bytes.clone();
     overlong.put_slice(&[0xde, 0xad, 0xbe, 0xef]);
     let mut buf: &[u8] = &overlong;
-    assert_eq!(M::decode(&mut buf).as_ref(), Ok(msg));
+    assert_eq!(
+        M::decode(&mut buf).map(|m| m.closed_like(msg)).as_ref(),
+        Ok(msg)
+    );
     assert_eq!(buf, &[0xde, 0xad, 0xbe, 0xef]);
 
     // Every strict prefix is an error — never a panic, never a bogus Ok.
@@ -819,9 +879,10 @@ proptest! {
 
         let mut out = Vec::new();
         prop_assert_eq!(decode_payload([&built, &[]], &mut out), Ok(()));
-        prop_assert_eq!(&out, &msgs);
+        prop_assert_eq!(&closed_like(out, &msgs), &msgs);
         let mut slice: &[u8] = &built;
-        prop_assert_eq!(EditorMsg::decode(&mut slice), Ok(compound.clone()));
+        let back = EditorMsg::decode(&mut slice).map(|m| m.closed_like(&compound));
+        prop_assert_eq!(back, Ok(compound.clone()));
         prop_assert!(slice.is_empty());
         battery(&compound, &flips);
     }
@@ -890,11 +951,14 @@ fn compound_caret_tag_2_needs_a_single_edit_site() {
             cursor: Some((7, pos)),
         })
     };
+    // A caret elsewhere travels at its position, and its op keeps the
+    // trailing retain (`fold(2, 0)`, one byte) the edit-end form leaves
+    // implied.
     let (at_end, elsewhere) = (at(4), at(3));
     assert_eq!(
         elsewhere.wire_bytes(),
-        at_end.wire_bytes() + 1,
-        "the position"
+        at_end.wire_bytes() + 2,
+        "the position and the tail"
     );
 }
 
@@ -1097,14 +1161,17 @@ proptest! {
                 prop_assert_eq!(EditorMsg::decode(&mut &bytes[..]), Ok(msg.clone()));
                 let mut again = Vec::new();
                 msg.encode(&mut again);
-                prop_assert_eq!(EditorMsg::decode(&mut &again[..]), Ok(msg.clone()));
+                let back = EditorMsg::decode(&mut &again[..]).map(|m| m.closed_like(&msg));
+                prop_assert_eq!(back, Ok(msg.clone()));
                 prop_assert!(again.len() <= bytes.len(), "a caret at the edit end drops its position");
                 let bare = EditorMsg::ServerOp(ServerOpMsg {
                     stamp: CompressedStamp::new(1, 0),
                     op,
                     cursor: None,
                 });
-                prop_assert_eq!(bare.wire_bytes(), 4 + width + text);
+                // A lone retain is the op's implied tail: it is not sent.
+                let sent = if comp_kind == 0 { 0 } else { width + text };
+                prop_assert_eq!(bare.wire_bytes(), 4 + sent);
             }
             Err(e) => prop_assert_eq!(must_reject(&bytes), e),
         }
@@ -1265,13 +1332,13 @@ proptest! {
     }
 }
 
-/// A reader's one-character broadcast inside a compound is 9 bytes: the
-/// head `0x08` (a `T[1]` delta of 1, no `T[2]` delta), the op's 7 bytes
-/// (count, retain, insert and its byte, retain) and the caret's owner. A
-/// writer's broadcast that acknowledges one of its own ops flags its
-/// `T[2]` delta of 1: 10 bytes.
+/// A reader's one-character broadcast inside a compound is 7 bytes: the
+/// head `0x08` (a `T[1]` delta of 1, no `T[2]` delta), the op's 5 bytes
+/// (count, retain, insert and its byte; the trailing retain is implied)
+/// and the caret's owner. A writer's broadcast that acknowledges one of
+/// its own ops flags its `T[2]` delta of 1: 8 bytes.
 #[test]
-fn a_readers_broadcast_is_nine_bytes_in_a_compound() {
+fn a_readers_broadcast_is_seven_bytes_in_a_compound() {
     let op = SeqOp::from_pos(&cvc_ot::pos::PosOp::insert(500, "x"), 1000);
     let frame = ServerOpFrame::new(&op, &Some((3, 501)));
     for (t2_step, head) in [(0, vec![0x08]), (1, vec![0x0c, 1])] {
@@ -1281,12 +1348,12 @@ fn a_readers_broadcast_is_nine_bytes_in_a_compound() {
         write_compound([first.clone()].iter(), &mut one);
         write_compound([first, next.clone()].iter(), &mut two);
         let member = &two[one.len()..];
-        assert_eq!(member.len(), 9 + t2_step as usize, "{member:?}");
+        assert_eq!(member.len(), 7 + t2_step as usize, "{member:?}");
         assert_eq!(&member[..head.len()], &head[..]);
         // The rest is the shared body, as the lone frame carries it after
         // its tag and stamp.
         let lone = next.to_vec();
         assert_eq!(&member[head.len()..], &lone[3..]);
-        assert_eq!(lone.len() - 3, 8, "op 7, caret owner 1");
+        assert_eq!(lone.len() - 3, 6, "op 5, caret owner 1");
     }
 }
