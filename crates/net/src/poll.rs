@@ -3,13 +3,16 @@
 //!
 //! The vendored-deps constraint leaves no `libc`/`mio` crate to lean on,
 //! and none is needed: four syscalls (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`) cover the whole readiness model. Everything
+//! `epoll_wait`, `eventfd`) cover the whole readiness model, and a fifth,
+//! `epoll_pwait2`, takes a timeout finer than a millisecond. Everything
 //! here is level-triggered — a worker that cannot drain a socket in one
 //! pass simply hears about it again — which keeps the connection state
 //! machine re-entrant and simple.
 
 use std::io;
 use std::os::fd::RawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
@@ -24,6 +27,22 @@ const EPOLLRDHUP: u32 = 0x2000;
 
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
+
+/// `epoll_pwait2`'s number: one table for every architecture since the
+/// syscall numbers were unified (Linux 5.1); the call itself is 5.11+.
+const SYS_EPOLL_PWAIT2: i64 = 441;
+const ENOSYS: i32 = 38;
+const EPERM: i32 = 1;
+
+/// Events one wait returns at most.
+const WAIT_CAP: usize = 256;
+
+/// The kernel's `struct __kernel_timespec`: 64-bit fields everywhere.
+#[repr(C)]
+struct KernelTimespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
 
 /// The kernel ABI for `struct epoll_event`: packed on x86-64, natural
 /// alignment everywhere else (glibc's `__EPOLL_PACKED`).
@@ -40,6 +59,7 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut RawEpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut RawEpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn syscall(num: i64, ...) -> i64;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
@@ -96,6 +116,9 @@ pub struct PollEvent {
 #[derive(Debug)]
 pub struct Poller {
     epfd: RawFd,
+    /// `epoll_pwait2` failed as absent or forbidden: sub-millisecond
+    /// timeouts round up to whole milliseconds from then on.
+    no_pwait2: AtomicBool,
 }
 
 impl Poller {
@@ -106,7 +129,10 @@ impl Poller {
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Poller { epfd })
+        Ok(Poller {
+            epfd,
+            no_pwait2: AtomicBool::new(false),
+        })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
@@ -149,11 +175,60 @@ impl Poller {
     /// EINTR is retried with the same timeout; spurious wakeups are the
     /// caller's to tolerate (level-triggering makes them harmless).
     pub fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
-        const CAP: usize = 256;
-        let mut raw = [RawEpollEvent { events: 0, data: 0 }; CAP];
+        self.wait_raw(out, |raw| {
+            // SAFETY: `raw` is a valid buffer of WAIT_CAP events.
+            unsafe { epoll_wait(self.epfd, raw, WAIT_CAP as i32, timeout_ms) }
+        })
+    }
+
+    /// [`Poller::wait`] for at most `timeout`, to the kernel timer's
+    /// precision rather than rounded up to a whole millisecond: through
+    /// `epoll_pwait2` where the kernel offers it (Linux 5.11+), else
+    /// `epoll_wait` with the timeout rounded up.
+    pub fn wait_for(&self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
+        if !self.no_pwait2.load(Ordering::Relaxed) {
+            let ts = KernelTimespec {
+                tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+                tv_nsec: i64::from(timeout.subsec_nanos()),
+            };
+            let res = self.wait_raw(out, |raw| {
+                // SAFETY: `raw` is a valid buffer of WAIT_CAP events, `ts`
+                // outlives the call, and a null sigmask leaves the signal
+                // mask alone, as `epoll_wait` does.
+                let rc = unsafe {
+                    syscall(
+                        SYS_EPOLL_PWAIT2,
+                        i64::from(self.epfd),
+                        raw,
+                        WAIT_CAP as i64,
+                        &ts as *const KernelTimespec,
+                        std::ptr::null::<u8>(),
+                        0i64,
+                    )
+                };
+                rc as i32
+            });
+            match res {
+                Err(e) if matches!(e.raw_os_error(), Some(ENOSYS | EPERM)) => {
+                    self.no_pwait2.store(true, Ordering::Relaxed);
+                }
+                res => return res,
+            }
+        }
+        let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        self.wait(out, ms)
+    }
+
+    /// Run one wait syscall over a fresh event buffer, retrying EINTR, and
+    /// append what it returned.
+    fn wait_raw(
+        &self,
+        out: &mut Vec<PollEvent>,
+        call: impl Fn(*mut RawEpollEvent) -> i32,
+    ) -> io::Result<()> {
+        let mut raw = [RawEpollEvent { events: 0, data: 0 }; WAIT_CAP];
         let n = loop {
-            // SAFETY: `raw` is a valid buffer of CAP events.
-            let rc = unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), CAP as i32, timeout_ms) };
+            let rc = call(raw.as_mut_ptr());
             if rc >= 0 {
                 break rc as usize;
             }
@@ -262,6 +337,24 @@ mod tests {
         evs.clear();
         poller.wait(&mut evs, 0).unwrap();
         assert!(evs.is_empty(), "drained waker is quiet");
+    }
+
+    #[test]
+    fn wait_for_keeps_a_sub_millisecond_timeout() {
+        let poller = Poller::new().unwrap();
+        let timeout = Duration::from_micros(200);
+        let mut shortest = Duration::MAX;
+        let mut evs = Vec::new();
+        for _ in 0..20 {
+            let t = std::time::Instant::now();
+            poller.wait_for(&mut evs, timeout).unwrap();
+            shortest = shortest.min(t.elapsed());
+        }
+        assert!(evs.is_empty() && shortest >= timeout, "{shortest:?}");
+        // Rounded up to a whole millisecond only without `epoll_pwait2`.
+        if !poller.no_pwait2.load(Ordering::Relaxed) {
+            assert!(shortest < Duration::from_millis(1), "{shortest:?}");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!                      │                      ▲
 //!                      ▼                      │ one outbox append + one eventfd
 //!            core thread: Hub/NotifierCore ───┘ wake per drained batch
-//!            (validate → log → compact,         per-destination payloads, held
-//!             ≤ CORE_BATCH messages a batch)    while reads keep arriving, then
+//!            (validate → log → compact,         per-destination payloads; an
+//!             ≤ CORE_BATCH messages a batch)    answer goes at once, a broadcast
+//!                                               waits ≤ BROADCAST_HOLD for company,
 //!                                               coalesced into compound frames
 //! ```
 //!
@@ -19,10 +20,15 @@
 //! worker reads before it writes: while a pass read input, held output
 //! waits (the next poll does not block) until either a pass reads nothing
 //! or [`CORE_BATCH`] messages went to the core since output was last
-//! written or empty. Broadcasts that arrive while input is still flowing
-//! then share one compound frame. An idle server writes on its first
-//! quiet poll.
-//!
+//! written or empty. A write round then writes a connection only when its
+//! output is due: the peer waits on some of it (the core marks an op's
+//! `ServerAck` to its origin and a hello's catch-up *awaited*), it fills a
+//! compound frame, its oldest payload has waited [`BROADCAST_HOLD`], or a
+//! close is queued for it. Awaited connections go first. Everything else
+//! stays held, and the worker's poll blocks no later than the oldest held
+//! output falls due, so broadcasts that arrive within the hold share one
+//! compound frame even on a quiet server.
+
 //! The I/O tier never touches editor state and the core never touches a
 //! socket: workers own reads, reassembly, decode, and writes; the single
 //! core thread drives the same [`NotifierCore`] the simulator node does
@@ -56,7 +62,8 @@
 //! recycled, and the core learns of a close asynchronously — so a write
 //! command it queued for a dead connection can still be in flight, or
 //! held by the worker, when a new stream adopts the same slot. Held output
-//! remembers its generation ([`OutBatch`]): a close drops it, and the
+//! remembers its generation ([`OutBatch`]): a close the worker makes
+//! drops it (a close the core queued writes it first), and the
 //! generation check at write time makes a late command die instead of
 //! reaching the unrelated new connection.
 
@@ -67,11 +74,11 @@ use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::core::NotifierCore;
 use cvc_reduce::hub::{Hub, Step};
 use cvc_reduce::msg::{
-    decode_payload, frame_groups, ClientOpMsg, EditorMsg, Payload, ServerAckMsg,
+    decode_payload, frame_groups, ClientOpMsg, EditorMsg, Payload, ServerAckMsg, COMPOUND_MAX,
 };
 use cvc_reduce::notifier::Notifier;
 use cvc_reduce::recorder::{EventKind, FlightEvent, NO_SITE};
-use cvc_reduce::registry::MetricsRegistry;
+use cvc_reduce::registry::{Histogram, MetricsRegistry};
 use cvc_reduce::trace::dump_event_line;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use std::io;
@@ -133,6 +140,18 @@ impl Default for ServerConfig {
 /// constant, so held output waits for at most about one core batch.
 const CORE_BATCH: usize = 512;
 
+/// How long a write round may hold a connection's output that its peer
+/// is not waiting on (a broadcast, not an answer to the peer's own
+/// input), so later broadcasts can share its frame: far below the tens
+/// of milliseconds in which a person notices a remote edit. Output its
+/// peer waits on, a full compound and a connection about to close are
+/// written at once.
+const BROADCAST_HOLD: Duration = Duration::from_millis(1);
+
+/// The longest a worker's poll blocks when nothing it holds has a
+/// deadline: how soon an idle worker sees the stop flag.
+const IDLE_POLL: Duration = Duration::from_millis(500);
+
 /// Notifier flight-recorder ring capacity when `trace_rings` is on. Sized
 /// for a full 512-message core batch at burst-level transform fan-out; the
 /// per-batch drain empties it between batches, so this bounds single-batch
@@ -161,6 +180,9 @@ pub(crate) struct IoStats {
     pub(crate) core_handoffs: AtomicU64,
     /// Worker write rounds: drains of held output that queued a frame.
     pub(crate) write_rounds: AtomicU64,
+    /// Connections a write round left holding output that was not due
+    /// yet, summed over rounds.
+    pub(crate) deferred: AtomicU64,
     /// Abnormal I/O-tier thread exits (a wedged accept loop or a worker
     /// whose poller died). Nonzero means the server is silently degraded.
     pub(crate) io_errors: AtomicU64,
@@ -210,6 +232,9 @@ pub struct ServerReport {
     pub core_handoffs: u64,
     /// Worker write rounds: drains of held output that queued a frame.
     pub write_rounds: u64,
+    /// Connections a write round left holding output that was not due
+    /// yet, summed over rounds.
+    pub deferred: u64,
     /// Rebinds shed because the broadcasts they asked for were already
     /// collected from the history buffer (a hello claiming a frontier
     /// below the site's own earlier ack).
@@ -243,8 +268,14 @@ fn conn_parts(id: u64) -> (usize, u32) {
 /// generation-tagged id ([`conn_id`]); the worker drops commands whose
 /// generation no longer matches the slot's occupant.
 enum OutCmd {
-    /// Queue one editor-message payload for a connection.
-    Frame { conn: u64, payload: Payload },
+    /// Queue one editor-message payload for a connection; `awaited` when
+    /// it answers that connection's own input (an op's `ServerAck`, a
+    /// hello's catch-up), which its peer is waiting on.
+    Frame {
+        conn: u64,
+        payload: Payload,
+        awaited: bool,
+    },
     /// Flush-and-close a connection (eviction or quarantine).
     Close { conn: u64 },
 }
@@ -278,18 +309,19 @@ impl CoreMsg {
 }
 
 /// A worker's held output, grouped per connection: bookkeeping only, no
-/// sockets. Output waits here while the worker's reads keep arriving, so
-/// a slot can close — and its generation move on — with output for it
-/// still held, and a command the core queued before it learned of the
-/// close can arrive after. Each slot's buffer therefore remembers the
-/// generation it holds for: [`OutBatch::forget`] drops it at close, a
-/// push for a newer generation supersedes it, and [`OutBatch::drain`]
-/// checks it against the live generation at write time. Buffers are
-/// slot-indexed and keep their capacity across drains.
+/// sockets. A write round writes a connection only when its output is
+/// due ([`OutBatch::drain`]), so a slot can close — and its generation
+/// move on — with output for it still held, and a command the core queued
+/// before it learned of the close can arrive after. Each slot's buffer
+/// therefore remembers the generation it holds for: [`OutBatch::forget`]
+/// drops it at close, a push for a newer generation supersedes it, and
+/// [`OutBatch::drain`] checks it against the live generation at write
+/// time. Buffers are slot-indexed and keep their capacity across drains.
 #[derive(Default)]
 struct OutBatch {
     slots: Vec<Held>,
-    /// Slots with held payloads, in first-seen order.
+    /// Slots with held payloads, in first-seen order — and so in order of
+    /// [`Held::since`], since a slot joins only when it starts holding.
     order: Vec<usize>,
     /// Close commands (generation-tagged ids), in arrival order.
     closes: Vec<u64>,
@@ -297,25 +329,45 @@ struct OutBatch {
     len: usize,
 }
 
-#[derive(Default)]
 struct Held {
     gen: u32,
     payloads: Vec<Payload>,
+    /// When the slot started holding: its oldest payload's push.
+    since: Instant,
+    /// Some payload answers the peer's own input.
+    awaited: bool,
+}
+
+impl Default for Held {
+    fn default() -> Self {
+        Held {
+            gen: 0,
+            payloads: Vec::new(),
+            since: Instant::now(),
+            awaited: false,
+        }
+    }
 }
 
 /// One step of [`OutBatch::drain`].
 enum Flush<'a> {
-    /// Every payload held for a live connection, in push order.
-    Frames(usize, &'a [Payload]),
-    /// Close a live connection; closes come after every connection's
-    /// frames.
+    /// Every payload held for a live connection, in push order, and how
+    /// long the oldest waited.
+    Frames(usize, &'a [Payload], Duration),
+    /// Close a live connection; closes come after every due
+    /// connection's frames.
     Close(usize),
 }
 
 impl OutBatch {
-    fn push(&mut self, cmd: OutCmd) {
-        let (conn, payload) = match cmd {
-            OutCmd::Frame { conn, payload } => (conn, payload),
+    /// Hold `cmd`, which the worker took from its outbox at `now`.
+    fn push(&mut self, cmd: OutCmd, now: Instant) {
+        let (conn, payload, awaited) = match cmd {
+            OutCmd::Frame {
+                conn,
+                payload,
+                awaited,
+            } => (conn, payload, awaited),
             OutCmd::Close { conn } => {
                 self.closes.push(conn);
                 self.len += 1;
@@ -327,17 +379,23 @@ impl OutBatch {
             self.slots.resize_with(slot + 1, Held::default);
         }
         let held = &mut self.slots[slot];
-        if held.payloads.is_empty() {
+        let fresh = held.payloads.is_empty();
+        if fresh || held.gen != gen {
+            if fresh {
+                held.since = now;
+                self.order.push(slot);
+            } else {
+                // The slot's next incarnation: the core heard of the close
+                // before it could address the successor, so what is held
+                // is for the closed one and can never be written. The
+                // successor inherits the slot's place and its deadline.
+                self.len -= held.payloads.len();
+                held.payloads.clear();
+            }
             held.gen = gen;
-            self.order.push(slot);
-        } else if held.gen != gen {
-            // The slot's next incarnation: the core heard of the close
-            // before it could address the successor, so what is held is
-            // for the closed one and can never be written.
-            self.len -= held.payloads.len();
-            held.payloads.clear();
-            held.gen = gen;
+            held.awaited = false;
         }
+        held.awaited |= awaited;
         held.payloads.push(payload);
         self.len += 1;
     }
@@ -351,26 +409,53 @@ impl OutBatch {
         }
     }
 
-    /// Hand out everything held — each live connection's payloads in
-    /// first-seen order, then each live close — and empty the batch.
-    /// Output whose generation is not `gens[slot]` belongs to a closed
-    /// incarnation and is dropped.
-    fn drain(&mut self, gens: &[u32], mut each: impl FnMut(Flush<'_>)) {
+    /// Hand out what is due at `now` and keep the rest. A connection's
+    /// output is due when its peer awaits some of it, when it fills a
+    /// compound frame, when its oldest payload has waited
+    /// [`BROADCAST_HOLD`], or when a close is queued for it. Awaited
+    /// connections come first, then the other due ones, each group in
+    /// first-seen order, then every live close. Output whose generation
+    /// is not `gens[slot]` belongs to a closed incarnation and is dropped
+    /// when due. Returns how many connections still hold output.
+    fn drain(&mut self, gens: &[u32], now: Instant, mut each: impl FnMut(Flush<'_>)) -> usize {
         let live = |slot: usize, gen: u32| gens.get(slot) == Some(&gen);
-        for slot in self.order.drain(..) {
-            let held = &mut self.slots[slot];
-            if live(slot, held.gen) {
-                each(Flush::Frames(slot, &held.payloads));
-            }
-            held.payloads.clear();
+        let (slots, len, closes) = (&mut self.slots, &mut self.len, &self.closes);
+        for awaited_pass in [true, false] {
+            self.order.retain(|&slot| {
+                let held = &mut slots[slot];
+                let age = now.saturating_duration_since(held.since);
+                let due = if awaited_pass {
+                    held.awaited
+                } else {
+                    closes.contains(&conn_id(slot, held.gen))
+                        || held.payloads.len() >= COMPOUND_MAX
+                        || age >= BROADCAST_HOLD
+                };
+                if !due {
+                    return true;
+                }
+                if live(slot, held.gen) {
+                    each(Flush::Frames(slot, &held.payloads, age));
+                }
+                *len -= held.payloads.len();
+                held.payloads.clear();
+                false
+            });
         }
+        self.len -= self.closes.len();
         for id in self.closes.drain(..) {
             let (slot, gen) = conn_parts(id);
             if live(slot, gen) {
                 each(Flush::Close(slot));
             }
         }
-        self.len = 0;
+        self.order.len()
+    }
+
+    /// When the oldest held output falls due, if anything is held.
+    fn deadline(&self) -> Option<Instant> {
+        let &slot = self.order.first()?;
+        Some(self.slots[slot].since + BROADCAST_HOLD)
     }
 
     fn is_empty(&self) -> bool {
@@ -393,6 +478,9 @@ struct WorkerShared {
     outbox_high_water: AtomicU64,
     /// Peak unsent bytes observed on any one connection after a flush.
     pending_out_high_water: AtomicU64,
+    /// How long each written connection's oldest output was held, in µs;
+    /// the core folds it into the registry's `net.worker.hold_us`.
+    hold_us: Mutex<Histogram>,
 }
 
 impl WorkerShared {
@@ -405,6 +493,7 @@ impl WorkerShared {
             outbox_depth: AtomicU64::new(0),
             outbox_high_water: AtomicU64::new(0),
             pending_out_high_water: AtomicU64::new(0),
+            hold_us: Mutex::new(Histogram::new()),
         })
     }
 }
@@ -664,6 +753,10 @@ fn worker_inner(
         handoff: Vec::new(),
         out: OutBatch::default(),
         compound: Vec::new(),
+        frames: Vec::new(),
+        msgs: Vec::new(),
+        doomed: Vec::new(),
+        ages: Vec::new(),
     };
     let mut events: Vec<PollEvent> = Vec::new();
     let mut cmds: Vec<OutCmd> = Vec::new();
@@ -675,8 +768,14 @@ fn worker_inner(
     while !stop.load(Ordering::SeqCst) {
         events.clear();
         // Read first: while the last pass read input, held output waits
-        // and this poll does not block.
-        w.poller.wait(&mut events, if hold { 0 } else { 500 })?;
+        // and this poll does not block. Otherwise it blocks no later than
+        // the oldest held output falls due.
+        let timeout = match w.out.deadline() {
+            _ if hold => Duration::ZERO,
+            Some(due) => due.saturating_duration_since(Instant::now()),
+            None => IDLE_POLL,
+        };
+        w.poller.wait_for(&mut events, timeout.min(IDLE_POLL))?;
         let mut read_input = false;
         for ev in &events {
             if ev.token == 0 {
@@ -692,12 +791,15 @@ fn worker_inner(
         // counted in `outbox_depth` until written or dropped.
         std::mem::swap(&mut *lock(&shared.outbox), &mut cmds);
         counted += cmds.len();
-        for cmd in cmds.drain(..) {
-            w.out.push(cmd);
+        if !cmds.is_empty() {
+            let now = Instant::now();
+            for cmd in cmds.drain(..) {
+                w.out.push(cmd, now);
+            }
         }
         hold = read_input && handed < CORE_BATCH && !w.out.is_empty();
         if !hold {
-            w.write_round();
+            w.write_round(Instant::now());
             handed = 0;
             // A failed write or an eviction closed connections the core
             // must hear of.
@@ -731,6 +833,13 @@ struct Worker<'a> {
     out: OutBatch,
     /// The compound frame being written, reused across frames.
     compound: Vec<u8>,
+    /// Reused per-event and per-round buffers: the frames one read
+    /// returned, their decoded messages, the slots a round closes, and
+    /// the held ages a round wrote.
+    frames: Vec<Vec<u8>>,
+    msgs: Vec<EditorMsg>,
+    doomed: Vec<usize>,
+    ages: Vec<u64>,
 }
 
 impl Worker<'_> {
@@ -746,17 +855,18 @@ impl Worker<'_> {
         let mut read = false;
         let mut dead = false;
         if ev.readable || ev.hangup {
-            let mut payloads = Vec::new();
-            let res = conn.on_readable(&mut payloads);
-            if !payloads.is_empty() {
+            let (frames, msgs) = (&mut self.frames, &mut self.msgs);
+            frames.clear();
+            msgs.clear();
+            let res = conn.on_readable(frames);
+            if !frames.is_empty() {
                 read = true;
                 stats
                     .frames_in
-                    .fetch_add(payloads.len() as u64, Ordering::Relaxed);
-                let mut msgs = Vec::with_capacity(payloads.len());
-                match payloads
+                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
+                match frames
                     .iter()
-                    .try_for_each(|p| decode_payload([p, &[]], &mut msgs))
+                    .try_for_each(|p| decode_payload([p, &[]], msgs))
                 {
                     Ok(()) => {
                         stats
@@ -764,7 +874,7 @@ impl Worker<'_> {
                             .fetch_add(msgs.len() as u64, Ordering::Relaxed);
                         let id = conn_id(slot, self.gens[slot]);
                         self.handoff
-                            .extend(msgs.into_iter().map(|m| Inbound::Msg(id, m)));
+                            .extend(msgs.drain(..).map(|m| Inbound::Msg(id, m)));
                     }
                     Err(_) => {
                         stats.frame_errors.fetch_add(1, Ordering::Relaxed);
@@ -836,18 +946,18 @@ impl Worker<'_> {
         n
     }
 
-    /// Write everything held: each connection's frames, flushed once,
-    /// then the closes.
-    fn write_round(&mut self) {
-        let mut wrote = false;
-        let mut doomed = Vec::new();
+    /// Write what is due at `now` ([`OutBatch::drain`]): each due
+    /// connection's frames, flushed once, then the closes. Every written
+    /// connection's held age goes into `hold_us`.
+    fn write_round(&mut self, now: Instant) {
         let stats = self.stats;
-        self.out.drain(&self.gens, |flush| match flush {
-            Flush::Frames(slot, payloads) => {
+        let (doomed, ages) = (&mut self.doomed, &mut self.ages);
+        let deferred = self.out.drain(&self.gens, now, |flush| match flush {
+            Flush::Frames(slot, payloads, age) => {
                 let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                     return;
                 };
-                wrote = true;
+                ages.push(age.as_micros() as u64);
                 let res = frame_groups(payloads, &mut self.compound, |chunks, msgs| {
                     stats.frames_out.fetch_add(1, Ordering::Relaxed);
                     stats.msgs_out.fetch_add(msgs as u64, Ordering::Relaxed);
@@ -878,12 +988,22 @@ impl Worker<'_> {
                 doomed.push(slot);
             }
         });
-        if wrote {
+        stats.deferred.fetch_add(deferred as u64, Ordering::Relaxed);
+        if !ages.is_empty() {
+            let mut hold_us = lock(&self.shared.hold_us);
+            for age in ages.drain(..) {
+                hold_us.record(age);
+            }
+            drop(hold_us);
+            // Counted after its holds, so a scrape never sees a round
+            // without them.
             stats.write_rounds.fetch_add(1, Ordering::Relaxed);
         }
-        for slot in doomed {
+        let mut doomed = std::mem::take(&mut self.doomed);
+        for slot in doomed.drain(..) {
             self.close(slot);
         }
+        self.doomed = doomed;
     }
 
     /// Close `slot`'s connection: the core hears of it in this pass's
@@ -990,6 +1110,7 @@ impl<'a> Core<'a> {
                     self.outgoing[key.0].push(OutCmd::Frame {
                         conn: key.1,
                         payload: Payload::encode(&EditorMsg::ServerAck(ack)),
+                        awaited: true,
                     });
                 }
                 self.hub.unbind(key);
@@ -998,8 +1119,14 @@ impl<'a> Core<'a> {
             }
             _ => {}
         }
-        for ((worker, conn), payload) in sends.drain(..) {
-            self.outgoing[worker].push(OutCmd::Frame { conn, payload });
+        // What goes back to the connection the message came on answers
+        // it (an op's `ServerAck`, a hello's catch-up): its peer waits.
+        for (to, payload) in sends.drain(..) {
+            self.outgoing[to.0].push(OutCmd::Frame {
+                conn: to.1,
+                payload,
+                awaited: to == key,
+            });
         }
         self.sends = sends;
     }
@@ -1132,6 +1259,7 @@ impl<'a> Core<'a> {
         live.set_counter("net.io_errors", s.io_errors.load(Ordering::Relaxed));
         live.set_counter("net.core_handoffs", s.core_handoffs.load(Ordering::Relaxed));
         live.set_counter("net.write_rounds", s.write_rounds.load(Ordering::Relaxed));
+        live.set_counter("net.deferred", s.deferred.load(Ordering::Relaxed));
         live.set_gauge(
             "core.queue_depth",
             s.core_queue.load(Ordering::Relaxed) as f64,
@@ -1150,6 +1278,8 @@ impl<'a> Core<'a> {
                 let v = v.load(Ordering::Relaxed) as f64;
                 live.set_gauge(&format!("net.worker{wi}.{name}"), v);
             }
+            let held = std::mem::take(&mut *lock(&w.hold_us));
+            live.merge_histogram("net.worker.hold_us", &held);
         }
         live.set_gauge("net.active_connections", active_total as f64);
         live.set_counter("core.ops_integrated", ops_integrated);
@@ -1324,6 +1454,7 @@ fn core_loop(
             .collect(),
         core_handoffs: stats.core_handoffs.load(Ordering::Relaxed),
         write_rounds: stats.write_rounds.load(Ordering::Relaxed),
+        deferred: stats.deferred.load(Ordering::Relaxed),
         dropped_broadcasts: core.dropped_broadcasts,
         wal_appends: wal.map_or(0, Wal::appends),
         wal_amplification: wal.map_or(0.0, Wal::amplification),
@@ -1336,7 +1467,7 @@ fn core_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvc_reduce::msg::{ClientAckMsg, COMPOUND_MAX};
+    use cvc_reduce::msg::ClientAckMsg;
 
     /// A distinguishable payload: an ack whose frontier is `n`.
     fn payload(n: u64) -> Payload {
@@ -1346,10 +1477,27 @@ mod tests {
         }))
     }
 
+    /// A payload for `(slot, gen)` that its peer does not wait on.
     fn frame(slot: usize, gen: u32, n: u64) -> OutCmd {
         OutCmd::Frame {
             conn: conn_id(slot, gen),
             payload: payload(n),
+            awaited: false,
+        }
+    }
+
+    /// A payload answering `(slot, gen)`'s own input.
+    fn answer(slot: usize, gen: u32, n: u64) -> OutCmd {
+        OutCmd::Frame {
+            conn: conn_id(slot, gen),
+            payload: payload(n),
+            awaited: true,
+        }
+    }
+
+    fn close(slot: usize, gen: u32) -> OutCmd {
+        OutCmd::Close {
+            conn: conn_id(slot, gen),
         }
     }
 
@@ -1363,13 +1511,13 @@ mod tests {
             .collect()
     }
 
-    /// Drain `out` against `gens`: each connection's payloads by
-    /// frontier, `None` for a close.
-    fn drained(out: &mut OutBatch, gens: &[u32]) -> Vec<(usize, Option<Vec<u64>>)> {
+    /// Drain what `out` has due at `now` against `gens`: each written
+    /// connection's payloads by frontier, `None` for a close.
+    fn due_at(out: &mut OutBatch, gens: &[u32], now: Instant) -> Vec<(usize, Option<Vec<u64>>)> {
         let mut got = Vec::new();
-        out.drain(gens, |flush| {
+        out.drain(gens, now, |flush| {
             got.push(match flush {
-                Flush::Frames(slot, payloads) => {
+                Flush::Frames(slot, payloads, _) => {
                     let mut msgs = Vec::new();
                     for p in payloads {
                         assert!(decode_payload(p.chunks(), &mut msgs).is_ok());
@@ -1379,67 +1527,154 @@ mod tests {
                 Flush::Close(slot) => (slot, None),
             });
         });
-        assert!(out.is_empty(), "a drain empties the batch");
+        got
+    }
+
+    /// Drain `out` once everything pushed at `t0` is due: a drain then
+    /// empties the batch.
+    fn drained(out: &mut OutBatch, gens: &[u32], t0: Instant) -> Vec<(usize, Option<Vec<u64>>)> {
+        let got = due_at(out, gens, t0 + BROADCAST_HOLD);
+        assert!(
+            out.is_empty(),
+            "a drain past every deadline empties the batch"
+        );
         got
     }
 
     #[test]
     fn held_output_never_reaches_the_slots_next_incarnation() {
+        let t0 = Instant::now();
         let mut out = OutBatch::default();
-        out.push(frame(3, 7, 1));
+        out.push(frame(3, 7, 1), t0);
         // The worker closes slot 3 (generation 7 → 8) while holding; a
         // command the core queued before it heard of the close arrives
         // late, then the slot's next occupant gets its own output.
         out.forget(3);
-        out.push(frame(3, 7, 2));
-        out.push(frame(3, 8, 3));
-        out.push(OutCmd::Close {
-            conn: conn_id(3, 7),
-        });
-        assert_eq!(drained(&mut out, &[0, 0, 0, 8]), vec![(3, Some(vec![3]))]);
+        out.push(frame(3, 7, 2), t0);
+        out.push(frame(3, 8, 3), t0);
+        out.push(
+            OutCmd::Close {
+                conn: conn_id(3, 7),
+            },
+            t0,
+        );
+        assert_eq!(
+            drained(&mut out, &[0, 0, 0, 8], t0),
+            vec![(3, Some(vec![3]))]
+        );
     }
 
     #[test]
-    fn a_close_drops_the_held_output() {
+    fn awaited_output_is_written_at_once() {
+        let t0 = Instant::now();
         let mut out = OutBatch::default();
-        out.push(frame(1, 0, 10));
-        out.push(frame(2, 0, 20));
-        out.push(frame(1, 0, 11));
-        out.forget(1);
-        assert!(!out.is_empty());
-        assert_eq!(drained(&mut out, &[0, 0, 0]), vec![(2, Some(vec![20]))]);
+        out.push(frame(2, 0, 20), t0);
+        out.push(frame(5, 0, 50), t0);
+        out.push(answer(5, 0, 51), t0);
+        let gens = [0; 6];
+        // Slot 5's peer waits on 51, so 50 rides along; slot 2 holds.
+        assert_eq!(due_at(&mut out, &gens, t0), vec![(5, Some(vec![50, 51]))]);
+        assert_eq!(out.len, 1);
+        assert_eq!(out.deadline(), Some(t0 + BROADCAST_HOLD));
+    }
+
+    #[test]
+    fn a_full_compound_is_written_at_once() {
+        let t0 = Instant::now();
+        let mut out = OutBatch::default();
+        let full = COMPOUND_MAX as u64;
+        for n in 0..full - 1 {
+            out.push(frame(0, 0, n), t0);
+        }
+        assert!(
+            due_at(&mut out, &[0], t0).is_empty(),
+            "one short of a compound holds"
+        );
+        out.push(frame(0, 0, full - 1), t0);
+        let want = vec![(0, Some((0..full).collect()))];
+        assert_eq!(due_at(&mut out, &[0], t0), want);
+        assert!(out.is_empty() && out.deadline().is_none());
+    }
+
+    #[test]
+    fn held_output_is_written_when_its_deadline_passes() {
+        let t0 = Instant::now();
+        let t1 = t0 + BROADCAST_HOLD / 2;
+        let mut out = OutBatch::default();
+        out.push(frame(1, 0, 10), t0);
+        out.push(frame(2, 0, 20), t1);
+        // Later output for a holding slot keeps the slot's deadline.
+        out.push(frame(1, 0, 11), t1);
+        let gens = [0; 3];
+        assert_eq!(out.deadline(), Some(t0 + BROADCAST_HOLD));
+        let early = t0 + BROADCAST_HOLD - Duration::from_micros(1);
+        assert!(due_at(&mut out, &gens, early).is_empty());
+        let mut ages = Vec::new();
+        let n = out.drain(&gens, t0 + BROADCAST_HOLD, |flush| {
+            if let Flush::Frames(slot, _, age) = flush {
+                ages.push((slot, age));
+            }
+        });
+        assert_eq!(
+            (n, ages),
+            (1, vec![(1, BROADCAST_HOLD)]),
+            "slot 2 still holds"
+        );
+        assert_eq!(out.deadline(), Some(t1 + BROADCAST_HOLD));
+        let want = vec![(2, Some(vec![20]))];
+        assert_eq!(due_at(&mut out, &gens, t1 + BROADCAST_HOLD), want);
+    }
+
+    #[test]
+    fn a_queued_close_writes_the_held_output_before_the_fin() {
+        let t0 = Instant::now();
+        let mut out = OutBatch::default();
+        out.push(frame(1, 0, 10), t0);
+        out.push(frame(2, 0, 20), t0);
+        out.push(frame(1, 0, 11), t0);
+        out.push(close(1, 0), t0);
+        let gens = [0; 3];
+        let want = vec![(1, Some(vec![10, 11])), (1, None)];
+        assert_eq!(due_at(&mut out, &gens, t0), want);
+        // A close the worker made itself drops what is held.
         out.forget(2);
-        assert!(out.is_empty() && drained(&mut out, &[0, 0, 0]).is_empty());
+        assert!(out.is_empty() && drained(&mut out, &gens, t0).is_empty());
     }
 
     #[test]
-    fn drain_keeps_first_seen_order_with_closes_last() {
+    fn a_round_writes_awaited_then_due_output_closes_last() {
+        let t0 = Instant::now();
         let mut out = OutBatch::default();
-        out.push(OutCmd::Close {
-            conn: conn_id(0, 0),
-        });
-        out.push(frame(4, 0, 1));
-        out.push(frame(2, 0, 2));
-        out.push(frame(4, 0, 3));
-        out.push(frame(2, 0, 4));
+        out.push(close(0, 0), t0);
+        out.push(frame(4, 0, 1), t0);
+        out.push(frame(2, 0, 2), t0);
+        out.push(frame(4, 0, 3), t0);
+        out.push(frame(2, 0, 4), t0);
+        out.push(answer(3, 0, 5), t0);
         let gens = [0; 5];
-        let want = vec![(4, Some(vec![1, 3])), (2, Some(vec![2, 4])), (0, None)];
-        assert_eq!(drained(&mut out, &gens), want);
+        let want = vec![
+            (3, Some(vec![5])),
+            (4, Some(vec![1, 3])),
+            (2, Some(vec![2, 4])),
+            (0, None),
+        ];
+        assert_eq!(drained(&mut out, &gens, t0), want);
         // The buffers are reused: a second round sees only its own output.
-        out.push(frame(2, 0, 5));
-        assert_eq!(drained(&mut out, &gens), vec![(2, Some(vec![5]))]);
+        out.push(frame(2, 0, 6), t0);
+        assert_eq!(drained(&mut out, &gens, t0), vec![(2, Some(vec![6]))]);
     }
 
     #[test]
     fn frames_are_compound_groups_of_at_most_compound_max() {
         let mut out = OutBatch::default();
         let n = 2 * COMPOUND_MAX as u64 + 6;
+        let t0 = Instant::now();
         for i in 0..n {
-            out.push(frame(0, 0, i));
+            out.push(frame(0, 0, i), t0);
         }
         let (mut sizes, mut msgs) = (Vec::new(), Vec::new());
-        out.drain(&[0], |flush| {
-            let Flush::Frames(0, payloads) = flush else {
+        out.drain(&[0], t0, |flush| {
+            let Flush::Frames(0, payloads, _) = flush else {
                 panic!("one connection's frames");
             };
             let res: Result<(), ()> = frame_groups(payloads, &mut Vec::new(), |chunks, count| {

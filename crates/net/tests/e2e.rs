@@ -961,6 +961,8 @@ fn hand_off_counters_agree_between_registry_and_report() {
                 value("cvc_net_core_handoffs")?,
                 value("cvc_net_write_rounds")?,
                 value("cvc_core_queue_depth")?,
+                value("cvc_net_deferred")?,
+                value("cvc_net_worker_hold_us_count")?,
             ],
         ))
     };
@@ -977,7 +979,8 @@ fn hand_off_counters_agree_between_registry_and_report() {
         }
         last = now;
     }
-    let [handoffs, write_rounds, queue_depth] = settled.expect("the registry settles");
+    let [handoffs, write_rounds, queue_depth, deferred, holds] =
+        settled.expect("the registry settles");
     assert_eq!(
         queue_depth, 0.0,
         "the core drained every handed-over message"
@@ -988,4 +991,73 @@ fn hand_off_counters_agree_between_registry_and_report() {
     assert!(report.core_handoffs > 0 && report.write_rounds > 0);
     assert_eq!(report.core_handoffs as f64, handoffs);
     assert_eq!(report.write_rounds as f64, write_rounds);
+    assert_eq!(report.deferred as f64, deferred);
+    // Every round that wrote recorded at least one connection's hold.
+    assert!(
+        holds >= write_rounds,
+        "{holds} holds over {write_rounds} rounds"
+    );
+}
+
+/// A broadcast its reader is not waiting on is held for company, but
+/// only until its deadline, and the worker wakes for that deadline: one
+/// op's broadcast, with no later traffic to carry it, reaches a quiet
+/// reader well inside the 500 ms an idle worker's poll blocks.
+#[test]
+fn a_lone_broadcast_reaches_a_quiet_reader_without_later_traffic() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let (site1, site2) = (SiteId::from_client_index(0), SiteId::from_client_index(1));
+    let mut writer = TestPeer::bind(&addr, site1);
+    let mut reader = TestPeer::bind(&addr, site2);
+    barrier(&addr);
+
+    let started = std::time::Instant::now();
+    writer.send(&EditorMsg::ClientOp(Client::new(site1, "").insert(0, "a")));
+    let mut replica = Client::new(site2, "");
+    apply_server_ops(&mut reader, &mut replica, 1);
+    let waited = started.elapsed();
+    assert_eq!(replica.doc(), "a");
+    assert!(
+        waited < Duration::from_millis(200),
+        "the broadcast took {waited:?}"
+    );
+    assert!(matches!(writer.recv(), EditorMsg::ServerAck(_)));
+
+    let report = server.shutdown();
+    assert_eq!((report.ops_integrated, report.io_errors), (1, 0));
+}
+
+/// A hello's catch-up answers the peer's own input, as an op's
+/// `ServerAck` does: both are written in the round that takes them from
+/// the core, never left behind to wait for the broadcast hold.
+#[test]
+fn a_fresh_hellos_catch_up_is_answered_without_the_hold() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let (site1, site2) = (SiteId::from_client_index(0), SiteId::from_client_index(1));
+    let mut writer = TestPeer::bind(&addr, site1);
+    let mut editor = Client::new(site1, "");
+    for k in 0..3 {
+        writer.send(&EditorMsg::ClientOp(editor.insert(k, "x")));
+        assert!(matches!(writer.recv(), EditorMsg::ServerAck(_)));
+    }
+    let mut late = TestPeer::bind(&addr, site2);
+    let mut replica = Client::new(site2, "");
+    apply_server_ops(&mut late, &mut replica, 3);
+    assert_eq!(replica.doc(), "xxx");
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 3);
+    assert_eq!(report.deferred, 0, "no answer was held for company");
 }

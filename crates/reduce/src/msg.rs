@@ -211,21 +211,61 @@ impl EditorMsg {
 /// encode-once broadcast cheap: all `N−1` destinations share one `body`
 /// (the serialized operation + telepointer) and differ only in the few
 /// `head` bytes carrying the tag and the per-destination compressed stamp.
-/// A payload decoded off the wire has an empty `head`.
+/// The head lives inline, so a destination's payload costs no allocation
+/// of its own. A payload decoded off the wire has an empty `head`.
 ///
 /// Equality and hashing are over the *logical* bytes (`head ++ body`), so
 /// the same frame split differently still compares equal.
 #[derive(Debug, Clone)]
 pub struct Payload {
-    head: Vec<u8>,
+    head: Head,
     body: Arc<[u8]>,
+}
+
+/// Most bytes a [`Payload`] head holds: a tag and two stamp varints.
+const HEAD_MAX: usize = 1 + 2 * 10;
+
+/// A payload's per-destination head, inline.
+#[derive(Clone, Copy, Default)]
+struct Head {
+    len: u8,
+    bytes: [u8; HEAD_MAX],
+}
+
+impl Head {
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// Filled by [`ServerOpFrame::payload_for`] and [`Payload::from_parts`],
+/// which never write past [`HEAD_MAX`].
+impl BufMut for Head {
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        let at = usize::from(self.len);
+        if let Some(dst) = self.bytes.get_mut(at..at + src.len()) {
+            dst.copy_from_slice(src);
+            self.len += src.len() as u8;
+        }
+        debug_assert!(at + src.len() <= HEAD_MAX, "a head is a tag and a stamp");
+    }
+}
+
+impl std::fmt::Debug for Head {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 impl Payload {
     /// A payload whose logical bytes are exactly `bytes` (empty head).
     pub fn from_vec(bytes: Vec<u8>) -> Self {
         Payload {
-            head: Vec::new(),
+            head: Head::default(),
             body: bytes.into(),
         }
     }
@@ -238,49 +278,49 @@ impl Payload {
         Payload::from_vec(bytes)
     }
 
-    /// A payload with an owned per-destination `head` and a shared `body`.
-    pub fn from_parts(head: Vec<u8>, body: Arc<[u8]>) -> Self {
-        Payload { head, body }
+    /// A payload whose logical bytes are `head ++ body`, `body` shared. A
+    /// head longer than a tag and a stamp moves into a fresh body.
+    pub fn from_parts(head: &[u8], body: Arc<[u8]>) -> Self {
+        if head.len() > HEAD_MAX {
+            return Payload::from_vec([head, &body].concat());
+        }
+        let mut inline = Head::default();
+        inline.put_slice(head);
+        Payload { head: inline, body }
     }
 
     /// Logical length in bytes.
     pub fn len(&self) -> usize {
-        self.head.len() + self.body.len()
+        usize::from(self.head.len) + self.body.len()
     }
 
     /// True when there are no logical bytes.
     pub fn is_empty(&self) -> bool {
-        self.head.is_empty() && self.body.is_empty()
+        self.len() == 0
     }
 
     /// The two byte runs making up the logical frame, in order.
     pub fn chunks(&self) -> [&[u8]; 2] {
-        [&self.head, &self.body]
+        [self.head.as_slice(), &self.body]
     }
 
     /// Append the logical bytes to `buf`.
     pub fn write_to<B: BufMut>(&self, buf: &mut B) {
-        buf.put_slice(&self.head);
+        buf.put_slice(self.head.as_slice());
         buf.put_slice(&self.body);
     }
 
     /// The logical bytes, materialized.
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.len());
-        v.extend_from_slice(&self.head);
-        v.extend_from_slice(&self.body);
-        v
+        self.chunks().concat()
     }
 }
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && self
-                .head
-                .iter()
-                .chain(self.body.iter())
-                .eq(other.head.iter().chain(other.body.iter()))
+        let [h, b] = self.chunks();
+        let [oh, ob] = other.chunks();
+        self.len() == other.len() && h.iter().chain(b).eq(oh.iter().chain(ob))
     }
 }
 
@@ -320,10 +360,13 @@ impl ServerOpFrame {
 
     /// The full frame for one destination: `[TAG_SERVER_OP, stamp] ++ body`.
     pub fn payload_for(&self, stamp: CompressedStamp) -> Payload {
-        let mut head = Vec::with_capacity(1 + stamp_wire_len(stamp));
-        head.push(TAG_SERVER_OP);
+        let mut head = Head::default();
+        head.put_u8(TAG_SERVER_OP);
         put_stamp(&mut head, stamp);
-        Payload::from_parts(head, Arc::clone(&self.body))
+        Payload {
+            head,
+            body: Arc::clone(&self.body),
+        }
     }
 
     /// Wire bytes [`ServerOpFrame::payload_for`] would produce for `stamp`.
@@ -430,7 +473,8 @@ impl Deltas {
     /// re-headed, anything else (or a payload whose front does not parse)
     /// whole behind the kind-3 byte.
     fn rehead<B: BufMut>(&mut self, p: &Payload, buf: &mut B) {
-        let mut rd = p.head.as_slice().chain(&p.body[..]);
+        let [head, body] = p.chunks();
+        let mut rd = head.chain(body);
         let total = rd.remaining();
         match read_lead(&mut rd) {
             Some(Lead::Op(origin, s)) => {
@@ -446,11 +490,11 @@ impl Deltas {
         let read = total - rd.remaining();
         // The rest of the logical bytes: what is left of the head (none,
         // for a split payload), then the body past what was read of it.
-        if let Some(head_rest) = p.head.get(read..) {
+        if let Some(head_rest) = head.get(read..) {
             buf.put_slice(head_rest);
-            buf.put_slice(&p.body);
+            buf.put_slice(body);
         } else {
-            buf.put_slice(p.body.get(read - p.head.len()..).unwrap_or_default());
+            buf.put_slice(body.get(read - head.len()..).unwrap_or_default());
         }
     }
 }
@@ -1236,7 +1280,9 @@ mod tests {
         let op = SeqOp::from_pos(&PosOp::insert(2, "stamped"), 9);
         for cursor in [None, Some((3u32, 7u64))] {
             let frame = ServerOpFrame::new(&op, &cursor);
-            for (t1, t2) in [(0u64, 0u64), (1, 2), (300, 7), (u64::MAX, 1 << 40)] {
+            // The last stamp fills the inline head: a tag, two 10-byte varints.
+            let stamps = [(0u64, 0u64), (1, 2), (300, 7), (u64::MAX, 1 << 40)];
+            for (t1, t2) in stamps.into_iter().chain([(u64::MAX, u64::MAX)]) {
                 let stamp = CompressedStamp::new(t1, t2);
                 let reference = EditorMsg::ServerOp(ServerOpMsg {
                     stamp,
@@ -1261,11 +1307,16 @@ mod tests {
     #[test]
     fn payload_equality_ignores_the_split() {
         let whole = Payload::from_vec(vec![1, 2, 3, 4]);
-        let split = Payload::from_parts(vec![1, 2], vec![3u8, 4].into());
+        let split = Payload::from_parts(&[1, 2], vec![3u8, 4].into());
         assert_eq!(whole, split);
         assert_ne!(whole, Payload::from_vec(vec![1, 2, 3]));
-        assert_ne!(whole, Payload::from_parts(vec![1, 2], vec![3u8, 5].into()));
+        assert_ne!(whole, Payload::from_parts(&[1, 2], vec![3u8, 5].into()));
         assert_eq!(split.to_vec(), vec![1, 2, 3, 4]);
+        // A head longer than a tag and a stamp still means its bytes.
+        let long = Payload::from_parts(&[9; 2 * HEAD_MAX], vec![4u8].into());
+        assert_eq!(long.to_vec(), [&[9; 2 * HEAD_MAX][..], &[4]].concat());
+        // Inline, the head is no bigger than the `Vec` it replaced.
+        assert!(std::mem::size_of::<Payload>() <= 40);
     }
 
     #[test]

@@ -261,6 +261,15 @@ impl MetricsRegistry {
             .record(v);
     }
 
+    /// Fold `h`'s samples into histogram `name` (created empty): how a
+    /// histogram kept on another thread reaches the registry.
+    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .merge(h);
+    }
+
     /// The histogram `name`, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

@@ -775,7 +775,7 @@ mod tests {
     #[test]
     fn payload_checksum_covers_both_chunks() {
         let whole = Payload::from_vec(vec![1, 2, 3, 4, 5, 6]);
-        let split = Payload::from_parts(vec![1, 2, 3], vec![4, 5, 6].into());
+        let split = Payload::from_parts(&[1, 2, 3], vec![4, 5, 6].into());
         assert_eq!(whole, split, "same logical bytes");
         assert_eq!(
             frame_checksum(&whole.chunks()),
@@ -794,7 +794,7 @@ mod tests {
 
     #[test]
     fn reliable_frames_round_trip() {
-        let payload = Payload::from_parts(vec![1, 2, 3], vec![4, 5, 6].into());
+        let payload = Payload::from_parts(&[1, 2, 3], vec![4, 5, 6].into());
         let socket = framed(&payload);
         let seg = frame(7, payload.clone());
         assert_eq!(seg.wire_bytes(), socket.len(), "a frame costs its bytes");

@@ -539,7 +539,7 @@ fn queued(m: &EditorMsg, cut: usize, split: bool) -> Payload {
         m => {
             let bytes = Payload::encode(m).to_vec();
             let (head, body) = bytes.split_at(cut % (bytes.len() + 1));
-            Payload::from_parts(head.to_vec(), body.to_vec().into())
+            Payload::from_parts(head, body.to_vec().into())
         }
     }
 }
