@@ -1,125 +1,57 @@
-//! `cvc-load` — open-loop load generation against a running `cvc-serve`.
+//! `cvc-load` — drive a running `cvc-serve` with closed-loop sites.
 //!
 //! ```text
-//! cvc-load --addr 127.0.0.1:4100 --clients 10000 --ops 50000 --rate 5000
+//! cvc-load --addr 127.0.0.1:4100 --clients 64 --ops 4096 --seed 7
 //! ```
 //!
-//! Connects `--clients` concurrent loopback editors, issues `--ops` total
-//! operations at a global `--rate` (ops/sec, 0 = as fast as possible),
-//! then drains until every replica converges. Prints a JSON summary with
-//! ack-RTT latency quantiles and exits 0 only on full convergence with
-//! zero protocol and connection errors.
+//! Connects `--clients` fresh sites, which author `--ops` operations
+//! round-robin, each site's next op once its last is acked
+//! (`cvc_net::client`). Prints a JSON summary and exits 0 only if every
+//! replica converged on one document with no error.
 
-use cvc_net::{run_load, LoadConfig};
-use std::time::Duration;
+use cvc_net::{fresh_replicas, run_clients, ClientConfig};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: cvc-load --addr HOST:PORT [--clients N] [--ops N] \
-         [--rate OPS_PER_SEC] [--threads N] [--seed N] [--timeout SECS]"
-    );
+    eprintln!("usage: cvc-load --addr HOST:PORT [--clients N] [--ops N] [--seed N]");
     std::process::exit(2);
 }
 
-/// JSON-safe float: ratios over zero (a zero-op run's rate or RTT mean)
-/// must print as a number, never as `NaN`/`inf`, which are not JSON.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "0".to_string()
-    }
-}
-
 fn main() {
-    let mut cfg = LoadConfig {
+    let mut cfg = ClientConfig {
         addr: String::new(),
-        n_clients: 64,
         total_ops: 4096,
-        rate: 0.0,
-        threads: 1,
         seed: 0xC0FFEE,
-        timeout: Duration::from_secs(120),
     };
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = it.next().unwrap_or_else(|| usage()),
-            "--clients" => {
-                cfg.n_clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--ops" => {
-                cfg.total_ops = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--rate" => {
-                cfg.rate = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--timeout" => {
-                cfg.timeout = Duration::from_secs(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
+    let mut clients = 64;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_else(|| usage());
+        match (flag.as_str(), value.parse().ok()) {
+            ("--addr", _) => cfg.addr = value,
+            ("--clients", Some(n)) => clients = n,
+            ("--ops", Some(n)) => cfg.total_ops = n,
+            ("--seed", Some(n)) => cfg.seed = n,
             _ => usage(),
         }
     }
     if cfg.addr.is_empty() {
         usage();
     }
-
-    let report = match run_load(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cvc-load: {e}");
-            std::process::exit(1);
-        }
-    };
-
+    let report = run_clients(&cfg, fresh_replicas(clients as usize)).unwrap_or_else(|e| {
+        eprintln!("cvc-load: {e}");
+        std::process::exit(1);
+    });
+    let r = &report;
     println!(
-        "{{\"ops_sent\":{},\"ops_acked\":{},\"converged\":{},\
-         \"distinct_checksums\":{},\"doc_checksum\":{},\"protocol_errors\":{},\
-         \"conn_errors\":{},\"elapsed_secs\":{:.3},\"achieved_rate\":{},\
-         \"rtt_count\":{},\"rtt_mean_us\":{},\"rtt_p50_us\":{},\
-         \"rtt_p95_us\":{},\"rtt_p99_us\":{},\"rtt_max_us\":{}}}",
-        report.ops_sent,
-        report.ops_acked,
-        report.converged,
-        report.distinct_checksums,
-        report.doc_checksum,
-        report.protocol_errors,
-        report.conn_errors,
-        report.elapsed.as_secs_f64(),
-        json_f64(report.achieved_rate),
-        report.rtt.count,
-        json_f64(report.rtt.mean_us),
-        report.rtt.p50_us,
-        report.rtt.p95_us,
-        report.rtt.p99_us,
-        report.rtt.max_us,
+        "{{\"converged\":{},\"ops_acked\":{},\"doc_checksum\":{},\
+         \"protocol_errors\":{},\"conn_errors\":{},\"redials\":{},\"elapsed_secs\":{:.3}}}",
+        r.converged,
+        r.ops_acked,
+        r.doc_checksum,
+        r.protocol_errors,
+        r.conn_errors,
+        r.redials,
+        r.elapsed.as_secs_f64(),
     );
-    std::process::exit(i32::from(!report.converged));
+    std::process::exit(i32::from(!r.converged));
 }

@@ -23,10 +23,10 @@
 //!   thread hosting the editor brain — `Notifier` + WAL with the
 //!   append-before-broadcast discipline and compound-frame coalescing at
 //!   the socket write path.
-//! * [`load`] — `cvc-load`'s engine: an open-loop generator driving tens
-//!   of thousands of concurrent loopback clients at a configured global
-//!   op rate, with ack-RTT latency histograms through the existing
-//!   `MetricsRegistry`.
+//! * [`client`] — the sites on the wire: `Client` replicas behind
+//!   connections, driven closed-loop from one thread over one poller,
+//!   re-dialing once after a trimmed hello; the engine of `cvc-load`,
+//!   the e2e differential and E23.
 //! * [`twin`] — the sim-as-oracle bridge: replays a server's captured
 //!   integration order through fresh in-memory `Notifier`/`Client` twins
 //!   and demands byte-identical convergence.
@@ -38,16 +38,16 @@
 //! WAL.
 
 pub mod admin;
+pub mod client;
 pub mod conn;
-pub mod load;
 pub mod poll;
 pub mod server;
 pub mod twin;
 
 pub use admin::{parse_rings_response, AdminClient};
+pub use client::{fresh_replicas, run_clients, ClientConfig, ClientReport};
 pub use conn::{Conn, ConnError};
 pub use cvc_reduce::frame::FrameReader;
-pub use load::{run_load, LoadConfig, LoadReport, RttSummary};
 pub use poll::{Interest, PollEvent, Poller, Waker};
 pub use server::{EditorServer, ServerConfig, ServerHandle, ServerReport};
 pub use twin::{replay_twin, TwinError, TwinReport};

@@ -99,9 +99,6 @@ pub struct ServerConfig {
     pub n_clients: usize,
     /// Shard worker threads. 0 = one per available core.
     pub workers: usize,
-    /// Acknowledge every integrated op to its origin (`ServerAck`) — what
-    /// `cvc-load` measures RTT against.
-    pub send_acks: bool,
     /// Record every accepted `ClientOpMsg` in arrival order, for the
     /// sim-twin differential oracle. Costs memory; off for soak runs.
     pub capture_integrations: bool,
@@ -124,7 +121,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             n_clients: 16,
             workers: 0,
-            send_acks: true,
             capture_integrations: false,
             admin_addr: None,
             trace_rings: false,
@@ -1307,7 +1303,9 @@ fn core_loop(
 ) -> ServerReport {
     let started = Instant::now();
     let mut notifier = Notifier::new(cfg.n_clients, "");
-    notifier.set_send_acks(cfg.send_acks);
+    // Every integrated op is acknowledged to its origin: a client retires
+    // its ops, and a hello's answer ends, on a `ServerAck`.
+    notifier.set_send_acks(true);
     // Folded-in GC, as the simulator's sessions default to: the history
     // buffer stays at the in-flight window, and with it the snapshots the
     // log is cut to.
