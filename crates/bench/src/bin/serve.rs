@@ -42,27 +42,43 @@ fn main() {
     };
     let mut seconds = 60u64;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = || -> usize {
-            let v = args.next().and_then(|v| v.parse().ok());
-            v.unwrap_or_else(|| usage())
-        };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => cfg.addr = args.next().unwrap_or_else(|| usage()),
-            "--clients" => cfg.n_clients = num(),
-            "--workers" => cfg.workers = num(),
-            "--seconds" => seconds = num() as u64,
+            "--addr" => cfg.addr = it.next().unwrap_or_else(|| usage()),
+            "--clients" => {
+                cfg.n_clients = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage());
+            }
+            "--workers" => {
+                cfg.workers = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage());
+            }
+            "--seconds" => {
+                seconds = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage());
+            }
             "--capture" => cfg.capture_integrations = true,
-            "--admin-addr" => cfg.admin_addr = Some(args.next().unwrap_or_else(|| usage())),
+            "--admin-addr" => cfg.admin_addr = Some(it.next().unwrap_or_else(|| usage())),
             "--trace" => cfg.trace_rings = true,
             // Dump volume is O(ops × clients) deliver lines, so a large
             // traced session needs more retention than the default for
             // an attached tailer to see every line.
-            "--trace-log-mb" => match num() {
-                0 => usage(),
-                mb => cfg.ring_log_cap = mb << 20,
-            },
+            "--trace-log-mb" => {
+                let mb: usize = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&v| v > 0)
+                    .unwrap_or_else(|| usage());
+                cfg.ring_log_cap = mb << 20;
+            }
             _ => usage(),
         }
     }

@@ -67,7 +67,7 @@ pub struct ClientReport {
     pub protocol_errors: u64,
     /// Sites lost for good (must be 0): shed by the notifier — a refused
     /// hello, or a trimmed one that a re-dial would not get past — or
-    /// their connection failed.
+    /// their connection failed or closed, or a re-dial could not connect.
     pub conn_errors: u64,
     /// Hellos said again after a trimmed answer.
     pub redials: u64,
@@ -96,9 +96,11 @@ struct Site {
     frontier: u64,
     /// The hello's `ServerAck` is still to come.
     answer_due: bool,
-    /// The connection's latest message, when it was a `ServerAck`: an EOF
-    /// right behind it ends a trimmed hello's answer.
-    last_ack: Option<u64>,
+    /// The connection's latest message was its hello's answer: an EOF
+    /// right behind it ends a trimmed hello's answer. The op authored on
+    /// the answer itself does not clear it — that op goes out before the
+    /// EOF can be read.
+    answered: bool,
     redialed: bool,
     /// Registered for writable events.
     writing: bool,
@@ -117,7 +119,7 @@ impl Site {
     fn hello(&mut self) {
         self.frontier = self.client.hello_frontier(self.acked);
         self.answer_due = self.client.state_vector().generated() > 0;
-        self.last_ack = None;
+        self.answered = false;
         let origin = self.client.site();
         let received = self.frontier;
         self.send(&EditorMsg::ClientAck(ClientAckMsg { origin, received }));
@@ -154,7 +156,7 @@ impl Site {
         if self.ended {
             return;
         }
-        self.last_ack = None;
+        self.answered = false;
         match msg {
             EditorMsg::ServerOp(op) => {
                 // A repeat the held-back frontier asked for.
@@ -172,8 +174,8 @@ impl Site {
             }
             EditorMsg::ServerAck(a) => {
                 self.acked = a.acked;
-                self.last_ack = Some(a.acked);
                 if std::mem::take(&mut self.answer_due) {
+                    self.answered = true;
                     for op in self.client.unacked_local_since(a.acked) {
                         self.send(&EditorMsg::ClientOp(op));
                     }
@@ -188,8 +190,7 @@ impl Site {
     /// Whether the connection, just ended, carried a trimmed hello's
     /// answer that one more hello, from the integrated count, gets past.
     fn redials(&self) -> bool {
-        let answer = self.last_ack.filter(|_| !self.redialed);
-        answer.is_some_and(|integrated| self.client.hello_frontier(integrated) > self.frontier)
+        self.answered && !self.redialed && self.client.hello_frontier(self.acked) > self.frontier
     }
 
     /// All authored, all acked, and every op authored elsewhere executed.
@@ -237,7 +238,7 @@ pub fn run_clients(cfg: &ClientConfig, replicas: Vec<Client>) -> io::Result<Clie
             acked: 0,
             frontier: 0,
             answer_due: false,
-            last_ack: None,
+            answered: false,
             redialed: false,
             writing: false,
             ended: false,
@@ -275,8 +276,12 @@ pub fn run_clients(cfg: &ClientConfig, replicas: Vec<Client>) -> io::Result<Clie
                     continue;
                 }
                 let _ = poller.deregister(site.conn.fd());
-                site.conn = dial(&cfg.addr, &poller, ev.token)?;
-                (site.writing, site.redialed) = (false, true);
+                // A listener that is gone loses the site like any close.
+                let Ok(conn) = dial(&cfg.addr, &poller, ev.token) else {
+                    conn_errors += 1;
+                    continue;
+                };
+                (site.conn, site.writing, site.redialed) = (conn, false, true);
                 redials += 1;
                 site.hello();
             }

@@ -235,6 +235,9 @@ pub struct ServerReport {
     /// collected from the history buffer (a hello claiming a frontier
     /// below the site's own earlier ack).
     pub dropped_broadcasts: u64,
+    /// Core-thread time spent publishing to the admin plane (zero without
+    /// one): what being observed costs the core.
+    pub publish_time: Duration,
     /// WAL records appended.
     pub wal_appends: u64,
     /// WAL write amplification (bytes appended / op payload bytes).
@@ -1043,6 +1046,7 @@ struct Core<'a> {
     /// outbox lock and one wake per worker at the batch's end.
     outgoing: Vec<Vec<OutCmd>>,
     dropped_broadcasts: u64,
+    publish_time: Duration,
     integration_log: Vec<ClientOpMsg>,
     stats: &'a IoStats,
     /// The observability plane, when configured. The core only ever
@@ -1170,9 +1174,11 @@ impl<'a> Core<'a> {
         let Some(admin) = self.admin.clone() else {
             return;
         };
+        let t0 = Instant::now();
         self.publish_rings(&admin, eof);
         self.refresh_registry();
         lock(&admin.deltas).publish(&self.live);
+        self.publish_time += t0.elapsed();
     }
 
     /// Drain fresh recorder events (plus synthesized client-side lines)
@@ -1323,6 +1329,7 @@ fn core_loop(
         sends: Vec::new(),
         outgoing: workers.iter().map(|_| Vec::new()).collect(),
         dropped_broadcasts: 0,
+        publish_time: Duration::ZERO,
         integration_log: Vec::new(),
         stats,
         admin,
@@ -1454,6 +1461,7 @@ fn core_loop(
         write_rounds: stats.write_rounds.load(Ordering::Relaxed),
         deferred: stats.deferred.load(Ordering::Relaxed),
         dropped_broadcasts: core.dropped_broadcasts,
+        publish_time: core.publish_time,
         wal_appends: wal.map_or(0, Wal::appends),
         wal_amplification: wal.map_or(0.0, Wal::amplification),
         wal_bytes: wal.map_or_else(Vec::new, |w| w.bytes().to_vec()),

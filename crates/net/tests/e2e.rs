@@ -19,13 +19,14 @@ use cvc_net::{EditorServer, ServerConfig};
 use cvc_reduce::client::{Client, ACK_INTERVAL};
 use cvc_reduce::frame::{write_frame, FrameReader};
 use cvc_reduce::msg::{ClientAckMsg, EditorMsg, ServerAckMsg, ServerOpMsg};
+use cvc_reduce::notifier::Notifier;
 use cvc_reduce::wal::DEFAULT_COMPACT_EVERY;
 use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -297,6 +298,7 @@ fn hostile_peer_is_evicted_not_fatal() {
     };
     let load = run_clients(&cfg, fresh_replicas(n)).expect("clients run");
     assert!(load.converged, "honest clients still converge");
+    assert_eq!(load.redials, 0, "no honest hello is trimmed");
 
     drop(hostile);
     drop(garbled);
@@ -539,6 +541,100 @@ fn a_trimmed_hello_is_said_again_from_the_integrated_count() {
     assert_eq!(report.doc_checksum, load.doc_checksum);
     let twin = replay_twin(2, &report.integration_log).expect("twin replay certifies");
     assert_eq!(twin.doc, load.doc);
+}
+
+/// A stand-in notifier's end of the one connection the next site dials:
+/// the listener is dropped at once when `keep_listening` is false.
+fn accept_site(listener: TcpListener, keep_listening: bool) -> (TestPeer, Option<TcpListener>) {
+    let (stream, _) = listener.accept().expect("the site dials");
+    let peer = TestPeer {
+        stream,
+        reader: FrameReader::new(),
+        unpacked: std::collections::VecDeque::new(),
+    };
+    (peer, keep_listening.then_some(listener))
+}
+
+/// Site 2's first op, as a two-site notifier broadcasts it to site 1.
+fn site2_op_for_site1(notifier: &mut Notifier) -> ServerOpMsg {
+    let op = Client::new(SiteId::from_client_index(1), "").insert(0, "z");
+    let out = notifier
+        .try_on_client_op_outcome(op)
+        .expect("op integrates");
+    out.broadcast_msgs().remove(0).1
+}
+
+/// A connection closed right after an op's `ServerAck`, with the listener
+/// still up, costs its site: that ack is no hello's answer, so the site
+/// is counted lost and never says hello again.
+#[test]
+fn a_close_after_an_ops_ack_is_counted_not_re_dialed() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let cfg = ClientConfig {
+        addr: listener.local_addr().expect("addr").to_string(),
+        total_ops: 2,
+        seed: 0x4C,
+    };
+    let run = std::thread::spawn(move || run_clients(&cfg, fresh_replicas(1)));
+    let (mut peer, _listening) = accept_site(listener, true);
+    let mut notifier = Notifier::new(2, "");
+    notifier.set_send_acks(true);
+    assert!(matches!(peer.recv(), EditorMsg::ClientAck(_)), "the hello");
+    let EditorMsg::ClientOp(op) = peer.recv() else {
+        panic!("site 1's first op");
+    };
+    // Site 1 executes a remote op, so a re-dial would ask for more than
+    // its first hello did; then its op is acked and the connection closes.
+    peer.send(&EditorMsg::ServerOp(site2_op_for_site1(&mut notifier)));
+    let out = notifier
+        .try_on_client_op_outcome(op)
+        .expect("op integrates");
+    peer.send(&EditorMsg::ServerAck(out.ack.expect("acks are on").1));
+    drop(peer);
+
+    let load = run
+        .join()
+        .expect("client thread joins")
+        .expect("run reports");
+    assert_eq!(load.redials, 0, "an op's ack is no hello's answer");
+    assert_eq!(load.conn_errors, 1, "the closed site is counted");
+    assert!(!load.converged);
+}
+
+/// A trimmed hello's answer whose re-dial finds no listener loses the
+/// site like any close, and the run still reports.
+#[test]
+fn a_re_dial_that_cannot_connect_is_counted() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let cfg = ClientConfig {
+        addr: listener.local_addr().expect("addr").to_string(),
+        total_ops: 0,
+        seed: 0x4D,
+    };
+    // Site 1 types, then executes site 2's op: its hello is held back.
+    let mut notifier = Notifier::new(2, "");
+    let mut site1 = Client::new(SiteId::from_client_index(0), "");
+    site1.insert(0, "x");
+    let z = site2_op_for_site1(&mut notifier);
+    site1.try_on_server_op(z).expect("site 2's op applies");
+    let run = std::thread::spawn(move || run_clients(&cfg, vec![site1]));
+
+    let (mut peer, _) = accept_site(listener, false);
+    assert!(matches!(
+        peer.recv(),
+        EditorMsg::ClientAck(ClientAckMsg { received: 0, .. })
+    ));
+    // The trimmed answer: the integrated count, then EOF.
+    peer.send(&EditorMsg::ServerAck(ServerAckMsg { acked: 1 }));
+    drop(peer);
+
+    let load = run
+        .join()
+        .expect("client thread joins")
+        .expect("run reports");
+    assert_eq!(load.redials, 0, "the re-dial never connected");
+    assert_eq!(load.conn_errors, 1, "the site is counted lost");
+    assert!(!load.converged);
 }
 
 /// Pump `peer` until `count` server ops have been applied to `replica`.
@@ -897,6 +993,10 @@ fn connection_churn_never_leaks_across_slot_reuse() {
     churner.join().expect("churner joins");
 
     assert_eq!(load.conn_errors, 0, "honest connections must survive churn");
+    assert_eq!(
+        load.redials, 0,
+        "no honest connection is closed and re-dialed"
+    );
     assert_eq!(load.protocol_errors, 0);
     assert!(load.converged, "honest clients converge through the churn");
 
