@@ -54,7 +54,8 @@ pub struct ClientConfig {
 /// What a run produced.
 #[derive(Debug)]
 pub struct ClientReport {
-    /// Operations the notifier acknowledged, summed over the sites.
+    /// Operations the notifier acknowledged, summed over the sites that
+    /// authored them.
     pub ops_acked: u64,
     /// Every site holds every op, all its own acked, no site was lost,
     /// and every document is the same.
@@ -90,7 +91,7 @@ struct Site {
     /// Ops this site has still to author.
     to_author: u64,
     /// The notifier's count of this site's integrated ops, from its last
-    /// `ServerAck`.
+    /// `ServerAck` — the count a re-dial's hello starts from.
     acked: u64,
     /// The frontier of this connection's hello.
     frontier: u64,
@@ -184,6 +185,18 @@ impl Site {
             }
             // Anything else downstream is a server bug.
             _ => self.ended = true,
+        }
+    }
+
+    /// The site's own ops the notifier acknowledged. A count past what the
+    /// replica generated — a fresh site's trimmed answer — is of an
+    /// earlier replica's ops, none of them this one's.
+    fn acked_own(&self) -> u64 {
+        let own = self.acked <= self.client.state_vector().generated();
+        if own {
+            self.acked
+        } else {
+            0
         }
     }
 
@@ -306,7 +319,7 @@ pub fn run_clients(cfg: &ClientConfig, replicas: Vec<Client>) -> io::Result<Clie
     let doc_checksum = sites.first().map_or(0, |s| s.client.doc_checksum());
     let same = |s: &Site| s.done(total) && s.client.doc_checksum() == doc_checksum;
     Ok(ClientReport {
-        ops_acked: sites.iter().map(|s| s.acked).sum(),
+        ops_acked: sites.iter().map(Site::acked_own).sum(),
         converged: conn_errors + protocol_errors == 0 && sites.iter().all(same),
         doc_checksum,
         doc: sites.first().map(|s| s.client.doc()).unwrap_or_default(),

@@ -572,10 +572,30 @@ impl ServerHandle {
     }
 }
 
+/// The editor listener's accept queue. `TcpListener::bind` asks for 128,
+/// and a connect burst past that drops SYNs, each retried a second later;
+/// the kernel caps the request at `net.core.somaxconn`.
+const LISTEN_BACKLOG: i32 = 4096;
+
+extern "C" {
+    fn listen(fd: i32, backlog: i32) -> i32;
+}
+
+/// `TcpListener::bind` with a [`LISTEN_BACKLOG`]-deep accept queue: a
+/// second `listen` on a listening socket only resizes its queue.
+fn bind_listener(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    // SAFETY: the fd is the listener's own and stays open for the call.
+    if unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(listener)
+}
+
 impl EditorServer {
     /// Bind, spawn the accept/worker/core threads, and return a handle.
     pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+        let listener = bind_listener(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
@@ -1474,6 +1494,21 @@ fn core_loop(
 mod tests {
     use super::*;
     use cvc_reduce::msg::ClientAckMsg;
+
+    /// 300 sites dialing at once all get through before any is accepted:
+    /// past std's 128 a dropped SYN would be retried only after a second.
+    #[test]
+    fn the_listener_queues_a_connect_burst_past_128() {
+        let listener = bind_listener("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound");
+        let conns: Vec<TcpStream> = (0..300)
+            .map(|k| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(250))
+                    .unwrap_or_else(|e| panic!("connect {k}: {e}"))
+            })
+            .collect();
+        assert_eq!(conns.len(), 300);
+    }
 
     /// A distinguishable payload: an ack whose frontier is `n`.
     fn payload(n: u64) -> Payload {

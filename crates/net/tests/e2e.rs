@@ -394,6 +394,8 @@ fn rebind_replays_what_the_dead_socket_swallowed() {
     let mut replica2 = Client::new(site2, "");
 
     let mut peer1 = TestPeer::bind(&addr, site1);
+    let hello_end = EditorMsg::ServerAck(ServerAckMsg { acked: 0 });
+    assert_eq!(peer1.recv(), hello_end, "the hello's answer");
     let peer2 = TestPeer::bind(&addr, site2);
     barrier(&addr);
 
@@ -437,6 +439,8 @@ fn rebind_below_a_trimmed_prefix_is_shed_and_counted() {
     let mut replica2 = Client::new(site2, "");
 
     let mut peer1 = TestPeer::bind(&addr, site1);
+    let hello_end = EditorMsg::ServerAck(ServerAckMsg { acked: 0 });
+    assert_eq!(peer1.recv(), hello_end, "the hello's answer");
     let mut peer2 = TestPeer::bind(&addr, site2);
 
     // Site 2 receives and acknowledges op 1; with two clients that is the
@@ -541,6 +545,60 @@ fn a_trimmed_hello_is_said_again_from_the_integrated_count() {
     assert_eq!(report.doc_checksum, load.doc_checksum);
     let twin = replay_twin(2, &report.integration_log).expect("twin replay certifies");
     assert_eq!(twin.doc, load.doc);
+}
+
+/// A replica that edited offline says hello to a fresh server: the answer
+/// is `ServerAck{acked: 0}` alone, on which the site re-sends its edit,
+/// and the run converges with it.
+#[test]
+fn an_offline_edit_is_re_sent_on_a_fresh_servers_answer() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        capture_integrations: true,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let mut replicas = fresh_replicas(2);
+    replicas[0].insert(0, "x");
+    let cfg = ClientConfig {
+        addr: server.addr().to_string(),
+        total_ops: 4,
+        seed: 0x49,
+    };
+    let load = run_clients(&cfg, replicas).expect("clients run");
+    assert!(load.converged, "{load:?}");
+    assert_eq!(load.ops_acked, 5, "the offline edit and the run's four");
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 5);
+    assert_eq!(report.doc, load.doc);
+}
+
+/// A second run's fresh sites against a server whose history of them is
+/// collected are shed — their hellos ask for that prefix — and the
+/// integrated count their answers carry is the first run's, not theirs.
+#[test]
+fn a_second_runs_fresh_sites_count_none_of_the_first_runs_acks() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let cfg = ClientConfig {
+        addr: addr.clone(),
+        total_ops: 8,
+        seed: 0x49,
+    };
+    let first = run_clients(&cfg, fresh_replicas(2)).expect("clients run");
+    assert!(first.converged, "{first:?}");
+    assert_eq!(first.ops_acked, 8);
+    barrier(&addr);
+    let second = run_clients(&cfg, fresh_replicas(2)).expect("clients run");
+    assert!(!second.converged && second.conn_errors > 0, "{second:?}");
+    assert_eq!(second.ops_acked, 0, "{second:?}");
+    server.shutdown();
 }
 
 /// A stand-in notifier's end of the one connection the next site dials:

@@ -26,9 +26,10 @@
 //!
 //! Each check returns a [`Finding`] when the engine's verdict contradicts
 //! Definition 1, or [`Unknown`] when it names an identity the audit has
-//! not registered yet; nothing here panics. Three drivers feed it: the
-//! seeded E8/E11 walks ([`crate::verify`]), the chaos twin, and
-//! [`audit_streams`] below, which replays flight-recorder dumps.
+//! not registered yet; nothing here panics. Three drivers feed it:
+//! [`crate::verify::step`], the one step the seeded E8/E11 walks, the
+//! timed-session replays and the exhaustive search take; the chaos twin;
+//! and [`audit_streams`] below, which replays flight-recorder dumps.
 //!
 //! ## Replaying flight-recorder dumps
 //!

@@ -105,6 +105,20 @@ pub struct Client {
     recorder: FlightRecorder,
 }
 
+/// A replica's protocol state, for a search's memo: every field but its
+/// metrics and recorder — its history with stamps, its bridge, its undo
+/// stacks, its document's text — as `Debug` strings.
+impl std::hash::Hash for Client {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        let c = self;
+        format!("{:?}", (c.site, c.sv, &c.bridge, &c.hb)).hash(h);
+        format!("{:?}", (c.acked_local, c.last_ack_sent, c.caret)).hash(h);
+        let undo = (&c.undo_stack, &c.redo_stack);
+        format!("{undo:?} {} {:?}", c.share_caret, c.remote_carets).hash(h);
+        c.doc.to_string().hash(h);
+    }
+}
+
 impl Client {
     /// A client for `site` starting from the shared `initial` document.
     pub fn new(site: SiteId, initial: &str) -> Self {

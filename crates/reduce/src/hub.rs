@@ -238,9 +238,11 @@ impl<C: Copy + Eq + Hash> Hub<C> {
         match self.catch_up(site, hello.received) {
             Ok(CatchUp::Replay { ops, integrated }) => {
                 self.bind(ch, site);
-                // One cumulative ack covers every `ServerAck` the site missed.
-                let ack = (self.notifier().sends_acks() && integrated > 0)
-                    .then_some(EditorMsg::ServerAck(ServerAckMsg { acked: integrated }));
+                // One cumulative ack covers every `ServerAck` the site
+                // missed and ends the answer, 0 included: a site holding
+                // ops the notifier never integrated re-sends them on it.
+                let end = EditorMsg::ServerAck(ServerAckMsg { acked: integrated });
+                let ack = self.notifier().sends_acks().then_some(end);
                 let msgs = ops.into_iter().map(EditorMsg::ServerOp).chain(ack);
                 sends.extend(msgs.map(|m| (ch, Payload::encode(&m))));
                 Step::Bound(site)

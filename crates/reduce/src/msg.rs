@@ -326,6 +326,13 @@ impl PartialEq for Payload {
 
 impl Eq for Payload {}
 
+impl std::hash::Hash for Payload {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.len().hash(h);
+        self.chunks().iter().for_each(|c| h.write(c));
+    }
+}
+
 /// An encoded message is as long as it is: the same count
 /// [`EditorMsg::wire_bytes`] gives before encoding.
 impl WireSize for Payload {

@@ -622,8 +622,8 @@ impl Star {
             // collected prefix stays unbound and is counted like a
             // refusal. Either answer ends with `ServerAck{acked:
             // integrated}` — the hub adds one only when the notifier sends
-            // acks and has integrated something, and the client needs the
-            // count even when it is 0 — so an honest client whose
+            // acks, which a streaming session's does not, and the client
+            // needs the count even when it is 0 — so an honest client whose
             // frontier was held back too far learns where to say hello
             // from again.
             Step::Bound(_) | Step::Trimmed(_) => {

@@ -15,12 +15,17 @@
 //! the buffered operations are the *transformed* `O'` forms, which count as
 //! operations generated at site 0. The star walks feed a
 //! [`StarAudit`], which states that rule and its companions once.
+//!
+//! Every move on the star goes through one function, [`step`]: the
+//! seeded walks here, the timed-session replays, and [`explore`], the
+//! memoized search over every interleaving of a small [`Scope`].
 
-use crate::audit::StarAudit;
+use crate::audit::{Findings, StarAudit};
 use crate::client::Client;
 use crate::core::NotifierCore;
+use crate::error::ProtocolError;
 use crate::mesh::MeshSite;
-use crate::msg::MeshOpMsg;
+use crate::msg::{ClientOpMsg, MeshOpMsg, Payload};
 use crate::notifier::Notifier;
 use crate::world::{Move, StarWorld};
 use cvc_core::oracle::{CausalityOracle, OpRef};
@@ -28,6 +33,7 @@ use cvc_core::site::SiteId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 /// Parameters for a verification run.
 #[derive(Debug, Clone)]
@@ -117,12 +123,12 @@ fn letter(rng: &mut SmallRng) -> char {
 
 /// The seeded random walk over a [`StarWorld`] behind both star
 /// verifiers: each step is drawn uniformly from the enabled ones (the
-/// world's [`StarWorld::moves`], then any membership change), and every
-/// verdict an integration returns goes through a [`StarAudit`].
-/// `max_clients` turns on membership changes — joins up to that many
-/// sites, leaves while more than two members remain — and with them the
-/// dynamic walk's draw order (an insert's character before its position),
-/// which E11's golden pins as E8's pins the other.
+/// world's [`StarWorld::moves`], then any membership change), and each
+/// move goes through [`step`]. `max_clients` turns on membership changes
+/// — joins up to that many sites, leaves while more than two members
+/// remain — and with them the dynamic walk's draw order (an insert's
+/// character before its position), which E11's golden pins as E8's pins
+/// the other.
 fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> VerifyReport {
     let n = cfg.n_clients;
     let tag = if max_clients.is_some() { "dyn " } else { "" };
@@ -150,9 +156,11 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
             }
         }
         match actions[rng.gen_range(0..actions.len())] {
-            Action::Work(Move::Edit(site)) => {
-                budget[site.client_index()] -= 1;
-                report.ops += 1;
+            Action::Work(m) => {
+                if let Move::Edit(site) = m {
+                    budget[site.client_index()] -= 1;
+                    report.ops += 1;
+                }
                 let edit = |c: &mut Client| {
                     let len = c.doc_len();
                     Ok(if len > 0 && rng.gen_bool(0.3) {
@@ -164,26 +172,11 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
                         c.insert(pos, &ch.to_string())
                     })
                 };
-                let stamp = world.edit(site, edit).expect("members edit");
-                audit.generate((site, stamp.get(2)));
-            }
-            Action::Work(Move::Up(site)) => {
-                let outcome = world.deliver_up(site);
-                let outcome = outcome.expect("valid client op").expect("queued");
-                let found = audit.notifier_integrated(world.notifier(), &outcome);
-                let found = found.expect("the walk generated it").into_iter();
-                // Every verdict, the below-watermark prefix included.
-                let checks = outcome.first_checked + outcome.checked.len();
-                report.record(checks, found.map(|f| format!("{tag}notifier: {f}")));
-            }
-            Action::Work(Move::Down(site)) => {
-                let outcome = world.deliver_down(site).expect("valid server op");
-                let outcome = outcome.expect("queued");
-                let client = world.client(site).expect("a member");
-                let found = audit.client_integrated(client, &outcome);
-                let found = found.expect("the walk broadcast it").into_iter();
-                let found = found.map(|f| format!("{tag}client {}: {f}", site.0));
-                report.record(outcome.checked.len(), found);
+                let stepped = step(&mut world, &mut audit, m, edit, &mut false);
+                let (verdicts, found) = stepped.expect("the walk's moves are valid");
+                let found = found.expect("the walk generated and broadcast it");
+                let found = found.iter().map(|f| format!("{tag}{m:?}: {f}"));
+                report.record(verdicts.len(), found);
             }
             Action::Join => {
                 let site = world.join().expect("a world's core has no log");
@@ -205,6 +198,244 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
     let doc = world.notifier().doc();
     report.converged = world.clients().all(|c| c.doc() == doc);
     report
+}
+
+/// The one step every star driver takes: move `m` through `world`, its
+/// outcome fed to `audit`. An edit is `user`'s on the site's replica; a
+/// delivery up or down is the head of that FIFO. Returns the verdicts the
+/// integration took — one per history entry, in buffer order; none for an
+/// edit, an ack or a skipped repeat — and the audit's findings on them.
+/// With `flip` set, the first verdict is flipped before the audit sees it
+/// and `flip` clears: the mutation a sound audit must catch.
+pub fn step(
+    world: &mut StarWorld,
+    audit: &mut StarAudit,
+    m: Move,
+    user: impl FnOnce(&mut Client) -> Result<ClientOpMsg, ProtocolError>,
+    flip: &mut bool,
+) -> Result<(Vec<bool>, Findings), ProtocolError> {
+    let mut mutate = |verdicts: &mut Vec<bool>| {
+        if let (true, Some(v)) = (*flip, verdicts.first_mut()) {
+            (*v, *flip) = (!*v, false);
+        }
+    };
+    let judged = match m {
+        Move::Edit(site) => {
+            audit.generate((site, world.edit(site, user)?.get(2)));
+            None
+        }
+        Move::Up(site) => world.deliver_up(site)?.map(|mut out| {
+            (out.first_checked, out.checked) = (0, out.full_verdicts());
+            mutate(&mut out.checked);
+            let found = audit.notifier_integrated(world.notifier(), &out);
+            (out.checked, found)
+        }),
+        Move::Down(site) => match (world.deliver_down(site)?, world.client(site)) {
+            (Some(mut out), Some(client)) => {
+                mutate(&mut out.checked);
+                let found = audit.client_integrated(client, &out);
+                Some((out.checked, found))
+            }
+            _ => None,
+        },
+    };
+    Ok(judged.unwrap_or_else(|| (Vec::new(), Ok(Vec::new()))))
+}
+
+/// An edit a search offers every site with budget left, made with the
+/// site's letter (`a` at site 1, `b` at site 2, …).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edit {
+    /// Insert the letter at position 0.
+    LetterAtStart,
+    /// Insert the letter at the end.
+    LetterAtEnd,
+    /// Delete the first character; not offered on an empty document.
+    DeleteFirst,
+}
+
+impl Edit {
+    /// Every edit of the menu.
+    pub const MENU: [Edit; 3] = [Edit::LetterAtStart, Edit::LetterAtEnd, Edit::DeleteFirst];
+
+    fn apply(self, c: &mut Client) -> ClientOpMsg {
+        let letter = char::from(b'a' + c.site().client_index() as u8).to_string();
+        match self {
+            Edit::LetterAtStart => c.insert(0, &letter),
+            Edit::LetterAtEnd => c.insert(c.doc_len(), &letter),
+            Edit::DeleteFirst => c.delete(0, 1),
+        }
+    }
+}
+
+/// What a search ([`explore`]) covers: `sites` clients on an empty
+/// document, each making `ops` edits from `menu`, in every interleaving
+/// with the deliveries they cause. With `flip_first` the first verdict
+/// each path feeds the audit is flipped: a mutated run, which must find
+/// one contradiction on every path.
+#[derive(Debug, Clone)]
+pub struct Scope {
+    /// Client sites.
+    pub sites: usize,
+    /// Edits each site makes.
+    pub ops: usize,
+    /// The edits each site chooses from.
+    pub menu: Vec<Edit>,
+    /// Flip the first verdict fed to the audit.
+    pub flip_first: bool,
+}
+
+/// What a search found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Explored {
+    /// Distinct states reached, terminal ones included.
+    pub states: u64,
+    /// States with no move left.
+    pub terminal_states: u64,
+    /// Paths to a terminal state, by the findings along them: none, one,
+    /// two or more.
+    pub paths: [u64; 3],
+    /// Terminal states where a replica's document is not the notifier's.
+    pub diverged: u64,
+}
+
+/// A state of a search: the star, its audit, what each site may still
+/// edit, and whether the next verdict is flipped.
+#[derive(Clone)]
+struct Node {
+    world: StarWorld,
+    audit: StarAudit,
+    budget: Vec<usize>,
+    flip: bool,
+}
+
+/// An enabled move of a search, with the edit it makes.
+type Choice = (Move, Option<Edit>);
+
+impl Node {
+    /// The memo's key: a hash of the world's protocol state (`StarWorld`'s
+    /// `Hash`), the budgets and the flip. The audit is left out: in a
+    /// FIFO star, a replica's history fixes its causal past.
+    fn digest(&self) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        (&self.world, &self.budget, self.flip).hash(&mut h);
+        h.finish()
+    }
+
+    /// The world's moves, an edit once per menu entry that applies.
+    fn choices(&self, menu: &[Edit]) -> Vec<Choice> {
+        let mut out = Vec::new();
+        for m in self.world.moves(&self.budget) {
+            let Move::Edit(site) = m else {
+                out.push((m, None));
+                continue;
+            };
+            let empty = self.world.client(site).is_some_and(|c| c.doc_len() == 0);
+            let applies = menu.iter().filter(|&&e| !empty || e != Edit::DeleteFirst);
+            out.extend(applies.map(|&e| (m, Some(e))));
+        }
+        out
+    }
+
+    /// Take `choice`: the verdicts and findings of [`step`].
+    fn step(&mut self, (m, edit): Choice) -> (Vec<bool>, Findings) {
+        if let Move::Edit(site) = m {
+            self.budget[site.client_index()] -= 1;
+        }
+        let user = |c: &mut Client| Ok(edit.expect("an edit carries its edit").apply(c));
+        let stepped = step(&mut self.world, &mut self.audit, m, user, &mut self.flip);
+        stepped.expect("an honest star's moves are valid")
+    }
+
+    /// What `choice` does from here: its verdicts and findings, and the
+    /// bytes then queued on every FIFO, up and down.
+    fn outcome(&self, choice: Choice) -> (Vec<bool>, Findings, Vec<Vec<Payload>>) {
+        let mut next = self.clone();
+        let (verdicts, findings) = next.step(choice);
+        let w = &mut next.world;
+        let queues = (0..self.budget.len()).flat_map(|i| {
+            let site = SiteId::from_client_index(i);
+            let up: Vec<Payload> = std::iter::from_fn(|| w.pop_up(site)).collect();
+            [up, std::iter::from_fn(|| w.pop_down(i)).collect()]
+        });
+        (verdicts, findings, queues.collect())
+    }
+}
+
+/// Search every interleaving of `scope` depth first, every move through
+/// [`step`], memoized on each state's digest: a state reached again adds
+/// the paths counted below it the first time, by findings, without
+/// walking them again. Each terminal state's replicas are checked against
+/// the notifier's document.
+pub fn explore(scope: &Scope) -> Explored {
+    search(scope, None)
+}
+
+/// [`explore`], checking the memo as it goes: at every state reached
+/// again, each enabled move's outcome — its verdicts, its findings and
+/// the bytes it leaves queued — must equal its outcome from the first
+/// node that reached that state, or the search panics. It keeps every
+/// node, so it is for small scopes.
+pub fn explore_checked(scope: &Scope) -> Explored {
+    search(scope, Some(HashMap::new()))
+}
+
+fn search(scope: &Scope, mut firsts: Option<HashMap<u64, Node>>) -> Explored {
+    let core = NotifierCore::new(Notifier::new(scope.sites, ""), None, None);
+    let (world, audit, flip) = (StarWorld::new(core), StarAudit::default(), scope.flip_first);
+    let root = Node {
+        world,
+        audit,
+        budget: vec![scope.ops; scope.sites],
+        flip,
+    };
+    let (mut explored, mut memo) = (Explored::default(), HashMap::new());
+    explored.paths = below(&root, scope, &mut memo, &mut firsts, &mut explored);
+    explored.states = memo.len() as u64;
+    explored
+}
+
+/// The terminal paths below `node`, by the findings along them.
+fn below(
+    node: &Node,
+    scope: &Scope,
+    memo: &mut HashMap<u64, [u64; 3]>,
+    firsts: &mut Option<HashMap<u64, Node>>,
+    explored: &mut Explored,
+) -> [u64; 3] {
+    let (key, choices) = (node.digest(), node.choices(&scope.menu));
+    if let Some(&paths) = memo.get(&key) {
+        if let Some(first) = firsts.as_ref().map(|f| &f[&key]) {
+            assert_eq!(first.choices(&scope.menu), choices, "one digest, two menus");
+            for &c in &choices {
+                let (a, b) = (first.outcome(c), node.outcome(c));
+                assert_eq!(a, b, "one digest, two outcomes of {c:?}");
+            }
+        }
+        return paths;
+    }
+    let mut paths = [u64::from(choices.is_empty()), 0, 0];
+    if choices.is_empty() {
+        explored.terminal_states += 1;
+        let doc = node.world.notifier().doc();
+        explored.diverged += u64::from(!node.world.clients().all(|c| c.doc() == doc));
+    }
+    for &c in &choices {
+        let mut next = node.clone();
+        let found = next
+            .step(c)
+            .1
+            .expect("every op was generated and broadcast");
+        let sub = below(&next, scope, memo, firsts, explored);
+        for (k, n) in sub.into_iter().enumerate() {
+            paths[(k + found.len()).min(2)] += n;
+        }
+    }
+    memo.insert(key, paths);
+    if let Some(firsts) = firsts {
+        firsts.insert(key, node.clone());
+    }
+    paths
 }
 
 /// Verify the mesh baseline's formula (3) verdicts against the oracle.

@@ -643,6 +643,27 @@ impl StarWorld {
     }
 }
 
+/// The star's protocol state, for a search's memo: what a restarted
+/// notifier ([`Notifier::from_checkpoint`]) and the replicas would go on
+/// from. That is the notifier's document, state vector and checkpoint —
+/// its whole state — and each seat's channel, replica ([`Client`]'s
+/// `Hash`; a composing replica is not hashed), up FIFO and reconnect
+/// counts, then every channel's queue. No metrics, recorder or clock.
+impl std::hash::Hash for StarWorld {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        let n = self.notifier();
+        (n.doc(), format!("{:?}", n.state_vector())).hash(h);
+        format!("{:?}", (n.checkpoint_cursors(), n.checkpoint_history())).hash(h);
+        for (i, seat) in self.seats.iter().enumerate() {
+            self.hub.channel_of(SiteId::from_client_index(i)).hash(h);
+            if let Some(s) = seat {
+                (s.streaming(), &s.up, s.integrated, s.hello).hash(h);
+            }
+        }
+        self.down.hash(h);
+    }
+}
+
 /// The one message `payload` carries; `None` for bytes that do not
 /// decode, a compound, or trailing bytes.
 fn decode_one(payload: &Payload) -> Option<EditorMsg> {

@@ -179,6 +179,25 @@ fn strangers_hellos_cost_only_the_channel() {
     assert!(n.is_active(SiteId(1)) && n.is_active(SiteId(2)));
 }
 
+/// A core that sends acks, as the TCP tier's does, ends every served
+/// hello's answer with `ServerAck{acked: integrated}`, 0 included: a
+/// fresh site holding ops the notifier never integrated learns from it
+/// that its re-sends start at the first.
+#[test]
+fn a_served_hello_ends_with_the_integrated_count_even_at_0() {
+    let mut notifier = Notifier::new(2, "");
+    notifier.set_send_acks(true);
+    let mut h: Hub<u8> = Hub::new(NotifierCore::new(notifier, None, None));
+    let mut sends = Vec::new();
+    assert!(matches!(
+        h.on_msg(1, hello(1, 0), &mut sends),
+        Step::Bound(_)
+    ));
+    let answer: Vec<EditorMsg> = sends.iter().flat_map(|(_, p)| decode(p)).collect();
+    let end = EditorMsg::ServerAck(ServerAckMsg { acked: 0 });
+    assert_eq!(answer, vec![end]);
+}
+
 /// Anything but a hello on an unbound channel is refused: an op before
 /// the handshake never reaches the notifier.
 #[test]

@@ -3,8 +3,8 @@
 //! the FIFO clamp and the script timers — is a sequence of the world's
 //! `Edit` / `Up` / `Down` moves. This file recovers that sequence from
 //! the session's own outputs (its scripts and `record_deliveries`), with
-//! no hook in the driver, and replays it on a fresh world through the
-//! pop-based `deliver_*`, feeding every integration to a `StarAudit`: the
+//! no hook in the driver, and replays it on a fresh world through
+//! `verify::step`, feeding every integration to a `StarAudit`: the
 //! Definition-1 audit over interleavings a uniform random walk would not
 //! pick, ending in exactly the session's documents.
 //!
@@ -13,7 +13,9 @@
 
 use cvc_core::site::SiteId;
 use cvc_reduce::audit::StarAudit;
+use cvc_reduce::client::Client;
 use cvc_reduce::session::{run_session, Deployment, SessionConfig};
+use cvc_reduce::verify::step;
 use cvc_reduce::world::{Move, StarWorld};
 
 /// The session's moves in the order its simulator fired them. Every
@@ -44,10 +46,10 @@ fn moves_of(cfg: &SessionConfig, deliveries: &[cvc_sim::DeliveryRecord]) -> Vec<
     moves
 }
 
-/// Replay `moves` on a fresh world configured like `cfg`'s, the way the
-/// timed driver steps it (a quiet site queues its bare ack after each
-/// down delivery); the final documents, notifier first, and the number
-/// of verdicts the audit judged.
+/// Replay `moves` on a fresh world configured like `cfg`'s through
+/// `verify::step`, the way the timed driver steps it (a quiet site queues
+/// its bare ack after each down delivery); the final documents, notifier
+/// first, and the number of verdicts the audit judged.
 fn replay(cfg: &SessionConfig, moves: &[Move]) -> (Vec<String>, usize) {
     let n = cfg.workload.n_sites;
     let scripts = cfg.workload.generate();
@@ -60,35 +62,20 @@ fn replay(cfg: &SessionConfig, moves: &[Move]) -> (Vec<String>, usize) {
         // a path through the same move graph an explorer searches.
         let budget: Vec<usize> = (0..n).map(|i| scripts[i].len() - next_edit[i]).collect();
         assert!(world.moves(&budget).contains(&m), "{m:?} not enabled");
-        let findings = match m {
-            Move::Edit(site) => {
-                let k = &mut next_edit[site.client_index()];
-                let intent = &scripts[site.client_index()][*k].intent;
-                *k += 1;
-                if let Some(op) = world.perform(site, intent).expect("a member") {
-                    audit.generate((site, op.stamp.get(2)));
-                }
-                Vec::new()
-            }
-            Move::Up(site) => match world.deliver_up(site).expect("a valid op or ack") {
-                Some(out) => {
-                    verdicts += out.first_checked + out.checked.len();
-                    let found = audit.notifier_integrated(world.notifier(), &out);
-                    found.expect("every op was generated")
-                }
-                None => Vec::new(),
-            },
-            Move::Down(site) => {
-                let out = world.deliver_down(site).expect("a valid op");
-                let out = out.unwrap_or_else(|| panic!("{m:?}: nothing was queued"));
-                verdicts += out.checked.len();
-                let client = world.client(site).expect("a member");
-                let found = audit.client_integrated(client, &out);
-                world.take_pending_ack(site);
-                found.expect("every broadcast was mapped")
-            }
+        let perform = |c: &mut Client| {
+            let k = &mut next_edit[c.site().client_index()];
+            *k += 1;
+            let intent = &scripts[c.site().client_index()][*k - 1].intent;
+            Ok(intent.apply_to(c).expect("every scripted intent applies"))
         };
+        let stepped = step(&mut world, &mut audit, m, perform, &mut false);
+        let (judged, findings) = stepped.expect("a valid op or ack");
+        let findings = findings.expect("every op was generated, every broadcast mapped");
         assert!(findings.is_empty(), "{m:?}: {findings:?}");
+        verdicts += judged.len();
+        if let Move::Down(site) = m {
+            world.take_pending_ack(site);
+        }
     }
     let mut docs = vec![world.notifier().doc()];
     docs.extend(world.clients().map(|c| c.doc()));
