@@ -16,11 +16,12 @@
 //! prefix it asks for was collected) is answered `ServerAck{acked:
 //! integrated}` and then EOF, and the site dials again with
 //! `hello_frontier(integrated)` if that is above the frontier it sent.
-//! Otherwise the site is shed. The hello of a replica that already holds
-//! edits is answered by a `ServerAck` too — the notifier has integrated
-//! some of them — and on it the site re-sends what the count does not
-//! cover. Until then it skips the repeats its held-back frontier asked for
-//! and owes no bare ack.
+//! Otherwise the site is shed. A served hello's answer ends with a
+//! `ServerAck` too, 0 included, and on it the site re-sends what the
+//! count does not cover. Until then it authors nothing, skips the repeats
+//! its held-back frontier asked for and owes no bare ack. A count above
+//! what the replica generated is another replica's history under the
+//! site's id: the site is lost, and its count is not taken.
 //!
 //! A run ends when every site holds every op it did not author and all of
 //! its own are acked — then every document must be the same — or as soon
@@ -54,8 +55,7 @@ pub struct ClientConfig {
 /// What a run produced.
 #[derive(Debug)]
 pub struct ClientReport {
-    /// Operations the notifier acknowledged, summed over the sites that
-    /// authored them.
+    /// Operations the notifier acknowledged, summed over the sites.
     pub ops_acked: u64,
     /// Every site holds every op, all its own acked, no site was lost,
     /// and every document is the same.
@@ -91,7 +91,7 @@ struct Site {
     /// Ops this site has still to author.
     to_author: u64,
     /// The notifier's count of this site's integrated ops, from its last
-    /// `ServerAck` — the count a re-dial's hello starts from.
+    /// `ServerAck`.
     acked: u64,
     /// The frontier of this connection's hello.
     frontier: u64,
@@ -119,7 +119,7 @@ impl Site {
     /// Say hello on the current connection.
     fn hello(&mut self) {
         self.frontier = self.client.hello_frontier(self.acked);
-        self.answer_due = self.client.state_vector().generated() > 0;
+        self.answer_due = true;
         self.answered = false;
         let origin = self.client.site();
         let received = self.frontier;
@@ -173,6 +173,11 @@ impl Site {
                     self.send(&EditorMsg::ClientAck(ack));
                 }
             }
+            // More of this site's ops than the replica generated: the
+            // notifier's history under its id is another replica's.
+            EditorMsg::ServerAck(a) if a.acked > self.client.state_vector().generated() => {
+                self.ended = true;
+            }
             EditorMsg::ServerAck(a) => {
                 self.acked = a.acked;
                 if std::mem::take(&mut self.answer_due) {
@@ -185,18 +190,6 @@ impl Site {
             }
             // Anything else downstream is a server bug.
             _ => self.ended = true,
-        }
-    }
-
-    /// The site's own ops the notifier acknowledged. A count past what the
-    /// replica generated — a fresh site's trimmed answer — is of an
-    /// earlier replica's ops, none of them this one's.
-    fn acked_own(&self) -> u64 {
-        let own = self.acked <= self.client.state_vector().generated();
-        if own {
-            self.acked
-        } else {
-            0
         }
     }
 
@@ -319,7 +312,7 @@ pub fn run_clients(cfg: &ClientConfig, replicas: Vec<Client>) -> io::Result<Clie
     let doc_checksum = sites.first().map_or(0, |s| s.client.doc_checksum());
     let same = |s: &Site| s.done(total) && s.client.doc_checksum() == doc_checksum;
     Ok(ClientReport {
-        ops_acked: sites.iter().map(Site::acked_own).sum(),
+        ops_acked: sites.iter().map(|s| s.acked).sum(),
         converged: conn_errors + protocol_errors == 0 && sites.iter().all(same),
         doc_checksum,
         doc: sites.first().map(|s| s.client.doc()).unwrap_or_default(),

@@ -107,15 +107,33 @@ pub struct Client {
 
 /// A replica's protocol state, for a search's memo: every field but its
 /// metrics and recorder — its history with stamps, its bridge, its undo
-/// stacks, its document's text — as `Debug` strings.
+/// stacks, its document's text — as `Debug` strings. Every field is
+/// named, so a new one does not compile until it is hashed or waived.
 impl std::hash::Hash for Client {
     fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        let c = self;
-        format!("{:?}", (c.site, c.sv, &c.bridge, &c.hb)).hash(h);
-        format!("{:?}", (c.acked_local, c.last_ack_sent, c.caret)).hash(h);
-        let undo = (&c.undo_stack, &c.redo_stack);
-        format!("{undo:?} {} {:?}", c.share_caret, c.remote_carets).hash(h);
-        c.doc.to_string().hash(h);
+        let Client {
+            site,
+            sv,
+            doc,
+            bridge,
+            hb,
+            acked_local,
+            last_ack_sent,
+            undo_stack,
+            redo_stack,
+            caret,
+            share_caret,
+            remote_carets,
+            metrics: _,
+            recorder: _,
+        } = self;
+        format!("{:?}", (site, sv, bridge, hb)).hash(h);
+        format!(
+            "{:?}",
+            (acked_local, last_ack_sent, caret, undo_stack, redo_stack)
+        )
+        .hash(h);
+        (share_caret, remote_carets, doc.to_string()).hash(h);
     }
 }
 

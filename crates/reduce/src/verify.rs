@@ -30,6 +30,7 @@ use crate::notifier::Notifier;
 use crate::world::{Move, StarWorld};
 use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
+use cvc_core::state_vector::CompressedStamp;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -172,8 +173,9 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
                         c.insert(pos, &ch.to_string())
                     })
                 };
-                let stepped = step(&mut world, &mut audit, m, edit, &mut false);
-                let (verdicts, found) = stepped.expect("the walk's moves are valid");
+                let user = |w: &mut StarWorld, site| w.edit(site, edit).map(Some);
+                let stepped = step(&mut world, &mut audit, m, user).expect("members' moves");
+                let (verdicts, found) = stepped.expect("queued");
                 let found = found.expect("the walk generated and broadcast it");
                 let found = found.iter().map(|f| format!("{tag}{m:?}: {f}"));
                 report.record(verdicts.len(), found);
@@ -201,45 +203,56 @@ fn walk_star(cfg: &VerifyConfig, seed: u64, max_clients: Option<usize>) -> Verif
 }
 
 /// The one step every star driver takes: move `m` through `world`, its
-/// outcome fed to `audit`. An edit is `user`'s on the site's replica; a
-/// delivery up or down is the head of that FIFO. Returns the verdicts the
-/// integration took — one per history entry, in buffer order; none for an
-/// edit, an ack or a skipped repeat — and the audit's findings on them.
-/// With `flip` set, the first verdict is flipped before the audit sees it
-/// and `flip` clears: the mutation a sound audit must catch.
+/// outcome fed to `audit`. An edit is `user`'s at the site — the stamp of
+/// the op it sent, if any; a delivery up or down is the head of that
+/// FIFO. Returns the verdicts the move took — one per history entry, in
+/// buffer order; none for an edit — and the audit's findings on them, or
+/// `None` when the move did nothing the audit sees: an edit that sent
+/// nothing, an ack or a skipped repeat delivered, an empty FIFO.
 pub fn step(
     world: &mut StarWorld,
     audit: &mut StarAudit,
     m: Move,
-    user: impl FnOnce(&mut Client) -> Result<ClientOpMsg, ProtocolError>,
+    user: impl FnOnce(&mut StarWorld, SiteId) -> Result<Option<CompressedStamp>, ProtocolError>,
+) -> Result<Option<(Vec<bool>, Findings)>, ProtocolError> {
+    judge(world, audit, m, user, &mut false)
+}
+
+/// [`step`], flipping the first verdict before the audit sees it while
+/// `flip` is set, which then clears: the mutation a sound audit must
+/// catch.
+fn judge(
+    world: &mut StarWorld,
+    audit: &mut StarAudit,
+    m: Move,
+    user: impl FnOnce(&mut StarWorld, SiteId) -> Result<Option<CompressedStamp>, ProtocolError>,
     flip: &mut bool,
-) -> Result<(Vec<bool>, Findings), ProtocolError> {
+) -> Result<Option<(Vec<bool>, Findings)>, ProtocolError> {
     let mut mutate = |verdicts: &mut Vec<bool>| {
         if let (true, Some(v)) = (*flip, verdicts.first_mut()) {
             (*v, *flip) = (!*v, false);
         }
     };
-    let judged = match m {
-        Move::Edit(site) => {
-            audit.generate((site, world.edit(site, user)?.get(2)));
-            None
-        }
+    Ok(match m {
+        Move::Edit(site) => user(world, site)?.map(|stamp| {
+            audit.generate((site, stamp.get(2)));
+            (Vec::new(), Ok(Vec::new()))
+        }),
         Move::Up(site) => world.deliver_up(site)?.map(|mut out| {
             (out.first_checked, out.checked) = (0, out.full_verdicts());
             mutate(&mut out.checked);
             let found = audit.notifier_integrated(world.notifier(), &out);
             (out.checked, found)
         }),
-        Move::Down(site) => match (world.deliver_down(site)?, world.client(site)) {
-            (Some(mut out), Some(client)) => {
-                mutate(&mut out.checked);
-                let found = audit.client_integrated(client, &out);
-                Some((out.checked, found))
-            }
-            _ => None,
-        },
-    };
-    Ok(judged.unwrap_or_else(|| (Vec::new(), Ok(Vec::new()))))
+        Move::Down(site) => world.deliver_down(site)?.map(|mut out| {
+            mutate(&mut out.checked);
+            let client = world
+                .client(site)
+                .expect("a streaming member integrated it");
+            let found = audit.client_integrated(client, &out);
+            (out.checked, found)
+        }),
+    })
 }
 
 /// An edit a search offers every site with budget left, made with the
@@ -337,14 +350,19 @@ impl Node {
         out
     }
 
-    /// Take `choice`: the verdicts and findings of [`step`].
+    /// Take `choice`: the verdicts and findings of [`step`]; every move
+    /// of an honest star with no acks integrates something.
     fn step(&mut self, (m, edit): Choice) -> (Vec<bool>, Findings) {
         if let Move::Edit(site) = m {
             self.budget[site.client_index()] -= 1;
         }
-        let user = |c: &mut Client| Ok(edit.expect("an edit carries its edit").apply(c));
-        let stepped = step(&mut self.world, &mut self.audit, m, user, &mut self.flip);
-        stepped.expect("an honest star's moves are valid")
+        let user = |w: &mut StarWorld, site| {
+            let e = edit.expect("an edit carries its edit");
+            w.edit(site, |c| Ok(e.apply(c))).map(Some)
+        };
+        let judged = judge(&mut self.world, &mut self.audit, m, user, &mut self.flip);
+        let judged = judged.expect("an honest star's moves are valid");
+        judged.expect("every move of a search integrates")
     }
 
     /// What `choice` does from here: its verdicts and findings, and the

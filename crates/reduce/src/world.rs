@@ -649,18 +649,33 @@ impl StarWorld {
 /// its whole state — and each seat's channel, replica ([`Client`]'s
 /// `Hash`; a composing replica is not hashed), up FIFO and reconnect
 /// counts, then every channel's queue. No metrics, recorder or clock.
+/// Every field is named, so a new one does not compile until it is hashed
+/// or waived.
 impl std::hash::Hash for StarWorld {
     fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        let n = self.notifier();
+        let StarWorld {
+            hub,
+            seats,
+            down,
+            misrouted: _,
+            now: _,
+        } = self;
+        let n = hub.notifier();
         (n.doc(), format!("{:?}", n.state_vector())).hash(h);
         format!("{:?}", (n.checkpoint_cursors(), n.checkpoint_history())).hash(h);
-        for (i, seat) in self.seats.iter().enumerate() {
-            self.hub.channel_of(SiteId::from_client_index(i)).hash(h);
+        for (i, seat) in seats.iter().enumerate() {
+            hub.channel_of(SiteId::from_client_index(i)).hash(h);
             if let Some(s) = seat {
-                (s.streaming(), &s.up, s.integrated, s.hello).hash(h);
+                let Seat {
+                    replica: _,
+                    up,
+                    integrated,
+                    hello,
+                } = s;
+                (s.streaming(), up, integrated, hello).hash(h);
             }
         }
-        self.down.hash(h);
+        down.hash(h);
     }
 }
 

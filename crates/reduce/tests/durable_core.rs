@@ -26,7 +26,6 @@
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
 use cvc_ot::seq::SeqOp;
-use cvc_reduce::audit::StarAudit;
 use cvc_reduce::client::Client;
 use cvc_reduce::core::{NotifierCore, ACK_FRONTIER_EVERY};
 use cvc_reduce::hub::Step;
@@ -35,7 +34,6 @@ use cvc_reduce::notifier::{Notifier, ScanMode};
 use cvc_reduce::reliable::{run_robust_session_traced, CrashPoint, DisconnectSpec};
 use cvc_reduce::session::{Deployment, SessionConfig};
 use cvc_reduce::standby::Standby;
-use cvc_reduce::verify;
 use cvc_reduce::wal::{Wal, DEFAULT_COMPACT_EVERY};
 use cvc_reduce::world::{Move, StarWorld};
 use cvc_sim::fault::FaultPlan;
@@ -479,23 +477,25 @@ fn traced_session_replayed_through_a_bare_core_yields_the_same_log() {
     }
 }
 
-/// One move of the prefix-crash script on the star, through
-/// `verify::step`: an edit — site 1 types at the front, the others at the
-/// end — a delivery up, or one down, after which the replica collects and
-/// owes its bare ack. The script checks recovery, not verdicts: the
-/// collected buffers and the crash's catch-ups are beyond an audit, so
-/// each move gets a blank one.
+/// One move of the prefix-crash script on the star: an edit — site 1
+/// types at the front, the others at the end — a delivery up, or one
+/// down, after which the replica collects and owes its bare ack.
 fn step(w: &mut StarWorld, m: Move) {
-    let edit = |c: &mut Client| {
-        let (site, at) = (c.site(), c.doc_len());
-        let at = if site == SiteId(1) { 0 } else { at };
-        Ok(c.insert(at, ["a", "b", "c"][site.client_index()]))
-    };
-    _ = verify::step(w, &mut StarAudit::default(), m, edit, &mut false)
-        .expect("an honest op integrates, with no gap and no duplicate");
-    if let Move::Down(s) = m {
-        w.gc(s).expect("a member");
-        w.take_pending_ack(s);
+    match m {
+        Move::Edit(s) => {
+            let text = ["a", "b", "c"][s.client_index()];
+            let at_end = s != SiteId(1);
+            w.edit(s, |c| {
+                Ok(c.insert(if at_end { c.doc_len() } else { 0 }, text))
+            })
+            .expect("a member");
+        }
+        Move::Up(s) => _ = w.deliver_up(s).expect("an honest op integrates"),
+        Move::Down(s) => {
+            w.deliver_down(s).expect("no gap, no duplicate");
+            w.gc(s).expect("a member");
+            w.take_pending_ack(s);
+        }
     }
 }
 

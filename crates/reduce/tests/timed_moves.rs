@@ -13,7 +13,6 @@
 
 use cvc_core::site::SiteId;
 use cvc_reduce::audit::StarAudit;
-use cvc_reduce::client::Client;
 use cvc_reduce::session::{run_session, Deployment, SessionConfig};
 use cvc_reduce::verify::step;
 use cvc_reduce::world::{Move, StarWorld};
@@ -62,17 +61,22 @@ fn replay(cfg: &SessionConfig, moves: &[Move]) -> (Vec<String>, usize) {
         // a path through the same move graph an explorer searches.
         let budget: Vec<usize> = (0..n).map(|i| scripts[i].len() - next_edit[i]).collect();
         assert!(world.moves(&budget).contains(&m), "{m:?} not enabled");
-        let perform = |c: &mut Client| {
-            let k = &mut next_edit[c.site().client_index()];
+        let perform = |w: &mut StarWorld, site: SiteId| {
+            let k = &mut next_edit[site.client_index()];
+            let intent = &scripts[site.client_index()][*k].intent;
             *k += 1;
-            let intent = &scripts[c.site().client_index()][*k - 1].intent;
-            Ok(intent.apply_to(c).expect("every scripted intent applies"))
+            Ok(w.perform(site, intent)?.map(|op| op.stamp))
         };
-        let stepped = step(&mut world, &mut audit, m, perform, &mut false);
-        let (judged, findings) = stepped.expect("a valid op or ack");
-        let findings = findings.expect("every op was generated, every broadcast mapped");
+        let stepped = step(&mut world, &mut audit, m, perform).expect("a valid op or ack");
+        let findings = match (m, stepped) {
+            (Move::Down(_), None) => panic!("{m:?}: nothing was queued"),
+            (_, None) => Vec::new(),
+            (_, Some((judged, found))) => {
+                verdicts += judged.len();
+                found.expect("every op was generated, every broadcast mapped")
+            }
+        };
         assert!(findings.is_empty(), "{m:?}: {findings:?}");
-        verdicts += judged.len();
         if let Move::Down(site) = m {
             world.take_pending_ack(site);
         }
