@@ -1,13 +1,26 @@
-//! The shared-document substrate: a gap buffer over `char`s.
+//! The shared-document substrate: a gap buffer of one byte per character
+//! until a character needs more.
 //!
 //! Every replica (client sites, the notifier, and the fully-distributed
 //! baseline sites) holds one of these. Positions throughout the workspace
-//! are *character* indices, matching the paper's `Insert["12", 1]` /
-//! `Delete[3, 2]` notation.
+//! are *character* indices (Unicode scalar values), matching the paper's
+//! `Insert["12", 1]` / `Delete[3, 2]` notation.
 //!
 //! A gap buffer gives O(1) amortised edits at or near the cursor — the
 //! dominant pattern of real editing sessions (and of our workload
 //! generator's typing bursts) — while staying simple enough to audit.
+//!
+//! **Narrow, then wide.** A buffer starts *narrow*: one `u8` per
+//! character, which holds every scalar up to U+00FF (ASCII and Latin-1,
+//! whose scalars are their own byte values). The first insert of a wider
+//! scalar *widens* it: the whole store is copied once into one `char` per
+//! character, gap and all, and the buffer stays wide. It never narrows
+//! back: knowing that the last wide scalar left would cost a scan (or a
+//! count) on every delete, and a document that held one is likely to get
+//! another, which would copy the store again. Either way the text, the
+//! positions, the errors and [`TextBuffer::checksum`] are the same; only
+//! the bytes a replica holds and a gap move copies differ (4× fewer
+//! narrow).
 
 use crate::pos::ApplyError;
 use std::fmt;
@@ -15,61 +28,37 @@ use std::fmt;
 /// Default gap capacity reserved when the gap is exhausted.
 const GAP_CHUNK: usize = 64;
 
-/// A gap buffer of `char`s.
+/// A gap buffer's element: a narrow `u8` (a scalar ≤ U+00FF) or a `char`.
+trait Elem: Copy + Default + Into<char> {}
+impl Elem for u8 {}
+impl Elem for char {}
+
+/// A run of elements as a `String`.
+fn text<T: Elem>(run: &[T]) -> String {
+    run.iter().map(|&x| x.into()).collect()
+}
+
+/// A gap buffer of `T`s.
 ///
 /// Invariant: `text = pre ++ post` where `pre` is `store[..gap_start]` and
 /// `post` is `store[gap_end..]`.
-#[derive(Clone)]
-pub struct TextBuffer {
-    store: Vec<char>,
+#[derive(Clone, Default)]
+struct Gap<T> {
+    store: Vec<T>,
     gap_start: usize,
     gap_end: usize,
 }
 
-impl TextBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        TextBuffer {
-            store: Vec::new(),
-            gap_start: 0,
-            gap_end: 0,
-        }
-    }
-
-    /// A buffer initialised with `text`.
-    #[allow(clippy::should_implement_trait)] // infallible, unlike FromStr
-    pub fn from_str(text: &str) -> Self {
-        let mut b = TextBuffer::new();
-        b.insert_str(0, text);
-        b
-    }
-
-    /// Number of characters.
-    #[inline]
-    pub fn len(&self) -> usize {
+impl<T: Elem> Gap<T> {
+    fn len(&self) -> usize {
         self.store.len() - (self.gap_end - self.gap_start)
     }
 
-    /// True if the buffer holds no characters.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Character at position `pos`.
-    ///
-    /// # Panics
-    /// Panics if `pos >= len()`.
-    pub fn char_at(&self, pos: usize) -> char {
-        assert!(
-            pos < self.len(),
-            "char_at({pos}) out of bounds ({})",
-            self.len()
-        );
+    fn at(&self, pos: usize) -> char {
         if pos < self.gap_start {
-            self.store[pos]
+            self.store[pos].into()
         } else {
-            self.store[pos + (self.gap_end - self.gap_start)]
+            self.store[pos + (self.gap_end - self.gap_start)].into()
         }
     }
 
@@ -89,8 +78,14 @@ impl TextBuffer {
     }
 
     /// The content as its two contiguous runs: before and after the gap.
-    fn halves(&self) -> (&[char], &[char]) {
+    fn halves(&self) -> (&[T], &[T]) {
         (&self.store[..self.gap_start], &self.store[self.gap_end..])
+    }
+
+    /// The content's characters in order.
+    fn chars(&self) -> impl Iterator<Item = char> + '_ {
+        let (pre, post) = self.halves();
+        pre.iter().chain(post).map(|&x| x.into())
     }
 
     /// Ensure the gap can hold at least `need` more characters.
@@ -102,31 +97,154 @@ impl TextBuffer {
         let grow = (need - gap_len).max(GAP_CHUNK);
         let old_end = self.gap_end;
         let tail_len = self.store.len() - old_end;
-        self.store.resize(self.store.len() + grow, '\0');
+        self.store.resize(self.store.len() + grow, T::default());
         // Move the tail to the end of the grown store.
         self.store
             .copy_within(old_end..old_end + tail_len, old_end + grow);
         self.gap_end += grow;
     }
 
+    /// Open `count` places at `pos` and let `fill` write them.
+    fn insert_with(&mut self, pos: usize, count: usize, fill: impl FnOnce(&mut [T])) {
+        self.move_gap(pos);
+        self.reserve_gap(count);
+        fill(&mut self.store[self.gap_start..self.gap_start + count]);
+        self.gap_start += count;
+    }
+
+    /// Remove the `count` characters at `pos`; they stay readable, now
+    /// inside the gap, until the next edit.
+    fn remove(&mut self, pos: usize, count: usize) -> &[T] {
+        self.move_gap(pos);
+        self.gap_end += count;
+        &self.store[self.gap_end - count..self.gap_end]
+    }
+
+    /// The `count` characters starting at `pos`.
+    fn slice(&self, pos: usize, count: usize) -> String {
+        let (pre, post) = self.halves();
+        let (end, cut) = (pos + count, pre.len());
+        let before_gap = &pre[pos.min(cut)..end.min(cut)];
+        let after_gap = &post[pos.max(cut) - cut..end.max(cut) - cut];
+        before_gap
+            .iter()
+            .chain(after_gap)
+            .map(|&x| x.into())
+            .collect()
+    }
+}
+
+impl Gap<u8> {
+    /// The same text one `char` per character, gap where it was.
+    fn widen(&self) -> Gap<char> {
+        Gap {
+            store: self.store.iter().map(|&b| char::from(b)).collect(),
+            gap_start: self.gap_start,
+            gap_end: self.gap_end,
+        }
+    }
+}
+
+/// The store: narrow while every character is ≤ U+00FF, then wide.
+#[derive(Clone)]
+enum Store {
+    Narrow(Gap<u8>),
+    Wide(Gap<char>),
+}
+
+/// A gap buffer of characters, one byte each until a character above
+/// U+00FF arrives (module docs).
+#[derive(Clone)]
+pub struct TextBuffer {
+    store: Store,
+}
+
+/// Run `$body` with `$g` bound to the store's gap buffer, narrow or wide.
+macro_rules! with_gap {
+    ($store:expr, $g:ident => $body:expr) => {
+        match $store {
+            Store::Narrow($g) => $body,
+            Store::Wide($g) => $body,
+        }
+    };
+}
+
+impl TextBuffer {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        TextBuffer {
+            store: Store::Narrow(Gap::default()),
+        }
+    }
+
+    /// A buffer initialised with `text`: narrow when every character of
+    /// `text` is ≤ U+00FF.
+    #[allow(clippy::should_implement_trait)] // infallible, unlike FromStr
+    pub fn from_str(text: &str) -> Self {
+        let mut b = TextBuffer::new();
+        b.insert_str(0, text);
+        b
+    }
+
+    /// Number of characters.
+    #[inline]
+    pub fn len(&self) -> usize {
+        with_gap!(&self.store, g => g.len())
+    }
+
+    /// True if the buffer holds no characters.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Character at position `pos`.
+    ///
+    /// # Panics
+    /// Panics if `pos >= len()`.
+    pub fn char_at(&self, pos: usize) -> char {
+        assert!(
+            pos < self.len(),
+            "char_at({pos}) out of bounds ({})",
+            self.len()
+        );
+        with_gap!(&self.store, g => g.at(pos))
+    }
+
     /// Insert `text` so its first character lands at position `pos`,
     /// returning [`ApplyError::OutOfBounds`] when `pos > len()` instead of
     /// panicking — the right entry point for positions derived from remote
-    /// or otherwise untrusted input.
+    /// or otherwise untrusted input. A character above U+00FF widens a
+    /// narrow buffer first.
     pub fn try_insert_str(&mut self, pos: usize, text: &str) -> Result<(), ApplyError> {
+        let count = text.chars().count();
         if pos > self.len() {
             return Err(ApplyError::OutOfBounds {
                 pos,
-                len: text.chars().count(),
+                len: count,
                 doc_len: self.len(),
             });
         }
-        let count = text.chars().count();
-        self.move_gap(pos);
-        self.reserve_gap(count);
-        for c in text.chars() {
-            self.store[self.gap_start] = c;
-            self.gap_start += 1;
+        let ascii = text.is_ascii();
+        if let Store::Narrow(g) = &self.store {
+            if !ascii && !text.chars().all(|c| u8::try_from(c).is_ok()) {
+                self.store = Store::Wide(g.widen());
+            }
+        }
+        match &mut self.store {
+            Store::Narrow(g) if ascii => {
+                g.insert_with(pos, count, |at| at.copy_from_slice(text.as_bytes()))
+            }
+            Store::Narrow(g) => g.insert_with(pos, count, |at| {
+                for (slot, c) in at.iter_mut().zip(text.chars()) {
+                    *slot = u8::try_from(c).expect("≤ U+00FF, checked above");
+                }
+            }),
+            Store::Wide(g) => g.insert_with(pos, count, |at| {
+                for (slot, c) in at.iter_mut().zip(text.chars()) {
+                    *slot = c;
+                }
+            }),
         }
         Ok(())
     }
@@ -151,12 +269,7 @@ impl TextBuffer {
                 doc_len: self.len(),
             });
         }
-        self.move_gap(pos);
-        let removed: String = self.store[self.gap_end..self.gap_end + count]
-            .iter()
-            .collect();
-        self.gap_end += count;
-        Ok(removed)
+        Ok(with_gap!(&mut self.store, g => text(g.remove(pos, count))))
     }
 
     /// Delete `count` characters starting at `pos`, returning them.
@@ -180,8 +293,9 @@ impl TextBuffer {
                 doc_len: self.len(),
             });
         }
-        self.move_gap(pos);
-        self.gap_end += count;
+        with_gap!(&mut self.store, g => {
+            g.remove(pos, count);
+        });
         Ok(())
     }
 
@@ -198,28 +312,40 @@ impl TextBuffer {
     /// The `count` characters starting at `pos`, without removing them.
     pub fn slice(&self, pos: usize, count: usize) -> String {
         assert!(pos + count <= self.len());
-        let (pre, post) = self.halves();
-        let (end, cut) = (pos + count, pre.len());
-        let before_gap = &pre[pos.min(cut)..end.min(cut)];
-        let after_gap = &post[pos.max(cut) - cut..end.max(cut) - cut];
-        before_gap.iter().chain(after_gap).collect()
+        with_gap!(&self.store, g => g.slice(pos, count))
     }
 
-    /// FNV-1a hash of the content — cheap convergence fingerprint for
-    /// comparing replicas without materialising strings.
+    /// FNV-1a hash of the content's UTF-8 — cheap convergence fingerprint
+    /// for comparing replicas without materialising strings. A narrow
+    /// byte is hashed as its one (ASCII) or two UTF-8 bytes, so a narrow
+    /// and a wide buffer of one text hash alike.
     pub fn checksum(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
-        let mut eat = |c: char| {
-            let mut buf = [0u8; 4];
-            for &b in c.encode_utf8(&mut buf).as_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
+        let mut eat = |b: u8| {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
         };
-        let (pre, post) = self.halves();
-        pre.iter().chain(post).copied().for_each(&mut eat);
+        match &self.store {
+            Store::Narrow(g) => {
+                let (pre, post) = g.halves();
+                for &b in pre.iter().chain(post) {
+                    if b.is_ascii() {
+                        eat(b);
+                    } else {
+                        eat(0xC0 | b >> 6);
+                        eat(0x80 | b & 0x3F);
+                    }
+                }
+            }
+            Store::Wide(g) => {
+                let mut buf = [0u8; 4];
+                for c in g.chars() {
+                    c.encode_utf8(&mut buf).bytes().for_each(&mut eat);
+                }
+            }
+        }
         h
     }
 }
@@ -232,10 +358,21 @@ impl Default for TextBuffer {
 
 impl fmt::Display for TextBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // One write, not one per character: a log snapshot copies the
-        // whole document.
-        let (pre, post) = self.halves();
-        f.write_str(&pre.iter().chain(post).collect::<String>())
+        // Whole runs, not one write per character: a log snapshot copies
+        // the whole document. An ASCII half is already UTF-8.
+        match &self.store {
+            Store::Narrow(g) => {
+                let (pre, post) = g.halves();
+                for half in [pre, post] {
+                    match half.is_ascii().then(|| std::str::from_utf8(half)) {
+                        Some(Ok(ascii)) => f.write_str(ascii)?,
+                        _ => f.write_str(&text(half))?,
+                    }
+                }
+                Ok(())
+            }
+            Store::Wide(g) => f.write_str(&g.chars().collect::<String>()),
+        }
     }
 }
 
@@ -247,8 +384,9 @@ impl fmt::Debug for TextBuffer {
 
 impl PartialEq for TextBuffer {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.halves(), other.halves());
-        self.len() == other.len() && a.0.iter().chain(a.1).eq(b.0.iter().chain(b.1))
+        // A narrow and a wide buffer of one text are equal.
+        self.len() == other.len()
+            && with_gap!(&self.store, a => with_gap!(&other.store, b => a.chars().eq(b.chars())))
     }
 }
 
@@ -257,6 +395,18 @@ impl Eq for TextBuffer {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn move_gap(b: &mut TextBuffer, pos: usize) {
+        with_gap!(&mut b.store, g => g.move_gap(pos))
+    }
+
+    /// The store's heap footprint in bytes, and whether it is narrow.
+    fn store_bytes(b: &TextBuffer) -> (usize, bool) {
+        match &b.store {
+            Store::Narrow(g) => (g.store.capacity(), true),
+            Store::Wide(g) => (g.store.capacity() * std::mem::size_of::<char>(), false),
+        }
+    }
 
     #[test]
     fn insert_and_render() {
@@ -303,7 +453,7 @@ mod tests {
     #[test]
     fn char_at_spans_the_gap() {
         let mut b = TextBuffer::from_str("abcdef");
-        b.move_gap(3);
+        move_gap(&mut b, 3);
         assert_eq!(b.char_at(0), 'a');
         assert_eq!(b.char_at(2), 'c');
         assert_eq!(b.char_at(3), 'd');
@@ -333,7 +483,7 @@ mod tests {
     fn checksum_tracks_content_not_gap_position() {
         let mut a = TextBuffer::from_str("same text");
         let b = TextBuffer::from_str("same text");
-        a.move_gap(4); // different internal layout
+        move_gap(&mut a, 4); // different internal layout
         assert_eq!(a.checksum(), b.checksum());
         assert_eq!(a, b);
         a.insert_str(0, "x");
@@ -349,6 +499,50 @@ mod tests {
         b.insert_str(2, "←→");
         assert_eq!(b.to_string(), "hé←→llo");
         assert_eq!(b.delete_range(2, 2), "←→");
+    }
+
+    /// The benchmark's prefill: 4 096 one-character inserts, mostly at a
+    /// typing caret. One byte a character, so the store (gap included)
+    /// stays within 8 KiB; at four bytes a character it was 16 KiB.
+    #[test]
+    fn an_ascii_document_costs_a_byte_per_character() {
+        let mut b = TextBuffer::new();
+        let (mut caret, mut state) = (0usize, 0x9e37_79b9_u32);
+        for i in 0..4_096 {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            if state % 50 == 0 {
+                caret = state as usize % (b.len() + 1);
+            }
+            b.insert_str(caret, &char::from(b'a' + (i % 26) as u8).to_string());
+            caret += 1;
+        }
+        assert_eq!(b.len(), 4_096);
+        let (bytes, narrow) = store_bytes(&b);
+        assert!(narrow);
+        assert!(bytes <= 8 * 1024, "store holds {bytes} B");
+    }
+
+    #[test]
+    fn a_wide_scalar_widens_once_and_keeps_the_text() {
+        let mut b = TextBuffer::from_str("naïve ÿ");
+        assert!(store_bytes(&b).1, "Latin-1 stays narrow");
+        let narrow_sum = b.checksum();
+        assert_eq!(narrow_sum, TextBuffer::from_str("naïve ÿ").checksum());
+        move_gap(&mut b, 3);
+        b.insert_str(5, "中😀");
+        assert!(!store_bytes(&b).1);
+        assert_eq!(b.to_string(), "naïve中😀 ÿ");
+        assert_eq!(b.char_at(2), 'ï');
+        assert_eq!(b.delete_range(5, 2), "中😀");
+        // Wide for good, and equal to the narrow buffer of the same text.
+        assert!(!store_bytes(&b).1);
+        let narrow = TextBuffer::from_str("naïve ÿ");
+        assert_eq!(b, narrow);
+        assert_eq!(narrow, b);
+        assert_eq!(b.checksum(), narrow_sum);
+        assert_eq!(b.slice(1, 4), "aïve");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! before re-broadcasting it (its Section 6 stresses this is "the key").
 //! This crate provides that substrate, built from scratch:
 //!
-//! * [`buffer`] — the replicated document: a gap buffer over `char`s with
+//! * [`buffer`] — the replicated document: a gap buffer of one byte per
+//!   character until a scalar above U+00FF arrives, then of `char`s, with
 //!   content checksums for convergence auditing.
 //! * [`pos`] — paper-literal positional operations (`Insert["12",1]`,
 //!   `Delete[3,2]`) with verified application and exact inverses.

@@ -79,6 +79,79 @@ proptest! {
         }
     }
 
+    /// The narrow store and its widening: a script of ASCII and Latin-1
+    /// edits (the buffer stays one byte a character; `Ã©` stored as bytes
+    /// reads as `é` in UTF-8, so only an ASCII run may be read as UTF-8),
+    /// then one that mixes in BMP and astral scalars (the first of them
+    /// widens it), against a `Vec<char>` reference. Every read agrees at
+    /// every step, the checksum is FNV-1a over the reference's UTF-8 in
+    /// either form, and a buffer that was wide from the start, or a fresh
+    /// one of the same text, is equal to it both ways round.
+    #[test]
+    fn narrow_and_wide_buffers_match_a_char_reference(
+        narrow in proptest::collection::vec(
+            prop_oneof![
+                (any::<usize>(), "[a-eéÿÃ©]{1,4}").prop_map(|(p, s)| Edit::Insert(p, s)),
+                (any::<usize>(), 1usize..4).prop_map(|(p, n)| Edit::Delete(p, n)),
+            ],
+            0..30,
+        ),
+        mixed in proptest::collection::vec(
+            prop_oneof![
+                (any::<usize>(), "[a-eéÿÃ©ж中😀]{1,4}").prop_map(|(p, s)| Edit::Insert(p, s)),
+                (any::<usize>(), 1usize..4).prop_map(|(p, n)| Edit::Delete(p, n)),
+            ],
+            0..30,
+        ),
+    ) {
+        let mut buf = TextBuffer::new();
+        let mut wide = TextBuffer::from_str("中");
+        wide.delete_range(0, 1);
+        let mut reference: Vec<char> = Vec::new();
+        for e in narrow.into_iter().chain(mixed) {
+            let (Edit::Insert(probe, _) | Edit::Delete(probe, _)) = e;
+            match e {
+                Edit::Insert(p, s) => {
+                    let pos = p % (reference.len() + 1);
+                    buf.insert_str(pos, &s);
+                    wide.insert_str(pos, &s);
+                    reference.splice(pos..pos, s.chars());
+                }
+                Edit::Delete(p, n) => {
+                    if reference.is_empty() {
+                        continue;
+                    }
+                    let pos = p % reference.len();
+                    let n = n.min(reference.len() - pos);
+                    let expect: String = reference.drain(pos..pos + n).collect();
+                    prop_assert_eq!(buf.delete_range(pos, n), expect.clone());
+                    prop_assert_eq!(wide.delete_range(pos, n), expect);
+                }
+            }
+            let expect: String = reference.iter().collect();
+            prop_assert_eq!(buf.len(), reference.len());
+            prop_assert_eq!(&buf.to_string(), &expect);
+            prop_assert_eq!(&wide.to_string(), &expect);
+            if let Some(&c) = reference.get(probe % (reference.len() + 1)) {
+                prop_assert_eq!(buf.char_at(probe % (reference.len() + 1)), c);
+            }
+            let from = probe / 7 % (reference.len() + 1);
+            let count = probe / 11 % (reference.len() - from + 1);
+            let window: String = reference[from..from + count].iter().collect();
+            prop_assert_eq!(buf.slice(from, count), window);
+            let fnv1a = expect.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            prop_assert_eq!(buf.checksum(), fnv1a);
+            prop_assert_eq!(wide.checksum(), fnv1a);
+            let fresh = TextBuffer::from_str(&expect);
+            prop_assert!(buf == wide);
+            prop_assert!(wide == buf);
+            prop_assert!(buf == fresh);
+            prop_assert!(fresh == wide);
+        }
+    }
+
     /// compose really is sequential application:
     /// apply(compose(a,b)) == apply(b, apply(a)).
     #[test]

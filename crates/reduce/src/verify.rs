@@ -256,7 +256,8 @@ fn judge(
 }
 
 /// An edit a search offers every site with budget left, made with the
-/// site's letter (`a` at site 1, `b` at site 2, …).
+/// site's letter (`a` at site 1, `b` at site 2, …) or its wide letter
+/// (`α` at site 1, `β` at site 2, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Edit {
     /// Insert the letter at position 0.
@@ -265,6 +266,10 @@ pub enum Edit {
     LetterAtEnd,
     /// Delete the first character; not offered on an empty document.
     DeleteFirst,
+    /// Insert the wide letter, a scalar above U+00FF, at the end: the
+    /// first one widens each replica's document (`cvc_ot::buffer`).
+    /// Not in [`Edit::MENU`].
+    WideAtEnd,
 }
 
 impl Edit {
@@ -272,11 +277,17 @@ impl Edit {
     pub const MENU: [Edit; 3] = [Edit::LetterAtStart, Edit::LetterAtEnd, Edit::DeleteFirst];
 
     fn apply(self, c: &mut Client) -> ClientOpMsg {
-        let letter = char::from(b'a' + c.site().client_index() as u8).to_string();
+        let index = c.site().client_index() as u8;
+        let letter = char::from(b'a' + index).to_string();
         match self {
             Edit::LetterAtStart => c.insert(0, &letter),
             Edit::LetterAtEnd => c.insert(c.doc_len(), &letter),
             Edit::DeleteFirst => c.delete(0, 1),
+            Edit::WideAtEnd => {
+                let wide =
+                    char::from_u32(u32::from('α') + u32::from(index)).expect("Greek or Cyrillic");
+                c.insert(c.doc_len(), &wide.to_string())
+            }
         }
     }
 }

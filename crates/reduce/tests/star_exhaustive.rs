@@ -14,7 +14,7 @@
 //! verdict fed to the audit must be caught exactly once on every path.
 
 use cvc_reduce::verify::{explore, explore_checked, Edit, Explored, Scope};
-use Edit::LetterAtStart;
+use Edit::{LetterAtStart, WideAtEnd};
 
 /// Explore (or, `checked`, explore and check the memo at every state
 /// reached again) `sites` × `ops` over `menu`; states, terminal states and
@@ -59,6 +59,18 @@ fn a_flipped_first_verdict_is_caught_on_every_path() {
 fn every_interleaving_of_the_three_edit_menu_is_causally_exact() {
     let explored = scope(2, 2, &Edit::MENU, false, true);
     assert_eq!(counts(explored), (6_323, 698, [850_592, 0, 0]));
+}
+
+/// A wide letter in the menu: the first `WideAtEnd` of a path widens each
+/// replica's and the notifier's document from a byte to a `char` per
+/// character, its insert travels as two UTF-8 bytes, and every op closed
+/// on an implied tail counts that tail in `char`s. Every terminal state
+/// converges, memo checked; each of the 2 × 2 scope's 23 100 paths is
+/// taken with each of the 2⁴ edit choices.
+#[test]
+fn every_interleaving_across_the_widening_converges() {
+    let explored = scope(2, 2, &[LetterAtStart, WideAtEnd], false, true);
+    assert_eq!(counts(explored), (8_121, 800, [369_600, 0, 0]));
 }
 
 /// Release build, 2 cores: about two and a half minutes.
