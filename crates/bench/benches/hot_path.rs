@@ -36,7 +36,6 @@ use cvc_reduce::msg::{
     ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::wal::{WalRecord, WalSnapshot};
 use cvc_sim::wire::WireEncode;
 
 fn bench_stamp_layer(c: &mut Criterion) {
@@ -405,8 +404,8 @@ fn bench_compound_write(c: &mut Criterion) {
 /// document, 32 history entries from four writers that acknowledge
 /// nothing (so each arrival rewrites its writer's pending broadcasts) and
 /// 60 readers' queues naming the entries — about 2 000 pending
-/// broadcasts. One sample captures the state and encodes the record into
-/// a reused buffer.
+/// broadcasts. One sample writes the notifier's snapshot into a reused
+/// buffer.
 fn bench_snapshot(c: &mut Criterion) {
     const CLIENTS: usize = 64;
     const ENTRIES: u64 = 32;
@@ -430,9 +429,8 @@ fn bench_snapshot(c: &mut Criterion) {
     let mut buf = Vec::new();
     g.bench_function("capture_encode_64x4k_32", |b| {
         b.iter(|| {
-            let snap = WalRecord::Snapshot(WalSnapshot::capture(std::hint::black_box(&notifier)));
             buf.clear();
-            snap.encode(&mut buf);
+            std::hint::black_box(&notifier).write_checkpoint(&mut buf);
             buf.len()
         })
     });

@@ -968,7 +968,7 @@ fn a_pipelined_session_keeps_the_log_bounded() {
     );
     let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
     let snap = recovery.snapshot.as_ref().expect("the log was cut");
-    assert!(!snap.history.is_empty(), "cut with history in flight");
+    assert!(!snap.history().is_empty(), "cut with history in flight");
     let (recovered, _) = recovery.restore(n, "").expect("WAL restores");
     assert_eq!(recovered.doc_checksum(), report.doc_checksum);
 }

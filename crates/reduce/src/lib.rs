@@ -22,9 +22,10 @@
 //! * [`core`] / [`wal`] / [`standby`] — notifier durability: the one
 //!   validate → log → mirror → compact wiring both the simulator node and
 //!   the TCP server drive, over a checksummed write-ahead log of the
-//!   notifier's input stream with compacted snapshots and a warm standby
-//!   that tails it and can be promoted when the primary crashes (clients
-//!   resync via the 2-element-clock cursor).
+//!   notifier's input stream, compacted to snapshots the notifier writes
+//!   and reads itself, and a warm standby that tails it and can be
+//!   promoted when the primary crashes (clients resync via the
+//!   2-element-clock cursor).
 //! * [`frame`] — the one `[len][checksum][bytes]` codec: the WAL's records,
 //!   the TCP stream's frames.
 //! * [`hub`] — who is bound to which site: the one binding table, hello,
@@ -93,5 +94,5 @@ pub use session::{
     run_session, ClientMode, Deployment, FailoverReport, SessionConfig, SessionReport,
 };
 pub use standby::Standby;
-pub use wal::{Wal, WalError, WalRecord, WalRecovery, WalSnapshot};
+pub use wal::{Wal, WalError, WalRecord, WalRecovery};
 pub use workload::WorkloadConfig;

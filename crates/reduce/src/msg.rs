@@ -724,18 +724,13 @@ fn get_seq_op<B: Buf>(buf: &mut B) -> Result<(SeqOp, u64), WireError> {
     Ok((op, kind))
 }
 
-/// Encoded size of a bare op, with no caret: how the log's snapshot
-/// record writes history entries and pending broadcasts.
-pub(crate) fn op_len(op: &SeqOp) -> usize {
-    seq_op_wire_len(op.components(), CURSOR_NONE)
-}
-
-/// Write a bare op (see [`op_len`]).
+/// Write a bare op, with no caret: how a notifier's snapshot writes
+/// history entries and pending broadcasts.
 pub(crate) fn put_op<B: BufMut>(buf: &mut B, op: &SeqOp) {
     put_seq_op(buf, op.components(), CURSOR_NONE);
 }
 
-/// Read a bare op (see [`op_len`]); a count varint that names a caret is
+/// Read a bare op (see [`put_op`]); a count varint that names a caret is
 /// refused.
 pub(crate) fn get_op<B: Buf>(buf: &mut B) -> Result<SeqOp, WireError> {
     match get_seq_op(buf)? {

@@ -47,15 +47,27 @@
 //! *prefix* — collection is a prefix trim folded into normal processing
 //! when [`Notifier::set_auto_gc`] is on ([`Notifier::gc`] stays as the
 //! explicit, now idempotent, entry point).
+//!
+//! # The snapshot
+//!
+//! The notifier's whole protocol state is the document, two stream
+//! counters and a few watermarks per client, each bridge's pending
+//! broadcasts and the history buffer. [`Notifier::write_checkpoint`]
+//! writes it as bytes and [`Notifier::read_checkpoint`] reads them back
+//! as a notifier that goes on exactly as the writer; there is no other
+//! description of it. The log's compaction frames those bytes, recovery
+//! reads them, and an exhaustive search hashes them as the notifier's
+//! half of a state's digest.
 
 use crate::bridge::{Bridge, BridgeError, BridgeRole};
 use crate::error::ProtocolError;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
-    server_op_body_len, stamp_wire_len, ClientAckMsg, ClientOpMsg, EditorMsg, ServerAckMsg,
-    ServerOpFrame, ServerOpMsg,
+    get_op, put_op, server_op_body_len, stamp_wire_len, ClientAckMsg, ClientOpMsg, EditorMsg,
+    ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use crate::recorder::{EventKind, FlightEvent, FlightRecorder};
+use bytes::{Buf, BufMut};
 #[cfg(debug_assertions)]
 use cvc_core::formulas::formula7_counters;
 use cvc_core::formulas::formula7_dynamic;
@@ -64,7 +76,9 @@ use cvc_core::state_vector::{CompressedStamp, NotifierStateVector};
 use cvc_core::vector::VectorClock;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::seq::SeqOp;
-use cvc_sim::wire::WireSize;
+use cvc_sim::wire::{
+    get_bounded_len, get_string, get_u32, get_varint, put_string, put_varint, WireError, WireSize,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -111,59 +125,6 @@ pub struct NotifierHbEntry {
     /// Full `N`-element snapshot of `SV_0`, stored only in
     /// [`ScanMode::FullScanReference`].
     pub vector: Option<VectorClock>,
-}
-
-/// One client's channel inside a notifier checkpoint: everything
-/// [`Notifier::from_checkpoint`] needs to resume it — per channel, `sent`
-/// broadcasts out, `received` operations in, the broadcasts the client
-/// acknowledged, the join-time stream shift, liveness, the formula-(7)
-/// watermark and the broadcasts still pending on its bridge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointCursor {
-    /// Broadcasts sent to the client so far (stream positions; `T[1]` of
-    /// the next broadcast will be `sent + 1`).
-    pub sent: u64,
-    /// Operations integrated from the client so far (formula (2)'s
-    /// per-origin count).
-    pub received: u64,
-    /// Broadcasts the client has acknowledged (its highest `T[1]`): what
-    /// gates the history trim.
-    pub acked: u64,
-    /// Operations executed before the client joined (zero for founders).
-    pub join_offset: u64,
-    /// False once the client departed or was quarantined.
-    pub active: bool,
-    /// History entries below the client's formula-(7) watermark: each is
-    /// non-concurrent with every operation the client sends from now on.
-    pub watermark: u64,
-    /// The bridge's pending broadcasts, oldest first — stream positions
-    /// `sent − len + 1 ..= sent`, the operations a concurrent arrival from
-    /// the client transforms against.
-    pub pending: Vec<PendingOp>,
-}
-
-/// One pending broadcast of a [`CheckpointCursor`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PendingOp {
-    /// Still the executed op of history entry `k` (a reader's queue is all
-    /// of these): shared with the entry, not copied.
-    History(u64),
-    /// Rewritten by a transform since it was broadcast: the bridge's own
-    /// op, shared.
-    Op(Arc<SeqOp>),
-}
-
-/// One history-buffer entry inside a notifier checkpoint. Its running
-/// total and its origin's sequence number are not stored: the entry's
-/// place in the buffer and the clients' counts give both.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointEntry {
-    /// The client the operation came from.
-    pub origin: SiteId,
-    /// Session width when the entry was buffered.
-    pub width_at: u64,
-    /// The executed (transformed) form, shared with the history entry.
-    pub op: Arc<SeqOp>,
 }
 
 /// The central notifier process.
@@ -239,136 +200,146 @@ impl Notifier {
         }
     }
 
-    /// Rebuild a notifier from a checkpoint cut at any point: the document,
-    /// one [`CheckpointCursor`] per client and the live history buffer, as
-    /// [`Notifier::checkpoint_cursors`] and [`Notifier::checkpoint_history`]
-    /// capture them. The trimmed prefix, each client's share of it, every
-    /// entry's running total and sequence number, and the watermarks' own
-    /// counts follow from the received counts and the entries' order.
-    /// Stamps on subsequent broadcasts continue the original streams, a
-    /// returning client is replayed the same suffix, and an arriving
-    /// operation is checked and transformed against the same concurrent
-    /// set. Pending entries that name a history entry share its op, as on
-    /// the live notifier. The caller passes a consistent checkpoint (the
-    /// log's decoder refuses any other); counts that contradict each other
-    /// are clamped rather than trusted.
-    ///
-    /// The scan mode is fixed at [`ScanMode::SuffixBounded`] (the universal
-    /// default): a restored notifier may have a non-zero trim frontier,
-    /// which the reference mode's full snapshots cannot represent.
-    pub fn from_checkpoint(
-        doc: &str,
-        cursors: &[CheckpointCursor],
-        history: &[CheckpointEntry],
-    ) -> Self {
-        let n = cursors.len();
-        let mut trimmed_from: Vec<u64> = cursors.iter().map(|c| c.received).collect();
-        for e in history {
-            if let Some(t) = trimmed_from.get_mut(e.origin.client_index()) {
-                *t = t.saturating_sub(1);
+    /// Write the notifier's snapshot, its whole protocol state, to `buf`:
+    /// the document; the client and history-entry counts; each history
+    /// entry, oldest first, as its origin, its width and its executed op
+    /// (its running total and sequence number follow from its place and
+    /// the clients' counts); then per client the broadcasts sent, the
+    /// operations received, the broadcasts acknowledged, the join offset,
+    /// liveness, the formula-(7) watermark past the trimmed prefix and the
+    /// bridge's pending broadcasts, oldest first. A pending broadcast that
+    /// is still the very op of the history entry it was broadcast from is
+    /// written as that entry's index plus one; 0 says an op follows.
+    pub fn write_checkpoint<B: BufMut>(&self, buf: &mut B) {
+        put_string(buf, &self.doc.to_string());
+        put_varint(buf, self.n_clients() as u64);
+        put_varint(buf, self.hb.len() as u64);
+        for e in &self.hb {
+            put_varint(buf, u64::from(e.origin.0));
+            put_varint(buf, e.width_at as u64);
+            put_op(buf, &e.op);
+        }
+        for (i, bridge) in self.bridges.iter().enumerate() {
+            let (sent, received) = (bridge.my_count(), bridge.their_count());
+            for v in [sent, received, self.acked_by[i], self.join_offsets[i]] {
+                put_varint(buf, v);
+            }
+            buf.put_u8(u8::from(self.active[i]));
+            put_varint(buf, self.wm_abs[i] - self.trimmed);
+            // The newest pending broadcast is the newest entry from
+            // another site, and so on back: pair them from the end.
+            let len = bridge.pending_len();
+            put_varint(buf, len as u64);
+            let others = |(_, e): &(usize, &NotifierHbEntry)| e.origin.client_index() != i;
+            let m = self.hb.iter().enumerate().filter(others).count();
+            let mut entries = self
+                .hb
+                .iter()
+                .enumerate()
+                .filter(others)
+                .skip(m.saturating_sub(len));
+            for (j, op) in bridge.pending().enumerate() {
+                match (j + m >= len).then(|| entries.next()).flatten() {
+                    Some((k, e)) if Arc::ptr_eq(op, &e.op) => put_varint(buf, k as u64 + 1),
+                    _ => {
+                        put_varint(buf, 0);
+                        put_op(buf, op);
+                    }
+                }
             }
         }
-        let trimmed: u64 = trimmed_from.iter().sum();
-        let mut seq = trimmed_from.clone();
-        let hb: VecDeque<NotifierHbEntry> = history
-            .iter()
-            .enumerate()
-            .map(|(k, e)| NotifierHbEntry {
-                origin: e.origin,
-                width_at: e.width_at as usize,
-                total_after: trimmed + k as u64 + 1,
-                origin_seq: seq.get_mut(e.origin.client_index()).map_or(0, |s| {
-                    *s += 1;
-                    *s
-                }),
-                op: Arc::clone(&e.op),
+    }
+
+    /// Read a snapshot [`Notifier::write_checkpoint`] wrote: a notifier
+    /// that goes on exactly as the one that wrote it. Stamps on later
+    /// broadcasts continue the original streams, a returning client is
+    /// replayed the same suffix, an arriving operation is checked and
+    /// transformed against the same concurrent set, and a pending
+    /// broadcast that names a history entry shares its op. The trimmed
+    /// prefix, each client's share of it, every entry's running total and
+    /// sequence number, and the watermarks' own counts follow from the
+    /// received counts and the entries' order. Settings are
+    /// [`Notifier::new`]'s; the scan mode is [`ScanMode::SuffixBounded`],
+    /// since the reference mode's full snapshots cannot stand for a
+    /// trimmed prefix.
+    ///
+    /// The bytes are read as hostile. Each count is held to the bytes left
+    /// behind it (checked in u64, so no 32-bit truncation), and every
+    /// field the notifier indexes, adds or subtracts by is held to what it
+    /// names: an origin to the session's sites, a watermark or reference
+    /// to the history read before it, a client's received count to its
+    /// own history entries and the counts' sum to a `u64`, a pending
+    /// queue to the broadcasts sent and those to one short of `u64::MAX`.
+    /// A value past its bound is [`WireError::HostileLength`].
+    pub fn read_checkpoint<B: Buf>(buf: &mut B) -> Result<Notifier, WireError> {
+        let bound = |v: u64, max: u64| (v <= max).then_some(v).ok_or(WireError::HostileLength(v));
+        let doc = get_string(buf)?;
+        // A client costs ≥ 7 bytes, an entry ≥ 3.
+        let n = get_bounded_len(buf, 7)?;
+        let h = get_bounded_len(buf, 3)?;
+        let mut me = Notifier::new(n, &doc);
+        // Each entry's sequence number among its origin's live entries for
+        // now; the origin's trimmed share is added once it is known.
+        let mut own = vec![0u64; n];
+        for _ in 0..h {
+            let site = get_u32(buf)?;
+            let i = (site as usize).checked_sub(1).filter(|&i| i < n);
+            let own = i.and_then(|i| own.get_mut(i));
+            let own = own.ok_or(WireError::HostileLength(u64::from(site)))?;
+            *own += 1;
+            me.hb.push_back(NotifierHbEntry {
+                origin: SiteId(site),
+                width_at: get_varint(buf)? as usize,
+                total_after: 0,
+                origin_seq: *own,
+                op: Arc::new(get_op(buf)?),
                 vector: None,
-            })
-            .collect();
-        let watermark = |c: &CheckpointCursor| (c.watermark as usize).min(hb.len());
-        Notifier {
-            sv: NotifierStateVector::from_counts(cursors.iter().map(|c| c.received).collect()),
-            doc: TextBuffer::from_str(doc),
-            bridges: cursors
-                .iter()
-                .map(|c| {
-                    let pending = c.pending.iter().map(|p| match p {
-                        PendingOp::History(k) => hb
-                            .get(*k as usize)
-                            .map_or_else(|| Arc::new(SeqOp::new()), |e| Arc::clone(&e.op)),
-                        PendingOp::Op(op) => Arc::clone(op),
-                    });
-                    Bridge::resume(BridgeRole::Notifier, c.sent, c.received, pending.collect())
-                })
-                .collect(),
-            scan_mode: ScanMode::SuffixBounded,
-            auto_trim: false,
-            trimmed,
-            wm_abs: cursors
-                .iter()
-                .map(|c| trimmed + watermark(c) as u64)
-                .collect(),
-            wm_from_self: (0..n)
-                .map(|i| {
-                    let below = hb.iter().take(watermark(&cursors[i]));
-                    trimmed_from[i] + below.filter(|e| e.origin.client_index() == i).count() as u64
-                })
-                .collect(),
-            trimmed_from,
-            hb,
-            acked_by: cursors.iter().map(|c| c.acked).collect(),
-            join_offsets: cursors.iter().map(|c| c.join_offset).collect(),
-            active: cursors.iter().map(|c| c.active).collect(),
-            send_acks: false,
-            trim_scratch: Vec::with_capacity(n),
-            recorder: FlightRecorder::new(SiteId(0)),
-            metrics: SiteMetrics::new(),
+            });
         }
-    }
-
-    /// Per-client channel state for a checkpoint. A pending broadcast that
-    /// is still the very op of the history entry it was broadcast from is
-    /// named by that entry's index, not copied.
-    pub fn checkpoint_cursors(&self) -> Vec<CheckpointCursor> {
-        (0..self.n_clients())
-            .map(|i| {
-                let bridge = &self.bridges[i];
-                // The newest pending broadcast is the newest entry from
-                // another site, and so on back: pair them from the end.
-                let others = |(_, e): &(usize, &NotifierHbEntry)| e.origin.client_index() != i;
-                let mut entries = self.hb.iter().enumerate().rev().filter(others);
-                let mut pending: Vec<PendingOp> = bridge
-                    .pending()
-                    .rev()
-                    .map(|op| match entries.next() {
-                        Some((k, e)) if Arc::ptr_eq(op, &e.op) => PendingOp::History(k as u64),
-                        _ => PendingOp::Op(Arc::clone(op)),
-                    })
-                    .collect();
-                pending.reverse();
-                CheckpointCursor {
-                    sent: bridge.my_count(),
-                    received: bridge.their_count(),
-                    acked: self.acked_by[i],
-                    join_offset: self.join_offsets[i],
-                    active: self.active[i],
-                    watermark: self.wm_abs[i] - self.trimmed,
-                    pending,
-                }
-            })
-            .collect()
-    }
-
-    /// The history buffer for a checkpoint, oldest entry first.
-    pub fn checkpoint_history(&self) -> Vec<CheckpointEntry> {
-        self.hb
-            .iter()
-            .map(|e| CheckpointEntry {
-                origin: e.origin,
-                width_at: e.width_at as u64,
-                op: Arc::clone(&e.op),
-            })
-            .collect()
+        let mut received = Vec::with_capacity(n);
+        for (i, &own) in own.iter().enumerate() {
+            let sent = bound(get_varint(buf)?, u64::MAX - 1)?;
+            received.push(get_varint(buf)?);
+            me.trimmed_from[i] = received[i] - bound(own, received[i])?;
+            me.trimmed = (me.trimmed.checked_add(received[i]))
+                .ok_or(WireError::HostileLength(received[i]))?;
+            me.acked_by[i] = get_varint(buf)?;
+            me.join_offsets[i] = get_varint(buf)?;
+            if !buf.has_remaining() {
+                return Err(WireError::Truncated);
+            }
+            me.active[i] = match buf.get_u8() {
+                0 => false,
+                1 => true,
+                t => return Err(WireError::BadTag(t)),
+            };
+            // Relative to the trimmed prefix until its length is known.
+            me.wm_abs[i] = bound(get_varint(buf)?, h as u64)?;
+            let len = get_bounded_len(buf, 1)?;
+            bound(len as u64, sent)?;
+            let mut pending = VecDeque::with_capacity(len);
+            for _ in 0..len {
+                pending.push_back(match get_varint(buf)? {
+                    0 => Arc::new(get_op(buf)?),
+                    k => Arc::clone(&me.hb[bound(k, h as u64)? as usize - 1].op),
+                });
+            }
+            me.bridges[i] = Bridge::resume(BridgeRole::Notifier, sent, received[i], pending);
+        }
+        // The trimmed prefix is every received op not in the history.
+        me.trimmed -= h as u64;
+        for (k, e) in me.hb.iter_mut().enumerate() {
+            e.total_after = me.trimmed + k as u64 + 1;
+            e.origin_seq += me.trimmed_from[e.origin.client_index()];
+        }
+        for i in 0..n {
+            let below = me.hb.iter().take(me.wm_abs[i] as usize);
+            let from_self = below.filter(|e| e.origin.client_index() == i).count() as u64;
+            me.wm_from_self[i] = me.trimmed_from[i] + from_self;
+            me.wm_abs[i] += me.trimmed;
+        }
+        me.sv = NotifierStateVector::from_counts(received);
+        Ok(me)
     }
 
     /// Turn the flight recorder on or off (off by default).

@@ -7,7 +7,9 @@
 //! contract, not the transport). Every record goes through
 //! [`crate::core::apply`] — the same step function the primary and log
 //! recovery run — so by the write-ahead ordering the standby's state is
-//! always *ahead of or equal to* every client's view of the primary.
+//! always *ahead of or equal to* every client's view of the primary. A
+//! snapshot is no record it observes: it is the notifier's state, which a
+//! warm standby has built input by input.
 //!
 //! On promotion ([`crate::world::StarWorld::crash`]) the standby's
 //! notifier is swapped in for the dead primary's, whose connections all
@@ -20,8 +22,9 @@
 //! is dropped.
 //!
 //! A *cold* standby — one started after the crash — reaches the same
-//! state from the log image alone: [`Standby::from_log`] recovers the
-//! latest snapshot and replays the tail.
+//! state from the log image alone: [`Standby::from_log`] starts from the
+//! notifier the latest snapshot reads back as
+//! ([`Notifier::read_checkpoint`]) and replays the tail.
 
 use crate::error::ProtocolError;
 use crate::notifier::{Notifier, ScanMode};
@@ -69,7 +72,7 @@ impl Standby {
     /// Build a standby from an already-scanned [`WalRecovery`].
     pub fn from_recovery(recovery: &WalRecovery, n_clients: usize, initial: &str) -> Standby {
         let mut standby = match &recovery.snapshot {
-            Some(s) => Standby::shadowing(s.restore()),
+            Some(s) => Standby::shadowing(s.clone()),
             None => Standby::new(n_clients, initial, ScanMode::SuffixBounded),
         };
         for rec in &recovery.tail {
@@ -91,7 +94,7 @@ impl Standby {
                 match rec {
                     WalRecord::Op(_) => self.replayed_ops += 1,
                     WalRecord::Ack(_) | WalRecord::AckFrontier(_) => self.replayed_acks += 1,
-                    WalRecord::Evict(_) | WalRecord::Snapshot(_) => {}
+                    WalRecord::Evict(_) => {}
                 }
                 Ok(())
             }
@@ -103,8 +106,8 @@ impl Standby {
     }
 
     /// Mirror the primary's auto-GC setting so the shadow history buffer
-    /// trims on the same schedule. Survives snapshot-record restores
-    /// ([`crate::core::apply`] carries it across).
+    /// trims on the same schedule. A snapshot carries no settings: a cold
+    /// standby's notifier starts with [`Notifier::new`]'s.
     pub fn set_auto_gc(&mut self, on: bool) {
         self.notifier.set_auto_gc(on);
     }
@@ -144,11 +147,16 @@ impl Standby {
 mod tests {
     use super::*;
     use crate::msg::{ClientAckMsg, ClientOpMsg};
-    use crate::wal::WalSnapshot;
     use cvc_core::site::SiteId;
     use cvc_core::state_vector::CompressedStamp;
     use cvc_ot::pos::PosOp;
     use cvc_ot::seq::SeqOp;
+
+    fn snapshot(notifier: &Notifier) -> Vec<u8> {
+        let mut buf = Vec::new();
+        notifier.write_checkpoint(&mut buf);
+        buf
+    }
 
     fn op(origin: u32, t1: u64, t2: u64, pos: usize, text: &str, base: usize) -> ClientOpMsg {
         ClientOpMsg {
@@ -178,12 +186,8 @@ mod tests {
                 .expect("primary integrates");
         }
         assert_eq!(standby.replayed_ops(), 3);
-        assert_eq!(standby.notifier().doc(), primary.doc());
         assert_eq!(standby.notifier().doc_checksum(), primary.doc_checksum());
-        assert_eq!(
-            standby.notifier().checkpoint_cursors(),
-            primary.checkpoint_cursors()
-        );
+        assert_eq!(snapshot(standby.notifier()), snapshot(&primary));
         let promoted = standby.promote().expect("clean promote");
         assert_eq!(promoted.doc(), primary.doc());
     }
@@ -211,35 +215,25 @@ mod tests {
         assert!(cold.poisoned().is_none());
         assert_eq!(cold.replayed_ops(), 2);
         assert_eq!(cold.replayed_acks(), 2);
-        assert_eq!(cold.notifier().doc(), warm.notifier().doc());
-        assert_eq!(
-            cold.notifier().checkpoint_cursors(),
-            warm.notifier().checkpoint_cursors()
-        );
+        assert_eq!(snapshot(cold.notifier()), snapshot(warm.notifier()));
     }
 
+    /// A cold standby starts from the snapshot the log opens with, not
+    /// from the document it was handed, and replays only what follows.
     #[test]
     fn snapshot_record_resets_the_shadow() {
-        let cursor = |sent, received| crate::notifier::CheckpointCursor {
-            sent,
-            received,
-            acked: sent,
-            join_offset: 0,
-            active: true,
-            watermark: 0,
-            pending: Vec::new(),
-        };
-        let snap = WalSnapshot {
-            doc: "SNAP".into(),
-            clients: vec![cursor(2, 1), cursor(1, 2)],
-            history: Vec::new(),
-        };
-        let mut standby = Standby::new(2, "unrelated", ScanMode::SuffixBounded);
-        standby
-            .observe(&WalRecord::Snapshot(snap))
-            .expect("snapshot adopts");
-        assert_eq!(standby.notifier().doc(), "SNAP");
-        assert_eq!(standby.notifier().checkpoint_cursors()[0].sent, 2);
+        let mut primary = Notifier::new(2, "SNAP");
+        let mut wal = Wal::new(1);
+        for m in [op(1, 0, 1, 0, "x", 4), op(2, 1, 1, 5, "y", 5)] {
+            wal.append(&WalRecord::Op(m.clone()));
+            primary.try_on_client_op_outcome(m).expect("integrates");
+            wal.maybe_compact(&primary);
+        }
+        assert_eq!(wal.compactions(), 1, "cut after the first op only");
+        let cold = Standby::from_log(wal.bytes(), 2, "unrelated").expect("cold recover");
+        assert_eq!(cold.replayed_ops(), 1);
+        assert_eq!(cold.notifier().doc(), "xSNAPy");
+        assert_eq!(snapshot(cold.notifier()), snapshot(&primary));
     }
 
     #[test]

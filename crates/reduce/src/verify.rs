@@ -336,6 +336,13 @@ struct Node {
 /// An enabled move of a search, with the edit it makes.
 type Choice = (Move, Option<Edit>);
 
+/// How [`explore_checked`] rebuilds a notifier from its snapshot bytes.
+type Restore = fn(&[u8]) -> Notifier;
+
+/// What [`explore_checked`] keeps: the first node at each digest, and
+/// how it rebuilds a notifier.
+type Checks = (HashMap<u64, Node>, Restore);
+
 impl Node {
     /// The memo's key: a hash of the world's protocol state (`StarWorld`'s
     /// `Hash`), the budgets and the flip. The audit is left out: in a
@@ -376,6 +383,22 @@ impl Node {
         judged.expect("every move of a search integrates")
     }
 
+    /// This node with its notifier rebuilt by `restore` from the live
+    /// one's snapshot bytes, which the rebuilt notifier must write back
+    /// unchanged.
+    fn restored(&self, restore: Restore) -> Node {
+        let (mut live, mut again) = (Vec::new(), Vec::new());
+        self.world.notifier().write_checkpoint(&mut live);
+        let notifier = restore(&live);
+        notifier.write_checkpoint(&mut again);
+        assert_eq!(again, live, "a restored notifier writes other bytes");
+        let world = self.world.with_notifier(notifier);
+        Node {
+            world,
+            ..self.clone()
+        }
+    }
+
     /// What `choice` does from here: its verdicts and findings, and the
     /// bytes then queued on every FIFO, up and down.
     fn outcome(&self, choice: Choice) -> (Vec<bool>, Findings, Vec<Vec<Payload>>) {
@@ -400,16 +423,26 @@ pub fn explore(scope: &Scope) -> Explored {
     search(scope, None)
 }
 
-/// [`explore`], checking the memo as it goes: at every state reached
-/// again, each enabled move's outcome — its verdicts, its findings and
-/// the bytes it leaves queued — must equal its outcome from the first
-/// node that reached that state, or the search panics. It keeps every
-/// node, so it is for small scopes.
+/// [`explore`], checking the memo and the snapshot as it goes: at every
+/// state reached again, each enabled move's outcome — its verdicts, its
+/// findings and the bytes it leaves queued — must equal its outcome from
+/// the first node that reached that state; at every new state, the
+/// notifier read back from its own snapshot bytes must write the same
+/// bytes, and each enabled move's outcome from the world with that
+/// notifier must equal its outcome from the live one. Otherwise the
+/// search panics. It keeps every node, so it is for small scopes.
 pub fn explore_checked(scope: &Scope) -> Explored {
-    search(scope, Some(HashMap::new()))
+    search(scope, Some((HashMap::new(), read_own_checkpoint)))
 }
 
-fn search(scope: &Scope, mut firsts: Option<HashMap<u64, Node>>) -> Explored {
+/// A notifier read from the bytes it wrote, every byte read.
+fn read_own_checkpoint(mut bytes: &[u8]) -> Notifier {
+    let notifier = Notifier::read_checkpoint(&mut bytes).expect("a notifier reads its own bytes");
+    assert!(bytes.is_empty(), "{} snapshot bytes unread", bytes.len());
+    notifier
+}
+
+fn search(scope: &Scope, mut checks: Option<Checks>) -> Explored {
     let core = NotifierCore::new(Notifier::new(scope.sites, ""), None, None);
     let (world, audit, flip) = (StarWorld::new(core), StarAudit::default(), scope.flip_first);
     let root = Node {
@@ -419,7 +452,7 @@ fn search(scope: &Scope, mut firsts: Option<HashMap<u64, Node>>) -> Explored {
         flip,
     };
     let (mut explored, mut memo) = (Explored::default(), HashMap::new());
-    explored.paths = below(&root, scope, &mut memo, &mut firsts, &mut explored);
+    explored.paths = below(&root, scope, &mut memo, &mut checks, &mut explored);
     explored.states = memo.len() as u64;
     explored
 }
@@ -429,12 +462,12 @@ fn below(
     node: &Node,
     scope: &Scope,
     memo: &mut HashMap<u64, [u64; 3]>,
-    firsts: &mut Option<HashMap<u64, Node>>,
+    checks: &mut Option<Checks>,
     explored: &mut Explored,
 ) -> [u64; 3] {
     let (key, choices) = (node.digest(), node.choices(&scope.menu));
     if let Some(&paths) = memo.get(&key) {
-        if let Some(first) = firsts.as_ref().map(|f| &f[&key]) {
+        if let Some(first) = checks.as_ref().map(|(f, _)| &f[&key]) {
             assert_eq!(first.choices(&scope.menu), choices, "one digest, two menus");
             for &c in &choices {
                 let (a, b) = (first.outcome(c), node.outcome(c));
@@ -442,6 +475,13 @@ fn below(
             }
         }
         return paths;
+    }
+    if let Some((_, restore)) = checks {
+        let restored = node.restored(*restore);
+        for &c in &choices {
+            let (a, b) = (node.outcome(c), restored.outcome(c));
+            assert_eq!(a, b, "a restored notifier goes on otherwise after {c:?}");
+        }
     }
     let mut paths = [u64::from(choices.is_empty()), 0, 0];
     if choices.is_empty() {
@@ -455,13 +495,13 @@ fn below(
             .step(c)
             .1
             .expect("every op was generated and broadcast");
-        let sub = below(&next, scope, memo, firsts, explored);
+        let sub = below(&next, scope, memo, checks, explored);
         for (k, n) in sub.into_iter().enumerate() {
             paths[(k + found.len()).min(2)] += n;
         }
     }
     memo.insert(key, paths);
-    if let Some(firsts) = firsts {
+    if let Some((firsts, _)) = checks {
         firsts.insert(key, node.clone());
     }
     paths
@@ -555,6 +595,7 @@ pub fn verify_mesh(cfg: &VerifyConfig) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ClientAckMsg;
 
     #[test]
     fn star_verdicts_match_oracle_exactly() {
@@ -608,6 +649,59 @@ mod tests {
                 .collect()
         };
         assert_eq!(sweep(), sweep());
+    }
+
+    /// Two sites, one letter each: small enough to run checked in a test.
+    fn two_letters() -> Scope {
+        Scope {
+            sites: 2,
+            ops: 1,
+            menu: vec![Edit::LetterAtStart],
+            flip_first: false,
+        }
+    }
+
+    /// Each site's edit, up and the other's down form a chain: C(6, 3)
+    /// interleavings.
+    #[test]
+    fn the_snapshot_check_passes_an_honest_restore() {
+        let explored = search(&two_letters(), Some((HashMap::new(), read_own_checkpoint)));
+        assert_eq!((explored.states, explored.paths), (26, [20, 0, 0]));
+    }
+
+    /// A restore that loses nothing but reads one client's acknowledgement
+    /// one broadcast ahead is caught by the bytes it writes back.
+    #[test]
+    #[should_panic(expected = "a restored notifier writes other bytes")]
+    fn the_snapshot_check_catches_a_restore_one_ack_ahead() {
+        fn one_ack_ahead(bytes: &[u8]) -> Notifier {
+            let mut n = read_own_checkpoint(bytes);
+            for i in 0..n.n_clients() {
+                let origin = SiteId::from_client_index(i);
+                let (_, sent, _) = n.resync_snapshot_for(origin).expect("a member");
+                let received = n.acked_by()[i] + 1;
+                if received <= sent {
+                    n.try_on_client_ack(ClientAckMsg { origin, received })
+                        .expect("within what was sent");
+                    break;
+                }
+            }
+            n
+        }
+        search(&two_letters(), Some((HashMap::new(), one_ack_ahead)));
+    }
+
+    /// A restore that writes the same bytes but not the same settings is
+    /// caught by what the moves after it do.
+    #[test]
+    #[should_panic(expected = "a restored notifier goes on otherwise")]
+    fn the_snapshot_check_catches_a_restore_that_goes_on_otherwise() {
+        fn acking(bytes: &[u8]) -> Notifier {
+            let mut n = read_own_checkpoint(bytes);
+            n.set_send_acks(true);
+            n
+        }
+        search(&two_letters(), Some((HashMap::new(), acking)));
     }
 
     #[test]

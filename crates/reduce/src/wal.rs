@@ -28,29 +28,32 @@
 //!   input kind, because membership gates the same GC.
 //!
 //! **Compaction.** The log would otherwise grow by one record per op for
-//! as long as the session runs. A [`WalSnapshot`] is the notifier's whole
-//! protocol state — the document; per client the stream counters, the
-//! acknowledgement watermark, the join offset, liveness, the formula-(7)
-//! watermark and the broadcasts still pending on its bridge; and the
-//! history buffer — so [`Wal::maybe_compact`] can cut one at any point
-//! and drop everything before it: no quiet point, where every stream is
-//! acknowledged and the history empty, is needed, and a pipelined session
-//! never has one. A pending broadcast that is still its history entry's
-//! op is written as that entry's index, so a reader's queue costs a byte
-//! or two per entry. A snapshot is cut once `compact_every` op records
-//! and at least the previous snapshot's bytes have been appended since
-//! it: the snapshots add about as many bytes as the records between them
-//! at most (more only as the state itself grows), and the live log stays
-//! under about two snapshots plus one cadence of records — the in-flight
-//! window and the document, whatever the session length.
+//! as long as the session runs. A snapshot record is the notifier's whole
+//! protocol state, written by the notifier itself
+//! ([`Notifier::write_checkpoint`]) behind its own tag — the document;
+//! per client the stream counters, the acknowledgement watermark, the
+//! join offset, liveness, the formula-(7) watermark and the broadcasts
+//! still pending on its bridge; and the history buffer — so
+//! [`Wal::maybe_compact`] can cut one at any point and drop everything
+//! before it: no quiet point, where every stream is acknowledged and the
+//! history empty, is needed, and a pipelined session never has one. A
+//! pending broadcast that is still its history entry's op is written as
+//! that entry's index, so a reader's queue costs a byte or two per entry.
+//! A snapshot is cut once `compact_every` op records and at least the
+//! previous snapshot's bytes have been appended since it: the snapshots
+//! add about as many bytes as the records between them at most (more only
+//! as the state itself grows), and the live log stays under about two
+//! snapshots plus one cadence of records — the in-flight window and the
+//! document, whatever the session length.
 //! The compaction invariant required by recovery — *the snapshot covers
 //! every un-acknowledged client cursor* — holds because the history
 //! entries a returning client is replayed from are in the snapshot.
 //!
 //! **Recovery.** [`Wal::recover`] scans the log front to back with the
-//! frame codec's own parser. The suffix after the last snapshot is the
-//! replay tail. A torn tail is tolerated and reported, matching the
-//! write-ahead argument above: a torn final record was never
+//! frame codec's own parser. A snapshot record reads back as a
+//! [`Notifier`] ([`Notifier::read_checkpoint`]); the records after the
+//! last one are the replay tail. A torn tail is tolerated and reported,
+//! matching the write-ahead argument above: a torn final record was never
 //! broadcast-confirmed to anyone. What counts as torn is stated once, in
 //! [`Wal::recover`]; anything else malformed is real corruption and
 //! surfaces as a typed [`WalError`]. Recovery never panics and never
@@ -58,22 +61,22 @@
 
 use crate::frame::{split_frame, write_frame, FrameError};
 use crate::msg::{
-    client_op_len, get_client_op, get_op, op_len, put_client_op, put_op, ClientAckMsg, ClientOpMsg,
-    EditorMsg, TAG_CLIENT_ACK, TAG_CLIENT_OP,
+    client_op_len, get_client_op, put_client_op, ClientAckMsg, ClientOpMsg, EditorMsg,
+    TAG_CLIENT_ACK, TAG_CLIENT_OP,
 };
-use crate::notifier::{CheckpointCursor, CheckpointEntry, Notifier, PendingOp};
+use crate::notifier::Notifier;
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
 use cvc_sim::wire::{
-    get_bounded_len, get_string, get_u32, get_varint, put_string, put_varint, string_len,
-    varint_len, WireDecode, WireEncode, WireError, WireSize,
+    get_bounded_len, get_u32, get_varint, put_varint, varint_len, WireDecode, WireEncode,
+    WireError, WireSize,
 };
-use std::sync::Arc;
 
-/// Record tag for [`WalRecord::Snapshot`]. Op and ack records reuse the
-/// editor codec's own tags (`TAG_CLIENT_OP`, `TAG_CLIENT_ACK`), so an op
-/// record's bytes are identical to the upstream wire frame that carried
-/// it; the snapshot tag lives outside the editor tag space.
+/// Tag of a snapshot record, [`Notifier::write_checkpoint`]'s bytes. Op
+/// and ack records reuse the editor codec's own tags (`TAG_CLIENT_OP`,
+/// `TAG_CLIENT_ACK`), so an op record's bytes are identical to the
+/// upstream wire frame that carried it; the snapshot tag lives outside
+/// the editor tag space.
 const WAL_TAG_SNAPSHOT: u8 = 32;
 
 /// Record tag for [`WalRecord::AckFrontier`] — like the snapshot tag, it
@@ -86,8 +89,10 @@ const WAL_TAG_EVICT: u8 = 34;
 /// Default op records between snapshots (see [`Wal::new`]).
 pub const DEFAULT_COMPACT_EVERY: u64 = 256;
 
-/// One write-ahead-log record: an element of the notifier's input stream,
-/// or a compacted checkpoint of everything before it.
+/// One write-ahead-log record: an element of the notifier's input stream.
+/// A snapshot, which supersedes every record before it, is the
+/// notifier's state rather than an input, and is framed by
+/// [`Wal::maybe_compact`] and read by [`Wal::recover`] alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A client operation the notifier executed, in its original upstream
@@ -116,9 +121,6 @@ pub enum WalRecord {
     /// so a replay that missed an eviction would keep the site's frozen
     /// watermark pinning both forever.
     Evict(SiteId),
-    /// A compacted checkpoint: the notifier's whole protocol state.
-    /// Supersedes every earlier record.
-    Snapshot(WalSnapshot),
 }
 
 /// The packed acknowledgement frontier of [`WalRecord::AckFrontier`]:
@@ -131,43 +133,6 @@ pub struct AckFrontierRecord {
     /// Changed `(client index, cumulative ack count)` pairs, ascending by
     /// client index as produced (decoders must not rely on the order).
     pub entries: Vec<(u32, u64)>,
-}
-
-/// A compacted notifier checkpoint, cut at any point. Feeds
-/// [`Notifier::from_checkpoint`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalSnapshot {
-    /// The document at the checkpoint.
-    pub doc: String,
-    /// Per-client channel state, indexed by client (site `i + 1`).
-    pub clients: Vec<CheckpointCursor>,
-    /// The history buffer's live entries, oldest first.
-    pub history: Vec<CheckpointEntry>,
-}
-
-impl WalSnapshot {
-    /// Capture a checkpoint from a live notifier.
-    pub fn capture(notifier: &Notifier) -> Self {
-        WalSnapshot {
-            doc: notifier.doc(),
-            clients: notifier.checkpoint_cursors(),
-            history: notifier.checkpoint_history(),
-        }
-    }
-
-    /// Rebuild a notifier from this checkpoint.
-    pub fn restore(&self) -> Notifier {
-        Notifier::from_checkpoint(&self.doc, &self.clients, &self.history)
-    }
-}
-
-/// Encoded size of a pending broadcast: a history reference is its index
-/// plus one; 0 says an op follows.
-fn pending_len(p: &PendingOp) -> usize {
-    match p {
-        PendingOp::History(k) => varint_len(k + 1),
-        PendingOp::Op(op) => 1 + op_len(op),
-    }
 }
 
 impl WireSize for WalRecord {
@@ -183,31 +148,6 @@ impl WireSize for WalRecord {
                         .sum::<usize>()
             }
             WalRecord::Evict(site) => 1 + varint_len(u64::from(site.0)),
-            WalRecord::Snapshot(s) => {
-                1 + string_len(&s.doc)
-                    + varint_len(s.clients.len() as u64)
-                    + varint_len(s.history.len() as u64)
-                    + s.history
-                        .iter()
-                        .map(|e| {
-                            varint_len(u64::from(e.origin.0))
-                                + varint_len(e.width_at)
-                                + op_len(&e.op)
-                        })
-                        .sum::<usize>()
-                    + s.clients
-                        .iter()
-                        .map(|c| {
-                            [c.sent, c.received, c.acked, c.join_offset, c.watermark]
-                                .map(varint_len)
-                                .iter()
-                                .sum::<usize>()
-                                + 1
-                                + varint_len(c.pending.len() as u64)
-                                + c.pending.iter().map(pending_len).sum::<usize>()
-                        })
-                        .sum::<usize>()
-            }
         }
     }
 }
@@ -233,34 +173,6 @@ impl WireEncode for WalRecord {
             WalRecord::Evict(site) => {
                 buf.put_u8(WAL_TAG_EVICT);
                 put_varint(buf, u64::from(site.0));
-            }
-            WalRecord::Snapshot(s) => {
-                buf.put_u8(WAL_TAG_SNAPSHOT);
-                put_string(buf, &s.doc);
-                put_varint(buf, s.clients.len() as u64);
-                put_varint(buf, s.history.len() as u64);
-                for e in &s.history {
-                    put_varint(buf, u64::from(e.origin.0));
-                    put_varint(buf, e.width_at);
-                    put_op(buf, &e.op);
-                }
-                for c in &s.clients {
-                    for v in [c.sent, c.received, c.acked, c.join_offset] {
-                        put_varint(buf, v);
-                    }
-                    buf.put_u8(u8::from(c.active));
-                    put_varint(buf, c.watermark);
-                    put_varint(buf, c.pending.len() as u64);
-                    for p in &c.pending {
-                        match p {
-                            PendingOp::History(k) => put_varint(buf, k + 1),
-                            PendingOp::Op(op) => {
-                                put_varint(buf, 0);
-                                put_op(buf, op);
-                            }
-                        }
-                    }
-                }
             }
         }
     }
@@ -291,78 +203,9 @@ impl WireDecode for WalRecord {
                 Ok(WalRecord::AckFrontier(AckFrontierRecord { entries }))
             }
             WAL_TAG_EVICT => Ok(WalRecord::Evict(SiteId(get_u32(buf)?))),
-            WAL_TAG_SNAPSHOT => get_snapshot(buf).map(WalRecord::Snapshot),
             t => Err(WireError::BadTag(t)),
         }
     }
-}
-
-/// Read a snapshot record after its tag. Each count is held to the bytes
-/// left behind it (checked in u64, so no 32-bit truncation), and every
-/// field the restore indexes or subtracts by is held to what it names: an
-/// origin to the session's sites, a watermark or reference to the history
-/// read before it, a client's received count to its own history entries,
-/// a pending queue to the broadcasts sent. A value past its bound is
-/// [`WireError::HostileLength`].
-fn get_snapshot<B: Buf>(buf: &mut B) -> Result<WalSnapshot, WireError> {
-    let bound = |v: u64, max: u64| (v <= max).then_some(v).ok_or(WireError::HostileLength(v));
-    let doc = get_string(buf)?;
-    // A cursor costs ≥ 7 bytes, an entry ≥ 3.
-    let n = get_bounded_len(buf, 7)?;
-    let h = get_bounded_len(buf, 3)?;
-    let mut own = vec![0u64; n];
-    let mut history = Vec::with_capacity(h);
-    for _ in 0..h {
-        let site = get_u32(buf)?;
-        let i = (site as usize).checked_sub(1).filter(|&i| i < n);
-        *i.and_then(|i| own.get_mut(i))
-            .ok_or(WireError::HostileLength(u64::from(site)))? += 1;
-        history.push(CheckpointEntry {
-            origin: SiteId(site),
-            width_at: get_varint(buf)?,
-            op: Arc::new(get_op(buf)?),
-        });
-    }
-    let mut clients = Vec::with_capacity(n);
-    for own in own {
-        let sent = get_varint(buf)?;
-        let received = get_varint(buf)?;
-        bound(own, received)?;
-        let acked = get_varint(buf)?;
-        let join_offset = get_varint(buf)?;
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let active = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            t => return Err(WireError::BadTag(t)),
-        };
-        let watermark = bound(get_varint(buf)?, h as u64)?;
-        let len = get_bounded_len(buf, 1)?;
-        bound(len as u64, sent)?;
-        let mut pending = Vec::with_capacity(len);
-        for _ in 0..len {
-            pending.push(match get_varint(buf)? {
-                0 => PendingOp::Op(Arc::new(get_op(buf)?)),
-                k => PendingOp::History(bound(k, h as u64)? - 1),
-            });
-        }
-        clients.push(CheckpointCursor {
-            sent,
-            received,
-            acked,
-            join_offset,
-            active,
-            watermark,
-            pending,
-        });
-    }
-    Ok(WalSnapshot {
-        doc,
-        clients,
-        history,
-    })
 }
 
 /// Typed write-ahead-log recovery failures. Mirrors
@@ -436,12 +279,14 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// The result of scanning a write-ahead log: the latest snapshot (if any),
-/// the records after it in append order, and how the scan ended.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The result of scanning a write-ahead log: the notifier the latest
+/// snapshot restores (if any), the records after it in append order, and
+/// how the scan ended.
+#[derive(Debug, Clone, Default)]
 pub struct WalRecovery {
-    /// The last snapshot record, superseding everything before it.
-    pub snapshot: Option<WalSnapshot>,
+    /// The notifier read from the last snapshot record, superseding
+    /// everything before it.
+    pub snapshot: Option<Notifier>,
     /// Records appended after the snapshot (or from the start), in order.
     pub tail: Vec<WalRecord>,
     /// Total records recovered, including superseded ones and snapshots.
@@ -451,9 +296,9 @@ pub struct WalRecovery {
 }
 
 impl WalRecovery {
-    /// Rebuild a notifier from this recovery: restore the snapshot (or
-    /// start fresh with `n_clients` and `initial` when there is none) and
-    /// fold [`crate::core::apply`] over the tail. Returns the
+    /// Rebuild a notifier from this recovery: the snapshot's (or a fresh
+    /// one with `n_clients` and `initial` when there is none) with
+    /// [`crate::core::apply`] folded over the tail. Returns the
     /// notifier and the number of tail records replayed. A tail record the
     /// notifier rejects is a genuine log/state mismatch and surfaces as
     /// the notifier's own typed error.
@@ -463,7 +308,7 @@ impl WalRecovery {
         initial: &str,
     ) -> Result<(Notifier, u64), crate::error::ProtocolError> {
         let mut notifier = match &self.snapshot {
-            Some(s) => s.restore(),
+            Some(s) => s.clone(),
             None => Notifier::new(n_clients, initial),
         };
         for rec in &self.tail {
@@ -515,11 +360,7 @@ impl Wal {
     pub fn append(&mut self, rec: &WalRecord) -> u64 {
         self.scratch.clear();
         rec.encode(&mut self.scratch);
-        let before = self.buf.len();
-        write_frame(&mut self.buf, &[&self.scratch]);
-        let framed = (self.buf.len() - before) as u64;
-        self.appends += 1;
-        self.bytes_appended += framed;
+        let framed = self.push_scratch();
         if matches!(rec, WalRecord::Op(_)) {
             self.ops_since_checkpoint += 1;
             self.op_bytes += self.scratch.len() as u64;
@@ -527,8 +368,19 @@ impl Wal {
         framed
     }
 
-    /// Compact if due: replace the whole log with one snapshot of
-    /// `notifier`, which must have integrated exactly the records
+    /// Frame the record in `scratch` onto the log; its framed size.
+    fn push_scratch(&mut self) -> u64 {
+        let before = self.buf.len();
+        write_frame(&mut self.buf, &[&self.scratch]);
+        let framed = (self.buf.len() - before) as u64;
+        self.appends += 1;
+        self.bytes_appended += framed;
+        framed
+    }
+
+    /// Compact if due: replace the whole log with one snapshot record,
+    /// `notifier`'s own bytes ([`Notifier::write_checkpoint`]) behind the
+    /// snapshot tag; `notifier` must have integrated exactly the records
     /// appended so far. Due means `compact_every` op records since the
     /// last snapshot and a tail at least as long as it, so snapshots add
     /// about as many bytes as the records between them at most. Returns
@@ -540,9 +392,11 @@ impl Wal {
         {
             return false;
         }
-        let snap = WalRecord::Snapshot(WalSnapshot::capture(notifier));
+        self.scratch.clear();
+        self.scratch.push(WAL_TAG_SNAPSHOT);
+        notifier.write_checkpoint(&mut self.scratch);
         self.buf.clear();
-        self.snapshot_bytes = self.append(&snap) as usize;
+        self.snapshot_bytes = self.push_scratch() as usize;
         self.ops_since_checkpoint = 0;
         self.compactions += 1;
         true
@@ -624,24 +478,25 @@ impl Wal {
                     })
                 }
             };
-            let mut body = frame;
-            let rec = WalRecord::decode(&mut body).map_err(|err| WalError::Undecodable {
+            let err = |err| WalError::Undecodable {
                 record: out.records,
                 offset,
                 err,
-            })?;
+            };
+            let mut body = frame;
+            if let Some((&WAL_TAG_SNAPSHOT, state)) = body.split_first() {
+                body = state;
+                out.snapshot = Some(Notifier::read_checkpoint(&mut body).map_err(err)?);
+                out.tail.clear();
+            } else {
+                out.tail.push(WalRecord::decode(&mut body).map_err(err)?);
+            }
             if !body.is_empty() {
                 return Err(WalError::TrailingBytes {
                     record: out.records,
                     offset,
                     extra: body.len(),
                 });
-            }
-            if let WalRecord::Snapshot(s) = rec {
-                out.snapshot = Some(s);
-                out.tail.clear();
-            } else {
-                out.tail.push(rec);
             }
             out.records += 1;
             offset += consumed;
@@ -687,37 +542,93 @@ mod tests {
         })
     }
 
-    /// Two clients; client 1's entry is pending to client 2 as itself,
-    /// and client 2 holds one rewritten broadcast.
-    fn sample_snapshot() -> WalSnapshot {
-        WalSnapshot {
-            doc: "ABCDE".into(),
-            clients: vec![
-                CheckpointCursor {
-                    sent: 3,
-                    received: 2,
-                    acked: 2,
-                    join_offset: 0,
-                    active: true,
-                    watermark: 0,
-                    pending: vec![PendingOp::Op(SeqOp::identity(4).into())],
-                },
-                CheckpointCursor {
-                    sent: 2,
-                    received: 3,
-                    acked: 1,
-                    join_offset: 1,
-                    active: false,
-                    watermark: 1,
-                    pending: vec![PendingOp::History(0)],
-                },
-            ],
-            history: vec![CheckpointEntry {
-                origin: SiteId(1),
-                width_at: 2,
-                op: SeqOp::from_pos(&PosOp::insert(0, "A"), 4).into(),
-            }],
+    fn client_op(
+        origin: u32,
+        t1: u64,
+        t2: u64,
+        pos: usize,
+        text: &str,
+        base: usize,
+    ) -> ClientOpMsg {
+        ClientOpMsg {
+            origin: SiteId(origin),
+            stamp: CompressedStamp::new(t1, t2),
+            op: SeqOp::from_pos(&PosOp::insert(pos, text), base),
+            cursor: None,
         }
+    }
+
+    fn snapshot(notifier: &Notifier) -> Vec<u8> {
+        let mut buf = Vec::new();
+        notifier.write_checkpoint(&mut buf);
+        buf
+    }
+
+    fn read(bytes: &[u8]) -> Result<Notifier, WireError> {
+        let mut buf = bytes;
+        let notifier = Notifier::read_checkpoint(&mut buf)?;
+        assert!(buf.is_empty(), "{} bytes left unread", buf.len());
+        Ok(notifier)
+    }
+
+    /// Frame `notifier`'s snapshot onto `wal` as compaction does, without
+    /// dropping what is before it.
+    fn append_snapshot(wal: &mut Wal, notifier: &Notifier) {
+        wal.scratch.clear();
+        wal.scratch.push(WAL_TAG_SNAPSHOT);
+        notifier.write_checkpoint(&mut wal.scratch);
+        wal.push_scratch();
+    }
+
+    /// Three clients with every snapshot field in play: site 3 joined
+    /// after one op (join offset 1) and its formula-(7) watermark passed
+    /// it; site 1 acknowledged site 2's op, and site 3's op is pending to
+    /// it as history entry 2 itself; site 2 was evicted; site 2's op,
+    /// pending to site 3, was rewritten by site 3's concurrent one.
+    fn sample_notifier() -> Notifier {
+        let mut n = Notifier::new(2, "ab");
+        n.try_on_client_op_outcome(client_op(1, 0, 1, 0, "x", 2))
+            .expect("op");
+        n.add_client();
+        n.try_on_client_op_outcome(client_op(2, 0, 1, 2, "y", 2))
+            .expect("op");
+        let ack = ClientAckMsg {
+            origin: SiteId(1),
+            received: 1,
+        };
+        n.try_on_client_ack(ack).expect("ack");
+        n.try_on_client_op_outcome(client_op(3, 0, 1, 0, "z", 3))
+            .expect("op");
+        n.quarantine(SiteId(2)).expect("a member");
+        n
+    }
+
+    /// [`sample_notifier`]'s snapshot, as the log wrote it before the
+    /// notifier wrote its own (a record's tag, 32, precedes these bytes).
+    #[rustfmt::skip]
+    const SAMPLE: [u8; 53] = [
+        5, b'z', b'x', b'a', b'b', b'y', 3, 3, // document, clients, entries
+        1, 2, 8, 5, b'x', 8,  // entry 0: origin, width, insert x · retain 2
+        2, 3, 8, 12, 5, b'y', // entry 1: retain 3 · insert y
+        3, 3, 8, 5, b'z', 16, // entry 2: insert z · retain 4
+        2, 1, 1, 0, 1, 0, 1, 3, // client 1 (byte 26): sent, received, acked,
+                                // join offset, active, watermark, one
+                                // pending: entry 2
+        2, 1, 0, 0, 0, 0, 0,    // client 2 (byte 34): evicted
+        1, 1, 0, 1, 1, 1, 1, 0, 8, 16, 5, b'y', // client 3 (byte 41): one
+                                // pending op, retain 4 · insert y
+    ];
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let live = sample_notifier();
+        assert_eq!(snapshot(&live), SAMPLE);
+        let back = read(&SAMPLE).expect("reads");
+        assert_eq!(snapshot(&back), SAMPLE);
+        assert_eq!(back.doc(), "zxaby");
+        assert_eq!(back.acked_by(), live.acked_by());
+        assert_eq!(back.join_offset(SiteId(3)), 1);
+        assert!(!back.is_active(SiteId(2)));
     }
 
     #[test]
@@ -726,7 +637,6 @@ mod tests {
             op_record(1, 0, 1, 2, "xy"),
             ack_record(3, 129),
             WalRecord::Evict(SiteId(300)),
-            WalRecord::Snapshot(sample_snapshot()),
         ] {
             let mut buf = Vec::new();
             rec.encode(&mut buf);
@@ -736,6 +646,12 @@ mod tests {
             assert!(slice.is_empty(), "decode must consume exactly");
             assert_eq!(closed_like(back, &rec), rec);
         }
+        // A snapshot is no input record: only the log's scan reads it.
+        let mut slice = &[WAL_TAG_SNAPSHOT][..];
+        assert_eq!(
+            WalRecord::decode(&mut slice),
+            Err(WireError::BadTag(WAL_TAG_SNAPSHOT))
+        );
     }
 
     #[test]
@@ -782,10 +698,10 @@ mod tests {
     fn snapshot_supersedes_prefix() {
         let mut wal = Wal::new(0);
         wal.append(&op_record(1, 0, 1, 0, "a"));
-        wal.append(&WalRecord::Snapshot(sample_snapshot()));
+        append_snapshot(&mut wal, &sample_notifier());
         wal.append(&ack_record(1, 4));
         let rec = Wal::recover(wal.bytes()).expect("recover");
-        assert_eq!(rec.snapshot, Some(sample_snapshot()));
+        assert_eq!(rec.snapshot.as_ref().map(snapshot), Some(SAMPLE.to_vec()));
         assert_eq!(rec.tail, vec![ack_record(1, 4)]);
         assert_eq!(rec.records, 3);
     }
@@ -848,8 +764,8 @@ mod tests {
         behind.append(&ack_record(1, 2));
         bytes.extend_from_slice(behind.bytes());
         assert_eq!(
-            Wal::recover(&bytes),
-            Err(WalError::Corrupt {
+            Wal::recover(&bytes).err(),
+            Some(WalError::Corrupt {
                 record: 1,
                 offset: 8
             })
@@ -861,15 +777,13 @@ mod tests {
     /// length, while the socket's stays [`MAX_FRAME_BYTES`].
     #[test]
     fn snapshot_past_the_socket_cap_recovers_from_the_log_only() {
-        let mut snap = sample_snapshot();
-        snap.doc = "x".repeat(MAX_FRAME_BYTES + 1);
+        let doc = "x".repeat(MAX_FRAME_BYTES + 1);
         let mut wal = Wal::new(0);
-        wal.append(&WalRecord::Snapshot(snap.clone()));
+        append_snapshot(&mut wal, &Notifier::new(2, &doc));
         let rec = Wal::recover(wal.bytes()).expect("recover");
-        assert_eq!(rec.snapshot.as_ref(), Some(&snap));
         let (restored, replayed) = rec.restore(2, "").expect("restore");
         assert_eq!(replayed, 0);
-        assert_eq!(restored.doc(), snap.doc);
+        assert_eq!(restored.doc(), doc);
         let mut reader = FrameReader::new();
         reader.extend(wal.bytes());
         assert!(matches!(
@@ -899,33 +813,21 @@ mod tests {
     fn compaction_cuts_with_history_in_flight() {
         let mut notifier = Notifier::new(2, "");
         let mut wal = Wal::new(1);
-        let msg = ClientOpMsg {
-            origin: SiteId(1),
-            stamp: CompressedStamp::new(0, 1),
-            op: SeqOp::from_pos(&PosOp::insert(0, "x"), 0),
-            cursor: None,
-        };
+        let msg = client_op(1, 0, 1, 0, "x", 0);
         wal.append(&WalRecord::Op(msg.clone()));
         notifier.try_on_client_op_outcome(msg).expect("integrate");
         assert!(wal.maybe_compact(&notifier));
         assert_eq!(wal.compactions(), 1);
         let snapshot_bytes = wal.live_bytes();
         let rec = Wal::recover(wal.bytes()).expect("recover");
-        let snap = rec.snapshot.clone().expect("a snapshot");
-        assert_eq!(snap.history.len(), 1, "the unacked entry is carried");
-        assert_eq!(snap.clients[1].pending, vec![PendingOp::History(0)]);
         let (mut restored, replayed) = rec.restore(2, "").expect("restore");
         assert_eq!(replayed, 0);
-        assert_eq!(restored.doc(), notifier.doc());
-        assert_eq!(restored.checkpoint_cursors(), notifier.checkpoint_cursors());
-        assert_eq!(restored.checkpoint_history(), notifier.checkpoint_history());
+        assert_eq!(restored.history().len(), 1, "the unacked entry is carried");
+        // Client 2's queue names entry 0 (`1`), not a copy of its op.
+        assert_eq!(snapshot(&restored).last(), Some(&1));
+        assert_eq!(snapshot(&restored), snapshot(&notifier));
         // Client 2's concurrent op transforms against the carried entry.
-        let concurrent = ClientOpMsg {
-            origin: SiteId(2),
-            stamp: CompressedStamp::new(0, 1),
-            op: SeqOp::from_pos(&PosOp::insert(0, "y"), 0),
-            cursor: None,
-        };
+        let concurrent = client_op(2, 0, 1, 0, "y", 0);
         let a = notifier.try_on_client_op_outcome(concurrent.clone());
         let b = restored.try_on_client_op_outcome(concurrent);
         let (a, b) = (a.expect("live"), b.expect("restored"));
@@ -939,28 +841,35 @@ mod tests {
         assert!(wal.maybe_compact(&notifier));
     }
 
-    /// Every field the restore indexes by is held to what it names.
+    /// Every field the notifier indexes, adds or subtracts by is held to
+    /// what it names; a liveness byte is a tag.
     #[test]
     fn inconsistent_snapshots_are_refused() {
-        let breaks: [fn(&mut WalSnapshot); 5] = [
-            |s| s.history[0].origin = SiteId(3),
-            |s| s.clients[0].received = 0,
-            |s| s.clients[0].watermark = 2,
-            |s| s.clients[1].pending = vec![PendingOp::History(1)],
-            |s| s.clients[1].sent = 0,
+        let varint = |v: u64| {
+            let mut b = Vec::new();
+            put_varint(&mut b, v);
+            b
+        };
+        let splice = |at: usize, with: &[u8]| [&SAMPLE[..at], with, &SAMPLE[at + 1..]].concat();
+        let breaks = [
+            (splice(8, &[4]), WireError::HostileLength(4)), // an origin past the sites
+            (splice(27, &[0]), WireError::HostileLength(1)), // received below own entries
+            (splice(31, &[4]), WireError::HostileLength(4)), // watermark past the history
+            (splice(33, &[4]), WireError::HostileLength(4)), // reference past the history
+            (splice(26, &[0]), WireError::HostileLength(1)), // more pending than sent
+            (
+                splice(26, &varint(u64::MAX)),
+                WireError::HostileLength(u64::MAX),
+            ), // no next stamp
+            (splice(30, &[2]), WireError::BadTag(2)),       // liveness
         ];
-        for (i, break_it) in breaks.iter().enumerate() {
-            let mut snap = sample_snapshot();
-            break_it(&mut snap);
-            let mut buf = Vec::new();
-            WalRecord::Snapshot(snap).encode(&mut buf);
-            let mut slice = &buf[..];
-            let err = WalRecord::decode(&mut slice).expect_err("inconsistent");
-            assert!(
-                matches!(err, WireError::HostileLength(_)),
-                "break {i}: {err:?}"
-            );
+        for (i, (bytes, want)) in breaks.iter().enumerate() {
+            assert_eq!(read(bytes).err().as_ref(), Some(want), "break {i}");
         }
+        // Received counts whose sum no `u64` holds.
+        let max = varint(u64::MAX);
+        let bytes = [&SAMPLE[..27], &max, &SAMPLE[28..35], &max, &SAMPLE[36..]].concat();
+        assert_eq!(read(&bytes).err(), Some(WireError::HostileLength(u64::MAX)));
     }
 
     #[test]
@@ -975,36 +884,30 @@ mod tests {
             (1, 1, 2, 4, "z", 6),
         ];
         for (origin, t1, t2, pos, text, base) in ops {
-            let msg = ClientOpMsg {
-                origin: SiteId(origin),
-                stamp: CompressedStamp::new(t1, t2),
-                op: SeqOp::from_pos(&PosOp::insert(pos, text), base),
-                cursor: None,
-            };
+            let msg = client_op(origin, t1, t2, pos, text, base);
             wal.append(&WalRecord::Op(msg.clone()));
             notifier.try_on_client_op_outcome(msg).expect("integrate");
         }
         let rec = Wal::recover(wal.bytes()).expect("recover");
         let (restored, replayed) = rec.restore(2, "seed").expect("restore");
         assert_eq!(replayed, 3);
-        assert_eq!(restored.doc(), notifier.doc());
         assert_eq!(restored.doc_checksum(), notifier.doc_checksum());
-        assert_eq!(restored.checkpoint_cursors(), notifier.checkpoint_cursors());
-        assert_eq!(restored.acked_by(), notifier.acked_by());
+        assert_eq!(snapshot(&restored), snapshot(&notifier));
     }
 
     /// Restoring costs the width of the session, not the counters a
     /// snapshot carries: a cursor reading 2^40 is read back, not counted to.
     #[test]
     fn restore_does_not_loop_on_decoded_counters() {
-        let mut snap = sample_snapshot();
-        snap.history.clear();
-        snap.clients[1].pending.clear();
-        snap.clients[1].watermark = 0;
-        snap.clients[0].received = 1 << 40;
-        snap.clients[1].received = 7;
+        let mut bytes = vec![0, 2, 0]; // empty document, two clients, no history
+        for received in [1 << 40, 7] {
+            bytes.push(0); // sent
+            put_varint(&mut bytes, received);
+            bytes.extend_from_slice(&[0, 0, 1, 0, 0]); // acked … pending
+        }
         let mut wal = Wal::new(0);
-        wal.append(&WalRecord::Snapshot(snap.clone()));
+        wal.scratch = [&[WAL_TAG_SNAPSHOT][..], &bytes].concat();
+        wal.push_scratch();
         let rec = Wal::recover(wal.bytes()).expect("recover");
         let (restored, _) = rec.restore(2, "").expect("restore");
         let sv = restored.state_vector();
@@ -1012,37 +915,26 @@ mod tests {
         assert_eq!(sv.received_from(SiteId(2)), Ok(7));
         assert_eq!(sv.total(), (1 << 40) + 7);
         assert_eq!(restored.history_trimmed(), sv.total());
-        assert_eq!(restored.checkpoint_cursors(), snap.clients);
+        assert_eq!(snapshot(&restored), bytes);
     }
 
     #[test]
-    fn from_checkpoint_continues_streams_exactly() {
+    fn read_checkpoint_continues_streams_exactly() {
         // Drive a notifier to a quiet point, checkpoint it, restore, then
         // feed both the original and the restored notifier the same next
         // op: stamps and docs must match exactly.
         let mut a = Notifier::new(2, "");
-        let m1 = ClientOpMsg {
-            origin: SiteId(1),
-            stamp: CompressedStamp::new(0, 1),
-            op: SeqOp::from_pos(&PosOp::insert(0, "ab"), 0),
-            cursor: None,
-        };
-        a.try_on_client_op_outcome(m1).expect("op");
+        a.try_on_client_op_outcome(client_op(1, 0, 1, 0, "ab", 0))
+            .expect("op");
         let ack = ClientAckMsg {
             origin: SiteId(2),
             received: 1,
         };
         a.try_on_client_ack(ack).expect("ack");
         a.gc();
-        let snap = WalSnapshot::capture(&a);
-        assert!(snap.history.is_empty());
-        let mut b = snap.restore();
-        let m2 = ClientOpMsg {
-            origin: SiteId(2),
-            stamp: CompressedStamp::new(1, 1),
-            op: SeqOp::from_pos(&PosOp::insert(2, "c"), 2),
-            cursor: None,
-        };
+        assert!(a.history().is_empty());
+        let mut b = read(&snapshot(&a)).expect("reads its own bytes");
+        let m2 = client_op(2, 1, 1, 2, "c", 2);
         let oa = a
             .try_on_client_op_outcome(m2.clone())
             .expect("a integrates");

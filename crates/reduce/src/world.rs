@@ -620,6 +620,15 @@ impl StarWorld {
         Some(replay)
     }
 
+    /// This world with `notifier` in place of its notifier, on a core
+    /// without a log or a standby: how a search checks that a notifier
+    /// rebuilt from its snapshot goes on as the live one.
+    pub(crate) fn with_notifier(&self, notifier: Notifier) -> StarWorld {
+        let mut world = self.clone();
+        *world.hub.core_mut() = NotifierCore::new(notifier, None, None);
+        world
+    }
+
     /// A newcomer joins from the notifier's current document, on a fresh
     /// channel; its site. `None` when the core has a log: a join is not a
     /// record.
@@ -644,11 +653,12 @@ impl StarWorld {
 }
 
 /// The star's protocol state, for a search's memo: what a restarted
-/// notifier ([`Notifier::from_checkpoint`]) and the replicas would go on
-/// from. That is the notifier's document, state vector and checkpoint —
-/// its whole state — and each seat's channel, replica ([`Client`]'s
-/// `Hash`; a composing replica is not hashed), up FIFO and reconnect
-/// counts, then every channel's queue. No metrics, recorder or clock.
+/// notifier ([`Notifier::read_checkpoint`]) and the replicas would go on
+/// from. That is the notifier's snapshot bytes
+/// ([`Notifier::write_checkpoint`]: its whole state, its state vector's
+/// received counts included) and each seat's channel, replica
+/// ([`Client`]'s `Hash`; a composing replica is not hashed), up FIFO and
+/// reconnect counts, then every channel's queue. No metrics, recorder or clock.
 /// Every field is named, so a new one does not compile until it is hashed
 /// or waived.
 impl std::hash::Hash for StarWorld {
@@ -660,9 +670,9 @@ impl std::hash::Hash for StarWorld {
             misrouted: _,
             now: _,
         } = self;
-        let n = hub.notifier();
-        (n.doc(), format!("{:?}", n.state_vector())).hash(h);
-        format!("{:?}", (n.checkpoint_cursors(), n.checkpoint_history())).hash(h);
+        let mut snapshot = Vec::new();
+        hub.notifier().write_checkpoint(&mut snapshot);
+        snapshot.hash(h);
         for (i, seat) in seats.iter().enumerate() {
             hub.channel_of(SiteId::from_client_index(i)).hash(h);
             if let Some(s) = seat {

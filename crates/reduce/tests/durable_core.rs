@@ -30,7 +30,7 @@ use cvc_reduce::client::Client;
 use cvc_reduce::core::{NotifierCore, ACK_FRONTIER_EVERY};
 use cvc_reduce::hub::Step;
 use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg, EditorMsg, ServerOpMsg};
-use cvc_reduce::notifier::{Notifier, ScanMode};
+use cvc_reduce::notifier::{Notifier, NotifierHbEntry, ScanMode};
 use cvc_reduce::reliable::{run_robust_session_traced, CrashPoint, DisconnectSpec};
 use cvc_reduce::session::{Deployment, SessionConfig};
 use cvc_reduce::standby::Standby;
@@ -45,6 +45,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const INITIAL: &str = "seed";
+
+fn snapshot_bytes(notifier: &Notifier) -> Vec<u8> {
+    let mut buf = Vec::new();
+    notifier.write_checkpoint(&mut buf);
+    buf
+}
 
 /// A durable core (log + warm standby) under `n` honest client replicas
 /// joined by FIFO queues, driven one seeded step at a time.
@@ -287,13 +293,15 @@ impl World {
         assert_eq!(warm.notifier().doc_checksum(), live.doc_checksum());
         // Membership is part of the state: who is broadcast to, whose
         // acks gate collection.
-        let mut level = true;
+        let (mut level, mut every_level) = (true, true);
         for i in 0..n {
             let site = SiteId::from_client_index(i);
             assert_eq!(live.is_active(site), !self.evicted[i]);
             assert_eq!(rebuilt.is_active(site), live.is_active(site), "{site}");
             assert_eq!(warm.notifier().is_active(site), live.is_active(site));
-            level &= self.evicted[i] || rebuilt.acked_by()[i] == live.acked_by()[i];
+            let same = rebuilt.acked_by()[i] == live.acked_by()[i];
+            level &= self.evicted[i] || same;
+            every_level &= same;
         }
         // The replayed ack frontier never runs ahead of the live one, and
         // trails it by less than one frontier window of bare acks.
@@ -317,15 +325,23 @@ impl World {
         // What is collectable follows from membership and the frontier: a
         // replica behind on acks retains more, never less, and one level
         // with the live frontier retains the same entries — whether it was
-        // replayed or restored from a snapshot that carried them.
+        // replayed or restored from a snapshot that carried them. Level
+        // for the evicted too, it is the live notifier, byte for byte.
         let mut live = live.clone();
         live.gc();
         rebuilt.gc();
-        let (got, want) = (rebuilt.checkpoint_history(), live.checkpoint_history());
+        let entries = |n: &Notifier| {
+            let entry = |e: &NotifierHbEntry| (e.origin, e.width_at, e.total_after, e.op.clone());
+            n.history().iter().map(entry).collect::<Vec<_>>()
+        };
+        let (got, want) = (entries(&rebuilt), entries(&live));
         assert!(got.len() >= want.len());
         assert_eq!(got[got.len() - want.len()..], want[..]);
         if level {
             assert_eq!(got, want);
+        }
+        if every_level {
+            assert_eq!(snapshot_bytes(&rebuilt), snapshot_bytes(&live));
         }
     }
 
@@ -333,7 +349,7 @@ impl World {
     /// entries — one cut with operations still in flight.
     fn snapshot_carries_history(&self) -> bool {
         let rec = Wal::recover(self.wal().bytes()).expect("log scans");
-        rec.snapshot.is_some_and(|s| !s.history.is_empty())
+        rec.snapshot.is_some_and(|s| !s.history().is_empty())
     }
 
     /// Drain every queue, then ack everything, so the session quiesces.
@@ -559,7 +575,7 @@ fn a_crash_after_every_prefix_recovers_the_uncrashed_document() {
         // cold from the log image are both the dead primary.
         let image = w.hub().core().wal().expect("durable").bytes();
         let snapshot = Wal::recover(image).expect("log scans").snapshot;
-        busy_images += usize::from(snapshot.is_some_and(|s| !s.history.is_empty()));
+        busy_images += usize::from(snapshot.is_some_and(|s| !s.history().is_empty()));
         let cold = Standby::from_log(image, n, INITIAL).expect("log scans");
         let cold = cold.promote().expect("unpoisoned standby promotes");
         for promoted in [w.notifier(), &cold] {

@@ -23,10 +23,11 @@
 
 use cvc_ot::seq::Component;
 use cvc_reduce::frame::FrameReader;
+use cvc_reduce::notifier::Notifier;
 use cvc_reduce::reliable::{run_robust_session_traced, CrashPoint, NotifierCrash};
 use cvc_reduce::session::{run_session, Deployment, FailoverReport, SessionConfig};
 use cvc_reduce::standby::Standby;
-use cvc_reduce::wal::{Wal, WalRecord, WalSnapshot, DEFAULT_COMPACT_EVERY};
+use cvc_reduce::wal::{Wal, WalRecord, DEFAULT_COMPACT_EVERY};
 use cvc_sim::fault::{FaultPlan, FlapSpec};
 use cvc_sim::wire::WireDecode;
 use proptest::prelude::*;
@@ -169,7 +170,7 @@ fn a_session_over_connections_restores_from_a_snapshot() {
 
     let rec = Wal::recover(&trace.wal_image).expect("an intact log");
     let snapshot = rec.snapshot.as_ref().expect("the log was cut");
-    let covered: u64 = snapshot.clients.iter().map(|c| c.received).sum();
+    let covered = snapshot.state_vector().total();
     assert!(
         covered >= 2 * DEFAULT_COMPACT_EVERY,
         "cut at least twice: the snapshot covers {covered} ops"
@@ -207,6 +208,12 @@ fn a_session_over_connections_restores_from_a_snapshot() {
     );
 }
 
+fn snapshot_bytes(notifier: &Notifier) -> Vec<u8> {
+    let mut buf = Vec::new();
+    notifier.write_checkpoint(&mut buf);
+    buf
+}
+
 /// Build a realistic log image: a durable core with a two-op cadence
 /// under a seeded two-site exchange in which site 2 hears each step's
 /// broadcasts one step late and edits every other step. The image is a
@@ -217,7 +224,6 @@ fn session_wal_image(seed: u64) -> Vec<u8> {
     use cvc_reduce::client::Client;
     use cvc_reduce::core::NotifierCore;
     use cvc_reduce::msg::ServerOpMsg;
-    use cvc_reduce::notifier::Notifier;
 
     let mut core = NotifierCore::new(Notifier::new(2, "seed"), Some(Wal::new(2)), None);
     let mut clients = [
@@ -247,7 +253,7 @@ fn session_wal_image(seed: u64) -> Vec<u8> {
     let image = core.wal().expect("durable").bytes().to_vec();
     let rec = Wal::recover(&image).expect("intact log");
     let snapshot = rec.snapshot.expect("the log was cut");
-    assert!(!snapshot.history.is_empty(), "cut with history in flight");
+    assert!(!snapshot.history().is_empty(), "cut with history in flight");
     image
 }
 
@@ -302,13 +308,16 @@ proptest! {
             }
             prop_assert_eq!(payloads.len() as u64, rec.records, "cut at {}", cut);
             prop_assert_eq!(reader.buffered(), rec.torn_bytes, "cut at {}", cut);
-            let snapshot = rec.snapshot.iter().cloned().map(WalRecord::Snapshot);
-            let records: Vec<WalRecord> = snapshot.chain(rec.tail.iter().cloned()).collect();
-            for (i, p) in payloads.iter().enumerate() {
+            // The snapshot frame is the recovered notifier's own bytes.
+            let skip = usize::from(rec.snapshot.is_some());
+            if let Some(s) = &rec.snapshot {
+                prop_assert_eq!(&payloads[0][1..], &snapshot_bytes(s)[..], "cut at {}", cut);
+            }
+            for (i, p) in payloads.iter().enumerate().skip(skip) {
                 let mut body = &p[..];
                 let decoded = WalRecord::decode(&mut body).expect("payload decodes");
                 prop_assert!(body.is_empty(), "cut at {}: trailing bytes in frame {}", cut, i);
-                prop_assert_eq!(&decoded, &records[i], "cut at {}, frame {}", cut, i);
+                prop_assert_eq!(&decoded, &rec.tail[i - skip], "cut at {}, frame {}", cut, i);
             }
         }
     }
@@ -347,31 +356,24 @@ proptest! {
         }
     }
 
-    /// Snapshot records embedded in a corrupted log keep the same
-    /// contract: recovery is total, and a recovered snapshot restores.
+    /// A snapshot a notifier cut, with the records after it, keeps the
+    /// same contract in a corrupted log: recovery is total, and a
+    /// recovered snapshot is a notifier that writes back what it read.
     #[test]
     fn wal_with_snapshot_survives_corruption(
         pos in 0usize..4096,
         flip in 1u8..=255,
     ) {
-        let mut wal = Wal::new(0);
-        let image = session_wal_image(7);
-        let base = Wal::recover(&image).expect("base log");
-        wal.append(&WalRecord::Snapshot(WalSnapshot {
-            doc: "checkpointed".into(),
-            clients: Vec::new(),
-            history: Vec::new(),
-        }));
-        for rec in &base.tail {
-            wal.append(rec);
-        }
-        let mut bytes = wal.bytes().to_vec();
+        let mut bytes = session_wal_image(7);
         let at = pos % bytes.len();
         bytes[at] ^= flip;
         match Wal::recover(&bytes) {
             Ok(rec) => {
                 if let Some(s) = &rec.snapshot {
-                    let _ = s.restore();
+                    let written = snapshot_bytes(s);
+                    let mut buf = &written[..];
+                    let again = Notifier::read_checkpoint(&mut buf).expect("its own bytes");
+                    prop_assert_eq!(snapshot_bytes(&again), written);
                 }
                 let _ = rec.restore(2, "");
             }

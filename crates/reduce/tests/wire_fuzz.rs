@@ -31,7 +31,7 @@ use cvc_reduce::msg::{
     ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use cvc_reduce::notifier::Notifier;
-use cvc_reduce::wal::{WalRecord, WalSnapshot};
+use cvc_reduce::wal::WalRecord;
 use cvc_sim::wire::{put_varint, WireDecode, WireEncode, WireError, WireSize, MAX_WIRE_SPAN};
 use proptest::prelude::*;
 
@@ -122,9 +122,14 @@ fn hostile_64_bit_lengths_are_rejected_at_every_site() {
 
     // The WAL shares the codec, and its counts get the same u64-domain
     // bound (tags 33 and 32). Site 8 — the ack frontier's entry count.
+    // A snapshot record (tag 32) is the notifier's own bytes.
     let wal_reject = |b: &[u8]| {
         let mut buf: &[u8] = b;
-        WalRecord::decode(&mut buf).expect_err("hostile record decoded")
+        let err = match b.split_first() {
+            Some((32, state)) => Notifier::read_checkpoint(&mut &state[..]).err(),
+            _ => WalRecord::decode(&mut buf).err(),
+        };
+        err.expect("hostile record decoded")
     };
     let mut b = vec![33u8];
     put_varint(&mut b, hostile);
@@ -344,8 +349,8 @@ fn editor_msg_strategy() -> impl Strategy<Value = EditorMsg> {
     ]
 }
 
-/// Durability-log records: ops and acks reuse the editor wire format
-/// byte-for-byte; snapshots add a checkpoint frame of their own.
+/// Durability-log input records: ops and acks reuse the editor wire
+/// format byte-for-byte.
 fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
     let op = (
         1u32..=64,
@@ -370,80 +375,47 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
     let frontier = proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8)
         .prop_map(|entries| WalRecord::AckFrontier(cvc_reduce::wal::AckFrontierRecord { entries }));
     let evict = any::<u32>().prop_map(|site| WalRecord::Evict(SiteId(site)));
-    prop_oneof![op, ack, frontier, evict, snapshot_strategy()]
+    prop_oneof![op, ack, frontier, evict]
 }
 
-/// Snapshot records as a notifier checkpoint writes them: history entries
-/// from the session's sites, each client's received count covering its
-/// own entries, watermarks within the history, and pending queues no
-/// longer than the broadcasts sent, mixing history references with
-/// rewritten ops.
-fn snapshot_strategy() -> impl Strategy<Value = WalRecord> {
-    use cvc_reduce::notifier::{CheckpointCursor, CheckpointEntry, PendingOp};
-    let entry = (any::<u32>(), any::<u64>(), seq_op_strategy());
-    let pending = (any::<bool>(), any::<u64>(), seq_op_strategy());
-    let counters = (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-    );
-    let cursor = (
-        counters,
-        any::<bool>(),
-        proptest::collection::vec(pending, 0..5),
-    );
-    (
-        "[a-z ]{0,32}",
-        proptest::collection::vec(cursor, 1..6),
-        proptest::collection::vec(entry, 0..6),
-    )
-        .prop_map(|(doc, clients, history)| {
-            let (n, h) = (clients.len(), history.len() as u64);
-            let history: Vec<CheckpointEntry> = history
-                .into_iter()
-                .map(|(site, width_at, op)| CheckpointEntry {
-                    origin: SiteId::from_client_index(site as usize % n),
-                    width_at,
-                    op: op.into(),
-                })
-                .collect();
-            let clients = clients
-                .into_iter()
-                .enumerate()
-                .map(|(i, (c, active, pending))| {
-                    let (sent, received, acked, join_offset, wm) = c;
-                    let own = history
-                        .iter()
-                        .filter(|e| e.origin.client_index() == i)
-                        .count();
-                    let pending: Vec<PendingOp> = pending
-                        .into_iter()
-                        .map(|(shared, k, op)| {
-                            if shared && h > 0 {
-                                PendingOp::History(k % h)
-                            } else {
-                                PendingOp::Op(op.into())
-                            }
-                        })
-                        .collect();
-                    CheckpointCursor {
-                        sent: sent.max(pending.len() as u64),
-                        received: received.max(own as u64),
-                        acked,
-                        join_offset,
-                        active,
-                        watermark: wm % (h + 1),
-                        pending,
-                    }
-                });
-            WalRecord::Snapshot(WalSnapshot {
-                doc,
-                clients: clients.collect(),
-                history,
+/// A live star: `sites` clients on "ab" driven by `script` — edits (an
+/// insert, or a delete on a non-empty document), deliveries up and down,
+/// bare acks, a leave and a join — through the one notifier every server
+/// runs. Moves a site cannot make are skipped; `each` sees the notifier
+/// before the first move and after every one.
+fn drive_star(sites: usize, script: &[(u8, usize, u64)], mut each: impl FnMut(&Notifier)) {
+    use cvc_reduce::core::NotifierCore;
+    use cvc_reduce::world::StarWorld;
+    let mut world = StarWorld::new(NotifierCore::new(Notifier::new(sites, "ab"), None, None));
+    each(world.notifier());
+    for &(kind, at, draw) in script {
+        let site = SiteId::from_client_index(at % world.notifier().n_clients());
+        let user = |c: &mut Client| {
+            let len = c.doc_len() as u64;
+            Ok(if len > 0 && draw % 3 == 0 {
+                c.delete((draw / 3 % len) as usize, 1)
+            } else {
+                c.insert((draw % (len + 1)) as usize, "xy")
             })
-        })
+        };
+        match kind {
+            0 => drop(world.edit(site, user)),
+            1 => drop(world.deliver_up(site)),
+            2 => drop(world.deliver_down(site)),
+            3 => world.take_pending_ack(site),
+            4 if draw % 8 == 0 => drop(world.leave(site)),
+            _ => {
+                world.join();
+            }
+        }
+        each(world.notifier());
+    }
+}
+
+fn snapshot_bytes(notifier: &Notifier) -> Vec<u8> {
+    let mut buf = Vec::new();
+    notifier.write_checkpoint(&mut buf);
+    buf
 }
 
 /// Where a caret sits after `op`'s one edit (`retain p · insert t? ·
@@ -690,14 +662,52 @@ proptest! {
         battery(&msg, &flips);
     }
 
+    /// Every snapshot a live notifier writes reads back as a notifier
+    /// that writes the same bytes. The last one then gets the battery:
+    /// each strict prefix is an error, trailing junk is left unread, and
+    /// bit flips decode to a notifier or a typed error without a panic.
+    #[test]
+    fn a_live_notifiers_snapshots_read_back_byte_for_byte(
+        sites in 2usize..=4,
+        script in proptest::collection::vec((0u8..6, any::<usize>(), any::<u64>()), 0..48),
+        flips in proptest::collection::vec(any::<usize>(), 1..12),
+    ) {
+        let mut last = Vec::new();
+        drive_star(sites, &script, |live| {
+            last = snapshot_bytes(live);
+            let mut buf: &[u8] = &last;
+            let back = Notifier::read_checkpoint(&mut buf).expect("a notifier reads its own bytes");
+            assert!(buf.is_empty(), "{} bytes unread", buf.len());
+            assert_eq!(snapshot_bytes(&back), last);
+        });
+        let mut overlong = last.clone();
+        overlong.put_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        let mut buf: &[u8] = &overlong;
+        prop_assert!(Notifier::read_checkpoint(&mut buf).is_ok());
+        prop_assert_eq!(buf, &[0xde, 0xad, 0xbe, 0xef]);
+        for cut in 0..last.len() {
+            let mut buf: &[u8] = &last[..cut];
+            prop_assert!(Notifier::read_checkpoint(&mut buf).is_err(), "prefix {} decoded", cut);
+        }
+        for &flip in &flips {
+            let mut mangled = last.clone();
+            let bit = flip % (mangled.len() * 8);
+            mangled[bit / 8] ^= 1 << (bit % 8);
+            let mut buf: &[u8] = &mangled;
+            let _ = Notifier::read_checkpoint(&mut buf);
+        }
+    }
+
     /// Pure noise: decoding random byte strings never panics or reads past
-    /// the buffer, for either record type.
+    /// the buffer, for either record type or a snapshot.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut buf: &[u8] = &bytes;
         let _ = EditorMsg::decode(&mut buf);
         let mut buf: &[u8] = &bytes;
         let _ = WalRecord::decode(&mut buf);
+        let mut buf: &[u8] = &bytes;
+        let _ = Notifier::read_checkpoint(&mut buf);
     }
 
     /// Remote input must never panic a live site: any structurally valid
