@@ -78,7 +78,7 @@ impl fmt::Display for CompressedStamp {
 ///    `SV_i[1] := SV_i[1] + 1` — [`ClientStateVector::record_from_notifier`];
 /// 3. after executing a local operation, `SV_i[2] := SV_i[2] + 1` —
 ///    [`ClientStateVector::record_local`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ClientStateVector {
     from_notifier: u64,
     local: u64,

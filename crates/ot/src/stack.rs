@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 /// A stack of at most `depth` operations, each kept transformed into the
 /// frame of the last operation it rode. Pushing beyond the depth drops the
 /// oldest entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct OpStack {
     /// What a ride reads and rewrites, oldest first: the entry's shape if
     /// it edits one place, `None` if its body holds the whole operation.
@@ -29,7 +29,7 @@ pub struct OpStack {
 }
 
 /// The out-of-line part of an entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum Body {
     /// A single-site entry's insert text (empty if it inserts nothing).
     Text(String),
@@ -41,7 +41,7 @@ enum Body {
 /// the normalized components one to one, a zero length standing for an
 /// absent component. An entry that edits nothing keeps its whole length in
 /// `pos`, as normalization merges the two retains.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct Flat {
     pos: u32,
     del: u32,

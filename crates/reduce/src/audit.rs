@@ -60,7 +60,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::client::{Client, ClientIntegration};
-use crate::notifier::{Notifier, NotifierOutcome};
+use crate::notifier::NotifierOutcome;
 use crate::recorder::{EventKind, FlightEvent, NO_SITE};
 use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
@@ -134,6 +134,9 @@ pub struct StarAudit {
     primes: HashMap<OpId, OpRef>,
     /// `(destination, T[1])` → the broadcast original's identity.
     positions: HashMap<(SiteId, u64), OpId>,
+    /// Every operation site 0 executed, in order: its history buffer is
+    /// a suffix of this, whatever it has collected.
+    at_site0: Vec<OpId>,
 }
 
 impl StarAudit {
@@ -189,19 +192,21 @@ impl StarAudit {
         }
     }
 
-    /// Feed the notifier's integration that buffered its newest history
-    /// entry: each of `outcome`'s formula-(7) verdicts against the entry
-    /// it was taken for, the execution, then the broadcasts. The buffer
-    /// must not have been trimmed during the integration.
-    pub fn notifier_integrated(&mut self, n: &Notifier, outcome: &NotifierOutcome) -> Findings {
-        let hb = n.history();
-        let op = hb.back().ok_or(Unknown::NotYet)?;
-        let op = (op.origin, op.origin_seq);
+    /// Feed the notifier's integration of `op`: each of `outcome`'s
+    /// formula-(7) verdicts against the entry it was taken for — the
+    /// newest of the operations site 0 executed before, one per verdict,
+    /// however many the integration then collected — the execution, then
+    /// the broadcasts.
+    pub fn notifier_integrated(&mut self, op: OpId, outcome: &NotifierOutcome) -> Findings {
+        let verdicts = outcome.full_verdicts();
+        let start = self.at_site0.len().checked_sub(verdicts.len());
+        let buffered = &self.at_site0[start.ok_or(Unknown::NotYet)?..];
         let mut findings = Vec::new();
-        for (e, verdict) in hb.iter().zip(outcome.full_verdicts()) {
-            findings.extend(self.check_at_notifier(op, (e.origin, e.origin_seq), verdict)?);
+        for (&e, verdict) in buffered.iter().zip(verdicts) {
+            findings.extend(self.check_at_notifier(op, e, verdict)?);
         }
         self.execute_at_notifier(op)?;
+        self.at_site0.push(op);
         for &(dest, stamp) in &outcome.stamps {
             self.broadcast(dest, stamp.get(1), op);
         }

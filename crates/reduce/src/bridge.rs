@@ -66,7 +66,7 @@ impl From<SeqError> for BridgeError {
 /// Which endpoint's inserts win position ties. Globally consistent rule:
 /// the notifier's (transformed) operations take priority, so both endpoints
 /// of a bridge resolve every tie identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BridgeRole {
     /// The notifier's endpoint of the pair.
     Notifier,
@@ -75,7 +75,7 @@ pub enum BridgeRole {
 }
 
 /// One endpoint of a client↔notifier pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Bridge {
     role: BridgeRole,
     /// Operations I generated on this pair (1-based count).

@@ -59,7 +59,7 @@ pub const ACK_INTERVAL: u64 = 64;
 /// Formula (5), [`Client::gc`] and the star audit read only the stamp and
 /// the origin. Only a local operation is ever read back — it is re-sent
 /// on reconnect — so only a local entry keeps the operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct ClientHbEntry {
     /// The 2-element stamp the operation carried.
     pub stamp: CompressedStamp,
@@ -107,8 +107,9 @@ pub struct Client {
 
 /// A replica's protocol state, for a search's memo: every field but its
 /// metrics and recorder — its history with stamps, its bridge, its undo
-/// stacks, its document's text — as `Debug` strings. Every field is
-/// named, so a new one does not compile until it is hashed or waived.
+/// stacks — hashed as it is, and its document by its checksum. Every
+/// field is named, so a new one does not compile until it is hashed or
+/// waived.
 impl std::hash::Hash for Client {
     fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
         let Client {
@@ -127,13 +128,9 @@ impl std::hash::Hash for Client {
             metrics: _,
             recorder: _,
         } = self;
-        format!("{:?}", (site, sv, bridge, hb)).hash(h);
-        format!(
-            "{:?}",
-            (acked_local, last_ack_sent, caret, undo_stack, redo_stack)
-        )
-        .hash(h);
-        (share_caret, remote_carets, doc.to_string()).hash(h);
+        (site, sv, bridge, hb, acked_local, last_ack_sent).hash(h);
+        (undo_stack, redo_stack, caret, share_caret, remote_carets).hash(h);
+        doc.checksum().hash(h);
     }
 }
 

@@ -365,6 +365,31 @@ mod tests {
             core.integrate_ack(ack.origin, ack).expect("ack");
         }
         assert_eq!(core.wal().expect("durable").appends(), after_op + 1);
+        // A long run of advancing acks: site 1 sends 40 more ops and sites
+        // 2 and 3 ack each one. After every ack, a cold replay of the log
+        // never leads the live frontier and trails it by less than one
+        // window: it is at or past the frontier of `ACK_FRONTIER_EVERY - 1`
+        // acks ago.
+        let mut frontiers = vec![core.notifier().acked_by().to_vec()];
+        for k in 2..=41 {
+            send(&mut core, op(1, 0, k, 0, "a", k as usize - 1)).expect("op");
+            for origin in [SiteId(2), SiteId(3)] {
+                let ack = ClientAckMsg {
+                    origin,
+                    received: k,
+                };
+                core.integrate_ack(origin, ack).expect("ack");
+                frontiers.push(core.notifier().acked_by().to_vec());
+                let bytes = core.wal().expect("durable").bytes();
+                let cold = Standby::from_log(bytes, 3, "").expect("scan");
+                let then = &frontiers[frontiers.len().saturating_sub(ACK_FRONTIER_EVERY as usize)];
+                let live = core.notifier().acked_by();
+                for ((&got, &now), &then) in cold.notifier().acked_by().iter().zip(live).zip(then) {
+                    assert!(got <= now, "cold {got}, ahead of live {now}");
+                    assert!(got >= then, "cold {got}, a window behind {then}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,20 +17,26 @@
 //! [`StarAudit`], which states that rule and its companions once.
 //!
 //! Every move on the star goes through one function, [`step`]: the
-//! seeded walks here, the timed-session replays, and [`explore`], the
-//! memoized search over every interleaving of a small [`Scope`].
+//! seeded walks here, the timed-session replays, the standby star
+//! crashed after every prefix, and [`explore`], the memoized search over
+//! every interleaving of a small [`Scope`] — whose checked form also
+//! checks, at every state, that the log alone rebuilds the notifier.
 
 use crate::audit::{Findings, StarAudit};
 use crate::client::Client;
 use crate::core::NotifierCore;
 use crate::error::ProtocolError;
 use crate::mesh::MeshSite;
-use crate::msg::{ClientOpMsg, MeshOpMsg, Payload};
-use crate::notifier::Notifier;
+use crate::msg::{ClientAckMsg, ClientOpMsg, EditorMsg, MeshOpMsg, Payload};
+use crate::notifier::{Notifier, NotifierHbEntry, ScanMode};
+use crate::standby::Standby;
+use crate::wal::{Wal, WalRecovery};
 use crate::world::{Move, StarWorld};
 use cvc_core::oracle::{CausalityOracle, OpRef};
 use cvc_core::site::SiteId;
 use cvc_core::state_vector::CompressedStamp;
+use cvc_ot::pos::PosOp;
+use cvc_ot::seq::SeqOp;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -241,7 +247,9 @@ fn judge(
         Move::Up(site) => world.deliver_up(site)?.map(|mut out| {
             (out.first_checked, out.checked) = (0, out.full_verdicts());
             mutate(&mut out.checked);
-            let found = audit.notifier_integrated(world.notifier(), &out);
+            let seq = world.notifier().state_vector().received_from(site);
+            let op = (site, seq.expect("a member's op integrated"));
+            let found = audit.notifier_integrated(op, &out);
             (out.checked, found)
         }),
         Move::Down(site) => world.deliver_down(site)?.map(|mut out| {
@@ -257,7 +265,8 @@ fn judge(
 
 /// An edit a search offers every site with budget left, made with the
 /// site's letter (`a` at site 1, `b` at site 2, …) or its wide letter
-/// (`α` at site 1, `β` at site 2, …).
+/// (`α` at site 1, `β` at site 2, …) — or a message that spends the same
+/// budget and travels the same up FIFO while the replica edits nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Edit {
     /// Insert the letter at position 0.
@@ -270,17 +279,151 @@ pub enum Edit {
     /// first one widens each replica's document (`cvc_ot::buffer`).
     /// Not in [`Edit::MENU`].
     WideAtEnd,
+    /// A courtesy bare ack of every broadcast the site has received.
+    Ack,
+    /// The letter at position 0, sent with its stamp's `T[k]` zeroed (`k`
+    /// is 1 or 2): the mutations that show each of the two integers is
+    /// needed. A zeroed `T[1]` is offered only once the site has received
+    /// a broadcast, so it always says something false.
+    Zeroed(usize),
+    /// A message the notifier must refuse; its delivery evicts the site.
+    Hostile(Hostile),
+}
+
+/// What a hostile site sends ([`Edit::Hostile`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hostile {
+    /// The site's last op again, by its `T[2]`; offered once it sent one.
+    Duplicate,
+    /// An op one sequence number past the next.
+    FifoGap,
+    /// An op inserting past the end of any document it could be based on.
+    WrongBase,
+    /// An op from a site outside the session.
+    UnknownSite,
+    /// An op in another member's name.
+    ForgedOrigin,
+    /// An ack of broadcasts the notifier never sent.
+    AckOverrun,
+}
+
+impl Hostile {
+    /// Every hostile message.
+    pub const ALL: [Hostile; 6] = [
+        Hostile::Duplicate,
+        Hostile::FifoGap,
+        Hostile::WrongBase,
+        Hostile::UnknownSite,
+        Hostile::ForgedOrigin,
+        Hostile::AckOverrun,
+    ];
 }
 
 impl Edit {
     /// Every edit of the menu.
     pub const MENU: [Edit; 3] = [Edit::LetterAtStart, Edit::LetterAtEnd, Edit::DeleteFirst];
 
-    fn apply(self, c: &mut Client) -> ClientOpMsg {
+    /// Whether a site whose replica is `c` is offered this edit.
+    fn offered(self, c: &Client) -> bool {
+        match self {
+            Edit::DeleteFirst => c.doc_len() > 0,
+            Edit::Zeroed(1) => c.state_vector().received() > 0,
+            Edit::Hostile(Hostile::Duplicate) => c.state_vector().generated() > 0,
+            _ => true,
+        }
+    }
+
+    /// The kind of [`ProtocolError`] the hub must refuse this edit's
+    /// message with, evicting the site; `None` if it must integrate it.
+    fn refusal(self) -> Option<&'static str> {
+        Some(match self {
+            Edit::Zeroed(2) | Edit::Hostile(Hostile::Duplicate | Hostile::FifoGap) => {
+                "fifo-violation"
+            }
+            Edit::Hostile(Hostile::WrongBase) => "bad-operation",
+            Edit::Hostile(Hostile::UnknownSite | Hostile::ForgedOrigin) => "forged-origin",
+            Edit::Hostile(Hostile::AckOverrun) => "ack-overrun",
+            _ => return None,
+        })
+    }
+
+    /// The message a site whose replica is `c`, in a session of `n`
+    /// sites, sends for this edit without editing: a courtesy ack, or a
+    /// hostile message made from what the site knows when it sends, so
+    /// that one check refuses it when it arrives, whatever arrived
+    /// between. `None` for an edit of the replica.
+    fn message(self, c: &Client, n: usize) -> Option<EditorMsg> {
+        let (site, len, sv) = (c.site(), c.doc_len(), c.state_vector());
+        let (received, next) = (sv.received(), sv.generated() + 1);
+        let op = |origin, t2, op| {
+            let stamp = CompressedStamp::new(received, t2);
+            let cursor = None;
+            let op = ClientOpMsg {
+                origin,
+                stamp,
+                op,
+                cursor,
+            };
+            Some(EditorMsg::ClientOp(op))
+        };
+        let ack = |received| {
+            Some(EditorMsg::ClientAck(ClientAckMsg {
+                origin: site,
+                received,
+            }))
+        };
+        let (past, nothing) = (len + 999, SeqOp::identity(len));
+        let h = match self {
+            Edit::Ack => return ack(received),
+            Edit::Hostile(h) => h,
+            _ => return None,
+        };
+        match h {
+            Hostile::Duplicate => op(site, next - 1, nothing),
+            Hostile::FifoGap => op(site, next + 1, nothing),
+            Hostile::WrongBase => op(site, next, SeqOp::from_pos(&PosOp::insert(past, "x"), past)),
+            Hostile::UnknownSite => op(SiteId(n as u32 + 1), 1, nothing),
+            Hostile::ForgedOrigin => {
+                let other = SiteId::from_client_index((site.client_index() + 1) % n);
+                op(other, 1, nothing)
+            }
+            Hostile::AckOverrun => ack(received + 999),
+        }
+    }
+
+    /// Make this edit at `site`: the stamp of the op its replica
+    /// generated, as the replica counted it, if it generated one.
+    fn make(
+        self,
+        w: &mut StarWorld,
+        site: SiteId,
+    ) -> Result<Option<CompressedStamp>, ProtocolError> {
+        let n = w.notifier().n_clients();
+        let c = w.client(site).ok_or(ProtocolError::DepartedSite { site })?;
+        if let Some(msg) = self.message(c, n) {
+            return w.send(site, &msg).map(|()| None);
+        }
+        let mut generated = None;
+        w.edit(site, |c| {
+            let mut op = self.op(c);
+            generated = Some(op.stamp);
+            let (t1, t2) = op.stamp.as_pair();
+            op.stamp = match self {
+                Edit::Zeroed(1) => CompressedStamp::new(0, t2),
+                Edit::Zeroed(_) => CompressedStamp::new(t1, 0),
+                _ => op.stamp,
+            };
+            Ok(op)
+        })?;
+        Ok(generated)
+    }
+
+    /// The op this edit generates at `c`: the letter at 0 unless it says
+    /// otherwise.
+    fn op(self, c: &mut Client) -> ClientOpMsg {
         let index = c.site().client_index() as u8;
         let letter = char::from(b'a' + index).to_string();
         match self {
-            Edit::LetterAtStart => c.insert(0, &letter),
             Edit::LetterAtEnd => c.insert(c.doc_len(), &letter),
             Edit::DeleteFirst => c.delete(0, 1),
             Edit::WideAtEnd => {
@@ -288,6 +431,7 @@ impl Edit {
                     char::from_u32(u32::from('α') + u32::from(index)).expect("Greek or Cyrillic");
                 c.insert(c.doc_len(), &wide.to_string())
             }
+            _ => c.insert(0, &letter),
         }
     }
 }
@@ -317,86 +461,179 @@ pub struct Explored {
     /// States with no move left.
     pub terminal_states: u64,
     /// Paths to a terminal state, by the findings along them: none, one,
-    /// two or more.
+    /// two or more. A terminal state whose survivors diverged counts as a
+    /// finding.
     pub paths: [u64; 3],
-    /// Terminal states where a replica's document is not the notifier's.
+    /// Terminal states where a member's document is not the notifier's.
     pub diverged: u64,
+    /// States whose log ([`explore_checked`]) opens with a snapshot cut
+    /// while history was in flight.
+    pub busy_snapshots: u64,
+    /// States whose notifier ([`explore_checked`]) has collected history.
+    pub collected: u64,
 }
 
 /// A state of a search: the star, its audit, what each site may still
-/// edit, and whether the next verdict is flipped.
+/// edit, whether the next verdict is flipped, and the edit behind each
+/// message a site has queued up.
 #[derive(Clone)]
 struct Node {
     world: StarWorld,
     audit: StarAudit,
     budget: Vec<usize>,
     flip: bool,
+    sent: Vec<VecDeque<Edit>>,
 }
 
 /// An enabled move of a search, with the edit it makes.
 type Choice = (Move, Option<Edit>);
 
-/// How [`explore_checked`] rebuilds a notifier from its snapshot bytes.
-type Restore = fn(&[u8]) -> Notifier;
+/// How [`explore_checked`] rebuilds a notifier from a scanned image — a
+/// log's, or one snapshot's alone — of a session of `n` sites.
+type Rebuild = fn(&WalRecovery, usize) -> Notifier;
 
 /// What [`explore_checked`] keeps: the first node at each digest, and
 /// how it rebuilds a notifier.
-type Checks = (HashMap<u64, Node>, Restore);
+type Checks = (HashMap<u64, Node>, Rebuild);
 
 impl Node {
+    /// The start of a search over `scope`. A checked search's core keeps
+    /// a log, cut every two ops, and a warm standby, and collects history
+    /// in the notifier and the standby; a plain one's has neither and
+    /// collects nothing.
+    fn root(scope: &Scope, durable: bool) -> Node {
+        let mut notifier = Notifier::new(scope.sites, "");
+        notifier.set_auto_gc(durable);
+        let core = if durable {
+            let mut standby = Standby::new(scope.sites, "", ScanMode::SuffixBounded);
+            standby.set_auto_gc(true);
+            NotifierCore::new(notifier, Some(Wal::new(2)), Some(standby))
+        } else {
+            NotifierCore::new(notifier, None, None)
+        };
+        Node {
+            world: StarWorld::new(core),
+            audit: StarAudit::default(),
+            budget: vec![scope.ops; scope.sites],
+            flip: scope.flip_first,
+            sent: vec![VecDeque::new(); scope.sites],
+        }
+    }
+
     /// The memo's key: a hash of the world's protocol state (`StarWorld`'s
     /// `Hash`), the budgets and the flip. The audit is left out: in a
-    /// FIFO star, a replica's history fixes its causal past.
+    /// FIFO star, a replica's history fixes its causal past. So is the
+    /// log: it is what each node's recovery check reads, not what the
+    /// moves from it do.
     fn digest(&self) -> u64 {
         let mut h = std::hash::DefaultHasher::new();
         (&self.world, &self.budget, self.flip).hash(&mut h);
         h.finish()
     }
 
-    /// The world's moves, an edit once per menu entry that applies.
+    /// The world's moves, an edit once per menu entry offered.
     fn choices(&self, menu: &[Edit]) -> Vec<Choice> {
         let mut out = Vec::new();
         for m in self.world.moves(&self.budget) {
-            let Move::Edit(site) = m else {
-                out.push((m, None));
-                continue;
-            };
-            let empty = self.world.client(site).is_some_and(|c| c.doc_len() == 0);
-            let applies = menu.iter().filter(|&&e| !empty || e != Edit::DeleteFirst);
-            out.extend(applies.map(|&e| (m, Some(e))));
+            match (m, self.world.client(m.site())) {
+                (Move::Edit(_), Some(c)) => {
+                    let offered = menu.iter().filter(|e| e.offered(c));
+                    out.extend(offered.map(|&e| (m, Some(e))));
+                }
+                _ => out.push((m, None)),
+            }
         }
         out
     }
 
-    /// Take `choice`: the verdicts and findings of [`step`]; every move
-    /// of an honest star with no acks integrates something.
+    /// Take `choice`: the verdicts and findings of [`step`], none for a
+    /// move that integrates no op. A delivery up must do what its
+    /// message is due: integrate an op or an ack, or be refused. A
+    /// refusal evicts the site — one record logged, the document and
+    /// state vector untouched — and spends its budget.
     fn step(&mut self, (m, edit): Choice) -> (Vec<bool>, Findings) {
-        if let Move::Edit(site) = m {
-            self.budget[site.client_index()] -= 1;
-        }
-        let user = |w: &mut StarWorld, site| {
-            let e = edit.expect("an edit carries its edit");
-            w.edit(site, |c| Ok(e.apply(c))).map(Some)
+        let i = m.site().client_index();
+        let at_hub = |w: &StarWorld| {
+            let (core, n) = (w.hub().core(), w.notifier());
+            let records = core.wal().map(|w| w.appends() - w.compactions());
+            (records, n.doc_checksum(), n.state_vector().clone())
         };
+        let before = at_hub(&self.world);
+        let sent = match (m, edit) {
+            (Move::Edit(_), Some(e)) => {
+                self.budget[i] -= 1;
+                self.sent[i].push_back(e);
+                None
+            }
+            (Move::Up(_), _) => self.sent[i].pop_front(),
+            _ => None,
+        };
+        let user = |w: &mut StarWorld, site| edit.expect("an edit carries its edit").make(w, site);
         let judged = judge(&mut self.world, &mut self.audit, m, user, &mut self.flip);
-        let judged = judged.expect("an honest star's moves are valid");
-        judged.expect("every move of a search integrates")
+        let refusal = sent.and_then(Edit::refusal);
+        let ok = match (m, &judged) {
+            (Move::Up(_), Ok(got)) => {
+                refusal.is_none() && got.is_some() == (sent != Some(Edit::Ack))
+            }
+            (Move::Down(_), Ok(got)) => got.is_some(),
+            (Move::Edit(_), Ok(_)) => true,
+            (_, Err(e)) => refusal == Some(e.kind_name()),
+        };
+        assert!(ok, "{m:?} of {sent:?}: {judged:?}");
+        if judged.is_err() {
+            let n = self.world.notifier();
+            assert!(!n.is_active(m.site()), "a refusal evicts the site");
+            let (records, text, sv) = before;
+            let logged = (records.map(|r| r + 1), text, sv);
+            assert_eq!(
+                at_hub(&self.world),
+                logged,
+                "a refusal logs an eviction alone"
+            );
+            self.budget[i] = 0;
+        }
+        judged
+            .ok()
+            .flatten()
+            .unwrap_or((Vec::new(), Ok(Vec::new())))
     }
 
-    /// This node with its notifier rebuilt by `restore` from the live
-    /// one's snapshot bytes, which the rebuilt notifier must write back
-    /// unchanged.
-    fn restored(&self, restore: Restore) -> Node {
-        let (mut live, mut again) = (Vec::new(), Vec::new());
-        self.world.notifier().write_checkpoint(&mut live);
-        let notifier = restore(&live);
-        notifier.write_checkpoint(&mut again);
-        assert_eq!(again, live, "a restored notifier writes other bytes");
+    /// This node with its notifier rebuilt by `rebuild` from the live
+    /// one's snapshot bytes alone, which the rebuilt notifier must write
+    /// back unchanged.
+    fn restored(&self, rebuild: Rebuild) -> Node {
+        let live = snapshot(self.world.notifier());
+        let image = WalRecovery {
+            snapshot: Some(read_own_checkpoint(&live)),
+            ..WalRecovery::default()
+        };
+        let notifier = rebuild(&image, self.budget.len());
+        assert_eq!(
+            snapshot(&notifier),
+            live,
+            "a restored notifier writes other bytes"
+        );
         let world = self.world.with_notifier(notifier);
         Node {
             world,
             ..self.clone()
         }
+    }
+
+    /// Cold = warm = live ([`promotes_to`]): a standby `rebuild` makes
+    /// from this node's log image, and the warm one. Whether the image
+    /// opens with a snapshot cut while history was in flight; `false` on
+    /// a core without a log.
+    fn recovers(&self, rebuild: Rebuild) -> bool {
+        let core = self.world.hub().core();
+        let (Some(wal), Some(warm)) = (core.wal(), core.standby()) else {
+            return false;
+        };
+        let image = Wal::recover(wal.bytes()).expect("a log scans");
+        assert!(warm.poisoned().is_none(), "the warm standby is poisoned");
+        promotes_to("cold", rebuild(&image, self.budget.len()), core.notifier());
+        promotes_to("warm", warm.notifier().clone(), core.notifier());
+        image.snapshot.is_some_and(|s| !s.history().is_empty())
     }
 
     /// What `choice` does from here: its verdicts and findings, and the
@@ -414,25 +651,74 @@ impl Node {
     }
 }
 
+/// `replica` stands in for `live` after a crash: the same document, state
+/// vector and membership; each member's ack frontier at or below the
+/// live one's; once both collect, the history of `live` or a longer one,
+/// the same when every member's frontier is level; and the same snapshot
+/// bytes when every site's is.
+fn promotes_to(what: &str, mut replica: Notifier, live: &Notifier) {
+    assert_eq!(replica.doc(), live.doc(), "{what}: document");
+    assert_eq!(replica.state_vector(), live.state_vector(), "{what}");
+    let (mut level, mut every_level) = (true, true);
+    for (i, (&got, &now)) in replica.acked_by().iter().zip(live.acked_by()).enumerate() {
+        let site = SiteId::from_client_index(i);
+        let member = live.is_active(site);
+        assert_eq!(
+            replica.is_active(site),
+            member,
+            "{what}: membership of {site}"
+        );
+        assert!(
+            got <= now || !member,
+            "{what}: {site} acked {got}, ahead of {now}"
+        );
+        (level, every_level) = (level && (got == now || !member), every_level && got == now);
+    }
+    let mut live = live.clone();
+    live.gc();
+    replica.gc();
+    let entries = |n: &Notifier| {
+        let entry = |e: &NotifierHbEntry| (e.origin, e.width_at, e.total_after, e.op.clone());
+        n.history().iter().map(entry).collect::<Vec<_>>()
+    };
+    let (got, want) = (entries(&replica), entries(&live));
+    assert!(got.ends_with(&want), "{what}: history lost");
+    assert!(!level || got == want, "{what}: level, yet more history");
+    if every_level {
+        assert_eq!(snapshot(&replica), snapshot(&live), "{what}: snapshot");
+    }
+}
+
 /// Search every interleaving of `scope` depth first, every move through
 /// [`step`], memoized on each state's digest: a state reached again adds
 /// the paths counted below it the first time, by findings, without
-/// walking them again. Each terminal state's replicas are checked against
-/// the notifier's document.
+/// walking them again. Each terminal state's surviving members are
+/// checked against the notifier's document.
 pub fn explore(scope: &Scope) -> Explored {
-    search(scope, None)
+    search(Node::root(scope, false), scope, None)
 }
 
-/// [`explore`], checking the memo and the snapshot as it goes: at every
-/// state reached again, each enabled move's outcome — its verdicts, its
-/// findings and the bytes it leaves queued — must equal its outcome from
-/// the first node that reached that state; at every new state, the
-/// notifier read back from its own snapshot bytes must write the same
-/// bytes, and each enabled move's outcome from the world with that
-/// notifier must equal its outcome from the live one. Otherwise the
-/// search panics. It keeps every node, so it is for small scopes.
+/// [`explore`] on a durable core, checking the memo, the snapshot and the
+/// log as it goes: at every state reached again, each enabled move's
+/// outcome — its verdicts, its findings and the bytes it leaves queued —
+/// must equal its outcome from the first node that reached that state; at
+/// every new state, the notifier read back from its own snapshot bytes
+/// must write the same bytes, and each enabled move's outcome from the
+/// world with that notifier must equal its outcome from the live one; and
+/// at every node, a cold standby rebuilt from its log image and the warm
+/// standby must both stand in for the live notifier ([`promotes_to`]).
+/// Otherwise the search panics. It keeps every node, so it is for small
+/// scopes.
 pub fn explore_checked(scope: &Scope) -> Explored {
-    search(scope, Some((HashMap::new(), read_own_checkpoint)))
+    let checks = (HashMap::new(), cold_standby as Rebuild);
+    search(Node::root(scope, true), scope, Some(checks))
+}
+
+/// The bytes `notifier` writes as its snapshot.
+fn snapshot(notifier: &Notifier) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    notifier.write_checkpoint(&mut bytes);
+    bytes
 }
 
 /// A notifier read from the bytes it wrote, every byte read.
@@ -442,15 +728,16 @@ fn read_own_checkpoint(mut bytes: &[u8]) -> Notifier {
     notifier
 }
 
-fn search(scope: &Scope, mut checks: Option<Checks>) -> Explored {
-    let core = NotifierCore::new(Notifier::new(scope.sites, ""), None, None);
-    let (world, audit, flip) = (StarWorld::new(core), StarAudit::default(), scope.flip_first);
-    let root = Node {
-        world,
-        audit,
-        budget: vec![scope.ops; scope.sites],
-        flip,
-    };
+/// A cold standby of `n` sites: `image` replayed, unpoisoned, promoted,
+/// and collecting as the live notifier does (a snapshot carries no
+/// settings).
+fn cold_standby(image: &WalRecovery, n: usize) -> Notifier {
+    let mut standby = Standby::from_recovery(image, n, "");
+    standby.set_auto_gc(true);
+    standby.promote().expect("a cold standby is unpoisoned")
+}
+
+fn search(root: Node, scope: &Scope, mut checks: Option<Checks>) -> Explored {
     let (mut explored, mut memo) = (Explored::default(), HashMap::new());
     explored.paths = below(&root, scope, &mut memo, &mut checks, &mut explored);
     explored.states = memo.len() as u64;
@@ -466,28 +753,38 @@ fn below(
     explored: &mut Explored,
 ) -> [u64; 3] {
     let (key, choices) = (node.digest(), node.choices(&scope.menu));
-    if let Some(&paths) = memo.get(&key) {
-        if let Some(first) = checks.as_ref().map(|(f, _)| &f[&key]) {
+    let seen = memo.get(&key).copied();
+    if let Some((firsts, rebuild)) = checks {
+        if let Some(first) = firsts.get(&key) {
             assert_eq!(first.choices(&scope.menu), choices, "one digest, two menus");
             for &c in &choices {
                 let (a, b) = (first.outcome(c), node.outcome(c));
                 assert_eq!(a, b, "one digest, two outcomes of {c:?}");
             }
+        } else {
+            let restored = node.restored(*rebuild);
+            for &c in &choices {
+                let (a, b) = (node.outcome(c), restored.outcome(c));
+                assert_eq!(a, b, "a restored notifier goes on otherwise after {c:?}");
+            }
         }
+        let busy = node.recovers(*rebuild);
+        if seen.is_none() {
+            explored.busy_snapshots += u64::from(busy);
+            explored.collected += u64::from(node.world.notifier().history_trimmed() > 0);
+        }
+    }
+    if let Some(paths) = seen {
         return paths;
     }
-    if let Some((_, restore)) = checks {
-        let restored = node.restored(*restore);
-        for &c in &choices {
-            let (a, b) = (node.outcome(c), restored.outcome(c));
-            assert_eq!(a, b, "a restored notifier goes on otherwise after {c:?}");
-        }
-    }
-    let mut paths = [u64::from(choices.is_empty()), 0, 0];
+    let mut paths = [0; 3];
     if choices.is_empty() {
         explored.terminal_states += 1;
-        let doc = node.world.notifier().doc();
-        explored.diverged += u64::from(!node.world.clients().all(|c| c.doc() == doc));
+        let n = node.world.notifier();
+        let mut members = node.world.clients().filter(|c| n.is_active(c.site()));
+        let diverged = !members.all(|c| c.doc() == n.doc());
+        explored.diverged += u64::from(diverged);
+        paths[usize::from(diverged)] = 1;
     }
     for &c in &choices {
         let mut next = node.clone();
@@ -595,7 +892,7 @@ pub fn verify_mesh(cfg: &VerifyConfig) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::ClientAckMsg;
+    use crate::wal::WalRecord;
 
     #[test]
     fn star_verdicts_match_oracle_exactly() {
@@ -661,11 +958,17 @@ mod tests {
         }
     }
 
+    /// A checked search of `scope` from `root`, rebuilding with `rebuild`.
+    fn checked(root: Node, scope: &Scope, rebuild: Rebuild) -> Explored {
+        search(root, scope, Some((HashMap::new(), rebuild)))
+    }
+
     /// Each site's edit, up and the other's down form a chain: C(6, 3)
     /// interleavings.
     #[test]
     fn the_snapshot_check_passes_an_honest_restore() {
-        let explored = search(&two_letters(), Some((HashMap::new(), read_own_checkpoint)));
+        let scope = two_letters();
+        let explored = checked(Node::root(&scope, true), &scope, cold_standby);
         assert_eq!((explored.states, explored.paths), (26, [20, 0, 0]));
     }
 
@@ -674,8 +977,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "a restored notifier writes other bytes")]
     fn the_snapshot_check_catches_a_restore_one_ack_ahead() {
-        fn one_ack_ahead(bytes: &[u8]) -> Notifier {
-            let mut n = read_own_checkpoint(bytes);
+        fn one_ack_ahead(image: &WalRecovery, n: usize) -> Notifier {
+            let mut n = cold_standby(image, n);
             for i in 0..n.n_clients() {
                 let origin = SiteId::from_client_index(i);
                 let (_, sent, _) = n.resync_snapshot_for(origin).expect("a member");
@@ -688,7 +991,8 @@ mod tests {
             }
             n
         }
-        search(&two_letters(), Some((HashMap::new(), one_ack_ahead)));
+        let scope = two_letters();
+        checked(Node::root(&scope, true), &scope, one_ack_ahead);
     }
 
     /// A restore that writes the same bytes but not the same settings is
@@ -696,12 +1000,46 @@ mod tests {
     #[test]
     #[should_panic(expected = "a restored notifier goes on otherwise")]
     fn the_snapshot_check_catches_a_restore_that_goes_on_otherwise() {
-        fn acking(bytes: &[u8]) -> Notifier {
-            let mut n = read_own_checkpoint(bytes);
+        fn acking(image: &WalRecovery, n: usize) -> Notifier {
+            let mut n = cold_standby(image, n);
             n.set_send_acks(true);
             n
         }
-        search(&two_letters(), Some((HashMap::new(), acking)));
+        let scope = two_letters();
+        checked(Node::root(&scope, true), &scope, acking);
+    }
+
+    /// A rebuild that forgets every eviction record fails the log check
+    /// of the hostile scope (`star_exhaustive`'s). The snapshot check
+    /// alone, the same rebuild given snapshot images, passes it: a
+    /// snapshot holds the membership, and no record to drop.
+    #[test]
+    #[should_panic(expected = "cold: membership of")]
+    fn the_log_check_catches_a_rebuild_that_forgets_evictions() {
+        fn forgetting_evictions(image: &WalRecovery, n: usize) -> Notifier {
+            let mut image = image.clone();
+            image.tail.retain(|r| !matches!(r, WalRecord::Evict(_)));
+            cold_standby(&image, n)
+        }
+        let mut menu = vec![Edit::LetterAtStart];
+        menu.extend(Hostile::ALL.map(Edit::Hostile));
+        let scope = Scope {
+            sites: 2,
+            ops: 2,
+            menu,
+            flip_first: false,
+        };
+        let durable = Node::root(&scope, true);
+        let world = durable
+            .world
+            .with_notifier(durable.world.notifier().clone());
+        let log_less = Node {
+            world,
+            ..durable.clone()
+        };
+        let alone = checked(log_less, &scope, forgetting_evictions);
+        assert_eq!((alone.states, alone.paths), (10_255, [405_030, 0, 0]));
+        checked(durable, &scope, forgetting_evictions);
     }
 
     #[test]

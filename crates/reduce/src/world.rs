@@ -26,6 +26,7 @@
 //! * [`StarWorld::gc`] — a site's replica collects its history;
 //! * [`StarWorld::take_pending_ack`] — a quiet site queues the bare ack
 //!   it owes the notifier, unless its hello's answer is still arriving;
+//!   [`StarWorld::send`] queues any message as the site's;
 //! * [`StarWorld::hello`] — a site's replica opens a hello
 //!   ([`StarWorld::open_hello`]) and presents it on a channel, and the
 //!   hub's catch-up is queued there. The frontier is
@@ -136,6 +137,15 @@ pub enum Move {
     Up(SiteId),
     /// The head of the site's channel reaches its replica.
     Down(SiteId),
+}
+
+impl Move {
+    /// The site the move is at.
+    pub fn site(self) -> SiteId {
+        match self {
+            Move::Edit(s) | Move::Up(s) | Move::Down(s) => s,
+        }
+    }
 }
 
 /// The star (see the module docs).
@@ -360,6 +370,13 @@ impl StarWorld {
                     .map(|a| Payload::encode(&EditorMsg::ClientAck(a))),
             );
         }
+    }
+
+    /// `site` sends `msg` up its FIFO without its replica acting: a
+    /// courtesy ack, or whatever a hostile peer says in its name.
+    pub fn send(&mut self, site: SiteId, msg: &EditorMsg) -> Result<(), ProtocolError> {
+        self.seat(site)?.up.push_back(Payload::encode(msg));
+        Ok(())
     }
 
     /// The head of `site`'s up FIFO, taken off it: the bytes the site

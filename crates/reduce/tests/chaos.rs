@@ -124,6 +124,7 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                 queued, step.msg,
                 "notifier integrated an op out of per-channel order"
             );
+            let op = (queued.origin, queued.stamp.get(2));
             let outcome = notifier
                 .try_on_client_op_outcome(queued)
                 .expect("valid client op");
@@ -133,7 +134,7 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                 "live formula-(7) verdicts differ from the fault-free twin"
             );
             let findings = audit
-                .notifier_integrated(&notifier, &outcome)
+                .notifier_integrated(op, &outcome)
                 .expect("every integrated op was generated");
             assert!(
                 findings.is_empty(),

@@ -12,13 +12,22 @@
 //! 23 100 paths, behind 607 states. Every path must end converged with no
 //! verdict Definition 1 contradicts, and a run that flips the first
 //! verdict fed to the audit must be caught exactly once on every path.
+//!
+//! The checked scopes run on a durable core (a log cut every two ops, a
+//! warm standby, history collected) and check a crash at every node: a
+//! cold standby rebuilt from that node's log image and the warm one must
+//! each stand in for the live notifier. Their menus add what a site can
+//! send besides an edit — a courtesy ack, each hostile message the hub
+//! must refuse by evicting its site — and the stamp with either integer
+//! zeroed, the mutations that show both are needed.
 
-use cvc_reduce::verify::{explore, explore_checked, Edit, Explored, Scope};
-use Edit::{LetterAtStart, WideAtEnd};
+use cvc_reduce::verify::{explore, explore_checked, Edit, Explored, Hostile, Scope};
+use Edit::{Ack, LetterAtStart, WideAtEnd, Zeroed};
 
-/// Explore (or, `checked`, explore and check the memo at every state
-/// reached again) `sites` × `ops` over `menu`; states, terminal states and
-/// paths by findings, with no terminal state diverged.
+/// Explore (or, `checked`, explore on a durable core and check the memo,
+/// the snapshot and the log as it goes) `sites` × `ops` over `menu`;
+/// states, terminal states and paths by findings, with no terminal state
+/// diverged.
 fn scope(sites: usize, ops: usize, menu: &[Edit], flip_first: bool, checked: bool) -> Explored {
     let menu = menu.to_vec();
     let scope = Scope {
@@ -71,6 +80,72 @@ fn every_interleaving_of_the_three_edit_menu_is_causally_exact() {
 fn every_interleaving_across_the_widening_converges() {
     let explored = scope(2, 2, &[LetterAtStart, WideAtEnd], false, true);
     assert_eq!(counts(explored), (8_121, 800, [369_600, 0, 0]));
+}
+
+/// Courtesy acks in the menu: each spends a site's budget and travels its
+/// up FIFO like an op. Every path converges, and at every node a cold
+/// standby rebuilt from the log image and the warm one both stand in for
+/// the live notifier — some of those images open with a snapshot cut
+/// while history was in flight, and some notifiers have collected.
+#[test]
+fn every_interleaving_with_courtesy_acks_recovers_from_its_log() {
+    let explored = scope(2, 2, &[LetterAtStart, Ack], false, true);
+    assert!(explored.busy_snapshots > 0, "{explored:?}");
+    assert!(explored.collected > 0, "{explored:?}");
+    assert_eq!(counts(explored), (1_667, 123, [75_796, 0, 0]));
+}
+
+/// Every hostile message in the menu. Each is refused when it arrives,
+/// as the kind of error it is made to trip: the hub evicts the site, one
+/// record is logged, the document and state vector do not move, and the
+/// survivors converge — recovery checked at every node on the way.
+#[test]
+fn every_interleaving_with_hostile_sends_evicts_and_recovers() {
+    let mut menu = vec![LetterAtStart];
+    menu.extend(Hostile::ALL.map(Edit::Hostile));
+    let explored = scope(2, 2, &menu, false, true);
+    assert_eq!(counts(explored), (10_255, 383, [405_030, 0, 0]));
+}
+
+/// The necessity of `T[2]`: the letter sent with it zeroed is refused as
+/// a FIFO violation wherever it arrives (the search demands that kind of
+/// refusal), and its site is evicted.
+#[test]
+fn a_zeroed_second_integer_is_refused_as_a_fifo_violation() {
+    let explored = scope(2, 2, &[LetterAtStart, Zeroed(2)], false, true);
+    assert_eq!(counts(explored), (1_748, 331, [47_912, 0, 0]));
+}
+
+/// The necessity of `T[1]`: the letter sent with it zeroed, offered once
+/// the site has received a broadcast. The 23 100 paths that never take
+/// it are the honest scope's. Of the rest, 13 958 are caught — an audit
+/// finding or a terminal state whose replicas diverged (104 of them) —
+/// and 1 326 escape. On those, every broadcast the site had received was
+/// already acknowledged by the `T[1]` of its earlier op, and the notifier
+/// acts on the highest `T[1]` a site sent: its bridge had dropped that
+/// prefix, and its suffix-bounded scan judges nothing below the
+/// watermark that `T[1]` set. Formula (7) itself, which a debug build's
+/// reference scan recomputes beside the bounded one, does flag the zeroed
+/// integer there, so in a debug build the search stops at that
+/// cross-check's panic.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    should_panic(expected = "bounded scan must select exactly the full-scan concurrent set")
+)]
+fn a_zeroed_first_integer_is_caught_wherever_it_hides_a_receipt() {
+    let menu = vec![LetterAtStart, Zeroed(1)];
+    let explored = explore(&Scope {
+        sites: 2,
+        ops: 2,
+        menu,
+        flip_first: false,
+    });
+    assert_eq!(explored.diverged, 104);
+    assert_eq!(
+        counts(explored),
+        (1_537, 180, [23_100 + 1_326, 2_420, 11_538])
+    );
 }
 
 /// Release build, 2 cores: about two and a half minutes.

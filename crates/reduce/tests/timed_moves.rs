@@ -6,10 +6,10 @@
 //! no hook in the driver, and replays it on a fresh world through
 //! `verify::step`, feeding every integration to a `StarAudit`: the
 //! Definition-1 audit over interleavings a uniform random walk would not
-//! pick, ending in exactly the session's documents.
-//!
-//! History GC stays off, as in the chaos audit legs: the audit zips each
-//! verdict vector against an untrimmed buffer.
+//! pick, ending in exactly the session's documents. History GC runs as
+//! the session's defaults set it: the audit reads each verdict against
+//! its own record of what site 0 executed, whatever the notifier has
+//! collected.
 
 use cvc_core::site::SiteId;
 use cvc_reduce::audit::StarAudit;
@@ -91,7 +91,6 @@ fn a_timed_session_replays_as_a_move_list_with_no_finding() {
     for n in [3, 5] {
         for seed in 0..6 {
             let mut cfg = SessionConfig::small(Deployment::StarCvc, n, seed);
-            cfg.auto_gc = false;
             cfg.record_deliveries = true;
             // Half the runs crowd every edit into one region.
             cfg.workload.hotspot_width = (seed % 2 == 1).then_some(0.2);
