@@ -37,6 +37,18 @@ pub enum ProtocolError {
         /// Operations the peer claims to have seen.
         acked: u64,
     },
+    /// An operation's `T[1]` fell below what its site had already
+    /// acknowledged. A site's count of received broadcasts never falls, so
+    /// the op claims a context its author had already left behind, and
+    /// the notifier would judge and transform it against the wrong one.
+    AckRegression {
+        /// Whose channel.
+        site: SiteId,
+        /// Broadcasts the site had already acknowledged.
+        acked: u64,
+        /// The `T[1]` the op carried.
+        got: u64,
+    },
     /// An operation arrived from a site outside the session.
     UnknownSite {
         /// The offending site id.
@@ -85,6 +97,7 @@ impl ProtocolError {
         match self {
             ProtocolError::FifoViolation { .. } => "fifo-violation",
             ProtocolError::AckOverrun { .. } => "ack-overrun",
+            ProtocolError::AckRegression { .. } => "ack-regression",
             ProtocolError::UnknownSite { .. } => "unknown-site",
             ProtocolError::DepartedSite { .. } => "departed-site",
             ProtocolError::BadOperation(_) => "bad-operation",
@@ -119,6 +132,10 @@ impl fmt::Display for ProtocolError {
             ProtocolError::AckOverrun { site, sent, acked } => write!(
                 f,
                 "ack overrun at {site}: peer acked {acked} ops but only {sent} were sent"
+            ),
+            ProtocolError::AckRegression { site, acked, got } => write!(
+                f,
+                "ack regression at {site}: an op acked {got} broadcasts after {acked} were acked"
             ),
             ProtocolError::UnknownSite { site, n_clients } => {
                 write!(f, "{site} outside session of {n_clients} clients")

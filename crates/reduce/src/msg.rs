@@ -18,8 +18,13 @@
 //!   which is precisely the paper's Section 6 point.
 //!
 //! Encodings are hand-rolled varint formats (see `cvc_sim::wire`) so the
-//! overhead experiments measure real bytes. `stamp_bytes()` splits the
-//! timestamp portion out of the total for the overhead-fraction reports.
+//! overhead experiments measure real bytes. Each format is written down
+//! once, in its `put_*` writer, and every size is that writer run into a
+//! counting sink ([`cvc_sim::wire::counted`]): `wire_bytes()` counts the
+//! encoder, and `stamp_bytes()` counts the writers of the timestamp
+//! portion the overhead-fraction reports split out — a lone message's
+//! stamp, or a compound member's head and flagged delta (a tagged
+//! member's stamp).
 //!
 //! An operation costs its edit. Its count varint is `count << 2 | cursor
 //! kind`, each component is one varint `n << 2 | kind` (an insert's UTF-8
@@ -57,8 +62,8 @@ use cvc_core::vector::VectorClock;
 use cvc_ot::seq::{Component, SeqOp};
 use cvc_ot::ttf::TtfOp;
 use cvc_sim::wire::{
-    bounded_span, get_bounded_len, get_bounded_span, get_u32, get_utf8, get_varint, put_varint,
-    varint_len, WireDecode, WireEncode, WireError, WireSize,
+    bounded_span, counted, get_bounded_len, get_bounded_span, get_u32, get_utf8, get_varint,
+    put_varint, WireDecode, WireEncode, WireError, WireSize,
 };
 use std::sync::Arc;
 
@@ -180,19 +185,10 @@ pub enum EditorMsg {
 }
 
 impl EditorMsg {
-    /// Bytes of the encoded message that are timestamp data.
+    /// Bytes of the encoded message that are timestamp data: what the
+    /// writers of its stamps write.
     pub fn stamp_bytes(&self) -> usize {
-        match self {
-            EditorMsg::ClientOp(m) => stamp_wire_len(m.stamp),
-            EditorMsg::ServerOp(m) => stamp_wire_len(m.stamp),
-            EditorMsg::MeshOp(m) => vector_wire_len(&m.vector),
-            EditorMsg::ServerAck(m) => varint_len(m.acked),
-            EditorMsg::ClientAck(m) => varint_len(m.received),
-            EditorMsg::Compound(ms) => {
-                let mut ctx = Deltas::default();
-                ms.iter().map(|m| m.member_stamp_bytes(&mut ctx)).sum()
-            }
-        }
+        counted(|c| self.put_stamp(c))
     }
 
     /// Integer elements of timestamp data carried.
@@ -355,14 +351,9 @@ pub struct ServerOpFrame {
 impl ServerOpFrame {
     /// Serialize the shared body (operation + telepointer) once.
     pub fn new(op: &SeqOp, cursor: &Option<(u32, u64)>) -> Self {
-        let mut b = Vec::with_capacity(server_op_body_len(op, cursor));
+        let mut b = Vec::with_capacity(counted(|c| put_server_op_body(c, op, cursor)));
         put_server_op_body(&mut b, op, cursor);
         ServerOpFrame { body: b.into() }
-    }
-
-    /// Encoded bytes of the shared body.
-    pub fn body_len(&self) -> usize {
-        self.body.len()
     }
 
     /// The full frame for one destination: `[TAG_SERVER_OP, stamp] ++ body`.
@@ -374,11 +365,6 @@ impl ServerOpFrame {
             head,
             body: Arc::clone(&self.body),
         }
-    }
-
-    /// Wire bytes [`ServerOpFrame::payload_for`] would produce for `stamp`.
-    pub fn wire_bytes_for(&self, stamp: CompressedStamp) -> usize {
-        1 + stamp_wire_len(stamp) + self.body.len()
     }
 }
 
@@ -549,54 +535,35 @@ fn op_head(client: bool, d: CompressedStamp) -> Option<(u64, u64)> {
     (lead < 1 << 61).then_some((lead << 3 | u64::from(flagged != 0) << 2 | kind, flagged))
 }
 
-/// Stamp bytes of an op member: its head and flagged delta, or a tagged
-/// member's delta stamp.
-fn op_member_stamp_len(client: bool, d: CompressedStamp) -> usize {
-    match op_head(client, d) {
-        Some((head, 0)) => varint_len(head),
-        Some((head, flagged)) => varint_len(head) + varint_len(flagged),
-        None => stamp_wire_len(d),
-    }
-}
-
-/// Bytes of an op member before its op: what [`put_op_member_head`]
-/// writes.
-fn op_member_head_len(origin: Option<u32>, d: CompressedStamp) -> usize {
-    let client = origin.is_some();
-    let tag = op_head(client, d).map_or(2, |_| 0);
-    tag + op_member_stamp_len(client, d) + origin.map_or(0, |o| varint_len(u64::from(o)))
-}
-
 /// Write an op member up to its op: the head, the flagged delta and a
 /// `ClientOp`'s origin; for a delta the head cannot hold, the kind-3 byte
 /// and the tagged encoding's tag, origin and (delta) stamp.
 fn put_op_member_head<B: BufMut>(buf: &mut B, origin: Option<u32>, d: CompressedStamp) {
-    match op_head(origin.is_some(), d) {
+    let client = origin.is_some();
+    let origin = |buf: &mut B| origin.map_or((), |o| put_varint(buf, u64::from(o)));
+    if op_head(client, d).is_some() {
+        put_op_member_stamp(buf, client, d);
+        origin(buf);
+    } else {
+        buf.put_u8(MEMBER_TAGGED);
+        buf.put_u8(if client { TAG_CLIENT_OP } else { TAG_SERVER_OP });
+        origin(buf);
+        put_op_member_stamp(buf, client, d);
+    }
+}
+
+/// The stamp of an op member whose delta is `d`: its head and flagged
+/// delta, or a tagged member's (delta) stamp.
+fn put_op_member_stamp<B: BufMut>(buf: &mut B, client: bool, d: CompressedStamp) {
+    match op_head(client, d) {
         Some((head, flagged)) => {
             put_varint(buf, head);
             if flagged != 0 {
                 put_varint(buf, flagged);
             }
-            if let Some(o) = origin {
-                put_varint(buf, u64::from(o));
-            }
         }
-        None => {
-            buf.put_u8(MEMBER_TAGGED);
-            match origin {
-                Some(o) => {
-                    buf.put_u8(TAG_CLIENT_OP);
-                    put_varint(buf, u64::from(o));
-                }
-                None => buf.put_u8(TAG_SERVER_OP),
-            }
-            put_stamp(buf, d);
-        }
+        None => put_stamp(buf, d),
     }
-}
-
-pub(crate) fn stamp_wire_len(s: CompressedStamp) -> usize {
-    varint_len(s.t1) + varint_len(s.t2)
 }
 
 pub(crate) fn put_stamp<B: BufMut>(buf: &mut B, s: CompressedStamp) {
@@ -606,10 +573,6 @@ pub(crate) fn put_stamp<B: BufMut>(buf: &mut B, s: CompressedStamp) {
 
 fn get_stamp<B: Buf>(buf: &mut B) -> Result<CompressedStamp, WireError> {
     Ok(CompressedStamp::new(get_varint(buf)?, get_varint(buf)?))
-}
-
-fn vector_wire_len(v: &VectorClock) -> usize {
-    varint_len(v.width() as u64) + v.entries().iter().map(|&e| varint_len(e)).sum::<usize>()
 }
 
 fn put_vector<B: BufMut>(buf: &mut B, v: &VectorClock) {
@@ -676,19 +639,6 @@ fn sent(op: &SeqOp, kind: u64) -> &[Component] {
         [rest @ .., Component::Retain(_)] if kind != CURSOR_AT => rest,
         comps => comps,
     }
-}
-
-/// Encoded size of components `comps` under cursor kind `kind`: the count
-/// varint and the components, not the caret's payload.
-fn seq_op_wire_len(comps: &[Component], kind: u64) -> usize {
-    varint_len(fold(comps.len(), kind))
-        + comps
-            .iter()
-            .map(|c| {
-                let (v, text) = folded(c);
-                varint_len(v) + text.len()
-            })
-            .sum::<usize>()
 }
 
 fn put_seq_op<B: BufMut>(buf: &mut B, comps: &[Component], kind: u64) {
@@ -774,18 +724,10 @@ fn get_caret<B: Buf>(buf: &mut B, op: &SeqOp, kind: u64) -> Result<Option<u64>, 
     }
 }
 
-/// Encoded size of a [`ServerOpMsg`] body (everything after the stamp):
-/// computed once per broadcast, it prices all `N−1` destination frames.
-pub(crate) fn server_op_body_len(op: &SeqOp, cursor: &Option<(u32, u64)>) -> usize {
-    let (kind, pos) = caret_kind(op, cursor.map(|(_, pos)| pos));
-    seq_op_wire_len(sent(op, kind), kind)
-        + cursor.map_or(0, |(owner, _)| varint_len(u64::from(owner)))
-        + pos.map_or(0, varint_len)
-}
-
-/// Write a [`ServerOpMsg`] body: the op, then the caret's owner and, for
-/// cursor kind 1, its position.
-fn put_server_op_body<B: BufMut>(buf: &mut B, op: &SeqOp, cursor: &Option<(u32, u64)>) {
+/// Write a [`ServerOpMsg`] body (everything after the stamp): the op,
+/// then the caret's owner and, for cursor kind 1, its position. Counted
+/// once per broadcast, it prices all `N−1` destination frames.
+pub(crate) fn put_server_op_body<B: BufMut>(buf: &mut B, op: &SeqOp, cursor: &Option<(u32, u64)>) {
     let (kind, pos) = caret_kind(op, cursor.map(|(_, pos)| pos));
     put_seq_op(buf, sent(op, kind), kind);
     if let Some((owner, _)) = *cursor {
@@ -807,14 +749,9 @@ fn get_server_op_body<B: Buf>(buf: &mut B) -> Result<(SeqOp, Option<(u32, u64)>)
     Ok((op, cursor))
 }
 
-/// Encoded size of a [`ClientOpMsg`] after its tag. The WAL's op record
-/// and the upstream message share these three: the log format is the wire
-/// format.
-pub(crate) fn client_op_len(m: &ClientOpMsg) -> usize {
-    varint_len(u64::from(m.origin.0)) + stamp_wire_len(m.stamp) + client_op_body_len(m)
-}
-
-/// Write a [`ClientOpMsg`] after its tag.
+/// Write a [`ClientOpMsg`] after its tag. The WAL's op record and the
+/// upstream message share this writer and its reader: the log format is
+/// the wire format.
 pub(crate) fn put_client_op<B: BufMut>(buf: &mut B, m: &ClientOpMsg) {
     put_varint(buf, u64::from(m.origin.0));
     put_stamp(buf, m.stamp);
@@ -828,13 +765,8 @@ pub(crate) fn get_client_op<B: Buf>(buf: &mut B) -> Result<ClientOpMsg, WireErro
     get_client_op_body(buf, origin, stamp)
 }
 
-/// Encoded size of a [`ClientOpMsg`] body: its op and caret, after the
-/// origin and stamp (or a member's head and origin).
-fn client_op_body_len(m: &ClientOpMsg) -> usize {
-    let (kind, pos) = caret_kind(&m.op, m.cursor);
-    seq_op_wire_len(sent(&m.op, kind), kind) + pos.map_or(0, varint_len)
-}
-
+/// Write a [`ClientOpMsg`] body: its op and caret, after the origin and
+/// stamp (or a member's head and origin).
 fn put_client_op_body<B: BufMut>(buf: &mut B, m: &ClientOpMsg) {
     let (kind, pos) = caret_kind(&m.op, m.cursor);
     put_seq_op(buf, sent(&m.op, kind), kind);
@@ -856,15 +788,6 @@ fn get_client_op_body<B: Buf>(
         op,
         cursor,
     })
-}
-
-fn ttf_op_wire_len(op: &TtfOp) -> usize {
-    1 + match op {
-        TtfOp::Insert { pos, ch, site } => {
-            varint_len(*pos as u64) + varint_len(*ch as u64) + varint_len(u64::from(*site))
-        }
-        TtfOp::Delete { pos } => varint_len(*pos as u64),
-    }
 }
 
 fn put_ttf_op<B: BufMut>(buf: &mut B, op: &TtfOp) {
@@ -905,24 +828,7 @@ fn get_ttf_op<B: Buf>(buf: &mut B) -> Result<TtfOp, WireError> {
 
 impl WireSize for EditorMsg {
     fn wire_bytes(&self) -> usize {
-        1 + match self {
-            EditorMsg::ClientOp(m) => client_op_len(m),
-            EditorMsg::ServerOp(m) => {
-                stamp_wire_len(m.stamp) + server_op_body_len(&m.op, &m.cursor)
-            }
-            EditorMsg::MeshOp(m) => {
-                varint_len(u64::from(m.origin.0))
-                    + vector_wire_len(&m.vector)
-                    + ttf_op_wire_len(&m.op)
-            }
-            EditorMsg::ServerAck(m) => varint_len(m.acked),
-            EditorMsg::ClientAck(m) => varint_len(u64::from(m.origin.0)) + varint_len(m.received),
-            EditorMsg::Compound(ms) => {
-                let mut ctx = Deltas::default();
-                varint_len(ms.len() as u64)
-                    + ms.iter().map(|m| m.member_len(&mut ctx)).sum::<usize>()
-            }
-        }
+        counted(|c| self.encode(c))
     }
 }
 
@@ -965,13 +871,33 @@ impl WireEncode for EditorMsg {
 }
 
 impl EditorMsg {
-    /// Stamp bytes of this message as a compound member: an op's head and
-    /// flagged delta, a `ServerAck`'s head, or a tagged member's stamp.
-    fn member_stamp_bytes(&self, ctx: &mut Deltas) -> usize {
+    /// Write this message's timestamp data: an op's two integers, a mesh
+    /// op's vector, an ack's count, or each compound member's.
+    fn put_stamp<B: BufMut>(&self, buf: &mut B) {
         match self {
-            EditorMsg::ServerOp(m) => op_member_stamp_len(false, ctx.delta(false, m.stamp)),
-            EditorMsg::ClientOp(m) => op_member_stamp_len(true, ctx.delta(true, m.stamp)),
-            m => m.ack_head().map_or_else(|| m.stamp_bytes(), varint_len),
+            EditorMsg::ClientOp(ClientOpMsg { stamp, .. })
+            | EditorMsg::ServerOp(ServerOpMsg { stamp, .. }) => put_stamp(buf, *stamp),
+            EditorMsg::MeshOp(m) => put_vector(buf, &m.vector),
+            EditorMsg::ServerAck(m) => put_varint(buf, m.acked),
+            EditorMsg::ClientAck(m) => put_varint(buf, m.received),
+            EditorMsg::Compound(ms) => {
+                let mut ctx = Deltas::default();
+                ms.iter().for_each(|m| m.put_member_stamp(buf, &mut ctx));
+            }
+        }
+    }
+
+    /// Write this message's timestamp data as a compound member: an op's
+    /// head and flagged delta, a `ServerAck`'s head, or a tagged member's
+    /// stamp.
+    fn put_member_stamp<B: BufMut>(&self, buf: &mut B, ctx: &mut Deltas) {
+        match self {
+            EditorMsg::ServerOp(m) => put_op_member_stamp(buf, false, ctx.delta(false, m.stamp)),
+            EditorMsg::ClientOp(m) => put_op_member_stamp(buf, true, ctx.delta(true, m.stamp)),
+            m => match m.ack_head() {
+                Some(head) => put_varint(buf, head),
+                None => m.put_stamp(buf),
+            },
         }
     }
 
@@ -981,21 +907,6 @@ impl EditorMsg {
         match self {
             EditorMsg::ServerAck(a) if a.acked < 1 << 62 => Some(a.acked << 2 | MEMBER_SERVER_ACK),
             _ => None,
-        }
-    }
-
-    /// Encoded size as a compound member, an op's stamp a delta in `ctx`.
-    fn member_len(&self, ctx: &mut Deltas) -> usize {
-        match self {
-            EditorMsg::ServerOp(m) => {
-                op_member_head_len(None, ctx.delta(false, m.stamp))
-                    + server_op_body_len(&m.op, &m.cursor)
-            }
-            EditorMsg::ClientOp(m) => {
-                op_member_head_len(Some(m.origin.0), ctx.delta(true, m.stamp))
-                    + client_op_body_len(m)
-            }
-            m => m.ack_head().map_or_else(|| 1 + m.wire_bytes(), varint_len),
         }
     }
 
@@ -1153,6 +1064,7 @@ pub fn decode_payload(chunks: [&[u8]; 2], out: &mut Vec<EditorMsg>) -> Result<()
 mod tests {
     use super::*;
     use cvc_ot::pos::PosOp;
+    use cvc_sim::wire::varint_len;
 
     fn sample_seq_op() -> SeqOp {
         SeqOp::from_pos(&PosOp::insert(3, "hello"), 10)
@@ -1296,13 +1208,99 @@ mod tests {
                 let payload = frame.payload_for(stamp);
                 assert_eq!(payload.to_vec(), expect);
                 assert_eq!(payload.len(), reference.wire_bytes());
-                assert_eq!(frame.wire_bytes_for(stamp), reference.wire_bytes());
-                assert_eq!(
-                    frame.body_len(),
-                    server_op_body_len(&op, &cursor),
-                    "body priced once"
-                );
             }
+        }
+    }
+
+    /// Every kind's size, pinned: `wire_bytes()` and `stamp_bytes()` of one
+    /// message of each kind, of a compound holding the three re-headed
+    /// kinds and of one whose deltas escape to kind-3 members, and
+    /// `wire_bytes()` of one log record of each kind.
+    #[test]
+    fn every_kind_has_its_pinned_size() {
+        use crate::wal::{AckFrontierRecord, WalRecord};
+        let client_op = ClientOpMsg {
+            origin: SiteId(2),
+            stamp: CompressedStamp::new(4, 1),
+            op: sample_seq_op(),
+            cursor: Some(8),
+        };
+        let server_op = |t1, t2| {
+            EditorMsg::ServerOp(ServerOpMsg {
+                stamp: CompressedStamp::new(t1, t2),
+                op: SeqOp::from_pos(&PosOp::delete(2, "CDE"), 8),
+                cursor: Some((3, 1)),
+            })
+        };
+        let client_ack = ClientAckMsg {
+            origin: SiteId(3),
+            received: 129,
+        };
+        let ack = |acked| EditorMsg::ServerAck(ServerAckMsg { acked });
+        let far = EditorMsg::ClientOp(ClientOpMsg {
+            stamp: CompressedStamp::new(1, 1 << 62),
+            ..client_op.clone()
+        });
+        let messages = [
+            (EditorMsg::ClientOp(client_op.clone()), 12, 2),
+            (server_op(300, 7), 10, 3),
+            (
+                EditorMsg::MeshOp(MeshOpMsg {
+                    origin: SiteId(5),
+                    vector: VectorClock::from_entries(vec![1, 0, 200, 3, 4]),
+                    op: TtfOp::Insert {
+                        pos: 12,
+                        ch: '字',
+                        site: 5,
+                    },
+                }),
+                15,
+                7,
+            ),
+            (ack(300), 3, 2),
+            (EditorMsg::ClientAck(client_ack), 4, 2),
+            (
+                EditorMsg::Compound(vec![
+                    server_op(300, 7),
+                    EditorMsg::ClientOp(client_op.clone()),
+                    ack(9),
+                    server_op(301, 7),
+                ]),
+                30,
+                7,
+            ),
+            (
+                EditorMsg::Compound(vec![
+                    server_op(1 << 61, 0),
+                    far,
+                    ack(1 << 62),
+                    EditorMsg::ClientAck(client_ack),
+                ]),
+                57,
+                31,
+            ),
+        ];
+        for (msg, wire, stamp) in messages {
+            let sizes = (msg.wire_bytes(), msg.stamp_bytes());
+            assert_eq!(sizes, (wire, stamp), "{msg:?}");
+            assert_eq!(Payload::encode(&msg).len(), wire, "{msg:?}");
+        }
+        let records = [
+            (WalRecord::Op(client_op), 12),
+            (WalRecord::Ack(client_ack), 4),
+            (
+                WalRecord::AckFrontier(AckFrontierRecord {
+                    entries: vec![(0, 5), (3, 300)],
+                }),
+                7,
+            ),
+            (WalRecord::Evict(SiteId(300)), 3),
+        ];
+        for (rec, wire) in records {
+            assert_eq!(rec.wire_bytes(), wire, "{rec:?}");
+            let mut bytes = Vec::new();
+            rec.encode(&mut bytes);
+            assert_eq!(bytes.len(), wire, "{rec:?}");
         }
     }
 

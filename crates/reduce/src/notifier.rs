@@ -63,7 +63,7 @@ use crate::bridge::{Bridge, BridgeError, BridgeRole};
 use crate::error::ProtocolError;
 use crate::metrics::SiteMetrics;
 use crate::msg::{
-    get_op, put_op, server_op_body_len, stamp_wire_len, ClientAckMsg, ClientOpMsg, EditorMsg,
+    get_op, put_op, put_server_op_body, put_stamp, ClientAckMsg, ClientOpMsg, EditorMsg,
     ServerAckMsg, ServerOpFrame, ServerOpMsg,
 };
 use crate::recorder::{EventKind, FlightEvent, FlightRecorder};
@@ -77,7 +77,8 @@ use cvc_core::vector::VectorClock;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::seq::SeqOp;
 use cvc_sim::wire::{
-    get_bounded_len, get_string, get_u32, get_varint, put_string, put_varint, WireError, WireSize,
+    counted, get_bounded_len, get_string, get_u32, get_varint, put_string, put_varint, WireError,
+    WireSize,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -818,9 +819,9 @@ impl Notifier {
     /// Integrate an arriving client operation: validates the origin, the
     /// per-channel FIFO counter (`T[2]` must be exactly one past the
     /// operations received from that client), and the acknowledgement
-    /// bound (`T[1]` cannot exceed the operations sent to that client). On
-    /// error the violation is counted and recorded; the notifier state is
-    /// untouched.
+    /// bounds (`T[1]` cannot exceed the operations sent to that client,
+    /// nor fall below what it already acknowledged). On error the
+    /// violation is counted and recorded; the notifier state is untouched.
     ///
     /// The outcome carries the broadcast in unserialized shared form
     /// (`Arc`'d op + per-destination stamps): every driver encodes the
@@ -875,6 +876,16 @@ impl Notifier {
                 site: x,
                 sent: sent_to_x,
                 acked: msg.stamp.get(1),
+            });
+        }
+        // The bounded scan and the bridge start at the highest `T[1]` the
+        // site acknowledged; an op stamped below it cannot be judged.
+        // (A bare ack may hold back: a hello's frontier can.)
+        if msg.stamp.get(1) < self.acked_by[xi] {
+            return Err(ProtocolError::AckRegression {
+                site: x,
+                acked: self.acked_by[xi],
+                got: msg.stamp.get(1),
             });
         }
         // The op arrives without its trailing retain (from the wire or the
@@ -1043,7 +1054,7 @@ impl Notifier {
         let owned_cursor = cursor.map(|c| (x.0, c as u64));
         // The destination-independent body prices every broadcast frame;
         // only the 2-varint stamp differs per destination.
-        let body_len = server_op_body_len(&executed, &owned_cursor) as u64;
+        let body_len = counted(|c| put_server_op_body(c, &executed, &owned_cursor)) as u64;
         let mut out = Vec::with_capacity(self.active_clients().saturating_sub(1));
         for idx in 0..self.n_clients() {
             let dest = SiteId::from_client_index(idx);
@@ -1072,7 +1083,7 @@ impl Notifier {
                         .with_ab(u64::from(dest.0), 0),
                 );
             }
-            let stamp_len = stamp_wire_len(stamp) as u64;
+            let stamp_len = counted(|c| put_stamp(c, stamp)) as u64;
             self.metrics.messages_sent += 1;
             self.metrics.stamp_integers_sent += 2;
             self.metrics.stamp_bytes_sent += stamp_len;

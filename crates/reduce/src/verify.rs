@@ -334,9 +334,11 @@ impl Edit {
     }
 
     /// The kind of [`ProtocolError`] the hub must refuse this edit's
-    /// message with, evicting the site; `None` if it must integrate it.
-    fn refusal(self) -> Option<&'static str> {
+    /// message with, evicting the site, when it arrives with `acked` of
+    /// the site's broadcasts acknowledged; `None` if it must integrate it.
+    fn refusal(self, acked: u64) -> Option<&'static str> {
         Some(match self {
+            Edit::Zeroed(1) if acked > 0 => "ack-regression",
             Edit::Zeroed(2) | Edit::Hostile(Hostile::Duplicate | Hostile::FifoGap) => {
                 "fifo-violation"
             }
@@ -559,6 +561,7 @@ impl Node {
             (records, n.doc_checksum(), n.state_vector().clone())
         };
         let before = at_hub(&self.world);
+        let acked = self.world.notifier().acked_by()[i];
         let sent = match (m, edit) {
             (Move::Edit(_), Some(e)) => {
                 self.budget[i] -= 1;
@@ -570,7 +573,7 @@ impl Node {
         };
         let user = |w: &mut StarWorld, site| edit.expect("an edit carries its edit").make(w, site);
         let judged = judge(&mut self.world, &mut self.audit, m, user, &mut self.flip);
-        let refusal = sent.and_then(Edit::refusal);
+        let refusal = sent.and_then(|e| e.refusal(acked));
         let ok = match (m, &judged) {
             (Move::Up(_), Ok(got)) => {
                 refusal.is_none() && got.is_some() == (sent != Some(Edit::Ack))

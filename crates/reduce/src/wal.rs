@@ -61,15 +61,15 @@
 
 use crate::frame::{split_frame, write_frame, FrameError};
 use crate::msg::{
-    client_op_len, get_client_op, put_client_op, ClientAckMsg, ClientOpMsg, EditorMsg,
-    TAG_CLIENT_ACK, TAG_CLIENT_OP,
+    get_client_op, put_client_op, ClientAckMsg, ClientOpMsg, EditorMsg, TAG_CLIENT_ACK,
+    TAG_CLIENT_OP,
 };
 use crate::notifier::Notifier;
 use bytes::{Buf, BufMut};
 use cvc_core::site::SiteId;
 use cvc_sim::wire::{
-    get_bounded_len, get_u32, get_varint, put_varint, varint_len, WireDecode, WireEncode,
-    WireError, WireSize,
+    counted, get_bounded_len, get_u32, get_varint, put_varint, WireDecode, WireEncode, WireError,
+    WireSize,
 };
 
 /// Tag of a snapshot record, [`Notifier::write_checkpoint`]'s bytes. Op
@@ -137,18 +137,7 @@ pub struct AckFrontierRecord {
 
 impl WireSize for WalRecord {
     fn wire_bytes(&self) -> usize {
-        match self {
-            WalRecord::Op(m) => 1 + client_op_len(m),
-            WalRecord::Ack(m) => EditorMsg::ClientAck(*m).wire_bytes(),
-            WalRecord::AckFrontier(f) => {
-                1 + varint_len(f.entries.len() as u64)
-                    + f.entries
-                        .iter()
-                        .map(|&(i, a)| varint_len(u64::from(i)) + varint_len(a))
-                        .sum::<usize>()
-            }
-            WalRecord::Evict(site) => 1 + varint_len(u64::from(site.0)),
-        }
+        counted(|c| self.encode(c))
     }
 }
 

@@ -156,6 +156,52 @@ fn forged_origin_evicts_the_bound_site_not_the_named_one() {
     assert_eq!(h.site_of(1), None);
 }
 
+/// A site's `T[1]` never falls: an op stamped below what the site already
+/// acknowledged is refused before anything moves, and its site evicted.
+/// The notifier's snapshot is then the one an eviction alone writes.
+#[test]
+fn a_falling_first_integer_is_refused_and_evicts() {
+    let mut h = bound(2);
+    let mut sends = Vec::new();
+    let a = Client::new(SiteId(1), "").insert(0, "a");
+    assert!(matches!(
+        h.on_msg(1, EditorMsg::ClientOp(a), &mut sends),
+        Step::Op(_)
+    ));
+    let mut site2 = Client::new(SiteId(2), "");
+    for m in sends.iter().flat_map(|(_, p)| decode(p)) {
+        let EditorMsg::ServerOp(op) = m else {
+            panic!("acks are off: {m:?}")
+        };
+        site2.try_on_server_op(op).expect("the broadcast applies");
+    }
+    let b = site2.insert(0, "b");
+    assert_eq!(b.stamp.as_pair(), (1, 1));
+    assert!(matches!(
+        h.on_msg(2, EditorMsg::ClientOp(b), &mut Vec::new()),
+        Step::Op(_)
+    ));
+
+    let mut stale = site2.insert(0, "c");
+    stale.stamp = cvc_core::state_vector::CompressedStamp::new(0, 2);
+    let mut evicted_alone = h.notifier().clone();
+    evicted_alone.quarantine(SiteId(2)).expect("a member");
+    let logged = appends(&h);
+    let step = h.on_msg(2, EditorMsg::ClientOp(stale), &mut sends);
+    let Step::Evicted(site, ProtocolError::AckRegression { acked, got, .. }) = step else {
+        panic!("{step:?}")
+    };
+    assert_eq!((site, acked, got), (SiteId(2), 1, 0));
+    assert!(!h.notifier().is_active(SiteId(2)));
+    assert_eq!(appends(&h), logged + 1, "the eviction alone is logged");
+    let snapshot = |n: &Notifier| {
+        let mut bytes = Vec::new();
+        n.write_checkpoint(&mut bytes);
+        bytes
+    };
+    assert_eq!(snapshot(h.notifier()), snapshot(&evicted_alone));
+}
+
 /// A stranger's hello naming site 0, a site outside the session or a
 /// bound site costs only its channel: nothing integrates, nothing is
 /// logged, nobody is evicted, the held binding stands.

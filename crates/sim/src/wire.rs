@@ -7,14 +7,40 @@
 //! [`WireSize`] trait the simulator consults when accounting a send.
 //!
 //! Built on [`bytes::BufMut`]/[`bytes::Buf`] so encode paths write straight
-//! into reusable buffers.
+//! into reusable buffers. A format is written down once, in its encoder:
+//! an encoded size is that encoder run into a [`Counted`] sink, which
+//! keeps no bytes, only their number.
 
 use bytes::{Buf, BufMut};
 
-/// Types that can report their encoded size without encoding.
+/// Types that report their encoded size. A type with an encoder counts
+/// what the encoder writes ([`counted`]); a type that holds its encoded
+/// bytes reports their length.
 pub trait WireSize {
-    /// Exact number of bytes [`WireEncode::encode`] would produce.
+    /// Exact number of bytes [`WireEncode::encode`] produces.
     fn wire_bytes(&self) -> usize;
+}
+
+/// A byte sink that keeps only the count of what is put into it.
+#[derive(Debug)]
+pub struct Counted(usize);
+
+impl BufMut for Counted {
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// Bytes `put` writes: how every encoded size is measured, with no heap
+/// call.
+pub fn counted(put: impl FnOnce(&mut Counted)) -> usize {
+    let mut sink = Counted(0);
+    put(&mut sink);
+    sink.0
 }
 
 /// Types with a canonical wire encoding.
@@ -170,11 +196,6 @@ pub fn bounded_span(n: u64) -> Result<usize, WireError> {
     Ok(n as usize)
 }
 
-/// Encoded size of a length-prefixed UTF-8 string.
-pub fn string_len(s: &str) -> usize {
-    varint_len(s.len() as u64) + s.len()
-}
-
 /// Write a length-prefixed UTF-8 string.
 pub fn put_string<B: BufMut>(buf: &mut B, s: &str) {
     put_varint(buf, s.len() as u64);
@@ -239,6 +260,7 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v), "length mismatch for {v}");
+            assert_eq!(counted(|c| put_varint(c, v)), buf.len());
             let mut slice = &buf[..];
             assert_eq!(get_varint(&mut slice), Ok(v));
             assert!(slice.is_empty(), "decode must consume exactly");
@@ -275,7 +297,7 @@ mod tests {
         for s in ["", "a", "hello world", "日本語テキスト"] {
             let mut buf = Vec::new();
             put_string(&mut buf, s);
-            assert_eq!(buf.len(), string_len(s));
+            assert_eq!(buf.len(), varint_len(s.len() as u64) + s.len());
             let mut slice = &buf[..];
             assert_eq!(get_string(&mut slice), Ok(s.to_string()));
         }
